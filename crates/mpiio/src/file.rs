@@ -476,28 +476,90 @@ mod tests {
         });
     }
 
-    /// Collective read of data written independently.
+    /// Collective read of data written independently. The inputs vary
+    /// which blocks hold real bytes and whether a rank sits the call out:
+    /// the returned buffer's kind follows the payloads that land in it.
     #[test]
     fn collective_read_after_independent_write() {
         let fs = FileSystem::new(FsConfig::tiny());
         let fs2 = fs.clone();
         run_cluster(ClusterConfig::ideal(4), move |ep| {
             let comm = Communicator::world(&ep);
-            let mut f = File::open(&comm, &fs2, "/cr", &Info::new());
             let n = 512usize;
-            f.write_at((comm.rank() * n) as u64, &IoBuffer::from_vec(fill(comm.rank(), n)));
-            comm.barrier();
-            // Everyone collectively reads the rank-reversed block.
-            let peer = comm.size() - 1 - comm.rank();
-            let ft = Datatype::HIndexed {
-                blocks: vec![((peer * n) as u64, 1)],
-                inner: Box::new(Datatype::Bytes(n as u64)),
-            };
-            f.set_view(0, &ft);
-            let got = f.read_at_all(0, n as u64);
-            assert_eq!(got.as_slice().unwrap(), fill(peer, n).as_slice());
-            f.close();
+            // One aggregator, one block per round: payloads reach every
+            // rank in ascending block order.
+            let info = Info::new().with("cb_nodes", 1).with("cb_buffer_size", n);
+            // (first synthetic block, rank that reads nothing)
+            let cases = [(4, None), (2, None), (0, None), (4, Some(3))];
+            for (case, (synthetic_from, idle)) in cases.into_iter().enumerate() {
+                let mut f = File::open(&comm, &fs2, &format!("/cr{case}"), &info);
+                let block = if comm.rank() < synthetic_from {
+                    IoBuffer::from_vec(fill(comm.rank(), n))
+                } else {
+                    IoBuffer::synthetic(n)
+                };
+                f.write_at((comm.rank() * n) as u64, &block);
+                comm.barrier();
+                // Everyone collectively reads the rank-reversed block and
+                // the one two further on, in file order.
+                let peer = comm.size() - 1 - comm.rank();
+                let (lo, hi) = (peer.min(peer ^ 2), peer.max(peer ^ 2));
+                let ft = Datatype::HIndexed {
+                    blocks: vec![((lo * n) as u64, 1), ((hi * n) as u64, 1)],
+                    inner: Box::new(Datatype::Bytes(n as u64)),
+                };
+                f.set_view(0, &ft);
+                if idle == Some(comm.rank()) {
+                    // Zero-byte plan inside a live collective.
+                    assert_eq!(f.read_at_all(0, 0), IoBuffer::empty());
+                } else {
+                    let got = f.read_at_all(0, 2 * n as u64);
+                    if hi < synthetic_from {
+                        // All real: byte-exact.
+                        let want = [fill(lo, n), fill(hi, n)].concat();
+                        assert_eq!(got.as_slice().unwrap(), want.as_slice());
+                    } else {
+                        // Real then synthetic (or all synthetic):
+                        // synthetic of the full length.
+                        assert_eq!(got, IoBuffer::synthetic(2 * n));
+                    }
+                }
+                f.close();
+            }
         });
+    }
+
+    /// A synthetic collective read whose modelled size could never be
+    /// zero-filled: 4 ranks × 16 GiB through 1 GiB staging rounds, with
+    /// and without read sieving. Host memory follows real bytes — none.
+    #[test]
+    fn synthetic_collective_read_allocates_nothing() {
+        const N: usize = 16 << 30;
+        for sieve in ["disable", "enable"] {
+            let fs = FileSystem::new(FsConfig::tiny());
+            let fs2 = fs.clone();
+            let out = run_cluster(ClusterConfig::ideal(4), move |ep| {
+                let comm = Communicator::world(&ep);
+                let info = Info::new()
+                    .with("cb_buffer_size", 1usize << 30)
+                    .with("cb_ds_read", sieve);
+                let mut f = File::open_with_layout(&comm, &fs2, "/huge", &info, 4, 1 << 30);
+                f.write_at_all((comm.rank() * N) as u64, &IoBuffer::synthetic(N));
+                let got = f.read_at_all((comm.rank() * N) as u64, N as u64);
+                assert!(f.profile().rounds >= 16, "staged through many rounds");
+                f.close();
+                got
+            });
+            for got in out {
+                assert_eq!(got, IoBuffer::synthetic(N));
+                // Range checks still run on the synthetic path.
+                assert!(std::panic::catch_unwind(|| got.sub(N - 1, 2)).is_err());
+                let mut dst = got.clone();
+                let oob =
+                    std::panic::AssertUnwindSafe(|| dst.copy_in(N - 1, &IoBuffer::synthetic(2)));
+                assert!(std::panic::catch_unwind(oob).is_err());
+            }
+        }
     }
 
     /// Profile accounting: a collective write attributes time to sync,

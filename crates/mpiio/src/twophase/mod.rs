@@ -1153,13 +1153,8 @@ fn write_window(
         t.stop_traced(ep.now(), prof, ep.trace());
     } else {
         // Contiguous coverage: one large write per covered run (usually
-        // exactly one). Skip the zero-fill when any payload is synthetic
-        // — the staging buffer will degrade to synthetic anyway.
-        let mut window_buf = if placements.iter().any(|(_, d)| !d.is_real()) {
-            IoBuffer::synthetic(span as usize)
-        } else {
-            IoBuffer::zeroed(span as usize)
-        };
+        // exactly one). The staging buffer's kind follows its payloads.
+        let mut window_buf = IoBuffer::landing(span as usize, placements.iter().map(|(_, d)| d));
         for (off, data) in &placements {
             window_buf.copy_in((off - write_lo) as usize, data);
         }
@@ -1234,7 +1229,11 @@ pub fn read_all(
     };
     let p = comm.size();
 
-    let mut user_buf = IoBuffer::zeroed(plan.total as usize);
+    // Created when the first verified payload is unpacked, so its kind
+    // follows what actually arrives: every rank is inside this call at
+    // once, and zero-filling `plan.total` up front costs ranks × bytes
+    // read on synthetic runs that discard the pages at the first copy.
+    let mut user_buf: Option<IoBuffer> = None;
     let mut recv_cursors: Vec<PieceCursor<'_>> =
         setup.my_req.iter().map(|v| PieceCursor::new(v)).collect();
     let mut send_cursors: Option<Vec<PieceCursor<'_>>> = setup
@@ -1404,6 +1403,8 @@ pub fn read_all(
                 .position(|&x| x == agg_rank)
                 .expect("payload from a configured aggregator");
             let n = payload.len() as u64;
+            let user_buf =
+                user_buf.get_or_insert_with(|| IoBuffer::landing(plan.total as usize, [&payload]));
             let mut consumed = 0u64;
             recv_cursors[a].consume(n, |piece| {
                 user_buf.copy_in(
@@ -1437,5 +1438,5 @@ pub fn read_all(
         rec.observe("ext2ph_rounds", setup.ntimes as f64);
     }
 
-    user_buf
+    user_buf.unwrap_or_else(|| IoBuffer::zeroed(plan.total as usize))
 }

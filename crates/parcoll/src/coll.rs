@@ -387,19 +387,8 @@ fn run_partitioned<'ep>(
             // Pattern (c): build the intermediate file view. Everyone
             // shares its physical extent list (p2p volume ∝ segments).
             let t = PhaseTimer::start(Phase::Sync, ep.now());
-            let pairs: Vec<(u64, u64)> = plan.extents.iter().map(|e| (e.off, e.len)).collect();
-            let all_lists = comm.allgather(codec::encode_pairs(&pairs));
+            let map = gather_logical_map(&comm, &plan.extents);
             t.stop_traced(ep.now(), file.profile_mut(), ep.trace());
-            let extent_lists: Vec<Vec<Ext>> = all_lists
-                .iter()
-                .map(|b| {
-                    codec::decode_pairs(b)
-                        .into_iter()
-                        .map(|(o, l)| Ext::new(o, l))
-                        .collect()
-                })
-                .collect();
-            let map = Arc::new(LogicalMap::new(extent_lists));
 
             // Partition the *logical* file: rank regions are serial, so
             // this is pattern (a) by construction.
@@ -451,6 +440,28 @@ fn run_partitioned<'ep>(
             (PartitionMode::IntermediateView { groups: n_groups }, data)
         }
     }
+}
+
+/// Allgather every rank's physical extent list and build the intermediate
+/// view's [`LogicalMap`] from them. The lists are decoded, validated and
+/// indexed once, at the meeting point, and every rank receives the same
+/// `Arc`: the map's host cost is O(total extents) per collective, not
+/// O(P × total extents).
+fn gather_logical_map(comm: &Communicator<'_>, extents: &[Ext]) -> Arc<LogicalMap> {
+    let pairs: Vec<(u64, u64)> = extents.iter().map(|e| (e.off, e.len)).collect();
+    comm.allgather_derive(codec::encode_pairs(&pairs), |all_lists| {
+        LogicalMap::new(
+            all_lists
+                .iter()
+                .map(|b| {
+                    codec::decode_pairs(b)
+                        .into_iter()
+                        .map(|(o, l)| Ext::new(o, l))
+                        .collect()
+                })
+                .collect(),
+        )
+    })
 }
 
 /// Run the inner two-phase engine for a write or a read.
@@ -1301,6 +1312,39 @@ mod tests {
         });
     }
 
+    /// The intermediate view's map is built once per collective and
+    /// shared: every rank holds the same allocation.
+    #[test]
+    fn logical_map_is_built_once_and_shared() {
+        let maps = run_cluster(ClusterConfig::cray_xt(4, Mapping::Block), |ep| {
+            let comm = Communicator::world(&ep);
+            let mine: Vec<Ext> = (0..4)
+                .map(|k| Ext::new((comm.rank() * 16 + k * 256) as u64, 16))
+                .collect();
+            gather_logical_map(&comm, &mine)
+        });
+        assert_eq!(maps[0].nprocs(), 4);
+        assert_eq!(maps[0].rank_range(3), (192, 256));
+        assert!(maps.iter().all(|m| Arc::ptr_eq(m, &maps[0])));
+    }
+
+    /// The map's validation runs inside the collective's meeting point; a
+    /// rank contributing overlapping extents fails the run with the
+    /// assert's own message instead of hanging the other ranks.
+    #[test]
+    #[should_panic(expected = "physical extents must be sorted and disjoint per rank")]
+    fn invalid_extents_fail_the_run_at_the_meeting_point() {
+        run_cluster(ClusterConfig::cray_xt(4, Mapping::Block), |ep| {
+            let comm = Communicator::world(&ep);
+            let mine = if comm.rank() == 2 {
+                vec![Ext::new(0, 10), Ext::new(5, 10)]
+            } else {
+                vec![Ext::new(100 * comm.rank() as u64, 10)]
+            };
+            gather_logical_map(&comm, &mine);
+        });
+    }
+
     /// force_iview=true routes a serial pattern through the logical map;
     /// the bytes must still be identical.
     #[test]
@@ -1405,6 +1449,39 @@ mod tests {
             assert_eq!(pc.inner().handle().size(), 16 * n as u64);
             pc.close();
         });
+    }
+
+    /// A synthetic partitioned read whose modelled size could never be
+    /// zero-filled: 4 ranks × 16 GiB in 2 subgroups through 1 GiB staging
+    /// rounds, with and without read sieving.
+    #[test]
+    fn synthetic_partitioned_read_allocates_nothing() {
+        const N: usize = 16 << 30;
+        for sieve in ["disable", "enable"] {
+            let fs = FileSystem::new(FsConfig::tiny());
+            let fs2 = fs.clone();
+            let out = run_cluster(ClusterConfig::cray_xt(4, Mapping::Block), move |ep| {
+                let comm = Communicator::world(&ep);
+                let info = info_groups(2)
+                    .with("cb_buffer_size", 1usize << 30)
+                    .with("cb_ds_read", sieve);
+                let mut pc = ParcollFile::open_with_layout(&comm, &fs2, "/huge", &info, 4, 1 << 30);
+                pc.write_at_all((comm.rank() * N) as u64, &IoBuffer::synthetic(N));
+                let got = pc.read_at_all((comm.rank() * N) as u64, N as u64);
+                assert_eq!(pc.last_mode(), Some(PartitionMode::Direct { groups: 2 }));
+                pc.close();
+                got
+            });
+            for got in out {
+                assert_eq!(got, IoBuffer::synthetic(N));
+                // Range checks still run on the synthetic path.
+                assert!(std::panic::catch_unwind(|| got.sub(N - 1, 2)).is_err());
+                let mut dst = got.clone();
+                let oob =
+                    std::panic::AssertUnwindSafe(|| dst.copy_in(N - 1, &IoBuffer::synthetic(2)));
+                assert!(std::panic::catch_unwind(oob).is_err());
+            }
+        }
     }
 
     /// The headline effect: with the same direct (pattern-a) workload and

@@ -15,6 +15,7 @@
 use crate::comm::{Communicator, MeetLabel};
 use crate::ReduceOp;
 use simnet::{CollectiveAlg, IoBuffer};
+use std::sync::Arc;
 
 impl Communicator<'_> {
     /// Trace name of the algorithm the cost model charges for alltoall.
@@ -141,6 +142,26 @@ impl Communicator<'_> {
     /// Allgather of byte buffers (`MPI_Allgather`/`MPI_Allgatherv` —
     /// lengths may differ). Returns all members' buffers by local rank.
     pub fn allgather(&self, buf: IoBuffer) -> Vec<IoBuffer> {
+        (*self.allgather_derive(buf, |inputs| inputs)).clone()
+    }
+
+    /// Derive-at-meet allgather: the same collective as
+    /// [`allgather`](Self::allgather) — same cost, same trace span — but
+    /// instead of handing every member its own copy of the gathered
+    /// buffers, `derive` runs exactly once at the meeting point (on the
+    /// last arrival, over the buffers by local rank) and every member
+    /// receives the same `Arc` of what it built.
+    ///
+    /// Use it for metadata all members would otherwise each decode and
+    /// index identically (the `comm_split` idiom): host memory and work
+    /// are then O(gathered bytes), not O(members × gathered bytes). Every
+    /// member must pass an equivalent `derive`; a panic inside it poisons
+    /// the cluster and surfaces as the run's panic.
+    pub fn allgather_derive<R, F>(&self, buf: IoBuffer, derive: F) -> Arc<R>
+    where
+        R: Send + Sync + 'static,
+        F: FnOnce(Vec<IoBuffer>) -> R,
+    {
         let net = self.ep.net().clone();
         let p = self.size();
         let label = MeetLabel {
@@ -148,12 +169,11 @@ impl Communicator<'_> {
             alg: "recursive_doubling",
             bytes: buf.len() as u64,
         };
-        let out = self.meet(label, buf, move |inputs: Vec<IoBuffer>, max| {
+        self.meet(label, buf, move |inputs: Vec<IoBuffer>, max| {
             let n_each = inputs.iter().map(IoBuffer::len).max().unwrap_or(0);
             let cost = net.allgather_cost(p, n_each);
-            (inputs, max + cost)
-        });
-        (*out).clone()
+            (derive(inputs), max + cost)
+        })
     }
 
     /// Typed allgather for protocol metadata; `bytes_each` is the

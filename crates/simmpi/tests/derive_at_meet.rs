@@ -1,0 +1,165 @@
+//! Contract of the derive-at-meet allgather
+//! ([`Communicator::allgather_derive`]): the closure runs exactly once
+//! per collective, every member receives the same `Arc`, and clocks and
+//! the exported trace are those of a plain `allgather` of the same
+//! buffers, bit for bit — on single-worker fibers, sharded fibers and the
+//! thread fallback. A panic inside the closure surfaces as the run's
+//! panic with its own message instead of hanging the rendezvous.
+//!
+//! The executor is a process-global knob ([`simnet::set_executor`]), so
+//! the tests in this file serialize on one mutex and restore the default.
+
+use simmpi::Communicator;
+use simnet::{run_cluster, ClusterConfig, Executor, IoBuffer, Mapping, SimTime};
+use simtrace::{chrome_trace_json, TraceSink};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+
+const RANKS: usize = 8;
+const COLLECTIVES: usize = 3;
+
+struct ExecutorGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
+
+fn executor_lock() -> ExecutorGuard {
+    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
+    let guard = LOCK
+        .get_or_init(Mutex::default)
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    ExecutorGuard(guard)
+}
+
+impl Drop for ExecutorGuard {
+    fn drop(&mut self) {
+        simnet::set_executor(Executor::Fibers);
+    }
+}
+
+/// (executor, per-cluster worker count) combinations under test.
+const SUBSTRATES: [(Executor, usize); 3] = [
+    (Executor::Fibers, 1),
+    (Executor::Fibers, 4),
+    (Executor::Threads, 1),
+];
+
+fn cluster(workers: usize, trace: &TraceSink) -> ClusterConfig {
+    let mut cfg = ClusterConfig::cray_xt(RANKS, Mapping::Block);
+    cfg.workers = workers;
+    cfg.trace = trace.clone();
+    cfg
+}
+
+/// This rank's contribution to collective `i`: lengths differ by rank so
+/// the cost model's max-length rule is exercised.
+fn contribution(rank: usize, i: usize) -> IoBuffer {
+    IoBuffer::from_vec(vec![(rank * 16 + i) as u8; 8 + rank * 4 + i])
+}
+
+fn lengths(bufs: &[IoBuffer]) -> Vec<usize> {
+    bufs.iter().map(IoBuffer::len).collect()
+}
+
+#[test]
+fn derive_runs_once_shares_one_arc_and_costs_a_plain_allgather() {
+    let _guard = executor_lock();
+    for (executor, workers) in SUBSTRATES {
+        simnet::set_executor(executor);
+
+        // Reference: plain allgather, every rank folding its own copy.
+        let sink = TraceSink::enabled();
+        let plain = run_cluster(cluster(workers, &sink), |ep| {
+            ep.compute(SimTime::micros(ep.rank() as f64 * 3.0));
+            let comm = Communicator::world(&ep);
+            let folded: Vec<Vec<usize>> = (0..COLLECTIVES)
+                .map(|i| lengths(&comm.allgather(contribution(comm.rank(), i))))
+                .collect();
+            (folded, ep.now())
+        });
+        let plain_trace = chrome_trace_json(&sink.finish());
+        assert!(
+            plain_trace.contains("allgather"),
+            "the reference trace records the rdv spans"
+        );
+
+        // Same buffers through the derive-at-meet form.
+        let calls = Arc::new(AtomicUsize::new(0));
+        let sink = TraceSink::enabled();
+        let calls2 = Arc::clone(&calls);
+        let derived = run_cluster(cluster(workers, &sink), move |ep| {
+            ep.compute(SimTime::micros(ep.rank() as f64 * 3.0));
+            let comm = Communicator::world(&ep);
+            let shared: Vec<Arc<Vec<usize>>> = (0..COLLECTIVES)
+                .map(|i| {
+                    comm.allgather_derive(contribution(comm.rank(), i), |bufs| {
+                        calls2.fetch_add(1, Ordering::SeqCst);
+                        lengths(&bufs)
+                    })
+                })
+                .collect();
+            (shared, ep.now())
+        });
+        let derived_trace = chrome_trace_json(&sink.finish());
+
+        let what = format!("{executor:?} × {workers} workers");
+        assert_eq!(
+            calls.load(Ordering::SeqCst),
+            COLLECTIVES,
+            "{what}: once per collective"
+        );
+        for (rank, ((shared, clock), (folded, plain_clock))) in
+            derived.iter().zip(&plain).enumerate()
+        {
+            assert_eq!(
+                clock.as_secs().to_bits(),
+                plain_clock.as_secs().to_bits(),
+                "{what}: rank {rank} clock"
+            );
+            for i in 0..COLLECTIVES {
+                assert!(
+                    Arc::ptr_eq(&shared[i], &derived[0].0[i]),
+                    "{what}: rank {rank} holds its own copy"
+                );
+                assert_eq!(*shared[i], folded[i], "{what}: rank {rank} collective {i}");
+            }
+        }
+        assert_eq!(derived_trace, plain_trace, "{what}: exported trace");
+    }
+}
+
+#[test]
+fn panic_in_derive_surfaces_with_its_own_message() {
+    let _guard = executor_lock();
+    for (executor, workers) in SUBSTRATES {
+        simnet::set_executor(executor);
+        // Whichever rank arrives last runs the closure: make each rank
+        // the last arrival in turn by having it collect a token from
+        // every peer before it enters the collective.
+        for late in 0..RANKS {
+            let run = std::panic::catch_unwind(move || {
+                run_cluster(cluster(workers, &TraceSink::disabled()), move |ep| {
+                    let comm = Communicator::world(&ep);
+                    if comm.rank() == late {
+                        for src in (0..RANKS).filter(|&r| r != late) {
+                            comm.recv(src, 7);
+                        }
+                    } else {
+                        comm.send(late, 7, IoBuffer::synthetic(1));
+                    }
+                    comm.allgather_derive(IoBuffer::synthetic(8), |_| -> usize {
+                        panic!("derive exploded at the meeting point")
+                    })
+                })
+            });
+            let payload = run.expect_err("the closure's panic must end the run");
+            let msg = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_default();
+            assert!(
+                msg.contains("derive exploded at the meeting point"),
+                "{executor:?} × {workers} workers, last arrival {late}: got {msg:?}"
+            );
+        }
+    }
+}

@@ -17,7 +17,10 @@
 //! Mixing: combining any synthetic content into a builder degrades the
 //! result to synthetic. Performance runs are all-synthetic and correctness
 //! runs are all-real, so degradation never silently loses test data; it is
-//! nevertheless well-defined.
+//! nevertheless well-defined. A buffer that payloads are about to land in
+//! is created by [`IoBuffer::landing`], which picks the kind from the
+//! payloads up front — a synthetic transfer never zero-fills memory it
+//! would immediately discard.
 //!
 //! # Zero-copy representation
 //!
@@ -222,6 +225,20 @@ impl IoBuffer {
     /// A synthetic buffer of the given length.
     pub fn synthetic(len: usize) -> Self {
         IoBuffer::Synthetic { len }
+    }
+
+    /// A fresh `len`-byte buffer for `payloads` to be
+    /// [`copy_in`](Self::copy_in)-ed into: its kind follows theirs. All
+    /// real → zero-filled real; any synthetic → synthetic, because the
+    /// first such `copy_in` would degrade a zero-filled buffer anyway and
+    /// throw the pages away. Host memory therefore follows the real bytes
+    /// that land, never the modelled size.
+    pub fn landing<'a>(len: usize, payloads: impl IntoIterator<Item = &'a IoBuffer>) -> Self {
+        if payloads.into_iter().all(IoBuffer::is_real) {
+            IoBuffer::zeroed(len)
+        } else {
+            IoBuffer::synthetic(len)
+        }
     }
 
     /// Number of bytes represented.
@@ -555,6 +572,33 @@ mod tests {
         let mut b = IoBuffer::synthetic(6);
         b.copy_in(0, &IoBuffer::from_slice(&[1, 2, 3]));
         assert_eq!(b, IoBuffer::synthetic(6));
+    }
+
+    #[test]
+    fn landing_kind_follows_payload_kind() {
+        let real = IoBuffer::from_slice(&[1, 2]);
+        let synth = IoBuffer::synthetic(2);
+        let mut b = IoBuffer::landing(4, [&real, &real]);
+        assert_eq!(b, IoBuffer::zeroed(4));
+        b.copy_in(2, &real);
+        assert_eq!(b.as_slice().unwrap(), &[0, 0, 1, 2]);
+        // One synthetic payload decides: nothing is allocated, whatever
+        // the modelled size.
+        assert_eq!(
+            IoBuffer::landing(1 << 40, [&real, &synth]),
+            IoBuffer::synthetic(1 << 40)
+        );
+        assert_eq!(
+            IoBuffer::landing(3, std::iter::empty()),
+            IoBuffer::zeroed(3)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn landing_synthetic_keeps_range_checks() {
+        let mut b = IoBuffer::landing(4, [&IoBuffer::synthetic(2)]);
+        b.copy_in(3, &IoBuffer::synthetic(2));
     }
 
     #[test]

@@ -234,7 +234,11 @@ mod arch {
     /// Lay out a fresh fiber's initial frame below the 16-aligned stack
     /// `top` so that restoring from the returned rsp pops six zeroed
     /// callee-saved registers and `ret`s into `entry` with the stack
-    /// alignment of a freshly `call`ed function.
+    /// alignment of a freshly `call`ed function. The slot above, where
+    /// `entry`'s own return address would sit, is zeroed: `entry` never
+    /// returns, but a stack walk (a panic under `RUST_BACKTRACE=1`)
+    /// reads it, and the unwinder ends the walk at a null return address
+    /// where it would chase leftover heap bytes.
     ///
     /// # Safety
     /// `top` must be the 16-aligned top of a live allocation with at
@@ -243,6 +247,7 @@ mod arch {
         unsafe {
             let ret_slot = top - 16; // 16-aligned => rsp ≡ 8 (mod 16) at entry
             (ret_slot as *mut usize).write(entry);
+            ((top - 8) as *mut usize).write(0);
             let rsp = ret_slot - 6 * 8;
             std::ptr::write_bytes(rsp as *mut u8, 0, 6 * 8);
             rsp
@@ -843,6 +848,19 @@ mod tests {
             .expect("payload preserved");
         assert_eq!(msg, "fiber boom");
         assert!(panics[2].is_none());
+    }
+
+    #[test]
+    fn backtrace_from_a_fiber_ends_at_its_base_frame() {
+        // A panic under RUST_BACKTRACE=1 walks the whole stack. Hand the
+        // allocator dirty memory first, so the walk past `fiber_main`
+        // reads a planted end-of-stack marker, not leftover bytes.
+        drop(std::hint::black_box(vec![0xAAu8; 64 * 1024]));
+        let tasks: Vec<Box<dyn FnOnce()>> = vec![Box::new(|| {
+            let bt = std::backtrace::Backtrace::force_capture();
+            assert_eq!(bt.status(), std::backtrace::BacktraceStatus::Captured);
+        })];
+        assert!(run_simple(tasks)[0].is_none());
     }
 
     #[test]
