@@ -136,9 +136,12 @@ pub fn attribution_rows(fig: &str, p: &Profiled) -> Vec<Row> {
 pub fn print_top(fig: &str, p: &Profiled, k: usize) {
     let wall_ns = (p.wall_s * 1e9).max(f64::MIN_POSITIVE);
     let sites = p.report.by_site();
+    // Fiber slices (resumes): what the scheduler's cost scales with,
+    // printed even when `fiber_run` is not among the top sinks.
+    let slices = p.report.samples(host::Site::FiberRun);
     println!(
         "hostprof: {fig} wall {:.3}s, {:.1}% attributed to named sinks \
-         ({} sites, {} dropped samples); top {} by self time:",
+         ({} sites, {slices} fiber slices, {} dropped samples); top {} by self time:",
         p.wall_s,
         p.attributed_pct(),
         sites.len(),

@@ -216,7 +216,6 @@ fn verify_payload(
     // span, like aggregator failover.
     let faults = faults.expect("a corrupted payload implies an installed plan");
     let plan = faults.plan();
-    let _hold = plan.hold_timer();
     let t0 = ep.now();
     let t = PhaseTimer::start(Phase::P2p, ep.now());
     let mut repaired: Option<IoBuffer> = None;
@@ -591,7 +590,6 @@ fn failover(
     let ep = comm.endpoint();
     let p = comm.size();
     let plan = faults.plan();
-    let _timer = plan.hold_timer();
     let t0 = ep.now();
     // Detection: this round's size exchange timed out on the dead role.
     ep.clock().advance(plan.detect_timeout);

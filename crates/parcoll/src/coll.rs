@@ -517,7 +517,9 @@ fn subgroup_setup<'ep>(
             .collect(),
         _ => parent_cfg.aggregators.clone(),
     };
-    let aggs_per_group = match aggs_override {
+    let t = PhaseTimer::start(Phase::Sync, ep.now());
+    let color = Some(my_group as i64);
+    let (sub, aggs_per_group) = match aggs_override {
         // Autotuner probe: N evenly spaced live members per subgroup,
         // bypassing the hinted distribution.
         Some(n) if n > 0 => {
@@ -525,7 +527,7 @@ fn subgroup_setup<'ep>(
             for (r, &g) in group_of.iter().enumerate() {
                 members[g].push(r);
             }
-            members
+            let aggs = members
                 .iter()
                 .map(|m| {
                     let live: Vec<usize> = match ep.faults() {
@@ -543,15 +545,16 @@ fn subgroup_setup<'ep>(
                     let k = n.min(base.len());
                     (0..k).map(|i| base[i * base.len() / k]).collect()
                 })
-                .collect()
+                .collect();
+            (comm.split(color, 0), Arc::new(aggs))
         }
-        _ => distribute_aggregators(&hints, group_of, n_groups, |r| comm.node_of(r)),
+        // Every rank holds the same hints and grouping, so the hinted
+        // distribution is decided once, where the split meets.
+        _ => comm.split_derive(color, 0, || {
+            distribute_aggregators(&hints, group_of, n_groups, |r| comm.node_of(r))
+        }),
     };
-
-    let t = PhaseTimer::start(Phase::Sync, ep.now());
-    let sub = comm
-        .split(Some(my_group as i64), 0)
-        .expect("every rank belongs to a subgroup");
+    let sub = sub.expect("every rank belongs to a subgroup");
     t.stop_traced(ep.now(), file.profile_mut(), ep.trace());
 
     // Translate my group's aggregators from parent ranks to sub ranks.

@@ -137,7 +137,6 @@ impl Ost {
                      exceed the retry bound of {}",
                     plan.max_retries
                 );
-                let _timer = plan.hold_timer();
                 st.ops += fails; // each failed attempt burns one op slot
                 let backoff = plan.retry_penalty(fails as u32, SimTime::ZERO);
                 if st.trace.enabled() {

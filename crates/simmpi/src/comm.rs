@@ -205,6 +205,26 @@ impl<'ep> Communicator<'ep> {
     /// of an 16-byte allgather (color+key), which is how implementations
     /// realize it.
     pub fn split(&self, color: Option<i64>, key: i64) -> Option<Communicator<'ep>> {
+        self.split_derive(color, key, || ()).0
+    }
+
+    /// [`split`](Self::split) that also decides something once: `derive`
+    /// runs exactly once at the meeting point (on the last arrival) and
+    /// every member receives the same `Arc` of what it built — the
+    /// [`allgather_derive`](Self::allgather_derive) idiom for metadata
+    /// every member would otherwise compute identically from inputs they
+    /// all already hold. Same collective, same cost, same trace span.
+    /// Every member must pass an equivalent `derive`.
+    pub fn split_derive<R, F>(
+        &self,
+        color: Option<i64>,
+        key: i64,
+        derive: F,
+    ) -> (Option<Communicator<'ep>>, Arc<R>)
+    where
+        R: Send + Sync + 'static,
+        F: FnOnce() -> R,
+    {
         let poison = self.ep.poison();
         let ctx_alloc = self.ep.ctx_allocator();
         let net = self.ep.net().clone();
@@ -215,7 +235,7 @@ impl<'ep> Communicator<'ep> {
         // builds every subgroup once and hands each parent rank its
         // (shared state, local rank) assignment.
         type SplitOut = Vec<Option<(Arc<CommShared>, usize)>>;
-        let assignment: Arc<SplitOut> = self.meet(
+        let met: Arc<(SplitOut, Arc<R>)> = self.meet(
             MeetLabel {
                 op: "comm_split",
                 alg: "recursive_doubling",
@@ -253,17 +273,22 @@ impl<'ep> Communicator<'ep> {
                         out[parent_local] = Some((Arc::clone(&shared), new_local));
                     }
                 }
-                (out, max_clock + net.allgather_cost(p, 16))
+                (
+                    (out, Arc::new(derive())),
+                    max_clock + net.allgather_cost(p, 16),
+                )
             },
         );
 
-        assignment[self.my_local]
+        let (assignment, derived) = &*met;
+        let sub = assignment[self.my_local]
             .as_ref()
             .map(|(shared, local)| Communicator {
                 ep: self.ep,
                 shared: Arc::clone(shared),
                 my_local: *local,
-            })
+            });
+        (sub, Arc::clone(derived))
     }
 
     /// Duplicate this communicator (fresh context, same membership) —

@@ -127,6 +127,58 @@ fn derive_runs_once_shares_one_arc_and_costs_a_plain_allgather() {
 }
 
 #[test]
+fn split_derive_runs_once_and_is_a_plain_split() {
+    let _guard = executor_lock();
+    for (executor, workers) in SUBSTRATES {
+        simnet::set_executor(executor);
+        let run = |derive_once: bool, calls: Arc<AtomicUsize>| {
+            let sink = TraceSink::enabled();
+            let out = run_cluster(cluster(workers, &sink), move |ep| {
+                ep.compute(SimTime::micros(ep.rank() as f64 * 3.0));
+                let comm = Communicator::world(&ep);
+                let color = Some((comm.rank() % 2) as i64);
+                // What every rank can work out alone from inputs all hold.
+                let decide = || (0..comm.size()).map(|r| r % 2).collect::<Vec<usize>>();
+                let (sub, decided) = if derive_once {
+                    comm.split_derive(color, 0, || {
+                        calls.fetch_add(1, Ordering::SeqCst);
+                        decide()
+                    })
+                } else {
+                    (comm.split(color, 0), Arc::new(decide()))
+                };
+                let sub = sub.expect("every rank has a color");
+                (sub.rank(), sub.size(), decided, ep.now())
+            });
+            (out, chrome_trace_json(&sink.finish()))
+        };
+        let calls = Arc::new(AtomicUsize::new(0));
+        let (plain, plain_trace) = run(false, Arc::clone(&calls));
+        let (derived, derived_trace) = run(true, Arc::clone(&calls));
+        let what = format!("{executor:?} × {workers} workers");
+        assert_eq!(calls.load(Ordering::SeqCst), 1, "{what}: once per split");
+        for (rank, (d, p)) in derived.iter().zip(&plain).enumerate() {
+            assert_eq!(
+                (d.0, d.1),
+                (p.0, p.1),
+                "{what}: rank {rank} sub-communicator"
+            );
+            assert_eq!(*d.2, *p.2, "{what}: rank {rank} decision");
+            assert!(
+                Arc::ptr_eq(&d.2, &derived[0].2),
+                "{what}: rank {rank} holds a copy"
+            );
+            assert_eq!(
+                d.3.as_secs().to_bits(),
+                p.3.as_secs().to_bits(),
+                "{what}: rank {rank} clock"
+            );
+        }
+        assert_eq!(derived_trace, plain_trace, "{what}: exported trace");
+    }
+}
+
+#[test]
 fn panic_in_derive_surfaces_with_its_own_message() {
     let _guard = executor_lock();
     for (executor, workers) in SUBSTRATES {

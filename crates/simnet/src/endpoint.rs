@@ -267,7 +267,6 @@ impl Endpoint {
             .as_ref()
             .expect("faulted packet received without an installed fault plan")
             .plan();
-        let _timer = plan.hold_timer();
         let arrival = clean + plan.retry_penalty(pkt.fault_drops, wire);
         if self.trace.enabled() {
             self.trace.span(

@@ -58,20 +58,18 @@
 //! output, and a run with no plan installed is bitwise identical to a
 //! build without this module.
 //!
-//! # Stall-detector integration
+//! # Deadlock detection
 //!
-//! The fiber executor's deadlock detector poisons the cluster when no
-//! unblocking event happens for many scheduler cycles. Fault handling that
-//! legitimately holds ranks back registers an *outstanding fault timer*
-//! ([`FaultPlan::hold_timer`]); the detector defers poisoning while any
-//! timer is outstanding, so an injected delay is never misdiagnosed as a
-//! deadlock.
+//! Because no fault ever blocks the host — every penalty above is
+//! arithmetic on a virtual clock — the fault layer needs nothing from
+//! the fiber executor's deadlock detector, which is exact: a rank in a
+//! retry, a repair re-request or a failover is either runnable or
+//! parked on a peer that is.
 
 use crate::noise::SplitMix64;
 use crate::time::SimTime;
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 /// One declarative fault rule of a [`FaultPlan`].
@@ -242,9 +240,6 @@ pub struct FaultPlan {
     /// Virtual time charged when a crashed aggregator is detected (the
     /// round's size exchange timing out on the dead rank).
     pub detect_timeout: SimTime,
-    /// Live count of in-flight fault timers (see
-    /// [`hold_timer`](FaultPlan::hold_timer)).
-    outstanding: AtomicU32,
 }
 
 /// SplitMix64 finalizer, used to hash fault-stream coordinates into seeds.
@@ -270,7 +265,6 @@ impl FaultPlan {
             max_retries: 6,
             retry_timeout: SimTime::millis(2.0),
             detect_timeout: SimTime::millis(20.0),
-            outstanding: AtomicU32::new(0),
         }
     }
 
@@ -491,30 +485,6 @@ impl FaultPlan {
             penalty += self.retry_timeout * (1u64 << i.min(20)) as f64 + wire;
         }
         penalty
-    }
-
-    /// Register an in-flight fault timer for the duration of the returned
-    /// guard; the fiber stall detector will not poison the cluster while
-    /// any timer is outstanding.
-    pub fn hold_timer(&self) -> FaultTimerGuard<'_> {
-        self.outstanding.fetch_add(1, Ordering::Relaxed);
-        FaultTimerGuard(self)
-    }
-
-    /// Number of currently outstanding fault timers.
-    pub fn outstanding(&self) -> u32 {
-        self.outstanding.load(Ordering::Relaxed)
-    }
-}
-
-/// RAII guard of one outstanding fault timer (see
-/// [`FaultPlan::hold_timer`]).
-#[derive(Debug)]
-pub struct FaultTimerGuard<'a>(&'a FaultPlan);
-
-impl Drop for FaultTimerGuard<'_> {
-    fn drop(&mut self) {
-        self.0.outstanding.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -765,18 +735,6 @@ mod tests {
         assert_eq!(a, plan.msg_fault(0, 1, 0));
         assert_eq!(b, plan.msg_fault(0, 1, 1));
         assert_eq!(c, plan.msg_fault(0, 2, 0));
-    }
-
-    #[test]
-    fn timer_guard_counts_nest_and_release() {
-        let plan = FaultPlan::new(0);
-        assert_eq!(plan.outstanding(), 0);
-        {
-            let _a = plan.hold_timer();
-            let _b = plan.hold_timer();
-            assert_eq!(plan.outstanding(), 2);
-        }
-        assert_eq!(plan.outstanding(), 0);
     }
 
     #[test]

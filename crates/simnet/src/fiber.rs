@@ -7,73 +7,76 @@
 //! of their host life blocked on each other: every rendezvous parks
 //! `p - 1` ranks, every receive parks one. With one OS thread per rank,
 //! each park/wake pair costs a futex syscall plus a kernel context switch
-//! — measured at ~6 µs on a single-CPU host, which multiplied by the
-//! hundreds of parks in even a quick figure run dwarfs the actual
-//! simulation work. None of that parallelism is real: on one CPU the
-//! threads strictly take turns anyway.
+//! (~6 µs on a single-CPU host), and none of that parallelism is real:
+//! on one CPU the threads strictly take turns anyway. A *fiber*
+//! (stackful coroutine) makes the turn-taking explicit: every rank gets
+//! a heap-allocated stack, and a scheduler switches between them in
+//! userspace (~tens of nanoseconds: the callee-saved registers and the
+//! stack pointer).
 //!
-//! A *fiber* (stackful coroutine) makes the turn-taking explicit. Every
-//! rank gets its own heap-allocated stack, and a scheduler round-robins
-//! them with a userspace context switch (~tens of nanoseconds: the
-//! callee-saved registers and the stack pointer). A rank that would park
-//! instead yields (`yield_now`); the peers it is waiting for run
-//! immediately after, on the same thread.
+//! # Blocked ranks cost nothing
+//!
+//! The scheduler resumes only *runnable* fibers. A rank that must block
+//! calls `wait` — the one wait primitive shared by the mailbox, the
+//! rendezvous and the admission gate — which leaves its `Waker` in a
+//! slot guarded by the wait site's own lock, drops that lock and leaves
+//! the run queue. The site's notify path (the same place that signals
+//! the condition variable OS threads sleep on) takes the waker out of
+//! the slot and wakes it: a push onto the run queue of the worker that
+//! owns the fiber. A parked fiber is not touched again until then, so
+//! host time follows events, not ranks × scheduler cycles.
+//!
+//! A wake can land between "site lock released" and "fiber switched
+//! out". Each fiber carries a three-state flag for that: the *scheduler*
+//! marks a fiber parked only after the switch away from it has
+//! completed, and a wake that finds the fiber still running leaves a
+//! notification the scheduler honours by re-queueing it at once.
+//!
+//! Code that drives the primitives from plain OS threads (the
+//! `Threads` executor, unit tests spawning `std::thread`) is untouched:
+//! without a fiber context `wait` sleeps on the site's condvar.
 //!
 //! # Sharding
 //!
 //! ParColl subgroups are communication-independent by construction, so
 //! their fibers can run on *different* worker threads with real
-//! parallelism on a multi-core host. `run_fibers_sharded` partitions
-//! the fiber set by a placement map (one worker per ParColl subgroup
-//! block, by default contiguous rank blocks) and runs one scheduler
-//! loop per worker. Cross-worker interactions — cluster-wide
-//! rendezvous, mailbox traffic between subgroups, shared-OST admission
-//! — go through the same mutex-protected wait sites as ever; a fiber
-//! polling a condition another worker will satisfy simply yields until
-//! the producing worker's store is visible under the lock.
+//! parallelism on a multi-core host: [`workers`] (env `SIMNET_WORKERS`,
+//! default 1, or [`set_workers`]) partitions the fiber set by a
+//! placement map (one worker per ParColl subgroup block, by default
+//! contiguous rank blocks), one scheduler loop per worker. Fibers never
+//! migrate. A wake from the owning worker is a push onto its
+//! thread-local run queue; a wake from another worker goes into the
+//! owner's inbox under the one scheduler lock, and a worker with
+//! nothing runnable sleeps on its inbox.
 //!
 //! # What stays identical
 //!
-//! Virtual time. The simulation's timestamps are already a pure function
-//! of configuration — deterministic under *any* host interleaving (the
+//! Virtual time. The simulation's timestamps are a pure function of
+//! configuration — deterministic under *any* host interleaving (the
 //! regress gate enforces it; the one-thread-per-rank executor is the
-//! existence proof) — and each scheduler merely picks one particular
-//! interleaving. The deterministic merge points are the existing
-//! primitives: rendezvous completion is `max` over entry clocks
-//! (commutative, order-blind), and every shared-resource admission is
-//! ordered by the virtual-time key `(arrival, rank, seq)` in the
-//! progress registry, not by host arrival order. The blocking
-//! primitives keep their mutex protocols; the only difference is *how*
-//! a blocked rank waits (yield vs. condvar), selected per call site by
-//! the private `in_fiber` probe.
+//! existence proof) — and each scheduler merely picks one interleaving.
+//! The deterministic merge points are the existing primitives:
+//! rendezvous completion is `max` over entry clocks, and every
+//! shared-resource admission is ordered by the virtual-time key
+//! `(arrival, rank, seq)` in the progress registry, not by host arrival
+//! order. [`run_cluster`](crate::run_cluster) consults [`executor`]:
+//! `Fibers` (the default on x86_64 and aarch64) or `Threads` (other
+//! architectures, nested clusters, or `SIMNET_EXECUTOR=threads` /
+//! [`set_executor`] — useful for A/B-ing the two, which must produce
+//! bitwise-identical virtual times).
 //!
-//! Code that drives the primitives from plain OS threads (unit tests
-//! spawning `std::thread`) is untouched: without a fiber context the
-//! wait sites fall back to their condition variables.
+//! # Deadlock detection
 //!
-//! # Executor selection
-//!
-//! [`run_cluster`](crate::run_cluster) consults [`executor`]: `Fibers`
-//! (the default on x86_64 and aarch64) or `Threads` (other
-//! architectures, nested clusters, or an explicit
-//! `SIMNET_EXECUTOR=threads` / [`set_executor`] override — useful for
-//! A/B-ing the two modes, which must produce bitwise-identical virtual
-//! times). Orthogonally, [`workers`] (env `SIMNET_WORKERS`, default 1,
-//! or [`set_workers`]) picks how many OS threads the fiber executor
-//! shards ranks across.
-//!
-//! # Stall detection across workers
-//!
-//! A deadlock is "every fiber yielding, nothing moving". With one
-//! worker that is one local judgment; with many it must be global — a
-//! worker whose own fibers are all parked is *not* stalled while a
-//! fiber on another worker is mid-slice and about to deliver. Each
-//! worker therefore publishes an idle claim only after `STALL_CYCLES`
-//! consecutive unproductive cycles, stamped with the `EVENTS` value
-//! it observed; the stall callback fires only when every worker has
-//! published a claim (or finished) and the global event counter still
-//! equals every stamp — i.e. nothing has moved anywhere for as long as
-//! the most recently idle worker has been spinning.
+//! Because only runnable fibers are ever queued, a deadlock is an exact
+//! condition rather than a timeout: no runnable fiber on any worker
+//! while fibers remain. A worker that runs dry takes the scheduler lock
+//! and, finding its inbox empty, counts itself idle; when the idle
+//! count reaches the number of workers that still own fibers, nobody is
+//! running, and since only a running fiber can wake another, nothing is
+//! in flight either. That worker calls the stall callback (which
+//! poisons the cluster) on the spot. Poisoning — by a stall or by a
+//! rank panic — re-queues every parked fiber once, so each one observes
+//! the poison flag in its wait loop and unwinds.
 //!
 //! # Safety notes
 //!
@@ -87,10 +90,15 @@
 //! Fibers never migrate between workers, so each fiber's stack and
 //! progress context are only ever touched by the worker that owns it.
 
+use crate::rendezvous::PoisonFlag;
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::any::Any;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// Which substrate [`crate::run_cluster`] runs ranks on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -165,19 +173,6 @@ pub fn workers() -> usize {
         }
         n => n,
     }
-}
-
-/// Global event counter for stall detection: bumped by every operation
-/// that can unblock a waiter (packet delivery, rendezvous arrival,
-/// progress-registry transition). A full scheduler cycle in which every
-/// fiber yields and this counter stays put means nobody on that worker
-/// could make progress; all workers observing that simultaneously means
-/// a genuine deadlock rather than ordinary waiting.
-static EVENTS: AtomicU64 = AtomicU64::new(0);
-
-/// Record an unblocking-relevant event (cheap relaxed increment).
-pub(crate) fn note_event() {
-    EVENTS.fetch_add(1, Ordering::Relaxed);
 }
 
 // ---------------------------------------------------------------------
@@ -395,12 +390,199 @@ impl Drop for StackMem {
 // ---------------------------------------------------------------------
 
 /// Why a fiber switched back to the scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Action {
-    /// Blocked in a wait site; re-run it later.
-    Yielded,
+    /// Blocked in [`wait`]; off the run queue until woken.
+    Parked,
     /// The body returned (or unwound); never resume.
     Done,
+}
+
+/// [`Parker::state`]: queued and not yet woken again, or mid-slice.
+const RUNNING: u8 = 0;
+/// [`Parker::state`]: off every queue; the next wake re-queues the fiber.
+const PARKED: u8 = 1;
+/// [`Parker::state`]: woken — already queued, or still mid-slice and to
+/// be re-queued the moment it parks.
+const NOTIFIED: u8 = 2;
+
+/// One fiber's wake handle. A blocking rank leaves a clone in the wait
+/// site's slot (under the site's lock); whoever satisfies the wait takes
+/// it out and calls [`wake`](Parker::wake).
+pub(crate) struct Parker {
+    /// [`RUNNING`] / [`PARKED`] / [`NOTIFIED`]. Only the owning worker
+    /// stores `PARKED`, and only after the switch away from the fiber
+    /// has completed, so a waker that reads `PARKED` may re-queue a
+    /// fully suspended fiber; every other transition is a swap.
+    state: AtomicU8,
+    sched: Arc<Sched>,
+    /// The worker that owns the fiber, and the fiber's index there.
+    worker: usize,
+    idx: usize,
+}
+
+/// Shared handle to a [`Parker`].
+pub(crate) type Waker = Arc<Parker>;
+
+impl Parker {
+    /// Make the fiber runnable. Idempotent until the fiber runs again;
+    /// on a fiber that has not finished switching out it leaves a
+    /// notification the scheduler turns into a re-queue.
+    pub(crate) fn wake(&self) {
+        // AcqRel pairs with the scheduler's RUNNING -> PARKED exchange:
+        // whichever of the two comes second sees the other.
+        if self.state.swap(NOTIFIED, Ordering::AcqRel) == PARKED {
+            self.sched.enqueue(self.worker, self.idx);
+        }
+    }
+}
+
+/// Wake and clear the waiter registered in `slot`, if any (the fiber
+/// half of a notify; the caller signals the site's condvar itself).
+pub(crate) fn wake(slot: &mut Option<Waker>) {
+    if let Some(w) = slot.take() {
+        w.wake();
+    }
+}
+
+/// Cross-worker scheduler state, all under one lock: a worker touches it
+/// only to wake a fiber it does not own or when it has run dry, so the
+/// single-worker executor never takes it on the happy path.
+struct Shared {
+    /// Per worker: fibers woken by other workers since it last looked.
+    inboxes: Vec<Vec<usize>>,
+    /// Per worker: asleep on an empty inbox with an empty run queue.
+    idle: Vec<bool>,
+    n_idle: usize,
+    /// Workers that still own unfinished fibers.
+    live: usize,
+    /// A stall was diagnosed or a rank panicked: every worker re-queues
+    /// its parked fibers once so each observes the cluster poison flag.
+    poisoned: bool,
+    /// A second deadlock after poisoning: every worker gives up.
+    aborted: bool,
+}
+
+struct Sched {
+    shared: Mutex<Shared>,
+    /// One condvar per worker; worker `w` sleeps only on `cvs[w]`.
+    cvs: Box<[Condvar]>,
+}
+
+impl Sched {
+    fn new(workers: usize) -> Arc<Self> {
+        Arc::new(Sched {
+            shared: Mutex::new(Shared {
+                inboxes: vec![Vec::new(); workers],
+                idle: vec![false; workers],
+                n_idle: 0,
+                live: workers,
+                poisoned: false,
+                aborted: false,
+            }),
+            cvs: (0..workers).map(|_| Condvar::new()).collect(),
+        })
+    }
+
+    /// Thread-local identity of worker `w` of this scheduler.
+    fn tag(&self, w: usize) -> (usize, usize) {
+        (self as *const Sched as usize, w)
+    }
+
+    /// Queue fiber `idx` of worker `w`: a local push when called from
+    /// that worker's own thread, its inbox otherwise.
+    fn enqueue(&self, w: usize, idx: usize) {
+        if WORKER.with(Cell::get) == self.tag(w) {
+            RUNQ.with(|q| q.borrow_mut().push_back(idx));
+            return;
+        }
+        let mut g = self.shared.lock();
+        g.inboxes[w].push(idx);
+        self.rouse(&mut g, w);
+    }
+
+    /// Get worker `w` out of its idle sleep, if it is in one.
+    fn rouse(&self, g: &mut Shared, w: usize) {
+        if g.idle[w] {
+            g.idle[w] = false;
+            g.n_idle -= 1;
+            self.cvs[w].notify_one();
+        }
+    }
+
+    fn rouse_all(&self, g: &mut Shared) {
+        for w in 0..g.idle.len() {
+            self.rouse(g, w);
+        }
+    }
+
+    /// A rank panicked (its poison guard has already flagged the
+    /// cluster): have every worker re-queue its parked fibers.
+    fn poison(&self) {
+        let mut g = self.shared.lock();
+        if !g.poisoned {
+            g.poisoned = true;
+            self.rouse_all(&mut g);
+        }
+    }
+
+    /// Nothing is runnable on any worker while fibers remain. Called
+    /// with every other live worker asleep, so no wake is in flight.
+    fn deadlock(&self, g: &mut Shared, on_stall: &impl Fn()) {
+        if g.poisoned {
+            g.aborted = true;
+        } else {
+            on_stall();
+            g.poisoned = true;
+        }
+        self.rouse_all(g);
+    }
+
+    /// Worker `me` ran dry with fibers left: move its inbox onto the run
+    /// queue, sleeping until there is something in it. Returns `true`
+    /// instead when the worker must first re-queue its parked fibers
+    /// (the cluster was poisoned since it last asked).
+    fn wait_for_work(
+        &self,
+        me: usize,
+        unfinished: usize,
+        poison_seen: &mut bool,
+        on_stall: &impl Fn(),
+    ) -> bool {
+        let mut g = self.shared.lock();
+        loop {
+            assert!(
+                !g.aborted,
+                "fiber deadlock: {unfinished} fibers still blocked after poisoning"
+            );
+            if g.poisoned && !*poison_seen {
+                *poison_seen = true;
+                return true;
+            }
+            if !g.inboxes[me].is_empty() {
+                RUNQ.with(|q| q.borrow_mut().extend(g.inboxes[me].drain(..)));
+                return false;
+            }
+            if g.n_idle + 1 == g.live {
+                self.deadlock(&mut g, on_stall);
+                continue;
+            }
+            g.idle[me] = true;
+            g.n_idle += 1;
+            while g.idle[me] {
+                self.cvs[me].wait(&mut g);
+            }
+        }
+    }
+
+    /// Worker `me` finished its last fiber. If that leaves only sleeping
+    /// workers, their fibers are deadlocked and nobody else can say so.
+    fn retire(&self, on_stall: &impl Fn()) {
+        let mut g = self.shared.lock();
+        g.live -= 1;
+        if g.live > 0 && g.n_idle == g.live {
+            self.deadlock(&mut g, on_stall);
+        }
+    }
 }
 
 /// Per-fiber runtime shared between the scheduler and the fiber itself
@@ -412,6 +594,7 @@ struct FiberRt {
     /// Scheduler's stack pointer while the fiber runs.
     sched_rsp: usize,
     action: Action,
+    parker: Waker,
     /// The body; taken by the entry trampoline on first resume.
     entry: Option<Box<dyn FnOnce()>>,
     /// Panic payload captured by the trampoline's `catch_unwind`.
@@ -425,23 +608,66 @@ struct FiberRt {
 thread_local! {
     /// The fiber currently running on this thread, if any.
     static CURRENT: Cell<*mut FiberRt> = const { Cell::new(std::ptr::null_mut()) };
+    /// [`Sched::tag`] of the worker loop running on this thread, or
+    /// `(0, 0)`: lets a wake recognise its own worker. (A loop that
+    /// unwinds leaves its tag behind; only a thread running a loop —
+    /// which sets it afresh — ever issues a wake.)
+    static WORKER: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
+    /// That worker's run queue (fiber indices). Thread-local so a wake
+    /// issued from inside a running fiber can push without a lock.
+    static RUNQ: RefCell<VecDeque<usize>> = const { RefCell::new(VecDeque::new()) };
 }
 
-/// True when the calling code runs inside a fiber — wait sites use this
-/// to pick cooperative yielding over condvar parking.
+/// True when the calling code runs inside a fiber.
 pub(crate) fn in_fiber() -> bool {
     CURRENT.with(|c| !c.get().is_null())
 }
 
-/// Yield the current fiber back to the scheduler; it will be re-run
-/// after the other runnable fibers. Must only be called [`in_fiber`].
-pub(crate) fn yield_now() {
+/// Switch the current fiber out; it runs again once woken.
+fn park() {
     let rt = CURRENT.with(Cell::get);
-    assert!(!rt.is_null(), "yield_now outside a fiber");
+    assert!(!rt.is_null(), "park outside a fiber");
+    // SAFETY: `rt` is the live `FiberRt` the scheduler installed before
+    // resuming this fiber, and `sched_rsp` was saved by that resume.
     unsafe {
-        (*rt).action = Action::Yielded;
+        (*rt).action = Action::Parked;
         arch::switch(&raw mut (*rt).fiber_rsp, &raw const (*rt).sched_rsp);
     }
+}
+
+/// How long a blocked OS thread sleeps between poison checks. Purely a
+/// liveness knob for failure cases; correct runs are woken by notify.
+const POISON_POLL: Duration = Duration::from_millis(50);
+
+/// The one blocking primitive of the substrate: release `guard`, block
+/// until the wait site notifies this rank, re-acquire. Callers loop on
+/// their own condition; a return is a hint, not a guarantee. Returns
+/// `false` only for a thread's poll timeout. Panics if the cluster is
+/// poisoned before or after blocking.
+///
+/// Under fibers the rank's [`Waker`] goes into `slot` — part of the
+/// state `guard` protects, so the notifier, which takes it under the
+/// same lock, can never miss it — and the fiber leaves the run queue.
+/// Under OS threads the rank sleeps on `cv`, which the same notifier
+/// signals.
+pub(crate) fn wait<T>(
+    cv: &Condvar,
+    guard: &mut MutexGuard<'_, T>,
+    slot: impl FnOnce(&mut T) -> &mut Option<Waker>,
+    poison: &PoisonFlag,
+) -> bool {
+    poison.check();
+    let rt = CURRENT.with(Cell::get);
+    let notified = if rt.is_null() {
+        !cv.wait_for(guard, POISON_POLL).timed_out()
+    } else {
+        // SAFETY: non-null `CURRENT` is the running fiber's live state.
+        *slot(guard) = Some(Arc::clone(unsafe { &(*rt).parker }));
+        MutexGuard::unlocked(guard, park);
+        true
+    };
+    poison.check();
+    notified
 }
 
 /// First frame of every fiber: runs the body under `catch_unwind`, then
@@ -461,393 +687,261 @@ extern "C" fn fiber_main() -> ! {
     unreachable!("completed fiber resumed")
 }
 
-/// Consecutive fully-unproductive scheduler cycles a worker tolerates
-/// before publishing an idle claim (generous: ordinary waiting always
-/// produces events every cycle).
-const STALL_CYCLES: u64 = 1000;
-/// Additional unproductive cycles after the stall callback before the
-/// scheduler aborts hard (the callback is expected to poison the cluster,
-/// which makes every waiting fiber panic and drain within one cycle).
-const ABORT_CYCLES: u64 = 100_000;
+/// A task body on its way to becoming a fiber, with its global index.
+type Body = (usize, Box<dyn FnOnce() + Send>);
 
-/// Idle-slot sentinel: the worker has not published an idle claim.
-const NOT_IDLE: u64 = u64::MAX;
-/// Idle-slot sentinel: the worker drained its run queue and exited; it
-/// counts as permanently idle for the all-idle stall condition (a
-/// deadlock among the remaining workers must still be diagnosed).
-const FINISHED: u64 = u64::MAX - 1;
-
-/// Stall-detection state shared by the workers of one fiber run. With
-/// one worker this reduces exactly to the classic single-threaded
-/// detector: the all-idle condition is the worker's own idle claim and
-/// the event stamp is trivially current.
-struct StallCoord<'a, F: Fn() -> bool> {
-    /// Per-worker idle slots: [`NOT_IDLE`], [`FINISHED`], or the
-    /// `EVENTS` value the worker observed across its last
-    /// `STALL_CYCLES` unproductive cycles.
-    slots: Vec<AtomicU64>,
-    /// Bumped when a stall diagnosis is deferred (fault timer in
-    /// flight); every worker re-arms its detector on observing a bump.
-    defer_epoch: AtomicU64,
-    /// Set once the stall callback acknowledged a genuine deadlock.
-    stalled: AtomicBool,
-    /// Serializes stall firing so `on_stall` runs at most once per
-    /// diagnosis.
-    fire: parking_lot::Mutex<()>,
-    on_stall: &'a F,
-}
-
-impl<'a, F: Fn() -> bool> StallCoord<'a, F> {
-    fn new(workers: usize, on_stall: &'a F) -> Self {
-        StallCoord {
-            slots: (0..workers).map(|_| AtomicU64::new(NOT_IDLE)).collect(),
-            defer_epoch: AtomicU64::new(0),
-            stalled: AtomicBool::new(false),
-            fire: parking_lot::Mutex::new(()),
-            on_stall,
-        }
-    }
-
-    /// True when every worker has published an idle claim (or finished)
-    /// and the global event counter still equals every claim's stamp —
-    /// nothing has moved anywhere since the most recent claim.
-    fn all_idle(&self) -> bool {
-        let events_now = EVENTS.load(Ordering::SeqCst);
-        self.slots.iter().all(|s| {
-            let v = s.load(Ordering::Acquire);
-            v == FINISHED || v == events_now
-        })
-    }
-
-    /// Called by a worker whose own detector tripped. Fires `on_stall`
-    /// at most once per diagnosis, and only if the stall is global.
-    fn maybe_fire(&self) {
-        if self.stalled.load(Ordering::Relaxed) || !self.all_idle() {
-            return;
-        }
-        let _g = self.fire.lock();
-        if self.stalled.load(Ordering::Relaxed) {
-            return;
-        }
-        // Re-check under the lock after a scheduling gap: event counters
-        // are bumped just *after* the producing mutation's lock is
-        // released, so there is a nanoseconds-wide window in which a
-        // worker can have made progress the counter does not show yet.
-        std::thread::yield_now();
-        if !self.all_idle() {
-            return;
-        }
-        if (self.on_stall)() {
-            self.stalled.store(true, Ordering::Release);
-        } else {
-            // Deferred (e.g. a fault-injection timer is outstanding):
-            // every worker — including the one firing — re-arms its
-            // detector from scratch on observing the epoch bump.
-            self.defer_epoch.fetch_add(1, Ordering::AcqRel);
-        }
-    }
-}
-
-/// Park politely between unproductive cycles of a multi-worker run: an
-/// idle worker's fibers are waiting on another worker, and burning the
-/// core spinning steals it from the worker that could unblock them
-/// (fatal on a single-CPU host). The sleep stays small enough that
-/// stall detection still fires within tens of milliseconds.
-#[inline]
-fn idle_backoff(unproductive: u64) {
-    if unproductive > 256 {
-        std::thread::sleep(std::time::Duration::from_micros(50));
-    } else if unproductive > 2 {
-        std::thread::yield_now();
-    }
-}
-
-/// One worker's scheduler loop: round-robin the fibers in `fibers`
-/// (pairs of global task index and fiber state) to completion, feeding
-/// the shared stall coordinator. Returns each fiber's panic payload
-/// keyed by its global index.
-fn worker_loop<F: Fn() -> bool>(
+/// One worker's scheduler loop: run the fibers made from `bodies` to
+/// completion, resuming only those that are runnable. Returns each
+/// fiber's panic payload keyed by its global index.
+fn worker_loop(
     me: usize,
-    mut fibers: Vec<(usize, StackMem, Box<FiberRt>)>,
+    sched: &Arc<Sched>,
+    bodies: Vec<Body>,
     stack_size: usize,
-    coord: &StallCoord<'_, F>,
+    on_stall: &impl Fn(),
 ) -> Vec<(usize, Option<Box<dyn Any + Send>>)> {
-    let multi = coord.slots.len() > 1;
-    let mut runq: std::collections::VecDeque<usize> = (0..fibers.len()).collect();
-    let mut out: Vec<(usize, Option<Box<dyn Any + Send>>)> =
-        fibers.iter().map(|(g, _, _)| (*g, None)).collect();
-    let mut unproductive = 0u64;
-    let mut idle_claimed = false;
-    let mut seen_epoch = coord.defer_epoch.load(Ordering::Acquire);
+    // Stacks and fiber state are built on the worker that owns them and
+    // never leave it.
+    let mut fibers: Vec<(StackMem, Box<FiberRt>)> = Vec::with_capacity(bodies.len());
+    let mut out = Vec::with_capacity(bodies.len());
+    for (idx, (global, body)) in bodies.into_iter().enumerate() {
+        let stack = StackMem::new(stack_size);
+        let rt = Box::new(FiberRt {
+            fiber_rsp: stack.prepare(fiber_main),
+            sched_rsp: 0,
+            action: Action::Parked,
+            parker: Arc::new(Parker {
+                state: AtomicU8::new(RUNNING),
+                sched: Arc::clone(sched),
+                worker: me,
+                idx,
+            }),
+            entry: Some(body as Box<dyn FnOnce()>),
+            panic: None,
+            saved_ctx: None,
+        });
+        fibers.push((stack, rt));
+        out.push((global, None));
+    }
+    WORKER.with(|w| w.set(sched.tag(me)));
+    RUNQ.with(|q| {
+        let mut q = q.borrow_mut();
+        q.clear();
+        q.extend(0..fibers.len());
+    });
+    let mut unfinished = fibers.len();
+    let mut poison_seen = false;
     // hostprof: the whole scheduler loop is one frame per worker; fiber
     // slices nest inside it, so this frame's self time is pure
-    // scheduling overhead (run-queue churn, context-switch cost, stall
-    // detection, cross-worker idle backoff).
+    // scheduling overhead (run-queue churn, context-switch cost, and —
+    // with several workers — sleeping on an empty inbox).
     let _sched_scope = simtrace::host::scope(simtrace::host::Site::FiberSched);
-    while !runq.is_empty() {
-        // A deferred stall diagnosis re-arms detection everywhere.
-        let epoch = coord.defer_epoch.load(Ordering::Acquire);
-        if epoch != seen_epoch {
-            seen_epoch = epoch;
-            unproductive = 0;
-            if idle_claimed {
-                coord.slots[me].store(NOT_IDLE, Ordering::Release);
-                idle_claimed = false;
-            }
-        }
-        let events_before = EVENTS.load(Ordering::Relaxed);
-        let mut any_done = false;
-        // One cycle: resume every currently-runnable fiber once.
-        for _ in 0..runq.len() {
-            let idx = runq.pop_front().expect("runq non-empty within cycle");
-            let (_, stack, rt) = &mut fibers[idx];
-            let rtp: *mut FiberRt = &mut **rt;
-            // hostprof: time one slice (resume -> suspend). The guard is
-            // created and dropped on the scheduler side of the switch, so
-            // it never spans a yield; probes inside the fiber body nest
-            // under this frame because fibers share the worker's
-            // thread-local profiler stack.
-            let run_scope = simtrace::host::scope(simtrace::host::Site::FiberRun);
-            unsafe {
-                crate::progress::tl_set((*rtp).saved_ctx.take());
-                CURRENT.with(|c| c.set(rtp));
-                arch::switch(&raw mut (*rtp).sched_rsp, &raw const (*rtp).fiber_rsp);
-                CURRENT.with(|c| c.set(std::ptr::null_mut()));
-                (*rtp).saved_ctx = crate::progress::tl_take();
-            }
-            drop(run_scope);
-            match rt.action {
-                Action::Yielded => runq.push_back(idx),
-                Action::Done => {
-                    any_done = true;
-                    assert!(
-                        stack.canary_intact(),
-                        "fiber {idx} overflowed its {stack_size}-byte stack \
-                         (canary clobbered); raise ClusterConfig::stack_size"
-                    );
-                    out[idx].1 = rt.panic.take();
+    while unfinished > 0 {
+        let Some(idx) = RUNQ.with(|q| q.borrow_mut().pop_front()) else {
+            if sched.wait_for_work(me, unfinished, &mut poison_seen, on_stall) {
+                for (_, rt) in &fibers {
+                    rt.parker.wake();
                 }
             }
+            continue;
+        };
+        let (stack, rt) = &mut fibers[idx];
+        rt.parker.state.store(RUNNING, Ordering::Release);
+        let rtp: *mut FiberRt = &mut **rt;
+        // hostprof: time one slice (resume -> suspend). The guard is
+        // created and dropped on the scheduler side of the switch, so
+        // it never spans a park; probes inside the fiber body nest
+        // under this frame because fibers share the worker's
+        // thread-local profiler stack.
+        let run_scope = simtrace::host::scope(simtrace::host::Site::FiberRun);
+        unsafe {
+            crate::progress::tl_set((*rtp).saved_ctx.take());
+            CURRENT.with(|c| c.set(rtp));
+            arch::switch(&raw mut (*rtp).sched_rsp, &raw const (*rtp).fiber_rsp);
+            CURRENT.with(|c| c.set(std::ptr::null_mut()));
+            (*rtp).saved_ctx = crate::progress::tl_take();
         }
-        if any_done || EVENTS.load(Ordering::Relaxed) != events_before {
-            unproductive = 0;
-            if idle_claimed {
-                coord.slots[me].store(NOT_IDLE, Ordering::Release);
-                idle_claimed = false;
-            }
-        } else {
-            unproductive += 1;
-            if unproductive >= STALL_CYCLES {
-                if !idle_claimed {
-                    // Publish the idle claim stamped with the event count
-                    // this whole unproductive stretch observed.
-                    coord.slots[me].store(events_before, Ordering::Release);
-                    idle_claimed = true;
+        drop(run_scope);
+        match rt.action {
+            Action::Parked => {
+                // The fiber is fully switched out only now. A wake that
+                // raced the switch left NOTIFIED behind: run it again.
+                let parked = rt.parker.state.compare_exchange(
+                    RUNNING,
+                    PARKED,
+                    Ordering::AcqRel,
+                    Ordering::Acquire,
+                );
+                if parked.is_err() {
+                    RUNQ.with(|q| q.borrow_mut().push_back(idx));
                 }
-                coord.maybe_fire();
             }
-            assert!(
-                unproductive < STALL_CYCLES + ABORT_CYCLES,
-                "fiber deadlock: {} fibers still blocked after poisoning",
-                runq.len()
-            );
-            if multi {
-                idle_backoff(unproductive);
+            Action::Done => {
+                unfinished -= 1;
+                assert!(
+                    stack.canary_intact(),
+                    "fiber {idx} overflowed its {stack_size}-byte stack \
+                     (canary clobbered); raise ClusterConfig::stack_size"
+                );
+                out[idx].1 = rt.panic.take();
+                if out[idx].1.is_some() {
+                    sched.poison();
+                }
             }
         }
     }
-    coord.slots[me].store(FINISHED, Ordering::Release);
+    WORKER.with(|w| w.set((0, 0)));
+    sched.retire(on_stall);
     out
 }
 
-/// Run `tasks` as cooperatively-scheduled fibers on the calling thread
-/// until all complete; returns each task's panic payload (`None` = clean
-/// return), index-aligned with `tasks`.
+/// Run `tasks` as cooperatively-scheduled fibers until all complete,
+/// task `i` on worker `placement[i]` (clamped into range) of `workers`;
+/// returns each task's panic payload (`None` = clean return),
+/// index-aligned with `tasks`. One worker is the calling thread itself
+/// (no thread is spawned, thread-local caches stay warm across runs);
+/// more are scoped OS threads. Virtual time is bitwise identical for
+/// any worker count or placement.
 ///
-/// `on_stall` is invoked if the fiber set deadlocks (every fiber
-/// yielding, no unblocking events). Returning `true` acknowledges the
-/// stall — the callback is expected to have poisoned the cluster so the
-/// waiting fibers panic out of their wait loops. Returning `false`
-/// defers the diagnosis (e.g. ranks are legitimately held back by an
-/// in-flight fault-injection timer): the unproductive-cycle count resets
-/// and detection re-arms from scratch.
+/// `on_stall` is invoked once if the fiber set deadlocks (fibers remain
+/// and none is runnable on any worker — see the module docs). It is
+/// expected to poison the cluster; the scheduler then re-queues every
+/// parked fiber so each panics out of its wait loop.
 pub(crate) fn run_fibers<'a>(
-    tasks: Vec<Box<dyn FnOnce() + 'a>>,
-    stack_size: usize,
-    on_stall: impl Fn() -> bool,
-) -> Vec<Option<Box<dyn Any + Send>>> {
-    assert!(
-        !in_fiber(),
-        "nested fiber executors on one thread are not supported"
-    );
-    let n = tasks.len();
-    let fibers: Vec<(usize, StackMem, Box<FiberRt>)> = tasks
-        .into_iter()
-        .enumerate()
-        .map(|(i, task)| {
-            // The scheduler outlives every fiber (the loop runs them all
-            // to completion before returning), so parking the borrowed
-            // body behind a 'static trait object is sound.
-            let body: Box<dyn FnOnce() + 'static> =
-                unsafe { std::mem::transmute::<Box<dyn FnOnce() + 'a>, _>(task) };
-            let (stack, rt) = new_fiber(body, stack_size);
-            (i, stack, rt)
-        })
-        .collect();
-    let coord = StallCoord::new(1, &on_stall);
-    let mut panics: Vec<Option<Box<dyn Any + Send>>> = (0..n).map(|_| None).collect();
-    for (i, p) in worker_loop(0, fibers, stack_size, &coord) {
-        panics[i] = p;
-    }
-    panics
-}
-
-/// Allocate a stack and fiber state for one task body.
-fn new_fiber(body: Box<dyn FnOnce()>, stack_size: usize) -> (StackMem, Box<FiberRt>) {
-    let stack = StackMem::new(stack_size);
-    let rt = Box::new(FiberRt {
-        fiber_rsp: stack.prepare(fiber_main),
-        sched_rsp: 0,
-        action: Action::Yielded,
-        entry: Some(body),
-        panic: None,
-        saved_ctx: None,
-    });
-    (stack, rt)
-}
-
-/// Run `tasks` as fibers sharded across `workers` OS threads, task `i`
-/// on worker `placement[i]` (clamped into range); returns each task's
-/// panic payload, index-aligned with `tasks`. Semantics match
-/// [`run_fibers`] — in particular virtual time is bitwise identical for
-/// any worker count or placement — with stall detection coordinated
-/// globally across the workers (see the module docs).
-///
-/// Fibers never migrate: each worker round-robins only its own shard,
-/// so per-fiber state needs no synchronization. Cross-shard blocking
-/// runs through the ordinary mutex-protected wait sites, with idle
-/// workers backing off politely so they do not starve the worker that
-/// can unblock them on small hosts.
-pub(crate) fn run_fibers_sharded<'a>(
     tasks: Vec<Box<dyn FnOnce() + Send + 'a>>,
     placement: &[usize],
     workers: usize,
     stack_size: usize,
-    on_stall: impl Fn() -> bool + Sync,
+    on_stall: impl Fn() + Sync,
 ) -> Vec<Option<Box<dyn Any + Send>>> {
     assert!(
         !in_fiber(),
         "nested fiber executors on one thread are not supported"
     );
-    assert!(workers >= 1, "sharded executor needs at least one worker");
+    assert!(workers >= 1, "the executor needs at least one worker");
     assert_eq!(placement.len(), tasks.len(), "placement must cover every task");
     let n = tasks.len();
-    type ShardedBody = (usize, Box<dyn FnOnce() + Send + 'static>);
-    let mut shards: Vec<Vec<ShardedBody>> = (0..workers).map(|_| Vec::new()).collect();
+    let mut shards: Vec<Vec<Body>> = (0..workers).map(|_| Vec::new()).collect();
     for (i, task) in tasks.into_iter().enumerate() {
-        // Sound for the same reason as in `run_fibers`: the scope join
-        // below guarantees every worker loop (and thus every fiber)
-        // completes before the borrowed data can go away.
+        // SAFETY: every worker loop — and so every fiber — completes
+        // before this function returns (the single worker runs inline,
+        // the scope joins the others), so the borrowed body cannot
+        // outlive `'a` behind its `'static` trait object.
         let body: Box<dyn FnOnce() + Send + 'static> =
             unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'a>, _>(task) };
         shards[placement[i].min(workers - 1)].push((i, body));
     }
-    let coord = StallCoord::new(workers, &on_stall);
+    let sched = Sched::new(workers);
+    let run = |w: usize, shard: Vec<Body>| worker_loop(w, &sched, shard, stack_size, &on_stall);
+    let done = if workers == 1 {
+        run(0, shards.pop().expect("one shard per worker"))
+    } else {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = shards
+                .into_iter()
+                .enumerate()
+                .map(|(w, shard)| {
+                    std::thread::Builder::new()
+                        .name(format!("simnet-worker-{w}"))
+                        .spawn_scoped(s, move || run(w, shard))
+                        .expect("failed to spawn fiber worker thread")
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("fiber worker thread panicked"))
+                .collect()
+        })
+    };
     let mut panics: Vec<Option<Box<dyn Any + Send>>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = shards
-            .into_iter()
-            .enumerate()
-            .map(|(w, bodies)| {
-                let coord = &coord;
-                std::thread::Builder::new()
-                    .name(format!("simnet-worker-{w}"))
-                    .spawn_scoped(s, move || {
-                        // Stacks and fiber state are built on the worker
-                        // that owns them and never leave it.
-                        let fibers: Vec<(usize, StackMem, Box<FiberRt>)> = bodies
-                            .into_iter()
-                            .map(|(i, body)| {
-                                let (stack, rt) = new_fiber(body, stack_size);
-                                (i, stack, rt)
-                            })
-                            .collect();
-                        worker_loop(w, fibers, stack_size, coord)
-                    })
-                    .expect("failed to spawn fiber worker thread")
-            })
-            .collect();
-        for h in handles {
-            for (i, p) in h.join().expect("fiber worker thread panicked") {
-                panics[i] = p;
-            }
-        }
-    });
+    for (i, p) in done {
+        panics[i] = p;
+    }
     panics
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
-    use std::rc::Rc;
-    use std::sync::atomic::AtomicU32;
-    use std::sync::Arc;
+    use std::sync::atomic::{AtomicBool, AtomicU32};
 
-    fn run_simple(tasks: Vec<Box<dyn FnOnce() + '_>>) -> Vec<Option<Box<dyn Any + Send>>> {
-        run_fibers(tasks, 64 * 1024, || panic!("unexpected stall"))
+    type Task<'a> = Box<dyn FnOnce() + Send + 'a>;
+    type Panics = Vec<Option<Box<dyn Any + Send>>>;
+
+    /// The running fiber's wake handle.
+    fn current_waker() -> Waker {
+        let rt = CURRENT.with(Cell::get);
+        assert!(!rt.is_null(), "current_waker outside a fiber");
+        Arc::clone(unsafe { &(*rt).parker })
+    }
+
+    /// Round-robin yield for the scheduler tests: a fiber that wakes
+    /// itself and parks is re-queued behind the other runnable fibers.
+    fn yield_now() {
+        current_waker().wake();
+        park();
+    }
+
+    /// Run on `workers` workers, contiguous placement, no stall expected.
+    fn run_on(tasks: Vec<Task<'_>>, workers: usize) -> Panics {
+        let n = tasks.len();
+        let placement: Vec<usize> = (0..n).map(|i| i * workers / n.max(1)).collect();
+        run_fibers(tasks, &placement, workers, 64 * 1024, || {
+            panic!("unexpected stall")
+        })
+    }
+
+    fn payload_str(p: &Option<Box<dyn Any + Send>>) -> Option<&str> {
+        p.as_ref().and_then(|p| p.downcast_ref::<&str>().copied())
     }
 
     #[test]
     fn fibers_run_to_completion_in_order() {
-        let log = Rc::new(RefCell::new(Vec::new()));
-        let tasks: Vec<Box<dyn FnOnce()>> = (0..4)
+        let log = Mutex::new(Vec::new());
+        let tasks: Vec<Task> = (0..4)
             .map(|i| {
-                let log = Rc::clone(&log);
-                Box::new(move || log.borrow_mut().push(i)) as Box<dyn FnOnce()>
+                let log = &log;
+                Box::new(move || log.lock().push(i)) as Task
             })
             .collect();
-        let panics = run_simple(tasks);
-        assert!(panics.iter().all(Option::is_none));
-        assert_eq!(*log.borrow(), vec![0, 1, 2, 3]);
+        assert!(run_on(tasks, 1).iter().all(Option::is_none));
+        assert_eq!(*log.lock(), vec![0, 1, 2, 3]);
     }
 
     #[test]
     fn yielding_interleaves_round_robin() {
-        let log = Rc::new(RefCell::new(Vec::new()));
-        let tasks: Vec<Box<dyn FnOnce()>> = (0..3)
+        let log = Mutex::new(Vec::new());
+        let tasks: Vec<Task> = (0..3)
             .map(|i| {
-                let log = Rc::clone(&log);
+                let log = &log;
                 Box::new(move || {
                     for step in 0..3 {
-                        log.borrow_mut().push((i, step));
+                        log.lock().push((i, step));
                         yield_now();
                     }
-                }) as Box<dyn FnOnce()>
+                }) as Task
             })
             .collect();
-        run_simple(tasks);
+        run_on(tasks, 1);
         // Steps proceed in lockstep: all fibers' step 0, then step 1, ...
         let expect: Vec<(usize, usize)> =
             (0..3).flat_map(|s| (0..3).map(move |i| (i, s))).collect();
-        assert_eq!(*log.borrow(), expect);
+        assert_eq!(*log.lock(), expect);
     }
 
     #[test]
-    fn panic_is_captured_not_propagated() {
-        let tasks: Vec<Box<dyn FnOnce()>> = vec![
-            Box::new(|| {}),
-            Box::new(|| panic!("fiber boom")),
-            Box::new(yield_now),
-        ];
-        let panics = run_simple(tasks);
-        assert!(panics[0].is_none());
-        let msg = panics[1]
-            .as_ref()
-            .and_then(|p| p.downcast_ref::<&str>().copied())
-            .expect("payload preserved");
-        assert_eq!(msg, "fiber boom");
-        assert!(panics[2].is_none());
+    fn panic_is_captured_on_the_right_index_not_propagated() {
+        for workers in [1, 3] {
+            let tasks: Vec<Task> = vec![
+                Box::new(yield_now),
+                Box::new(|| panic!("fiber boom")),
+                Box::new(|| {}),
+            ];
+            let panics = run_on(tasks, workers);
+            assert!(panics[0].is_none());
+            assert_eq!(payload_str(&panics[1]), Some("fiber boom"));
+            assert!(panics[2].is_none());
+        }
     }
 
     #[test]
@@ -856,35 +950,11 @@ mod tests {
         // allocator dirty memory first, so the walk past `fiber_main`
         // reads a planted end-of-stack marker, not leftover bytes.
         drop(std::hint::black_box(vec![0xAAu8; 64 * 1024]));
-        let tasks: Vec<Box<dyn FnOnce()>> = vec![Box::new(|| {
+        let tasks: Vec<Task> = vec![Box::new(|| {
             let bt = std::backtrace::Backtrace::force_capture();
             assert_eq!(bt.status(), std::backtrace::BacktraceStatus::Captured);
         })];
-        assert!(run_simple(tasks)[0].is_none());
-    }
-
-    #[test]
-    fn cooperative_ping_pong_via_shared_state() {
-        // Two fibers alternate incrementing a counter, each waiting for
-        // the other's turn — the pattern every blocking primitive reduces
-        // to under the fiber executor.
-        let turn = Rc::new(Cell::new(0u32));
-        let tasks: Vec<Box<dyn FnOnce()>> = (0..2u32)
-            .map(|me| {
-                let turn = Rc::clone(&turn);
-                Box::new(move || {
-                    for _ in 0..10 {
-                        while turn.get() % 2 != me {
-                            yield_now();
-                        }
-                        turn.set(turn.get() + 1);
-                        note_event();
-                    }
-                }) as Box<dyn FnOnce()>
-            })
-            .collect();
-        run_simple(tasks);
-        assert_eq!(turn.get(), 20);
+        assert!(run_on(tasks, 1)[0].is_none());
     }
 
     #[test]
@@ -897,56 +967,48 @@ mod tests {
                 burn(depth - 1) + pad.len()
             }
         }
-        let tasks: Vec<Box<dyn FnOnce()>> = vec![Box::new(|| {
+        let tasks: Vec<Task> = vec![Box::new(|| {
             assert_eq!(burn(100), 6400);
         })];
-        let panics = run_fibers(tasks, 256 * 1024, || panic!("stall"));
+        let panics = run_fibers(tasks, &[0], 1, 256 * 1024, || panic!("stall"));
         assert!(panics[0].is_none());
     }
 
     #[test]
-    fn stall_detection_fires_and_callback_can_release() {
-        // One fiber waits for a flag nothing will set; the stall callback
-        // plays the poison role and sets it.
-        let flag = Rc::new(Cell::new(false));
-        let f2 = Rc::clone(&flag);
-        let tasks: Vec<Box<dyn FnOnce() + '_>> = vec![Box::new(|| {
-            while !flag.get() {
-                yield_now();
+    fn deadlock_is_diagnosed_at_once_and_parked_fibers_are_requeued() {
+        // One fiber parks on something nothing will signal. The stall
+        // callback plays the poison role; the scheduler must re-queue
+        // the fiber so it sees the flag — after exactly one diagnosis
+        // and without the fiber being resumed in between.
+        let flag = AtomicBool::new(false);
+        let stalls = AtomicU32::new(0);
+        let resumes = AtomicU32::new(0);
+        let tasks: Vec<Task> = vec![Box::new(|| {
+            while !flag.load(Ordering::Acquire) {
+                park();
+                resumes.fetch_add(1, Ordering::Relaxed);
             }
         })];
-        let panics = run_fibers(tasks, 64 * 1024, move || {
-            f2.set(true);
-            true
+        let panics = run_fibers(tasks, &[0], 1, 64 * 1024, || {
+            stalls.fetch_add(1, Ordering::Relaxed);
+            flag.store(true, Ordering::Release);
         });
         assert!(panics[0].is_none());
+        assert_eq!(stalls.load(Ordering::Relaxed), 1);
+        assert_eq!(
+            resumes.load(Ordering::Relaxed),
+            1,
+            "a parked fiber is resumed only by a wake"
+        );
     }
 
     #[test]
-    fn deferred_stall_rearms_instead_of_aborting() {
-        // The callback excuses the first few stall diagnoses (as the
-        // fault layer does while an injected delay is outstanding); the
-        // detector must re-arm rather than hit the hard-abort assert,
-        // then fire again and release the fiber on the final diagnosis.
-        let flag = Rc::new(Cell::new(false));
-        let f2 = Rc::clone(&flag);
-        let deferrals = Rc::new(Cell::new(0u32));
-        let d2 = Rc::clone(&deferrals);
-        let tasks: Vec<Box<dyn FnOnce() + '_>> = vec![Box::new(|| {
-            while !flag.get() {
-                yield_now();
-            }
+    #[should_panic(expected = "still blocked after poisoning")]
+    fn fibers_that_ignore_the_poison_abort_the_scheduler() {
+        let tasks: Vec<Task> = vec![Box::new(|| loop {
+            park();
         })];
-        let panics = run_fibers(tasks, 64 * 1024, move || {
-            if d2.get() < 3 {
-                d2.set(d2.get() + 1);
-                return false;
-            }
-            f2.set(true);
-            true
-        });
-        assert!(panics[0].is_none());
-        assert_eq!(deferrals.get(), 3, "stall must re-fire after deferrals");
+        run_fibers(tasks, &[0], 1, 64 * 1024, || {});
     }
 
     #[test]
@@ -973,177 +1035,173 @@ mod tests {
         set_workers(before);
     }
 
-    fn run_sharded(
-        tasks: Vec<Box<dyn FnOnce() + Send + '_>>,
-        workers: usize,
-    ) -> Vec<Option<Box<dyn Any + Send>>> {
-        let n = tasks.len();
-        let placement: Vec<usize> = (0..n).map(|i| i * workers / n.max(1)).collect();
-        run_fibers_sharded(tasks, &placement, workers, 64 * 1024, || {
-            panic!("unexpected stall")
-        })
+    /// A two-party turn counter built on [`wait`], the way the real
+    /// wait sites are: the slot lives under the lock, the notifier takes
+    /// it there.
+    struct Turns {
+        state: Mutex<(u32, Option<Waker>)>,
+        cv: Condvar,
+        poison: PoisonFlag,
     }
 
-    #[test]
-    fn sharded_tasks_all_complete_and_results_stay_indexed() {
-        let done: Vec<AtomicU32> = (0..10).map(|_| AtomicU32::new(0)).collect();
-        let done = Arc::new(done);
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..10)
-            .map(|i| {
-                let done = Arc::clone(&done);
-                Box::new(move || {
-                    for _ in 0..3 {
-                        yield_now();
-                    }
-                    done[i].store(i as u32 + 1, Ordering::Relaxed);
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        let panics = run_sharded(tasks, 4);
-        assert!(panics.iter().all(Option::is_none));
-        for (i, d) in done.iter().enumerate() {
-            assert_eq!(d.load(Ordering::Relaxed), i as u32 + 1);
+    impl Turns {
+        fn new() -> Self {
+            Turns {
+                state: Mutex::new((0, None)),
+                cv: Condvar::new(),
+                poison: PoisonFlag::default(),
+            }
+        }
+
+        /// Block until the counter's parity is `me`, then bump it.
+        fn take_turn(&self, me: u32) {
+            let mut st = self.state.lock();
+            while st.0 % 2 != me {
+                wait(&self.cv, &mut st, |s| &mut s.1, &self.poison);
+            }
+            st.0 += 1;
+            self.cv.notify_one();
+            wake(&mut st.1);
         }
     }
 
     #[test]
-    fn sharded_ping_pong_across_workers() {
-        // Two fibers placed on *different* workers alternate turns via
-        // shared atomics — the cross-worker analogue of the cooperative
-        // ping-pong above, exercising the idle-backoff path.
-        let turn = Arc::new(AtomicU32::new(0));
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..2u32)
-            .map(|me| {
-                let turn = Arc::clone(&turn);
-                Box::new(move || {
-                    for _ in 0..25 {
-                        while turn.load(Ordering::Acquire) % 2 != me {
-                            yield_now();
-                        }
-                        turn.fetch_add(1, Ordering::AcqRel);
-                        note_event();
-                    }
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        let panics = run_fibers_sharded(tasks, &[0, 1], 2, 64 * 1024, || {
-            panic!("unexpected stall")
+    fn ping_pong_through_the_wait_primitive() {
+        // Two ranks alternate turns; every turn is a park and a wake.
+        // On one worker the wake is a local push; on two it crosses
+        // workers through the inbox and the idle sleep; on plain OS
+        // threads the same primitive sleeps on the condvar instead.
+        for workers in [1, 2] {
+            let turns = Turns::new();
+            let tasks: Vec<Task> = (0..2u32)
+                .map(|me| {
+                    let turns = &turns;
+                    Box::new(move || (0..25).for_each(|_| turns.take_turn(me))) as Task
+                })
+                .collect();
+            assert!(run_on(tasks, workers).iter().all(Option::is_none));
+            assert_eq!(turns.state.lock().0, 50);
+        }
+        let turns = Turns::new();
+        std::thread::scope(|s| {
+            for me in 0..2u32 {
+                let turns = &turns;
+                s.spawn(move || (0..25).for_each(|_| turns.take_turn(me)));
+            }
+        });
+        assert_eq!(turns.state.lock().0, 50);
+    }
+
+    #[test]
+    fn a_wake_between_unlock_and_switch_out_is_not_lost() {
+        // Fiber 0 publishes its waker and then — standing in for the
+        // window between "site lock released" and "switched out" —
+        // refuses to park until fiber 1, on another worker, has taken
+        // the waker and called wake. The notification must survive the
+        // park that follows; a lost wake-up would leave fiber 0 parked
+        // for good, which the exact detector reports as a stall.
+        let slot: Mutex<Option<Waker>> = Mutex::new(None);
+        let woken = AtomicBool::new(false);
+        let tasks: Vec<Task> = vec![
+            Box::new(|| {
+                *slot.lock() = Some(current_waker());
+                while !woken.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                park();
+            }),
+            Box::new(|| loop {
+                if let Some(w) = slot.lock().take() {
+                    w.wake();
+                    woken.store(true, Ordering::Release);
+                    return;
+                }
+                std::thread::yield_now();
+            }),
+        ];
+        let panics = run_fibers(tasks, &[0, 1], 2, 64 * 1024, || {
+            panic!("lost wake-up: fiber 0 parked after it was woken")
         });
         assert!(panics.iter().all(Option::is_none));
-        assert_eq!(turn.load(Ordering::Relaxed), 50);
     }
 
     #[test]
-    fn sharded_panic_is_captured_on_the_right_index() {
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
-            Box::new(yield_now),
-            Box::new(|| panic!("worker fiber boom")),
-            Box::new(|| {}),
-        ];
-        let panics = run_sharded(tasks, 3);
-        assert!(panics[0].is_none());
-        let msg = panics[1]
-            .as_ref()
-            .and_then(|p| p.downcast_ref::<&str>().copied())
-            .expect("payload preserved");
-        assert_eq!(msg, "worker fiber boom");
-        assert!(panics[2].is_none());
-    }
-
-    #[test]
-    fn sharded_stall_requires_every_worker_idle() {
-        // Worker 0's fiber busy-works with events for a while (so worker
-        // 0 is productive), then releases worker 1's fiber. The stall
-        // callback must NOT fire: only *global* quiescence is a stall.
-        let release = Arc::new(AtomicU32::new(0));
-        let r2 = Arc::clone(&release);
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
-            Box::new(move || {
+    fn a_deadlock_needs_every_worker_idle() {
+        // Worker 1's only fiber is parked (so worker 1 sleeps) while
+        // worker 0's fiber keeps running for a while before waking it.
+        // The stall callback must NOT fire: only *global* quiescence is
+        // a deadlock.
+        let slot: Mutex<Option<Waker>> = Mutex::new(None);
+        let tasks: Vec<Task> = vec![
+            Box::new(|| loop {
                 for _ in 0..5000 {
-                    note_event();
                     yield_now();
                 }
-                r2.store(1, Ordering::Release);
-                note_event();
+                if let Some(w) = slot.lock().take() {
+                    w.wake();
+                    return;
+                }
             }),
-            Box::new(move || {
-                while release.load(Ordering::Acquire) == 0 {
-                    yield_now();
-                }
+            Box::new(|| {
+                *slot.lock() = Some(current_waker());
+                park();
             }),
         ];
-        let panics = run_fibers_sharded(tasks, &[0, 1], 2, 64 * 1024, || {
+        let panics = run_fibers(tasks, &[0, 1], 2, 64 * 1024, || {
             panic!("spurious stall: one worker was still productive")
         });
         assert!(panics.iter().all(Option::is_none));
     }
 
     #[test]
-    fn sharded_global_deadlock_is_diagnosed() {
-        // Both workers' fibers wait on a flag only the stall callback
-        // sets — the genuine global deadlock case, including a finished
-        // worker (task 2 returns immediately, draining worker 2).
-        let flag = Arc::new(AtomicU32::new(0));
-        let f1 = Arc::clone(&flag);
-        let f2 = Arc::clone(&flag);
-        let f3 = Arc::clone(&flag);
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
-            Box::new(move || {
-                while f1.load(Ordering::Acquire) == 0 {
-                    yield_now();
+    fn a_global_deadlock_is_diagnosed_once() {
+        // Both workers' fibers park on a flag only the stall callback
+        // sets — the genuine global deadlock, including a finished
+        // worker (task 2 returns immediately, retiring worker 2).
+        let flag = AtomicBool::new(false);
+        let stalls = AtomicU32::new(0);
+        let waiter = || {
+            Box::new(|| {
+                while !flag.load(Ordering::Acquire) {
+                    park();
                 }
-            }),
-            Box::new(move || {
-                while f2.load(Ordering::Acquire) == 0 {
-                    yield_now();
-                }
-            }),
-            Box::new(|| {}),
-        ];
-        let panics = run_fibers_sharded(tasks, &[0, 1, 2], 3, 64 * 1024, move || {
-            f3.store(1, Ordering::Release);
-            note_event();
-            true
+            }) as Task
+        };
+        let tasks: Vec<Task> = vec![waiter(), waiter(), Box::new(|| {})];
+        let panics = run_fibers(tasks, &[0, 1, 2], 3, 64 * 1024, || {
+            stalls.fetch_add(1, Ordering::Relaxed);
+            flag.store(true, Ordering::Release);
         });
         assert!(panics.iter().all(Option::is_none));
+        assert_eq!(stalls.load(Ordering::Relaxed), 1);
     }
 
     #[test]
-    fn sharded_matches_solo_for_send_tasks() {
-        // The same Send workload through both entry points finishes with
-        // the same per-task results (panics and effects), whatever the
-        // worker count — including more workers than tasks.
-        let run_with = |workers: Option<usize>| -> Vec<u32> {
+    fn results_do_not_depend_on_worker_count_or_placement() {
+        // The same workload finishes with the same per-task effects
+        // whatever the worker count — including more workers than
+        // tasks — and with a placement that scatters neighbours.
+        let run_with = |workers: usize| -> Vec<u32> {
             let out: Vec<AtomicU32> = (0..6).map(|_| AtomicU32::new(0)).collect();
-            let out = Arc::new(out);
-            let mk = |i: usize, out: &Arc<Vec<AtomicU32>>| {
-                let out = Arc::clone(out);
-                move || {
-                    for step in 0..4u32 {
-                        out[i].fetch_add(step + i as u32, Ordering::Relaxed);
-                        yield_now();
-                    }
-                }
-            };
-            match workers {
-                None => {
-                    let tasks: Vec<Box<dyn FnOnce() + '_>> =
-                        (0..6).map(|i| Box::new(mk(i, &out)) as Box<dyn FnOnce() + '_>).collect();
-                    run_fibers(tasks, 64 * 1024, || panic!("stall"));
-                }
-                Some(w) => {
-                    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..6)
-                        .map(|i| Box::new(mk(i, &out)) as Box<dyn FnOnce() + Send + '_>)
-                        .collect();
-                    let placement: Vec<usize> = (0..6).map(|i| i % w).collect();
-                    run_fibers_sharded(tasks, &placement, w, 64 * 1024, || panic!("stall"));
-                }
-            }
+            let tasks: Vec<Task> = (0..6)
+                .map(|i| {
+                    let out = &out;
+                    Box::new(move || {
+                        for step in 0..4u32 {
+                            out[i].fetch_add(step + i as u32, Ordering::Relaxed);
+                            yield_now();
+                        }
+                    }) as Task
+                })
+                .collect();
+            let placement: Vec<usize> = (0..6).map(|i| i % workers).collect();
+            let panics = run_fibers(tasks, &placement, workers, 64 * 1024, || panic!("stall"));
+            assert!(panics.iter().all(Option::is_none));
             out.iter().map(|a| a.load(Ordering::Relaxed)).collect()
         };
-        let solo = run_with(None);
-        for w in [1, 2, 4, 8] {
-            assert_eq!(run_with(Some(w)), solo, "worker count {w} changed results");
+        let solo = run_with(1);
+        for w in [2, 4, 8] {
+            assert_eq!(run_with(w), solo, "worker count {w} changed results");
         }
     }
 }

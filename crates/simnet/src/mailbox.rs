@@ -23,13 +23,13 @@
 //! `notify_one` can never strand a second one.
 
 use crate::buffer::IoBuffer;
+use crate::fiber::{self, Waker};
 use crate::rendezvous::PoisonFlag;
 use crate::time::SimTime;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A message in flight.
 #[derive(Debug, Clone)]
@@ -62,11 +62,19 @@ pub struct Packet {
 /// `(context, tag)` pair.
 type ShardKey = (u32, i32);
 
-/// One source rank's queues plus the receiver-side wakeup channel.
+/// One source rank's queues plus the receiver-side wakeup channel: the
+/// owner's parked fiber (`waiter`, under the lock) or the condvar its
+/// OS thread sleeps on.
 #[derive(Default)]
 struct Shard {
-    queues: Mutex<HashMap<ShardKey, VecDeque<Packet>>>,
+    state: Mutex<ShardState>,
     cv: Condvar,
+}
+
+#[derive(Default)]
+struct ShardState {
+    queues: HashMap<ShardKey, VecDeque<Packet>>,
+    waiter: Option<Waker>,
 }
 
 /// One rank's incoming-message store.
@@ -89,8 +97,6 @@ impl std::fmt::Debug for Mailbox {
         f.debug_struct("Mailbox").finish_non_exhaustive()
     }
 }
-
-const POISON_POLL: Duration = Duration::from_millis(50);
 
 impl Mailbox {
     /// New empty mailbox for receiving rank `owner` in a cluster of
@@ -119,17 +125,17 @@ impl Mailbox {
     /// registers under the same shard lock, so the protocol is unchanged
     /// from the single-lock design — just per source.)
     pub fn deliver(&self, pkt: Packet) {
-        // hostprof: deposit + targeted notify; nothing below yields.
+        // hostprof: deposit + targeted notify; nothing below blocks.
         let _hp = simtrace::host::scope(simtrace::host::Site::MboxDeliver);
         let shard = self.shard(pkt.src);
         let key = (pkt.ctx, pkt.tag);
         let src = pkt.src;
-        let mut q = shard.queues.lock();
-        q.entry(key).or_default().push_back(pkt);
+        let mut st = shard.state.lock();
+        st.queues.entry(key).or_default().push_back(pkt);
         crate::progress::tl_deliver_downgrade(self.owner, src, key.0, key.1);
-        drop(q);
+        fiber::wake(&mut st.waiter);
+        drop(st);
         shard.cv.notify_one();
-        crate::fiber::note_event();
     }
 
     /// Receive the next packet matching `(src, ctx, tag)`, blocking until
@@ -137,19 +143,19 @@ impl Mailbox {
     pub fn recv(&self, src: usize, ctx: u32, tag: i32) -> Packet {
         let shard = self.shard(src);
         let key = (ctx, tag);
-        let mut q = shard.queues.lock();
+        let mut st = shard.state.lock();
         let mut registered = false;
         let mut woken = false;
         let mut polls = 0u32;
         loop {
             // hostprof: one lock-held matching pass. The guard is dropped
-            // before the yield/wait below, so the frame never absorbs the
-            // time spent blocked (which belongs to other fibers' work).
+            // before the wait below, so the frame never absorbs the time
+            // spent blocked (which belongs to other fibers' work).
             let hp = simtrace::host::scope(simtrace::host::Site::MboxRecv);
-            if let Some(dq) = q.get_mut(&key) {
+            if let Some(dq) = st.queues.get_mut(&key) {
                 if let Some(pkt) = dq.pop_front() {
                     if dq.is_empty() {
-                        q.remove(&key);
+                        st.queues.remove(&key);
                     }
                     if registered {
                         // Normally the delivering sender already
@@ -175,19 +181,8 @@ impl Mailbox {
                 registered = true;
             }
             drop(hp);
-            self.poison.check();
-            if crate::fiber::in_fiber() {
-                // Cooperative executor: the sender is another fiber on
-                // this thread — unlock, let it run, re-check. No notify
-                // is involved, so this never counts as a (spurious)
-                // wakeup.
-                parking_lot::MutexGuard::unlocked(&mut q, crate::fiber::yield_now);
-                woken = false;
-            } else {
-                woken = !shard.cv.wait_for(&mut q, POISON_POLL).timed_out();
-            }
-            self.poison.check();
-            polls += 1;
+            woken = fiber::wait(&shard.cv, &mut st, |s| &mut s.waiter, &self.poison);
+            polls += u32::from(!woken);
             if polls == crate::progress::STALL_DEBUG_POLLS && crate::progress::stall_debug() {
                 eprintln!(
                     "mailbox stalled: rank {} waiting on ({src},{ctx},{tag})",
@@ -200,11 +195,11 @@ impl Mailbox {
     /// Non-blocking probe: take a matching packet if present.
     pub fn try_recv(&self, src: usize, ctx: u32, tag: i32) -> Option<Packet> {
         let key = (ctx, tag);
-        let mut q = self.shard(src).queues.lock();
-        let dq = q.get_mut(&key)?;
+        let mut st = self.shard(src).state.lock();
+        let dq = st.queues.get_mut(&key)?;
         let pkt = dq.pop_front();
         if dq.is_empty() {
-            q.remove(&key);
+            st.queues.remove(&key);
         }
         pkt
     }
@@ -213,7 +208,14 @@ impl Mailbox {
     pub fn backlog(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.queues.lock().values().map(VecDeque::len).sum::<usize>())
+            .map(|s| {
+                s.state
+                    .lock()
+                    .queues
+                    .values()
+                    .map(VecDeque::len)
+                    .sum::<usize>()
+            })
             .sum()
     }
 
@@ -237,6 +239,7 @@ impl Mailbox {
 mod tests {
     use super::*;
     use std::thread;
+    use std::time::Duration;
 
     fn mbox() -> Arc<Mailbox> {
         Arc::new(Mailbox::new(0, 4, Arc::new(PoisonFlag::default())))

@@ -29,6 +29,10 @@
 //!   future; virtual clocks are monotone along happens-before chains).
 //! * `Rdv` — parked in a rendezvous; completion is `max` over all
 //!   participants' entry clocks, so every participant's floor bounds it.
+//!   The bound belongs to the *meeting*: it is computed once per check
+//!   (parked members contribute their own floor, members still on their
+//!   way their own analysis) and shared by every rank parked there, so a
+//!   check costs `O(ranks)` however many ranks a collective has parked.
 //! * `Pending` — waiting in this gate; its key bounds all its later
 //!   requests (requests within one I/O call share an arrival, so only
 //!   the per-rank `seq` grows).
@@ -55,12 +59,13 @@
 //! `Ost` or `Mailbox` directly) bypass the gate entirely: [`admit`] is a
 //! no-op and behavior is byte-identical to the ungated code.
 
+use crate::fiber::{self, Waker};
 use crate::rendezvous::PoisonFlag;
 use crate::time::SimTime;
 use parking_lot::{Condvar, Mutex};
 use std::cell::RefCell;
+use std::collections::BTreeSet;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Admission key of one resource request. Ordered lexicographically by
 /// `(arrival, rank, seq)`; unique because `seq` is globally monotone.
@@ -74,12 +79,8 @@ pub struct ReqKey {
     pub seq: u64,
 }
 
-impl ReqKey {
-    fn lt(&self, other: &ReqKey) -> bool {
-        self.cmp_key(other) == std::cmp::Ordering::Less
-    }
-
-    fn cmp_key(&self, other: &ReqKey) -> std::cmp::Ordering {
+impl Ord for ReqKey {
+    fn cmp(&self, other: &ReqKey) -> std::cmp::Ordering {
         self.arrival
             .0
             .total_cmp(&other.arrival.0)
@@ -87,6 +88,14 @@ impl ReqKey {
             .then(self.seq.cmp(&other.seq))
     }
 }
+
+impl PartialOrd for ReqKey {
+    fn partial_cmp(&self, other: &ReqKey) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Eq for ReqKey {}
 
 #[derive(Debug, Clone)]
 enum Mode {
@@ -97,26 +106,48 @@ enum Mode {
     Finished,
 }
 
-#[derive(Debug)]
 struct RankState {
     /// Lower bound (virtual time) on this rank's future request arrivals.
     floor: SimTime,
     mode: Mode,
+    /// The rank's fiber while it is parked in [`ProgressRegistry::acquire`].
+    waker: Option<Waker>,
 }
 
-#[derive(Debug)]
 struct Inner {
     ranks: Vec<RankState>,
     next_seq: u64,
-    /// Bumped by every state change (all of which run through
-    /// [`ProgressRegistry::wake_min`]). Spinning waiters in
-    /// [`ProgressRegistry::acquire`] use it to skip the `O(n)`
-    /// admissibility re-scan when nothing has changed since the scan
-    /// last said no — admissibility is a pure function of this state,
-    /// so an unchanged version means an unchanged verdict. This matters
-    /// most under the sharded fiber executor, where several workers
-    /// poll the one registry concurrently.
-    version: u64,
+    /// The keys of all `Pending` ranks. Only the first can be admissible
+    /// (any larger one fails against it), so it is the one to wake.
+    pending: BTreeSet<ReqKey>,
+    /// Scratch of one admissibility check, kept for its allocation.
+    memo: Vec<FloorMemo>,
+    /// Ranks and meeting members the checks looked at (complexity pin).
+    #[cfg(test)]
+    visits: std::cell::Cell<usize>,
+}
+
+impl Inner {
+    /// Change `rank`'s mode, keeping `pending` in step.
+    fn set_mode(&mut self, rank: usize, mode: Mode) {
+        if let Mode::Pending { key } = &self.ranks[rank].mode {
+            self.pending.remove(key);
+        }
+        if let Mode::Pending { key } = &mode {
+            self.pending.insert(*key);
+        }
+        self.ranks[rank].mode = mode;
+    }
+
+    fn parked_in(&self, rank: usize, meeting: u64) -> bool {
+        matches!(&self.ranks[rank].mode, Mode::Rdv { id, .. } if *id == meeting)
+    }
+
+    /// Count one rank or meeting member looked at by a check.
+    fn visit(&self) {
+        #[cfg(test)]
+        self.visits.set(self.visits.get() + 1);
+    }
 }
 
 /// Cluster-wide admission gate; one per [`crate::run_cluster`] run.
@@ -124,12 +155,12 @@ struct Inner {
 /// Wakeups are *targeted*: at any instant at most one pending request —
 /// the one with the smallest `(arrival, rank, seq)` key — can possibly
 /// be admissible (any larger pending key fails against it), so every
-/// state change wakes only that request's rank on its own condition
-/// variable instead of broadcasting to all parked rank threads. With
-/// 512–1024 rank threads this turns each release from a thundering herd
-/// of `O(n)` wakeups (each re-running the admissibility scan and going
-/// back to sleep) into a single handoff.
-#[derive(Debug)]
+/// state change wakes only that request's rank (its condition variable,
+/// or its parked fiber) instead of broadcasting to all waiting ranks.
+/// With 512–1024 ranks this turns each release from a thundering herd of
+/// `O(n)` wakeups (each re-running the admissibility scan and going back
+/// to sleep) into a single handoff. A state change costs `O(log n)` (the
+/// ordered pending set), an admissibility check `O(n)`.
 pub struct ProgressRegistry {
     inner: Mutex<Inner>,
     /// One condvar per rank; rank `r` waits only on `cvs[r]`.
@@ -137,11 +168,10 @@ pub struct ProgressRegistry {
     poison: Arc<PoisonFlag>,
 }
 
-const POISON_POLL: Duration = Duration::from_millis(50);
-
-/// Number of poison polls after which a blocked wait reports itself when
-/// `SIMNET_STALL_DEBUG` is set (~5s of host time — far beyond any
-/// legitimate wait in the test suite, short enough to diagnose hangs).
+/// Number of poll timeouts after which a blocked OS thread reports
+/// itself when `SIMNET_STALL_DEBUG` is set (~5s of host time — far
+/// beyond any legitimate wait in the test suite, short enough to
+/// diagnose hangs; fibers never time out, their deadlocks are exact).
 pub(crate) const STALL_DEBUG_POLLS: u32 = 100;
 
 /// True when substrate waits should print a one-shot diagnostic after
@@ -160,13 +190,27 @@ pub(crate) fn stall_debug() -> bool {
 /// equal-arrival ties against lower-numbered blocked ranks: their next
 /// request provably lands *after* the tied arrival, so it cannot precede
 /// a pending request at it.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Bound {
     time: SimTime,
     strict: bool,
 }
 
 impl Bound {
+    /// The weakest bound: what a dependency cycle among blocked ranks
+    /// contributes, for the enclosing `max` to ignore.
+    const WEAKEST: Bound = Bound {
+        time: SimTime::ZERO,
+        strict: false,
+    };
+
+    fn at(time: SimTime) -> Bound {
+        Bound {
+            time,
+            strict: false,
+        }
+    }
+
     /// Tighter of two lower bounds: later time wins; on equal times a
     /// strict bound subsumes a non-strict one.
     fn max(self, other: Bound) -> Bound {
@@ -181,13 +225,42 @@ impl Bound {
             }
         }
     }
+
+    /// The bound one blocked edge downstream: the wake strictly follows.
+    fn woken_after(self) -> Bound {
+        Bound {
+            time: self.time,
+            strict: true,
+        }
+    }
+
+    /// True when a request by `rank` under this bound cannot precede
+    /// `key`.
+    fn clears(self, key: &ReqKey, rank: usize) -> bool {
+        if self.strict {
+            // Future arrivals are strictly after `time`, so any pending
+            // key at or before it is safely first.
+            key.arrival.0.total_cmp(&self.time.0).is_le()
+        } else {
+            let earliest = ReqKey {
+                arrival: self.time,
+                rank,
+                seq: 0,
+            };
+            *key < earliest
+        }
+    }
 }
 
 /// Memoized floor analysis for one admissibility check.
+#[derive(Debug, Clone, Copy)]
 enum FloorMemo {
     Unvisited,
     InStack,
+    /// `None` = unconstrained.
     Done(Option<Bound>),
+    /// Parked in a meeting whose bound lives in that rank's entry.
+    SameAs(usize),
 }
 
 impl ProgressRegistry {
@@ -199,10 +272,14 @@ impl ProgressRegistry {
                     .map(|_| RankState {
                         floor: SimTime::ZERO,
                         mode: Mode::Running,
+                        waker: None,
                     })
                     .collect(),
                 next_seq: 0,
-                version: 0,
+                pending: BTreeSet::new(),
+                memo: Vec::new(),
+                #[cfg(test)]
+                visits: std::cell::Cell::new(0),
             }),
             cvs: (0..n).map(|_| Condvar::new()).collect(),
             poison,
@@ -210,25 +287,16 @@ impl ProgressRegistry {
     }
 
     /// Wake the one rank whose pending request could now be admissible:
-    /// the holder of the minimum pending key. (If that rank currently
-    /// *holds* the admission rather than waiting, the notify is a no-op
-    /// and the next wake happens at its release — which re-runs this.)
+    /// the holder of the minimum pending key. Every state change ends
+    /// here. (If that rank currently *holds* the admission rather than
+    /// waiting, this is a no-op and the next wake happens at its release
+    /// — which comes back here.)
     fn wake_min(&self, inner: &mut Inner) {
-        inner.version += 1;
-        let mut best: Option<(&ReqKey, usize)> = None;
-        for (r, st) in inner.ranks.iter().enumerate() {
-            if let Mode::Pending { key } = &st.mode {
-                if best.is_none_or(|(bk, _)| key.lt(bk)) {
-                    best = Some((key, r));
-                }
-            }
-        }
-        if let Some((_, r)) = best {
+        let _hp = simtrace::host::scope(simtrace::host::Site::GateWake);
+        if let Some(r) = inner.pending.first().map(|key| key.rank) {
             self.cvs[r].notify_one();
+            fiber::wake(&mut inner.ranks[r].waker);
         }
-        // Every registry state change runs through here; under the fiber
-        // executor it doubles as the liveness signal for stall detection.
-        crate::fiber::note_event();
     }
 
     /// Lower bound on rank `r`'s future request arrivals, from the
@@ -246,112 +314,110 @@ impl ProgressRegistry {
             // request completes — no constraint on the current admission.
             return None;
         }
-        match memo[r] {
+        inner.visit();
+        let at = match memo[r] {
+            FloorMemo::SameAs(rep) => rep,
+            _ => r,
+        };
+        match memo[at] {
             FloorMemo::Done(v) => return v,
-            // A cycle among blocked ranks: contribute the weakest sound
-            // bound and let the enclosing `max` ignore it.
-            FloorMemo::InStack => {
-                return Some(Bound {
-                    time: SimTime::ZERO,
-                    strict: false,
-                })
-            }
-            FloorMemo::Unvisited => {}
+            // A cycle among blocked ranks (a deadlock in the simulated
+            // program): any bound is sound, take the weakest.
+            FloorMemo::InStack => return Some(Bound::WEAKEST),
+            FloorMemo::Unvisited | FloorMemo::SameAs(_) => {}
         }
         memo[r] = FloorMemo::InStack;
         let st = &inner.ranks[r];
-        let own = Bound {
-            time: st.floor,
-            strict: false,
-        };
+        let own = Bound::at(st.floor);
         let out = match &st.mode {
             Mode::Finished => None,
             // The rank's *next* request can share the pending arrival
             // (several requests per I/O call carry one arrival), so the
             // self-bound is non-strict.
-            Mode::Pending { key } => Some(own.max(Bound {
-                time: key.arrival,
-                strict: false,
-            })),
+            Mode::Pending { key } => Some(own.max(Bound::at(key.arrival))),
             Mode::Running => Some(own),
+            // The wake (message arrival + receive) strictly follows the
+            // sender's bound.
             Mode::Recv { src, .. } => {
-                Self::floor_of(inner, *src, requester, memo).map(|f| {
-                    // The wake (message arrival + receive) strictly
-                    // follows the sender's bound.
-                    own.max(Bound {
-                        time: f.time,
-                        strict: true,
-                    })
-                })
+                Self::floor_of(inner, *src, requester, memo).map(|f| own.max(f.woken_after()))
             }
-            Mode::Rdv { members, .. } => {
-                let mut best = Some(own);
-                for &p in members.iter() {
-                    match Self::floor_of(inner, p, requester, memo) {
-                        None => {
-                            best = None;
-                            break;
-                        }
-                        // The wake (meeting completion) strictly follows
-                        // every participant's bound.
-                        Some(f) => {
-                            best = best.map(|b| {
-                                b.max(Bound {
-                                    time: f.time,
-                                    strict: true,
-                                })
-                            })
-                        }
-                    }
-                }
-                best
+            Mode::Rdv { id, members } => {
+                Self::meeting_bound(inner, r, *id, members, requester, memo)
             }
         };
         memo[r] = FloorMemo::Done(out);
         out
     }
 
+    /// Bound on the future requests of *every* rank parked in meeting
+    /// `id`, computed once per check on behalf of parked member `rep`
+    /// (whose memo entry the others are pointed at). The meeting
+    /// completes no earlier than any member enters it, and a parked
+    /// rank requests again only after that, so the bound is the latest
+    /// of: the parked members' own floors (their entry clocks are at
+    /// least that), and [`floor_of`](Self::floor_of) of the members
+    /// still on their way. A meeting the requester belongs to cannot
+    /// complete before its pending request does: unconstrained.
+    ///
+    /// This is the least fixpoint of the per-rank rule "a parked rank is
+    /// bounded by every member's bound". Walking that rule rank by rank
+    /// has to cut the cycle between any two parked members and so can
+    /// only under-approximate it, at a cost of `members` per parked
+    /// rank; computing it per meeting is exact and costs `members` once.
+    fn meeting_bound(
+        inner: &Inner,
+        rep: usize,
+        id: u64,
+        members: &[usize],
+        requester: usize,
+        memo: &mut [FloorMemo],
+    ) -> Option<Bound> {
+        let mut bound = Some(Bound::at(inner.ranks[rep].floor));
+        for &p in members {
+            inner.visit();
+            if p == requester {
+                bound = None;
+            } else if inner.parked_in(p, id) {
+                if p != rep {
+                    memo[p] = FloorMemo::SameAs(rep);
+                }
+                bound = bound.map(|b| b.max(Bound::at(inner.ranks[p].floor)));
+            }
+        }
+        for &p in members {
+            if bound.is_none() {
+                break;
+            }
+            if !inner.parked_in(p, id) {
+                let f = Self::floor_of(inner, p, requester, memo);
+                bound = f.and_then(|f| bound.map(|b| b.max(f)));
+            }
+        }
+        // The wake (meeting completion) strictly follows the bound.
+        bound.map(Bound::woken_after)
+    }
+
     /// True when no other rank can still produce a request key below
     /// `key` — i.e. admitting `key` now preserves global key order.
-    fn admissible(inner: &Inner, key: &ReqKey) -> bool {
-        // Cheap pass: another pending request with a smaller key wins.
-        for (r, st) in inner.ranks.iter().enumerate() {
-            if r == key.rank {
-                continue;
-            }
-            if let Mode::Pending { key: other } = &st.mode {
-                if other.lt(key) {
-                    return false;
-                }
-            }
+    fn admissible(inner: &mut Inner, key: &ReqKey) -> bool {
+        let _hp = simtrace::host::scope(simtrace::host::Site::GateScan);
+        // Another pending request with a smaller key wins.
+        if inner.pending.first().is_some_and(|min| min < key) {
+            return false;
         }
-        // Full pass: bound every non-pending rank's future requests.
+        // Bound every non-pending rank's future requests.
         let n = inner.ranks.len();
-        let mut memo: Vec<FloorMemo> = (0..n).map(|_| FloorMemo::Unvisited).collect();
-        for r in 0..n {
-            if r == key.rank || matches!(inner.ranks[r].mode, Mode::Pending { .. }) {
-                continue;
-            }
-            if let Some(f) = Self::floor_of(inner, r, key.rank, &mut memo) {
-                if f.strict {
-                    // r's future arrivals are strictly after f.time, so
-                    // any pending key at or before it is safely first.
-                    if key.arrival.0.total_cmp(&f.time.0) == std::cmp::Ordering::Greater {
-                        return false;
-                    }
-                } else {
-                    let bound = ReqKey {
-                        arrival: f.time,
-                        rank: r,
-                        seq: 0,
-                    };
-                    if !key.lt(&bound) {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
+        let mut memo = std::mem::take(&mut inner.memo);
+        memo.clear();
+        memo.resize(n, FloorMemo::Unvisited);
+        let state = &*inner;
+        let ok = (0..n).all(|r| {
+            r == key.rank
+                || matches!(state.ranks[r].mode, Mode::Pending { .. })
+                || Self::floor_of(state, r, key.rank, &mut memo).is_none_or(|f| f.clears(key, r))
+        });
+        inner.memo = memo;
+        ok
     }
 
     /// Block (host time) until a request by `rank` arriving at `arrival`
@@ -363,33 +429,15 @@ impl ProgressRegistry {
         let key = ReqKey { arrival, rank, seq };
         let st = &mut inner.ranks[rank];
         st.floor = st.floor.max(arrival);
-        st.mode = Mode::Pending { key };
+        inner.set_mode(rank, Mode::Pending { key });
         // The new pending key raises this rank's bound for everyone
         // else, possibly unblocking the current minimum pending request.
         self.wake_min(&mut inner);
         let mut polls = 0u32;
-        // Version of the registry state the last failed scan saw: an
-        // unchanged version on wake means an unchanged (negative)
-        // verdict, so the scan can be skipped outright.
-        let mut denied_at: Option<u64> = None;
-        while denied_at == Some(inner.version) || {
-            let ok = Self::admissible(&inner, &key);
-            if !ok {
-                denied_at = Some(inner.version);
-            }
-            !ok
-        } {
-            self.poison.check();
-            if crate::fiber::in_fiber() {
-                // Cooperative executor: release the lock and let the
-                // other ranks (fibers on this same thread) run; they are
-                // the only source of the state change we're waiting for.
-                parking_lot::MutexGuard::unlocked(&mut inner, crate::fiber::yield_now);
-            } else {
-                self.cvs[rank].wait_for(&mut inner, POISON_POLL);
-            }
-            self.poison.check();
-            polls += 1;
+        while !Self::admissible(&mut inner, &key) {
+            let cv = &self.cvs[rank];
+            let woken = fiber::wait(cv, &mut inner, |i| &mut i.ranks[rank].waker, &self.poison);
+            polls += u32::from(!woken);
             if polls == STALL_DEBUG_POLLS && stall_debug() {
                 eprintln!("progress gate stalled: rank {rank} key {key:?}");
                 for (r, st) in inner.ranks.iter().enumerate() {
@@ -407,7 +455,7 @@ impl ProgressRegistry {
         if let Mode::Pending { key } = &st.mode {
             st.floor = st.floor.max(key.arrival);
         }
-        st.mode = Mode::Running;
+        inner.set_mode(rank, Mode::Running);
         self.wake_min(&mut inner);
     }
 
@@ -416,7 +464,7 @@ impl ProgressRegistry {
     /// [`deliver_downgrade`](Self::deliver_downgrade).
     pub(crate) fn block_recv(&self, rank: usize, src: usize, ctx: u32, tag: i32) {
         let mut inner = self.inner.lock();
-        inner.ranks[rank].mode = Mode::Recv { src, ctx, tag };
+        inner.set_mode(rank, Mode::Recv { src, ctx, tag });
         self.wake_min(&mut inner);
     }
 
@@ -426,10 +474,9 @@ impl ProgressRegistry {
     /// before any gate check can observe the stale mode.
     pub(crate) fn deliver_downgrade(&self, dst: usize, src: usize, ctx: u32, tag: i32) {
         let mut inner = self.inner.lock();
-        let st = &mut inner.ranks[dst];
-        if matches!(&st.mode, Mode::Recv { src: s, ctx: c, tag: t } if *s == src && *c == ctx && *t == tag)
+        if matches!(&inner.ranks[dst].mode, Mode::Recv { src: s, ctx: c, tag: t } if *s == src && *c == ctx && *t == tag)
         {
-            st.mode = Mode::Running;
+            inner.set_mode(dst, Mode::Running);
             self.wake_min(&mut inner);
         }
     }
@@ -439,7 +486,7 @@ impl ProgressRegistry {
     /// [`complete_rdv`](Self::complete_rdv).
     pub(crate) fn block_rdv(&self, rank: usize, id: u64, members: Arc<Vec<usize>>) {
         let mut inner = self.inner.lock();
-        inner.ranks[rank].mode = Mode::Rdv { id, members };
+        inner.set_mode(rank, Mode::Rdv { id, members });
         self.wake_min(&mut inner);
     }
 
@@ -450,9 +497,8 @@ impl ProgressRegistry {
         let mut inner = self.inner.lock();
         let mut changed = false;
         for &p in members {
-            let st = &mut inner.ranks[p];
-            if matches!(&st.mode, Mode::Rdv { id: i, .. } if *i == id) {
-                st.mode = Mode::Running;
+            if inner.parked_in(p, id) {
+                inner.set_mode(p, Mode::Running);
                 changed = true;
             }
         }
@@ -465,9 +511,8 @@ impl ProgressRegistry {
     /// counterpart had no registry, e.g. mixed gated/ungated callers).
     pub(crate) fn unblock(&self, rank: usize) {
         let mut inner = self.inner.lock();
-        let st = &mut inner.ranks[rank];
-        if !matches!(st.mode, Mode::Running) {
-            st.mode = Mode::Running;
+        if !matches!(inner.ranks[rank].mode, Mode::Running) {
+            inner.set_mode(rank, Mode::Running);
             self.wake_min(&mut inner);
         }
     }
@@ -475,7 +520,7 @@ impl ProgressRegistry {
     /// The rank's closure returned: it will never request again.
     fn finish(&self, rank: usize) {
         let mut inner = self.inner.lock();
-        inner.ranks[rank].mode = Mode::Finished;
+        inner.set_mode(rank, Mode::Finished);
         self.wake_min(&mut inner);
     }
 }
@@ -594,6 +639,7 @@ pub(crate) fn tl_unblock() {
 mod tests {
     use super::*;
     use std::thread;
+    use std::time::Duration;
 
     fn registry(n: usize) -> Arc<ProgressRegistry> {
         Arc::new(ProgressRegistry::new(n, Arc::new(PoisonFlag::default())))
@@ -785,5 +831,308 @@ mod tests {
         let _g = install(Arc::clone(&reg), 0);
         // Rank 1 never moves; only the poison releases us.
         let _a = admit(SimTime::secs(1.0));
+    }
+
+    // -----------------------------------------------------------------
+    // The linear gate against the recursive one it replaced
+    // -----------------------------------------------------------------
+
+    /// The gate as it was before meetings were bounded once per check:
+    /// a per-rank recursion that walks every member of a meeting for
+    /// every rank parked in it and cuts cycles where it finds them.
+    /// Kept as the reference the property test compares against.
+    mod reference {
+        use super::super::*;
+
+        #[derive(Clone, Copy)]
+        enum Memo {
+            Unvisited,
+            InStack,
+            Done(Option<Bound>),
+        }
+
+        fn floor_of(inner: &Inner, r: usize, requester: usize, memo: &mut [Memo]) -> Option<Bound> {
+            if r == requester {
+                return None;
+            }
+            match memo[r] {
+                Memo::Done(v) => return v,
+                Memo::InStack => return Some(Bound::WEAKEST),
+                Memo::Unvisited => {}
+            }
+            memo[r] = Memo::InStack;
+            let st = &inner.ranks[r];
+            let own = Bound::at(st.floor);
+            let out = match &st.mode {
+                Mode::Finished => None,
+                Mode::Pending { key } => Some(own.max(Bound::at(key.arrival))),
+                Mode::Running => Some(own),
+                Mode::Recv { src, .. } => {
+                    floor_of(inner, *src, requester, memo).map(|f| own.max(f.woken_after()))
+                }
+                Mode::Rdv { members, .. } => {
+                    let mut best = Some(own);
+                    for &p in members.iter() {
+                        match floor_of(inner, p, requester, memo) {
+                            None => {
+                                best = None;
+                                break;
+                            }
+                            Some(f) => best = best.map(|b| b.max(f.woken_after())),
+                        }
+                    }
+                    best
+                }
+            };
+            memo[r] = Memo::Done(out);
+            out
+        }
+
+        pub(super) fn admissible(inner: &Inner, key: &ReqKey) -> bool {
+            for (r, st) in inner.ranks.iter().enumerate() {
+                if r == key.rank {
+                    continue;
+                }
+                if let Mode::Pending { key: other } = &st.mode {
+                    if other < key {
+                        return false;
+                    }
+                }
+            }
+            let n = inner.ranks.len();
+            let mut memo = vec![Memo::Unvisited; n];
+            for r in 0..n {
+                if r == key.rank || matches!(inner.ranks[r].mode, Mode::Pending { .. }) {
+                    continue;
+                }
+                if let Some(f) = floor_of(inner, r, key.rank, &mut memo) {
+                    if !f.clears(key, r) {
+                        return false;
+                    }
+                }
+            }
+            true
+        }
+
+        /// The per-rank rule solved exactly: Kleene iteration from the
+        /// weakest bound to the least fixpoint of "a receiver is bounded
+        /// by its sender, a parked rank by every member of its meeting".
+        /// Anything at or below this is justified; `None` is the top.
+        pub(super) fn fixpoint_admissible(inner: &Inner, key: &ReqKey) -> bool {
+            let n = inner.ranks.len();
+            let mut f: Vec<Option<Bound>> = vec![Some(Bound::WEAKEST); n];
+            loop {
+                let bound = |(r, st): (usize, &RankState)| {
+                    let own = Bound::at(st.floor);
+                    match &st.mode {
+                        _ if r == key.rank => None,
+                        Mode::Finished => None,
+                        Mode::Pending { key } => Some(own.max(Bound::at(key.arrival))),
+                        Mode::Running => Some(own),
+                        Mode::Recv { src, .. } => f[*src].map(|b| own.max(b.woken_after())),
+                        Mode::Rdv { members, .. } => members
+                            .iter()
+                            .try_fold(own, |acc, &p| f[p].map(|b| acc.max(b.woken_after()))),
+                    }
+                };
+                let next: Vec<Option<Bound>> = inner.ranks.iter().enumerate().map(bound).collect();
+                if next == f {
+                    break;
+                }
+                f = next;
+            }
+            let min_other = inner.pending.iter().find(|k| k.rank != key.rank);
+            min_other.is_none_or(|k| key < k)
+                && (0..n).all(|r| {
+                    r == key.rank
+                        || matches!(inner.ranks[r].mode, Mode::Pending { .. })
+                        || f[r].is_none_or(|b| b.clears(key, r))
+                })
+        }
+    }
+
+    /// The meetings a generated state draws from: the world, two halves
+    /// and a set that straddles them.
+    fn meetings(n: usize) -> Vec<Arc<Vec<usize>>> {
+        vec![
+            Arc::new((0..n).collect()),
+            Arc::new((0..n / 2).collect()),
+            Arc::new((n / 2..n).collect()),
+            Arc::new((0..n).filter(|r| r % 3 != 1).collect()),
+        ]
+    }
+
+    /// Build a registry state from raw draws: per rank a floor, a mode
+    /// selector and an operand (receive source / meeting choice /
+    /// pending arrival). Times are small integers so ties — where
+    /// strictness decides — are common.
+    fn state_from(draws: &[(u8, u8, u8)], requester: usize, arrival: u8) -> (Inner, ReqKey) {
+        let n = draws.len();
+        let meetings = meetings(n);
+        let reg = ProgressRegistry::new(n, Arc::new(PoisonFlag::default()));
+        let mut inner = reg.inner.into_inner();
+        for (r, &(floor, sel, operand)) in draws.iter().enumerate() {
+            inner.ranks[r].floor = SimTime::secs(floor as f64);
+            let mode = match sel % 8 {
+                0 | 1 => Mode::Running,
+                2 => match operand as usize % n {
+                    src if src != r => Mode::Recv {
+                        src,
+                        ctx: 0,
+                        tag: 0,
+                    },
+                    _ => Mode::Running,
+                },
+                3..=5 => {
+                    // Park only in a meeting the rank belongs to.
+                    let m = (0..meetings.len())
+                        .map(|k| (operand as usize + k) % meetings.len())
+                        .find(|&k| meetings[k].contains(&r))
+                        .expect("every rank is in the world meeting");
+                    Mode::Rdv {
+                        id: m as u64,
+                        members: Arc::clone(&meetings[m]),
+                    }
+                }
+                6 => {
+                    inner.next_seq += 1;
+                    let key = ReqKey {
+                        arrival: SimTime::secs((floor + operand % 4) as f64),
+                        rank: r,
+                        seq: inner.next_seq,
+                    };
+                    Mode::Pending { key }
+                }
+                _ => Mode::Finished,
+            };
+            inner.set_mode(r, mode);
+        }
+        let requester = requester % n;
+        inner.next_seq += 1;
+        let key = ReqKey {
+            arrival: SimTime::secs(arrival as f64),
+            rank: requester,
+            seq: inner.next_seq,
+        };
+        inner.ranks[requester].floor = inner.ranks[requester].floor.max(key.arrival);
+        inner.set_mode(requester, Mode::Pending { key });
+        (inner, key)
+    }
+
+    /// True when the blocked ranks wait on each other in a cycle that
+    /// does not pass through the requester: a receiver waits on its
+    /// sender, a parked rank on the members still on their way. Such a
+    /// state is a deadlock of the simulated program — the cluster is
+    /// about to be poisoned, any bound is sound, and where each gate
+    /// happens to cut the cycle is not worth comparing.
+    fn deadlocked(inner: &Inner, requester: usize) -> bool {
+        fn visit(inner: &Inner, r: usize, requester: usize, seen: &mut [u8]) -> bool {
+            if r == requester || seen[r] == 2 {
+                return false;
+            }
+            if seen[r] == 1 {
+                return true;
+            }
+            seen[r] = 1;
+            let cyclic = match &inner.ranks[r].mode {
+                Mode::Recv { src, .. } => visit(inner, *src, requester, seen),
+                Mode::Rdv { id, members } => members
+                    .iter()
+                    .any(|&p| !inner.parked_in(p, *id) && visit(inner, p, requester, seen)),
+                _ => false,
+            };
+            seen[r] = 2;
+            cyclic
+        }
+        let mut seen = vec![0u8; inner.ranks.len()];
+        (0..inner.ranks.len()).any(|r| visit(inner, r, requester, &mut seen))
+    }
+
+    /// The linear gate is never looser than the exact solution of the
+    /// rule both gates implement, and — wherever the simulated program
+    /// is not already deadlocked — never stricter than the recursive
+    /// one. (The vendored `proptest!` adds the `#[test]` itself.)
+    #[test]
+    fn linear_gate_sits_between_the_recursive_one_and_the_fixpoint() {
+        use proptest::strategy::Strategy;
+        let strategy = (
+            proptest::collection::vec((0u8..6, 0u8..8, 0u8..255), 2..14),
+            0usize..14,
+            0u8..8,
+        );
+        let mut rng = proptest::test_runner::TestRng::deterministic("linear_gate");
+        let (mut live, mut differ) = (0, 0);
+        for _ in 0..20_000 {
+            let (draws, requester, arrival) = strategy.generate(&mut rng);
+            let (mut inner, key) = state_from(&draws, requester, arrival);
+            let old = reference::admissible(&inner, &key);
+            let new = ProgressRegistry::admissible(&mut inner, &key);
+            let exact = reference::fixpoint_admissible(&inner, &key);
+            assert!(
+                !new || exact,
+                "not justified by the fixpoint: {draws:?} {key:?}"
+            );
+            if !deadlocked(&inner, key.rank) {
+                live += 1;
+                differ += usize::from(old != new);
+                assert!(
+                    !old || new,
+                    "stricter than the recursive gate: {draws:?} {key:?}"
+                );
+                assert_eq!(
+                    new, exact,
+                    "no cycle to cut, yet not exact: {draws:?} {key:?}"
+                );
+            }
+        }
+        assert!(live > 2_000, "only {live} deadlock-free states generated");
+        assert!(
+            differ > 0,
+            "the two gates never disagreed: the comparison is vacuous"
+        );
+    }
+
+    #[test]
+    fn an_admission_check_visits_each_rank_a_bounded_number_of_times() {
+        // 1 024 ranks, 1 023 of them parked in one meeting while the
+        // last one asks for admission — once as a member of that meeting
+        // (the bulk-synchronous steady state) and once from outside it
+        // with a straggler still on its way. The recursive gate walked
+        // the whole membership for every parked rank: ~P² visits.
+        const P: usize = 1024;
+        let requester = P / 2;
+        let world: Arc<Vec<usize>> = Arc::new((0..P).collect());
+        let others: Arc<Vec<usize>> = Arc::new((0..P).filter(|&r| r != requester).collect());
+        for (members, straggler) in [(world, None), (others, Some(7))] {
+            let reg = registry(P);
+            let mut inner = reg.inner.lock();
+            for r in (0..P).filter(|&r| r != requester && Some(r) != straggler) {
+                inner.ranks[r].floor = SimTime::secs(2.0);
+                inner.set_mode(
+                    r,
+                    Mode::Rdv {
+                        id: 1,
+                        members: Arc::clone(&members),
+                    },
+                );
+            }
+            if let Some(s) = straggler {
+                inner.ranks[s].floor = SimTime::secs(3.0);
+            }
+            let key = ReqKey {
+                arrival: SimTime::secs(1.0),
+                rank: requester,
+                seq: 0,
+            };
+            inner.set_mode(requester, Mode::Pending { key });
+            inner.visits.set(0);
+            assert!(ProgressRegistry::admissible(&mut inner, &key));
+            assert!(reference::admissible(&inner, &key));
+            let visits = inner.visits.get();
+            assert!(
+                visits <= 4 * P,
+                "{visits} visits for one check of {P} ranks"
+            );
+        }
     }
 }

@@ -14,12 +14,12 @@
 //! The meeting point is reusable (generation-counted), so one `Rendezvous`
 //! serves every collective ever executed on a communicator.
 
+use crate::fiber::{self, Waker};
 use crate::time::SimTime;
 use parking_lot::{Condvar, Mutex};
 use std::any::Any;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Process-global id source for rendezvous instances, so the progress
 /// registry can tell meeting points apart when downgrading waiters.
@@ -34,9 +34,6 @@ impl PoisonFlag {
     /// Mark the cluster as poisoned.
     pub fn poison(&self) {
         self.0.store(true, Ordering::SeqCst);
-        // Unblocks every waiter (they poll the flag), so it is also a
-        // liveness event for the fiber scheduler's stall detector.
-        crate::fiber::note_event();
     }
 
     /// True once poisoned.
@@ -76,8 +73,16 @@ struct State {
     arrived: usize,
     inputs: Vec<Option<BoxedInput>>,
     clocks: Vec<SimTime>,
+    /// Participants' fibers parked in [`Rendezvous::wait`], by index.
+    parked: Vec<Option<Waker>>,
     result: Option<(SharedResult, SimTime, MeetInfo)>,
     draining: usize,
+}
+
+impl State {
+    fn wake_all(&mut self) {
+        self.parked.iter_mut().for_each(fiber::wake);
+    }
 }
 
 /// A reusable meeting point for a fixed set of `n` participants.
@@ -102,10 +107,6 @@ impl std::fmt::Debug for Rendezvous {
         f.debug_struct("Rendezvous").field("n", &self.n).finish()
     }
 }
-
-/// How long a blocked participant sleeps between poison checks. Purely a
-/// liveness knob for failure cases; correct runs are woken by notify.
-const POISON_POLL: Duration = Duration::from_millis(50);
 
 impl Rendezvous {
     /// Create a meeting point for `n` participants sharing `poison`.
@@ -132,6 +133,7 @@ impl Rendezvous {
             state: Mutex::new(State {
                 inputs: (0..n).map(|_| None).collect(),
                 clocks: vec![SimTime::ZERO; n],
+                parked: vec![None; n],
                 ..State::default()
             }),
             cv: Condvar::new(),
@@ -188,8 +190,7 @@ impl Rendezvous {
         // Wait for the previous generation to fully drain before joining.
         let mut polls = 0u32;
         while st.result.is_some() {
-            self.poisonable_wait(&mut st);
-            polls += 1;
+            polls += u32::from(!self.wait(&mut st, idx));
             if polls == crate::progress::STALL_DEBUG_POLLS && crate::progress::stall_debug() {
                 eprintln!(
                     "rendezvous drain stalled: id {} gen {} idx {idx} draining {}",
@@ -206,7 +207,6 @@ impl Rendezvous {
         st.inputs[idx] = Some(Box::new(input));
         st.clocks[idx] = now;
         st.arrived += 1;
-        crate::fiber::note_event();
 
         if st.arrived == self.n {
             let inputs: Vec<T> = st
@@ -248,6 +248,7 @@ impl Rendezvous {
                 crate::progress::tl_complete_rdv(self.id, members);
             }
             self.cv.notify_all();
+            st.wake_all();
         } else {
             // Register this rank as parked in the meeting (atomic with
             // the deposit, under the state lock): its wake is bounded by
@@ -261,8 +262,7 @@ impl Rendezvous {
             crate::progress::tl_block_rdv(self.id, members);
             let mut polls = 0u32;
             while st.generation == gen && st.result.is_none() {
-                self.poisonable_wait(&mut st);
-                polls += 1;
+                polls += u32::from(!self.wait(&mut st, idx));
                 if polls == crate::progress::STALL_DEBUG_POLLS && crate::progress::stall_debug() {
                     eprintln!(
                         "rendezvous stalled: id {} gen {gen} idx {idx} arrived {}/{}",
@@ -286,7 +286,7 @@ impl Rendezvous {
             st.arrived = 0;
             st.generation += 1;
             self.cv.notify_all();
-            crate::fiber::note_event();
+            st.wake_all();
         }
         drop(st);
 
@@ -296,16 +296,10 @@ impl Rendezvous {
         (typed, completion, info)
     }
 
-    fn poisonable_wait(&self, st: &mut parking_lot::MutexGuard<'_, State>) {
-        self.poison.check();
-        if crate::fiber::in_fiber() {
-            // Cooperative executor: the peers we are meeting are fibers
-            // on this same thread — unlock, run them, re-check.
-            parking_lot::MutexGuard::unlocked(st, crate::fiber::yield_now);
-        } else {
-            self.cv.wait_for(st, POISON_POLL);
-        }
-        self.poison.check();
+    /// Block participant `idx` until the next `notify_all` (`false`: an
+    /// OS thread's poll timed out instead).
+    fn wait(&self, st: &mut parking_lot::MutexGuard<'_, State>, idx: usize) -> bool {
+        fiber::wait(&self.cv, st, |s| &mut s.parked[idx], &self.poison)
     }
 }
 
@@ -313,6 +307,7 @@ impl Rendezvous {
 mod tests {
     use super::*;
     use std::thread;
+    use std::time::Duration;
 
     fn rdv(n: usize) -> Arc<Rendezvous> {
         Arc::new(Rendezvous::new(n, Arc::new(PoisonFlag::default())))

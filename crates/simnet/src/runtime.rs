@@ -201,67 +201,19 @@ where
             cfg.workers
         }
         .clamp(1, n.max(1));
-        if workers > 1 {
-            // Sharded fiber executor: partition ranks across worker
-            // threads (by the placement hint, aligned to ParColl
-            // subgroups when the caller provides one) and run one
-            // scheduler per worker. Virtual time is identical to the
-            // single-worker path — determinism never depended on the
-            // interleaving — so this changes host wall-clock only.
-            let placement: Vec<usize> = match cfg.placement.as_deref() {
-                Some(p) if p.len() == n => {
-                    p.iter().map(|&w| w.min(workers - 1)).collect()
-                }
-                _ => (0..n).map(|r| r * workers / n).collect(),
-            };
-            let slots: Vec<parking_lot::Mutex<Option<T>>> =
-                (0..n).map(|_| parking_lot::Mutex::new(None)).collect();
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = slots
-                .iter()
-                .enumerate()
-                .map(|(rank, slot)| {
-                    let ep = make_ep(rank);
-                    let f = Arc::clone(&f);
-                    let guard_flag = Arc::clone(&poison);
-                    let registry = Arc::clone(&registry);
-                    Box::new(move || {
-                        let _guard = PoisonOnPanic(guard_flag);
-                        // See the single-worker path below for the
-                        // context's role.
-                        let _ctx = progress::install(registry, rank);
-                        *slot.lock() = Some(f(ep));
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            let stall_flag = Arc::clone(&poison);
-            let stall_plan = cfg.faults.clone();
-            let panics = crate::fiber::run_fibers_sharded(
-                tasks,
-                &placement,
-                workers,
-                cfg.stack_size,
-                move || {
-                    if stall_plan.as_ref().is_some_and(|p| p.outstanding() > 0) {
-                        return false;
-                    }
-                    stall_flag.poison();
-                    true
-                },
-            );
-            if let Some(payload) = pick_primary(panics.into_iter().flatten()) {
-                std::panic::resume_unwind(payload);
-            }
-            return slots
-                .into_iter()
-                .map(|s| {
-                    s.into_inner()
-                        .expect("every fiber completed without panicking")
-                })
-                .collect();
-        }
-        let slots: Vec<std::cell::RefCell<Option<T>>> =
-            (0..n).map(|_| std::cell::RefCell::new(None)).collect();
-        let tasks: Vec<Box<dyn FnOnce() + '_>> = slots
+        // Ranks are partitioned across the workers by the placement
+        // hint (aligned to ParColl subgroups when the caller provides
+        // one); a single worker is the calling thread itself. Virtual
+        // time is identical for every worker count — determinism never
+        // depended on the interleaving — so this changes host
+        // wall-clock only.
+        let placement: Vec<usize> = match cfg.placement.as_deref() {
+            Some(p) if p.len() == n => p.iter().map(|&w| w.min(workers - 1)).collect(),
+            _ => (0..n).map(|r| r * workers / n).collect(),
+        };
+        let slots: Vec<parking_lot::Mutex<Option<T>>> =
+            (0..n).map(|_| parking_lot::Mutex::new(None)).collect();
+        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = slots
             .iter()
             .enumerate()
             .map(|(rank, slot)| {
@@ -276,24 +228,15 @@ where
                     // order. Dropped (rank -> Finished) after `f`, even
                     // on panic, so gate waiters never deadlock on us.
                     let _ctx = progress::install(registry, rank);
-                    *slot.borrow_mut() = Some(f(ep));
-                }) as Box<dyn FnOnce() + '_>
+                    *slot.lock() = Some(f(ep));
+                }) as Box<dyn FnOnce() + Send + '_>
             })
             .collect();
-        // A genuine deadlock (every fiber yielding, nothing moving) is
-        // resolved like a rank panic: poison the cluster so the blocked
-        // fibers panic out of their waits and report. A rank held back by
-        // an in-flight fault timer (injected delay, failover detection)
-        // is *not* a deadlock — defer while any timer is outstanding.
-        let stall_flag = Arc::clone(&poison);
-        let stall_plan = cfg.faults.clone();
-        let panics = crate::fiber::run_fibers(tasks, cfg.stack_size, move || {
-            if stall_plan.as_ref().is_some_and(|p| p.outstanding() > 0) {
-                return false;
-            }
-            stall_flag.poison();
-            true
-        });
+        // A deadlock (fibers remain, none runnable) is resolved like a
+        // rank panic: poison the cluster so the blocked fibers panic out
+        // of their waits and report.
+        let panics =
+            crate::fiber::run_fibers(tasks, &placement, workers, cfg.stack_size, || poison.poison());
         if let Some(payload) = pick_primary(panics.into_iter().flatten()) {
             std::panic::resume_unwind(payload);
         }

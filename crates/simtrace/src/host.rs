@@ -80,9 +80,10 @@ pub enum Site {
     /// time is everything no finer probe accounts for (setup, workload
     /// verification, result folding).
     Scenario = 0,
-    /// Fiber scheduler: run-queue bookkeeping, context-switch cost and
-    /// stall detection (self time of the whole `run_fibers` loop minus
-    /// the fiber slices nested inside it).
+    /// Fiber scheduler: run-queue bookkeeping, context-switch cost and,
+    /// with several workers, sleeping on an empty inbox (self time of
+    /// the whole `run_fibers` loop minus the fiber slices nested inside
+    /// it).
     FiberSched,
     /// One fiber slice: resume → suspend. Self time is the simulated
     /// rank's own code between the finer probes below.
@@ -134,10 +135,17 @@ pub enum Site {
     /// maximal contiguous extents, in the read aggregators and in the
     /// intermediate-view physical-run reader.
     RunCoalesce,
+    /// Admission gate scan: one `O(ranks)` admissibility check of a
+    /// pending request against every other rank's floor (the progress
+    /// registry, under its lock — never the wait between checks).
+    GateScan,
+    /// Admission gate handoff: the targeted wake of the minimum pending
+    /// key's rank that ends every registry state change.
+    GateWake,
 }
 
 /// Number of probe sites in the registry.
-pub const SITE_COUNT: usize = 18;
+pub const SITE_COUNT: usize = 20;
 
 /// Static description of one site.
 struct SiteInfo {
@@ -164,6 +172,8 @@ const SITES: [SiteInfo; SITE_COUNT] = [
     SiteInfo { name: "cksum_verify", subsystem: "integrity" },
     SiteInfo { name: "sieve_read", subsystem: "mpiio" },
     SiteInfo { name: "run_coalesce", subsystem: "parcoll" },
+    SiteInfo { name: "gate_scan", subsystem: "simnet" },
+    SiteInfo { name: "gate_wake", subsystem: "simnet" },
 ];
 
 impl Site {
@@ -200,6 +210,8 @@ impl Site {
                 15 => Site::CksumVerify,
                 16 => Site::SieveRead,
                 17 => Site::RunCoalesce,
+                18 => Site::GateScan,
+                19 => Site::GateWake,
                 _ => unreachable!(),
             })
         } else {
@@ -407,6 +419,13 @@ impl Report {
             .collect();
         out.sort_by(|a, b| b.self_ns.cmp(&a.self_ns).then(a.site.name().cmp(b.site.name())));
         out
+    }
+
+    /// Samples recorded at `site` over every path ending there — for
+    /// [`Site::FiberRun`], the number of fiber slices (resumes).
+    pub fn samples(&self, site: Site) -> u64 {
+        let at_site = self.paths.iter().filter(|p| p.leaf() == site);
+        at_site.map(|p| p.count).sum()
     }
 
     /// Fold self time by subsystem, descending by self time.

@@ -1,0 +1,116 @@
+//! Host cost of blocked ranks at the workload level (DESIGN.md §9): the
+//! fiber scheduler resumes a rank because something happened to it, not
+//! because a scheduler cycle came round, so the number of fiber slices
+//! a run takes is bounded by the number of events in it — OST requests,
+//! point-to-point sends and collective entries — not by ranks × cycles.
+//!
+//! The worker count, the executor and the host profiler are
+//! process-global, so the tests serialize on one lock.
+
+use simnet::{Executor, FaultPlan};
+use simtrace::{host, TraceSink};
+use std::sync::{Arc, Mutex, MutexGuard};
+use workloads::flashio::FlashIo;
+use workloads::runner::{run_workload, IoMode, RunConfig};
+use workloads::tileio::TileIo;
+use workloads::Workload;
+
+struct Serial(#[allow(dead_code)] MutexGuard<'static, ()>, Executor);
+
+fn serial() -> Serial {
+    static LOCK: Mutex<()> = Mutex::new(());
+    let guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    let before = simnet::executor();
+    simnet::set_executor(Executor::Fibers);
+    Serial(guard, before)
+}
+
+impl Drop for Serial {
+    fn drop(&mut self) {
+        host::set_enabled(false);
+        simnet::set_executor(self.1);
+        simnet::set_workers(1);
+    }
+}
+
+/// Run `workload` traced and profiled; return (fiber slices, events).
+fn slices_and_events<W: Workload + 'static>(workload: W, mode: IoMode) -> (u64, u64) {
+    let ranks = workload.nprocs() as u64;
+    let sink = TraceSink::enabled();
+    let mut cfg = RunConfig::paper(mode);
+    cfg.trace = sink.clone();
+    host::reset();
+    host::set_enabled(true);
+    let result = run_workload(workload, cfg);
+    host::set_enabled(false);
+    let slices = host::collect().samples(host::Site::FiberRun);
+    let trace = sink.finish();
+    let sends: u64 = trace
+        .tracks
+        .iter()
+        .filter_map(|t| t.counters.get("p2p_sends"))
+        .sum();
+    let entries: u64 = simtrace::collective_ops(&trace)
+        .iter()
+        .map(|op| op.participants)
+        .sum();
+    let events = result.fs_stats.total_requests + sends + entries;
+    assert!(
+        slices >= ranks,
+        "every rank runs at least once ({slices} slices)"
+    );
+    (slices, events + ranks)
+}
+
+#[test]
+fn fiber_slices_are_bounded_by_events_not_by_ranks_times_cycles() {
+    let _serial = serial();
+    for workers in [1, 4] {
+        simnet::set_workers(workers);
+        // Independent I/O: every rank queues at the admission gate for
+        // every request. Polling resumed all 64 ranks per request.
+        let (slices, events) = slices_and_events(FlashIo::checkpoint(64), IoMode::Independent);
+        assert!(
+            slices <= 3 * events,
+            "flash independent, {workers} workers: {slices} slices for {events} events"
+        );
+        // ParColl: eight subgroups of eight, each with its own
+        // collectives and exchange, sharing the OSTs.
+        let (slices, events) = slices_and_events(TileIo::paper(64), IoMode::Parcoll { groups: 8 });
+        assert!(
+            slices <= 3 * events,
+            "tile-io parcoll-8, {workers} workers: {slices} slices for {events} events"
+        );
+    }
+}
+
+#[test]
+fn a_repair_receive_with_a_runnable_sender_is_not_a_deadlock() {
+    // Every exchange piece arrives corrupt, so every receiver sits in
+    // the trailer-repair loop receiving the sender's clean copy while
+    // the sender is still on its way to posting it. Nothing excuses
+    // that wait to the deadlock detector any more, and nothing needs
+    // to: a parked receiver whose sender is runnable is not a deadlock.
+    let _serial = serial();
+    for workers in [1, 4] {
+        simnet::set_workers(workers);
+        let sink = TraceSink::enabled();
+        let mut cfg = RunConfig::verify(IoMode::Parcoll { groups: 2 });
+        cfg.info.set("cb_nodes", 4i64);
+        cfg.info.set("cb_buffer_size", 128i64);
+        cfg.integrity = true;
+        cfg.trace = sink.clone();
+        cfg.faults = Some(Arc::new(
+            FaultPlan::new(0xF00D).msg_corrupt(1.0, None, None),
+        ));
+        // Verify mode asserts the read-back byte-exact internally.
+        run_workload(TileIo::tiny(16), cfg);
+        let repaired: u64 = sink
+            .finish()
+            .tracks
+            .iter()
+            .filter_map(|t| t.counters.get("pieces_repaired"))
+            .sum();
+        assert!(repaired > 0, "{workers} workers: the plan repaired nothing");
+    }
+}

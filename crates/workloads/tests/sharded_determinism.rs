@@ -90,9 +90,8 @@ fn sharded_chaos_run_matches_single_worker() {
     let _guard = executor_lock();
     // Aggregator crash after the first write round: the failover replay
     // (re-dissemination, cursor rebuild, adopted domains) crosses
-    // subgroup — and therefore worker — boundaries, and defers the fault
-    // timer through the stall coordinator. Verify mode still checks the
-    // file image byte-for-byte inside each run.
+    // subgroup — and therefore worker — boundaries. Verify mode still
+    // checks the file image byte-for-byte inside each run.
     let plan = || Some(Arc::new(FaultPlan::new(0xFEED).aggregator_crash(0, 1)));
     assert_executor_invariant("chaos parcoll", || {
         traced_run(IoMode::Parcoll { groups: 4 }, plan())
