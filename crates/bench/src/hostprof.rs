@@ -7,7 +7,9 @@
 //! `hostperf --profile` reuses [`profile`] + [`print_top`] to attach an
 //! attribution printout to its timing runs.
 
-use crate::figures::{collective_wall, tileio_group_sweep, tileio_scalability};
+use crate::figures::{
+    btio_bandwidth, collective_wall, flashio_variants, tileio_group_sweep, tileio_scalability,
+};
 use crate::{Row, Scale};
 use simtrace::host;
 use std::time::Instant;
@@ -15,9 +17,13 @@ use std::time::Instant;
 /// A named figure sweep to run in-process: `(figure name, runner)`.
 pub type Scenario = (&'static str, Box<dyn Fn()>);
 
-/// The profiled figure scenarios: the same fig1/fig7/fig9 sweeps
-/// `hostperf` times (identical parameters per scale), so attribution
-/// percentages line up with the wall-clock series PRs are judged on.
+/// The profiled figure scenarios: the fig1/fig7/fig9 sweeps `hostperf`
+/// times (identical parameters per scale), so attribution percentages
+/// line up with the wall-clock series PRs are judged on, plus fig10
+/// (BT-IO: thousands of small pieces per rank, the exchange-metadata
+/// path) and fig11 (Flash-IO: many calls of large serial segments) with
+/// the parameters of their figure binaries — the two slowest paper-scale
+/// figures once fig7/fig8 stopped being.
 pub fn scenarios(scale: Scale) -> Vec<Scenario> {
     let full = scale == Scale::Paper;
     vec![
@@ -44,6 +50,24 @@ pub fn scenarios(scale: Scale) -> Vec<Scenario> {
             Box::new(move || {
                 let procs: &[usize] = if full { &[64, 128, 256, 512, 1024] } else { &[8, 16] };
                 std::hint::black_box(tileio_scalability(procs, |p| (p / 8).min(64), full));
+            }),
+        ),
+        (
+            "fig10_btio",
+            Box::new(move || {
+                let (procs, grid, steps): (&[usize], usize, usize) = if full {
+                    (&[256, 324, 400, 484, 576], 162, 10)
+                } else {
+                    (&[16, 36], 24, 2)
+                };
+                std::hint::black_box(btio_bandwidth(procs, grid, steps, 64));
+            }),
+        ),
+        (
+            "fig11_flashio",
+            Box::new(move || {
+                let (procs, blocks, groups) = if full { (1024, 80, 64) } else { (16, 4, 4) };
+                std::hint::black_box(flashio_variants(procs, blocks, groups));
             }),
         ),
     ]

@@ -11,7 +11,10 @@
 //!    ([`domains`]).
 //! 3. **Request dissemination** — `MPI_Alltoall` of per-aggregator piece
 //!    counts *(global sync #2)* followed by point-to-point transfers of
-//!    the `(offset, len)` lists ([`reqs`]).
+//!    the `(offset, len)` lists ([`reqs`]). Each list is one
+//!    [`PieceList`] from here to the last round: the message is charged
+//!    as the 16 bytes per piece ROMIO ships, the host passes the owner's
+//!    `Arc`, and the aggregator indexes nothing again.
 //! 4. **Round count** — `MPI_Allreduce(MAX)` of each aggregator's
 //!    `⌈touched-domain / cb_buffer_size⌉` *(global sync #3)*.
 //! 5. **Interleaved data exchange and file I/O** — per round: an
@@ -24,7 +27,15 @@
 //! Writes and reads are mirror images and share all the machinery; the
 //! per-aggregator/per-source piece streams advance in lock step on both
 //! sides, so no per-round offset lists need to travel (exactly ROMIO's
-//! trick).
+//! trick). A stream position is *bytes consumed*: each side cuts the
+//! round's pieces out of the shared list by binary search, and failover
+//! replay or a torn-write rewind is arithmetic on that one number.
+//!
+//! Host work follows real bytes: the owner's stream is one contiguous
+//! range of its user buffer, so pack and the read-side unpack are one
+//! slice whatever the piece count; the aggregator visits pieces only to
+//! merge the window's coverage, and copies them only when every payload
+//! carries real bytes.
 //!
 //! Every synchronizing step is bracketed with [`PhaseTimer`] so the
 //! profile reproduces the paper's Figure 2 decomposition.
@@ -36,11 +47,12 @@ use crate::profile::{Phase, PhaseProfile, PhaseTimer};
 use crate::space::FileSpace;
 use crate::view::AccessPlan;
 use domains::{compute_file_domains, compute_file_domains_aligned};
-use reqs::{calc_my_req, pieces_in_window, Piece, PieceIndex};
-use simfs::{FileHandle, RangeSet};
-use simmpi::{codec, Communicator, ReduceOp};
+use reqs::{calc_my_req, Cut, PieceList};
+use simfs::FileHandle;
+use simmpi::{Communicator, RecvRequest, ReduceOp};
 use simnet::buffer::BufferBuilder;
 use simnet::{corrupt_flip, fnv1a, FaultState, IoBuffer};
+use std::sync::Arc;
 
 /// Tag for request-list metadata messages.
 const TAG_REQ: i32 = 0x7001;
@@ -54,6 +66,9 @@ const TAG_RECOVER_DATA: i32 = 0x7004;
 const TAG_REPAIR: i32 = 0x7005;
 /// Tag for clean re-sends of a corrupted [`TAG_RECOVER_DATA`] message.
 const TAG_RECOVER_REPAIR: i32 = 0x7006;
+/// (data, repair) tag pairs of the two data exchanges.
+const DATA: (i32, i32) = (TAG_DATA, TAG_REPAIR);
+const RECOVER_DATA: (i32, i32) = (TAG_RECOVER_DATA, TAG_RECOVER_REPAIR);
 /// Bytes of the FNV-1a checksum trailer sealed onto exchanged pieces.
 const TRAILER: usize = 8;
 
@@ -262,73 +277,114 @@ fn verify_payload(
     payload.sub(0, n)
 }
 
-/// Cursor over a sorted piece list that yields clipped sub-pieces in
-/// stream order. Sender and receiver advance matching cursors by equal
-/// byte counts each round, which keeps them consistent without exchanging
-/// offsets.
-struct PieceCursor<'a> {
-    pieces: &'a [Piece],
-    idx: usize,
-    within: u64,
+/// Sender side of one data message: pack stream bytes `[*pos, *pos + n)`
+/// of `list` out of the user buffer, seal, and advance the position. The
+/// stream is one contiguous range of the buffer, so this is a single
+/// range-checked slice — a zero-copy view when the bytes are real.
+fn pack(
+    comm: &Communicator<'_>,
+    buf: &IoBuffer,
+    list: &PieceList,
+    pos: &mut u64,
+    n: u64,
+    checksums: bool,
+    prof: &mut PhaseProfile,
+) -> IoBuffer {
+    let ep = comm.endpoint();
+    let t = PhaseTimer::start(Phase::Local, ep.now());
+    let hp = simtrace::host::scope(simtrace::host::Site::Pack);
+    let payload = buf.sub(list.buffer_offset(*pos, n) as usize, n as usize);
+    *pos += n;
+    ep.charge_memcpy(n as usize);
+    let payload = seal(payload, checksums);
+    drop(hp);
+    t.stop_traced(ep.now(), prof, ep.trace());
+    payload
 }
 
-impl<'a> PieceCursor<'a> {
-    fn new(pieces: &'a [Piece]) -> Self {
-        PieceCursor {
-            pieces,
-            idx: 0,
-            within: 0,
-        }
-    }
+/// Post one data payload, followed by its clean copies if the fault
+/// layer corrupted it.
+fn post(
+    comm: &Communicator<'_>,
+    dst: usize,
+    (data_tag, repair_tag): (i32, i32),
+    payload: &IoBuffer,
+    checksums: bool,
+    prof: &mut PhaseProfile,
+) {
+    let ep = comm.endpoint();
+    let t = PhaseTimer::start(Phase::P2p, ep.now());
+    comm.isend(dst, data_tag, payload.clone());
+    resend_if_corrupt(comm, dst, repair_tag, payload, checksums);
+    t.stop_traced(ep.now(), prof, ep.trace());
+}
 
-    /// Cursor rebuilt at a saved `(piece index, bytes within)` position —
-    /// used for adopted domains, whose cursor state outlives the borrow
-    /// of any single round.
-    fn at(pieces: &'a [Piece], idx: usize, within: u64) -> Self {
-        PieceCursor {
-            pieces,
-            idx,
-            within,
-        }
-    }
+/// Receiver side of one data exchange: complete one receive per rank in
+/// `srcs` (ascending) as a batch, append the payload this rank packed
+/// for itself, then verify — and, with checksums on, repair — each one
+/// before any byte lands anywhere; with checksums off this is where a
+/// planted in-flight flip reaches the data.
+fn collect(
+    comm: &Communicator<'_>,
+    srcs: Vec<usize>,
+    (data_tag, repair_tag): (i32, i32),
+    self_payload: Option<IoBuffer>,
+    checksums: bool,
+    prof: &mut PhaseProfile,
+) -> Vec<(usize, IoBuffer)> {
+    let ep = comm.endpoint();
+    let t = PhaseTimer::start(Phase::P2p, ep.now());
+    let reqs: Vec<RecvRequest> = srcs.iter().map(|&src| comm.irecv(src, data_tag)).collect();
+    let mut arrived: Vec<(usize, IoBuffer)> = srcs.into_iter().zip(comm.waitall(&reqs)).collect();
+    arrived.extend(self_payload.map(|payload| (comm.rank(), payload)));
+    t.stop_traced(ep.now(), prof, ep.trace());
+    arrived
+        .into_iter()
+        .map(|(src, payload)| {
+            let payload = verify_payload(comm, src, data_tag, repair_tag, payload, checksums, prof);
+            (src, payload)
+        })
+        .collect()
+}
 
-    /// The current position as a `(piece index, bytes within)` pair.
-    fn position(&self) -> (usize, u64) {
-        (self.idx, self.within)
+/// Receive the piece lists that `srcs` sent on `tag` into a per-source
+/// table; `mine` fills this rank's own slot (self-assignment travels by
+/// no message). The entries are the senders' own `Arc`s.
+fn recv_lists(
+    comm: &Communicator<'_>,
+    tag: i32,
+    srcs: impl Iterator<Item = usize>,
+    mine: Arc<PieceList>,
+) -> Vec<Arc<PieceList>> {
+    let srcs: Vec<usize> = srcs.collect();
+    let reqs: Vec<RecvRequest> = srcs.iter().map(|&src| comm.irecv(src, tag)).collect();
+    let mut others = vec![PieceList::empty(); comm.size()];
+    for (src, list) in srcs.into_iter().zip(comm.waitall_t(&reqs)) {
+        others[src] = list;
     }
+    others[comm.rank()] = mine;
+    others
+}
 
-    /// Yield sub-pieces totaling exactly `n` bytes (panics if the stream
-    /// runs dry first — a protocol invariant violation).
-    fn consume(&mut self, mut n: u64, mut f: impl FnMut(Piece)) {
-        while n > 0 {
-            let p = self
-                .pieces
-                .get(self.idx)
-                .unwrap_or_else(|| panic!("piece stream exhausted with {n} bytes pending"));
-            let avail = p.len - self.within;
-            let take = avail.min(n);
-            f(Piece {
-                file_off: p.file_off + self.within,
-                len: take,
-                buf_off: p.buf_off + self.within,
-            });
-            self.within += take;
-            n -= take;
-            if self.within == p.len {
-                self.idx += 1;
-                self.within = 0;
-            }
-        }
-    }
+/// The file range spanned by those of `ranges` that exist. Piece lists
+/// and cuts are sorted, so each contributes just its first and last piece.
+fn hull(ranges: impl Iterator<Item = Option<(u64, u64)>>) -> Option<(u64, u64)> {
+    ranges.flatten().reduce(|a, b| (a.0.min(b.0), a.1.max(b.1)))
+}
+
+/// Bytes every source contributes to window `[lo, hi)`: the row an
+/// aggregator announces in the round's size exchange.
+fn window_row(lists: &[Arc<PieceList>], (lo, hi): (u64, u64)) -> Vec<u64> {
+    lists.iter().map(|l| l.bytes_in_window(lo, hi)).collect()
 }
 
 /// Shared state computed by the setup phase.
 struct Setup {
     /// Per-aggregator piece lists of *my* access.
-    my_req: Vec<Vec<Piece>>,
-    /// If I am an aggregator: per-source piece lists inside my domain,
-    /// indexed for O(log n) per-round window queries.
-    others_req: Option<Vec<PieceIndex>>,
+    my_req: Vec<Arc<PieceList>>,
+    /// If I am an aggregator: every source's list inside my domain (the
+    /// sources' own `Arc`s).
+    others_req: Option<Vec<Arc<PieceList>>>,
     /// My index in the aggregator list, if any.
     my_agg_idx: Option<usize>,
     /// Start of the touched range in my domain (aggregators only).
@@ -370,71 +426,35 @@ fn setup(
     // (3a) Alltoall of piece counts — global sync.
     let t = PhaseTimer::start(Phase::Sync, ep.now());
     let mut counts_row = vec![0u64; p];
-    for (a, pieces) in my_req.iter().enumerate() {
-        counts_row[cfg.aggregators[a]] = pieces.len() as u64;
+    for (list, &agg_rank) in my_req.iter().zip(&cfg.aggregators) {
+        counts_row[agg_rank] = list.pieces().len() as u64;
     }
     let counts_from = comm.alltoall_t(counts_row, 8);
     t.stop_traced(ep.now(), prof, ep.trace());
 
-    // (3b) Point-to-point transfer of the (offset, len) lists.
+    // (3b) Point-to-point transfer of the (offset, len) lists: charged as
+    // ROMIO's wire size, passed as the owner's `Arc`. Empty lists and
+    // self-assignment send no message.
     let t = PhaseTimer::start(Phase::P2p, ep.now());
-    let mut others_req: Option<Vec<Vec<Piece>>> = my_agg_idx.map(|_| vec![Vec::new(); p]);
-    for (a, pieces) in my_req.iter().enumerate() {
-        if pieces.is_empty() {
-            continue;
-        }
-        let dst = cfg.aggregators[a];
-        if dst == comm.rank() {
-            // Self-assignment: no message.
-            others_req.as_mut().expect("I am this aggregator")[comm.rank()] = pieces.clone();
-        } else {
-            let pairs: Vec<(u64, u64)> = pieces.iter().map(|p| (p.file_off, p.len)).collect();
-            comm.isend(dst, TAG_REQ, codec::encode_pairs(&pairs));
+    for (list, &dst) in my_req.iter().zip(&cfg.aggregators) {
+        if dst != comm.rank() && !list.pieces().is_empty() {
+            comm.isend_t(dst, TAG_REQ, Arc::clone(list), list.wire_bytes());
         }
     }
-    if let Some(others) = others_req.as_mut() {
-        let reqs: Vec<(usize, simmpi::RecvRequest)> = (0..p)
-            .filter(|&src| src != comm.rank() && counts_from[src] > 0)
-            .map(|src| (src, comm.irecv(src, TAG_REQ)))
-            .collect();
-        let payloads = comm.waitall(&reqs.iter().map(|(_, r)| r.clone()).collect::<Vec<_>>());
-        for ((src, _), payload) in reqs.iter().zip(payloads) {
-            others[*src] = codec::decode_pairs(&payload)
-                .into_iter()
-                .map(|(off, len)| Piece {
-                    file_off: off,
-                    len,
-                    buf_off: 0, // receiver side never consults buf_off
-                })
-                .collect();
-        }
-    }
+    let others_req = my_agg_idx.map(|a| {
+        let srcs = (0..p).filter(|&src| src != comm.rank() && counts_from[src] > 0);
+        recv_lists(comm, TAG_REQ, srcs, Arc::clone(&my_req[a]))
+    });
     t.stop_traced(ep.now(), prof, ep.trace());
-
-    // Index the received lists once; every round's window query reuses
-    // the prefix sums.
-    let others_req: Option<Vec<PieceIndex>> =
-        others_req.map(|o| o.into_iter().map(PieceIndex::new).collect());
 
     // (4) Round count: ceil(touched-range / cb_buffer) per aggregator,
     // allreduce MAX — global sync.
-    let (st_loc, my_ntimes) = match (&others_req, my_agg_idx) {
-        (Some(others), Some(_)) => {
-            let st = others
-                .iter()
-                .flat_map(PieceIndex::pieces)
-                .map(|p| p.file_off)
-                .min()
-                .unwrap_or(0);
-            let end = others
-                .iter()
-                .flat_map(PieceIndex::pieces)
-                .map(Piece::end)
-                .max()
-                .unwrap_or(0);
+    let (st_loc, my_ntimes) = match &others_req {
+        Some(others) => {
+            let (st, end) = hull(others.iter().map(|l| l.file_range())).unwrap_or((0, 0));
             (st, (end - st).div_ceil(cfg.cb_buffer_size))
         }
-        _ => (0, 0),
+        None => (0, 0),
     };
     let t = PhaseTimer::start(Phase::Sync, ep.now());
     let ntimes = comm.allreduce_u64(&[my_ntimes], ReduceOp::Max)[0];
@@ -549,12 +569,12 @@ fn fault_entry(
 }
 
 /// Successor-side state after an aggregator failover: the adopted
-/// domain's piece indexes and replayed cursor positions.
+/// domain's piece lists and replayed stream positions.
 struct Adoption {
     /// Per-source pieces inside the dead aggregator's file domain.
-    others: Vec<PieceIndex>,
-    /// Per-source saved cursor positions (piece index, bytes within).
-    cursor_pos: Vec<(usize, u64)>,
+    others: Vec<Arc<PieceList>>,
+    /// Per-source stream positions (bytes consumed).
+    pos: Vec<u64>,
     /// Start of the dead domain's touched range (its `st_loc`).
     st_dead: u64,
 }
@@ -609,59 +629,30 @@ fn failover(
     // to the successor. Empty lists travel too, so the successor's
     // receive set is known without another size exchange.
     let adoption = if comm.rank() == successor {
-        let reqs: Vec<(usize, simmpi::RecvRequest)> = (0..p)
-            .filter(|&src| src != comm.rank())
-            .map(|src| (src, comm.irecv(src, TAG_RECOVER)))
-            .collect();
-        let payloads = comm.waitall(&reqs.iter().map(|(_, r)| r.clone()).collect::<Vec<_>>());
-        let mut others: Vec<Vec<Piece>> = vec![Vec::new(); p];
-        for ((src, _), payload) in reqs.iter().zip(payloads) {
-            others[*src] = codec::decode_pairs(&payload)
-                .into_iter()
-                .map(|(off, len)| Piece {
-                    file_off: off,
-                    len,
-                    buf_off: 0,
-                })
-                .collect();
-        }
-        others[comm.rank()] = setup.my_req[dead_agg].clone();
-        let others: Vec<PieceIndex> = others.into_iter().map(PieceIndex::new).collect();
-        // Rebuilt from the same lists the dead aggregator indexed, so
-        // this equals its `st_loc` and the window tiling lines up.
-        let st_dead = others
-            .iter()
-            .flat_map(PieceIndex::pieces)
-            .map(|p| p.file_off)
-            .min()
-            .unwrap_or(0);
-        // Replay: advance each source's cursor past the rounds the dead
+        let srcs = (0..p).filter(|&src| src != comm.rank());
+        let mine = Arc::clone(&setup.my_req[dead_agg]);
+        let others = recv_lists(comm, TAG_RECOVER, srcs, mine);
+        // The same lists the dead aggregator held, so this equals its
+        // `st_loc` and the window tiling lines up.
+        let st_dead = hull(others.iter().map(|l| l.file_range())).map_or(0, |r| r.0);
+        // Replay: each source's stream stands past the rounds the dead
         // aggregator completed. Senders consumed exactly these byte
         // counts, so both sides stay in lock step. A torn crash backs up
         // one extra window — the dead role's last write was only half
         // applied, and the detection round re-exchanges it in full.
         let done_rounds = if torn { round - 1 } else { round };
-        let cursor_pos = others
-            .iter()
-            .map(|idx| {
-                let done =
-                    idx.bytes_in_window(st_dead, st_dead + done_rounds * cfg.cb_buffer_size);
-                let mut c = PieceCursor::new(idx.pieces());
-                c.consume(done, |_| {});
-                c.position()
-            })
-            .collect();
+        let pos = window_row(
+            &others,
+            (st_dead, st_dead + done_rounds * cfg.cb_buffer_size),
+        );
         Some(Adoption {
             others,
-            cursor_pos,
+            pos,
             st_dead,
         })
     } else {
-        let pairs: Vec<(u64, u64)> = setup.my_req[dead_agg]
-            .iter()
-            .map(|p| (p.file_off, p.len))
-            .collect();
-        comm.isend(successor, TAG_RECOVER, codec::encode_pairs(&pairs));
+        let list = &setup.my_req[dead_agg];
+        comm.isend_t(successor, TAG_RECOVER, Arc::clone(list), list.wire_bytes());
         None
     };
 
@@ -723,15 +714,15 @@ pub fn write_all(
         return;
     };
     let p = comm.size();
+    let naggs = cfg.aggregators.len();
 
-    // Per-aggregator send cursors over my pieces; per-source receive
-    // cursors over pieces in my domain.
-    let mut send_cursors: Vec<PieceCursor<'_>> =
-        setup.my_req.iter().map(|v| PieceCursor::new(v)).collect();
-    let mut recv_cursors: Option<Vec<PieceCursor<'_>>> = setup
-        .others_req
-        .as_ref()
-        .map(|o| o.iter().map(|idx| PieceCursor::new(idx.pieces())).collect());
+    // Stream positions (bytes consumed): mine toward each aggregator,
+    // and, as an aggregator, each source's inside my domain.
+    let mut send_pos = vec![0u64; naggs];
+    let mut recv_pos = vec![0u64; p];
+    // Bytes sent toward each aggregator's domain in the previous round,
+    // so a torn failover can rewind the stream by exactly one window.
+    let mut sent_last = vec![0u64; naggs];
 
     // Crash bookkeeping: the lock-step round counter only advances (and
     // detection only runs) when the plan can kill aggregators, so the
@@ -744,12 +735,6 @@ pub fn write_all(
         .collect();
     let mut adoptions: Vec<(AdoptShared, Option<Adoption>)> = Vec::new();
     let mut my_role_dead = false;
-    // Torn-write bookkeeping: cumulative and previous-round bytes this
-    // rank sent toward each aggregator's domain, so a torn failover can
-    // rewind the send cursor by exactly one window.
-    let naggs = cfg.aggregators.len();
-    let mut sent_total = vec![0u64; naggs];
-    let mut sent_last = vec![0u64; naggs];
 
     for round in 0..setup.ntimes {
         prof.rounds += 1;
@@ -806,11 +791,7 @@ pub fn write_all(
                     if torn {
                         // Senders rewind one window; the heal exchange
                         // in this round's adopted batch re-consumes it.
-                        let back = sent_total[dead_ai] - sent_last[dead_ai];
-                        let mut c = PieceCursor::new(&setup.my_req[dead_ai]);
-                        c.consume(back, |_| {});
-                        send_cursors[dead_ai] = c;
-                        sent_total[dead_ai] = back;
+                        send_pos[dead_ai] -= sent_last[dead_ai];
                     }
                     let (shared, mine) =
                         failover(comm, cfg, &setup, faults, dead_ai, round, torn);
@@ -831,28 +812,22 @@ pub fn write_all(
         }
         // Aggregator's window for this round. A dead I/O role lives on
         // as a sender, but its domain now belongs to the successor.
-        let window = if my_role_dead {
-            None
-        } else {
-            setup.my_agg_idx.map(|_| {
+        let mine = setup
+            .others_req
+            .as_ref()
+            .filter(|_| !my_role_dead)
+            .map(|others| {
                 let lo = setup.st_loc + round * cfg.cb_buffer_size;
-                (lo, lo + cfg.cb_buffer_size)
-            })
-        };
+                (others, (lo, lo + cfg.cb_buffer_size))
+            });
 
         // Per-round MPI_Alltoall of transfer sizes — the global sync the
         // collective wall is made of. The aggregator announces how many
-        // bytes it expects from each source this round.
+        // bytes it expects from each source this round, and keeps what
+        // it announced: the receive phase needs the same values.
         let t = PhaseTimer::start(Phase::Sync, ep.now());
-        let mut row = vec![0u64; p];
-        if let (Some((lo, hi)), Some(others)) = (window, setup.others_req.as_ref()) {
-            for (src, idx) in others.iter().enumerate() {
-                row[src] = idx.bytes_in_window(lo, hi);
-            }
-        }
-        // Keep what I announced: the receive phase needs the same values.
-        let my_row = setup.my_agg_idx.map(|_| row.clone());
-        let expected = comm.alltoall_sizes(row);
+        let my_row = mine.map(|(others, window)| window_row(others, window));
+        let expected = comm.alltoall_sizes(my_row.clone().unwrap_or_else(|| vec![0; p]));
         t.stop_traced(ep.now(), prof, ep.trace());
 
         // Senders: pack (local memcpy) and post (p2p) this round's bytes
@@ -864,65 +839,24 @@ pub fn write_all(
             if n == 0 {
                 continue;
             }
-            let t = PhaseTimer::start(Phase::Local, ep.now());
-            let hp = simtrace::host::scope(simtrace::host::Site::Pack);
-            let mut payload = BufferBuilder::with_capacity(n as usize);
-            send_cursors[a].consume(n, |piece| {
-                payload.push(&buf.sub(piece.buf_off as usize, piece.len as usize));
-            });
-            ep.charge_memcpy(n as usize);
-            let payload = seal(payload.finish(), cfg.checksums);
-            drop(hp);
-            t.stop_traced(ep.now(), prof, ep.trace());
-            sent_total[a] += n;
+            let list = &setup.my_req[a];
+            let payload = pack(comm, buf, list, &mut send_pos[a], n, cfg.checksums, prof);
             if agg_rank == comm.rank() {
                 self_payload = Some(payload);
             } else {
-                let t = PhaseTimer::start(Phase::P2p, ep.now());
-                comm.isend(agg_rank, TAG_DATA, payload.clone());
-                resend_if_corrupt(comm, agg_rank, TAG_REPAIR, &payload, cfg.checksums);
-                t.stop_traced(ep.now(), prof, ep.trace());
+                post(comm, agg_rank, DATA, &payload, cfg.checksums, prof);
             }
         }
 
-        // Aggregator: collect this round's payloads.
-        let mut incoming: Vec<(usize, IoBuffer)> = Vec::new();
-        let t = PhaseTimer::start(Phase::P2p, ep.now());
-        if setup.my_agg_idx.is_some() {
-            let my_expect = my_row.expect("aggregator announced a row");
-            let reqs: Vec<(usize, simmpi::RecvRequest)> = (0..p)
-                .filter(|&src| src != comm.rank() && my_expect[src] > 0)
-                .map(|src| (src, comm.irecv(src, TAG_DATA)))
+        // Aggregator: collect this round's payloads, assemble the staging
+        // buffer and perform file I/O.
+        if let (Some((others, window)), Some(my_row)) = (mine, my_row) {
+            let srcs = (0..p)
+                .filter(|&src| src != comm.rank() && my_row[src] > 0)
                 .collect();
-            let payloads =
-                comm.waitall(&reqs.iter().map(|(_, r)| r.clone()).collect::<Vec<_>>());
-            for ((src, _), payload) in reqs.iter().zip(payloads) {
-                incoming.push((*src, payload));
-            }
-            if my_expect[comm.rank()] > 0 {
-                incoming.push((
-                    comm.rank(),
-                    self_payload.take().expect("self payload was packed"),
-                ));
-            }
-        }
-        t.stop_traced(ep.now(), prof, ep.trace());
-
-        // Verify (and, with checksums on, repair) every payload before it
-        // reaches the staging buffer; with checksums off this is where a
-        // planted in-flight flip lands in the data.
-        let incoming: Vec<(usize, IoBuffer)> = incoming
-            .into_iter()
-            .map(|(src, payload)| {
-                let payload =
-                    verify_payload(comm, src, TAG_DATA, TAG_REPAIR, payload, cfg.checksums, prof);
-                (src, payload)
-            })
-            .collect();
-
-        // Aggregator: assemble the staging buffer and perform file I/O.
-        if let (Some((lo, hi)), Some(cursors)) = (window, recv_cursors.as_mut()) {
-            write_window(comm, fh, space, prof, lo, hi, cursors, incoming, torn_write);
+            let incoming = collect(comm, srcs, DATA, self_payload, cfg.checksums, prof);
+            let lists = (others.as_slice(), recv_pos.as_mut_slice());
+            write_window(comm, fh, space, prof, window, lists, incoming, torn_write);
         }
 
         // Adopted domains (after mid-call failovers): each runs its own
@@ -939,110 +873,46 @@ pub fn write_all(
             })
             .collect();
         for (i, wi) in batches {
-            let (dead_agg, successor) = {
-                let (sh, _) = &adoptions[i];
-                (sh.dead_agg, sh.successor)
-            };
+            let (sh, adopted) = &mut adoptions[i];
+            let (dead_agg, successor) = (sh.dead_agg, sh.successor);
             // Size exchange: the successor announces what it expects
             // inside the adopted domain's window `wi`.
             let t = PhaseTimer::start(Phase::Sync, ep.now());
-            let mut row2 = vec![0u64; p];
-            let mut win2 = (0, 0);
-            if let (_, Some(ad)) = &adoptions[i] {
+            let window = adopted.as_ref().map(|ad| {
                 let lo = ad.st_dead + wi * cfg.cb_buffer_size;
-                win2 = (lo, lo + cfg.cb_buffer_size);
-                for (src, idx) in ad.others.iter().enumerate() {
-                    row2[src] = idx.bytes_in_window(win2.0, win2.1);
-                }
-            }
-            let my_row2 = row2.clone();
-            let expected2 = comm.alltoall_sizes(row2);
+                (lo, lo + cfg.cb_buffer_size)
+            });
+            let my_row = match (adopted.as_ref(), window) {
+                (Some(ad), Some(window)) => window_row(&ad.others, window),
+                _ => vec![0; p],
+            };
+            let expected = comm.alltoall_sizes(my_row.clone());
             t.stop_traced(ep.now(), prof, ep.trace());
 
             // Senders: this window's bytes for the adopted domain go to
             // the successor (the dead role announces nothing after the
-            // crash, so the main loop never touches its cursor again).
+            // crash, so the main loop never touches its stream again).
             let mut adopt_self: Option<IoBuffer> = None;
-            let n = expected2[successor];
+            let n = expected[successor];
             if n > 0 {
-                let t = PhaseTimer::start(Phase::Local, ep.now());
-                let hp = simtrace::host::scope(simtrace::host::Site::Pack);
-                let mut payload = BufferBuilder::with_capacity(n as usize);
-                send_cursors[dead_agg].consume(n, |piece| {
-                    payload.push(&buf.sub(piece.buf_off as usize, piece.len as usize));
-                });
-                ep.charge_memcpy(n as usize);
-                let payload = seal(payload.finish(), cfg.checksums);
-                drop(hp);
-                t.stop_traced(ep.now(), prof, ep.trace());
-                sent_total[dead_agg] += n;
+                let list = &setup.my_req[dead_agg];
+                let pos = &mut send_pos[dead_agg];
+                let payload = pack(comm, buf, list, pos, n, cfg.checksums, prof);
                 if successor == comm.rank() {
                     adopt_self = Some(payload);
                 } else {
-                    let t = PhaseTimer::start(Phase::P2p, ep.now());
-                    comm.isend(successor, TAG_RECOVER_DATA, payload.clone());
-                    resend_if_corrupt(
-                        comm,
-                        successor,
-                        TAG_RECOVER_REPAIR,
-                        &payload,
-                        cfg.checksums,
-                    );
-                    t.stop_traced(ep.now(), prof, ep.trace());
+                    post(comm, successor, RECOVER_DATA, &payload, cfg.checksums, prof);
                 }
             }
 
-            // Successor: collect and write this window, rebuilding
-            // transient cursors at the persisted positions.
-            if adoptions[i].1.is_some() {
-                let t = PhaseTimer::start(Phase::P2p, ep.now());
-                let mut incoming2: Vec<(usize, IoBuffer)> = Vec::new();
-                let reqs: Vec<(usize, simmpi::RecvRequest)> = (0..p)
-                    .filter(|&src| src != comm.rank() && my_row2[src] > 0)
-                    .map(|src| (src, comm.irecv(src, TAG_RECOVER_DATA)))
+            // Successor: collect and write this window.
+            if let (Some(ad), Some(window)) = (adopted.as_mut(), window) {
+                let srcs = (0..p)
+                    .filter(|&src| src != comm.rank() && my_row[src] > 0)
                     .collect();
-                let payloads =
-                    comm.waitall(&reqs.iter().map(|(_, r)| r.clone()).collect::<Vec<_>>());
-                for ((src, _), payload) in reqs.iter().zip(payloads) {
-                    incoming2.push((*src, payload));
-                }
-                if my_row2[comm.rank()] > 0 {
-                    incoming2.push((
-                        comm.rank(),
-                        adopt_self.take().expect("adopted self payload was packed"),
-                    ));
-                }
-                t.stop_traced(ep.now(), prof, ep.trace());
-                let incoming2: Vec<(usize, IoBuffer)> = incoming2
-                    .into_iter()
-                    .map(|(src, payload)| {
-                        let payload = verify_payload(
-                            comm,
-                            src,
-                            TAG_RECOVER_DATA,
-                            TAG_RECOVER_REPAIR,
-                            payload,
-                            cfg.checksums,
-                            prof,
-                        );
-                        (src, payload)
-                    })
-                    .collect();
-                let ad = adoptions[i].1.as_mut().expect("successor checked above");
-                let Adoption {
-                    others, cursor_pos, ..
-                } = ad;
-                let mut tcursors: Vec<PieceCursor<'_>> = others
-                    .iter()
-                    .zip(cursor_pos.iter())
-                    .map(|(idx, &(ci, w))| PieceCursor::at(idx.pieces(), ci, w))
-                    .collect();
-                write_window(
-                    comm, fh, space, prof, win2.0, win2.1, &mut tcursors, incoming2, false,
-                );
-                for (pos, c) in cursor_pos.iter_mut().zip(&tcursors) {
-                    *pos = c.position();
-                }
+                let incoming = collect(comm, srcs, RECOVER_DATA, adopt_self, cfg.checksums, prof);
+                let lists = (ad.others.as_slice(), ad.pos.as_mut_slice());
+                write_window(comm, fh, space, prof, window, lists, incoming, false);
             }
         }
 
@@ -1072,6 +942,46 @@ pub fn write_all(
     // explicit barrier — absorbs any residual skew.
 }
 
+/// Cut `n` more bytes off `src`'s stream for every `(src, n)`: the pieces
+/// this round moves, in the order given. Advances the stream positions.
+fn cut_streams<'a>(
+    (lists, pos): (&'a [Arc<PieceList>], &mut [u64]),
+    sizes: impl Iterator<Item = (usize, u64)>,
+) -> Vec<Cut<'a>> {
+    sizes
+        .map(|(src, n)| {
+            let cut = lists[src].cut(pos[src], n);
+            pos[src] += n;
+            cut
+        })
+        .collect()
+}
+
+/// Land every payload's bytes on its cut's pieces inside `window` (which
+/// starts at file offset `base`), then release the payloads. Host work
+/// follows real bytes: one synthetic payload leaves the whole window
+/// synthetic — what piece-by-piece degradation would — and no piece is
+/// visited.
+fn scatter(window: &mut IoBuffer, base: u64, cuts: &[Cut<'_>], payloads: Vec<(usize, IoBuffer)>) {
+    let _hp = simtrace::host::scope(simtrace::host::Site::Unpack);
+    if !payloads.iter().all(|(_, payload)| payload.is_real()) {
+        *window = IoBuffer::synthetic(window.len());
+        return;
+    }
+    let Some(dst) = window.as_mut_slice() else {
+        return;
+    };
+    for (cut, (_, payload)) in cuts.iter().zip(&payloads) {
+        let src = payload.as_slice().expect("checked real above");
+        let mut at = 0usize;
+        for piece in cut.iter() {
+            let (to, n) = ((piece.file_off - base) as usize, piece.len as usize);
+            dst[to..to + n].copy_from_slice(&src[at..at + n]);
+            at += n;
+        }
+    }
+}
+
 /// Place one round of received pieces and write them out.
 ///
 /// `torn` models an aggregator dying mid-OST-write: every chunk of this
@@ -1084,9 +994,8 @@ fn write_window(
     fh: &FileHandle,
     space: &dyn FileSpace,
     prof: &mut PhaseProfile,
-    lo: u64,
-    hi: u64,
-    cursors: &mut [PieceCursor<'_>],
+    (lo, hi): (u64, u64),
+    lists: (&[Arc<PieceList>], &mut [u64]),
     incoming: Vec<(usize, IoBuffer)>,
     torn: bool,
 ) {
@@ -1094,49 +1003,36 @@ fn write_window(
     if incoming.is_empty() {
         return;
     }
-    // Targets: where each payload's bytes land, plus coverage tracking.
+    // Targets: which pieces each payload's bytes land on, plus coverage.
     let t = PhaseTimer::start(Phase::Local, ep.now());
     let hp = simtrace::host::scope(simtrace::host::Site::Unpack);
-    let mut coverage = RangeSet::new();
-    let mut placements: Vec<(u64, IoBuffer)> = Vec::new(); // (file_off, data)
-    let mut total_bytes = 0u64;
-    for (src, payload) in &incoming {
-        let n = payload.len() as u64;
-        total_bytes += n;
-        let mut consumed = 0u64;
-        cursors[*src].consume(n, |piece| {
-            debug_assert!(piece.file_off >= lo && piece.end() <= hi);
-            coverage.insert(piece.file_off, piece.end());
-            placements.push((
-                piece.file_off,
-                payload.sub(consumed as usize, piece.len as usize),
-            ));
-            consumed += piece.len;
-        });
-    }
-    ep.charge_memcpy(total_bytes as usize); // staging-buffer assembly
+    let sizes = incoming
+        .iter()
+        .map(|(src, payload)| (*src, payload.len() as u64));
+    let cuts = cut_streams(lists, sizes);
+    let total_bytes: usize = incoming.iter().map(|(_, payload)| payload.len()).sum();
+    let runs = coverage(&cuts);
+    ep.charge_memcpy(total_bytes); // staging-buffer assembly
     drop(hp);
     t.stop_traced(ep.now(), prof, ep.trace());
 
-    let write_lo = coverage.ranges().first().expect("non-empty round").0;
-    let write_hi = coverage.ranges().last().unwrap().1;
+    let (write_lo, write_hi) = (runs[0].0, runs[runs.len() - 1].0 + runs[runs.len() - 1].1);
+    debug_assert!(lo <= write_lo && write_hi <= hi);
     let span = write_hi - write_lo;
-    let holes = coverage.covered() != span;
 
-    if holes {
-        // Read-modify-write: fetch the whole span, overlay, write back —
-        // ROMIO's data-sieving write inside the collective path.
+    // Both paths release the payloads (inside `scatter`) before waiting
+    // on the OSTs: every aggregator sits in the admission gate at once,
+    // and would otherwise hold window plus payloads concurrently.
+    if runs.len() > 1 {
+        // Holes. Read-modify-write: fetch the whole span, overlay, write
+        // back — ROMIO's data-sieving write inside the collective path.
         let t = PhaseTimer::start(Phase::Io, ep.now());
         let (mut window_buf, done) = space.read(fh, write_lo, span, ep.now());
         ep.clock().advance_to(done);
         t.stop_traced(ep.now(), prof, ep.trace());
         let t = PhaseTimer::start(Phase::Local, ep.now());
-        let hp = simtrace::host::scope(simtrace::host::Site::Unpack);
-        for (off, data) in &placements {
-            window_buf.copy_in((off - write_lo) as usize, data);
-        }
-        ep.charge_memcpy(total_bytes as usize);
-        drop(hp);
+        scatter(&mut window_buf, write_lo, &cuts, incoming);
+        ep.charge_memcpy(total_bytes);
         t.stop_traced(ep.now(), prof, ep.trace());
         let t = PhaseTimer::start(Phase::Io, ep.now());
         let data = if torn {
@@ -1150,52 +1046,108 @@ fn write_window(
         }
         t.stop_traced(ep.now(), prof, ep.trace());
     } else {
-        // Contiguous coverage: one large write per covered run (usually
-        // exactly one). The staging buffer's kind follows its payloads.
-        let mut window_buf = IoBuffer::landing(span as usize, placements.iter().map(|(_, d)| d));
-        for (off, data) in &placements {
-            window_buf.copy_in((off - write_lo) as usize, data);
-        }
+        // Contiguous coverage: one large write. The staging buffer's
+        // kind follows its payloads.
+        let mut window_buf =
+            IoBuffer::landing(span as usize, incoming.iter().map(|(_, payload)| payload));
+        scatter(&mut window_buf, write_lo, &cuts, incoming);
         let t = PhaseTimer::start(Phase::Io, ep.now());
-        let mut now = ep.now();
-        for &(s, e) in coverage.ranges() {
-            let mut chunk = window_buf.sub((s - write_lo) as usize, (e - s) as usize);
-            if torn {
-                chunk = chunk.sub(0, chunk.len() / 2);
-                if chunk.is_empty() {
-                    continue;
-                }
-            }
-            now = space.write(fh, s, &chunk, now);
+        if torn {
+            window_buf = window_buf.sub(0, window_buf.len() / 2);
         }
-        ep.clock().advance_to(now);
+        if !window_buf.is_empty() {
+            let done = space.write(fh, write_lo, &window_buf, ep.now());
+            ep.clock().advance_to(done);
+        }
         t.stop_traced(ep.now(), prof, ep.trace());
     }
 }
 
-/// Coalesce a round window's clipped pieces (per-source sorted lists)
-/// into maximal covered `(offset, len)` runs: adjacent and overlapping
-/// requests from any mix of sources merge into one contiguous extent, so
-/// list-I/O mode issues the minimum number of OST reads and every clipped
-/// piece falls wholly inside exactly one run.
-fn coalesce_runs(in_window: &[Vec<Piece>]) -> Vec<(u64, u64)> {
-    let mut ivs: Vec<(u64, u64)> = in_window
-        .iter()
-        .flatten()
-        .map(|p| (p.file_off, p.end()))
-        .collect();
-    ivs.sort_unstable();
-    let mut runs: Vec<(u64, u64)> = Vec::new();
-    for (s, e) in ivs {
-        match runs.last_mut() {
-            Some(last) if s <= last.0 + last.1 => {
-                let end = (last.0 + last.1).max(e);
-                last.1 = end - last.0;
-            }
-            _ => runs.push((s, e - s)),
+/// Append the union of two ascending `(offset, len)` run lists to `out`
+/// as one list of maximal runs: a run that overlaps or abuts the one
+/// before it grows that one.
+fn merge_runs(
+    a: impl Iterator<Item = (u64, u64)>,
+    b: impl Iterator<Item = (u64, u64)>,
+    out: &mut Vec<(u64, u64)>,
+) {
+    let from = out.len();
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    loop {
+        let next = match (a.peek(), b.peek()) {
+            (Some(x), Some(y)) if y.0 < x.0 => b.next(),
+            (Some(_), _) => a.next(),
+            (None, _) => b.next(),
+        };
+        let Some((off, len)) = next else { break };
+        match out[from..].last_mut() {
+            Some(last) if off <= last.0 + last.1 => last.1 = last.1.max(off + len - last.0),
+            _ => out.push((off, len)),
         }
     }
+}
+
+/// What a round window's cuts cover, as maximal `(offset, len)` runs:
+/// adjacent and overlapping pieces from any mix of sources merge into one
+/// contiguous extent. The write side reads holes off it (more than one
+/// run); the read side sieves by it, issues the minimum number of list-I/O
+/// reads from it, and finds every clipped piece wholly inside one run.
+///
+/// Each cut is already sorted and disjoint, so this is a bottom-up merge
+/// of the per-source lists, neighbours pairwise, coalescing as it goes
+/// (two flat buffers, whatever the source count) — in place of sorting
+/// every piece of every source, or of inserting them one by one into an
+/// interval set.
+fn coverage(cuts: &[Cut<'_>]) -> Vec<(u64, u64)> {
+    let _hp = simtrace::host::scope(simtrace::host::Site::Coverage);
+    fn runs_of<'a>(cut: &'a Cut<'_>) -> impl Iterator<Item = (u64, u64)> + 'a {
+        cut.iter().map(|piece| (piece.file_off, piece.len))
+    }
+    // The lists of one level back to back; list `i` ends at `ends[i]`.
+    let mut runs = Vec::with_capacity(cuts.iter().map(|cut| cut.iter().len()).sum());
+    let mut ends = Vec::with_capacity(cuts.len().div_ceil(2));
+    for pair in cuts.chunks(2) {
+        merge_runs(
+            runs_of(&pair[0]),
+            pair[1..].iter().flat_map(runs_of),
+            &mut runs,
+        );
+        ends.push(runs.len());
+    }
+    let mut merged = Vec::new();
+    while ends.len() > 1 {
+        merged.clear();
+        merged.reserve(runs.len()); // allocates once: levels only shrink
+        let mut start = 0;
+        for pair in 0..ends.len().div_ceil(2) {
+            let mid = ends[2 * pair];
+            let end = ends.get(2 * pair + 1).copied().unwrap_or(mid);
+            let (a, b) = (&runs[start..mid], &runs[mid..end]);
+            merge_runs(a.iter().copied(), b.iter().copied(), &mut merged);
+            ends[pair] = merged.len();
+            start = end;
+        }
+        ends.truncate(ends.len().div_ceil(2));
+        std::mem::swap(&mut runs, &mut merged);
+    }
     runs
+}
+
+/// One source's payload out of the window's read buffers (`bufs[i]` holds
+/// run `runs[i]`). Host work follows real bytes: when nothing read is
+/// real the payload is synthetic and no piece is visited.
+fn carve(runs: &[(u64, u64)], bufs: &[IoBuffer], cut: &Cut<'_>, n: u64) -> IoBuffer {
+    if !bufs.iter().any(IoBuffer::is_real) {
+        return IoBuffer::synthetic(n as usize);
+    }
+    let mut payload = BufferBuilder::with_capacity(n as usize);
+    for piece in cut.iter() {
+        // Runs are maximal covered intervals, so each clipped piece lies
+        // wholly inside one of them.
+        let i = runs.partition_point(|&(off, _)| off <= piece.file_off) - 1;
+        payload.push(&bufs[i].sub((piece.file_off - runs[i].0) as usize, piece.len as usize));
+    }
+    payload.finish()
 }
 
 /// Collective read: mirror image of [`write_all`]. Returns this rank's
@@ -1232,51 +1184,42 @@ pub fn read_all(
     // once, and zero-filling `plan.total` up front costs ranks × bytes
     // read on synthetic runs that discard the pages at the first copy.
     let mut user_buf: Option<IoBuffer> = None;
-    let mut recv_cursors: Vec<PieceCursor<'_>> =
-        setup.my_req.iter().map(|v| PieceCursor::new(v)).collect();
-    let mut send_cursors: Option<Vec<PieceCursor<'_>>> = setup
-        .others_req
-        .as_ref()
-        .map(|o| o.iter().map(|idx| PieceCursor::new(idx.pieces())).collect());
+    // Stream positions: mine from each aggregator, and, as an
+    // aggregator, each source's inside my domain.
+    let mut recv_pos = vec![0u64; cfg.aggregators.len()];
+    let mut send_pos = vec![0u64; p];
 
     for round in 0..setup.ntimes {
         prof.rounds += 1;
         let round_start = ep.now();
-        let window = setup.my_agg_idx.map(|_| {
+        let mine = setup.others_req.as_ref().map(|others| {
             let lo = setup.st_loc + round * cfg.cb_buffer_size;
-            (lo, lo + cfg.cb_buffer_size)
+            (others, (lo, lo + cfg.cb_buffer_size))
         });
 
         // Per-round alltoall of outgoing sizes — global sync.
         let t = PhaseTimer::start(Phase::Sync, ep.now());
-        let mut row = vec![0u64; p];
-        if let (Some((lo, hi)), Some(others)) = (window, setup.others_req.as_ref()) {
-            for (src, idx) in others.iter().enumerate() {
-                row[src] = idx.bytes_in_window(lo, hi);
-            }
-        }
-        let expected = comm.alltoall_sizes(row);
+        let my_row = mine.map(|(others, window)| window_row(others, window));
+        let expected = comm.alltoall_sizes(my_row.clone().unwrap_or_else(|| vec![0; p]));
         t.stop_traced(ep.now(), prof, ep.trace());
 
         // Aggregator: read the window span once, carve out each source's
         // pieces, send.
         let mut self_payload: Option<IoBuffer> = None;
-        if let (Some((lo, hi)), Some(cursors)) = (window, send_cursors.as_mut()) {
-            let others = setup.others_req.as_ref().expect("aggregator state");
-            let in_window: Vec<Vec<Piece>> = (0..p)
-                .map(|src| pieces_in_window(others[src].pieces(), lo, hi))
+        if let (Some((others, _)), Some(my_row)) = (mine, my_row) {
+            let sizes: Vec<(usize, u64)> = my_row
+                .into_iter()
+                .enumerate()
+                .filter(|&(_, n)| n > 0)
                 .collect();
-            let read_lo = in_window.iter().flatten().map(|p| p.file_off).min();
-            if let Some(read_lo) = read_lo {
-                let read_hi = in_window.iter().flatten().map(Piece::end).max().unwrap();
+            let cuts = cut_streams((others, &mut send_pos), sizes.iter().copied());
+            if let Some((read_lo, read_hi)) = hull(cuts.iter().map(Cut::file_range)) {
                 let span = read_hi - read_lo;
                 // Sieve decision. Coalescing and the density test are
                 // pure functions of the agreed piece lists, so every
                 // rank that reaches this window takes the same branch.
                 let runs: Vec<(u64, u64)> = if cfg.sieve_read {
-                    let hp = simtrace::host::scope(simtrace::host::Site::RunCoalesce);
-                    let runs = coalesce_runs(&in_window);
-                    drop(hp);
+                    let runs = coverage(&cuts);
                     let covered: u64 = runs.iter().map(|&(_, l)| l).sum();
                     let holes = span - covered;
                     if holes * 100 > span * u64::from(cfg.sieve_hole_pct) {
@@ -1297,15 +1240,9 @@ pub fn read_all(
                     ep.clock().advance_to(done);
                     bufs
                 } else {
-                    let mut bufs = Vec::with_capacity(runs.len());
-                    let mut now = ep.now();
-                    for &(off, len) in &runs {
-                        let (buf, done) = space.read(fh, off, len, now);
-                        bufs.push(buf);
-                        now = done;
-                    }
-                    ep.clock().advance_to(now);
-                    bufs
+                    let (buf, done) = space.read(fh, runs[0].0, runs[0].1, ep.now());
+                    ep.clock().advance_to(done);
+                    vec![buf]
                 };
                 t.stop_traced(ep.now(), prof, ep.trace());
                 let rec = ep.trace();
@@ -1317,81 +1254,42 @@ pub fn read_all(
                     }
                 }
 
-                for src in 0..p {
-                    let n: u64 = in_window[src].iter().map(|p| p.len).sum();
-                    if n == 0 {
-                        continue;
-                    }
+                for (&(src, n), cut) in sizes.iter().zip(&cuts) {
                     let t = PhaseTimer::start(Phase::Local, ep.now());
                     let hp = simtrace::host::scope(simtrace::host::Site::Pack);
                     let hp_sieve = cfg
                         .sieve_read
                         .then(|| simtrace::host::scope(simtrace::host::Site::SieveRead));
-                    let mut payload = BufferBuilder::with_capacity(n as usize);
-                    cursors[src].consume(n, |piece| {
-                        // Runs are maximal covered intervals, so each
-                        // clipped piece lies wholly inside one of them.
-                        let i = runs.partition_point(|&(off, _)| off <= piece.file_off) - 1;
-                        payload.push(
-                            &bufs[i]
-                                .sub((piece.file_off - runs[i].0) as usize, piece.len as usize),
-                        );
-                    });
+                    let payload = carve(&runs, &bufs, cut, n);
                     drop(hp_sieve);
                     ep.charge_memcpy(n as usize);
-                    let payload = seal(payload.finish(), cfg.checksums);
+                    let payload = seal(payload, cfg.checksums);
                     drop(hp);
                     t.stop_traced(ep.now(), prof, ep.trace());
                     if src == comm.rank() {
                         self_payload = Some(payload);
                     } else {
-                        let t = PhaseTimer::start(Phase::P2p, ep.now());
-                        comm.isend(src, TAG_DATA, payload.clone());
-                        resend_if_corrupt(comm, src, TAG_REPAIR, &payload, cfg.checksums);
-                        t.stop_traced(ep.now(), prof, ep.trace());
+                        post(comm, src, DATA, &payload, cfg.checksums, prof);
                     }
                 }
+                // `bufs` ends here, once the last source is carved: the
+                // window is not held across the receive below.
             }
         }
 
-        // Everyone: receive this round's pieces and scatter them into the
-        // user buffer.
-        let t = PhaseTimer::start(Phase::P2p, ep.now());
-        let mut arrived: Vec<(usize, IoBuffer)> = Vec::new();
-        let reqs: Vec<(usize, simmpi::RecvRequest)> = cfg
+        // Everyone: receive this round's pieces, verified (and repaired)
+        // before any byte lands in the user buffer.
+        let srcs = cfg
             .aggregators
             .iter()
-            .filter(|&&a| a != comm.rank() && expected[a] > 0)
-            .map(|&a| (a, comm.irecv(a, TAG_DATA)))
+            .copied()
+            .filter(|&a| a != comm.rank() && expected[a] > 0)
             .collect();
-        let payloads = comm.waitall(&reqs.iter().map(|(_, r)| r.clone()).collect::<Vec<_>>());
-        for ((agg_rank, _), payload) in reqs.iter().zip(payloads) {
-            arrived.push((*agg_rank, payload));
-        }
-        if let Some(selfp) = self_payload.take() {
-            arrived.push((comm.rank(), selfp));
-        }
-        t.stop_traced(ep.now(), prof, ep.trace());
-
-        // Verify (and repair) before any byte lands in the user buffer.
-        let arrived: Vec<(usize, IoBuffer)> = arrived
-            .into_iter()
-            .map(|(agg_rank, payload)| {
-                let payload = verify_payload(
-                    comm,
-                    agg_rank,
-                    TAG_DATA,
-                    TAG_REPAIR,
-                    payload,
-                    cfg.checksums,
-                    prof,
-                );
-                (agg_rank, payload)
-            })
-            .collect();
+        let arrived = collect(comm, srcs, DATA, self_payload, cfg.checksums, prof);
 
         // Unpack: scatter received pieces into the user buffer — local
-        // memory movement.
+        // memory movement. An aggregator's stream is one contiguous range
+        // of the buffer, so each payload lands with one copy.
         let t = PhaseTimer::start(Phase::Local, ep.now());
         let hp = simtrace::host::scope(simtrace::host::Site::Unpack);
         for (agg_rank, payload) in arrived {
@@ -1403,14 +1301,9 @@ pub fn read_all(
             let n = payload.len() as u64;
             let user_buf =
                 user_buf.get_or_insert_with(|| IoBuffer::landing(plan.total as usize, [&payload]));
-            let mut consumed = 0u64;
-            recv_cursors[a].consume(n, |piece| {
-                user_buf.copy_in(
-                    piece.buf_off as usize,
-                    &payload.sub(consumed as usize, piece.len as usize),
-                );
-                consumed += piece.len;
-            });
+            let at = setup.my_req[a].buffer_offset(recv_pos[a], n);
+            user_buf.copy_in(at as usize, &payload);
+            recv_pos[a] += n;
             ep.charge_memcpy(n as usize);
         }
         drop(hp);
@@ -1437,4 +1330,157 @@ pub fn read_all(
     }
 
     user_buf.unwrap_or_else(|| IoBuffer::zeroed(plan.total as usize))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::datatype::Ext;
+    use proptest::prelude::*;
+    use simfs::RangeSet;
+
+    /// One list holding all of `extents` (sorted, disjoint).
+    fn list(extents: &[(u64, u64)]) -> Arc<PieceList> {
+        let plan = AccessPlan::from_extents(extents.iter().map(|&(o, l)| Ext::new(o, l)).collect());
+        calc_my_req(&plan, &[Ext::new(0, u64::MAX / 2)]).remove(0)
+    }
+
+    /// The reference the merge replaced: every piece of every source
+    /// inserted into an interval set, one at a time.
+    fn coverage_by_insert(cuts: &[Cut<'_>]) -> Vec<(u64, u64)> {
+        let mut set = RangeSet::new();
+        for piece in cuts.iter().flat_map(Cut::iter) {
+            set.insert(piece.file_off, piece.end());
+        }
+        set.ranges().iter().map(|&(s, e)| (s, e - s)).collect()
+    }
+
+    #[test]
+    fn abutting_overlapping_and_identical_sources_merge() {
+        let a = list(&[(0, 10), (10, 5), (40, 10)]); // abuts itself
+        let b = list(&[(15, 5), (45, 10), (70, 1)]); // abuts a, overlaps a
+        let cuts = [a.cut(0, 25), b.cut(0, 16), a.cut(0, 25)]; // a twice
+        assert_eq!(coverage(&cuts), [(0, 20), (40, 15), (70, 1)]);
+        assert_eq!(coverage(&cuts), coverage_by_insert(&cuts));
+        assert!(coverage(&[]).is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The pairwise merge equals per-piece `RangeSet::insert` for any
+        /// number of sources, whole lists or clipped cuts of them, with
+        /// some sources repeated verbatim.
+        #[test]
+        fn coverage_matches_interval_set(
+            sources in proptest::collection::vec(
+                (
+                    proptest::collection::vec((0u64..6, 1u64..30), 1..25),
+                    0u64..200,
+                    0u64..400,
+                    any::<bool>(),
+                ),
+                0..12,
+            ),
+        ) {
+            let mut lists = Vec::new();
+            for (steps, pos, n, repeat) in &sources {
+                let mut at = 0u64;
+                let extents: Vec<(u64, u64)> = steps
+                    .iter()
+                    .map(|&(gap, len)| {
+                        let off = at + gap;
+                        at = off + len;
+                        (off, len)
+                    })
+                    .collect();
+                let l = list(&extents);
+                let pos = pos % l.total_bytes();
+                let n = (*n).min(l.total_bytes() - pos);
+                lists.push((Arc::clone(&l), pos, n));
+                if *repeat {
+                    lists.push((l, pos, n));
+                }
+            }
+            let cuts: Vec<Cut<'_>> = lists.iter().map(|(l, pos, n)| l.cut(*pos, *n)).collect();
+            prop_assert_eq!(coverage(&cuts), coverage_by_insert(&cuts));
+        }
+    }
+
+    #[test]
+    fn scatter_lands_real_bytes_in_source_order() {
+        let (a, b) = (list(&[(10, 2), (14, 2)]), list(&[(11, 4)]));
+        let cuts = [a.cut(0, 4), b.cut(0, 4)];
+        let payloads = vec![
+            (0, IoBuffer::from_slice(&[1, 2, 3, 4])),
+            (1, IoBuffer::from_slice(&[9, 8, 7, 6])),
+        ];
+        let mut window = IoBuffer::zeroed(8);
+        scatter(&mut window, 10, &cuts, payloads);
+        // b's overlap of [11, 15) lands over a's bytes: later source wins.
+        assert_eq!(window.as_slice().unwrap(), &[1, 9, 8, 7, 6, 4, 0, 0]);
+    }
+
+    #[test]
+    fn one_synthetic_payload_makes_the_window_synthetic() {
+        let (a, b) = (list(&[(0, 4)]), list(&[(4, 4)]));
+        let cuts = [a.cut(0, 4), b.cut(0, 4)];
+        let payloads = vec![
+            (0, IoBuffer::from_slice(&[1; 4])),
+            (1, IoBuffer::synthetic(4)),
+        ];
+        let mut window = IoBuffer::zeroed(8);
+        scatter(&mut window, 0, &cuts, payloads);
+        assert_eq!(window, IoBuffer::synthetic(8));
+        // ... and a synthetic window (a synthetic read-modify-write
+        // fetch) stays synthetic under real payloads.
+        let mut window = IoBuffer::synthetic(8);
+        scatter(
+            &mut window,
+            0,
+            &cuts[..1],
+            vec![(0, IoBuffer::from_slice(&[1; 4]))],
+        );
+        assert_eq!(window, IoBuffer::synthetic(8));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn scatter_keeps_its_range_check() {
+        let a = list(&[(6, 4)]);
+        let mut window = IoBuffer::zeroed(8);
+        scatter(
+            &mut window,
+            0,
+            &[a.cut(0, 4)],
+            vec![(0, IoBuffer::from_slice(&[1; 4]))],
+        );
+    }
+
+    #[test]
+    fn carve_follows_the_bytes_that_were_read() {
+        let a = list(&[(2, 2), (10, 3)]);
+        let runs = [(0, 4), (10, 4)];
+        let real = [
+            IoBuffer::from_slice(&[0, 1, 2, 3]),
+            IoBuffer::from_slice(&[10, 11, 12, 13]),
+        ];
+        let got = carve(&runs, &real, &a.cut(0, 5), 5);
+        assert_eq!(got.as_slice().unwrap(), &[2, 3, 10, 11, 12]);
+        let synthetic = [IoBuffer::synthetic(4), IoBuffer::synthetic(4)];
+        assert_eq!(
+            carve(&runs, &synthetic, &a.cut(0, 5), 5),
+            IoBuffer::synthetic(5)
+        );
+        // Mixed: a piece out of a synthetic run degrades the payload.
+        let mixed = [real[0].clone(), IoBuffer::synthetic(4)];
+        assert_eq!(
+            carve(&runs, &mixed, &a.cut(0, 5), 5),
+            IoBuffer::synthetic(5)
+        );
+        assert_eq!(
+            carve(&runs, &mixed, &a.cut(0, 2), 2).as_slice().unwrap(),
+            &[2, 3]
+        );
+    }
 }

@@ -78,15 +78,21 @@ impl FileView {
         }
         let dpt = self.flat.size;
         assert!(dpt > 0, "transfer through an empty filetype");
-        let mut out: Vec<Ext> = Vec::new();
         let mut remaining = nbytes;
         let mut tile = start / dpt;
         let mut within = start % dpt;
-        // Locate the segment containing `within`.
-        let mut seg = match self.prefix.binary_search(&within) {
+        // Locate the segment containing a data offset within a tile.
+        let seg_of = |within: u64| match self.prefix.binary_search(&within) {
             Ok(i) => i,
             Err(i) => i - 1,
         };
+        let mut seg = seg_of(within);
+        // Segments the transfer touches, first to last: the run count
+        // before coalescing, so the list is allocated once.
+        let last = start + nbytes - 1;
+        let touched =
+            (last / dpt - tile) as usize * self.flat.segs.len() + seg_of(last % dpt) + 1 - seg;
+        let mut out: Vec<Ext> = Vec::with_capacity(touched);
         if seg == self.flat.segs.len() {
             // start exactly at a tile boundary
             seg = 0;

@@ -7,9 +7,16 @@
 //! locally at post time, and `irecv`/[`Communicator::waitall`] provide the
 //! overlap semantics the two-phase protocol depends on: the clock advances
 //! to the **maximum** arrival across the batch, not the sum.
+//!
+//! Protocol metadata can travel typed ([`Communicator::isend_t`] /
+//! [`Communicator::waitall_t`]), the point-to-point form of
+//! `allgather_t`'s `bytes_each`: the message is *modelled* — charged,
+//! traced, fault-drawn — as the `wire_bytes` the real protocol would
+//! serialize, while the host passes the sender's `Arc`.
 
 use crate::comm::Communicator;
-use simnet::{IoBuffer, SimTime};
+use simnet::{IoBuffer, Payload, SimTime};
+use std::sync::Arc;
 
 /// Handle for a posted non-blocking receive.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -21,13 +28,17 @@ pub struct RecvRequest {
 impl Communicator<'_> {
     /// Blocking standard send to `dst` (local rank).
     pub fn send(&self, dst: usize, tag: i32, buf: IoBuffer) {
+        self.post(dst, tag, buf.into());
+    }
+
+    fn post(&self, dst: usize, tag: i32, payload: Payload) {
         let global = self.global_rank(dst);
         let rec = self.ep.trace();
         if rec.enabled() {
-            rec.observe("p2p_send_bytes", buf.len() as f64);
+            rec.observe("p2p_send_bytes", payload.wire_len() as f64);
             rec.count("p2p_sends", 1);
         }
-        self.ep.send(global, self.shared.ctx, tag, buf);
+        self.ep.send(global, self.shared.ctx, tag, payload);
     }
 
     /// Non-blocking send. With eager delivery this is identical to
@@ -35,6 +46,20 @@ impl Communicator<'_> {
     /// its MPI original.
     pub fn isend(&self, dst: usize, tag: i32, buf: IoBuffer) {
         self.send(dst, tag, buf);
+    }
+
+    /// Non-blocking typed send: the receiver's [`waitall_t`] returns this
+    /// very `Arc`; every model sees a message of `wire_bytes`.
+    ///
+    /// [`waitall_t`]: Communicator::waitall_t
+    pub fn isend_t<T: Send + Sync + 'static>(
+        &self,
+        dst: usize,
+        tag: i32,
+        value: Arc<T>,
+        wire_bytes: usize,
+    ) {
+        self.post(dst, tag, Payload::Typed { value, wire_bytes });
     }
 
     /// Blocking receive from `src` (local rank) with `tag`.
@@ -86,8 +111,20 @@ impl Communicator<'_> {
     /// request order; the clock advances to the latest arrival plus one
     /// receive overhead per message (the CPU cost of completing each).
     pub fn waitall(&self, reqs: &[RecvRequest]) -> Vec<IoBuffer> {
+        self.complete(reqs, Payload::into_bytes)
+    }
+
+    /// [`waitall`](Communicator::waitall) over typed messages
+    /// ([`isend_t`](Communicator::isend_t)): same clock advance, same
+    /// trace span, the senders' `Arc`s in request order.
+    pub fn waitall_t<T: Send + Sync + 'static>(&self, reqs: &[RecvRequest]) -> Vec<Arc<T>> {
+        self.complete(reqs, Payload::into_typed)
+    }
+
+    fn complete<R>(&self, reqs: &[RecvRequest], open: impl Fn(Payload) -> R) -> Vec<R> {
         let entry = self.ep.now();
         let mut payloads = Vec::with_capacity(reqs.len());
+        let mut bytes = 0usize;
         let mut latest = SimTime::ZERO;
         let mut overhead = SimTime::ZERO;
         // The message whose arrival bounds the batch (ties → first in
@@ -96,7 +133,7 @@ impl Communicator<'_> {
         let mut ready_at_entry = 0u64;
         for req in reqs {
             let global = self.global_rank(req.src_local);
-            let (payload, info) = self.ep.recv_meta(global, self.shared.ctx, req.tag);
+            let (payload, info) = self.ep.recv_payload(global, self.shared.ctx, req.tag);
             if info.arrival <= entry {
                 ready_at_entry += 1;
             }
@@ -104,8 +141,9 @@ impl Communicator<'_> {
                 bind = Some((global, info));
             }
             latest = latest.max(info.arrival);
-            overhead += self.ep.net().recv_overhead(payload.len());
-            payloads.push(payload);
+            overhead += self.ep.net().recv_overhead(payload.wire_len());
+            bytes += payload.wire_len();
+            payloads.push(open(payload));
         }
         // hostprof: completion bookkeeping after every packet is in hand
         // (the recv_meta loop above can block and stays outside the
@@ -115,7 +153,6 @@ impl Communicator<'_> {
         self.ep.clock().advance(overhead);
         let rec = self.ep.trace();
         if rec.enabled() && !reqs.is_empty() {
-            let bytes: usize = payloads.iter().map(IoBuffer::len).sum();
             let (bind_src, bind_info) = bind.expect("nonempty batch has a binding message");
             // Messages already landed when the wait began — the
             // virtual-time mailbox backlog this rank walked into.

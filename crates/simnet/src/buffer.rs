@@ -77,17 +77,23 @@ thread_local! {
     static POOL: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
 }
 
+/// Index of the smallest pooled buffer holding at least `min_cap`: a
+/// 3 KB request must not walk off with a 16 MiB backing store and leave
+/// the next large request to allocate fresh.
+fn best_fit(pool: &[Vec<u8>], min_cap: usize) -> Option<usize> {
+    (0..pool.len())
+        .filter(|&i| pool[i].capacity() >= min_cap)
+        .min_by_key(|&i| pool[i].capacity())
+}
+
 /// An empty `Vec` with at least `min_cap` capacity, recycled when the
 /// pool has one that fits.
 fn pool_take(min_cap: usize) -> Vec<u8> {
     use simtrace::host;
     let _hp = host::scope(host::Site::PoolTake);
     if buffer_pooling() && (POOL_MIN_CAP..=POOL_MAX_CAP).contains(&min_cap) {
-        let recycled = POOL.with_borrow_mut(|pool| {
-            pool.iter()
-                .position(|v| v.capacity() >= min_cap)
-                .map(|i| pool.swap_remove(i))
-        });
+        let recycled =
+            POOL.with_borrow_mut(|pool| best_fit(pool, min_cap).map(|i| pool.swap_remove(i)));
         if let Some(mut v) = recycled {
             v.clear();
             host::count(host::Counter::PoolReuse, 1);
@@ -674,6 +680,24 @@ mod tests {
     fn into_bytes_of_window_copies_just_the_window() {
         let b = IoBuffer::from_slice(&[1, 2, 3, 4, 5]);
         assert_eq!(b.sub(1, 3).into_bytes(), vec![2, 3, 4]);
+    }
+
+    #[test]
+    fn pool_hands_out_the_smallest_buffer_that_fits() {
+        let pool: Vec<Vec<u8>> = [1 << 20, 4096, 256, 8192]
+            .into_iter()
+            .map(Vec::with_capacity)
+            .collect();
+        let cap = |min| best_fit(&pool, min).map(|i| pool[i].capacity());
+        assert_eq!(
+            cap(3000),
+            Some(4096),
+            "not the 1 MiB store that comes first"
+        );
+        assert_eq!(cap(4097), Some(8192));
+        assert_eq!(cap(100), Some(256));
+        assert_eq!(cap(8193), Some(1 << 20));
+        assert_eq!(cap((1 << 20) + 1), None);
     }
 
     #[test]

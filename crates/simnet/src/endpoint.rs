@@ -3,7 +3,7 @@
 use crate::buffer::IoBuffer;
 use crate::clock::Clock;
 use crate::fault::{FaultState, MsgFault};
-use crate::mailbox::{Mailbox, Packet};
+use crate::mailbox::{Mailbox, Packet, Payload};
 use crate::nic::Nic;
 use crate::model::{MachineModel, NetworkModel};
 use crate::rendezvous::{PoisonFlag, Rendezvous};
@@ -179,15 +179,18 @@ impl Endpoint {
     /// stamps the packet with the post-charge clock; the payload becomes
     /// visible to the receiver immediately (eager protocol — buffering is
     /// unbounded, as on Catamount where Portals delivers to user space).
-    pub fn send(&self, dst: usize, ctx: u32, tag: i32, payload: IoBuffer) {
+    /// A [`Payload::Typed`] message is charged, NIC-queued and fault-drawn
+    /// exactly as a byte message of its `wire_bytes`.
+    pub fn send(&self, dst: usize, ctx: u32, tag: i32, payload: impl Into<Payload>) {
         assert!(dst < self.size(), "send to invalid rank {dst}");
-        self.clock.advance(self.net.send_overhead(payload.len()));
+        let payload = payload.into();
+        let len = payload.wire_len();
+        self.clock.advance(self.net.send_overhead(len));
         if self.net.nic_serialize {
             // The NIC is stateful (its queue tail depends on injection
             // order), so admissions are gated into virtual-time order.
             let _admission = crate::progress::admit(self.now());
-            let done =
-                self.nics[self.node()].inject(self.now(), payload.len(), self.net.byte_time);
+            let done = self.nics[self.node()].inject(self.now(), len, self.net.byte_time);
             self.clock.advance_to(done);
         }
         let fault = match &self.faults {
@@ -195,7 +198,7 @@ impl Endpoint {
             None => MsgFault::NONE,
         };
         let pkt = Packet {
-            src: self.rank,
+            src: self.rank as u32,
             ctx,
             tag,
             payload,
@@ -231,6 +234,13 @@ impl Endpoint {
     /// send→recv edge that lets `simtrace::analysis` walk the critical
     /// path across ranks.
     pub fn recv_meta(&self, src: usize, ctx: u32, tag: i32) -> (IoBuffer, RecvInfo) {
+        let (payload, info) = self.recv_payload(src, ctx, tag);
+        (payload.into_bytes(), info)
+    }
+
+    /// [`recv_meta`](Endpoint::recv_meta) for either kind of message:
+    /// the payload as it was sent, bytes or typed.
+    pub fn recv_payload(&self, src: usize, ctx: u32, tag: i32) -> (Payload, RecvInfo) {
         assert!(src < self.size(), "recv from invalid rank {src}");
         let pkt = self.mailboxes[self.rank].recv(src, ctx, tag);
         let arrival = self.fault_arrival(&pkt);
@@ -254,10 +264,10 @@ impl Endpoint {
             // per-(src, tag) pops stay aligned with arrivals regardless of
             // which packets actually drew a corruption.
             if f.plan().has_corrupt_rules() {
-                f.push_corrupt(pkt.src, pkt.tag, pkt.fault_corrupt);
+                f.push_corrupt(pkt.src as usize, pkt.tag, pkt.fault_corrupt);
             }
         }
-        let wire = self.net.transfer_time(pkt.payload.len()) * pkt.fault_delay;
+        let wire = self.net.transfer_time(pkt.payload.wire_len()) * pkt.fault_delay;
         let clean = pkt.sent_clock + wire;
         if pkt.fault_drops == 0 {
             return clean;
@@ -275,7 +285,7 @@ impl Endpoint {
                 clean.as_micros(),
                 arrival.as_micros(),
                 vec![
-                    ("src", simtrace::ArgValue::from(pkt.src)),
+                    ("src", simtrace::ArgValue::from(pkt.src as usize)),
                     ("drops", simtrace::ArgValue::from(pkt.fault_drops as u64)),
                 ],
             );
@@ -291,7 +301,8 @@ impl Endpoint {
         let pkt = self.mailboxes[self.rank].try_recv(src, ctx, tag)?;
         let arrival = self.fault_arrival(&pkt);
         self.clock.advance_to(arrival);
-        self.clock.advance(self.net.recv_overhead(pkt.payload.len()));
-        Some(pkt.payload)
+        self.clock
+            .advance(self.net.recv_overhead(pkt.payload.wire_len()));
+        Some(pkt.payload.into_bytes())
     }
 }

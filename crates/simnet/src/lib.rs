@@ -61,6 +61,7 @@ pub use error::{SimError, SimResult};
 pub use cksum::{fnv1a, Fnv1a};
 pub use fault::{corrupt_flip, FaultPlan, FaultRule, FaultState, MsgFault};
 pub use fiber::{executor, set_executor, set_workers, workers, Executor};
+pub use mailbox::Payload;
 pub use model::{CollectiveAlg, MachineModel, NetworkModel};
 pub use noise::SplitMix64;
 pub use progress::{admit, current_rank, Admission};

@@ -27,21 +27,83 @@ use crate::fiber::{self, Waker};
 use crate::rendezvous::PoisonFlag;
 use crate::time::SimTime;
 use parking_lot::{Condvar, Mutex};
+use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+/// What a message carries: bytes, or a host-side reference standing in
+/// for them.
+///
+/// A typed payload is the point-to-point form of the typed collectives'
+/// `bytes_each`: the cost model, the NIC, the fault draws and the trace
+/// all see a message of `wire_bytes` (what the real protocol would
+/// serialize), while the host hands the receiver the sender's `Arc` —
+/// nothing is encoded, copied or decoded.
+#[derive(Debug, Clone)]
+pub enum Payload {
+    /// A byte buffer, real or synthetic.
+    Bytes(IoBuffer),
+    /// A shared value modelled as `wire_bytes` on the wire.
+    Typed {
+        /// The value the receiver gets a reference to.
+        value: Arc<dyn Any + Send + Sync>,
+        /// Serialized size charged to every cost model.
+        wire_bytes: usize,
+    },
+}
+
+impl Payload {
+    /// Bytes this payload occupies on the (modelled) wire.
+    pub fn wire_len(&self) -> usize {
+        match self {
+            Payload::Bytes(b) => b.len(),
+            Payload::Typed { wire_bytes, .. } => *wire_bytes,
+        }
+    }
+
+    /// The byte buffer. Panics on a typed payload: sender and receiver
+    /// disagreeing on a tag's message kind is a protocol bug.
+    pub fn into_bytes(self) -> IoBuffer {
+        match self {
+            Payload::Bytes(b) => b,
+            Payload::Typed { .. } => panic!("typed message received as bytes"),
+        }
+    }
+
+    /// The shared value. Panics on a byte payload or a value of another
+    /// type, for the same reason as [`into_bytes`](Self::into_bytes).
+    pub fn into_typed<T: Send + Sync + 'static>(self) -> Arc<T> {
+        match self {
+            Payload::Typed { value, .. } => value.downcast().unwrap_or_else(|_| {
+                panic!("typed message is not a {}", std::any::type_name::<T>())
+            }),
+            Payload::Bytes(_) => panic!("byte message received as typed"),
+        }
+    }
+}
+
+impl From<IoBuffer> for Payload {
+    fn from(buf: IoBuffer) -> Self {
+        Payload::Bytes(buf)
+    }
+}
+
 /// A message in flight.
+///
+/// Mailbox queues hold these by the hundred thousand at paper scale, so
+/// the size is pinned by a test: `src` is 32 bits wide to leave room for
+/// the [`Payload`] discriminant.
 #[derive(Debug, Clone)]
 pub struct Packet {
     /// Sending rank (global).
-    pub src: usize,
+    pub src: u32,
     /// Communicator context id.
     pub ctx: u32,
     /// User tag.
     pub tag: i32,
     /// Payload.
-    pub payload: IoBuffer,
+    pub payload: Payload,
     /// Sender's virtual clock at the instant the send was posted.
     pub sent_clock: SimTime,
     /// Fault-injected dropped transmission attempts (0 = clean). The
@@ -102,6 +164,10 @@ impl Mailbox {
     /// New empty mailbox for receiving rank `owner` in a cluster of
     /// `nranks` possible senders, sharing the cluster poison flag.
     pub fn new(owner: usize, nranks: usize, poison: Arc<PoisonFlag>) -> Self {
+        assert!(
+            u32::try_from(nranks).is_ok(),
+            "packets carry their source rank in 32 bits"
+        );
         Mailbox {
             owner,
             shards: (0..nranks.max(1)).map(|_| Shard::default()).collect(),
@@ -127,9 +193,9 @@ impl Mailbox {
     pub fn deliver(&self, pkt: Packet) {
         // hostprof: deposit + targeted notify; nothing below blocks.
         let _hp = simtrace::host::scope(simtrace::host::Site::MboxDeliver);
-        let shard = self.shard(pkt.src);
+        let src = pkt.src as usize;
+        let shard = self.shard(src);
         let key = (pkt.ctx, pkt.tag);
-        let src = pkt.src;
         let mut st = shard.state.lock();
         st.queues.entry(key).or_default().push_back(pkt);
         crate::progress::tl_deliver_downgrade(self.owner, src, key.0, key.1);
@@ -245,12 +311,12 @@ mod tests {
         Arc::new(Mailbox::new(0, 4, Arc::new(PoisonFlag::default())))
     }
 
-    fn pkt(src: usize, ctx: u32, tag: i32, bytes: &[u8]) -> Packet {
+    fn pkt(src: u32, ctx: u32, tag: i32, bytes: &[u8]) -> Packet {
         Packet {
             src,
             ctx,
             tag,
-            payload: IoBuffer::from_slice(bytes),
+            payload: IoBuffer::from_slice(bytes).into(),
             sent_clock: SimTime::ZERO,
             fault_drops: 0,
             fault_delay: 1.0,
@@ -259,14 +325,56 @@ mod tests {
     }
 
     #[test]
+    fn packet_size_is_pinned() {
+        // 65 k in-flight queues of >= 4 slots each at paper scale: eight
+        // more bytes here were 5-7 % of tile_restart_256's peak RSS.
+        assert_eq!(std::mem::size_of::<Packet>(), 72);
+    }
+
+    #[test]
+    fn typed_payload_hands_over_the_senders_arc() {
+        let m = mbox();
+        let value = Arc::new(vec![1u64, 2, 3]);
+        let mut p = pkt(1, 0, 5, &[]);
+        p.payload = Payload::Typed {
+            value: Arc::clone(&value) as Arc<dyn Any + Send + Sync>,
+            wire_bytes: 48,
+        };
+        m.deliver(p);
+        let got = m.recv(1, 0, 5).payload;
+        assert_eq!(got.wire_len(), 48);
+        assert!(Arc::ptr_eq(&got.into_typed::<Vec<u64>>(), &value));
+    }
+
+    #[test]
+    #[should_panic(expected = "typed message received as bytes")]
+    fn typed_payload_is_not_bytes() {
+        let value: Arc<dyn Any + Send + Sync> = Arc::new(7u8);
+        let _ = Payload::Typed {
+            value,
+            wire_bytes: 1,
+        }
+        .into_bytes();
+    }
+
+    #[test]
     fn fifo_per_key() {
         let m = mbox();
         m.deliver(pkt(1, 0, 5, &[1]));
         m.deliver(pkt(1, 0, 5, &[2]));
         m.deliver(pkt(1, 0, 5, &[3]));
-        assert_eq!(m.recv(1, 0, 5).payload.as_slice().unwrap(), &[1]);
-        assert_eq!(m.recv(1, 0, 5).payload.as_slice().unwrap(), &[2]);
-        assert_eq!(m.recv(1, 0, 5).payload.as_slice().unwrap(), &[3]);
+        assert_eq!(
+            m.recv(1, 0, 5).payload.into_bytes().as_slice().unwrap(),
+            &[1]
+        );
+        assert_eq!(
+            m.recv(1, 0, 5).payload.into_bytes().as_slice().unwrap(),
+            &[2]
+        );
+        assert_eq!(
+            m.recv(1, 0, 5).payload.into_bytes().as_slice().unwrap(),
+            &[3]
+        );
     }
 
     #[test]
@@ -276,10 +384,22 @@ mod tests {
         m.deliver(pkt(2, 0, 5, &[20]));
         m.deliver(pkt(1, 1, 5, &[30])); // different context
         m.deliver(pkt(1, 0, 6, &[40])); // different tag
-        assert_eq!(m.recv(1, 0, 6).payload.as_slice().unwrap(), &[40]);
-        assert_eq!(m.recv(1, 1, 5).payload.as_slice().unwrap(), &[30]);
-        assert_eq!(m.recv(2, 0, 5).payload.as_slice().unwrap(), &[20]);
-        assert_eq!(m.recv(1, 0, 5).payload.as_slice().unwrap(), &[10]);
+        assert_eq!(
+            m.recv(1, 0, 6).payload.into_bytes().as_slice().unwrap(),
+            &[40]
+        );
+        assert_eq!(
+            m.recv(1, 1, 5).payload.into_bytes().as_slice().unwrap(),
+            &[30]
+        );
+        assert_eq!(
+            m.recv(2, 0, 5).payload.into_bytes().as_slice().unwrap(),
+            &[20]
+        );
+        assert_eq!(
+            m.recv(1, 0, 5).payload.into_bytes().as_slice().unwrap(),
+            &[10]
+        );
         assert_eq!(m.backlog(), 0);
     }
 
@@ -300,7 +420,7 @@ mod tests {
         thread::sleep(Duration::from_millis(10));
         m.deliver(pkt(3, 2, 1, &[9]));
         let got = h.join().unwrap();
-        assert_eq!(got.payload.as_slice().unwrap(), &[9]);
+        assert_eq!(got.payload.into_bytes().as_slice().unwrap(), &[9]);
     }
 
     #[test]
@@ -336,13 +456,13 @@ mod tests {
                 for i in 0..rounds {
                     // Alternate sources; each recv targets one shard.
                     let got = m.recv(1, 0, 7);
-                    assert_eq!(got.payload.as_slice().unwrap(), &[i]);
+                    assert_eq!(got.payload.into_bytes().as_slice().unwrap(), &[i]);
                     let got = m.recv(2, 0, 7);
-                    assert_eq!(got.payload.as_slice().unwrap(), &[i]);
+                    assert_eq!(got.payload.into_bytes().as_slice().unwrap(), &[i]);
                 }
             })
         };
-        let sender = |src: usize, m: &Arc<Mailbox>| {
+        let sender = |src: u32, m: &Arc<Mailbox>| {
             let m = Arc::clone(m);
             thread::spawn(move || {
                 for i in 0..rounds {

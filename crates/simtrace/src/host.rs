@@ -109,8 +109,10 @@ pub enum Site {
     /// Two-phase pack: gathering user-buffer pieces into send payloads
     /// (sender side of the exchange, plus the read-path carve-out).
     Pack,
-    /// Two-phase unpack: scattering payloads into the aggregator window
-    /// or the user buffer (receiver-side memcpy).
+    /// Two-phase unpack: cutting each source's piece stream for the
+    /// round and scattering payloads into the aggregator window or the
+    /// user buffer (receiver-side memcpy); the coverage merge nested
+    /// inside is [`Site::Coverage`].
     Unpack,
     /// OST serve bookkeeping under the state mutex (queue maintenance,
     /// jitter draw, service arithmetic, trace emission) — never the
@@ -132,8 +134,8 @@ pub enum Site {
     /// `cb_ds_read` hint is on).
     SieveRead,
     /// Run coalescing: merging adjacent/overlapping piece requests into
-    /// maximal contiguous extents, in the read aggregators and in the
-    /// intermediate-view physical-run reader.
+    /// maximal contiguous extents in the intermediate-view physical-run
+    /// reader (the two-phase windows' merge is [`Site::Coverage`]).
     RunCoalesce,
     /// Admission gate scan: one `O(ranks)` admissibility check of a
     /// pending request against every other rank's floor (the progress
@@ -142,10 +144,15 @@ pub enum Site {
     /// Admission gate handoff: the targeted wake of the minimum pending
     /// key's rank that ends every registry state change.
     GateWake,
+    /// Two-phase window coverage: merging the per-source piece cuts of
+    /// one round window into maximal covered runs — hole detection on
+    /// the write side, the sieve decision and list-I/O runs on the read
+    /// side. The per-piece work a synthetic round still does.
+    Coverage,
 }
 
 /// Number of probe sites in the registry.
-pub const SITE_COUNT: usize = 20;
+pub const SITE_COUNT: usize = 21;
 
 /// Static description of one site.
 struct SiteInfo {
@@ -174,6 +181,7 @@ const SITES: [SiteInfo; SITE_COUNT] = [
     SiteInfo { name: "run_coalesce", subsystem: "parcoll" },
     SiteInfo { name: "gate_scan", subsystem: "simnet" },
     SiteInfo { name: "gate_wake", subsystem: "simnet" },
+    SiteInfo { name: "twophase_coverage", subsystem: "mpiio" },
 ];
 
 impl Site {
@@ -212,6 +220,7 @@ impl Site {
                 17 => Site::RunCoalesce,
                 18 => Site::GateScan,
                 19 => Site::GateWake,
+                20 => Site::Coverage,
                 _ => unreachable!(),
             })
         } else {

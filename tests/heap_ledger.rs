@@ -13,14 +13,19 @@ use workloads::btio::BtIo;
 use workloads::restart::{run_restart, Restart};
 use workloads::runner::{run_workload, IoMode, RunConfig};
 use workloads::tileio::TileIo;
+use workloads::Workload;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+/// Cumulative requested bytes: every allocation and every regrowth, never
+/// decremented — what a run *asked for*, however briefly it held it.
+static REQUESTED: AtomicUsize = AtomicUsize::new(0);
 
 struct Counting;
 
 impl Counting {
     fn grew(by: usize) {
+        REQUESTED.fetch_add(by, Ordering::Relaxed);
         let live = LIVE.fetch_add(by, Ordering::Relaxed) + by;
         PEAK.fetch_max(live, Ordering::Relaxed);
     }
@@ -97,6 +102,72 @@ fn btio() {
     assert!(r.write_mbps > 0.0);
 }
 
+/// 64-rank BT-IO class C geometry through the baseline collective, where
+/// every piece crosses the exchange: `steps` collective calls.
+fn btio_collective(steps: usize) {
+    let r = run_workload(
+        BtIo::with_grid(64, 162, steps),
+        RunConfig::paper(IoMode::Collective),
+    );
+    assert!(r.write_mbps > 0.0);
+}
+
+/// Bytes requested from the allocator while `f` ran.
+fn requested(f: impl FnOnce()) -> usize {
+    let before = REQUESTED.load(Ordering::Relaxed);
+    f();
+    REQUESTED.load(Ordering::Relaxed) - before
+}
+
+/// One representation of the piece list from `calc_my_req` to the last
+/// round, counted as bytes: what one more collective call requests, per
+/// piece it moves. Counts repeat exactly, so the bound is a property of
+/// the code.
+///
+/// The ledger at the bound's writing, per piece per call: the plan's
+/// `Ext` 16 + the list's `Piece` 24 (the sender's cursor source, the
+/// request message and the aggregator's index at once) + the two flat
+/// buffers of the coverage merge 16 + ~9 = ~65; the remaining ~20 are
+/// per *message*, not per piece (mailbox queues, request vectors, size
+/// rows). The commit before it requested 297: `Ext` with regrowth, a
+/// piece list with regrowth, an (offset, len) vector, the wire bytes,
+/// the decoded pairs, a second piece list, its prefix array, one
+/// placement per piece and the interval set's splices.
+fn one_piece_list_per_rank_and_aggregator() {
+    let steps_1 = requested(|| btio_collective(1));
+    let steps_2 = requested(|| btio_collective(2));
+    assert_eq!(
+        steps_1,
+        requested(|| btio_collective(1)),
+        "counts repeat exactly"
+    );
+    assert_eq!(
+        steps_2,
+        requested(|| btio_collective(2)),
+        "counts repeat exactly"
+    );
+    let btio = BtIo::with_grid(64, 162, 1);
+    let pieces: usize = (0..64)
+        .map(|rank| {
+            let (disp, filetype) = btio.view(rank);
+            let (offset, nbytes) = btio.call(rank, 0);
+            mpiio::FileView::new(disp, &filetype)
+                .extents(offset, nbytes)
+                .len()
+        })
+        .sum();
+    assert!(
+        pieces > 200_000,
+        "pattern (c): ~3 280 pieces per rank per call"
+    );
+    let per_piece = (steps_2 - steps_1) as f64 / pieces as f64;
+    assert!(
+        per_piece <= 96.0,
+        "a collective call requests {per_piece:.1} B per piece: a second \
+         representation of the piece list is back"
+    );
+}
+
 #[test]
 fn heap_follows_real_bytes_and_unique_metadata() {
     simnet::set_executor(simnet::Executor::Fibers);
@@ -107,10 +178,14 @@ fn heap_follows_real_bytes_and_unique_metadata() {
 
     // Bounds sit ≥ 4× below what the per-rank designs peaked at (204 MiB
     // and 335 MiB, measured with this file on the commit before the
-    // rules); the shared designs peak at 12 MiB and 28 MiB.
+    // rules); the shared designs peak at 12 MiB and 28 MiB. The baseline
+    // collective peaked at 38 MiB while every aggregator held pairs,
+    // lists, placements and an interval set per window; with one list per
+    // (rank, aggregator) it peaks at 25 MiB.
     for (name, run, bound) in [
         ("restart", restart as fn(), 48 * MIB),
         ("btio", btio as fn(), 64 * MIB),
+        ("btio collective", (|| btio_collective(2)) as fn(), 32 * MIB),
     ] {
         // First run: also pays one-time state (thread-local pools, lazy
         // statics), so its peak is the conservative one.
@@ -129,4 +204,5 @@ fn heap_follows_real_bytes_and_unique_metadata() {
             "{name}: live heap moved {live_first} -> {live_second} B across identical runs"
         );
     }
+    one_piece_list_per_rank_and_aggregator();
 }
