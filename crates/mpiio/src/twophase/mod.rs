@@ -37,6 +37,17 @@
 //! merge the window's coverage, and copies them only when every payload
 //! carries real bytes.
 //!
+//! And it follows fan-out, not rank count. A rank holds a list only for
+//! the aggregators whose domain its access reaches into, an aggregator
+//! only for the sources that sent it one (`Lists`: sorted `(peer, list)`
+//! tables with the stream positions slot for slot beside them), and both
+//! alltoalls above — charged and traced as the dense `MPI_Alltoall`s
+//! they model — carry only the non-zero entries
+//! ([`Communicator::alltoall_counts_sparse`],
+//! [`Communicator::alltoall_sizes_sparse`]). A round therefore costs
+//! each rank its handful of active peers, in `write_all`, `read_all`,
+//! failover and the adopted-domain batches alike.
+//!
 //! Every synchronizing step is bracketed with [`PhaseTimer`] so the
 //! profile reproduces the paper's Figure 2 decomposition.
 
@@ -347,23 +358,44 @@ fn collect(
         .collect()
 }
 
-/// Receive the piece lists that `srcs` sent on `tag` into a per-source
-/// table; `mine` fills this rank's own slot (self-assignment travels by
-/// no message). The entries are the senders' own `Arc`s.
+/// The non-empty piece lists one side of the exchange holds, keyed by
+/// peer and ascending: by aggregator index for a rank's own requests, by
+/// source rank for an aggregator's domain. Stream positions and every
+/// round's work are sized by these — the (rank, aggregator) pairs that
+/// exchange anything — not by the communicator.
+type Lists = Vec<(usize, Arc<PieceList>)>;
+
+/// Slot of `key` in a table sorted by key.
+fn slot_of<T>(table: &[(usize, T)], key: usize) -> Option<usize> {
+    table.binary_search_by_key(&key, |entry| entry.0).ok()
+}
+
+/// The value under `key` in a sparse table of non-zero values.
+fn value_of(table: &[(usize, u64)], key: usize) -> u64 {
+    slot_of(table, key).map_or(0, |slot| table[slot].1)
+}
+
+/// Receive the piece lists that `srcs` (ascending) sent on `tag` and
+/// keep the non-empty ones, by source; `mine` is this rank's own list,
+/// if it has one (self-assignment travels by no message). The entries
+/// are the senders' own `Arc`s.
 fn recv_lists(
     comm: &Communicator<'_>,
     tag: i32,
     srcs: impl Iterator<Item = usize>,
-    mine: Arc<PieceList>,
-) -> Vec<Arc<PieceList>> {
+    mine: Option<Arc<PieceList>>,
+) -> Lists {
     let srcs: Vec<usize> = srcs.collect();
     let reqs: Vec<RecvRequest> = srcs.iter().map(|&src| comm.irecv(src, tag)).collect();
-    let mut others = vec![PieceList::empty(); comm.size()];
-    for (src, list) in srcs.into_iter().zip(comm.waitall_t(&reqs)) {
-        others[src] = list;
+    let arrived = comm.waitall_t::<PieceList>(&reqs);
+    let _hp = simtrace::host::scope(simtrace::host::Site::CollSetup);
+    let arrived = srcs.into_iter().zip(arrived);
+    let mut lists: Lists = arrived.filter(|(_, l)| !l.pieces().is_empty()).collect();
+    if let Some(mine) = mine {
+        let at = lists.partition_point(|entry| entry.0 < comm.rank());
+        lists.insert(at, (comm.rank(), mine));
     }
-    others[comm.rank()] = mine;
-    others
+    lists
 }
 
 /// The file range spanned by those of `ranges` that exist. Piece lists
@@ -372,19 +404,34 @@ fn hull(ranges: impl Iterator<Item = Option<(u64, u64)>>) -> Option<(u64, u64)> 
     ranges.flatten().reduce(|a, b| (a.0.min(b.0), a.1.max(b.1)))
 }
 
-/// Bytes every source contributes to window `[lo, hi)`: the row an
-/// aggregator announces in the round's size exchange.
-fn window_row(lists: &[Arc<PieceList>], (lo, hi): (u64, u64)) -> Vec<u64> {
-    lists.iter().map(|l| l.bytes_in_window(lo, hi)).collect()
+/// The sources with bytes in window `[lo, hi)` and how many: the row an
+/// aggregator announces in the round's size exchange, ascending.
+fn window_row(lists: &Lists, (lo, hi): (u64, u64)) -> Vec<(usize, u64)> {
+    let _hp = simtrace::host::scope(simtrace::host::Site::SizeExchange);
+    simtrace::host::count(
+        simtrace::host::Counter::SizeExchangeElems,
+        lists.len() as u64,
+    );
+    let sized = lists
+        .iter()
+        .map(|(src, list)| (*src, list.bytes_in_window(lo, hi)));
+    sized.filter(|&(_, n)| n > 0).collect()
+}
+
+/// The sources of `row` an aggregator receives a message from: all but
+/// itself, whose bytes travel by no message.
+fn remote_sources(row: &[(usize, u64)], me: usize) -> Vec<usize> {
+    let srcs = row.iter().map(|&(src, _)| src);
+    srcs.filter(|&src| src != me).collect()
 }
 
 /// Shared state computed by the setup phase.
 struct Setup {
-    /// Per-aggregator piece lists of *my* access.
-    my_req: Vec<Arc<PieceList>>,
-    /// If I am an aggregator: every source's list inside my domain (the
+    /// The piece lists of *my* access, by aggregator index.
+    my_req: Lists,
+    /// If I am an aggregator: the lists inside my domain, by source (the
     /// sources' own `Arc`s).
-    others_req: Option<Vec<Arc<PieceList>>>,
+    others_req: Option<Lists>,
     /// My index in the aggregator list, if any.
     my_agg_idx: Option<usize>,
     /// Start of the touched range in my domain (aggregators only).
@@ -402,8 +449,7 @@ fn setup(
     prof: &mut PhaseProfile,
 ) -> Option<Setup> {
     let ep = comm.endpoint();
-    let p = comm.size();
-    cfg.check(p);
+    cfg.check(comm.size());
     let naggs = cfg.aggregators.len();
     let my_agg_idx = cfg.aggregators.iter().position(|&a| a == comm.rank());
 
@@ -413,6 +459,7 @@ fn setup(
     let ranges = comm.allgather_t(my_range, 16);
     t.stop_traced(ep.now(), prof, ep.trace());
 
+    let hp = simtrace::host::scope(simtrace::host::Site::CollSetup);
     let min_st = ranges.iter().flatten().map(|r| r.0).min()?;
     let max_end = ranges.iter().flatten().map(|r| r.1).max().unwrap();
 
@@ -422,28 +469,31 @@ fn setup(
         None => compute_file_domains(min_st, max_end, naggs),
     };
     let my_req = calc_my_req(plan, &file_domains);
+    let counts = my_req
+        .iter()
+        .map(|(a, list)| (cfg.aggregators[*a], list.pieces().len() as u64));
+    let counts: Vec<(usize, u64)> = counts.collect();
+    drop(hp);
 
     // (3a) Alltoall of piece counts — global sync.
     let t = PhaseTimer::start(Phase::Sync, ep.now());
-    let mut counts_row = vec![0u64; p];
-    for (list, &agg_rank) in my_req.iter().zip(&cfg.aggregators) {
-        counts_row[agg_rank] = list.pieces().len() as u64;
-    }
-    let counts_from = comm.alltoall_t(counts_row, 8);
+    let counts_from = comm.alltoall_counts_sparse(counts);
     t.stop_traced(ep.now(), prof, ep.trace());
 
     // (3b) Point-to-point transfer of the (offset, len) lists: charged as
-    // ROMIO's wire size, passed as the owner's `Arc`. Empty lists and
-    // self-assignment send no message.
+    // ROMIO's wire size, passed as the owner's `Arc`. Only non-empty
+    // lists exist, and self-assignment sends no message.
     let t = PhaseTimer::start(Phase::P2p, ep.now());
-    for (list, &dst) in my_req.iter().zip(&cfg.aggregators) {
-        if dst != comm.rank() && !list.pieces().is_empty() {
+    for (a, list) in &my_req {
+        let dst = cfg.aggregators[*a];
+        if dst != comm.rank() {
             comm.isend_t(dst, TAG_REQ, Arc::clone(list), list.wire_bytes());
         }
     }
     let others_req = my_agg_idx.map(|a| {
-        let srcs = (0..p).filter(|&src| src != comm.rank() && counts_from[src] > 0);
-        recv_lists(comm, TAG_REQ, srcs, Arc::clone(&my_req[a]))
+        let srcs = counts_from.iter().map(|&(src, _)| src);
+        let mine = slot_of(&my_req, a).map(|slot| Arc::clone(&my_req[slot].1));
+        recv_lists(comm, TAG_REQ, srcs.filter(|&src| src != comm.rank()), mine)
     });
     t.stop_traced(ep.now(), prof, ep.trace());
 
@@ -451,7 +501,7 @@ fn setup(
     // allreduce MAX — global sync.
     let (st_loc, my_ntimes) = match &others_req {
         Some(others) => {
-            let (st, end) = hull(others.iter().map(|l| l.file_range())).unwrap_or((0, 0));
+            let (st, end) = hull(others.iter().map(|(_, l)| l.file_range())).unwrap_or((0, 0));
             (st, (end - st).div_ceil(cfg.cb_buffer_size))
         }
         None => (0, 0),
@@ -472,19 +522,17 @@ fn setup(
 /// Fault hooks at collective entry: consume any pending one-shot rank
 /// stall, re-agree the lock-step round counter, retire aggregators whose
 /// crash round has already passed, and return the effective configuration
-/// with dead I/O roles filtered out. Without an installed fault plan the
-/// config is returned unchanged and no extra communication happens, so
-/// the fault-free path stays bitwise identical.
+/// with dead I/O roles filtered out — `None` where `cfg` stands as it is.
+/// Without an installed fault plan that is all that happens: no copy, no
+/// extra communication, so the fault-free path stays bitwise identical.
 fn fault_entry(
     comm: &Communicator<'_>,
     cfg: &CollConfig,
     phase: &'static str,
     prof: &mut PhaseProfile,
-) -> CollConfig {
+) -> Option<CollConfig> {
     let ep = comm.endpoint();
-    let Some(faults) = ep.faults() else {
-        return cfg.clone();
-    };
+    let faults = ep.faults()?;
     if let Some(d) = faults.take_stall(ep.rank(), phase) {
         let t0 = ep.now();
         ep.clock().advance(d);
@@ -501,7 +549,7 @@ fn fault_entry(
         }
     }
     if !faults.plan().has_crash_rules() {
-        return cfg.clone();
+        return None;
     }
     // Crash detection needs every member to consult the same round
     // counter; members regrouped after unequal round histories re-agree
@@ -558,22 +606,22 @@ fn fault_entry(
             .expect("communicator retains at least one live rank");
         live.push(promoted);
     }
-    CollConfig {
+    Some(CollConfig {
         aggregators: live,
         cb_buffer_size: cfg.cb_buffer_size,
         align: cfg.align,
         checksums: cfg.checksums,
         sieve_read: cfg.sieve_read,
         sieve_hole_pct: cfg.sieve_hole_pct,
-    }
+    })
 }
 
 /// Successor-side state after an aggregator failover: the adopted
 /// domain's piece lists and replayed stream positions.
 struct Adoption {
-    /// Per-source pieces inside the dead aggregator's file domain.
-    others: Vec<Arc<PieceList>>,
-    /// Per-source stream positions (bytes consumed).
+    /// The pieces inside the dead aggregator's file domain, by source.
+    others: Lists,
+    /// Their stream positions (bytes consumed), slot for slot.
     pos: Vec<u64>,
     /// Start of the dead domain's touched range (its `st_loc`).
     st_dead: u64,
@@ -628,31 +676,33 @@ fn failover(
     // Re-dissemination: every rank ships its pieces for the dead domain
     // to the successor. Empty lists travel too, so the successor's
     // receive set is known without another size exchange.
+    let mine = slot_of(&setup.my_req, dead_agg).map(|slot| Arc::clone(&setup.my_req[slot].1));
     let adoption = if comm.rank() == successor {
         let srcs = (0..p).filter(|&src| src != comm.rank());
-        let mine = Arc::clone(&setup.my_req[dead_agg]);
         let others = recv_lists(comm, TAG_RECOVER, srcs, mine);
         // The same lists the dead aggregator held, so this equals its
         // `st_loc` and the window tiling lines up.
-        let st_dead = hull(others.iter().map(|l| l.file_range())).map_or(0, |r| r.0);
+        let st_dead = hull(others.iter().map(|(_, l)| l.file_range())).map_or(0, |r| r.0);
         // Replay: each source's stream stands past the rounds the dead
         // aggregator completed. Senders consumed exactly these byte
         // counts, so both sides stay in lock step. A torn crash backs up
         // one extra window — the dead role's last write was only half
         // applied, and the detection round re-exchanges it in full.
         let done_rounds = if torn { round - 1 } else { round };
-        let pos = window_row(
-            &others,
-            (st_dead, st_dead + done_rounds * cfg.cb_buffer_size),
-        );
+        let done_end = st_dead + done_rounds * cfg.cb_buffer_size;
+        let replayed = others
+            .iter()
+            .map(|(_, list)| list.bytes_in_window(st_dead, done_end));
+        let pos = replayed.collect();
         Some(Adoption {
             others,
             pos,
             st_dead,
         })
     } else {
-        let list = &setup.my_req[dead_agg];
-        comm.isend_t(successor, TAG_RECOVER, Arc::clone(list), list.wire_bytes());
+        let list = mine.unwrap_or_else(PieceList::empty);
+        let wire_bytes = list.wire_bytes();
+        comm.isend_t(successor, TAG_RECOVER, list, wire_bytes);
         None
     };
 
@@ -709,30 +759,33 @@ pub fn write_all(
     );
     prof.calls += 1;
     let ep = comm.endpoint();
-    let cfg = &fault_entry(comm, cfg, "write_all", prof);
+    let degraded = fault_entry(comm, cfg, "write_all", prof);
+    let cfg = degraded.as_ref().unwrap_or(cfg);
     let Some(setup) = setup(comm, plan, cfg, prof) else {
         return;
     };
-    let p = comm.size();
-    let naggs = cfg.aggregators.len();
 
-    // Stream positions (bytes consumed): mine toward each aggregator,
-    // and, as an aggregator, each source's inside my domain.
-    let mut send_pos = vec![0u64; naggs];
-    let mut recv_pos = vec![0u64; p];
+    // Stream positions (bytes consumed), slot for slot with the lists:
+    // mine toward each aggregator I hold pieces for, and, as an
+    // aggregator, each source's inside my domain.
+    let mut send_pos = vec![0u64; setup.my_req.len()];
+    let mut recv_pos = vec![0u64; setup.others_req.as_ref().map_or(0, Vec::len)];
     // Bytes sent toward each aggregator's domain in the previous round,
     // so a torn failover can rewind the stream by exactly one window.
-    let mut sent_last = vec![0u64; naggs];
+    let mut sent_last = vec![0u64; setup.my_req.len()];
 
     // Crash bookkeeping: the lock-step round counter only advances (and
     // detection only runs) when the plan can kill aggregators, so the
     // fault-free path stays bitwise identical.
     let crash_faults = ep.faults().filter(|f| f.plan().has_crash_rules());
-    let agg_globals: Vec<usize> = cfg
-        .aggregators
-        .iter()
-        .map(|&a| comm.global_rank(a))
-        .collect();
+    let agg_globals: Vec<usize> = match crash_faults {
+        Some(_) => cfg
+            .aggregators
+            .iter()
+            .map(|&a| comm.global_rank(a))
+            .collect(),
+        None => Vec::new(),
+    };
     let mut adoptions: Vec<(AdoptShared, Option<Adoption>)> = Vec::new();
     let mut my_role_dead = false;
 
@@ -791,7 +844,9 @@ pub fn write_all(
                     if torn {
                         // Senders rewind one window; the heal exchange
                         // in this round's adopted batch re-consumes it.
-                        send_pos[dead_ai] -= sent_last[dead_ai];
+                        if let Some(slot) = slot_of(&setup.my_req, dead_ai) {
+                            send_pos[slot] -= sent_last[slot];
+                        }
                     }
                     let (shared, mine) =
                         failover(comm, cfg, &setup, faults, dead_ai, round, torn);
@@ -827,20 +882,21 @@ pub fn write_all(
         // it announced: the receive phase needs the same values.
         let t = PhaseTimer::start(Phase::Sync, ep.now());
         let my_row = mine.map(|(others, window)| window_row(others, window));
-        let expected = comm.alltoall_sizes(my_row.clone().unwrap_or_else(|| vec![0; p]));
+        let expected = comm.alltoall_sizes_sparse(my_row.clone().unwrap_or_default());
         t.stop_traced(ep.now(), prof, ep.trace());
 
         // Senders: pack (local memcpy) and post (p2p) this round's bytes
-        // for each aggregator.
+        // for each aggregator that asked for some, in aggregator order.
+        // Only an aggregator I sent a list to can ask.
         let mut self_payload: Option<IoBuffer> = None;
-        for (a, &agg_rank) in cfg.aggregators.iter().enumerate() {
-            let n = expected[agg_rank];
-            sent_last[a] = n;
+        for (slot, (a, list)) in setup.my_req.iter().enumerate() {
+            let agg_rank = cfg.aggregators[*a];
+            let n = value_of(&expected, agg_rank);
+            sent_last[slot] = n;
             if n == 0 {
                 continue;
             }
-            let list = &setup.my_req[a];
-            let payload = pack(comm, buf, list, &mut send_pos[a], n, cfg.checksums, prof);
+            let payload = pack(comm, buf, list, &mut send_pos[slot], n, cfg.checksums, prof);
             if agg_rank == comm.rank() {
                 self_payload = Some(payload);
             } else {
@@ -851,9 +907,7 @@ pub fn write_all(
         // Aggregator: collect this round's payloads, assemble the staging
         // buffer and perform file I/O.
         if let (Some((others, window)), Some(my_row)) = (mine, my_row) {
-            let srcs = (0..p)
-                .filter(|&src| src != comm.rank() && my_row[src] > 0)
-                .collect();
+            let srcs = remote_sources(&my_row, comm.rank());
             let incoming = collect(comm, srcs, DATA, self_payload, cfg.checksums, prof);
             let lists = (others.as_slice(), recv_pos.as_mut_slice());
             write_window(comm, fh, space, prof, window, lists, incoming, torn_write);
@@ -884,19 +938,21 @@ pub fn write_all(
             });
             let my_row = match (adopted.as_ref(), window) {
                 (Some(ad), Some(window)) => window_row(&ad.others, window),
-                _ => vec![0; p],
+                _ => Vec::new(),
             };
-            let expected = comm.alltoall_sizes(my_row.clone());
+            let expected = comm.alltoall_sizes_sparse(my_row.clone());
             t.stop_traced(ep.now(), prof, ep.trace());
 
             // Senders: this window's bytes for the adopted domain go to
             // the successor (the dead role announces nothing after the
             // crash, so the main loop never touches its stream again).
             let mut adopt_self: Option<IoBuffer> = None;
-            let n = expected[successor];
+            let n = value_of(&expected, successor);
             if n > 0 {
-                let list = &setup.my_req[dead_agg];
-                let pos = &mut send_pos[dead_agg];
+                let slot = slot_of(&setup.my_req, dead_agg)
+                    .expect("the successor asks only ranks that sent it pieces");
+                let list = &setup.my_req[slot].1;
+                let pos = &mut send_pos[slot];
                 let payload = pack(comm, buf, list, pos, n, cfg.checksums, prof);
                 if successor == comm.rank() {
                     adopt_self = Some(payload);
@@ -907,9 +963,7 @@ pub fn write_all(
 
             // Successor: collect and write this window.
             if let (Some(ad), Some(window)) = (adopted.as_mut(), window) {
-                let srcs = (0..p)
-                    .filter(|&src| src != comm.rank() && my_row[src] > 0)
-                    .collect();
+                let srcs = remote_sources(&my_row, comm.rank());
                 let incoming = collect(comm, srcs, RECOVER_DATA, adopt_self, cfg.checksums, prof);
                 let lists = (ad.others.as_slice(), ad.pos.as_mut_slice());
                 write_window(comm, fh, space, prof, window, lists, incoming, false);
@@ -945,13 +999,14 @@ pub fn write_all(
 /// Cut `n` more bytes off `src`'s stream for every `(src, n)`: the pieces
 /// this round moves, in the order given. Advances the stream positions.
 fn cut_streams<'a>(
-    (lists, pos): (&'a [Arc<PieceList>], &mut [u64]),
+    (lists, pos): (&'a [(usize, Arc<PieceList>)], &mut [u64]),
     sizes: impl Iterator<Item = (usize, u64)>,
 ) -> Vec<Cut<'a>> {
     sizes
         .map(|(src, n)| {
-            let cut = lists[src].cut(pos[src], n);
-            pos[src] += n;
+            let slot = slot_of(lists, src).expect("bytes only from a source that sent a list");
+            let cut = lists[slot].1.cut(pos[slot], n);
+            pos[slot] += n;
             cut
         })
         .collect()
@@ -995,7 +1050,7 @@ fn write_window(
     space: &dyn FileSpace,
     prof: &mut PhaseProfile,
     (lo, hi): (u64, u64),
-    lists: (&[Arc<PieceList>], &mut [u64]),
+    lists: (&[(usize, Arc<PieceList>)], &mut [u64]),
     incoming: Vec<(usize, IoBuffer)>,
     torn: bool,
 ) {
@@ -1173,21 +1228,22 @@ pub fn read_all(
     // Mid-call crashes are a write-path concern (the round counter does
     // not advance during reads); reads still honor stalls and the dead
     // set accumulated so far.
-    let cfg = &fault_entry(comm, cfg, "read_all", prof);
+    let degraded = fault_entry(comm, cfg, "read_all", prof);
+    let cfg = degraded.as_ref().unwrap_or(cfg);
     let Some(setup) = setup(comm, plan, cfg, prof) else {
         return IoBuffer::empty();
     };
-    let p = comm.size();
 
     // Created when the first verified payload is unpacked, so its kind
     // follows what actually arrives: every rank is inside this call at
     // once, and zero-filling `plan.total` up front costs ranks × bytes
     // read on synthetic runs that discard the pages at the first copy.
     let mut user_buf: Option<IoBuffer> = None;
-    // Stream positions: mine from each aggregator, and, as an
-    // aggregator, each source's inside my domain.
-    let mut recv_pos = vec![0u64; cfg.aggregators.len()];
-    let mut send_pos = vec![0u64; p];
+    // Stream positions, slot for slot with the lists: mine from each
+    // aggregator I asked for pieces, and, as an aggregator, each
+    // source's inside my domain.
+    let mut recv_pos = vec![0u64; setup.my_req.len()];
+    let mut send_pos = vec![0u64; setup.others_req.as_ref().map_or(0, Vec::len)];
 
     for round in 0..setup.ntimes {
         prof.rounds += 1;
@@ -1200,18 +1256,13 @@ pub fn read_all(
         // Per-round alltoall of outgoing sizes — global sync.
         let t = PhaseTimer::start(Phase::Sync, ep.now());
         let my_row = mine.map(|(others, window)| window_row(others, window));
-        let expected = comm.alltoall_sizes(my_row.clone().unwrap_or_else(|| vec![0; p]));
+        let expected = comm.alltoall_sizes_sparse(my_row.clone().unwrap_or_default());
         t.stop_traced(ep.now(), prof, ep.trace());
 
         // Aggregator: read the window span once, carve out each source's
         // pieces, send.
         let mut self_payload: Option<IoBuffer> = None;
-        if let (Some((others, _)), Some(my_row)) = (mine, my_row) {
-            let sizes: Vec<(usize, u64)> = my_row
-                .into_iter()
-                .enumerate()
-                .filter(|&(_, n)| n > 0)
-                .collect();
+        if let (Some((others, _)), Some(sizes)) = (mine, my_row) {
             let cuts = cut_streams((others, &mut send_pos), sizes.iter().copied());
             if let Some((read_lo, read_hi)) = hull(cuts.iter().map(Cut::file_range)) {
                 let span = read_hi - read_lo;
@@ -1277,33 +1328,39 @@ pub fn read_all(
             }
         }
 
-        // Everyone: receive this round's pieces, verified (and repaired)
-        // before any byte lands in the user buffer.
-        let srcs = cfg
-            .aggregators
-            .iter()
-            .copied()
-            .filter(|&a| a != comm.rank() && expected[a] > 0)
-            .collect();
+        // Everyone: receive this round's pieces — from the aggregators I
+        // asked that have some this round, in aggregator order, my own
+        // last — verified (and repaired) before any byte lands in the
+        // user buffer.
+        let (mut srcs, mut slots, mut own_slot) = (Vec::new(), Vec::new(), None);
+        for (slot, (a, _)) in setup.my_req.iter().enumerate() {
+            let agg_rank = cfg.aggregators[*a];
+            if value_of(&expected, agg_rank) == 0 {
+                continue;
+            }
+            if agg_rank == comm.rank() {
+                own_slot = Some(slot);
+            } else {
+                srcs.push(agg_rank);
+                slots.push(slot);
+            }
+        }
+        slots.extend(own_slot);
         let arrived = collect(comm, srcs, DATA, self_payload, cfg.checksums, prof);
+        debug_assert_eq!(arrived.len(), slots.len());
 
         // Unpack: scatter received pieces into the user buffer — local
         // memory movement. An aggregator's stream is one contiguous range
         // of the buffer, so each payload lands with one copy.
         let t = PhaseTimer::start(Phase::Local, ep.now());
         let hp = simtrace::host::scope(simtrace::host::Site::Unpack);
-        for (agg_rank, payload) in arrived {
-            let a = cfg
-                .aggregators
-                .iter()
-                .position(|&x| x == agg_rank)
-                .expect("payload from a configured aggregator");
+        for (slot, (_, payload)) in slots.into_iter().zip(arrived) {
             let n = payload.len() as u64;
             let user_buf =
                 user_buf.get_or_insert_with(|| IoBuffer::landing(plan.total as usize, [&payload]));
-            let at = setup.my_req[a].buffer_offset(recv_pos[a], n);
+            let at = setup.my_req[slot].1.buffer_offset(recv_pos[slot], n);
             user_buf.copy_in(at as usize, &payload);
-            recv_pos[a] += n;
+            recv_pos[slot] += n;
             ep.charge_memcpy(n as usize);
         }
         drop(hp);
@@ -1342,7 +1399,9 @@ mod tests {
     /// One list holding all of `extents` (sorted, disjoint).
     fn list(extents: &[(u64, u64)]) -> Arc<PieceList> {
         let plan = AccessPlan::from_extents(extents.iter().map(|&(o, l)| Ext::new(o, l)).collect());
-        calc_my_req(&plan, &[Ext::new(0, u64::MAX / 2)]).remove(0)
+        let req = calc_my_req(&plan, &[Ext::new(0, u64::MAX / 2)]);
+        let first = req.into_iter().next();
+        first.map_or_else(PieceList::empty, |(_, list)| list)
     }
 
     /// The reference the merge replaced: every piece of every source

@@ -169,25 +169,34 @@ impl Cut<'_> {
 }
 
 /// Split a rank's access plan across aggregator domains
-/// (`ADIOI_Calc_my_req`): one [`PieceList`] per aggregator.
+/// (`ADIOI_Calc_my_req`): one [`PieceList`] per domain the plan reaches
+/// into, as `(domain index, list)` in ascending order. Domains the rank
+/// has nothing for do not appear — a tile or checkpoint rank reaches
+/// into a handful of several hundred, and everything downstream (the
+/// count exchange, the stream positions, every round's sends) is sized
+/// by what is returned here.
 ///
 /// Domains must be sorted and contiguous ([`super::domains`] guarantees
-/// it); plan runs are sorted, so one linear merge suffices, and each
-/// domain's run count is known (by binary search) before its list is
-/// allocated.
-pub fn calc_my_req(plan: &AccessPlan, domains: &[Ext]) -> Vec<Arc<PieceList>> {
+/// it); plan runs are sorted, so the walk starts at the first run's
+/// domain (binary search), merges linearly from there and stops with the
+/// last run, and each domain's run count is known (by binary search)
+/// before its list is allocated.
+pub fn calc_my_req(plan: &AccessPlan, domains: &[Ext]) -> Vec<(usize, Arc<PieceList>)> {
     let exts = &plan.extents;
-    let mut out = Vec::with_capacity(domains.len());
+    let mut out = Vec::new();
     // The next unassigned byte: file offset `pos` inside `exts[i]`, at
     // `buf_off` in the user buffer.
     let mut i = 0usize;
     let mut pos = exts.first().map_or(0, |e| e.off);
     let mut buf_off = 0u64;
-    for d in domains {
+    let first = domains.partition_point(|d| d.end() <= pos);
+    for (at, d) in domains.iter().enumerate().skip(first) {
+        if i == exts.len() {
+            break;
+        }
         // Runs reaching into this domain: `exts[i..j]`.
         let j = i + exts[i..].partition_point(|e| e.off < d.end());
         if d.len == 0 || i == j {
-            out.push(PieceList::empty());
             continue;
         }
         assert!(
@@ -210,7 +219,7 @@ pub fn calc_my_req(plan: &AccessPlan, domains: &[Ext]) -> Vec<Arc<PieceList>> {
             i += 1;
             pos = exts.get(i).map_or(pos, |e| e.off);
         }
-        out.push(Arc::new(PieceList::new(pieces)));
+        out.push((at, Arc::new(PieceList::new(pieces))));
     }
     assert!(
         i == exts.len(),
@@ -231,7 +240,19 @@ mod tests {
 
     /// One list holding all of `extents`.
     fn list(extents: &[(u64, u64)]) -> Arc<PieceList> {
-        calc_my_req(&plan(extents), &[Ext::new(0, u64::MAX / 2)]).remove(0)
+        let req = calc_my_req(&plan(extents), &[Ext::new(0, u64::MAX / 2)]);
+        let first = req.into_iter().next();
+        first.map_or_else(PieceList::empty, |(_, list)| list)
+    }
+
+    /// The split laid out one list per domain, the shared empty list
+    /// where the plan has nothing.
+    fn by_domain(plan: &AccessPlan, domains: &[Ext]) -> Vec<Arc<PieceList>> {
+        let mut out = vec![PieceList::empty(); domains.len()];
+        for (d, list) in calc_my_req(plan, domains) {
+            out[d] = list;
+        }
+        out
     }
 
     // ---- references: the linear code the indexed list replaced ----
@@ -346,7 +367,7 @@ mod tests {
     fn pieces_land_in_owning_domains() {
         let domains = vec![Ext::new(0, 50), Ext::new(50, 50)];
         let p = plan(&[(10, 20), (60, 10)]);
-        let req = calc_my_req(&p, &domains);
+        let req = by_domain(&p, &domains);
         assert_eq!(
             req[0].pieces(),
             [Piece {
@@ -369,7 +390,7 @@ mod tests {
     fn straddling_extent_splits_with_buffer_offsets() {
         let domains = vec![Ext::new(0, 50), Ext::new(50, 50)];
         let p = plan(&[(40, 20)]);
-        let req = calc_my_req(&p, &domains);
+        let req = by_domain(&p, &domains);
         assert_eq!(
             req[0].pieces(),
             [Piece {
@@ -392,7 +413,7 @@ mod tests {
     fn extent_spanning_three_domains() {
         let domains = vec![Ext::new(0, 10), Ext::new(10, 10), Ext::new(20, 10)];
         let p = plan(&[(5, 20)]);
-        let req = calc_my_req(&p, &domains);
+        let req = by_domain(&p, &domains);
         assert_eq!(
             req[0].pieces(),
             [Piece {
@@ -423,7 +444,7 @@ mod tests {
     fn empty_domains_are_skipped() {
         let domains = vec![Ext::new(0, 0), Ext::new(0, 10), Ext::new(10, 0), Ext::new(10, 10)];
         let p = plan(&[(0, 20)]);
-        let req = calc_my_req(&p, &domains);
+        let req = by_domain(&p, &domains);
         assert!(req[0].pieces().is_empty());
         assert_eq!(
             req[1].pieces(),
@@ -445,16 +466,24 @@ mod tests {
     }
 
     #[test]
-    fn empty_lists_share_one_instance() {
-        let domains = vec![Ext::new(0, 100), Ext::new(100, 100)];
-        let req = calc_my_req(&AccessPlan::default(), &domains);
-        assert!(req[0].pieces().is_empty());
-        assert!(Arc::ptr_eq(&req[0], &req[1]));
-        assert!(Arc::ptr_eq(&req[0], &PieceList::empty()));
-        assert_eq!(req[0].total_bytes(), 0);
-        assert_eq!(req[0].wire_bytes(), 0);
-        assert_eq!(req[0].file_range(), None);
-        assert_eq!(req[0].bytes_in_window(0, 100), 0);
+    fn only_the_domains_the_plan_reaches_get_a_list() {
+        let domains: Vec<Ext> = (0..100).map(|d| Ext::new(d * 10, 10)).collect();
+        let req = calc_my_req(&plan(&[(425, 10), (460, 5), (700, 1)]), &domains);
+        let reached: Vec<usize> = req.iter().map(|(d, _)| *d).collect();
+        assert_eq!(reached, [42, 43, 46, 70]);
+        assert!(req.iter().all(|(_, l)| !l.pieces().is_empty()));
+        assert!(calc_my_req(&AccessPlan::default(), &domains).is_empty());
+    }
+
+    #[test]
+    fn the_empty_list_is_one_shared_instance() {
+        let empty = PieceList::empty();
+        assert!(Arc::ptr_eq(&empty, &PieceList::empty()));
+        assert!(empty.pieces().is_empty());
+        assert_eq!(empty.total_bytes(), 0);
+        assert_eq!(empty.wire_bytes(), 0);
+        assert_eq!(empty.file_range(), None);
+        assert_eq!(empty.bytes_in_window(0, 100), 0);
     }
 
     #[test]
@@ -578,7 +607,7 @@ mod tests {
             bounds.sort_unstable();
             let domains: Vec<Ext> =
                 bounds.windows(2).map(|w| Ext::new(w[0], w[1] - w[0])).collect();
-            let got = calc_my_req(&p, &domains);
+            let got = by_domain(&p, &domains);
             let want = calc_my_req_linear(&p, &domains);
             prop_assert_eq!(got.len(), want.len());
             for (g, w) in got.iter().zip(&want) {

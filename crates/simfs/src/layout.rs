@@ -73,16 +73,55 @@ impl StripeLayout {
     }
 
     /// Sum of chunk lengths per OST for `[offset, offset+len)` — the load
-    /// vector the contention model consumes. Returned as (ost, bytes,
-    /// requests) triples for OSTs with non-zero load.
-    pub fn ost_load(&self, offset: u64, len: u64) -> Vec<(usize, u64, u64)> {
-        let mut per: std::collections::BTreeMap<usize, (u64, u64)> = Default::default();
-        for c in self.chunks(offset, len) {
-            let e = per.entry(c.ost).or_insert((0, 0));
-            e.0 += c.len;
-            e.1 += 1;
-        }
-        per.into_iter().map(|(o, (b, r))| (o, b, r)).collect()
+    /// vector the contention model consumes — as (ost, bytes, requests)
+    /// triples for the OSTs with non-zero load, in ascending OST order
+    /// (the order the caller serves them in, and so part of the
+    /// admission sequence).
+    ///
+    /// Computed in closed form, one triple per touched OST and no heap
+    /// allocation: the request covers `units` consecutive stripe units,
+    /// stripe position `j` holds every `stripe_count`-th of them, and
+    /// only the first and the last unit can be partial.
+    pub fn ost_load(&self, offset: u64, len: u64) -> impl Iterator<Item = (usize, u64, u64)> + '_ {
+        let (ss, sc) = (self.stripe_size, self.stripe_count as u64);
+        let end = offset + len;
+        let first_unit = offset / ss;
+        let units = match len {
+            0 => 0,
+            _ => (end - 1) / ss - first_unit + 1,
+        };
+        let j0 = first_unit % sc;
+        // Stripe positions touched: all of them once the request wraps,
+        // else the cyclic run of `units` positions from `j0` — as one
+        // range, or two where it passes the last position.
+        let (low, high) = if units >= sc {
+            (0..0, 0..sc)
+        } else {
+            (0..(j0 + units).saturating_sub(sc), j0..(j0 + units).min(sc))
+        };
+        // Positions from `wrap` on fall off the end of the pool and land
+        // on its lowest-numbered OSTs, so they come first.
+        let wrap = ((self.pool_size - self.first_ost) as u64).min(sc);
+        let clip = |r: &std::ops::Range<u64>, lo: u64, hi: u64| r.start.max(lo)..r.end.min(hi);
+        let ascending = [
+            clip(&low, wrap, sc),
+            clip(&high, wrap, sc),
+            clip(&low, 0, wrap),
+            clip(&high, 0, wrap),
+        ];
+        ascending.into_iter().flatten().map(move |j| {
+            let after_first = (j + sc - j0) % sc; // units between the first one and j's first
+            let requests = (units - after_first - 1) / sc + 1;
+            let mut bytes = requests * ss;
+            if after_first == 0 {
+                bytes -= offset - first_unit * ss;
+            }
+            if after_first == (units - 1) % sc {
+                bytes -= (first_unit + units) * ss - end;
+            }
+            let ost = (self.first_ost + j as usize) % self.pool_size;
+            (ost, bytes, requests)
+        })
     }
 }
 
@@ -138,16 +177,61 @@ mod tests {
         assert!(layout().chunks(100, 0).is_empty());
     }
 
+    /// The per-chunk accumulation the closed form replaced.
+    fn ost_load_by_chunks(l: &StripeLayout, offset: u64, len: u64) -> Vec<(usize, u64, u64)> {
+        let mut per: std::collections::BTreeMap<usize, (u64, u64)> = Default::default();
+        for c in l.chunks(offset, len) {
+            let e = per.entry(c.ost).or_insert((0, 0));
+            e.0 += c.len;
+            e.1 += 1;
+        }
+        per.into_iter().map(|(o, (b, r))| (o, b, r)).collect()
+    }
+
     #[test]
     fn ost_load_aggregates_per_target() {
         let l = layout();
         // 8KB from 0 covers each of the 4 OSTs twice (stripe wrap).
-        let load = l.ost_load(0, 8192);
-        assert_eq!(load.len(), 4);
-        for &(ost, bytes, reqs) in &load {
-            assert!((2..=5).contains(&ost));
-            assert_eq!(bytes, 2048);
-            assert_eq!(reqs, 2);
+        let load: Vec<_> = l.ost_load(0, 8192).collect();
+        let each = |ost| (ost, 2048, 2);
+        assert_eq!(load, [each(2), each(3), each(4), each(5)]);
+        assert_eq!(load, ost_load_by_chunks(&l, 0, 8192));
+        assert_eq!(l.ost_load(100, 0).count(), 0);
+    }
+
+    #[test]
+    fn ost_load_wraps_many_times_and_around_the_pool() {
+        // Stripe set 6, 7, 0, 1, 2 of an 8-OST pool: positions 2.. fall
+        // off the end of the pool, so they are served first.
+        let l = StripeLayout::new(6, 5, 1000, 8);
+        // Units 3..=26, ragged at both ends: every OST four or five
+        // times.
+        let load: Vec<_> = l.ost_load(3_400, 23_500).collect();
+        assert_eq!(
+            load,
+            [
+                (0, 4000, 4),
+                (1, 4600, 5), // holds the first unit, 400 bytes short
+                (2, 5000, 5),
+                (6, 5000, 5),
+                (7, 4900, 5), // holds the last unit, 100 bytes short
+            ]
+        );
+        assert_eq!(load.iter().map(|t| t.1).sum::<u64>(), 23_500);
+        // Against the per-chunk accumulation over a sweep of shapes: no
+        // wrap, exactly one cycle, many cycles, single-byte and
+        // sub-stripe requests, every starting position.
+        for (first, count, pool) in [(6, 5, 8), (0, 8, 8), (3, 1, 4), (2, 4, 8), (7, 8, 8)] {
+            let l = StripeLayout::new(first, count, 1000, pool);
+            for off in (0..9_000).step_by(250) {
+                for len in [1, 999, 1000, 1001, 2500, 4000, 7999, 8000, 8001, 40_123] {
+                    assert_eq!(
+                        l.ost_load(off, len).collect::<Vec<_>>(),
+                        ost_load_by_chunks(&l, off, len),
+                        "layout ({first}, {count}, {pool}) request ({off}, {len})"
+                    );
+                }
+            }
         }
     }
 

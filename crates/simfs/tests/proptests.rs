@@ -130,7 +130,7 @@ proptest! {
     #[test]
     fn ost_load_conserves(off in 0u64..1_000_000, len in 0u64..1_000_000) {
         let l = StripeLayout::new(3, 5, 4096, 7);
-        let load = l.ost_load(off, len);
+        let load: Vec<_> = l.ost_load(off, len).collect();
         prop_assert_eq!(load.iter().map(|&(_, b, _)| b).sum::<u64>(), len);
         prop_assert_eq!(
             load.iter().map(|&(_, _, r)| r).sum::<u64>() as usize,

@@ -34,7 +34,12 @@
 //!
 //! Code that drives the primitives from plain OS threads (the
 //! `Threads` executor, unit tests spawning `std::thread`) is untouched:
-//! without a fiber context `wait` sleeps on the site's condvar.
+//! without a fiber context `wait` sleeps on the site's condvar. That
+//! branch of `wait` is the only place anything sleeps on a wait site's
+//! condvar, and it counts the threads inside it, so the notify path
+//! (`notify_one` / `notify_all`) signals a condvar only when a
+//! thread can be asleep on one: a run on fibers makes no futex call per
+//! message, meeting or gate state change.
 //!
 //! # Sharding
 //!
@@ -89,6 +94,11 @@
 //! silent overflow corruption into a loud panic at fiber completion.
 //! Fibers never migrate between workers, so each fiber's stack and
 //! progress context are only ever touched by the worker that owns it.
+//! A finished run's stacks are kept for the next run of the process
+//! (`STACK_POOL`) rather than freed: a stack is a megabyte of which a
+//! rank touches the top few pages, and such holes in the allocator's
+//! free lists made a process's resident size depend on the order the
+//! previous run happened to free its memory in.
 
 use crate::rendezvous::PoisonFlag;
 use parking_lot::{Condvar, Mutex, MutexGuard};
@@ -355,16 +365,50 @@ struct StackMem {
     layout: std::alloc::Layout,
 }
 
+// SAFETY: a `StackMem` owns its allocation exclusively; between runs it
+// is plain memory nothing points into.
+unsafe impl Send for StackMem {}
+
+/// Stacks of finished runs, kept for the next run of the process. A
+/// rank touches the top few pages of its stack and nothing below, so a
+/// *freed* stack is a megabyte-wide hole of mostly untouched pages in
+/// the allocator's free lists: whatever lands there next — the next
+/// run's stacks at other offsets, or anything else — touches new pages,
+/// and the resident size of a process that runs clusters back to back
+/// then depends on the order the previous run freed its memory in (the
+/// file-system seed moved one workload's peak RSS by a fifth). A kept
+/// stack is reused by the same rank of the next run, pages and all. The
+/// pool never holds more stacks than were live at once.
+static STACK_POOL: Mutex<Vec<StackMem>> = Mutex::new(Vec::new());
+
 impl StackMem {
     fn new(size: usize) -> Self {
         // 16-byte alignment satisfies both ABIs; size floor keeps the
         // canary + initial frame sane.
         let size = size.max(16 * 1024) & !15;
-        let layout = std::alloc::Layout::from_size_align(size, 16).expect("valid stack layout");
-        let base = unsafe { std::alloc::alloc(layout) };
-        assert!(!base.is_null(), "fiber stack allocation failed");
-        unsafe { (base as *mut u64).write(STACK_CANARY) };
-        StackMem { base, layout }
+        let pooled = {
+            let mut pool = STACK_POOL.lock();
+            pool.iter()
+                .rposition(|s| s.layout.size() == size)
+                .map(|i| pool.remove(i))
+        };
+        let stack = pooled.unwrap_or_else(|| {
+            let layout =
+                std::alloc::Layout::from_size_align(size, 16).expect("valid stack layout");
+            let base = unsafe { std::alloc::alloc(layout) };
+            assert!(!base.is_null(), "fiber stack allocation failed");
+            StackMem { base, layout }
+        });
+        unsafe { (stack.base as *mut u64).write(STACK_CANARY) };
+        stack
+    }
+
+    /// Keep the stack of a finished fiber for a later run. Release a
+    /// run's stacks last fiber first: [`StackMem::new`] takes the most
+    /// recently kept one, so fiber `i` of the next run gets the stack
+    /// fiber `i` had.
+    fn recycle(self) {
+        STACK_POOL.lock().push(self);
     }
 
     /// Plant the architecture-specific initial frame; restoring from the
@@ -436,11 +480,50 @@ impl Parker {
     }
 }
 
-/// Wake and clear the waiter registered in `slot`, if any (the fiber
-/// half of a notify; the caller signals the site's condvar itself).
+/// Wake and clear the waiter registered in `slot`, if any: the fiber
+/// half of a notify. The thread half is [`notify_one`] / [`notify_all`]
+/// on the site's condvar.
 pub(crate) fn wake(slot: &mut Option<Waker>) {
     if let Some(w) = slot.take() {
         w.wake();
+    }
+}
+
+/// OS threads asleep in [`wait`]'s condvar branch, process-wide. One
+/// counter for every wait site of every cluster: the condvars themselves
+/// exist per rank and per (rank, rank) pair, where eight more bytes each
+/// are megabytes per cluster.
+static SLEEPERS: AtomicUsize = AtomicUsize::new(0);
+
+/// True when some thread may be asleep on a wait site's condvar. The
+/// vendored `Condvar` is `std`'s, whose notify is an unconditional
+/// `FUTEX_WAKE`; under the fiber executor nobody ever sleeps there, and
+/// a system call per message, per meeting and per gate state change was
+/// a quarter of an I/O-bound run's host time.
+///
+/// Exact for the caller's own site: a sleeper counts itself under the
+/// site's lock before its wait releases that lock, and every notifier
+/// changes the site's state under the same lock first. So either the
+/// notifier's critical section came second and sees the count, or it
+/// came first and the sleeper sees the new state and does not sleep.
+fn any_sleeper() -> bool {
+    SLEEPERS.load(Ordering::SeqCst) != 0
+}
+
+/// The thread half of a notify: signal one thread asleep on `cv` in
+/// [`wait`], if any thread sleeps anywhere.
+pub(crate) fn notify_one(cv: &Condvar) {
+    if any_sleeper() {
+        simtrace::host::count(simtrace::host::Counter::CondvarNotify, 1);
+        cv.notify_one();
+    }
+}
+
+/// [`notify_one`] for sites several ranks wait on.
+pub(crate) fn notify_all(cv: &Condvar) {
+    if any_sleeper() {
+        simtrace::host::count(simtrace::host::Counter::CondvarNotify, 1);
+        cv.notify_all();
     }
 }
 
@@ -637,7 +720,7 @@ fn park() {
 
 /// How long a blocked OS thread sleeps between poison checks. Purely a
 /// liveness knob for failure cases; correct runs are woken by notify.
-const POISON_POLL: Duration = Duration::from_millis(50);
+pub(crate) const POISON_POLL: Duration = Duration::from_millis(50);
 
 /// The one blocking primitive of the substrate: release `guard`, block
 /// until the wait site notifies this rank, re-acquire. Callers loop on
@@ -648,8 +731,10 @@ const POISON_POLL: Duration = Duration::from_millis(50);
 /// Under fibers the rank's [`Waker`] goes into `slot` — part of the
 /// state `guard` protects, so the notifier, which takes it under the
 /// same lock, can never miss it — and the fiber leaves the run queue.
-/// Under OS threads the rank sleeps on `cv`, which the same notifier
-/// signals.
+/// Under OS threads the rank sleeps on `cv` — the only place anything
+/// sleeps on a wait site's condvar — and is counted while it does, so
+/// the same notifier's [`notify_one`] / [`notify_all`] know whether a
+/// signal can have a receiver.
 pub(crate) fn wait<T>(
     cv: &Condvar,
     guard: &mut MutexGuard<'_, T>,
@@ -659,7 +744,11 @@ pub(crate) fn wait<T>(
     poison.check();
     let rt = CURRENT.with(Cell::get);
     let notified = if rt.is_null() {
-        !cv.wait_for(guard, POISON_POLL).timed_out()
+        // Counted while `guard` is still held; see `any_sleeper`.
+        SLEEPERS.fetch_add(1, Ordering::SeqCst);
+        let timed_out = cv.wait_for(guard, POISON_POLL).timed_out();
+        SLEEPERS.fetch_sub(1, Ordering::SeqCst);
+        !timed_out
     } else {
         // SAFETY: non-null `CURRENT` is the running fiber's live state.
         *slot(guard) = Some(Arc::clone(unsafe { &(*rt).parker }));
@@ -792,6 +881,9 @@ fn worker_loop(
     }
     WORKER.with(|w| w.set((0, 0)));
     sched.retire(on_stall);
+    for (stack, _) in fibers.into_iter().rev() {
+        stack.recycle();
+    }
     out
 }
 
@@ -975,6 +1067,34 @@ mod tests {
     }
 
     #[test]
+    fn a_later_run_gets_the_stacks_of_an_earlier_one_fiber_for_fiber() {
+        // The pool is process-wide and matches by size: a size no other
+        // test asks for keeps this one's stacks to itself.
+        const SIZE: usize = 80 * 1024 + 16;
+        let run = |fibers: usize| {
+            let frames = Mutex::new(vec![0usize; fibers]);
+            let tasks: Vec<Task> = (0..fibers)
+                .map(|i| {
+                    let frames = &frames;
+                    Box::new(move || {
+                        let local = 0u8;
+                        frames.lock()[i] = std::hint::black_box(&local) as *const u8 as usize;
+                    }) as Task
+                })
+                .collect();
+            let panics = run_fibers(tasks, &vec![0; fibers], 1, SIZE, || panic!("stall"));
+            assert!(panics.iter().all(Option::is_none));
+            frames.into_inner()
+        };
+        let first = run(4);
+        assert_eq!(run(4), first);
+        // A smaller run takes the stacks of the first fibers, a larger
+        // one allocates the difference.
+        assert_eq!(run(2), first[..2]);
+        assert_eq!(run(6)[..4], first);
+    }
+
+    #[test]
     fn deadlock_is_diagnosed_at_once_and_parked_fibers_are_requeued() {
         // One fiber parks on something nothing will signal. The stall
         // callback plays the poison role; the scheduler must re-queue
@@ -1060,7 +1180,7 @@ mod tests {
                 wait(&self.cv, &mut st, |s| &mut s.1, &self.poison);
             }
             st.0 += 1;
-            self.cv.notify_one();
+            notify_one(&self.cv);
             wake(&mut st.1);
         }
     }

@@ -20,7 +20,16 @@
 //! lock, and a delivery wakes the receiver with one targeted
 //! `notify_one` instead of broadcasting. Only the owner thread ever
 //! receives from a mailbox, so each shard has at most one waiter and
-//! `notify_one` can never strand a second one.
+//! `notify_one` can never strand a second one. The waiter is the owner's
+//! parked fiber, or — on the thread executor and in thread-driven unit
+//! tests only — its OS thread asleep on the shard's condvar inside
+//! [`fiber::wait`](crate::fiber), which is the one case in which a
+//! delivery signals that condvar at all.
+//!
+//! A cluster has `ranks²` (receiver, sender) pairs and a typical rank
+//! exchanges with a handful of peers, so a pair's shard is allocated
+//! when its sender or its receiver first touches it; an untouched pair
+//! costs one empty slot.
 
 use crate::buffer::IoBuffer;
 use crate::fiber::{self, Waker};
@@ -30,7 +39,7 @@ use parking_lot::{Condvar, Mutex};
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// What a message carries: bytes, or a host-side reference standing in
 /// for them.
@@ -144,8 +153,9 @@ pub struct Mailbox {
     /// The rank that receives from this mailbox — identifies which rank
     /// to report to the progress registry on blocking and delivery.
     owner: usize,
-    /// Per-source shards, indexed by the sending rank.
-    shards: Box<[Shard]>,
+    /// Per-source shards, indexed by the sending rank; a pair's shard
+    /// is created when its sender or the receiver first asks for it.
+    shards: Box<[OnceLock<Box<Shard>>]>,
     poison: Arc<PoisonFlag>,
     /// Times the receiver was woken by a notify and found its match.
     wakeups: AtomicU64,
@@ -170,7 +180,7 @@ impl Mailbox {
         );
         Mailbox {
             owner,
-            shards: (0..nranks.max(1)).map(|_| Shard::default()).collect(),
+            shards: (0..nranks.max(1)).map(|_| OnceLock::new()).collect(),
             poison,
             wakeups: AtomicU64::new(0),
             spurious_wakeups: AtomicU64::new(0),
@@ -178,7 +188,7 @@ impl Mailbox {
     }
 
     fn shard(&self, src: usize) -> &Shard {
-        &self.shards[src]
+        self.shards[src].get_or_init(Box::default)
     }
 
     /// Deposit a packet (called by the sender's thread).
@@ -201,7 +211,7 @@ impl Mailbox {
         crate::progress::tl_deliver_downgrade(self.owner, src, key.0, key.1);
         fiber::wake(&mut st.waiter);
         drop(st);
-        shard.cv.notify_one();
+        fiber::notify_one(&shard.cv);
     }
 
     /// Receive the next packet matching `(src, ctx, tag)`, blocking until
@@ -261,7 +271,7 @@ impl Mailbox {
     /// Non-blocking probe: take a matching packet if present.
     pub fn try_recv(&self, src: usize, ctx: u32, tag: i32) -> Option<Packet> {
         let key = (ctx, tag);
-        let mut st = self.shard(src).state.lock();
+        let mut st = self.shards[src].get()?.state.lock();
         let dq = st.queues.get_mut(&key)?;
         let pkt = dq.pop_front();
         if dq.is_empty() {
@@ -274,6 +284,7 @@ impl Mailbox {
     pub fn backlog(&self) -> usize {
         self.shards
             .iter()
+            .filter_map(OnceLock::get)
             .map(|s| {
                 s.state
                     .lock()
@@ -421,6 +432,56 @@ mod tests {
         m.deliver(pkt(3, 2, 1, &[9]));
         let got = h.join().unwrap();
         assert_eq!(got.payload.into_bytes().as_slice().unwrap(), &[9]);
+    }
+
+    #[test]
+    fn a_sleeping_receiver_is_woken_by_the_delivery_not_the_poll() {
+        // The receiver runs as rank 0 of a registry so that the test can
+        // see it block: it registers under the shard lock and keeps the
+        // lock until it sleeps, and `deliver` takes that lock first.
+        let poison = Arc::new(PoisonFlag::default());
+        let registry = Arc::new(crate::progress::ProgressRegistry::new(
+            2,
+            Arc::clone(&poison),
+        ));
+        let m = Arc::new(Mailbox::new(0, 2, poison));
+        let receiver = {
+            let (m, registry) = (Arc::clone(&m), Arc::clone(&registry));
+            thread::spawn(move || {
+                let _ctx = crate::progress::install(registry, 0);
+                m.recv(1, 0, 7);
+                std::time::Instant::now()
+            })
+        };
+        while !registry.is_blocked(0) {
+            thread::yield_now();
+        }
+        let delivered = std::time::Instant::now();
+        m.deliver(pkt(1, 0, 7, &[1]));
+        let woken = receiver.join().unwrap();
+        assert_eq!(m.wakeups(), 1, "the receive was satisfied by a notify");
+        assert_eq!(m.spurious_wakeups(), 0);
+        assert!(
+            woken.duration_since(delivered) < fiber::POISON_POLL / 2,
+            "woken {:?} after the delivery: by the poll, not the notify",
+            woken.duration_since(delivered)
+        );
+    }
+
+    #[test]
+    fn shards_are_created_on_first_use() {
+        let m = Mailbox::new(0, 1024, Arc::new(PoisonFlag::default()));
+        let made = |m: &Mailbox| m.shards.iter().filter(|s| s.get().is_some()).count();
+        assert!(m.try_recv(5, 0, 0).is_none());
+        assert_eq!((made(&m), m.backlog()), (0, 0));
+        m.deliver(pkt(5, 0, 0, &[1]));
+        m.deliver(pkt(900, 0, 0, &[2]));
+        assert_eq!((made(&m), m.backlog()), (2, 2));
+        assert_eq!(
+            m.recv(900, 0, 0).payload.into_bytes().as_slice().unwrap(),
+            &[2]
+        );
+        assert_eq!((made(&m), m.backlog()), (2, 1));
     }
 
     #[test]

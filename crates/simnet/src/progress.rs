@@ -32,7 +32,8 @@
 //!   The bound belongs to the *meeting*: it is computed once per check
 //!   (parked members contribute their own floor, members still on their
 //!   way their own analysis) and shared by every rank parked there, so a
-//!   check costs `O(ranks)` however many ranks a collective has parked.
+//!   check visits each blocked rank and each member of their meetings
+//!   once, however many ranks a collective has parked.
 //! * `Pending` — waiting in this gate; its key bounds all its later
 //!   requests (requests within one I/O call share an arrival, so only
 //!   the per-rank `seq` grows).
@@ -45,6 +46,29 @@
 //! the gate deadlock-free: when every other rank is parked waiting for
 //! the requester (the steady state of a bulk-synchronous collective),
 //! admission is immediate.
+//!
+//! # What a check costs
+//!
+//! `Running` and `Pending` ranks need no analysis: each has an *earliest
+//! possible key* — `(floor, rank, 0)` for a running rank, whose next
+//! request can do no better, and the pending key itself — and a request
+//! clears all of them exactly when its own key is the smallest of those.
+//! The registry keeps them in a tournament tree (one leaf per rank, the
+//! minimum at the root, allocated once): a state change rewrites one
+//! leaf-to-root path, and "is my key the minimum" is a comparison with
+//! the root. `Finished` ranks hold no key. Only the blocked ranks —
+//! `Recv` and `Rdv`, kept as a bitmap — are bounded by the recursive
+//! rules above, and only after the root test has passed. With nobody
+//! blocked (independent I/O: every rank either running or queued here) an
+//! admission is `O(log ranks)`; with a collective's ranks parked while
+//! its aggregators write it is `O(blocked ranks)`, as before.
+//!
+//! The same root says whom to wake. Only the minimum pending key can be
+//! admissible, and not even that one while some *running* rank's floor
+//! lies below it — so after a state change the registry wakes the root's
+//! rank if it is pending and nobody if it is running: the pending ranks
+//! cannot move before that rank does, and when it does, that is a state
+//! change again.
 //!
 //! Soundness of the `Recv` bound depends on one invariant, maintained
 //! jointly with [`crate::mailbox::Mailbox`]: a rank is registered as
@@ -64,7 +88,6 @@ use crate::rendezvous::PoisonFlag;
 use crate::time::SimTime;
 use parking_lot::{Condvar, Mutex};
 use std::cell::RefCell;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Admission key of one resource request. Ordered lexicographically by
@@ -114,39 +137,118 @@ struct RankState {
     waker: Option<Waker>,
 }
 
+/// Tournament tree over one optional key per rank: an inner node holds
+/// the smaller of its two children, so the minimum is a read of the root
+/// and changing one rank's key rewrites one leaf-to-root path. Sized once
+/// at construction; no operation allocates.
+struct MinTree {
+    /// `node[1]` is the root and rank `r`'s leaf is `node[leaves + r]`
+    /// (`leaves` is a power of two; `node[0]` is unused).
+    node: Vec<Option<ReqKey>>,
+    leaves: usize,
+}
+
+impl MinTree {
+    fn new(n: usize) -> Self {
+        let leaves = n.next_power_of_two();
+        MinTree {
+            node: vec![None; 2 * leaves],
+            leaves,
+        }
+    }
+
+    /// The smallest key any rank holds.
+    fn min(&self) -> Option<ReqKey> {
+        self.node[1]
+    }
+
+    /// Replace rank `r`'s key; returns the nodes it looked at.
+    fn set(&mut self, r: usize, key: Option<ReqKey>) -> usize {
+        let mut i = self.leaves + r;
+        self.node[i] = key;
+        let mut looked_at = 1;
+        while i > 1 {
+            i /= 2;
+            looked_at += 2;
+            let smaller = match (self.node[2 * i], self.node[2 * i + 1]) {
+                (Some(a), Some(b)) => Some(a.min(b)),
+                (a, None) => a,
+                (None, b) => b,
+            };
+            if self.node[i] == smaller {
+                break; // nothing above this node can change either
+            }
+            self.node[i] = smaller;
+        }
+        looked_at
+    }
+}
+
 struct Inner {
     ranks: Vec<RankState>,
     next_seq: u64,
-    /// The keys of all `Pending` ranks. Only the first can be admissible
-    /// (any larger one fails against it), so it is the one to wake.
-    pending: BTreeSet<ReqKey>,
+    /// Every rank's *earliest possible key*: a `Running` rank's
+    /// `(floor, rank, 0)`, a `Pending` rank's key, nothing for a blocked
+    /// or finished one. A pending key is below every other pending key
+    /// and every running rank's future requests exactly when it is this
+    /// tree's minimum.
+    earliest: MinTree,
+    /// The `Recv` and `Rdv` ranks, one bit each: the only ranks whose
+    /// bound takes an analysis. A bitmap so that a check walks them in
+    /// ascending rank order, as the all-ranks scan did.
+    blocked: Vec<u64>,
     /// Scratch of one admissibility check, kept for its allocation.
     memo: Vec<FloorMemo>,
-    /// Ranks and meeting members the checks looked at (complexity pin).
+    /// Ranks, meeting members and tree nodes the gate looked at
+    /// (complexity pin).
     #[cfg(test)]
     visits: std::cell::Cell<usize>,
+    /// Wakes [`ProgressRegistry::wake_min`] issued.
+    #[cfg(test)]
+    wakes: std::cell::Cell<usize>,
 }
 
 impl Inner {
-    /// Change `rank`'s mode, keeping `pending` in step.
+    /// Change `rank`'s mode (after any change to its floor), keeping the
+    /// tree and the blocked set in step.
     fn set_mode(&mut self, rank: usize, mode: Mode) {
-        if let Mode::Pending { key } = &self.ranks[rank].mode {
-            self.pending.remove(key);
+        let blocked = |m: &Mode| matches!(m, Mode::Recv { .. } | Mode::Rdv { .. });
+        if blocked(&self.ranks[rank].mode) != blocked(&mode) {
+            self.blocked[rank / 64] ^= 1 << (rank % 64);
         }
-        if let Mode::Pending { key } = &mode {
-            self.pending.insert(*key);
-        }
+        let earliest = match &mode {
+            Mode::Running => Some(ReqKey {
+                arrival: self.ranks[rank].floor,
+                rank,
+                seq: 0,
+            }),
+            Mode::Pending { key } => Some(*key),
+            Mode::Recv { .. } | Mode::Rdv { .. } | Mode::Finished => None,
+        };
         self.ranks[rank].mode = mode;
+        let looked_at = self.earliest.set(rank, earliest);
+        self.visit(looked_at);
     }
 
     fn parked_in(&self, rank: usize, meeting: u64) -> bool {
         matches!(&self.ranks[rank].mode, Mode::Rdv { id, .. } if *id == meeting)
     }
 
-    /// Count one rank or meeting member looked at by a check.
-    fn visit(&self) {
+    /// The blocked ranks, ascending.
+    fn blocked_ranks(&self) -> impl Iterator<Item = usize> + '_ {
+        self.blocked.iter().enumerate().flat_map(|(w, &bits)| {
+            std::iter::successors((bits != 0).then_some(bits), |b| {
+                let rest = b & (b - 1);
+                (rest != 0).then_some(rest)
+            })
+            .map(move |b| w * 64 + b.trailing_zeros() as usize)
+        })
+    }
+
+    /// Count `n` ranks, meeting members or tree nodes looked at.
+    fn visit(&self, _n: usize) {
         #[cfg(test)]
-        self.visits.set(self.visits.get() + 1);
+        self.visits.set(self.visits.get() + _n);
     }
 }
 
@@ -154,13 +256,21 @@ impl Inner {
 ///
 /// Wakeups are *targeted*: at any instant at most one pending request —
 /// the one with the smallest `(arrival, rank, seq)` key — can possibly
-/// be admissible (any larger pending key fails against it), so every
-/// state change wakes only that request's rank (its condition variable,
-/// or its parked fiber) instead of broadcasting to all waiting ranks.
-/// With 512–1024 ranks this turns each release from a thundering herd of
-/// `O(n)` wakeups (each re-running the admissibility scan and going back
-/// to sleep) into a single handoff. A state change costs `O(log n)` (the
-/// ordered pending set), an admissibility check `O(n)`.
+/// be admissible (any larger pending key fails against it), so a state
+/// change wakes at most that request's rank (its parked fiber, or its
+/// condition variable if a thread sleeps there) instead of broadcasting
+/// to all waiting ranks — and wakes nobody while a *running* rank's
+/// floor lies below every pending key: nothing is admissible until that
+/// rank moves, and its move is a state change of its own.
+///
+/// Costs, for `n` ranks of which `b` are blocked in a receive or a
+/// meeting: a state change rewrites one path of the tournament tree
+/// over the ranks' earliest possible keys, `O(log n)`, allocating
+/// nothing; an admissibility check reads the tree's root and then
+/// bounds the blocked ranks only, `O(1 + b + their meetings' members)`.
+/// Independent I/O (nobody blocked) pays `O(log n)` per request; a
+/// collective whose aggregators write while everyone else is parked
+/// pays the `O(n)` it always did.
 pub struct ProgressRegistry {
     inner: Mutex<Inner>,
     /// One condvar per rank; rank `r` waits only on `cvs[r]`.
@@ -266,35 +376,48 @@ enum FloorMemo {
 impl ProgressRegistry {
     /// Registry for `n` ranks sharing the cluster poison flag.
     pub fn new(n: usize, poison: Arc<PoisonFlag>) -> Self {
+        let mut inner = Inner {
+            ranks: (0..n)
+                .map(|_| RankState {
+                    floor: SimTime::ZERO,
+                    mode: Mode::Running,
+                    waker: None,
+                })
+                .collect(),
+            next_seq: 0,
+            earliest: MinTree::new(n),
+            blocked: vec![0; n.div_ceil(64)],
+            memo: Vec::new(),
+            #[cfg(test)]
+            visits: std::cell::Cell::new(0),
+            #[cfg(test)]
+            wakes: std::cell::Cell::new(0),
+        };
+        // Every rank starts out running at floor zero: enter those keys.
+        (0..n).for_each(|r| inner.set_mode(r, Mode::Running));
         ProgressRegistry {
-            inner: Mutex::new(Inner {
-                ranks: (0..n)
-                    .map(|_| RankState {
-                        floor: SimTime::ZERO,
-                        mode: Mode::Running,
-                        waker: None,
-                    })
-                    .collect(),
-                next_seq: 0,
-                pending: BTreeSet::new(),
-                memo: Vec::new(),
-                #[cfg(test)]
-                visits: std::cell::Cell::new(0),
-            }),
+            inner: Mutex::new(inner),
             cvs: (0..n).map(|_| Condvar::new()).collect(),
             poison,
         }
     }
 
     /// Wake the one rank whose pending request could now be admissible:
-    /// the holder of the minimum pending key. Every state change ends
-    /// here. (If that rank currently *holds* the admission rather than
-    /// waiting, this is a no-op and the next wake happens at its release
-    /// — which comes back here.)
+    /// the holder of the minimum pending key — unless a running rank's
+    /// floor lies below it, in which case nothing is admissible until
+    /// that rank changes state, which ends here again. Every state
+    /// change ends here. (If the minimum's rank currently *holds* the
+    /// admission rather than waiting, this is a no-op and the next wake
+    /// happens at its release — which comes back here.)
     fn wake_min(&self, inner: &mut Inner) {
         let _hp = simtrace::host::scope(simtrace::host::Site::GateWake);
-        if let Some(r) = inner.pending.first().map(|key| key.rank) {
-            self.cvs[r].notify_one();
+        let Some(r) = inner.earliest.min().map(|key| key.rank) else {
+            return;
+        };
+        if matches!(inner.ranks[r].mode, Mode::Pending { .. }) {
+            #[cfg(test)]
+            inner.wakes.set(inner.wakes.get() + 1);
+            fiber::notify_one(&self.cvs[r]);
             fiber::wake(&mut inner.ranks[r].waker);
         }
     }
@@ -314,7 +437,7 @@ impl ProgressRegistry {
             // request completes — no constraint on the current admission.
             return None;
         }
-        inner.visit();
+        inner.visit(1);
         let at = match memo[r] {
             FloorMemo::SameAs(rep) => rep,
             _ => r,
@@ -374,7 +497,7 @@ impl ProgressRegistry {
     ) -> Option<Bound> {
         let mut bound = Some(Bound::at(inner.ranks[rep].floor));
         for &p in members {
-            inner.visit();
+            inner.visit(1);
             if p == requester {
                 bound = None;
             } else if inner.parked_in(p, id) {
@@ -399,22 +522,28 @@ impl ProgressRegistry {
 
     /// True when no other rank can still produce a request key below
     /// `key` — i.e. admitting `key` now preserves global key order.
+    ///
+    /// `key` is in the tree (its rank is `Pending`), so "it is the
+    /// tree's minimum" says at once that no other pending key is smaller
+    /// and that every running rank `r` satisfies `key < (floor, r, 0)` —
+    /// which is [`Bound::clears`] for the non-strict bound a running
+    /// rank's own floor is. Finished ranks never constrain; what is left
+    /// is the blocked ranks, bounded through what they wait on.
     fn admissible(inner: &mut Inner, key: &ReqKey) -> bool {
         let _hp = simtrace::host::scope(simtrace::host::Site::GateScan);
-        // Another pending request with a smaller key wins.
-        if inner.pending.first().is_some_and(|min| min < key) {
+        inner.visit(1);
+        if inner.earliest.min() != Some(*key) {
             return false;
         }
-        // Bound every non-pending rank's future requests.
-        let n = inner.ranks.len();
+        if inner.blocked.iter().all(|&bits| bits == 0) {
+            return true;
+        }
         let mut memo = std::mem::take(&mut inner.memo);
         memo.clear();
-        memo.resize(n, FloorMemo::Unvisited);
+        memo.resize(inner.ranks.len(), FloorMemo::Unvisited);
         let state = &*inner;
-        let ok = (0..n).all(|r| {
-            r == key.rank
-                || matches!(state.ranks[r].mode, Mode::Pending { .. })
-                || Self::floor_of(state, r, key.rank, &mut memo).is_none_or(|f| f.clears(key, r))
+        let ok = state.blocked_ranks().all(|r| {
+            Self::floor_of(state, r, key.rank, &mut memo).is_none_or(|f| f.clears(key, r))
         });
         inner.memo = memo;
         ok
@@ -515,6 +644,16 @@ impl ProgressRegistry {
             inner.set_mode(rank, Mode::Running);
             self.wake_min(&mut inner);
         }
+    }
+
+    /// True while `rank` is registered as blocked in a receive or a
+    /// meeting. A blocking rank registers under its wait site's lock and
+    /// keeps that lock until it sleeps, so a test that sees this and
+    /// then takes the site's lock knows the rank is asleep.
+    #[cfg(test)]
+    pub(crate) fn is_blocked(&self, rank: usize) -> bool {
+        let mode = &self.inner.lock().ranks[rank].mode;
+        matches!(mode, Mode::Recv { .. } | Mode::Rdv { .. })
     }
 
     /// The rank's closure returned: it will never request again.
@@ -941,7 +1080,11 @@ mod tests {
                 }
                 f = next;
             }
-            let min_other = inner.pending.iter().find(|k| k.rank != key.rank);
+            let pending = inner.ranks.iter().filter_map(|st| match &st.mode {
+                Mode::Pending { key } => Some(key),
+                _ => None,
+            });
+            let min_other = pending.filter(|k| k.rank != key.rank).min();
             min_other.is_none_or(|k| key < k)
                 && (0..n).all(|r| {
                     r == key.rank
@@ -1092,6 +1235,127 @@ mod tests {
         );
     }
 
+    /// With nobody blocked the verdict is a comparison against the
+    /// tree's minimum, and it is the exact one: states of running,
+    /// pending and finished ranks only, floors and arrivals drawn from
+    /// four values so that ties — between floors, between pending keys
+    /// and across the two — are the common case.
+    #[test]
+    fn the_tree_minimum_is_the_exact_verdict_when_nobody_is_blocked() {
+        use proptest::strategy::Strategy;
+        let strategy = (
+            proptest::collection::vec((0u8..4, 0u8..5, 0u8..255), 2..40),
+            0usize..40,
+            0u8..5,
+        );
+        let mut rng = proptest::test_runner::TestRng::deterministic("tree_minimum");
+        let (mut admitted, mut tied) = (0, 0);
+        for _ in 0..20_000 {
+            let (mut draws, requester, arrival) = strategy.generate(&mut rng);
+            for d in &mut draws {
+                // Selector 0..=1 running, 6 pending, 7 finished.
+                d.1 = [0, 1, 6, 6, 7][d.1 as usize];
+            }
+            let (mut inner, key) = state_from(&draws, requester, arrival);
+            assert_eq!(inner.blocked_ranks().next(), None);
+            let new = ProgressRegistry::admissible(&mut inner, &key);
+            let exact = reference::fixpoint_admissible(&inner, &key);
+            assert_eq!(new, exact, "{draws:?} {key:?}");
+            assert_eq!(new, reference::admissible(&inner, &key));
+            admitted += usize::from(new);
+            tied += usize::from(inner.ranks.iter().enumerate().any(|(r, st)| {
+                r != key.rank && !matches!(st.mode, Mode::Finished) && st.floor == key.arrival
+            }));
+        }
+        assert!(admitted > 1_000, "only {admitted} admissible states");
+        assert!(
+            tied > 10_000,
+            "only {tied} states with a tie at the arrival"
+        );
+    }
+
+    #[test]
+    fn an_admission_with_nobody_blocked_looks_at_one_tree_path() {
+        // 1 024 running ranks at assorted floors; one of them asks. The
+        // state change rewrites one leaf-to-root path (two children per
+        // level), the check reads the root: no rank is scanned.
+        const P: usize = 1024;
+        let reg = registry(P);
+        let mut inner = reg.inner.lock();
+        for r in 0..P {
+            inner.ranks[r].floor = SimTime::secs(2.0 + (r % 7) as f64);
+            inner.set_mode(r, Mode::Running);
+        }
+        for (requester, arrival, admitted) in [(700, 1.0, true), (3, 2.0, false), (0, 2.0, true)] {
+            let key = ReqKey {
+                arrival: SimTime::secs(arrival),
+                rank: requester,
+                seq: 9,
+            };
+            inner.visits.set(0);
+            inner.set_mode(requester, Mode::Pending { key });
+            assert_eq!(ProgressRegistry::admissible(&mut inner, &key), admitted);
+            let visits = inner.visits.get();
+            assert!(
+                visits <= 2 * P.ilog2() as usize + 2,
+                "{visits} entries looked at for one admission among {P} ranks"
+            );
+            assert_eq!(reference::admissible(&inner, &key), admitted);
+            inner.set_mode(requester, Mode::Running);
+        }
+    }
+
+    #[test]
+    fn a_running_floor_below_every_pending_key_wakes_nobody() {
+        // Rank 1 pends at t=5 behind rank 0, running at floor 0: no
+        // state change short of rank 0's own can admit it, so none wakes
+        // it. Rank 0 blocking on rank 1 does.
+        let reg = registry(3);
+        let key = ReqKey {
+            arrival: SimTime::secs(5.0),
+            rank: 1,
+            seq: 0,
+        };
+        reg.inner.lock().set_mode(1, Mode::Pending { key });
+        let wakes = || reg.inner.lock().wakes.get();
+        reg.finish(2); // a bystander's state change
+        assert_eq!(wakes(), 0);
+        assert!(!ProgressRegistry::admissible(&mut reg.inner.lock(), &key));
+        reg.block_recv(0, 1, 0, 7);
+        assert_eq!(wakes(), 1);
+        assert!(ProgressRegistry::admissible(&mut reg.inner.lock(), &key));
+    }
+
+    /// A rank asleep in the gate on an OS thread is woken by the state
+    /// change that admits it — through the counted condvar — and not by
+    /// the poison poll the wait falls back on.
+    #[test]
+    fn a_pending_thread_is_woken_by_the_notify_not_the_poll() {
+        let reg = registry(2);
+        let h = {
+            let reg = Arc::clone(&reg);
+            thread::spawn(move || {
+                let _g = install(Arc::clone(&reg), 0);
+                let _a = admit(SimTime::secs(5.0));
+                std::time::Instant::now()
+            })
+        };
+        // Rank 0 is `Pending` from before its first check until it is
+        // admitted, and holds the registry lock until it sleeps: once
+        // the mode shows, the next lock acquisition follows its wait.
+        while !matches!(reg.inner.lock().ranks[0].mode, Mode::Pending { .. }) {
+            thread::yield_now();
+        }
+        let notified = std::time::Instant::now();
+        reg.finish(1);
+        let woken = h.join().unwrap();
+        assert!(
+            woken.duration_since(notified) < crate::fiber::POISON_POLL / 2,
+            "woken {:?} after the admitting state change: by the poll, not the notify",
+            woken.duration_since(notified)
+        );
+    }
+
     #[test]
     fn an_admission_check_visits_each_rank_a_bounded_number_of_times() {
         // 1 024 ranks, 1 023 of them parked in one meeting while the
@@ -1118,6 +1382,7 @@ mod tests {
             }
             if let Some(s) = straggler {
                 inner.ranks[s].floor = SimTime::secs(3.0);
+                inner.set_mode(s, Mode::Running);
             }
             let key = ReqKey {
                 arrival: SimTime::secs(1.0),

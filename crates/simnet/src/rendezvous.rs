@@ -247,7 +247,7 @@ impl Rendezvous {
             if let Some(members) = &self.participants {
                 crate::progress::tl_complete_rdv(self.id, members);
             }
-            self.cv.notify_all();
+            fiber::notify_all(&self.cv);
             st.wake_all();
         } else {
             // Register this rank as parked in the meeting (atomic with
@@ -285,7 +285,7 @@ impl Rendezvous {
             st.result = None;
             st.arrived = 0;
             st.generation += 1;
-            self.cv.notify_all();
+            fiber::notify_all(&self.cv);
             st.wake_all();
         }
         drop(st);
@@ -452,6 +452,38 @@ mod tests {
             let (_, _, info) = r.meet_info(0, SimTime::ZERO, (), |_, max| ((), max));
             assert_eq!(info.seq, expect);
         }
+    }
+
+    #[test]
+    fn a_sleeping_participant_is_woken_by_the_last_arrival_not_the_poll() {
+        // Rank 0 parks as a registry rank so that the test can see it
+        // block: it registers under the state lock and keeps the lock
+        // until it sleeps, and the last arrival takes that lock first.
+        let poison = Arc::new(PoisonFlag::default());
+        let registry = Arc::new(crate::progress::ProgressRegistry::new(
+            2,
+            Arc::clone(&poison),
+        ));
+        let r = Arc::new(Rendezvous::for_ranks(vec![0, 1], poison));
+        let parked = {
+            let (r, registry) = (Arc::clone(&r), Arc::clone(&registry));
+            thread::spawn(move || {
+                let _ctx = crate::progress::install(registry, 0);
+                r.meet(0, SimTime::ZERO, (), |_, max| ((), max));
+                std::time::Instant::now()
+            })
+        };
+        while !registry.is_blocked(0) {
+            thread::yield_now();
+        }
+        let arrived = std::time::Instant::now();
+        r.meet(1, SimTime::ZERO, (), |_, max| ((), max));
+        let woken = parked.join().unwrap();
+        assert!(
+            woken.duration_since(arrived) < fiber::POISON_POLL / 2,
+            "woken {:?} after the last arrival: by the poll, not the notify",
+            woken.duration_since(arrived)
+        );
     }
 
     #[test]

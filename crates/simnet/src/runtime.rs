@@ -50,6 +50,9 @@ pub struct ClusterConfig {
     /// reservation: pages are committed on touch, so 1024 ranks cost
     /// 1 GiB of address space but only a few MiB of resident stack, and
     /// the margin matters for fiber stacks, which have no guard page.
+    /// Fiber stacks are kept from one cluster to the next of a process
+    /// (matched by size), so a sequence of clusters touches the same
+    /// few MiB again instead of new ones.
     pub stack_size: usize,
     /// Trace sink shared by every rank. Disabled by default: each
     /// recording call returns after one branch, so uninstrumented runs

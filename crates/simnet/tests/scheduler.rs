@@ -177,3 +177,39 @@ fn admission_order_is_the_same_on_every_executor() {
     simnet::set_executor(Executor::Threads);
     assert_eq!(nested_communicator_run(1), order, "OS threads");
 }
+
+#[test]
+fn the_thread_executor_is_paced_by_notifies_not_by_the_poison_poll() {
+    // Two OS-thread ranks take 40 turns, each turn a receive, a meeting
+    // and a gated request that the other rank's progress releases. A
+    // blocked thread polls the poison flag every 50 ms, so a wait site
+    // that skipped its condvar signal would still complete every turn —
+    // 50 ms late. Notified, a turn takes microseconds.
+    const TURNS: u32 = 40;
+    let _serial = serial();
+    simnet::set_executor(Executor::Threads);
+    let started = std::time::Instant::now();
+    run_cluster(cluster(2, 1), |ep| {
+        let (me, peer) = (ep.rank(), 1 - ep.rank());
+        for turn in 0..TURNS {
+            if turn as usize % 2 == me {
+                ep.send(peer, 0, 5, IoBuffer::empty());
+            } else {
+                let _ = ep.recv(peer, 0, 5);
+            }
+            let (_, done) = ep
+                .world_rendezvous()
+                .meet(me, ep.now(), (), |_, max| ((), max + SimTime::micros(1.0)));
+            ep.clock().advance_to(done);
+            // Rank 1 asks for a later instant than rank 0 can still
+            // reach, so it pends until rank 0 has asked and released.
+            ep.clock().advance(SimTime::micros(1.0 + me as f64));
+            drop(admit(ep.now()));
+        }
+    });
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_millis(25) * TURNS,
+        "{TURNS} turns took {elapsed:?}: the waits are being woken by their polls"
+    );
+}

@@ -149,10 +149,20 @@ pub enum Site {
     /// the write side, the sieve decision and list-I/O runs on the read
     /// side. The per-piece work a synthetic round still does.
     Coverage,
+    /// The transfer-size exchange of one two-phase round (and the piece
+    /// count exchange of setup): an aggregator building the row it
+    /// announces, and the combiner that buckets every rank's entries by
+    /// destination at the meeting point — never the wait for the
+    /// meeting.
+    SizeExchange,
+    /// Two-phase setup between its collectives: file domains,
+    /// `calc_my_req`, building and indexing the request lists, the
+    /// aggregator's touched range and round count.
+    CollSetup,
 }
 
 /// Number of probe sites in the registry.
-pub const SITE_COUNT: usize = 21;
+pub const SITE_COUNT: usize = 23;
 
 /// Static description of one site.
 struct SiteInfo {
@@ -182,6 +192,8 @@ const SITES: [SiteInfo; SITE_COUNT] = [
     SiteInfo { name: "gate_scan", subsystem: "simnet" },
     SiteInfo { name: "gate_wake", subsystem: "simnet" },
     SiteInfo { name: "twophase_coverage", subsystem: "mpiio" },
+    SiteInfo { name: "size_exchange", subsystem: "simmpi" },
+    SiteInfo { name: "coll_setup", subsystem: "mpiio" },
 ];
 
 impl Site {
@@ -221,6 +233,8 @@ impl Site {
                 18 => Site::GateScan,
                 19 => Site::GateWake,
                 20 => Site::Coverage,
+                21 => Site::SizeExchange,
+                22 => Site::CollSetup,
                 _ => unreachable!(),
             })
         } else {
@@ -249,13 +263,28 @@ pub enum Counter {
     /// Scratch-buffer request that fell through to a fresh allocation
     /// (pool empty, pooling off, or size outside the pooled range).
     PoolMiss,
+    /// A wait site signalled its condition variable for real (a
+    /// `FUTEX_WAKE`): some OS thread was asleep in the substrate's wait
+    /// primitive. Zero under the fiber executor, where ranks park.
+    CondvarNotify,
+    /// Elements a size exchange touched: the lists an aggregator looked
+    /// at to build its row, and the entries and per-rank slots the
+    /// combiner walked. Follows non-empty (rank, aggregator) pairs plus
+    /// ranks, not ranks squared.
+    SizeExchangeElems,
 }
 
 /// Number of counters in the registry.
-pub const COUNTER_COUNT: usize = 4;
+pub const COUNTER_COUNT: usize = 6;
 
-const COUNTER_NAMES: [&str; COUNTER_COUNT] =
-    ["flatten_hit", "flatten_miss", "pool_reuse", "pool_miss"];
+const COUNTER_NAMES: [&str; COUNTER_COUNT] = [
+    "flatten_hit",
+    "flatten_miss",
+    "pool_reuse",
+    "pool_miss",
+    "condvar_notify",
+    "size_exchange_elems",
+];
 
 impl Counter {
     /// The counter's short name (stable; used in report rows).

@@ -4,6 +4,13 @@
 //! a run takes is bounded by the number of events in it — OST requests,
 //! point-to-point sends and collective entries — not by ranks × cycles.
 //!
+//! Two more counts follow from the same rule. Nobody sleeps on a
+//! condition variable under the fiber executor, so no wait site signals
+//! one: the notify that wakes a parked fiber is a queue push, not a
+//! system call. And a round's size exchange touches the (rank,
+//! aggregator) pairs that exchange something plus one slot per rank,
+//! not ranks squared.
+//!
 //! The worker count, the executor and the host profiler are
 //! process-global, so the tests serialize on one lock.
 
@@ -33,7 +40,14 @@ impl Drop for Serial {
     }
 }
 
+/// The value of host counter `name` in `report`.
+fn counter(report: &host::Report, name: &str) -> u64 {
+    let found = report.counters.iter().find(|(n, _)| *n == name);
+    found.unwrap_or_else(|| panic!("no host counter {name}")).1
+}
+
 /// Run `workload` traced and profiled; return (fiber slices, events).
+/// No condvar is signalled on the way.
 fn slices_and_events<W: Workload + 'static>(workload: W, mode: IoMode) -> (u64, u64) {
     let ranks = workload.nprocs() as u64;
     let sink = TraceSink::enabled();
@@ -43,7 +57,13 @@ fn slices_and_events<W: Workload + 'static>(workload: W, mode: IoMode) -> (u64, 
     host::set_enabled(true);
     let result = run_workload(workload, cfg);
     host::set_enabled(false);
-    let slices = host::collect().samples(host::Site::FiberRun);
+    let report = host::collect();
+    assert_eq!(
+        counter(&report, "condvar_notify"),
+        0,
+        "a wait site signalled a condvar nobody sleeps on"
+    );
+    let slices = report.samples(host::Site::FiberRun);
     let trace = sink.finish();
     let sends: u64 = trace
         .tracks
@@ -82,6 +102,61 @@ fn fiber_slices_are_bounded_by_events_not_by_ranks_times_cycles() {
             "tile-io parcoll-8, {workers} workers: {slices} slices for {events} events"
         );
     }
+}
+
+#[test]
+fn the_thread_executor_still_signals_its_condvars() {
+    // The counter the fiber runs hold at zero counts for real: the same
+    // workload on one OS thread per rank sleeps on the wait sites'
+    // condvars and is woken through them.
+    let _serial = serial();
+    simnet::set_executor(Executor::Threads);
+    host::reset();
+    host::set_enabled(true);
+    run_workload(
+        TileIo::tiny(16),
+        RunConfig::paper(IoMode::Parcoll { groups: 2 }),
+    );
+    host::set_enabled(false);
+    assert!(counter(&host::collect(), "condvar_notify") > 0);
+}
+
+#[test]
+fn twophase_size_exchange_visits_follow_pairs_not_ranks_squared() {
+    // 256 ranks in a 4 × 64 grid of small tiles, 128 aggregators, a
+    // collective buffer small enough for several rounds. A rank's tile
+    // reaches into two or three of the 128 file domains, so a round's
+    // exchange has a few hundred (rank, aggregator) pairs to look at; a
+    // dense exchange looked at 256 × 256 = 65 536 slots per round.
+    const P: u64 = 256;
+    let _serial = serial();
+    let tiles = TileIo {
+        tile_x: 64,
+        tile_y: 48,
+        ..TileIo::paper(P as usize)
+    };
+    let mut cfg = RunConfig::paper(IoMode::Collective);
+    cfg.info.set("cb_nodes", 128i64);
+    cfg.info.set("cb_buffer_size", 64i64 << 10);
+    host::reset();
+    host::set_enabled(true);
+    let result = run_workload(tiles, cfg);
+    host::set_enabled(false);
+    let rounds = result.profile_max.rounds;
+    assert!(
+        rounds >= 4,
+        "only {rounds} rounds: nothing to amortize over"
+    );
+    let visited = counter(&host::collect(), "size_exchange_elems");
+    // Per exchange (every round, plus the count exchange of setup): one
+    // slot per rank at the meeting point, and each pair at most twice —
+    // once where the aggregator sizes its row, once where it is
+    // bucketed.
+    assert!(visited > 0, "the exchange was not counted");
+    assert!(
+        visited <= (rounds + 1) * 8 * P,
+        "{visited} size-exchange elements over {rounds} rounds of {P} ranks"
+    );
 }
 
 #[test]
