@@ -36,13 +36,17 @@
 //! `--stack-size` overrides the per-rank thread stack for every cluster
 //! the sweeps spawn (see `ClusterConfig::stack_size`).
 //!
-//! `--integrity-ab` is the checksum-cost gate (DESIGN.md §14): it times
-//! fig1/fig9-shaped *real-data* sweeps twice in-process — end-to-end
-//! integrity off, then on — and fails if checksums-on costs more than 5%
-//! wall-clock. Real data matters: the default tracked sweeps run
-//! synthetic buffers, where sealing is a placeholder and an A/B would
-//! measure nothing. Both sides are emitted as `<figure>@integrity-off` /
-//! `@integrity-on` rows so the trajectory is reviewable.
+//! `--integrity-ab` is the checksum-cost gate (DESIGN.md §14.6): it
+//! times each scenario twice in-process — end-to-end integrity off,
+//! then on — under two budgets. The fig1/fig9-shaped sweeps are
+//! synthetic, so checksums-on hashes nothing there and may cost at most
+//! 5% + 2 ms: that is the price of the plumbing. `tile_verify` is a
+//! verify-mode tile-io run on real bytes with the scrub on, where every
+//! file byte is hashed seven times: checksums-on may cost at most 130%
+//! over checksums-off there (it costs about 65%; the byte-per-multiply
+//! hash this leg was added against cost about 200%). Both
+//! sides are emitted as `<figure>@integrity-off` / `@integrity-on` rows
+//! so the trajectory is reviewable.
 //!
 //! `--workers N` pins the sharded fiber executor's worker count for the
 //! whole run (equivalent to `SIMNET_WORKERS=N`; CI's overhead A/B runs
@@ -68,10 +72,19 @@ use std::time::Instant;
 /// figures don't fail on scheduler noise.
 const OVERHEAD_TOL: Tolerance = Tolerance { rel: 0.02, abs: 1e-4 };
 
-/// `--integrity-ab` budget: checksums-on may cost at most 5% wall over
-/// checksums-off on the same real-data sweep, plus a 2 ms absolute floor
-/// so the quick-scale (tens of ms) sweeps don't fail on scheduler noise.
+/// `--integrity-ab` budget on synthetic sweeps, where no byte is hashed:
+/// checksums-on may cost at most 5% wall over checksums-off, plus a 2 ms
+/// absolute floor so the quick-scale (tens of ms) sweeps don't fail on
+/// scheduler noise.
 const INTEGRITY_TOL: Tolerance = Tolerance { rel: 0.05, abs: 2e-3 };
+
+/// `--integrity-ab` budget on real bytes: seven hash passes over every
+/// file byte, the sealed copies and the scrub may together cost at most
+/// 130% over the same run with integrity off. Ten quick-scale runs each
+/// on one box: +64 % in the median (+40…+94 %), against +203 %
+/// (+167…+258 %) for the byte-per-multiply hash this replaced — so the
+/// budget sits 25 % or more from both medians (DESIGN.md §14.6).
+const INTEGRITY_REAL_TOL: Tolerance = Tolerance { rel: 1.30, abs: 2e-3 };
 
 /// Per-figure `--check` envelope. fig1 regenerates in ~3 ms at quick
 /// scale — pure relative gating would make it the loosest or the
@@ -289,14 +302,18 @@ fn tracked(scale: Scale) -> Vec<bench::hostprof::Scenario> {
     ]
 }
 
-/// The fig1/fig9-shaped sweeps the `--integrity-ab` gate times, each
-/// parameterized by the checksum knob. Paper configuration on both
-/// sides — the same synthetic regime the tracked fig1/fig9 sweeps run —
-/// so the A/B isolates what turning integrity on costs the figure
-/// pipeline itself: the hint plumbing, trailer bookkeeping, and per-page
-/// sum tracking (synthetic pages record a marker, real hashing only
-/// happens where data is real).
-fn integrity_scenarios(scale: Scale) -> Vec<(&'static str, Box<dyn Fn(bool)>)> {
+/// One `--integrity-ab` scenario: a run parameterized by the checksum knob.
+type AbRun = Box<dyn Fn(bool)>;
+
+/// The scenarios the `--integrity-ab` gate times, each parameterized by
+/// the checksum knob and carrying its budget. The fig1/fig9-shaped
+/// sweeps run the paper configuration on both sides — the same synthetic
+/// regime the tracked fig1/fig9 sweeps run — so their A/B isolates what
+/// turning integrity on costs the figure pipeline itself: the hint
+/// plumbing, trailer bookkeeping, and per-page sum tracking (synthetic
+/// pages record a marker). `tile_verify` is where bytes are real and
+/// every one of them is hashed.
+fn integrity_scenarios(scale: Scale) -> Vec<(&'static str, Tolerance, AbRun)> {
     use workloads::runner::{run_workload, IoMode, RunConfig};
     let full = scale == Scale::Paper;
     let paper_run = move |p: usize, mode: IoMode, integrity: bool| {
@@ -307,16 +324,18 @@ fn integrity_scenarios(scale: Scale) -> Vec<(&'static str, Box<dyn Fn(bool)>)> {
     vec![
         (
             "fig1_collective_wall",
+            INTEGRITY_TOL,
             Box::new(move |integrity| {
                 let procs: &[usize] =
                     if full { &[16, 32, 64, 128, 256, 512] } else { &[8, 16, 32] };
                 for &p in procs {
                     paper_run(p, IoMode::Collective, integrity);
                 }
-            }) as Box<dyn Fn(bool)>,
+            }) as AbRun,
         ),
         (
             "fig9_scalability",
+            INTEGRITY_TOL,
             Box::new(move |integrity| {
                 let procs: &[usize] = if full { &[64, 128, 256, 512, 1024] } else { &[8, 16] };
                 for &p in procs {
@@ -324,6 +343,19 @@ fn integrity_scenarios(scale: Scale) -> Vec<(&'static str, Box<dyn Fn(bool)>)> {
                     let g = (p / 8).clamp(2, 64);
                     paper_run(p, IoMode::Parcoll { groups: g }, integrity);
                 }
+            }),
+        ),
+        (
+            // Written, read back byte-compared and, with integrity on,
+            // scrubbed: the one scenario in which the hash sees bytes.
+            "tile_verify",
+            INTEGRITY_REAL_TOL,
+            Box::new(move |integrity| {
+                let p = if full { 64 } else { 16 };
+                let mut cfg = RunConfig::verify(IoMode::Parcoll { groups: p / 8 });
+                cfg.integrity = integrity;
+                cfg.scrub = integrity;
+                std::hint::black_box(run_workload(bench::figures::tileio_at(p, false), cfg));
             }),
         ),
     ]
@@ -427,9 +459,9 @@ fn main() {
     let mut integrity_failures = 0usize;
     if args.integrity_ab {
         // Checksum-cost A/B: both halves timed back-to-back in this
-        // process, so the 5% budget compares like with like instead of
+        // process, so each budget compares like with like instead of
         // this runner against whichever machine wrote the baseline.
-        for (name, run) in integrity_scenarios(args.scale) {
+        for (name, tol, run) in integrity_scenarios(args.scale) {
             if !args.figures.is_empty() && !args.figures.iter().any(|f| name.starts_with(f.as_str()))
             {
                 continue;
@@ -437,7 +469,7 @@ fn main() {
             let off = time_sweep(&|| run(false), args.warmup, args.iters);
             let on = time_sweep(&|| run(true), args.warmup, args.iters);
             let (m_off, m_on) = (median(&off), median(&on));
-            let budget = m_off * (1.0 + INTEGRITY_TOL.rel) + INTEGRITY_TOL.abs;
+            let budget = m_off * (1.0 + tol.rel) + tol.abs;
             let verdict = if m_on > budget {
                 integrity_failures += 1;
                 "FAIL"
@@ -450,8 +482,8 @@ fn main() {
                 m_on,
                 m_off,
                 (m_on / m_off.max(f64::MIN_POSITIVE) - 1.0) * 100.0,
-                INTEGRITY_TOL.rel * 100.0,
-                INTEGRITY_TOL.abs * 1e3,
+                tol.rel * 100.0,
+                tol.abs * 1e3,
             );
             rows.push(
                 timing_row(format!("{name}@integrity-off"), &off, args.iters),
@@ -546,10 +578,7 @@ fn main() {
     }
 
     if integrity_failures > 0 {
-        eprintln!(
-            "hostperf: checksums-on cost >{:.0}% wall-clock on {integrity_failures} figure(s)",
-            INTEGRITY_TOL.rel * 100.0
-        );
+        eprintln!("hostperf: checksums-on cost over budget on {integrity_failures} scenario(s)");
         std::process::exit(1);
     }
 

@@ -43,7 +43,7 @@ pub struct Hints {
     /// rank.
     pub cb_ds_hole_pct: u8,
     /// End-to-end piece checksums in the collective exchange
-    /// (`integrity_checksums`): pieces carry FNV-1a trailers, corrupted
+    /// (`integrity_checksums`): pieces carry checksum trailers, corrupted
     /// transfers are detected and re-requested. Off by default — the
     /// off path is bitwise identical to a build without the feature.
     pub integrity: bool,

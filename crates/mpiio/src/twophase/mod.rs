@@ -80,7 +80,7 @@ const TAG_RECOVER_REPAIR: i32 = 0x7006;
 /// (data, repair) tag pairs of the two data exchanges.
 const DATA: (i32, i32) = (TAG_DATA, TAG_REPAIR);
 const RECOVER_DATA: (i32, i32) = (TAG_RECOVER_DATA, TAG_RECOVER_REPAIR);
-/// Bytes of the FNV-1a checksum trailer sealed onto exchanged pieces.
+/// Bytes of the checksum trailer sealed onto exchanged pieces.
 const TRAILER: usize = 8;
 
 /// Configuration of one collective operation.
@@ -94,7 +94,7 @@ pub struct CollConfig {
     /// `None` divides evenly (ROMIO generic).
     pub align: Option<u64>,
     /// End-to-end piece integrity (`integrity_checksums` hint): seal every
-    /// exchanged data payload with an FNV-1a trailer at pack time, verify
+    /// exchanged data payload with a checksum trailer at pack time, verify
     /// at unpack, and run the sender-assisted detect-and-repair protocol
     /// on mismatch. Off is bitwise identical to a build without the
     /// integrity layer.
@@ -125,7 +125,7 @@ impl CollConfig {
     }
 }
 
-/// Seal a packed payload: append the 8-byte little-endian FNV-1a trailer
+/// Seal a packed payload: append the 8-byte little-endian checksum trailer
 /// over the payload bytes. Announced transfer sizes exclude the trailer,
 /// so the protocol's size agreement and cursor lock-step are unchanged —
 /// only the wire carries the extra bytes. Synthetic payloads stay
@@ -138,6 +138,7 @@ fn seal(payload: IoBuffer, checksums: bool) -> IoBuffer {
     let sum = match payload.as_slice() {
         Some(bytes) => {
             let _hp = simtrace::host::scope(simtrace::host::Site::CksumCompute);
+            simtrace::host::count(simtrace::host::Counter::CksumBytes, bytes.len() as u64);
             fnv1a(bytes)
         }
         None => 0,
@@ -155,6 +156,7 @@ fn trailer_ok(payload: &IoBuffer) -> bool {
         Some(bytes) => {
             let _hp = simtrace::host::scope(simtrace::host::Site::CksumVerify);
             let n = bytes.len() - TRAILER;
+            simtrace::host::count(simtrace::host::Counter::CksumBytes, n as u64);
             let mut t = [0u8; TRAILER];
             t.copy_from_slice(&bytes[n..]);
             fnv1a(&bytes[..n]) == u64::from_le_bytes(t)

@@ -76,7 +76,7 @@ pub struct FsConfig {
     pub slow_factor: f64,
     /// Seed for the jitter generators.
     pub seed: u64,
-    /// End-to-end integrity: maintain per-page FNV-1a sums on the write
+    /// End-to-end integrity: maintain per-page checksums on the write
     /// path, verify (and repair planted `ost_rot`) on the read path, and
     /// enable [`crate::FileSystem::scrub`]. Off (the default) is bitwise
     /// identical to a build without the integrity layer.

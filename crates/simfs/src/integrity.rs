@@ -2,7 +2,7 @@
 //! detect-and-repair, and the scrub report types.
 //!
 //! When [`crate::FsConfig::integrity`] is on, every file carries an
-//! [`IntegrityStore`]: an FNV-1a 64 sum per 64 KiB storage page (the
+//! [`IntegrityStore`]: a `simnet::cksum` sum per 64 KiB storage page (the
 //! granularity [`crate::storage::Storage`] manages bytes at — the
 //! simulator's stand-in for Lustre's per-extent OST checksums). Sums are
 //! updated on the write path and verified on the read path and by
@@ -37,7 +37,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// The integrity state of one storage page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PageSum {
-    /// Real bytes with their FNV-1a 64 sum (over the page clipped to the
+    /// Real bytes with their checksum (over the page clipped to the
     /// file size at the last write).
     Real(u64),
     /// Synthetic (modeled, never-materialized) bytes: consistent by

@@ -243,7 +243,7 @@ pub struct FaultPlan {
 }
 
 /// SplitMix64 finalizer, used to hash fault-stream coordinates into seeds.
-fn mix64(x: u64) -> u64 {
+pub(crate) fn mix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E3779B97F4A7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);

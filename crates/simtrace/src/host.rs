@@ -122,7 +122,7 @@ pub enum Site {
     TraceRecord,
     /// Streaming-sink chunk spill to disk.
     TraceSpill,
-    /// Integrity checksum computation: FNV-1a over packed piece payloads
+    /// Integrity checksum computation over packed piece payloads
     /// (sender side) and at-rest page sums on the simfs write path.
     CksumCompute,
     /// Integrity checksum verification: trailer checks at unpack and
@@ -272,10 +272,15 @@ pub enum Counter {
     /// combiner walked. Follows non-empty (rank, aggregator) pairs plus
     /// ranks, not ranks squared.
     SizeExchangeElems,
+    /// Bytes fed to the integrity checksum: added once per piece seal,
+    /// trailer check and storage range hash. A verify-mode run hashes
+    /// every file byte seven times (DESIGN.md §14.6); this count is what
+    /// keeps an eighth pass from arriving unseen.
+    CksumBytes,
 }
 
 /// Number of counters in the registry.
-pub const COUNTER_COUNT: usize = 6;
+pub const COUNTER_COUNT: usize = 7;
 
 const COUNTER_NAMES: [&str; COUNTER_COUNT] = [
     "flatten_hit",
@@ -284,6 +289,7 @@ const COUNTER_NAMES: [&str; COUNTER_COUNT] = [
     "pool_miss",
     "condvar_notify",
     "size_exchange_elems",
+    "cksum_bytes",
 ];
 
 impl Counter {

@@ -1,13 +1,13 @@
 //! End-to-end data-integrity contracts (DESIGN.md §14).
 //!
-//! Four properties anchor the integrity subsystem:
+//! Five properties anchor the integrity subsystem:
 //!
 //! 1. **Silent corruption is silent** — with checksums off, a seeded
 //!    `msg_corrupt` plan lands flipped bytes in the file image without
 //!    changing a single virtual-time charge: the fault bookkeeping is
 //!    host-side only, and nothing detects the damage.
 //! 2. **Detect-and-repair** — with the `integrity_checksums` hint on,
-//!    every corrupted exchange piece is caught by its FNV-1a trailer and
+//!    every corrupted exchange piece is caught by its checksum trailer and
 //!    repaired (re-sent clean copies, or the seeded flip inverted as the
 //!    last resort), so the file image is byte-identical to the fault-free
 //!    run at any corruption probability — up to and including every
@@ -19,20 +19,33 @@
 //! 4. **Torn writes heal** — an aggregator crash that leaves its final
 //!    window half-applied is detected next round, and the failover
 //!    re-exchanges the torn window in full before resuming.
+//! 5. **Seven hash passes, counted** — a verify-mode run with the scrub
+//!    on feeds every file byte to the checksum seven times (DESIGN.md
+//!    §14.6); the `cksum_bytes` host counter pins that number, and pins
+//!    zero with integrity off and on synthetic data.
 
 use mpiio::File;
 use proptest::prelude::*;
 use simfs::{FileSystem, FsConfig};
 use simmpi::{Communicator, Info};
 use simnet::{run_cluster, ClusterConfig, FaultPlan, IoBuffer, Mapping, SimTime};
-use std::sync::Arc;
-use workloads::runner::{run_workload, IoMode, RunConfig};
+use simtrace::host;
+use std::sync::{Arc, RwLock};
+use workloads::runner::{run_workload, DataMode, IoMode, RunConfig};
 use workloads::tileio::TileIo;
 
 const RANKS: usize = 8;
 const PER_CALL: usize = 512; // bytes per rank per collective call
 const CALLS: usize = 2;
 const IMAGE: usize = CALLS * RANKS * PER_CALL;
+
+/// The host counters are process-wide: the test that reads `cksum_bytes`
+/// runs alone (write lock), every other test that hashes shares (read).
+static HASHING: RwLock<()> = RwLock::new(());
+
+fn hashing() -> std::sync::RwLockReadGuard<'static, ()> {
+    HASHING.read().unwrap_or_else(|p| p.into_inner())
+}
 
 fn fill(rank: usize, call: usize, n: usize) -> Vec<u8> {
     (0..n)
@@ -130,6 +143,7 @@ fn silent_corruption_lands_without_checksums() {
 
 #[test]
 fn checksums_on_clean_run_is_correct_and_costs_no_virtual_time_on_faults_off() {
+    let _shared = hashing();
     let a = run(None, true, true);
     let b = run(None, true, true);
     assert_eq!(a.image, expected_image());
@@ -139,6 +153,7 @@ fn checksums_on_clean_run_is_correct_and_costs_no_virtual_time_on_faults_off() {
 
 #[test]
 fn every_message_corrupt_still_repairs_to_identical_image() {
+    let _shared = hashing();
     // prob = 1.0 forces the ultimate fallback: every re-sent copy is
     // corrupt too, so the receiver must invert the seeded flip itself.
     let r = run(Some(FaultPlan::new(0xC0DE).msg_corrupt(1.0, None, None)), true, true);
@@ -159,6 +174,7 @@ proptest! {
     /// heavy loss — repairs to the byte-identical file image.
     #[test]
     fn corrupted_pieces_repair_to_identical_image(seed in 0u64..1u64 << 48, prob in 0.05f64..1.0) {
+        let _shared = hashing();
         let r = run(Some(FaultPlan::new(seed).msg_corrupt(prob, None, None)), true, true);
         prop_assert_eq!(r.image, expected_image());
     }
@@ -170,6 +186,7 @@ proptest! {
 
 #[test]
 fn scrub_finds_exactly_the_planted_rot() {
+    let _shared = hashing();
     // Two extents inside the written image, one far past EOF (decays a
     // region never written — nothing to find).
     let plan = FaultPlan::new(0x0051)
@@ -207,6 +224,7 @@ fn scrub_finds_exactly_the_planted_rot() {
 
 #[test]
 fn read_path_repairs_rot_without_a_scrub() {
+    let _shared = hashing();
     // No explicit scrub: the integrity-checked read detects the planted
     // mismatch and repairs from the journal before returning bytes.
     let plan = FaultPlan::new(0x0052).ost_rot(2048, 32);
@@ -218,6 +236,7 @@ fn read_path_repairs_rot_without_a_scrub() {
 
 #[test]
 fn scrub_reports_are_deterministic() {
+    let _shared = hashing();
     let plan = || FaultPlan::new(7).ost_rot(100, 4000).ost_rot(6000, 100);
     let a = run(Some(plan()), true, false);
     let b = run(Some(plan()), true, false);
@@ -248,6 +267,7 @@ proptest! {
     /// Torn crashes and checksummed pieces compose.
     #[test]
     fn torn_write_with_checksums_heals(agg in 0usize..4, round in 1u64..8) {
+        let _shared = hashing();
         let r = run(Some(FaultPlan::new(0x70A1).torn_write(agg * 2, round)), true, true);
         prop_assert_eq!(r.image, expected_image());
     }
@@ -259,6 +279,7 @@ proptest! {
 
 #[test]
 fn runner_integrity_knob_survives_corruption_and_scrubs_clean() {
+    let _shared = hashing();
     let mut cfg = RunConfig::verify(IoMode::Parcoll { groups: 2 });
     cfg.info.set("cb_nodes", 4i64);
     cfg.info.set("cb_buffer_size", 128i64);
@@ -270,4 +291,41 @@ fn runner_integrity_knob_survives_corruption_and_scrubs_clean() {
     let scrub = r.scrub.expect("scrub report requested");
     assert!(scrub.files_scanned >= 1);
     assert!(scrub.is_clean(), "in-flight corruption never reaches disk: {scrub:?}");
+}
+
+// ---------------------------------------------------------------------
+// Hash passes over real bytes, as a count.
+// ---------------------------------------------------------------------
+
+/// Bytes the integrity checksum absorbed during one tile-io run of 16
+/// ranks (4 MiB file, ParColl with two subgroups), with the file bytes.
+fn cksum_bytes(data: DataMode, integrity: bool) -> (u64, u64) {
+    let mut cfg = RunConfig::verify(IoMode::Parcoll { groups: 2 });
+    cfg.data = data;
+    cfg.integrity = integrity;
+    cfg.scrub = integrity;
+    let tiles = TileIo { ntx: 4, nty: 4, tile_x: 64, tile_y: 64, elem: 64 };
+    host::reset();
+    host::set_enabled(true);
+    let r = run_workload(tiles, cfg);
+    host::set_enabled(false);
+    assert!(r.scrub.is_none_or(|s| s.is_clean()));
+    let counters = host::collect().counters;
+    let (_, hashed) = counters.iter().find(|(name, _)| *name == "cksum_bytes").expect("counter");
+    (*hashed, r.total_bytes)
+}
+
+#[test]
+fn a_verify_run_hashes_every_file_byte_seven_times_and_no_more() {
+    let _alone = HASHING.write().unwrap_or_else(|p| p.into_inner());
+    // Sealed and checked on the way to the aggregators and on the way
+    // back (4 passes over the exchanged bytes, trailers excluded), page
+    // sums on write, on read and in the scrub (3 passes over whole
+    // pages; the 4 MiB image keeps every window page-aligned, so the
+    // count carries no slack). An eighth pass, or a lost one, shows here.
+    let (hashed, file_bytes) = cksum_bytes(DataMode::Verify, true);
+    assert_eq!(hashed, 7 * file_bytes, "hash passes over a {file_bytes}-byte file");
+    assert_eq!(cksum_bytes(DataMode::Verify, true).0, hashed, "the count repeats exactly");
+    assert_eq!(cksum_bytes(DataMode::Verify, false).0, 0, "integrity off hashes nothing");
+    assert_eq!(cksum_bytes(DataMode::Synthetic, true).0, 0, "synthetic bytes have no hash");
 }
