@@ -7,9 +7,9 @@
 //! ```text
 //! hostperf [--quick] [--iters N] [--warmup N] [--series LABEL]
 //!          [--figure NAME]... [--stack-size BYTES] [--profile]
-//!          [--workers N] [--workers-matrix] [--integrity-ab]
-//!          [--check <baseline.json>] [--tol FIGURE=REL[:ABS]]...
-//!          [--check-overhead <baseline.json>] [--out PATH] [--no-emit]
+//!          [--integrity-ab] [--check <baseline.json>]
+//!          [--tol FIGURE=REL[:ABS]]... [--check-overhead <baseline.json>]
+//!          [--out PATH] [--no-emit]
 //! ```
 //!
 //! Each tracked figure sweep runs in-process (no exec overhead): `warmup`
@@ -47,19 +47,6 @@
 //! hash this leg was added against cost about 200%). Both
 //! sides are emitted as `<figure>@integrity-off` / `@integrity-on` rows
 //! so the trajectory is reviewable.
-//!
-//! `--workers N` pins the sharded fiber executor's worker count for the
-//! whole run (equivalent to `SIMNET_WORKERS=N`; CI's overhead A/B runs
-//! at `--workers 4` so the gate covers the multi-threaded scheduler).
-//! `--workers-matrix` additionally times fig1/fig7/fig9 at
-//! `SIMNET_WORKERS={1,2,4,8}` and emits them as `<figure>@workers<N>`
-//! series rows — the committed sharded-executor trajectory. Virtual
-//! results are bitwise identical across the matrix (the determinism
-//! suite pins that); only host wall time moves. Sharded rows get their
-//! own looser one-sided `--check` envelope: on shared runners the
-//! worker threads contend with whatever else the machine runs, and on
-//! single-core runners `workers>1` legitimately costs scheduling
-//! overhead instead of gaining parallelism.
 
 use bench::figures::{collective_wall, restart_read_sweep, tileio_group_sweep, tileio_scalability};
 use bench::regress::Tolerance;
@@ -90,21 +77,12 @@ const INTEGRITY_REAL_TOL: Tolerance = Tolerance { rel: 1.30, abs: 2e-3 };
 /// scale — pure relative gating would make it the loosest or the
 /// noisiest series depending on the constant, so the fast sweeps get an
 /// absolute floor and the long steady ones a tighter relative bound.
-/// `@workers<N>` sharded series get their own one-sided envelope:
-/// multi-worker wall time depends on how many cores the runner actually
-/// has free, so the budget is looser both relatively and absolutely
-/// (still one-sided — a sharded config can only fail by getting
-/// *slower* than its own baseline). Overrides match either the bare
-/// figure name or the full `figure@label` series.
+/// Overrides match either the bare figure name or the full
+/// `figure@label` series.
 fn check_tolerance(series: &str, overrides: &[(String, Tolerance)]) -> Tolerance {
     let figure = figure_of(series);
     if let Some((_, tol)) = overrides.iter().find(|(f, _)| f == series || f == figure) {
         return *tol;
-    }
-    if let Some((_, label)) = series.split_once('@') {
-        if label.starts_with("workers") {
-            return Tolerance { rel: 0.40, abs: 0.005 };
-        }
     }
     match figure {
         "fig7_tileio_groups" => Tolerance { rel: 0.20, abs: 0.002 },
@@ -128,7 +106,6 @@ struct Args {
     series: String,
     figures: Vec<String>,
     profile: bool,
-    workers_matrix: bool,
     integrity_ab: bool,
     check: Option<String>,
     check_overhead: Option<String>,
@@ -145,7 +122,6 @@ fn parse_args() -> Args {
         series: "HEAD".to_string(),
         figures: Vec::new(),
         profile: false,
-        workers_matrix: false,
         integrity_ab: false,
         check: None,
         check_overhead: None,
@@ -181,12 +157,6 @@ fn parse_args() -> Args {
                 i += 1;
             }
             "--profile" => out.profile = true,
-            "--workers" => {
-                let n: usize = value(i).parse().expect("--workers: not a number");
-                simnet::set_workers(n);
-                i += 1;
-            }
-            "--workers-matrix" => out.workers_matrix = true,
             "--integrity-ab" => out.integrity_ab = true,
             "--stack-size" => {
                 let bytes: usize = value(i).parse().expect("--stack-size: not a number");
@@ -406,12 +376,6 @@ fn timing_row(series: String, samples: &[f64], iters: usize) -> Row {
         .with("iters", iters as f64)
 }
 
-/// The figures the `--workers-matrix` sharded series cover, and the
-/// worker counts they sweep.
-const MATRIX_FIGURES: [&str; 3] =
-    ["fig1_collective_wall", "fig7_tileio_groups", "fig9_scalability"];
-const MATRIX_WORKERS: [usize; 4] = [1, 2, 4, 8];
-
 fn main() {
     let args = parse_args();
     let mut rows = Vec::new();
@@ -430,31 +394,6 @@ fn main() {
             let profiled = bench::hostprof::profile(&run);
             bench::hostprof::print_top(name, &profiled, 8);
         }
-    }
-    if args.workers_matrix {
-        // The sharded-executor trajectory: same sweeps, worker counts
-        // pinned per series. Restore the ambient worker count after, so
-        // `--workers`/`SIMNET_WORKERS` still governs anything else.
-        let ambient = simnet::workers();
-        for (name, run) in tracked(args.scale) {
-            if !MATRIX_FIGURES.contains(&name) {
-                continue;
-            }
-            if !args.figures.is_empty()
-                && !args.figures.iter().any(|f| name.starts_with(f.as_str()))
-            {
-                continue;
-            }
-            for w in MATRIX_WORKERS {
-                simnet::set_workers(w);
-                let samples = time_sweep(&run, args.warmup, args.iters);
-                rows.push(
-                    timing_row(format!("{name}@workers{w}"), &samples, args.iters)
-                        .with("workers", w as f64),
-                );
-            }
-        }
-        simnet::set_workers(ambient);
     }
     let mut integrity_failures = 0usize;
     if args.integrity_ab {

@@ -9,16 +9,43 @@
 //! `<!-- check: ... -->` marker in ARCHITECTURE.md, DESIGN.md and
 //! EXPERIMENTS.md is verified against the committed rows (see
 //! `bench::doccheck`), exiting 1 on any quoted figure that no longer
-//! matches and 2 when the docs carry no markers at all.
+//! matches and 2 when the docs carry no markers at all. It also exits 1
+//! when README.md, ARCHITECTURE.md or EXPERIMENTS.md back-ticks a hint
+//! or environment variable no string literal under `crates/*/src` holds.
 
-use bench::doccheck::{parse_markers, verify};
+use bench::doccheck::{literal_names, parse_markers, stale_names, verify};
 use bench::{print_metrics_doc, rows_from_json, Row};
 use simtrace::json::Json;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 /// Docs whose quoted figures are under the drift gate.
 const CHECKED_DOCS: &[&str] = &["ARCHITECTURE.md", "DESIGN.md", "EXPERIMENTS.md"];
+
+/// Docs that may only name hints and variables the code still parses.
+/// DESIGN.md is not one: its negative results name what was removed.
+const NAME_CHECKED_DOCS: &[&str] = &["README.md", "ARCHITECTURE.md", "EXPERIMENTS.md"];
+
+/// Add the hint and variable names in the string literals of every
+/// `.rs` file under `dir`, recursively, to `live`.
+fn live_names(dir: &Path, live: &mut BTreeSet<String>) {
+    for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+        let path = entry.path();
+        if path.is_dir() {
+            live_names(&path, live);
+        } else if path.extension().is_some_and(|x| x == "rs") {
+            live.extend(std::fs::read_to_string(&path).iter().flat_map(|src| literal_names(src)));
+        }
+    }
+}
+
+/// A top-level doc's text; the gate runs from the repo root.
+fn read_doc(doc: &str) -> String {
+    std::fs::read_to_string(doc).unwrap_or_else(|_| {
+        eprintln!("check-docs: cannot read {doc} (run from the repo root)");
+        std::process::exit(2);
+    })
+}
 
 fn main() {
     if std::env::args().any(|a| a == "--check-docs") {
@@ -79,11 +106,7 @@ fn main() {
 fn check_docs() {
     let mut checks = Vec::new();
     for doc in CHECKED_DOCS {
-        let Ok(text) = std::fs::read_to_string(doc) else {
-            eprintln!("check-docs: cannot read {doc} (run from the repo root)");
-            std::process::exit(2);
-        };
-        match parse_markers(doc, &text) {
+        match parse_markers(doc, &read_doc(doc)) {
             Ok(mut c) => checks.append(&mut c),
             Err(e) => {
                 eprintln!("check-docs: {e}");
@@ -97,15 +120,24 @@ fn check_docs() {
         );
         std::process::exit(2);
     }
-    let failures = verify(&checks, Path::new("bench_results"));
+    let mut failures = verify(&checks, Path::new("bench_results"));
+    let mut live = BTreeSet::new();
+    for krate in std::fs::read_dir("crates").into_iter().flatten().flatten() {
+        live_names(&krate.path().join("src"), &mut live);
+    }
+    for doc in NAME_CHECKED_DOCS {
+        failures.extend(stale_names(doc, &read_doc(doc), &live));
+    }
     if failures.is_empty() {
         println!(
-            "check-docs: {} quoted figure(s) across {} doc(s) match bench_results",
+            "check-docs: {} quoted figure(s) across {} doc(s) match bench_results; \
+             {} doc(s) name only hints and variables the code parses",
             checks.len(),
-            CHECKED_DOCS.len()
+            CHECKED_DOCS.len(),
+            NAME_CHECKED_DOCS.len()
         );
     } else {
-        eprintln!("check-docs: {} drifted figure(s):", failures.len());
+        eprintln!("check-docs: {} drifted figure(s) or stale name(s):", failures.len());
         for f in &failures {
             eprintln!("  {f}");
         }

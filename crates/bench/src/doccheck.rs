@@ -13,8 +13,16 @@
 //! extra field) within `rel` relative tolerance (default 0.5% — quoted
 //! numbers are rounded for prose). A doc set with *zero* markers fails
 //! too: the gate guarding nothing is itself a drift.
+//!
+//! The same command holds README.md, ARCHITECTURE.md and EXPERIMENTS.md
+//! to the code's vocabulary: a back-ticked `parcoll_*` / `cb_*` /
+//! `romio_*` hint or `SIMNET_*` / `SIMFS_*` variable must occur in a
+//! string literal somewhere under `crates/*/src` ([`stale_names`]) — a
+//! doc that still advertises a removed knob fails. DESIGN.md is exempt,
+//! so a negative result can name what it removed.
 
 use crate::table::{rows_from_json, Row};
+use std::collections::BTreeSet;
 use std::path::Path;
 
 /// One `<!-- check: ... -->` marker found in a doc.
@@ -182,6 +190,68 @@ pub fn verify(checks: &[DocCheck], results_dir: &Path) -> Vec<String> {
     failures
 }
 
+/// What a hint or environment-variable name starts with.
+const NAME_PREFIXES: [&str; 5] = ["parcoll_", "cb_", "romio_", "SIMNET_", "SIMFS_"];
+
+/// The identifier tokens of `s` that are hint or variable names (a bare
+/// prefix, as in `parcoll_*`, is not one).
+fn names(s: &str) -> impl Iterator<Item = &str> {
+    s.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .filter(|t| NAME_PREFIXES.iter().any(|p| t.len() > p.len() && t.starts_with(p)))
+}
+
+/// The hint and variable names inside the string literals of Rust source
+/// `src` — the names the code can actually parse. Comments do not count.
+pub fn literal_names(src: &str) -> BTreeSet<String> {
+    let mut live = BTreeSet::new();
+    let mut rest = src;
+    while let Some(at) = rest.find(['"', '/']) {
+        let (hit, after) = rest[at..].split_at(1);
+        rest = if hit == "/" {
+            match after.strip_prefix('/') {
+                Some(comment) => comment.split_once('\n').map_or("", |(_, next)| next),
+                None => after,
+            }
+        } else if rest[..at].ends_with('\'') && after.starts_with('\'') {
+            after // the char literal '"'
+        } else {
+            // To the closing quote, stepping over escaped characters.
+            let mut end = after.len();
+            let mut chars = after.char_indices();
+            while let Some((i, c)) = chars.next() {
+                match c {
+                    '\\' => drop(chars.next()),
+                    '"' => {
+                        end = i;
+                        break;
+                    }
+                    _ => {}
+                }
+            }
+            live.extend(names(&after[..end]).map(str::to_string));
+            after.get(end + 1..).unwrap_or("")
+        };
+    }
+    live
+}
+
+/// Back-ticked hint and variable names in `text` (one doc) that are not
+/// in `live` (see [`literal_names`]), one failure line each.
+pub fn stale_names(doc: &str, text: &str, live: &BTreeSet<String>) -> Vec<String> {
+    let mut failures = Vec::new();
+    for (i, line) in text.lines().enumerate() {
+        for span in line.split('`').skip(1).step_by(2) {
+            for name in names(span).filter(|n| !live.contains(*n)) {
+                failures.push(format!(
+                    "{doc}:{}: `{name}` is in no string literal under crates/*/src",
+                    i + 1
+                ));
+            }
+        }
+    }
+    failures
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,5 +313,26 @@ mod tests {
         assert_eq!(fails.len(), 1, "{fails:?}");
         assert!(fails[0].contains("doc quotes 1700"), "{}", fails[0]);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_doc_may_only_name_hints_the_code_still_parses() {
+        let src = r#"
+            // the "parcoll_gone" hint was removed
+            let groups = info.get_usize("parcoll_groups");
+            let quote = '"';
+            let spill = std::env::var("SIMFS_SPILL_MB"); eprintln!("try \"cb_nodes=4\"");
+        "#;
+        let live = literal_names(src);
+        assert_eq!(
+            live.iter().map(String::as_str).collect::<Vec<_>>(),
+            ["SIMFS_SPILL_MB", "cb_nodes", "parcoll_groups"]
+        );
+        let doc = "Set `parcoll_groups` or `SIMFS_SPILL_MB=<cap>`; any `parcoll_*` hint.\n\
+                   `parcoll_gone` and `SIMNET_GONE=4 cargo test` are history; parcoll_gone too.\n";
+        let fails = stale_names("README.md", doc, &live);
+        assert_eq!(fails.len(), 2, "{fails:?}");
+        assert!(fails[0].starts_with("README.md:2: `parcoll_gone`"), "{}", fails[0]);
+        assert!(fails[1].starts_with("README.md:2: `SIMNET_GONE`"), "{}", fails[1]);
     }
 }

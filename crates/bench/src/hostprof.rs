@@ -190,8 +190,8 @@ pub fn print_top(fig: &str, p: &Profiled, k: usize) {
         counters.push_str(&format!("{name} {value}"));
     }
     println!("  counters: {counters}");
-    // Drops are a per-worker phenomenon under the sharded executor:
-    // name the thread instead of hiding it in the sum.
+    // Drops are per thread (one ring each): name the thread instead
+    // of hiding it in the sum.
     for (thread, d) in &p.report.dropped_by_thread {
         println!("  dropped[{thread}]: {d}");
     }

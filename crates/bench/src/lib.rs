@@ -19,7 +19,6 @@
 //! | `ablation_alltoall` | §1 claim | pairwise vs Bruck alltoall: the wall survives |
 //! | `ablation_groupsize` | §4 trade-off | group-size sweep across process counts |
 //! | `ablation_iview` | §4.1 | reordering vs scatter vs disabled intermediate views |
-//! | `ablation_adaptive` | §6 future work | adaptive group-size controller vs fixed choices |
 //! | `ablation_mapping` | Fig. 5 context | block vs cyclic placement under shared-NIC injection |
 //!
 //! Also here: `parcoll_sim`, a command-line driver for any workload ×
@@ -36,8 +35,7 @@
 //!
 //! Binaries accept `--quick` to run a reduced-scale version (smaller
 //! process counts and data) for smoke testing; the default is the paper's
-//! scale. Criterion micro-benchmarks of the protocol building blocks live
-//! in `benches/`.
+//! scale.
 
 #![warn(missing_docs)]
 

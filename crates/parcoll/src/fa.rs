@@ -40,22 +40,6 @@ impl Grouping {
             .collect()
     }
 
-    /// Rank → executor-worker placement hint for this grouping: subgroup
-    /// `g` goes to worker `g * workers / n_groups`, so consecutive
-    /// subgroups land on consecutive workers, no subgroup is ever split
-    /// across two workers, and when `workers <= n_groups` every worker
-    /// gets a contiguous block of subgroups. Feed the result to
-    /// `simnet::ClusterConfig::placement` — it only moves host fibers
-    /// between OS threads and cannot affect virtual time.
-    pub fn worker_placement(&self, workers: usize) -> Vec<usize> {
-        let workers = workers.max(1);
-        let groups = self.n_groups().max(1);
-        self.group_of
-            .iter()
-            .map(|&g| g.min(groups - 1) * workers / groups)
-            .collect()
-    }
-
     /// Dissolve subgroup `g` into a neighbor (the previous group, or the
     /// next when `g` is 0), fusing the file-area hulls — `(0, 0)` counts
     /// as empty — and shifting group indexes above `g` down. Returns the
@@ -240,38 +224,6 @@ pub fn partition_file_areas_by(
     Ok(Grouping { group_of, fas })
 }
 
-/// Rank → executor-worker placement hint computed from counts alone,
-/// before any file ranges exist (e.g. when building the cluster that
-/// will later run ParColl). Assumes the count-balanced contiguous cut of
-/// [`partition_file_areas`] with rank-ordered ranges — patterns (a) and
-/// (b), i.e. every workload in the paper's evaluation — so rank blocks
-/// align with the subgroup blocks the collective will form, and each
-/// subgroup's intra-group traffic stays on one executor worker.
-///
-/// Purely a host-side performance hint: it chooses which OS thread runs
-/// which rank's fiber under `SIMNET_WORKERS > 1` and has no effect on
-/// virtual time.
-pub fn worker_placement(nprocs: usize, groups: usize, workers: usize) -> Vec<usize> {
-    assert!(nprocs > 0, "no processes to place");
-    let groups = groups.clamp(1, nprocs);
-    let workers = workers.max(1);
-    // Equal-count contiguous cut: the first `rem` groups hold `base + 1`
-    // ranks, the rest `base` (mirrors the Balance::Count chunking).
-    let base = nprocs / groups;
-    let rem = nprocs % groups;
-    let big = rem * (base + 1);
-    (0..nprocs)
-        .map(|r| {
-            let g = if r < big {
-                r / (base + 1)
-            } else {
-                rem + (r - big) / base
-            };
-            g * workers / groups
-        })
-        .collect()
-}
-
 /// Cut the offset-ordered processes so each group's byte span is as close
 /// to `total / groups` as possible, while every group keeps ≥ 1 member
 /// until processes run out.
@@ -321,51 +273,6 @@ fn byte_balanced_takes(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The count-only placement matches the placement derived from an
-    /// actual pattern-(a) grouping, never splits a subgroup across
-    /// workers, and assigns workers in contiguous non-decreasing blocks.
-    #[test]
-    fn worker_placement_aligns_with_subgroup_cut() {
-        for (nprocs, groups, workers) in [
-            (12, 4, 2),
-            (12, 4, 4),
-            (12, 4, 8),
-            (13, 4, 3),
-            (7, 3, 2),
-            (8, 1, 4),
-            (5, 9, 2), // groups clamp to nprocs
-        ] {
-            let ranges: Vec<Option<(u64, u64)>> = (0..nprocs as u64)
-                .map(|r| Some((r * 100, (r + 1) * 100)))
-                .collect();
-            let g = partition_file_areas(&ranges, groups).unwrap();
-            let from_grouping = g.worker_placement(workers);
-            let from_counts = worker_placement(nprocs, groups, workers);
-            assert_eq!(
-                from_counts, from_grouping,
-                "n={nprocs} g={groups} w={workers}"
-            );
-            // No subgroup straddles two workers.
-            for grp in 0..g.n_groups() {
-                let ws: std::collections::BTreeSet<usize> = g
-                    .members(grp)
-                    .iter()
-                    .map(|&r| from_grouping[r])
-                    .collect();
-                assert!(ws.len() <= 1, "subgroup {grp} split across {ws:?}");
-            }
-            // Contiguous, non-decreasing, in range.
-            assert!(from_counts.windows(2).all(|w| w[0] <= w[1]));
-            assert!(from_counts.iter().all(|&w| w < workers));
-            // Every worker is used when there are enough subgroups.
-            if workers <= groups.min(nprocs) {
-                let used: std::collections::BTreeSet<usize> =
-                    from_counts.iter().copied().collect();
-                assert_eq!(used.len(), workers);
-            }
-        }
-    }
 
     /// Pattern (a) of Figure 4: six serially distributed segments, no
     /// intersections — "a simple offset calculation would partition the

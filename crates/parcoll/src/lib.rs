@@ -39,7 +39,6 @@
 
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod aggdist;
 pub mod autotune;
 pub mod coll;
@@ -47,13 +46,10 @@ pub mod config;
 pub mod fa;
 pub mod iview;
 
-pub use adaptive::AdaptiveGroups;
 pub use autotune::{
     AutoTuner, DecisionRecord, EpochFeedback, FaStrategy, ModeClass, PolicyCache, TuneKnobs,
 };
 pub use coll::ParcollFile;
 pub use config::ParcollConfig;
-pub use fa::{
-    partition_file_areas, partition_file_areas_by, worker_placement, Balance, FaError, Grouping,
-};
+pub use fa::{partition_file_areas, partition_file_areas_by, Balance, FaError, Grouping};
 pub use iview::{LogicalMap, MappedSpace};

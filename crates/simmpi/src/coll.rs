@@ -738,15 +738,9 @@ mod tests {
 
     /// Exchange the rows of each matrix in turn on `p` ranks whose clocks
     /// are skewed apart, through the sparse form or the dense oracle.
-    fn exchange_run(
-        p: usize,
-        workers: usize,
-        matrices: &[Vec<Vec<u64>>],
-        sparse: bool,
-    ) -> ExchangeRun {
+    fn exchange_run(p: usize, matrices: &[Vec<Vec<u64>>], sparse: bool) -> ExchangeRun {
         let sink = simtrace::TraceSink::enabled();
         let mut cfg = ClusterConfig::cray_xt(p, simnet::Mapping::Block);
-        cfg.workers = workers;
         cfg.trace = sink.clone();
         let matrices = matrices.to_vec();
         let out = run_cluster(cfg, move |ep| {
@@ -768,8 +762,8 @@ mod tests {
     /// size matrices and the shapes the engine produces — empty rows
     /// (non-aggregators), a diagonal (every aggregator its own only
     /// source: no cross traffic, no congestion term), one full row —
-    /// on single-worker fibers, sharded fibers and OS threads: same
-    /// results, same clocks, same trace, same metrics.
+    /// on fibers and on OS threads: same results, same clocks, same
+    /// trace, same metrics.
     #[test]
     fn sparse_alltoall_sizes_is_the_dense_exchange_bit_for_bit() {
         use proptest::strategy::Strategy;
@@ -801,15 +795,11 @@ mod tests {
                 2 => first[p / 2] = (1..=p as u64).collect(),
                 _ => {}
             }
-            for (executor, workers) in [
-                (simnet::Executor::Fibers, 1),
-                (simnet::Executor::Fibers, 4),
-                (simnet::Executor::Threads, 1),
-            ] {
+            for executor in [simnet::Executor::Fibers, simnet::Executor::Threads] {
                 simnet::set_executor(executor);
-                let sparse = exchange_run(p, workers, &matrices, true);
-                let dense = exchange_run(p, workers, &matrices, false);
-                let what = format!("case {case}, {p} ranks, {executor:?} × {workers}");
+                let sparse = exchange_run(p, &matrices, true);
+                let dense = exchange_run(p, &matrices, false);
+                let what = format!("case {case}, {p} ranks, {executor:?}");
                 assert_eq!(sparse.0, dense.0, "{what}: results or clocks");
                 assert!(sparse.1.contains("alltoall_sizes"), "{what}: no rdv span");
                 assert!(sparse.1 == dense.1, "{what}: exported traces differ");

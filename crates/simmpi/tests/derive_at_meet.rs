@@ -2,11 +2,11 @@
 //! ([`Communicator::allgather_derive`]): the closure runs exactly once
 //! per collective, every member receives the same `Arc`, and clocks and
 //! the exported trace are those of a plain `allgather` of the same
-//! buffers, bit for bit — on single-worker fibers, sharded fibers and the
-//! thread fallback. A panic inside the closure surfaces as the run's
-//! panic with its own message instead of hanging the rendezvous.
+//! buffers, bit for bit — on fibers and on the thread executor. A panic
+//! inside the closure surfaces as the run's panic with its own message
+//! instead of hanging the rendezvous.
 //!
-//! The executor is a process-global knob ([`simnet::set_executor`]), so
+//! The executor is a process-global choice ([`simnet::set_executor`]), so
 //! the tests in this file serialize on one mutex and restore the default.
 
 use simmpi::Communicator;
@@ -35,16 +35,11 @@ impl Drop for ExecutorGuard {
     }
 }
 
-/// (executor, per-cluster worker count) combinations under test.
-const SUBSTRATES: [(Executor, usize); 3] = [
-    (Executor::Fibers, 1),
-    (Executor::Fibers, 4),
-    (Executor::Threads, 1),
-];
+/// Executors under test.
+const SUBSTRATES: [Executor; 2] = [Executor::Fibers, Executor::Threads];
 
-fn cluster(workers: usize, trace: &TraceSink) -> ClusterConfig {
+fn cluster(trace: &TraceSink) -> ClusterConfig {
     let mut cfg = ClusterConfig::cray_xt(RANKS, Mapping::Block);
-    cfg.workers = workers;
     cfg.trace = trace.clone();
     cfg
 }
@@ -62,12 +57,12 @@ fn lengths(bufs: &[IoBuffer]) -> Vec<usize> {
 #[test]
 fn derive_runs_once_shares_one_arc_and_costs_a_plain_allgather() {
     let _guard = executor_lock();
-    for (executor, workers) in SUBSTRATES {
+    for executor in SUBSTRATES {
         simnet::set_executor(executor);
 
         // Reference: plain allgather, every rank folding its own copy.
         let sink = TraceSink::enabled();
-        let plain = run_cluster(cluster(workers, &sink), |ep| {
+        let plain = run_cluster(cluster(&sink), |ep| {
             ep.compute(SimTime::micros(ep.rank() as f64 * 3.0));
             let comm = Communicator::world(&ep);
             let folded: Vec<Vec<usize>> = (0..COLLECTIVES)
@@ -85,7 +80,7 @@ fn derive_runs_once_shares_one_arc_and_costs_a_plain_allgather() {
         let calls = Arc::new(AtomicUsize::new(0));
         let sink = TraceSink::enabled();
         let calls2 = Arc::clone(&calls);
-        let derived = run_cluster(cluster(workers, &sink), move |ep| {
+        let derived = run_cluster(cluster(&sink), move |ep| {
             ep.compute(SimTime::micros(ep.rank() as f64 * 3.0));
             let comm = Communicator::world(&ep);
             let shared: Vec<Arc<Vec<usize>>> = (0..COLLECTIVES)
@@ -100,7 +95,7 @@ fn derive_runs_once_shares_one_arc_and_costs_a_plain_allgather() {
         });
         let derived_trace = chrome_trace_json(&sink.finish());
 
-        let what = format!("{executor:?} × {workers} workers");
+        let what = format!("{executor:?}");
         assert_eq!(
             calls.load(Ordering::SeqCst),
             COLLECTIVES,
@@ -129,11 +124,11 @@ fn derive_runs_once_shares_one_arc_and_costs_a_plain_allgather() {
 #[test]
 fn split_derive_runs_once_and_is_a_plain_split() {
     let _guard = executor_lock();
-    for (executor, workers) in SUBSTRATES {
+    for executor in SUBSTRATES {
         simnet::set_executor(executor);
         let run = |derive_once: bool, calls: Arc<AtomicUsize>| {
             let sink = TraceSink::enabled();
-            let out = run_cluster(cluster(workers, &sink), move |ep| {
+            let out = run_cluster(cluster(&sink), move |ep| {
                 ep.compute(SimTime::micros(ep.rank() as f64 * 3.0));
                 let comm = Communicator::world(&ep);
                 let color = Some((comm.rank() % 2) as i64);
@@ -155,7 +150,7 @@ fn split_derive_runs_once_and_is_a_plain_split() {
         let calls = Arc::new(AtomicUsize::new(0));
         let (plain, plain_trace) = run(false, Arc::clone(&calls));
         let (derived, derived_trace) = run(true, Arc::clone(&calls));
-        let what = format!("{executor:?} × {workers} workers");
+        let what = format!("{executor:?}");
         assert_eq!(calls.load(Ordering::SeqCst), 1, "{what}: once per split");
         for (rank, (d, p)) in derived.iter().zip(&plain).enumerate() {
             assert_eq!(
@@ -181,14 +176,14 @@ fn split_derive_runs_once_and_is_a_plain_split() {
 #[test]
 fn panic_in_derive_surfaces_with_its_own_message() {
     let _guard = executor_lock();
-    for (executor, workers) in SUBSTRATES {
+    for executor in SUBSTRATES {
         simnet::set_executor(executor);
         // Whichever rank arrives last runs the closure: make each rank
         // the last arrival in turn by having it collect a token from
         // every peer before it enters the collective.
         for late in 0..RANKS {
             let run = std::panic::catch_unwind(move || {
-                run_cluster(cluster(workers, &TraceSink::disabled()), move |ep| {
+                run_cluster(cluster(&TraceSink::disabled()), move |ep| {
                     let comm = Communicator::world(&ep);
                     if comm.rank() == late {
                         for src in (0..RANKS).filter(|&r| r != late) {
@@ -210,7 +205,7 @@ fn panic_in_derive_surfaces_with_its_own_message() {
                 .unwrap_or_default();
             assert!(
                 msg.contains("derive exploded at the meeting point"),
-                "{executor:?} × {workers} workers, last arrival {late}: got {msg:?}"
+                "{executor:?}, last arrival {late}: got {msg:?}"
             );
         }
     }

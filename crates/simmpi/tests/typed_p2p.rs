@@ -5,11 +5,9 @@
 //! `p2p_send_bytes`, same drop, delay and corruption draws in the same
 //! per-`(src, tag)` order under a seeded fault plan, hence the same
 //! exported trace bit for bit — while the host hands the receiver the
-//! sender's own `Arc`. Checked on single-worker fibers, sharded fibers
-//! and the thread fallback (CI also runs this file with
-//! `SIMNET_WORKERS=4` and `SIMNET_EXECUTOR=threads` as process defaults).
+//! sender's own `Arc`. Checked on fibers and on the thread executor.
 //!
-//! The executor is a process-global knob ([`simnet::set_executor`]), so
+//! The executor is a process-global choice ([`simnet::set_executor`]), so
 //! the one test that switches it restores what it found.
 
 use simmpi::{codec, Communicator, RecvRequest};
@@ -42,9 +40,8 @@ struct Seen {
     tokens: Vec<u64>,
 }
 
-fn exchange(typed: bool, workers: usize) -> (Vec<Seen>, String, String) {
+fn exchange(typed: bool) -> (Vec<Seen>, String, String) {
     let mut cfg = ClusterConfig::cray_xt(RANKS, Mapping::Block);
-    cfg.workers = workers;
     let sink = TraceSink::enabled();
     cfg.trace = sink.clone();
     cfg.faults = Some(Arc::new(
@@ -104,15 +101,11 @@ fn exchange(typed: bool, workers: usize) -> (Vec<Seen>, String, String) {
 #[test]
 fn typed_message_is_modelled_as_its_wire_bytes() {
     let before = simnet::executor();
-    for (executor, workers) in [
-        (Executor::Fibers, 1),
-        (Executor::Fibers, 4),
-        (Executor::Threads, 1),
-    ] {
+    for executor in [Executor::Fibers, Executor::Threads] {
         simnet::set_executor(executor);
-        let what = format!("{executor:?} × {workers} workers");
-        let (bytes, bytes_trace, bytes_metrics) = exchange(false, workers);
-        let (typed, typed_trace, typed_metrics) = exchange(true, workers);
+        let what = format!("{executor:?}");
+        let (bytes, bytes_trace, bytes_metrics) = exchange(false);
+        let (typed, typed_trace, typed_metrics) = exchange(true);
 
         assert!(
             bytes_trace.contains("msg_retry"),

@@ -41,30 +41,13 @@
 //! # Scratch-buffer pooling
 //!
 //! Freshly-allocated backing stores come from a per-thread pool of
-//! recycled `Vec`s ([`set_buffer_pooling`] gates it, default on; sizes
-//! outside [64 B, 16 MiB] bypass it). A backing store returns to its
-//! thread's pool when the last handle drops. Pooling changes neither
-//! contents (buffers are cleared and zero-filled exactly as a fresh
-//! allocation would be) nor virtual time; `trace_determinism` asserts the
-//! ON/OFF equivalence byte-for-byte.
+//! recycled `Vec`s (sizes outside [64 B, 16 MiB] bypass it). A backing
+//! store returns to its thread's pool when the last handle drops.
+//! Pooling changes neither contents (buffers are cleared and zero-filled
+//! exactly as a fresh allocation would be) nor virtual time.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-/// Gate for the per-thread scratch pool (process-global, default on).
-static POOLING: AtomicBool = AtomicBool::new(true);
-
-/// Enable or disable scratch-buffer pooling process-wide. Purely a host
-/// performance knob: results and virtual times are identical either way.
-pub fn set_buffer_pooling(on: bool) {
-    POOLING.store(on, Ordering::SeqCst);
-}
-
-/// True if scratch-buffer pooling is enabled.
-pub fn buffer_pooling() -> bool {
-    POOLING.load(Ordering::SeqCst)
-}
 
 /// Most recycled buffers a thread retains.
 const POOL_MAX_BUFS: usize = 32;
@@ -91,7 +74,7 @@ fn best_fit(pool: &[Vec<u8>], min_cap: usize) -> Option<usize> {
 fn pool_take(min_cap: usize) -> Vec<u8> {
     use simtrace::host;
     let _hp = host::scope(host::Site::PoolTake);
-    if buffer_pooling() && (POOL_MIN_CAP..=POOL_MAX_CAP).contains(&min_cap) {
+    if (POOL_MIN_CAP..=POOL_MAX_CAP).contains(&min_cap) {
         let recycled =
             POOL.with_borrow_mut(|pool| best_fit(pool, min_cap).map(|i| pool.swap_remove(i)));
         if let Some(mut v) = recycled {
@@ -107,7 +90,7 @@ fn pool_take(min_cap: usize) -> Vec<u8> {
 /// Offer a no-longer-used backing store to this thread's pool.
 fn pool_put(mut v: Vec<u8>) {
     let _hp = simtrace::host::scope(simtrace::host::Site::PoolPut);
-    if !buffer_pooling() || !(POOL_MIN_CAP..=POOL_MAX_CAP).contains(&v.capacity()) {
+    if !(POOL_MIN_CAP..=POOL_MAX_CAP).contains(&v.capacity()) {
         return;
     }
     v.clear();
@@ -701,16 +684,11 @@ mod tests {
     }
 
     #[test]
-    fn pooling_toggle_preserves_contents() {
-        let was = buffer_pooling();
-        for on in [true, false] {
-            set_buffer_pooling(on);
-            let mut b = IoBuffer::zeroed(256);
-            b.copy_in(0, &IoBuffer::from_slice(&[0xAA; 16]));
-            drop(b); // with pooling on, backing returns to the pool
-            let c = IoBuffer::zeroed(256); // may reuse that backing
-            assert!(c.as_slice().unwrap().iter().all(|&x| x == 0), "pool reuse must zero-fill");
-        }
-        set_buffer_pooling(was);
+    fn a_recycled_backing_store_is_zero_filled() {
+        let mut b = IoBuffer::zeroed(256);
+        b.copy_in(0, &IoBuffer::from_slice(&[0xAA; 16]));
+        drop(b); // the backing store returns to the pool
+        let c = IoBuffer::zeroed(256); // and is handed out again
+        assert!(c.as_slice().unwrap().iter().all(|&x| x == 0), "pool reuse must zero-fill");
     }
 }

@@ -1,5 +1,5 @@
-//! Cooperative fiber executor: the ranks of a cluster on one OS thread,
-//! or sharded across a small pool of worker threads.
+//! Cooperative fiber executor: all ranks of a cluster on the calling
+//! thread.
 //!
 //! # Why
 //!
@@ -22,15 +22,22 @@
 //! slot guarded by the wait site's own lock, drops that lock and leaves
 //! the run queue. The site's notify path (the same place that signals
 //! the condition variable OS threads sleep on) takes the waker out of
-//! the slot and wakes it: a push onto the run queue of the worker that
-//! owns the fiber. A parked fiber is not touched again until then, so
-//! host time follows events, not ranks × scheduler cycles.
+//! the slot and wakes it: a push onto the scheduler's thread-local run
+//! queue, no lock and no system call. A parked fiber is not touched
+//! again until then, so host time follows events, not ranks × scheduler
+//! cycles.
 //!
-//! A wake can land between "site lock released" and "fiber switched
-//! out". Each fiber carries a three-state flag for that: the *scheduler*
-//! marks a fiber parked only after the switch away from it has
-//! completed, and a wake that finds the fiber still running leaves a
-//! notification the scheduler honours by re-queueing it at once.
+//! Only a fiber of the same run can issue that wake — every fiber of a
+//! cluster runs on the thread that called [`crate::run_cluster`], one at
+//! a time — and a wake from any other thread is a bug that panics
+//! rather than touch a run queue it does not own (DESIGN.md §9.1 records
+//! why the executor no longer spreads a cluster over worker threads).
+//! A wake can still find its fiber mid-slice (a fiber waking itself, a
+//! handle left in a slot by an earlier wait): each fiber carries a
+//! three-state flag, the scheduler marks a fiber parked only after the
+//! switch away from it has completed, and a wake that finds the fiber
+//! running leaves a notification the scheduler honours by re-queueing
+//! it at once.
 //!
 //! Code that drives the primitives from plain OS threads (the
 //! `Threads` executor, unit tests spawning `std::thread`) is untouched:
@@ -40,19 +47,6 @@
 //! (`notify_one` / `notify_all`) signals a condvar only when a
 //! thread can be asleep on one: a run on fibers makes no futex call per
 //! message, meeting or gate state change.
-//!
-//! # Sharding
-//!
-//! ParColl subgroups are communication-independent by construction, so
-//! their fibers can run on *different* worker threads with real
-//! parallelism on a multi-core host: [`workers`] (env `SIMNET_WORKERS`,
-//! default 1, or [`set_workers`]) partitions the fiber set by a
-//! placement map (one worker per ParColl subgroup block, by default
-//! contiguous rank blocks), one scheduler loop per worker. Fibers never
-//! migrate. A wake from the owning worker is a push onto its
-//! thread-local run queue; a wake from another worker goes into the
-//! owner's inbox under the one scheduler lock, and a worker with
-//! nothing runnable sleeps on its inbox.
 //!
 //! # What stays identical
 //!
@@ -66,22 +60,20 @@
 //! `(arrival, rank, seq)` in the progress registry, not by host arrival
 //! order. [`run_cluster`](crate::run_cluster) consults [`executor`]:
 //! `Fibers` (the default on x86_64 and aarch64) or `Threads` (other
-//! architectures, nested clusters, or `SIMNET_EXECUTOR=threads` /
-//! [`set_executor`] — useful for A/B-ing the two, which must produce
+//! architectures, nested clusters, or [`set_executor`] — the oracle the
+//! determinism tests compare against; the two must produce
 //! bitwise-identical virtual times).
 //!
 //! # Deadlock detection
 //!
 //! Because only runnable fibers are ever queued, a deadlock is an exact
-//! condition rather than a timeout: no runnable fiber on any worker
-//! while fibers remain. A worker that runs dry takes the scheduler lock
-//! and, finding its inbox empty, counts itself idle; when the idle
-//! count reaches the number of workers that still own fibers, nobody is
-//! running, and since only a running fiber can wake another, nothing is
-//! in flight either. That worker calls the stall callback (which
+//! condition rather than a timeout: the run queue is empty while fibers
+//! remain. Only a running fiber can wake another, so nothing is in
+//! flight either, and the scheduler calls the stall callback (which
 //! poisons the cluster) on the spot. Poisoning — by a stall or by a
 //! rank panic — re-queues every parked fiber once, so each one observes
-//! the poison flag in its wait loop and unwinds.
+//! the poison flag in its wait loop and unwinds; a queue that runs dry
+//! a second time aborts the run.
 //!
 //! # Safety notes
 //!
@@ -92,8 +84,8 @@
 //! back to the scheduler by value, mirroring `JoinHandle::join`. Fiber
 //! stacks have no OS guard page; a canary word at the stack base turns
 //! silent overflow corruption into a loud panic at fiber completion.
-//! Fibers never migrate between workers, so each fiber's stack and
-//! progress context are only ever touched by the worker that owns it.
+//! Fibers never leave the scheduler's thread, so each fiber's stack and
+//! progress context are only ever touched by that thread.
 //! A finished run's stacks are kept for the next run of the process
 //! (`STACK_POOL`) rather than freed: a stack is a megabyte of which a
 //! rank touches the top few pages, and such holes in the allocator's
@@ -113,8 +105,8 @@ use std::time::Duration;
 /// Which substrate [`crate::run_cluster`] runs ranks on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Executor {
-    /// Cooperative fibers on the calling thread, optionally sharded
-    /// across [`workers`] worker threads (default on x86_64/aarch64).
+    /// Cooperative fibers on the calling thread (default on
+    /// x86_64/aarch64).
     Fibers,
     /// One OS thread per rank (fallback; always available).
     Threads,
@@ -137,52 +129,26 @@ pub fn set_executor(e: Executor) {
     EXECUTOR.store(v, Ordering::Relaxed);
 }
 
-/// The currently selected executor. First use resolves the default:
-/// `SIMNET_EXECUTOR=threads|fibers` if set, else fibers where supported.
+/// The currently selected executor: fibers where supported, unless
+/// [`set_executor`] chose otherwise.
 pub fn executor() -> Executor {
     match EXECUTOR.load(Ordering::Relaxed) {
-        1 => Executor::Fibers,
         2 => Executor::Threads,
-        _ => {
-            let e = match std::env::var("SIMNET_EXECUTOR").as_deref() {
-                Ok("threads") => Executor::Threads,
-                Ok("fibers") => Executor::Fibers,
-                _ => Executor::Fibers,
-            };
-            set_executor(e);
-            executor()
-        }
+        1 => Executor::Fibers,
+        _ if ARCH_SUPPORTED => Executor::Fibers,
+        _ => Executor::Threads,
     }
 }
 
-/// 0 = unresolved; otherwise the worker-thread count for the fiber
-/// executor.
-static WORKERS: AtomicUsize = AtomicUsize::new(0);
-
-/// Set the process-default worker count for subsequent
-/// [`crate::run_cluster`] calls (clamped to ≥ 1). Virtual time is
-/// bitwise identical for every value; workers only change which OS
-/// threads host which fibers.
+// The frozen `benchmark/src/child.rs` is this function's one caller; it
+// goes when the benchmark is next editable.
+#[doc(hidden)]
 pub fn set_workers(n: usize) {
-    WORKERS.store(n.max(1), Ordering::Relaxed);
-}
-
-/// The process-default fiber-executor worker count. First use resolves
-/// `SIMNET_WORKERS=<n>` if set, else 1 (the classic single-threaded
-/// scheduler).
-pub fn workers() -> usize {
-    match WORKERS.load(Ordering::Relaxed) {
-        0 => {
-            let n = std::env::var("SIMNET_WORKERS")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|&n| n >= 1)
-                .unwrap_or(1);
-            set_workers(n);
-            n
-        }
-        n => n,
-    }
+    assert!(
+        n == 1,
+        "simnet runs every rank of a cluster on the calling thread; \
+         {n} workers were asked for (DESIGN.md §9.1: the sharded executor was removed)"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -453,14 +419,14 @@ const NOTIFIED: u8 = 2;
 /// site's slot (under the site's lock); whoever satisfies the wait takes
 /// it out and calls [`wake`](Parker::wake).
 pub(crate) struct Parker {
-    /// [`RUNNING`] / [`PARKED`] / [`NOTIFIED`]. Only the owning worker
-    /// stores `PARKED`, and only after the switch away from the fiber
-    /// has completed, so a waker that reads `PARKED` may re-queue a
-    /// fully suspended fiber; every other transition is a swap.
+    /// [`RUNNING`] / [`PARKED`] / [`NOTIFIED`]. The scheduler stores
+    /// `PARKED` only after the switch away from the fiber has completed,
+    /// so a waker that reads `PARKED` re-queues a fully suspended fiber;
+    /// every other transition is a swap.
     state: AtomicU8,
-    sched: Arc<Sched>,
-    /// The worker that owns the fiber, and the fiber's index there.
-    worker: usize,
+    /// [`RUN`] of the scheduler loop that owns the fiber.
+    run: usize,
+    /// The fiber's index in that loop (its rank).
     idx: usize,
 }
 
@@ -469,13 +435,21 @@ pub(crate) type Waker = Arc<Parker>;
 
 impl Parker {
     /// Make the fiber runnable. Idempotent until the fiber runs again;
-    /// on a fiber that has not finished switching out it leaves a
-    /// notification the scheduler turns into a re-queue.
+    /// on a fiber that is mid-slice it leaves a notification the
+    /// scheduler turns into a re-queue.
+    ///
+    /// # Panics
+    /// When the calling thread is not running the scheduler loop the
+    /// fiber belongs to: the run queue is that thread's alone.
     pub(crate) fn wake(&self) {
-        // AcqRel pairs with the scheduler's RUNNING -> PARKED exchange:
-        // whichever of the two comes second sees the other.
+        assert!(
+            RUN.with(Cell::get) == self.run,
+            "fiber {} woken from a thread that is not running its scheduler: \
+             only a fiber of the same cluster run may wake another",
+            self.idx
+        );
         if self.state.swap(NOTIFIED, Ordering::AcqRel) == PARKED {
-            self.sched.enqueue(self.worker, self.idx);
+            RUNQ.with(|q| q.borrow_mut().push_back(self.idx));
         }
     }
 }
@@ -527,147 +501,6 @@ pub(crate) fn notify_all(cv: &Condvar) {
     }
 }
 
-/// Cross-worker scheduler state, all under one lock: a worker touches it
-/// only to wake a fiber it does not own or when it has run dry, so the
-/// single-worker executor never takes it on the happy path.
-struct Shared {
-    /// Per worker: fibers woken by other workers since it last looked.
-    inboxes: Vec<Vec<usize>>,
-    /// Per worker: asleep on an empty inbox with an empty run queue.
-    idle: Vec<bool>,
-    n_idle: usize,
-    /// Workers that still own unfinished fibers.
-    live: usize,
-    /// A stall was diagnosed or a rank panicked: every worker re-queues
-    /// its parked fibers once so each observes the cluster poison flag.
-    poisoned: bool,
-    /// A second deadlock after poisoning: every worker gives up.
-    aborted: bool,
-}
-
-struct Sched {
-    shared: Mutex<Shared>,
-    /// One condvar per worker; worker `w` sleeps only on `cvs[w]`.
-    cvs: Box<[Condvar]>,
-}
-
-impl Sched {
-    fn new(workers: usize) -> Arc<Self> {
-        Arc::new(Sched {
-            shared: Mutex::new(Shared {
-                inboxes: vec![Vec::new(); workers],
-                idle: vec![false; workers],
-                n_idle: 0,
-                live: workers,
-                poisoned: false,
-                aborted: false,
-            }),
-            cvs: (0..workers).map(|_| Condvar::new()).collect(),
-        })
-    }
-
-    /// Thread-local identity of worker `w` of this scheduler.
-    fn tag(&self, w: usize) -> (usize, usize) {
-        (self as *const Sched as usize, w)
-    }
-
-    /// Queue fiber `idx` of worker `w`: a local push when called from
-    /// that worker's own thread, its inbox otherwise.
-    fn enqueue(&self, w: usize, idx: usize) {
-        if WORKER.with(Cell::get) == self.tag(w) {
-            RUNQ.with(|q| q.borrow_mut().push_back(idx));
-            return;
-        }
-        let mut g = self.shared.lock();
-        g.inboxes[w].push(idx);
-        self.rouse(&mut g, w);
-    }
-
-    /// Get worker `w` out of its idle sleep, if it is in one.
-    fn rouse(&self, g: &mut Shared, w: usize) {
-        if g.idle[w] {
-            g.idle[w] = false;
-            g.n_idle -= 1;
-            self.cvs[w].notify_one();
-        }
-    }
-
-    fn rouse_all(&self, g: &mut Shared) {
-        for w in 0..g.idle.len() {
-            self.rouse(g, w);
-        }
-    }
-
-    /// A rank panicked (its poison guard has already flagged the
-    /// cluster): have every worker re-queue its parked fibers.
-    fn poison(&self) {
-        let mut g = self.shared.lock();
-        if !g.poisoned {
-            g.poisoned = true;
-            self.rouse_all(&mut g);
-        }
-    }
-
-    /// Nothing is runnable on any worker while fibers remain. Called
-    /// with every other live worker asleep, so no wake is in flight.
-    fn deadlock(&self, g: &mut Shared, on_stall: &impl Fn()) {
-        if g.poisoned {
-            g.aborted = true;
-        } else {
-            on_stall();
-            g.poisoned = true;
-        }
-        self.rouse_all(g);
-    }
-
-    /// Worker `me` ran dry with fibers left: move its inbox onto the run
-    /// queue, sleeping until there is something in it. Returns `true`
-    /// instead when the worker must first re-queue its parked fibers
-    /// (the cluster was poisoned since it last asked).
-    fn wait_for_work(
-        &self,
-        me: usize,
-        unfinished: usize,
-        poison_seen: &mut bool,
-        on_stall: &impl Fn(),
-    ) -> bool {
-        let mut g = self.shared.lock();
-        loop {
-            assert!(
-                !g.aborted,
-                "fiber deadlock: {unfinished} fibers still blocked after poisoning"
-            );
-            if g.poisoned && !*poison_seen {
-                *poison_seen = true;
-                return true;
-            }
-            if !g.inboxes[me].is_empty() {
-                RUNQ.with(|q| q.borrow_mut().extend(g.inboxes[me].drain(..)));
-                return false;
-            }
-            if g.n_idle + 1 == g.live {
-                self.deadlock(&mut g, on_stall);
-                continue;
-            }
-            g.idle[me] = true;
-            g.n_idle += 1;
-            while g.idle[me] {
-                self.cvs[me].wait(&mut g);
-            }
-        }
-    }
-
-    /// Worker `me` finished its last fiber. If that leaves only sleeping
-    /// workers, their fibers are deadlocked and nobody else can say so.
-    fn retire(&self, on_stall: &impl Fn()) {
-        let mut g = self.shared.lock();
-        g.live -= 1;
-        if g.live > 0 && g.n_idle == g.live {
-            self.deadlock(&mut g, on_stall);
-        }
-    }
-}
-
 /// Per-fiber runtime shared between the scheduler and the fiber itself
 /// (via the thread-local [`CURRENT`] pointer). Boxed so its address is
 /// stable across scheduler Vec reallocation.
@@ -691,12 +524,10 @@ struct FiberRt {
 thread_local! {
     /// The fiber currently running on this thread, if any.
     static CURRENT: Cell<*mut FiberRt> = const { Cell::new(std::ptr::null_mut()) };
-    /// [`Sched::tag`] of the worker loop running on this thread, or
-    /// `(0, 0)`: lets a wake recognise its own worker. (A loop that
-    /// unwinds leaves its tag behind; only a thread running a loop —
-    /// which sets it afresh — ever issues a wake.)
-    static WORKER: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
-    /// That worker's run queue (fiber indices). Thread-local so a wake
+    /// Which [`run_fibers`] loop runs on this thread (0 = none): lets a
+    /// wake check that it is pushing onto its own scheduler's queue.
+    static RUN: Cell<usize> = const { Cell::new(0) };
+    /// That loop's run queue (fiber indices). Thread-local so a wake
     /// issued from inside a running fiber can push without a lock.
     static RUNQ: RefCell<VecDeque<usize>> = const { RefCell::new(VecDeque::new()) };
 }
@@ -776,24 +607,38 @@ extern "C" fn fiber_main() -> ! {
     unreachable!("completed fiber resumed")
 }
 
-/// A task body on its way to becoming a fiber, with its global index.
-type Body = (usize, Box<dyn FnOnce() + Send>);
+/// Source of [`RUN`] ids: one per [`run_fibers`] call, never reused, so
+/// a handle that outlives its run matches no later one.
+static NEXT_RUN: AtomicUsize = AtomicUsize::new(1);
 
-/// One worker's scheduler loop: run the fibers made from `bodies` to
-/// completion, resuming only those that are runnable. Returns each
-/// fiber's panic payload keyed by its global index.
-fn worker_loop(
-    me: usize,
-    sched: &Arc<Sched>,
-    bodies: Vec<Body>,
+/// Run `tasks` as cooperatively-scheduled fibers on the calling thread
+/// until all complete, resuming only those that are runnable; returns
+/// each task's panic payload (`None` = clean return), index-aligned
+/// with `tasks`. No thread is spawned, so thread-local caches stay warm
+/// across runs.
+///
+/// `on_stall` is invoked once if the fiber set deadlocks (fibers remain
+/// and none is runnable — see the module docs). It is expected to
+/// poison the cluster; the scheduler then re-queues every parked fiber
+/// so each panics out of its wait loop.
+pub(crate) fn run_fibers<'a>(
+    tasks: Vec<Box<dyn FnOnce() + 'a>>,
     stack_size: usize,
-    on_stall: &impl Fn(),
-) -> Vec<(usize, Option<Box<dyn Any + Send>>)> {
-    // Stacks and fiber state are built on the worker that owns them and
-    // never leave it.
-    let mut fibers: Vec<(StackMem, Box<FiberRt>)> = Vec::with_capacity(bodies.len());
-    let mut out = Vec::with_capacity(bodies.len());
-    for (idx, (global, body)) in bodies.into_iter().enumerate() {
+    on_stall: impl Fn(),
+) -> Vec<Option<Box<dyn Any + Send>>> {
+    assert!(
+        !in_fiber(),
+        "nested fiber executors on one thread are not supported"
+    );
+    let run = NEXT_RUN.fetch_add(1, Ordering::Relaxed);
+    let mut fibers: Vec<(StackMem, Box<FiberRt>)> = Vec::with_capacity(tasks.len());
+    for (idx, task) in tasks.into_iter().enumerate() {
+        // SAFETY: every fiber completes before this function returns (the
+        // loop below runs until none is unfinished, or panics with the
+        // bodies still owned by `fibers`), so the borrowed body cannot
+        // outlive `'a` behind its `'static` trait object.
+        let body: Box<dyn FnOnce() + 'static> =
+            unsafe { std::mem::transmute::<Box<dyn FnOnce() + 'a>, _>(task) };
         let stack = StackMem::new(stack_size);
         let rt = Box::new(FiberRt {
             fiber_rsp: stack.prepare(fiber_main),
@@ -801,36 +646,48 @@ fn worker_loop(
             action: Action::Parked,
             parker: Arc::new(Parker {
                 state: AtomicU8::new(RUNNING),
-                sched: Arc::clone(sched),
-                worker: me,
+                run,
                 idx,
             }),
-            entry: Some(body as Box<dyn FnOnce()>),
+            entry: Some(body),
             panic: None,
             saved_ctx: None,
         });
         fibers.push((stack, rt));
-        out.push((global, None));
     }
-    WORKER.with(|w| w.set(sched.tag(me)));
+    let mut panics: Vec<Option<Box<dyn Any + Send>>> = fibers.iter().map(|_| None).collect();
+    // A loop that unwinds leaves its id behind; only a thread running a
+    // loop — which sets it afresh — ever issues a wake.
+    RUN.with(|r| r.set(run));
     RUNQ.with(|q| {
         let mut q = q.borrow_mut();
         q.clear();
         q.extend(0..fibers.len());
     });
     let mut unfinished = fibers.len();
-    let mut poison_seen = false;
-    // hostprof: the whole scheduler loop is one frame per worker; fiber
-    // slices nest inside it, so this frame's self time is pure
-    // scheduling overhead (run-queue churn, context-switch cost, and —
-    // with several workers — sleeping on an empty inbox).
+    // A rank panicked: its poison guard has already flagged the cluster.
+    let mut poisoned = false;
+    // The parked fibers were re-queued to observe the poison flag.
+    let mut requeued = false;
+    // hostprof: the whole scheduler loop is one frame; fiber slices nest
+    // inside it, so this frame's self time is pure scheduling overhead
+    // (run-queue churn and context-switch cost).
     let _sched_scope = simtrace::host::scope(simtrace::host::Site::FiberSched);
     while unfinished > 0 {
         let Some(idx) = RUNQ.with(|q| q.borrow_mut().pop_front()) else {
-            if sched.wait_for_work(me, unfinished, &mut poison_seen, on_stall) {
-                for (_, rt) in &fibers {
-                    rt.parker.wake();
-                }
+            // Nothing is runnable and only a running fiber could change
+            // that: a deadlock, unless a panic poisoned the cluster and
+            // the parked fibers have yet to be told.
+            assert!(
+                !requeued,
+                "fiber deadlock: {unfinished} fibers still blocked after poisoning"
+            );
+            if !poisoned {
+                on_stall();
+            }
+            requeued = true;
+            for (_, rt) in &fibers {
+                rt.parker.wake();
             }
             continue;
         };
@@ -840,8 +697,8 @@ fn worker_loop(
         // hostprof: time one slice (resume -> suspend). The guard is
         // created and dropped on the scheduler side of the switch, so
         // it never spans a park; probes inside the fiber body nest
-        // under this frame because fibers share the worker's
-        // thread-local profiler stack.
+        // under this frame because fibers share the thread-local
+        // profiler stack.
         let run_scope = simtrace::host::scope(simtrace::host::Site::FiberRun);
         unsafe {
             crate::progress::tl_set((*rtp).saved_ctx.take());
@@ -854,7 +711,7 @@ fn worker_loop(
         match rt.action {
             Action::Parked => {
                 // The fiber is fully switched out only now. A wake that
-                // raced the switch left NOTIFIED behind: run it again.
+                // found it mid-slice left NOTIFIED behind: run it again.
                 let parked = rt.parker.state.compare_exchange(
                     RUNNING,
                     PARKED,
@@ -872,82 +729,14 @@ fn worker_loop(
                     "fiber {idx} overflowed its {stack_size}-byte stack \
                      (canary clobbered); raise ClusterConfig::stack_size"
                 );
-                out[idx].1 = rt.panic.take();
-                if out[idx].1.is_some() {
-                    sched.poison();
-                }
+                panics[idx] = rt.panic.take();
+                poisoned |= panics[idx].is_some();
             }
         }
     }
-    WORKER.with(|w| w.set((0, 0)));
-    sched.retire(on_stall);
+    RUN.with(|r| r.set(0));
     for (stack, _) in fibers.into_iter().rev() {
         stack.recycle();
-    }
-    out
-}
-
-/// Run `tasks` as cooperatively-scheduled fibers until all complete,
-/// task `i` on worker `placement[i]` (clamped into range) of `workers`;
-/// returns each task's panic payload (`None` = clean return),
-/// index-aligned with `tasks`. One worker is the calling thread itself
-/// (no thread is spawned, thread-local caches stay warm across runs);
-/// more are scoped OS threads. Virtual time is bitwise identical for
-/// any worker count or placement.
-///
-/// `on_stall` is invoked once if the fiber set deadlocks (fibers remain
-/// and none is runnable on any worker — see the module docs). It is
-/// expected to poison the cluster; the scheduler then re-queues every
-/// parked fiber so each panics out of its wait loop.
-pub(crate) fn run_fibers<'a>(
-    tasks: Vec<Box<dyn FnOnce() + Send + 'a>>,
-    placement: &[usize],
-    workers: usize,
-    stack_size: usize,
-    on_stall: impl Fn() + Sync,
-) -> Vec<Option<Box<dyn Any + Send>>> {
-    assert!(
-        !in_fiber(),
-        "nested fiber executors on one thread are not supported"
-    );
-    assert!(workers >= 1, "the executor needs at least one worker");
-    assert_eq!(placement.len(), tasks.len(), "placement must cover every task");
-    let n = tasks.len();
-    let mut shards: Vec<Vec<Body>> = (0..workers).map(|_| Vec::new()).collect();
-    for (i, task) in tasks.into_iter().enumerate() {
-        // SAFETY: every worker loop — and so every fiber — completes
-        // before this function returns (the single worker runs inline,
-        // the scope joins the others), so the borrowed body cannot
-        // outlive `'a` behind its `'static` trait object.
-        let body: Box<dyn FnOnce() + Send + 'static> =
-            unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'a>, _>(task) };
-        shards[placement[i].min(workers - 1)].push((i, body));
-    }
-    let sched = Sched::new(workers);
-    let run = |w: usize, shard: Vec<Body>| worker_loop(w, &sched, shard, stack_size, &on_stall);
-    let done = if workers == 1 {
-        run(0, shards.pop().expect("one shard per worker"))
-    } else {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = shards
-                .into_iter()
-                .enumerate()
-                .map(|(w, shard)| {
-                    std::thread::Builder::new()
-                        .name(format!("simnet-worker-{w}"))
-                        .spawn_scoped(s, move || run(w, shard))
-                        .expect("failed to spawn fiber worker thread")
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("fiber worker thread panicked"))
-                .collect()
-        })
-    };
-    let mut panics: Vec<Option<Box<dyn Any + Send>>> = (0..n).map(|_| None).collect();
-    for (i, p) in done {
-        panics[i] = p;
     }
     panics
 }
@@ -957,7 +746,7 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, AtomicU32};
 
-    type Task<'a> = Box<dyn FnOnce() + Send + 'a>;
+    type Task<'a> = Box<dyn FnOnce() + 'a>;
     type Panics = Vec<Option<Box<dyn Any + Send>>>;
 
     /// The running fiber's wake handle.
@@ -974,13 +763,9 @@ mod tests {
         park();
     }
 
-    /// Run on `workers` workers, contiguous placement, no stall expected.
-    fn run_on(tasks: Vec<Task<'_>>, workers: usize) -> Panics {
-        let n = tasks.len();
-        let placement: Vec<usize> = (0..n).map(|i| i * workers / n.max(1)).collect();
-        run_fibers(tasks, &placement, workers, 64 * 1024, || {
-            panic!("unexpected stall")
-        })
+    /// Run with small stacks, no stall expected.
+    fn run(tasks: Vec<Task<'_>>) -> Panics {
+        run_fibers(tasks, 64 * 1024, || panic!("unexpected stall"))
     }
 
     fn payload_str(p: &Option<Box<dyn Any + Send>>) -> Option<&str> {
@@ -996,7 +781,7 @@ mod tests {
                 Box::new(move || log.lock().push(i)) as Task
             })
             .collect();
-        assert!(run_on(tasks, 1).iter().all(Option::is_none));
+        assert!(run(tasks).iter().all(Option::is_none));
         assert_eq!(*log.lock(), vec![0, 1, 2, 3]);
     }
 
@@ -1014,7 +799,7 @@ mod tests {
                 }) as Task
             })
             .collect();
-        run_on(tasks, 1);
+        run(tasks);
         // Steps proceed in lockstep: all fibers' step 0, then step 1, ...
         let expect: Vec<(usize, usize)> =
             (0..3).flat_map(|s| (0..3).map(move |i| (i, s))).collect();
@@ -1023,17 +808,15 @@ mod tests {
 
     #[test]
     fn panic_is_captured_on_the_right_index_not_propagated() {
-        for workers in [1, 3] {
-            let tasks: Vec<Task> = vec![
-                Box::new(yield_now),
-                Box::new(|| panic!("fiber boom")),
-                Box::new(|| {}),
-            ];
-            let panics = run_on(tasks, workers);
-            assert!(panics[0].is_none());
-            assert_eq!(payload_str(&panics[1]), Some("fiber boom"));
-            assert!(panics[2].is_none());
-        }
+        let tasks: Vec<Task> = vec![
+            Box::new(yield_now),
+            Box::new(|| panic!("fiber boom")),
+            Box::new(|| {}),
+        ];
+        let panics = run(tasks);
+        assert!(panics[0].is_none());
+        assert_eq!(payload_str(&panics[1]), Some("fiber boom"));
+        assert!(panics[2].is_none());
     }
 
     #[test]
@@ -1046,7 +829,7 @@ mod tests {
             let bt = std::backtrace::Backtrace::force_capture();
             assert_eq!(bt.status(), std::backtrace::BacktraceStatus::Captured);
         })];
-        assert!(run_on(tasks, 1)[0].is_none());
+        assert!(run(tasks)[0].is_none());
     }
 
     #[test]
@@ -1062,7 +845,7 @@ mod tests {
         let tasks: Vec<Task> = vec![Box::new(|| {
             assert_eq!(burn(100), 6400);
         })];
-        let panics = run_fibers(tasks, &[0], 1, 256 * 1024, || panic!("stall"));
+        let panics = run_fibers(tasks, 256 * 1024, || panic!("stall"));
         assert!(panics[0].is_none());
     }
 
@@ -1071,7 +854,7 @@ mod tests {
         // The pool is process-wide and matches by size: a size no other
         // test asks for keeps this one's stacks to itself.
         const SIZE: usize = 80 * 1024 + 16;
-        let run = |fibers: usize| {
+        let frames_of = |fibers: usize| {
             let frames = Mutex::new(vec![0usize; fibers]);
             let tasks: Vec<Task> = (0..fibers)
                 .map(|i| {
@@ -1082,16 +865,16 @@ mod tests {
                     }) as Task
                 })
                 .collect();
-            let panics = run_fibers(tasks, &vec![0; fibers], 1, SIZE, || panic!("stall"));
+            let panics = run_fibers(tasks, SIZE, || panic!("stall"));
             assert!(panics.iter().all(Option::is_none));
             frames.into_inner()
         };
-        let first = run(4);
-        assert_eq!(run(4), first);
+        let first = frames_of(4);
+        assert_eq!(frames_of(4), first);
         // A smaller run takes the stacks of the first fibers, a larger
         // one allocates the difference.
-        assert_eq!(run(2), first[..2]);
-        assert_eq!(run(6)[..4], first);
+        assert_eq!(frames_of(2), first[..2]);
+        assert_eq!(frames_of(6)[..4], first);
     }
 
     #[test]
@@ -1109,7 +892,7 @@ mod tests {
                 resumes.fetch_add(1, Ordering::Relaxed);
             }
         })];
-        let panics = run_fibers(tasks, &[0], 1, 64 * 1024, || {
+        let panics = run_fibers(tasks, 64 * 1024, || {
             stalls.fetch_add(1, Ordering::Relaxed);
             flag.store(true, Ordering::Release);
         });
@@ -1128,7 +911,7 @@ mod tests {
         let tasks: Vec<Task> = vec![Box::new(|| loop {
             park();
         })];
-        run_fibers(tasks, &[0], 1, 64 * 1024, || {});
+        run_fibers(tasks, 64 * 1024, || {});
     }
 
     #[test]
@@ -1146,13 +929,11 @@ mod tests {
     }
 
     #[test]
-    fn worker_count_round_trips_and_clamps() {
-        let before = workers();
-        set_workers(4);
-        assert_eq!(workers(), 4);
-        set_workers(0);
-        assert_eq!(workers(), 1, "worker count clamps to at least one");
-        set_workers(before);
+    fn the_worker_count_shim_accepts_one_and_nothing_else() {
+        set_workers(1);
+        let refused = catch_unwind(|| set_workers(2)).expect_err("two workers must be refused");
+        let msg = refused.downcast_ref::<String>().expect("formatted panic message");
+        assert!(msg.contains("DESIGN.md §9.1"), "{msg}");
     }
 
     /// A two-party turn counter built on [`wait`], the way the real
@@ -1187,21 +968,18 @@ mod tests {
 
     #[test]
     fn ping_pong_through_the_wait_primitive() {
-        // Two ranks alternate turns; every turn is a park and a wake.
-        // On one worker the wake is a local push; on two it crosses
-        // workers through the inbox and the idle sleep; on plain OS
-        // threads the same primitive sleeps on the condvar instead.
-        for workers in [1, 2] {
-            let turns = Turns::new();
-            let tasks: Vec<Task> = (0..2u32)
-                .map(|me| {
-                    let turns = &turns;
-                    Box::new(move || (0..25).for_each(|_| turns.take_turn(me))) as Task
-                })
-                .collect();
-            assert!(run_on(tasks, workers).iter().all(Option::is_none));
-            assert_eq!(turns.state.lock().0, 50);
-        }
+        // Two ranks alternate turns; every turn is a park and a wake: on
+        // fibers a push onto the run queue, on plain OS threads the same
+        // primitive sleeps on the condvar instead.
+        let turns = Turns::new();
+        let tasks: Vec<Task> = (0..2u32)
+            .map(|me| {
+                let turns = &turns;
+                Box::new(move || (0..25).for_each(|_| turns.take_turn(me))) as Task
+            })
+            .collect();
+        assert!(run(tasks).iter().all(Option::is_none));
+        assert_eq!(turns.state.lock().0, 50);
         let turns = Turns::new();
         std::thread::scope(|s| {
             for me in 0..2u32 {
@@ -1213,115 +991,29 @@ mod tests {
     }
 
     #[test]
-    fn a_wake_between_unlock_and_switch_out_is_not_lost() {
-        // Fiber 0 publishes its waker and then — standing in for the
-        // window between "site lock released" and "switched out" —
-        // refuses to park until fiber 1, on another worker, has taken
-        // the waker and called wake. The notification must survive the
-        // park that follows; a lost wake-up would leave fiber 0 parked
-        // for good, which the exact detector reports as a stall.
-        let slot: Mutex<Option<Waker>> = Mutex::new(None);
-        let woken = AtomicBool::new(false);
-        let tasks: Vec<Task> = vec![
-            Box::new(|| {
-                *slot.lock() = Some(current_waker());
-                while !woken.load(Ordering::Acquire) {
-                    std::thread::yield_now();
-                }
-                park();
-            }),
-            Box::new(|| loop {
-                if let Some(w) = slot.lock().take() {
-                    w.wake();
-                    woken.store(true, Ordering::Release);
-                    return;
-                }
-                std::thread::yield_now();
-            }),
-        ];
-        let panics = run_fibers(tasks, &[0, 1], 2, 64 * 1024, || {
-            panic!("lost wake-up: fiber 0 parked after it was woken")
-        });
-        assert!(panics.iter().all(Option::is_none));
-    }
-
-    #[test]
-    fn a_deadlock_needs_every_worker_idle() {
-        // Worker 1's only fiber is parked (so worker 1 sleeps) while
-        // worker 0's fiber keeps running for a while before waking it.
-        // The stall callback must NOT fire: only *global* quiescence is
-        // a deadlock.
+    fn a_wake_from_a_foreign_thread_panics_instead_of_queueing() {
+        // Fiber 0 publishes its waker and parks. Fiber 1 hands the waker
+        // to a plain OS thread: that wake must panic there, naming the
+        // violation, and leave fiber 0 parked until fiber 1 wakes it the
+        // legitimate way (a stall here would mean it never was).
         let slot: Mutex<Option<Waker>> = Mutex::new(None);
         let tasks: Vec<Task> = vec![
-            Box::new(|| loop {
-                for _ in 0..5000 {
-                    yield_now();
-                }
-                if let Some(w) = slot.lock().take() {
-                    w.wake();
-                    return;
-                }
-            }),
             Box::new(|| {
                 *slot.lock() = Some(current_waker());
                 park();
             }),
-        ];
-        let panics = run_fibers(tasks, &[0, 1], 2, 64 * 1024, || {
-            panic!("spurious stall: one worker was still productive")
-        });
-        assert!(panics.iter().all(Option::is_none));
-    }
-
-    #[test]
-    fn a_global_deadlock_is_diagnosed_once() {
-        // Both workers' fibers park on a flag only the stall callback
-        // sets — the genuine global deadlock, including a finished
-        // worker (task 2 returns immediately, retiring worker 2).
-        let flag = AtomicBool::new(false);
-        let stalls = AtomicU32::new(0);
-        let waiter = || {
             Box::new(|| {
-                while !flag.load(Ordering::Acquire) {
-                    park();
-                }
-            }) as Task
-        };
-        let tasks: Vec<Task> = vec![waiter(), waiter(), Box::new(|| {})];
-        let panics = run_fibers(tasks, &[0, 1, 2], 3, 64 * 1024, || {
-            stalls.fetch_add(1, Ordering::Relaxed);
-            flag.store(true, Ordering::Release);
-        });
-        assert!(panics.iter().all(Option::is_none));
-        assert_eq!(stalls.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn results_do_not_depend_on_worker_count_or_placement() {
-        // The same workload finishes with the same per-task effects
-        // whatever the worker count — including more workers than
-        // tasks — and with a placement that scatters neighbours.
-        let run_with = |workers: usize| -> Vec<u32> {
-            let out: Vec<AtomicU32> = (0..6).map(|_| AtomicU32::new(0)).collect();
-            let tasks: Vec<Task> = (0..6)
-                .map(|i| {
-                    let out = &out;
-                    Box::new(move || {
-                        for step in 0..4u32 {
-                            out[i].fetch_add(step + i as u32, Ordering::Relaxed);
-                            yield_now();
-                        }
-                    }) as Task
-                })
-                .collect();
-            let placement: Vec<usize> = (0..6).map(|i| i % workers).collect();
-            let panics = run_fibers(tasks, &placement, workers, 64 * 1024, || panic!("stall"));
-            assert!(panics.iter().all(Option::is_none));
-            out.iter().map(|a| a.load(Ordering::Relaxed)).collect()
-        };
-        let solo = run_with(1);
-        for w in [2, 4, 8] {
-            assert_eq!(run_with(w), solo, "worker count {w} changed results");
-        }
+                let w = slot.lock().take().expect("fiber 0 ran first and parked");
+                let foreign = Arc::clone(&w);
+                let refused = std::thread::spawn(move || foreign.wake())
+                    .join()
+                    .expect_err("a wake from outside the scheduler's thread must panic");
+                let msg = refused.downcast_ref::<String>().expect("formatted panic message");
+                assert!(msg.contains("not running its scheduler"), "{msg}");
+                assert_eq!(w.state.load(Ordering::Acquire), PARKED);
+                w.wake();
+            }),
+        ];
+        assert!(run(tasks).iter().all(Option::is_none));
     }
 }

@@ -54,13 +54,13 @@ pub mod runtime;
 pub mod time;
 pub mod topology;
 
-pub use buffer::{buffer_pooling, set_buffer_pooling, IoBuffer};
+pub use buffer::IoBuffer;
 pub use clock::Clock;
 pub use endpoint::{Endpoint, RecvInfo};
 pub use error::{SimError, SimResult};
 pub use cksum::{fnv1a, Fnv1a};
 pub use fault::{corrupt_flip, FaultPlan, FaultRule, FaultState, MsgFault};
-pub use fiber::{executor, set_executor, set_workers, workers, Executor};
+pub use fiber::{executor, set_executor, set_workers, Executor};
 pub use mailbox::Payload;
 pub use model::{CollectiveAlg, MachineModel, NetworkModel};
 pub use noise::SplitMix64;

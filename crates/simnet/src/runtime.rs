@@ -62,18 +62,6 @@ pub struct ClusterConfig {
     /// is the unperturbed cluster, bitwise identical to a build without
     /// the fault layer.
     pub faults: Option<Arc<FaultPlan>>,
-    /// Worker threads for the fiber executor: `0` (the default) uses the
-    /// process default ([`crate::fiber::workers`], i.e. `SIMNET_WORKERS`
-    /// or 1). Purely a host-side knob — virtual time and every
-    /// deterministic artifact are bitwise identical for any value.
-    pub workers: usize,
-    /// Rank → worker placement hint for the sharded fiber executor
-    /// (length `nranks`, values below the worker count; out-of-range
-    /// values clamp). `None` falls back to contiguous rank blocks.
-    /// ParColl callers align this to subgroup boundaries so each
-    /// subgroup's communication stays worker-local. Placement affects
-    /// host performance only, never virtual time.
-    pub placement: Option<Arc<Vec<usize>>>,
 }
 
 impl ClusterConfig {
@@ -87,8 +75,6 @@ impl ClusterConfig {
             stack_size: default_stack_size(),
             trace: simtrace::TraceSink::disabled(),
             faults: None,
-            workers: 0,
-            placement: None,
         }
     }
 
@@ -101,8 +87,6 @@ impl ClusterConfig {
             stack_size: default_stack_size(),
             trace: simtrace::TraceSink::disabled(),
             faults: None,
-            workers: 0,
-            placement: None,
         }
     }
 }
@@ -112,8 +96,9 @@ impl ClusterConfig {
 /// Ranks execute on the substrate selected by [`crate::fiber::executor`]:
 /// cooperative fibers on the calling thread (the default — orders of
 /// magnitude cheaper per blocking operation on a loaded or small host),
-/// or one OS thread per rank (`SIMNET_EXECUTOR=threads`, non-x86_64
-/// hosts, and clusters started from inside another cluster's rank).
+/// or one OS thread per rank ([`crate::fiber::set_executor`], hosts that
+/// are neither x86_64 nor aarch64, and clusters started from inside
+/// another cluster's rank).
 /// Virtual-time results are bitwise identical across the two.
 ///
 /// If any rank panics, the cluster is poisoned (unblocking every rank
@@ -198,25 +183,9 @@ where
     // not nest a second scheduler on the same stack — fall back to
     // threads for the inner run.
     if crate::fiber::executor() == crate::fiber::Executor::Fibers && !crate::fiber::in_fiber() {
-        let workers = if cfg.workers == 0 {
-            crate::fiber::workers()
-        } else {
-            cfg.workers
-        }
-        .clamp(1, n.max(1));
-        // Ranks are partitioned across the workers by the placement
-        // hint (aligned to ParColl subgroups when the caller provides
-        // one); a single worker is the calling thread itself. Virtual
-        // time is identical for every worker count — determinism never
-        // depended on the interleaving — so this changes host
-        // wall-clock only.
-        let placement: Vec<usize> = match cfg.placement.as_deref() {
-            Some(p) if p.len() == n => p.iter().map(|&w| w.min(workers - 1)).collect(),
-            _ => (0..n).map(|r| r * workers / n).collect(),
-        };
         let slots: Vec<parking_lot::Mutex<Option<T>>> =
             (0..n).map(|_| parking_lot::Mutex::new(None)).collect();
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = slots
+        let tasks: Vec<Box<dyn FnOnce() + '_>> = slots
             .iter()
             .enumerate()
             .map(|(rank, slot)| {
@@ -232,14 +201,13 @@ where
                     // on panic, so gate waiters never deadlock on us.
                     let _ctx = progress::install(registry, rank);
                     *slot.lock() = Some(f(ep));
-                }) as Box<dyn FnOnce() + Send + '_>
+                }) as Box<dyn FnOnce() + '_>
             })
             .collect();
         // A deadlock (fibers remain, none runnable) is resolved like a
         // rank panic: poison the cluster so the blocked fibers panic out
         // of their waits and report.
-        let panics =
-            crate::fiber::run_fibers(tasks, &placement, workers, cfg.stack_size, || poison.poison());
+        let panics = crate::fiber::run_fibers(tasks, cfg.stack_size, || poison.poison());
         if let Some(payload) = pick_primary(panics.into_iter().flatten()) {
             std::panic::resume_unwind(payload);
         }
@@ -385,48 +353,6 @@ mod tests {
         let threads = run(crate::fiber::Executor::Threads);
         crate::fiber::set_executor(before);
         assert_eq!(fibers, threads, "executor choice leaked into virtual time");
-    }
-
-    #[test]
-    fn sharded_and_single_agree_on_virtual_time() {
-        // The sharded fiber executor is a host-side substrate choice
-        // exactly like fibers-vs-threads: virtual timestamps must be
-        // bitwise identical for every worker count and placement,
-        // including workers exceeding the rank count and a placement
-        // hint that splits communicating ranks across workers.
-        let workload = |ep: crate::endpoint::Endpoint| {
-            let n = ep.size();
-            let next = (ep.rank() + 1) % n;
-            let prev = (ep.rank() + n - 1) % n;
-            ep.send(next, 0, 1, IoBuffer::synthetic(1 << 14));
-            let _ = ep.recv(prev, 0, 1);
-            let rdv = ep.world_rendezvous();
-            let (_, done) = rdv.meet(ep.rank(), ep.now(), (), |_, max| ((), max));
-            ep.clock().advance_to(done);
-            ep.now().as_secs()
-        };
-        let run = |e: crate::fiber::Executor, workers: usize, placement: Option<Vec<usize>>| {
-            crate::fiber::set_executor(e);
-            let mut cfg = ClusterConfig::cray_xt(12, Mapping::Cyclic);
-            cfg.workers = workers;
-            cfg.placement = placement.map(Arc::new);
-            run_cluster(cfg, workload)
-        };
-        let before = crate::fiber::executor();
-        let single = run(crate::fiber::Executor::Fibers, 1, None);
-        let threads = run(crate::fiber::Executor::Threads, 1, None);
-        for w in [2, 4, 8, 16] {
-            let sharded = run(crate::fiber::Executor::Fibers, w, None);
-            assert_eq!(sharded, single, "workers={w} changed virtual time");
-        }
-        let scattered = run(
-            crate::fiber::Executor::Fibers,
-            4,
-            Some((0..12).map(|r| r % 4).collect()),
-        );
-        crate::fiber::set_executor(before);
-        assert_eq!(scattered, single, "placement hint changed virtual time");
-        assert_eq!(threads, single, "thread fallback changed virtual time");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! polled; a deadlock is diagnosed the moment nothing is runnable; a
 //! rank panic unwinds every parked rank; and none of it shows in
 //! virtual time — the admission order of a nested-communicator run is
-//! the same on fibers at any worker count and on OS threads.
+//! the same on fibers and on OS threads.
 //!
 //! The executor choice and the host profiler are process-global, so
 //! every test here serializes on one lock and restores the defaults.
@@ -30,12 +30,6 @@ impl Drop for Serial {
     }
 }
 
-fn cluster(n: usize, workers: usize) -> ClusterConfig {
-    let mut cfg = ClusterConfig::ideal(n);
-    cfg.workers = workers;
-    cfg
-}
-
 /// Run `f` with the host profiler armed; return its panic message (if
 /// any) and the number of fiber slices (resumes) the run took.
 fn profiled(f: impl FnOnce()) -> (Option<String>, u64) {
@@ -58,40 +52,34 @@ fn receive_cycle_is_diagnosed_at_once() {
     let _serial = serial();
     simnet::set_executor(Executor::Fibers);
     const N: usize = 8;
-    for workers in [1, 4] {
-        // Every rank receives from its neighbour and nobody sends.
-        let (message, slices) = profiled(|| {
-            run_cluster(cluster(N, workers), |ep| {
-                let _ = ep.recv((ep.rank() + 1) % N, 0, 9);
-            });
+    // Every rank receives from its neighbour and nobody sends.
+    let (message, slices) = profiled(|| {
+        run_cluster(ClusterConfig::ideal(N), |ep| {
+            let _ = ep.recv((ep.rank() + 1) % N, 0, 9);
         });
-        let message = message.expect("a deadlocked cluster must panic, not return");
-        assert!(
-            message.contains("simnet cluster poisoned"),
-            "workers={workers}: unexpected panic text {message:?}"
-        );
-        // One slice to reach the receive, one to observe the poison.
-        // The cycle-counting detector needed 1 000 idle scheduler
-        // cycles — 1 000 resumes of every rank — to say the same.
-        assert!(
-            slices <= 4 * N as u64,
-            "workers={workers}: {slices} fiber slices to diagnose an {N}-rank deadlock"
-        );
-    }
+    });
+    let message = message.expect("a deadlocked cluster must panic, not return");
+    assert!(
+        message.contains("simnet cluster poisoned"),
+        "unexpected panic text {message:?}"
+    );
+    // One slice to reach the receive, one to observe the poison. The
+    // cycle-counting detector needed 1 000 idle scheduler cycles —
+    // 1 000 resumes of every rank — to say the same.
+    assert!(
+        slices <= 4 * N as u64,
+        "{slices} fiber slices to diagnose an {N}-rank deadlock"
+    );
 }
 
 #[test]
 fn a_rank_panic_unwinds_ranks_parked_at_every_wait_site() {
     let _serial = serial();
-    for (executor, workers) in [
-        (Executor::Fibers, 1),
-        (Executor::Fibers, 4),
-        (Executor::Threads, 1),
-    ] {
+    for executor in [Executor::Fibers, Executor::Threads] {
         simnet::set_executor(executor);
         let sub: Arc<OnceLock<Arc<Rendezvous>>> = Arc::new(OnceLock::new());
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            run_cluster(cluster(8, workers), move |ep: Endpoint| {
+            run_cluster(ClusterConfig::ideal(8), move |ep: Endpoint| {
                 let me = ep.rank();
                 if me != 2 {
                     ep.send(2, 0, 1, IoBuffer::empty());
@@ -122,14 +110,14 @@ fn a_rank_panic_unwinds_ranks_parked_at_every_wait_site() {
         assert_eq!(
             payload.downcast_ref::<&str>().copied(),
             Some("rank 2 exploded"),
-            "{executor:?} x {workers}: primary payload lost"
+            "{executor:?}: primary payload lost"
         );
     }
 }
 
 /// World barrier + two subgroup collectives + gate traffic from every
 /// rank; returns the order in which the gate admitted the requests.
-fn nested_communicator_run(workers: usize) -> Vec<(usize, u32)> {
+fn nested_communicator_run() -> Vec<(usize, u32)> {
     const N: usize = 12;
     let log = Arc::new(Mutex::new(Vec::new()));
     let poison = Arc::new(PoisonFlag::default());
@@ -140,7 +128,7 @@ fn nested_communicator_run(workers: usize) -> Vec<(usize, u32)> {
             .collect(),
     );
     let sink = Arc::clone(&log);
-    run_cluster(cluster(N, workers), move |ep| {
+    run_cluster(ClusterConfig::ideal(N), move |ep| {
         let me = ep.rank();
         let request = |step: u32| {
             let _held = admit(ep.now());
@@ -171,11 +159,10 @@ fn nested_communicator_run(workers: usize) -> Vec<(usize, u32)> {
 fn admission_order_is_the_same_on_every_executor() {
     let _serial = serial();
     simnet::set_executor(Executor::Fibers);
-    let order = nested_communicator_run(1);
+    let order = nested_communicator_run();
     assert_eq!(order.len(), 12 * 9);
-    assert_eq!(nested_communicator_run(4), order, "fibers x 4 workers");
     simnet::set_executor(Executor::Threads);
-    assert_eq!(nested_communicator_run(1), order, "OS threads");
+    assert_eq!(nested_communicator_run(), order, "OS threads");
 }
 
 #[test]
@@ -189,7 +176,7 @@ fn the_thread_executor_is_paced_by_notifies_not_by_the_poison_poll() {
     let _serial = serial();
     simnet::set_executor(Executor::Threads);
     let started = std::time::Instant::now();
-    run_cluster(cluster(2, 1), |ep| {
+    run_cluster(ClusterConfig::ideal(2), |ep| {
         let (me, peer) = (ep.rank(), 1 - ep.rank());
         for turn in 0..TURNS {
             if turn as usize % 2 == me {

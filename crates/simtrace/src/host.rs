@@ -5,8 +5,8 @@
 //! measures the **host** time the simulator spends producing it — fiber
 //! context switches, mailbox delivery, pooled-buffer churn, datatype
 //! flattening, two-phase pack/unpack memcpy, OST bookkeeping, and trace
-//! recording itself. It exists so host-performance work (e.g. sharding
-//! the fiber executor) starts from measured sinks instead of guesses.
+//! recording itself. It exists so host-performance work starts from
+//! measured sinks instead of guesses.
 //!
 //! # Design
 //!
@@ -80,10 +80,9 @@ pub enum Site {
     /// time is everything no finer probe accounts for (setup, workload
     /// verification, result folding).
     Scenario = 0,
-    /// Fiber scheduler: run-queue bookkeeping, context-switch cost and,
-    /// with several workers, sleeping on an empty inbox (self time of
-    /// the whole `run_fibers` loop minus the fiber slices nested inside
-    /// it).
+    /// Fiber scheduler: run-queue bookkeeping and context-switch cost
+    /// (self time of the whole `run_fibers` loop minus the fiber slices
+    /// nested inside it).
     FiberSched,
     /// One fiber slice: resume → suspend. Self time is the simulated
     /// rank's own code between the finer probes below.
@@ -431,9 +430,9 @@ pub struct Report {
     /// drain into the aggregate table before they fill).
     pub dropped: u64,
     /// Per-thread drop counts, summed by thread name and sorted by it;
-    /// only threads that dropped anything appear. With the sharded
-    /// executor each worker records into its own ring, so a drop on one
-    /// worker is reported against that worker's name instead of being
+    /// only threads that dropped anything appear. Each thread records
+    /// into its own ring (the thread executor has one per rank), so a
+    /// drop is reported against that thread's name instead of being
     /// silently folded into the total.
     pub dropped_by_thread: Vec<(String, u64)>,
 }
@@ -542,9 +541,8 @@ mod engine {
 
     /// Per-thread aggregate shared with the collector via the registry.
     struct ThreadAgg {
-        /// The owning thread's name at registration time (executor
-        /// workers are named `simnet-worker-<w>`); anonymous threads
-        /// get their `ThreadId` rendering.
+        /// The owning thread's name at registration time; anonymous
+        /// threads get their `ThreadId` rendering.
         name: String,
         stats: Mutex<HashMap<u64, PathStat>>,
         dropped: AtomicU64,

@@ -145,12 +145,6 @@ pub fn run_restart(w: Restart, cfg: RunConfig) -> RestartResult {
         fs.install_faults(plan);
     }
     let w = Arc::new(w);
-    let placement = match cfg.mode {
-        IoMode::Parcoll { groups } if groups > 1 && simnet::workers() > 1 => Some(Arc::new(
-            parcoll::worker_placement(nprocs, groups, simnet::workers()),
-        )),
-        _ => None,
-    };
     let cluster = ClusterConfig {
         topology: simnet::Topology::dual_core(nprocs, cfg.mapping),
         net: simnet::NetworkModel::cray_xt_seastar(),
@@ -158,8 +152,6 @@ pub fn run_restart(w: Restart, cfg: RunConfig) -> RestartResult {
         stack_size: simnet::default_stack_size(),
         trace: cfg.trace.clone(),
         faults: cfg.faults.clone(),
-        workers: 0,
-        placement,
     };
 
     struct RankOut {

@@ -173,16 +173,6 @@ where
     let workload = Arc::new(workload);
     let mut net = simnet::NetworkModel::cray_xt_seastar();
     tweak(&mut net);
-    // Subgroup→worker placement hint: under the sharded fiber executor
-    // (SIMNET_WORKERS > 1) keep every ParColl subgroup's ranks on one
-    // executor worker so intra-subgroup exchange stays worker-local.
-    // Host-side only — virtual time is placement-independent.
-    let placement = match cfg.mode {
-        IoMode::Parcoll { groups } if groups > 1 && simnet::workers() > 1 => Some(Arc::new(
-            parcoll::worker_placement(nprocs, groups, simnet::workers()),
-        )),
-        _ => None,
-    };
     let cluster = ClusterConfig {
         topology: simnet::Topology::dual_core(nprocs, cfg.mapping),
         net,
@@ -190,8 +180,6 @@ where
         stack_size: simnet::default_stack_size(),
         trace: cfg.trace.clone(),
         faults: cfg.faults.clone(),
-        workers: 0,
-        placement,
     };
 
     struct RankOut {

@@ -124,8 +124,6 @@ fn degraded_reopen_invalidates_healthy_policy() {
         stack_size: simnet::default_stack_size(),
         trace: TraceSink::disabled(),
         faults: Some(plan),
-        workers: 0,
-        placement: None,
     };
     let fs2 = fs.clone();
     let cache2 = cache.clone();

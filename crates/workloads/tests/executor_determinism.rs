@@ -1,15 +1,14 @@
-//! Determinism of the sharded fiber executor at the workload level
-//! (DESIGN.md §9): virtual time is a pure function of the run
-//! configuration, so the same workload must produce bitwise-identical
-//! results — virtual seconds, trace JSON, metrics JSON — whether the
-//! cluster runs on the classic single-threaded fiber scheduler, on the
-//! sharded executor at any worker count, or on the OS-thread fallback.
-//! Verify-mode runs additionally check the file image byte-for-byte
-//! inside the run, so agreement here covers the stored bytes too.
+//! Determinism across executors at the workload level (DESIGN.md §9):
+//! virtual time is a pure function of the run configuration, so the
+//! same workload must produce bitwise-identical results — virtual
+//! seconds, trace JSON, metrics JSON — whether the cluster runs on the
+//! fiber scheduler or on the one-OS-thread-per-rank oracle. Verify-mode
+//! runs additionally check the file image byte-for-byte inside the run,
+//! so agreement here covers the stored bytes too.
 //!
-//! The executor and worker count are process-global knobs
-//! ([`simnet::set_executor`], [`simnet::set_workers`]), so every test in
-//! this file serializes on one mutex and restores the defaults on exit.
+//! The executor is a process-global choice ([`simnet::set_executor`]),
+//! so every test in this file serializes on one mutex and restores the
+//! default on exit.
 
 use simnet::{Executor, FaultPlan};
 use simtrace::{chrome_trace_json, metrics_json, TraceSink};
@@ -18,7 +17,7 @@ use workloads::runner::{run_workload, IoMode, RunConfig, RunResult};
 use workloads::tileio::TileIo;
 
 /// Serialize tests (process-global executor state) and restore the
-/// single-worker fiber default when the guard drops, even on panic.
+/// fiber default when the guard drops, even on panic.
 struct ExecutorGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
 
 fn executor_lock() -> ExecutorGuard {
@@ -33,7 +32,6 @@ fn executor_lock() -> ExecutorGuard {
 impl Drop for ExecutorGuard {
     fn drop(&mut self) {
         simnet::set_executor(Executor::Fibers);
-        simnet::set_workers(1);
     }
 }
 
@@ -52,46 +50,37 @@ fn traced_run(mode: IoMode, faults: Option<Arc<FaultPlan>>) -> (f64, String, Str
     (r.write_seconds, chrome_trace_json(&trace), metrics_json(&trace))
 }
 
-/// Run `make` under single-worker fibers, then under the sharded
-/// executor at 2/4/8 workers, then under the thread fallback, asserting
-/// bitwise agreement with the single-worker baseline every time.
+/// Run `make` under fibers, then under the thread executor, asserting
+/// bitwise agreement.
 fn assert_executor_invariant<T, F>(what: &str, make: F)
 where
     T: PartialEq + std::fmt::Debug,
     F: Fn() -> T,
 {
     simnet::set_executor(Executor::Fibers);
-    simnet::set_workers(1);
     let baseline = make();
-    for w in [2usize, 4, 8] {
-        simnet::set_workers(w);
-        assert_eq!(baseline, make(), "{what}: sharded fibers at {w} workers diverged");
-    }
     simnet::set_executor(Executor::Threads);
-    simnet::set_workers(1);
-    assert_eq!(baseline, make(), "{what}: thread fallback diverged");
+    assert_eq!(baseline, make(), "{what}: thread executor diverged");
 }
 
 #[test]
-fn sharded_and_single_agree_on_virtual_time() {
+fn fibers_and_threads_agree_on_virtual_time() {
     let _guard = executor_lock();
     // Baseline collective: four aggregators exchanging concurrently.
     assert_executor_invariant("collective", || traced_run(IoMode::Collective, None));
-    // ParColl with four subgroups: under workers > 1 this also arms the
-    // subgroup→worker placement hint, so the baseline must match runs
-    // that scatter ranks across workers along subgroup boundaries.
+    // ParColl with four subgroups writing concurrently.
     assert_executor_invariant("parcoll", || {
         traced_run(IoMode::Parcoll { groups: 4 }, None)
     });
 }
 
 #[test]
-fn sharded_chaos_run_matches_single_worker() {
+fn chaos_run_matches_across_executors() {
     let _guard = executor_lock();
     // Aggregator crash after the first write round: the failover replay
     // (re-dissemination, cursor rebuild, adopted domains) crosses
-    // subgroup — and therefore worker — boundaries. Verify mode still
-    // checks the file image byte-for-byte inside each run.
+    // subgroup boundaries. Verify mode still checks the file image
+    // byte-for-byte inside each run.
     let plan = || Some(Arc::new(FaultPlan::new(0xFEED).aggregator_crash(0, 1)));
     assert_executor_invariant("chaos parcoll", || {
         traced_run(IoMode::Parcoll { groups: 4 }, plan())
@@ -99,11 +88,11 @@ fn sharded_chaos_run_matches_single_worker() {
 }
 
 #[test]
-fn sharded_autotune_sweep_matches_single_worker() {
+fn autotune_sweep_matches_across_executors() {
     let _guard = executor_lock();
     // The online tuner's decisions are functions of agreed virtual-time
-    // state; a sharded sweep must explore and settle epoch-for-epoch
-    // like the single-worker one.
+    // state; a sweep on threads must explore and settle
+    // epoch-for-epoch like the one on fibers.
     let sweep = || -> (Vec<Vec<parcoll::DecisionRecord>>, Vec<u64>) {
         let cache = parcoll::PolicyCache::new();
         let epochs: Vec<RunResult> = (0..3)

@@ -1,6 +1,6 @@
 //! Read-path parity contracts (DESIGN.md §15).
 //!
-//! Four properties anchor the collective read path:
+//! Three properties anchor the collective read path:
 //!
 //! 1. **Sieving off is the pre-sieving protocol** — without the
 //!    `cb_ds_read` hint the aggregators issue exactly one covering read
@@ -12,39 +12,17 @@
 //!    the carved-out pieces equal the unsieved bytes for any tile
 //!    geometry (proptest), while moving strictly fewer bytes through the
 //!    OSTs on hole-dense patterns.
-//! 3. **Sharded read determinism** — restart reads agree bitwise across
-//!    executor worker counts.
-//! 4. **Degraded reads** — an aggregator crash during the checkpoint
+//! 3. **Degraded reads** — an aggregator crash during the checkpoint
 //!    leaves the restart read running on the surviving aggregators,
 //!    byte-exact, sieving on or off.
 
 use proptest::prelude::*;
-use simnet::{Executor, FaultPlan};
+use simnet::FaultPlan;
 use simtrace::{chrome_trace_json, metrics_json, TraceSink};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::Arc;
 use workloads::restart::{run_restart, Restart, RestartResult};
 use workloads::runner::{IoMode, RunConfig};
 use workloads::tileio::TileIo;
-
-/// Serialize executor-global tests and restore the single-worker fiber
-/// default when the guard drops, even on panic.
-struct ExecutorGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-fn executor_lock() -> ExecutorGuard {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    let guard = LOCK
-        .get_or_init(Mutex::default)
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
-    ExecutorGuard(guard)
-}
-
-impl Drop for ExecutorGuard {
-    fn drop(&mut self) {
-        simnet::set_executor(Executor::Fibers);
-        simnet::set_workers(1);
-    }
-}
 
 /// One traced verify-mode checkpoint-restart: the run asserts the
 /// restart bytes against the deterministic pattern internally.
@@ -165,26 +143,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// 3. Sharded-worker read determinism.
-// ---------------------------------------------------------------------
-
-#[test]
-fn sharded_workers_agree_on_sieved_reads() {
-    let _guard = executor_lock();
-    let run = || {
-        let (r, trace, metrics) =
-            traced_restart(Restart::tiny(8), IoMode::Parcoll { groups: 2 }, true, None);
-        (r.read_seconds.to_bits(), trace, metrics)
-    };
-    simnet::set_executor(Executor::Fibers);
-    simnet::set_workers(1);
-    let baseline = run();
-    simnet::set_workers(4);
-    assert_eq!(baseline, run(), "sharded fibers at 4 workers diverged");
-}
-
-// ---------------------------------------------------------------------
-// 4. Chaos: aggregator crash before the restart read.
+// 3. Chaos: aggregator crash before the restart read.
 // ---------------------------------------------------------------------
 
 #[test]

@@ -11,8 +11,8 @@
 //! aggregator) pairs that exchange something plus one slot per rank,
 //! not ranks squared.
 //!
-//! The worker count, the executor and the host profiler are
-//! process-global, so the tests serialize on one lock.
+//! The executor and the host profiler are process-global, so the tests
+//! serialize on one lock.
 
 use simnet::{Executor, FaultPlan};
 use simtrace::{host, TraceSink};
@@ -36,7 +36,6 @@ impl Drop for Serial {
     fn drop(&mut self) {
         host::set_enabled(false);
         simnet::set_executor(self.1);
-        simnet::set_workers(1);
     }
 }
 
@@ -85,23 +84,20 @@ fn slices_and_events<W: Workload + 'static>(workload: W, mode: IoMode) -> (u64, 
 #[test]
 fn fiber_slices_are_bounded_by_events_not_by_ranks_times_cycles() {
     let _serial = serial();
-    for workers in [1, 4] {
-        simnet::set_workers(workers);
-        // Independent I/O: every rank queues at the admission gate for
-        // every request. Polling resumed all 64 ranks per request.
-        let (slices, events) = slices_and_events(FlashIo::checkpoint(64), IoMode::Independent);
-        assert!(
-            slices <= 3 * events,
-            "flash independent, {workers} workers: {slices} slices for {events} events"
-        );
-        // ParColl: eight subgroups of eight, each with its own
-        // collectives and exchange, sharing the OSTs.
-        let (slices, events) = slices_and_events(TileIo::paper(64), IoMode::Parcoll { groups: 8 });
-        assert!(
-            slices <= 3 * events,
-            "tile-io parcoll-8, {workers} workers: {slices} slices for {events} events"
-        );
-    }
+    // Independent I/O: every rank queues at the admission gate for
+    // every request. Polling resumed all 64 ranks per request.
+    let (slices, events) = slices_and_events(FlashIo::checkpoint(64), IoMode::Independent);
+    assert!(
+        slices <= 3 * events,
+        "flash independent: {slices} slices for {events} events"
+    );
+    // ParColl: eight subgroups of eight, each with its own
+    // collectives and exchange, sharing the OSTs.
+    let (slices, events) = slices_and_events(TileIo::paper(64), IoMode::Parcoll { groups: 8 });
+    assert!(
+        slices <= 3 * events,
+        "tile-io parcoll-8: {slices} slices for {events} events"
+    );
 }
 
 #[test]
@@ -167,25 +163,22 @@ fn a_repair_receive_with_a_runnable_sender_is_not_a_deadlock() {
     // that wait to the deadlock detector any more, and nothing needs
     // to: a parked receiver whose sender is runnable is not a deadlock.
     let _serial = serial();
-    for workers in [1, 4] {
-        simnet::set_workers(workers);
-        let sink = TraceSink::enabled();
-        let mut cfg = RunConfig::verify(IoMode::Parcoll { groups: 2 });
-        cfg.info.set("cb_nodes", 4i64);
-        cfg.info.set("cb_buffer_size", 128i64);
-        cfg.integrity = true;
-        cfg.trace = sink.clone();
-        cfg.faults = Some(Arc::new(
-            FaultPlan::new(0xF00D).msg_corrupt(1.0, None, None),
-        ));
-        // Verify mode asserts the read-back byte-exact internally.
-        run_workload(TileIo::tiny(16), cfg);
-        let repaired: u64 = sink
-            .finish()
-            .tracks
-            .iter()
-            .filter_map(|t| t.counters.get("pieces_repaired"))
-            .sum();
-        assert!(repaired > 0, "{workers} workers: the plan repaired nothing");
-    }
+    let sink = TraceSink::enabled();
+    let mut cfg = RunConfig::verify(IoMode::Parcoll { groups: 2 });
+    cfg.info.set("cb_nodes", 4i64);
+    cfg.info.set("cb_buffer_size", 128i64);
+    cfg.integrity = true;
+    cfg.trace = sink.clone();
+    cfg.faults = Some(Arc::new(
+        FaultPlan::new(0xF00D).msg_corrupt(1.0, None, None),
+    ));
+    // Verify mode asserts the read-back byte-exact internally.
+    run_workload(TileIo::tiny(16), cfg);
+    let repaired: u64 = sink
+        .finish()
+        .tracks
+        .iter()
+        .filter_map(|t| t.counters.get("pieces_repaired"))
+        .sum();
+    assert!(repaired > 0, "the plan repaired nothing");
 }

@@ -54,25 +54,3 @@ fn parcoll_concurrent_groups_are_reproducible() {
     // write at once — the heaviest concurrent-writer pattern we model.
     assert_reproducible(IoMode::Parcoll { groups: 4 }, None);
 }
-
-#[test]
-fn buffer_pooling_does_not_change_artifacts() {
-    // The scratch-buffer pool recycles allocations between collective
-    // rounds — a host-side optimization that must be invisible in every
-    // simulated observable. Compare full trace + metrics JSON with the
-    // pool on vs off; any leaked state (a stale byte, a skipped
-    // charge_memcpy) would shift the artifacts.
-    let pooled = std::panic::catch_unwind(|| {
-        simnet::set_buffer_pooling(true);
-        traced_run(IoMode::Collective, Some(4))
-    });
-    let unpooled = std::panic::catch_unwind(|| {
-        simnet::set_buffer_pooling(false);
-        traced_run(IoMode::Collective, Some(4))
-    });
-    simnet::set_buffer_pooling(true); // restore the default for other tests
-    let (trace_p, metrics_p) = pooled.expect("pooled run completes");
-    let (trace_u, metrics_u) = unpooled.expect("unpooled run completes");
-    assert_eq!(trace_p, trace_u, "pooling must not alter the trace");
-    assert_eq!(metrics_p, metrics_u, "pooling must not alter the metrics");
-}

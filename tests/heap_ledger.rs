@@ -171,7 +171,6 @@ fn one_piece_list_per_rank_and_aggregator() {
 #[test]
 fn heap_follows_real_bytes_and_unique_metadata() {
     simnet::set_executor(simnet::Executor::Fibers);
-    simnet::set_workers(1);
     // Fiber stacks are heap allocations of mostly untouched pages; keep
     // them small so the ledger reads data structures, not reservations.
     simnet::set_default_stack_size(128 << 10);

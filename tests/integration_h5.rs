@@ -1,5 +1,5 @@
 //! Cross-crate integration: the hierarchical container over ParColl with
-//! feature combinations (adaptive groups, stripe-aligned domains), at the
+//! feature combinations (autotuned groups, stripe-aligned domains), at the
 //! level an application (Flash) would use it.
 
 use h5lite::{AttrValue, H5File};
@@ -66,7 +66,7 @@ fn h5_over_baseline() {
 fn h5_with_adaptive_groups() {
     checkpoint_roundtrip(
         Info::new()
-            .with("parcoll_adaptive", "true")
+            .with("parcoll_autotune", "true")
             .with("parcoll_min_group", 2),
     );
 }

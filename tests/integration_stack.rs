@@ -106,48 +106,6 @@ fn scatter_iview_round_trips() {
 }
 
 #[test]
-fn adaptive_mode_probes_then_commits() {
-    use parcoll::ParcollFile;
-    use simfs::{FileSystem, FsConfig};
-    use simmpi::{Communicator, Info};
-    use simnet::{run_cluster, ClusterConfig, IoBuffer, Mapping};
-
-    let fs = FileSystem::new(FsConfig::tiny());
-    let fs2 = fs.clone();
-    let out = run_cluster(ClusterConfig::cray_xt(16, Mapping::Block), move |ep| {
-        let comm = Communicator::world(&ep);
-        let rank = comm.rank();
-        let info = Info::new()
-            .with("parcoll_adaptive", "true")
-            .with("parcoll_min_group", 2);
-        let mut f = ParcollFile::open(&comm, &fs2, "/adaptive", &info);
-        let n = 256usize;
-        // Ladder for 16 procs / min 2: [1, 2, 4, 8], 3 calls per rung ->
-        // 12 probe calls, then committed calls.
-        for call in 0..14usize {
-            let off = ((call * 16 + rank) * n) as u64;
-            let data: Vec<u8> = (0..n).map(|i| (rank * 7 + call + i) as u8).collect();
-            f.write_at_all(off, &IoBuffer::from_slice(&data));
-        }
-        comm.barrier();
-        // Verify one call's data.
-        let off = ((3 * 16 + rank) * n) as u64;
-        let got = f.read_at(off, n as u64);
-        let expect: Vec<u8> = (0..n).map(|i| (rank * 7 + 3 + i) as u8).collect();
-        assert_eq!(got.as_slice().unwrap(), expect.as_slice());
-        let state = f.adaptive_state().unwrap();
-        assert!(state.is_committed(), "controller must commit after probing");
-        assert_eq!(state.measurements().len(), 4);
-        let committed = state.committed().unwrap();
-        let _ = ep;
-        f.close();
-        committed
-    });
-    // All ranks agree on the committed group count.
-    assert!(out.windows(2).all(|w| w[0] == w[1]), "{out:?}");
-}
-
-#[test]
 fn group_counts_sweep_round_trips() {
     for groups in [2, 3, 4, 8] {
         let r = run_workload(TileIo::tiny(16), RunConfig::verify(IoMode::Parcoll { groups }));
