@@ -11,9 +11,11 @@
 //! `bench::doccheck`), exiting 1 on any quoted figure that no longer
 //! matches and 2 when the docs carry no markers at all. It also exits 1
 //! when README.md, ARCHITECTURE.md or EXPERIMENTS.md back-ticks a hint
-//! or environment variable no string literal under `crates/*/src` holds.
+//! or environment variable no string literal under `crates/*/src` holds,
+//! or when a hint `hints.rs` / `config.rs` parses has no row in
+//! ARCHITECTURE.md's hint ledger.
 
-use bench::doccheck::{literal_names, parse_markers, stale_names, verify};
+use bench::doccheck::{literal_names, parse_markers, stale_names, unledgered_hints, verify};
 use bench::{print_metrics_doc, rows_from_json, Row};
 use simtrace::json::Json;
 use std::collections::{BTreeMap, BTreeSet};
@@ -38,6 +40,9 @@ fn live_names(dir: &Path, live: &mut BTreeSet<String>) {
         }
     }
 }
+
+/// The two sources that parse hints; each hint needs a ledger row.
+const HINT_PARSERS: &[&str] = &["crates/mpiio/src/hints.rs", "crates/parcoll/src/config.rs"];
 
 /// A top-level doc's text; the gate runs from the repo root.
 fn read_doc(doc: &str) -> String {
@@ -128,10 +133,15 @@ fn check_docs() {
     for doc in NAME_CHECKED_DOCS {
         failures.extend(stale_names(doc, &read_doc(doc), &live));
     }
+    let architecture = read_doc("ARCHITECTURE.md");
+    for file in HINT_PARSERS {
+        failures.extend(unledgered_hints(file, &read_doc(file), &architecture));
+    }
     if failures.is_empty() {
         println!(
             "check-docs: {} quoted figure(s) across {} doc(s) match bench_results; \
-             {} doc(s) name only hints and variables the code parses",
+             {} doc(s) name only hints and variables the code parses, \
+             and every parsed hint has a ledger row",
             checks.len(),
             CHECKED_DOCS.len(),
             NAME_CHECKED_DOCS.len()

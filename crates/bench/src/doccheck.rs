@@ -19,7 +19,10 @@
 //! `romio_*` hint or `SIMNET_*` / `SIMFS_*` variable must occur in a
 //! string literal somewhere under `crates/*/src` ([`stale_names`]) — a
 //! doc that still advertises a removed knob fails. DESIGN.md is exempt,
-//! so a negative result can name what it removed.
+//! so a negative result can name what it removed. And the reverse: every
+//! hint `mpiio/src/hints.rs` or `parcoll/src/config.rs` parses must have
+//! a row in ARCHITECTURE.md's hint ledger ([`unledgered_hints`]), so a
+//! hint cannot be added without stating its committed row.
 
 use crate::table::{rows_from_json, Row};
 use std::collections::BTreeSet;
@@ -190,14 +193,25 @@ pub fn verify(checks: &[DocCheck], results_dir: &Path) -> Vec<String> {
     failures
 }
 
-/// What a hint or environment-variable name starts with.
-const NAME_PREFIXES: [&str; 5] = ["parcoll_", "cb_", "romio_", "SIMNET_", "SIMFS_"];
+/// What a hint or environment-variable name starts with, or — without a
+/// trailing underscore — is.
+const NAME_PREFIXES: [&str; 8] = [
+    "parcoll_",
+    "cb_",
+    "romio_",
+    "ind_",
+    "striping_unit",
+    "integrity_checksums",
+    "SIMNET_",
+    "SIMFS_",
+];
 
 /// The identifier tokens of `s` that are hint or variable names (a bare
 /// prefix, as in `parcoll_*`, is not one).
 fn names(s: &str) -> impl Iterator<Item = &str> {
+    let named = |t: &str, p: &str| t.starts_with(p) && (t.len() > p.len() || !p.ends_with('_'));
     s.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
-        .filter(|t| NAME_PREFIXES.iter().any(|p| t.len() > p.len() && t.starts_with(p)))
+        .filter(move |t| NAME_PREFIXES.iter().any(|p| named(t, p)))
 }
 
 /// The hint and variable names inside the string literals of Rust source
@@ -250,6 +264,25 @@ pub fn stale_names(doc: &str, text: &str, live: &BTreeSet<String>) -> Vec<String
         }
     }
     failures
+}
+
+/// The hints the code of `src` (one of the two hint parsers, up to its
+/// test module) holds in a string literal that have no row — a table line
+/// opening with the back-ticked name — under `architecture`'s
+/// "## Hint ledger" heading, one failure line each.
+pub fn unledgered_hints(file: &str, src: &str, architecture: &str) -> Vec<String> {
+    let ledger = architecture.split("\n## ").find(|section| section.starts_with("Hint ledger"));
+    let rows: BTreeSet<&str> = ledger
+        .into_iter()
+        .flat_map(str::lines)
+        .filter_map(|line| line.strip_prefix("| `")?.split('`').next())
+        .collect();
+    let code = src.split("#[cfg(test)]").next().unwrap_or(src);
+    let parsed = literal_names(code);
+    let missing = parsed.iter().filter(|name| !rows.contains(name.as_str()));
+    missing
+        .map(|name| format!("{file}: hint `{name}` has no row in ARCHITECTURE.md's hint ledger"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -334,5 +367,22 @@ mod tests {
         assert_eq!(fails.len(), 2, "{fails:?}");
         assert!(fails[0].starts_with("README.md:2: `parcoll_gone`"), "{}", fails[0]);
         assert!(fails[1].starts_with("README.md:2: `SIMNET_GONE`"), "{}", fails[1]);
+    }
+
+    #[test]
+    fn a_parsed_hint_needs_a_ledger_row() {
+        let src = r#"
+            cb_nodes: info.get_usize("cb_nodes"),
+            cb_align: info.get_usize("striping_unit").map(|v| v as u64),
+            fresh: info.get_bool("ind_fresh_knob").unwrap_or(false),
+            #[cfg(test)]
+            mod tests { fn t() { Info::new().with("cb_only_in_a_test", 1); } }
+        "#;
+        let doc = "## Crate map\n| `ind_fresh_knob` | not the ledger |\n\
+                   ## Hint ledger\n| Hint | Default |\n| `cb_nodes` | one per node |\n\
+                   | `striping_unit` | unset |\n## Determinism\n";
+        let fails = unledgered_hints("hints.rs", src, doc);
+        assert_eq!(fails.len(), 1, "{fails:?}");
+        assert!(fails[0].starts_with("hints.rs: hint `ind_fresh_knob`"), "{}", fails[0]);
     }
 }

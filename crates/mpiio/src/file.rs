@@ -6,7 +6,7 @@ use crate::hints::Hints;
 use crate::independent;
 use crate::profile::{Phase, PhaseProfile, PhaseTimer};
 use crate::space::DirectSpace;
-use crate::twophase::{self, CollConfig};
+use crate::twophase::{self, CollConfig, Dir};
 use crate::view::{AccessPlan, FileView};
 use simfs::{FileHandle, FileSystem};
 use simmpi::{Communicator, Info};
@@ -155,15 +155,13 @@ impl<'ep> File<'ep> {
             align: self.hints.cb_align,
             checksums: self.hints.integrity,
             sieve_read: self.hints.cb_ds_read,
-            sieve_hole_pct: self.hints.cb_ds_hole_pct,
         }
     }
 
     /// Override the collective-read sieving decision after open (the
     /// ParColl autotuner flips this at read-epoch boundaries when the
-    /// agreed profile is I/O-dominated; the threshold keeps its hinted
-    /// value). Purely a hint-level change: takes effect on the next
-    /// collective read.
+    /// agreed profile is I/O-dominated). Purely a hint-level change:
+    /// takes effect on the next collective read.
     pub fn set_sieve_read(&mut self, on: bool) {
         self.hints.cb_ds_read = on;
     }
@@ -173,57 +171,36 @@ impl<'ep> File<'ep> {
         AccessPlan::from_view(&self.view, offset, nbytes)
     }
 
+    /// One collective operation over a plan already built, on the file's
+    /// own communicator and physical address space: what
+    /// [`File::write_at_all`] and [`File::read_at_all`] run, and what a
+    /// layer stacked on top (ParColl) falls back to when it does not
+    /// partition. A read returns its bytes.
+    pub fn collective(&mut self, plan: &AccessPlan, dir: Dir<'_>) -> Option<IoBuffer> {
+        let cfg = self.coll_config();
+        let (comm, prof) = (&self.comm, &mut self.profile);
+        twophase::collective(comm, &self.fh, &DirectSpace, plan, dir, &cfg, prof)
+    }
+
     /// Collective write at a view offset (`MPI_File_write_at_all`).
     pub fn write_at_all(&mut self, offset: u64, buf: &IoBuffer) {
         let plan = self.plan(offset, buf.len() as u64);
-        let cfg = self.coll_config();
-        twophase::write_all(
-            &self.comm,
-            &self.fh,
-            &DirectSpace,
-            &plan,
-            buf,
-            &cfg,
-            &mut self.profile,
-        );
+        self.collective(&plan, Dir::Write(buf));
     }
 
     /// Collective read at a view offset (`MPI_File_read_at_all`).
     pub fn read_at_all(&mut self, offset: u64, nbytes: u64) -> IoBuffer {
         let plan = self.plan(offset, nbytes);
-        let cfg = self.coll_config();
-        twophase::read_all(
-            &self.comm,
-            &self.fh,
-            &DirectSpace,
-            &plan,
-            &cfg,
-            &mut self.profile,
-        )
+        let data = self.collective(&plan, Dir::Read);
+        data.expect("a collective read returns its bytes")
     }
 
-    /// Independent write at a view offset (`MPI_File_write_at`). With the
-    /// `romio_ds_write` hint enabled, non-contiguous writes are data-
-    /// sieved (read-modify-write over the span).
+    /// Independent write at a view offset (`MPI_File_write_at`): one file
+    /// request per run of the view.
     pub fn write_at(&mut self, offset: u64, buf: &IoBuffer) {
         let plan = self.plan(offset, buf.len() as u64);
-        if self.hints.ds_write && plan.extents.len() > 1 {
-            independent::write_plan_sieved(
-                self.comm.endpoint(),
-                &self.fh,
-                &plan,
-                buf,
-                &mut self.profile,
-            );
-        } else {
-            independent::write_plan(
-                self.comm.endpoint(),
-                &self.fh,
-                &plan,
-                buf,
-                &mut self.profile,
-            );
-        }
+        let ep = self.comm.endpoint();
+        independent::write_plan(ep, &self.fh, &plan, buf, &mut self.profile);
     }
 
     /// Independent read at a view offset (`MPI_File_read_at`).

@@ -24,10 +24,6 @@ pub struct Hints {
     /// Enable data sieving for independent non-contiguous reads
     /// (`romio_ds_read`).
     pub ds_read: bool,
-    /// Enable data sieving for independent non-contiguous writes
-    /// (`romio_ds_write`); off by default, as in ROMIO on Lustre (the
-    /// read-modify-write needs whole-span locking).
-    pub ds_write: bool,
     /// Data sieving in the *collective* read aggregators (`cb_ds_read`):
     /// each round the aggregator measures the hole density of its window
     /// and either reads one covering extent (sieving) or issues one read
@@ -35,13 +31,6 @@ pub struct Hints {
     /// bitwise identical to the pre-sieving protocol, which always reads
     /// the covering extent.
     pub cb_ds_read: bool,
-    /// Hole-density cutover for collective-read sieving
-    /// (`cb_ds_hole_threshold`, percent 0–100, default 50): when more
-    /// than this percentage of the covering extent is holes, the
-    /// aggregator switches from the single covering read to coalesced
-    /// per-run reads. Integer percent so the decision is exact on every
-    /// rank.
-    pub cb_ds_hole_pct: u8,
     /// End-to-end piece checksums in the collective exchange
     /// (`integrity_checksums`): pieces carry checksum trailers, corrupted
     /// transfers are detected and re-requested. Off by default — the
@@ -77,12 +66,7 @@ impl Hints {
                 .map(|v| v as u64)
                 .unwrap_or(4 << 20),
             ds_read: info.get_bool("romio_ds_read").unwrap_or(true),
-            ds_write: info.get_bool("romio_ds_write").unwrap_or(false),
             cb_ds_read: info.get_bool("cb_ds_read").unwrap_or(false),
-            cb_ds_hole_pct: info
-                .get_usize("cb_ds_hole_threshold")
-                .map(|v| v.min(100) as u8)
-                .unwrap_or(50),
             integrity: info.get_bool("integrity_checksums").unwrap_or(false),
             cb_align: info.get_usize("striping_unit").map(|v| v as u64),
             raw: info.clone(),
@@ -100,12 +84,10 @@ mod tests {
         assert_eq!(h.cb_nodes, None);
         assert_eq!(h.cb_buffer_size, 4 << 20);
         assert!(h.ds_read);
-        assert!(!h.ds_write);
         assert_eq!(h.cb_align, None);
         assert!(h.cb_aggregator_list.is_none());
         assert!(!h.integrity);
         assert!(!h.cb_ds_read, "collective read sieving defaults off");
-        assert_eq!(h.cb_ds_hole_pct, 50);
     }
 
     #[test]
@@ -116,9 +98,7 @@ mod tests {
             .with("cb_config_list", "0,2,4")
             .with("ind_rd_buffer_size", 65536)
             .with("romio_ds_read", "disable")
-            .with("romio_ds_write", "enable")
             .with("cb_ds_read", "enable")
-            .with("cb_ds_hole_threshold", 30)
             .with("integrity_checksums", "enable")
             .with("striping_unit", 4 << 20);
         let h = Hints::from_info(&info);
@@ -127,9 +107,7 @@ mod tests {
         assert_eq!(h.cb_aggregator_list, Some(vec![0, 2, 4]));
         assert_eq!(h.ind_rd_buffer_size, 65536);
         assert!(!h.ds_read);
-        assert!(h.ds_write);
         assert!(h.cb_ds_read);
-        assert_eq!(h.cb_ds_hole_pct, 30);
         assert!(h.integrity);
         assert_eq!(h.cb_align, Some(4 << 20));
         assert_eq!(h.raw.get_usize("cb_nodes"), Some(16));
@@ -139,11 +117,5 @@ mod tests {
     fn malformed_values_fall_back() {
         let info = Info::new().with("cb_buffer_size", "huge");
         assert_eq!(Hints::from_info(&info).cb_buffer_size, 4 << 20);
-    }
-
-    #[test]
-    fn hole_threshold_clamps_to_percent() {
-        let info = Info::new().with("cb_ds_hole_threshold", 400);
-        assert_eq!(Hints::from_info(&info).cb_ds_hole_pct, 100);
     }
 }

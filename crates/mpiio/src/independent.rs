@@ -36,49 +36,6 @@ pub fn write_plan(
     t.stop_traced(ep.now(), prof, ep.trace());
 }
 
-/// Write `buf` through a non-contiguous `plan` using *data sieving*
-/// (ROMIO's `romio_ds_write`): read the spanned range, overlay the new
-/// runs, write the whole span back. One read + one write replace many
-/// small requests; the read-modify-write is only safe when no other
-/// process writes the holes concurrently (the caller's contract, as in
-/// ROMIO's lock-protected implementation).
-pub fn write_plan_sieved(
-    ep: &Endpoint,
-    fh: &FileHandle,
-    plan: &AccessPlan,
-    buf: &IoBuffer,
-    prof: &mut PhaseProfile,
-) {
-    assert_eq!(buf.len() as u64, plan.total, "buffer/plan length mismatch");
-    if plan.is_empty() {
-        return;
-    }
-    let lo = plan.start().expect("non-empty plan");
-    let hi = plan.end().expect("non-empty plan");
-    if plan.extents.len() == 1 {
-        return write_plan(ep, fh, plan, buf, prof);
-    }
-    let t = PhaseTimer::start(Phase::Io, ep.now());
-    let (mut span, done) = fh.read_at(lo, (hi - lo) as usize, ep.now());
-    ep.clock().advance_to(done);
-    t.stop_traced(ep.now(), prof, ep.trace());
-
-    for (buf_off, ext) in plan.with_buffer_offsets() {
-        span.copy_in(
-            (ext.off - lo) as usize,
-            &buf.sub(buf_off as usize, ext.len as usize),
-        );
-    }
-    let t = PhaseTimer::start(Phase::Local, ep.now());
-    ep.charge_memcpy(plan.total as usize);
-    t.stop_traced(ep.now(), prof, ep.trace());
-
-    let t = PhaseTimer::start(Phase::Io, ep.now());
-    let done = fh.write_at(lo, &span, ep.now());
-    ep.clock().advance_to(done);
-    t.stop_traced(ep.now(), prof, ep.trace());
-}
-
 /// Read `plan.total` bytes through `plan`.
 ///
 /// With `sieve_buffer > 0` and a non-contiguous plan, the spanned range is
@@ -268,56 +225,6 @@ mod tests {
             let mut expect = pattern[0..10].to_vec();
             expect.extend_from_slice(&pattern[120..170]);
             assert_eq!(got.as_slice().unwrap(), expect.as_slice());
-        });
-    }
-
-    #[test]
-    fn sieved_write_matches_direct_write() {
-        one_rank(|ep, fs| {
-            let (fh, _) = fs.open("/dsw", ep.now());
-            // Sentinel background so holes are observable.
-            fh.write_at(0, &IoBuffer::from_slice(&[0xAB; 400]), ep.now());
-            let plan = AccessPlan::from_extents(vec![
-                Ext::new(10, 20),
-                Ext::new(100, 5),
-                Ext::new(300, 50),
-            ]);
-            let data: Vec<u8> = (0..75u8).collect();
-            let mut prof = PhaseProfile::new();
-            write_plan_sieved(ep, &fh, &plan, &IoBuffer::from_slice(&data), &mut prof);
-            let (raw, _) = fh.read_at(0, 400, ep.now());
-            let raw = raw.as_slice().unwrap();
-            assert_eq!(&raw[10..30], &data[0..20]);
-            assert_eq!(&raw[100..105], &data[20..25]);
-            assert_eq!(&raw[300..350], &data[25..75]);
-            // Holes preserved.
-            assert_eq!(&raw[0..10], &[0xAB; 10]);
-            assert_eq!(&raw[30..100], &[0xAB; 70]);
-            assert_eq!(&raw[105..300], &[0xAB; 195]);
-            assert_eq!(&raw[350..400], &[0xAB; 50]);
-        });
-    }
-
-    #[test]
-    fn sieved_write_uses_fewer_requests_when_dense() {
-        one_rank(|ep, fs| {
-            let (fh, _) = fs.open("/dswreq", ep.now());
-            fh.write_at(0, &IoBuffer::synthetic(6400), ep.now());
-            let plan = AccessPlan::from_extents(
-                (0..100).map(|i| Ext::new(i * 64, 32)).collect(),
-            );
-            let data = IoBuffer::synthetic(3200);
-            let mut prof = PhaseProfile::new();
-            let before = fs.stats().total_requests;
-            write_plan_sieved(ep, &fh, &plan, &data, &mut prof);
-            let sieved = fs.stats().total_requests - before;
-            let before = fs.stats().total_requests;
-            write_plan(ep, &fh, &plan, &data, &mut prof);
-            let direct = fs.stats().total_requests - before;
-            assert!(
-                sieved * 2 < direct,
-                "sieved {sieved} vs direct {direct} requests"
-            );
         });
     }
 

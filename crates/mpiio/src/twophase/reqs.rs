@@ -229,7 +229,7 @@ pub fn calc_my_req(plan: &AccessPlan, domains: &[Ext]) -> Vec<(usize, Arc<PieceL
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
     use crate::view::AccessPlan;
     use proptest::prelude::*;
@@ -238,8 +238,8 @@ mod tests {
         AccessPlan::from_extents(extents.iter().map(|&(o, l)| Ext::new(o, l)).collect())
     }
 
-    /// One list holding all of `extents`.
-    fn list(extents: &[(u64, u64)]) -> Arc<PieceList> {
+    /// One list holding all of `extents` (sorted, disjoint).
+    pub(in crate::twophase) fn list(extents: &[(u64, u64)]) -> Arc<PieceList> {
         let req = calc_my_req(&plan(extents), &[Ext::new(0, u64::MAX / 2)]);
         let first = req.into_iter().next();
         first.map_or_else(PieceList::empty, |(_, list)| list)
@@ -673,17 +673,17 @@ mod tests {
             let Some((st, end)) = l.file_range() else { return Ok(()); };
             let mut cursor = PieceCursor::new(l.pieces());
             let mut pos = 0u64;
-            for round in 0..(end - st).div_ceil(cb) {
-                // Failover detected at `round`: replay the completed ones.
-                prop_assert_eq!(l.bytes_in_window(st, st + round * cb), cursor.position());
-                let (lo, hi) = (st + round * cb, st + (round + 1) * cb);
+            for window in 0..(end - st).div_ceil(cb) {
+                // Failover detected at `window`: replay the completed ones.
+                prop_assert_eq!(l.bytes_in_window(st, st + window * cb), cursor.position());
+                let (lo, hi) = (st + window * cb, st + (window + 1) * cb);
                 let n = l.bytes_in_window(lo, hi);
                 let cut = l.cut(pos, n);
                 prop_assert!(cut.file_range().is_none_or(|(s, e)| lo <= s && e <= hi));
                 cursor.consume(n, |_| {});
                 pos += n;
-                // Torn at `round + 1`: back up exactly this window.
-                prop_assert_eq!(pos - n, l.bytes_in_window(st, st + round * cb));
+                // Torn at `window + 1`: back up exactly this window.
+                prop_assert_eq!(pos - n, l.bytes_in_window(st, st + window * cb));
             }
             prop_assert_eq!(pos, l.total_bytes());
         }

@@ -1,0 +1,431 @@
+//! One round window of a file domain, as the rank serving it sees it:
+//! cutting each source's stream, the coverage merge both directions share
+//! (hole detection on the write side, the sieve decision and list-I/O runs
+//! on the read side), and the file access itself.
+
+use super::reqs::Cut;
+use super::{hull, slot_of, Domain};
+use crate::profile::{Phase, PhaseProfile, PhaseTimer};
+use crate::space::FileSpace;
+use simfs::FileHandle;
+use simmpi::Communicator;
+use simnet::buffer::BufferBuilder;
+use simnet::IoBuffer;
+
+/// Cut `n` more bytes off `src`'s stream in `domain` for every `(src, n)`:
+/// the pieces this round moves, in the order given. Advances the stream
+/// positions.
+pub(super) fn cut_streams<'a>(
+    domain: &'a mut Domain,
+    sizes: impl Iterator<Item = (usize, u64)>,
+) -> Vec<Cut<'a>> {
+    let (lists, pos) = (&domain.lists, &mut domain.pos);
+    sizes
+        .map(|(src, n)| {
+            let slot = slot_of(lists, src).expect("bytes only from a source that sent a list");
+            let cut = lists[slot].1.cut(pos[slot], n);
+            pos[slot] += n;
+            cut
+        })
+        .collect()
+}
+
+/// Land every payload's bytes on its cut's pieces inside `window` (which
+/// starts at file offset `base`), then release the payloads. Host work
+/// follows real bytes: one synthetic payload leaves the whole window
+/// synthetic — what piece-by-piece degradation would — and no piece is
+/// visited.
+fn scatter(window: &mut IoBuffer, base: u64, cuts: &[Cut<'_>], payloads: Vec<(usize, IoBuffer)>) {
+    let _hp = simtrace::host::scope(simtrace::host::Site::Unpack);
+    if !payloads.iter().all(|(_, payload)| payload.is_real()) {
+        *window = IoBuffer::synthetic(window.len());
+        return;
+    }
+    let Some(dst) = window.as_mut_slice() else {
+        return;
+    };
+    for (cut, (_, payload)) in cuts.iter().zip(&payloads) {
+        let src = payload.as_slice().expect("checked real above");
+        let mut at = 0usize;
+        for piece in cut.iter() {
+            let (to, n) = ((piece.file_off - base) as usize, piece.len as usize);
+            dst[to..to + n].copy_from_slice(&src[at..at + n]);
+            at += n;
+        }
+    }
+}
+
+/// Place one round of received pieces and write them out.
+///
+/// `torn` models an aggregator dying mid-OST-write: every chunk of this
+/// window reaches storage truncated to its first half (the crash cuts
+/// the transfer short). The heal replay in the next round's detection
+/// rewrites the full window.
+#[allow(clippy::too_many_arguments)]
+pub(super) fn write_window(
+    comm: &Communicator<'_>,
+    fh: &FileHandle,
+    space: &dyn FileSpace,
+    prof: &mut PhaseProfile,
+    domain: &mut Domain,
+    (lo, hi): (u64, u64),
+    incoming: Vec<(usize, IoBuffer)>,
+    torn: bool,
+) {
+    let ep = comm.endpoint();
+    if incoming.is_empty() {
+        return;
+    }
+    // Targets: which pieces each payload's bytes land on, plus coverage.
+    let t = PhaseTimer::start(Phase::Local, ep.now());
+    let hp = simtrace::host::scope(simtrace::host::Site::Unpack);
+    let sizes = incoming
+        .iter()
+        .map(|(src, payload)| (*src, payload.len() as u64));
+    let cuts = cut_streams(domain, sizes);
+    let total_bytes: usize = incoming.iter().map(|(_, payload)| payload.len()).sum();
+    let runs = coverage(&cuts);
+    ep.charge_memcpy(total_bytes); // staging-buffer assembly
+    drop(hp);
+    t.stop_traced(ep.now(), prof, ep.trace());
+
+    let (write_lo, write_hi) = (runs[0].0, runs[runs.len() - 1].0 + runs[runs.len() - 1].1);
+    debug_assert!(lo <= write_lo && write_hi <= hi);
+    let span = write_hi - write_lo;
+
+    // The payloads are released (inside `scatter`) before waiting on the
+    // OSTs: every aggregator sits in the admission gate at once, and
+    // would otherwise hold window plus payloads concurrently.
+    let holes = runs.len() > 1;
+    let mut window_buf = if holes {
+        // Read-modify-write: fetch the whole span, overlay, write back —
+        // ROMIO's data-sieving write inside the collective path.
+        let t = PhaseTimer::start(Phase::Io, ep.now());
+        let (fetched, done) = space.read(fh, write_lo, span, ep.now());
+        ep.clock().advance_to(done);
+        t.stop_traced(ep.now(), prof, ep.trace());
+        fetched
+    } else {
+        // Contiguous coverage: one large write. The staging buffer's
+        // kind follows its payloads.
+        IoBuffer::landing(span as usize, incoming.iter().map(|(_, payload)| payload))
+    };
+    let overlay = holes.then(|| PhaseTimer::start(Phase::Local, ep.now()));
+    scatter(&mut window_buf, write_lo, &cuts, incoming);
+    if let Some(t) = overlay {
+        ep.charge_memcpy(total_bytes);
+        t.stop_traced(ep.now(), prof, ep.trace());
+    }
+    let t = PhaseTimer::start(Phase::Io, ep.now());
+    if torn {
+        window_buf = window_buf.sub(0, window_buf.len() / 2);
+    }
+    if !window_buf.is_empty() {
+        let done = space.write(fh, write_lo, &window_buf, ep.now());
+        ep.clock().advance_to(done);
+    }
+    t.stop_traced(ep.now(), prof, ep.trace());
+}
+
+/// Append the union of two ascending `(offset, len)` run lists to `out`
+/// as one list of maximal runs: a run that overlaps or abuts the one
+/// before it grows that one.
+fn merge_runs(
+    a: impl Iterator<Item = (u64, u64)>,
+    b: impl Iterator<Item = (u64, u64)>,
+    out: &mut Vec<(u64, u64)>,
+) {
+    let from = out.len();
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    loop {
+        let next = match (a.peek(), b.peek()) {
+            (Some(x), Some(y)) if y.0 < x.0 => b.next(),
+            (Some(_), _) => a.next(),
+            (None, _) => b.next(),
+        };
+        let Some((off, len)) = next else { break };
+        match out[from..].last_mut() {
+            Some(last) if off <= last.0 + last.1 => last.1 = last.1.max(off + len - last.0),
+            _ => out.push((off, len)),
+        }
+    }
+}
+
+/// What a round window's cuts cover, as maximal `(offset, len)` runs:
+/// adjacent and overlapping pieces from any mix of sources merge into one
+/// contiguous extent. The write side reads holes off it (more than one
+/// run); the read side sieves by it, issues the minimum number of list-I/O
+/// reads from it, and finds every clipped piece wholly inside one run.
+///
+/// Each cut is already sorted and disjoint, so this is a bottom-up merge
+/// of the per-source lists, neighbours pairwise, coalescing as it goes
+/// (two flat buffers, whatever the source count) — in place of sorting
+/// every piece of every source, or of inserting them one by one into an
+/// interval set.
+fn coverage(cuts: &[Cut<'_>]) -> Vec<(u64, u64)> {
+    let _hp = simtrace::host::scope(simtrace::host::Site::Coverage);
+    fn runs_of<'a>(cut: &'a Cut<'_>) -> impl Iterator<Item = (u64, u64)> + 'a {
+        cut.iter().map(|piece| (piece.file_off, piece.len))
+    }
+    // The lists of one level back to back; list `i` ends at `ends[i]`.
+    let mut runs = Vec::with_capacity(cuts.iter().map(|cut| cut.iter().len()).sum());
+    let mut ends = Vec::with_capacity(cuts.len().div_ceil(2));
+    for pair in cuts.chunks(2) {
+        merge_runs(
+            runs_of(&pair[0]),
+            pair[1..].iter().flat_map(runs_of),
+            &mut runs,
+        );
+        ends.push(runs.len());
+    }
+    let mut merged = Vec::new();
+    while ends.len() > 1 {
+        merged.clear();
+        merged.reserve(runs.len()); // allocates once: levels only shrink
+        let mut start = 0;
+        for pair in 0..ends.len().div_ceil(2) {
+            let mid = ends[2 * pair];
+            let end = ends.get(2 * pair + 1).copied().unwrap_or(mid);
+            let (a, b) = (&runs[start..mid], &runs[mid..end]);
+            merge_runs(a.iter().copied(), b.iter().copied(), &mut merged);
+            ends[pair] = merged.len();
+            start = end;
+        }
+        ends.truncate(ends.len().div_ceil(2));
+        std::mem::swap(&mut runs, &mut merged);
+    }
+    runs
+}
+
+/// One source's payload out of the window's read buffers (`bufs[i]` holds
+/// run `runs[i]`). Host work follows real bytes: when nothing read is
+/// real the payload is synthetic and no piece is visited.
+pub(super) fn carve(runs: &[(u64, u64)], bufs: &[IoBuffer], cut: &Cut<'_>, n: u64) -> IoBuffer {
+    if !bufs.iter().any(IoBuffer::is_real) {
+        return IoBuffer::synthetic(n as usize);
+    }
+    let mut payload = BufferBuilder::with_capacity(n as usize);
+    for piece in cut.iter() {
+        // Runs are maximal covered intervals, so each clipped piece lies
+        // wholly inside one of them.
+        let i = runs.partition_point(|&(off, _)| off <= piece.file_off) - 1;
+        payload.push(&bufs[i].sub((piece.file_off - runs[i].0) as usize, piece.len as usize));
+    }
+    payload.finish()
+}
+
+/// Hole-density cutover of the read sieve, in percent of the covering
+/// extent: list I/O wins once `holes × 100 > span × SIEVE_HOLE_PCT`.
+/// Integer arithmetic, so every rank takes the same branch.
+const SIEVE_HOLE_PCT: u64 = 50;
+
+/// What a window read fetched: the `(offset, len)` runs, a buffer for each.
+type Fetched = (Vec<(u64, u64)>, Vec<IoBuffer>);
+
+/// Read what one round window's `cuts` cover; `None` when they are empty.
+///
+/// With `sieve` (the `cb_ds_read` hint) the window is data-sieved: its
+/// pieces are coalesced into maximal runs, and the deterministic
+/// hole-density threshold picks between one covering read (classic
+/// sieving — read holes too, carve what was asked) and one read per
+/// coalesced run (list I/O, when holes dominate the span). Off, the
+/// covering read is issued unconditionally — bitwise identical to the
+/// protocol before sieving existed.
+pub(super) fn read_window(
+    comm: &Communicator<'_>,
+    fh: &FileHandle,
+    space: &dyn FileSpace,
+    prof: &mut PhaseProfile,
+    cuts: &[Cut<'_>],
+    sieve: bool,
+) -> Option<Fetched> {
+    let ep = comm.endpoint();
+    let (read_lo, read_hi) = hull(cuts.iter().map(Cut::file_range))?;
+    let span = read_hi - read_lo;
+    // Sieve decision. Coalescing and the density test are pure functions
+    // of the agreed piece lists, so every rank that reaches this window
+    // takes the same branch.
+    let runs: Vec<(u64, u64)> = if sieve {
+        let runs = coverage(cuts);
+        let covered: u64 = runs.iter().map(|&(_, l)| l).sum();
+        let holes = span - covered;
+        if holes * 100 > span * SIEVE_HOLE_PCT {
+            runs // holes dominate: list I/O, one read per run
+        } else {
+            vec![(read_lo, span)] // sieve: one covering read
+        }
+    } else {
+        vec![(read_lo, span)]
+    };
+    let t = PhaseTimer::start(Phase::Io, ep.now());
+    // Multiple runs go out as one vectored list-I/O request; a single run
+    // (covering read, sieving on or off) stays on the plain read so the
+    // off path is bitwise identical to the pre-sieving protocol.
+    let bufs: Vec<IoBuffer> = if runs.len() > 1 {
+        let (bufs, done) = space.read_list(fh, &runs, ep.now());
+        ep.clock().advance_to(done);
+        bufs
+    } else {
+        let (buf, done) = space.read(fh, runs[0].0, runs[0].1, ep.now());
+        ep.clock().advance_to(done);
+        vec![buf]
+    };
+    t.stop_traced(ep.now(), prof, ep.trace());
+    let rec = ep.trace();
+    if sieve && rec.enabled() {
+        if runs.len() > 1 {
+            rec.count("sieve_list_reads", runs.len() as u64);
+        } else {
+            rec.count("sieve_covering_reads", 1);
+        }
+    }
+    Some((runs, bufs))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::reqs::tests::list;
+    use super::*;
+    use std::sync::Arc;
+    use proptest::prelude::*;
+    use simfs::RangeSet;
+
+    /// The reference the merge replaced: every piece of every source
+    /// inserted into an interval set, one at a time.
+    fn coverage_by_insert(cuts: &[Cut<'_>]) -> Vec<(u64, u64)> {
+        let mut set = RangeSet::new();
+        for piece in cuts.iter().flat_map(Cut::iter) {
+            set.insert(piece.file_off, piece.end());
+        }
+        set.ranges().iter().map(|&(s, e)| (s, e - s)).collect()
+    }
+
+    #[test]
+    fn abutting_overlapping_and_identical_sources_merge() {
+        let a = list(&[(0, 10), (10, 5), (40, 10)]); // abuts itself
+        let b = list(&[(15, 5), (45, 10), (70, 1)]); // abuts a, overlaps a
+        let cuts = [a.cut(0, 25), b.cut(0, 16), a.cut(0, 25)]; // a twice
+        assert_eq!(coverage(&cuts), [(0, 20), (40, 15), (70, 1)]);
+        assert_eq!(coverage(&cuts), coverage_by_insert(&cuts));
+        assert!(coverage(&[]).is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The pairwise merge equals per-piece `RangeSet::insert` for any
+        /// number of sources, whole lists or clipped cuts of them, with
+        /// some sources repeated verbatim.
+        #[test]
+        fn coverage_matches_interval_set(
+            sources in proptest::collection::vec(
+                (
+                    proptest::collection::vec((0u64..6, 1u64..30), 1..25),
+                    0u64..200,
+                    0u64..400,
+                    any::<bool>(),
+                ),
+                0..12,
+            ),
+        ) {
+            let mut lists = Vec::new();
+            for (steps, pos, n, repeat) in &sources {
+                let mut at = 0u64;
+                let extents: Vec<(u64, u64)> = steps
+                    .iter()
+                    .map(|&(gap, len)| {
+                        let off = at + gap;
+                        at = off + len;
+                        (off, len)
+                    })
+                    .collect();
+                let l = list(&extents);
+                let pos = pos % l.total_bytes();
+                let n = (*n).min(l.total_bytes() - pos);
+                lists.push((Arc::clone(&l), pos, n));
+                if *repeat {
+                    lists.push((l, pos, n));
+                }
+            }
+            let cuts: Vec<Cut<'_>> = lists.iter().map(|(l, pos, n)| l.cut(*pos, *n)).collect();
+            prop_assert_eq!(coverage(&cuts), coverage_by_insert(&cuts));
+        }
+    }
+
+    #[test]
+    fn scatter_lands_real_bytes_in_source_order() {
+        let (a, b) = (list(&[(10, 2), (14, 2)]), list(&[(11, 4)]));
+        let cuts = [a.cut(0, 4), b.cut(0, 4)];
+        let payloads = vec![
+            (0, IoBuffer::from_slice(&[1, 2, 3, 4])),
+            (1, IoBuffer::from_slice(&[9, 8, 7, 6])),
+        ];
+        let mut window = IoBuffer::zeroed(8);
+        scatter(&mut window, 10, &cuts, payloads);
+        // b's overlap of [11, 15) lands over a's bytes: later source wins.
+        assert_eq!(window.as_slice().unwrap(), &[1, 9, 8, 7, 6, 4, 0, 0]);
+    }
+
+    #[test]
+    fn one_synthetic_payload_makes_the_window_synthetic() {
+        let (a, b) = (list(&[(0, 4)]), list(&[(4, 4)]));
+        let cuts = [a.cut(0, 4), b.cut(0, 4)];
+        let payloads = vec![
+            (0, IoBuffer::from_slice(&[1; 4])),
+            (1, IoBuffer::synthetic(4)),
+        ];
+        let mut window = IoBuffer::zeroed(8);
+        scatter(&mut window, 0, &cuts, payloads);
+        assert_eq!(window, IoBuffer::synthetic(8));
+        // ... and a synthetic window (a synthetic read-modify-write
+        // fetch) stays synthetic under real payloads.
+        let mut window = IoBuffer::synthetic(8);
+        scatter(
+            &mut window,
+            0,
+            &cuts[..1],
+            vec![(0, IoBuffer::from_slice(&[1; 4]))],
+        );
+        assert_eq!(window, IoBuffer::synthetic(8));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn scatter_keeps_its_range_check() {
+        let a = list(&[(6, 4)]);
+        let mut window = IoBuffer::zeroed(8);
+        scatter(
+            &mut window,
+            0,
+            &[a.cut(0, 4)],
+            vec![(0, IoBuffer::from_slice(&[1; 4]))],
+        );
+    }
+
+    #[test]
+    fn carve_follows_the_bytes_that_were_read() {
+        let a = list(&[(2, 2), (10, 3)]);
+        let runs = [(0, 4), (10, 4)];
+        let real = [
+            IoBuffer::from_slice(&[0, 1, 2, 3]),
+            IoBuffer::from_slice(&[10, 11, 12, 13]),
+        ];
+        let got = carve(&runs, &real, &a.cut(0, 5), 5);
+        assert_eq!(got.as_slice().unwrap(), &[2, 3, 10, 11, 12]);
+        let synthetic = [IoBuffer::synthetic(4), IoBuffer::synthetic(4)];
+        assert_eq!(
+            carve(&runs, &synthetic, &a.cut(0, 5), 5),
+            IoBuffer::synthetic(5)
+        );
+        // Mixed: a piece out of a synthetic run degrades the payload.
+        let mixed = [real[0].clone(), IoBuffer::synthetic(4)];
+        assert_eq!(
+            carve(&runs, &mixed, &a.cut(0, 5), 5),
+            IoBuffer::synthetic(5)
+        );
+        assert_eq!(
+            carve(&runs, &mixed, &a.cut(0, 2), 2).as_slice().unwrap(),
+            &[2, 3]
+        );
+    }
+}

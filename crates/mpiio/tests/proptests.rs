@@ -1,6 +1,6 @@
 //! Property-based tests for the MPI-IO layer: flattening and view
-//! arithmetic agree with naive reference interpreters, and the collective
-//! write path agrees with independent writes for arbitrary patterns.
+//! arithmetic agree with naive reference interpreters, and the two-phase
+//! engine agrees with a sequential oracle in both directions.
 
 use mpiio::{AccessPlan, Datatype, Ext, FileView};
 use proptest::prelude::*;
@@ -176,73 +176,173 @@ proptest! {
     }
 }
 
-/// One collective tile write: `ntx * nty` ranks each own one tile of a
-/// 2-D array and write it through a subarray view; returns the full file
-/// image, read back through the storage layer after the cluster exits.
-fn tileio_write_image(ntx: usize, nty: usize, tile_x: usize, tile_y: usize, elem: u64) -> Vec<u8> {
-    use simfs::{FsConfig, FileSystem};
-    use simmpi::{Communicator, Info};
-    use simnet::{run_cluster, ClusterConfig, IoBuffer, SimTime};
+/// One generated collective: who moves which bytes, through whom.
+#[derive(Debug, Clone)]
+struct Scenario {
+    /// Each rank's `(offset, len)` file runs, sorted and disjoint across
+    /// the whole group; the last rank is idle (no runs).
+    runs: Vec<Vec<(u64, u64)>>,
+    /// A strictly ascending proper subset of the ranks.
+    aggregators: Vec<usize>,
+    cb_buffer_size: u64,
+    sieve_read: bool,
+    checksums: bool,
+}
 
-    let nprocs = ntx * nty;
-    let rows = nty * tile_y;
-    let cols = ntx * tile_x;
-    let total = (rows * cols) as u64 * elem;
+impl Scenario {
+    /// One past the last byte any rank touches.
+    fn image_len(&self) -> usize {
+        self.runs.iter().flatten().map(|r| r.0 + r.1).max().unwrap_or(0) as usize
+    }
+}
+
+/// Byte `i` of what `rank` writes.
+fn fill(rank: usize, i: u64) -> u8 {
+    (rank as u64 * 41 + i * 7 + 1) as u8
+}
+
+/// Bytes the file holds before the collective, so holes are observable.
+const SENTINEL: u8 = 0xEE;
+
+fn arb_scenario() -> impl Strategy<Value = Scenario> {
+    // Scattered arm: runs of random length dealt to random ranks, holes
+    // between them. Tile arm: one tile of a 2-D array per rank.
+    let scattered = (
+        1usize..12,
+        proptest::collection::vec((0u64..24, 1u64..48, any::<usize>()), 1..40),
+    )
+        .prop_map(|(busy, segs)| {
+            let mut runs = vec![Vec::new(); busy + 1];
+            let mut at = 0u64;
+            for (gap, len, owner) in segs {
+                runs[owner % busy].push((at + gap, len));
+                at += gap + len;
+            }
+            runs
+        });
+    let tiles = (1usize..4, 1usize..3, 1u64..17, 1u64..9, 1u64..9).prop_map(
+        |(ntx, nty, tile_x, tile_y, elem)| {
+            let cols = ntx as u64 * tile_x;
+            let mut runs = vec![Vec::new(); ntx * nty + 1];
+            for (r, mine) in runs.iter_mut().take(ntx * nty).enumerate() {
+                let (row0, col0) = ((r / ntx) as u64 * tile_y, (r % ntx) as u64 * tile_x);
+                mine.extend((0..tile_y).map(|y| (((row0 + y) * cols + col0) * elem, tile_x * elem)));
+            }
+            runs
+        },
+    );
+    (
+        prop_oneof![scattered, tiles],
+        any::<u16>(),
+        1u64..10,
+        any::<bool>(),
+        any::<bool>(),
+    )
+        .prop_map(|(runs, mask, rounds, sieve_read, checksums)| {
+            let n = runs.len();
+            let mut aggregators: Vec<usize> = (0..n).filter(|r| mask >> r & 1 == 1).collect();
+            if aggregators.len() == n {
+                aggregators.remove(usize::from(mask) % n);
+            }
+            if aggregators.is_empty() {
+                aggregators.push(usize::from(mask) % n);
+            }
+            // A domain is about span / aggregators bytes: `rounds` windows.
+            let touched = runs.iter().flatten();
+            let lo = touched.clone().map(|r| r.0).min().unwrap_or(0);
+            let hi = touched.map(|r| r.0 + r.1).max().unwrap_or(0);
+            let domain = (hi - lo).div_ceil(aggregators.len() as u64);
+            Scenario {
+                runs,
+                aggregators,
+                cb_buffer_size: domain.div_ceil(rounds).max(1),
+                sieve_read,
+                checksums,
+            }
+        })
+}
+
+/// The sequential oracle: every rank's runs applied to a byte map, in
+/// rank order, with no communicator, aggregator or round anywhere.
+fn oracle_image(s: &Scenario) -> Vec<u8> {
+    let mut image = vec![SENTINEL; s.image_len()];
+    for (rank, runs) in s.runs.iter().enumerate() {
+        let mut i = 0u64;
+        for &(off, len) in runs {
+            for at in off..off + len {
+                image[at as usize] = fill(rank, i);
+                i += 1;
+            }
+        }
+    }
+    image
+}
+
+/// Run `s` through the engine in both directions, holding every rank's
+/// collective read to the bytes it wrote: the file image after the write
+/// and each rank's virtual end time.
+fn run_scenario(s: &Scenario) -> (Vec<u8>, Vec<u64>) {
+    use mpiio::twophase::{collective, CollConfig, Dir};
+    use mpiio::{DirectSpace, PhaseProfile};
+    use simfs::{FileSystem, FsConfig};
+    use simmpi::{Communicator, Info};
+    use simnet::{run_cluster, ClusterConfig, IoBuffer, Mapping, SimTime};
+
+    let image_len = s.image_len();
     let fs = FileSystem::new(FsConfig::tiny());
-    let fs_in = fs.clone();
-    run_cluster(ClusterConfig::ideal(nprocs), move |ep| {
+    let (fs_in, s_in) = (fs.clone(), s.clone());
+    let out = run_cluster(ClusterConfig::cray_xt(s.runs.len(), Mapping::Block), move |ep| {
         let comm = Communicator::world(&ep);
-        let mut f = mpiio::File::open(&comm, &fs_in, "/tile", &Info::new());
-        let r = comm.rank();
-        let ft = Datatype::tile_2d(
-            rows,
-            cols,
-            tile_y,
-            tile_x,
-            (r / ntx) * tile_y,
-            (r % ntx) * tile_x,
-            elem,
-        );
-        f.set_view(0, &ft);
-        let mine: Vec<u8> = (0..tile_x * tile_y * elem as usize)
-            .map(|i| (r * 41 + i * 7) as u8)
-            .collect();
-        f.write_at_all(0, &IoBuffer::from_vec(mine));
+        let mut f = mpiio::File::open(&comm, &fs_in, "/oracle", &Info::new());
+        if comm.rank() == 0 {
+            f.write_at(0, &IoBuffer::from_vec(vec![SENTINEL; image_len]));
+        }
+        comm.barrier();
+        let runs = &s_in.runs[comm.rank()];
+        let plan = AccessPlan::from_extents(runs.iter().map(|&(o, l)| Ext::new(o, l)).collect());
+        let mine: Vec<u8> = (0..plan.total).map(|i| fill(comm.rank(), i)).collect();
+        let cfg = CollConfig {
+            aggregators: s_in.aggregators.clone(),
+            cb_buffer_size: s_in.cb_buffer_size,
+            align: None,
+            checksums: s_in.checksums,
+            sieve_read: s_in.sieve_read,
+        };
+        let mut prof = PhaseProfile::new();
+        let buf = IoBuffer::from_slice(&mine);
+        let mut engine = |dir| collective(&comm, f.handle(), &DirectSpace, &plan, dir, &cfg, &mut prof);
+        assert!(engine(Dir::Write(&buf)).is_none());
+        comm.barrier();
+        let got = engine(Dir::Read).expect("a read returns its bytes");
+        assert!((2..=18).contains(&prof.rounds), "1-9 rounds each way, not {}", prof.rounds);
         f.close();
+        let got = got.as_slice().expect("real bytes come back real").to_vec();
+        (got, mine, ep.now().as_secs().to_bits())
     });
-    let (img, _) = fs.handle("/tile").read_at(0, total as usize, SimTime::ZERO);
-    img.as_slice()
-        .expect("written file holds real bytes")
-        .to_vec()
+    let (image, _) = fs.handle("/oracle").read_at(0, image_len, SimTime::ZERO);
+    let image = image.as_slice().expect("written file holds real bytes").to_vec();
+    for (rank, (got, mine, _)) in out.iter().enumerate() {
+        assert_eq!(got, mine, "rank {rank} read back other bytes than it wrote");
+    }
+    (image, out.into_iter().map(|(_, _, end)| end).collect())
 }
 
 proptest! {
-    // Each case runs a full cluster; keep the count modest.
-    #![proptest_config(ProptestConfig::with_cases(8))]
+    // Each case runs two full clusters; keep the count modest.
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The scratch-buffer pool recycles backing stores between the
-    /// rounds of a collective: for any tile geometry, a two-phase write
-    /// must produce the image computed directly from the geometry (a
-    /// stale recycled byte anywhere in the pack/unpack path would
-    /// corrupt it).
+    /// The engine against a sequential oracle, in both directions, for
+    /// any access pattern (holes included), aggregator subset (idle and
+    /// non-aggregator ranks included), round count, and with read
+    /// sieving and piece checksums on or off: the file image is the
+    /// oracle's (holes keep what the file held — and a stale recycled
+    /// scratch buffer anywhere in the pack/unpack path would corrupt it),
+    /// a collective read returns each rank exactly what it wrote, and a
+    /// second run ends every rank at the same virtual time.
     #[test]
-    fn pooled_twophase_write_matches_the_direct_image(
-        ntx in 1usize..4,
-        nty in 1usize..3,
-        tile_x in 1usize..17,
-        tile_y in 1usize..9,
-        elem in 1u64..9,
-    ) {
-        let elem_b = elem as usize;
-        let cols = ntx * tile_x;
-        let mut direct = vec![0u8; nty * tile_y * cols * elem_b];
-        for r in 0..ntx * nty {
-            for i in 0..tile_x * tile_y * elem_b {
-                let (y, x, e) = (i / elem_b / tile_x, i / elem_b % tile_x, i % elem_b);
-                let (row, col) = ((r / ntx) * tile_y + y, (r % ntx) * tile_x + x);
-                direct[(row * cols + col) * elem_b + e] = (r * 41 + i * 7) as u8;
-            }
-        }
-        prop_assert_eq!(tileio_write_image(ntx, nty, tile_x, tile_y, elem), direct);
+    fn engine_matches_the_sequential_oracle_in_both_directions(s in arb_scenario()) {
+        let (image, ends) = run_scenario(&s);
+        prop_assert_eq!(image, oracle_image(&s));
+        prop_assert_eq!(run_scenario(&s).1, ends);
     }
 }

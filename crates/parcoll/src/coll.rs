@@ -25,10 +25,10 @@ use crate::autotune::{
     EpochFeedback, FaStrategy, ModeClass, PolicyCache, TuneKnobs,
 };
 use crate::config::ParcollConfig;
-use crate::fa::{partition_file_areas, partition_file_areas_by, Grouping};
+use crate::fa::{partition_file_areas, Grouping};
 use crate::iview::{LogicalMap, MappedSpace};
 use mpiio::profile::{Phase, PhaseTimer};
-use mpiio::twophase::{self, CollConfig};
+use mpiio::twophase::{self, CollConfig, Dir};
 use mpiio::{AccessPlan, Datatype, DirectSpace, Ext, File, PhaseProfile};
 use simfs::FileSystem;
 use simmpi::{codec, Communicator, Info};
@@ -42,7 +42,7 @@ use std::sync::Arc;
 /// time". Reuse removes every whole-group collective from steady-state
 /// calls, letting subgroups drift through their call sequences
 /// independently — the effect behind ParColl's IOR and Flash gains.
-struct GroupCache<'ep> {
+pub struct GroupCache<'ep> {
     sub: Communicator<'ep>,
     subcfg: CollConfig,
     n_groups: usize,
@@ -54,6 +54,9 @@ struct GroupCache<'ep> {
     /// and forces a repartition on the next call.
     dead_epoch: u64,
     mode: CachedMode,
+    /// Partitioning decisions (communicator splits) made so far through
+    /// this cache slot, this one included.
+    splits: u64,
 }
 
 enum CachedMode {
@@ -105,44 +108,6 @@ pub enum PartitionMode {
         /// Subgroups formed.
         groups: usize,
     },
-}
-
-/// The partitioned collective write. `file`'s hints supply the aggregator
-/// configuration; `pcfg` supplies the ParColl knobs.
-pub fn write_at_all<'ep>(
-    file: &mut File<'ep>,
-    pcfg: &ParcollConfig,
-    cache: &mut Option<GroupCacheBox<'ep>>,
-    offset: u64,
-    buf: &IoBuffer,
-) -> PartitionMode {
-    run_partitioned(file, pcfg, cache, offset, buf.len() as u64, Some(buf)).0
-}
-
-/// The partitioned collective read; returns this rank's bytes.
-pub fn read_at_all<'ep>(
-    file: &mut File<'ep>,
-    pcfg: &ParcollConfig,
-    cache: &mut Option<GroupCacheBox<'ep>>,
-    offset: u64,
-    nbytes: u64,
-) -> (PartitionMode, IoBuffer) {
-    let (mode, data) = run_partitioned(file, pcfg, cache, offset, nbytes, None);
-    (mode, data.expect("read path returns data"))
-}
-
-/// Opaque alias so callers can hold the cache without seeing its fields.
-pub type GroupCacheBox<'ep> = GroupCacheInner<'ep>;
-#[doc(hidden)]
-pub struct GroupCacheInner<'ep> {
-    cache: GroupCache<'ep>,
-    splits: u64,
-}
-
-/// How many partitioning decisions (communicator splits) a cache has
-/// performed — a well-behaved repetitive workload splits once and reuses.
-pub fn split_count(cache: &Option<GroupCacheBox<'_>>) -> u64 {
-    cache.as_ref().map_or(0, |c| c.splits)
 }
 
 /// Record the pattern classification (and, with an alignment unit in
@@ -256,22 +221,23 @@ fn merge_dead_groups(comm: &Communicator<'_>, hints: &[usize], grouping: &mut Gr
     }
 }
 
-fn run_partitioned<'ep>(
+/// The partitioned collective in direction `dir` over `nbytes` at view
+/// offset `offset`. `file`'s hints supply the aggregator configuration,
+/// `pcfg` the ParColl knobs; a read returns this rank's bytes.
+pub fn run_partitioned<'ep>(
     file: &mut File<'ep>,
     pcfg: &ParcollConfig,
-    cache: &mut Option<GroupCacheBox<'ep>>,
+    cache: &mut Option<GroupCache<'ep>>,
     offset: u64,
     nbytes: u64,
-    write_buf: Option<&IoBuffer>,
+    dir: Dir<'_>,
 ) -> (PartitionMode, Option<IoBuffer>) {
     let comm = file.comm().clone();
-    let ep = comm.endpoint();
-    let p = comm.size();
-    let groups = pcfg.effective_groups(p);
+    let groups = pcfg.effective_groups(comm.size());
     let plan = file.plan(offset, nbytes);
 
     if groups <= 1 {
-        return (PartitionMode::Single, fallback(file, &plan, write_buf));
+        return (PartitionMode::Single, file.collective(&plan, dir));
     }
 
     // Fault path: agree on the cluster-wide dead set before consulting
@@ -280,65 +246,88 @@ fn run_partitioned<'ep>(
 
     // Steady state: a cached decision whose shape matches needs no
     // whole-group communication at all — each subgroup proceeds at its
-    // own pace.
-    if let Some(boxed) = cache.as_ref() {
-        if boxed.cache.shape == plan_shape(&plan) && boxed.cache.dead_epoch == dead_epoch {
-            let c = &boxed.cache;
-            let sub = c.sub.clone();
-            let subcfg = c.subcfg.clone();
-            let n_groups = c.n_groups;
-            let fh = file.handle().clone();
-            return match &c.mode {
-                CachedMode::Direct => {
-                    let data = dispatch(
-                        &sub, &fh, &DirectSpace, &plan, write_buf, &subcfg, file,
-                    );
-                    (PartitionMode::Direct { groups: n_groups }, data)
-                }
-                CachedMode::Iview {
-                    map,
-                    logical_plan,
-                    base_start,
-                    scatter,
-                } => {
-                    // Views tile, so this call's runs are the cached ones
-                    // shifted uniformly by the call stride.
-                    let delta = plan.start().unwrap_or(*base_start) as i64 - *base_start as i64;
-                    let logical_plan = shift_plan(logical_plan, delta);
-                    let data = if *scatter {
-                        let space = MappedSpace::with_delta(Arc::clone(map), delta)
-                            .coalesce(pcfg.iview_coalesce);
-                        // Scatter mode keeps logical offsets unshifted for
-                        // the map; rebuild the unshifted plan.
-                        let unshifted = shift_plan(&logical_plan, -delta);
-                        dispatch(&sub, &fh, &space, &unshifted, write_buf, &subcfg, file)
-                    } else {
-                        dispatch(&sub, &fh, &DirectSpace, &logical_plan, write_buf, &subcfg, file)
-                    };
-                    (PartitionMode::IntermediateView { groups: n_groups }, data)
-                }
-            };
-        }
+    // own pace. Otherwise decide and store first; a call that stores
+    // nothing (nobody moves bytes, or view switching is forbidden) runs
+    // the whole group for its collective semantics.
+    let hit = cache
+        .as_ref()
+        .is_some_and(|c| c.shape == plan_shape(&plan) && c.dead_epoch == dead_epoch);
+    if !hit && !decide(file, pcfg, cache, &plan, groups) {
+        return (PartitionMode::Single, file.collective(&plan, dir));
     }
 
-    // First call for this shape: whole-group range gather, pattern
-    // classification, partitioning (paper Figure 3 flow).
+    let c = cache.as_ref().expect("a decision was cached or just stored");
+    let fh = file.handle().clone();
+    let groups = c.n_groups;
+    let prof = file.profile_mut();
+    match &c.mode {
+        CachedMode::Direct => {
+            let data = twophase::collective(&c.sub, &fh, &DirectSpace, &plan, dir, &c.subcfg, prof);
+            (PartitionMode::Direct { groups }, data)
+        }
+        CachedMode::Iview {
+            map,
+            logical_plan,
+            base_start,
+            scatter,
+        } => {
+            // Views tile, so this call's runs are the cached ones shifted
+            // uniformly by the call stride (zero on the deciding call).
+            //
+            // The intermediate view *re-addresses the file*: data is
+            // stored in logical order (each process's segments
+            // consecutive), so aggregator I/O is large and contiguous.
+            // The original view remains the semantic map between
+            // application addresses and logical offsets ("the original
+            // file view is still needed to provide the physical layout
+            // and distribution of I/O segments"); reads through this
+            // library translate consistently. `parcoll_iview_scatter`
+            // instead materializes at the original physical offsets — an
+            // ablation that demonstrates the cost of doing so — and keeps
+            // logical offsets unshifted for the map, which slides.
+            let delta = plan.start().unwrap_or(*base_start) as i64 - *base_start as i64;
+            let data = if *scatter {
+                let space = MappedSpace::with_delta(Arc::clone(map), delta);
+                twophase::collective(&c.sub, &fh, &space, logical_plan, dir, &c.subcfg, prof)
+            } else {
+                let shifted = shift_plan(logical_plan, delta);
+                twophase::collective(&c.sub, &fh, &DirectSpace, &shifted, dir, &c.subcfg, prof)
+            };
+            (PartitionMode::IntermediateView { groups }, data)
+        }
+    }
+}
+
+/// First call for this shape: whole-group range gather, pattern
+/// classification, partitioning and the subgroup split (paper Figure 3
+/// flow), stored in `cache` for this and later calls to dispatch from.
+/// Returns `false`, storing nothing, when there is nothing to partition:
+/// no rank moves bytes (a degenerate decision is not cached), or the
+/// pattern needs a view and view switching is forbidden.
+fn decide<'ep>(
+    file: &mut File<'ep>,
+    pcfg: &ParcollConfig,
+    cache: &mut Option<GroupCache<'ep>>,
+    plan: &AccessPlan,
+    groups: usize,
+) -> bool {
+    let comm = file.comm().clone();
+    let ep = comm.endpoint();
+    let p = comm.size();
     let t = PhaseTimer::start(Phase::Sync, ep.now());
     let my_range: Option<(u64, u64)> = plan.start().map(|s| (s, plan.end().unwrap()));
     let ranges = comm.allgather_t(my_range, 16);
     t.stop_traced(ep.now(), file.profile_mut(), ep.trace());
 
     if ranges.iter().all(Option::is_none) {
-        // Nobody moves bytes; run the degenerate path for its collective
-        // semantics (and do not cache a degenerate decision).
-        return (PartitionMode::Single, fallback(file, &plan, write_buf));
+        return false;
     }
 
     let mut snapped = false;
     let attempt = if pcfg.force_iview == Some(true) {
         None
     } else {
-        match partition_file_areas_by(&ranges, groups, pcfg.balance) {
+        match partition_file_areas(&ranges, groups) {
             Ok(g) => Some(g),
             Err(_) if pcfg.snap_groups => {
                 // Tile-row snapping: the requested cut crossed a pattern
@@ -348,7 +337,7 @@ fn run_partitioned<'ep>(
                 let mut found = None;
                 let mut g2 = groups / 2;
                 while g2 >= 2 {
-                    if let Ok(gr) = partition_file_areas_by(&ranges, g2, pcfg.balance) {
+                    if let Ok(gr) = partition_file_areas(&ranges, g2) {
                         found = Some(gr);
                         break;
                     }
@@ -361,26 +350,15 @@ fn run_partitioned<'ep>(
         }
     };
 
-    let fh = file.handle().clone();
-    match attempt {
-        Some(mut grouping) => {
-            merge_dead_groups(&comm, &file.coll_config().aggregators, &mut grouping);
-            let n_groups = grouping.n_groups();
+    let (mut grouping, pattern, mode) = match attempt {
+        Some(grouping) => {
             let pattern = if snapped { "tilerow" } else { "direct" };
-            trace_partition(ep, pattern, Some(&grouping), file.hints().cb_align);
-            let (sub, subcfg) =
-                subgroup_setup(file, cache, &grouping.group_of, n_groups, pcfg.aggs_per_group);
-            if let Some(boxed) = cache.as_mut() {
-                boxed.cache.mode = CachedMode::Direct;
-                boxed.cache.shape = plan_shape(&plan);
-            }
-            let data = dispatch(&sub, &fh, &DirectSpace, &plan, write_buf, &subcfg, file);
-            (PartitionMode::Direct { groups: n_groups }, data)
+            (grouping, pattern, CachedMode::Direct)
         }
         None if pcfg.force_iview == Some(false) => {
             // View switching forbidden: degenerate to the baseline.
             trace_partition(ep, "single", None, None);
-            (PartitionMode::Single, fallback(file, &plan, write_buf))
+            return false;
         }
         None => {
             // Pattern (c): build the intermediate file view. Everyone
@@ -397,48 +375,37 @@ fn run_partitioned<'ep>(
                     (s < e).then_some((s, e))
                 })
                 .collect();
-            let mut grouping = partition_file_areas(&logical_ranges, groups)
+            let grouping = partition_file_areas(&logical_ranges, groups)
                 .expect("logical rank regions are serial and disjoint");
-            merge_dead_groups(&comm, &file.coll_config().aggregators, &mut grouping);
-            let n_groups = grouping.n_groups();
-            trace_partition(ep, "iview", Some(&grouping), file.hints().cb_align);
-            let (sub, subcfg) =
-                subgroup_setup(file, cache, &grouping.group_of, n_groups, pcfg.aggs_per_group);
-
             let (ls, le) = map.rank_range(comm.rank());
             let logical_plan = if ls < le {
                 AccessPlan::from_extents(vec![Ext::new(ls, le - ls)])
             } else {
                 AccessPlan::default()
             };
-            if let Some(boxed) = cache.as_mut() {
-                boxed.cache.mode = CachedMode::Iview {
-                    map: Arc::clone(&map),
-                    logical_plan: logical_plan.clone(),
-                    base_start: plan.start().unwrap_or(0),
-                    scatter: pcfg.iview_scatter,
-                };
-                boxed.cache.shape = plan_shape(&plan);
-            }
-            // The intermediate view *re-addresses the file*: data is
-            // stored in logical order (each process's segments
-            // consecutive), so aggregator I/O is large and contiguous.
-            // The original view remains the semantic map between
-            // application addresses and logical offsets ("the original
-            // file view is still needed to provide the physical layout
-            // and distribution of I/O segments"); reads through this
-            // library translate consistently. `parcoll_iview_scatter`
-            // instead materializes at the original physical offsets — an
-            // ablation that demonstrates the cost of doing so.
-            let data = if pcfg.iview_scatter {
-                let space = MappedSpace::new(map).coalesce(pcfg.iview_coalesce);
-                dispatch(&sub, &fh, &space, &logical_plan, write_buf, &subcfg, file)
-            } else {
-                dispatch(&sub, &fh, &DirectSpace, &logical_plan, write_buf, &subcfg, file)
+            let mode = CachedMode::Iview {
+                map,
+                logical_plan,
+                base_start: plan.start().unwrap_or(0),
+                scatter: pcfg.iview_scatter,
             };
-            (PartitionMode::IntermediateView { groups: n_groups }, data)
+            (grouping, "iview", mode)
         }
-    }
+    };
+    merge_dead_groups(&comm, &file.coll_config().aggregators, &mut grouping);
+    let n_groups = grouping.n_groups();
+    trace_partition(ep, pattern, Some(&grouping), file.hints().cb_align);
+    let (sub, subcfg) = subgroup_setup(file, &grouping.group_of, n_groups, pcfg.aggs_per_group);
+    *cache = Some(GroupCache {
+        sub,
+        subcfg,
+        n_groups,
+        shape: plan_shape(plan),
+        dead_epoch: ep.faults().map_or(0, |f| f.dead_epoch()),
+        mode,
+        splits: cache.as_ref().map_or(0, |c| c.splits) + 1,
+    });
+    true
 }
 
 /// Allgather every rank's physical extent list and build the intermediate
@@ -463,37 +430,10 @@ fn gather_logical_map(comm: &Communicator<'_>, extents: &[Ext]) -> Arc<LogicalMa
     })
 }
 
-/// Run the inner two-phase engine for a write or a read.
-fn dispatch(
-    sub: &Communicator<'_>,
-    fh: &simfs::FileHandle,
-    space: &dyn mpiio::FileSpace,
-    plan: &AccessPlan,
-    write_buf: Option<&IoBuffer>,
-    subcfg: &CollConfig,
-    file: &mut File<'_>,
-) -> Option<IoBuffer> {
-    match write_buf {
-        Some(buf) => {
-            twophase::write_all(sub, fh, space, plan, buf, subcfg, file.profile_mut());
-            None
-        }
-        None => Some(twophase::read_all(
-            sub,
-            fh,
-            space,
-            plan,
-            subcfg,
-            file.profile_mut(),
-        )),
-    }
-}
-
-/// Split (or reuse) the subgroup communicator and build its collective
+/// Split the subgroup communicator and build its collective
 /// configuration with the distributed aggregators.
 fn subgroup_setup<'ep>(
     file: &mut File<'ep>,
-    cache: &mut Option<GroupCacheBox<'ep>>,
     group_of: &[usize],
     n_groups: usize,
     aggs_override: Option<usize>,
@@ -581,46 +521,9 @@ fn subgroup_setup<'ep>(
     }
     let subcfg = CollConfig {
         aggregators: sub_aggs,
-        cb_buffer_size: parent_cfg.cb_buffer_size,
-        align: parent_cfg.align,
-        checksums: parent_cfg.checksums,
-        sieve_read: parent_cfg.sieve_read,
-        sieve_hole_pct: parent_cfg.sieve_hole_pct,
+        ..parent_cfg
     };
-
-    let splits = cache.as_ref().map_or(0, |c| c.splits) + 1;
-    *cache = Some(GroupCacheInner {
-        cache: GroupCache {
-            sub: sub.clone(),
-            subcfg: subcfg.clone(),
-            n_groups,
-            shape: Vec::new(), // caller fills in after partitioning
-            dead_epoch: ep.faults().map_or(0, |f| f.dead_epoch()),
-            mode: CachedMode::Direct,
-        },
-        splits,
-    });
     (sub, subcfg)
-}
-
-fn fallback(file: &mut File<'_>, plan: &AccessPlan, write_buf: Option<&IoBuffer>) -> Option<IoBuffer> {
-    let cfg = file.coll_config();
-    let comm = file.comm().clone();
-    let fh = file.handle().clone();
-    match write_buf {
-        Some(buf) => {
-            twophase::write_all(&comm, &fh, &DirectSpace, plan, buf, &cfg, file.profile_mut());
-            None
-        }
-        None => Some(twophase::read_all(
-            &comm,
-            &fh,
-            &DirectSpace,
-            plan,
-            &cfg,
-            file.profile_mut(),
-        )),
-    }
 }
 
 /// A drop-in MPI-IO file whose collective operations run the ParColl
@@ -650,7 +553,7 @@ fn fallback(file: &mut File<'_>, plan: &AccessPlan, write_buf: Option<&IoBuffer>
 pub struct ParcollFile<'ep> {
     file: File<'ep>,
     pcfg: ParcollConfig,
-    cache: Option<GroupCacheBox<'ep>>,
+    cache: Option<GroupCache<'ep>>,
     last_mode: Option<PartitionMode>,
     path: String,
     tune: Option<TuneRuntime>,
@@ -658,10 +561,10 @@ pub struct ParcollFile<'ep> {
 
 /// Per-file autotune state: the tuner (lazily built at the first
 /// collective write, when the access pattern is known), the epoch
-/// accumulator, and the policy cache learned state is stored into.
+/// accumulator, and the policy cache learned state is stored into. An
+/// epoch is one collective call.
 struct TuneRuntime {
     cache: PolicyCache,
-    calls_per_epoch: u64,
     tuner: Option<AutoTuner>,
     /// (path, signature) key the tuner was loaded under / stores to. The
     /// signature is direction-namespaced ([`direction_signature`]), so a
@@ -679,7 +582,6 @@ struct TuneRuntime {
     /// Knobs in force for the running epoch (a change invalidates the
     /// subgroup split cache).
     applied: TuneKnobs,
-    epoch_calls: u64,
     epoch_t0: simnet::SimTime,
     /// Profile snapshot at epoch start; the epoch's attribution is the
     /// delta against it.
@@ -699,7 +601,6 @@ impl<'ep> ParcollFile<'ep> {
         let nprocs = file.comm().size();
         let tune = pcfg.autotune.then(|| TuneRuntime {
             cache: PolicyCache::new(),
-            calls_per_epoch: pcfg.autotune_epoch as u64,
             tuner: None,
             sig: 0,
             dir_read: false,
@@ -709,7 +610,6 @@ impl<'ep> ParcollFile<'ep> {
                 aggs_per_group: pcfg.aggs_per_group,
                 strategy: FaStrategy::DirectCut,
             },
-            epoch_calls: 0,
             epoch_t0: simnet::SimTime::ZERO,
             mark: PhaseProfile::new(),
         });
@@ -772,11 +672,7 @@ impl<'ep> ParcollFile<'ep> {
 
     /// Partitioned collective write at a view offset.
     pub fn write_at_all(&mut self, offset: u64, buf: &IoBuffer) {
-        self.ensure_tuner(offset, buf.len() as u64, false);
-        let pcfg = self.effective_pcfg();
-        let mode = write_at_all(&mut self.file, &pcfg, &mut self.cache, offset, buf);
-        self.last_mode = Some(mode);
-        self.tune_record();
+        self.run(offset, buf.len() as u64, Dir::Write(buf));
     }
 
     fn effective_pcfg(&self) -> ParcollConfig {
@@ -857,28 +753,17 @@ impl<'ep> ParcollFile<'ep> {
         }
         tr.applied = applied;
         tr.tuner = Some(tuner);
-        tr.epoch_calls = 0;
         tr.epoch_t0 = ep.now();
         tr.mark = *self.file.profile();
     }
 
-    /// Count the collective write toward the running epoch; at the epoch
-    /// boundary, agree on the measurement and let the tuner move.
+    /// The collective call just made closes an epoch: agree on the
+    /// measurement and let the tuner move — unless it has settled. The
+    /// steady state has no accounting and no agreement collective; it is
+    /// communication-free beyond the protocol itself.
     fn tune_record(&mut self) {
-        let Some(tr) = self.tune.as_mut() else {
-            return;
-        };
-        let Some(tuner) = tr.tuner.as_ref() else {
-            return;
-        };
-        if tuner.is_settled() {
-            // Steady state: no accounting, no agreement collective — the
-            // settled path is communication-free beyond the protocol
-            // itself.
-            return;
-        }
-        tr.epoch_calls += 1;
-        if tr.epoch_calls >= tr.calls_per_epoch {
+        let tuner = self.tune.as_ref().and_then(|tr| tr.tuner.as_ref());
+        if tuner.is_some_and(|t| !t.is_settled()) {
             self.tune_epoch_boundary();
         }
     }
@@ -987,7 +872,6 @@ impl<'ep> ParcollFile<'ep> {
                 );
             }
         }
-        tr.epoch_calls = 0;
         tr.epoch_t0 = ep.now();
         tr.mark = *self.file.profile();
     }
@@ -1017,10 +901,16 @@ impl<'ep> ParcollFile<'ep> {
     /// the read pattern, and read epochs drive their own group-count and
     /// sieve decisions.
     pub fn read_at_all(&mut self, offset: u64, nbytes: u64) -> IoBuffer {
-        self.ensure_tuner(offset, nbytes, true);
+        let data = self.run(offset, nbytes, Dir::Read);
+        data.expect("a collective read returns its bytes")
+    }
+
+    /// One partitioned collective call, and the autotune epoch it is.
+    fn run(&mut self, offset: u64, nbytes: u64, dir: Dir<'_>) -> Option<IoBuffer> {
+        self.ensure_tuner(offset, nbytes, matches!(dir, Dir::Read));
         let pcfg = self.effective_pcfg();
         let (mode, data) =
-            read_at_all(&mut self.file, &pcfg, &mut self.cache, offset, nbytes);
+            run_partitioned(&mut self.file, &pcfg, &mut self.cache, offset, nbytes, dir);
         self.last_mode = Some(mode);
         self.tune_record();
         data
@@ -1044,7 +934,7 @@ impl<'ep> ParcollFile<'ep> {
     /// How many communicator splits this file has performed (repetitive
     /// workloads should split once and reuse the subgroups).
     pub fn split_count(&self) -> u64 {
-        split_count(&self.cache)
+        self.cache.as_ref().map_or(0, |c| c.splits)
     }
 
     /// The ParColl configuration in force.
@@ -1074,21 +964,14 @@ impl<'ep> ParcollFile<'ep> {
     }
 
     /// Collectively close, returning the profile. With autotuning on,
-    /// any partial epoch is flushed through the tuner first and rank 0
-    /// stores the learned state into the policy cache, keyed by the file
-    /// path, pattern signature and current fault dead-set epoch.
+    /// rank 0 stores the learned state into the policy cache, keyed by
+    /// the file path, pattern signature and current fault dead-set epoch.
     pub fn close(mut self) -> PhaseProfile {
         self.tune_flush();
         self.file.close()
     }
 
     fn tune_flush(&mut self) {
-        let flush = self.tune.as_ref().is_some_and(|tr| {
-            tr.epoch_calls > 0 && tr.tuner.as_ref().is_some_and(|t| !t.is_settled())
-        });
-        if flush {
-            self.tune_epoch_boundary();
-        }
         let Some(tr) = self.tune.as_ref() else {
             return;
         };

@@ -23,8 +23,6 @@ pub struct ParcollConfig {
     /// `Some(false)` forbids view switching (pattern (c) then falls back
     /// to one group).
     pub force_iview: Option<bool>,
-    /// FA balancing strategy (`parcoll_balance` = `count` | `bytes`).
-    pub balance: crate::fa::Balance,
     /// Ablation switch (`parcoll_iview_scatter`): materialize intermediate
     /// -view data at the *original* physical offsets (scattering each
     /// aggregator window through the view) instead of storing the file in
@@ -34,12 +32,9 @@ pub struct ParcollConfig {
     pub iview_scatter: bool,
     /// Online autotuning (`parcoll_autotune`): close the simtrace
     /// phase-attribution signal into a feedback loop that retunes the
-    /// subgroup count, aggregator layout and FA strategy per epoch (see
-    /// [`crate::autotune`]).
+    /// subgroup count, aggregator layout and FA strategy per epoch (one
+    /// collective call; see [`crate::autotune`]).
     pub autotune: bool,
-    /// Collective calls per autotune epoch (`parcoll_autotune_epoch`,
-    /// default 1).
-    pub autotune_epoch: usize,
     /// Tile-row snapping (`parcoll_snap_groups`): when a direct cut at the
     /// requested group count produces intersecting FAs, retry at halved
     /// counts until the cuts land on pattern boundaries instead of
@@ -50,13 +45,6 @@ pub struct ParcollConfig {
     /// aggregators per subgroup (`parcoll_aggs_per_group`). Probed by the
     /// autotuner on I/O-dominated profiles.
     pub aggs_per_group: Option<usize>,
-    /// Run coalescing in the intermediate view (`parcoll_iview_coalesce`):
-    /// when an aggregator's logical window translates to adjacent or
-    /// overlapping physical runs, merge them so each becomes a single OST
-    /// request. Off by default so existing traces stay bitwise identical;
-    /// the merged read returns the same bytes (translation preserves
-    /// logical order, and only *touching* runs merge).
-    pub iview_coalesce: bool,
 }
 
 impl Default for ParcollConfig {
@@ -65,13 +53,10 @@ impl Default for ParcollConfig {
             groups: None,
             min_group_size: 8,
             force_iview: None,
-            balance: crate::fa::Balance::Count,
             iview_scatter: false,
             autotune: false,
-            autotune_epoch: 1,
             snap_groups: false,
             aggs_per_group: None,
-            iview_coalesce: false,
         }
     }
 }
@@ -83,16 +68,10 @@ impl ParcollConfig {
             groups: info.get_usize("parcoll_groups"),
             min_group_size: info.get_usize("parcoll_min_group").unwrap_or(8).max(1),
             force_iview: info.get_bool("parcoll_force_iview"),
-            balance: match info.get("parcoll_balance") {
-                Some("bytes") => crate::fa::Balance::Bytes,
-                _ => crate::fa::Balance::Count,
-            },
             iview_scatter: info.get_bool("parcoll_iview_scatter").unwrap_or(false),
             autotune: info.get_bool("parcoll_autotune").unwrap_or(false),
-            autotune_epoch: info.get_usize("parcoll_autotune_epoch").unwrap_or(1).max(1),
             snap_groups: info.get_bool("parcoll_snap_groups").unwrap_or(false),
             aggs_per_group: info.get_usize("parcoll_aggs_per_group"),
-            iview_coalesce: info.get_bool("parcoll_iview_coalesce").unwrap_or(false),
         }
     }
 
@@ -135,8 +114,6 @@ mod tests {
         assert_eq!(c.min_group_size, 4);
         assert_eq!(c.force_iview, Some(true));
         assert!(!c.iview_scatter);
-        let c4 = ParcollConfig::from_info(&Info::new().with("parcoll_balance", "bytes"));
-        assert_eq!(c4.balance, crate::fa::Balance::Bytes);
         let c2 = ParcollConfig::from_info(&Info::new().with("parcoll_iview_scatter", "true"));
         assert!(c2.iview_scatter);
     }
@@ -175,24 +152,14 @@ mod tests {
         let c = ParcollConfig::from_info(
             &Info::new()
                 .with("parcoll_autotune", "enable")
-                .with("parcoll_autotune_epoch", 2)
                 .with("parcoll_snap_groups", "true")
                 .with("parcoll_aggs_per_group", 2),
         );
         assert!(c.autotune);
-        assert_eq!(c.autotune_epoch, 2);
         assert!(c.snap_groups);
         assert_eq!(c.aggs_per_group, Some(2));
         let d = ParcollConfig::default();
         assert!(!d.autotune);
-        assert_eq!(d.autotune_epoch, 1);
-    }
-
-    #[test]
-    fn parses_iview_coalesce() {
-        assert!(!ParcollConfig::default().iview_coalesce);
-        let c = ParcollConfig::from_info(&Info::new().with("parcoll_iview_coalesce", "true"));
-        assert!(c.iview_coalesce);
     }
 
     #[test]

@@ -127,29 +127,6 @@ pub fn partition_file_areas(
     ranges: &[Option<(u64, u64)>],
     groups: usize,
 ) -> Result<Grouping, FaError> {
-    partition_file_areas_by(ranges, groups, Balance::Count)
-}
-
-/// What "evenly divided" balances across subgroups (paper §4.1: "a file
-/// should be evenly (or close to) divided into FAs for balanced I/O load").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Balance {
-    /// Equal member counts per subgroup (uniform workloads — every
-    /// workload in the paper's evaluation).
-    #[default]
-    Count,
-    /// Equal *byte spans* per subgroup: cut the ordered processes where
-    /// the cumulative range span crosses each 1/G quantile. Better when
-    /// per-process volumes are skewed.
-    Bytes,
-}
-
-/// [`partition_file_areas`] with an explicit balancing strategy.
-pub fn partition_file_areas_by(
-    ranges: &[Option<(u64, u64)>],
-    groups: usize,
-    balance: Balance,
-) -> Result<Grouping, FaError> {
     let nprocs = ranges.len();
     assert!(nprocs > 0, "no processes to partition");
     let groups = groups.clamp(1, nprocs);
@@ -158,16 +135,10 @@ pub fn partition_file_areas_by(
     with_data.sort_by_key(|&r| (ranges[r].expect("filtered Some").0, r));
     let idle: Vec<usize> = (0..nprocs).filter(|&r| ranges[r].is_none()).collect();
 
-    // Chunk sizes per group under the chosen balance.
-    let takes: Vec<usize> = match balance {
-        Balance::Count => {
-            let n = with_data.len();
-            let base = n / groups;
-            let rem = n % groups;
-            (0..groups).map(|g| base + usize::from(g < rem)).collect()
-        }
-        Balance::Bytes => byte_balanced_takes(&with_data, ranges, groups),
-    };
+    // Chunk sizes per group: equal member counts (every workload in the
+    // paper's evaluation moves the same volume per process).
+    let (base, rem) = (with_data.len() / groups, with_data.len() % groups);
+    let takes: Vec<usize> = (0..groups).map(|g| base + usize::from(g < rem)).collect();
 
     let mut group_of = vec![usize::MAX; nprocs];
     let mut fas = vec![(0u64, 0u64); groups];
@@ -222,52 +193,6 @@ pub fn partition_file_areas_by(
     debug_assert!(group_of.iter().all(|&g| g < groups));
 
     Ok(Grouping { group_of, fas })
-}
-
-/// Cut the offset-ordered processes so each group's byte span is as close
-/// to `total / groups` as possible, while every group keeps ≥ 1 member
-/// until processes run out.
-fn byte_balanced_takes(
-    ordered: &[usize],
-    ranges: &[Option<(u64, u64)>],
-    groups: usize,
-) -> Vec<usize> {
-    let span = |r: usize| {
-        let (s, e) = ranges[r].expect("ordered ranks hold data");
-        e - s
-    };
-    let total: u64 = ordered.iter().map(|&r| span(r)).sum();
-    let mut takes = vec![0usize; groups];
-    if ordered.is_empty() {
-        return takes;
-    }
-    let target = total / groups as u64;
-    let mut idx = 0usize;
-    for (g, take) in takes.iter_mut().enumerate() {
-        let remaining_groups = groups - g;
-        let remaining = ordered.len() - idx;
-        if remaining == 0 {
-            break;
-        }
-        // Leave at least one member for each later group.
-        let max_take = remaining - (remaining_groups - 1).min(remaining - 1);
-        let mut acc = 0u64;
-        let mut t = 0usize;
-        while t < max_take {
-            acc += span(ordered[idx + t]);
-            t += 1;
-            if g + 1 < groups && acc >= target {
-                break;
-            }
-        }
-        if g + 1 == groups {
-            t = remaining; // last group takes the rest
-        }
-        *take = t;
-        idx += t;
-    }
-    debug_assert_eq!(takes.iter().sum::<usize>(), ordered.len());
-    takes
 }
 
 #[cfg(test)]
@@ -392,49 +317,6 @@ mod tests {
         let ranges = vec![Some((0, 100)), Some((0, 100)), Some((100, 200)), Some((100, 200))];
         let g = partition_file_areas(&ranges, 2).unwrap();
         assert_eq!(g.fas, vec![(0, 100), (100, 200)]);
-    }
-
-    #[test]
-    fn byte_balance_splits_skewed_volumes() {
-        // Rank 0 owns 700 bytes; ranks 1..=3 own 100 each. Count-balance
-        // over 2 groups puts {0,1}/{2,3} (700+100 vs 200); byte-balance
-        // puts {0}/{1,2,3} (700 vs 300).
-        let ranges = vec![
-            Some((0u64, 700u64)),
-            Some((700, 800)),
-            Some((800, 900)),
-            Some((900, 1000)),
-        ];
-        let count = partition_file_areas_by(&ranges, 2, Balance::Count).unwrap();
-        assert_eq!(count.group_of, vec![0, 0, 1, 1]);
-        let bytes = partition_file_areas_by(&ranges, 2, Balance::Bytes).unwrap();
-        assert_eq!(bytes.group_of, vec![0, 1, 1, 1]);
-        assert_eq!(bytes.fas, vec![(0, 700), (700, 1000)]);
-    }
-
-    #[test]
-    fn byte_balance_keeps_every_group_nonempty() {
-        // One huge rank then many small: later groups must still get
-        // members.
-        let mut ranges = vec![Some((0u64, 10_000u64))];
-        for r in 0..6u64 {
-            ranges.push(Some((10_000 + r * 10, 10_000 + (r + 1) * 10)));
-        }
-        let g = partition_file_areas_by(&ranges, 3, Balance::Bytes).unwrap();
-        let mut counts = vec![0usize; 3];
-        for &grp in &g.group_of {
-            counts[grp] += 1;
-        }
-        assert!(counts.iter().all(|&c| c >= 1), "{counts:?}");
-    }
-
-    #[test]
-    fn byte_balance_equals_count_for_uniform_volumes() {
-        let ranges: Vec<Option<(u64, u64)>> =
-            (0..8).map(|r| Some((r * 50, (r + 1) * 50))).collect();
-        let a = partition_file_areas_by(&ranges, 4, Balance::Count).unwrap();
-        let b = partition_file_areas_by(&ranges, 4, Balance::Bytes).unwrap();
-        assert_eq!(a, b);
     }
 
     #[test]

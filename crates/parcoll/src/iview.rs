@@ -150,27 +150,17 @@ impl LogicalMap {
 pub struct MappedSpace {
     map: Arc<LogicalMap>,
     delta: i64,
-    coalesce: bool,
 }
 
 impl MappedSpace {
     /// Wrap a logical map with no shift.
     pub fn new(map: Arc<LogicalMap>) -> Self {
-        MappedSpace { map, delta: 0, coalesce: false }
+        MappedSpace { map, delta: 0 }
     }
 
     /// Wrap with a uniform physical-offset shift.
     pub fn with_delta(map: Arc<LogicalMap>, delta: i64) -> Self {
-        MappedSpace { map, delta, coalesce: false }
-    }
-
-    /// Enable (or disable) read-side run coalescing: adjacent or
-    /// overlapping physical runs of one logical read become a single OST
-    /// request (`parcoll_iview_coalesce`). Reads only — writes must keep
-    /// one request per run because distinct logical bytes land in each.
-    pub fn coalesce(mut self, on: bool) -> Self {
-        self.coalesce = on;
-        self
+        MappedSpace { map, delta }
     }
 
     /// The underlying map.
@@ -183,30 +173,6 @@ impl MappedSpace {
         assert!(shifted >= 0, "mapped-space shift {} underflows offset {off}", self.delta);
         shifted as u64
     }
-}
-
-/// Merge a logical run's physical extents into maximal contiguous reads.
-/// Translation emits runs in *logical* order, so physical offsets can
-/// jump backwards across rank boundaries; sort a copy by offset, merge
-/// touching/overlapping extents, and remember for each logical run which
-/// merged read it falls in and at what interior offset.
-fn merge_physical(runs: &[Ext]) -> (Vec<Ext>, Vec<(usize, u64)>) {
-    let mut order: Vec<usize> = (0..runs.len()).collect();
-    order.sort_by_key(|&i| runs[i].off);
-    let mut merged: Vec<Ext> = Vec::new();
-    let mut slot = vec![(0usize, 0u64); runs.len()];
-    for &i in &order {
-        let r = runs[i];
-        match merged.last_mut() {
-            Some(m) if r.off <= m.end() => {
-                let end = m.end().max(r.end());
-                m.len = end - m.off;
-            }
-            _ => merged.push(r),
-        }
-        slot[i] = (merged.len() - 1, r.off - merged.last().expect("just pushed").off);
-    }
-    (merged, slot)
 }
 
 impl FileSpace for MappedSpace {
@@ -223,23 +189,6 @@ impl FileSpace for MappedSpace {
 
     fn read(&self, fh: &FileHandle, offset: u64, len: u64, now: SimTime) -> (IoBuffer, SimTime) {
         let runs = self.map.to_physical(offset, len);
-        if self.coalesce {
-            let hp = simtrace::host::scope(simtrace::host::Site::RunCoalesce);
-            let (merged, slot) = merge_physical(&runs);
-            drop(hp);
-            let mut t = now;
-            let mut bufs: Vec<IoBuffer> = Vec::with_capacity(merged.len());
-            for m in &merged {
-                let (buf, done) = fh.read_at(self.shift(m.off), m.len as usize, t);
-                bufs.push(buf);
-                t = done;
-            }
-            let mut out = BufferBuilder::with_capacity(len as usize);
-            for (run, &(j, within)) in runs.iter().zip(&slot) {
-                out.push(&bufs[j].sub(within as usize, run.len as usize));
-            }
-            return (out.finish(), t);
-        }
         let mut t = now;
         let mut out = BufferBuilder::with_capacity(len as usize);
         for run in runs {
@@ -362,32 +311,5 @@ mod tests {
     #[should_panic(expected = "sorted and disjoint")]
     fn overlapping_rank_extents_rejected() {
         LogicalMap::new(vec![vec![Ext::new(0, 10), Ext::new(5, 10)]]);
-    }
-
-    #[test]
-    fn merge_physical_merges_touching_runs() {
-        // Logical order visits 100 first, then two touching runs at 0.
-        let runs = vec![Ext::new(100, 10), Ext::new(0, 10), Ext::new(10, 5)];
-        let (merged, slot) = merge_physical(&runs);
-        assert_eq!(merged, vec![Ext::new(0, 15), Ext::new(100, 10)]);
-        // Each logical run knows its merged read and interior offset.
-        assert_eq!(slot, vec![(1, 0), (0, 0), (0, 10)]);
-    }
-
-    #[test]
-    fn coalesced_read_returns_identical_bytes() {
-        let fs = FileSystem::new(FsConfig::tiny());
-        let (fh, t0) = fs.open("/ivc", SimTime::ZERO);
-        let m = Arc::new(demo_map());
-        let plain = MappedSpace::new(Arc::clone(&m));
-        let data: Vec<u8> = (0..50).collect();
-        let t1 = plain.write(&fh, 0, &IoBuffer::from_slice(&data), t0);
-        let co = MappedSpace::new(m).coalesce(true);
-        for (off, n) in [(0u64, 50u64), (15, 10), (5, 30)] {
-            let (a, _) = co.read(&fh, off, n, t1);
-            let (b, _) = plain.read(&fh, off, n, t1);
-            assert_eq!(a.as_slice().unwrap(), b.as_slice().unwrap());
-            assert_eq!(a.as_slice().unwrap(), &data[off as usize..(off + n) as usize]);
-        }
     }
 }

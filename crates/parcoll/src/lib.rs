@@ -51,5 +51,5 @@ pub use autotune::{
 };
 pub use coll::ParcollFile;
 pub use config::ParcollConfig;
-pub use fa::{partition_file_areas, partition_file_areas_by, Balance, FaError, Grouping};
+pub use fa::{partition_file_areas, FaError, Grouping};
 pub use iview::{LogicalMap, MappedSpace};

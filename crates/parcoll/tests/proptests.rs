@@ -1,7 +1,7 @@
 //! Property-based tests for ParColl's partitioning machinery.
 
 use parcoll::aggdist::distribute_aggregators;
-use parcoll::fa::{partition_file_areas_by, Balance};
+use parcoll::fa::partition_file_areas;
 use parcoll::iview::LogicalMap;
 use mpiio::Ext;
 use proptest::prelude::*;
@@ -20,10 +20,8 @@ proptest! {
     /// rank in exactly one group, group ids valid, FAs ordered and
     /// disjoint, and every member's range inside its group's FA.
     #[test]
-    fn fa_partition_invariants(ranges in arb_ranges(), groups in 1usize..8,
-                               by_bytes in any::<bool>()) {
-        let balance = if by_bytes { Balance::Bytes } else { Balance::Count };
-        let Ok(g) = partition_file_areas_by(&ranges, groups, balance) else {
+    fn fa_partition_invariants(ranges in arb_ranges(), groups in 1usize..8) {
+        let Ok(g) = partition_file_areas(&ranges, groups) else {
             return Ok(()); // pattern (c): rejection is valid
         };
         prop_assert_eq!(g.group_of.len(), ranges.len());
@@ -50,7 +48,7 @@ proptest! {
     fn count_balance_is_even(n in 1usize..32, groups in 1usize..8) {
         let ranges: Vec<Option<(u64, u64)>> =
             (0..n as u64).map(|r| Some((r * 100, r * 100 + 50))).collect();
-        let g = partition_file_areas_by(&ranges, groups, Balance::Count).unwrap();
+        let g = partition_file_areas(&ranges, groups).unwrap();
         let mut counts = vec![0usize; g.n_groups()];
         for &x in &g.group_of {
             counts[x] += 1;

@@ -132,10 +132,6 @@ pub enum Site {
     /// (the read-side analogue of [`Site::Pack`], active only when the
     /// `cb_ds_read` hint is on).
     SieveRead,
-    /// Run coalescing: merging adjacent/overlapping piece requests into
-    /// maximal contiguous extents in the intermediate-view physical-run
-    /// reader (the two-phase windows' merge is [`Site::Coverage`]).
-    RunCoalesce,
     /// Admission gate scan: one `O(ranks)` admissibility check of a
     /// pending request against every other rank's floor (the progress
     /// registry, under its lock — never the wait between checks).
@@ -161,7 +157,7 @@ pub enum Site {
 }
 
 /// Number of probe sites in the registry.
-pub const SITE_COUNT: usize = 23;
+pub const SITE_COUNT: usize = 22;
 
 /// Static description of one site.
 struct SiteInfo {
@@ -187,7 +183,6 @@ const SITES: [SiteInfo; SITE_COUNT] = [
     SiteInfo { name: "cksum_compute", subsystem: "integrity" },
     SiteInfo { name: "cksum_verify", subsystem: "integrity" },
     SiteInfo { name: "sieve_read", subsystem: "mpiio" },
-    SiteInfo { name: "run_coalesce", subsystem: "parcoll" },
     SiteInfo { name: "gate_scan", subsystem: "simnet" },
     SiteInfo { name: "gate_wake", subsystem: "simnet" },
     SiteInfo { name: "twophase_coverage", subsystem: "mpiio" },
@@ -228,12 +223,11 @@ impl Site {
                 14 => Site::CksumCompute,
                 15 => Site::CksumVerify,
                 16 => Site::SieveRead,
-                17 => Site::RunCoalesce,
-                18 => Site::GateScan,
-                19 => Site::GateWake,
-                20 => Site::Coverage,
-                21 => Site::SizeExchange,
-                22 => Site::CollSetup,
+                17 => Site::GateScan,
+                18 => Site::GateWake,
+                19 => Site::Coverage,
+                20 => Site::SizeExchange,
+                21 => Site::CollSetup,
                 _ => unreachable!(),
             })
         } else {

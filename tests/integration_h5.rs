@@ -77,8 +77,7 @@ fn h5_with_aligned_domains_and_byte_balance() {
         Info::new()
             .with("parcoll_groups", 2)
             .with("parcoll_min_group", 1)
-            .with("striping_unit", 1024)
-            .with("parcoll_balance", "bytes"),
+            .with("striping_unit", 1024),
     );
 }
 
