@@ -34,8 +34,8 @@
 //! and every exchange is one function (`Exchange::run`): the size
 //! alltoall, then two stages in the order the direction dictates — write:
 //! clients pack and post, the server collects and writes its window;
-//! read: the server reads its window, carves and posts, clients collect
-//! and unpack. The aggregator's own domain, a domain adopted after a
+//! read: the server reads its window and posts it, clients collect and
+//! carve. The aggregator's own domain, a domain adopted after a
 //! crash and the heal of a torn window differ in data, not code:
 //!
 //! * the **routes** — which of my request lists feeds which serving rank:
@@ -60,11 +60,16 @@
 //! shared list by binary search, and failover replay or a torn-write
 //! rewind is arithmetic on that one number.
 //!
-//! Host work follows real bytes: the owner's stream is one contiguous
-//! range of its user buffer, so pack and the read-side unpack are one
-//! slice whatever the piece count; the aggregator visits pieces only to
-//! merge the window's coverage, and copies them only when every payload
-//! carries real bytes.
+//! Host work follows real bytes, and real bytes move by reference: a file
+//! byte is copied once on the way in — into the staging window, which the
+//! file image then keeps (`simfs::storage`) — and once on the way out,
+//! from the fetched window (a view of the image where one buffer wrote the
+//! range; every source is sent the same `Arc`) straight into the landing
+//! buffer. A write's payload is a window of the user buffer, since the
+//! owner's stream is one contiguous range of it; a checksum trailer
+//! travels beside its message (`integrity`); the aggregator visits pieces
+//! only to merge the window's coverage. The staging copies of two-phase
+//! I/O stay *modelled* costs (`charge_memcpy`) whatever the host does.
 //!
 //! And it follows fan-out, not rank count. A rank holds a list only for
 //! the aggregators whose domain its access reaches into, an aggregator
@@ -89,14 +94,14 @@ use crate::profile::{Phase, PhaseProfile, PhaseTimer};
 use crate::space::FileSpace;
 use crate::view::AccessPlan;
 use domains::{compute_file_domains, compute_file_domains_aligned};
-use integrity::{resend_if_corrupt, seal, verify_payload};
+use integrity::{post, verify, Body, Sealed};
 use recovery::Recovery;
-use reqs::{calc_my_req, PieceList};
+use reqs::{calc_my_req, Cut, PieceList};
 use simfs::FileHandle;
 use simmpi::{Communicator, RecvRequest, ReduceOp};
 use simnet::IoBuffer;
 use std::sync::Arc;
-use window::{carve, cut_streams, read_window, write_window};
+use window::{cut_streams, read_window, write_window};
 
 /// Tag for request-list metadata messages.
 const TAG_REQ: i32 = 0x7001;
@@ -443,7 +448,7 @@ impl Exchange<'_, '_> {
     /// `slot` out of the user buffer, seal, and advance the position. The
     /// stream is one contiguous range of the buffer, so this is a single
     /// range-checked slice — a zero-copy view when the bytes are real.
-    fn pack(&mut self, buf: &IoBuffer, slot: usize, n: u64) -> IoBuffer {
+    fn pack(&mut self, buf: &IoBuffer, slot: usize, n: u64) -> Arc<Sealed> {
         let ep = self.comm.endpoint();
         let t = PhaseTimer::start(Phase::Local, ep.now());
         let hp = simtrace::host::scope(simtrace::host::Site::Pack);
@@ -451,45 +456,30 @@ impl Exchange<'_, '_> {
         let payload = buf.sub(at as usize, n as usize);
         self.pos[slot] += n;
         ep.charge_memcpy(n as usize);
-        let payload = seal(payload, self.cfg.checksums);
+        let body = Body::Stream(payload);
+        let msg = Sealed::new(body, &Cut::default(), n, self.cfg.checksums);
         drop(hp);
         t.stop_traced(ep.now(), self.prof, ep.trace());
-        payload
-    }
-
-    /// Post one data payload, followed by its clean copies if the fault
-    /// layer corrupted it.
-    fn post(&mut self, dst: usize, (data_tag, repair_tag): (i32, i32), payload: &IoBuffer) {
-        let (comm, ep) = (self.comm, self.comm.endpoint());
-        let t = PhaseTimer::start(Phase::P2p, ep.now());
-        comm.isend(dst, data_tag, payload.clone());
-        resend_if_corrupt(comm, dst, repair_tag, payload, self.cfg.checksums);
-        t.stop_traced(ep.now(), self.prof, ep.trace());
+        msg
     }
 
     /// Receiver side of one data exchange: complete one receive per rank
-    /// in `srcs`, in that order, as a batch, append the payload this rank
-    /// made for itself, then verify — and, with checksums on, repair —
-    /// each one before any byte lands anywhere; with checksums off this
-    /// is where a planted in-flight flip reaches the data.
+    /// in `srcs`, in that order, as a batch, and append the message this
+    /// rank made for itself.
     fn collect(
         &mut self,
         srcs: Vec<usize>,
-        (data_tag, repair_tag): (i32, i32),
-        own: Option<IoBuffer>,
-    ) -> Vec<(usize, IoBuffer)> {
-        let (comm, ep, checksums) = (self.comm, self.comm.endpoint(), self.cfg.checksums);
+        data_tag: i32,
+        own: Option<Arc<Sealed>>,
+    ) -> Vec<(usize, Arc<Sealed>)> {
+        let (comm, ep) = (self.comm, self.comm.endpoint());
         let t = PhaseTimer::start(Phase::P2p, ep.now());
         let reqs: Vec<RecvRequest> = srcs.iter().map(|&src| comm.irecv(src, data_tag)).collect();
-        let mut arrived: Vec<(usize, IoBuffer)> =
-            srcs.into_iter().zip(comm.waitall(&reqs)).collect();
-        arrived.extend(own.map(|payload| (comm.rank(), payload)));
+        let mut arrived: Vec<(usize, Arc<Sealed>)> =
+            srcs.into_iter().zip(comm.waitall_t(&reqs)).collect();
+        arrived.extend(own.map(|msg| (comm.rank(), msg)));
         t.stop_traced(ep.now(), self.prof, ep.trace());
-        let verified = arrived.into_iter().map(|(src, payload)| {
-            let prof = &mut *self.prof;
-            (src, verify_payload(comm, src, data_tag, repair_tag, payload, checksums, prof))
-        });
-        verified.collect()
+        arrived
     }
 
     /// Move window `wi` of one file domain between the ranks holding
@@ -525,7 +515,7 @@ impl Exchange<'_, '_> {
                 // Clients: pack (local memcpy) and post (p2p) the bytes
                 // each serving rank asked for. Only a rank I sent a list
                 // to can ask.
-                let mut own: Option<IoBuffer> = None;
+                let mut own: Option<Arc<Sealed>> = None;
                 for &(slot, server) in routes {
                     let n = value_of(&expected, server);
                     self.last[slot] = n;
@@ -536,45 +526,56 @@ impl Exchange<'_, '_> {
                     if server == me {
                         own = Some(payload);
                     } else {
-                        self.post(server, tags, &payload);
+                        post(comm, server, tags, &payload, self.prof);
                     }
                 }
                 // Server: collect the payloads (my own travels by no
-                // message), assemble the staging buffer, do the file I/O.
+                // message), verify — and, with checksums on, repair — each
+                // before any byte lands anywhere (with checksums off this
+                // is where a planted in-flight flip reaches the data),
+                // assemble the staging buffer, do the file I/O.
                 if let Some((row, window, domain)) = served {
                     let srcs = row.iter().map(|&(src, _)| src).filter(|&src| src != me);
-                    let incoming = self.collect(srcs.collect(), tags, own);
+                    let arrived = self.collect(srcs.collect(), tags.0, own);
+                    let verified = arrived.into_iter().map(|(src, msg)| {
+                        let cut = Cut::default(); // a write's payload is one stream
+                        (src, verify(comm, src, tags, msg, &cut, self.prof).into_payload(&cut))
+                    });
+                    let incoming = verified.collect();
                     write_window(comm, fh, space, self.prof, domain, window, incoming, torn);
                 }
             }
             Dir::Read => {
-                // Server: read the window once, carve out each source's
-                // pieces, send.
-                let mut own: Option<IoBuffer> = None;
+                // Server: read the window once and send every source with
+                // bytes in it the same window; its sum, with checksums on,
+                // is over that source's pieces where they lie.
+                let mut own: Option<Arc<Sealed>> = None;
                 if let Some((row, _, domain)) = served {
                     let cuts = cut_streams(domain, row.iter().copied());
                     let sieve = cfg.sieve_read;
                     let fetched = read_window(comm, fh, space, self.prof, &cuts, sieve);
+                    let fetched = fetched.map(Arc::new);
                     for (&(src, n), cut) in row.iter().zip(&cuts) {
-                        let Some((runs, bufs)) = &fetched else { break };
+                        let Some(fetched) = &fetched else { break };
                         let t = PhaseTimer::start(Phase::Local, ep.now());
                         let hp = simtrace::host::scope(simtrace::host::Site::Pack);
                         let hp_sieve =
                             sieve.then(|| simtrace::host::scope(simtrace::host::Site::SieveRead));
-                        let payload = carve(runs, bufs, cut, n);
+                        let body = Body::of_window(fetched, n);
                         drop(hp_sieve);
                         ep.charge_memcpy(n as usize);
-                        let payload = seal(payload, cfg.checksums);
+                        let msg = Sealed::new(body, cut, n, cfg.checksums);
                         drop(hp);
                         t.stop_traced(ep.now(), self.prof, ep.trace());
                         if src == me {
-                            own = Some(payload);
+                            own = Some(msg);
                         } else {
-                            self.post(src, tags, &payload);
+                            post(comm, src, tags, &msg, self.prof);
                         }
                     }
-                    // `fetched` ends here, once the last source is carved:
-                    // the window is not held across the receive below.
+                    // The window lives until its last client has landed:
+                    // free where it views the file image; elsewhere a copy
+                    // that replaces the per-client payloads.
                 }
 
                 // Clients: receive from the serving ranks that have bytes
@@ -593,21 +594,24 @@ impl Exchange<'_, '_> {
                     }
                 }
                 slots.extend(own_slot);
-                let arrived = self.collect(srcs, tags, own);
+                let arrived = self.collect(srcs, tags.0, own);
                 debug_assert_eq!(arrived.len(), slots.len());
+                let my_req = self.my_req;
+                let verified = slots.iter().zip(arrived).map(|(&slot, (src, msg))| {
+                    let (n, cut) = (msg.len, my_req[slot].1.cut(self.pos[slot], msg.len));
+                    (n, cut, verify(comm, src, tags, msg, &cut, self.prof))
+                });
+                let verified: Vec<(u64, Cut<'_>, Body)> = verified.collect();
 
                 // Unpack — local memory movement. A domain's stream is one
-                // contiguous range of the user buffer, so each payload
-                // lands with one copy.
+                // contiguous range of the user buffer, so each message
+                // lands there piece by piece, with one copy.
                 let t = PhaseTimer::start(Phase::Local, ep.now());
                 let hp = simtrace::host::scope(simtrace::host::Site::Unpack);
-                for (slot, (_, payload)) in slots.into_iter().zip(arrived) {
-                    let n = payload.len() as u64;
-                    let landed = self
-                        .landed
-                        .get_or_insert_with(|| IoBuffer::landing(self.total, [&payload]));
-                    let at = self.my_req[slot].1.buffer_offset(self.pos[slot], n);
-                    landed.copy_in(at as usize, &payload);
+                for (slot, (n, cut, body)) in slots.into_iter().zip(verified) {
+                    let kind = || IoBuffer::landing(self.total, body.parts(&cut));
+                    let at = my_req[slot].1.buffer_offset(self.pos[slot], n);
+                    body.land(self.landed.get_or_insert_with(kind), at as usize, &cut);
                     self.pos[slot] += n;
                     ep.charge_memcpy(n as usize);
                 }

@@ -9,7 +9,6 @@ use crate::profile::{Phase, PhaseProfile, PhaseTimer};
 use crate::space::FileSpace;
 use simfs::FileHandle;
 use simmpi::Communicator;
-use simnet::buffer::BufferBuilder;
 use simnet::IoBuffer;
 
 /// Cut `n` more bytes off `src`'s stream in `domain` for every `(src, n)`:
@@ -46,6 +45,7 @@ fn scatter(window: &mut IoBuffer, base: u64, cuts: &[Cut<'_>], payloads: Vec<(us
     };
     for (cut, (_, payload)) in cuts.iter().zip(&payloads) {
         let src = payload.as_slice().expect("checked real above");
+        simtrace::host::count(simtrace::host::Counter::CopyBytes, src.len() as u64);
         let mut at = 0usize;
         for piece in cut.iter() {
             let (to, n) = ((piece.file_off - base) as usize, piece.len as usize);
@@ -197,21 +197,18 @@ fn coverage(cuts: &[Cut<'_>]) -> Vec<(u64, u64)> {
     runs
 }
 
-/// One source's payload out of the window's read buffers (`bufs[i]` holds
-/// run `runs[i]`). Host work follows real bytes: when nothing read is
-/// real the payload is synthetic and no piece is visited.
-pub(super) fn carve(runs: &[(u64, u64)], bufs: &[IoBuffer], cut: &Cut<'_>, n: u64) -> IoBuffer {
-    if !bufs.iter().any(IoBuffer::is_real) {
-        return IoBuffer::synthetic(n as usize);
-    }
-    let mut payload = BufferBuilder::with_capacity(n as usize);
-    for piece in cut.iter() {
-        // Runs are maximal covered intervals, so each clipped piece lies
-        // wholly inside one of them.
+/// The pieces of `cut` as windows of a window read's buffers (`bufs[i]`
+/// holds run `runs[i]`), in stream order. Runs are maximal covered
+/// intervals, so each clipped piece lies wholly inside one of them.
+pub(super) fn pieces<'a>(
+    runs: &'a [(u64, u64)],
+    bufs: &'a [IoBuffer],
+    cut: &'a Cut<'_>,
+) -> impl Iterator<Item = IoBuffer> + 'a {
+    cut.iter().map(move |piece| {
         let i = runs.partition_point(|&(off, _)| off <= piece.file_off) - 1;
-        payload.push(&bufs[i].sub((piece.file_off - runs[i].0) as usize, piece.len as usize));
-    }
-    payload.finish()
+        bufs[i].sub((piece.file_off - runs[i].0) as usize, piece.len as usize)
+    })
 }
 
 /// Hole-density cutover of the read sieve, in percent of the covering
@@ -220,7 +217,7 @@ pub(super) fn carve(runs: &[(u64, u64)], bufs: &[IoBuffer], cut: &Cut<'_>, n: u6
 const SIEVE_HOLE_PCT: u64 = 50;
 
 /// What a window read fetched: the `(offset, len)` runs, a buffer for each.
-type Fetched = (Vec<(u64, u64)>, Vec<IoBuffer>);
+pub(super) type Fetched = (Vec<(u64, u64)>, Vec<IoBuffer>);
 
 /// Read what one round window's `cuts` cover; `None` when they are empty.
 ///
@@ -399,33 +396,6 @@ mod tests {
             0,
             &[a.cut(0, 4)],
             vec![(0, IoBuffer::from_slice(&[1; 4]))],
-        );
-    }
-
-    #[test]
-    fn carve_follows_the_bytes_that_were_read() {
-        let a = list(&[(2, 2), (10, 3)]);
-        let runs = [(0, 4), (10, 4)];
-        let real = [
-            IoBuffer::from_slice(&[0, 1, 2, 3]),
-            IoBuffer::from_slice(&[10, 11, 12, 13]),
-        ];
-        let got = carve(&runs, &real, &a.cut(0, 5), 5);
-        assert_eq!(got.as_slice().unwrap(), &[2, 3, 10, 11, 12]);
-        let synthetic = [IoBuffer::synthetic(4), IoBuffer::synthetic(4)];
-        assert_eq!(
-            carve(&runs, &synthetic, &a.cut(0, 5), 5),
-            IoBuffer::synthetic(5)
-        );
-        // Mixed: a piece out of a synthetic run degrades the payload.
-        let mixed = [real[0].clone(), IoBuffer::synthetic(4)];
-        assert_eq!(
-            carve(&runs, &mixed, &a.cut(0, 5), 5),
-            IoBuffer::synthetic(5)
-        );
-        assert_eq!(
-            carve(&runs, &mixed, &a.cut(0, 2), 2).as_slice().unwrap(),
-            &[2, 3]
         );
     }
 }

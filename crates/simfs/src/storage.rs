@@ -1,10 +1,24 @@
 //! Sparse page store for file contents.
 //!
-//! Real data is stored in 64 KiB pages allocated on first touch; holes
-//! read back as zeros (POSIX sparse-file semantics). Synthetic writes mark
-//! their extents in a [`RangeSet`] instead of materializing bytes; a read
-//! overlapping a synthetic extent yields a synthetic buffer of the right
-//! size, because its contents are by construction unknowable.
+//! Real data is stored in 64 KiB pages; holes read back as zeros (POSIX
+//! sparse-file semantics). A page is a shared window ([`IoBuffer`]): a
+//! write covering it whole stores a window of the writer's buffer — a
+//! reference, not a copy — and a read over pages that are consecutive
+//! windows of one backing store (a range last written from one buffer)
+//! returns that window. A partly covered page is patched copy-on-write,
+//! so neither the writer nor an earlier reader ever sees a later write.
+//! What a view can pin: a page surviving from a large write keeps that
+//! whole buffer alive until it is overwritten, truncated or spilled, and
+//! so does a read's window until its reader drops it. A write that
+//! replaces the rest of a buffer copies out the page it leaves behind
+//! just before and just after itself; pages stranded any other way (a
+//! truncate, scattered overwrites, all but a few pages spilled) stay
+//! views, so [`Storage::resident_bytes`] — and with it the spill limit —
+//! is a lower bound on the memory an image holds.
+//! Synthetic writes mark their extents in a [`RangeSet`] instead of
+//! materializing bytes; a read overlapping a synthetic extent yields a
+//! synthetic buffer of the right size, because its contents are by
+//! construction unknowable.
 //!
 //! ## Streaming file images
 //!
@@ -14,13 +28,15 @@
 //! write pushes past the limit, the lowest-offset resident pages (the
 //! coldest under the overwhelmingly sequential collective-I/O pattern)
 //! are written through to an unlinked per-file temp file and dropped
-//! from memory. Reads pull bytes straight off the spill file, so every
+//! from memory (a backing store is freed when the last page viewing it
+//! goes). Reads pull bytes straight off the spill file, so every
 //! read stays byte-identical to the fully-resident store — spilling is
 //! invisible except through [`Storage::spilled_bytes`]. Purely host-side
 //! memory management; virtual time never observes it.
 
 use crate::rangeset::RangeSet;
 use simnet::IoBuffer;
+use simtrace::host::{count, Counter};
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -139,10 +155,21 @@ fn page_window(page_idx: u64, offset: u64, end: u64) -> (usize, std::ops::Range<
     ((lo - offset) as usize, (lo - page_start) as usize..(hi - page_start) as usize)
 }
 
+/// The bytes of a resident page.
+fn bytes(page: &IoBuffer) -> &[u8] {
+    page.as_slice().expect("pages hold real bytes")
+}
+
+/// The same for patching: copied out first if a writer or reader shares them.
+fn bytes_mut(page: &mut IoBuffer) -> &mut [u8] {
+    page.as_mut_slice().expect("pages hold real bytes")
+}
+
 /// Sparse contents of one file.
 #[derive(Debug, Default)]
 pub struct Storage {
-    pages: BTreeMap<u64, Box<[u8]>>,
+    /// Resident pages: real windows of exactly [`PAGE_SIZE`] bytes.
+    pages: BTreeMap<u64, IoBuffer>,
     /// Pages evicted to disk: page index → slot in the spill file.
     spilled: BTreeMap<u64, u64>,
     spill: Option<SpillFile>,
@@ -163,7 +190,9 @@ impl Storage {
         self.size
     }
 
-    /// Bytes of memory held by materialized pages (diagnostics).
+    /// Bytes of resident pages (diagnostics, and what the spill limit
+    /// caps): a lower bound on memory held, since a page can be a window
+    /// of a larger buffer — see the module doc.
     pub fn resident_bytes(&self) -> u64 {
         self.pages.len() as u64 * PAGE_SIZE
     }
@@ -186,17 +215,14 @@ impl Storage {
         }
         let end = offset + len;
         self.size = self.size.max(end);
-        match data.as_slice() {
-            Some(bytes) => {
-                self.synthetic.remove(offset, end);
-                self.write_pages(offset, bytes);
-            }
-            None => {
-                // Unmaterialized write: drop any real bytes it overwrites
-                // so stale data cannot resurface, then mark the extent.
-                self.zero_pages(offset, end);
-                self.synthetic.insert(offset, end);
-            }
+        if data.is_real() {
+            self.synthetic.remove(offset, end);
+            self.write_pages(offset, data);
+        } else {
+            // Unmaterialized write: drop any real bytes it overwrites
+            // so stale data cannot resurface, then mark the extent.
+            self.zero_pages(offset, end);
+            self.synthetic.insert(offset, end);
         }
     }
 
@@ -212,13 +238,27 @@ impl Storage {
         if self.synthetic.intersects(offset, end) {
             return IoBuffer::synthetic(len);
         }
-        // Append page by page, so every byte of the result is written
+        let pages = offset / PAGE_SIZE..=(end - 1) / PAGE_SIZE;
+        // Resident pages that are consecutive windows of one backing
+        // store are that store's window: no byte moves.
+        let mut parts = pages.clone().map(|page_idx| {
+            let (_, within) = page_window(page_idx, offset, end);
+            let page = self.pages.get(&page_idx)?;
+            Some(page.sub(within.start, within.len()))
+        });
+        if let Some(mut whole) = parts.next().flatten() {
+            if parts.all(|part| part.is_some_and(|part| whole.join(&part))) {
+                return whole;
+            }
+        }
+        // Anything else is appended page by page, every byte written
         // once: resident pages are copied, holes zero-extended.
         let mut out = Vec::with_capacity(len);
-        for page_idx in offset / PAGE_SIZE..=(end - 1) / PAGE_SIZE {
+        for page_idx in pages {
             let (at, within) = page_window(page_idx, offset, end);
             if let Some(page) = self.pages.get(&page_idx) {
-                out.extend_from_slice(&page[within]);
+                count(Counter::CopyBytes, within.len() as u64);
+                out.extend_from_slice(&bytes(page)[within]);
                 continue;
             }
             out.resize(at + within.len(), 0);
@@ -227,6 +267,7 @@ impl Storage {
                 // the result — byte-identical to the resident path,
                 // without pulling whole pages back into the cache.
                 let spill = self.spill.as_ref().expect("spilled pages imply a file");
+                count(Counter::CopyBytes, within.len() as u64);
                 pread(&spill.file, &mut out[at..], slot * PAGE_SIZE + within.start as u64);
             }
         }
@@ -249,13 +290,13 @@ impl Storage {
         if self.synthetic.intersects(offset, end) {
             return None;
         }
-        simtrace::host::count(simtrace::host::Counter::CksumBytes, len as u64);
+        count(Counter::CksumBytes, len as u64);
         let mut h = Fnv1a::new();
         let mut spill_buf: Option<Box<[u8]>> = None;
         for page_idx in offset / PAGE_SIZE..=(end - 1) / PAGE_SIZE {
             let (_, within) = page_window(page_idx, offset, end);
             if let Some(page) = self.pages.get(&page_idx) {
-                h.update(&page[within]);
+                h.update(&bytes(page)[within]);
             } else if let Some(&slot) = self.spilled.get(&page_idx) {
                 let spill = self.spill.as_ref().expect("spilled pages imply a file");
                 let buf = spill_buf
@@ -287,42 +328,42 @@ impl Storage {
             let boundary = size / PAGE_SIZE;
             self.unspill(boundary);
             if let Some(page) = self.pages.get_mut(&boundary) {
-                for b in &mut page[(size % PAGE_SIZE) as usize..] {
-                    *b = 0;
-                }
+                bytes_mut(page)[(size % PAGE_SIZE) as usize..].fill(0);
                 self.maybe_spill(u64::MAX);
             }
         }
     }
 
-    fn write_pages(&mut self, offset: u64, bytes: &[u8]) {
-        use std::collections::btree_map::Entry;
-        let end = offset + bytes.len() as u64;
-        let mut pos = offset;
-        while pos < end {
-            let page_idx = pos / PAGE_SIZE;
+    fn write_pages(&mut self, offset: u64, data: &IoBuffer) {
+        let end = offset + data.len() as u64;
+        for page_idx in offset / PAGE_SIZE..=(end - 1) / PAGE_SIZE {
             let (at, within) = page_window(page_idx, offset, end);
-            let src = &bytes[at..at + within.len()];
-            if src.len() == PAGE_SIZE as usize {
-                // Whole page replaced: its spilled copy, if any, is dead.
+            let part = data.sub(at, within.len());
+            if within.len() == PAGE_SIZE as usize {
+                // Whole page, absent or resident: keep a window of the
+                // writer's buffer; a spilled copy, if any, is dead.
                 self.free_slots.extend(self.spilled.remove(&page_idx));
+                self.pages.insert(page_idx, part);
             } else {
+                // Partly covered: patch the page (a new one is zeros),
+                // copy-on-write if a writer or reader shares its bytes.
                 self.unspill(page_idx);
-            }
-            match self.pages.entry(page_idx) {
-                Entry::Occupied(mut page) => page.get_mut()[within].copy_from_slice(src),
-                // A new page the write covers completely is built from
-                // the source bytes; only a partly covered one needs zeros.
-                Entry::Vacant(slot) if src.len() == PAGE_SIZE as usize => {
-                    slot.insert(src.into());
-                }
-                Entry::Vacant(slot) => {
-                    slot.insert(vec![0u8; PAGE_SIZE as usize].into_boxed_slice())[within]
-                        .copy_from_slice(src);
-                }
+                let page = self.pages.entry(page_idx);
+                let page = page.or_insert_with(|| IoBuffer::zeroed(PAGE_SIZE as usize));
+                page.copy_in(within.start, &part);
             }
             self.maybe_spill(page_idx);
-            pos += src.len() as u64;
+        }
+        // The page before or after may be the last one left of a buffer
+        // this write replaced the rest of, and keep all of it alive: give
+        // it a store of its own. (A store adopted whole has a share of at
+        // most two pages — the pool's slack.)
+        for edge in [(offset / PAGE_SIZE).wrapping_sub(1), end.div_ceil(PAGE_SIZE)] {
+            let left_behind = |page: &&mut IoBuffer| page.store_share() > 4 * PAGE_SIZE as usize;
+            if let Some(page) = self.pages.get_mut(&edge).filter(left_behind) {
+                count(Counter::CopyBytes, PAGE_SIZE);
+                *page = IoBuffer::from_slice(bytes(page));
+            }
         }
     }
 
@@ -334,9 +375,8 @@ impl Storage {
             let z_start = page_start.max(start);
             let z_end = (page_start + PAGE_SIZE).min(end);
             if z_start < z_end {
-                for b in &mut page[(z_start - page_start) as usize..(z_end - page_start) as usize] {
-                    *b = 0;
-                }
+                bytes_mut(page)[(z_start - page_start) as usize..(z_end - page_start) as usize]
+                    .fill(0);
             }
         }
         // Spilled pages: a fully-covered page becomes all-zero, which is
@@ -357,9 +397,8 @@ impl Storage {
                 let page = self.pages.get_mut(&page_idx).expect("just unspilled");
                 let z_start = page_start.max(start);
                 let z_end = (page_start + PAGE_SIZE).min(end);
-                for b in &mut page[(z_start - page_start) as usize..(z_end - page_start) as usize] {
-                    *b = 0;
-                }
+                bytes_mut(page)[(z_start - page_start) as usize..(z_end - page_start) as usize]
+                    .fill(0);
                 self.maybe_spill(page_idx);
             }
         }
@@ -372,8 +411,8 @@ impl Storage {
             return;
         };
         let spill = self.spill.as_ref().expect("spilled pages imply a file");
-        let mut page = vec![0u8; PAGE_SIZE as usize].into_boxed_slice();
-        spill.read_page_into(slot, &mut page);
+        let mut page = IoBuffer::zeroed(PAGE_SIZE as usize);
+        spill.read_page_into(slot, bytes_mut(&mut page));
         self.free_slots.push(slot);
         self.pages.insert(page_idx, page);
     }
@@ -403,7 +442,7 @@ impl Storage {
             self.spill
                 .as_ref()
                 .expect("slot allocation created the file")
-                .write_page(slot, &page);
+                .write_page(slot, bytes(&page));
             self.spilled.insert(victim, slot);
         }
     }
@@ -612,14 +651,16 @@ mod tests {
 
     /// The read this module had before it appended page slices: zero-fill
     /// the whole result, then overlay resident and spilled pages. Kept as
-    /// the reference [`Storage::read`] is compared against.
+    /// the reference [`Storage::read`] is compared against: it rebuilds
+    /// the bytes from `pages` *and* `spilled`, so a page that is both
+    /// resident and spilled with a stale copy shows here at once.
     fn read_by_overlay(s: &Storage, offset: u64, len: usize) -> Vec<u8> {
         let end = offset + len as u64;
         let mut out = vec![0u8; len];
         let pages = offset / PAGE_SIZE..=(end - 1) / PAGE_SIZE;
         for (&page_idx, page) in s.pages.range(pages.clone()) {
             let (at, within) = page_window(page_idx, offset, end);
-            out[at..at + within.len()].copy_from_slice(&page[within]);
+            out[at..at + within.len()].copy_from_slice(&bytes(page)[within]);
         }
         for (&page_idx, &slot) in s.spilled.range(pages) {
             let (at, within) = page_window(page_idx, offset, end);
@@ -661,9 +702,18 @@ mod tests {
             // `synthetic[i]` marks bytes whose content is modeled only.
             let mut image = vec![0u8; SPAN as usize];
             let mut synthetic = vec![false; SPAN as usize];
+            // Whole-page writes all come out of this one buffer, at their
+            // own offset: the image ends up viewing it.
+            let mut shared = IoBuffer::from_vec((0..SPAN).map(|_| rng.next() as u8 | 1).collect());
             for _ in 0..24 {
+                if rng.below(12) == 0 {
+                    let size = rng.below(SPAN);
+                    s.truncate(size);
+                    image[size as usize..].fill(0);
+                    synthetic[size as usize..].fill(false);
+                }
                 let (off, len) = match rng.below(4) {
-                    // Whole pages: absent ones are built from the source.
+                    // Whole pages, absent or resident: views of the source.
                     0 => {
                         let first = rng.below(PAGES);
                         (first * PAGE_SIZE, (1 + rng.below(PAGES - first).min(2)) * PAGE_SIZE)
@@ -682,6 +732,11 @@ mod tests {
                     s.write(off, &IoBuffer::synthetic(len as usize));
                     image[range.clone()].fill(0);
                     synthetic[range].fill(true);
+                } else if off % PAGE_SIZE == 0 && len % PAGE_SIZE == 0 {
+                    s.write(off, &shared.sub(off as usize, len as usize));
+                    let data = &shared.as_slice().unwrap()[range.clone()];
+                    image[range.clone()].copy_from_slice(data);
+                    synthetic[range].fill(false);
                 } else {
                     let data: Vec<u8> = (0..len).map(|_| rng.next() as u8 | 1).collect();
                     s.write(off, &IoBuffer::from_slice(&data));
@@ -692,13 +747,17 @@ mod tests {
             if seed % 2 == 1 {
                 assert!(s.resident_bytes() <= 3 * PAGE_SIZE, "seed {seed}: cap holds");
             }
+            // Copy-on-write both ways: the writer scribbling over its
+            // buffer now, and every reader over what it was returned
+            // below, never change the image.
+            shared.as_mut_slice().unwrap().fill(0);
             for _ in 0..48 {
                 // Windows start anywhere in the file and may run a page
                 // and more past its end.
                 let off = rng.below(SPAN);
                 let len = 1 + rng.below(3 * PAGE_SIZE) as usize;
                 let in_file = off as usize..(off as usize + len).min(SPAN as usize);
-                let got = s.read(off, len);
+                let mut got = s.read(off, len);
                 if synthetic[in_file.clone()].contains(&true) {
                     assert!(!got.is_real(), "seed {seed}: read({off}, {len}) is synthetic");
                     assert_eq!(s.hash_range(off, len), None, "seed {seed}: ({off}, {len})");
@@ -706,45 +765,74 @@ mod tests {
                 }
                 let mut expect = image[in_file].to_vec();
                 expect.resize(len, 0);
-                let got = got.as_slice().expect("no synthetic byte in the window");
-                assert!(got == &expect[..], "seed {seed}: read({off}, {len}) vs the image");
+                let bytes = got.as_mut_slice().expect("no synthetic byte in the window");
+                assert!(bytes == &expect[..], "seed {seed}: read({off}, {len}) vs the image");
                 assert!(
-                    got == &read_by_overlay(&s, off, len)[..],
+                    bytes == &read_by_overlay(&s, off, len)[..],
                     "seed {seed}: read({off}, {len}) vs zero-fill-then-overlay"
                 );
                 assert_eq!(
                     s.hash_range(off, len),
-                    Some(simnet::fnv1a(got)),
+                    Some(simnet::fnv1a(bytes)),
                     "seed {seed}: hash_range({off}, {len})"
                 );
+                bytes.fill(0);
             }
         }
     }
 
     #[test]
-    fn new_pages_are_whole_or_zero_padded_and_resident_ones_are_patched() {
+    fn whole_pages_view_the_writers_buffer_and_partial_ones_are_patched() {
         // Residency is asserted below: no cap armed by a concurrent test.
         let _lock = spill_lock();
         let _g = LimitGuard;
         set_spill_limit(0);
         let page = PAGE_SIZE as usize;
         let data: Vec<u8> = (0..2 * page + 10).map(|i| (i % 250 + 1) as u8).collect();
+        let buf = IoBuffer::from_slice(&data);
         let mut s = Storage::new();
         // Page 1 is absent and covered completely; pages 0 and 2 are
         // absent and covered in part (their last and first 10 bytes).
-        s.write(PAGE_SIZE - 10, &IoBuffer::from_slice(&data[..page + 20]));
+        s.write(PAGE_SIZE - 10, &buf.sub(0, page + 20));
         let mut expect = vec![0u8; 3 * page];
         expect[page - 10..2 * page + 10].copy_from_slice(&data[..page + 20]);
         assert_eq!(s.read(0, 3 * page).as_slice().unwrap(), &expect[..]);
         assert_eq!(s.resident_bytes(), 3 * PAGE_SIZE);
-        // All three are resident now: a whole-page and a partial
-        // overwrite both patch the page in place.
-        s.write(PAGE_SIZE, &IoBuffer::from_slice(&data[7..7 + page]));
+        // All three are resident now. Two whole pages out of one buffer
+        // read back as that buffer's window — `join` succeeds only inside
+        // one backing store — until a partial overwrite patches one: the
+        // patch is private to the image, the buffer keeps its bytes.
+        s.write(PAGE_SIZE, &buf.sub(7, 2 * page));
+        expect[page..3 * page].copy_from_slice(&data[7..7 + 2 * page]);
+        assert!(buf.sub(0, 7 + 5).join(&s.read(PAGE_SIZE + 5, 2 * page - 9)));
         s.write(5, &IoBuffer::from_slice(&[0xEE; 3]));
-        expect[page..2 * page].copy_from_slice(&data[7..7 + page]);
+        s.write(PAGE_SIZE + 5, &IoBuffer::from_slice(&[0xEE; 3]));
         expect[5..8].fill(0xEE);
+        expect[page + 5..page + 8].fill(0xEE);
+        assert!(!buf.sub(0, 7).join(&s.read(PAGE_SIZE, 2 * page)));
         assert_eq!(s.read(0, 3 * page).as_slice().unwrap(), &expect[..]);
+        assert_eq!(buf.as_slice().unwrap(), &data[..]);
         assert_eq!(s.resident_bytes(), 3 * PAGE_SIZE);
+    }
+
+    #[test]
+    fn a_page_left_behind_does_not_pin_the_buffer_it_was_written_from() {
+        let _lock = spill_lock();
+        let _g = LimitGuard;
+        set_spill_limit(0);
+        // Sixteen-page buffers, each written one page further on: every
+        // write leaves one page of the buffer before it behind.
+        let mut s = Storage::new();
+        for shift in 0..8u64 {
+            let data = vec![shift as u8 + 1; 16 * PAGE_SIZE as usize];
+            s.write(shift * PAGE_SIZE, &IoBuffer::from_vec(data));
+        }
+        assert_eq!(s.resident_bytes(), (7 + 16) * PAGE_SIZE);
+        let pinned: usize = s.pages.values().map(IoBuffer::store_share).sum();
+        assert!(pinned as u64 <= 2 * s.resident_bytes(), "{pinned} bytes pinned");
+        for shift in 0..8u64 {
+            assert_eq!(s.read(shift * PAGE_SIZE, 1).as_slice().unwrap(), &[shift as u8 + 1]);
+        }
     }
 
     /// The process's peak resident set ("VmHWM"), in bytes.

@@ -64,11 +64,23 @@ impl Communicator<'_> {
 
     /// Blocking receive from `src` (local rank) with `tag`.
     pub fn recv(&self, src: usize, tag: i32) -> IoBuffer {
+        self.recv_one(src, tag, Payload::into_bytes)
+    }
+
+    /// [`recv`](Communicator::recv) of a typed message
+    /// ([`isend_t`](Communicator::isend_t)): same clock advance, same
+    /// trace span, the sender's `Arc`.
+    pub fn recv_t<T: Send + Sync + 'static>(&self, src: usize, tag: i32) -> Arc<T> {
+        self.recv_one(src, tag, Payload::into_typed)
+    }
+
+    fn recv_one<R>(&self, src: usize, tag: i32, open: impl FnOnce(Payload) -> R) -> R {
         let global = self.global_rank(src);
         let entry = self.ep.now();
-        let (buf, info) = self.ep.recv_meta(global, self.shared.ctx, tag);
+        let (payload, info) = self.ep.recv_payload(global, self.shared.ctx, tag);
+        let bytes = payload.wire_len();
         self.ep.clock().advance_to(info.arrival);
-        self.ep.clock().advance(self.ep.net().recv_overhead(buf.len()));
+        self.ep.clock().advance(self.ep.net().recv_overhead(bytes));
         let rec = self.ep.trace();
         if rec.enabled() {
             // Mailbox depth at entry, derived from virtual time (the
@@ -87,7 +99,7 @@ impl Communicator<'_> {
                 vec![
                     ("src", simtrace::ArgValue::from(global)),
                     ("tag", simtrace::ArgValue::from(tag as u64)),
-                    ("bytes", simtrace::ArgValue::from(buf.len())),
+                    ("bytes", simtrace::ArgValue::from(bytes)),
                     // Send→recv edge identity for trace analysis: when
                     // the sender posted and when the last byte landed.
                     ("sent_us", simtrace::ArgValue::from(info.sent.as_micros())),
@@ -95,7 +107,7 @@ impl Communicator<'_> {
                 ],
             );
         }
-        buf
+        open(payload)
     }
 
     /// Post a non-blocking receive; complete it with
@@ -146,7 +158,7 @@ impl Communicator<'_> {
             payloads.push(open(payload));
         }
         // hostprof: completion bookkeeping after every packet is in hand
-        // (the recv_meta loop above can block and stays outside the
+        // (the receive loop above can block and stays outside the
         // scope); the trace span below nests under this frame.
         let _hp = simtrace::host::scope(simtrace::host::Site::P2pWaitall);
         self.ep.clock().advance_to(latest);

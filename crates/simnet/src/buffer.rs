@@ -25,10 +25,11 @@
 //! # Zero-copy representation
 //!
 //! Real contents live behind a shared backing store ([`RealBuf`]:
-//! `Arc<Vec<u8>>` plus an `(offset, len)` window). [`IoBuffer::sub`] and
-//! the single-piece [`BufferBuilder`] path are O(1) reference bumps, so
-//! the pack/unpack choreography of two-phase exchange touches each byte
-//! once instead of once per slicing step. Mutation goes through
+//! `Arc<Vec<u8>>` plus an `(offset, len)` window). [`IoBuffer::sub`],
+//! [`IoBuffer::join`] and the single-piece [`BufferBuilder`] path are O(1)
+//! reference bumps, so bytes travel by reference from a rank's user buffer
+//! to the aggregator and from the staging window into the file image
+//! (`simfs::storage`) and back out. Mutation goes through
 //! [`IoBuffer::as_mut_slice`], which copies the window out first when the
 //! backing is shared (copy-on-write) — handles never observe each other's
 //! writes, exactly as with the old owned-`Vec` representation.
@@ -37,15 +38,21 @@
 //! simulated machine: the cost model's `charge_memcpy` calls are issued by
 //! the protocols independently of what this module really does, so
 //! virtual timestamps are bit-identical with or without the fast paths.
+//! Every copy of real bytes is counted (`simtrace::host`'s `copy_bytes`).
 //!
 //! # Scratch-buffer pooling
 //!
 //! Freshly-allocated backing stores come from a per-thread pool of
 //! recycled `Vec`s (sizes outside [64 B, 16 MiB] bypass it). A backing
-//! store returns to its thread's pool when the last handle drops.
+//! store returns to its thread's pool when the last handle drops (a full
+//! pool drops its oldest store to make room), and serves only requests of
+//! at least half its capacity: a window can end up pinned in a file image,
+//! slack included.
 //! Pooling changes neither contents (buffers are cleared and zero-filled
 //! exactly as a fresh allocation would be) nor virtual time.
 
+use simtrace::host::{self, Counter, Site};
+use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -60,44 +67,48 @@ thread_local! {
     static POOL: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Index of the smallest pooled buffer holding at least `min_cap`: a
-/// 3 KB request must not walk off with a 16 MiB backing store and leave
-/// the next large request to allocate fresh.
+/// Index of the smallest pooled buffer holding at least `min_cap` and at
+/// most twice that: a 64 KiB request must not walk off with a 16 MiB
+/// backing store, leave the next large request to allocate fresh, and —
+/// adopted as a page of a file image — pin the slack for the file's life.
 fn best_fit(pool: &[Vec<u8>], min_cap: usize) -> Option<usize> {
     (0..pool.len())
-        .filter(|&i| pool[i].capacity() >= min_cap)
+        .filter(|&i| (min_cap..=2 * min_cap).contains(&pool[i].capacity()))
         .min_by_key(|&i| pool[i].capacity())
 }
 
 /// An empty `Vec` with at least `min_cap` capacity, recycled when the
 /// pool has one that fits.
 fn pool_take(min_cap: usize) -> Vec<u8> {
-    use simtrace::host;
-    let _hp = host::scope(host::Site::PoolTake);
+    let _hp = host::scope(Site::PoolTake);
     if (POOL_MIN_CAP..=POOL_MAX_CAP).contains(&min_cap) {
         let recycled =
-            POOL.with_borrow_mut(|pool| best_fit(pool, min_cap).map(|i| pool.swap_remove(i)));
+            POOL.with_borrow_mut(|pool| best_fit(pool, min_cap).map(|i| pool.remove(i)));
         if let Some(mut v) = recycled {
             v.clear();
-            host::count(host::Counter::PoolReuse, 1);
+            host::count(Counter::PoolReuse, 1);
             return v;
         }
     }
-    host::count(host::Counter::PoolMiss, 1);
+    host::count(Counter::PoolMiss, 1);
     Vec::with_capacity(min_cap)
 }
 
-/// Offer a no-longer-used backing store to this thread's pool.
+/// Offer a no-longer-used backing store to this thread's pool. A full
+/// pool gives up its oldest store (the pool is kept in arrival order):
+/// sizes nobody asks for any more age out instead of turning every
+/// later store away.
 fn pool_put(mut v: Vec<u8>) {
-    let _hp = simtrace::host::scope(simtrace::host::Site::PoolPut);
+    let _hp = host::scope(Site::PoolPut);
     if !(POOL_MIN_CAP..=POOL_MAX_CAP).contains(&v.capacity()) {
         return;
     }
     v.clear();
     POOL.with_borrow_mut(|pool| {
-        if pool.len() < POOL_MAX_BUFS {
-            pool.push(v);
+        if pool.len() == POOL_MAX_BUFS {
+            pool.remove(0);
         }
+        pool.push(v);
     });
 }
 
@@ -222,8 +233,8 @@ impl IoBuffer {
     /// first such `copy_in` would degrade a zero-filled buffer anyway and
     /// throw the pages away. Host memory therefore follows the real bytes
     /// that land, never the modelled size.
-    pub fn landing<'a>(len: usize, payloads: impl IntoIterator<Item = &'a IoBuffer>) -> Self {
-        if payloads.into_iter().all(IoBuffer::is_real) {
+    pub fn landing(len: usize, payloads: impl IntoIterator<Item = impl Borrow<IoBuffer>>) -> Self {
+        if payloads.into_iter().all(|p| p.borrow().is_real()) {
             IoBuffer::zeroed(len)
         } else {
             IoBuffer::synthetic(len)
@@ -265,6 +276,7 @@ impl IoBuffer {
                 if Arc::get_mut(&mut b.data).is_none() {
                     let owned = {
                         let s = b.as_slice();
+                        host::count(Counter::CopyBytes, s.len() as u64);
                         let mut v = pool_take(s.len());
                         v.extend_from_slice(s);
                         v
@@ -301,6 +313,32 @@ impl IoBuffer {
         }
     }
 
+    /// Grow this window over `next` if `next` begins where it ends in the
+    /// same backing store (O(1), the inverse of [`sub`](Self::sub)); else
+    /// change nothing and say `false`.
+    pub fn join(&mut self, next: &IoBuffer) -> bool {
+        match (self, next) {
+            (IoBuffer::Real(a), IoBuffer::Real(b))
+                if Arc::ptr_eq(&a.data, &b.data) && a.off + a.len == b.off =>
+            {
+                a.len += b.len;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Bytes of backing store per handle viewing it: what this window keeps
+    /// alive if the store's other windows keep their even share (0 for a
+    /// synthetic buffer). A window that is all that is left of a large
+    /// buffer reports the whole buffer.
+    pub fn store_share(&self) -> usize {
+        match self {
+            IoBuffer::Real(b) => b.data.capacity() / Arc::strong_count(&b.data),
+            IoBuffer::Synthetic { .. } => 0,
+        }
+    }
+
     /// Overwrite `[dst_off, dst_off+src.len())` of `self` with `src`.
     ///
     /// If either side is synthetic, `self` degrades to synthetic of its
@@ -314,7 +352,10 @@ impl IoBuffer {
             self.len()
         );
         match (src.as_slice(), self.as_mut_slice()) {
-            (Some(s), Some(dst)) => dst[dst_off..dst_off + n].copy_from_slice(s),
+            (Some(s), Some(dst)) => {
+                host::count(Counter::CopyBytes, n as u64);
+                dst[dst_off..dst_off + n].copy_from_slice(s)
+            }
             _ => {
                 let len = self.len();
                 *self = IoBuffer::Synthetic { len };
@@ -408,6 +449,7 @@ impl BufferBuilder {
         if self.real.is_none() {
             let mut v = pool_take(self.cap_hint.max(self.len));
             if let Some(first) = self.single.take() {
+                host::count(Counter::CopyBytes, first.len() as u64);
                 v.extend_from_slice(first.as_slice().expect("single piece is real"));
             }
             self.real = Some(v);
@@ -433,17 +475,10 @@ impl BufferBuilder {
                     // First piece: defer, it may be the only one.
                     self.single = Some(piece.clone());
                 } else {
+                    host::count(Counter::CopyBytes, s.len() as u64);
                     self.materialize().extend_from_slice(s);
                 }
             }
-        }
-    }
-
-    /// Append raw bytes.
-    pub fn push_bytes(&mut self, bytes: &[u8]) {
-        self.len += bytes.len();
-        if !self.synthetic {
-            self.materialize().extend_from_slice(bytes);
         }
     }
 
@@ -578,7 +613,7 @@ mod tests {
             IoBuffer::synthetic(1 << 40)
         );
         assert_eq!(
-            IoBuffer::landing(3, std::iter::empty()),
+            IoBuffer::landing(3, std::iter::empty::<IoBuffer>()),
             IoBuffer::zeroed(3)
         );
     }
@@ -609,7 +644,7 @@ mod tests {
     fn builder_all_real_yields_real_concat() {
         let mut bb = BufferBuilder::new();
         bb.push(&IoBuffer::from_slice(&[1, 2]));
-        bb.push_bytes(&[3]);
+        bb.push(&IoBuffer::from_slice(&[3]));
         bb.push(&IoBuffer::from_slice(&[4, 5]));
         let out = bb.finish();
         assert_eq!(out.as_slice().unwrap(), &[1, 2, 3, 4, 5]);
@@ -633,7 +668,7 @@ mod tests {
         let mut bb = BufferBuilder::new();
         bb.push(&IoBuffer::from_slice(&[1, 2]));
         bb.push(&IoBuffer::synthetic(10));
-        bb.push_bytes(&[3]);
+        bb.push(&IoBuffer::from_slice(&[3]));
         let out = bb.finish();
         assert_eq!(out, IoBuffer::synthetic(13));
     }
@@ -666,7 +701,7 @@ mod tests {
     }
 
     #[test]
-    fn pool_hands_out_the_smallest_buffer_that_fits() {
+    fn pool_hands_out_the_smallest_buffer_that_fits_within_twice_the_request() {
         let pool: Vec<Vec<u8>> = [1 << 20, 4096, 256, 8192]
             .into_iter()
             .map(Vec::with_capacity)
@@ -678,9 +713,26 @@ mod tests {
             "not the 1 MiB store that comes first"
         );
         assert_eq!(cap(4097), Some(8192));
-        assert_eq!(cap(100), Some(256));
-        assert_eq!(cap(8193), Some(1 << 20));
+        assert_eq!(cap(128), Some(256));
         assert_eq!(cap((1 << 20) + 1), None);
+        // ... and no larger than twice the request: a page-sized request
+        // leaves the 1 MiB store for a window.
+        assert_eq!(cap(64 << 10), None);
+        assert_eq!(cap(127), None);
+        assert_eq!(cap(1 << 19), Some(1 << 20));
+        assert_eq!(cap((1 << 19) - 1), None);
+    }
+
+    #[test]
+    fn a_full_pool_of_sizes_nobody_asks_for_still_takes_a_newcomer() {
+        // This test's thread has its own, empty pool.
+        (0..POOL_MAX_BUFS).for_each(|_| pool_put(Vec::with_capacity(1 << 20)));
+        let newcomer = Vec::with_capacity(4096);
+        let at = newcomer.as_ptr();
+        pool_put(newcomer);
+        POOL.with_borrow(|pool| assert_eq!(pool.len(), POOL_MAX_BUFS, "the oldest store went"));
+        let taken = pool_take(4000);
+        assert_eq!(taken.as_ptr(), at, "the newcomer serves the next request");
     }
 
     #[test]

@@ -213,33 +213,19 @@ impl Endpoint {
     /// Blocking receive from `src`. Advances this rank's clock to
     /// `max(now, sent + L + n·G) + o` and returns the payload.
     pub fn recv(&self, src: usize, ctx: u32, tag: i32) -> IoBuffer {
-        let (payload, info) = self.recv_meta(src, ctx, tag);
-        self.clock.advance_to(info.arrival);
-        self.clock.advance(self.net.recv_overhead(payload.len()));
-        payload
-    }
-
-    /// Receive without advancing the clock: returns the payload and the
-    /// virtual instant at which the data is available at this rank.
-    /// Used to implement `waitall` over multiple posted receives, where
-    /// the clock must advance to the *maximum* arrival, not the sum.
-    pub fn recv_raw(&self, src: usize, ctx: u32, tag: i32) -> (IoBuffer, SimTime) {
-        let (payload, info) = self.recv_meta(src, ctx, tag);
-        (payload, info.arrival)
-    }
-
-    /// Receive without advancing the clock, returning the full wire
-    /// timing ([`RecvInfo`]): when the sender posted the message and when
-    /// the last byte lands here. Trace consumers use the pair to emit the
-    /// send→recv edge that lets `simtrace::analysis` walk the critical
-    /// path across ranks.
-    pub fn recv_meta(&self, src: usize, ctx: u32, tag: i32) -> (IoBuffer, RecvInfo) {
         let (payload, info) = self.recv_payload(src, ctx, tag);
-        (payload.into_bytes(), info)
+        self.clock.advance_to(info.arrival);
+        self.clock
+            .advance(self.net.recv_overhead(payload.wire_len()));
+        payload.into_bytes()
     }
 
-    /// [`recv_meta`](Endpoint::recv_meta) for either kind of message:
-    /// the payload as it was sent, bytes or typed.
+    /// Receive without advancing the clock: the payload as it was sent,
+    /// bytes or typed, and the full wire timing ([`RecvInfo`]) — when the
+    /// sender posted the message and when the last byte lands here.
+    /// `waitall` advances to the *maximum* arrival of a batch, not the sum,
+    /// and trace consumers use the pair to emit the send→recv edge that
+    /// lets `simtrace::analysis` walk the critical path across ranks.
     pub fn recv_payload(&self, src: usize, ctx: u32, tag: i32) -> (Payload, RecvInfo) {
         assert!(src < self.size(), "recv from invalid rank {src}");
         let pkt = self.mailboxes[self.rank].recv(src, ctx, tag);

@@ -179,14 +179,20 @@ pub enum FaultRule {
 }
 
 /// Apply (or undo — XOR is self-inverse) the seeded single-byte flip a
-/// nonzero corruption token denotes. Token 0 means "clean" and is a no-op,
-/// as is an empty buffer.
-pub fn corrupt_flip(bytes: &mut [u8], token: u64) {
-    if token == 0 || bytes.is_empty() {
+/// nonzero corruption token denotes to the message `bytes ‖ trailer` (a
+/// trailer travelling beside its payload is damaged as one appended to it
+/// would be). Token 0 means "clean" and is a no-op, as is an empty message.
+pub fn corrupt_flip(bytes: &mut [u8], trailer: &mut [u8], token: u64) {
+    let len = bytes.len() + trailer.len();
+    if token == 0 || len == 0 {
         return;
     }
-    let pos = ((token >> 8) % bytes.len() as u64) as usize;
-    bytes[pos] ^= (token & 0xff) as u8;
+    let pos = ((token >> 8) % len as u64) as usize;
+    let byte = match pos.checked_sub(bytes.len()) {
+        None => &mut bytes[pos],
+        Some(at) => &mut trailer[at],
+    };
+    *byte ^= (token & 0xff) as u8;
 }
 
 /// What the fault plan decided for one message transmission.
@@ -771,13 +777,20 @@ mod tests {
         let orig: Vec<u8> = (0..97u8).collect();
         let mut buf = orig.clone();
         let token = FaultPlan::new(1).msg_corrupt(1.0, None, None).msg_fault(0, 1, 0).corrupt;
-        corrupt_flip(&mut buf, token);
+        corrupt_flip(&mut buf, &mut [], token);
         assert_ne!(buf, orig, "a nonzero token must change a byte");
-        corrupt_flip(&mut buf, token);
+        corrupt_flip(&mut buf, &mut [], token);
         assert_eq!(buf, orig, "XOR flip is self-inverse");
-        corrupt_flip(&mut buf, 0);
+        corrupt_flip(&mut buf, &mut [], 0);
         assert_eq!(buf, orig, "token 0 is a no-op");
-        corrupt_flip(&mut [], token);
+        corrupt_flip(&mut [], &mut [], token);
+        // Cut anywhere into payload ‖ trailer, the same byte flips.
+        corrupt_flip(&mut buf, &mut [], token);
+        for cut in 0..=orig.len() {
+            let (mut head, mut tail) = (orig[..cut].to_vec(), orig[cut..].to_vec());
+            corrupt_flip(&mut head, &mut tail, token);
+            assert_eq!([head, tail].concat(), buf, "cut at {cut}");
+        }
     }
 
     #[test]

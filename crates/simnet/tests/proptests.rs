@@ -16,6 +16,27 @@ proptest! {
         prop_assert_eq!(sub.as_slice().unwrap(), &bytes[start..start + len]);
     }
 
+    /// `join` is the inverse of `sub`: it grows a window over exactly the
+    /// neighbour that begins where it ends in the same backing store, and
+    /// refuses — changing nothing — anything else.
+    #[test]
+    fn join_undoes_sub(bytes in proptest::collection::vec(any::<u8>(), 2..256),
+                       a in 0usize..256, b in 0usize..256, c in 0usize..256) {
+        let buf = IoBuffer::from_slice(&bytes);
+        let mut cuts = [a % bytes.len(), b % bytes.len(), c % bytes.len()];
+        cuts.sort_unstable();
+        let [lo, mid, hi] = cuts;
+        let mut w = buf.sub(lo, mid - lo);
+        prop_assert!(w.join(&buf.sub(mid, hi - mid)));
+        prop_assert_eq!(w.as_slice().unwrap(), &bytes[lo..hi]);
+        // A gap, another store with the same bytes, a synthetic piece.
+        prop_assert!(!w.join(&buf.sub(hi + 1, 0)));
+        prop_assert!(!w.join(&IoBuffer::from_slice(&bytes[hi..])));
+        prop_assert!(!w.join(&IoBuffer::synthetic(1)));
+        prop_assert!(!IoBuffer::synthetic(1).join(&IoBuffer::synthetic(1)));
+        prop_assert_eq!(w, buf.sub(lo, hi - lo));
+    }
+
     /// Builder concatenation length equals the sum of piece lengths whether
     /// or not synthetic pieces are present.
     #[test]

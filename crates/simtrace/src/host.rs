@@ -270,10 +270,15 @@ pub enum Counter {
     /// every file byte seven times (DESIGN.md §14.6); this count is what
     /// keeps an eighth pass from arriving unseen.
     CksumBytes,
+    /// Real bytes `memcpy`d on the data path (window scatter, page patch,
+    /// `Storage::read`'s copying arm, `IoBuffer` copy-in / copy-on-write /
+    /// concatenation). A verify run copies every file byte twice — into the
+    /// staging window, out to the landing buffer — and this count pins it.
+    CopyBytes,
 }
 
 /// Number of counters in the registry.
-pub const COUNTER_COUNT: usize = 7;
+pub const COUNTER_COUNT: usize = 8;
 
 const COUNTER_NAMES: [&str; COUNTER_COUNT] = [
     "flatten_hit",
@@ -283,6 +288,7 @@ const COUNTER_NAMES: [&str; COUNTER_COUNT] = [
     "condvar_notify",
     "size_exchange_elems",
     "cksum_bytes",
+    "copy_bytes",
 ];
 
 impl Counter {

@@ -98,6 +98,25 @@ pub fn pattern_buffer(rank: usize, call: usize, bytes: u64) -> Vec<u8> {
     (0..bytes).map(|i| pattern_byte(rank, call, i)).collect()
 }
 
+/// Where `got` first differs from `rank`'s `call`-th transfer, if anywhere:
+/// the byte-for-byte read-back check, expected bytes a block at a time.
+pub fn pattern_mismatch(rank: usize, call: usize, got: &[u8]) -> Option<usize> {
+    const BLOCK: usize = 4096;
+    let mut block = [0u8; BLOCK];
+    for (b, chunk) in got.chunks(BLOCK).enumerate() {
+        // The same loop shape as `pattern_buffer`'s: it vectorizes.
+        let expect = &mut block[..chunk.len()];
+        for (e, i) in expect.iter_mut().zip((b * BLOCK) as u64..) {
+            *e = pattern_byte(rank, call, i);
+        }
+        if *expect != *chunk {
+            let at = expect.iter().zip(chunk).position(|(e, g)| e != g);
+            return Some(b * BLOCK + at.expect("the blocks differ"));
+        }
+    }
+    None
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -8,7 +8,7 @@
 //! aggregate bandwidth plus the phase profile. Every figure reproduction
 //! in the `bench` crate is a sweep over these runs.
 
-use crate::{pattern_buffer, Workload};
+use crate::{pattern_buffer, pattern_mismatch, Workload};
 use mpiio::{File, PhaseProfile};
 use parcoll::ParcollFile;
 use simfs::{FileSystem, FsConfig};
@@ -344,12 +344,11 @@ fn measure_read_parcoll<W: Workload + ?Sized>(
         let (off, bytes) = w.call(rank, call);
         let got = f.read_at_all(off, bytes);
         if cfg.data == DataMode::Verify {
-            let expect = pattern_buffer(rank, call, bytes);
-            assert_eq!(
-                got.as_slice().expect("verify mode reads real data"),
-                expect.as_slice(),
-                "rank {rank} call {call}: read-back mismatch"
-            );
+            let got = got.as_slice().expect("verify mode reads real data");
+            assert_eq!(got.len() as u64, bytes, "rank {rank} call {call}: short read");
+            if let Some(at) = pattern_mismatch(rank, call, got) {
+                panic!("rank {rank} call {call}: read-back mismatch at byte {at}");
+            }
         }
     }
     comm.barrier();
@@ -373,12 +372,11 @@ fn measure_read_plain<W: Workload + ?Sized>(
         let (off, bytes) = w.call(rank, call);
         let got = f.read_at(off, bytes);
         if cfg.data == DataMode::Verify {
-            let expect = pattern_buffer(rank, call, bytes);
-            assert_eq!(
-                got.as_slice().expect("verify mode reads real data"),
-                expect.as_slice(),
-                "rank {rank} call {call}: independent read-back mismatch"
-            );
+            let got = got.as_slice().expect("verify mode reads real data");
+            assert_eq!(got.len() as u64, bytes, "rank {rank} call {call}: short read");
+            if let Some(at) = pattern_mismatch(rank, call, got) {
+                panic!("rank {rank} call {call}: independent read-back mismatch at byte {at}");
+            }
         }
     }
     comm.barrier();

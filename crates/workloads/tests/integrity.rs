@@ -294,12 +294,13 @@ fn runner_integrity_knob_survives_corruption_and_scrubs_clean() {
 }
 
 // ---------------------------------------------------------------------
-// Hash passes over real bytes, as a count.
+// Hash passes and copies over real bytes, as counts.
 // ---------------------------------------------------------------------
 
-/// Bytes the integrity checksum absorbed during one tile-io run of 16
-/// ranks (4 MiB file, ParColl with two subgroups), with the file bytes.
-fn cksum_bytes(data: DataMode, integrity: bool) -> (u64, u64) {
+/// Bytes the integrity checksum absorbed and bytes `memcpy`d on the data
+/// path during one tile-io run of 16 ranks (4 MiB file, ParColl with two
+/// subgroups), with the file bytes.
+fn host_bytes(data: DataMode, integrity: bool) -> (u64, u64, u64) {
     let mut cfg = RunConfig::verify(IoMode::Parcoll { groups: 2 });
     cfg.data = data;
     cfg.integrity = integrity;
@@ -311,8 +312,8 @@ fn cksum_bytes(data: DataMode, integrity: bool) -> (u64, u64) {
     host::set_enabled(false);
     assert!(r.scrub.is_none_or(|s| s.is_clean()));
     let counters = host::collect().counters;
-    let (_, hashed) = counters.iter().find(|(name, _)| *name == "cksum_bytes").expect("counter");
-    (*hashed, r.total_bytes)
+    let count = |name| counters.iter().find(|(n, _)| *n == name).expect("counter").1;
+    (count("cksum_bytes"), count("copy_bytes"), r.total_bytes)
 }
 
 #[test]
@@ -323,9 +324,23 @@ fn a_verify_run_hashes_every_file_byte_seven_times_and_no_more() {
     // sums on write, on read and in the scrub (3 passes over whole
     // pages; the 4 MiB image keeps every window page-aligned, so the
     // count carries no slack). An eighth pass, or a lost one, shows here.
-    let (hashed, file_bytes) = cksum_bytes(DataMode::Verify, true);
+    let (hashed, _, file_bytes) = host_bytes(DataMode::Verify, true);
     assert_eq!(hashed, 7 * file_bytes, "hash passes over a {file_bytes}-byte file");
-    assert_eq!(cksum_bytes(DataMode::Verify, true).0, hashed, "the count repeats exactly");
-    assert_eq!(cksum_bytes(DataMode::Verify, false).0, 0, "integrity off hashes nothing");
-    assert_eq!(cksum_bytes(DataMode::Synthetic, true).0, 0, "synthetic bytes have no hash");
+    assert_eq!(host_bytes(DataMode::Verify, true).0, hashed, "the count repeats exactly");
+    assert_eq!(host_bytes(DataMode::Verify, false).0, 0, "integrity off hashes nothing");
+    assert_eq!(host_bytes(DataMode::Synthetic, true).0, 0, "synthetic bytes have no hash");
+}
+
+#[test]
+fn a_verify_run_copies_every_file_byte_twice_and_no_more() {
+    let _alone = HASHING.write().unwrap_or_else(|p| p.into_inner());
+    // In: user buffer → staging window (`scatter`); the file image keeps
+    // that window. Out: the image's window → landing buffer. A trailer
+    // travels beside its payload, so checksums add no copy. A third
+    // copy — a page built from its source, a fetched window, a carved or
+    // sealed payload — shows here.
+    let (_, copied, file_bytes) = host_bytes(DataMode::Verify, false);
+    assert_eq!(copied, 2 * file_bytes, "copies of a {file_bytes}-byte file");
+    assert_eq!(host_bytes(DataMode::Verify, true).1, copied, "the same with checksums on");
+    assert_eq!(host_bytes(DataMode::Synthetic, true).1, 0, "synthetic bytes are never copied");
 }
