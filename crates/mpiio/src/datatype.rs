@@ -3,10 +3,14 @@
 //! Scientific applications describe non-contiguous file layouts with
 //! derived datatypes (the paper's workloads: MPI-Tile-IO uses subarrays,
 //! BT-IO uses nested struct/indexed types). Implementations do not
-//! interpret the type tree on every access; they *flatten* it once into a
-//! sorted list of `(offset, length)` runs (`ADIOI_Flatten` in ROMIO) and
-//! work with runs from then on. We model datatypes in bytes — an "element
-//! type" is just its size — which loses no generality for I/O.
+//! interpret the type tree on every access; they *flatten* it once
+//! (`ADIOI_Flatten` in ROMIO) and work with the flattened form from then
+//! on. Here that form is a list of strided [`Run`]s — `(offset, len,
+//! stride, count)`, Thakur, Gropp & Lusk's flattened-datatype
+//! representation — so a subarray's rows are one run, not one `(offset,
+//! len)` pair each, and every layer below (plans, piece lists, the
+//! coverage merge) works on runs. We model datatypes in bytes — an
+//! "element type" is just its size — which loses no generality for I/O.
 
 use std::sync::Arc;
 
@@ -30,10 +34,133 @@ impl Ext {
     pub fn end(&self) -> u64 {
         self.off + self.len
     }
+}
 
-    /// True if the runs share at least one byte.
-    pub fn overlaps(&self, other: &Ext) -> bool {
-        self.off < other.end() && other.off < self.end()
+/// `count` equal pieces at a fixed stride: piece `k` is `[off + k·stride,
+/// off + k·stride + len)`. The one representation of a non-contiguous
+/// access, from [`Datatype::flatten`] to a two-phase round window.
+///
+/// Invariants (kept by `push_piece`/`push_run`, the only builders):
+/// `len > 0`, `count > 0`, `stride > len` when `count > 1` and `stride ==
+/// 0` when `count == 1`, and in a list of runs no two expanded pieces
+/// overlap or abut. Lists are built greedily piece by piece, so a list is
+/// a pure function of the pieces it expands to — and two lists expand to
+/// shapes that are shifts of each other exactly when their runs are.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Run {
+    /// Offset of the first piece.
+    pub off: u64,
+    /// Bytes per piece.
+    pub len: u64,
+    /// Distance between consecutive piece starts.
+    pub stride: u64,
+    /// Number of pieces.
+    pub count: u64,
+}
+
+impl Run {
+    /// A single piece `[off, off + len)`.
+    pub fn piece(off: u64, len: u64) -> Run {
+        Run { off, len, stride: 0, count: 1 }
+    }
+
+    /// Data bytes: `len × count`.
+    pub fn bytes(&self) -> u64 {
+        self.len * self.count
+    }
+
+    /// One past the last byte of the last piece.
+    pub fn end(&self) -> u64 {
+        self.off + (self.count - 1) * self.stride + self.len
+    }
+
+    /// File offset of data byte `at` (`< bytes()`).
+    pub(crate) fn at(&self, at: u64) -> u64 {
+        self.off + at / self.len * self.stride + at % self.len
+    }
+
+    /// Data bytes lying before file offset `x`.
+    pub(crate) fn bytes_before(&self, x: u64) -> u64 {
+        let Some(rel) = x.checked_sub(self.off) else {
+            return 0;
+        };
+        let k = if self.count > 1 { rel / self.stride } else { 0 };
+        if k >= self.count {
+            return self.bytes();
+        }
+        k * self.len + (rel - k * self.stride).min(self.len)
+    }
+
+    /// The pieces, in order.
+    pub fn pieces(self) -> impl Iterator<Item = Ext> {
+        (0..self.count).map(move |k| Ext::new(self.off + k * self.stride, self.len))
+    }
+
+    /// Data bytes `[a, b)` of the run (`a < b ≤ bytes()`), as at most
+    /// three runs: a clipped first piece, the whole pieces, a clipped last
+    /// piece.
+    pub(crate) fn clip(self, a: u64, b: u64) -> impl Iterator<Item = Run> {
+        debug_assert!(a < b && b <= self.bytes(), "clip [{a}, {b}) of {self:?}");
+        if a == 0 && b == self.bytes() {
+            return [Some(self), None, None].into_iter().flatten();
+        }
+        let (k0, skip) = (a / self.len, a % self.len);
+        let (k1, keep) = (b / self.len, b % self.len);
+        let part = |k: u64, from: u64, to: u64| Run::piece(self.off + k * self.stride + from, to - from);
+        if k0 == k1 {
+            return [Some(part(k0, skip, keep)), None, None].into_iter().flatten();
+        }
+        let head = (skip > 0).then(|| part(k0, skip, self.len));
+        let first = k0 + u64::from(skip > 0);
+        let whole = (k1 > first).then(|| match k1 - first {
+            1 => part(first, 0, self.len),
+            count => Run { off: self.off + first * self.stride, count, ..self },
+        });
+        let tail = (keep > 0).then(|| part(k1, 0, keep));
+        [head, whole, tail].into_iter().flatten()
+    }
+}
+
+/// Append the piece `[off, off + len)` (`len > 0`, not before the last
+/// piece's end) to `runs`: a piece abutting the last one merges with it,
+/// one continuing the last run's stride joins it, any other starts a run.
+pub(crate) fn push_piece(runs: &mut Vec<Run>, off: u64, len: u64) {
+    debug_assert!(len > 0, "zero-length piece");
+    let Some(last) = runs.last_mut() else {
+        return runs.push(Run::piece(off, len));
+    };
+    let at = last.off + (last.count - 1) * last.stride;
+    debug_assert!(at + last.len <= off, "pieces out of order: {last:?} then {off}");
+    if at + last.len == off {
+        // Take the last piece back out and push the two as one.
+        let merged = last.len + len;
+        match last.count {
+            1 => drop(runs.pop()),
+            2 => *last = Run::piece(last.off, last.len),
+            _ => last.count -= 1,
+        }
+        push_piece(runs, at, merged);
+    } else if len == last.len && (last.count == 1 || off - at == last.stride) {
+        (last.stride, last.count) = (off - at, last.count + 1);
+    } else {
+        runs.push(Run::piece(off, len));
+    }
+}
+
+/// Append every piece of `run` to `runs`, as [`push_piece`] would one by
+/// one: the first two pieces go through it, the rest then continue the
+/// last run's stride, so they join it in one step.
+pub(crate) fn push_run(runs: &mut Vec<Run>, run: Run) {
+    for k in 0..run.count.min(2) {
+        push_piece(runs, run.off + k * run.stride, run.len);
+    }
+    if run.count > 2 {
+        // The last run ends with the second piece: alone, or after the
+        // first at `run.stride`.
+        let last = runs.last_mut().expect("two pieces were just pushed");
+        debug_assert!(last.count == 1 || last.stride == run.stride);
+        last.stride = run.stride;
+        last.count += run.count - 2;
     }
 }
 
@@ -42,12 +169,14 @@ impl Ext {
 /// # Examples
 ///
 /// ```
-/// use mpiio::{Datatype, Ext};
+/// use mpiio::{Datatype, Ext, Run};
 ///
-/// // One 2x3 tile of a 4x6 array of 2-byte pixels:
+/// // One 2x3 tile of a 4x6 array of 2-byte pixels: two rows, 12 bytes
+/// // apart — one run.
 /// let tile = Datatype::tile_2d(4, 6, 2, 3, 1, 2, 2);
 /// let flat = tile.flatten();
-/// assert_eq!(flat.segs, vec![Ext::new(16, 6), Ext::new(28, 6)]);
+/// assert_eq!(flat.runs, vec![Run { off: 16, len: 6, stride: 12, count: 2 }]);
+/// assert!(flat.pieces().eq([Ext::new(16, 6), Ext::new(28, 6)]));
 /// assert_eq!(flat.size, 12);          // data bytes per repetition
 /// assert_eq!(flat.extent, 4 * 6 * 2); // tiling stride
 /// ```
@@ -217,12 +346,28 @@ impl Datatype {
         }
     }
 
-    /// Flatten to sorted, coalesced `(offset, length)` runs plus the
-    /// extent — the representation all I/O code operates on.
+    /// Flatten to strided runs plus the extent — the representation all
+    /// I/O code operates on: the type's pieces sorted, coalesced and
+    /// compressed once (a subarray's rows, a vector's blocks become one
+    /// run each).
     ///
     /// Panics if the type self-overlaps (illegal for file views, which is
     /// the only use here).
     pub fn flatten(&self) -> FlatType {
+        let mut runs = Vec::new();
+        for e in self.sorted_pieces() {
+            push_piece(&mut runs, e.off, e.len);
+        }
+        FlatType {
+            size: runs.iter().map(Run::bytes).sum(),
+            extent: self.extent(),
+            runs,
+        }
+    }
+
+    /// Every non-empty leaf piece of the type tree, sorted by offset;
+    /// panics on overlap.
+    fn sorted_pieces(&self) -> Vec<Ext> {
         let mut segs = Vec::new();
         self.emit(0, &mut segs);
         segs.retain(|e| e.len > 0);
@@ -235,12 +380,7 @@ impl Datatype {
                 w[1]
             );
         }
-        let coalesced = coalesce(segs);
-        FlatType {
-            size: coalesced.iter().map(|e| e.len).sum(),
-            extent: self.extent(),
-            segs: coalesced,
-        }
+        segs
     }
 
     /// Memoized [`flatten`](Self::flatten): returns a shared flattened
@@ -375,24 +515,14 @@ impl Datatype {
     }
 }
 
-fn coalesce(sorted: Vec<Ext>) -> Vec<Ext> {
-    let mut out: Vec<Ext> = Vec::with_capacity(sorted.len());
-    for e in sorted {
-        match out.last_mut() {
-            Some(last) if last.end() == e.off => last.len += e.len,
-            _ => out.push(e),
-        }
-    }
-    out
-}
-
-/// A flattened datatype: sorted, disjoint, coalesced byte runs within an
-/// extent. Shared (`Arc`) because views tile one flat type many times.
+/// A flattened datatype: strided runs within an extent, whose pieces are
+/// sorted, disjoint and coalesced. Shared (`Arc`) because views tile one
+/// flat type many times.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlatType {
-    /// The runs, sorted by offset, non-overlapping, non-adjacent.
-    pub segs: Vec<Ext>,
-    /// Data bytes per tile (sum of run lengths).
+    /// The runs, in offset order (see [`Run`] for the invariants).
+    pub runs: Vec<Run>,
+    /// Data bytes per tile (sum of run bytes).
     pub size: u64,
     /// Tile stride: the next repetition starts at `extent`.
     pub extent: u64,
@@ -402,29 +532,162 @@ impl FlatType {
     /// A flat type representing `n` contiguous bytes.
     pub fn contiguous(n: u64) -> Arc<FlatType> {
         Arc::new(FlatType {
-            segs: if n > 0 { vec![Ext::new(0, n)] } else { vec![] },
+            runs: if n > 0 { vec![Run::piece(0, n)] } else { vec![] },
             size: n,
             extent: n,
         })
     }
 
-    /// True if the type is one contiguous run starting at 0 whose size
+    /// True if the type is one contiguous piece starting at 0 whose size
     /// equals its extent (tiling it yields a contiguous stream).
     pub fn is_contiguous(&self) -> bool {
-        self.segs.len() <= 1
+        self.runs.len() <= 1
             && self.size == self.extent
-            && self.segs.first().is_none_or(|e| e.off == 0)
+            && self.runs.first().is_none_or(|r| r.off == 0 && r.count == 1)
+    }
+
+    /// The pieces the runs expand to, in offset order.
+    pub fn pieces(&self) -> impl Iterator<Item = Ext> + '_ {
+        self.runs.iter().flat_map(|r| r.pieces())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    impl FlatType {
+        /// The expanded pieces, collected (test shorthand).
+        fn segs(&self) -> Vec<Ext> {
+            self.pieces().collect()
+        }
+    }
+
+    /// The segment flattening runs replaced: sorted leaf pieces,
+    /// coalesced where they abut.
+    fn flatten_segs(t: &Datatype) -> Vec<Ext> {
+        let mut out: Vec<Ext> = Vec::new();
+        for e in t.sorted_pieces() {
+            match out.last_mut() {
+                Some(last) if last.end() == e.off => last.len += e.len,
+                _ => out.push(e),
+            }
+        }
+        out
+    }
+
+    /// Nested types over every constructor: a leaf (bytes, or a 3-D
+    /// subarray) wrapped in up to three `Vector` / `HIndexed` / `Struct` /
+    /// `Resized` / `Contiguous` layers, gaps of 0 included so pieces abut.
+    fn arb_type() -> impl Strategy<Value = Datatype> {
+        let leaf = (any::<bool>(), 1usize..5, 1usize..5, 1usize..6, 0usize..4, 1u64..5);
+        let wraps = proptest::collection::vec((0u8..5, 1usize..4, 1usize..3, 0u64..3), 0..4);
+        (leaf, wraps).prop_map(|((sub, d0, d1, d2, s, elem), wraps)| {
+            let leaf = if sub {
+                Datatype::Subarray {
+                    sizes: vec![d0 + s, d1 + s, d2 + 1],
+                    subsizes: vec![d0, d1, d2],
+                    starts: vec![s, s, 1],
+                    elem,
+                }
+            } else {
+                Datatype::Bytes(elem * d2 as u64)
+            };
+            wraps.into_iter().fold(leaf, |t, (op, n, m, gap)| {
+                let ext = t.extent();
+                match op {
+                    0 => Datatype::Vector {
+                        count: n,
+                        blocklen: m,
+                        stride: m + gap as usize,
+                        inner: Box::new(t),
+                    },
+                    // Blocks listed last first: flattening sorts them.
+                    1 => Datatype::HIndexed {
+                        blocks: (0..n as u64).rev().map(|i| (i * (m as u64 + gap) * ext, m)).collect(),
+                        inner: Box::new(t),
+                    },
+                    2 => Datatype::Struct {
+                        fields: vec![(0, t.clone()), (ext + gap, t)],
+                    },
+                    3 => Datatype::Resized {
+                        extent: ext + 7 * gap,
+                        inner: Box::new(t),
+                    },
+                    _ => Datatype::Contiguous {
+                        count: n,
+                        inner: Box::new(t),
+                    },
+                }
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The runs expand to the segment flattening, piece for piece,
+        /// and keep their invariants.
+        #[test]
+        fn runs_expand_to_the_segment_flattening(t in arb_type()) {
+            let flat = t.flatten();
+            prop_assert_eq!(flat.segs(), flatten_segs(&t));
+            prop_assert_eq!(flat.size, t.size());
+            for r in &flat.runs {
+                prop_assert!(r.len > 0 && r.count > 0);
+                prop_assert!(if r.count == 1 { r.stride == 0 } else { r.stride > r.len });
+            }
+            for w in flat.runs.windows(2) {
+                prop_assert!(w[0].end() < w[1].off);
+            }
+        }
+    }
+
+    #[test]
+    fn pushed_runs_compress_regular_pieces() {
+        // Two blocks at one stride, then the stride changes; a piece
+        // abutting the last one merges and leaves the run it came from.
+        let mut runs = Vec::new();
+        for off in [0, 10, 20, 50, 80, 110] {
+            push_piece(&mut runs, off, 4);
+        }
+        push_piece(&mut runs, 114, 2);
+        assert_eq!(
+            runs,
+            [
+                Run { off: 0, len: 4, stride: 10, count: 3 },
+                Run { off: 50, len: 4, stride: 30, count: 2 },
+                Run::piece(110, 6),
+            ]
+        );
+        // A run pushed whole lands as its pieces pushed one by one would.
+        let (mut whole, mut each) = (runs.clone(), runs);
+        let r = Run { off: 200, len: 6, stride: 90, count: 5 };
+        push_run(&mut whole, r);
+        r.pieces().for_each(|e| push_piece(&mut each, e.off, e.len));
+        assert_eq!(whole, each);
+        assert_eq!(whole[2], Run { off: 110, len: 6, stride: 90, count: 6 });
+    }
+
+    #[test]
+    fn clip_keeps_whole_pieces_as_one_run() {
+        let r = Run { off: 100, len: 10, stride: 30, count: 4 };
+        let got: Vec<Run> = r.clip(5, 35).collect();
+        assert_eq!(
+            got,
+            [Run::piece(105, 5), Run { off: 130, len: 10, stride: 30, count: 2 }, Run::piece(190, 5)]
+        );
+        assert_eq!(r.clip(12, 17).collect::<Vec<_>>(), [Run::piece(132, 5)]);
+        assert_eq!(r.clip(0, 40).collect::<Vec<_>>(), [r]);
+        assert_eq!((r.bytes_before(131), r.bytes_before(145), r.bytes_before(1000)), (11, 20, 40));
+        assert_eq!((r.at(11), r.end()), (131, 200));
+    }
 
     #[test]
     fn bytes_flatten() {
         let f = Datatype::Bytes(16).flatten();
-        assert_eq!(f.segs, vec![Ext::new(0, 16)]);
+        assert_eq!(f.segs(), vec![Ext::new(0, 16)]);
         assert_eq!(f.size, 16);
         assert_eq!(f.extent, 16);
         assert!(f.is_contiguous());
@@ -437,7 +700,7 @@ mod tests {
             inner: Box::new(Datatype::Bytes(8)),
         };
         let f = t.flatten();
-        assert_eq!(f.segs, vec![Ext::new(0, 32)]);
+        assert_eq!(f.segs(), vec![Ext::new(0, 32)]);
         assert_eq!(t.size(), 32);
         assert_eq!(t.extent(), 32);
     }
@@ -453,7 +716,7 @@ mod tests {
         };
         let f = t.flatten();
         assert_eq!(
-            f.segs,
+            f.segs(),
             vec![Ext::new(0, 8), Ext::new(20, 8), Ext::new(40, 8)]
         );
         assert_eq!(t.size(), 24);
@@ -468,7 +731,7 @@ mod tests {
         };
         let f = t.flatten();
         assert_eq!(
-            f.segs,
+            f.segs(),
             vec![Ext::new(0, 10), Ext::new(50, 10), Ext::new(100, 20)]
         );
         assert_eq!(t.extent(), 120);
@@ -493,7 +756,7 @@ mod tests {
         };
         let f = t.flatten();
         assert_eq!(
-            f.segs,
+            f.segs(),
             vec![Ext::new(0, 4), Ext::new(16, 4), Ext::new(24, 4)]
         );
     }
@@ -505,7 +768,7 @@ mod tests {
             inner: Box::new(Datatype::Bytes(4)),
         };
         let f = t.flatten();
-        assert_eq!(f.segs, vec![Ext::new(0, 4)]);
+        assert_eq!(f.segs(), vec![Ext::new(0, 4)]);
         assert_eq!(f.extent, 100);
         assert!(!f.is_contiguous());
     }
@@ -517,7 +780,7 @@ mod tests {
         let f = t.flatten();
         // Row 1: elems (1,2..5) -> elem idx 8..11 -> bytes 16..22.
         // Row 2: elems (2,2..5) -> elem idx 14..17 -> bytes 28..34.
-        assert_eq!(f.segs, vec![Ext::new(16, 6), Ext::new(28, 6)]);
+        assert_eq!(f.segs(), vec![Ext::new(16, 6), Ext::new(28, 6)]);
         assert_eq!(f.size, 12);
         assert_eq!(f.extent, 48);
     }
@@ -533,7 +796,7 @@ mod tests {
         };
         let f = t.flatten();
         // Plane 1 rows: (1,0,1..3) -> idx 9..10; (1,1,1..3) -> idx 13..14.
-        assert_eq!(f.segs, vec![Ext::new(9, 2), Ext::new(13, 2)]);
+        assert_eq!(f.segs(), vec![Ext::new(9, 2), Ext::new(13, 2)]);
     }
 
     #[test]
@@ -545,7 +808,7 @@ mod tests {
             elem: 8,
         };
         let f = t.flatten();
-        assert_eq!(f.segs, vec![Ext::new(0, 96)]);
+        assert_eq!(f.segs(), vec![Ext::new(0, 96)]);
         assert!(f.is_contiguous());
     }
 
@@ -554,7 +817,7 @@ mod tests {
         // Tile spanning full columns: rows are adjacent in the file.
         let t = Datatype::tile_2d(8, 10, 2, 10, 3, 0, 4);
         let f = t.flatten();
-        assert_eq!(f.segs, vec![Ext::new(120, 80)]);
+        assert_eq!(f.segs(), vec![Ext::new(120, 80)]);
     }
 
     #[test]
@@ -588,7 +851,7 @@ mod tests {
         };
         let f = t.flatten();
         assert_eq!(
-            f.segs,
+            f.segs(),
             vec![Ext::new(0, 1), Ext::new(2, 2), Ext::new(5, 1)]
         );
     }
@@ -598,7 +861,7 @@ mod tests {
         let t = Datatype::indexed_block(&[0, 5, 2], 1, Datatype::Bytes(4));
         let f = t.flatten();
         assert_eq!(
-            f.segs,
+            f.segs(),
             vec![Ext::new(0, 4), Ext::new(8, 4), Ext::new(20, 4)]
         );
     }
@@ -610,14 +873,7 @@ mod tests {
         // disk at positions 2..4.
         let t = Datatype::subarray_fortran(&[2, 3], &[2, 1], &[0, 1], 1);
         let f = t.flatten();
-        assert_eq!(f.segs, vec![Ext::new(2, 2)]);
-    }
-
-    #[test]
-    fn ext_overlap_predicate() {
-        assert!(Ext::new(0, 10).overlaps(&Ext::new(9, 1)));
-        assert!(!Ext::new(0, 10).overlaps(&Ext::new(10, 1)));
-        assert!(Ext::new(5, 10).overlaps(&Ext::new(0, 6)));
+        assert_eq!(f.segs(), vec![Ext::new(2, 2)]);
     }
 
     #[test]
@@ -626,6 +882,6 @@ mod tests {
             fields: vec![(0, Datatype::Bytes(0)), (8, Datatype::Bytes(4))],
         };
         let f = t.flatten();
-        assert_eq!(f.segs, vec![Ext::new(8, 4)]);
+        assert_eq!(f.segs(), vec![Ext::new(8, 4)]);
     }
 }

@@ -168,6 +168,7 @@ impl<'ep> File<'ep> {
 
     /// Build the access plan for `[offset, offset + nbytes)` of the view.
     pub fn plan(&self, offset: u64, nbytes: u64) -> AccessPlan {
+        let _hp = simtrace::host::scope(simtrace::host::Site::Plan);
         AccessPlan::from_view(&self.view, offset, nbytes)
     }
 
@@ -206,7 +207,7 @@ impl<'ep> File<'ep> {
     /// Independent read at a view offset (`MPI_File_read_at`).
     pub fn read_at(&mut self, offset: u64, nbytes: u64) -> IoBuffer {
         let plan = self.plan(offset, nbytes);
-        let sieve = if self.hints.ds_read && plan.extents.len() > 1 {
+        let sieve = if self.hints.ds_read && plan.piece_count() > 1 {
             self.hints.ind_rd_buffer_size
         } else {
             0

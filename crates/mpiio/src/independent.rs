@@ -53,13 +53,13 @@ pub fn read_plan(
     }
     let span_start = plan.start().expect("non-empty plan");
     let span_end = plan.end().expect("non-empty plan");
-    let contiguous = plan.extents.len() == 1;
+    let contiguous = plan.piece_count() == 1;
 
     if contiguous || sieve_buffer == 0 {
         let t = PhaseTimer::start(Phase::Io, ep.now());
         let mut out = BufferBuilder::with_capacity(plan.total as usize);
         let mut now = ep.now();
-        for ext in &plan.extents {
+        for ext in plan.pieces() {
             let (data, done) = fh.read_at(ext.off, ext.len as usize, now);
             out.push(&data);
             now = done;
@@ -72,7 +72,7 @@ pub fn read_plan(
     // Data sieving: big sequential reads over the span, extract runs.
     let mut out = BufferBuilder::with_capacity(plan.total as usize);
     let mut chunk_lo = span_start;
-    let mut ext_idx = 0usize;
+    let mut pieces = plan.pieces().peekable();
     while chunk_lo < span_end {
         let chunk_hi = (chunk_lo + sieve_buffer).min(span_end);
         let t = PhaseTimer::start(Phase::Io, ep.now());
@@ -81,8 +81,7 @@ pub fn read_plan(
         t.stop_traced(ep.now(), prof, ep.trace());
 
         let mut copied = 0usize;
-        while ext_idx < plan.extents.len() {
-            let e = plan.extents[ext_idx];
+        while let Some(&e) = pieces.peek() {
             if e.off >= chunk_hi {
                 break;
             }
@@ -91,7 +90,7 @@ pub fn read_plan(
             out.push(&chunk.sub((lo - chunk_lo) as usize, (hi - lo) as usize));
             copied += (hi - lo) as usize;
             if e.end() <= chunk_hi {
-                ext_idx += 1;
+                pieces.next();
             } else {
                 break; // run continues into the next chunk
             }

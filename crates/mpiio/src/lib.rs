@@ -6,9 +6,9 @@
 //!
 //! * **Datatypes and file views** ([`datatype`], [`view`]) — contiguous,
 //!   vector, (h)indexed, struct, subarray and resized constructors; types
-//!   are flattened to `(offset, length)` runs exactly as ROMIO's
-//!   `ADIOI_Flatten` does, and a [`view::FileView`] tiles the flattened
-//!   type across the file from a displacement.
+//!   are flattened once, as ROMIO's `ADIOI_Flatten` does, into strided
+//!   `(offset, len, stride, count)` [`Run`]s, and a [`view::FileView`]
+//!   tiles the flattened type across the file from a displacement.
 //! * **Independent I/O** ([`independent`]) — per-process reads/writes
 //!   through the view, with data sieving for non-contiguous reads.
 //! * **Collective I/O** ([`twophase`]) — the *extended two-phase* protocol
@@ -46,7 +46,7 @@ pub mod split_coll;
 pub mod twophase;
 pub mod view;
 
-pub use datatype::{Datatype, Ext, FlatType};
+pub use datatype::{Datatype, Ext, FlatType, Run};
 pub use file::File;
 pub use hints::Hints;
 pub use pointers::Whence;

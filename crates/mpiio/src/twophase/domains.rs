@@ -91,20 +91,6 @@ pub fn compute_file_domains_aligned(
     out
 }
 
-/// Index of the domain containing byte `off`, under the same division.
-/// `None` if `off` lies outside `[min_st, max_end)`.
-pub fn domain_of(domains: &[Ext], off: u64) -> Option<usize> {
-    // Domains are sorted and contiguous; binary search by start.
-    if domains.is_empty() {
-        return None;
-    }
-    let idx = domains.partition_point(|d| d.off <= off);
-    let idx = idx.checked_sub(1)?;
-    // Skip back over empty domains that share the start offset.
-    let d = domains[idx];
-    (off >= d.off && off < d.end()).then_some(idx)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,24 +139,6 @@ mod tests {
     }
 
     #[test]
-    fn domain_of_locates_bytes() {
-        let d = compute_file_domains(0, 100, 4);
-        assert_eq!(domain_of(&d, 0), Some(0));
-        assert_eq!(domain_of(&d, 24), Some(0));
-        assert_eq!(domain_of(&d, 25), Some(1));
-        assert_eq!(domain_of(&d, 99), Some(3));
-        assert_eq!(domain_of(&d, 100), None);
-    }
-
-    #[test]
-    fn domain_of_with_offset_start() {
-        let d = compute_file_domains(1000, 1100, 2);
-        assert_eq!(domain_of(&d, 999), None);
-        assert_eq!(domain_of(&d, 1000), Some(0));
-        assert_eq!(domain_of(&d, 1050), Some(1));
-    }
-
-    #[test]
     fn aligned_domains_cut_on_stripe_boundaries() {
         let d = compute_file_domains_aligned(100, 10_000, 3, 1024);
         // Interior boundaries are multiples of 1024.
@@ -214,7 +182,5 @@ mod tests {
     fn single_aggregator_owns_everything() {
         let d = compute_file_domains(10, 50, 1);
         assert_eq!(d, vec![Ext::new(10, 40)]);
-        assert_eq!(domain_of(&d, 10), Some(0));
-        assert_eq!(domain_of(&d, 49), Some(0));
     }
 }

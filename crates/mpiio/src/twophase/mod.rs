@@ -14,7 +14,10 @@
 //!    the `(offset, len)` lists ([`reqs`]). Each list is one
 //!    [`PieceList`] from here to the last round: the message is charged
 //!    as the 16 bytes per piece ROMIO ships, the host passes the owner's
-//!    `Arc`, and the aggregator indexes nothing again.
+//!    `Arc`, and the aggregator indexes nothing again. Like the plan it
+//!    is cut from, a list holds strided `(off, len, stride, count)`
+//!    [`Run`](crate::Run)s, so a BT-IO rank's ~3 300 pieces per call are
+//!    ~160 runs on the host and still ~3 300 × 16 bytes on the wire.
 //! 4. **Round count** — `MPI_Allreduce(MAX)` of each aggregator's
 //!    `⌈touched-domain / cb_buffer_size⌉` *(global sync #3)*.
 //! 5. **Interleaved data exchange and file I/O** — per round: an
@@ -56,9 +59,11 @@
 //!
 //! The piece streams advance in lock step on both sides, so no per-round
 //! offset lists need to travel (exactly ROMIO's trick). A stream position
-//! is *bytes consumed*: each side cuts the round's pieces out of the
-//! shared list by binary search, and failover replay or a torn-write
-//! rewind is arithmetic on that one number.
+//! is *bytes consumed*: each side cuts the round's runs out of the shared
+//! list by binary search plus arithmetic inside one run, and failover
+//! replay or a torn-write rewind is arithmetic on that one number. The
+//! window's coverage (`window`) sweeps runs too; pieces are visited one by
+//! one only where real bytes are copied or hashed.
 //!
 //! Host work follows real bytes, and real bytes move by reference: a file
 //! byte is copied once on the way in — into the staging window, which the
@@ -207,7 +212,7 @@ fn recv_lists(
     let arrived = comm.waitall_t::<PieceList>(&reqs);
     let _hp = simtrace::host::scope(simtrace::host::Site::CollSetup);
     let arrived = srcs.into_iter().zip(arrived);
-    let mut lists: Lists = arrived.filter(|(_, l)| !l.pieces().is_empty()).collect();
+    let mut lists: Lists = arrived.filter(|(_, l)| !l.is_empty()).collect();
     if let Some(mine) = mine {
         let at = lists.partition_point(|entry| entry.0 < comm.rank());
         lists.insert(at, (comm.rank(), mine));
@@ -298,7 +303,7 @@ fn setup(
     let my_req = calc_my_req(plan, &file_domains);
     let counts = my_req
         .iter()
-        .map(|(a, list)| (cfg.aggregators[*a], list.pieces().len() as u64));
+        .map(|(a, list)| (cfg.aggregators[*a], list.piece_count()));
     let counts: Vec<(usize, u64)> = counts.collect();
     drop(hp);
 

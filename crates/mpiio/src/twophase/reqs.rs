@@ -1,7 +1,14 @@
 //! Request calculation: which pieces of whose access go to which
 //! aggregator (ROMIO's `ADIOI_Calc_my_req` / `ADIOI_Calc_others_req`).
+//!
+//! A request list is strided [`Run`]s, as the plan it is cut from: the
+//! split at domain boundaries, stream positions, window byte counts and
+//! round cuts are binary searches over runs plus arithmetic inside one
+//! run. Pieces exist one by one only where real bytes move
+//! ([`Cut::iter`]); the request message is still modelled as ROMIO's 16
+//! bytes per *piece*.
 
-use crate::datatype::Ext;
+use crate::datatype::{push_run, Ext, Run};
 use crate::view::AccessPlan;
 use std::sync::{Arc, LazyLock};
 
@@ -30,27 +37,30 @@ impl Piece {
 /// (modelled as its ROMIO wire size, [`wire_bytes`](Self::wire_bytes)),
 /// and the aggregator cuts its round windows out of it.
 ///
-/// Pieces are sorted and disjoint in the file, and — because a domain
-/// takes a consecutive run of the plan — contiguous in the owner's user
-/// buffer. `buf_off` is therefore also the running byte count of the
-/// list, so positions in the piece *stream* (bytes consumed so far, the
-/// only cursor state either side keeps) are found by binary search
-/// without a separate prefix array, and the bytes of any stream range are
-/// one contiguous range of the user buffer.
+/// The list is strided [`Run`]s, sorted and non-adjacent in the file, and
+/// — because a domain takes a consecutive stretch of the plan — contiguous
+/// in the owner's user buffer. Positions in the piece *stream* (bytes
+/// consumed so far, the only cursor state either side keeps) therefore
+/// map to the buffer by one addition, and to the file by a binary search
+/// over the runs' stream starts plus arithmetic inside one run.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct PieceList {
-    pieces: Vec<Piece>,
+    /// The runs in file order, each with the stream bytes before it.
+    runs: Vec<(u64, Run)>,
+    /// Buffer offset of the stream's first byte.
+    base: u64,
 }
 
 static EMPTY: LazyLock<Arc<PieceList>> = LazyLock::new(Arc::default);
 
 impl PieceList {
-    fn new(pieces: Vec<Piece>) -> Self {
-        debug_assert!(pieces.iter().all(|p| p.len > 0));
-        debug_assert!(pieces
-            .windows(2)
-            .all(|w| w[0].end() <= w[1].file_off && w[0].buf_off + w[0].len == w[1].buf_off));
-        PieceList { pieces }
+    fn new(runs: &[Run], base: u64) -> Self {
+        let mut at = 0;
+        let runs = runs.iter().map(|&r| {
+            at += r.bytes();
+            (at - r.bytes(), r)
+        });
+        PieceList { runs: runs.collect(), base }
     }
 
     /// The shared empty list: a rank with nothing for an aggregator
@@ -59,34 +69,42 @@ impl PieceList {
         Arc::clone(&EMPTY)
     }
 
-    /// The sorted pieces.
-    pub fn pieces(&self) -> &[Piece] {
-        &self.pieces
+    /// The runs, in file order.
+    pub(crate) fn runs(&self) -> impl Iterator<Item = Run> + '_ {
+        self.runs.iter().map(|&(_, r)| r)
+    }
+
+    /// True if the list holds no piece.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.runs.is_empty()
+    }
+
+    /// Number of pieces: the length of ROMIO's `(offset, len)` list.
+    pub(crate) fn piece_count(&self) -> u64 {
+        self.runs().map(|r| r.count).sum()
     }
 
     /// Total bytes across all pieces.
     pub fn total_bytes(&self) -> u64 {
-        match (self.pieces.first(), self.pieces.last()) {
-            (Some(first), Some(last)) => last.buf_off + last.len - first.buf_off,
-            _ => 0,
-        }
+        self.runs.last().map_or(0, |(at, r)| at + r.bytes())
     }
 
-    /// Bytes of the `(offset, len)` list ROMIO ships for these pieces.
+    /// Bytes of the `(offset, len)` list ROMIO ships for these pieces:
+    /// 16 per piece, however few runs hold them.
     pub fn wire_bytes(&self) -> usize {
-        16 * self.pieces.len()
+        16 * self.piece_count() as usize
     }
 
     /// The file range touched, `[first offset, last end)`.
     pub fn file_range(&self) -> Option<(u64, u64)> {
-        Some((self.pieces.first()?.file_off, self.pieces.last()?.end()))
+        Some((self.runs.first()?.1.off, self.runs.last()?.1.end()))
     }
 
     /// Stream bytes lying before file offset `off`.
     fn bytes_before(&self, off: u64) -> u64 {
-        let i = self.pieces.partition_point(|p| p.end() <= off);
-        match self.pieces.get(i) {
-            Some(p) => p.buf_off - self.pieces[0].buf_off + off.saturating_sub(p.file_off),
+        let i = self.runs.partition_point(|(_, r)| r.end() <= off);
+        match self.runs.get(i) {
+            Some((at, r)) => at + r.bytes_before(off),
             None => self.total_bytes(),
         }
     }
@@ -109,62 +127,83 @@ impl PieceList {
             "piece stream exhausted with {} bytes pending",
             pos + n - total
         );
-        self.pieces.first().map_or(0, |p| p.buf_off) + pos
+        self.base + pos
     }
 
-    /// The pieces holding stream bytes `[pos, pos + n)`: a slice of whole
-    /// pieces with the two ends clipped. Sender and aggregator cut the
-    /// same list by the same byte counts each round, which keeps them
+    /// The runs holding stream bytes `[pos, pos + n)`: a slice of whole
+    /// runs with the two ends clipped. Sender and aggregator cut the same
+    /// list by the same byte counts each round, which keeps them
     /// consistent without exchanging offsets.
     pub fn cut(&self, pos: u64, n: u64) -> Cut<'_> {
-        let from = self.buffer_offset(pos, n);
+        let buf_off = self.buffer_offset(pos, n);
         if n == 0 {
             return Cut::default();
         }
-        let i = self.pieces.partition_point(|p| p.buf_off + p.len <= from);
-        let j = i + self.pieces[i..].partition_point(|p| p.buf_off < from + n);
-        let (first, last) = (&self.pieces[i], &self.pieces[j - 1]);
+        let i = self.runs.partition_point(|&(at, _)| at <= pos) - 1;
+        let j = self.runs.partition_point(|&(at, _)| at < pos + n) - 1;
+        let (first, (last, r)) = (self.runs[i].0, self.runs[j]);
         Cut {
-            pieces: &self.pieces[i..j],
-            skip: from - first.buf_off,
-            trim: last.buf_off + last.len - (from + n),
+            runs: &self.runs[i..=j],
+            skip: pos - first,
+            trim: last + r.bytes() - (pos + n),
+            buf_off,
         }
     }
 }
 
-/// A run of a [`PieceList`]'s stream: whole pieces, first and last
+/// A stretch of a [`PieceList`]'s stream: whole runs, the first and last
 /// clipped. See [`PieceList::cut`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Cut<'a> {
-    pieces: &'a [Piece],
-    /// Bytes clipped off the front of the first piece.
+    runs: &'a [(u64, Run)],
+    /// Data bytes clipped off the front of the first run.
     skip: u64,
-    /// Bytes clipped off the back of the last piece.
+    /// Data bytes clipped off the back of the last run.
     trim: u64,
+    /// Buffer offset of the cut's first byte.
+    buf_off: u64,
 }
 
 impl Cut<'_> {
-    /// The clipped pieces, in stream order.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = Piece> + '_ {
-        let last = self.pieces.len().wrapping_sub(1);
-        self.pieces.iter().enumerate().map(move |(i, p)| {
-            let mut p = *p;
-            if i == 0 {
-                p.file_off += self.skip;
-                p.buf_off += self.skip;
-                p.len -= self.skip;
+    /// The clipped runs, in stream order: the first and last run each
+    /// split into at most a clipped piece and its whole pieces.
+    pub(crate) fn runs(&self) -> impl Iterator<Item = Run> + '_ {
+        let last = self.runs.len().wrapping_sub(1);
+        self.runs.iter().enumerate().flat_map(move |(i, &(_, r))| {
+            let a = if i == 0 { self.skip } else { 0 };
+            let b = r.bytes() - if i == last { self.trim } else { 0 };
+            r.clip(a, b)
+        })
+    }
+
+    /// The clipped pieces, in stream order — for the code that moves real
+    /// bytes piece by piece. The iterator is the cut itself: a few words,
+    /// since exchange frames hold it across their waits.
+    pub fn iter(&self) -> impl Iterator<Item = Piece> + '_ {
+        let left = self.runs.iter().map(|(_, r)| r.bytes()).sum::<u64>() - self.skip - self.trim;
+        let mut rest = (self.runs, self.skip, left, self.buf_off);
+        std::iter::from_fn(move || {
+            let (runs, at, left, buf_off) = &mut rest;
+            let &(_, r) = runs.first().filter(|_| *left > 0)?;
+            let within = *at % r.len;
+            let len = (r.len - within).min(*left);
+            let piece = Piece {
+                file_off: r.at(*at),
+                len,
+                buf_off: *buf_off,
+            };
+            (*at, *left, *buf_off) = (*at + len, *left - len, *buf_off + len);
+            if *at == r.bytes() {
+                (*runs, *at) = (&runs[1..], 0);
             }
-            if i == last {
-                p.len -= self.trim;
-            }
-            p
+            Some(piece)
         })
     }
 
     /// The file range covered, `[first offset, last end)`.
     pub fn file_range(&self) -> Option<(u64, u64)> {
-        let (first, last) = (self.pieces.first()?, self.pieces.last()?);
-        Some((first.file_off + self.skip, last.end() - self.trim))
+        let (first, last) = (self.runs.first()?.1, self.runs.last()?.1);
+        Some((first.at(self.skip), last.at(last.bytes() - self.trim - 1) + 1))
     }
 }
 
@@ -178,51 +217,47 @@ impl Cut<'_> {
 ///
 /// Domains must be sorted and contiguous ([`super::domains`] guarantees
 /// it); plan runs are sorted, so the walk starts at the first run's
-/// domain (binary search), merges linearly from there and stops with the
-/// last run, and each domain's run count is known (by binary search)
-/// before its list is allocated.
+/// domain (binary search) and merges linearly from there: a run wholly
+/// inside a domain moves over as it is, one crossing a boundary is split
+/// by arithmetic (its data bytes before the boundary).
 pub fn calc_my_req(plan: &AccessPlan, domains: &[Ext]) -> Vec<(usize, Arc<PieceList>)> {
-    let exts = &plan.extents;
-    let mut out = Vec::new();
-    // The next unassigned byte: file offset `pos` inside `exts[i]`, at
-    // `buf_off` in the user buffer.
-    let mut i = 0usize;
-    let mut pos = exts.first().map_or(0, |e| e.off);
-    let mut buf_off = 0u64;
+    let runs = plan.runs();
+    let (mut out, mut list) = (Vec::new(), Vec::new());
+    // The next unassigned byte: data byte `done` of `runs[i]`, file
+    // offset `pos`, at `buf_off` in the user buffer.
+    let (mut i, mut done, mut buf_off) = (0usize, 0u64, 0u64);
+    let mut pos = plan.start().unwrap_or(0);
     let first = domains.partition_point(|d| d.end() <= pos);
     for (at, d) in domains.iter().enumerate().skip(first) {
-        if i == exts.len() {
+        if i == runs.len() {
             break;
         }
-        // Runs reaching into this domain: `exts[i..j]`.
-        let j = i + exts[i..].partition_point(|e| e.off < d.end());
-        if d.len == 0 || i == j {
-            continue;
+        if pos >= d.end() {
+            continue; // nothing here (an empty domain, or one in a gap)
         }
         assert!(
             d.off <= pos,
             "access at {pos} outside the aggregated file range"
         );
-        let mut pieces = Vec::with_capacity(j - i);
-        while i < j {
-            let take_end = exts[i].end().min(d.end());
-            pieces.push(Piece {
-                file_off: pos,
-                len: take_end - pos,
-                buf_off,
-            });
-            buf_off += take_end - pos;
-            pos = take_end;
-            if pos < exts[i].end() {
-                break; // the rest of this run belongs to later domains
+        list.clear();
+        let base = buf_off;
+        while let Some(&r) = runs.get(i) {
+            let upto = r.bytes_before(d.end());
+            if upto > done {
+                r.clip(done, upto).for_each(|part| push_run(&mut list, part));
+                buf_off += upto - done;
             }
-            i += 1;
-            pos = exts.get(i).map_or(pos, |e| e.off);
+            if upto < r.bytes() {
+                done = upto; // the rest of this run belongs to later domains
+                break;
+            }
+            (i, done) = (i + 1, 0);
         }
-        out.push((at, Arc::new(PieceList::new(pieces))));
+        pos = runs.get(i).map_or(pos, |r| r.at(done));
+        out.push((at, Arc::new(PieceList::new(&list, base))));
     }
     assert!(
-        i == exts.len(),
+        i == runs.len(),
         "access at {pos} outside the aggregated file range"
     );
     out
@@ -236,6 +271,14 @@ pub(super) mod tests {
 
     fn plan(extents: &[(u64, u64)]) -> AccessPlan {
         AccessPlan::from_extents(extents.iter().map(|&(o, l)| Ext::new(o, l)).collect())
+    }
+
+    impl PieceList {
+        /// The runs expanded, with buffer offsets (test shorthand).
+        pub(in crate::twophase) fn pieces(&self) -> Vec<Piece> {
+            let all = PieceList::cut(self, 0, self.total_bytes());
+            all.iter().collect()
+        }
     }
 
     /// One list holding all of `extents` (sorted, disjoint).
@@ -283,6 +326,14 @@ pub(super) mod tests {
             }
         }
         out
+    }
+
+    /// A whole list's pieces as the linear split makes them, from its
+    /// runs' plan — independent of the run arithmetic under test.
+    fn linear(l: &PieceList) -> Vec<Piece> {
+        let pieces = l.runs().flat_map(Run::pieces).collect();
+        let mut whole = calc_my_req_linear(&AccessPlan::from_extents(pieces), &[Ext::new(0, u64::MAX / 2)]);
+        whole.remove(0)
     }
 
     /// Total bytes of `pieces` overlapping `[lo, hi)`, piece by piece.
@@ -359,6 +410,25 @@ pub(super) mod tests {
                 })
                 .collect()
         })
+    }
+
+    /// Strided blocks of equal pieces (the lists runs compress), single
+    /// pieces between them, gaps of 0 included: either family, as
+    /// `(offset, len)` pieces.
+    pub(in crate::twophase) fn arb_pieces(max: usize) -> impl Strategy<Value = Vec<(u64, u64)>> {
+        let blocks = (0u64..12, 1u64..12, 1u64..9, 1u64..7);
+        let strided = proptest::collection::vec(blocks, 0..max / 4 + 1).prop_map(|blocks| {
+            let mut at = 0u64;
+            let mut out = Vec::new();
+            for (gap, len, extra, count) in blocks {
+                for k in 0..count {
+                    out.push((at + gap + k * (len + extra), len));
+                }
+                at += gap + (count - 1) * (len + extra) + len;
+            }
+            out
+        });
+        prop_oneof![arb_extents(max), strided]
     }
 
     // ---- calc_my_req ----
@@ -502,7 +572,7 @@ pub(super) mod tests {
 
     #[test]
     fn list_summaries() {
-        let l = list(&[(0, 10), (20, 10), (30, 5), (40, 10)]);
+        let l = list(&[(0, 10), (20, 10), (32, 5), (40, 10)]);
         assert_eq!(l.total_bytes(), 35);
         assert_eq!(l.wire_bytes(), 64);
         assert_eq!(l.file_range(), Some((0, 50)));
@@ -510,12 +580,12 @@ pub(super) mod tests {
 
     #[test]
     fn bytes_in_window_matches_linear_scan() {
-        let l = list(&[(0, 10), (20, 10), (30, 5), (40, 10)]);
+        let l = list(&[(0, 10), (20, 10), (32, 5), (40, 10)]);
         for lo in 0..55u64 {
             for hi in 0..=55u64 {
                 assert_eq!(
                     l.bytes_in_window(lo, hi),
-                    bytes_in_window_linear(l.pieces(), lo, hi),
+                    bytes_in_window_linear(&linear(&l), lo, hi),
                     "window [{lo}, {hi})"
                 );
             }
@@ -571,7 +641,7 @@ pub(super) mod tests {
                 .expect("formatted panic")
                 .clone()
         };
-        let pieces = l.pieces().to_vec();
+        let pieces = linear(&l);
         let linear = text(Box::new(move || {
             let mut c = PieceCursor::new(&pieces);
             c.consume(15, |_| {});
@@ -596,7 +666,7 @@ pub(super) mod tests {
         /// and every list is contiguous in the user buffer.
         #[test]
         fn split_matches_linear_split(
-            extents in arb_extents(40),
+            extents in arb_pieces(40),
             cuts in proptest::collection::vec(0u64..200, 0..6),
         ) {
             let p = plan(&extents);
@@ -611,7 +681,7 @@ pub(super) mod tests {
             let want = calc_my_req_linear(&p, &domains);
             prop_assert_eq!(got.len(), want.len());
             for (g, w) in got.iter().zip(&want) {
-                prop_assert_eq!(g.pieces(), w.as_slice());
+                prop_assert_eq!(g.pieces(), w.clone());
                 prop_assert_eq!(g.total_bytes(), w.iter().map(|p| p.len).sum::<u64>());
                 prop_assert_eq!(g.pieces().is_empty(), Arc::ptr_eq(g, &PieceList::empty()));
             }
@@ -620,14 +690,14 @@ pub(super) mod tests {
         /// Window byte counts agree with the piece-by-piece sum.
         #[test]
         fn window_bytes_match_linear(
-            extents in arb_extents(30),
+            extents in arb_pieces(30),
             lo in 0u64..1500,
             width in 0u64..400,
         ) {
             let l = list(&extents);
             prop_assert_eq!(
                 l.bytes_in_window(lo, lo + width),
-                bytes_in_window_linear(l.pieces(), lo, lo + width)
+                bytes_in_window_linear(&linear(&l), lo, lo + width)
             );
         }
 
@@ -637,11 +707,12 @@ pub(super) mod tests {
         /// range those pieces occupy.
         #[test]
         fn cuts_match_the_linear_cursor(
-            extents in arb_extents(30),
+            extents in arb_pieces(30),
             budgets in proptest::collection::vec(0u64..120, 1..12),
         ) {
             let l = list(&extents);
-            let mut cursor = PieceCursor::new(l.pieces());
+            let pieces = linear(&l);
+            let mut cursor = PieceCursor::new(&pieces);
             let mut pos = 0u64;
             for n in budgets {
                 let n = n.min(l.total_bytes() - pos);
@@ -666,12 +737,13 @@ pub(super) mod tests {
         /// write — lands where replaying the consumption did.
         #[test]
         fn replay_and_rewind_are_arithmetic(
-            extents in arb_extents(30),
+            extents in arb_pieces(30),
             cb in 1u64..200,
         ) {
             let l = list(&extents);
             let Some((st, end)) = l.file_range() else { return Ok(()); };
-            let mut cursor = PieceCursor::new(l.pieces());
+            let pieces = linear(&l);
+            let mut cursor = PieceCursor::new(&pieces);
             let mut pos = 0u64;
             for window in 0..(end - st).div_ceil(cb) {
                 // Failover detected at `window`: replay the completed ones.

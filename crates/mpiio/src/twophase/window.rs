@@ -5,6 +5,7 @@
 
 use super::reqs::Cut;
 use super::{hull, slot_of, Domain};
+use crate::datatype::Run;
 use crate::profile::{Phase, PhaseProfile, PhaseTimer};
 use crate::space::FileSpace;
 use simfs::FileHandle;
@@ -127,6 +128,16 @@ pub(super) fn write_window(
     t.stop_traced(ep.now(), prof, ep.trace());
 }
 
+/// Append `[off, off + len)` to the ascending list `out[from..]` (`off`
+/// not below the last start): one that overlaps or abuts the last
+/// interval grows it.
+fn append(out: &mut Vec<(u64, u64)>, from: usize, off: u64, len: u64) {
+    match out[from..].last_mut() {
+        Some(last) if off <= last.0 + last.1 => last.1 = last.1.max(off + len - last.0),
+        _ => out.push((off, len)),
+    }
+}
+
 /// Append the union of two ascending `(offset, len)` run lists to `out`
 /// as one list of maximal runs: a run that overlaps or abuts the one
 /// before it grows that one.
@@ -144,10 +155,58 @@ fn merge_runs(
             (None, _) => b.next(),
         };
         let Some((off, len)) = next else { break };
-        match out[from..].last_mut() {
-            Some(last) if off <= last.0 + last.1 => last.1 = last.1.max(off + len - last.0),
-            _ => out.push((off, len)),
+        append(out, from, off, len);
+    }
+}
+
+/// The union of one stride class's runs (stride `s`, sorted by offset),
+/// appended to `out` as maximal intervals, by a row sweep: row `ρ` is the
+/// period `[ρ·s, (ρ+1)·s)`, a run of `count` pieces is active for `count`
+/// rows from its first, and covers column `[off mod s, + len)` of each —
+/// past `s` when a piece wraps into the next row. Between two events (a
+/// run starting or ending) the active columns `cols` are fixed, so they
+/// are merged once; if they fill a whole period, counting what wraps in
+/// from the row above, the rows between the first and last are one
+/// interval. Otherwise every row contributes its own intervals — output
+/// the coverage has anyway.
+fn sweep(class: &[Run], out: &mut Vec<(u64, u64)>) {
+    let (s, from) = (class[0].stride, out.len());
+    let mut active: Vec<(u64, u64, u64)> = Vec::new(); // (end row, column, len)
+    let mut cols: Vec<(u64, u64)> = Vec::new();
+    let mut next = 0;
+    let mut row = class[0].off / s;
+    loop {
+        while let Some(r) = class.get(next).filter(|r| r.off / s == row) {
+            active.push((row + r.count, r.off % s, r.len));
+            next += 1;
         }
+        let starts = class.get(next).map(|r| r.off / s);
+        let Some(until) = active.iter().map(|a| a.0).chain(starts).min() else {
+            return;
+        };
+        if !active.is_empty() {
+            active.sort_unstable_by_key(|a| a.1);
+            cols.clear();
+            active.iter().for_each(|&(_, c, len)| append(&mut cols, 0, c, len));
+            // Column reach over one period: what wraps in from the row
+            // above, then this row's intervals.
+            let wrapped = cols.iter().map(|&(c, len)| (c + len).saturating_sub(s)).max();
+            let reach = cols.iter().try_fold(wrapped.unwrap_or(0), |reach, &(c, len)| {
+                (c <= reach).then_some(reach.max(c + len))
+            });
+            let emit_row = |out: &mut Vec<(u64, u64)>, rho: u64| {
+                cols.iter().for_each(|&(c, len)| append(out, from, rho * s + c, len));
+            };
+            if reach.is_some_and(|reach| reach >= s) && until - row >= 3 {
+                emit_row(out, row);
+                append(out, from, (row + 1) * s, (until - row - 1) * s);
+                emit_row(out, until - 1);
+            } else {
+                (row..until).for_each(|rho| emit_row(out, rho));
+            }
+        }
+        active.retain(|a| a.0 > until);
+        row = until;
     }
 }
 
@@ -157,25 +216,28 @@ fn merge_runs(
 /// run); the read side sieves by it, issues the minimum number of list-I/O
 /// reads from it, and finds every clipped piece wholly inside one run.
 ///
-/// Each cut is already sorted and disjoint, so this is a bottom-up merge
-/// of the per-source lists, neighbours pairwise, coalescing as it goes
-/// (two flat buffers, whatever the source count) — in place of sorting
-/// every piece of every source, or of inserting them one by one into an
-/// interval set.
+/// Works on the cuts' runs: each stride class is swept row by row
+/// ([`sweep`]), the single pieces (clipped ends, irregular pieces) are
+/// sorted, and the resulting ascending lists are merged bottom-up,
+/// neighbours pairwise, coalescing as they go, between two flat buffers.
+/// A hole-free window costs its runs, a hole-dense one its output.
 fn coverage(cuts: &[Cut<'_>]) -> Vec<(u64, u64)> {
     let _hp = simtrace::host::scope(simtrace::host::Site::Coverage);
-    fn runs_of<'a>(cut: &'a Cut<'_>) -> impl Iterator<Item = (u64, u64)> + 'a {
-        cut.iter().map(|piece| (piece.file_off, piece.len))
+    let (mut singles, mut strided) = (Vec::new(), Vec::new());
+    for run in cuts.iter().flat_map(Cut::runs) {
+        match run.count {
+            1 => singles.push((run.off, run.len)),
+            _ => strided.push(run),
+        }
     }
+    singles.sort_unstable();
+    strided.sort_unstable_by_key(|r| (r.stride, r.off));
     // The lists of one level back to back; list `i` ends at `ends[i]`.
-    let mut runs = Vec::with_capacity(cuts.iter().map(|cut| cut.iter().len()).sum());
-    let mut ends = Vec::with_capacity(cuts.len().div_ceil(2));
-    for pair in cuts.chunks(2) {
-        merge_runs(
-            runs_of(&pair[0]),
-            pair[1..].iter().flat_map(runs_of),
-            &mut runs,
-        );
+    let mut runs = Vec::with_capacity(singles.len() + 2 * strided.len());
+    singles.into_iter().for_each(|(off, len)| append(&mut runs, 0, off, len));
+    let mut ends = vec![runs.len()];
+    for class in strided.chunk_by(|a, b| a.stride == b.stride) {
+        sweep(class, &mut runs);
         ends.push(runs.len());
     }
     let mut merged = Vec::new();
@@ -281,13 +343,13 @@ pub(super) fn read_window(
 
 #[cfg(test)]
 mod tests {
-    use super::super::reqs::tests::list;
+    use super::super::reqs::tests::{arb_pieces, list};
     use super::*;
     use std::sync::Arc;
     use proptest::prelude::*;
     use simfs::RangeSet;
 
-    /// The reference the merge replaced: every piece of every source
+    /// The reference the merges replaced: every piece of every source
     /// inserted into an interval set, one at a time.
     fn coverage_by_insert(cuts: &[Cut<'_>]) -> Vec<(u64, u64)> {
         let mut set = RangeSet::new();
@@ -297,6 +359,28 @@ mod tests {
         set.ranges().iter().map(|&(s, e)| (s, e - s)).collect()
     }
 
+    /// The merge runs replaced: every source's pieces as one ascending
+    /// list, merged bottom-up, neighbours pairwise.
+    fn coverage_pairwise(cuts: &[Cut<'_>]) -> Vec<(u64, u64)> {
+        let lists: Vec<Vec<(u64, u64)>> = cuts
+            .iter()
+            .map(|cut| cut.iter().map(|piece| (piece.file_off, piece.len)).collect())
+            .collect();
+        let mut level = lists;
+        while level.len() > 1 {
+            let next = level.chunks(2).map(|pair| {
+                let mut out = Vec::new();
+                let b = pair.get(1).into_iter().flatten().copied();
+                merge_runs(pair[0].iter().copied(), b, &mut out);
+                out
+            });
+            level = next.collect();
+        }
+        let mut out = Vec::new();
+        merge_runs(level.into_iter().flatten(), std::iter::empty(), &mut out);
+        out
+    }
+
     #[test]
     fn abutting_overlapping_and_identical_sources_merge() {
         let a = list(&[(0, 10), (10, 5), (40, 10)]); // abuts itself
@@ -304,40 +388,43 @@ mod tests {
         let cuts = [a.cut(0, 25), b.cut(0, 16), a.cut(0, 25)]; // a twice
         assert_eq!(coverage(&cuts), [(0, 20), (40, 15), (70, 1)]);
         assert_eq!(coverage(&cuts), coverage_by_insert(&cuts));
+        assert_eq!(coverage(&cuts), coverage_pairwise(&cuts));
         assert!(coverage(&[]).is_empty());
+    }
+
+    #[test]
+    fn rows_that_tile_their_period_are_one_interval() {
+        // Three sources, 4-byte pieces at stride 12, columns 2, 6 and 10
+        // of rows 8..18 — the last wraps into the next row; the middle one
+        // covers only rows 10..16, where the period is full.
+        let column = |off: u64, count: u64| {
+            list(&(0..count).map(|k| (off + 12 * k, 4)).collect::<Vec<_>>())
+        };
+        let (a, b, c) = (column(98, 10), column(126, 6), column(106, 10));
+        let cuts = [a.cut(0, 40), b.cut(0, 24), c.cut(0, 40)];
+        assert_eq!(coverage(&cuts), coverage_by_insert(&cuts));
+        assert_eq!(coverage(&cuts), [(98, 4), (106, 8), (118, 80), (202, 8), (214, 4)]);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The pairwise merge equals per-piece `RangeSet::insert` for any
-        /// number of sources, whole lists or clipped cuts of them, with
-        /// some sources repeated verbatim.
+        /// The sweep equals per-piece `RangeSet::insert` and the pairwise
+        /// merge for any number of sources — strided or irregular, at any
+        /// alignment to their period (pieces wrap it), whole lists or
+        /// clipped cuts of them, overlapping, some repeated verbatim.
         #[test]
         fn coverage_matches_interval_set(
             sources in proptest::collection::vec(
-                (
-                    proptest::collection::vec((0u64..6, 1u64..30), 1..25),
-                    0u64..200,
-                    0u64..400,
-                    any::<bool>(),
-                ),
+                (arb_pieces(24), 0u64..60, 0u64..200, 0u64..400, any::<bool>()),
                 0..12,
             ),
         ) {
             let mut lists = Vec::new();
-            for (steps, pos, n, repeat) in &sources {
-                let mut at = 0u64;
-                let extents: Vec<(u64, u64)> = steps
-                    .iter()
-                    .map(|&(gap, len)| {
-                        let off = at + gap;
-                        at = off + len;
-                        (off, len)
-                    })
-                    .collect();
-                let l = list(&extents);
-                let pos = pos % l.total_bytes();
+            for (pieces, shift, pos, n, repeat) in &sources {
+                let shifted: Vec<(u64, u64)> = pieces.iter().map(|&(o, l)| (o + shift, l)).collect();
+                let l = list(&shifted);
+                let pos = pos % l.total_bytes().max(1);
                 let n = (*n).min(l.total_bytes() - pos);
                 lists.push((Arc::clone(&l), pos, n));
                 if *repeat {
@@ -345,6 +432,40 @@ mod tests {
                 }
             }
             let cuts: Vec<Cut<'_>> = lists.iter().map(|(l, pos, n)| l.cut(*pos, *n)).collect();
+            let want = coverage_by_insert(&cuts);
+            prop_assert_eq!(coverage(&cuts), want.clone());
+            prop_assert_eq!(coverage_pairwise(&cuts), want);
+        }
+
+        /// Columns of one stride that tile (or, with one dropped, nearly
+        /// tile) their period over staggered rows: the whole-period
+        /// shortcut of the sweep against the interval set.
+        #[test]
+        fn tiled_columns_match_interval_set(
+            len in 1u64..9,
+            columns in proptest::collection::vec((0u64..5, 1u64..12, any::<bool>()), 1..6),
+            gap in 0u64..2,
+            base in 0u64..100,
+            pos in 0u64..30,
+            n in 0u64..2000,
+        ) {
+            let stride = len * columns.len() as u64 + gap;
+            let lists: Vec<_> = columns
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| c.2)
+                .map(|(i, &(row, count, _))| {
+                    let off = base + i as u64 * len + row * stride;
+                    list(&(0..count).map(|k| (off + k * stride, len)).collect::<Vec<_>>())
+                })
+                .collect();
+            let cuts: Vec<Cut<'_>> = lists
+                .iter()
+                .map(|l| {
+                    let pos = pos.min(l.total_bytes() - 1);
+                    l.cut(pos, n.min(l.total_bytes() - pos))
+                })
+                .collect();
             prop_assert_eq!(coverage(&cuts), coverage_by_insert(&cuts));
         }
     }

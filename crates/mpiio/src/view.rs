@@ -3,13 +3,21 @@
 //! An MPI-IO *file view* is `(displacement, etype, filetype)`: the visible
 //! bytes of the file are those selected by tiling `filetype` from
 //! `displacement`. A process reading or writing `n` bytes at view offset
-//! `o` touches the physical runs produced by walking the flattened
+//! `o` touches the physical pieces produced by walking the flattened
 //! filetype — the [`AccessPlan`]. MPI requires filetype displacements to
 //! be monotonically non-decreasing, so a rank's plan is sorted and its
-//! user-buffer bytes map to plan extents in order; all the collective
+//! user-buffer bytes map to plan pieces in order; all the collective
 //! machinery leans on that invariant.
+//!
+//! A plan is built, and held, as strided [`Run`]s: run arithmetic on the
+//! flattened type's runs, tile by tile — clipping the first and last
+//! piece, and merging a tile's last piece with the next tile's first where
+//! they abut — so a BT-IO call costs its 162 runs, not its 3 280 pieces.
+//! [`AccessPlan::pieces`] and [`FileView::extents`] expand the runs for
+//! the consumers that need pieces one by one: independent I/O and the
+//! intermediate view's map.
 
-use crate::datatype::{Datatype, Ext, FlatType};
+use crate::datatype::{push_piece, push_run, Datatype, Ext, FlatType, Run};
 use std::sync::Arc;
 
 /// A file view: flattened filetype tiled from a displacement.
@@ -17,7 +25,7 @@ use std::sync::Arc;
 pub struct FileView {
     disp: u64,
     flat: Arc<FlatType>,
-    /// Cumulative data bytes before each segment (len = segs.len() + 1).
+    /// Cumulative data bytes before each run (len = runs.len() + 1).
     prefix: Arc<Vec<u64>>,
 }
 
@@ -31,11 +39,11 @@ impl FileView {
 
     /// Build from an already-flattened type.
     pub fn from_flat(disp: u64, flat: Arc<FlatType>) -> Self {
-        let mut prefix = Vec::with_capacity(flat.segs.len() + 1);
+        let mut prefix = Vec::with_capacity(flat.runs.len() + 1);
         let mut acc = 0u64;
         prefix.push(0);
-        for s in &flat.segs {
-            acc += s.len;
+        for r in &flat.runs {
+            acc += r.bytes();
             prefix.push(acc);
         }
         FileView {
@@ -51,110 +59,121 @@ impl FileView {
         Self::from_flat(disp, FlatType::contiguous(1))
     }
 
-    /// View displacement.
-    pub fn displacement(&self) -> u64 {
-        self.disp
-    }
-
-    /// The flattened filetype.
-    pub fn flat(&self) -> &FlatType {
-        &self.flat
-    }
-
     /// True if the view exposes a contiguous byte stream.
     pub fn is_contiguous(&self) -> bool {
         self.flat.is_contiguous()
     }
 
-    /// Physical file runs for `[start, start+nbytes)` of the view's data
-    /// space, coalesced. Panics if the filetype holds no data bytes but a
-    /// transfer is requested.
-    pub fn extents(&self, start: u64, nbytes: u64) -> Vec<Ext> {
+    /// The runs of `[start, start+nbytes)` of the view's data space: each
+    /// tile's runs shifted to the tile, the transfer's ends clipped, and
+    /// pieces that abut across a tile boundary merged. Panics if the
+    /// filetype holds no data bytes but a transfer is requested.
+    ///
+    /// Pushing a piece looks only at the last run, so once a whole flat
+    /// run has landed as itself, the whole runs after it land as they are
+    /// in the flat type: they are copied, and only the first and last run
+    /// of each tile go through [`push_run`].
+    fn runs(&self, start: u64, nbytes: u64) -> Vec<Run> {
         if nbytes == 0 {
             return Vec::new();
         }
         if self.is_contiguous() {
-            return vec![Ext::new(self.disp + start, nbytes)];
+            return vec![Run::piece(self.disp + start, nbytes)];
         }
         let dpt = self.flat.size;
         assert!(dpt > 0, "transfer through an empty filetype");
-        let mut remaining = nbytes;
-        let mut tile = start / dpt;
-        let mut within = start % dpt;
-        // Locate the segment containing a data offset within a tile.
-        let seg_of = |within: u64| match self.prefix.binary_search(&within) {
-            Ok(i) => i,
-            Err(i) => i - 1,
-        };
-        let mut seg = seg_of(within);
-        // Segments the transfer touches, first to last: the run count
-        // before coalescing, so the list is allocated once.
-        let last = start + nbytes - 1;
-        let touched =
-            (last / dpt - tile) as usize * self.flat.segs.len() + seg_of(last % dpt) + 1 - seg;
-        let mut out: Vec<Ext> = Vec::with_capacity(touched);
-        if seg == self.flat.segs.len() {
-            // start exactly at a tile boundary
-            seg = 0;
-            tile += 1;
-            within = 0;
-        }
-        let mut seg_off = within - self.prefix[seg];
-        while remaining > 0 {
-            let s = self.flat.segs[seg];
-            let avail = s.len - seg_off;
-            let take = avail.min(remaining);
-            let phys = self.disp + tile * self.flat.extent + s.off + seg_off;
-            match out.last_mut() {
-                Some(last) if last.end() == phys => last.len += take,
-                _ => out.push(Ext::new(phys, take)),
-            }
-            remaining -= take;
-            seg_off += take;
-            if seg_off == s.len {
-                seg_off = 0;
-                seg += 1;
-                if seg == self.flat.segs.len() {
-                    seg = 0;
-                    tile += 1;
+        let end = start + nbytes;
+        let (first, last) = (start / dpt, (end - 1) / dpt);
+        let run_of = |within: u64| self.prefix.partition_point(|&p| p <= within) - 1;
+        let mut out = Vec::with_capacity(self.flat.runs.len() + 2);
+        for tile in first..=last {
+            let base = self.disp + tile * self.flat.extent;
+            // The tile's data bytes the transfer takes: `[lo, hi)`.
+            let lo = start.saturating_sub(tile * dpt);
+            let hi = (end - tile * dpt).min(dpt);
+            let mut landed = None;
+            for (i, r) in self.flat.runs.iter().enumerate().skip(run_of(lo)) {
+                let at = self.prefix[i];
+                if at >= hi {
+                    break;
                 }
+                let shifted = Run { off: base + r.off, ..*r };
+                let (a, b) = (lo.max(at) - at, hi.min(self.prefix[i + 1]) - at);
+                let whole = a == 0 && b == r.bytes();
+                if whole && landed.is_some() && out.last() == landed.as_ref() {
+                    out.push(shifted);
+                } else {
+                    shifted.clip(a, b).for_each(|part| push_run(&mut out, part));
+                }
+                landed = whole.then_some(shifted);
             }
         }
         out
     }
+
+    /// Physical file pieces for `[start, start+nbytes)` of the view's data
+    /// space, coalesced: the runs of [`AccessPlan::from_view`] expanded.
+    pub fn extents(&self, start: u64, nbytes: u64) -> Vec<Ext> {
+        let runs = self.runs(start, nbytes);
+        let mut out = Vec::with_capacity(runs.iter().map(|r| r.count as usize).sum());
+        out.extend(runs.iter().flat_map(|r| r.pieces()));
+        out
+    }
 }
 
-/// A rank's flattened access list for one collective operation: sorted,
-/// disjoint physical runs whose order equals user-buffer order.
+/// A rank's flattened access list for one collective operation: strided
+/// runs whose pieces are sorted, disjoint and non-adjacent, and whose
+/// order equals user-buffer order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AccessPlan {
-    /// The runs, ascending by offset.
-    pub extents: Vec<Ext>,
-    /// Total bytes (sum of run lengths).
+    runs: Vec<Run>,
+    /// Total bytes (sum of run bytes).
     pub total: u64,
 }
 
 impl AccessPlan {
-    /// Plan for `[offset, offset+nbytes)` of a view's data space.
-    pub fn from_view(view: &FileView, offset: u64, nbytes: u64) -> Self {
-        Self::from_extents(view.extents(offset, nbytes))
+    fn new(runs: Vec<Run>) -> Self {
+        AccessPlan {
+            total: runs.iter().map(Run::bytes).sum(),
+            runs,
+        }
     }
 
-    /// Plan from explicit runs; asserts the MPI monotonicity invariant.
+    /// Plan for `[offset, offset+nbytes)` of a view's data space.
+    pub fn from_view(view: &FileView, offset: u64, nbytes: u64) -> Self {
+        Self::new(view.runs(offset, nbytes))
+    }
+
+    /// Plan from explicit pieces; asserts the MPI monotonicity invariant
+    /// and rejects an empty piece (it would count as a modelled piece on
+    /// the wire). Abutting pieces merge, as a view's do.
     pub fn from_extents(extents: Vec<Ext>) -> Self {
-        for w in extents.windows(2) {
+        let mut runs: Vec<Run> = Vec::new();
+        for e in extents {
+            let last = runs.last().map(Run::end);
             assert!(
-                w[0].end() <= w[1].off,
-                "access plan runs must be sorted and disjoint: {:?} then {:?}",
-                w[0],
-                w[1]
+                last.is_none_or(|end| end <= e.off),
+                "access plan runs must be sorted and disjoint: {e:?} after {last:?}"
             );
+            assert!(e.len > 0, "zero-length run in plan at {}", e.off);
+            push_piece(&mut runs, e.off, e.len);
         }
-        debug_assert!(extents.iter().all(|e| e.len > 0), "zero-length run in plan");
-        AccessPlan {
-            total: extents.iter().map(|e| e.len).sum(),
-            extents,
-        }
+        Self::new(runs)
+    }
+
+    /// The runs, in file order.
+    pub fn runs(&self) -> &[Run] {
+        &self.runs
+    }
+
+    /// The pieces the runs expand to, in file (and buffer) order.
+    pub fn pieces(&self) -> impl Iterator<Item = Ext> + '_ {
+        self.runs.iter().flat_map(|r| r.pieces())
+    }
+
+    /// Number of pieces: what ROMIO's `(offset, len)` list would hold.
+    pub fn piece_count(&self) -> u64 {
+        self.runs.iter().map(|r| r.count).sum()
     }
 
     /// True if this rank transfers no bytes.
@@ -164,29 +183,49 @@ impl AccessPlan {
 
     /// First byte touched, if any.
     pub fn start(&self) -> Option<u64> {
-        self.extents.first().map(|e| e.off)
+        self.runs.first().map(|r| r.off)
     }
 
     /// One past the last byte touched, if any.
     pub fn end(&self) -> Option<u64> {
-        self.extents.last().map(Ext::end)
+        self.runs.last().map(Run::end)
     }
 
-    /// Iterate `(buffer_offset, file_extent)` pairs: the user buffer maps
-    /// onto the runs in order.
+    /// Iterate `(buffer_offset, file_piece)` pairs: the user buffer maps
+    /// onto the pieces in order.
     pub fn with_buffer_offsets(&self) -> impl Iterator<Item = (u64, Ext)> + '_ {
         let mut acc = 0u64;
-        self.extents.iter().map(move |e| {
-            let pair = (acc, *e);
+        self.pieces().map(move |e| {
+            let pair = (acc, e);
             acc += e.len;
             pair
         })
+    }
+
+    /// True if `other` is this plan shifted uniformly — the same runs
+    /// relative to the first. Compared in place.
+    pub fn same_shape(&self, other: &AccessPlan) -> bool {
+        let (a0, b0) = (self.start().unwrap_or(0), other.start().unwrap_or(0));
+        let rel = |r: &Run, base: u64| Run { off: r.off - base, ..*r };
+        self.runs.len() == other.runs.len()
+            && self.runs.iter().zip(&other.runs).all(|(a, b)| rel(a, a0) == rel(b, b0))
+    }
+
+    /// This plan with every run moved by `delta` bytes (the uniform
+    /// per-call stride of a tiled view).
+    pub fn shifted(&self, delta: i64) -> AccessPlan {
+        let shift = |r: &Run| {
+            let off = r.off.checked_add_signed(delta).expect("plan shift underflow");
+            Run { off, ..*r }
+        };
+        Self::new(self.runs.iter().map(shift).collect())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn strided_view() -> FileView {
         // filetype: 4 data bytes at offset 0, 4 at offset 8; MPI vector
@@ -200,6 +239,79 @@ mod tests {
             inner: Box::new(Datatype::Bytes(4)),
         };
         FileView::new(100, &t)
+    }
+
+    /// The per-segment walk runs replaced: one flattened piece at a time,
+    /// tile by tile, merging a piece into the one before where they abut.
+    fn extents_by_segment(view: &FileView, start: u64, nbytes: u64) -> Vec<Ext> {
+        let segs: Vec<Ext> = view.flat.pieces().collect();
+        let mut out: Vec<Ext> = Vec::new();
+        let (dpt, mut at) = (view.flat.size, 0u64);
+        for tile in 0.. {
+            for s in &segs {
+                let (lo, hi) = (start.max(at), (start + nbytes).min(at + s.len));
+                if lo < hi {
+                    let phys = view.disp + tile * view.flat.extent + s.off + (lo - at);
+                    match out.last_mut() {
+                        Some(last) if last.end() == phys => last.len += hi - lo,
+                        _ => out.push(Ext::new(phys, hi - lo)),
+                    }
+                }
+                at += s.len;
+            }
+            if at >= start + nbytes || dpt == 0 {
+                break;
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Plans built by run arithmetic expand to the per-segment walk
+        /// for any `(offset, nbytes)` — partial first and last pieces,
+        /// and (gap 0) tiles whose last piece abuts the next tile's first
+        /// included — and keep the run invariants.
+        #[test]
+        fn plan_expands_to_the_segment_walk(
+            blocks in proptest::collection::vec((0u64..4, 1u64..6, 1usize..4), 1..5),
+            lead in 0u64..3,
+            pad in 0u64..3,
+            disp in 0u64..50,
+            start in 0u64..300,
+            nbytes in 0u64..300,
+        ) {
+            // Blocks of `n` equal pieces at a fixed gap: rows of runs, each
+            // tile starting `lead` bytes in and ending `pad` bytes after
+            // its last piece.
+            let mut fields = Vec::new();
+            let mut at = lead;
+            for (gap, len, n) in blocks {
+                let t = Datatype::Vector {
+                    count: n,
+                    blocklen: 1,
+                    stride: 2,
+                    inner: Box::new(Datatype::Bytes(len)),
+                };
+                let ext = t.extent();
+                fields.push((at, t));
+                at += ext + gap * len;
+            }
+            let ft = Datatype::Resized { extent: at + pad, inner: Box::new(Datatype::Struct { fields }) };
+            let view = FileView::new(disp, &ft);
+            let plan = AccessPlan::from_view(&view, start, nbytes);
+            prop_assert_eq!(plan.pieces().collect::<Vec<_>>(), extents_by_segment(&view, start, nbytes));
+            prop_assert_eq!(plan.total, nbytes);
+            for r in plan.runs() {
+                prop_assert!(if r.count == 1 { r.stride == 0 } else { r.stride > r.len });
+            }
+            for w in plan.runs().windows(2) {
+                prop_assert!(w[0].end() < w[1].off);
+            }
+            // Canonical: the same pieces pushed one by one give the same runs.
+            prop_assert_eq!(plan.clone(), AccessPlan::from_extents(plan.pieces().collect()));
+        }
     }
 
     #[test]
@@ -227,6 +339,12 @@ mod tests {
         assert_eq!(
             v.extents(0, 16),
             vec![Ext::new(100, 4), Ext::new(108, 8), Ext::new(120, 4)]
+        );
+        // Merged pieces recur every tile: one run.
+        let plan = AccessPlan::from_view(&v, 0, 40);
+        assert_eq!(
+            plan.runs(),
+            [Run::piece(100, 4), Run { off: 108, len: 8, stride: 12, count: 4 }, Run::piece(156, 4)]
         );
     }
 
@@ -268,6 +386,7 @@ mod tests {
         assert_eq!(p.total, 12);
         assert_eq!(p.start(), Some(100));
         assert_eq!(p.end(), Some(116));
+        assert_eq!(p.piece_count(), 2);
         assert!(!p.is_empty());
     }
 
@@ -284,6 +403,24 @@ mod tests {
     #[should_panic(expected = "sorted and disjoint")]
     fn unsorted_plan_rejected() {
         AccessPlan::from_extents(vec![Ext::new(10, 5), Ext::new(0, 5)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "zero-length run in plan at 20")]
+    fn zero_length_run_rejected() {
+        AccessPlan::from_extents(vec![Ext::new(10, 5), Ext::new(20, 0)]);
+    }
+
+    #[test]
+    fn shapes_compare_shifted_runs_in_place() {
+        let v = strided_view();
+        let (a, b) = (AccessPlan::from_view(&v, 0, 40), AccessPlan::from_view(&v, 80, 40));
+        // 80 data bytes = 10 tiles of 12 bytes.
+        assert!(a.same_shape(&b) && b.same_shape(&a.shifted(120)));
+        assert_eq!(a.shifted(120), b);
+        assert_eq!(b.shifted(-120), a);
+        assert!(!a.same_shape(&AccessPlan::from_view(&v, 2, 40)));
+        assert!(AccessPlan::default().same_shape(&AccessPlan::default()));
     }
 
     #[test]

@@ -47,7 +47,7 @@ fn reference_positions(t: &Datatype, base: u64, out: &mut Vec<u64>) {
             // Covered through tile_2d below; direct enumeration would
             // duplicate the production code.
             let flat = t.flatten();
-            for seg in &flat.segs {
+            for seg in flat.pieces() {
                 out.extend(base + seg.off..base + seg.end());
             }
         }
@@ -85,13 +85,14 @@ proptest! {
         expect.sort_unstable();
         let flat = t.flatten();
         let mut got = Vec::new();
-        for seg in &flat.segs {
+        for seg in flat.pieces() {
             got.extend(seg.off..seg.end());
         }
         prop_assert_eq!(got, expect);
         prop_assert_eq!(flat.size, t.size());
         // Coalesced: no two adjacent segments touch.
-        for w in flat.segs.windows(2) {
+        let segs: Vec<Ext> = flat.pieces().collect();
+        for w in segs.windows(2) {
             prop_assert!(w[0].end() < w[1].off);
         }
     }
@@ -110,7 +111,7 @@ proptest! {
         // Reference: walk tiles one data byte at a time.
         let mut expect = Vec::new();
         let mut tile_positions = Vec::new();
-        for seg in &flat.segs {
+        for seg in flat.pieces() {
             tile_positions.extend(seg.off..seg.end());
         }
         for i in start..start + len {

@@ -56,6 +56,7 @@
 //! dead-set epoch at store time and are invalidated when aggregator
 //! crashes (PR 4's degraded mode) change the effective cluster.
 
+use mpiio::Run;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -561,14 +562,16 @@ fn fnv_word(mut h: u64, w: u64) -> u64 {
     h
 }
 
-/// Hash one rank's access shape — run `(offset − first offset, length)`
-/// pairs — so the signature is invariant under the uniform per-call
+/// Hash one rank's access shape — its plan's runs, offsets relative to
+/// the first — so the signature is invariant under the uniform per-call
 /// shift of a tiled view.
-pub fn shape_signature(shape: &[(u64, u64)]) -> u64 {
-    let mut h = fnv_word(FNV_OFFSET, shape.len() as u64);
-    for &(off, len) in shape {
-        h = fnv_word(h, off);
-        h = fnv_word(h, len);
+pub fn shape_signature(runs: &[Run]) -> u64 {
+    let base = runs.first().map_or(0, |r| r.off);
+    let mut h = fnv_word(FNV_OFFSET, runs.len() as u64);
+    for r in runs {
+        for w in [r.off - base, r.len, r.stride, r.count] {
+            h = fnv_word(h, w);
+        }
     }
     h
 }
@@ -817,11 +820,12 @@ mod tests {
 
     #[test]
     fn shape_signature_is_shift_invariant_by_construction() {
-        // Callers normalize offsets to the first run; equal normalized
-        // shapes hash equal, different shapes differ.
-        let a = shape_signature(&[(0, 64), (256, 64)]);
-        let b = shape_signature(&[(0, 64), (256, 64)]);
-        let c = shape_signature(&[(0, 64), (128, 64)]);
+        // Offsets count from the first run: shifted shapes hash equal,
+        // different shapes differ.
+        let run = |off, stride| Run { off, len: 64, stride, count: 2 };
+        let a = shape_signature(&[run(0, 256), Run::piece(1024, 8)]);
+        let b = shape_signature(&[run(4096, 256), Run::piece(5120, 8)]);
+        let c = shape_signature(&[run(0, 128), Run::piece(1024, 8)]);
         assert_eq!(a, b);
         assert_ne!(a, c);
     }

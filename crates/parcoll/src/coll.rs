@@ -46,10 +46,10 @@ pub struct GroupCache<'ep> {
     sub: Communicator<'ep>,
     subcfg: CollConfig,
     n_groups: usize,
-    /// My plan's shape at cache time: run lengths and offsets relative to
-    /// the first run. A later call with an identical shape is the same
-    /// pattern shifted; views tile, so the shift is uniform across ranks.
-    shape: Vec<(u64, u64)>,
+    /// My plan at cache time. A later call whose runs are these shifted
+    /// ([`AccessPlan::same_shape`]) is the same pattern; views tile, so
+    /// the shift is uniform across ranks.
+    shape: AccessPlan,
     /// Dead-set epoch at cache time: an aggregator crash bumps the epoch
     /// and forces a repartition on the next call.
     dead_epoch: u64,
@@ -67,29 +67,6 @@ enum CachedMode {
         base_start: u64,
         scatter: bool,
     },
-}
-
-fn plan_shape(plan: &AccessPlan) -> Vec<(u64, u64)> {
-    let base = plan.start().unwrap_or(0);
-    plan.extents.iter().map(|e| (e.off - base, e.len)).collect()
-}
-
-/// Shift every run of a plan by `delta` bytes (the uniform per-call
-/// stride of a tiled view).
-fn shift_plan(plan: &AccessPlan, delta: i64) -> AccessPlan {
-    if delta == 0 || plan.extents.is_empty() {
-        return plan.clone();
-    }
-    AccessPlan::from_extents(
-        plan.extents
-            .iter()
-            .map(|e| {
-                let off = e.off as i64 + delta;
-                assert!(off >= 0, "plan shift underflow");
-                Ext::new(off as u64, e.len)
-            })
-            .collect(),
-    )
 }
 
 /// Which path a partitioned collective took (exposed for tests and the
@@ -251,7 +228,7 @@ pub fn run_partitioned<'ep>(
     // the whole group for its collective semantics.
     let hit = cache
         .as_ref()
-        .is_some_and(|c| c.shape == plan_shape(&plan) && c.dead_epoch == dead_epoch);
+        .is_some_and(|c| c.shape.same_shape(&plan) && c.dead_epoch == dead_epoch);
     if !hit && !decide(file, pcfg, cache, &plan, groups) {
         return (PartitionMode::Single, file.collective(&plan, dir));
     }
@@ -290,7 +267,7 @@ pub fn run_partitioned<'ep>(
                 let space = MappedSpace::with_delta(Arc::clone(map), delta);
                 twophase::collective(&c.sub, &fh, &space, logical_plan, dir, &c.subcfg, prof)
             } else {
-                let shifted = shift_plan(logical_plan, delta);
+                let shifted = logical_plan.shifted(delta);
                 twophase::collective(&c.sub, &fh, &DirectSpace, &shifted, dir, &c.subcfg, prof)
             };
             (PartitionMode::IntermediateView { groups }, data)
@@ -364,7 +341,7 @@ fn decide<'ep>(
             // Pattern (c): build the intermediate file view. Everyone
             // shares its physical extent list (p2p volume ∝ segments).
             let t = PhaseTimer::start(Phase::Sync, ep.now());
-            let map = gather_logical_map(&comm, &plan.extents);
+            let map = gather_logical_map(&comm, plan.pieces());
             t.stop_traced(ep.now(), file.profile_mut(), ep.trace());
 
             // Partition the *logical* file: rank regions are serial, so
@@ -400,7 +377,7 @@ fn decide<'ep>(
         sub,
         subcfg,
         n_groups,
-        shape: plan_shape(plan),
+        shape: plan.clone(),
         dead_epoch: ep.faults().map_or(0, |f| f.dead_epoch()),
         mode,
         splits: cache.as_ref().map_or(0, |c| c.splits) + 1,
@@ -409,12 +386,16 @@ fn decide<'ep>(
 }
 
 /// Allgather every rank's physical extent list and build the intermediate
-/// view's [`LogicalMap`] from them. The lists are decoded, validated and
-/// indexed once, at the meeting point, and every rank receives the same
-/// `Arc`: the map's host cost is O(total extents) per collective, not
-/// O(P × total extents).
-fn gather_logical_map(comm: &Communicator<'_>, extents: &[Ext]) -> Arc<LogicalMap> {
-    let pairs: Vec<(u64, u64)> = extents.iter().map(|e| (e.off, e.len)).collect();
+/// view's [`LogicalMap`] from them — the decide-time expansion of the
+/// plan's runs into pieces. The lists are decoded, validated and indexed
+/// once, at the meeting point, and every rank receives the same `Arc`:
+/// the map's host cost is O(total extents) per collective, not O(P ×
+/// total extents).
+fn gather_logical_map(
+    comm: &Communicator<'_>,
+    extents: impl Iterator<Item = Ext>,
+) -> Arc<LogicalMap> {
+    let pairs: Vec<(u64, u64)> = extents.map(|e| (e.off, e.len)).collect();
     comm.allgather_derive(codec::encode_pairs(&pairs), |all_lists| {
         LogicalMap::new(
             all_lists
@@ -714,7 +695,7 @@ impl<'ep> ParcollFile<'ep> {
         let comm = self.file.comm().clone();
         let ep = comm.endpoint();
         let plan = self.file.plan(offset, nbytes);
-        let my_hash = shape_signature(&plan_shape(&plan));
+        let my_hash = shape_signature(plan.runs());
 
         let t = PhaseTimer::start(Phase::Sync, ep.now());
         let hashes = comm.allgather_t(my_hash, 8);
@@ -1159,7 +1140,7 @@ mod tests {
             let mine: Vec<Ext> = (0..4)
                 .map(|k| Ext::new((comm.rank() * 16 + k * 256) as u64, 16))
                 .collect();
-            gather_logical_map(&comm, &mine)
+            gather_logical_map(&comm, mine.into_iter())
         });
         assert_eq!(maps[0].nprocs(), 4);
         assert_eq!(maps[0].rank_range(3), (192, 256));
@@ -1179,7 +1160,7 @@ mod tests {
             } else {
                 vec![Ext::new(100 * comm.rank() as u64, 10)]
             };
-            gather_logical_map(&comm, &mine);
+            gather_logical_map(&comm, mine.into_iter());
         });
     }
 

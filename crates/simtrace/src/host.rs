@@ -154,10 +154,13 @@ pub enum Site {
     /// `calc_my_req`, building and indexing the request lists, the
     /// aggregator's touched range and round count.
     CollSetup,
+    /// `File::plan`: one call's access plan, built from the view's
+    /// flattened runs by run arithmetic.
+    Plan,
 }
 
 /// Number of probe sites in the registry.
-pub const SITE_COUNT: usize = 22;
+pub const SITE_COUNT: usize = 23;
 
 /// Static description of one site.
 struct SiteInfo {
@@ -188,6 +191,7 @@ const SITES: [SiteInfo; SITE_COUNT] = [
     SiteInfo { name: "twophase_coverage", subsystem: "mpiio" },
     SiteInfo { name: "size_exchange", subsystem: "simmpi" },
     SiteInfo { name: "coll_setup", subsystem: "mpiio" },
+    SiteInfo { name: "view_plan", subsystem: "mpiio" },
 ];
 
 impl Site {
@@ -228,6 +232,7 @@ impl Site {
                 19 => Site::Coverage,
                 20 => Site::SizeExchange,
                 21 => Site::CollSetup,
+                22 => Site::Plan,
                 _ => unreachable!(),
             })
         } else {

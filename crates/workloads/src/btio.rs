@@ -203,13 +203,38 @@ mod tests {
             let view = FileView::new(disp, &ft);
             let mine = w.rank_step_bytes(rank);
             let plan = AccessPlan::from_view(&view, 0, mine);
-            for e in &plan.extents {
+            for e in plan.pieces() {
                 for b in e.off..e.end() {
                     coverage[b as usize] += 1;
                 }
             }
         }
         assert!(coverage.iter().all(|&c| c == 1), "record must be tiled once");
+    }
+
+    #[test]
+    fn a_class_c_rank_plans_one_run_per_z_plane() {
+        // 64 ranks: 8 cells each, one z-slab each; every z-plane of a cell
+        // is 20 or 21 rows 6 480 B apart, one run per plane.
+        let w = BtIo::with_grid(64, 162, 1);
+        let plan = |rank| {
+            let (disp, ft) = w.view(rank);
+            let (off, bytes) = w.call(rank, 0);
+            AccessPlan::from_view(&FileView::new(disp, &ft), off, bytes)
+        };
+        let rows = 162 * CELL_BYTES;
+        let p = plan(26);
+        assert_eq!((p.runs().len(), p.piece_count()), (162, 3_280));
+        assert!(p.runs().iter().all(|r| r.stride == rows));
+        // Rank 27 owns the corner cell (7, 7) of z-slab 4 and cell (0, 0)
+        // of slab 5: the last row of the one abuts the first row of the
+        // other, and the two merge into one piece of their own (3 280
+        // rows, 3 279 pieces) between two planes' runs.
+        let p = plan(27);
+        assert_eq!((p.runs().len(), p.piece_count()), (163, 3_279));
+        let merged: Vec<_> = p.runs().iter().filter(|r| r.count == 1).collect();
+        assert_eq!(merged.len(), 1);
+        assert_eq!(merged[0].len, (20 + 21) * CELL_BYTES);
     }
 
     #[test]

@@ -173,7 +173,7 @@ mod tests {
             let (disp, ft) = w.view(r);
             let view = FileView::new(disp, &ft);
             let plan = AccessPlan::from_view(&view, 0, w.tile_bytes());
-            for e in &plan.extents {
+            for e in plan.pieces() {
                 for b in e.off..e.end() {
                     coverage[b as usize] += 1;
                 }
@@ -188,15 +188,15 @@ mod tests {
         let (disp, ft) = w.view(1); // tile (0,1): columns 8..16 of rows 0..4
         let view = FileView::new(disp, &ft);
         let plan = AccessPlan::from_view(&view, 0, w.tile_bytes());
-        assert_eq!(plan.extents.len(), w.tile_y);
-        // Row 0 of tile 1 starts at element 8 -> byte 32.
-        assert_eq!(plan.extents[0].off, 32);
-        assert_eq!(plan.extents[0].len, (w.tile_x as u64) * w.elem);
-        // Row stride = dataset width in bytes.
-        assert_eq!(
-            plan.extents[1].off - plan.extents[0].off,
-            (w.width() as u64) * w.elem
-        );
+        // One run: row 0 of tile 1 starts at element 8 -> byte 32, and
+        // the row stride is the dataset width in bytes.
+        let row = mpiio::Run {
+            off: 32,
+            len: (w.tile_x as u64) * w.elem,
+            stride: (w.width() as u64) * w.elem,
+            count: w.tile_y as u64,
+        };
+        assert_eq!(plan.runs(), [row]);
     }
 
     #[test]
