@@ -1,6 +1,7 @@
 //! `hostprof` — host wall-clock attribution for the simulator's hot
-//! paths. Runs the fig1/fig7/fig9 scenarios (the same sweeps `hostperf`
-//! times) with the `simtrace::host` profiler armed and prints, per
+//! paths. Runs the `bench::hostprof::scenarios` sweeps (the ones
+//! `hostperf --figure` times) with the `simtrace::host` profiler armed
+//! and prints, per
 //! scenario, the top-k host sinks with percentages of measured wall —
 //! fiber scheduling vs mailbox churn vs pack/unpack memcpy vs trace
 //! recording — so host-performance work starts from measurements.
@@ -91,8 +92,8 @@ fn main() {
         }
         ran += 1;
         // One unprofiled warmup so caches and pools are in steady state
-        // and the attribution reflects the loop the `hostperf` medians
-        // time, not first-run setup.
+        // and the attribution reflects the steady-state loop, not
+        // first-run setup.
         run();
         let profiled = profile(&run);
         print_top(name, &profiled, args.top);

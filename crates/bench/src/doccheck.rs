@@ -354,14 +354,14 @@ mod tests {
             // the "parcoll_gone" hint was removed
             let groups = info.get_usize("parcoll_groups");
             let quote = '"';
-            let spill = std::env::var("SIMFS_SPILL_MB"); eprintln!("try \"cb_nodes=4\"");
+            let quota = std::env::var("SIMFS_QUOTA_MB"); eprintln!("try \"cb_nodes=4\"");
         "#;
         let live = literal_names(src);
         assert_eq!(
             live.iter().map(String::as_str).collect::<Vec<_>>(),
-            ["SIMFS_SPILL_MB", "cb_nodes", "parcoll_groups"]
+            ["SIMFS_QUOTA_MB", "cb_nodes", "parcoll_groups"]
         );
-        let doc = "Set `parcoll_groups` or `SIMFS_SPILL_MB=<cap>`; any `parcoll_*` hint.\n\
+        let doc = "Set `parcoll_groups` or `SIMFS_QUOTA_MB=<cap>`; any `parcoll_*` hint.\n\
                    `parcoll_gone` and `SIMNET_GONE=4 cargo test` are history; parcoll_gone too.\n";
         let fails = stale_names("README.md", doc, &live);
         assert_eq!(fails.len(), 2, "{fails:?}");

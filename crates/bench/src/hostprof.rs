@@ -4,8 +4,7 @@
 //! render the collapsed-stack file flamegraph tools consume.
 //!
 //! The `hostprof` binary is a thin wrapper over this module, and
-//! `hostperf --profile` reuses [`profile`] + [`print_top`] to attach an
-//! attribution printout to its timing runs.
+//! `hostperf --figure` times the same [`scenarios`].
 
 use crate::figures::{
     btio_bandwidth, collective_wall, flashio_variants, tileio_group_sweep, tileio_scalability,
@@ -17,9 +16,8 @@ use std::time::Instant;
 /// A named figure sweep to run in-process: `(figure name, runner)`.
 pub type Scenario = (&'static str, Box<dyn Fn()>);
 
-/// The profiled figure scenarios: the fig1/fig7/fig9 sweeps `hostperf`
-/// times (identical parameters per scale), so attribution percentages
-/// line up with the wall-clock series PRs are judged on, plus fig10
+/// The profiled figure scenarios, which `hostperf --figure` also times:
+/// the fig1/fig7/fig9 sweeps (fig1 is the overhead gate's), plus fig10
 /// (BT-IO: thousands of small pieces per rank, the exchange-metadata
 /// path) and fig11 (Flash-IO: many calls of large serial segments) with
 /// the parameters of their figure binaries — the two slowest paper-scale

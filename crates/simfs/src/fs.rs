@@ -87,11 +87,8 @@ pub struct FsStats {
     /// Busy time of the busiest target — the straggler that lock-step
     /// collective rounds end up waiting for.
     pub max_ost_busy: SimTime,
-    /// Bytes of file-image pages resident in memory across all files
-    /// (the quantity the `SIMFS_SPILL_MB` streaming limit caps).
+    /// Bytes of file-image pages resident in memory across all files.
     pub image_resident_bytes: u64,
-    /// Bytes of file-image pages parked in spill files across all files.
-    pub image_spilled_bytes: u64,
     /// At-rest extents detected and repaired by the integrity layer
     /// (read-path verification plus scrub passes), across all files.
     pub integrity_repaired: u64,
@@ -308,20 +305,18 @@ impl FileSystem {
     /// Snapshot aggregate statistics.
     pub fn stats(&self) -> FsStats {
         let osts: Vec<OstStats> = self.inner.osts.iter().map(Ost::stats).collect();
-        let (opens, image_resident_bytes, image_spilled_bytes, integrity_repaired, integrity_poisoned) = {
+        let (opens, image_resident_bytes, integrity_repaired, integrity_poisoned) = {
             let mds = self.inner.mds.lock();
-            let (mut res, mut spill, mut rep, mut poi) = (0u64, 0u64, 0u64, 0u64);
+            let (mut res, mut rep, mut poi) = (0u64, 0u64, 0u64);
             for entry in mds.files.values() {
                 if let Some(integ) = &entry.integrity {
                     let integ = integ.lock();
                     rep += integ.repaired_extents();
                     poi += integ.poisoned_pages();
                 }
-                let st = entry.storage.lock();
-                res += st.resident_bytes();
-                spill += st.spilled_bytes();
+                res += entry.storage.lock().resident_bytes();
             }
-            (mds.opens, res, spill, rep, poi)
+            (mds.opens, res, rep, poi)
         };
         FsStats {
             total_bytes: osts.iter().map(|s| s.bytes).sum(),
@@ -333,7 +328,6 @@ impl FileSystem {
                 .fold(SimTime::ZERO, SimTime::max),
             osts,
             image_resident_bytes,
-            image_spilled_bytes,
             integrity_repaired,
             integrity_poisoned,
         }

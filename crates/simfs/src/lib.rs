@@ -43,4 +43,3 @@ pub use fs::{FileHandle, FileSystem, FsStats};
 pub use integrity::{IntegrityError, ScrubReport};
 pub use layout::StripeLayout;
 pub use rangeset::RangeSet;
-pub use storage::{set_spill_limit, spill_limit};

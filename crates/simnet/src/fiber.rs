@@ -59,8 +59,8 @@
 //! shared-resource admission is ordered by the virtual-time key
 //! `(arrival, rank, seq)` in the progress registry, not by host arrival
 //! order. [`run_cluster`](crate::run_cluster) consults [`executor`]:
-//! `Fibers` (the default on x86_64 and aarch64) or `Threads` (other
-//! architectures, nested clusters, or [`set_executor`] — the oracle the
+//! `Fibers` (the default on x86_64) or `Threads` (every other
+//! architecture, nested clusters, or [`set_executor`] — the oracle the
 //! determinism tests compare against; the two must produce
 //! bitwise-identical virtual times).
 //!
@@ -77,9 +77,10 @@
 //!
 //! # Safety notes
 //!
-//! The context switch is a few instructions of inline assembly per
-//! architecture: push the callee-saved registers, swap the stack
-//! pointer, pop, return. Panics never cross the assembly boundary —
+//! The context switch is a few instructions of x86_64 assembly: push
+//! the callee-saved registers, swap the stack pointer, pop, return. No
+//! other architecture has one; there, ranks run on OS threads. Panics
+//! never cross the assembly boundary —
 //! each fiber body runs under `catch_unwind` and the payload is carried
 //! back to the scheduler by value, mirroring `JoinHandle::join`. Fiber
 //! stacks have no OS guard page; a canary word at the stack base turns
@@ -105,8 +106,7 @@ use std::time::Duration;
 /// Which substrate [`crate::run_cluster`] runs ranks on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Executor {
-    /// Cooperative fibers on the calling thread (default on
-    /// x86_64/aarch64).
+    /// Cooperative fibers on the calling thread (default on x86_64).
     Fibers,
     /// One OS thread per rank (fallback; always available).
     Threads,
@@ -115,8 +115,9 @@ pub enum Executor {
 /// 0 = unresolved, 1 = fibers, 2 = threads.
 static EXECUTOR: AtomicU8 = AtomicU8::new(0);
 
-/// True when fiber switching is implemented for this architecture.
-const ARCH_SUPPORTED: bool = cfg!(any(target_arch = "x86_64", target_arch = "aarch64"));
+/// True when fiber switching is implemented for this architecture: x86_64
+/// only. Every other architecture runs [`Executor::Threads`].
+const ARCH_SUPPORTED: bool = cfg!(target_arch = "x86_64");
 
 /// Select the executor for subsequent [`crate::run_cluster`] calls.
 /// Requesting `Fibers` on an unsupported architecture silently keeps
@@ -226,92 +227,15 @@ mod arch {
     }
 }
 
-#[cfg(target_arch = "aarch64")]
+#[cfg(not(target_arch = "x86_64"))]
 mod arch {
-    // simnet_fiber_switch(save: *mut usize, restore: *const usize)
-    //
-    // AAPCS64: the callee-saved state is x19–x28, the frame pointer
-    // (x29), the link register (x30) and the low halves of v8–v15
-    // (d8–d15) — 160 bytes, kept 16-aligned as the ABI requires of sp
-    // at all times. The suspending context stores them on its own stack
-    // and its sp through `save` (x0); the resuming context's sp is
-    // loaded from `restore` (x1) and its registers popped. `ret`
-    // branches to the restored x30 — either past the resuming context's
-    // own call, or into the entry trampoline planted by `init_frame`
-    // for a fresh fiber.
-    std::arch::global_asm!(
-        ".globl simnet_fiber_switch",
-        ".hidden simnet_fiber_switch",
-        "simnet_fiber_switch:",
-        "sub sp, sp, #160",
-        "stp x19, x20, [sp, #0]",
-        "stp x21, x22, [sp, #16]",
-        "stp x23, x24, [sp, #32]",
-        "stp x25, x26, [sp, #48]",
-        "stp x27, x28, [sp, #64]",
-        "stp x29, x30, [sp, #80]",
-        "stp d8, d9, [sp, #96]",
-        "stp d10, d11, [sp, #112]",
-        "stp d12, d13, [sp, #128]",
-        "stp d14, d15, [sp, #144]",
-        "mov x9, sp",
-        "str x9, [x0]",
-        "ldr x9, [x1]",
-        "mov sp, x9",
-        "ldp x19, x20, [sp, #0]",
-        "ldp x21, x22, [sp, #16]",
-        "ldp x23, x24, [sp, #32]",
-        "ldp x25, x26, [sp, #48]",
-        "ldp x27, x28, [sp, #64]",
-        "ldp x29, x30, [sp, #80]",
-        "ldp d8, d9, [sp, #96]",
-        "ldp d10, d11, [sp, #112]",
-        "ldp d12, d13, [sp, #128]",
-        "ldp d14, d15, [sp, #144]",
-        "add sp, sp, #160",
-        "ret",
-    );
-
-    unsafe extern "C" {
-        pub(super) fn simnet_fiber_switch(save: *mut usize, restore: *const usize);
-    }
-
-    /// See the x86_64 twin.
-    ///
-    /// # Safety
-    /// `restore` must hold an sp produced by this function (or by
-    /// `init_frame`), on a stack that is still alive.
-    pub(super) unsafe fn switch(save: *mut usize, restore: *const usize) {
-        unsafe { simnet_fiber_switch(save, restore) }
-    }
-
-    /// Lay out a fresh fiber's initial frame: a full 160-byte save area
-    /// of zeroed registers with `entry` in the x30 slot, so the restore
-    /// path of `simnet_fiber_switch` `ret`s into the trampoline with
-    /// sp == `top` (16-aligned, as AAPCS64 demands).
-    ///
-    /// # Safety
-    /// `top` must be the 16-aligned top of a live allocation with at
-    /// least 160 bytes below it.
-    pub(super) unsafe fn init_frame(top: usize, entry: usize) -> usize {
-        unsafe {
-            let sp = top - 160;
-            std::ptr::write_bytes(sp as *mut u8, 0, 160);
-            ((sp + 88) as *mut usize).write(entry); // x30 slot of the frame
-            sp
-        }
-    }
-}
-
-#[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-mod arch {
-    /// Unsupported architecture: `executor()` never selects fibers, so
-    /// this is unreachable.
+    /// Not x86_64: `executor()` never selects fibers, so this is
+    /// unreachable.
     pub(super) unsafe fn switch(_save: *mut usize, _restore: *const usize) {
         unreachable!("fiber executor is not supported on this architecture")
     }
 
-    /// Unreachable twin of the supported architectures' `init_frame`.
+    /// Unreachable twin of the x86_64 `init_frame`.
     pub(super) unsafe fn init_frame(_top: usize, _entry: usize) -> usize {
         unreachable!("fiber executor is not supported on this architecture")
     }

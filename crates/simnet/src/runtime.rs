@@ -1,4 +1,5 @@
-//! Cluster runtime: spawn one thread per rank, join results.
+//! Cluster runtime: run one fiber (x86_64) or one thread (any other
+//! architecture, or by choice) per rank, join results.
 
 use crate::endpoint::Endpoint;
 use crate::fault::{FaultPlan, FaultState};
@@ -14,7 +15,7 @@ use std::thread;
 
 /// Process-wide default for [`ClusterConfig::stack_size`], picked up by
 /// every constructor (and by harnesses that build configs indirectly,
-/// e.g. the `hostperf` bench binary's `--stack-size` flag). Stack pages
+/// e.g. the heap-ledger test's 128 KiB stacks). Stack pages
 /// are committed lazily by the OS, so the default only bounds virtual
 /// address space; see the `stack_size` field for the measured footprint.
 static DEFAULT_STACK_SIZE: AtomicUsize = AtomicUsize::new(1 << 20);
@@ -43,10 +44,10 @@ pub struct ClusterConfig {
     pub machine: MachineModel,
     /// Stack size per rank (OS-thread stack or fiber stack, depending on
     /// the executor). The protocols here iterate rather than recurse, so
-    /// ranks are shallow: the quick-scale hostperf suite passes with
+    /// ranks are shallow: the quick-scale figure sweeps passed with
     /// 32 KiB fiber stacks (canary-checked — an overflow panics rather
     /// than corrupting) and 64 KiB thread stacks, measured via
-    /// `hostperf --stack-size`. The default stays at 1 MiB of *virtual*
+    /// [`set_default_stack_size`]. The default stays at 1 MiB of *virtual*
     /// reservation: pages are committed on touch, so 1024 ranks cost
     /// 1 GiB of address space but only a few MiB of resident stack, and
     /// the margin matters for fiber stacks, which have no guard page.
@@ -96,9 +97,9 @@ impl ClusterConfig {
 /// Ranks execute on the substrate selected by [`crate::fiber::executor`]:
 /// cooperative fibers on the calling thread (the default — orders of
 /// magnitude cheaper per blocking operation on a loaded or small host),
-/// or one OS thread per rank ([`crate::fiber::set_executor`], hosts that
-/// are neither x86_64 nor aarch64, and clusters started from inside
-/// another cluster's rank).
+/// or one OS thread per rank ([`crate::fiber::set_executor`], every host
+/// that is not x86_64, and clusters started from inside another
+/// cluster's rank).
 /// Virtual-time results are bitwise identical across the two.
 ///
 /// If any rank panics, the cluster is poisoned (unblocking every rank
