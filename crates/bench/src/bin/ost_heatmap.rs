@@ -20,29 +20,37 @@
 //! [--mode baseline|parcoll] [--groups G] [--timeline [W]]`.
 
 use bench::{ost_loads, summarize_ost_loads};
-use simtrace::{series_from_trace, SeriesConfig, TraceSink, TrackKey};
+use simtrace::{series_from_trace, Event, SeriesConfig, TraceSink, TrackKey};
 use workloads::ior::Ior;
 use workloads::runner::{run_workload, IoMode, RunConfig};
 use workloads::tileio::TileIo;
 
+const USAGE: &str = "usage: ost_heatmap <workload> [--procs N] [--mode baseline|parcoll] \
+                     [--groups G] [--timeline [W]]";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let workload = args.first().cloned().unwrap_or_else(|| "ior".into());
-    let get = |key: &str, default: usize| -> usize {
+    let value = |key: &str| {
         args.iter()
             .position(|a| a == key)
-            .and_then(|i| args.get(i + 1))
+            .map(|i| args.get(i + 1).map(String::as_str))
+    };
+    let get = |key: &str, default: usize| -> usize {
+        value(key)
+            .flatten()
             .and_then(|v| v.parse().ok())
             .unwrap_or(default)
     };
     let procs = get("--procs", 128);
     let groups = get("--groups", procs / 8);
-    let mode = if args.iter().any(|a| a == "--mode")
-        && args[args.iter().position(|a| a == "--mode").unwrap() + 1] == "baseline"
-    {
-        IoMode::Collective
-    } else {
-        IoMode::Parcoll { groups }
+    let mode = match value("--mode") {
+        None | Some(Some("parcoll")) => IoMode::Parcoll { groups },
+        Some(Some("baseline")) => IoMode::Collective,
+        Some(_) => {
+            eprintln!("{USAGE}");
+            std::process::exit(2);
+        }
     };
 
     let sink = TraceSink::enabled();
@@ -103,11 +111,7 @@ fn print_timeline(trace: &simtrace::Trace, width: usize) {
         .tracks
         .iter()
         .flat_map(|t| t.events.iter())
-        .map(|e| match e {
-            simtrace::Event::Span { start_us, dur_us, .. } => start_us + dur_us,
-            simtrace::Event::Instant { ts_us, .. } => *ts_us,
-            simtrace::Event::Counter { ts_us, .. } => *ts_us,
-        })
+        .map(Event::end_us)
         .fold(0.0f64, f64::max);
     if wall <= 0.0 {
         println!("timeline: empty trace");

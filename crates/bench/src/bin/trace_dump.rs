@@ -13,23 +13,12 @@
 //! layer accounts independently: per rank, the `phase/sync` span total
 //! must match `PhaseProfile::sync` to within a microsecond.
 //!
-//! With `--summary`, the run is repeated through the *streaming* sink
-//! (events spilled to disk in chunks): the streamed Perfetto export must
-//! be byte-identical to the in-memory one, and the collection stats —
-//! total events, peak resident events, memory reduction — plus the
-//! interval'd time-series summary are printed. This is the CI smoke
-//! proving the O(intervals) path tells the same story as the O(events)
-//! one.
-//!
-//! Usage: `trace_dump [--procs N] [--out DIR] [--top K] [--summary]`
+//! Usage: `trace_dump [--procs N] [--out DIR] [--top K]`
 
 use mpiio::{File, PhaseProfile};
 use simmpi::{Communicator, Info};
 use simnet::{run_cluster, ClusterConfig, IoBuffer, Mapping};
-use simtrace::{
-    chrome_trace_json, collective_ops, metrics_json, series_json, SeriesConfig, TraceSink,
-    TrackKey,
-};
+use simtrace::{chrome_trace_json, collective_ops, metrics_json, TraceSink, TrackKey};
 use std::sync::Arc;
 use workloads::tileio::TileIo;
 use workloads::Workload;
@@ -68,7 +57,6 @@ fn main() {
     let procs: usize = get("--procs").and_then(|v| v.parse().ok()).unwrap_or(16);
     let top_k: usize = get("--top").and_then(|v| v.parse().ok()).unwrap_or(5);
     let out_dir = get("--out").unwrap_or_else(|| "trace_out".into());
-    let summary = args.iter().any(|a| a == "--summary");
     assert!(procs >= 2, "need at least 2 ranks for a collective");
 
     let sink = TraceSink::enabled();
@@ -79,8 +67,7 @@ fn main() {
     std::fs::create_dir_all(&out_dir).expect("create output directory");
     let trace_path = format!("{out_dir}/trace.json");
     let metrics_path = format!("{out_dir}/trace_metrics.json");
-    let chrome = chrome_trace_json(&trace);
-    std::fs::write(&trace_path, &chrome).expect("write trace");
+    std::fs::write(&trace_path, chrome_trace_json(&trace)).expect("write trace");
     std::fs::write(&metrics_path, metrics_json(&trace)).expect("write metrics");
     println!(
         "mpi-tile-io collective write, {procs} ranks, {} KiB: wrote {trace_path}, {metrics_path}",
@@ -103,10 +90,6 @@ fn main() {
         worst < 1.0,
         "trace sync spans diverge from PhaseProfile by {worst} µs"
     );
-
-    if summary {
-        streaming_summary(&out_dir, procs, &chrome, &trace);
-    }
 
     // Collective-wall attribution from the rendezvous spans.
     let ops = collective_ops(&trace);
@@ -140,49 +123,4 @@ fn main() {
     for (rank, n_ops, wait_us) in per_rank.iter().take(top_k) {
         println!("  rank {rank:>3}: straggler in {n_ops:>3} collectives, {wait_us:>10.1} µs total wait");
     }
-}
-
-/// Repeat the run through the streaming sink and verify it tells the
-/// same story in a fraction of the memory.
-fn streaming_summary(out_dir: &str, procs: usize, chrome: &str, trace: &simtrace::Trace) {
-    let spill_dir = format!("{out_dir}/stream_spill");
-    let sink = TraceSink::streaming(&spill_dir, 16).expect("create spill directory");
-    run_traced(&sink, procs);
-    let streamed = sink.finish_stream().expect("finish streamed run");
-
-    let streamed_path = format!("{out_dir}/trace_streamed.json");
-    streamed
-        .export_chrome_to(std::path::Path::new(&streamed_path))
-        .expect("streamed export");
-    let streamed_bytes = std::fs::read_to_string(&streamed_path).expect("read streamed export");
-    assert_eq!(
-        streamed_bytes, chrome,
-        "streamed Perfetto export must be byte-identical to the in-memory one"
-    );
-
-    let stats = streamed.stats();
-    println!(
-        "\nstreaming summary: {} events total, {} peak resident ({:.1}x memory reduction), wall {:.1} µs",
-        stats.total_events,
-        stats.peak_buffered,
-        stats.reduction(),
-        stats.wall_us
-    );
-    println!("streamed export byte-identical to in-memory export ({} bytes)", chrome.len());
-
-    let cfg = SeriesConfig::new(stats.wall_us / 64.0);
-    let series = streamed.series(cfg).expect("fold streamed series");
-    assert_eq!(
-        series,
-        simtrace::series_from_trace(trace, SeriesConfig::new(stats.wall_us / 64.0)),
-        "streamed series fold must match the in-memory fold"
-    );
-    let series_path = format!("{out_dir}/trace_series.json");
-    std::fs::write(&series_path, series_json(&series)).expect("write series");
-    println!(
-        "time series: {} intervals x {:.1} µs across {} tracks -> {series_path}",
-        series.n_intervals,
-        series.interval_us,
-        series.tracks.len()
-    );
 }

@@ -9,17 +9,12 @@ use std::collections::BTreeMap;
 /// plausible node id so the storage lane groups separately from compute.
 const STORAGE_PID: u64 = 1_000_000;
 
-/// Perfetto (pid, tid) for a track identity (shared with the streamed
-/// exporter, which has no `TrackData` in memory).
-pub(crate) fn track_ids_for(key: TrackKey, node: Option<usize>) -> (u64, u64) {
-    match key {
-        TrackKey::Rank(r) => (node.unwrap_or(0) as u64, r as u64),
+/// Perfetto (pid, tid) for a track.
+fn track_ids(track: &TrackData) -> (u64, u64) {
+    match track.key {
+        TrackKey::Rank(r) => (track.node.unwrap_or(0) as u64, r as u64),
         TrackKey::Ost(o) => (STORAGE_PID, o as u64),
     }
-}
-
-fn track_ids(track: &TrackData) -> (u64, u64) {
-    track_ids_for(track.key, track.node)
 }
 
 fn args_json(args: &[(&'static str, ArgValue)]) -> Json {
@@ -39,19 +34,18 @@ fn args_json(args: &[(&'static str, ArgValue)]) -> Json {
 
 /// The Perfetto metadata events for a set of tracks: `process_name`
 /// records in pid order, then one `thread_name` record per track in
-/// track order. Shared by the in-memory and streamed exporters so both
-/// emit identical bytes.
-pub(crate) fn meta_events_json(tracks: &[(TrackKey, Option<usize>)]) -> Vec<Json> {
+/// track order.
+fn meta_events_json(tracks: &[TrackData]) -> Vec<Json> {
     let mut thread_metas: Vec<Json> = Vec::new();
     let mut named_processes: BTreeMap<u64, String> = BTreeMap::new();
-    for (key, node) in tracks {
-        let (pid, tid) = track_ids_for(*key, *node);
-        let process_name = match key {
-            TrackKey::Rank(_) => format!("node{}", node.unwrap_or(0)),
+    for track in tracks {
+        let (pid, tid) = track_ids(track);
+        let process_name = match track.key {
+            TrackKey::Rank(_) => format!("node{}", track.node.unwrap_or(0)),
             TrackKey::Ost(_) => "storage".to_string(),
         };
         named_processes.entry(pid).or_insert(process_name);
-        let thread_name = match key {
+        let thread_name = match track.key {
             TrackKey::Rank(r) => format!("rank {r}"),
             TrackKey::Ost(o) => format!("ost {o}"),
         };
@@ -85,9 +79,8 @@ pub(crate) fn meta_events_json(tracks: &[(TrackKey, Option<usize>)]) -> Vec<Json
     meta
 }
 
-/// One event's Chrome trace-event object (shared with the streamed
-/// exporter).
-pub(crate) fn event_json(event: &Event, pid: u64, tid: u64) -> Json {
+/// One event's Chrome trace-event object.
+fn event_json(event: &Event, pid: u64, tid: u64) -> Json {
     match event {
         Event::Span {
             cat,
@@ -133,9 +126,7 @@ pub(crate) fn event_json(event: &Event, pid: u64, tid: u64) -> Json {
 /// and `chrome://tracing` load): rank → "thread", node → "process",
 /// virtual microseconds → `ts`.
 pub fn chrome_trace_json(trace: &Trace) -> String {
-    let identities: Vec<(TrackKey, Option<usize>)> =
-        trace.tracks.iter().map(|t| (t.key, t.node)).collect();
-    let mut events = meta_events_json(&identities);
+    let mut events = meta_events_json(&trace.tracks);
     for track in &trace.tracks {
         let (pid, tid) = track_ids(track);
         for event in &track.events {

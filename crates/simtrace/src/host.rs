@@ -119,7 +119,10 @@ pub enum Site {
     OstServe,
     /// TraceSink event append (so tracing overhead is self-measured).
     TraceRecord,
-    /// Streaming-sink chunk spill to disk.
+    /// No probe enters this site: the on-disk trace spill it timed is
+    /// gone. The variant stays so that site ids, `SITE_COUNT` and code
+    /// that names it (the benchmark's simtrace layer) keep compiling
+    /// unchanged; it always reads zero.
     TraceSpill,
     /// Integrity checksum computation over packed piece payloads
     /// (sender side) and at-rest page sums on the simfs write path.

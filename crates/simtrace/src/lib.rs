@@ -27,7 +27,7 @@
 //! are Chrome/Perfetto trace-event JSON ([`chrome_trace_json`]) and a
 //! machine-readable metrics document ([`metrics_json`]).
 //!
-//! Three post-processing layers build on the trace:
+//! Two post-processing layers build on the trace:
 //!
 //! * [`diff`] — cross-run critical-path diffing: [`digest`] reduces a
 //!   run to stably-keyed aggregates, [`diff::diff`] aligns two digests
@@ -36,9 +36,6 @@
 //! * [`series`] — interval'd time-series (per-OST bandwidth/queue,
 //!   per-rank phase occupancy, counter maxima) folded in O(intervals)
 //!   memory.
-//! * [`stream`] — the storage behind [`TraceSink::streaming`]: raw
-//!   spans spill to disk in chunks and every exporter re-reads one
-//!   track at a time, bounding trace memory for paper-scale runs.
 //!
 //! One module is deliberately *not* about virtual time: [`host`]
 //! (a.k.a. `hostprof`) attributes the simulator's own wall-clock to
@@ -80,7 +77,6 @@ pub mod diff;
 pub mod host;
 pub mod json;
 pub mod series;
-pub mod stream;
 
 mod export;
 mod sink;
@@ -91,6 +87,5 @@ pub use analysis::{
 };
 pub use diff::{digest, digest_from_json, digest_json, DiffReport, Finding, RunDigest};
 pub use export::{chrome_trace_json, collective_ops, metrics_json, CollectiveOp};
-pub use series::{series_from_trace, series_json, SeriesConfig, TimeSeries, TrackSeries};
+pub use series::{series_from_trace, SeriesConfig, TimeSeries, TrackSeries};
 pub use sink::{ArgValue, Event, Hist, Recorder, Trace, TraceSink, TrackData, TrackKey};
-pub use stream::{StreamStats, StreamTrackMeta, StreamedTrace};

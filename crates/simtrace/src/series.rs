@@ -18,10 +18,9 @@
 //! Determinism: every fold runs over a track's events in their
 //! deterministic merge order (rank tracks keep append order, OST tracks
 //! are content-sorted first — see [`crate::TraceSink::finish`]), so the
-//! f64 summation order is fixed and [`series_json`] is byte-reproducible
+//! f64 summation order is fixed and a [`TimeSeries`] is bit-reproducible
 //! across reruns of the same configuration.
 
-use crate::json::Json;
 use crate::sink::{Event, Trace, TrackKey};
 use std::collections::BTreeMap;
 
@@ -71,39 +70,7 @@ pub struct TimeSeries {
     pub tracks: Vec<TrackSeries>,
 }
 
-/// Latest instant touched by an event (span end, instant/counter ts).
-pub(crate) fn event_end_us(event: &Event) -> f64 {
-    match event {
-        Event::Span { start_us, dur_us, .. } => start_us + dur_us,
-        Event::Instant { ts_us, .. } => *ts_us,
-        Event::Counter { ts_us, .. } => *ts_us,
-    }
-}
-
-/// Incremental folder: size the grid once (from the wall), then feed it
-/// one track at a time. This is what bounds streamed-series memory to
-/// O(intervals) plus a single track's events.
-#[derive(Debug, Clone)]
-pub struct SeriesBuilder {
-    interval_us: f64,
-    n_intervals: usize,
-    wall_us: f64,
-    tracks: Vec<TrackSeries>,
-}
-
-impl SeriesBuilder {
-    /// A builder for a run whose last event ends at `wall_us`.
-    pub fn new(cfg: SeriesConfig, wall_us: f64) -> Self {
-        let wall = wall_us.max(0.0);
-        let n = (wall / cfg.interval_us).ceil() as usize;
-        SeriesBuilder {
-            interval_us: cfg.interval_us,
-            n_intervals: n.max(1),
-            wall_us: wall,
-            tracks: Vec::new(),
-        }
-    }
-
+impl TimeSeries {
     /// Distribute `amount` over the buckets `[start_us, end_us)` overlaps,
     /// proportionally to the overlap.
     fn spread(&self, buckets: &mut [f64], start_us: f64, end_us: f64, amount: f64) {
@@ -132,8 +99,9 @@ impl SeriesBuilder {
         ((t / self.interval_us) as usize).min(self.n_intervals - 1)
     }
 
-    /// Fold one track's events (in deterministic order) into the grid.
-    pub fn fold_track<'a>(&mut self, key: TrackKey, events: impl Iterator<Item = &'a Event>) {
+    /// Fold one track's events (in deterministic order) into the grid;
+    /// `None` when the track has nothing to fold.
+    fn fold_track(&self, key: TrackKey, events: &[Event]) -> Option<TrackSeries> {
         let n = self.n_intervals;
         let mut series: BTreeMap<String, Vec<f64>> = BTreeMap::new();
         let buckets = |name: String, series: &mut BTreeMap<String, Vec<f64>>| {
@@ -194,19 +162,7 @@ impl SeriesBuilder {
             let mbps: Vec<f64> = bytes.iter().map(|b| b / self.interval_us).collect();
             series.insert("ost_bandwidth_mbps".into(), mbps);
         }
-        if !series.is_empty() {
-            self.tracks.push(TrackSeries { key, series });
-        }
-    }
-
-    /// Finish folding.
-    pub fn build(self) -> TimeSeries {
-        TimeSeries {
-            interval_us: self.interval_us,
-            n_intervals: self.n_intervals,
-            wall_us: self.wall_us,
-            tracks: self.tracks,
-        }
+        (!series.is_empty()).then_some(TrackSeries { key, series })
     }
 }
 
@@ -218,58 +174,27 @@ fn arg_f64(args: &[(&'static str, crate::sink::ArgValue)], key: &str) -> Option<
     })
 }
 
-/// Fold a finished in-memory trace. (For a streamed trace, use
-/// `StreamedTrace::series`, which never holds more than one track's
-/// events.)
+/// Fold a finished trace onto a grid covering its latest event end.
 pub fn series_from_trace(trace: &Trace, cfg: SeriesConfig) -> TimeSeries {
     let wall = trace
         .tracks
         .iter()
         .flat_map(|t| t.events.iter())
-        .map(event_end_us)
+        .map(Event::end_us)
         .fold(0.0, f64::max);
-    let mut builder = SeriesBuilder::new(cfg, wall);
-    for track in &trace.tracks {
-        builder.fold_track(track.key, track.events.iter());
-    }
-    builder.build()
-}
-
-/// Render a folded series as a machine-readable JSON document
-/// (`kind: "simtrace_series"`). Byte-reproducible: identical runs fold
-/// to identical bytes.
-pub fn series_json(ts: &TimeSeries) -> String {
-    let tracks = ts
+    let n = (wall / cfg.interval_us).ceil() as usize;
+    let mut ts = TimeSeries {
+        interval_us: cfg.interval_us,
+        n_intervals: n.max(1),
+        wall_us: wall,
+        tracks: Vec::new(),
+    };
+    ts.tracks = trace
         .tracks
         .iter()
-        .map(|t| {
-            Json::Obj(vec![
-                ("track".into(), Json::Str(t.key.label())),
-                (
-                    "series".into(),
-                    Json::Obj(
-                        t.series
-                            .iter()
-                            .map(|(name, vals)| {
-                                (
-                                    name.clone(),
-                                    Json::Arr(vals.iter().map(|v| Json::Num(*v)).collect()),
-                                )
-                            })
-                            .collect(),
-                    ),
-                ),
-            ])
-        })
+        .filter_map(|t| ts.fold_track(t.key, &t.events))
         .collect();
-    Json::Obj(vec![
-        ("kind".into(), Json::Str("simtrace_series".into())),
-        ("interval_us".into(), Json::Num(ts.interval_us)),
-        ("n_intervals".into(), Json::U64(ts.n_intervals as u64)),
-        ("wall_us".into(), Json::Num(ts.wall_us)),
-        ("tracks".into(), Json::Arr(tracks)),
-    ])
-    .pretty()
+    ts
 }
 
 #[cfg(test)]
@@ -307,16 +232,6 @@ mod tests {
         // 2000 B over [5,25): 500/1000/500 B per bucket, /10 µs each.
         assert_eq!(ost.series["ost_bandwidth_mbps"], vec![50.0, 100.0, 50.0]);
         assert_eq!(ost.series["ost_queue_depth"], vec![3.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn json_is_reproducible_and_tagged() {
-        let a = series_json(&series_from_trace(&sample(), SeriesConfig::default()));
-        let b = series_json(&series_from_trace(&sample(), SeriesConfig::default()));
-        assert_eq!(a, b);
-        let doc = Json::parse(&a).unwrap();
-        assert_eq!(doc.get("kind").unwrap().as_str(), Some("simtrace_series"));
-        assert_eq!(doc.get("n_intervals").unwrap().as_u64(), Some(1));
     }
 
     #[test]

@@ -16,19 +16,12 @@
 //! immediately after one branch in that state, so instrumented release
 //! builds measure the same virtual and host times as uninstrumented ones.
 //!
-//! A third mode, [`TraceSink::streaming`], bounds memory for paper-scale
-//! runs: each track spills its event buffer to a JSONL chunk file on
-//! disk whenever it exceeds a configured length, so at most
-//! `tracks × chunk_events` events are ever resident. Metrics (counters,
-//! histograms) stay in memory — they are O(names), not O(events). See
-//! [`crate::stream`] for the spill format and the streamed exporters.
+//! An enabled sink holds every event in memory until
+//! [`TraceSink::finish`]; the paper-scale `critical_path` run traces
+//! 128 ranks this way well inside the suite's memory budget.
 
-use crate::stream::{self, StreamStats, StreamTrackMeta, StreamedTrace};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::io::Write as _;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Identifies one timeline in the trace. `Rank` tracks order before `Ost`
@@ -133,7 +126,7 @@ pub enum Event {
 /// The deterministic content order for OST-track events: OSTs are
 /// served by many rank threads, so append order reflects host
 /// scheduling; sorting by `(ts, dur/value, name, args)` erases it.
-pub(crate) fn ost_event_cmp(a: &Event, b: &Event) -> std::cmp::Ordering {
+fn ost_event_cmp(a: &Event, b: &Event) -> std::cmp::Ordering {
     let (at, ad, an, ah) = a.sort_key();
     let (bt, bd, bn, bh) = b.sort_key();
     at.total_cmp(&bt)
@@ -143,6 +136,15 @@ pub(crate) fn ost_event_cmp(a: &Event, b: &Event) -> std::cmp::Ordering {
 }
 
 impl Event {
+    /// Latest virtual µs the event touches: a span's end, an instant's
+    /// or counter sample's timestamp.
+    pub fn end_us(&self) -> f64 {
+        match self {
+            Event::Span { start_us, dur_us, .. } => start_us + dur_us,
+            Event::Instant { ts_us, .. } | Event::Counter { ts_us, .. } => *ts_us,
+        }
+    }
+
     fn sort_key(&self) -> (f64, f64, &str, u64) {
         match self {
             Event::Span {
@@ -243,83 +245,11 @@ struct TrackBuf {
     events: Vec<Event>,
     counters: BTreeMap<&'static str, u64>,
     hists: BTreeMap<&'static str, Hist>,
-    /// Open spill file (streaming mode only, created on first spill).
-    spill: Option<std::io::BufWriter<std::fs::File>>,
-    /// Events already spilled from this track.
-    spilled: u64,
-}
-
-/// Streaming-mode state shared by all tracks.
-#[derive(Debug)]
-struct StreamState {
-    dir: PathBuf,
-    chunk_events: usize,
-    total_events: AtomicU64,
-    buffered: AtomicU64,
-    peak_buffered: AtomicU64,
-    /// Latest event end seen, as non-negative f64 bits (bit order ==
-    /// numeric order for non-negative floats).
-    wall_bits: AtomicU64,
-    /// First spill I/O error, surfaced by `finish_stream`.
-    error: Mutex<Option<String>>,
-}
-
-impl StreamState {
-    fn on_append(&self, end_us: f64) {
-        self.total_events.fetch_add(1, Ordering::Relaxed);
-        let buffered = self.buffered.fetch_add(1, Ordering::Relaxed) + 1;
-        self.peak_buffered.fetch_max(buffered, Ordering::Relaxed);
-        self.wall_bits
-            .fetch_max(end_us.max(0.0).to_bits(), Ordering::Relaxed);
-    }
-
-    fn note_error(&self, e: String) {
-        lock(&self.error).get_or_insert(e);
-    }
-
-    /// Write the track's buffered events out and clear the buffer. On
-    /// I/O failure the events are dropped (memory stays bounded) and
-    /// the first error is kept for `finish_stream`.
-    fn spill(&self, key: TrackKey, buf: &mut TrackBuf) {
-        // hostprof: chunk serialization + file write (blocking I/O, but
-        // never a fiber yield).
-        let _hp = crate::host::scope(crate::host::Site::TraceSpill);
-        if buf.events.is_empty() {
-            return;
-        }
-        if buf.spill.is_none() {
-            let path = self.dir.join(format!("track_{}.jsonl", key.label()));
-            match std::fs::File::create(&path) {
-                Ok(f) => buf.spill = Some(std::io::BufWriter::new(f)),
-                Err(e) => {
-                    self.note_error(format!("cannot create {}: {e}", path.display()));
-                    let n = buf.events.len() as u64;
-                    buf.events.clear();
-                    self.buffered.fetch_sub(n, Ordering::Relaxed);
-                    return;
-                }
-            }
-        }
-        let writer = buf.spill.as_mut().expect("spill file just ensured");
-        let mut chunk = String::new();
-        for event in &buf.events {
-            stream::event_line(event, &mut chunk);
-            chunk.push('\n');
-        }
-        if let Err(e) = writer.write_all(chunk.as_bytes()) {
-            self.note_error(format!("spill write failed: {e}"));
-        }
-        let n = buf.events.len() as u64;
-        buf.spilled += n;
-        buf.events.clear();
-        self.buffered.fetch_sub(n, Ordering::Relaxed);
-    }
 }
 
 #[derive(Debug, Default)]
 struct Shared {
     tracks: Mutex<BTreeMap<TrackKey, Arc<Mutex<TrackBuf>>>>,
-    stream: Option<StreamState>,
 }
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -330,27 +260,13 @@ impl Shared {
     fn track(&self, key: TrackKey) -> Arc<Mutex<TrackBuf>> {
         Arc::clone(lock(&self.tracks).entry(key).or_default())
     }
+}
 
-    /// Append one event, spilling the track when streaming and over the
-    /// chunk threshold.
-    fn record(&self, key: TrackKey, buf: &Mutex<TrackBuf>, event: Event) {
-        // hostprof: tracing overhead is self-measured (spills nest under
-        // this frame as `trace_spill`).
-        let _hp = crate::host::scope(crate::host::Site::TraceRecord);
-        let end_us = match &event {
-            Event::Span { start_us, dur_us, .. } => start_us + dur_us,
-            Event::Instant { ts_us, .. } => *ts_us,
-            Event::Counter { ts_us, .. } => *ts_us,
-        };
-        let mut buf = lock(buf);
-        buf.events.push(event);
-        if let Some(stream) = &self.stream {
-            stream.on_append(end_us);
-            if buf.events.len() >= stream.chunk_events {
-                stream.spill(key, &mut buf);
-            }
-        }
-    }
+/// Append one event to a track.
+fn record(buf: &Mutex<TrackBuf>, event: Event) {
+    // hostprof: tracing overhead is self-measured.
+    let _hp = crate::host::scope(crate::host::Site::TraceRecord);
+    lock(buf).events.push(event);
 }
 
 /// Shared handle to a trace collection. Cheap to clone; disabled by
@@ -373,32 +289,6 @@ impl TraceSink {
         }
     }
 
-    /// A live sink that bounds event memory: whenever a track's buffer
-    /// reaches `chunk_events` events it is spilled to
-    /// `dir/track_<label>.jsonl` (one compact JSON event per line) and
-    /// cleared, so at most `tracks × chunk_events` events are resident
-    /// at any instant. Close with [`TraceSink::finish_stream`];
-    /// [`TraceSink::finish`] panics on a streaming sink because the
-    /// spilled events are no longer in memory.
-    pub fn streaming(dir: impl Into<PathBuf>, chunk_events: usize) -> std::io::Result<Self> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        Ok(TraceSink {
-            shared: Some(Arc::new(Shared {
-                tracks: Mutex::new(BTreeMap::new()),
-                stream: Some(StreamState {
-                    dir,
-                    chunk_events: chunk_events.max(1),
-                    total_events: AtomicU64::new(0),
-                    buffered: AtomicU64::new(0),
-                    peak_buffered: AtomicU64::new(0),
-                    wall_bits: AtomicU64::new(0),
-                    error: Mutex::new(None),
-                }),
-            })),
-        })
-    }
-
     /// True when this sink is collecting (the recording layers use this
     /// to skip argument construction).
     pub fn is_enabled(&self) -> bool {
@@ -413,22 +303,11 @@ impl TraceSink {
     /// A recorder that also tags the track with the node hosting it
     /// (becomes the Perfetto "process" of a rank track).
     pub fn recorder_on_node(&self, key: TrackKey, node: Option<usize>) -> Recorder {
-        match &self.shared {
-            None => Recorder { inner: None },
-            Some(shared) => {
-                let buf = shared.track(key);
-                if node.is_some() {
-                    lock(&buf).node = node;
-                }
-                Recorder {
-                    inner: Some(RecorderInner {
-                        shared: Arc::clone(shared),
-                        key,
-                        buf,
-                    }),
-                }
-            }
+        let buf = self.shared.as_ref().map(|shared| shared.track(key));
+        if let (Some(buf), Some(_)) = (&buf, node) {
+            lock(buf).node = node;
         }
+        Recorder { buf }
     }
 
     /// Append an event to an arbitrary track (the cross-track path used
@@ -436,8 +315,7 @@ impl TraceSink {
     /// deterministic).
     pub fn append(&self, key: TrackKey, event: Event) {
         if let Some(shared) = &self.shared {
-            let buf = shared.track(key);
-            shared.record(key, &buf, event);
+            record(&shared.track(key), event);
         }
     }
 
@@ -469,11 +347,6 @@ impl TraceSink {
         let Some(shared) = &self.shared else {
             return Trace { tracks: Vec::new() };
         };
-        assert!(
-            shared.stream.is_none(),
-            "TraceSink::finish on a streaming sink — spilled events are \
-             on disk, use finish_stream()"
-        );
         let tracks = lock(&shared.tracks);
         let mut out = Vec::with_capacity(tracks.len());
         for (key, buf) in tracks.iter() {
@@ -492,77 +365,25 @@ impl TraceSink {
         }
         Trace { tracks: out }
     }
-
-    /// Close a streaming sink: spill every track's remaining buffer,
-    /// flush and close the chunk files, and return a [`StreamedTrace`]
-    /// handle over the on-disk events plus the in-memory metrics.
-    ///
-    /// Errors on a non-streaming sink and on any spill I/O failure.
-    pub fn finish_stream(&self) -> Result<StreamedTrace, String> {
-        let Some(shared) = &self.shared else {
-            return Err("finish_stream on a disabled sink".to_string());
-        };
-        let Some(stream) = &shared.stream else {
-            return Err("finish_stream on an in-memory sink — use finish()".to_string());
-        };
-        let tracks = lock(&shared.tracks);
-        let mut metas = Vec::with_capacity(tracks.len());
-        for (key, buf) in tracks.iter() {
-            let mut buf = lock(buf);
-            stream.spill(*key, &mut buf);
-            if let Some(mut writer) = buf.spill.take() {
-                if let Err(e) = writer.flush() {
-                    stream.note_error(format!("spill flush failed: {e}"));
-                }
-            }
-            metas.push(StreamTrackMeta {
-                key: *key,
-                node: buf.node,
-                events: buf.spilled,
-                counters: buf.counters.clone(),
-                hists: buf.hists.clone(),
-                events_path: stream.dir.join(format!("track_{}.jsonl", key.label())),
-            });
-        }
-        if let Some(e) = lock(&stream.error).clone() {
-            return Err(e);
-        }
-        Ok(StreamedTrace::new(
-            stream.dir.clone(),
-            metas,
-            StreamStats {
-                total_events: stream.total_events.load(Ordering::Relaxed),
-                peak_buffered: stream.peak_buffered.load(Ordering::Relaxed),
-                wall_us: f64::from_bits(stream.wall_bits.load(Ordering::Relaxed)),
-            },
-        ))
-    }
-}
-
-#[derive(Debug, Clone)]
-struct RecorderInner {
-    shared: Arc<Shared>,
-    key: TrackKey,
-    buf: Arc<Mutex<TrackBuf>>,
 }
 
 /// Per-track recording handle cached by the owning thread.
 #[derive(Debug, Clone, Default)]
 pub struct Recorder {
-    inner: Option<RecorderInner>,
+    buf: Option<Arc<Mutex<TrackBuf>>>,
 }
 
 impl Recorder {
     /// A recorder that drops everything (what a disabled sink hands out).
     pub fn disabled() -> Self {
-        Recorder { inner: None }
+        Recorder { buf: None }
     }
 
     /// True when recording; callers use this to skip building arguments
     /// on hot paths.
     #[inline]
     pub fn enabled(&self) -> bool {
-        self.inner.is_some()
+        self.buf.is_some()
     }
 
     /// Record a closed span `[start_us, end_us]` (virtual microseconds).
@@ -574,10 +395,9 @@ impl Recorder {
         end_us: f64,
         args: Vec<(&'static str, ArgValue)>,
     ) {
-        if let Some(inner) = &self.inner {
-            inner.shared.record(
-                inner.key,
-                &inner.buf,
+        if let Some(buf) = &self.buf {
+            record(
+                buf,
                 Event::Span {
                     cat,
                     name: name.into(),
@@ -597,10 +417,9 @@ impl Recorder {
         ts_us: f64,
         args: Vec<(&'static str, ArgValue)>,
     ) {
-        if let Some(inner) = &self.inner {
-            inner.shared.record(
-                inner.key,
-                &inner.buf,
+        if let Some(buf) = &self.buf {
+            record(
+                buf,
                 Event::Instant {
                     cat,
                     name: name.into(),
@@ -613,24 +432,22 @@ impl Recorder {
 
     /// Record a counter sample (timeline event).
     pub fn counter(&self, name: &'static str, ts_us: f64, value: f64) {
-        if let Some(inner) = &self.inner {
-            inner
-                .shared
-                .record(inner.key, &inner.buf, Event::Counter { name, ts_us, value });
+        if let Some(buf) = &self.buf {
+            record(buf, Event::Counter { name, ts_us, value });
         }
     }
 
     /// Add to a monotone metrics counter (no timeline event).
     pub fn count(&self, name: &'static str, delta: u64) {
-        if let Some(inner) = &self.inner {
-            *lock(&inner.buf).counters.entry(name).or_insert(0) += delta;
+        if let Some(buf) = &self.buf {
+            *lock(buf).counters.entry(name).or_insert(0) += delta;
         }
     }
 
     /// Record a histogram observation (no timeline event).
     pub fn observe(&self, name: &'static str, value: f64) {
-        if let Some(inner) = &self.inner {
-            lock(&inner.buf).hists.entry(name).or_default().observe(value);
+        if let Some(buf) = &self.buf {
+            lock(buf).hists.entry(name).or_default().observe(value);
         }
     }
 }
@@ -766,6 +583,28 @@ mod tests {
         };
         assert_eq!(mk(&[0, 1, 2]), mk(&[2, 0, 1]));
         assert_eq!(mk(&[0, 1, 2]), mk(&[1, 2, 0]));
+    }
+
+    #[test]
+    fn event_end_is_span_end_or_timestamp() {
+        let span = Event::Span {
+            cat: "phase",
+            name: Cow::Borrowed("io"),
+            start_us: 10.0,
+            dur_us: 2.5,
+            args: vec![],
+        };
+        let instant = Event::Instant {
+            cat: "mark",
+            name: Cow::Borrowed("x"),
+            ts_us: 4.0,
+            args: vec![],
+        };
+        let counter = Event::Counter { name: "depth", ts_us: 7.0, value: 3.0 };
+        assert_eq!(
+            [span.end_us(), instant.end_us(), counter.end_us()],
+            [12.5, 4.0, 7.0]
+        );
     }
 
     #[test]

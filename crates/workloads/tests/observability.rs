@@ -1,8 +1,5 @@
 //! The self-explaining-regression pipeline end to end on real runs:
 //!
-//! * the streaming sink's Perfetto export is byte-identical to the
-//!   in-memory sink's on a multi-round partitioned run, while bounding
-//!   resident event memory by an order of magnitude;
 //! * run digests and time-series folds are byte-reproducible across
 //!   identical runs (they sit behind equality gates in CI, so f64 fold
 //!   order must be pinned, not approximately stable);
@@ -11,8 +8,8 @@
 //!   the path and the path still tiles the wall bitwise.
 
 use simtrace::{
-    chrome_trace_json, critical_path, digest, digest_from_json, digest_json, series_from_trace,
-    series_json, SeriesConfig, TraceSink,
+    critical_path, digest, digest_from_json, digest_json, series_from_trace, SeriesConfig,
+    TraceSink,
 };
 use std::sync::Arc;
 use workloads::runner::{run_workload, IoMode, RunConfig};
@@ -29,8 +26,7 @@ fn run_config(sink: TraceSink) -> RunConfig {
 }
 
 /// Larger tiles than `TileIo::tiny` so each collective call runs many
-/// exchange rounds — enough event volume for the memory-bound claim to
-/// mean something.
+/// exchange rounds.
 fn workload() -> TileIo {
     TileIo {
         ntx: 4,
@@ -41,50 +37,16 @@ fn workload() -> TileIo {
     }
 }
 
-fn in_memory_trace() -> simtrace::Trace {
+fn traced_run() -> simtrace::Trace {
     let sink = TraceSink::enabled();
     run_workload(workload(), run_config(sink.clone()));
     sink.finish()
 }
 
 #[test]
-fn streaming_sink_matches_in_memory_and_bounds_memory() {
-    let expected = chrome_trace_json(&in_memory_trace());
-
-    let dir = std::env::temp_dir().join(format!("obs_stream_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let sink = TraceSink::streaming(&dir, 8).expect("spill dir");
-    run_workload(workload(), run_config(sink.clone()));
-    let streamed = sink.finish_stream().expect("streamed trace");
-
-    let out = dir.join("trace.json");
-    streamed.export_chrome_to(&out).expect("streamed export");
-    let got = std::fs::read_to_string(&out).unwrap();
-    assert_eq!(
-        got, expected,
-        "streamed Perfetto export must be byte-identical to the in-memory sink's"
-    );
-
-    let stats = streamed.stats();
-    assert!(
-        stats.total_events > 1000,
-        "multi-round run should trace heavily, got {} events",
-        stats.total_events
-    );
-    assert!(
-        stats.reduction() >= 10.0,
-        "streaming must cut resident event memory >= 10x, got {:.1}x ({} events, {} peak)",
-        stats.reduction(),
-        stats.total_events,
-        stats.peak_buffered
-    );
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
 fn digest_and_series_are_byte_reproducible() {
-    let a = in_memory_trace();
-    let b = in_memory_trace();
+    let a = traced_run();
+    let b = traced_run();
     let da = digest(&a, "run").expect("digest");
     let db = digest(&b, "run").expect("digest");
     assert_eq!(
@@ -98,9 +60,9 @@ fn digest_and_series_are_byte_reproducible() {
 
     let cfg = SeriesConfig::new(100.0);
     assert_eq!(
-        series_json(&series_from_trace(&a, cfg)),
-        series_json(&series_from_trace(&b, cfg)),
-        "time-series folds must be byte-identical across identical runs"
+        series_from_trace(&a, cfg),
+        series_from_trace(&b, cfg),
+        "time-series folds must be identical across identical runs"
     );
 }
 
