@@ -50,11 +50,11 @@ fn main() {
     // Sweep 1: message-drop probability. Every dropped payload is
     // tombstoned and re-delivered after a retry timeout, so bandwidth
     // decays with the drop rate instead of the run hanging.
-    for &(ref series, ref mode) in &modes {
+    for (series, mode) in &modes {
         for &p in &[0.0, 0.01, 0.02, 0.05, 0.10] {
             let plan =
                 (p > 0.0).then(|| FaultPlan::new(0xD20B).msg_drop(p, None, None));
-            let r = faulted_run(mode.clone(), procs, full, plan);
+            let r = faulted_run(*mode, procs, full, plan);
             rows.push(
                 Row::new(format!("drop/{series}"), p, r.write_mbps, "MB/s")
                     .with("sync_s_avg", r.profile_avg.sync.as_secs()),
@@ -65,12 +65,12 @@ fn main() {
     // Sweep 2: uniform OST slowdown for the whole run. A factor-k
     // service-time multiplier should cost at most k in bandwidth;
     // collective buffering hides part of it behind the exchange.
-    for &(ref series, ref mode) in &modes {
+    for (series, mode) in &modes {
         for &factor in &[1.0, 2.0, 4.0, 8.0] {
             let plan = (factor > 1.0).then(|| {
                 FaultPlan::new(0x057A).ost_slow(None, factor, SimTime::ZERO, SimTime::secs(1e9))
             });
-            let r = faulted_run(mode.clone(), procs, full, plan);
+            let r = faulted_run(*mode, procs, full, plan);
             rows.push(
                 Row::new(format!("ost_slow/{series}"), factor, r.write_mbps, "MB/s")
                     .with("io_s_avg", r.profile_avg.io.as_secs()),
@@ -80,10 +80,10 @@ fn main() {
 
     // Sweep 3: one aggregator crash after the first write round — the
     // failover replay path. x = 0 is the fault-free reference.
-    for &(ref series, ref mode) in &modes {
+    for (series, mode) in &modes {
         for crash in [false, true] {
             let plan = crash.then(|| FaultPlan::new(0xFA11).aggregator_crash(0, 1));
-            let r = faulted_run(mode.clone(), procs, full, plan);
+            let r = faulted_run(*mode, procs, full, plan);
             rows.push(
                 Row::new(format!("agg_crash/{series}"), crash as u64 as f64, r.write_mbps, "MB/s")
                     .with("sync_s_avg", r.profile_avg.sync.as_secs()),
@@ -97,10 +97,10 @@ fn main() {
     // along so the row pins the repair *volume*, not just its cost —
     // a protocol change that repairs more (or fewer) pieces trips the
     // gate even if the timing happens to cancel out.
-    for &(ref series, ref mode) in &modes {
+    for (series, mode) in &modes {
         for &p in &[0.0, 0.05, 0.10, 0.25, 0.50] {
             let sink = TraceSink::enabled();
-            let mut cfg = RunConfig::paper(mode.clone());
+            let mut cfg = RunConfig::paper(*mode);
             cfg.integrity = true;
             cfg.trace = sink.clone();
             if p > 0.0 {

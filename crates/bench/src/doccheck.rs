@@ -330,7 +330,7 @@ mod tests {
             rel: DEFAULT_REL,
             extra: None,
         };
-        assert!(verify(&[ok.clone()], &dir).is_empty());
+        assert!(verify(std::slice::from_ref(&ok), &dir).is_empty());
         let extra = DocCheck {
             value: 0.0012,
             rel: 0.05,

@@ -279,16 +279,4 @@ impl Endpoint {
         }
         arrival
     }
-
-    /// Non-blocking receive attempt; on success behaves like [`recv`].
-    ///
-    /// [`recv`]: Endpoint::recv
-    pub fn try_recv(&self, src: usize, ctx: u32, tag: i32) -> Option<IoBuffer> {
-        let pkt = self.mailboxes[self.rank].try_recv(src, ctx, tag)?;
-        let arrival = self.fault_arrival(&pkt);
-        self.clock.advance_to(arrival);
-        self.clock
-            .advance(self.net.recv_overhead(pkt.payload.wire_len()));
-        Some(pkt.payload.into_bytes())
-    }
 }

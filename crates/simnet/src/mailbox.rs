@@ -12,19 +12,30 @@
 //!
 //! # Sharding
 //!
-//! The store is sharded **per source rank**: queues and the receiver's
-//! condition variable live in `shards[src]`. Because matching is fully
-//! qualified, a receive only ever touches its source's shard, so the
-//! all-to-one exchange pattern of two-phase I/O — up to 1024 senders
-//! depositing into one aggregator's mailbox — never contends on a single
-//! lock, and a delivery wakes the receiver with one targeted
-//! `notify_one` instead of broadcasting. Only the owner thread ever
-//! receives from a mailbox, so each shard has at most one waiter and
-//! `notify_one` can never strand a second one. The waiter is the owner's
-//! parked fiber, or — on the thread executor and in thread-driven unit
-//! tests only — its OS thread asleep on the shard's condvar inside
-//! [`fiber::wait`](crate::fiber), which is the one case in which a
-//! delivery signals that condvar at all.
+//! The store is sharded **per source rank**: the (receiver, sender)
+//! pair's shard holds one queue of that sender's packets in arrival
+//! order, and a receive takes the first packet in it whose
+//! `(context, tag)` matches. Within one source arrival order is send
+//! order, so the scan keeps per-key FIFO and MPI's non-overtaking rule
+//! without a queue per key; the queue keeps its capacity, so a steady
+//! exchange allocates nothing per message. Traffic keeps the scan short:
+//! a two-phase exchange's receive finds its match at the head.
+//!
+//! Because matching is fully qualified, a receive only ever touches its
+//! source's shard, so the all-to-one exchange pattern of two-phase I/O —
+//! up to 1024 senders depositing into one aggregator's mailbox — never
+//! contends on a single lock, and a delivery wakes the receiver with one
+//! targeted `notify_one` instead of broadcasting. Only the owner thread
+//! ever receives from a mailbox, so each shard has at most one waiter
+//! and `notify_one` can never strand a second one. The waiter is the
+//! owner's parked fiber, or — on the thread executor and in
+//! thread-driven unit tests only — its OS thread asleep on the shard's
+//! condvar inside [`fiber::wait`](crate::fiber), which is the one case in
+//! which a delivery signals that condvar at all.
+//!
+//! The shard also records the key its owner is registered on with the
+//! progress registry (`blocked`), so a delivery takes the registry's
+//! lock only when it is the one delivery that can end that wait.
 //!
 //! A cluster has `ranks²` (receiver, sender) pairs and a typical rank
 //! exchanges with a handful of peers, so a pair's shard is allocated
@@ -37,7 +48,7 @@ use crate::rendezvous::PoisonFlag;
 use crate::time::SimTime;
 use parking_lot::{Condvar, Mutex};
 use std::any::Any;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -129,11 +140,7 @@ pub struct Packet {
     pub fault_corrupt: u64,
 }
 
-/// Within a shard the source is fixed; queues are keyed by the remaining
-/// `(context, tag)` pair.
-type ShardKey = (u32, i32);
-
-/// One source rank's queues plus the receiver-side wakeup channel: the
+/// One source rank's queue plus the receiver-side wakeup channel: the
 /// owner's parked fiber (`waiter`, under the lock) or the condvar its
 /// OS thread sleeps on.
 #[derive(Default)]
@@ -144,8 +151,12 @@ struct Shard {
 
 #[derive(Default)]
 struct ShardState {
-    queues: HashMap<ShardKey, VecDeque<Packet>>,
+    /// The source's packets, all keys, in arrival (= send) order.
+    queue: VecDeque<Packet>,
     waiter: Option<Waker>,
+    /// The `(context, tag)` the owner registered as blocked on with the
+    /// progress registry, until the delivery that matches it.
+    blocked: Option<(u32, i32)>,
 }
 
 /// One rank's incoming-message store.
@@ -197,9 +208,10 @@ impl Mailbox {
     /// progress-registry mode if it was blocked on exactly this match:
     /// once the packet is queued the owner is no longer waiting on the
     /// sender's future, and the registry must never observe the stale
-    /// blocked mode with the packet already present. (The receiver
-    /// registers under the same shard lock, so the protocol is unchanged
-    /// from the single-lock design — just per source.)
+    /// blocked mode with the packet already present. The receiver
+    /// registers under the same shard lock and records the key in
+    /// `blocked`, so a delivery on any other key — which cannot end the
+    /// wait — leaves the registry alone.
     pub fn deliver(&self, pkt: Packet) {
         // hostprof: deposit + targeted notify; nothing below blocks.
         let _hp = simtrace::host::scope(simtrace::host::Site::MboxDeliver);
@@ -207,8 +219,11 @@ impl Mailbox {
         let shard = self.shard(src);
         let key = (pkt.ctx, pkt.tag);
         let mut st = shard.state.lock();
-        st.queues.entry(key).or_default().push_back(pkt);
-        crate::progress::tl_deliver_downgrade(self.owner, src, key.0, key.1);
+        st.queue.push_back(pkt);
+        if st.blocked == Some(key) {
+            st.blocked = None;
+            crate::progress::tl_deliver_downgrade(self.owner, src, key.0, key.1);
+        }
         fiber::wake(&mut st.waiter);
         drop(st);
         fiber::notify_one(&shard.cv);
@@ -228,22 +243,18 @@ impl Mailbox {
             // before the wait below, so the frame never absorbs the time
             // spent blocked (which belongs to other fibers' work).
             let hp = simtrace::host::scope(simtrace::host::Site::MboxRecv);
-            if let Some(dq) = st.queues.get_mut(&key) {
-                if let Some(pkt) = dq.pop_front() {
-                    if dq.is_empty() {
-                        st.queues.remove(&key);
-                    }
-                    if registered {
-                        // Normally the delivering sender already
-                        // downgraded us; self-clear covers delivery from
-                        // threads without a progress context.
-                        crate::progress::tl_unblock();
-                    }
-                    if woken {
-                        self.wakeups.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return pkt;
+            let hit = st.queue.iter().position(|p| (p.ctx, p.tag) == key);
+            if let Some(pkt) = hit.and_then(|i| st.queue.remove(i)) {
+                if registered {
+                    // Normally the delivering sender already
+                    // downgraded us; self-clear covers delivery from
+                    // threads without a progress context.
+                    crate::progress::tl_unblock();
                 }
+                if woken {
+                    self.wakeups.fetch_add(1, Ordering::Relaxed);
+                }
+                return pkt;
             }
             if woken {
                 self.spurious_wakeups.fetch_add(1, Ordering::Relaxed);
@@ -254,6 +265,7 @@ impl Mailbox {
                 // the sender. Registered under the shard lock so that
                 // `deliver` cannot race the registration.
                 crate::progress::tl_block_recv(src, ctx, tag);
+                st.blocked = Some(key);
                 registered = true;
             }
             drop(hp);
@@ -268,31 +280,12 @@ impl Mailbox {
         }
     }
 
-    /// Non-blocking probe: take a matching packet if present.
-    pub fn try_recv(&self, src: usize, ctx: u32, tag: i32) -> Option<Packet> {
-        let key = (ctx, tag);
-        let mut st = self.shards[src].get()?.state.lock();
-        let dq = st.queues.get_mut(&key)?;
-        let pkt = dq.pop_front();
-        if dq.is_empty() {
-            st.queues.remove(&key);
-        }
-        pkt
-    }
-
     /// Number of packets currently queued (all keys). Diagnostic only.
     pub fn backlog(&self) -> usize {
         self.shards
             .iter()
             .filter_map(OnceLock::get)
-            .map(|s| {
-                s.state
-                    .lock()
-                    .queues
-                    .values()
-                    .map(VecDeque::len)
-                    .sum::<usize>()
-            })
+            .map(|s| s.state.lock().queue.len())
             .sum()
     }
 
@@ -315,6 +308,7 @@ impl Mailbox {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::thread;
     use std::time::Duration;
 
@@ -415,15 +409,6 @@ mod tests {
     }
 
     #[test]
-    fn try_recv_does_not_block() {
-        let m = mbox();
-        assert!(m.try_recv(1, 0, 0).is_none());
-        m.deliver(pkt(1, 0, 0, &[7]));
-        assert!(m.try_recv(1, 0, 0).is_some());
-        assert!(m.try_recv(1, 0, 0).is_none());
-    }
-
-    #[test]
     fn recv_blocks_until_delivery() {
         let m = mbox();
         let m2 = Arc::clone(&m);
@@ -472,8 +457,7 @@ mod tests {
     fn shards_are_created_on_first_use() {
         let m = Mailbox::new(0, 1024, Arc::new(PoisonFlag::default()));
         let made = |m: &Mailbox| m.shards.iter().filter(|s| s.get().is_some()).count();
-        assert!(m.try_recv(5, 0, 0).is_none());
-        assert_eq!((made(&m), m.backlog()), (0, 0));
+        assert_eq!((made(&m), m.backlog()), (0, 0), "backlog creates no shard");
         m.deliver(pkt(5, 0, 0, &[1]));
         m.deliver(pkt(900, 0, 0, &[2]));
         assert_eq!((made(&m), m.backlog()), (2, 2));
@@ -544,5 +528,61 @@ mod tests {
         // Every notified wakeup found its packet; blocked receives that
         // were satisfied before sleeping don't count at all.
         assert!(m.wakeups() <= 2 * rounds as u64);
+    }
+
+    proptest! {
+        /// One arrival-order queue per source keeps per-key FIFO:
+        /// deliveries from up to four sources on four keys that share
+        /// contexts and tags, interleaved arbitrarily, come back in send
+        /// order per key whatever order the keys are received in. (The
+        /// vendored `proptest!` adds the `#[test]` itself.)
+        fn every_key_comes_back_in_send_order(
+            sends in proptest::collection::vec((0u32..4, 0usize..4), 0..48),
+            picks in proptest::collection::vec(0usize..1024, 48),
+        ) {
+            const KEYS: [(u32, i32); 4] = [(0, 0), (0, 1), (1, 0), (1, 1)];
+            let m = mbox();
+            // Per (source, key): the send indices still to come back.
+            let mut expect = vec![VecDeque::new(); 16];
+            for (i, &(src, k)) in sends.iter().enumerate() {
+                let (ctx, tag) = KEYS[k];
+                m.deliver(pkt(src, ctx, tag, &[i as u8]));
+                expect[src as usize * 4 + k].push_back(i as u8);
+            }
+            for pick in &picks[..sends.len()] {
+                let live: Vec<usize> = (0..16).filter(|&q| !expect[q].is_empty()).collect();
+                let q = live[pick % live.len()];
+                let (ctx, tag) = KEYS[q % 4];
+                let got = m.recv(q / 4, ctx, tag).payload.into_bytes();
+                prop_assert_eq!(got.as_slice().unwrap(), &[expect[q].pop_front().unwrap()]);
+            }
+            prop_assert_eq!(m.backlog(), 0);
+        }
+    }
+
+    #[test]
+    fn only_the_matching_delivery_asks_the_registry() {
+        // Single-threaded and deterministic: the test thread acts as the
+        // sender, rank 1, and the owner's wait is registered by hand
+        // exactly as `recv` registers it under the shard lock.
+        let poison = Arc::new(PoisonFlag::default());
+        let registry = Arc::new(crate::progress::ProgressRegistry::new(
+            2,
+            Arc::clone(&poison),
+        ));
+        let m = Mailbox::new(0, 2, poison);
+        let _sender = crate::progress::install(Arc::clone(&registry), 1);
+        let (k1, k2) = ((3, 7), (3, 8));
+        registry.block_recv(0, 1, k1.0, k1.1);
+        m.shard(1).state.lock().blocked = Some(k1);
+        let blocked = || m.shard(1).state.lock().blocked;
+
+        m.deliver(pkt(1, k2.0, k2.1, &[1]));
+        assert!(registry.is_blocked(0), "another key cannot end the wait");
+        assert_eq!(blocked(), Some(k1));
+
+        m.deliver(pkt(1, k1.0, k1.1, &[2]));
+        assert!(!registry.is_blocked(0), "the match downgrades the owner");
+        assert_eq!(blocked(), None);
     }
 }

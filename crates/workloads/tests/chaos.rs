@@ -52,7 +52,7 @@ fn chaos_plan() -> FaultPlan {
 }
 
 fn assert_fault_reproducible(mode: IoMode) -> String {
-    let (trace_a, metrics_a) = traced_fault_run(mode.clone(), chaos_plan());
+    let (trace_a, metrics_a) = traced_fault_run(mode, chaos_plan());
     let (trace_b, metrics_b) = traced_fault_run(mode, chaos_plan());
     assert!(
         trace_a.len() > 1000,

@@ -26,7 +26,7 @@ fn traced_run(mode: IoMode, cb_nodes: Option<u64>) -> (String, String) {
 }
 
 fn assert_reproducible(mode: IoMode, cb_nodes: Option<u64>) {
-    let (trace_a, metrics_a) = traced_run(mode.clone(), cb_nodes);
+    let (trace_a, metrics_a) = traced_run(mode, cb_nodes);
     let (trace_b, metrics_b) = traced_run(mode, cb_nodes);
     assert!(
         trace_a.len() > 1000,

@@ -124,22 +124,25 @@ fn requested(f: impl FnOnce()) -> usize {
 /// piece it moves. Counts repeat exactly, so the bound is a property of
 /// the code.
 ///
-/// The ledger at the bound's writing: 33.3 B per piece per call, and
+/// The ledger at the bound's writing: 22.3 B per piece per call, and
 /// nothing in it is per piece any more. A rank's 3 280 pieces are ~163
 /// strided runs: its plan holds them (32 B each, ~1.6 B per piece), its
 /// ~64 request lists hold ~290 (40 B each with its stream start, ~3.5 B
 /// per piece), and a round window's coverage merge sweeps runs, not
 /// pieces.
-/// The remaining ~28 B are per *message* — one per (rank, aggregator)
-/// pair and round: the lists' and payloads' `Arc`s, mailbox queues,
-/// receive-request and size-row vectors — so ROADMAP's ≤ 24 B per
-/// piece-equivalent is not met by representation alone; fewer messages
-/// (intra-node aggregation) is what is left. Before runs: 87.8 (the
-/// plan's `Ext` 16 + the list's `Piece` 24 + the coverage merge's two
-/// flat buffers 16 + ~9, plus the same per-message ~20); before one list:
-/// 297 (`Ext` with regrowth, a piece list with regrowth, an (offset, len)
-/// vector, the wire bytes, the decoded pairs, a second piece list, its
-/// prefix array, one placement per piece and the interval set's splices).
+/// The remaining ~17 B are per *message* — one per (rank, aggregator)
+/// pair and round: the lists' and payloads' `Arc`s, receive-request and
+/// size-row vectors. At 33.3 B, 11 B more of it was the mailbox's
+/// per-key `VecDeque`, allocated by the delivery into an empty key and
+/// freed by the receive that drained it; one queue per (receiver,
+/// sender) pair keeps its capacity. So what stood between the ledger and
+/// ROADMAP's ≤ 24 B per piece-equivalent was that queue, not the message
+/// count. Before runs: 87.8 (the plan's `Ext` 16 + the list's `Piece`
+/// 24 + the coverage merge's two flat buffers 16 + ~9, plus the same
+/// per-message ~20); before one list: 297 (`Ext` with regrowth, a piece
+/// list with regrowth, an (offset, len) vector, the wire bytes, the
+/// decoded pairs, a second piece list, its prefix array, one placement
+/// per piece and the interval set's splices).
 fn one_piece_list_per_rank_and_aggregator() {
     let steps_1 = requested(|| btio_collective(1));
     let steps_2 = requested(|| btio_collective(2));
@@ -169,7 +172,7 @@ fn one_piece_list_per_rank_and_aggregator() {
     );
     let per_piece = (steps_2 - steps_1) as f64 / pieces as f64;
     assert!(
-        per_piece <= 38.0,
+        per_piece <= 24.0,
         "a collective call requests {per_piece:.1} B per piece: a piece-by-piece \
          representation of the access is back"
     );
