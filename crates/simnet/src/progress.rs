@@ -29,11 +29,11 @@
 //!   future; virtual clocks are monotone along happens-before chains).
 //! * `Rdv` — parked in a rendezvous; completion is `max` over all
 //!   participants' entry clocks, so every participant's floor bounds it.
-//!   The bound belongs to the *meeting*: it is computed once per check
+//!   The bound belongs to the *meeting*: the registry keeps one entry per
+//!   meeting that has ranks parked in it, and a check bounds it once
 //!   (parked members contribute their own floor, members still on their
-//!   way their own analysis) and shared by every rank parked there, so a
-//!   check visits each blocked rank and each member of their meetings
-//!   once, however many ranks a collective has parked.
+//!   way their own analysis) for every rank parked there, however many
+//!   ranks a collective has parked.
 //! * `Pending` — waiting in this gate; its key bounds all its later
 //!   requests (requests within one I/O call share an arrival, so only
 //!   the per-rank `seq` grows).
@@ -50,18 +50,20 @@
 //! # What a check costs
 //!
 //! `Running` and `Pending` ranks need no analysis: each has an *earliest
-//! possible key* — `(floor, rank, 0)` for a running rank, whose next
-//! request can do no better, and the pending key itself — and a request
-//! clears all of them exactly when its own key is the smallest of those.
-//! The registry keeps them in a tournament tree (one leaf per rank, the
-//! minimum at the root, allocated once): a state change rewrites one
-//! leaf-to-root path, and "is my key the minimum" is a comparison with
-//! the root. `Finished` ranks hold no key. Only the blocked ranks —
-//! `Recv` and `Rdv`, kept as a bitmap — are bounded by the recursive
-//! rules above, and only after the root test has passed. With nobody
-//! blocked (independent I/O: every rank either running or queued here) an
-//! admission is `O(log ranks)`; with a collective's ranks parked while
-//! its aggregators write it is `O(blocked ranks)`, as before.
+//! possible key* — `(floor, rank)` for a running rank, whose next
+//! request can do no better, and `(arrival, rank)` for a pending one —
+//! and a request clears all of them exactly when its own key is the
+//! smallest of those. The registry keeps them in a tournament tree (one
+//! integer leaf per rank, the minimum at the root, allocated once): a
+//! state change rewrites at most one leaf-to-root path, and "is my key
+//! the minimum" is a comparison with the root. `Finished` ranks hold no
+//! key. After the root test, the blocked ranks are bounded per meeting:
+//! a meeting the requester belongs to is skipped after one binary search
+//! of its sorted members, every other one is bounded once, and each
+//! `Recv` rank through its sender, memoising only what is visited. So
+//! an admission is `O(log ranks)` with nobody blocked (independent I/O)
+//! or everyone parked in a meeting with the requester (a collective's
+//! aggregators writing), plus the members of each other parked meeting.
 //!
 //! The same root says whom to wake. Only the minimum pending key can be
 //! admissible, and not even that one while some *running* rank's floor
@@ -120,6 +122,20 @@ impl PartialOrd for ReqKey {
 
 impl Eq for ReqKey {}
 
+/// `(arrival, rank)` as one integer that orders like [`ReqKey`]: the
+/// arrival's bits in the high half, mapped so that integer order is
+/// `f64::total_cmp` order, the rank in the low half. `seq` is left out:
+/// a rank owns one leaf of the tree, so it never decides between two.
+fn tree_key(arrival: SimTime, rank: usize) -> u128 {
+    let bits = arrival.0.to_bits();
+    // A positive arrival gains the sign bit, a negative one flips them all.
+    let ordered = bits ^ ((bits as i64 >> 63) as u64 | (1 << 63));
+    (u128::from(ordered) << 64) | rank as u128
+}
+
+/// The tree leaf of a rank that holds no key.
+const NO_KEY: u128 = u128::MAX;
+
 #[derive(Debug, Clone)]
 enum Mode {
     Running,
@@ -135,16 +151,18 @@ struct RankState {
     mode: Mode,
     /// The rank's fiber while it is parked in [`ProgressRegistry::acquire`].
     waker: Option<Waker>,
+    /// While `Rdv`: the slot of its meeting in [`Inner::meetings`].
+    meeting: usize,
 }
 
-/// Tournament tree over one optional key per rank: an inner node holds
-/// the smaller of its two children, so the minimum is a read of the root
-/// and changing one rank's key rewrites one leaf-to-root path. Sized once
-/// at construction; no operation allocates.
+/// Tournament tree over one key per rank ([`tree_key`], or [`NO_KEY`]):
+/// an inner node holds the smaller of its two children, so the minimum
+/// is a read of the root and changing one rank's key rewrites one
+/// leaf-to-root path. Sized once at construction; no operation allocates.
 struct MinTree {
     /// `node[1]` is the root and rank `r`'s leaf is `node[leaves + r]`
     /// (`leaves` is a power of two; `node[0]` is unused).
-    node: Vec<Option<ReqKey>>,
+    node: Vec<u128>,
     leaves: usize,
 }
 
@@ -152,55 +170,66 @@ impl MinTree {
     fn new(n: usize) -> Self {
         let leaves = n.next_power_of_two();
         MinTree {
-            node: vec![None; 2 * leaves],
+            node: vec![NO_KEY; 2 * leaves],
             leaves,
         }
     }
 
     /// The smallest key any rank holds.
-    fn min(&self) -> Option<ReqKey> {
+    fn min(&self) -> u128 {
         self.node[1]
     }
 
     /// Replace rank `r`'s key; returns the nodes it looked at.
-    fn set(&mut self, r: usize, key: Option<ReqKey>) -> usize {
-        let mut i = self.leaves + r;
-        self.node[i] = key;
-        let mut looked_at = 1;
-        while i > 1 {
+    fn set(&mut self, r: usize, key: u128) -> usize {
+        let (mut i, mut smaller, mut looked_at) = (self.leaves + r, key, 1);
+        // Stop at the first node that keeps its value: nothing above it
+        // can change either.
+        while self.node[i] != smaller {
+            self.node[i] = smaller;
+            if i == 1 {
+                break;
+            }
             i /= 2;
             looked_at += 2;
-            let smaller = match (self.node[2 * i], self.node[2 * i + 1]) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, None) => a,
-                (None, b) => b,
-            };
-            if self.node[i] == smaller {
-                break; // nothing above this node can change either
-            }
-            self.node[i] = smaller;
+            smaller = self.node[2 * i].min(self.node[2 * i + 1]);
         }
         looked_at
     }
+}
+
+/// A meeting with ranks parked in it.
+#[derive(Default)]
+struct Meeting {
+    id: u64,
+    /// Its members, ascending.
+    members: Arc<Vec<usize>>,
+    /// Members parked in it; a slot with none is free.
+    parked: usize,
 }
 
 struct Inner {
     ranks: Vec<RankState>,
     next_seq: u64,
     /// Every rank's *earliest possible key*: a `Running` rank's
-    /// `(floor, rank, 0)`, a `Pending` rank's key, nothing for a blocked
-    /// or finished one. A pending key is below every other pending key
-    /// and every running rank's future requests exactly when it is this
-    /// tree's minimum.
+    /// `(floor, rank)`, a `Pending` rank's `(arrival, rank)`, nothing
+    /// for a blocked or finished one. A pending key is below every other
+    /// pending key and every running rank's future requests exactly when
+    /// it is this tree's minimum.
     earliest: MinTree,
-    /// The `Recv` and `Rdv` ranks, one bit each: the only ranks whose
-    /// bound takes an analysis. A bitmap so that a check walks them in
-    /// ascending rank order, as the all-ranks scan did.
-    blocked: Vec<u64>,
-    /// Scratch of one admissibility check, kept for its allocation.
-    memo: Vec<FloorMemo>,
-    /// Ranks, meeting members and tree nodes the gate looked at
-    /// (complexity pin).
+    /// The `Recv` ranks, one bit each, so that a check walks them in
+    /// ascending rank order.
+    recv: Vec<u64>,
+    /// The meetings the `Rdv` ranks are parked in, by slot: as long as
+    /// the most meetings ever active at once.
+    meetings: Vec<Meeting>,
+    /// Scratch of the admissibility checks, kept for its allocation.
+    memo: Memo,
+    /// Visits not yet added to the `gate_visits` host counter, which
+    /// [`ProgressRegistry::wake_min`] feeds once per state change.
+    unpublished: std::cell::Cell<usize>,
+    /// Ranks, meeting members, memo entries and tree nodes the gate
+    /// looked at (complexity pin).
     #[cfg(test)]
     visits: std::cell::Cell<usize>,
     /// Wakes [`ProgressRegistry::wake_min`] issued.
@@ -210,33 +239,54 @@ struct Inner {
 
 impl Inner {
     /// Change `rank`'s mode (after any change to its floor), keeping the
-    /// tree and the blocked set in step.
+    /// tree, the receive bitmap and the meeting table in step.
     fn set_mode(&mut self, rank: usize, mode: Mode) {
-        let blocked = |m: &Mode| matches!(m, Mode::Recv { .. } | Mode::Rdv { .. });
-        if blocked(&self.ranks[rank].mode) != blocked(&mode) {
-            self.blocked[rank / 64] ^= 1 << (rank % 64);
+        if let Mode::Rdv { .. } = self.ranks[rank].mode {
+            self.meetings[self.ranks[rank].meeting].parked -= 1;
+        }
+        if let Mode::Rdv { id, members } = &mode {
+            self.ranks[rank].meeting = self.join(rank, *id, members);
+        }
+        let recv = |m: &Mode| matches!(m, Mode::Recv { .. });
+        if recv(&self.ranks[rank].mode) != recv(&mode) {
+            self.recv[rank / 64] ^= 1 << (rank % 64);
         }
         let earliest = match &mode {
-            Mode::Running => Some(ReqKey {
-                arrival: self.ranks[rank].floor,
-                rank,
-                seq: 0,
-            }),
-            Mode::Pending { key } => Some(*key),
-            Mode::Recv { .. } | Mode::Rdv { .. } | Mode::Finished => None,
+            Mode::Running => tree_key(self.ranks[rank].floor, rank),
+            Mode::Pending { key } => tree_key(key.arrival, rank),
+            Mode::Recv { .. } | Mode::Rdv { .. } | Mode::Finished => NO_KEY,
         };
         self.ranks[rank].mode = mode;
         let looked_at = self.earliest.set(rank, earliest);
         self.visit(looked_at);
     }
 
+    /// Park `rank` in meeting `id`: the meeting's slot, taking a free one
+    /// for a meeting nobody is parked in yet.
+    fn join(&mut self, rank: usize, id: u64, members: &Arc<Vec<usize>>) -> usize {
+        debug_assert!(members.is_sorted() && members.binary_search(&rank).is_ok());
+        let table = &mut self.meetings;
+        let slot = (table.iter().position(|m| m.parked > 0 && m.id == id))
+            .or_else(|| table.iter().position(|m| m.parked == 0))
+            .unwrap_or(table.len());
+        if slot == table.len() {
+            table.push(Meeting::default());
+        }
+        let meeting = &mut table[slot];
+        if meeting.parked == 0 {
+            (meeting.id, meeting.members) = (id, Arc::clone(members));
+        }
+        meeting.parked += 1;
+        slot
+    }
+
     fn parked_in(&self, rank: usize, meeting: u64) -> bool {
         matches!(&self.ranks[rank].mode, Mode::Rdv { id, .. } if *id == meeting)
     }
 
-    /// The blocked ranks, ascending.
-    fn blocked_ranks(&self) -> impl Iterator<Item = usize> + '_ {
-        self.blocked.iter().enumerate().flat_map(|(w, &bits)| {
+    /// The `Recv` ranks, ascending.
+    fn recv_ranks(&self) -> impl Iterator<Item = usize> + '_ {
+        self.recv.iter().enumerate().flat_map(|(w, &bits)| {
             std::iter::successors((bits != 0).then_some(bits), |b| {
                 let rest = b & (b - 1);
                 (rest != 0).then_some(rest)
@@ -245,10 +295,12 @@ impl Inner {
         })
     }
 
-    /// Count `n` ranks, meeting members or tree nodes looked at.
-    fn visit(&self, _n: usize) {
+    /// Count `n` ranks, meeting members, memo entries or tree nodes
+    /// looked at.
+    fn visit(&self, n: usize) {
         #[cfg(test)]
-        self.visits.set(self.visits.get() + _n);
+        self.visits.set(self.visits.get() + n);
+        self.unpublished.set(self.unpublished.get() + n);
     }
 }
 
@@ -263,14 +315,12 @@ impl Inner {
 /// floor lies below every pending key: nothing is admissible until that
 /// rank moves, and its move is a state change of its own.
 ///
-/// Costs, for `n` ranks of which `b` are blocked in a receive or a
-/// meeting: a state change rewrites one path of the tournament tree
-/// over the ranks' earliest possible keys, `O(log n)`, allocating
-/// nothing; an admissibility check reads the tree's root and then
-/// bounds the blocked ranks only, `O(1 + b + their meetings' members)`.
-/// Independent I/O (nobody blocked) pays `O(log n)` per request; a
-/// collective whose aggregators write while everyone else is parked
-/// pays the `O(n)` it always did.
+/// Costs, for `n` ranks: a state change rewrites at most one path of
+/// the tournament tree, `O(log n)`, allocating nothing; a check reads
+/// its root, looks the requester up in each meeting with ranks parked
+/// (`O(log members)`), and bounds the meetings it is not in (`O(members)`
+/// each, once) and the ranks blocked in a receive. A ParColl subgroup
+/// pays for the other subgroups' parked meetings, not for its own.
 pub struct ProgressRegistry {
     inner: Mutex<Inner>,
     /// One condvar per rank; rank `r` waits only on `cvs[r]`.
@@ -362,15 +412,39 @@ impl Bound {
     }
 }
 
-/// Memoized floor analysis for one admissibility check.
+/// Memoized floor analysis of a rank or a meeting.
 #[derive(Debug, Clone, Copy)]
 enum FloorMemo {
     Unvisited,
     InStack,
     /// `None` = unconstrained.
     Done(Option<Bound>),
-    /// Parked in a meeting whose bound lives in that rank's entry.
-    SameAs(usize),
+}
+
+/// The floor analysis of a check: an entry per rank, then one per
+/// meeting slot, `Unvisited` between checks except those `written`.
+#[derive(Default)]
+struct Memo {
+    entry: Vec<FloorMemo>,
+    written: Vec<usize>,
+}
+
+impl Memo {
+    /// `f(self)`, evaluated once per check for entry `i`.
+    fn once(&mut self, i: usize, f: impl FnOnce(&mut Memo) -> Option<Bound>) -> Option<Bound> {
+        match self.entry[i] {
+            FloorMemo::Done(v) => return v,
+            // A cycle among blocked ranks (a deadlock in the simulated
+            // program): any bound is sound, take the weakest.
+            FloorMemo::InStack => return Some(Bound::WEAKEST),
+            FloorMemo::Unvisited => {}
+        }
+        self.entry[i] = FloorMemo::InStack;
+        self.written.push(i);
+        let out = f(self);
+        self.entry[i] = FloorMemo::Done(out);
+        out
+    }
 }
 
 impl ProgressRegistry {
@@ -382,12 +456,15 @@ impl ProgressRegistry {
                     floor: SimTime::ZERO,
                     mode: Mode::Running,
                     waker: None,
+                    meeting: 0,
                 })
                 .collect(),
             next_seq: 0,
             earliest: MinTree::new(n),
-            blocked: vec![0; n.div_ceil(64)],
-            memo: Vec::new(),
+            recv: vec![0; n.div_ceil(64)],
+            meetings: Vec::new(),
+            memo: Memo::default(),
+            unpublished: std::cell::Cell::new(0),
             #[cfg(test)]
             visits: std::cell::Cell::new(0),
             #[cfg(test)]
@@ -411,10 +488,11 @@ impl ProgressRegistry {
     /// happens at its release — which comes back here.)
     fn wake_min(&self, inner: &mut Inner) {
         let _hp = simtrace::host::scope(simtrace::host::Site::GateWake);
-        let Some(r) = inner.earliest.min().map(|key| key.rank) else {
-            return;
-        };
-        if matches!(inner.ranks[r].mode, Mode::Pending { .. }) {
+        let visits = inner.unpublished.take() as u64;
+        simtrace::host::count(simtrace::host::Counter::GateVisits, visits);
+        let min = inner.earliest.min();
+        let r = min as u64 as usize;
+        if min != NO_KEY && matches!(inner.ranks[r].mode, Mode::Pending { .. }) {
             #[cfg(test)]
             inner.wakes.set(inner.wakes.get() + 1);
             fiber::notify_one(&self.cvs[r]);
@@ -426,33 +504,16 @@ impl ProgressRegistry {
     /// perspective of `requester`'s current pending request. `None`
     /// means unconstrained (every future request of `r` necessarily
     /// carries a key greater than the requester's pending one).
-    fn floor_of(
-        inner: &Inner,
-        r: usize,
-        requester: usize,
-        memo: &mut [FloorMemo],
-    ) -> Option<Bound> {
+    fn floor_of(inner: &Inner, r: usize, requester: usize, memo: &mut Memo) -> Option<Bound> {
         if r == requester {
             // Chains through the requester resolve only after its pending
             // request completes — no constraint on the current admission.
             return None;
         }
         inner.visit(1);
-        let at = match memo[r] {
-            FloorMemo::SameAs(rep) => rep,
-            _ => r,
-        };
-        match memo[at] {
-            FloorMemo::Done(v) => return v,
-            // A cycle among blocked ranks (a deadlock in the simulated
-            // program): any bound is sound, take the weakest.
-            FloorMemo::InStack => return Some(Bound::WEAKEST),
-            FloorMemo::Unvisited | FloorMemo::SameAs(_) => {}
-        }
-        memo[r] = FloorMemo::InStack;
         let st = &inner.ranks[r];
         let own = Bound::at(st.floor);
-        let out = match &st.mode {
+        match &st.mode {
             Mode::Finished => None,
             // The rank's *next* request can share the pending arrival
             // (several requests per I/O call carry one arrival), so the
@@ -461,63 +522,49 @@ impl ProgressRegistry {
             Mode::Running => Some(own),
             // The wake (message arrival + receive) strictly follows the
             // sender's bound.
-            Mode::Recv { src, .. } => {
+            Mode::Recv { src, .. } => memo.once(r, |memo| {
                 Self::floor_of(inner, *src, requester, memo).map(|f| own.max(f.woken_after()))
-            }
-            Mode::Rdv { id, members } => {
-                Self::meeting_bound(inner, r, *id, members, requester, memo)
-            }
-        };
-        memo[r] = FloorMemo::Done(out);
-        out
+            }),
+            Mode::Rdv { .. } => Self::meeting_bound(inner, st.meeting, requester, memo),
+        }
     }
 
-    /// Bound on the future requests of *every* rank parked in meeting
-    /// `id`, computed once per check on behalf of parked member `rep`
-    /// (whose memo entry the others are pointed at). The meeting
-    /// completes no earlier than any member enters it, and a parked
-    /// rank requests again only after that, so the bound is the latest
-    /// of: the parked members' own floors (their entry clocks are at
-    /// least that), and [`floor_of`](Self::floor_of) of the members
-    /// still on their way. A meeting the requester belongs to cannot
-    /// complete before its pending request does: unconstrained.
+    /// Bound on the future requests of *every* rank parked in the
+    /// meeting in slot `m`, computed once per check. The meeting completes
+    /// no earlier than any member enters it, and a parked rank requests
+    /// again only after that, so the bound is the latest of: the parked
+    /// members' own floors (their entry clocks are at least that), and
+    /// [`floor_of`](Self::floor_of) of the members still on their way. A
+    /// meeting the requester belongs to cannot complete before its
+    /// pending request does: unconstrained, which one binary search of
+    /// the sorted members tells.
     ///
     /// This is the least fixpoint of the per-rank rule "a parked rank is
     /// bounded by every member's bound". Walking that rule rank by rank
     /// has to cut the cycle between any two parked members and so can
     /// only under-approximate it, at a cost of `members` per parked
     /// rank; computing it per meeting is exact and costs `members` once.
-    fn meeting_bound(
-        inner: &Inner,
-        rep: usize,
-        id: u64,
-        members: &[usize],
-        requester: usize,
-        memo: &mut [FloorMemo],
-    ) -> Option<Bound> {
-        let mut bound = Some(Bound::at(inner.ranks[rep].floor));
-        for &p in members {
-            inner.visit(1);
-            if p == requester {
-                bound = None;
-            } else if inner.parked_in(p, id) {
-                if p != rep {
-                    memo[p] = FloorMemo::SameAs(rep);
-                }
-                bound = bound.map(|b| b.max(Bound::at(inner.ranks[p].floor)));
-            }
+    fn meeting_bound(inner: &Inner, m: usize, requester: usize, memo: &mut Memo) -> Option<Bound> {
+        let Meeting { id, members, .. } = &inner.meetings[m];
+        // A binary search looks at most at one member per bit of the length.
+        inner.visit((usize::BITS - members.len().leading_zeros()) as usize);
+        if members.binary_search(&requester).is_ok() {
+            return None;
         }
-        for &p in members {
-            if bound.is_none() {
-                break;
+        memo.once(inner.ranks.len() + m, |memo| {
+            inner.visit(members.len());
+            let mut bound = Bound::WEAKEST;
+            for &p in members.iter() {
+                let f = if inner.parked_in(p, *id) {
+                    Bound::at(inner.ranks[p].floor)
+                } else {
+                    Self::floor_of(inner, p, requester, memo)?
+                };
+                bound = bound.max(f);
             }
-            if !inner.parked_in(p, id) {
-                let f = Self::floor_of(inner, p, requester, memo);
-                bound = f.and_then(|f| bound.map(|b| b.max(f)));
-            }
-        }
-        // The wake (meeting completion) strictly follows the bound.
-        bound.map(Bound::woken_after)
+            // The wake (meeting completion) strictly follows the bound.
+            Some(bound.woken_after())
+        })
     }
 
     /// True when no other rank can still produce a request key below
@@ -528,23 +575,32 @@ impl ProgressRegistry {
     /// and that every running rank `r` satisfies `key < (floor, r, 0)` —
     /// which is [`Bound::clears`] for the non-strict bound a running
     /// rank's own floor is. Finished ranks never constrain; what is left
-    /// is the blocked ranks, bounded through what they wait on.
+    /// is the blocked ranks, bounded through what they wait on: the
+    /// meetings they are parked in, and the senders of the `Recv` ranks.
     fn admissible(inner: &mut Inner, key: &ReqKey) -> bool {
         let _hp = simtrace::host::scope(simtrace::host::Site::GateScan);
         inner.visit(1);
-        if inner.earliest.min() != Some(*key) {
+        if inner.earliest.min() != tree_key(key.arrival, key.rank) {
             return false;
         }
-        if inner.blocked.iter().all(|&bits| bits == 0) {
-            return true;
-        }
         let mut memo = std::mem::take(&mut inner.memo);
-        memo.clear();
-        memo.resize(inner.ranks.len(), FloorMemo::Unvisited);
+        let entries = inner.ranks.len() + inner.meetings.len();
+        memo.entry.resize(entries, FloorMemo::Unvisited);
         let state = &*inner;
-        let ok = state.blocked_ranks().all(|r| {
+        // A meeting's bound is strict, so which parked rank it is
+        // checked for cannot change the verdict.
+        let ok = (0..state.meetings.len()).all(|s| {
+            state.meetings[s].parked == 0
+                || Self::meeting_bound(state, s, key.rank, &mut memo)
+                    .is_none_or(|f| f.clears(key, key.rank))
+        }) && state.recv_ranks().all(|r| {
             Self::floor_of(state, r, key.rank, &mut memo).is_none_or(|f| f.clears(key, r))
         });
+        // Forget the check: reset what it wrote, and nothing else.
+        inner.visit(memo.written.len());
+        for i in memo.written.drain(..) {
+            memo.entry[i] = FloorMemo::Unvisited;
+        }
         inner.memo = memo;
         ok
     }
@@ -610,7 +666,8 @@ impl ProgressRegistry {
         }
     }
 
-    /// Register `rank` as parked in rendezvous `id`. Must be called under
+    /// Register `rank` as parked in rendezvous `id` with `members`
+    /// (ascending, `rank` among them). Must be called under
     /// the rendezvous state lock that also guards
     /// [`complete_rdv`](Self::complete_rdv).
     pub(crate) fn block_rdv(&self, rank: usize, id: u64, members: Arc<Vec<usize>>) {
@@ -782,6 +839,14 @@ mod tests {
 
     fn registry(n: usize) -> Arc<ProgressRegistry> {
         Arc::new(ProgressRegistry::new(n, Arc::new(PoisonFlag::default())))
+    }
+
+    impl Inner {
+        /// The ranks blocked in a receive or a meeting, ascending.
+        fn blocked_ranks(&self) -> impl Iterator<Item = usize> + '_ {
+            let blocked = |m: &Mode| matches!(m, Mode::Recv { .. } | Mode::Rdv { .. });
+            (0..self.ranks.len()).filter(move |&r| blocked(&self.ranks[r].mode))
+        }
     }
 
     #[test]
@@ -1360,14 +1425,16 @@ mod tests {
     fn an_admission_check_visits_each_rank_a_bounded_number_of_times() {
         // 1 024 ranks, 1 023 of them parked in one meeting while the
         // last one asks for admission — once as a member of that meeting
-        // (the bulk-synchronous steady state) and once from outside it
-        // with a straggler still on its way. The recursive gate walked
-        // the whole membership for every parked rank: ~P² visits.
+        // (the bulk-synchronous steady state: one binary search, no
+        // member bounded) and once from outside it with a straggler still
+        // on its way (the meeting bounded once). The recursive gate
+        // walked the whole membership for every parked rank: ~P² visits.
         const P: usize = 1024;
+        let log_p = P.ilog2() as usize;
         let requester = P / 2;
         let world: Arc<Vec<usize>> = Arc::new((0..P).collect());
         let others: Arc<Vec<usize>> = Arc::new((0..P).filter(|&r| r != requester).collect());
-        for (members, straggler) in [(world, None), (others, Some(7))] {
+        for (members, straggler, most) in [(world, None, 2 * log_p + 4), (others, Some(7), 4 * P)] {
             let reg = registry(P);
             let mut inner = reg.inner.lock();
             for r in (0..P).filter(|&r| r != requester && Some(r) != straggler) {
@@ -1395,9 +1462,121 @@ mod tests {
             assert!(reference::admissible(&inner, &key));
             let visits = inner.visits.get();
             assert!(
-                visits <= 4 * P,
-                "{visits} visits for one check of {P} ranks"
+                visits <= most,
+                "{visits} visits for one check of {P} ranks (at most {most})"
             );
+        }
+    }
+
+    #[test]
+    fn a_subgroup_check_bounds_the_other_parked_subgroup_once_and_skips_its_own() {
+        // ParColl's shape: 1 024 ranks in 16 subgroups of 64. The
+        // requester's subgroup is parked while it writes; so is another
+        // subgroup, whose completion bounds its members' next requests.
+        // The check looks the requester up in both meetings, walks the
+        // other one's members once and none of its own; the rest of the
+        // ranks run at floors above the arrival.
+        const P: usize = 1024;
+        const G: usize = 64;
+        let (requester, other) = (100, 5);
+        let arrival = SimTime::secs(1.0);
+        for (other_floor, admitted) in [(2.0, true), (1.0, true), (0.5, false)] {
+            let reg = registry(P);
+            let mut inner = reg.inner.lock();
+            for r in 0..P {
+                inner.ranks[r].floor = SimTime::secs(3.0);
+                inner.set_mode(r, Mode::Running);
+            }
+            for (group, floor) in [(requester / G, 2.0), (other, other_floor)] {
+                let members: Arc<Vec<usize>> = Arc::new((group * G..(group + 1) * G).collect());
+                for &r in members.iter().filter(|&&r| r != requester) {
+                    inner.ranks[r].floor = SimTime::secs(floor);
+                    let id = group as u64;
+                    let members = Arc::clone(&members);
+                    inner.set_mode(r, Mode::Rdv { id, members });
+                }
+            }
+            let key = ReqKey {
+                arrival,
+                rank: requester,
+                seq: 0,
+            };
+            inner.set_mode(requester, Mode::Pending { key });
+            inner.visits.set(0);
+            assert_eq!(ProgressRegistry::admissible(&mut inner, &key), admitted);
+            assert_eq!(reference::admissible(&inner, &key), admitted);
+            // The root, two binary searches of 64 members (7 probes each),
+            // the other meeting's 64 members and its one memo entry.
+            let visits = inner.visits.get();
+            assert!(
+                visits <= 1 + 2 * 7 + G + 1,
+                "{visits} visits: a subgroup's own members were looked at"
+            );
+        }
+    }
+
+    #[test]
+    fn a_release_at_its_own_arrival_looks_at_one_tree_node_and_wakes_nobody() {
+        // Rank 5 holds an admission at t=2 and rank 9 waits behind it at
+        // t=4; everyone else has finished. Released, rank 5 runs again
+        // at floor 2 — exactly the key it held — so its leaf keeps its
+        // value, no path is rewritten, and rank 9 stays asleep: rank 5
+        // may still request at t=2.
+        const P: usize = 1024;
+        let reg = registry(P);
+        for r in (0..P).filter(|&r| r != 5 && r != 9) {
+            reg.finish(r);
+        }
+        let waiting = ReqKey {
+            arrival: SimTime::secs(4.0),
+            rank: 9,
+            seq: 0,
+        };
+        reg.inner.lock().set_mode(9, Mode::Pending { key: waiting });
+        reg.acquire(5, SimTime::secs(2.0));
+        {
+            let inner = reg.inner.lock();
+            inner.visits.set(0);
+            inner.wakes.set(0);
+        }
+        reg.release(5);
+        let inner = reg.inner.lock();
+        assert_eq!(inner.visits.get(), 1, "a release rewrote a tree path");
+        assert_eq!(inner.wakes.get(), 0, "a release woke a rank that cannot go");
+        assert_eq!(inner.earliest.min(), tree_key(SimTime::secs(2.0), 5));
+    }
+
+    #[test]
+    fn tree_keys_order_like_request_keys() {
+        // Arrivals across signs, zeros, infinities and NaNs; ranks tied
+        // and not: the integer order is `(arrival.total_cmp, rank)`.
+        let times = [
+            f64::NEG_INFINITY,
+            -3.5,
+            -0.0,
+            0.0,
+            1e-300,
+            2.0,
+            2.0 + f64::EPSILON,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        let keys: Vec<ReqKey> = times
+            .iter()
+            .flat_map(|&t| {
+                [0, 1, usize::MAX >> 1].map(|rank| ReqKey {
+                    arrival: SimTime(t),
+                    rank,
+                    seq: 0,
+                })
+            })
+            .collect();
+        for a in &keys {
+            for b in &keys {
+                let integer = tree_key(a.arrival, a.rank).cmp(&tree_key(b.arrival, b.rank));
+                assert_eq!(integer, a.cmp(b), "{a:?} vs {b:?}");
+            }
         }
     }
 }

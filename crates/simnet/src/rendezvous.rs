@@ -90,12 +90,13 @@ pub struct Rendezvous {
     n: usize,
     /// Process-unique id, reported to the progress registry.
     id: u64,
-    /// Global ranks of the participants (index-aligned with `idx`), when
-    /// known. Cluster-created rendezvous always carry this so the
-    /// progress registry can bound parked waiters by the participants'
-    /// clocks; `None` (unit-test constructor) registers waiters with an
-    /// empty membership, which is sound but cannot exploit the
-    /// requester-dependence rule.
+    /// Global ranks of the participants, ascending, when known.
+    /// Cluster-created rendezvous always carry this so the progress
+    /// registry can bound parked waiters by the participants' clocks and
+    /// find the requester among them with one binary search; `None`
+    /// (unit-test constructor) leaves waiters unregistered, bounded by
+    /// their own floor as if running, which is sound but cannot exploit
+    /// the requester-dependence rule.
     participants: Option<Arc<Vec<usize>>>,
     state: Mutex<State>,
     cv: Condvar,
@@ -114,13 +115,16 @@ impl Rendezvous {
         Self::build(n, None, poison)
     }
 
-    /// Create a meeting point for the given **global ranks** (participant
-    /// index `i` is `ranks[i]`). Cluster code must use this constructor:
-    /// the membership lets the progress registry bound a parked waiter's
-    /// wake time by the participants' clocks — in particular, a meeting
-    /// that includes the requesting rank never delays its admission.
-    pub fn for_ranks(ranks: Vec<usize>, poison: Arc<PoisonFlag>) -> Self {
+    /// Create a meeting point for the given **global ranks** (callers
+    /// number participants by their position in `ranks`; the membership
+    /// is kept as a sorted set, which nothing reads by index). Cluster
+    /// code must use this constructor: the membership lets the progress
+    /// registry bound a parked waiter's wake time by the participants'
+    /// clocks — in particular, a meeting that includes the requesting
+    /// rank never delays its admission.
+    pub fn for_ranks(mut ranks: Vec<usize>, poison: Arc<PoisonFlag>) -> Self {
         let n = ranks.len();
+        ranks.sort_unstable();
         Self::build(n, Some(Arc::new(ranks)), poison)
     }
 
@@ -254,12 +258,9 @@ impl Rendezvous {
             // the deposit, under the state lock): its wake is bounded by
             // the other participants' entry clocks, which the progress
             // registry exploits when ordering resource admissions.
-            let members = self
-                .participants
-                .as_ref()
-                .map(Arc::clone)
-                .unwrap_or_default();
-            crate::progress::tl_block_rdv(self.id, members);
+            if let Some(members) = &self.participants {
+                crate::progress::tl_block_rdv(self.id, Arc::clone(members));
+            }
             let mut polls = 0u32;
             while st.generation == gen && st.result.is_none() {
                 polls += u32::from(!self.wait(&mut st, idx));

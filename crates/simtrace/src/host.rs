@@ -135,9 +135,10 @@ pub enum Site {
     /// (the read-side analogue of [`Site::Pack`], active only when the
     /// `cb_ds_read` hint is on).
     SieveRead,
-    /// Admission gate scan: one `O(ranks)` admissibility check of a
-    /// pending request against every other rank's floor (the progress
-    /// registry, under its lock — never the wait between checks).
+    /// Admission gate check: one admissibility check of a pending
+    /// request — the tree root, then the parked meetings and the ranks
+    /// blocked in a receive (the progress registry, under its lock —
+    /// never the wait between checks).
     GateScan,
     /// Admission gate handoff: the targeted wake of the minimum pending
     /// key's rank that ends every registry state change.
@@ -283,10 +284,17 @@ pub enum Counter {
     /// concatenation). A verify run copies every file byte twice — into the
     /// staging window, out to the landing buffer — and this count pins it.
     CopyBytes,
+    /// Entries the admission gate looked at: tournament-tree nodes on a
+    /// state change, and in a check the root, the meeting members a
+    /// binary search or a bound walked, the ranks analysed and the memo
+    /// entries reset. Follows `log ranks` per event (OST request, send,
+    /// collective entry), plus the members of meetings the requester is
+    /// not in.
+    GateVisits,
 }
 
 /// Number of counters in the registry.
-pub const COUNTER_COUNT: usize = 8;
+pub const COUNTER_COUNT: usize = 9;
 
 const COUNTER_NAMES: [&str; COUNTER_COUNT] = [
     "flatten_hit",
@@ -297,6 +305,7 @@ const COUNTER_NAMES: [&str; COUNTER_COUNT] = [
     "size_exchange_elems",
     "cksum_bytes",
     "copy_bytes",
+    "gate_visits",
 ];
 
 impl Counter {

@@ -4,12 +4,13 @@
 //! a run takes is bounded by the number of events in it — OST requests,
 //! point-to-point sends and collective entries — not by ranks × cycles.
 //!
-//! Two more counts follow from the same rule. Nobody sleeps on a
+//! Three more counts follow from the same rule. Nobody sleeps on a
 //! condition variable under the fiber executor, so no wait site signals
 //! one: the notify that wakes a parked fiber is a queue push, not a
-//! system call. And a round's size exchange touches the (rank,
-//! aggregator) pairs that exchange something plus one slot per rank,
-//! not ranks squared.
+//! system call. The admission gate does `O(log ranks)` work per event,
+//! not a walk over the ranks parked in a collective. And a round's size
+//! exchange touches the (rank, aggregator) pairs that exchange something
+//! plus one slot per rank, not ranks squared.
 //!
 //! The executor and the host profiler are process-global, so the tests
 //! serialize on one lock.
@@ -45,9 +46,10 @@ fn counter(report: &host::Report, name: &str) -> u64 {
     found.unwrap_or_else(|| panic!("no host counter {name}")).1
 }
 
-/// Run `workload` traced and profiled; return (fiber slices, events).
-/// No condvar is signalled on the way.
-fn slices_and_events<W: Workload + 'static>(workload: W, mode: IoMode) -> (u64, u64) {
+/// Run `workload` traced and profiled; return the host report and the
+/// run's events (OST requests, sends and collective entries, plus one
+/// per rank). No condvar is signalled on the way.
+fn profile<W: Workload + 'static>(workload: W, mode: IoMode) -> (host::Report, u64) {
     let ranks = workload.nprocs() as u64;
     let sink = TraceSink::enabled();
     let mut cfg = RunConfig::paper(mode);
@@ -78,7 +80,7 @@ fn slices_and_events<W: Workload + 'static>(workload: W, mode: IoMode) -> (u64, 
         slices >= ranks,
         "every rank runs at least once ({slices} slices)"
     );
-    (slices, events + ranks)
+    (report, events + ranks)
 }
 
 #[test]
@@ -86,17 +88,39 @@ fn fiber_slices_are_bounded_by_events_not_by_ranks_times_cycles() {
     let _serial = serial();
     // Independent I/O: every rank queues at the admission gate for
     // every request. Polling resumed all 64 ranks per request.
-    let (slices, events) = slices_and_events(FlashIo::checkpoint(64), IoMode::Independent);
+    let (report, events) = profile(FlashIo::checkpoint(64), IoMode::Independent);
+    let slices = report.samples(host::Site::FiberRun);
     assert!(
         slices <= 3 * events,
         "flash independent: {slices} slices for {events} events"
     );
     // ParColl: eight subgroups of eight, each with its own
     // collectives and exchange, sharing the OSTs.
-    let (slices, events) = slices_and_events(TileIo::paper(64), IoMode::Parcoll { groups: 8 });
+    let (report, events) = profile(TileIo::paper(64), IoMode::Parcoll { groups: 8 });
+    let slices = report.samples(host::Site::FiberRun);
     assert!(
         slices <= 3 * events,
         "tile-io parcoll-8: {slices} slices for {events} events"
+    );
+}
+
+#[test]
+fn gate_visits_follow_events_times_log_ranks_not_ranks() {
+    // A 256-rank collective tile-io write. While an aggregator writes,
+    // everyone else is parked in a world collective the aggregator
+    // belongs to, which a check skips after one binary search of its
+    // members; walking the parked ranks instead cost ≈ 2·P visits per
+    // OST request. What is left is O(log P) per event: a request's check
+    // and tree paths, a collective entry's park and unpark, a receive's
+    // block and release.
+    const P: u64 = 256;
+    let _serial = serial();
+    let (report, events) = profile(TileIo::paper(P as usize), IoMode::Collective);
+    let visits = counter(&report, "gate_visits");
+    assert!(visits > 0, "the gate was not counted");
+    assert!(
+        visits <= 4 * P.ilog2() as u64 * events,
+        "{visits} gate visits for {events} events among {P} ranks"
     );
 }
 
