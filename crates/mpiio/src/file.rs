@@ -53,7 +53,6 @@ pub struct File<'ep> {
     view: FileView,
     hints: Hints,
     profile: PhaseProfile,
-    individual_ptr: u64,
 }
 
 impl<'ep> File<'ep> {
@@ -105,23 +104,12 @@ impl<'ep> File<'ep> {
             view: FileView::contiguous(0),
             hints: Hints::from_info(info),
             profile,
-            individual_ptr: 0,
         }
     }
 
-    pub(crate) fn individual_ptr(&self) -> u64 {
-        self.individual_ptr
-    }
-
-    pub(crate) fn set_individual_ptr(&mut self, v: u64) {
-        self.individual_ptr = v;
-    }
-
     /// Set the file view (`MPI_File_set_view`). Collective; datatype
-    /// flattening is local, agreement costs a barrier. Resets the
-    /// individual file pointer, as MPI requires.
+    /// flattening is local, agreement costs a barrier.
     pub fn set_view(&mut self, displacement: u64, filetype: &Datatype) {
-        self.individual_ptr = 0;
         self.view = FileView::new(displacement, filetype);
         let ep = self.comm.endpoint();
         let t = PhaseTimer::start(Phase::Sync, ep.now());
@@ -224,45 +212,6 @@ impl<'ep> File<'ep> {
     /// Mutable access for protocol layers stacked on top (ParColl).
     pub fn profile_mut(&mut self) -> &mut PhaseProfile {
         &mut self.profile
-    }
-
-    /// Current file size (`MPI_File_get_size`).
-    pub fn get_size(&self) -> u64 {
-        self.fh.size()
-    }
-
-    /// Collectively set the file size (`MPI_File_set_size`): truncation or
-    /// sparse extension.
-    pub fn set_size(&mut self, size: u64) {
-        let ep = self.comm.endpoint();
-        let done = self.fh.truncate(size, ep.now());
-        ep.clock().advance_to(done);
-        let t = PhaseTimer::start(Phase::Sync, ep.now());
-        self.comm.barrier();
-        t.stop_traced(ep.now(), &mut self.profile, ep.trace());
-    }
-
-    /// Collectively preallocate storage up to `size`
-    /// (`MPI_File_preallocate`): charged as a synthetic write of the
-    /// missing tail by rank 0.
-    pub fn preallocate(&mut self, size: u64) {
-        let ep = self.comm.endpoint();
-        if self.comm.rank() == 0 {
-            let current = self.fh.size();
-            if size > current {
-                let t = PhaseTimer::start(Phase::Io, ep.now());
-                let done = self.fh.write_at(
-                    current,
-                    &IoBuffer::synthetic((size - current) as usize),
-                    ep.now(),
-                );
-                ep.clock().advance_to(done);
-                t.stop_traced(ep.now(), &mut self.profile, ep.trace());
-            }
-        }
-        let t = PhaseTimer::start(Phase::Sync, ep.now());
-        self.comm.barrier();
-        t.stop_traced(ep.now(), &mut self.profile, ep.trace());
     }
 
     /// Collectively close, returning this rank's profile ("when a file is

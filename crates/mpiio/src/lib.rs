@@ -25,7 +25,9 @@
 //! * **A file API** ([`file::File`]) — `open` / `set_view` /
 //!   `write_at_all` / `read_at_all` / independent variants / `close`,
 //!   carrying `MPI_Info` hints (`cb_nodes`, `cb_buffer_size`, explicit
-//!   aggregator lists).
+//!   aggregator lists). Every access takes an explicit offset: there are
+//!   no file pointers, split collectives or file sizing calls
+//!   (DESIGN.md §2).
 //!
 //! The ParColl optimization in the `parcoll` crate reuses [`twophase`]
 //! unchanged over sub-communicators — the paper's design retains ext2ph
@@ -39,18 +41,14 @@ pub mod datatype;
 pub mod file;
 pub mod hints;
 pub mod independent;
-pub mod pointers;
 pub mod profile;
 pub mod space;
-pub mod split_coll;
 pub mod twophase;
 pub mod view;
 
 pub use datatype::{Datatype, Ext, FlatType, Run};
 pub use file::File;
 pub use hints::Hints;
-pub use pointers::Whence;
 pub use profile::PhaseProfile;
 pub use space::{DirectSpace, FileSpace};
-pub use split_coll::SplitColl;
 pub use view::{AccessPlan, FileView};

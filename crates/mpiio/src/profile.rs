@@ -5,10 +5,11 @@
 //! synchronization, point-to-point data exchange, or file I/O; "when a
 //! file is closed, a summary is reported". This module reproduces that
 //! instrumentation: protocol code brackets each operation with
-//! [`PhaseProfile::charge`], and [`PhaseProfile::reduce_max`] /
-//! [`summary`](PhaseProfile::reduce_avg) aggregate across ranks at close.
+//! [`PhaseProfile::charge`], and [`File::close`](crate::File::close)
+//! returns the rank's own profile. Folding ranks together (slowest
+//! rank, mean) is the caller's job, on the host, after the run
+//! (`workloads::runner`).
 
-use simmpi::{Communicator, ReduceOp};
 use simnet::SimTime;
 
 /// The phase a time interval is attributed to.
@@ -95,43 +96,6 @@ impl PhaseProfile {
         self.calls += other.calls;
         self.rounds += other.rounds;
     }
-
-    fn to_micros_vec(self) -> Vec<u64> {
-        [self.sync, self.p2p, self.io, self.local]
-            .iter()
-            .map(|t| t.as_micros().round() as u64)
-            .chain([self.calls, self.rounds])
-            .collect()
-    }
-
-    fn from_micros_vec(v: &[u64]) -> PhaseProfile {
-        PhaseProfile {
-            sync: SimTime::micros(v[0] as f64),
-            p2p: SimTime::micros(v[1] as f64),
-            io: SimTime::micros(v[2] as f64),
-            local: SimTime::micros(v[3] as f64),
-            calls: v[4],
-            rounds: v[5],
-        }
-    }
-
-    /// Element-wise maximum across the communicator (collective). The
-    /// paper reports the slowest rank's times — that is what bounds the
-    /// application.
-    pub fn reduce_max(&self, comm: &Communicator<'_>) -> PhaseProfile {
-        let v = comm.allreduce_u64(&self.to_micros_vec(), ReduceOp::Max);
-        PhaseProfile::from_micros_vec(&v)
-    }
-
-    /// Element-wise mean across the communicator (collective). Rounded
-    /// to the nearest microsecond — flooring would erase sub-µs means
-    /// entirely (a profile averaging 0.9 µs/rank must not report 0).
-    pub fn reduce_avg(&self, comm: &Communicator<'_>) -> PhaseProfile {
-        let v = comm.allreduce_u64(&self.to_micros_vec(), ReduceOp::Sum);
-        let p = comm.size() as u64;
-        let avg: Vec<u64> = v.iter().map(|x| (x + p / 2) / p).collect();
-        PhaseProfile::from_micros_vec(&avg)
-    }
 }
 
 /// Scope helper: measures the clock delta across a protocol step and
@@ -172,8 +136,6 @@ impl PhaseTimer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simmpi::Communicator;
-    use simnet::{run_cluster, ClusterConfig};
 
     #[test]
     fn charge_accumulates_per_phase() {
@@ -220,59 +182,6 @@ mod tests {
         let t = PhaseTimer::start(Phase::P2p, SimTime::secs(10.0));
         t.stop(SimTime::secs(12.5), &mut p);
         assert_eq!(p.p2p, SimTime::secs(2.5));
-    }
-
-    #[test]
-    fn reduce_max_takes_slowest_rank() {
-        let out = run_cluster(ClusterConfig::ideal(4), |ep| {
-            let comm = Communicator::world(&ep);
-            let mine = PhaseProfile {
-                sync: SimTime::millis(ep.rank() as f64),
-                calls: ep.rank() as u64,
-                ..Default::default()
-            };
-            mine.reduce_max(&comm)
-        });
-        for p in &out {
-            assert!((p.sync.as_millis() - 3.0).abs() < 1e-6);
-            assert_eq!(p.calls, 3);
-        }
-    }
-
-    #[test]
-    fn reduce_avg_takes_mean() {
-        let out = run_cluster(ClusterConfig::ideal(4), |ep| {
-            let comm = Communicator::world(&ep);
-            let mine = PhaseProfile {
-                io: SimTime::millis(ep.rank() as f64 * 2.0),
-                ..Default::default()
-            };
-            mine.reduce_avg(&comm)
-        });
-        for p in &out {
-            assert!((p.io.as_millis() - 3.0).abs() < 0.01); // mean of 0,2,4,6
-        }
-    }
-
-    #[test]
-    fn reduce_avg_rounds_instead_of_flooring() {
-        // Ranks contribute 0, 1, 1 µs: the mean is 2/3 µs. Flooring the
-        // integer division would report 0 and erase the bucket entirely.
-        let out = run_cluster(ClusterConfig::ideal(3), |ep| {
-            let comm = Communicator::world(&ep);
-            let mine = PhaseProfile {
-                sync: SimTime::micros(if ep.rank() == 0 { 0.0 } else { 1.0 }),
-                ..Default::default()
-            };
-            mine.reduce_avg(&comm)
-        });
-        for p in &out {
-            assert_eq!(
-                p.sync,
-                SimTime::micros(1.0),
-                "mean of 2/3 µs must round to 1 µs, not floor to 0"
-            );
-        }
     }
 
     #[test]

@@ -19,8 +19,6 @@ struct FileEntry {
     /// [`FsConfig::integrity`] is on. Lock order: integrity before
     /// storage, everywhere.
     integrity: Option<Mutex<IntegrityStore>>,
-    /// MPI-IO shared file pointer (one per file, across all openers).
-    shared_ptr: std::sync::atomic::AtomicU64,
 }
 
 #[derive(Debug)]
@@ -129,7 +127,6 @@ impl FileSystem {
                 .cfg
                 .integrity
                 .then(|| Mutex::new(IntegrityStore::new())),
-            shared_ptr: std::sync::atomic::AtomicU64::new(0),
         })
     }
 
@@ -407,14 +404,6 @@ impl FsStats {
         }
     }
 
-    /// Fraction of targets that served any bytes.
-    pub fn utilization_breadth(&self) -> f64 {
-        if self.osts.is_empty() {
-            return 0.0;
-        }
-        self.osts.iter().filter(|o| o.bytes > 0).count() as f64 / self.osts.len() as f64
-    }
-
     /// Mean request size in bytes (0 if no requests) — small values are
     /// the signature of the over-partitioned / scatter regimes.
     pub fn mean_request_bytes(&self) -> f64 {
@@ -455,17 +444,6 @@ impl FileHandle {
             }
         }
         done
-    }
-
-    /// Write only the first `keep` bytes of `data` at `offset` — a *torn
-    /// write*: the issuing aggregator died mid-request, a prefix landed
-    /// on the platter and the tail did not. Charges I/O for the prefix
-    /// only. Stored page sums cover the prefix (the bytes really are
-    /// durable); the *logical* damage — stale bytes where the tail
-    /// should be — is what crash recovery must replay over.
-    pub fn write_at_torn(&self, offset: u64, data: &IoBuffer, keep: u64, now: SimTime) -> SimTime {
-        let keep = keep.min(data.len() as u64);
-        self.write_at(offset, &data.sub(0, keep as usize), now)
     }
 
     /// Read `len` bytes at `offset`, arriving at `now`; returns the data
@@ -617,32 +595,6 @@ impl FileHandle {
             .map(|&(off, len)| st.read(off, len as usize))
             .collect();
         Ok((bufs, done))
-    }
-
-    /// Atomically fetch-and-advance the file's shared pointer by `n`
-    /// bytes, returning the pre-advance value (MPI shared-file-pointer
-    /// semantics: any process may claim the next region).
-    pub fn shared_fetch_add(&self, n: u64) -> u64 {
-        self.entry
-            .shared_ptr
-            .fetch_add(n, std::sync::atomic::Ordering::SeqCst)
-    }
-
-    /// Read the shared pointer without advancing it.
-    pub fn shared_load(&self) -> u64 {
-        self.entry.shared_ptr.load(std::sync::atomic::Ordering::SeqCst)
-    }
-
-    /// Truncate the file (metadata-only cost: one RPC).
-    pub fn truncate(&self, size: u64, now: SimTime) -> SimTime {
-        let integ = self.entry.integrity.as_ref().map(|m| m.lock());
-        let mut st = self.entry.storage.lock();
-        st.truncate(size);
-        if let Some(mut integ) = integ {
-            integ.note_truncate(&st, size);
-        }
-        drop(st);
-        now + self.fs.inner.cfg.rpc_latency * 2.0
     }
 
     fn charge_io(&self, offset: u64, len: u64, now: SimTime, is_write: bool) -> SimTime {
@@ -849,7 +801,6 @@ mod tests {
         // 2KB over 1KB stripes on 4 OSTs: 2 targets loaded, 2 idle.
         f.write_at(0, &IoBuffer::synthetic(2048), t);
         let st = fs.stats();
-        assert!((st.utilization_breadth() - 0.5).abs() < 1e-12);
         assert!(st.imbalance() >= 1.0);
         assert!((st.mean_request_bytes() - 1024.0).abs() < 1e-9);
         assert!(st.mean_busy() > SimTime::ZERO);
@@ -861,7 +812,6 @@ mod tests {
         let st = fs.stats();
         assert_eq!(st.mean_request_bytes(), 0.0);
         assert_eq!(st.imbalance(), 1.0);
-        assert_eq!(st.utilization_breadth(), 0.0);
     }
 
     #[test]

@@ -172,21 +172,6 @@ impl IntegrityStore {
         }
     }
 
-    /// Record a truncation: forget sums of pages wholly past the new
-    /// size and re-hash the page the new EOF lands in.
-    pub fn note_truncate(&mut self, storage: &Storage, size: u64) {
-        let first_gone = size.div_ceil(PAGE_SIZE);
-        self.sums.retain(|&p, _| p < first_gone);
-        self.journal.retain(|&(b, _)| b < size);
-        if !size.is_multiple_of(PAGE_SIZE) {
-            let page = size / PAGE_SIZE;
-            if self.sums.contains_key(&page) {
-                let sum = self.page_sum_of(storage, page);
-                self.sums.insert(page, sum);
-            }
-        }
-    }
-
     /// Materialize any pending rot rule whose extent overlaps
     /// `[offset, offset+len)`: apply the seeded flip to the stored bytes
     /// (stored sums untouched — that *is* the corruption) and journal
@@ -361,15 +346,5 @@ mod tests {
         let out = integ.verify_range(&mut st, Some(&plan), 0, 3 * PAGE_SIZE);
         assert_eq!(out.repaired.len(), 1);
         assert!(out.repaired[0].0 >= 2 * PAGE_SIZE);
-    }
-
-    #[test]
-    fn truncate_forgets_sums_past_eof() {
-        let data = vec![9u8; 2 * PAGE_SIZE as usize];
-        let (mut st, mut integ) = store_with(&data);
-        st.truncate(PAGE_SIZE / 2);
-        integ.note_truncate(&st, PAGE_SIZE / 2);
-        let out = integ.verify_range(&mut st, None, 0, 2 * PAGE_SIZE);
-        assert!(out.repaired.is_empty() && out.unrepairable.is_empty());
     }
 }

@@ -8,11 +8,11 @@
 //! returns that window. A partly covered page is patched copy-on-write,
 //! so neither the writer nor an earlier reader ever sees a later write.
 //! What a view can pin: a page surviving from a large write keeps that
-//! whole buffer alive until it is overwritten or truncated, and so does
-//! a read's window until its reader drops it. A write that replaces the
-//! rest of a buffer copies out the page it leaves behind just before and
-//! just after itself; pages stranded any other way (a truncate,
-//! scattered overwrites) stay views, so [`Storage::resident_bytes`] is a
+//! whole buffer alive until it is overwritten, and so does a read's
+//! window until its reader drops it. A write that replaces the rest of a
+//! buffer copies out the page it leaves behind just before and just
+//! after itself; pages stranded any other way (scattered overwrites)
+//! stay views, so [`Storage::resident_bytes`] is a
 //! lower bound on the memory an image holds.
 //! Synthetic writes mark their extents in a [`RangeSet`] instead of
 //! materializing bytes; a read overlapping a synthetic extent yields a
@@ -61,7 +61,7 @@ impl Storage {
         Storage::default()
     }
 
-    /// Current file size (highest byte written + 1, or truncated size).
+    /// Current file size (highest byte written + 1).
     pub fn size(&self) -> u64 {
         self.size
     }
@@ -163,20 +163,6 @@ impl Storage {
             }
         }
         Some(h.digest())
-    }
-
-    /// Truncate to `size` bytes, discarding later content.
-    pub fn truncate(&mut self, size: u64) {
-        self.size = size;
-        self.synthetic.remove(size, u64::MAX);
-        let first_dead = size.div_ceil(PAGE_SIZE);
-        self.pages.retain(|&idx, _| idx < first_dead);
-        // Zero the tail of the boundary page.
-        if !size.is_multiple_of(PAGE_SIZE) {
-            if let Some(page) = self.pages.get_mut(&(size / PAGE_SIZE)) {
-                bytes_mut(page)[(size % PAGE_SIZE) as usize..].fill(0);
-            }
-        }
     }
 
     fn write_pages(&mut self, offset: u64, data: &IoBuffer) {
@@ -306,17 +292,6 @@ mod tests {
     }
 
     #[test]
-    fn truncate_discards_tail() {
-        let mut s = Storage::new();
-        s.write(0, &IoBuffer::from_slice(&[5; 300]));
-        s.truncate(100);
-        assert_eq!(s.size(), 100);
-        // Re-extend: bytes past the truncation point read as zero.
-        s.write(200, &IoBuffer::from_slice(&[1]));
-        assert_eq!(s.read(100, 100).as_slice().unwrap(), &[0; 100]);
-    }
-
-    #[test]
     fn empty_write_and_read() {
         let mut s = Storage::new();
         s.write(10, &IoBuffer::empty());
@@ -367,12 +342,6 @@ mod tests {
             // own offset: the image ends up viewing it.
             let mut shared = IoBuffer::from_vec((0..SPAN).map(|_| rng.next() as u8 | 1).collect());
             for _ in 0..24 {
-                if rng.below(12) == 0 {
-                    let size = rng.below(SPAN);
-                    s.truncate(size);
-                    image[size as usize..].fill(0);
-                    synthetic[size as usize..].fill(false);
-                }
                 let (off, len) = match rng.below(4) {
                     // Whole pages, absent or resident: views of the source.
                     0 => {

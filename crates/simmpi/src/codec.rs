@@ -35,31 +35,6 @@ pub fn decode_u64s(buf: &IoBuffer) -> Vec<u64> {
         .collect()
 }
 
-/// Encode a slice of `i64` as little-endian bytes.
-pub fn encode_i64s(vals: &[i64]) -> IoBuffer {
-    let mut out = Vec::with_capacity(vals.len() * 8);
-    for v in vals {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    IoBuffer::from_vec(out)
-}
-
-/// Decode a buffer produced by [`encode_i64s`].
-pub fn decode_i64s(buf: &IoBuffer) -> Vec<i64> {
-    let bytes = buf
-        .as_slice()
-        .expect("protocol metadata must be a real buffer");
-    assert!(
-        bytes.len().is_multiple_of(8),
-        "i64 metadata payload has odd length {}",
-        bytes.len()
-    );
-    bytes
-        .chunks_exact(8)
-        .map(|c| i64::from_le_bytes(c.try_into().expect("chunk of 8")))
-        .collect()
-}
-
 /// Encode `(u64, u64)` pairs (e.g. offset/length runs).
 pub fn encode_pairs(pairs: &[(u64, u64)]) -> IoBuffer {
     let mut out = Vec::with_capacity(pairs.len() * 16);
@@ -85,12 +60,6 @@ mod tests {
     fn u64_round_trip() {
         let vals = vec![0u64, 1, u64::MAX, 42, 1 << 40];
         assert_eq!(decode_u64s(&encode_u64s(&vals)), vals);
-    }
-
-    #[test]
-    fn i64_round_trip_with_negatives() {
-        let vals = vec![0i64, -1, i64::MIN, i64::MAX, -12345];
-        assert_eq!(decode_i64s(&encode_i64s(&vals)), vals);
     }
 
     #[test]

@@ -290,37 +290,6 @@ impl<'ep> Communicator<'ep> {
             });
         (sub, Arc::clone(derived))
     }
-
-    /// Duplicate this communicator (fresh context, same membership) —
-    /// `MPI_Comm_dup`. Costs a barrier.
-    pub fn dup(&self) -> Communicator<'ep> {
-        let poison = self.ep.poison();
-        let ctx_alloc = self.ep.ctx_allocator();
-        let net = self.ep.net().clone();
-        let p = self.size();
-        let members = self.shared.members.clone();
-        let label = MeetLabel {
-            op: "comm_dup",
-            alg: "dissemination",
-            bytes: 0,
-        };
-        let shared: Arc<Arc<CommShared>> = self.meet(label, (), move |_inputs: Vec<()>, max_clock| {
-            let shared = Arc::new(CommShared {
-                ctx: ctx_alloc.fetch_add(1, Ordering::Relaxed),
-                rdv: Arc::new(Rendezvous::for_ranks(
-                    members.clone(),
-                    Arc::clone(&poison),
-                )),
-                members,
-            });
-            (shared, max_clock + net.barrier_cost(p))
-        });
-        Communicator {
-            ep: self.ep,
-            shared: Arc::clone(&shared),
-            my_local: self.my_local,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -382,17 +351,6 @@ mod tests {
             let world = Communicator::world(&ep);
             let sub = world.split(Some((ep.rank() / 2) as i64), 0).unwrap();
             assert_ne!(sub.context_id(), world.context_id());
-        });
-    }
-
-    #[test]
-    fn dup_preserves_membership_with_new_context() {
-        run_cluster(ClusterConfig::ideal(4), |ep| {
-            let world = Communicator::world(&ep);
-            let d = world.dup();
-            assert_eq!(d.size(), world.size());
-            assert_eq!(d.rank(), world.rank());
-            assert_ne!(d.context_id(), world.context_id());
         });
     }
 

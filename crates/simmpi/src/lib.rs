@@ -4,14 +4,14 @@
 //! implementations (ROMIO's generic ADIO driver, the paper's OPAL library,
 //! and our `mpiio`/`parcoll` crates) are written against:
 //!
-//! * [`Communicator`] — world, `split`, `dup`, local/global rank
-//!   translation, node lookup;
+//! * [`Communicator`] — world, `split`, local/global rank translation,
+//!   node lookup;
 //! * point-to-point — `send`/`recv`, non-blocking `isend`/`irecv` with
 //!   [`Communicator::waitall`] (completion at the *maximum* arrival time,
 //!   as for a real `MPI_Waitall` over independent messages);
-//! * collectives — `barrier`, `bcast`, `gather(v)`, `scatter`,
-//!   `allgather(v)`, `alltoall(v)`, `allreduce`, `reduce`, `scan`, plus
-//!   typed convenience wrappers;
+//! * collectives — the ones the two-phase engine and ParColl run:
+//!   `barrier`, `bcast`, `allgather(v)`, the size and count alltoalls,
+//!   and `allreduce`, plus typed wrappers;
 //! * [`Info`] — the string key/value hint dictionary of MPI, through which
 //!   applications tune collective I/O (`cb_nodes`, `cb_buffer_size`,
 //!   ParColl's group hints).
@@ -30,7 +30,6 @@
 
 pub mod codec;
 pub mod coll;
-pub mod coll_ext;
 pub mod comm;
 pub mod info;
 pub mod p2p;
@@ -39,7 +38,7 @@ pub use comm::Communicator;
 pub use info::Info;
 pub use p2p::RecvRequest;
 
-/// Reduction operators for the typed reduce/allreduce/scan helpers.
+/// Reduction operators for [`Communicator::allreduce_u64`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReduceOp {
     /// Sum of elements.
@@ -62,16 +61,6 @@ impl ReduceOp {
             ReduceOp::LOr => u64::from(a != 0 || b != 0),
         }
     }
-
-    /// Apply to a pair of `f64` values (`LOr` treats non-zero as true).
-    pub fn apply_f64(self, a: f64, b: f64) -> f64 {
-        match self {
-            ReduceOp::Sum => a + b,
-            ReduceOp::Max => a.max(b),
-            ReduceOp::Min => a.min(b),
-            ReduceOp::LOr => f64::from(a != 0.0 || b != 0.0),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -85,14 +74,5 @@ mod tests {
         assert_eq!(ReduceOp::Min.apply_u64(3, 4), 3);
         assert_eq!(ReduceOp::LOr.apply_u64(0, 0), 0);
         assert_eq!(ReduceOp::LOr.apply_u64(0, 9), 1);
-    }
-
-    #[test]
-    fn reduce_op_f64_semantics() {
-        assert_eq!(ReduceOp::Sum.apply_f64(1.5, 2.5), 4.0);
-        assert_eq!(ReduceOp::Max.apply_f64(1.5, 2.5), 2.5);
-        assert_eq!(ReduceOp::Min.apply_f64(1.5, 2.5), 1.5);
-        assert_eq!(ReduceOp::LOr.apply_f64(0.0, 0.0), 0.0);
-        assert_eq!(ReduceOp::LOr.apply_f64(0.0, 0.1), 1.0);
     }
 }

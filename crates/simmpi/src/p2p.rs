@@ -187,19 +187,6 @@ impl Communicator<'_> {
         }
         payloads
     }
-
-    /// Combined send+receive (deadlock-free pairwise exchange).
-    pub fn sendrecv(
-        &self,
-        dst: usize,
-        send_tag: i32,
-        buf: IoBuffer,
-        src: usize,
-        recv_tag: i32,
-    ) -> IoBuffer {
-        self.isend(dst, send_tag, buf);
-        self.recv(src, recv_tag)
-    }
 }
 
 #[cfg(test)]
@@ -276,23 +263,6 @@ mod tests {
                 }
             }
         });
-    }
-
-    #[test]
-    fn sendrecv_pairwise_exchange() {
-        let out = run_cluster(ClusterConfig::ideal(2), |ep| {
-            let comm = Communicator::world(&ep);
-            let peer = 1 - comm.rank();
-            let got = comm.sendrecv(
-                peer,
-                1,
-                IoBuffer::from_slice(&[comm.rank() as u8]),
-                peer,
-                1,
-            );
-            got.as_slice().unwrap()[0]
-        });
-        assert_eq!(out, vec![1, 0]);
     }
 
     #[test]

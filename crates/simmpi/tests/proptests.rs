@@ -45,44 +45,6 @@ proptest! {
         prop_assert!(out.iter().all(|&v| v == expect));
     }
 
-    /// Scan yields inclusive prefixes.
-    #[test]
-    fn scan_matches_prefix(n in 1usize..10,
-                           vals in proptest::collection::vec(0u64..1000, 1..10)) {
-        prop_assume!(vals.len() >= n);
-        let vals2 = vals.clone();
-        let out = run_cluster(ClusterConfig::ideal(n), move |ep| {
-            let comm = Communicator::world(&ep);
-            comm.scan_u64(&[vals2[comm.rank()]], ReduceOp::Sum)[0]
-        });
-        let mut acc = 0u64;
-        for (r, &got) in out.iter().enumerate() {
-            acc += vals[r];
-            prop_assert_eq!(got, acc, "rank {}", r);
-        }
-    }
-
-    /// Alltoall is an exact transpose for arbitrary pairwise payloads.
-    #[test]
-    fn alltoall_is_transpose(n in 1usize..8, salt in any::<u8>()) {
-        let out = run_cluster(ClusterConfig::ideal(n), move |ep| {
-            let comm = Communicator::world(&ep);
-            let me = comm.rank() as u8;
-            let bufs: Vec<IoBuffer> = (0..comm.size())
-                .map(|d| IoBuffer::from_slice(&[me, d as u8, salt]))
-                .collect();
-            comm.alltoall(bufs)
-                .iter()
-                .map(|b| b.as_slice().unwrap().to_vec())
-                .collect::<Vec<_>>()
-        });
-        for (dst, got) in out.iter().enumerate() {
-            for (src, v) in got.iter().enumerate() {
-                prop_assert_eq!(v, &vec![src as u8, dst as u8, salt]);
-            }
-        }
-    }
-
     /// Split by arbitrary colors: each subgroup sums only its members.
     #[test]
     fn split_partitions_correctly(n in 2usize..10,

@@ -25,7 +25,7 @@ use crate::time::SimTime;
 /// combination itself is performed at a rendezvous, see [`crate::Rendezvous`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CollectiveAlg {
-    /// Binomial tree (bcast, reduce, gather, scatter).
+    /// Binomial tree (bcast).
     Binomial,
     /// Recursive doubling (allgather, allreduce, barrier).
     RecursiveDoubling,
@@ -161,22 +161,6 @@ impl NetworkModel {
         self.hop(n as f64) * Self::log2_ceil(p) + self.straggler_noise(p)
     }
 
-    /// Gather of `n_each` bytes from each of `p` ranks to a root
-    /// (binomial tree; total data `(p-1)·n_each` crosses the root link).
-    pub fn gather_cost(&self, p: usize, n_each: usize) -> SimTime {
-        if p <= 1 {
-            return SimTime::ZERO;
-        }
-        self.hop(0.0) * Self::log2_ceil(p)
-            + SimTime::secs((p - 1) as f64 * n_each as f64 * self.byte_time)
-            + self.straggler_noise(p)
-    }
-
-    /// Scatter: symmetric to gather.
-    pub fn scatter_cost(&self, p: usize, n_each: usize) -> SimTime {
-        self.gather_cost(p, n_each)
-    }
-
     /// Allgather of `n_each` bytes from each rank (recursive doubling:
     /// `log₂ p` latencies, `(p-1)·n_each` bytes through each rank).
     pub fn allgather_cost(&self, p: usize, n_each: usize) -> SimTime {
@@ -192,16 +176,6 @@ impl NetworkModel {
     /// folded into the per-hop byte cost — it is bandwidth-bound).
     pub fn allreduce_cost(&self, p: usize, n: usize) -> SimTime {
         self.hop(n as f64) * Self::log2_ceil(p) + self.straggler_noise(p)
-    }
-
-    /// Reduce to a root: same structure as allreduce.
-    pub fn reduce_cost(&self, p: usize, n: usize) -> SimTime {
-        self.allreduce_cost(p, n)
-    }
-
-    /// Inclusive scan: recursive doubling, same shape as allreduce.
-    pub fn scan_cost(&self, p: usize, n: usize) -> SimTime {
-        self.allreduce_cost(p, n)
     }
 
     /// Alltoall where each rank sends `n_per_pair` bytes to every other
@@ -224,20 +198,6 @@ impl NetworkModel {
             }
         };
         cost + self.straggler_noise(p)
-    }
-
-    /// Alltoallv cost given this rank's total send volume and the maximum
-    /// pairwise message size across the operation. Pairwise exchange still
-    /// pays `p-1` latencies even when most counts are zero — this is
-    /// exactly why replacing collectives by point-to-point does not remove
-    /// the wall (paper §1).
-    pub fn alltoallv_cost(&self, p: usize, max_total_send: usize) -> SimTime {
-        if p <= 1 {
-            return SimTime::ZERO;
-        }
-        self.hop(0.0) * (p - 1) as f64
-            + SimTime::secs(max_total_send as f64 * self.byte_time)
-            + self.straggler_noise(p)
     }
 }
 
@@ -309,7 +269,6 @@ mod tests {
         assert_eq!(m.barrier_cost(1), SimTime::ZERO);
         assert_eq!(m.allgather_cost(1, 100), SimTime::ZERO);
         assert_eq!(m.alltoall_cost(1, 100), SimTime::ZERO);
-        assert_eq!(m.gather_cost(1, 100), SimTime::ZERO);
     }
 
     #[test]
@@ -382,13 +341,6 @@ mod tests {
         assert!(64.0 * n8 < 0.1 * n512);
         // The baseline term stays logarithmic.
         assert!(m.straggler_noise(512) < SimTime::micros(100.0));
-    }
-
-    #[test]
-    fn alltoallv_pays_latencies_even_when_empty() {
-        let m = net();
-        let c = m.alltoallv_cost(256, 0);
-        assert!(c >= m.hop(0.0) * 255.0);
     }
 
     #[test]
