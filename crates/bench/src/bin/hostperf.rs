@@ -23,13 +23,14 @@
 //! times each scenario twice in-process — end-to-end integrity off,
 //! then on — under two budgets. The fig1/fig9-shaped sweeps are
 //! synthetic, so checksums-on hashes nothing there and may cost at most
-//! 5% + 2 ms: that is the price of the plumbing. `tile_verify` is a
-//! verify-mode tile-io run on real bytes with the scrub on, where every
-//! file byte is hashed seven times: checksums-on may cost at most 100%
-//! over checksums-off there (it costs about 17% at quick scale and 70% at
-//! 64 ranks; the byte-per-multiply hash this leg was added against cost
-//! about 200%). Both sides are printed as `<figure>@integrity-off` /
-//! `@integrity-on` rows. `--figure` narrows these scenarios too.
+//! 5% + 2 ms: that is the price of the plumbing (about 1% at either
+//! scale). `tile_verify` is a verify-mode tile-io run on real bytes with
+//! the scrub on, where every file byte is hashed seven times:
+//! checksums-on may cost at most 110% over checksums-off there (it costs
+//! about 48% at quick scale and 82% at 64 ranks; the byte-per-multiply
+//! hash this leg was added against cost about 200%). Both sides are
+//! printed as `<figure>@integrity-off` / `@integrity-on` rows.
+//! `--figure` narrows these scenarios too.
 
 use bench::regress::Tolerance;
 use bench::{print_table, rows_from_json, rows_to_json, Row, Scale};
@@ -48,13 +49,13 @@ const OVERHEAD_TOL: Tolerance = Tolerance { rel: 0.02, abs: 1e-4 };
 const INTEGRITY_TOL: Tolerance = Tolerance { rel: 0.05, abs: 2e-3 };
 
 /// `--integrity-ab` budget on real bytes: seven hash passes over every
-/// file byte and the scrub may together cost at most 100% over the same
-/// run with integrity off. On one box: +17 % in the median of ten
-/// quick-scale runs (−17…+28 %) and +70 % of six 64-rank runs
-/// (+66…+80 %), against +203 % (+167…+258 %) for a byte-per-multiply hash
-/// — so the budget sits 25 % or more from the medians on both sides
+/// file byte and the scrub may together cost at most 110% over the same
+/// run with integrity off. On one 2-CPU box: +48 % in the median of ten
+/// quick-scale runs (+41…+53 %) and +82 % of twenty 64-rank runs
+/// (+65…+107 %), against +203 % (+167…+258 %) for a byte-per-multiply
+/// hash — so the budget sits 25 % or more from the medians on both sides
 /// (DESIGN.md §14.6).
-const INTEGRITY_REAL_TOL: Tolerance = Tolerance { rel: 1.00, abs: 2e-3 };
+const INTEGRITY_REAL_TOL: Tolerance = Tolerance { rel: 1.10, abs: 2e-3 };
 
 struct Args {
     scale: Scale,
@@ -134,9 +135,9 @@ type AbRun = Box<dyn Fn(bool)>;
 /// sweeps run the paper configuration on both sides — the same synthetic
 /// regime the fig1/fig9 figure sweeps run — so their A/B isolates what
 /// turning integrity on costs the figure pipeline itself: the hint
-/// plumbing, trailer bookkeeping, and per-page sum tracking (synthetic
-/// pages record a marker). `tile_verify` is where bytes are real and
-/// every one of them is hashed.
+/// plumbing and trailer bookkeeping (synthetic pages keep no sum, and a
+/// synthetic message's sum walks nothing). `tile_verify` is where bytes
+/// are real and every one of them is hashed.
 fn integrity_scenarios(scale: Scale) -> Vec<(&'static str, Tolerance, AbRun)> {
     use workloads::runner::{run_workload, IoMode, RunConfig};
     let full = scale == Scale::Paper;

@@ -78,8 +78,12 @@ impl Body {
 
     /// Checksum of the `n` bytes in stream order, hashed where they lie.
     /// Synthetic bytes sum to 0: the fault token models their integrity (a
-    /// link-level checksum stands in for one over bytes never materialized).
+    /// link-level checksum stands in for one over bytes never materialized),
+    /// and a synthetic stream is not even walked: host work follows real bytes.
     fn sum(&self, cut: &Cut<'_>, n: u64, site: Site) -> u64 {
+        if matches!(self, Body::Stream(payload) if !payload.is_real()) {
+            return 0;
+        }
         let _hp = host::scope(site);
         let mut h = Fnv1a::new();
         for part in self.parts(cut) {

@@ -40,9 +40,6 @@ pub enum PageSum {
     /// Real bytes with their checksum (over the page clipped to the
     /// file size at the last write).
     Real(u64),
-    /// Synthetic (modeled, never-materialized) bytes: consistent by
-    /// construction, nothing to hash.
-    Synthetic,
     /// Rot landed on synthetic bytes: the corruption is detectable but
     /// there is no durable copy to repair from. Any read overlapping the
     /// page is an integrity error until fresh data overwrites it.
@@ -110,7 +107,9 @@ impl ScrubReport {
 #[derive(Debug, Default)]
 pub struct IntegrityStore {
     /// Stored sum per page index (`offset / PAGE_SIZE`). Absent pages
-    /// were never written (holes read as zeros and verify trivially).
+    /// were never written (holes read as zeros) or overlap synthetic
+    /// bytes (consistent by construction, nothing to hash): both verify
+    /// trivially, so a synthetic run keeps no entries at all.
     sums: BTreeMap<u64, PageSum>,
     /// Rot rules (by plan rule index) already materialized on this file;
     /// each rule decays a file at most once.
@@ -148,27 +147,37 @@ impl IntegrityStore {
     }
 
     /// The sum a page's current stored bytes hash to (pure observation,
-    /// no stored-sum update). Always hashes the full page window, zero-
-    /// filled past EOF, so a stored sum stays valid when *other* pages
-    /// later grow the file.
-    fn page_sum_of(&self, storage: &Storage, page: u64) -> PageSum {
-        match storage.hash_range(page * PAGE_SIZE, PAGE_SIZE as usize) {
-            Some(sum) => PageSum::Real(sum),
-            None => PageSum::Synthetic,
-        }
+    /// no stored-sum update), `None` when the page overlaps synthetic
+    /// bytes. Always hashes the full page window, zero-filled past EOF,
+    /// so a stored sum stays valid when *other* pages later grow the file.
+    fn page_sum_of(storage: &Storage, page: u64) -> Option<u64> {
+        storage.hash_range(page * PAGE_SIZE, PAGE_SIZE as usize)
     }
 
     /// Record a write of `[offset, offset+len)`: recompute the stored
-    /// sum of every touched page from the post-write bytes. Fresh data
-    /// heals poisoned pages it fully re-hashes.
+    /// sum of every touched page from the post-write bytes, and drop the
+    /// entry of every touched page that now overlaps synthetic bytes.
+    /// Fresh data — real or synthetic — heals poisoned pages. A synthetic
+    /// write costs the entries it drops, not the pages it models.
     pub fn note_write(&mut self, storage: &Storage, offset: u64, len: u64) {
         let _hp = simtrace::host::scope(simtrace::host::Site::CksumCompute);
         let Some((first, last)) = page_span(offset, len) else {
             return;
         };
+        // A real write clears the synthetic marking of its own range, so
+        // a range still marked was a synthetic write, and every page it
+        // touches overlaps it.
+        if storage.synthetic_ranges().intersects(offset, offset + len) {
+            while let Some((&page, _)) = self.sums.range(first..=last).next() {
+                self.sums.remove(&page);
+            }
+            return;
+        }
         for page in first..=last {
-            let sum = self.page_sum_of(storage, page);
-            self.sums.insert(page, sum);
+            match Self::page_sum_of(storage, page) {
+                Some(sum) => self.sums.insert(page, PageSum::Real(sum)),
+                None => self.sums.remove(&page),
+            };
         }
     }
 
@@ -227,17 +236,15 @@ impl IntegrityStore {
         let Some((first, last)) = page_span(offset, end - offset) else {
             return out;
         };
-        for page in first..=last {
-            let Some(&stored) = self.sums.get(&page) else {
-                continue; // hole: never written, reads as zeros
-            };
+        // Pages without an entry — holes and synthetic bytes — verify
+        // trivially; only the entries in range are visited.
+        for (&page, &stored) in self.sums.range(first..=last) {
             let ext_lo = (page * PAGE_SIZE).max(offset);
             let ext_hi = ((page + 1) * PAGE_SIZE).min(end);
             match stored {
-                PageSum::Synthetic => {}
                 PageSum::Poisoned => out.unrepairable.push((ext_lo, ext_hi - ext_lo)),
                 PageSum::Real(sum) => {
-                    if self.page_sum_of(storage, page) == PageSum::Real(sum) {
+                    if Self::page_sum_of(storage, page) == Some(sum) {
                         continue;
                     }
                     // Mismatch: invert every journaled flip on this page
@@ -255,7 +262,7 @@ impl IntegrityStore {
                             true
                         }
                     });
-                    if inverted && self.page_sum_of(storage, page) == PageSum::Real(sum) {
+                    if inverted && Self::page_sum_of(storage, page) == Some(sum) {
                         self.repaired += 1;
                         out.repaired.push((ext_lo, ext_hi - ext_lo));
                     } else {
@@ -323,6 +330,31 @@ mod tests {
         let healed = integ.verify_range(&mut st, Some(&plan), 0, 4096);
         assert!(healed.unrepairable.is_empty());
         assert_eq!(integ.poisoned_pages(), 0);
+    }
+
+    #[test]
+    fn synthetic_writes_keep_no_entries() {
+        let gib = 1u64 << 30;
+        let (mut st, mut integ) = store_with(&[7u8; 1000]);
+        assert_eq!(integ.sums.len(), 1);
+        // A gibibyte of modeled bytes over the real page: nothing to
+        // hash, no entry per page, and the real page's entry goes too.
+        st.write(0, &IoBuffer::synthetic(gib as usize));
+        integ.note_write(&st, 0, gib);
+        assert!(integ.sums.is_empty());
+        let out = integ.verify_range(&mut st, None, 0, gib);
+        assert!(out.repaired.is_empty() && out.unrepairable.is_empty());
+        // A real write next to synthetic bytes hashes only the pages
+        // clear of them.
+        st.write(gib, &IoBuffer::from_slice(&vec![1u8; 2 * PAGE_SIZE as usize]));
+        integ.note_write(&st, gib, 2 * PAGE_SIZE);
+        let pages = |integ: &IntegrityStore| integ.sums.keys().copied().collect::<Vec<_>>();
+        assert_eq!(pages(&integ), [gib / PAGE_SIZE, gib / PAGE_SIZE + 1]);
+        // Two modelled bytes across the boundary: the first real page
+        // now overlaps them and keeps no sum.
+        st.write(gib - 1, &IoBuffer::synthetic(2));
+        integ.note_write(&st, gib - 1, 2);
+        assert_eq!(pages(&integ), [gib / PAGE_SIZE + 1]);
     }
 
     #[test]

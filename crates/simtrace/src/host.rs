@@ -77,8 +77,10 @@ pub const MAX_DEPTH: usize = 8;
 #[repr(u8)]
 pub enum Site {
     /// Whole-scenario root frame opened by the driver binary; its self
-    /// time is everything no finer probe accounts for (setup, workload
-    /// verification, result folding).
+    /// time is everything no finer probe accounts for outside the ranks
+    /// (setup, result folding). Work a rank does itself — generating its
+    /// verification pattern, checking its read-back — runs inside its
+    /// fiber slices and lands in [`Site::FiberRun`] under fibers.
     Scenario = 0,
     /// Fiber scheduler: run-queue bookkeeping and context-switch cost
     /// (self time of the whole `run_fibers` loop minus the fiber slices

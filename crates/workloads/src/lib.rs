@@ -83,31 +83,81 @@ pub trait Workload: Send + Sync {
     }
 }
 
+/// The per-byte step of the verification sequence.
+const STEP: u64 = 0x94D049BB133111EB;
+
+/// Element `i` of the 64-bit sequence behind rank `rank`'s `call`-th
+/// transfer; its bits 32..39 are the byte.
+fn sequence(rank: usize, call: usize, i: u64) -> u64 {
+    (rank as u64)
+        .wrapping_mul(0x9E3779B97F4A7C15)
+        .wrapping_add((call as u64).wrapping_mul(0xBF58476D1CE4E5B9))
+        .wrapping_add(i.wrapping_mul(STEP))
+}
+
 /// Deterministic content for verification runs: byte `i` of rank `r`'s
 /// `call`-th transfer.
 pub fn pattern_byte(rank: usize, call: usize, i: u64) -> u8 {
-    let x = (rank as u64)
-        .wrapping_mul(0x9E3779B97F4A7C15)
-        .wrapping_add((call as u64).wrapping_mul(0xBF58476D1CE4E5B9))
-        .wrapping_add(i.wrapping_mul(0x94D049BB133111EB));
-    (x >> 32) as u8
+    (sequence(rank, call, i) >> 32) as u8
+}
+
+/// Bytes the generators produce from one sequence element.
+const BLOCK: usize = 4096;
+
+/// Low 32 bits of `j·STEP`, for `j` in one block.
+static STEP_LO: [u32; BLOCK] = {
+    let mut t = [0; BLOCK];
+    let mut j = 0;
+    while j < BLOCK {
+        t[j] = (j as u64).wrapping_mul(STEP) as u32;
+        j += 1;
+    }
+    t
+};
+
+/// Bits 32..39 of `j·STEP`, for `j` in one block.
+static STEP_HI: [u8; BLOCK] = {
+    let mut t = [0; BLOCK];
+    let mut j = 0;
+    while j < BLOCK {
+        t[j] = ((j as u64).wrapping_mul(STEP) >> 32) as u8;
+        j += 1;
+    }
+    t
+};
+
+/// The `n ≤ BLOCK` pattern bytes from sequence element `x` on. Byte `j`
+/// is bits 32..39 of `x + j·STEP`: the high part of `x` plus the table's,
+/// plus the carry out of the low 32-bit halves. One u32 add, one compare
+/// and two u8 adds a byte, which the compiler vectorises.
+fn pattern_block(x: u64, n: usize) -> impl Iterator<Item = u8> {
+    let (h, l) = ((x >> 32) as u8, x as u32);
+    STEP_LO[..n].iter().zip(&STEP_HI[..n]).map(move |(&lo, &hi)| {
+        let carry = (l.wrapping_add(lo) < l) as u8;
+        h.wrapping_add(hi).wrapping_add(carry)
+    })
 }
 
 /// Materialize a verification buffer for one transfer.
 pub fn pattern_buffer(rank: usize, call: usize, bytes: u64) -> Vec<u8> {
-    (0..bytes).map(|i| pattern_byte(rank, call, i)).collect()
+    let mut out = Vec::with_capacity(bytes as usize);
+    for start in (0..bytes).step_by(BLOCK) {
+        let n = (bytes - start).min(BLOCK as u64) as usize;
+        out.extend(pattern_block(sequence(rank, call, start), n));
+    }
+    out
 }
 
-/// Where `got` first differs from `rank`'s `call`-th transfer, if anywhere:
-/// the byte-for-byte read-back check, expected bytes a block at a time.
-pub fn pattern_mismatch(rank: usize, call: usize, got: &[u8]) -> Option<usize> {
-    const BLOCK: usize = 4096;
+/// Where `got` first differs from bytes `start..` of `rank`'s `call`-th
+/// transfer, if anywhere (an index into `got`): the byte-for-byte
+/// read-back check, expected bytes a block at a time.
+pub fn pattern_mismatch(rank: usize, call: usize, start: u64, got: &[u8]) -> Option<usize> {
     let mut block = [0u8; BLOCK];
     for (b, chunk) in got.chunks(BLOCK).enumerate() {
-        // The same loop shape as `pattern_buffer`'s: it vectorizes.
+        let from = sequence(rank, call, start + (b * BLOCK) as u64);
         let expect = &mut block[..chunk.len()];
-        for (e, i) in expect.iter_mut().zip((b * BLOCK) as u64..) {
-            *e = pattern_byte(rank, call, i);
+        for (e, p) in expect.iter_mut().zip(pattern_block(from, chunk.len())) {
+            *e = p;
         }
         if *expect != *chunk {
             let at = expect.iter().zip(chunk).position(|(e, g)| e != g);
@@ -129,5 +179,31 @@ mod tests {
         assert_ne!(a, b);
         // Not constant within a buffer.
         assert!(a.iter().any(|&x| x != a[0]));
+    }
+
+    /// Blocks whose low 32 bits sit at the carry edges — the smallest
+    /// low half whose first step carries, the largest whose first step
+    /// does not, no carry anywhere, a carry at every step past the first
+    /// — against the per-byte definition.
+    #[test]
+    fn blocks_at_the_carry_edge_match_the_definition() {
+        let k = STEP as u32;
+        // `k` is odd, so it has an inverse mod 2³²: a start index can be
+        // solved for any low half.
+        let mut inv = k;
+        for _ in 0..5 {
+            inv = inv.wrapping_mul(2u32.wrapping_sub(k.wrapping_mul(inv)));
+        }
+        let (rank, call) = (5, 3);
+        let base = sequence(rank, call, 0) as u32;
+        for l in [0u32.wrapping_sub(k), 0u32.wrapping_sub(k) - 1, 0, u32::MAX] {
+            let start = u64::from(l.wrapping_sub(base).wrapping_mul(inv));
+            assert_eq!(sequence(rank, call, start) as u32, l);
+            let expect: Vec<u8> =
+                (start..start + BLOCK as u64).map(|i| pattern_byte(rank, call, i)).collect();
+            let got: Vec<u8> = pattern_block(sequence(rank, call, start), BLOCK).collect();
+            assert_eq!(got, expect, "low half {l:#x}");
+            assert_eq!(pattern_mismatch(rank, call, start, &expect), None, "low half {l:#x}");
+        }
     }
 }

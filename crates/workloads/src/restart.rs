@@ -13,7 +13,7 @@
 
 use crate::runner::{DataMode, IoMode, RunConfig};
 use crate::tileio::TileIo;
-use crate::{pattern_buffer, Workload};
+use crate::{pattern_buffer, pattern_mismatch, Workload};
 use mpiio::{Datatype, PhaseProfile};
 use parcoll::ParcollFile;
 use simfs::FileSystem;
@@ -84,18 +84,17 @@ impl Restart {
         (self.tile.tile_x / self.den) as u64 * self.tile.tile_y as u64 * self.tile.elem
     }
 
-    /// The bytes `rank` must get back: the per-row prefixes of its
-    /// checkpoint buffer (the write view linearizes tile rows
-    /// consecutively; the narrow view keeps the first `1/den` of each).
-    pub fn expected(&self, rank: usize) -> Vec<u8> {
-        let full = pattern_buffer(rank, 0, self.tile.tile_bytes());
-        let row = self.tile.tile_x * self.tile.elem as usize;
+    /// Where `rank`'s restart read `got` first differs from its
+    /// checkpoint, if anywhere, as (tile row, byte in the row). The write
+    /// view linearizes tile rows consecutively and the narrow view keeps
+    /// the first `1/den` of each, so row `r` is checked against its own
+    /// offset into the checkpoint transfer; nothing else is generated.
+    pub(crate) fn mismatch(&self, rank: usize, got: &[u8]) -> Option<(usize, usize)> {
+        let row = self.tile.tile_x as u64 * self.tile.elem;
         let narrow = (self.tile.tile_x / self.den) * self.tile.elem as usize;
-        let mut out = Vec::with_capacity(narrow * self.tile.tile_y);
-        for r in 0..self.tile.tile_y {
-            out.extend_from_slice(&full[r * row..r * row + narrow]);
-        }
-        out
+        got.chunks(narrow).enumerate().find_map(|(r, bytes)| {
+            pattern_mismatch(rank, 0, r as u64 * row, bytes).map(|at| (r, at))
+        })
     }
 }
 
@@ -216,11 +215,11 @@ pub fn run_restart(w: Restart, cfg: RunConfig) -> RestartResult {
         let t1 = ep.now();
         let got = f.read_at_all(0, w.read_bytes());
         if cfg2.data == DataMode::Verify {
-            assert_eq!(
-                got.as_slice().expect("verify mode reads real data"),
-                w.expected(rank).as_slice(),
-                "rank {rank}: restart read mismatch"
-            );
+            let got = got.as_slice().expect("verify mode reads real data");
+            assert_eq!(got.len() as u64, w.read_bytes(), "rank {rank}: short restart read");
+            if let Some((row, at)) = w.mismatch(rank, got) {
+                panic!("rank {rank}: restart read mismatch in row {row} at byte {at}");
+            }
         }
         comm.barrier();
         let read_s = (ep.now() - t1).as_secs();
@@ -283,10 +282,13 @@ mod tests {
     #[test]
     fn expected_is_per_row_prefixes() {
         let w = Restart::tiny(4); // 8x4 tiles of 4B elems, den 4 -> 2 cols
-        let e = w.expected(1);
         let full = pattern_buffer(1, 0, w.tile.tile_bytes());
-        assert_eq!(e.len(), w.read_bytes() as usize);
-        // Row 1's prefix: bytes 32..40 of the full tile buffer.
-        assert_eq!(&e[8..16], &full[32..40]);
+        // Row r's prefix: bytes 32r..32r+8 of the full tile buffer.
+        let mut got: Vec<u8> = full.chunks(32).flat_map(|row| &row[..8]).copied().collect();
+        assert_eq!(got.len(), w.read_bytes() as usize);
+        assert_eq!(w.mismatch(1, &got), None);
+        assert!(w.mismatch(2, &got).is_some(), "another rank's bytes are not mine");
+        got[8 + 3] ^= 0x10;
+        assert_eq!(w.mismatch(1, &got), Some((1, 3)));
     }
 }

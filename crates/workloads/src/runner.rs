@@ -346,7 +346,7 @@ fn measure_read_parcoll<W: Workload + ?Sized>(
         if cfg.data == DataMode::Verify {
             let got = got.as_slice().expect("verify mode reads real data");
             assert_eq!(got.len() as u64, bytes, "rank {rank} call {call}: short read");
-            if let Some(at) = pattern_mismatch(rank, call, got) {
+            if let Some(at) = pattern_mismatch(rank, call, 0, got) {
                 panic!("rank {rank} call {call}: read-back mismatch at byte {at}");
             }
         }
@@ -374,7 +374,7 @@ fn measure_read_plain<W: Workload + ?Sized>(
         if cfg.data == DataMode::Verify {
             let got = got.as_slice().expect("verify mode reads real data");
             assert_eq!(got.len() as u64, bytes, "rank {rank} call {call}: short read");
-            if let Some(at) = pattern_mismatch(rank, call, got) {
+            if let Some(at) = pattern_mismatch(rank, call, 0, got) {
                 panic!("rank {rank} call {call}: independent read-back mismatch at byte {at}");
             }
         }

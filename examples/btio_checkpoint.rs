@@ -47,7 +47,7 @@ fn main() {
             let got = file.read_at_all(off, bytes);
             let got = got.as_slice().unwrap();
             assert_eq!(got.len() as u64, bytes, "rank {rank} step {step}: short read");
-            if let Some(at) = pattern_mismatch(rank, step, got) {
+            if let Some(at) = pattern_mismatch(rank, step, 0, got) {
                 panic!("rank {rank} step {step}: checkpoint corrupted at byte {at}");
             }
         }
