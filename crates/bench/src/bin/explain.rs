@@ -19,7 +19,7 @@
 //! findings, so scripts can chain on it.
 //!
 //! The scenario is a collective *write*; drifts in the read suites
-//! (`read_sweep`, the §15 sieving/list-I/O path) are caught by the same
+//! (`read_sweep`, the §15 read-through/list-I/O path) are caught by the same
 //! `regress` row gate over `bench_results/quick/read_sweep.json` and
 //! explained by the generic OST/rank findings — the read path records
 //! the same spans the diff aligns on.

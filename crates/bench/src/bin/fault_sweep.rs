@@ -18,7 +18,7 @@
 //!
 //! The sweep prices the *write* path under faults; the read path's
 //! degraded-mode contract — an aggregator crash mid-restart must still
-//! deliver byte-exact data through the sieving/list-I/O machinery
+//! deliver byte-exact data through the read-through/list-I/O machinery
 //! (DESIGN.md §15) — is pinned by `workloads/tests/read_parity.rs`, and
 //! the healthy-machine read bandwidth by the `read_sweep` figure.
 

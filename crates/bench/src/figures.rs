@@ -136,44 +136,38 @@ pub fn tileio_group_sweep(nprocs: usize, group_counts: &[usize], full: bool) -> 
 
 /// The read sweep (fig6-style counterpart for `read_at_all`, DESIGN.md
 /// §15): restart read bandwidth of the hole-dense checkpoint-restart
-/// pattern vs subgroup count, baseline vs ParColl-N, each with and
-/// without collective data sieving (`cb_ds_read`). `den` is the restart
-/// narrowing denominator — den=4 leaves 75 % holes per covering extent,
-/// past the default cutover, so the sieved series exercise the list-I/O
-/// arm.
-pub fn restart_read_sweep(
-    nprocs: usize,
-    group_counts: &[usize],
-    full: bool,
-    den: usize,
-) -> Vec<Row> {
+/// pattern — a quarter of every tile row read back, 75 % holes — vs
+/// subgroup count, baseline vs ParColl-N. Then the hole-geometry panel
+/// at the largest group count: the same tiles with 8 B elements at den 4
+/// and 64 B elements at den 2 (exactly 50 % holes), so the gaps
+/// (`gap_bytes`) fall on both sides of the file system's break-even gap —
+/// a series per element size, x the denominator.
+pub fn restart_read_sweep(nprocs: usize, group_counts: &[usize], full: bool) -> Vec<Row> {
     use workloads::restart::{run_restart, Restart};
+    let read = |groups: usize, suffix: &str, x: usize, w: Restart| {
+        let (series, mode) = match groups {
+            0 | 1 => (BASELINE.to_string(), IoMode::Collective),
+            g => (format!("ParColl-{g}"), IoMode::Parcoll { groups: g }),
+        };
+        let gap = (w.tile.tile_x - w.tile.tile_x / w.den) as u64 * w.tile.elem;
+        let r = run_restart(w, RunConfig::paper(mode));
+        Row::new(series + suffix, x as f64, r.read_mbps, "MB/s")
+            .with("write_mbps", r.write_mbps)
+            .with("read_s", r.read_seconds)
+            .with("ost_bytes", r.fs_stats.total_bytes as f64)
+            .with("gap_bytes", gap as f64)
+    };
     let mut rows = Vec::new();
     for &g in group_counts {
-        for sieve in [false, true] {
-            let mode = if g <= 1 {
-                IoMode::Collective
-            } else {
-                IoMode::Parcoll { groups: g }
-            };
-            let mut cfg = RunConfig::paper(mode);
-            if sieve {
-                cfg.info.set("cb_ds_read", "enable");
-            }
-            let r = run_restart(Restart::with_den(tileio_at(nprocs, full), den), cfg);
-            let series = match (g <= 1, sieve) {
-                (true, false) => BASELINE.to_string(),
-                (true, true) => format!("{BASELINE} +sieve"),
-                (false, false) => format!("ParColl-{g}"),
-                (false, true) => format!("ParColl-{g} +sieve"),
-            };
-            rows.push(
-                Row::new(series, g as f64, r.read_mbps, "MB/s")
-                    .with("write_mbps", r.write_mbps)
-                    .with("read_s", r.read_seconds)
-                    .with("ost_bytes", r.fs_stats.total_bytes as f64),
-            );
-        }
+        let w = Restart::with_den(tileio_at(nprocs, full), 4);
+        rows.push(read(g, "", g, w));
+    }
+    let g = group_counts.iter().copied().max().unwrap_or(1);
+    for (elem, den) in [(8, 4), (64, 2)] {
+        let mut tile = tileio_at(nprocs, full);
+        tile.elem = elem;
+        let suffix = format!(" {elem} B elements");
+        rows.push(read(g, &suffix, den, Restart::with_den(tile, den)));
     }
     rows
 }
@@ -280,6 +274,7 @@ pub fn flashio_variants(nprocs: usize, blocks_per_proc: usize, groups: usize) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use workloads::Workload;
 
     #[test]
     fn collective_wall_rows_have_profile_extras() {
@@ -309,16 +304,25 @@ mod tests {
     }
 
     #[test]
-    fn read_sweep_covers_sieved_and_unsieved_series() {
-        let rows = restart_read_sweep(8, &[1, 2], false, 4);
-        assert_eq!(rows.len(), 4);
-        let y = |s: &str| rows.iter().find(|r| r.series == s).unwrap().y;
-        assert!(y("ParColl-2 +sieve") > y(BASELINE), "sieved partitioned read must win");
-        let bytes = |s: &str| rows.iter().find(|r| r.series == s).unwrap().extra["ost_bytes"];
-        assert!(
-            bytes("ParColl-2 +sieve") < bytes("ParColl-2"),
-            "list I/O must not fetch the holes"
-        );
+    fn read_sweep_reads_through_narrow_gaps_only() {
+        let rows = restart_read_sweep(8, &[1, 2], false);
+        let series: Vec<&str> = rows.iter().map(|r| r.series.as_str()).collect();
+        let panel = ["ParColl-2 8 B elements", "ParColl-2 64 B elements"];
+        assert_eq!(series, [BASELINE, "ParColl-2", panel[0], panel[1]]);
+        // What the restart read moved through the OSTs beyond the bytes
+        // it asked for: the checkpoint writes the whole image once.
+        let fetched_holes = |s: &str, elem: u64, den: u64| {
+            let row = rows.iter().find(|r| r.series == s).unwrap();
+            let mut tile = tileio_at(8, false);
+            tile.elem = elem;
+            let image = tile.total_bytes();
+            row.extra["ost_bytes"] as u64 - image - image / den
+        };
+        // 12 KiB gaps are wider than Jaguar's 9 750 B break-even gap:
+        // list I/O fetches no hole. 1.5 KiB gaps are read through.
+        assert_eq!(fetched_holes(BASELINE, 64, 4), 0);
+        assert_eq!(fetched_holes("ParColl-2", 64, 4), 0);
+        assert!(fetched_holes(panel[0], 8, 4) > 0);
     }
 
     #[test]

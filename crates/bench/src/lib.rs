@@ -15,7 +15,7 @@
 //! | `fig9_scalability` | Fig. 9 | MPI-Tile-IO write bandwidth vs process count |
 //! | `fig10_btio` | Fig. 10 | BT-IO class C bandwidth vs process count |
 //! | `fig11_flashio` | Fig. 11 | Flash-IO checkpoint bandwidth, aggregator variants |
-//! | `read_sweep` | §5 read counterpart | restart `read_at_all` bandwidth vs subgroups, sieving off/on |
+//! | `read_sweep` | §5 read counterpart | restart `read_at_all` bandwidth vs subgroups and hole geometry |
 //! | `ablation_alltoall` | §1 claim | pairwise vs Bruck alltoall: the wall survives |
 //! | `ablation_groupsize` | §4 trade-off | group-size sweep across process counts |
 //! | `ablation_iview` | §4.1 | reordering vs scatter vs disabled intermediate views |

@@ -146,16 +146,7 @@ impl<'ep> File<'ep> {
             cb_buffer_size: self.hints.cb_buffer_size,
             align: self.hints.cb_align,
             checksums: self.hints.integrity,
-            sieve_read: self.hints.cb_ds_read,
         }
-    }
-
-    /// Override the collective-read sieving decision after open (the
-    /// ParColl autotuner flips this at read-epoch boundaries when the
-    /// agreed profile is I/O-dominated). Purely a hint-level change:
-    /// takes effect on the next collective read.
-    pub fn set_sieve_read(&mut self, on: bool) {
-        self.hints.cb_ds_read = on;
     }
 
     /// Build the access plan for `[offset, offset + nbytes)` of the view.
@@ -458,35 +449,30 @@ mod tests {
     }
 
     /// A synthetic collective read whose modelled size could never be
-    /// zero-filled: 4 ranks × 16 GiB through 1 GiB staging rounds, with
-    /// and without read sieving. Host memory follows real bytes — none.
+    /// zero-filled: 4 ranks × 16 GiB through 1 GiB staging rounds. Host
+    /// memory follows real bytes — none.
     #[test]
     fn synthetic_collective_read_allocates_nothing() {
         const N: usize = 16 << 30;
-        for sieve in ["disable", "enable"] {
-            let fs = FileSystem::new(FsConfig::tiny());
-            let fs2 = fs.clone();
-            let out = run_cluster(ClusterConfig::ideal(4), move |ep| {
-                let comm = Communicator::world(&ep);
-                let info = Info::new()
-                    .with("cb_buffer_size", 1usize << 30)
-                    .with("cb_ds_read", sieve);
-                let mut f = File::open_with_layout(&comm, &fs2, "/huge", &info, 4, 1 << 30);
-                f.write_at_all((comm.rank() * N) as u64, &IoBuffer::synthetic(N));
-                let got = f.read_at_all((comm.rank() * N) as u64, N as u64);
-                assert!(f.profile().rounds >= 16, "staged through many rounds");
-                f.close();
-                got
-            });
-            for got in out {
-                assert_eq!(got, IoBuffer::synthetic(N));
-                // Range checks still run on the synthetic path.
-                assert!(std::panic::catch_unwind(|| got.sub(N - 1, 2)).is_err());
-                let mut dst = got.clone();
-                let oob =
-                    std::panic::AssertUnwindSafe(|| dst.copy_in(N - 1, &IoBuffer::synthetic(2)));
-                assert!(std::panic::catch_unwind(oob).is_err());
-            }
+        let fs = FileSystem::new(FsConfig::tiny());
+        let fs2 = fs.clone();
+        let out = run_cluster(ClusterConfig::ideal(4), move |ep| {
+            let comm = Communicator::world(&ep);
+            let info = Info::new().with("cb_buffer_size", 1usize << 30);
+            let mut f = File::open_with_layout(&comm, &fs2, "/huge", &info, 4, 1 << 30);
+            f.write_at_all((comm.rank() * N) as u64, &IoBuffer::synthetic(N));
+            let got = f.read_at_all((comm.rank() * N) as u64, N as u64);
+            assert!(f.profile().rounds >= 16, "staged through many rounds");
+            f.close();
+            got
+        });
+        for got in out {
+            assert_eq!(got, IoBuffer::synthetic(N));
+            // Range checks still run on the synthetic path.
+            assert!(std::panic::catch_unwind(|| got.sub(N - 1, 2)).is_err());
+            let mut dst = got.clone();
+            let oob = std::panic::AssertUnwindSafe(|| dst.copy_in(N - 1, &IoBuffer::synthetic(2)));
+            assert!(std::panic::catch_unwind(oob).is_err());
         }
     }
 

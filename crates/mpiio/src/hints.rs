@@ -20,13 +20,6 @@ pub struct Hints {
     /// Explicit aggregator list (`cb_config_list` as ranks), paper §4.2
     /// hint (b): "a list of physical nodes to use as I/O aggregators".
     pub cb_aggregator_list: Option<Vec<usize>>,
-    /// Data sieving in the *collective* read aggregators (`cb_ds_read`):
-    /// each round the aggregator measures the hole density of its window
-    /// and either reads one covering extent (sieving) or issues one read
-    /// per coalesced run (list I/O). Off by default — the off path is
-    /// bitwise identical to the pre-sieving protocol, which always reads
-    /// the covering extent.
-    pub cb_ds_read: bool,
     /// End-to-end piece checksums in the collective exchange
     /// (`integrity_checksums`): pieces carry checksum trailers, corrupted
     /// transfers are detected and re-requested. Off by default — the
@@ -58,7 +51,6 @@ impl Hints {
                 .map(|v| v as u64)
                 .unwrap_or(4 << 20),
             cb_aggregator_list: info.get_usize_list("cb_config_list"),
-            cb_ds_read: info.get_bool("cb_ds_read").unwrap_or(false),
             integrity: info.get_bool("integrity_checksums").unwrap_or(false),
             cb_align: info.get_usize("striping_unit").map(|v| v as u64),
             raw: info.clone(),
@@ -78,7 +70,6 @@ mod tests {
         assert_eq!(h.cb_align, None);
         assert!(h.cb_aggregator_list.is_none());
         assert!(!h.integrity);
-        assert!(!h.cb_ds_read, "collective read sieving defaults off");
     }
 
     #[test]
@@ -87,14 +78,12 @@ mod tests {
             .with("cb_nodes", 16)
             .with("cb_buffer_size", 1 << 20)
             .with("cb_config_list", "0,2,4")
-            .with("cb_ds_read", "enable")
             .with("integrity_checksums", "enable")
             .with("striping_unit", 4 << 20);
         let h = Hints::from_info(&info);
         assert_eq!(h.cb_nodes, Some(16));
         assert_eq!(h.cb_buffer_size, 1 << 20);
         assert_eq!(h.cb_aggregator_list, Some(vec![0, 2, 4]));
-        assert!(h.cb_ds_read);
         assert!(h.integrity);
         assert_eq!(h.cb_align, Some(4 << 20));
         assert_eq!(h.raw.get_usize("cb_nodes"), Some(16));

@@ -25,12 +25,12 @@ pub trait FileSpace: Sync {
     fn read(&self, fh: &FileHandle, offset: u64, len: u64, now: SimTime)
         -> (IoBuffer, SimTime);
 
-    /// Read a batch of discontiguous runs of the space — the list-I/O
-    /// arm of collective data sieving (DESIGN.md §15). The default
-    /// issues the runs back-to-back; spaces backed directly by the file
-    /// override this with the file system's vectored request, which
-    /// shares one RPC round-trip and one queue admission per OST across
-    /// the whole list.
+    /// Read a batch of discontiguous runs of the space — a collective
+    /// read window whose gaps are too wide to read through (DESIGN.md
+    /// §15). The default issues the runs back-to-back; spaces backed
+    /// directly by the file override this with the file system's vectored
+    /// request, which shares one RPC round-trip and one queue admission
+    /// per OST across the whole list.
     fn read_list(
         &self,
         fh: &FileHandle,

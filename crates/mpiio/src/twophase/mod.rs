@@ -55,7 +55,7 @@
 //! main one. Mid-call detection is selected by [`Dir`]: a read honors
 //! stalls and the dead set at entry but never advances the crash round
 //! counter. Piece trailers live in `integrity`, the per-window file access
-//! (coverage, holes, the read sieve) in `window`.
+//! (coverage, holes, the gaps a read reads through) in `window`.
 //!
 //! The piece streams advance in lock step on both sides, so no per-round
 //! offset lists need to travel (exactly ROMIO's trick). A stream position
@@ -155,12 +155,6 @@ pub struct CollConfig {
     /// on mismatch. Off is bitwise identical to a build without the
     /// integrity layer.
     pub checksums: bool,
-    /// Data sieving in the read aggregators (`cb_ds_read` hint): measure
-    /// each round window's hole density and cut over from the single
-    /// covering read to coalesced per-run reads when holes dominate. Off
-    /// always issues the covering read — bitwise identical to the
-    /// pre-sieving protocol.
-    pub sieve_read: bool,
 }
 
 impl CollConfig {
@@ -557,17 +551,13 @@ impl Exchange<'_, '_> {
                 let mut own: Option<Arc<Sealed>> = None;
                 if let Some((row, _, domain)) = served {
                     let cuts = cut_streams(domain, row.iter().copied());
-                    let sieve = cfg.sieve_read;
-                    let fetched = read_window(comm, fh, space, self.prof, &cuts, sieve);
+                    let fetched = read_window(comm, fh, space, self.prof, &cuts);
                     let fetched = fetched.map(Arc::new);
                     for (&(src, n), cut) in row.iter().zip(&cuts) {
                         let Some(fetched) = &fetched else { break };
                         let t = PhaseTimer::start(Phase::Local, ep.now());
                         let hp = simtrace::host::scope(simtrace::host::Site::Pack);
-                        let hp_sieve =
-                            sieve.then(|| simtrace::host::scope(simtrace::host::Site::SieveRead));
                         let body = Body::of_window(fetched, n);
-                        drop(hp_sieve);
                         ep.charge_memcpy(n as usize);
                         let msg = Sealed::new(body, cut, n, cfg.checksums);
                         drop(hp);

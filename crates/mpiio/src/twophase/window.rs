@@ -1,10 +1,10 @@
 //! One round window of a file domain, as the rank serving it sees it:
 //! cutting each source's stream, the coverage merge both directions share
-//! (hole detection on the write side, the sieve decision and list-I/O runs
-//! on the read side), and the file access itself.
+//! (hole detection on the write side, the runs a read fetches on the read
+//! side), and the file access itself.
 
 use super::reqs::Cut;
-use super::{hull, slot_of, Domain};
+use super::{slot_of, Domain};
 use crate::datatype::Run;
 use crate::profile::{Phase, PhaseProfile, PhaseTimer};
 use crate::space::FileSpace;
@@ -138,25 +138,33 @@ fn append(out: &mut Vec<(u64, u64)>, from: usize, off: u64, len: u64) {
     }
 }
 
-/// Append the union of two ascending `(offset, len)` run lists to `out`
-/// as one list of maximal runs: a run that overlaps or abuts the one
-/// before it grows that one.
-fn merge_runs(
-    a: impl Iterator<Item = (u64, u64)>,
-    b: impl Iterator<Item = (u64, u64)>,
-    out: &mut Vec<(u64, u64)>,
-) {
-    let from = out.len();
-    let (mut a, mut b) = (a.peekable(), b.peekable());
-    loop {
-        let next = match (a.peek(), b.peek()) {
-            (Some(x), Some(y)) if y.0 < x.0 => b.next(),
-            (Some(_), _) => a.next(),
-            (None, _) => b.next(),
-        };
-        let Some((off, len)) = next else { break };
-        append(out, from, off, len);
+/// Append the maximal runs `runs` (ascending) to `out[from..]`: those
+/// that overlap or abut its last interval grow it, the rest are copied.
+fn extend(out: &mut Vec<(u64, u64)>, from: usize, runs: impl Iterator<Item = (u64, u64)>) {
+    let mut runs = runs.peekable();
+    while let Some(&(off, len)) = runs.peek() {
+        match out[from..].last_mut() {
+            Some(last) if off <= last.0 + last.1 => last.1 = last.1.max(off + len - last.0),
+            _ => break,
+        }
+        runs.next();
     }
+    out.extend(runs);
+}
+
+/// Append the union of two ascending lists of maximal `(offset, len)`
+/// runs to `out` as one such list, a stretch of one list at a time.
+fn merge_runs<'a>(mut a: &'a [(u64, u64)], mut b: &'a [(u64, u64)], out: &mut Vec<(u64, u64)>) {
+    let from = out.len();
+    while let (Some(x), Some(y)) = (a.first(), b.first()) {
+        if y.0 < x.0 {
+            std::mem::swap(&mut a, &mut b);
+        }
+        let stretch = a.iter().position(|r| r.0 > b[0].0).unwrap_or(a.len());
+        extend(out, from, a[..stretch].iter().copied());
+        a = &a[stretch..];
+    }
+    extend(out, from, a.iter().chain(b).copied());
 }
 
 /// The union of one stride class's runs (stride `s`, sorted by offset),
@@ -195,7 +203,7 @@ fn sweep(class: &[Run], out: &mut Vec<(u64, u64)>) {
                 (c <= reach).then_some(reach.max(c + len))
             });
             let emit_row = |out: &mut Vec<(u64, u64)>, rho: u64| {
-                cols.iter().for_each(|&(c, len)| append(out, from, rho * s + c, len));
+                extend(out, from, cols.iter().map(|&(c, len)| (rho * s + c, len)));
             };
             if reach.is_some_and(|reach| reach >= s) && until - row >= 3 {
                 emit_row(out, row);
@@ -213,8 +221,8 @@ fn sweep(class: &[Run], out: &mut Vec<(u64, u64)>) {
 /// What a round window's cuts cover, as maximal `(offset, len)` runs:
 /// adjacent and overlapping pieces from any mix of sources merge into one
 /// contiguous extent. The write side reads holes off it (more than one
-/// run); the read side sieves by it, issues the minimum number of list-I/O
-/// reads from it, and finds every clipped piece wholly inside one run.
+/// run); the read side closes its narrow gaps into the runs it reads, and
+/// finds every clipped piece wholly inside one of them.
 ///
 /// Works on the cuts' runs: each stride class is swept row by row
 /// ([`sweep`]), the single pieces (clipped ends, irregular pieces) are
@@ -232,10 +240,11 @@ fn coverage(cuts: &[Cut<'_>]) -> Vec<(u64, u64)> {
     }
     singles.sort_unstable();
     strided.sort_unstable_by_key(|r| (r.stride, r.off));
-    // The lists of one level back to back; list `i` ends at `ends[i]`.
+    // The non-empty lists of one level back to back; list `i` ends at
+    // `ends[i]`.
     let mut runs = Vec::with_capacity(singles.len() + 2 * strided.len());
     singles.into_iter().for_each(|(off, len)| append(&mut runs, 0, off, len));
-    let mut ends = vec![runs.len()];
+    let mut ends: Vec<usize> = Some(runs.len()).filter(|&n| n > 0).into_iter().collect();
     for class in strided.chunk_by(|a, b| a.stride == b.stride) {
         sweep(class, &mut runs);
         ends.push(runs.len());
@@ -248,8 +257,7 @@ fn coverage(cuts: &[Cut<'_>]) -> Vec<(u64, u64)> {
         for pair in 0..ends.len().div_ceil(2) {
             let mid = ends[2 * pair];
             let end = ends.get(2 * pair + 1).copied().unwrap_or(mid);
-            let (a, b) = (&runs[start..mid], &runs[mid..end]);
-            merge_runs(a.iter().copied(), b.iter().copied(), &mut merged);
+            merge_runs(&runs[start..mid], &runs[mid..end], &mut merged);
             ends[pair] = merged.len();
             start = end;
         }
@@ -261,7 +269,8 @@ fn coverage(cuts: &[Cut<'_>]) -> Vec<(u64, u64)> {
 
 /// The pieces of `cut` as windows of a window read's buffers (`bufs[i]`
 /// holds run `runs[i]`), in stream order. Runs are maximal covered
-/// intervals, so each clipped piece lies wholly inside one of them.
+/// intervals, some joined across narrow gaps, so each clipped piece lies
+/// wholly inside one of them.
 pub(super) fn pieces<'a>(
     runs: &'a [(u64, u64)],
     bufs: &'a [IoBuffer],
@@ -273,53 +282,49 @@ pub(super) fn pieces<'a>(
     })
 }
 
-/// Hole-density cutover of the read sieve, in percent of the covering
-/// extent: list I/O wins once `holes × 100 > span × SIEVE_HOLE_PCT`.
-/// Integer arithmetic, so every rank takes the same branch.
-const SIEVE_HOLE_PCT: u64 = 50;
+/// Close every gap of at most `gap` bytes between neighbouring runs of
+/// an ascending, disjoint run list, in place: what is left are runs
+/// separated by holes wider than `gap`, over the same hull.
+fn close_gaps(runs: &mut Vec<(u64, u64)>, gap: u64) {
+    runs.dedup_by(|next, last| {
+        let close = next.0 - (last.0 + last.1) <= gap;
+        if close {
+            last.1 = next.0 + next.1 - last.0;
+        }
+        close
+    });
+}
 
 /// What a window read fetched: the `(offset, len)` runs, a buffer for each.
 pub(super) type Fetched = (Vec<(u64, u64)>, Vec<IoBuffer>);
 
 /// Read what one round window's `cuts` cover; `None` when they are empty.
 ///
-/// With `sieve` (the `cb_ds_read` hint) the window is data-sieved: its
-/// pieces are coalesced into maximal runs, and the deterministic
-/// hole-density threshold picks between one covering read (classic
-/// sieving — read holes too, carve what was asked) and one read per
-/// coalesced run (list I/O, when holes dominate the span). Off, the
-/// covering read is issued unconditionally — bitwise identical to the
-/// protocol before sieving existed.
+/// The window's coverage is read through every hole no wider than the
+/// file's break-even gap ([`FileHandle::list_break_even_gap`]: moving it
+/// costs no more than one more list extent) and skips the wider ones.
+/// One run left is the plain covering read — a dense window's is its
+/// hull; several go out as one list-I/O request. Coverage and
+/// gap are pure functions of the agreed piece lists and the file, so
+/// every rank that reaches this window reads it the same way.
 pub(super) fn read_window(
     comm: &Communicator<'_>,
     fh: &FileHandle,
     space: &dyn FileSpace,
     prof: &mut PhaseProfile,
     cuts: &[Cut<'_>],
-    sieve: bool,
 ) -> Option<Fetched> {
     let ep = comm.endpoint();
-    let (read_lo, read_hi) = hull(cuts.iter().map(Cut::file_range))?;
-    let span = read_hi - read_lo;
-    // Sieve decision. Coalescing and the density test are pure functions
-    // of the agreed piece lists, so every rank that reaches this window
-    // takes the same branch.
-    let runs: Vec<(u64, u64)> = if sieve {
-        let runs = coverage(cuts);
-        let covered: u64 = runs.iter().map(|&(_, l)| l).sum();
-        let holes = span - covered;
-        if holes * 100 > span * SIEVE_HOLE_PCT {
-            runs // holes dominate: list I/O, one read per run
-        } else {
-            vec![(read_lo, span)] // sieve: one covering read
-        }
-    } else {
-        vec![(read_lo, span)]
+    let mut runs = coverage(cuts);
+    let holes = match runs.len() {
+        0 => return None,
+        n => n > 1,
     };
+    if holes {
+        let _hp = simtrace::host::scope(simtrace::host::Site::SieveRead);
+        close_gaps(&mut runs, fh.list_break_even_gap());
+    }
     let t = PhaseTimer::start(Phase::Io, ep.now());
-    // Multiple runs go out as one vectored list-I/O request; a single run
-    // (covering read, sieving on or off) stays on the plain read so the
-    // off path is bitwise identical to the pre-sieving protocol.
     let bufs: Vec<IoBuffer> = if runs.len() > 1 {
         let (bufs, done) = space.read_list(fh, &runs, ep.now());
         ep.clock().advance_to(done);
@@ -331,7 +336,7 @@ pub(super) fn read_window(
     };
     t.stop_traced(ep.now(), prof, ep.trace());
     let rec = ep.trace();
-    if sieve && rec.enabled() {
+    if holes && rec.enabled() {
         if runs.len() > 1 {
             rec.count("sieve_list_reads", runs.len() as u64);
         } else {
@@ -344,10 +349,11 @@ pub(super) fn read_window(
 #[cfg(test)]
 mod tests {
     use super::super::reqs::tests::{arb_pieces, list};
+    use super::super::reqs::PieceList;
     use super::*;
-    use std::sync::Arc;
     use proptest::prelude::*;
     use simfs::RangeSet;
+    use std::sync::Arc;
 
     /// The reference the merges replaced: every piece of every source
     /// inserted into an interval set, one at a time.
@@ -359,26 +365,25 @@ mod tests {
         set.ranges().iter().map(|&(s, e)| (s, e - s)).collect()
     }
 
-    /// The merge runs replaced: every source's pieces as one ascending
-    /// list, merged bottom-up, neighbours pairwise.
-    fn coverage_pairwise(cuts: &[Cut<'_>]) -> Vec<(u64, u64)> {
-        let lists: Vec<Vec<(u64, u64)>> = cuts
-            .iter()
-            .map(|cut| cut.iter().map(|piece| (piece.file_off, piece.len)).collect())
-            .collect();
-        let mut level = lists;
-        while level.len() > 1 {
-            let next = level.chunks(2).map(|pair| {
-                let mut out = Vec::new();
-                let b = pair.get(1).into_iter().flatten().copied();
-                merge_runs(pair[0].iter().copied(), b, &mut out);
-                out
-            });
-            level = next.collect();
-        }
-        let mut out = Vec::new();
-        merge_runs(level.into_iter().flatten(), std::iter::empty(), &mut out);
-        out
+    /// Up to 12 sources' lists — pieces shifted off their period — and
+    /// the `(pos, n)` of a clipped cut of each, some repeated verbatim.
+    fn arb_sources() -> impl Strategy<Value = Vec<(Arc<PieceList>, u64, u64)>> {
+        let source = (arb_pieces(24), 0u64..60, 0u64..200, 0u64..400);
+        let sources = proptest::collection::vec((source, any::<bool>()), 0..12);
+        sources.prop_map(|sources| {
+            let mut lists = Vec::new();
+            for ((pieces, shift, pos, n), repeat) in sources {
+                let shifted: Vec<_> = pieces.iter().map(|&(o, l)| (o + shift, l)).collect();
+                let l = list(&shifted);
+                let pos = pos % l.total_bytes().max(1);
+                let n = n.min(l.total_bytes() - pos);
+                lists.push((Arc::clone(&l), pos, n));
+                if repeat {
+                    lists.push((l, pos, n));
+                }
+            }
+            lists
+        })
     }
 
     #[test]
@@ -388,7 +393,6 @@ mod tests {
         let cuts = [a.cut(0, 25), b.cut(0, 16), a.cut(0, 25)]; // a twice
         assert_eq!(coverage(&cuts), [(0, 20), (40, 15), (70, 1)]);
         assert_eq!(coverage(&cuts), coverage_by_insert(&cuts));
-        assert_eq!(coverage(&cuts), coverage_pairwise(&cuts));
         assert!(coverage(&[]).is_empty());
     }
 
@@ -409,32 +413,49 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The sweep equals per-piece `RangeSet::insert` and the pairwise
-        /// merge for any number of sources — strided or irregular, at any
-        /// alignment to their period (pieces wrap it), whole lists or
-        /// clipped cuts of them, overlapping, some repeated verbatim.
+        /// The sweep equals per-piece `RangeSet::insert` for any number
+        /// of sources — strided or irregular, at any alignment to their
+        /// period (pieces wrap it), whole lists or clipped cuts of them,
+        /// overlapping, some repeated verbatim.
         #[test]
-        fn coverage_matches_interval_set(
-            sources in proptest::collection::vec(
-                (arb_pieces(24), 0u64..60, 0u64..200, 0u64..400, any::<bool>()),
-                0..12,
-            ),
-        ) {
-            let mut lists = Vec::new();
-            for (pieces, shift, pos, n, repeat) in &sources {
-                let shifted: Vec<(u64, u64)> = pieces.iter().map(|&(o, l)| (o + shift, l)).collect();
-                let l = list(&shifted);
-                let pos = pos % l.total_bytes().max(1);
-                let n = (*n).min(l.total_bytes() - pos);
-                lists.push((Arc::clone(&l), pos, n));
-                if *repeat {
-                    lists.push((l, pos, n));
-                }
-            }
+        fn coverage_matches_interval_set(lists in arb_sources()) {
             let cuts: Vec<Cut<'_>> = lists.iter().map(|(l, pos, n)| l.cut(*pos, *n)).collect();
-            let want = coverage_by_insert(&cuts);
-            prop_assert_eq!(coverage(&cuts), want.clone());
-            prop_assert_eq!(coverage_pairwise(&cuts), want);
+            prop_assert_eq!(coverage(&cuts), coverage_by_insert(&cuts));
+        }
+
+        /// Closing the gaps of at most `gap` bytes, against the interval
+        /// set: each run left stretches from one exact interval's start to
+        /// a later one's end over gaps of at most `gap`, every gap left is
+        /// wider, the hull is unchanged, and every clipped piece lies
+        /// wholly inside one run.
+        #[test]
+        fn closed_gaps_are_exactly_the_narrow_ones(lists in arb_sources(), gap in 0u64..24) {
+            let cuts: Vec<Cut<'_>> = lists.iter().map(|(l, pos, n)| l.cut(*pos, *n)).collect();
+            let exact = coverage_by_insert(&cuts);
+            let mut runs = coverage(&cuts);
+            close_gaps(&mut runs, gap);
+            let end = |r: &(u64, u64)| r.0 + r.1;
+            let mut at = exact.iter().peekable();
+            for run in &runs {
+                let first = at.next().expect("a run starts at an exact interval");
+                prop_assert_eq!(first.0, run.0);
+                let mut reach = end(first);
+                while let Some(next) = at.next_if(|next| next.0 < end(run)) {
+                    prop_assert!(next.0 - reach <= gap, "a closed gap is at most {}", gap);
+                    reach = end(next);
+                }
+                prop_assert_eq!(reach, end(run));
+            }
+            prop_assert!(at.next().is_none());
+            for pair in runs.windows(2) {
+                prop_assert!(pair[1].0 - end(&pair[0]) > gap, "a kept gap is wider than {}", gap);
+            }
+            let hull = |r: &[(u64, u64)]| r.first().map(|f| (f.0, end(r.last().unwrap())));
+            prop_assert_eq!(hull(&runs), hull(&exact));
+            for piece in cuts.iter().flat_map(Cut::iter) {
+                let i = runs.partition_point(|&(off, _)| off <= piece.file_off);
+                prop_assert!(i > 0 && piece.end() <= end(&runs[i - 1]));
+            }
         }
 
         /// Columns of one stride that tile (or, with one dropped, nearly

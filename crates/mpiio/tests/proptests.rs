@@ -186,7 +186,9 @@ struct Scenario {
     /// A strictly ascending proper subset of the ranks.
     aggregators: Vec<usize>,
     cb_buffer_size: u64,
-    sieve_read: bool,
+    /// `FsConfig::tiny`'s per-extent list-I/O cost, µs: break-even gaps
+    /// of 0, 2 and 10 B against the generator's 0–23 B gaps.
+    list_extent_us: f64,
     checksums: bool,
 }
 
@@ -236,10 +238,10 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
         prop_oneof![scattered, tiles],
         any::<u16>(),
         1u64..10,
-        any::<bool>(),
+        prop_oneof![Just(0.0), Just(2.0), Just(10.0)],
         any::<bool>(),
     )
-        .prop_map(|(runs, mask, rounds, sieve_read, checksums)| {
+        .prop_map(|(runs, mask, rounds, list_extent_us, checksums)| {
             let n = runs.len();
             let mut aggregators: Vec<usize> = (0..n).filter(|r| mask >> r & 1 == 1).collect();
             if aggregators.len() == n {
@@ -257,7 +259,7 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
                 runs,
                 aggregators,
                 cb_buffer_size: domain.div_ceil(rounds).max(1),
-                sieve_read,
+                list_extent_us,
                 checksums,
             }
         })
@@ -290,7 +292,9 @@ fn run_scenario(s: &Scenario) -> (Vec<u8>, Vec<u64>) {
     use simnet::{run_cluster, ClusterConfig, IoBuffer, Mapping, SimTime};
 
     let image_len = s.image_len();
-    let fs = FileSystem::new(FsConfig::tiny());
+    let mut fs_cfg = FsConfig::tiny();
+    fs_cfg.list_extent_overhead = SimTime::micros(s.list_extent_us);
+    let fs = FileSystem::new(fs_cfg);
     let (fs_in, s_in) = (fs.clone(), s.clone());
     let out = run_cluster(ClusterConfig::cray_xt(s.runs.len(), Mapping::Block), move |ep| {
         let comm = Communicator::world(&ep);
@@ -307,7 +311,6 @@ fn run_scenario(s: &Scenario) -> (Vec<u8>, Vec<u64>) {
             cb_buffer_size: s_in.cb_buffer_size,
             align: None,
             checksums: s_in.checksums,
-            sieve_read: s_in.sieve_read,
         };
         let mut prof = PhaseProfile::new();
         let buf = IoBuffer::from_slice(&mine);
@@ -334,12 +337,13 @@ proptest! {
 
     /// The engine against a sequential oracle, in both directions, for
     /// any access pattern (holes included), aggregator subset (idle and
-    /// non-aggregator ranks included), round count, and with read
-    /// sieving and piece checksums on or off: the file image is the
-    /// oracle's (holes keep what the file held — and a stale recycled
-    /// scratch buffer anywhere in the pack/unpack path would corrupt it),
-    /// a collective read returns each rank exactly what it wrote, and a
-    /// second run ends every rank at the same virtual time.
+    /// non-aggregator ranks included), round count, read gaps on both
+    /// sides of the break-even gap, and piece checksums on or off: the
+    /// file image is the oracle's (holes keep what the file held — and a
+    /// stale recycled scratch buffer anywhere in the pack/unpack path
+    /// would corrupt it), a collective read returns each rank exactly what
+    /// it wrote, and a second run ends every rank at the same virtual
+    /// time.
     #[test]
     fn engine_matches_the_sequential_oracle_in_both_directions(s in arb_scenario()) {
         let (image, ends) = run_scenario(&s);

@@ -828,31 +828,6 @@ impl<'ep> ParcollFile<'ep> {
             tr.applied = after;
             self.cache = None;
         }
-        // Read-direction sieve decision: an I/O-dominated read epoch
-        // (agreed maxima, so every rank decides identically) means hole
-        // traffic — the covering reads are fetching mostly unrequested
-        // bytes — so flip collective-read sieving on. One-way: the
-        // hole-threshold cutover inside the engine still bounds the
-        // downside per round.
-        if tr.dir_read
-            && !self.file.hints().cb_ds_read
-            && agreed[0] > 0
-            && 2 * agreed[3] >= agreed[0]
-        {
-            self.file.set_sieve_read(true);
-            self.cache = None;
-            if rec.enabled() {
-                rec.instant(
-                    "parcoll",
-                    "sieve_on",
-                    ep.now().as_micros(),
-                    vec![
-                        ("wall_us", simtrace::ArgValue::from(agreed[0])),
-                        ("io_us", simtrace::ArgValue::from(agreed[3])),
-                    ],
-                );
-            }
-        }
         tr.epoch_t0 = ep.now();
         tr.mark = *self.file.profile();
     }
@@ -879,8 +854,8 @@ impl<'ep> ParcollFile<'ep> {
     /// Partitioned collective read at a view offset. Reads feed the same
     /// autotune loop as writes, under a separate direction-namespaced
     /// policy signature — a learned write policy is never mis-applied to
-    /// the read pattern, and read epochs drive their own group-count and
-    /// sieve decisions.
+    /// the read pattern, and read epochs drive their own group-count
+    /// decisions.
     pub fn read_at_all(&mut self, offset: u64, nbytes: u64) -> IoBuffer {
         let data = self.run(offset, nbytes, Dir::Read);
         data.expect("a collective read returns its bytes")
@@ -1277,34 +1252,29 @@ mod tests {
 
     /// A synthetic partitioned read whose modelled size could never be
     /// zero-filled: 4 ranks × 16 GiB in 2 subgroups through 1 GiB staging
-    /// rounds, with and without read sieving.
+    /// rounds.
     #[test]
     fn synthetic_partitioned_read_allocates_nothing() {
         const N: usize = 16 << 30;
-        for sieve in ["disable", "enable"] {
-            let fs = FileSystem::new(FsConfig::tiny());
-            let fs2 = fs.clone();
-            let out = run_cluster(ClusterConfig::cray_xt(4, Mapping::Block), move |ep| {
-                let comm = Communicator::world(&ep);
-                let info = info_groups(2)
-                    .with("cb_buffer_size", 1usize << 30)
-                    .with("cb_ds_read", sieve);
-                let mut pc = ParcollFile::open_with_layout(&comm, &fs2, "/huge", &info, 4, 1 << 30);
-                pc.write_at_all((comm.rank() * N) as u64, &IoBuffer::synthetic(N));
-                let got = pc.read_at_all((comm.rank() * N) as u64, N as u64);
-                assert_eq!(pc.last_mode(), Some(PartitionMode::Direct { groups: 2 }));
-                pc.close();
-                got
-            });
-            for got in out {
-                assert_eq!(got, IoBuffer::synthetic(N));
-                // Range checks still run on the synthetic path.
-                assert!(std::panic::catch_unwind(|| got.sub(N - 1, 2)).is_err());
-                let mut dst = got.clone();
-                let oob =
-                    std::panic::AssertUnwindSafe(|| dst.copy_in(N - 1, &IoBuffer::synthetic(2)));
-                assert!(std::panic::catch_unwind(oob).is_err());
-            }
+        let fs = FileSystem::new(FsConfig::tiny());
+        let fs2 = fs.clone();
+        let out = run_cluster(ClusterConfig::cray_xt(4, Mapping::Block), move |ep| {
+            let comm = Communicator::world(&ep);
+            let info = info_groups(2).with("cb_buffer_size", 1usize << 30);
+            let mut pc = ParcollFile::open_with_layout(&comm, &fs2, "/huge", &info, 4, 1 << 30);
+            pc.write_at_all((comm.rank() * N) as u64, &IoBuffer::synthetic(N));
+            let got = pc.read_at_all((comm.rank() * N) as u64, N as u64);
+            assert_eq!(pc.last_mode(), Some(PartitionMode::Direct { groups: 2 }));
+            pc.close();
+            got
+        });
+        for got in out {
+            assert_eq!(got, IoBuffer::synthetic(N));
+            // Range checks still run on the synthetic path.
+            assert!(std::panic::catch_unwind(|| got.sub(N - 1, 2)).is_err());
+            let mut dst = got.clone();
+            let oob = std::panic::AssertUnwindSafe(|| dst.copy_in(N - 1, &IoBuffer::synthetic(2)));
+            assert!(std::panic::catch_unwind(oob).is_err());
         }
     }
 

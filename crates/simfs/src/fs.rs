@@ -523,47 +523,52 @@ impl FileHandle {
         extents: &[(u64, u64)],
         now: SimTime,
     ) -> Result<(Vec<IoBuffer>, SimTime), IntegrityError> {
-        let cfg = &self.fs.inner.cfg;
-        // Aggregate the chunk-unit load per OST (BTreeMap: the service
-        // order must be deterministic, not hash order).
-        let mut per_ost: std::collections::BTreeMap<usize, (u64, u64)> =
-            std::collections::BTreeMap::new();
+        let (cfg, layout) = (&self.fs.inner.cfg, &self.entry.layout);
+        // The chunk-unit load per OST, by pool index: the OSTs are served
+        // in ascending order, a deterministic admission sequence. An
+        // extent inside the stripe unit of the one before it (ascending
+        // lists mostly are) is one more unit on that unit's OST.
+        let mut per_ost = vec![(0u64, 0u64); layout.pool_size];
+        let mut unit = (0u64, 0u64, 0usize); // [start, end) and OST of the last unit
         for &(off, len) in extents {
             if len == 0 {
                 continue;
             }
-            for (ost, bytes, requests) in self.entry.layout.ost_load(off, len) {
-                let e = per_ost.entry(ost).or_default();
-                e.0 += bytes;
-                e.1 += requests;
+            if off < unit.0 || off >= unit.1 {
+                let start = off - off % layout.stripe_size;
+                unit = (start, start + layout.stripe_size, layout.ost_of(off));
+            }
+            if off + len <= unit.1 {
+                let load = &mut per_ost[unit.2];
+                *load = (load.0 + len, load.1 + 1);
+                continue;
+            }
+            for (ost, bytes, requests) in layout.ost_load(off, len) {
+                let load = &mut per_ost[ost];
+                *load = (load.0 + bytes, load.1 + requests);
             }
         }
-        let mut done = if per_ost.is_empty() {
-            now + cfg.rpc_latency * 2.0
-        } else {
-            let arrival = now + cfg.rpc_latency;
-            let cache_window = SimTime::secs(cfg.cache_bytes as f64 / cfg.ost_bandwidth_bps);
-            let mut done = arrival;
-            for (&ost, &(bytes, units)) in &per_ost {
-                let overhead =
-                    cfg.request_overhead + cfg.list_extent_overhead * (units - 1) as f64;
-                let completion = self.fs.inner.osts[ost].serve(
-                    arrival,
-                    bytes,
-                    1,
-                    overhead,
-                    cfg.ost_bandwidth_bps,
-                    cfg.jitter_cv,
-                    cfg.contention_per_queued,
-                    cfg.slow_prob,
-                    cfg.slow_factor,
-                    None,
-                    cache_window,
-                );
-                done = done.max(completion);
-            }
-            done + cfg.rpc_latency
-        };
+        let arrival = now + cfg.rpc_latency;
+        let cache_window = SimTime::secs(cfg.cache_bytes as f64 / cfg.ost_bandwidth_bps);
+        let mut done = arrival;
+        for (ost, &(bytes, units)) in per_ost.iter().enumerate().filter(|(_, load)| load.1 > 0) {
+            let overhead = cfg.request_overhead + cfg.list_extent_overhead * (units - 1) as f64;
+            let completion = self.fs.inner.osts[ost].serve(
+                arrival,
+                bytes,
+                1,
+                overhead,
+                cfg.ost_bandwidth_bps,
+                cfg.jitter_cv,
+                cfg.contention_per_queued,
+                cfg.slow_prob,
+                cfg.slow_factor,
+                None,
+                cache_window,
+            );
+            done = done.max(completion);
+        }
+        done += cfg.rpc_latency;
         let integ = self.entry.integrity.as_ref().map(|m| m.lock());
         let mut st = self.entry.storage.lock();
         if let Some(mut integ) = integ {
@@ -590,11 +595,17 @@ impl FileHandle {
                 });
             }
         }
-        let bufs = extents
-            .iter()
-            .map(|&(off, len)| st.read(off, len as usize))
-            .collect();
-        Ok((bufs, done))
+        Ok((st.read_list(extents), done))
+    }
+
+    /// The widest hole a list read should read through rather than skip:
+    /// moving that many bytes costs no more than one more list extent
+    /// ([`list_extent_overhead`](crate::FsConfig::list_extent_overhead) ×
+    /// [`ost_bandwidth_bps`](crate::FsConfig::ost_bandwidth_bps), in
+    /// whole bytes). 9 750 B on [`FsConfig::jaguar`](crate::FsConfig::jaguar).
+    pub fn list_break_even_gap(&self) -> u64 {
+        let cfg = &self.fs.inner.cfg;
+        (cfg.list_extent_overhead.as_secs() * cfg.ost_bandwidth_bps).round() as u64
     }
 
     fn charge_io(&self, offset: u64, len: u64, now: SimTime, is_write: bool) -> SimTime {
@@ -681,6 +692,13 @@ mod tests {
         assert!(none.is_empty());
         assert!(t3 > done);
         assert_eq!(fs.stats().total_requests, before);
+    }
+
+    #[test]
+    fn break_even_gap_is_one_list_extent_of_transfer() {
+        let file = |cfg| FileSystem::new(cfg).open("/g", SimTime::ZERO).0;
+        assert_eq!(file(FsConfig::jaguar()).list_break_even_gap(), 9_750);
+        assert_eq!(file(FsConfig::tiny()).list_break_even_gap(), 2);
     }
 
     #[test]

@@ -137,6 +137,21 @@ impl Storage {
         IoBuffer::from_vec(out)
     }
 
+    /// [`Storage::read`] of every `(offset, len)` extent, in order. One
+    /// range check covers a list whose hull lies inside one synthetic
+    /// extent: every buffer is synthetic.
+    pub fn read_list(&self, extents: &[(u64, u64)]) -> Vec<IoBuffer> {
+        let nonempty = extents.iter().filter(|e| e.1 > 0);
+        let ranges = nonempty.map(|&(off, len)| (off, off + len));
+        let hull = ranges.reduce(|a, b| (a.0.min(b.0), a.1.max(b.1)));
+        let synthetic = hull.is_some_and(|(lo, hi)| self.synthetic.contains_range(lo, hi));
+        let read = |&(off, len): &(u64, u64)| match len {
+            1.. if synthetic => IoBuffer::synthetic(len as usize),
+            _ => self.read(off, len as usize),
+        };
+        extents.iter().map(read).collect()
+    }
+
     /// Checksum of `[offset, offset+len)` exactly as [`Storage::read`]
     /// would return it — zeros in holes and past EOF — but without
     /// materializing the window: resident pages are fed to the hasher in

@@ -5,6 +5,7 @@ use simfs::layout::StripeLayout;
 use simfs::ost::Ost;
 use simfs::rangeset::RangeSet;
 use simfs::storage::Storage;
+use simfs::{FileSystem, FsConfig};
 use simnet::{IoBuffer, SimTime};
 
 proptest! {
@@ -34,6 +35,36 @@ proptest! {
         let st = ost.stats();
         // Busy time bounded below by pure service of all bytes.
         prop_assert!(st.busy.as_secs() >= st.bytes as f64 / 1e9 - 1e-9);
+    }
+
+    /// A list read returns what reading its extents one by one returns —
+    /// over synthetic, real and unwritten bytes, in any order, empty
+    /// extents included — and charges every OST exactly the bytes
+    /// `ost_load` puts on it, as one request per OST it reaches.
+    #[test]
+    fn list_read_is_its_extents_read_one_by_one(
+        extents in proptest::collection::vec((0u64..12_000, 0u64..3_000), 0..24),
+        real_at in 0u64..10_000,
+    ) {
+        let fs = FileSystem::new(FsConfig::tiny());
+        let (f, t) = fs.open("/l", SimTime::ZERO);
+        let t = f.write_at(0, &IoBuffer::synthetic(8192), t);
+        let real: Vec<u8> = (0..2000u32).map(|i| i as u8).collect();
+        let t = f.write_at(real_at, &IoBuffer::from_vec(real), t);
+        let mut want = vec![(0u64, 0u64); FsConfig::tiny().n_osts];
+        for &(off, len) in &extents {
+            for (ost, bytes, _) in f.layout().ost_load(off, len) {
+                want[ost] = (want[ost].0 + bytes, 1);
+            }
+        }
+        let before = fs.stats().osts;
+        let (bufs, _) = f.read_list(&extents, t);
+        for ((b, a), want) in before.iter().zip(&fs.stats().osts).zip(want) {
+            prop_assert_eq!((a.bytes - b.bytes, a.requests - b.requests), want);
+        }
+        for (buf, &(off, len)) in bufs.iter().zip(&extents) {
+            prop_assert_eq!(buf, &f.read_at(off, len as usize, t).0);
+        }
     }
 }
 

@@ -132,10 +132,9 @@ pub enum Site {
     /// Integrity checksum verification: trailer checks at unpack and
     /// stored-sum checks on the simfs read/scrub path.
     CksumVerify,
-    /// Collective-read data sieving: hole-density accounting plus the
-    /// per-run carve-out of requested pieces from sieved read buffers
-    /// (the read-side analogue of [`Site::Pack`], active only when the
-    /// `cb_ds_read` hint is on).
+    /// Collective-read gap decision: closing the holes of a read
+    /// window's coverage that are cheaper to read through than to skip
+    /// (only windows with holes enter it).
     SieveRead,
     /// Admission gate check: one admissibility check of a pending
     /// request — the tree root, then the parked meetings and the ranks
@@ -147,8 +146,8 @@ pub enum Site {
     GateWake,
     /// Two-phase window coverage: merging the per-source piece cuts of
     /// one round window into maximal covered runs — hole detection on
-    /// the write side, the sieve decision and list-I/O runs on the read
-    /// side. The per-piece work a synthetic round still does.
+    /// the write side, the runs a read fetches on the read side. The
+    /// per-piece work a synthetic round still does.
     Coverage,
     /// The transfer-size exchange of one two-phase round (and the piece
     /// count exchange of setup): an aggregator building the row it

@@ -7,9 +7,9 @@
 //! every tile (a downsampled or decomposed restart — common when the
 //! restart runs at different scale or only needs a subset of fields).
 //! Per dataset row the aggregators see one requested run per tile
-//! followed by a `(den-1)/den` hole — exactly the regime where collective
-//! data sieving must choose between one covering read (fetching mostly
-//! unrequested bytes) and list-I/O coalesced runs.
+//! followed by a `(den-1)/den` hole — exactly the regime where a read
+//! aggregator must choose, hole by hole, between reading through it and
+//! one more list-I/O extent.
 
 use crate::runner::{DataMode, IoMode, RunConfig};
 use crate::tileio::TileIo;
@@ -259,7 +259,6 @@ pub fn run_restart(w: Restart, cfg: RunConfig) -> RestartResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simmpi::Info;
 
     #[test]
     fn restart_verifies_under_all_collective_modes() {
@@ -269,14 +268,6 @@ mod tests {
             assert!(r.read_mbps > 0.0, "{mode:?}");
             assert_eq!(r.read_bytes * 4, r.write_bytes, "den=4 reads a quarter");
         }
-    }
-
-    #[test]
-    fn restart_verifies_with_sieving_on() {
-        let mut cfg = RunConfig::verify(IoMode::Parcoll { groups: 2 });
-        cfg.info = Info::new().with("cb_ds_read", "enable");
-        let r = run_restart(Restart::tiny(4), cfg);
-        assert!(r.read_mbps > 0.0);
     }
 
     #[test]
