@@ -9,48 +9,66 @@
 //! counters) rather than any heatmap-private counting — the same spans a
 //! `trace_dump` run renders in Perfetto.
 //!
-//! With `--timeline [W]`, the run's OST tracks are additionally folded
-//! into `W` virtual-time buckets (the `simtrace::series` interval fold)
+//! With `--timeline [W]`, each OST's `ost/serve` spans are additionally
+//! spread over `W` virtual-time buckets, proportionally to their overlap,
 //! and rendered as one shade-row per target — occupancy over *time*,
 //! where the static heatmap only shows totals. A lock-step baseline
 //! shows synchronized dark columns; drifted ParColl subgroups smear
 //! them out.
 //!
-//! Usage mirrors `parcoll_sim`: `ost_heatmap <workload> [--procs N]
-//! [--mode baseline|parcoll] [--groups G] [--timeline [W]]`.
+//! Usage mirrors `parcoll_sim`: `ost_heatmap [ior|tileio] [--procs N]
+//! [--mode baseline|parcoll] [--groups G] [--timeline [W]]`. Anything
+//! else — an unknown workload or flag, a value that does not parse —
+//! prints the usage line and exits 2 before simulating.
 
 use bench::{ost_loads, summarize_ost_loads};
-use simtrace::{series_from_trace, Event, SeriesConfig, TraceSink, TrackKey};
+use simtrace::{Event, TraceSink, TrackKey};
 use workloads::ior::Ior;
 use workloads::runner::{run_workload, IoMode, RunConfig};
 use workloads::tileio::TileIo;
 
-const USAGE: &str = "usage: ost_heatmap <workload> [--procs N] [--mode baseline|parcoll] \
+const USAGE: &str = "usage: ost_heatmap [ior|tileio] [--procs N] [--mode baseline|parcoll] \
                      [--groups G] [--timeline [W]]";
 
+fn usage() -> ! {
+    eprintln!("{USAGE}");
+    std::process::exit(2);
+}
+
+fn number(v: Option<String>) -> usize {
+    v.and_then(|v| v.parse().ok()).filter(|&n| n > 0).unwrap_or_else(|| usage())
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let workload = args.first().cloned().unwrap_or_else(|| "ior".into());
-    let value = |key: &str| {
-        args.iter()
-            .position(|a| a == key)
-            .map(|i| args.get(i + 1).map(String::as_str))
+    let mut args = std::env::args().skip(1).peekable();
+    let workload = match args.next_if(|a| !a.starts_with("--")) {
+        None => "ior".to_string(),
+        Some(w) if w == "ior" || w == "tileio" => w,
+        Some(_) => usage(),
     };
-    let get = |key: &str, default: usize| -> usize {
-        value(key)
-            .flatten()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
-    let procs = get("--procs", 128);
-    let groups = get("--groups", procs / 8);
-    let mode = match value("--mode") {
-        None | Some(Some("parcoll")) => IoMode::Parcoll { groups },
-        Some(Some("baseline")) => IoMode::Collective,
-        Some(_) => {
-            eprintln!("{USAGE}");
-            std::process::exit(2);
+    let (mut procs, mut groups, mut baseline, mut timeline) = (128, None, false, None);
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--procs" => procs = number(args.next()),
+            "--groups" => groups = Some(number(args.next())),
+            "--mode" => match args.next().as_deref() {
+                Some("parcoll") => baseline = false,
+                Some("baseline") => baseline = true,
+                _ => usage(),
+            },
+            "--timeline" => {
+                let width = args.next_if(|a| !a.starts_with("--"));
+                let width = width.map_or(Some(72), |w| w.parse().ok());
+                timeline = Some(width.unwrap_or_else(|| usage()).max(8));
+            }
+            _ => usage(),
         }
+    }
+    let groups = groups.unwrap_or(procs / 8);
+    let mode = if baseline {
+        IoMode::Collective
+    } else {
+        IoMode::Parcoll { groups }
     };
 
     let sink = TraceSink::enabled();
@@ -94,18 +112,14 @@ fn main() {
         );
     }
 
-    if let Some(pos) = args.iter().position(|a| a == "--timeline") {
-        let width = args
-            .get(pos + 1)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(72usize)
-            .max(8);
+    if let Some(width) = timeline {
         print_timeline(&trace, width);
     }
 }
 
-/// Render each OST's busy occupancy over virtual time as a shade row,
-/// one character per interval of the `simtrace::series` fold.
+/// Render each OST's busy occupancy over virtual time as a shade row:
+/// every `ost/serve` span spread over the buckets it overlaps, in
+/// proportion to the overlap.
 fn print_timeline(trace: &simtrace::Trace, width: usize) {
     let wall = trace
         .tracks
@@ -117,22 +131,43 @@ fn print_timeline(trace: &simtrace::Trace, width: usize) {
         println!("timeline: empty trace");
         return;
     }
-    let interval = wall / width as f64;
-    let series = series_from_trace(trace, SeriesConfig::new(interval));
+    let interval = (wall / width as f64).max(1.0);
+    let n = ((wall / interval).ceil() as usize).max(1);
+    let bucket = |t: f64| ((t / interval) as usize).min(n - 1);
     const SHADES: &[u8] = b" .:-=+*#%@";
     println!(
-        "\nOST busy-occupancy timeline ({} buckets x {:.1} us, ' '=idle '@'=saturated):",
-        series.n_intervals, series.interval_us
+        "\nOST busy-occupancy timeline ({n} buckets x {interval:.1} us, ' '=idle '@'=saturated):"
     );
-    for t in &series.tracks {
+    for t in &trace.tracks {
         let TrackKey::Ost(ost) = t.key else { continue };
-        let Some(busy) = t.series.get("ost_busy_us") else {
-            continue;
-        };
+        let mut busy: Option<Vec<f64>> = None;
+        for event in &t.events {
+            let Event::Span { cat: "ost", name, start_us, dur_us, .. } = event else { continue };
+            if name != "serve" {
+                continue;
+            }
+            let busy = busy.get_or_insert_with(|| vec![0.0; n]);
+            let (start, end) = (*start_us, start_us + dur_us);
+            let dur = end - start;
+            if dur <= 0.0 || *dur_us == 0.0 {
+                // Zero-length activity lands wholly in its start bucket.
+                busy[bucket(start)] += dur_us;
+                continue;
+            }
+            let last = bucket(end.min(wall).max(start));
+            for (i, b) in busy.iter_mut().enumerate().take(last + 1).skip(bucket(start)) {
+                let lo = i as f64 * interval;
+                let overlap = end.min(lo + interval) - start.max(lo);
+                if overlap > 0.0 {
+                    *b += dur_us * overlap / dur;
+                }
+            }
+        }
+        let Some(busy) = busy else { continue };
         let row: String = busy
             .iter()
             .map(|us| {
-                let occupancy = (us / series.interval_us).clamp(0.0, 1.0);
+                let occupancy = (us / interval).clamp(0.0, 1.0);
                 let idx = (occupancy * (SHADES.len() - 1) as f64).round() as usize;
                 SHADES[idx] as char
             })

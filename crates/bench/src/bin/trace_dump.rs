@@ -13,7 +13,9 @@
 //! layer accounts independently: per rank, the `phase/sync` span total
 //! must match `PhaseProfile::sync` to within a microsecond.
 //!
-//! Usage: `trace_dump [--procs N] [--out DIR] [--top K]`
+//! Usage: `trace_dump [--procs N] [--out DIR] [--top K]`, `N` ≥ 2. An
+//! unknown flag, a missing value or one that does not parse prints the
+//! usage line and exits 2 before simulating.
 
 use mpiio::{File, PhaseProfile};
 use simmpi::{Communicator, Info};
@@ -46,18 +48,27 @@ fn run_traced(sink: &TraceSink, procs: usize) -> Vec<PhaseProfile> {
     })
 }
 
+fn usage() -> ! {
+    eprintln!("usage: trace_dump [--procs N] [--out DIR] [--top K] (N >= 2 ranks)");
+    std::process::exit(2);
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let get = |key: &str| {
-        args.iter()
-            .position(|a| a == key)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let procs: usize = get("--procs").and_then(|v| v.parse().ok()).unwrap_or(16);
-    let top_k: usize = get("--top").and_then(|v| v.parse().ok()).unwrap_or(5);
-    let out_dir = get("--out").unwrap_or_else(|| "trace_out".into());
-    assert!(procs >= 2, "need at least 2 ranks for a collective");
+    let (mut procs, mut top_k, mut out_dir) = (16usize, 5usize, "trace_out".to_string());
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        let value = args.next().unwrap_or_else(|| usage());
+        let number = || value.parse().unwrap_or_else(|_| usage());
+        match flag.as_str() {
+            "--procs" => procs = number(),
+            "--top" => top_k = number(),
+            "--out" => out_dir = value,
+            _ => usage(),
+        }
+    }
+    if procs < 2 {
+        usage();
+    }
 
     let sink = TraceSink::enabled();
     let profiles = run_traced(&sink, procs);

@@ -1,6 +1,7 @@
-//! `ost_heatmap --mode` accepts exactly `baseline` and `parcoll`: a
-//! missing or unknown value prints the usage line and exits 2 before
-//! any simulation runs.
+//! `ost_heatmap` runs only what it knows: an unknown workload or flag,
+//! a missing `--mode` value or one other than `baseline` and `parcoll`,
+//! and a number that does not parse each print the usage line and exit
+//! 2 before any simulation runs.
 
 use std::process::{Command, Output};
 
@@ -27,4 +28,25 @@ fn mode_without_a_value_is_a_usage_error() {
 #[test]
 fn unknown_mode_is_a_usage_error() {
     assert_usage_error(&ost_heatmap(&["ior", "--procs", "4", "--mode", "bogus"]));
+}
+
+#[test]
+fn unknown_workload_is_a_usage_error() {
+    assert_usage_error(&ost_heatmap(&["btio", "--procs", "4"]));
+}
+
+#[test]
+fn unknown_flag_is_a_usage_error() {
+    assert_usage_error(&ost_heatmap(&["ior", "--procs", "4", "--bogus"]));
+}
+
+#[test]
+fn unparsable_numbers_are_usage_errors() {
+    for (flag, value) in [("--procs", "abc"), ("--groups", "x"), ("--timeline", "wide")] {
+        let mut args = vec!["ior", "--procs", "4", flag, value];
+        if flag == "--procs" {
+            args.drain(1..3);
+        }
+        assert_usage_error(&ost_heatmap(&args));
+    }
 }

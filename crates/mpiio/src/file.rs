@@ -12,10 +12,6 @@ use simfs::{FileHandle, FileSystem};
 use simmpi::{Communicator, Info};
 use simnet::IoBuffer;
 
-/// Data-sieving buffer of an independent non-contiguous read, ROMIO's
-/// default size.
-const SIEVE_BUFFER: u64 = 4 << 20;
-
 /// An open MPI-IO file, mirroring `MPI_File`.
 ///
 /// All `*_all` operations are collective over the opening communicator and
@@ -187,12 +183,13 @@ impl<'ep> File<'ep> {
         independent::write_plan(ep, &self.fh, &plan, buf, &mut self.profile);
     }
 
-    /// Independent read at a view offset (`MPI_File_read_at`): a
-    /// non-contiguous plan is data-sieved through a 4 MiB buffer.
+    /// Independent read at a view offset (`MPI_File_read_at`): holes up
+    /// to the file's break-even gap are read through, and what is left
+    /// is one plain or one list-I/O request ([`independent::read_plan`]).
     pub fn read_at(&mut self, offset: u64, nbytes: u64) -> IoBuffer {
         let plan = self.plan(offset, nbytes);
         let ep = self.comm.endpoint();
-        independent::read_plan(ep, &self.fh, &plan, SIEVE_BUFFER, &mut self.profile)
+        independent::read_plan(ep, &self.fh, &plan, &mut self.profile)
     }
 
     /// This rank's accumulated phase profile.

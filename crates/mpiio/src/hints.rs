@@ -6,8 +6,9 @@ use simmpi::Info;
 /// (MPI semantics); the raw [`Info`] is preserved for higher layers (the
 /// `parcoll` crate parses its own `parcoll_*` keys from the same object
 /// — `parcoll_groups`, `parcoll_autotune`, … — see
-/// `parcoll::ParcollConfig`). An independent non-contiguous read is always
-/// data-sieved through a fixed 4 MiB buffer; no hint selects it.
+/// `parcoll::ParcollConfig`). No hint shapes a read: collective and
+/// independent reads alike read through holes up to the file's
+/// break-even gap (`simfs::FileHandle::list_break_even_gap`).
 #[derive(Debug, Clone)]
 pub struct Hints {
     /// Number of I/O aggregators (`cb_nodes`). Defaults to one per

@@ -1,13 +1,14 @@
 //! Independent (non-collective) I/O through a file view.
 //!
 //! Each process issues its own requests with no coordination — the
-//! "Cray w/o Coll" series of the paper's Figure 11. Non-contiguous views
-//! decompose into one file request per run; for reads, *data sieving*
-//! (Thakur et al.) optionally fetches the whole spanned range in large
-//! chunks and extracts the wanted pieces, trading extra bytes moved for
-//! far fewer requests.
+//! "Cray w/o Coll" series of the paper's Figure 11. A write is one file
+//! request per run; a read takes the collective read's gap rule
+//! (DESIGN.md §15.1): holes no wider than the file's break-even gap are
+//! read through, and what is left is one plain read or one list-I/O
+//! request.
 
 use crate::profile::{Phase, PhaseProfile, PhaseTimer};
+use crate::twophase::close_gaps;
 use crate::view::AccessPlan;
 use simfs::FileHandle;
 use simnet::buffer::BufferBuilder;
@@ -38,80 +39,58 @@ pub fn write_plan(
 
 /// Read `plan.total` bytes through `plan`.
 ///
-/// With `sieve_buffer > 0` and a non-contiguous plan, the spanned range is
-/// fetched in `sieve_buffer`-sized chunks and the wanted runs are copied
-/// out; otherwise every run is its own request.
+/// The plan's pieces are joined across every gap of at most
+/// [`FileHandle::list_break_even_gap`] bytes. One run left is a plain
+/// `read_at` (a contiguous plan's is exactly its one piece); several go
+/// out as one `read_list`. The pieces are then carved out of the run
+/// buffers, and a read that went through a hole pays the copy.
 pub fn read_plan(
     ep: &Endpoint,
     fh: &FileHandle,
     plan: &AccessPlan,
-    sieve_buffer: u64,
     prof: &mut PhaseProfile,
 ) -> IoBuffer {
     if plan.is_empty() {
         return IoBuffer::empty();
     }
-    let span_start = plan.start().expect("non-empty plan");
-    let span_end = plan.end().expect("non-empty plan");
-    let contiguous = plan.piece_count() == 1;
-
-    if contiguous || sieve_buffer == 0 {
-        let t = PhaseTimer::start(Phase::Io, ep.now());
-        let mut out = BufferBuilder::with_capacity(plan.total as usize);
-        let mut now = ep.now();
-        for ext in plan.pieces() {
-            let (data, done) = fh.read_at(ext.off, ext.len as usize, now);
-            out.push(&data);
-            now = done;
+    let mut runs: Vec<(u64, u64)> = plan.pieces().map(|e| (e.off, e.len)).collect();
+    let pieces = runs.len();
+    close_gaps(&mut runs, fh.list_break_even_gap());
+    let t = PhaseTimer::start(Phase::Io, ep.now());
+    let (bufs, done) = match runs[..] {
+        [(off, len)] => {
+            let (buf, done) = fh.read_at(off, len as usize, ep.now());
+            (vec![buf], done)
         }
-        ep.clock().advance_to(now);
-        t.stop_traced(ep.now(), prof, ep.trace());
-        return out.finish();
-    }
+        _ => fh.read_list(&runs, ep.now()),
+    };
+    ep.clock().advance_to(done);
+    t.stop_traced(ep.now(), prof, ep.trace());
 
-    // Data sieving: big sequential reads over the span, extract runs.
     let mut out = BufferBuilder::with_capacity(plan.total as usize);
-    let mut chunk_lo = span_start;
-    let mut pieces = plan.pieces().peekable();
-    while chunk_lo < span_end {
-        let chunk_hi = (chunk_lo + sieve_buffer).min(span_end);
-        let t = PhaseTimer::start(Phase::Io, ep.now());
-        let (chunk, done) = fh.read_at(chunk_lo, (chunk_hi - chunk_lo) as usize, ep.now());
-        ep.clock().advance_to(done);
-        t.stop_traced(ep.now(), prof, ep.trace());
-
-        let mut copied = 0usize;
-        while let Some(&e) = pieces.peek() {
-            if e.off >= chunk_hi {
-                break;
-            }
-            let lo = e.off.max(chunk_lo);
-            let hi = e.end().min(chunk_hi);
-            out.push(&chunk.sub((lo - chunk_lo) as usize, (hi - lo) as usize));
-            copied += (hi - lo) as usize;
-            if e.end() <= chunk_hi {
-                pieces.next();
-            } else {
-                break; // run continues into the next chunk
-            }
+    let mut at = 0;
+    for e in plan.pieces() {
+        while runs[at].0 + runs[at].1 <= e.off {
+            at += 1;
         }
-        let t = PhaseTimer::start(Phase::Local, ep.now());
-        ep.charge_memcpy(copied);
-        t.stop_traced(ep.now(), prof, ep.trace());
-        chunk_lo = chunk_hi;
+        out.push(&bufs[at].sub((e.off - runs[at].0) as usize, e.len as usize));
     }
-    let result = out.finish();
-    assert_eq!(result.len() as u64, plan.total, "sieving extracted all runs");
-    result
+    if runs.len() < pieces {
+        let t = PhaseTimer::start(Phase::Local, ep.now());
+        ep.charge_memcpy(plan.total as usize);
+        t.stop_traced(ep.now(), prof, ep.trace());
+    }
+    out.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::datatype::{Datatype, Ext};
+    use crate::datatype::Datatype;
     use crate::view::{AccessPlan, FileView};
+    use proptest::prelude::*;
     use simfs::{FileSystem, FsConfig};
-    use simnet::{run_cluster, ClusterConfig};
+    use simnet::{run_cluster, ClusterConfig, SimTime};
 
     fn one_rank(f: impl Fn(&Endpoint, FileSystem) + Send + Sync + 'static) {
         run_cluster(ClusterConfig::ideal(1), move |ep| {
@@ -129,7 +108,7 @@ mod tests {
             let mut prof = PhaseProfile::new();
             write_plan(ep, &fh, &plan, &data, &mut prof);
             assert!(prof.io > simnet::SimTime::ZERO);
-            let got = read_plan(ep, &fh, &plan, 0, &mut prof);
+            let got = read_plan(ep, &fh, &plan, &mut prof);
             assert_eq!(got.as_slice().unwrap(), &[7u8; 16]);
         });
     }
@@ -159,81 +138,91 @@ mod tests {
     }
 
     #[test]
-    fn sieved_read_matches_per_run_read() {
-        one_rank(|ep, fs| {
-            let (fh, _) = fs.open("/sieve", ep.now());
-            // Lay down a known pattern.
-            let pattern: Vec<u8> = (0..200u32).map(|i| (i % 251) as u8).collect();
-            fh.write_at(0, &IoBuffer::from_slice(&pattern), ep.now());
-
-            let plan = AccessPlan::from_extents(vec![
-                Ext::new(10, 5),
-                Ext::new(50, 20),
-                Ext::new(100, 1),
-                Ext::new(150, 30),
-            ]);
-            let mut prof = PhaseProfile::new();
-            let direct = read_plan(ep, &fh, &plan, 0, &mut prof);
-            let sieved = read_plan(ep, &fh, &plan, 64, &mut prof);
-            assert_eq!(direct, sieved);
-            let expect: Vec<u8> = [(10u64, 5u64), (50, 20), (100, 1), (150, 30)]
-                .iter()
-                .flat_map(|&(o, l)| pattern[o as usize..(o + l) as usize].to_vec())
-                .collect();
-            assert_eq!(direct.as_slice().unwrap(), expect.as_slice());
-        });
-    }
-
-    #[test]
-    fn sieving_issues_fewer_requests() {
-        one_rank(|ep, fs| {
-            let (fh, _) = fs.open("/reqs", ep.now());
-            fh.write_at(0, &IoBuffer::synthetic(100_000), ep.now());
-            let before = fs.stats().total_requests;
-            // 100 dense 16-byte runs at stride 32: the 3.2KB span costs a
-            // handful of stripe-chunk requests when sieved, versus one
-            // request per run when read directly.
-            let plan = AccessPlan::from_extents(
-                (0..100).map(|i| Ext::new(i * 32, 16)).collect(),
-            );
-            let mut prof = PhaseProfile::new();
-            let _ = read_plan(ep, &fh, &plan, 1 << 20, &mut prof);
-            let sieved_reqs = fs.stats().total_requests - before;
-
-            let before = fs.stats().total_requests;
-            let _ = read_plan(ep, &fh, &plan, 0, &mut prof);
-            let direct_reqs = fs.stats().total_requests - before;
-            assert!(
-                sieved_reqs * 2 < direct_reqs,
-                "sieving ({sieved_reqs}) should need far fewer requests than direct ({direct_reqs})"
-            );
-        });
-    }
-
-    #[test]
-    fn run_straddling_sieve_chunks_is_reassembled() {
-        one_rank(|ep, fs| {
-            let (fh, _) = fs.open("/straddle", ep.now());
-            let pattern: Vec<u8> = (0..300u32).map(|i| i as u8).collect();
-            fh.write_at(0, &IoBuffer::from_slice(&pattern), ep.now());
-            // Two runs; the second straddles the 128-byte chunk boundary.
-            let plan =
-                AccessPlan::from_extents(vec![Ext::new(0, 10), Ext::new(120, 50)]);
-            let mut prof = PhaseProfile::new();
-            let got = read_plan(ep, &fh, &plan, 128, &mut prof);
-            let mut expect = pattern[0..10].to_vec();
-            expect.extend_from_slice(&pattern[120..170]);
-            assert_eq!(got.as_slice().unwrap(), expect.as_slice());
-        });
-    }
-
-    #[test]
     fn empty_plan_reads_nothing() {
         one_rank(|ep, fs| {
             let (fh, _) = fs.open("/empty", ep.now());
             let mut prof = PhaseProfile::new();
-            let got = read_plan(ep, &fh, &AccessPlan::default(), 64, &mut prof);
+            let got = read_plan(ep, &fh, &AccessPlan::default(), &mut prof);
             assert!(got.is_empty());
         });
+    }
+
+    /// A strided view (`len`-byte pieces every `len + gap` bytes) or a
+    /// tile of a row-major 2-D array, read from view offset `pos` for up
+    /// to `n` bytes — pieces clipped at both ends.
+    fn arb_plan() -> impl Strategy<Value = AccessPlan> {
+        let strided = (1u64..40, 1u64..24).prop_map(|(len, gap)| Datatype::Resized {
+            extent: len + gap,
+            inner: Box::new(Datatype::Bytes(len)),
+        });
+        let picks = (0usize..64, 0usize..64, 0usize..64, 0usize..64);
+        let tiled = ((1usize..6, 2usize..12, 1u64..9), picks).prop_map(
+            |((rows, cols, elem), (a, b, c, d))| {
+                let (tile_rows, tile_cols) = (1 + a % rows, 1 + b % cols);
+                let (row, col) = (c % (rows - tile_rows + 1), d % (cols - tile_cols + 1));
+                Datatype::tile_2d(rows, cols, tile_rows, tile_cols, row, col, elem)
+            },
+        );
+        (prop_oneof![strided, tiled], 0u64..3000, 0u64..200, 1u64..8000).prop_map(
+            |(t, disp, pos, n)| AccessPlan::from_view(&FileView::new(disp, &t), pos, n),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The bytes are a per-piece `read_at`'s; a plan whose gaps are
+        /// all within the break-even gap costs what one covering read of
+        /// its hull costs, and any other plan one request per OST it
+        /// touches.
+        #[test]
+        fn gap_rule_reads_the_pieces(
+            plan in arb_plan(),
+            list_us in prop_oneof![Just(0.0), Just(2.0), Just(10.0)],
+        ) {
+            let mut cfg = FsConfig::tiny();
+            cfg.list_extent_overhead = SimTime::micros(list_us);
+            let fs = FileSystem::new(cfg);
+            let (fh, _) = fs.open("/gap", SimTime::ZERO);
+            let image: Vec<u8> = (0..1u32 << 16).map(|i| (i * 7 % 251) as u8).collect();
+            fh.write_at(0, &IoBuffer::from_vec(image), SimTime::ZERO);
+            let break_even = fh.list_break_even_gap();
+            prop_assert_eq!(break_even, list_us as u64);
+
+            let (fs2, plan2) = (fs.clone(), plan.clone());
+            let got = run_cluster(ClusterConfig::ideal(1), move |ep| {
+                let before = fs2.stats().total_requests;
+                let got = read_plan(&ep, &fh, &plan2, &mut PhaseProfile::new());
+                (got, fs2.stats().total_requests - before)
+            });
+            let (got, requests) = got.into_iter().next().expect("one rank");
+
+            let fh = fs.handle("/gap");
+            let mut oracle = Vec::new();
+            for e in plan.pieces() {
+                let (piece, _) = fh.read_at(e.off, e.len as usize, SimTime::ZERO);
+                oracle.extend_from_slice(piece.as_slice().unwrap());
+            }
+            prop_assert_eq!(got.as_slice().unwrap_or(&[]), &oracle[..]);
+
+            let pieces: Vec<_> = plan.pieces().collect();
+            let (Some(start), Some(end)) = (plan.start(), plan.end()) else {
+                prop_assert_eq!(requests, 0);
+                return Ok(());
+            };
+            let layout = fh.layout();
+            let expect = if pieces.windows(2).all(|w| w[1].off - w[0].end() <= break_even) {
+                layout.ost_load(start, end - start).map(|(_, _, reqs)| reqs).sum()
+            } else {
+                let mut osts: Vec<usize> = pieces
+                    .iter()
+                    .flat_map(|e| layout.ost_load(e.off, e.len).map(|(ost, _, _)| ost))
+                    .collect();
+                osts.sort_unstable();
+                osts.dedup();
+                osts.len() as u64
+            };
+            prop_assert_eq!(requests, expect);
+        }
     }
 }

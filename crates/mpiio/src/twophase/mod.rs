@@ -106,6 +106,7 @@ use simfs::FileHandle;
 use simmpi::{Communicator, RecvRequest, ReduceOp};
 use simnet::IoBuffer;
 use std::sync::Arc;
+pub(crate) use window::close_gaps;
 use window::{cut_streams, read_window, write_window};
 
 /// Tag for request-list metadata messages.

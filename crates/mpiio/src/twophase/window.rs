@@ -285,7 +285,7 @@ pub(super) fn pieces<'a>(
 /// Close every gap of at most `gap` bytes between neighbouring runs of
 /// an ascending, disjoint run list, in place: what is left are runs
 /// separated by holes wider than `gap`, over the same hull.
-fn close_gaps(runs: &mut Vec<(u64, u64)>, gap: u64) {
+pub(crate) fn close_gaps(runs: &mut Vec<(u64, u64)>, gap: u64) {
     runs.dedup_by(|next, last| {
         let close = next.0 - (last.0 + last.1) <= gap;
         if close {

@@ -586,14 +586,6 @@ pub fn pattern_signature(nprocs: usize, rank_hashes: &[u64]) -> u64 {
     h
 }
 
-/// Namespace a pattern signature by transfer direction. Reads and writes
-/// of the *same* shape have different optima (a policy learned while
-/// checkpointing must not be replayed onto the restart's reads), so the
-/// policy cache keys them separately.
-pub fn direction_signature(sig: u64, read: bool) -> u64 {
-    fnv_word(sig, read as u64)
-}
-
 // ---------------------------------------------------------------------
 // Policy cache
 // ---------------------------------------------------------------------
@@ -835,20 +827,6 @@ mod tests {
         let h = [1u64, 2, 3];
         assert_ne!(pattern_signature(3, &h), pattern_signature(4, &h));
         assert_ne!(pattern_signature(3, &[1, 2, 3]), pattern_signature(3, &[3, 2, 1]));
-    }
-
-    #[test]
-    fn direction_signature_splits_read_and_write_namespaces() {
-        let sig = pattern_signature(8, &[1, 2, 3]);
-        let w = direction_signature(sig, false);
-        let r = direction_signature(sig, true);
-        assert_ne!(w, r, "reads and writes must key separate policies");
-        assert_eq!(r, direction_signature(sig, true), "deterministic");
-        // A write policy stored under the write namespace never answers a
-        // read lookup of the same shape.
-        let c = PolicyCache::new();
-        c.store("/f", w, 0, vec![1]);
-        assert_eq!(c.load("/f", r, 0), None);
     }
 
     #[test]

@@ -21,8 +21,8 @@
 
 use crate::aggdist::distribute_aggregators;
 use crate::autotune::{
-    direction_signature, pattern_signature, shape_signature, AutoTuner, DecisionRecord,
-    EpochFeedback, FaStrategy, ModeClass, PolicyCache, TuneKnobs,
+    pattern_signature, shape_signature, AutoTuner, DecisionRecord, EpochFeedback, FaStrategy,
+    ModeClass, PolicyCache, TuneKnobs,
 };
 use crate::config::ParcollConfig;
 use crate::fa::{partition_file_areas, Grouping};
@@ -543,23 +543,13 @@ pub struct ParcollFile<'ep> {
 /// Per-file autotune state: the tuner (lazily built at the first
 /// collective write, when the access pattern is known), the epoch
 /// accumulator, and the policy cache learned state is stored into. An
-/// epoch is one collective call.
+/// epoch is one collective write; reads run the knobs in force.
 struct TuneRuntime {
     cache: PolicyCache,
     tuner: Option<AutoTuner>,
-    /// (path, signature) key the tuner was loaded under / stores to. The
-    /// signature is direction-namespaced ([`direction_signature`]), so a
-    /// policy learned while writing a checkpoint is never replayed onto
-    /// the restart's reads.
+    /// Pattern signature of the first write: with the path, the key the
+    /// tuner was loaded under and stores to.
     sig: u64,
-    /// Direction the running tuner was built for (`true` = reads). A
-    /// switch flushes the old tuner to the cache and rebuilds under the
-    /// other namespace.
-    dir_read: bool,
-    /// All decisions made during this open, both directions — the tuner's
-    /// own log is discarded when a direction switch swaps it out, but an
-    /// open is only in steady state when *neither* direction explored.
-    log: Vec<DecisionRecord>,
     /// Knobs in force for the running epoch (a change invalidates the
     /// subgroup split cache).
     applied: TuneKnobs,
@@ -584,8 +574,6 @@ impl<'ep> ParcollFile<'ep> {
             cache: PolicyCache::new(),
             tuner: None,
             sig: 0,
-            dir_read: false,
-            log: Vec::new(),
             applied: TuneKnobs {
                 groups: pcfg.effective_groups(nprocs),
                 aggs_per_group: pcfg.aggs_per_group,
@@ -672,26 +660,14 @@ impl<'ep> ParcollFile<'ep> {
     }
 
     /// Build (or resume from the policy cache) the tuner at the first
-    /// collective call of a direction, once the access pattern is in
-    /// hand: agree on the pattern signature (one allgather of per-rank
-    /// shape hashes), then rank 0 consults the cache and broadcasts the
-    /// snapshot so every rank starts from the identical state. The
-    /// signature is namespaced by direction — a direction switch (e.g.
-    /// checkpoint writes followed by restart reads) flushes the old
-    /// tuner to the cache and rebuilds under the other namespace.
-    fn ensure_tuner(&mut self, offset: u64, nbytes: u64, read: bool) {
-        let (built, same_dir) = match self.tune.as_ref() {
-            None => return,
-            Some(tr) => (tr.tuner.is_some(), tr.dir_read == read),
+    /// collective write, once the access pattern is in hand: agree on the
+    /// pattern signature (one allgather of per-rank shape hashes), then
+    /// rank 0 consults the cache and broadcasts the snapshot so every
+    /// rank starts from the identical state.
+    fn ensure_tuner(&mut self, offset: u64, nbytes: u64) {
+        let Some(tr) = self.tune.as_mut().filter(|tr| tr.tuner.is_none()) else {
+            return;
         };
-        if built {
-            if same_dir {
-                return;
-            }
-            self.tune_flush();
-            self.tune.as_mut().expect("tune checked above").tuner = None;
-        }
-        let tr = self.tune.as_mut().expect("tune checked above");
         let comm = self.file.comm().clone();
         let ep = comm.endpoint();
         let plan = self.file.plan(offset, nbytes);
@@ -699,7 +675,7 @@ impl<'ep> ParcollFile<'ep> {
 
         let t = PhaseTimer::start(Phase::Sync, ep.now());
         let hashes = comm.allgather_t(my_hash, 8);
-        let sig = direction_signature(pattern_signature(comm.size(), &hashes), read);
+        let sig = pattern_signature(comm.size(), &hashes);
         let words_buf = if comm.rank() == 0 {
             let dead = ep.faults().map_or(0, |f| f.dead_epoch());
             let words = tr.cache.load(&self.path, sig, dead).unwrap_or_default();
@@ -725,11 +701,10 @@ impl<'ep> ParcollFile<'ep> {
                 AutoTuner::new(comm.size(), self.pcfg.min_group_size, start)
             });
         tr.sig = sig;
-        tr.dir_read = read;
         let applied = tuner.current();
         if applied != tr.applied {
-            // Direction switch resumed a different policy: the cached
-            // subgroup split no longer matches the knobs in force.
+            // The cache resumed a learned policy: a split made under the
+            // static knobs (by a read before the first write) is stale.
             self.cache = None;
         }
         tr.applied = applied;
@@ -784,8 +759,6 @@ impl<'ep> ParcollFile<'ep> {
             local_us: agreed[4],
             mode: mode_class(mode),
         });
-        tr.log
-            .push(tuner.log().last().expect("observe just logged").clone());
         let rec = ep.trace();
         if rec.enabled() {
             let d = tuner.log().last().expect("observe just logged");
@@ -832,15 +805,14 @@ impl<'ep> ParcollFile<'ep> {
         tr.mark = *self.file.profile();
     }
 
-    /// The epoch-by-epoch decisions made during this open — both
-    /// directions, in order — if `parcoll_autotune` is on and at least
-    /// one collective call ran. Empty means every epoch (write *and*
-    /// read) resumed settled.
+    /// The epoch-by-epoch decisions made during this open, if
+    /// `parcoll_autotune` is on and a collective write ran. Empty means
+    /// every epoch resumed settled.
     pub fn autotune_log(&self) -> Option<&[DecisionRecord]> {
         self.tune
             .as_ref()
-            .filter(|tr| tr.tuner.is_some())
-            .map(|tr| tr.log.as_slice())
+            .and_then(|tr| tr.tuner.as_ref())
+            .map(AutoTuner::log)
     }
 
     /// The knobs currently in force, if tuning.
@@ -851,24 +823,31 @@ impl<'ep> ParcollFile<'ep> {
             .map(|t| t.current())
     }
 
-    /// Partitioned collective read at a view offset. Reads feed the same
-    /// autotune loop as writes, under a separate direction-namespaced
-    /// policy signature — a learned write policy is never mis-applied to
-    /// the read pattern, and read epochs drive their own group-count
-    /// decisions.
+    /// Partitioned collective read at a view offset, under the knobs in
+    /// force: the tuner's if a write built one, the static configuration
+    /// otherwise. A read is no autotune epoch.
     pub fn read_at_all(&mut self, offset: u64, nbytes: u64) -> IoBuffer {
         let data = self.run(offset, nbytes, Dir::Read);
         data.expect("a collective read returns its bytes")
     }
 
-    /// One partitioned collective call, and the autotune epoch it is.
+    /// One partitioned collective call; a write is an autotune epoch.
     fn run(&mut self, offset: u64, nbytes: u64, dir: Dir<'_>) -> Option<IoBuffer> {
-        self.ensure_tuner(offset, nbytes, matches!(dir, Dir::Read));
+        let write = matches!(dir, Dir::Write(_));
+        if write {
+            self.ensure_tuner(offset, nbytes);
+        }
         let pcfg = self.effective_pcfg();
         let (mode, data) =
             run_partitioned(&mut self.file, &pcfg, &mut self.cache, offset, nbytes, dir);
         self.last_mode = Some(mode);
-        self.tune_record();
+        if write {
+            self.tune_record();
+        } else if let Some(tr) = self.tune.as_mut().filter(|tr| tr.tuner.is_some()) {
+            // The next write epoch starts here: it measures no read.
+            tr.epoch_t0 = self.file.comm().endpoint().now();
+            tr.mark = *self.file.profile();
+        }
         data
     }
 

@@ -29,13 +29,13 @@
 //!
 //! Two post-processing layers build on the trace:
 //!
+//! * [`analysis`] — the critical path through the happens-before graph
+//!   of the recorded spans, with per-phase attribution and what-if
+//!   estimates.
 //! * [`diff`] — cross-run critical-path diffing: [`digest`] reduces a
 //!   run to stably-keyed aggregates, [`diff::diff`] aligns two digests
 //!   and emits a ranked root-cause table ("io grew 11.8% on ost 6 in
 //!   rounds 3–5").
-//! * [`series`] — interval'd time-series (per-OST bandwidth/queue,
-//!   per-rank phase occupancy, counter maxima) folded in O(intervals)
-//!   memory.
 //!
 //! One module is deliberately *not* about virtual time: [`host`]
 //! (a.k.a. `hostprof`) attributes the simulator's own wall-clock to
@@ -76,7 +76,6 @@ pub mod analysis;
 pub mod diff;
 pub mod host;
 pub mod json;
-pub mod series;
 
 mod export;
 mod sink;
@@ -87,5 +86,4 @@ pub use analysis::{
 };
 pub use diff::{digest, digest_from_json, digest_json, DiffReport, Finding, RunDigest};
 pub use export::{chrome_trace_json, collective_ops, metrics_json, CollectiveOp};
-pub use series::{series_from_trace, SeriesConfig, TimeSeries, TrackSeries};
 pub use sink::{ArgValue, Event, Hist, Recorder, Trace, TraceSink, TrackData, TrackKey};

@@ -11,14 +11,12 @@
 //! aggregator must choose, hole by hole, between reading through it and
 //! one more list-I/O extent.
 
-use crate::runner::{DataMode, IoMode, RunConfig};
+use crate::runner::{hints, pass, profile_max, setup, DataMode, IoMode, Pass, RunConfig, Step};
 use crate::tileio::TileIo;
 use crate::{pattern_buffer, pattern_mismatch, Workload};
 use mpiio::{Datatype, PhaseProfile};
-use parcoll::ParcollFile;
-use simfs::FileSystem;
 use simmpi::Communicator;
-use simnet::{run_cluster, ClusterConfig, IoBuffer};
+use simnet::{run_cluster, IoBuffer};
 use std::sync::Arc;
 
 /// Checkpoint-restart configuration: a full-tile checkpoint plus the
@@ -134,48 +132,15 @@ pub fn run_restart(w: Restart, cfg: RunConfig) -> RestartResult {
     let nprocs = w.tile.nprocs();
     let write_bytes = w.tile.total_bytes();
     let read_bytes = w.read_bytes() * nprocs as u64;
-    let mut fs_cfg = cfg.fs.clone();
-    if cfg.integrity {
-        fs_cfg.integrity = true;
-    }
-    let fs = FileSystem::new(fs_cfg);
-    fs.attach_trace(&cfg.trace);
-    if let Some(plan) = &cfg.faults {
-        fs.install_faults(plan);
-    }
+    let (fs, cluster) = setup(&cfg, nprocs, simnet::NetworkModel::cray_xt_seastar());
     let w = Arc::new(w);
-    let cluster = ClusterConfig {
-        topology: simnet::Topology::dual_core(nprocs, cfg.mapping),
-        net: simnet::NetworkModel::cray_xt_seastar(),
-        machine: simnet::MachineModel::catamount(),
-        stack_size: simnet::default_stack_size(),
-        trace: cfg.trace.clone(),
-        faults: cfg.faults.clone(),
-    };
-
-    struct RankOut {
-        write_s: f64,
-        read_s: f64,
-        profile: PhaseProfile,
-    }
 
     let cfg2 = cfg.clone();
     let fs_for_stats = fs.clone();
-    let outs: Vec<RankOut> = run_cluster(cluster, move |ep| {
+    let outs: Vec<Pass> = run_cluster(cluster, move |ep| {
         let comm = Communicator::world(&ep);
         let rank = comm.rank();
-        let mut info = cfg2.info.clone();
-        if cfg2.integrity {
-            info.set("integrity_checksums", "enable");
-        }
-        if cfg2.autotune.is_some() {
-            info.set("parcoll_autotune", "enable");
-        } else if let IoMode::Parcoll { groups } = cfg2.mode {
-            info.set("parcoll_groups", groups);
-            info.set("parcoll_min_group", 1);
-        } else {
-            info.set("parcoll_groups", 1);
-        }
+        let mut info = hints(&cfg2);
         // A restart reopens the checkpoint under a *different* view, so
         // the image must stay physically addressed: the intermediate
         // view's logical re-addressing is only consistent with reads
@@ -184,66 +149,38 @@ pub fn run_restart(w: Restart, cfg: RunConfig) -> RestartResult {
         info.set("parcoll_force_iview", "false");
 
         // Checkpoint: the full tile image.
-        let (disp, ft) = w.tile.view(rank);
-        let mut f = ParcollFile::open(&comm, &fs, &w.path(), &info);
-        if let Some(pc) = &cfg2.autotune {
-            f.set_policy_cache(pc.clone());
-        }
-        f.set_view(disp, &ft);
-        comm.barrier();
-        let t0 = ep.now();
         let buf = match cfg2.data {
             DataMode::Synthetic => IoBuffer::synthetic(w.tile.tile_bytes() as usize),
             DataMode::Verify => IoBuffer::from_vec(pattern_buffer(rank, 0, w.tile.tile_bytes())),
         };
-        f.write_at_all(0, &buf);
-        let t = mpiio::profile::PhaseTimer::start(mpiio::profile::Phase::Io, ep.now());
-        ep.clock().advance_to(fs.drain_time());
-        t.stop_traced(ep.now(), f.inner_mut().profile_mut(), ep.trace());
-        comm.barrier();
-        let write_s = (ep.now() - t0).as_secs();
-        let mut profile = f.close();
+        let write: Step<'_> = &mut |f| f.write_at_all(0, &buf);
+        let file = (w.path(), w.tile.view(rank));
+        let checkpoint = pass(&comm, &fs, &cfg2, &info, file, Some(write), None);
 
         // Restart: reopen and read the narrow view collectively.
-        let mut f = ParcollFile::open(&comm, &fs, &w.path(), &info);
-        if let Some(pc) = &cfg2.autotune {
-            f.set_policy_cache(pc.clone());
-        }
-        let (rdisp, rft) = w.read_view(rank);
-        f.set_view(rdisp, &rft);
-        comm.barrier();
-        let t1 = ep.now();
-        let got = f.read_at_all(0, w.read_bytes());
-        if cfg2.data == DataMode::Verify {
-            let got = got.as_slice().expect("verify mode reads real data");
-            assert_eq!(got.len() as u64, w.read_bytes(), "rank {rank}: short restart read");
-            if let Some((row, at)) = w.mismatch(rank, got) {
-                panic!("rank {rank}: restart read mismatch in row {row} at byte {at}");
+        let read: Step<'_> = &mut |f| {
+            let got = f.read_at_all(0, w.read_bytes());
+            if cfg2.data == DataMode::Verify {
+                let got = got.as_slice().expect("verify mode reads real data");
+                assert_eq!(got.len() as u64, w.read_bytes(), "rank {rank}: short restart read");
+                if let Some((row, at)) = w.mismatch(rank, got) {
+                    panic!("rank {rank}: restart read mismatch in row {row} at byte {at}");
+                }
             }
-        }
-        comm.barrier();
-        let read_s = (ep.now() - t1).as_secs();
-        profile.merge(&f.close());
-        RankOut {
-            write_s,
-            read_s,
+        };
+        let file = (w.path(), w.read_view(rank));
+        let restart = pass(&comm, &fs, &cfg2, &info, file, None, Some(read));
+        let mut profile = checkpoint.profile;
+        profile.merge(&restart.profile);
+        Pass {
+            read_s: restart.read_s,
             profile,
+            ..checkpoint
         }
     });
 
-    let mut profile_max = PhaseProfile::new();
-    for o in &outs {
-        profile_max = PhaseProfile {
-            sync: profile_max.sync.max(o.profile.sync),
-            p2p: profile_max.p2p.max(o.profile.p2p),
-            io: profile_max.io.max(o.profile.io),
-            local: profile_max.local.max(o.profile.local),
-            calls: profile_max.calls.max(o.profile.calls),
-            rounds: profile_max.rounds.max(o.profile.rounds),
-        };
-    }
     let write_seconds = outs[0].write_s;
-    let read_seconds = outs[0].read_s;
+    let read_seconds = outs[0].read_s.expect("the restart pass reads");
     RestartResult {
         write_seconds,
         write_mbps: write_bytes as f64 / write_seconds / 1e6,
@@ -251,7 +188,7 @@ pub fn run_restart(w: Restart, cfg: RunConfig) -> RestartResult {
         read_mbps: read_bytes as f64 / read_seconds / 1e6,
         write_bytes,
         read_bytes,
-        profile_max,
+        profile_max: profile_max(outs.iter().map(|o| &o.profile)),
         fs_stats: fs_for_stats.stats(),
     }
 }

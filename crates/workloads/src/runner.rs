@@ -9,7 +9,7 @@
 //! in the `bench` crate is a sweep over these runs.
 
 use crate::{pattern_buffer, pattern_mismatch, Workload};
-use mpiio::{File, PhaseProfile};
+use mpiio::PhaseProfile;
 use parcoll::ParcollFile;
 use simfs::{FileSystem, FsConfig};
 use simmpi::{Communicator, Info};
@@ -161,141 +161,67 @@ where
 {
     let nprocs = workload.nprocs();
     let total_bytes = workload.total_bytes();
-    let mut fs_cfg = cfg.fs.clone();
-    if cfg.integrity {
-        fs_cfg.integrity = true;
-    }
-    let fs = FileSystem::new(fs_cfg);
-    fs.attach_trace(&cfg.trace);
-    if let Some(plan) = &cfg.faults {
-        fs.install_faults(plan);
-    }
-    let workload = Arc::new(workload);
     let mut net = simnet::NetworkModel::cray_xt_seastar();
     tweak(&mut net);
-    let cluster = ClusterConfig {
-        topology: simnet::Topology::dual_core(nprocs, cfg.mapping),
-        net,
-        machine: simnet::MachineModel::catamount(),
-        stack_size: simnet::default_stack_size(),
-        trace: cfg.trace.clone(),
-        faults: cfg.faults.clone(),
-    };
-
-    struct RankOut {
-        write_s: f64,
-        read_s: Option<f64>,
-        profile: PhaseProfile,
-        tune_log: Vec<parcoll::DecisionRecord>,
-    }
+    let (fs, cluster) = setup(&cfg, nprocs, net);
+    let workload = Arc::new(workload);
 
     let cfg2 = cfg.clone();
     let fs_for_stats = fs.clone();
-    let outs: Vec<RankOut> = run_cluster(cluster, move |ep| {
+    let outs: Vec<Pass> = run_cluster(cluster, move |ep| {
         let comm = Communicator::world(&ep);
         let rank = comm.rank();
         let w = Arc::clone(&workload);
-        let mut info = cfg2.info.clone();
-        if cfg2.integrity {
-            info.set("integrity_checksums", "enable");
-        }
-        if cfg2.autotune.is_some() {
-            // Tuned run: leave the ParColl defaults in force and let the
-            // controller move the knobs from there.
-            info.set("parcoll_autotune", "enable");
-        } else if let IoMode::Parcoll { groups } = cfg2.mode {
-            info.set("parcoll_groups", groups);
-            info.set("parcoll_min_group", 1);
-        } else {
-            info.set("parcoll_groups", 1);
-        }
-
-        let (disp, ft) = w.view(rank);
+        let independent = cfg2.mode == IoMode::Independent;
         let make_buf = |call: usize, bytes: u64| match cfg2.data {
             DataMode::Synthetic => IoBuffer::synthetic(bytes as usize),
             DataMode::Verify => IoBuffer::from_vec(pattern_buffer(rank, call, bytes)),
         };
-
-        match cfg2.mode {
-            IoMode::Independent => {
-                let mut f = File::open(&comm, &fs, &w.path(), &info);
-                f.set_view(disp, &ft);
-                comm.barrier();
-                let t0 = ep.now();
-                for call in 0..w.ncalls() {
-                    // Issue the workload's native independent units (e.g.
-                    // HDF5 per-block hyperslabs for Flash-IO), slicing
-                    // the call's buffer in order.
-                    let (_, total) = w.call(rank, call);
-                    let full = make_buf(call, total);
-                    let mut consumed = 0usize;
-                    for (off, bytes) in w.independent_pieces(rank, call) {
-                        f.write_at(off, &full.sub(consumed, bytes as usize));
-                        consumed += bytes as usize;
+        let mut write = |f: &mut ParcollFile<'_>| {
+            for call in 0..w.ncalls() {
+                let (off, bytes) = w.call(rank, call);
+                let buf = make_buf(call, bytes);
+                if !independent {
+                    f.write_at_all(off, &buf);
+                    continue;
+                }
+                // Write the workload's native independent units (e.g.
+                // HDF5 per-block hyperslabs for Flash-IO), slicing the
+                // call's buffer in order.
+                let mut consumed = 0usize;
+                for (off, bytes) in w.independent_pieces(rank, call) {
+                    f.write_at(off, &buf.sub(consumed, bytes as usize));
+                    consumed += bytes as usize;
+                }
+            }
+        };
+        let mut read = |f: &mut ParcollFile<'_>| {
+            for call in 0..w.ncalls() {
+                let (off, bytes) = w.call(rank, call);
+                let got = if independent {
+                    f.read_at(off, bytes)
+                } else {
+                    f.read_at_all(off, bytes)
+                };
+                if cfg2.data == DataMode::Verify {
+                    let got = got.as_slice().expect("verify mode reads real data");
+                    assert_eq!(got.len() as u64, bytes, "rank {rank} call {call}: short read");
+                    if let Some(at) = pattern_mismatch(rank, call, 0, got) {
+                        panic!("rank {rank} call {call}: read-back mismatch at byte {at}");
                     }
                 }
-                // Close-time sync: wait for the server caches to drain.
-                let t = mpiio::profile::PhaseTimer::start(mpiio::profile::Phase::Io, ep.now());
-                ep.clock().advance_to(fs.drain_time());
-                t.stop_traced(ep.now(), f.profile_mut(), ep.trace());
-                comm.barrier();
-                let write_s = (ep.now() - t0).as_secs();
-                let read_s = measure_read_plain(&mut f, w.as_ref(), rank, &cfg2, &comm, &ep);
-                RankOut {
-                    write_s,
-                    read_s,
-                    profile: f.close(),
-                    tune_log: Vec::new(),
-                }
             }
-            _ => {
-                let mut f = ParcollFile::open(&comm, &fs, &w.path(), &info);
-                if let Some(pc) = &cfg2.autotune {
-                    f.set_policy_cache(pc.clone());
-                }
-                f.set_view(disp, &ft);
-                comm.barrier();
-                let t0 = ep.now();
-                for call in 0..w.ncalls() {
-                    let (off, bytes) = w.call(rank, call);
-                    f.write_at_all(off, &make_buf(call, bytes));
-                }
-                // Close-time sync: wait for the server caches to drain.
-                let t = mpiio::profile::PhaseTimer::start(mpiio::profile::Phase::Io, ep.now());
-                ep.clock().advance_to(fs.drain_time());
-                t.stop_traced(ep.now(), f.inner_mut().profile_mut(), ep.trace());
-                comm.barrier();
-                let write_s = (ep.now() - t0).as_secs();
-                let read_s = measure_read_parcoll(&mut f, w.as_ref(), rank, &cfg2, &comm, &ep);
-                let tune_log = if rank == 0 {
-                    f.autotune_log().map(<[_]>::to_vec).unwrap_or_default()
-                } else {
-                    Vec::new()
-                };
-                RankOut {
-                    write_s,
-                    read_s,
-                    profile: f.close(),
-                    tune_log,
-                }
-            }
-        }
+        };
+        let read = cfg2.read_back.then_some(&mut read as Step<'_>);
+        let file = (w.path(), w.view(rank));
+        pass(&comm, &fs, &cfg2, &hints(&cfg2), file, Some(&mut write), read)
     });
 
     let write_seconds = outs[0].write_s;
     let read_seconds = outs[0].read_s;
-    let mut profile_max = PhaseProfile::new();
     let mut profile_sum = PhaseProfile::new();
     for o in &outs {
         profile_sum.merge(&o.profile);
-        profile_max = PhaseProfile {
-            sync: profile_max.sync.max(o.profile.sync),
-            p2p: profile_max.p2p.max(o.profile.p2p),
-            io: profile_max.io.max(o.profile.io),
-            local: profile_max.local.max(o.profile.local),
-            calls: profile_max.calls.max(o.profile.calls),
-            rounds: profile_max.rounds.max(o.profile.rounds),
-        };
     }
     let n = outs.len() as f64;
     let profile_avg = PhaseProfile {
@@ -312,7 +238,7 @@ where
         write_mbps: total_bytes as f64 / write_seconds / 1e6,
         read_seconds,
         read_mbps: read_seconds.map(|s| total_bytes as f64 / s / 1e6),
-        profile_max,
+        profile_max: profile_max(outs.iter().map(|o| &o.profile)),
         profile_avg,
         total_bytes,
         autotune_log: outs
@@ -327,60 +253,122 @@ where
     }
 }
 
-fn measure_read_parcoll<W: Workload + ?Sized>(
-    f: &mut ParcollFile<'_>,
-    w: &W,
-    rank: usize,
+/// The file system and cluster of a run under `cfg` on `nprocs` ranks
+/// over `net`: integrity, trace sink and fault plan wired through both.
+pub(crate) fn setup(
     cfg: &RunConfig,
-    comm: &Communicator<'_>,
-    ep: &simnet::Endpoint,
-) -> Option<f64> {
-    if !cfg.read_back {
-        return None;
+    nprocs: usize,
+    net: simnet::NetworkModel,
+) -> (FileSystem, ClusterConfig) {
+    let mut fs_cfg = cfg.fs.clone();
+    if cfg.integrity {
+        fs_cfg.integrity = true;
     }
-    comm.barrier();
-    let t0 = ep.now();
-    for call in 0..w.ncalls() {
-        let (off, bytes) = w.call(rank, call);
-        let got = f.read_at_all(off, bytes);
-        if cfg.data == DataMode::Verify {
-            let got = got.as_slice().expect("verify mode reads real data");
-            assert_eq!(got.len() as u64, bytes, "rank {rank} call {call}: short read");
-            if let Some(at) = pattern_mismatch(rank, call, 0, got) {
-                panic!("rank {rank} call {call}: read-back mismatch at byte {at}");
-            }
-        }
+    let fs = FileSystem::new(fs_cfg);
+    fs.attach_trace(&cfg.trace);
+    if let Some(plan) = &cfg.faults {
+        fs.install_faults(plan);
     }
-    comm.barrier();
-    Some((ep.now() - t0).as_secs())
+    let cluster = ClusterConfig {
+        topology: simnet::Topology::dual_core(nprocs, cfg.mapping),
+        net,
+        machine: simnet::MachineModel::catamount(),
+        stack_size: simnet::default_stack_size(),
+        trace: cfg.trace.clone(),
+        faults: cfg.faults.clone(),
+    };
+    (fs, cluster)
 }
 
-fn measure_read_plain<W: Workload + ?Sized>(
-    f: &mut File<'_>,
-    w: &W,
-    rank: usize,
+/// The MPI-IO hints of a run under `cfg`: its own, plus integrity and
+/// the ParColl subgroup count or the autotuner.
+pub(crate) fn hints(cfg: &RunConfig) -> Info {
+    let mut info = cfg.info.clone();
+    if cfg.integrity {
+        info.set("integrity_checksums", "enable");
+    }
+    if cfg.autotune.is_some() {
+        // Tuned run: leave the ParColl defaults in force and let the
+        // controller move the knobs from there.
+        info.set("parcoll_autotune", "enable");
+    } else if let IoMode::Parcoll { groups } = cfg.mode {
+        info.set("parcoll_groups", groups);
+        info.set("parcoll_min_group", 1);
+    } else {
+        info.set("parcoll_groups", 1);
+    }
+    info
+}
+
+/// What one rank's [`pass`] over a file measured.
+pub(crate) struct Pass {
+    /// Virtual seconds of the write and the drain behind it (0 without).
+    pub(crate) write_s: f64,
+    /// Virtual seconds of the read, if one ran.
+    pub(crate) read_s: Option<f64>,
+    /// The autotuner's decisions during the open.
+    pub(crate) tune_log: Vec<parcoll::DecisionRecord>,
+    /// The rank's profile at close.
+    pub(crate) profile: PhaseProfile,
+}
+
+/// A step of a [`pass`]: what one rank does with the open file.
+pub(crate) type Step<'s> = &'s mut dyn FnMut(&mut ParcollFile<'_>);
+
+/// One rank's open → write → drain → read → close: open `path` under
+/// `info` and `cfg`'s policy cache with the view `(disp, filetype)`,
+/// then `write` and the close-time drain of the server caches, then
+/// `read`, each timed barrier to barrier, and close.
+pub(crate) fn pass<'ep>(
+    comm: &Communicator<'ep>,
+    fs: &FileSystem,
     cfg: &RunConfig,
-    comm: &Communicator<'_>,
-    ep: &simnet::Endpoint,
-) -> Option<f64> {
-    if !cfg.read_back {
-        return None;
+    info: &Info,
+    (path, (disp, filetype)): (String, (u64, mpiio::Datatype)),
+    write: Option<Step<'_>>,
+    read: Option<Step<'_>>,
+) -> Pass {
+    let ep = comm.endpoint();
+    let timed = |body: &mut dyn FnMut()| {
+        comm.barrier();
+        let t0 = ep.now();
+        body();
+        comm.barrier();
+        (ep.now() - t0).as_secs()
+    };
+    let mut f = ParcollFile::open(comm, fs, &path, info);
+    if let Some(pc) = &cfg.autotune {
+        f.set_policy_cache(pc.clone());
     }
-    comm.barrier();
-    let t0 = ep.now();
-    for call in 0..w.ncalls() {
-        let (off, bytes) = w.call(rank, call);
-        let got = f.read_at(off, bytes);
-        if cfg.data == DataMode::Verify {
-            let got = got.as_slice().expect("verify mode reads real data");
-            assert_eq!(got.len() as u64, bytes, "rank {rank} call {call}: short read");
-            if let Some(at) = pattern_mismatch(rank, call, 0, got) {
-                panic!("rank {rank} call {call}: independent read-back mismatch at byte {at}");
-            }
-        }
+    f.set_view(disp, &filetype);
+    let write_s = write.map_or(0.0, |write| {
+        timed(&mut || {
+            write(&mut f);
+            let t = mpiio::profile::PhaseTimer::start(mpiio::profile::Phase::Io, ep.now());
+            ep.clock().advance_to(fs.drain_time());
+            t.stop_traced(ep.now(), f.inner_mut().profile_mut(), ep.trace());
+        })
+    });
+    let read_s = read.map(|read| timed(&mut || read(&mut f)));
+    Pass {
+        write_s,
+        read_s,
+        tune_log: f.autotune_log().map(<[_]>::to_vec).unwrap_or_default(),
+        profile: f.close(),
     }
-    comm.barrier();
-    Some((ep.now() - t0).as_secs())
+}
+
+/// The per-phase maximum over ranks' profiles: the slowest rank's time
+/// in each phase, taken phase by phase.
+pub(crate) fn profile_max<'a>(profiles: impl Iterator<Item = &'a PhaseProfile>) -> PhaseProfile {
+    profiles.fold(PhaseProfile::new(), |m, p| PhaseProfile {
+        sync: m.sync.max(p.sync),
+        p2p: m.p2p.max(p.p2p),
+        io: m.io.max(p.io),
+        local: m.local.max(p.local),
+        calls: m.calls.max(p.calls),
+        rounds: m.rounds.max(p.rounds),
+    })
 }
 
 #[cfg(test)]

@@ -74,9 +74,59 @@ fn policy_cache_resumes_learned_state_across_opens() {
         last_seconds.is_some(),
         "six epochs over one policy cache must reach the settled state"
     );
-    // The verify-mode epochs write and read back, and each direction
-    // learns under its own signature namespace — two entries.
-    assert_eq!(cache.len(), 2, "write and read policies learned separately");
+    // The verify-mode epochs write and read back; only the writes are
+    // epochs, so one policy is learned.
+    assert_eq!(cache.len(), 1, "reads learn no policy of their own");
+}
+
+#[test]
+fn reads_are_no_epochs() {
+    // An open that writes then reads: every logged epoch is one of the
+    // writes, and the one cache entry is the write pattern's. An open
+    // whose first collective is a read builds no tuner at all.
+    use parcoll::ParcollFile;
+    use simfs::{FileSystem, FsConfig};
+    use simmpi::{Communicator, Info};
+    use simnet::IoBuffer;
+
+    const WRITES: usize = 4;
+    let fs = FileSystem::new(FsConfig::tiny());
+    let cache = PolicyCache::new();
+    let cache2 = cache.clone();
+    let cluster = simnet::ClusterConfig::cray_xt(8, simnet::Mapping::Block);
+    let outs = simnet::run_cluster(cluster, move |ep| {
+        let comm = Communicator::world(&ep);
+        let info = Info::new()
+            .with("parcoll_autotune", "true")
+            .with("parcoll_min_group", 1);
+        let n = 256usize;
+        let off = |call: usize| ((call * 8 + comm.rank()) * n) as u64;
+
+        let mut f = ParcollFile::open(&comm, &fs, "/rw", &info);
+        f.set_policy_cache(cache2.clone());
+        for call in 0..WRITES {
+            f.write_at_all(off(call), &IoBuffer::synthetic(n));
+        }
+        let after_writes = f.autotune_log().map(<[_]>::to_vec);
+        for call in 0..WRITES {
+            f.read_at_all(off(call), n as u64);
+        }
+        let after_reads = f.autotune_log().map(<[_]>::to_vec);
+        f.close();
+
+        let mut f = ParcollFile::open(&comm, &fs, "/rw", &info);
+        f.set_policy_cache(cache2.clone());
+        f.read_at_all(off(0), n as u64);
+        let read_first = f.autotune_knobs();
+        f.close();
+        (after_writes, after_reads, read_first)
+    });
+    let (after_writes, after_reads, read_first) = &outs[0];
+    let log = after_writes.as_ref().expect("the first write builds the tuner");
+    assert!(!log.is_empty() && log.len() <= WRITES, "one epoch per write: {log:?}");
+    assert_eq!(after_reads, after_writes, "reads log no epoch");
+    assert_eq!(cache.len(), 1, "one entry, the write pattern's");
+    assert_eq!(*read_first, None, "a read-first open builds no tuner");
 }
 
 #[test]
