@@ -17,8 +17,8 @@
 //! folds every scenario's attribution into
 //! `bench_results/BENCH_hostprof.json`: `<fig>/<subsystem>` and
 //! `<fig>/site/<name>` percent rows, an `<fig>/attributed` coverage
-//! row, and `<fig>/counter/<name>` rows with the flatten-cache and
-//! buffer-pool hit counts. Host-side only: the virtual-time artifacts
+//! row, and `<fig>/counter/<name>` rows with the flatten-cache,
+//! shape-memo (`shape_hit`/`shape_miss`) and buffer-pool hit counts. Host-side only: the virtual-time artifacts
 //! of the profiled runs are byte-identical with the profiler on or off.
 
 use bench::hostprof::{attribution_rows, print_top, profile, scenarios, write_collapsed};

@@ -28,15 +28,23 @@ pub fn select_aggregators(comm: &Communicator<'_>, hints: &Hints) -> Vec<usize> 
         v.dedup();
         v
     } else if let Some(cap) = hints.cb_nodes {
-        // One aggregator per node, capped at cb_nodes.
-        let mut seen = std::collections::BTreeSet::new();
-        let mut v = Vec::new();
+        // One aggregator per node, capped at cb_nodes: the lowest rank of
+        // each node, by one pass with a bitmap of the nodes seen.
+        let (cap, mut seen, mut v) = (cap.max(1), Vec::<u64>::new(), Vec::new());
         for local in 0..comm.size() {
-            if seen.insert(comm.node_of(local)) {
+            let node = comm.node_of(local);
+            if seen.len() <= node / 64 {
+                seen.resize(node / 64 + 1, 0);
+            }
+            let (word, bit) = (&mut seen[node / 64], 1u64 << (node % 64));
+            if *word & bit == 0 {
+                *word |= bit;
                 v.push(local);
+                if v.len() == cap {
+                    break;
+                }
             }
         }
-        v.truncate(cap.max(1));
         v
     } else {
         (0..comm.size()).collect()

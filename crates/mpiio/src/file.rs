@@ -6,7 +6,7 @@ use crate::hints::Hints;
 use crate::independent;
 use crate::profile::{Phase, PhaseProfile, PhaseTimer};
 use crate::space::DirectSpace;
-use crate::twophase::{self, CollConfig, Dir};
+use crate::twophase::{self, CollConfig, Dir, Memo};
 use crate::view::{AccessPlan, FileView};
 use simfs::{FileHandle, FileSystem};
 use simmpi::{Communicator, Info};
@@ -48,6 +48,13 @@ pub struct File<'ep> {
     fh: FileHandle,
     view: FileView,
     hints: Hints,
+    /// The collective configuration the hints and topology give: derived
+    /// once per open.
+    cfg: CollConfig,
+    /// The last plan built, and the view offset it was built at.
+    last_plan: Option<(u64, AccessPlan)>,
+    /// The index of the last collective call ([`Memo`]).
+    memo: Memo,
     profile: PhaseProfile,
 }
 
@@ -80,13 +87,18 @@ impl<'ep> File<'ep> {
         // clock. Charging per client from concurrently running rank
         // threads would queue them at the MDS in host-scheduler order and
         // make virtual time irreproducible run to run.
+        //
+        // The collective configuration is derived there too, once for
+        // every rank (hints are identical across the group, as MPI
+        // requires): one aggregator list per open, not one per rank.
         let t = PhaseTimer::start(Phase::Io, ep.now());
         let fs2 = fs.clone();
         let parties = comm.size();
         let path2 = path.to_string();
-        comm.once_at_meet("file_open", move |max| {
+        let hints = Hints::from_info(info);
+        let cfg = comm.once_at_meet("file_open", |max| {
             let done = fs2.open_collective(&path2, stripe_count, stripe_size, max, parties);
-            ((), done)
+            (coll_config(comm, &hints), done)
         });
         t.stop_traced(ep.now(), &mut profile, ep.trace());
         let fh = fs.handle(path);
@@ -95,10 +107,13 @@ impl<'ep> File<'ep> {
         comm.barrier();
         t.stop_traced(ep.now(), &mut profile, ep.trace());
         File {
+            cfg: CollConfig::clone(&cfg),
             comm: comm.clone(),
             fh,
             view: FileView::contiguous(0),
-            hints: Hints::from_info(info),
+            hints,
+            last_plan: None,
+            memo: Memo::default(),
             profile,
         }
     }
@@ -107,6 +122,7 @@ impl<'ep> File<'ep> {
     /// flattening is local, agreement costs a barrier.
     pub fn set_view(&mut self, displacement: u64, filetype: &Datatype) {
         self.view = FileView::new(displacement, filetype);
+        self.last_plan = None;
         let ep = self.comm.endpoint();
         let t = PhaseTimer::start(Phase::Sync, ep.now());
         self.comm.barrier();
@@ -136,19 +152,21 @@ impl<'ep> File<'ep> {
     /// The collective configuration derived from hints and topology —
     /// exposed so the ParColl layer can redistribute the same aggregator
     /// list over its subgroups.
-    pub fn coll_config(&self) -> CollConfig {
-        CollConfig {
-            aggregators: select_aggregators(&self.comm, &self.hints),
-            cb_buffer_size: self.hints.cb_buffer_size,
-            align: self.hints.cb_align,
-            checksums: self.hints.integrity,
-        }
+    pub fn coll_config(&self) -> &CollConfig {
+        &self.cfg
     }
 
     /// Build the access plan for `[offset, offset + nbytes)` of the view.
-    pub fn plan(&self, offset: u64, nbytes: u64) -> AccessPlan {
+    /// A call of the last one's length, starting at the same position in
+    /// the view's tile, is the last plan shifted by whole tiles: it shares
+    /// that plan's runs and does not walk the view.
+    pub fn plan(&mut self, offset: u64, nbytes: u64) -> AccessPlan {
         let _hp = simtrace::host::scope(simtrace::host::Site::Plan);
-        AccessPlan::from_view(&self.view, offset, nbytes)
+        let last = self.last_plan.as_ref().filter(|(_, p)| p.total == nbytes);
+        let shifted = last.and_then(|(at, plan)| self.view.shift_plan(plan, *at, offset));
+        let plan = shifted.unwrap_or_else(|| AccessPlan::from_view(&self.view, offset, nbytes));
+        self.last_plan = Some((offset, plan.clone()));
+        plan
     }
 
     /// One collective operation over a plan already built, on the file's
@@ -157,9 +175,8 @@ impl<'ep> File<'ep> {
     /// layer stacked on top (ParColl) falls back to when it does not
     /// partition. A read returns its bytes.
     pub fn collective(&mut self, plan: &AccessPlan, dir: Dir<'_>) -> Option<IoBuffer> {
-        let cfg = self.coll_config();
-        let (comm, prof) = (&self.comm, &mut self.profile);
-        twophase::collective(comm, &self.fh, &DirectSpace, plan, dir, &cfg, prof)
+        let (comm, cfg, memo, prof) = (&self.comm, &self.cfg, &mut self.memo, &mut self.profile);
+        twophase::collective(comm, &self.fh, &DirectSpace, plan, dir, cfg, memo, prof)
     }
 
     /// Collective write at a view offset (`MPI_File_write_at_all`).
@@ -210,6 +227,16 @@ impl<'ep> File<'ep> {
         self.comm.barrier();
         t.stop_traced(ep.now(), &mut self.profile, ep.trace());
         self.profile
+    }
+}
+
+/// The collective configuration `hints` give on `comm`.
+fn coll_config(comm: &Communicator<'_>, hints: &Hints) -> CollConfig {
+    CollConfig {
+        aggregators: select_aggregators(comm, hints).into(),
+        cb_buffer_size: hints.cb_buffer_size,
+        align: hints.cb_align,
+        checksums: hints.integrity,
     }
 }
 
@@ -299,6 +326,7 @@ mod tests {
             let info = Info::new().with("cb_buffer_size", 256).with("cb_nodes", 2);
             let mut f = File::open(&comm, &fs2, "/rounds", &Info::new());
             f.hints = crate::hints::Hints::from_info(&info);
+            f.cfg = coll_config(&comm, &f.hints);
             let n = 2048usize;
             let mine = fill(comm.rank(), n);
             f.write_at_all((comm.rank() * n) as u64, &IoBuffer::from_slice(&mine));

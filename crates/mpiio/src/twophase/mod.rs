@@ -16,7 +16,7 @@
 //!    as the 16 bytes per piece ROMIO ships, the host passes the owner's
 //!    `Arc`, and the aggregator indexes nothing again. Like the plan it
 //!    is cut from, a list holds strided `(off, len, stride, count)`
-//!    [`Run`](crate::Run)s, so a BT-IO rank's ~3 300 pieces per call are
+//!    [`Run`]s, so a BT-IO rank's ~3 300 pieces per call are
 //!    ~160 runs on the host and still ~3 300 × 16 bytes on the wire.
 //! 4. **Round count** — `MPI_Allreduce(MAX)` of each aggregator's
 //!    `⌈touched-domain / cb_buffer_size⌉` *(global sync #3)*.
@@ -29,8 +29,9 @@
 //!
 //! # One engine
 //!
-//! [`collective`] is the only entry point: steps 1–4 (`setup`), then one
-//! loop over the rounds, for writes and reads alike — direction is a
+//! [`collective`] is the only entry point: steps 1–4 (`setup`, which
+//! takes or rebuilds the open's [`Memo`]), then one loop over the rounds,
+//! for writes and reads alike — direction is a
 //! parameter, [`Dir`], from `File::{write_at_all, read_at_all}` and
 //! ParColl's partitioned calls down to the file access. A round is a
 //! sequence of *exchanges*, each moving one window of one file domain,
@@ -58,10 +59,12 @@
 //! (coverage, holes, the gaps a read reads through) in `window`.
 //!
 //! The piece streams advance in lock step on both sides, so no per-round
-//! offset lists need to travel (exactly ROMIO's trick). A stream position
-//! is *bytes consumed*: each side cuts the round's runs out of the shared
-//! list by binary search plus arithmetic inside one run, and failover
-//! replay or a torn-write rewind is arithmetic on that one number. The
+//! offset lists need to travel (exactly ROMIO's trick). A sender's stream
+//! position is *bytes consumed*, and a torn-write rewind is arithmetic on
+//! that one number; the serving side keeps none, since a round's cut of a
+//! list is the list's pieces inside the round's window — which is also
+//! why a domain adopted mid-call has nothing to replay. Both cut the
+//! shared list by binary search plus arithmetic inside one run. The
 //! window's coverage (`window`) sweeps runs too; pieces are visited one by
 //! one only where real bytes are copied or hashed.
 //!
@@ -86,6 +89,25 @@
 //! [`Communicator::alltoall_sizes_sparse`]). An exchange therefore costs
 //! each rank its handful of active peers, whichever domain it moves.
 //!
+//! # Steady-state calls
+//!
+//! A checkpoint loop issues one shape shifted by a step each call, so
+//! steps 2–4 rebuild the same index every time. The engine works in its
+//! call's own coordinates — file offsets relative to the call's
+//! `min_st`, to which only the file accesses add it back — and keeps the
+//! index of its last call in a [`Memo`] that the open owns (`File` for
+//! its communicator, ParColl's group cache for a subgroup): the request
+//! lists, the domain served, and each round window's coverage. A call
+//! whose key — plan shape and position, `max_end − min_st`, aggregators,
+//! collective buffer, alignment phase — matches the memo's takes its
+//! lists as they are, `Arc` for `Arc`, and an aggregator whose sources
+//! sent the very lists they sent last time takes its domain and coverage
+//! too. Any other call rebuilds the memo first; either way the call
+//! then runs from it, so there is one route from index to exchange. The
+//! range allgather, the count alltoall, the list messages, the size
+//! alltoalls, the data and the OST requests are the call's own, charged
+//! and traced as they always were: the memo moves host work only.
+//!
 //! Every synchronizing step is bracketed with [`PhaseTimer`] so the
 //! profile reproduces the paper's Figure 2 decomposition.
 
@@ -95,19 +117,21 @@ mod recovery;
 pub mod reqs;
 mod window;
 
+use crate::datatype::Run;
 use crate::profile::{Phase, PhaseProfile, PhaseTimer};
 use crate::space::FileSpace;
 use crate::view::AccessPlan;
 use domains::{compute_file_domains, compute_file_domains_aligned};
 use integrity::{post, verify, Body, Sealed};
 use recovery::Recovery;
-use reqs::{calc_my_req, Cut, PieceList};
+use reqs::{split, Cut, PieceList};
 use simfs::FileHandle;
 use simmpi::{Communicator, RecvRequest, ReduceOp};
-use simnet::IoBuffer;
+use simnet::{IoBuffer, SimTime};
+use simtrace::host::{self, Counter};
 use std::sync::Arc;
 pub(crate) use window::close_gaps;
-use window::{cut_streams, read_window, write_window};
+use window::{cut_streams, read_window, write_window, Covered};
 
 /// Tag for request-list metadata messages.
 const TAG_REQ: i32 = 0x7001;
@@ -143,8 +167,9 @@ impl Dir<'_> {
 #[derive(Debug, Clone)]
 pub struct CollConfig {
     /// Aggregators as local ranks, strictly ascending (so distinct):
-    /// `aggregators[i]` serves file domain `i`.
-    pub aggregators: Vec<usize>,
+    /// `aggregators[i]` serves file domain `i`. Shared: an open derives
+    /// the list once for all its ranks.
+    pub aggregators: Arc<[usize]>,
     /// Staging buffer bytes per aggregator per round.
     pub cb_buffer_size: u64,
     /// Align file-domain boundaries to this unit (Lustre stripe size);
@@ -239,22 +264,23 @@ fn window_row(lists: &Lists, (lo, hi): (u64, u64)) -> Vec<(usize, u64)> {
 /// or one adopted from a dead aggregator.
 struct Domain {
     /// The piece lists inside the domain, by source (the sources' own
-    /// `Arc`s).
+    /// `Arc`s). A round window's cut of a list is the list's pieces
+    /// inside the window: the serving side keeps no stream positions.
     lists: Lists,
-    /// Their stream positions (bytes consumed), slot for slot.
-    pos: Vec<u64>,
     /// The file range the lists touch, `(0, 0)` if none: round windows
     /// tile it from its start.
     touched: (u64, u64),
+    /// Its round windows' coverage.
+    covered: Covered,
 }
 
 impl Domain {
     fn new(lists: Lists) -> Domain {
         let touched = hull(lists.iter().map(|(_, l)| l.file_range())).unwrap_or((0, 0));
         Domain {
-            pos: vec![0; lists.len()],
             lists,
             touched,
+            covered: Covered::default(),
         }
     }
 
@@ -263,18 +289,134 @@ impl Domain {
         let lo = self.touched.0 + wi * cb_buffer_size;
         (lo, lo + cb_buffer_size)
     }
+
+    /// True if `lists` are the lists this domain holds: the same sources,
+    /// each having sent the very list it sent before. Every list is kept
+    /// alive by the memo that holds this domain, so a pointer match is a
+    /// content match.
+    fn holds(&self, lists: &Lists) -> bool {
+        let same = |((a, x), (b, y)): (&(usize, _), &(usize, _))| a == b && Arc::ptr_eq(x, y);
+        self.lists.len() == lists.len() && self.lists.iter().zip(lists).all(same)
+    }
+}
+
+/// What one collective call's index is a function of, besides the
+/// communicator: this rank's plan and the file range and aggregator
+/// configuration it is split against, in the call's own coordinates
+/// (offsets relative to the call's `min_st`).
+struct Key {
+    /// The plan's runs relative to its start (shared by every plan of
+    /// this shape that `File::plan` shifts).
+    shape: Arc<[Run]>,
+    /// Where the plan starts, relative to `min_st`.
+    at: Option<u64>,
+    /// `max_end − min_st`: the range the domains divide.
+    span: u64,
+    aggregators: Arc<[usize]>,
+    cb_buffer_size: u64,
+    /// The alignment unit and `min_st` modulo it: where aligned domain
+    /// boundaries fall relative to `min_st`.
+    align: Option<(u64, u64)>,
+}
+
+impl Key {
+    fn new(plan: &AccessPlan, cfg: &CollConfig, (min_st, max_end): (u64, u64)) -> Key {
+        Key {
+            shape: Arc::clone(plan.shape()),
+            at: plan.start().map(|s| s - min_st),
+            span: max_end - min_st,
+            aggregators: Arc::clone(&cfg.aggregators),
+            cb_buffer_size: cfg.cb_buffer_size,
+            align: Self::phase(cfg, min_st),
+        }
+    }
+
+    fn phase(cfg: &CollConfig, min_st: u64) -> Option<(u64, u64)> {
+        cfg.align.filter(|&a| a > 1).map(|a| (a, min_st % a))
+    }
+
+    /// True if a call with these inputs splits exactly as the keyed one:
+    /// domains are a function of `span`, the aggregator count and the
+    /// alignment phase, shifted by `min_st`; the split of a shifted plan
+    /// over shifted domains is the same lists in relative coordinates.
+    fn matches(&self, plan: &AccessPlan, cfg: &CollConfig, (min_st, max_end): (u64, u64)) -> bool {
+        same(&self.shape, plan.shape())
+            && self.at == plan.start().map(|s| s - min_st)
+            && self.span == max_end - min_st
+            && same(&self.aggregators, &cfg.aggregators)
+            && self.cb_buffer_size == cfg.cb_buffer_size
+            && self.align == Self::phase(cfg, min_st)
+    }
+}
+
+/// True if two shared slices hold the same elements: one pointer
+/// comparison when they are one allocation.
+fn same<T: PartialEq>(a: &Arc<[T]>, b: &Arc<[T]>) -> bool {
+    Arc::ptr_eq(a, b) || a == b
+}
+
+/// The index of the last collective call on one open: its request lists,
+/// the domain it served and that domain's window coverage, all relative
+/// to the call's `min_st`. The owner of the open keeps it between calls —
+/// `File` for its own communicator, ParColl's group cache for a subgroup
+/// — and drops it at close.
+///
+/// Every call goes through it: a call whose `Key` matches, and whose
+/// aggregator receives the same lists, takes the whole index as it is and
+/// only its file accesses move (by the new `min_st`); any other call
+/// rebuilds it first. Either way every message, charge and trace event is
+/// the call's own, so the memo changes host work only. It holds the
+/// call's own `Arc`s, never a copy, and belongs to one communicator: its
+/// key does not name the ranks.
+#[derive(Default)]
+pub struct Memo {
+    key: Option<Key>,
+    /// My piece lists by aggregator index.
+    my_req: Lists,
+    /// The domain I serve, if I am an aggregator.
+    domain: Option<Domain>,
+}
+
+/// A file space addressed relative to `base`: the engine works in its
+/// call's coordinates, and its file accesses add the call's `min_st`.
+struct Shifted<'a> {
+    space: &'a dyn FileSpace,
+    base: u64,
+}
+
+impl FileSpace for Shifted<'_> {
+    fn write(&self, fh: &FileHandle, offset: u64, data: &IoBuffer, now: SimTime) -> SimTime {
+        self.space.write(fh, self.base + offset, data, now)
+    }
+
+    fn read(&self, fh: &FileHandle, offset: u64, len: u64, now: SimTime) -> (IoBuffer, SimTime) {
+        self.space.read(fh, self.base + offset, len, now)
+    }
+
+    fn read_list(
+        &self,
+        fh: &FileHandle,
+        runs: &[(u64, u64)],
+        now: SimTime,
+    ) -> (Vec<IoBuffer>, SimTime) {
+        let shifted = runs.iter().map(|&(off, len)| (self.base + off, len));
+        self.space.read_list(fh, &shifted.collect::<Vec<_>>(), now)
+    }
 }
 
 /// Steps 1–4: range gathering, domain partitioning, request
-/// dissemination, round count. Returns the piece lists of *my* access by
-/// aggregator index, my file domain if I am an aggregator, and the global
-/// number of exchange rounds — or `None` when no rank moves bytes.
+/// dissemination, round count. Leaves the piece lists of *my* access by
+/// aggregator index and my file domain, if I am an aggregator, in `memo`
+/// — taken from it as they are when this call is shaped like the last —
+/// and returns the call's `min_st` and the global number of exchange
+/// rounds, or `None` when no rank moves bytes.
 fn setup(
     comm: &Communicator<'_>,
     plan: &AccessPlan,
     cfg: &CollConfig,
+    memo: &mut Memo,
     prof: &mut PhaseProfile,
-) -> Option<(Lists, Option<Domain>, u64)> {
+) -> Option<(u64, u64)> {
     let ep = comm.endpoint();
     cfg.check(comm.size());
     let naggs = cfg.aggregators.len();
@@ -286,16 +428,25 @@ fn setup(
     let ranges = comm.allgather_t(my_range, 16);
     t.stop_traced(ep.now(), prof, ep.trace());
 
-    let hp = simtrace::host::scope(simtrace::host::Site::CollSetup);
+    let hp = host::scope(host::Site::CollSetup);
     let min_st = ranges.iter().flatten().map(|r| r.0).min()?;
     let max_end = ranges.iter().flatten().map(|r| r.1).max().unwrap();
+    let range = (min_st, max_end);
 
-    // (2) File domains, computed identically everywhere.
-    let file_domains = match cfg.align {
-        Some(align) => compute_file_domains_aligned(min_st, max_end, naggs, align),
-        None => compute_file_domains(min_st, max_end, naggs),
-    };
-    let my_req = calc_my_req(plan, &file_domains);
+    // (2) File domains, computed identically everywhere, and my split
+    // over them — unless this call is shaped like the last.
+    let key = memo.key.as_ref();
+    let mut hit = key.is_some_and(|key| key.matches(plan, cfg, range));
+    if !hit {
+        *memo = Memo::default(); // the old index goes before the new one is built
+        let file_domains = match cfg.align {
+            Some(align) => compute_file_domains_aligned(min_st, max_end, naggs, align),
+            None => compute_file_domains(min_st, max_end, naggs),
+        };
+        memo.my_req = split(plan, &file_domains, min_st);
+        memo.key = Some(Key::new(plan, cfg, range));
+    }
+    let my_req = &memo.my_req;
     let counts = my_req
         .iter()
         .map(|(a, list)| (cfg.aggregators[*a], list.piece_count()));
@@ -311,37 +462,51 @@ fn setup(
     // ROMIO's wire size, passed as the owner's `Arc`. Only non-empty
     // lists exist, and self-assignment sends no message.
     let t = PhaseTimer::start(Phase::P2p, ep.now());
-    for (a, list) in &my_req {
+    for (a, list) in my_req {
         let dst = cfg.aggregators[*a];
         if dst != comm.rank() {
             comm.isend_t(dst, TAG_REQ, Arc::clone(list), list.wire_bytes());
         }
     }
-    let domain = my_agg_idx.map(|a| {
+    if let Some(a) = my_agg_idx {
         let srcs = counts_from.iter().map(|&(src, _)| src);
-        let mine = slot_of(&my_req, a).map(|slot| Arc::clone(&my_req[slot].1));
-        Domain::new(recv_lists(comm, TAG_REQ, srcs.filter(|&src| src != comm.rank()), mine))
-    });
+        let mine = slot_of(my_req, a).map(|slot| Arc::clone(&my_req[slot].1));
+        let lists = recv_lists(comm, TAG_REQ, srcs.filter(|&src| src != comm.rank()), mine);
+        let _hp = host::scope(host::Site::CollSetup);
+        let held = memo.domain.as_ref().is_some_and(|d| d.holds(&lists));
+        if !held {
+            hit = false;
+            memo.domain = Some(Domain::new(lists));
+        }
+    }
     t.stop_traced(ep.now(), prof, ep.trace());
+    let counter = if hit {
+        Counter::ShapeHit
+    } else {
+        Counter::ShapeMiss
+    };
+    host::count(counter, 1);
 
     // (4) Round count: ceil(touched-range / cb_buffer) per aggregator,
     // allreduce MAX — global sync.
-    let (st, end) = domain.as_ref().map_or((0, 0), |d| d.touched);
+    let (st, end) = memo.domain.as_ref().map_or((0, 0), |d| d.touched);
     let my_ntimes = (end - st).div_ceil(cfg.cb_buffer_size);
     let t = PhaseTimer::start(Phase::Sync, ep.now());
     let ntimes = comm.allreduce_u64(&[my_ntimes], ReduceOp::Max)[0];
     t.stop_traced(ep.now(), prof, ep.trace());
 
-    Some((my_req, domain, ntimes))
+    Some((min_st, ntimes))
 }
 
 /// One collective operation in direction `dir`: every rank moves the
 /// `plan.total` bytes its `plan` lays out — out of the buffer `dir`
 /// carries for a write, into the buffer returned for a read (`None` for a
-/// write). As in ROMIO there is no trailing barrier: a rank returns once
-/// its own participation ends (its last sends are posted, its windows are
-/// written), and the next collective call — or the benchmark harness's
-/// explicit barrier — absorbs any residual skew.
+/// write). `memo` is the open's index of its last call, which this call
+/// takes or rebuilds. As in ROMIO there is no trailing barrier: a rank
+/// returns once its own participation ends (its last sends are posted,
+/// its windows are written), and the next collective call — or the
+/// benchmark harness's explicit barrier — absorbs any residual skew.
+#[allow(clippy::too_many_arguments)]
 pub fn collective(
     comm: &Communicator<'_>,
     fh: &FileHandle,
@@ -349,6 +514,7 @@ pub fn collective(
     plan: &AccessPlan,
     dir: Dir<'_>,
     cfg: &CollConfig,
+    memo: &mut Memo,
     prof: &mut PhaseProfile,
 ) -> Option<IoBuffer> {
     let read = matches!(dir, Dir::Read);
@@ -361,19 +527,24 @@ pub fn collective(
     let (phase, round_span, calls_counter) = dir.names();
     let degraded = recovery::entry(comm, cfg, phase, prof);
     let cfg = degraded.as_ref().unwrap_or(cfg);
-    let Some((my_req, mut domain, ntimes)) = setup(comm, plan, cfg, prof) else {
+    let Some((min_st, ntimes)) = setup(comm, plan, cfg, memo, prof) else {
         return read.then(IoBuffer::empty);
     };
-    let my_req = &my_req;
+    let Memo { my_req, domain, .. } = memo;
+    let my_req = &*my_req;
 
     // The main exchange routes every list of mine to its aggregator.
     let routes = my_req.iter().enumerate();
     let routes: Vec<_> = routes.map(|(slot, (a, _))| (slot, cfg.aggregators[*a])).collect();
     let mut recovery = Recovery::new(comm, dir);
+    let space = Shifted {
+        space,
+        base: min_st,
+    };
     let mut x = Exchange {
         comm,
         fh,
-        space,
+        space: &space,
         cfg,
         dir,
         total: plan.total as usize,
@@ -503,8 +674,8 @@ impl Exchange<'_, '_> {
         // bytes it moves for each source, and keeps what it announced.
         let t = PhaseTimer::start(Phase::Sync, ep.now());
         let served = served.map(|domain| {
-            let window = domain.window(wi, cfg.cb_buffer_size);
-            (window_row(&domain.lists, window), window, domain)
+            let (lo, hi) = domain.window(wi, cfg.cb_buffer_size);
+            (window_row(&domain.lists, (lo, hi)), (wi, lo, hi), domain)
         });
         let my_row = served.as_ref().map(|(row, ..)| row.clone());
         let expected = comm.alltoall_sizes_sparse(my_row.unwrap_or_default());
@@ -550,9 +721,10 @@ impl Exchange<'_, '_> {
                 // bytes in it the same window; its sum, with checksums on,
                 // is over that source's pieces where they lie.
                 let mut own: Option<Arc<Sealed>> = None;
-                if let Some((row, _, domain)) = served {
-                    let cuts = cut_streams(domain, row.iter().copied());
-                    let fetched = read_window(comm, fh, space, self.prof, &cuts);
+                if let Some((row, (_, lo, hi), domain)) = served {
+                    let Domain { lists, covered, .. } = domain;
+                    let cuts = cut_streams(lists, (lo, hi), row.iter().map(|&(src, _)| src));
+                    let fetched = read_window(comm, fh, space, self.prof, covered, wi, &cuts);
                     let fetched = fetched.map(Arc::new);
                     for (&(src, n), cut) in row.iter().zip(&cuts) {
                         let Some(fetched) = &fetched else { break };

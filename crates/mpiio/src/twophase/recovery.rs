@@ -69,7 +69,7 @@ pub(super) fn entry(
     // domain is partitioned among the survivors and no mid-call failover
     // is needed.
     let mut newly_dead = false;
-    for &a in &cfg.aggregators {
+    for &a in cfg.aggregators.iter() {
         let g = comm.global_rank(a);
         if faults
             .plan()
@@ -105,7 +105,7 @@ pub(super) fn entry(
         live.push(lowest_live(comm, faults));
     }
     Some(CollConfig {
-        aggregators: live,
+        aggregators: live.into(),
         ..cfg.clone()
     })
 }
@@ -125,8 +125,9 @@ pub(super) struct Adopted {
     /// aggregator half-applied its previous window, so that round's
     /// exchange replays in full before the current one.
     heal_at: Option<u64>,
-    /// On the successor: the lists the dead aggregator held (so the window
-    /// tiling lines up), stream positions replayed.
+    /// On the successor: the lists the dead aggregator held, so the window
+    /// tiling lines up and each window's cut is the one it would have
+    /// taken.
     pub(super) domain: Option<Domain>,
 }
 
@@ -234,10 +235,9 @@ impl<'a> Recovery<'a> {
 /// Aggregator failover, detected at `round`: the subgroup re-homes the
 /// dead aggregator's file domain onto a successor. Every rank re-sends
 /// its piece list for the dead domain (the successor cannot ask — that
-/// metadata died with the aggregator), and the successor replays its
-/// cursors past the rounds the dead aggregator already wrote, so the
-/// exchange resumes from the last completed round. All costs land in one
-/// `recovery` phase span for critical-path attribution.
+/// metadata died with the aggregator), and the successor resumes the
+/// dead aggregator's windows from the last completed round. All costs
+/// land in one `recovery` phase span for critical-path attribution.
 fn failover(
     comm: &Communicator<'_>,
     cfg: &CollConfig,
@@ -268,22 +268,14 @@ fn failover(
     // receive set is known without another size exchange.
     let slot = slot_of(my_req, dead_agg);
     let mine = slot.map(|slot| Arc::clone(&my_req[slot].1));
+    // Nothing to replay on the successor: a window's cut of each list is
+    // the list's pieces inside the window, so the adopted domain resumes
+    // at the window the dead aggregator did not complete — one earlier
+    // for a torn crash, whose last write was only half applied and which
+    // the detection round re-exchanges in full (`Adopted::windows`).
     let domain = if comm.rank() == successor {
         let srcs = (0..comm.size()).filter(|&src| src != comm.rank());
-        let mut domain = Domain::new(recv_lists(comm, TAG_RECOVER, srcs, mine));
-        // Replay: each source's stream stands past the rounds the dead
-        // aggregator completed. Senders consumed exactly these byte
-        // counts, so both sides stay in lock step. A torn crash backs up
-        // one extra window — the dead role's last write was only half
-        // applied, and the detection round re-exchanges it in full.
-        let done_rounds = if torn { round - 1 } else { round };
-        let (done_end, _) = domain.window(done_rounds, cfg.cb_buffer_size);
-        let replayed = domain
-            .lists
-            .iter()
-            .map(|(_, list)| list.bytes_in_window(domain.touched.0, done_end));
-        domain.pos = replayed.collect();
-        Some(domain)
+        Some(Domain::new(recv_lists(comm, TAG_RECOVER, srcs, mine)))
     } else {
         let list = mine.unwrap_or_else(PieceList::empty);
         let wire_bytes = list.wire_bytes();

@@ -7,6 +7,10 @@
 //! run. Pieces exist one by one only where real bytes move
 //! ([`Cut::iter`]); the request message is still modelled as ROMIO's 16
 //! bytes per *piece*.
+//!
+//! The engine splits a plan in its call's own coordinates (`split`):
+//! file offsets relative to the call's `min_st`, so the lists of a call
+//! shaped like the last one are the last one's, `Arc` for `Arc`.
 
 use crate::datatype::{push_run, Ext, Run};
 use crate::view::AccessPlan;
@@ -37,11 +41,12 @@ impl Piece {
 /// (modelled as its ROMIO wire size, [`wire_bytes`](Self::wire_bytes)),
 /// and the aggregator cuts its round windows out of it.
 ///
-/// The list is strided [`Run`]s, sorted and non-adjacent in the file, and
+/// The list is strided [`Run`]s, sorted and non-adjacent in the file (in
+/// the coordinates it was split in: see `split`), and
 /// — because a domain takes a consecutive stretch of the plan — contiguous
 /// in the owner's user buffer. Positions in the piece *stream* (bytes
-/// consumed so far, the only cursor state either side keeps) therefore
-/// map to the buffer by one addition, and to the file by a binary search
+/// consumed so far, the only cursor state a sender keeps) therefore map
+/// to the buffer by one addition, and to the file by a binary search
 /// over the runs' stream starts plus arithmetic inside one run.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct PieceList {
@@ -49,6 +54,8 @@ pub struct PieceList {
     runs: Vec<(u64, Run)>,
     /// Buffer offset of the stream's first byte.
     base: u64,
+    /// Number of pieces the runs expand to.
+    pieces: u64,
 }
 
 static EMPTY: LazyLock<Arc<PieceList>> = LazyLock::new(Arc::default);
@@ -56,22 +63,22 @@ static EMPTY: LazyLock<Arc<PieceList>> = LazyLock::new(Arc::default);
 impl PieceList {
     fn new(runs: &[Run], base: u64) -> Self {
         let mut at = 0;
+        let pieces = runs.iter().map(|r| r.count).sum();
         let runs = runs.iter().map(|&r| {
             at += r.bytes();
             (at - r.bytes(), r)
         });
-        PieceList { runs: runs.collect(), base }
+        PieceList {
+            runs: runs.collect(),
+            base,
+            pieces,
+        }
     }
 
     /// The shared empty list: a rank with nothing for an aggregator
     /// allocates nothing for it.
     pub fn empty() -> Arc<PieceList> {
         Arc::clone(&EMPTY)
-    }
-
-    /// The runs, in file order.
-    pub(crate) fn runs(&self) -> impl Iterator<Item = Run> + '_ {
-        self.runs.iter().map(|&(_, r)| r)
     }
 
     /// True if the list holds no piece.
@@ -81,7 +88,7 @@ impl PieceList {
 
     /// Number of pieces: the length of ROMIO's `(offset, len)` list.
     pub(crate) fn piece_count(&self) -> u64 {
-        self.runs().map(|r| r.count).sum()
+        self.pieces
     }
 
     /// Total bytes across all pieces.
@@ -130,10 +137,17 @@ impl PieceList {
         self.base + pos
     }
 
+    /// The pieces inside file range `[lo, hi)`: the cut of the stream
+    /// bytes that lie there.
+    pub fn cut_window(&self, lo: u64, hi: u64) -> Cut<'_> {
+        let at = self.bytes_before(lo);
+        self.cut(at, self.bytes_before(hi.max(lo)) - at)
+    }
+
     /// The runs holding stream bytes `[pos, pos + n)`: a slice of whole
-    /// runs with the two ends clipped. Sender and aggregator cut the same
-    /// list by the same byte counts each round, which keeps them
-    /// consistent without exchanging offsets.
+    /// runs with the two ends clipped. A sender's cut of a round and the
+    /// aggregator's [`cut_window`](Self::cut_window) of it are the same
+    /// pieces, which keeps them consistent without exchanging offsets.
     pub fn cut(&self, pos: u64, n: u64) -> Cut<'_> {
         let buf_off = self.buffer_offset(pos, n);
         if n == 0 {
@@ -180,8 +194,7 @@ impl Cut<'_> {
     /// bytes piece by piece. The iterator is the cut itself: a few words,
     /// since exchange frames hold it across their waits.
     pub fn iter(&self) -> impl Iterator<Item = Piece> + '_ {
-        let left = self.runs.iter().map(|(_, r)| r.bytes()).sum::<u64>() - self.skip - self.trim;
-        let mut rest = (self.runs, self.skip, left, self.buf_off);
+        let mut rest = (self.runs, self.skip, self.bytes(), self.buf_off);
         std::iter::from_fn(move || {
             let (runs, at, left, buf_off) = &mut rest;
             let &(_, r) = runs.first().filter(|_| *left > 0)?;
@@ -198,6 +211,11 @@ impl Cut<'_> {
             }
             Some(piece)
         })
+    }
+
+    /// Data bytes in the cut.
+    pub(crate) fn bytes(&self) -> u64 {
+        self.runs.iter().map(|(_, r)| r.bytes()).sum::<u64>() - self.skip - self.trim
     }
 
     /// The file range covered, `[first offset, last end)`.
@@ -221,15 +239,32 @@ impl Cut<'_> {
 /// inside a domain moves over as it is, one crossing a boundary is split
 /// by arithmetic (its data bytes before the boundary).
 pub fn calc_my_req(plan: &AccessPlan, domains: &[Ext]) -> Vec<(usize, Arc<PieceList>)> {
-    let runs = plan.runs();
+    split(plan, domains, 0)
+}
+
+/// [`calc_my_req`] with the lists' file offsets taken relative to
+/// `origin` (no piece lies before it): the engine splits in its call's
+/// coordinates, `origin` being the call's `min_st`.
+pub(super) fn split(
+    plan: &AccessPlan,
+    domains: &[Ext],
+    origin: u64,
+) -> Vec<(usize, Arc<PieceList>)> {
+    let (shape, start) = (plan.shape(), plan.start().unwrap_or(0));
+    let run = |i: usize| {
+        shape.get(i).map(|r| Run {
+            off: start + r.off,
+            ..*r
+        })
+    };
     let (mut out, mut list) = (Vec::new(), Vec::new());
     // The next unassigned byte: data byte `done` of `runs[i]`, file
     // offset `pos`, at `buf_off` in the user buffer.
     let (mut i, mut done, mut buf_off) = (0usize, 0u64, 0u64);
-    let mut pos = plan.start().unwrap_or(0);
+    let mut pos = start;
     let first = domains.partition_point(|d| d.end() <= pos);
     for (at, d) in domains.iter().enumerate().skip(first) {
-        if i == runs.len() {
+        if i == shape.len() {
             break;
         }
         if pos >= d.end() {
@@ -241,10 +276,15 @@ pub fn calc_my_req(plan: &AccessPlan, domains: &[Ext]) -> Vec<(usize, Arc<PieceL
         );
         list.clear();
         let base = buf_off;
-        while let Some(&r) = runs.get(i) {
+        while let Some(r) = run(i) {
             let upto = r.bytes_before(d.end());
             if upto > done {
-                r.clip(done, upto).for_each(|part| push_run(&mut list, part));
+                let moved = |part: Run| Run {
+                    off: part.off - origin,
+                    ..part
+                };
+                r.clip(done, upto)
+                    .for_each(|part| push_run(&mut list, moved(part)));
                 buf_off += upto - done;
             }
             if upto < r.bytes() {
@@ -253,11 +293,11 @@ pub fn calc_my_req(plan: &AccessPlan, domains: &[Ext]) -> Vec<(usize, Arc<PieceL
             }
             (i, done) = (i + 1, 0);
         }
-        pos = runs.get(i).map_or(pos, |r| r.at(done));
+        pos = run(i).map_or(pos, |r| r.at(done));
         out.push((at, Arc::new(PieceList::new(&list, base))));
     }
     assert!(
-        i == runs.len(),
+        i == shape.len(),
         "access at {pos} outside the aggregated file range"
     );
     out
@@ -274,6 +314,11 @@ pub(super) mod tests {
     }
 
     impl PieceList {
+        /// The runs, in file order.
+        fn runs(&self) -> impl Iterator<Item = Run> + '_ {
+            self.runs.iter().map(|&(_, r)| r)
+        }
+
         /// The runs expanded, with buffer offsets (test shorthand).
         pub(in crate::twophase) fn pieces(&self) -> Vec<Piece> {
             let all = PieceList::cut(self, 0, self.total_bytes());
@@ -732,9 +777,11 @@ pub(super) mod tests {
         }
 
         /// Window by window (the protocol's rounds), the bytes announced
-        /// for a window are the bytes the cut for it covers, and the
-        /// arithmetic replay of a failover — or the rewind of a torn
-        /// write — lands where replaying the consumption did.
+        /// for a window are the bytes the sender's cut for it covers, the
+        /// window's own cut (the serving side's, which carries no
+        /// position) is the same pieces, and a window's start — where the
+        /// rewind of a torn write lands — is where replaying the
+        /// consumption lands.
         #[test]
         fn replay_and_rewind_are_arithmetic(
             extents in arb_pieces(30),
@@ -746,12 +793,16 @@ pub(super) mod tests {
             let mut cursor = PieceCursor::new(&pieces);
             let mut pos = 0u64;
             for window in 0..(end - st).div_ceil(cb) {
-                // Failover detected at `window`: replay the completed ones.
+                // Where the completed windows leave the stream.
                 prop_assert_eq!(l.bytes_in_window(st, st + window * cb), cursor.position());
                 let (lo, hi) = (st + window * cb, st + (window + 1) * cb);
                 let n = l.bytes_in_window(lo, hi);
                 let cut = l.cut(pos, n);
                 prop_assert!(cut.file_range().is_none_or(|(s, e)| lo <= s && e <= hi));
+                // The window's own cut, with no position carried: the same pieces.
+                let own = l.cut_window(lo, hi);
+                prop_assert_eq!(own.iter().collect::<Vec<_>>(), cut.iter().collect::<Vec<_>>());
+                prop_assert_eq!(own.bytes(), n);
                 cursor.consume(n, |_| {});
                 pos += n;
                 // Torn at `window + 1`: back up exactly this window.

@@ -4,7 +4,7 @@
 //! side), and the file access itself.
 
 use super::reqs::Cut;
-use super::{slot_of, Domain};
+use super::{slot_of, Domain, Lists};
 use crate::datatype::Run;
 use crate::profile::{Phase, PhaseProfile, PhaseTimer};
 use crate::space::FileSpace;
@@ -12,22 +12,43 @@ use simfs::FileHandle;
 use simmpi::Communicator;
 use simnet::IoBuffer;
 
-/// Cut `n` more bytes off `src`'s stream in `domain` for every `(src, n)`:
-/// the pieces this round moves, in the order given. Advances the stream
-/// positions.
+/// The pieces window `[lo, hi)` of a domain (whose lists are `lists`)
+/// moves for each of `srcs`, in that order: each list's cut of the
+/// window. Sender and server cut the same streams by the same byte
+/// counts, so the pieces are the ones the sender's stream holds next.
 pub(super) fn cut_streams<'a>(
-    domain: &'a mut Domain,
-    sizes: impl Iterator<Item = (usize, u64)>,
+    lists: &'a Lists,
+    (lo, hi): (u64, u64),
+    srcs: impl Iterator<Item = usize>,
 ) -> Vec<Cut<'a>> {
-    let (lists, pos) = (&domain.lists, &mut domain.pos);
-    sizes
-        .map(|(src, n)| {
-            let slot = slot_of(lists, src).expect("bytes only from a source that sent a list");
-            let cut = lists[slot].1.cut(pos[slot], n);
-            pos[slot] += n;
-            cut
-        })
-        .collect()
+    let cut = |src| {
+        let slot = slot_of(lists, src).expect("bytes only from a source that sent a list");
+        lists[slot].1.cut_window(lo, hi)
+    };
+    srcs.map(cut).collect()
+}
+
+/// A domain's round-window coverage, by window index: a function of the
+/// domain's lists and the window alone, so a later call with the same
+/// lists takes it as it is.
+#[derive(Default)]
+pub(super) struct Covered(Vec<Option<Vec<(u64, u64)>>>);
+
+impl Covered {
+    /// True if window `wi`'s coverage is known.
+    fn known(&self, wi: u64) -> bool {
+        self.0.get(wi as usize).is_some_and(Option::is_some)
+    }
+
+    /// The coverage of window `wi`, whose cuts are `cuts`: the known one,
+    /// else merged from `cuts` and kept.
+    fn of(&mut self, wi: u64, cuts: &[Cut<'_>]) -> &[(u64, u64)] {
+        let wi = wi as usize;
+        if self.0.len() <= wi {
+            self.0.resize_with(wi + 1, || None);
+        }
+        self.0[wi].get_or_insert_with(|| coverage(cuts))
+    }
 }
 
 /// Land every payload's bytes on its cut's pieces inside `window` (which
@@ -56,7 +77,11 @@ fn scatter(window: &mut IoBuffer, base: u64, cuts: &[Cut<'_>], payloads: Vec<(us
     }
 }
 
-/// Place one round of received pieces and write them out.
+/// Place one round of received pieces — window `wi`, `[lo, hi)`, of
+/// `domain` — and write them out.
+///
+/// With the window's coverage known from an earlier call, synthetic
+/// payloads need no cut: `scatter` never visits their pieces.
 ///
 /// `torn` models an aggregator dying mid-OST-write: every chunk of this
 /// window reaches storage truncated to its first half (the crash cuts
@@ -69,7 +94,7 @@ pub(super) fn write_window(
     space: &dyn FileSpace,
     prof: &mut PhaseProfile,
     domain: &mut Domain,
-    (lo, hi): (u64, u64),
+    (wi, lo, hi): (u64, u64, u64),
     incoming: Vec<(usize, IoBuffer)>,
     torn: bool,
 ) {
@@ -80,24 +105,29 @@ pub(super) fn write_window(
     // Targets: which pieces each payload's bytes land on, plus coverage.
     let t = PhaseTimer::start(Phase::Local, ep.now());
     let hp = simtrace::host::scope(simtrace::host::Site::Unpack);
-    let sizes = incoming
-        .iter()
-        .map(|(src, payload)| (*src, payload.len() as u64));
-    let cuts = cut_streams(domain, sizes);
+    let Domain { lists, covered, .. } = domain;
+    let real = incoming.iter().all(|(_, payload)| payload.is_real());
+    let cuts = if real || !covered.known(wi) {
+        cut_streams(lists, (lo, hi), incoming.iter().map(|&(src, _)| src))
+    } else {
+        Vec::new()
+    };
+    let fits = |(cut, (_, data)): (&Cut<'_>, &(usize, IoBuffer))| cut.bytes() == data.len() as u64;
+    debug_assert!(cuts.iter().zip(&incoming).all(fits));
     let total_bytes: usize = incoming.iter().map(|(_, payload)| payload.len()).sum();
-    let runs = coverage(&cuts);
+    let runs = covered.of(wi, &cuts);
+    let holes = runs.len() > 1;
+    let (write_lo, write_hi) = (runs[0].0, runs[runs.len() - 1].0 + runs[runs.len() - 1].1);
     ep.charge_memcpy(total_bytes); // staging-buffer assembly
     drop(hp);
     t.stop_traced(ep.now(), prof, ep.trace());
 
-    let (write_lo, write_hi) = (runs[0].0, runs[runs.len() - 1].0 + runs[runs.len() - 1].1);
     debug_assert!(lo <= write_lo && write_hi <= hi);
     let span = write_hi - write_lo;
 
     // The payloads are released (inside `scatter`) before waiting on the
     // OSTs: every aggregator sits in the admission gate at once, and
     // would otherwise hold window plus payloads concurrently.
-    let holes = runs.len() > 1;
     let mut window_buf = if holes {
         // Read-modify-write: fetch the whole span, overlay, write back —
         // ROMIO's data-sieving write inside the collective path.
@@ -298,7 +328,8 @@ pub(crate) fn close_gaps(runs: &mut Vec<(u64, u64)>, gap: u64) {
 /// What a window read fetched: the `(offset, len)` runs, a buffer for each.
 pub(super) type Fetched = (Vec<(u64, u64)>, Vec<IoBuffer>);
 
-/// Read what one round window's `cuts` cover; `None` when they are empty.
+/// Read what window `wi`, whose cuts are `cuts` and whose coverage
+/// `covered` holds or merges, covers; `None` when the cuts are empty.
 ///
 /// The window's coverage is read through every hole no wider than the
 /// file's break-even gap ([`FileHandle::list_break_even_gap`]: moving it
@@ -312,10 +343,12 @@ pub(super) fn read_window(
     fh: &FileHandle,
     space: &dyn FileSpace,
     prof: &mut PhaseProfile,
+    covered: &mut Covered,
+    wi: u64,
     cuts: &[Cut<'_>],
 ) -> Option<Fetched> {
     let ep = comm.endpoint();
-    let mut runs = coverage(cuts);
+    let mut runs = covered.of(wi, cuts).to_vec();
     let holes = match runs.len() {
         0 => return None,
         n => n > 1,

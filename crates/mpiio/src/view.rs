@@ -111,6 +111,20 @@ impl FileView {
         out
     }
 
+    /// The plan for a transfer at view offset `offset` of the length of
+    /// `last`, the plan of one at `at`: `last` shifted by whole tiles when
+    /// both start at the same position in a tile — each tile's runs are
+    /// the flattened type's shifted to the tile, and merging across tile
+    /// boundaries looks only at relative positions — else `None`.
+    pub(crate) fn shift_plan(&self, last: &AccessPlan, at: u64, offset: u64) -> Option<AccessPlan> {
+        let dpt = self.flat.size;
+        if dpt == 0 || at % dpt != offset % dpt {
+            return None;
+        }
+        let tiles = (offset / dpt) as i64 - (at / dpt) as i64;
+        Some(last.shifted(tiles * self.flat.extent as i64))
+    }
+
     /// Physical file pieces for `[start, start+nbytes)` of the view's data
     /// space, coalesced: the runs of [`AccessPlan::from_view`] expanded.
     pub fn extents(&self, start: u64, nbytes: u64) -> Vec<Ext> {
@@ -124,18 +138,38 @@ impl FileView {
 /// A rank's flattened access list for one collective operation: strided
 /// runs whose pieces are sorted, disjoint and non-adjacent, and whose
 /// order equals user-buffer order.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// The runs are held relative to the first one's offset, behind an `Arc`:
+/// a plan shifted by whole tiles ([`AccessPlan::shifted`], what
+/// `File::plan` returns for a call shaped like the last one) shares them,
+/// and two plans of one shape compare by pointer.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AccessPlan {
-    runs: Vec<Run>,
+    /// The runs, the first at offset 0.
+    shape: Arc<[Run]>,
+    /// File offset of the first run (0 for an empty plan).
+    origin: u64,
     /// Total bytes (sum of run bytes).
     pub total: u64,
 }
 
+impl Default for AccessPlan {
+    fn default() -> Self {
+        Self::new(Vec::new())
+    }
+}
+
 impl AccessPlan {
     fn new(runs: Vec<Run>) -> Self {
+        let origin = runs.first().map_or(0, |r| r.off);
+        let rel = |r: &Run| Run {
+            off: r.off - origin,
+            ..*r
+        };
         AccessPlan {
             total: runs.iter().map(Run::bytes).sum(),
-            runs,
+            shape: runs.iter().map(rel).collect(),
+            origin,
         }
     }
 
@@ -162,18 +196,28 @@ impl AccessPlan {
     }
 
     /// The runs, in file order.
-    pub fn runs(&self) -> &[Run] {
-        &self.runs
+    pub fn runs(&self) -> impl ExactSizeIterator<Item = Run> + Clone + '_ {
+        let origin = self.origin;
+        self.shape.iter().map(move |r| Run {
+            off: origin + r.off,
+            ..*r
+        })
+    }
+
+    /// The runs relative to the first one's offset: what every plan of
+    /// this shape, wherever it lies, shares.
+    pub fn shape(&self) -> &Arc<[Run]> {
+        &self.shape
     }
 
     /// The pieces the runs expand to, in file (and buffer) order.
     pub fn pieces(&self) -> impl Iterator<Item = Ext> + '_ {
-        self.runs.iter().flat_map(|r| r.pieces())
+        self.runs().flat_map(|r| r.pieces())
     }
 
     /// Number of pieces: what ROMIO's `(offset, len)` list would hold.
     pub fn piece_count(&self) -> u64 {
-        self.runs.iter().map(|r| r.count).sum()
+        self.shape.iter().map(|r| r.count).sum()
     }
 
     /// True if this rank transfers no bytes.
@@ -183,12 +227,12 @@ impl AccessPlan {
 
     /// First byte touched, if any.
     pub fn start(&self) -> Option<u64> {
-        self.runs.first().map(|r| r.off)
+        (!self.shape.is_empty()).then_some(self.origin)
     }
 
     /// One past the last byte touched, if any.
     pub fn end(&self) -> Option<u64> {
-        self.runs.last().map(Run::end)
+        self.shape.last().map(|r| self.origin + r.end())
     }
 
     /// Iterate `(buffer_offset, file_piece)` pairs: the user buffer maps
@@ -203,22 +247,23 @@ impl AccessPlan {
     }
 
     /// True if `other` is this plan shifted uniformly — the same runs
-    /// relative to the first. Compared in place.
+    /// relative to the first: one pointer comparison when both came from
+    /// one plan, a comparison of the runs otherwise.
     pub fn same_shape(&self, other: &AccessPlan) -> bool {
-        let (a0, b0) = (self.start().unwrap_or(0), other.start().unwrap_or(0));
-        let rel = |r: &Run, base: u64| Run { off: r.off - base, ..*r };
-        self.runs.len() == other.runs.len()
-            && self.runs.iter().zip(&other.runs).all(|(a, b)| rel(a, a0) == rel(b, b0))
+        Arc::ptr_eq(&self.shape, &other.shape) || self.shape == other.shape
     }
 
     /// This plan with every run moved by `delta` bytes (the uniform
-    /// per-call stride of a tiled view).
+    /// per-call stride of a tiled view). Shares the runs.
     pub fn shifted(&self, delta: i64) -> AccessPlan {
-        let shift = |r: &Run| {
-            let off = r.off.checked_add_signed(delta).expect("plan shift underflow");
-            Run { off, ..*r }
-        };
-        Self::new(self.runs.iter().map(shift).collect())
+        if self.shape.is_empty() {
+            return self.clone();
+        }
+        let origin = self.origin.checked_add_signed(delta);
+        AccessPlan {
+            origin: origin.expect("plan shift underflow"),
+            ..self.clone()
+        }
     }
 }
 
@@ -306,7 +351,7 @@ mod tests {
             for r in plan.runs() {
                 prop_assert!(if r.count == 1 { r.stride == 0 } else { r.stride > r.len });
             }
-            for w in plan.runs().windows(2) {
+            for w in plan.runs().collect::<Vec<_>>().windows(2) {
                 prop_assert!(w[0].end() < w[1].off);
             }
             // Canonical: the same pieces pushed one by one give the same runs.
@@ -343,7 +388,7 @@ mod tests {
         // Merged pieces recur every tile: one run.
         let plan = AccessPlan::from_view(&v, 0, 40);
         assert_eq!(
-            plan.runs(),
+            plan.runs().collect::<Vec<_>>(),
             [Run::piece(100, 4), Run { off: 108, len: 8, stride: 12, count: 4 }, Run::piece(156, 4)]
         );
     }
@@ -417,6 +462,7 @@ mod tests {
         let (a, b) = (AccessPlan::from_view(&v, 0, 40), AccessPlan::from_view(&v, 80, 40));
         // 80 data bytes = 10 tiles of 12 bytes.
         assert!(a.same_shape(&b) && b.same_shape(&a.shifted(120)));
+        assert!(Arc::ptr_eq(a.shape(), a.shifted(120).shape()), "a shift shares the runs");
         assert_eq!(a.shifted(120), b);
         assert_eq!(b.shifted(-120), a);
         assert!(!a.same_shape(&AccessPlan::from_view(&v, 2, 40)));

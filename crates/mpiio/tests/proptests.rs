@@ -285,7 +285,7 @@ fn oracle_image(s: &Scenario) -> Vec<u8> {
 /// collective read to the bytes it wrote: the file image after the write
 /// and each rank's virtual end time.
 fn run_scenario(s: &Scenario) -> (Vec<u8>, Vec<u64>) {
-    use mpiio::twophase::{collective, CollConfig, Dir};
+    use mpiio::twophase::{collective, CollConfig, Dir, Memo};
     use mpiio::{DirectSpace, PhaseProfile};
     use simfs::{FileSystem, FsConfig};
     use simmpi::{Communicator, Info};
@@ -307,14 +307,15 @@ fn run_scenario(s: &Scenario) -> (Vec<u8>, Vec<u64>) {
         let plan = AccessPlan::from_extents(runs.iter().map(|&(o, l)| Ext::new(o, l)).collect());
         let mine: Vec<u8> = (0..plan.total).map(|i| fill(comm.rank(), i)).collect();
         let cfg = CollConfig {
-            aggregators: s_in.aggregators.clone(),
+            aggregators: s_in.aggregators.as_slice().into(),
             cb_buffer_size: s_in.cb_buffer_size,
             align: None,
             checksums: s_in.checksums,
         };
-        let mut prof = PhaseProfile::new();
+        let (mut prof, mut memo) = (PhaseProfile::new(), Memo::default());
         let buf = IoBuffer::from_slice(&mine);
-        let mut engine = |dir| collective(&comm, f.handle(), &DirectSpace, &plan, dir, &cfg, &mut prof);
+        let mut engine =
+            |dir| collective(&comm, f.handle(), &DirectSpace, &plan, dir, &cfg, &mut memo, &mut prof);
         assert!(engine(Dir::Write(&buf)).is_none());
         comm.barrier();
         let got = engine(Dir::Read).expect("a read returns its bytes");
@@ -349,5 +350,189 @@ proptest! {
         let (image, ends) = run_scenario(&s);
         prop_assert_eq!(image, oracle_image(&s));
         prop_assert_eq!(run_scenario(&s).1, ends);
+    }
+}
+
+/// How one call of a sequence departs from the sequence's base scenario.
+#[derive(Debug, Clone, Copy)]
+enum Change {
+    /// Every rank's runs as in the base scenario (shifted by the call's
+    /// shift).
+    Same,
+    /// The globally last run grows: `max_end − min_st` moves, and no
+    /// other rank's plan relative to `min_st` does.
+    GrowLast(u64),
+    /// One rank drops a run that is neither the globally first nor the
+    /// last: its lists change, the file range does not.
+    DropRun(usize),
+    /// Another aggregator subset.
+    Aggregators,
+    /// Twice the collective buffer.
+    Buffer,
+}
+
+/// One call of a sequence.
+#[derive(Debug, Clone, Copy)]
+struct Call {
+    shift: u64,
+    change: Change,
+    read: bool,
+}
+
+/// The base scenario's runs, each rank's, as `call` lays them out.
+fn call_runs(s: &Scenario, call: &Call) -> Vec<Vec<(u64, u64)>> {
+    let mut runs: Vec<Vec<(u64, u64)>> = s.runs.clone();
+    let all: Vec<(usize, usize)> = runs
+        .iter()
+        .enumerate()
+        .flat_map(|(r, mine)| (0..mine.len()).map(move |i| (r, i)))
+        .collect();
+    let by_offset = |a: &(usize, usize)| runs[a.0][a.1].0;
+    let first = all.iter().min_by_key(|a| by_offset(a)).copied();
+    let last = all.iter().max_by_key(|a| by_offset(a)).copied();
+    match call.change {
+        Change::GrowLast(by) => {
+            if let Some((r, i)) = last {
+                runs[r][i].1 += by;
+            }
+        }
+        Change::DropRun(k) => {
+            let inner = |a: &&(usize, usize)| Some(**a) != first && Some(**a) != last;
+            let inner: Vec<_> = all.iter().filter(inner).collect();
+            if let Some(&&(r, i)) = inner.get(k % inner.len().max(1)) {
+                runs[r].remove(i);
+            }
+        }
+        _ => {}
+    }
+    for mine in &mut runs {
+        mine.iter_mut().for_each(|run| run.0 += call.shift);
+    }
+    runs
+}
+
+/// The collective configuration of `call`, domains aligned to `align`.
+fn call_config(s: &Scenario, call: &Call, align: Option<u64>) -> mpiio::twophase::CollConfig {
+    let mut aggregators = s.aggregators.clone();
+    let mut cb_buffer_size = s.cb_buffer_size;
+    match call.change {
+        Change::Aggregators if aggregators.len() > 1 => drop(aggregators.remove(0)),
+        Change::Aggregators => aggregators = vec![(aggregators[0] + 1) % s.runs.len()],
+        Change::Buffer => cb_buffer_size *= 2,
+        _ => {}
+    }
+    mpiio::twophase::CollConfig {
+        aggregators: aggregators.into(),
+        cb_buffer_size,
+        align,
+        checksums: s.checksums,
+    }
+}
+
+fn arb_call() -> impl Strategy<Value = Call> {
+    let change = prop_oneof![
+        Just(Change::Same),
+        Just(Change::Same),
+        Just(Change::Same),
+        (1u64..9).prop_map(Change::GrowLast),
+        any::<usize>().prop_map(Change::DropRun),
+        Just(Change::Aggregators),
+        Just(Change::Buffer),
+    ];
+    let call = |(shift, change, read)| Call {
+        shift,
+        change,
+        read,
+    };
+    (0u64..64, change, any::<bool>()).prop_map(call)
+}
+
+/// What a sequence of calls leaves: the file image, every read's bytes
+/// by rank, and each rank's end clock and phase profile, as bits.
+type Outcome = (Vec<u8>, Vec<Vec<Vec<u8>>>, Vec<u64>, Vec<[u64; 6]>);
+
+/// Run `calls` on one open, domains aligned to `align`, one memo for the
+/// whole sequence — or, with `fresh`, a new memo for every call.
+fn run_sequence(s: &Scenario, calls: &[Call], align: Option<u64>, fresh: bool) -> Outcome {
+    use mpiio::twophase::{collective, Dir, Memo};
+    use mpiio::{DirectSpace, PhaseProfile};
+    use simfs::{FileSystem, FsConfig};
+    use simmpi::{Communicator, Info};
+    use simnet::{run_cluster, ClusterConfig, IoBuffer, Mapping, SimTime};
+
+    let image_len = s.image_len() + 64 + 8;
+    let mut fs_cfg = FsConfig::tiny();
+    fs_cfg.list_extent_overhead = SimTime::micros(s.list_extent_us);
+    let fs = FileSystem::new(fs_cfg);
+    let (fs_in, s_in, calls_in) = (fs.clone(), s.clone(), calls.to_vec());
+    let cluster = ClusterConfig::cray_xt(s.runs.len(), Mapping::Block);
+    let out = run_cluster(cluster, move |ep| {
+        let comm = Communicator::world(&ep);
+        let rank = comm.rank();
+        let mut f = mpiio::File::open(&comm, &fs_in, "/memo", &Info::new());
+        if rank == 0 {
+            f.write_at(0, &IoBuffer::from_vec(vec![SENTINEL; image_len]));
+        }
+        comm.barrier();
+        let (mut prof, mut memo, mut reads) = (PhaseProfile::new(), Memo::default(), Vec::new());
+        for (k, call) in calls_in.iter().enumerate() {
+            let runs = call_runs(&s_in, call).swap_remove(rank);
+            let plan = runs.iter().map(|&(o, l)| Ext::new(o, l)).collect();
+            let plan = AccessPlan::from_extents(plan);
+            let cfg = call_config(&s_in, call, align);
+            if fresh {
+                memo = Memo::default();
+            }
+            let mine: Vec<u8> = (0..plan.total).map(|i| fill(rank + 7 * k, i)).collect();
+            let buf = IoBuffer::from_vec(mine);
+            let dir = if call.read {
+                Dir::Read
+            } else {
+                Dir::Write(&buf)
+            };
+            let (m, p) = (&mut memo, &mut prof);
+            let got = collective(&comm, f.handle(), &DirectSpace, &plan, dir, &cfg, m, p);
+            assert_eq!(got.is_some(), call.read, "only a read returns bytes");
+            reads.extend(got.map(|got| got.as_slice().expect("real bytes").to_vec()));
+        }
+        f.close();
+        let bits = [prof.sync, prof.p2p, prof.io, prof.local].map(|t| t.as_secs().to_bits());
+        let bits = [bits[0], bits[1], bits[2], bits[3], prof.calls, prof.rounds];
+        (reads, ep.now().as_secs().to_bits(), bits)
+    });
+    let (image, _) = fs.handle("/memo").read_at(0, image_len, SimTime::ZERO);
+    let image = image.as_slice().expect("real bytes").to_vec();
+    let mut outcome: Outcome = (image, Vec::new(), Vec::new(), Vec::new());
+    for (reads, end, bits) in out {
+        outcome.1.push(reads);
+        outcome.2.push(end);
+        outcome.3.push(bits);
+    }
+    outcome
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The memo is exact: a sequence of 2–5 collective calls on one open
+    /// — equal shapes at varying shifts, a call perturbed mid-sequence
+    /// (the file range moved, or one rank's lists changed within it), a
+    /// changed aggregator subset or collective buffer, either direction,
+    /// checksums on or off, even or aligned domains (whose boundaries
+    /// move with `min_st` modulo the unit) — leaves the file image, every
+    /// rank's reads, end clocks and phase profiles bit-identical to the
+    /// same sequence run with a fresh memo for every call.
+    #[test]
+    fn memo_matches_a_fresh_index_for_every_call(
+        s in arb_scenario(),
+        calls in proptest::collection::vec(arb_call(), 2..6),
+        align in prop_oneof![Just(None), (2u64..24).prop_map(Some)],
+    ) {
+        let fresh = run_sequence(&s, &calls, align, true);
+        let memo = run_sequence(&s, &calls, align, false);
+        prop_assert_eq!(&memo.0, &fresh.0, "file image");
+        prop_assert_eq!(&memo.1, &fresh.1, "reads");
+        prop_assert_eq!(&memo.2, &fresh.2, "end clocks");
+        prop_assert_eq!(&memo.3, &fresh.3, "phase profiles");
     }
 }

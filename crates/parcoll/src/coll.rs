@@ -28,7 +28,7 @@ use crate::config::ParcollConfig;
 use crate::fa::{partition_file_areas, Grouping};
 use crate::iview::{LogicalMap, MappedSpace};
 use mpiio::profile::{Phase, PhaseTimer};
-use mpiio::twophase::{self, CollConfig, Dir};
+use mpiio::twophase::{self, CollConfig, Dir, Memo};
 use mpiio::{AccessPlan, Datatype, DirectSpace, Ext, File, PhaseProfile};
 use simfs::FileSystem;
 use simmpi::{codec, Communicator, Info};
@@ -57,6 +57,9 @@ pub struct GroupCache<'ep> {
     /// Partitioning decisions (communicator splits) made so far through
     /// this cache slot, this one included.
     splits: u64,
+    /// The subgroup's index of its last collective call: a steady-state
+    /// call builds no plan split, domain or window coverage either.
+    memo: Memo,
 }
 
 enum CachedMode {
@@ -233,13 +236,14 @@ pub fn run_partitioned<'ep>(
         return (PartitionMode::Single, file.collective(&plan, dir));
     }
 
-    let c = cache.as_ref().expect("a decision was cached or just stored");
+    let c = cache.as_mut().expect("a decision was cached or just stored");
     let fh = file.handle().clone();
     let groups = c.n_groups;
     let prof = file.profile_mut();
+    let (sub, subcfg, memo) = (&c.sub, &c.subcfg, &mut c.memo);
     match &c.mode {
         CachedMode::Direct => {
-            let data = twophase::collective(&c.sub, &fh, &DirectSpace, &plan, dir, &c.subcfg, prof);
+            let data = twophase::collective(sub, &fh, &DirectSpace, &plan, dir, subcfg, memo, prof);
             (PartitionMode::Direct { groups }, data)
         }
         CachedMode::Iview {
@@ -265,10 +269,10 @@ pub fn run_partitioned<'ep>(
             let delta = plan.start().unwrap_or(*base_start) as i64 - *base_start as i64;
             let data = if *scatter {
                 let space = MappedSpace::with_delta(Arc::clone(map), delta);
-                twophase::collective(&c.sub, &fh, &space, logical_plan, dir, &c.subcfg, prof)
+                twophase::collective(sub, &fh, &space, logical_plan, dir, subcfg, memo, prof)
             } else {
                 let shifted = logical_plan.shifted(delta);
-                twophase::collective(&c.sub, &fh, &DirectSpace, &shifted, dir, &c.subcfg, prof)
+                twophase::collective(sub, &fh, &DirectSpace, &shifted, dir, subcfg, memo, prof)
             };
             (PartitionMode::IntermediateView { groups }, data)
         }
@@ -381,6 +385,7 @@ fn decide<'ep>(
         dead_epoch: ep.faults().map_or(0, |f| f.dead_epoch()),
         mode,
         splits: cache.as_ref().map_or(0, |c| c.splits) + 1,
+        memo: Memo::default(),
     });
     true
 }
@@ -421,7 +426,7 @@ fn subgroup_setup<'ep>(
 ) -> (Communicator<'ep>, CollConfig) {
     let comm = file.comm().clone();
     let ep = comm.endpoint();
-    let parent_cfg = file.coll_config();
+    let parent_cfg = file.coll_config().clone();
     let my_group = group_of[comm.rank()];
 
     // Crashed ranks never serve as aggregator hints; with every hint
@@ -435,7 +440,7 @@ fn subgroup_setup<'ep>(
             .copied()
             .filter(|&r| !f.is_dead(comm.global_rank(r)))
             .collect(),
-        _ => parent_cfg.aggregators.clone(),
+        _ => parent_cfg.aggregators.to_vec(),
     };
     let t = PhaseTimer::start(Phase::Sync, ep.now());
     let color = Some(my_group as i64);
@@ -501,7 +506,7 @@ fn subgroup_setup<'ep>(
         );
     }
     let subcfg = CollConfig {
-        aggregators: sub_aggs,
+        aggregators: sub_aggs.into(),
         ..parent_cfg
     };
     (sub, subcfg)
@@ -671,7 +676,7 @@ impl<'ep> ParcollFile<'ep> {
         let comm = self.file.comm().clone();
         let ep = comm.endpoint();
         let plan = self.file.plan(offset, nbytes);
-        let my_hash = shape_signature(plan.runs());
+        let my_hash = shape_signature(plan.shape());
 
         let t = PhaseTimer::start(Phase::Sync, ep.now());
         let hashes = comm.allgather_t(my_hash, 8);

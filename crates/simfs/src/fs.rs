@@ -6,7 +6,7 @@ use crate::layout::StripeLayout;
 use crate::ost::{Ost, OstStats};
 use crate::storage::{Storage, PAGE_SIZE};
 use parking_lot::Mutex;
-use simnet::{FaultPlan, IoBuffer, SimTime};
+use simnet::{FaultPlan, IoBuffer, Jitter, SimTime};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -33,6 +33,8 @@ struct Mds {
 struct FsInner {
     cfg: FsConfig,
     osts: Vec<Ost>,
+    /// The OSTs' service-time jitter, `cfg.jitter_cv`'s.
+    jitter: Jitter,
     mds: Mutex<Mds>,
     next_client: std::sync::atomic::AtomicU64,
     /// The installed fault plan (rot rules address file extents through
@@ -104,6 +106,7 @@ impl FileSystem {
             .collect();
         FileSystem {
             inner: Arc::new(FsInner {
+                jitter: Jitter::new(cfg.jitter_cv),
                 cfg,
                 osts,
                 mds: Mutex::new(Mds {
@@ -559,7 +562,7 @@ impl FileHandle {
                 1,
                 overhead,
                 cfg.ost_bandwidth_bps,
-                cfg.jitter_cv,
+                self.fs.inner.jitter,
                 cfg.contention_per_queued,
                 cfg.slow_prob,
                 cfg.slow_factor,
@@ -625,7 +628,7 @@ impl FileHandle {
                 requests,
                 cfg.request_overhead,
                 cfg.ost_bandwidth_bps,
-                cfg.jitter_cv,
+                self.fs.inner.jitter,
                 cfg.contention_per_queued,
                 cfg.slow_prob,
                 cfg.slow_factor,

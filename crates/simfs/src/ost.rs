@@ -1,7 +1,7 @@
 //! Object storage target: a serial virtual-time resource.
 
 use parking_lot::Mutex;
-use simnet::{SimTime, SplitMix64};
+use simnet::{Jitter, SimTime, SplitMix64};
 
 /// Accumulated service statistics of one OST.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -103,7 +103,7 @@ impl Ost {
         requests: u64,
         overhead: SimTime,
         bandwidth_bps: f64,
-        jitter_cv: f64,
+        jitter: Jitter,
         contention_per_queued: f64,
         slow_prob: f64,
         slow_factor: f64,
@@ -157,7 +157,7 @@ impl Ost {
             st.completions.pop_front();
         }
         let depth = st.completions.len() as f64;
-        let jitter = st.rng.jitter(jitter_cv);
+        let jitter = jitter.draw(&mut st.rng);
         let straggle = if slow_prob > 0.0 && st.rng.next_f64() < slow_prob {
             slow_factor
         } else {
@@ -263,7 +263,7 @@ mod tests {
     #[test]
     fn idle_ost_serves_at_arrival() {
         let ost = Ost::new(1);
-        let done = ost.serve(SimTime::secs(5.0), 1_000_000, 1, OH, BW, 0.0, 0.0, 0.0, 1.0, None, SimTime::ZERO);
+        let done = ost.serve(SimTime::secs(5.0), 1_000_000, 1, OH, BW, Jitter::new(0.0), 0.0, 0.0, 1.0, None, SimTime::ZERO);
         // 1MB at 1MB/s + 10us overhead.
         assert!((done.as_secs() - 6.00001).abs() < 1e-9);
     }
@@ -271,8 +271,8 @@ mod tests {
     #[test]
     fn queued_requests_serialize() {
         let ost = Ost::new(1);
-        let d1 = ost.serve(SimTime::ZERO, 1_000_000, 1, OH, BW, 0.0, 0.0, 0.0, 1.0, None, SimTime::ZERO);
-        let d2 = ost.serve(SimTime::ZERO, 1_000_000, 1, OH, BW, 0.0, 0.0, 0.0, 1.0, None, SimTime::ZERO);
+        let d1 = ost.serve(SimTime::ZERO, 1_000_000, 1, OH, BW, Jitter::new(0.0), 0.0, 0.0, 1.0, None, SimTime::ZERO);
+        let d2 = ost.serve(SimTime::ZERO, 1_000_000, 1, OH, BW, Jitter::new(0.0), 0.0, 0.0, 1.0, None, SimTime::ZERO);
         assert!(d2 > d1);
         assert!((d2.as_secs() - 2.0 * (1.0 + 1e-5)).abs() < 1e-9);
     }
@@ -280,25 +280,25 @@ mod tests {
     #[test]
     fn later_arrival_after_idle_gap() {
         let ost = Ost::new(1);
-        let d1 = ost.serve(SimTime::ZERO, 1_000_000, 1, OH, BW, 0.0, 0.0, 0.0, 1.0, None, SimTime::ZERO);
+        let d1 = ost.serve(SimTime::ZERO, 1_000_000, 1, OH, BW, Jitter::new(0.0), 0.0, 0.0, 1.0, None, SimTime::ZERO);
         // Arrives well after the first completes: no queueing.
         let arrival = d1 + SimTime::secs(10.0);
-        let d2 = ost.serve(arrival, 500_000, 1, OH, BW, 0.0, 0.0, 0.0, 1.0, None, SimTime::ZERO);
+        let d2 = ost.serve(arrival, 500_000, 1, OH, BW, Jitter::new(0.0), 0.0, 0.0, 1.0, None, SimTime::ZERO);
         assert!((d2.as_secs() - (arrival.as_secs() + 0.5 + 1e-5)).abs() < 1e-9);
     }
 
     #[test]
     fn per_request_overhead_scales_with_chunks() {
         let ost = Ost::new(1);
-        let done = ost.serve(SimTime::ZERO, 0, 100, OH, BW, 0.0, 0.0, 0.0, 1.0, None, SimTime::ZERO);
+        let done = ost.serve(SimTime::ZERO, 0, 100, OH, BW, Jitter::new(0.0), 0.0, 0.0, 1.0, None, SimTime::ZERO);
         assert!((done.as_millis() - 1.0).abs() < 1e-9); // 100 * 10us
     }
 
     #[test]
     fn stats_accumulate() {
         let ost = Ost::new(1);
-        ost.serve(SimTime::ZERO, 1000, 2, OH, BW, 0.0, 0.0, 0.0, 1.0, None, SimTime::ZERO);
-        ost.serve(SimTime::ZERO, 500, 1, OH, BW, 0.0, 0.0, 0.0, 1.0, None, SimTime::ZERO);
+        ost.serve(SimTime::ZERO, 1000, 2, OH, BW, Jitter::new(0.0), 0.0, 0.0, 1.0, None, SimTime::ZERO);
+        ost.serve(SimTime::ZERO, 500, 1, OH, BW, Jitter::new(0.0), 0.0, 0.0, 1.0, None, SimTime::ZERO);
         let s = ost.stats();
         assert_eq!(s.bytes, 1500);
         assert_eq!(s.requests, 3);
@@ -309,13 +309,13 @@ mod tests {
     fn contention_inflates_deep_queues() {
         let ost = Ost::new(1);
         // First request: empty queue, no inflation.
-        let d1 = ost.serve(SimTime::ZERO, 1_000_000, 1, OH, BW, 0.0, 0.1, 0.0, 1.0, None, SimTime::ZERO);
+        let d1 = ost.serve(SimTime::ZERO, 1_000_000, 1, OH, BW, Jitter::new(0.0), 0.1, 0.0, 1.0, None, SimTime::ZERO);
         assert!((d1.as_secs() - (1.0 + 1e-5)).abs() < 1e-9);
         // Second arrives while the first is pending: 10% slower.
-        let d2 = ost.serve(SimTime::ZERO, 1_000_000, 1, OH, BW, 0.0, 0.1, 0.0, 1.0, None, SimTime::ZERO);
+        let d2 = ost.serve(SimTime::ZERO, 1_000_000, 1, OH, BW, Jitter::new(0.0), 0.1, 0.0, 1.0, None, SimTime::ZERO);
         assert!((d2 - d1).as_secs() > 1.09 * (1.0 + 1e-5) * 0.999);
         // A request arriving after everything drained is uninflated.
-        let d3 = ost.serve(d2 + SimTime::secs(1.0), 1_000_000, 1, OH, BW, 0.0, 0.1, 0.0, 1.0, None, SimTime::ZERO);
+        let d3 = ost.serve(d2 + SimTime::secs(1.0), 1_000_000, 1, OH, BW, Jitter::new(0.0), 0.1, 0.0, 1.0, None, SimTime::ZERO);
         assert!(((d3 - d2 - SimTime::secs(1.0)).as_secs() - (1.0 + 1e-5)).abs() < 1e-9);
     }
 
@@ -325,23 +325,23 @@ mod tests {
         let handoff = SimTime::secs(0.5);
         let w = |client: u64| Some((client, handoff, 1_000_000u64));
         // Lone small write: no conflict.
-        let d1 = ost.serve(SimTime::ZERO, 1000, 1, OH, BW, 0.0, 0.0, 0.0, 1.0, w(1), SimTime::ZERO);
+        let d1 = ost.serve(SimTime::ZERO, 1000, 1, OH, BW, Jitter::new(0.0), 0.0, 0.0, 1.0, w(1), SimTime::ZERO);
         let base = d1.as_secs();
         assert!(base < 0.1, "no handoff for a lone writer");
         // A different client's write arrives while client 1's pends.
-        let d2 = ost.serve(SimTime::ZERO, 1000, 1, OH, BW, 0.0, 0.0, 0.0, 1.0, w(2), SimTime::ZERO);
+        let d2 = ost.serve(SimTime::ZERO, 1000, 1, OH, BW, Jitter::new(0.0), 0.0, 0.0, 1.0, w(2), SimTime::ZERO);
         assert!((d2 - d1).as_secs() > 0.5, "concurrent foreign writer pays");
         // A third client takes the lock (conflicted), then writes again
         // while holding it: the second write is free.
-        let d3 = ost.serve(d2, 1000, 1, OH, BW, 0.0, 0.0, 0.0, 1.0, w(3), SimTime::ZERO);
+        let d3 = ost.serve(d2, 1000, 1, OH, BW, Jitter::new(0.0), 0.0, 0.0, 1.0, w(3), SimTime::ZERO);
         assert!((d3 - d2).as_secs() > 0.5, "foreign lock holder pays");
-        let d4 = ost.serve(d3, 1000, 1, OH, BW, 0.0, 0.0, 0.0, 1.0, w(3), SimTime::ZERO);
+        let d4 = ost.serve(d3, 1000, 1, OH, BW, Jitter::new(0.0), 0.0, 0.0, 1.0, w(3), SimTime::ZERO);
         assert!((d4 - d3).as_secs() < base + 1e-6, "own lock is no conflict");
         // Exempt-size write by a new client amid pending foreign writes.
-        let d5 = ost.serve(d4 - SimTime::nanos(1.0), 2_000_000, 1, OH, BW, 0.0, 0.0, 0.0, 1.0, w(4), SimTime::ZERO);
+        let d5 = ost.serve(d4 - SimTime::nanos(1.0), 2_000_000, 1, OH, BW, Jitter::new(0.0), 0.0, 0.0, 1.0, w(4), SimTime::ZERO);
         assert!((d5 - d4).as_secs() < 2.1, "large writes are exempt");
         // Reads (no writer identity) never pay and never conflict others.
-        let d6 = ost.serve(d5 + SimTime::secs(5.0), 1000, 1, OH, BW, 0.0, 0.0, 0.0, 1.0, None, SimTime::ZERO);
+        let d6 = ost.serve(d5 + SimTime::secs(5.0), 1000, 1, OH, BW, Jitter::new(0.0), 0.0, 0.0, 1.0, None, SimTime::ZERO);
         assert!((d6 - d5 - SimTime::secs(5.0)).as_secs() < base + 1e-6);
     }
 
@@ -351,15 +351,15 @@ mod tests {
         let ost = Ost::new(1);
         // Burst of 3 x 1MB at t=0: with the cache, the 2nd and 3rd feel
         // little queueing...
-        let d1 = ost.serve(SimTime::ZERO, 1_000_000, 1, OH, BW, 0.0, 0.0, 0.0, 1.0, None, w);
-        let d2 = ost.serve(SimTime::ZERO, 1_000_000, 1, OH, BW, 0.0, 0.0, 0.0, 1.0, None, w);
-        let d3 = ost.serve(SimTime::ZERO, 1_000_000, 1, OH, BW, 0.0, 0.0, 0.0, 1.0, None, w);
+        let d1 = ost.serve(SimTime::ZERO, 1_000_000, 1, OH, BW, Jitter::new(0.0), 0.0, 0.0, 1.0, None, w);
+        let d2 = ost.serve(SimTime::ZERO, 1_000_000, 1, OH, BW, Jitter::new(0.0), 0.0, 0.0, 1.0, None, w);
+        let d3 = ost.serve(SimTime::ZERO, 1_000_000, 1, OH, BW, Jitter::new(0.0), 0.0, 0.0, 1.0, None, w);
         assert!(d2.as_secs() < 1.1, "2nd absorbed: {d2:?}");
         assert!(d3.as_secs() < 1.1, "3rd absorbed: {d3:?}");
         assert!((d1.as_secs() - (1.0 + 1e-5)).abs() < 1e-9);
         // ...but the backlog persists: a 4th arriving immediately pays
         // the full accumulated queue minus the cache window.
-        let d4 = ost.serve(SimTime::ZERO, 1_000_000, 1, OH, BW, 0.0, 0.0, 0.0, 1.0, None, w);
+        let d4 = ost.serve(SimTime::ZERO, 1_000_000, 1, OH, BW, Jitter::new(0.0), 0.0, 0.0, 1.0, None, w);
         assert!(d4.as_secs() > 1.9, "sustained overload still queues: {d4:?}");
         // next_free reflects all four services (work conservation).
         assert!((ost.next_free().as_secs() - 4.0 * (1.0 + 1e-5)).abs() < 1e-6);
@@ -372,7 +372,7 @@ mod tests {
         let mut prev = SimTime::ZERO;
         for _ in 0..500 {
             let arrival = prev + SimTime::secs(10.0); // no queueing
-            let done = ost.serve(arrival, 1_000_000, 1, OH, BW, 0.0, 0.0, 0.1, 8.0, None, SimTime::ZERO);
+            let done = ost.serve(arrival, 1_000_000, 1, OH, BW, Jitter::new(0.0), 0.0, 0.1, 8.0, None, SimTime::ZERO);
             let service = (done - arrival).as_secs();
             if service > 4.0 {
                 slow += 1;
@@ -389,13 +389,13 @@ mod tests {
         let a = Ost::new(7);
         let b = Ost::new(7);
         // Same seed -> same jitter sequence -> identical completions.
-        let da = a.serve(SimTime::ZERO, 1_000_000, 1, OH, BW, 0.3, 0.0, 0.0, 1.0, None, SimTime::ZERO);
-        let db = b.serve(SimTime::ZERO, 1_000_000, 1, OH, BW, 0.3, 0.0, 0.0, 1.0, None, SimTime::ZERO);
+        let da = a.serve(SimTime::ZERO, 1_000_000, 1, OH, BW, Jitter::new(0.3), 0.0, 0.0, 1.0, None, SimTime::ZERO);
+        let db = b.serve(SimTime::ZERO, 1_000_000, 1, OH, BW, Jitter::new(0.3), 0.0, 0.0, 1.0, None, SimTime::ZERO);
         assert_eq!(da, db);
         assert!(da > SimTime::ZERO);
         // Different seed -> (almost surely) different service time.
         let c = Ost::new(8);
-        let dc = c.serve(SimTime::ZERO, 1_000_000, 1, OH, BW, 0.3, 0.0, 0.0, 1.0, None, SimTime::ZERO);
+        let dc = c.serve(SimTime::ZERO, 1_000_000, 1, OH, BW, Jitter::new(0.3), 0.0, 0.0, 1.0, None, SimTime::ZERO);
         assert_ne!(da, dc);
     }
 
@@ -413,10 +413,10 @@ mod tests {
             )),
             0,
         );
-        let d1 = ost.serve(SimTime::ZERO, 1_000_000, 1, OH, BW, 0.0, 0.0, 0.0, 1.0, None, SimTime::ZERO);
+        let d1 = ost.serve(SimTime::ZERO, 1_000_000, 1, OH, BW, Jitter::new(0.0), 0.0, 0.0, 1.0, None, SimTime::ZERO);
         assert!((d1.as_secs() - 4.0 * (1.0 + 1e-5)).abs() < 1e-9, "4x inside window: {d1:?}");
         let arrival = SimTime::secs(20.0);
-        let d2 = ost.serve(arrival, 1_000_000, 1, OH, BW, 0.0, 0.0, 0.0, 1.0, None, SimTime::ZERO);
+        let d2 = ost.serve(arrival, 1_000_000, 1, OH, BW, Jitter::new(0.0), 0.0, 0.0, 1.0, None, SimTime::ZERO);
         assert!(
             ((d2 - arrival).as_secs() - (1.0 + 1e-5)).abs() < 1e-9,
             "clean outside window: {d2:?}"
@@ -432,12 +432,12 @@ mod tests {
         let ost = Ost::new(1);
         ost.install_faults(Arc::new(plan), 0);
         // Op 0: before the window, clean.
-        let d0 = ost.serve(SimTime::ZERO, 1_000_000, 1, OH, BW, 0.0, 0.0, 0.0, 1.0, None, SimTime::ZERO);
+        let d0 = ost.serve(SimTime::ZERO, 1_000_000, 1, OH, BW, Jitter::new(0.0), 0.0, 0.0, 1.0, None, SimTime::ZERO);
         assert!((d0.as_secs() - (1.0 + 1e-5)).abs() < 1e-9);
         // Op 1 hits the window [1, 3): two failed attempts burn ops 1–2
         // and charge 0.25 + 0.5 of backoff before the clean retry.
         let a1 = d0 + SimTime::secs(5.0);
-        let d1 = ost.serve(a1, 1_000_000, 1, OH, BW, 0.0, 0.0, 0.0, 1.0, None, SimTime::ZERO);
+        let d1 = ost.serve(a1, 1_000_000, 1, OH, BW, Jitter::new(0.0), 0.0, 0.0, 1.0, None, SimTime::ZERO);
         assert!(
             ((d1 - a1).as_secs() - (0.75 + 1.0 + 1e-5)).abs() < 1e-9,
             "backoff + service: {:?}",
@@ -445,7 +445,7 @@ mod tests {
         );
         // The window is drained: the next request is clean again.
         let a2 = d1 + SimTime::secs(5.0);
-        let d2 = ost.serve(a2, 1_000_000, 1, OH, BW, 0.0, 0.0, 0.0, 1.0, None, SimTime::ZERO);
+        let d2 = ost.serve(a2, 1_000_000, 1, OH, BW, Jitter::new(0.0), 0.0, 0.0, 1.0, None, SimTime::ZERO);
         assert!(((d2 - a2).as_secs() - (1.0 + 1e-5)).abs() < 1e-9);
     }
 
@@ -456,6 +456,6 @@ mod tests {
         use std::sync::Arc;
         let ost = Ost::new(1);
         ost.install_faults(Arc::new(FaultPlan::new(0).ost_fail_after(0, 0, 100)), 0);
-        ost.serve(SimTime::ZERO, 1_000_000, 1, OH, BW, 0.0, 0.0, 0.0, 1.0, None, SimTime::ZERO);
+        ost.serve(SimTime::ZERO, 1_000_000, 1, OH, BW, Jitter::new(0.0), 0.0, 0.0, 1.0, None, SimTime::ZERO);
     }
 }

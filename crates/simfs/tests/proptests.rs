@@ -6,7 +6,7 @@ use simfs::ost::Ost;
 use simfs::rangeset::RangeSet;
 use simfs::storage::Storage;
 use simfs::{FileSystem, FsConfig};
-use simnet::{IoBuffer, SimTime};
+use simnet::{IoBuffer, Jitter, SimTime};
 
 proptest! {
     /// OST queueing invariants under arbitrary request sequences:
@@ -24,7 +24,7 @@ proptest! {
             let done = ost.serve(
                 arrival, bytes, chunks,
                 SimTime::micros(100.0), 1e9,
-                0.0, 0.001, 0.0, 1.0, None, SimTime::millis(5.0),
+                Jitter::new(0.0), 0.001, 0.0, 1.0, None, SimTime::millis(5.0),
             );
             prop_assert!(done > arrival, "completion must follow arrival");
             let free = ost.next_free();

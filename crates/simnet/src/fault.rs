@@ -66,7 +66,7 @@
 //! retry, a repair re-request or a failover is either runnable or
 //! parked on a peer that is.
 
-use crate::noise::SplitMix64;
+use crate::noise::{Jitter, SplitMix64};
 use crate::time::SimTime;
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -111,11 +111,12 @@ pub enum FaultRule {
         dst: Option<usize>,
     },
     /// With probability `prob` a message's wire transfer is inflated by a
-    /// seeded multiplicative jitter of coefficient-of-variation `cv`
-    /// (clamped to ≥ 1 — jitter only ever delays).
+    /// seeded multiplicative jitter (clamped to ≥ 1 — jitter only ever
+    /// delays).
     MsgDelayJitter {
-        /// Jitter coefficient of variation.
-        cv: f64,
+        /// The jitter distribution ([`Jitter::new`] of its coefficient of
+        /// variation).
+        jitter: Jitter,
         /// Probability a given message is jittered.
         prob: f64,
     },
@@ -294,7 +295,8 @@ impl FaultPlan {
 
     /// Add a [`FaultRule::MsgDelayJitter`] rule.
     pub fn msg_delay_jitter(mut self, cv: f64, prob: f64) -> Self {
-        self.rules.push(FaultRule::MsgDelayJitter { cv, prob });
+        let jitter = Jitter::new(cv);
+        self.rules.push(FaultRule::MsgDelayJitter { jitter, prob });
         self
     }
 
@@ -457,12 +459,12 @@ impl FaultPlan {
                         out.drops += 1;
                     }
                 }
-                FaultRule::MsgDelayJitter { cv, prob } => {
+                FaultRule::MsgDelayJitter { jitter, prob } => {
                     let mut rng = SplitMix64::new(stream_seed(
                         self.seed, 2, i as u64, src as u64, dst as u64, seq,
                     ));
                     if rng.next_f64() < *prob {
-                        out.delay_factor *= rng.jitter(*cv).max(1.0);
+                        out.delay_factor *= jitter.draw(&mut rng).max(1.0);
                     }
                 }
                 FaultRule::MsgCorrupt { prob, src: s, dst: d }

@@ -63,7 +63,7 @@ pub use fault::{corrupt_flip, FaultPlan, FaultRule, FaultState, MsgFault};
 pub use fiber::{executor, set_executor, set_workers, Executor};
 pub use mailbox::Payload;
 pub use model::{CollectiveAlg, MachineModel, NetworkModel};
-pub use noise::SplitMix64;
+pub use noise::{Jitter, SplitMix64};
 pub use progress::{admit, current_rank, Admission};
 pub use rendezvous::{MeetInfo, Rendezvous};
 pub use runtime::{default_stack_size, run_cluster, set_default_stack_size, ClusterConfig};

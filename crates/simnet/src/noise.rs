@@ -45,23 +45,52 @@ impl SplitMix64 {
     }
 
     /// A positive multiplicative jitter factor with mean 1 and the given
-    /// coefficient of variation, from a two-point-free smooth distribution.
-    ///
-    /// Uses a log-uniform construction: exp(U·s − s/2·c) with `s` chosen so
-    /// the standard deviation matches `cv` to first order. For the small
-    /// `cv` values used by the calibration (≤ 0.5) the approximation error
-    /// is irrelevant; what matters is determinism and positivity.
+    /// coefficient of variation: [`Jitter::draw`] of `Jitter::new(cv)`.
+    /// Where `cv` is fixed, hold the [`Jitter`] and draw from it: its
+    /// normalisation is computed once.
     pub fn jitter(&mut self, cv: f64) -> f64 {
-        if cv <= 0.0 {
-            return 1.0;
-        }
-        // Uniform on [-√3, √3] has stddev 1; scale by cv and exponentiate.
-        let u = self.uniform(-1.0, 1.0) * 3f64.sqrt();
-        let x = (cv * u).exp();
+        Jitter::new(cv).draw(self)
+    }
+}
+
+/// The jitter distribution of one coefficient of variation, with its mean
+/// normalisation computed once: an OST set or a fault rule whose `cv` is
+/// fixed draws every factor from one of these.
+///
+/// A log-uniform construction: exp(U·s − s/2·c) with `s` chosen so the
+/// standard deviation matches `cv` to first order. For the small `cv`
+/// values used by the calibration (≤ 0.5) the approximation error is
+/// irrelevant; what matters is determinism and positivity.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Jitter {
+    cv: f64,
+    /// E[exp(cv·U)] for U uniform on [-√3, √3].
+    mean: f64,
+}
+
+impl Jitter {
+    /// The distribution of coefficient of variation `cv` (≤ 0: none).
+    pub fn new(cv: f64) -> Jitter {
         // Normalize mean of exp(cv·U): E[exp(aU)] = sinh(a√3)/(a√3).
         let a = cv * 3f64.sqrt();
         let mean = if a.abs() < 1e-12 { 1.0 } else { a.sinh() / a };
-        x / mean
+        Jitter { cv, mean }
+    }
+
+    /// The coefficient of variation.
+    pub fn cv(&self) -> f64 {
+        self.cv
+    }
+
+    /// One factor, drawn from `rng` (which it advances unless `cv ≤ 0`).
+    pub fn draw(&self, rng: &mut SplitMix64) -> f64 {
+        if self.cv <= 0.0 {
+            return 1.0;
+        }
+        // Uniform on [-√3, √3] has stddev 1; scale by cv and exponentiate.
+        let u = rng.uniform(-1.0, 1.0) * 3f64.sqrt();
+        let x = (self.cv * u).exp();
+        x / self.mean
     }
 }
 
@@ -101,6 +130,21 @@ mod tests {
         for _ in 0..1000 {
             let x = g.uniform(-2.0, 3.0);
             assert!((-2.0..3.0).contains(&x));
+        }
+    }
+
+    /// Drawing from a held `Jitter` is `jitter(cv)` bit for bit, and
+    /// advances the stream alike.
+    #[test]
+    fn held_jitter_draws_the_same_bits() {
+        for cv in [0.0, -0.1, 1e-13, 0.05, 0.3, 0.45, 1.0] {
+            let held = Jitter::new(cv);
+            let (mut a, mut b) = (SplitMix64::new(17), SplitMix64::new(17));
+            for _ in 0..10_000 {
+                let (held, direct) = (held.draw(&mut a), b.jitter(cv));
+                assert_eq!(held.to_bits(), direct.to_bits(), "cv {cv}");
+            }
+            assert_eq!(a.next_u64(), b.next_u64());
         }
     }
 

@@ -261,6 +261,13 @@ pub enum Counter {
     FlattenHit = 0,
     /// `flatten_cached` had to run the full flatten walk.
     FlattenMiss,
+    /// A collective call (per rank) took the last call's index as it is:
+    /// its request lists, and the domain it serves with its window
+    /// coverage (`mpiio::twophase::Memo`). Nothing was rebuilt.
+    ShapeHit,
+    /// A collective call (per rank) rebuilt its index: a first call, or
+    /// one shaped unlike the last.
+    ShapeMiss,
     /// Scratch-buffer request satisfied by a recycled backing store.
     PoolReuse,
     /// Scratch-buffer request that fell through to a fresh allocation
@@ -295,11 +302,13 @@ pub enum Counter {
 }
 
 /// Number of counters in the registry.
-pub const COUNTER_COUNT: usize = 9;
+pub const COUNTER_COUNT: usize = 11;
 
 const COUNTER_NAMES: [&str; COUNTER_COUNT] = [
     "flatten_hit",
     "flatten_miss",
+    "shape_hit",
+    "shape_miss",
     "pool_reuse",
     "pool_miss",
     "condvar_notify",

@@ -225,14 +225,14 @@ mod tests {
         let rows = 162 * CELL_BYTES;
         let p = plan(26);
         assert_eq!((p.runs().len(), p.piece_count()), (162, 3_280));
-        assert!(p.runs().iter().all(|r| r.stride == rows));
+        assert!(p.runs().all(|r| r.stride == rows));
         // Rank 27 owns the corner cell (7, 7) of z-slab 4 and cell (0, 0)
         // of slab 5: the last row of the one abuts the first row of the
         // other, and the two merge into one piece of their own (3 280
         // rows, 3 279 pieces) between two planes' runs.
         let p = plan(27);
         assert_eq!((p.runs().len(), p.piece_count()), (163, 3_279));
-        let merged: Vec<_> = p.runs().iter().filter(|r| r.count == 1).collect();
+        let merged: Vec<_> = p.runs().filter(|r| r.count == 1).collect();
         assert_eq!(merged.len(), 1);
         assert_eq!(merged[0].len, (20 + 21) * CELL_BYTES);
     }

@@ -196,7 +196,7 @@ mod tests {
             stride: (w.width() as u64) * w.elem,
             count: w.tile_y as u64,
         };
-        assert_eq!(plan.runs(), [row]);
+        assert_eq!(plan.runs().collect::<Vec<_>>(), [row]);
     }
 
     #[test]

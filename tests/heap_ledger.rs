@@ -124,15 +124,19 @@ fn requested(f: impl FnOnce()) -> usize {
 /// piece it moves. Counts repeat exactly, so the bound is a property of
 /// the code.
 ///
-/// The ledger at the bound's writing: 22.3 B per piece per call, and
-/// nothing in it is per piece any more. A rank's 3 280 pieces are ~163
-/// strided runs: its plan holds them (32 B each, ~1.6 B per piece), its
-/// ~64 request lists hold ~290 (40 B each with its stream start, ~3.5 B
-/// per piece), and a round window's coverage merge sweeps runs, not
-/// pieces.
-/// The remaining ~17 B are per *message* — one per (rank, aggregator)
-/// pair and round: the lists' and payloads' `Arc`s, receive-request and
-/// size-row vectors. At 33.3 B, 11 B more of it was the mailbox's
+/// The ledger at the bound's writing: 8.8 B per piece per call, all of it
+/// per *message* — one per (rank, aggregator) pair and round: the
+/// payloads' `Arc`s, receive-request and size-row vectors. The second
+/// call is shaped like the first one, so it takes the first one's index
+/// (`mpiio::twophase::Memo`): its plan is the first plan shifted, sharing
+/// the runs, its request lists are the first call's `Arc`s, and each of
+/// its windows' coverage is the one the first call merged — a synthetic
+/// window is not even cut. At 22.3 B a second call still built its own: a
+/// rank's 3 280 pieces are ~163 strided runs, its plan held them (32 B
+/// each, ~1.6 B per piece), its ~64 request lists ~290 (40 B each with
+/// its stream start, ~3.5 B per piece), and the aggregators' window cuts
+/// and coverage merges the rest. At 33.3 B, 11 B more of the per-message
+/// share was the mailbox's
 /// per-key `VecDeque`, allocated by the delivery into an empty key and
 /// freed by the receive that drained it; one queue per (receiver,
 /// sender) pair keeps its capacity. So what stood between the ledger and
@@ -172,9 +176,9 @@ fn one_piece_list_per_rank_and_aggregator() {
     );
     let per_piece = (steps_2 - steps_1) as f64 / pieces as f64;
     assert!(
-        per_piece <= 24.0,
-        "a collective call requests {per_piece:.1} B per piece: a piece-by-piece \
-         representation of the access is back"
+        per_piece <= 9.5,
+        "a collective call requests {per_piece:.1} B per piece: a call shaped like the \
+         last rebuilt its index, or a piece-by-piece representation of the access is back"
     );
 }
 
