@@ -29,7 +29,9 @@
 //! checksums-on may cost at most 110% over checksums-off there (it costs
 //! about 48% at quick scale and 82% at 64 ranks; the byte-per-multiply
 //! hash this leg was added against cost about 200%). Both sides are
-//! printed as `<figure>@integrity-off` / `@integrity-on` rows.
+//! printed as `<figure>@integrity-off` / `@integrity-on` rows, and the
+//! verdict line and the `@integrity-on` row carry the absolute cost,
+//! `on − off` in seconds, beside the ratio (`overhead_abs_s`).
 //! `--figure` narrows these scenarios too.
 
 use bench::regress::Tolerance;
@@ -263,19 +265,21 @@ fn main() {
             } else {
                 "ok"
             };
+            // The absolute cost beside the ratio: a ratio that rises only
+            // because the integrity-off run got faster reads as such.
+            let (rel, abs) = (m_on / m_off.max(f64::MIN_POSITIVE) - 1.0, m_on - m_off);
             println!(
-                "hostperf: integrity: {name} checksums-on {:.4}s vs off {:.4}s \
-                 ({:+.2}%, budget {:.0}%+{:.0}ms) {verdict}",
-                m_on,
-                m_off,
-                (m_on / m_off.max(f64::MIN_POSITIVE) - 1.0) * 100.0,
+                "hostperf: integrity: {name} checksums-on {m_on:.4}s vs off {m_off:.4}s \
+                 ({:+.2}%, {abs:+.4}s, budget {:.0}%+{:.0}ms) {verdict}",
+                rel * 100.0,
                 tol.rel * 100.0,
                 tol.abs * 1e3,
             );
             rows.push(timing_row(format!("{name}@integrity-off"), &off, args.iters));
             rows.push(
                 timing_row(format!("{name}@integrity-on"), &on, args.iters)
-                    .with("overhead_rel", m_on / m_off.max(f64::MIN_POSITIVE) - 1.0),
+                    .with("overhead_rel", rel)
+                    .with("overhead_abs_s", abs),
             );
         }
     }

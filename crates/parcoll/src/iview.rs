@@ -14,7 +14,6 @@
 
 use mpiio::{Ext, FileSpace};
 use simfs::FileHandle;
-use simnet::buffer::BufferBuilder;
 use simnet::{IoBuffer, SimTime};
 use std::sync::Arc;
 
@@ -176,27 +175,47 @@ impl MappedSpace {
 }
 
 impl FileSpace for MappedSpace {
-    fn write(&self, fh: &FileHandle, offset: u64, data: &IoBuffer, now: SimTime) -> SimTime {
+    /// One request per physical run of the logical span, each with the
+    /// pieces' bytes that fall in it.
+    fn write(
+        &self,
+        fh: &FileHandle,
+        offset: u64,
+        len: u64,
+        pieces: &[(u64, IoBuffer)],
+        now: SimTime,
+    ) -> SimTime {
         let mut t = now;
-        let mut consumed = 0usize;
-        for run in self.map.to_physical(offset, data.len() as u64) {
-            let piece = data.sub(consumed, run.len as usize);
-            t = fh.write_at(self.shift(run.off), &piece, t);
-            consumed += run.len as usize;
+        let mut lo = 0u64; // the run's start, relative to `offset`
+        for run in self.map.to_physical(offset, len) {
+            let hi = lo + run.len;
+            let in_run = pieces.iter().filter_map(|(at, piece)| {
+                let (from, to) = ((*at).max(lo), (at + piece.len() as u64).min(hi));
+                let part = || piece.sub((from - at) as usize, (to - from) as usize);
+                (from < to).then(|| (from - lo, part()))
+            });
+            let in_run: Vec<(u64, IoBuffer)> = in_run.collect();
+            t = fh.write_pieces(self.shift(run.off), run.len, &in_run, t);
+            lo = hi;
         }
         t
     }
 
-    fn read(&self, fh: &FileHandle, offset: u64, len: u64, now: SimTime) -> (IoBuffer, SimTime) {
-        let runs = self.map.to_physical(offset, len);
+    fn read(
+        &self,
+        fh: &FileHandle,
+        offset: u64,
+        len: u64,
+        now: SimTime,
+    ) -> (Vec<IoBuffer>, SimTime) {
         let mut t = now;
-        let mut out = BufferBuilder::with_capacity(len as usize);
-        for run in runs {
-            let (piece, done) = fh.read_at(self.shift(run.off), run.len as usize, t);
-            out.push(&piece);
+        let mut parts = Vec::new();
+        for run in self.map.to_physical(offset, len) {
+            let (run_parts, done) = fh.read_parts(self.shift(run.off), run.len as usize, t);
+            parts.extend(run_parts);
             t = done;
         }
-        (out.finish(), t)
+        (parts, t)
     }
 }
 
@@ -280,18 +299,35 @@ mod tests {
         let space = MappedSpace::new(Arc::clone(&m));
         // Write 50 logical bytes 0..49.
         let data: Vec<u8> = (0..50).collect();
-        let t1 = space.write(&fh, 0, &IoBuffer::from_slice(&data), t0);
+        let t1 = space.write(&fh, 0, 50, &[(0, IoBuffer::from_slice(&data))], t0);
         assert!(t1 > t0);
         // Physical spot check: rank 1's first extent [50,60) holds
         // logical bytes 20..30.
         let (raw, _) = fh.read_at(50, 10, t1);
         assert_eq!(raw.as_slice().unwrap(), &data[20..30]);
-        // Logical read returns the original stream.
+        // Logical read returns the original stream, as views of it.
+        let bytes = |parts: Vec<IoBuffer>| {
+            parts
+                .iter()
+                .flat_map(|p| p.as_slice().unwrap().to_vec())
+                .collect::<Vec<u8>>()
+        };
         let (got, _) = space.read(&fh, 0, 50, t1);
-        assert_eq!(got.as_slice().unwrap(), data.as_slice());
+        assert_eq!(bytes(got), data);
         // Partial logical read across the rank boundary.
         let (got, _) = space.read(&fh, 15, 10, t1);
-        assert_eq!(got.as_slice().unwrap(), &data[15..25]);
+        assert_eq!(bytes(got), &data[15..25]);
+        // Pieces of a logical span land in the runs they fall in, a later
+        // one winning; the span's other bytes keep the file's.
+        let pieces = [
+            (3, IoBuffer::from_slice(&[0xA0; 14])),
+            (5, IoBuffer::from_slice(&[0xB0; 2])),
+        ];
+        let t2 = space.write(&fh, 2, 20, &pieces, t1);
+        let mut expect = data.clone();
+        expect[5..19].fill(0xA0);
+        expect[7..9].fill(0xB0);
+        assert_eq!(bytes(space.read(&fh, 0, 50, t2).0), expect);
     }
 
     #[test]
@@ -300,11 +336,11 @@ mod tests {
         let (fh, t0) = fs.open("/ivs", SimTime::ZERO);
         let m = Arc::new(demo_map());
         let space = MappedSpace::new(m);
-        let t1 = space.write(&fh, 0, &IoBuffer::synthetic(50), t0);
+        let t1 = space.write(&fh, 0, 50, &[(0, IoBuffer::synthetic(50))], t0);
         assert!(t1 > t0);
         let (got, _) = space.read(&fh, 0, 50, t1);
-        assert_eq!(got.len(), 50);
-        assert!(!got.is_real());
+        assert_eq!(got.iter().map(IoBuffer::len).sum::<usize>(), 50);
+        assert!(got.iter().all(|part| !part.is_real()));
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! The file system: metadata service, files, and client operations.
 
 use crate::config::FsConfig;
-use crate::integrity::{IntegrityError, IntegrityStore, ScrubReport};
+use crate::integrity::{IntegrityError, IntegrityStore, ScrubReport, PAGE_SIZE};
 use crate::layout::StripeLayout;
 use crate::ost::{Ost, OstStats};
-use crate::storage::{Storage, PAGE_SIZE};
+use crate::storage::Storage;
 use parking_lot::Mutex;
 use simnet::{FaultPlan, IoBuffer, Jitter, SimTime};
 use std::collections::HashMap;
@@ -437,13 +437,30 @@ impl FileHandle {
     /// Write `data` at `offset`, arriving at virtual time `now`; returns
     /// the completion instant (all stripes durable).
     pub fn write_at(&self, offset: u64, data: &IoBuffer, now: SimTime) -> SimTime {
-        let done = self.charge_io(offset, data.len() as u64, now, true);
-        if !data.is_empty() {
+        self.write_pieces(offset, data.len() as u64, &[(0, data.clone())], now)
+    }
+
+    /// One write request for the span `[offset, offset + len)`, arriving
+    /// at `now`, charged as [`write_at`](Self::write_at) of `len` bytes:
+    /// each `(at, bytes)` of `pieces` lands at `offset + at`, in order, a
+    /// later piece winning an overlap; bytes of the span no piece covers
+    /// keep the file's, and piece bytes past the span are not written
+    /// (`Storage::write_pieces`). A two-phase round window is one such
+    /// request: the file keeps views of its sources' payloads.
+    pub fn write_pieces(
+        &self,
+        offset: u64,
+        len: u64,
+        pieces: &[(u64, IoBuffer)],
+        now: SimTime,
+    ) -> SimTime {
+        let done = self.charge_io(offset, len, now, true);
+        if len > 0 {
             let integ = self.entry.integrity.as_ref().map(|m| m.lock());
             let mut st = self.entry.storage.lock();
-            st.write(offset, data);
+            st.write_pieces(offset, len, pieces);
             if let Some(mut integ) = integ {
-                integ.note_write(&st, offset, data.len() as u64);
+                integ.note_write(&st, offset, len);
             }
         }
         done
@@ -457,46 +474,20 @@ impl FileHandle {
     /// # Panics
     ///
     /// Panics on unrepairable corruption — a read must never silently
-    /// return wrong bytes; callers that can degrade gracefully use
-    /// [`read_at_checked`](Self::read_at_checked).
+    /// return wrong bytes.
     pub fn read_at(&self, offset: u64, len: usize, now: SimTime) -> (IoBuffer, SimTime) {
-        match self.read_at_checked(offset, len, now) {
-            Ok(r) => r,
-            Err(e) => panic!("integrity failure on read: {e}"),
-        }
+        let done = self.charge_io(offset, len as u64, now, false);
+        let range = std::iter::once((offset, len as u64));
+        self.verified(range, done, |st| st.read(offset, len))
     }
 
-    /// Like [`read_at`](Self::read_at), but surfaces unrepairable
-    /// corruption as a typed [`IntegrityError`] instead of panicking.
-    pub fn read_at_checked(
-        &self,
-        offset: u64,
-        len: usize,
-        now: SimTime,
-    ) -> Result<(IoBuffer, SimTime), IntegrityError> {
-        let mut done = self.charge_io(offset, len as u64, now, false);
-        let integ = self.entry.integrity.as_ref().map(|m| m.lock());
-        let mut st = self.entry.storage.lock();
-        if let Some(mut integ) = integ {
-            let plan = self.fs.inner.faults.lock().clone();
-            let out = integ.verify_range(&mut st, plan.as_deref(), offset, len as u64);
-            if !out.repaired.is_empty() {
-                // Each repaired extent re-reads one page from the
-                // redundant copy: one request plus one page transfer.
-                let cfg = &self.fs.inner.cfg;
-                done += (cfg.request_overhead
-                    + SimTime::secs(PAGE_SIZE as f64 / cfg.ost_bandwidth_bps))
-                    * out.repaired.len() as f64;
-            }
-            if !out.unrepairable.is_empty() {
-                return Err(IntegrityError {
-                    path: self.path.clone(),
-                    extents: out.unrepairable,
-                });
-            }
-        }
-        let data = st.read(offset, len);
-        Ok((data, done))
+    /// [`read_at`](Self::read_at), returning the range as the views of
+    /// the file image that hold it, in order (`Storage::read_parts`): no
+    /// byte moves.
+    pub fn read_parts(&self, offset: u64, len: usize, now: SimTime) -> (Vec<IoBuffer>, SimTime) {
+        let done = self.charge_io(offset, len as u64, now, false);
+        let range = std::iter::once((offset, len as u64));
+        self.verified(range, done, |st| st.read_parts(offset, len))
     }
 
     /// Read a batch of discontiguous extents as one vectored *list-I/O*
@@ -513,19 +504,70 @@ impl FileHandle {
     ///
     /// Panics on unrepairable corruption, like [`read_at`](Self::read_at).
     pub fn read_list(&self, extents: &[(u64, u64)], now: SimTime) -> (Vec<IoBuffer>, SimTime) {
-        match self.read_list_checked(extents, now) {
-            Ok(r) => r,
-            Err(e) => panic!("integrity failure on list read: {e}"),
-        }
+        let done = self.charge_list(extents, now);
+        let nonempty = extents.iter().copied().filter(|e| e.1 > 0);
+        self.verified(nonempty, done, |st| st.read_list(extents))
     }
 
-    /// Like [`read_list`](Self::read_list), but surfaces unrepairable
-    /// corruption as a typed [`IntegrityError`].
-    pub fn read_list_checked(
+    /// [`read_list`](Self::read_list), returning every extent as the
+    /// views that hold it, appended in order to one list
+    /// (`Storage::read_list_parts`).
+    pub fn read_list_parts(
         &self,
         extents: &[(u64, u64)],
         now: SimTime,
-    ) -> Result<(Vec<IoBuffer>, SimTime), IntegrityError> {
+    ) -> (Vec<IoBuffer>, SimTime) {
+        let done = self.charge_list(extents, now);
+        let nonempty = extents.iter().copied().filter(|e| e.1 > 0);
+        self.verified(nonempty, done, |st| st.read_list_parts(extents))
+    }
+
+    /// `read` of the file image, completing at `done`, after verifying
+    /// `ranges` against their stored sums when integrity is on: a
+    /// repair re-reads one page from the redundant copy (one request
+    /// plus one page transfer, added to `done`).
+    ///
+    /// # Panics
+    ///
+    /// Panics on unrepairable corruption.
+    fn verified<T>(
+        &self,
+        ranges: impl Iterator<Item = (u64, u64)>,
+        mut done: SimTime,
+        read: impl FnOnce(&Storage) -> T,
+    ) -> (T, SimTime) {
+        let integ = self.entry.integrity.as_ref().map(|m| m.lock());
+        let mut st = self.entry.storage.lock();
+        if let Some(mut integ) = integ {
+            let plan = self.fs.inner.faults.lock().clone();
+            let mut repairs = 0usize;
+            let mut unrepairable = Vec::new();
+            for (off, len) in ranges {
+                let out = integ.verify_range(&mut st, plan.as_deref(), off, len);
+                repairs += out.repaired.len();
+                unrepairable.extend(out.unrepairable);
+            }
+            if repairs > 0 {
+                let cfg = &self.fs.inner.cfg;
+                done += (cfg.request_overhead
+                    + SimTime::secs(PAGE_SIZE as f64 / cfg.ost_bandwidth_bps))
+                    * repairs as f64;
+            }
+            if !unrepairable.is_empty() {
+                let path = self.path.clone();
+                let e = IntegrityError {
+                    path,
+                    extents: unrepairable,
+                };
+                panic!("integrity failure on read: {e}");
+            }
+        }
+        (read(&st), done)
+    }
+
+    /// The completion instant of a list read of `extents` arriving at
+    /// `now`.
+    fn charge_list(&self, extents: &[(u64, u64)], now: SimTime) -> SimTime {
         let (cfg, layout) = (&self.fs.inner.cfg, &self.entry.layout);
         // The chunk-unit load per OST, by pool index: the OSTs are served
         // in ascending order, a deterministic admission sequence. An
@@ -571,34 +613,7 @@ impl FileHandle {
             );
             done = done.max(completion);
         }
-        done += cfg.rpc_latency;
-        let integ = self.entry.integrity.as_ref().map(|m| m.lock());
-        let mut st = self.entry.storage.lock();
-        if let Some(mut integ) = integ {
-            let plan = self.fs.inner.faults.lock().clone();
-            let mut repairs = 0usize;
-            let mut unrepairable = Vec::new();
-            for &(off, len) in extents {
-                if len == 0 {
-                    continue;
-                }
-                let out = integ.verify_range(&mut st, plan.as_deref(), off, len);
-                repairs += out.repaired.len();
-                unrepairable.extend(out.unrepairable);
-            }
-            if repairs > 0 {
-                done += (cfg.request_overhead
-                    + SimTime::secs(PAGE_SIZE as f64 / cfg.ost_bandwidth_bps))
-                    * repairs as f64;
-            }
-            if !unrepairable.is_empty() {
-                return Err(IntegrityError {
-                    path: self.path.clone(),
-                    extents: unrepairable,
-                });
-            }
-        }
-        Ok((st.read_list(extents), done))
+        done + cfg.rpc_latency
     }
 
     /// The widest hole a list read should read through rather than skip:

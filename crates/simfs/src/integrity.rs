@@ -2,9 +2,9 @@
 //! detect-and-repair, and the scrub report types.
 //!
 //! When [`crate::FsConfig::integrity`] is on, every file carries an
-//! [`IntegrityStore`]: a `simnet::cksum` sum per 64 KiB storage page (the
-//! granularity [`crate::storage::Storage`] manages bytes at — the
-//! simulator's stand-in for Lustre's per-extent OST checksums). Sums are
+//! [`IntegrityStore`]: a `simnet::cksum` sum per 64 KiB page of the file
+//! ([`PAGE_SIZE`] — the simulator's stand-in for Lustre's per-extent OST
+//! checksums). Sums are
 //! updated on the write path and verified on the read path and by
 //! [`crate::FileSystem::scrub`].
 //!
@@ -30,8 +30,11 @@
 //! fixed by rule index. Two runs with the same plan therefore report
 //! byte-identical scrub findings.
 
-use crate::storage::{Storage, PAGE_SIZE};
+use crate::storage::Storage;
 use simnet::FaultPlan;
+
+/// Bytes per checksummed page.
+pub const PAGE_SIZE: u64 = 64 * 1024;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The integrity state of one storage page.
@@ -154,6 +157,16 @@ impl IntegrityStore {
         storage.hash_range(page * PAGE_SIZE, PAGE_SIZE as usize)
     }
 
+    /// [`page_sum_of`](Self::page_sum_of) every page of `pages`, two at
+    /// a time (`Storage::hash_ranges`).
+    fn page_sums(storage: &Storage, pages: &[u64]) -> Vec<Option<u64>> {
+        let ranges: Vec<(u64, usize)> = pages
+            .iter()
+            .map(|&page| (page * PAGE_SIZE, PAGE_SIZE as usize))
+            .collect();
+        storage.hash_ranges(&ranges)
+    }
+
     /// Record a write of `[offset, offset+len)`: recompute the stored
     /// sum of every touched page from the post-write bytes, and drop the
     /// entry of every touched page that now overlaps synthetic bytes.
@@ -164,19 +177,24 @@ impl IntegrityStore {
         let Some((first, last)) = page_span(offset, len) else {
             return;
         };
-        // A real write clears the synthetic marking of its own range, so
-        // a range still marked was a synthetic write, and every page it
-        // touches overlaps it.
-        if storage.synthetic_ranges().intersects(offset, offset + len) {
+        // A real write clears the synthetic marking of the bytes it lands,
+        // so a range marked whole was a synthetic write, and every page it
+        // touches overlaps it. (A real request may leave synthetic holes:
+        // its pages are hashed one by one, those holes' pages to `None`.)
+        if storage
+            .synthetic_ranges()
+            .contains_range(offset, offset + len)
+        {
             while let Some((&page, _)) = self.sums.range(first..=last).next() {
                 self.sums.remove(&page);
             }
             return;
         }
-        for page in first..=last {
-            match Self::page_sum_of(storage, page) {
-                Some(sum) => self.sums.insert(page, PageSum::Real(sum)),
-                None => self.sums.remove(&page),
+        let pages: Vec<u64> = (first..=last).collect();
+        for (page, sum) in pages.iter().zip(Self::page_sums(storage, &pages)) {
+            match sum {
+                Some(sum) => self.sums.insert(*page, PageSum::Real(sum)),
+                None => self.sums.remove(page),
             };
         }
     }
@@ -238,13 +256,24 @@ impl IntegrityStore {
         };
         // Pages without an entry — holes and synthetic bytes — verify
         // trivially; only the entries in range are visited.
-        for (&page, &stored) in self.sums.range(first..=last) {
+        let entries: Vec<(u64, PageSum)> = self
+            .sums
+            .range(first..=last)
+            .map(|(&p, &s)| (p, s))
+            .collect();
+        let real: Vec<u64> = entries
+            .iter()
+            .filter(|e| e.1 != PageSum::Poisoned)
+            .map(|e| e.0)
+            .collect();
+        let mut now = Self::page_sums(storage, &real).into_iter();
+        for (page, stored) in entries {
             let ext_lo = (page * PAGE_SIZE).max(offset);
             let ext_hi = ((page + 1) * PAGE_SIZE).min(end);
             match stored {
                 PageSum::Poisoned => out.unrepairable.push((ext_lo, ext_hi - ext_lo)),
                 PageSum::Real(sum) => {
-                    if Self::page_sum_of(storage, page) == Some(sum) {
+                    if now.next().expect("a sum per real page") == Some(sum) {
                         continue;
                     }
                     // Mismatch: invert every journaled flip on this page

@@ -18,9 +18,10 @@
 //!   rounds must wait for the *slowest* server each round; jitter is what
 //!   separates `max` from `mean` and is a principal amplifier of the
 //!   collective wall at scale.
-//! * **Real data** — writes carry [`simnet::IoBuffer`]; real buffers are
-//!   stored in sparse 64 KiB pages and read back byte-exact, so the whole
-//!   MPI-IO stack is correctness-testable. Synthetic buffers mark extents
+//! * **Real data** — writes carry [`simnet::IoBuffer`]; the file image is
+//!   an extent map of views of the buffers that wrote it
+//!   ([`storage::Storage`]), read back byte-exact, so the whole MPI-IO
+//!   stack is correctness-testable. Synthetic buffers mark extents
 //!   and cost virtual time without consuming memory, enabling the paper's
 //!   full-size runs (a 486 GB Flash-IO checkpoint) in a laptop process.
 //!

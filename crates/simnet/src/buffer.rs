@@ -17,10 +17,10 @@
 //! Mixing: combining any synthetic content into a builder degrades the
 //! result to synthetic. Performance runs are all-synthetic and correctness
 //! runs are all-real, so degradation never silently loses test data; it is
-//! nevertheless well-defined. A buffer that payloads are about to land in
-//! is created by [`IoBuffer::landing`], which picks the kind from the
-//! payloads up front — a synthetic transfer never zero-fills memory it
-//! would immediately discard.
+//! nevertheless well-defined. The buffer-kind rule lives in
+//! [`BufferBuilder`]: it allocates nothing before a second real piece
+//! arrives and drops what it holds at the first synthetic one, so a
+//! synthetic transfer never fills memory it would immediately discard.
 //!
 //! # Zero-copy representation
 //!
@@ -28,8 +28,9 @@
 //! `Arc<Vec<u8>>` plus an `(offset, len)` window). [`IoBuffer::sub`],
 //! [`IoBuffer::join`] and the single-piece [`BufferBuilder`] path are O(1)
 //! reference bumps, so bytes travel by reference from a rank's user buffer
-//! to the aggregator and from the staging window into the file image
-//! (`simfs::storage`) and back out. Mutation goes through
+//! to the aggregator, into the file image (`simfs::storage` keeps views
+//! of the writers' buffers) and back out to the reader, whose buffer is
+//! the one place a read copies them. Mutation goes through
 //! [`IoBuffer::as_mut_slice`], which copies the window out first when the
 //! backing is shared (copy-on-write) — handles never observe each other's
 //! writes, exactly as with the old owned-`Vec` representation.
@@ -47,12 +48,13 @@
 //! store returns to its thread's pool when the last handle drops (a full
 //! pool drops its oldest store to make room), and serves only requests of
 //! at least half its capacity: a window can end up pinned in a file image,
-//! slack included.
+//! slack included. [`IoBuffer::generate`] fills a pooled store in place,
+//! so a run's generated buffers reuse the stores the last run's file
+//! image let go of.
 //! Pooling changes neither contents (buffers are cleared and zero-filled
 //! exactly as a fresh allocation would be) nor virtual time.
 
 use simtrace::host::{self, Counter, Site};
-use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -227,18 +229,23 @@ impl IoBuffer {
         IoBuffer::Synthetic { len }
     }
 
-    /// A fresh `len`-byte buffer for `payloads` to be
-    /// [`copy_in`](Self::copy_in)-ed into: its kind follows theirs. All
-    /// real → zero-filled real; any synthetic → synthetic, because the
-    /// first such `copy_in` would degrade a zero-filled buffer anyway and
-    /// throw the pages away. Host memory therefore follows the real bytes
-    /// that land, never the modelled size.
-    pub fn landing(len: usize, payloads: impl IntoIterator<Item = impl Borrow<IoBuffer>>) -> Self {
-        if payloads.into_iter().all(|p| p.borrow().is_real()) {
-            IoBuffer::zeroed(len)
-        } else {
-            IoBuffer::synthetic(len)
-        }
+    /// A real buffer of the `len` bytes `fill` appends to an empty
+    /// store from the scratch pool: no zero-fill first, and a recycled
+    /// store when the pool has one that fits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fill` appends other than `len` bytes.
+    pub fn generate(len: usize, fill: impl FnOnce(&mut Vec<u8>)) -> Self {
+        let mut v = pool_take(len);
+        fill(&mut v);
+        assert_eq!(
+            v.len(),
+            len,
+            "IoBuffer::generate: filled {} of {len} bytes",
+            v.len()
+        );
+        IoBuffer::Real(RealBuf::new(v))
     }
 
     /// Number of bytes represented.
@@ -599,30 +606,30 @@ mod tests {
     }
 
     #[test]
-    fn landing_kind_follows_payload_kind() {
-        let real = IoBuffer::from_slice(&[1, 2]);
-        let synth = IoBuffer::synthetic(2);
-        let mut b = IoBuffer::landing(4, [&real, &real]);
-        assert_eq!(b, IoBuffer::zeroed(4));
-        b.copy_in(2, &real);
-        assert_eq!(b.as_slice().unwrap(), &[0, 0, 1, 2]);
-        // One synthetic payload decides: nothing is allocated, whatever
-        // the modelled size.
-        assert_eq!(
-            IoBuffer::landing(1 << 40, [&real, &synth]),
-            IoBuffer::synthetic(1 << 40)
-        );
-        assert_eq!(
-            IoBuffer::landing(3, std::iter::empty::<IoBuffer>()),
-            IoBuffer::zeroed(3)
-        );
+    fn generate_fills_a_recycled_store_in_place() {
+        let b = IoBuffer::from_vec(Vec::with_capacity(4096));
+        let IoBuffer::Real(r) = &b else {
+            panic!("real")
+        };
+        let at = r.data.as_ptr();
+        drop(b); // this test's thread pools the store
+        let g = IoBuffer::generate(3000, |v| v.extend((0..3000u32).map(|i| i as u8)));
+        let IoBuffer::Real(r) = &g else {
+            panic!("real")
+        };
+        assert_eq!(r.data.as_ptr(), at, "the pooled store is reused");
+        assert!(g
+            .as_slice()
+            .unwrap()
+            .iter()
+            .enumerate()
+            .all(|(i, &x)| x == i as u8));
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
-    fn landing_synthetic_keeps_range_checks() {
-        let mut b = IoBuffer::landing(4, [&IoBuffer::synthetic(2)]);
-        b.copy_in(3, &IoBuffer::synthetic(2));
+    #[should_panic(expected = "filled 2 of 3 bytes")]
+    fn generate_checks_its_length() {
+        IoBuffer::generate(3, |v| v.extend([1, 2]));
     }
 
     #[test]

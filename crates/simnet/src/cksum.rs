@@ -88,26 +88,50 @@ impl Fnv1a {
     }
 
     /// Absorb `bytes`.
-    pub fn update(&mut self, mut bytes: &[u8]) {
-        let carried = (self.len % BLOCK as u64) as usize;
+    pub fn update(&mut self, bytes: &[u8]) {
+        let bytes = self.finish_carry(bytes);
         self.len += bytes.len() as u64;
-        if carried != 0 {
-            // Finish the block in flight first.
-            let take = bytes.len().min(BLOCK - carried);
-            self.carry[carried..carried + take].copy_from_slice(&bytes[..take]);
-            bytes = &bytes[take..];
-            if carried + take < BLOCK {
-                return;
-            }
-            absorb(&mut self.lanes, &self.carry);
-            self.carry = [0; BLOCK];
-        }
         let mut blocks = bytes.chunks_exact(BLOCK);
         for block in &mut blocks {
             absorb(&mut self.lanes, block);
         }
         let tail = blocks.remainder();
         self.carry[..tail.len()].copy_from_slice(tail);
+    }
+
+    /// Absorb `x` into this hasher and `y` into `other`, exactly as two
+    /// [`update`](Self::update)s would, taking the whole blocks of both
+    /// in lockstep. Two independent streams keep twice the loads and
+    /// multiplies in flight: on bytes outside the L2 cache that nearly
+    /// doubles the rate of one stream, which the dependency chain of its
+    /// lanes holds back.
+    pub fn update_pair(&mut self, x: &[u8], other: &mut Fnv1a, y: &[u8]) {
+        let (x, y) = (self.finish_carry(x), other.finish_carry(y));
+        let n = x.len().min(y.len()) / BLOCK * BLOCK;
+        for (a, b) in x[..n].chunks_exact(BLOCK).zip(y[..n].chunks_exact(BLOCK)) {
+            absorb(&mut self.lanes, a);
+            absorb(&mut other.lanes, b);
+        }
+        (self.len, other.len) = (self.len + n as u64, other.len + n as u64);
+        self.update(&x[n..]);
+        other.update(&y[n..]);
+    }
+
+    /// Complete the block in flight, if any, from the front of `bytes`;
+    /// the rest of them, which starts a block unless it is empty.
+    fn finish_carry<'a>(&mut self, bytes: &'a [u8]) -> &'a [u8] {
+        let carried = (self.len % BLOCK as u64) as usize;
+        if carried == 0 {
+            return bytes;
+        }
+        let take = bytes.len().min(BLOCK - carried);
+        self.carry[carried..carried + take].copy_from_slice(&bytes[..take]);
+        self.len += take as u64;
+        if carried + take == BLOCK {
+            absorb(&mut self.lanes, &self.carry);
+            self.carry = [0; BLOCK];
+        }
+        &bytes[take..]
     }
 
     /// The digest over everything absorbed so far: the zero-padded
@@ -133,6 +157,39 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = Fnv1a::new();
     h.update(bytes);
     h.digest()
+}
+
+/// The digest of every stream of `streams`, each given as its slices in
+/// order — [`fnv1a`] of each concatenation — hashed two streams at a
+/// time in lockstep ([`Fnv1a::update_pair`]).
+pub fn digests(streams: &[Vec<&[u8]>]) -> Vec<u64> {
+    let mut out = Vec::with_capacity(streams.len());
+    for pair in streams.chunks(2) {
+        let (mut ha, mut hb) = (Fnv1a::new(), Fnv1a::new());
+        let mut xs = pair[0].iter().copied();
+        let mut ys = pair.get(1).into_iter().flatten().copied();
+        let (mut x, mut y): (&[u8], &[u8]) = (&[], &[]);
+        loop {
+            if x.is_empty() {
+                let Some(next) = xs.next() else { break };
+                x = next;
+            }
+            if y.is_empty() {
+                let Some(next) = ys.next() else { break };
+                y = next;
+            }
+            let k = x.len().min(y.len());
+            ha.update_pair(&x[..k], &mut hb, &y[..k]);
+            (x, y) = (&x[k..], &y[k..]);
+        }
+        std::iter::once(x).chain(xs).for_each(|x| ha.update(x));
+        std::iter::once(y).chain(ys).for_each(|y| hb.update(y));
+        out.push(ha.digest());
+        if pair.len() == 2 {
+            out.push(hb.digest());
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -174,6 +231,44 @@ mod tests {
             }
             assert_eq!(h.digest(), fnv1a(&data), "chunk size {chunk_len}");
         }
+    }
+
+    #[test]
+    fn a_pair_of_streams_digests_as_each_alone() {
+        let (x, y) = (bytes(8, 3 * 4096 + 45), bytes(9, 2 * 4096 + 3));
+        for (cx, cy) in [
+            (0, 0),
+            (1, 0),
+            (13, 77),
+            (32, 31),
+            (4096, 100),
+            (x.len(), 5),
+        ] {
+            let (mut a, mut b) = (Fnv1a::new(), Fnv1a::new());
+            a.update(&x[..cx]);
+            b.update(&y[..cy]);
+            a.update_pair(&x[cx..cx + (x.len() - cx) / 2], &mut b, &y[cy..cy + 40]);
+            a.update_pair(&x[cx + (x.len() - cx) / 2..], &mut b, &y[cy + 40..]);
+            assert_eq!(
+                (a.digest(), b.digest()),
+                (fnv1a(&x), fnv1a(&y)),
+                "cut at {cx}, {cy}"
+            );
+        }
+    }
+
+    #[test]
+    fn streams_in_pairs_digest_as_each_alone() {
+        let data = bytes(10, 5000);
+        let streams: Vec<Vec<&[u8]>> = vec![
+            vec![&data[..100], &data[100..3000]],
+            vec![&data[7..9], &data[9..10], &data[2000..4999]],
+            vec![],
+            vec![&data[..4096], &[], &data[4096..]],
+            vec![&data[33..1000]],
+        ];
+        let each: Vec<u64> = streams.iter().map(|s| fnv1a(&s.concat())).collect();
+        assert_eq!(digests(&streams), each);
     }
 
     #[test]

@@ -111,9 +111,9 @@ pub enum Site {
     /// (sender side of the exchange, plus the read-path carve-out).
     Pack,
     /// Two-phase unpack: cutting each source's piece stream for the
-    /// round and scattering payloads into the aggregator window or the
-    /// user buffer (receiver-side memcpy); the coverage merge nested
-    /// inside is [`Site::Coverage`].
+    /// round, placing payloads as views on the aggregator window's pieces,
+    /// and assembling a read's user buffer (its one memcpy); the coverage
+    /// merge nested inside is [`Site::Coverage`].
     Unpack,
     /// OST serve bookkeeping under the state mutex (queue maintenance,
     /// jitter draw, service arithmetic, trace emission) — never the
@@ -287,10 +287,11 @@ pub enum Counter {
     /// every file byte seven times (DESIGN.md §14.6); this count is what
     /// keeps an eighth pass from arriving unseen.
     CksumBytes,
-    /// Real bytes `memcpy`d on the data path (window scatter, page patch,
-    /// `Storage::read`'s copying arm, `IoBuffer` copy-in / copy-on-write /
-    /// concatenation). A verify run copies every file byte twice — into the
-    /// staging window, out to the landing buffer — and this count pins it.
+    /// Real bytes `memcpy`d on the data path (a read's assembly, a
+    /// remnant extent copied out, `Storage::read`'s copying arm,
+    /// `IoBuffer` copy-in / copy-on-write / concatenation). A verify run
+    /// copies every file byte once — into the reader's buffer, at the end
+    /// of its read — and this count pins it.
     CopyBytes,
     /// Entries the admission gate looked at: tournament-tree nodes on a
     /// state change, and in a check the root, the meeting members a

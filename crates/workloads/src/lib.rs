@@ -39,6 +39,7 @@ pub mod runner;
 pub mod tileio;
 
 use mpiio::Datatype;
+use simnet::IoBuffer;
 
 /// A parallel I/O workload: per-rank views and a sequence of collective
 /// transfers.
@@ -138,14 +139,16 @@ fn pattern_block(x: u64, n: usize) -> impl Iterator<Item = u8> {
     })
 }
 
-/// Materialize a verification buffer for one transfer.
-pub fn pattern_buffer(rank: usize, call: usize, bytes: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(bytes as usize);
-    for start in (0..bytes).step_by(BLOCK) {
-        let n = (bytes - start).min(BLOCK as u64) as usize;
-        out.extend(pattern_block(sequence(rank, call, start), n));
-    }
-    out
+/// Materialize a verification buffer for one transfer, into a store of
+/// the `IoBuffer` scratch pool: a run reuses what the last run's file
+/// image let go of.
+pub fn pattern_buffer(rank: usize, call: usize, bytes: u64) -> IoBuffer {
+    IoBuffer::generate(bytes as usize, |out| {
+        for start in (0..bytes).step_by(BLOCK) {
+            let n = (bytes - start).min(BLOCK as u64) as usize;
+            out.extend(pattern_block(sequence(rank, call, start), n));
+        }
+    })
 }
 
 /// Where `got` first differs from bytes `start..` of `rank`'s `call`-th
@@ -174,8 +177,8 @@ mod tests {
     #[test]
     fn pattern_is_deterministic_and_varied() {
         assert_eq!(pattern_byte(3, 1, 100), pattern_byte(3, 1, 100));
-        let a = pattern_buffer(0, 0, 256);
-        let b = pattern_buffer(1, 0, 256);
+        let a = pattern_buffer(0, 0, 256).into_bytes();
+        let b = pattern_buffer(1, 0, 256).into_bytes();
         assert_ne!(a, b);
         // Not constant within a buffer.
         assert!(a.iter().any(|&x| x != a[0]));

@@ -151,7 +151,7 @@ pub fn run_restart(w: Restart, cfg: RunConfig) -> RestartResult {
         // Checkpoint: the full tile image.
         let buf = match cfg2.data {
             DataMode::Synthetic => IoBuffer::synthetic(w.tile.tile_bytes() as usize),
-            DataMode::Verify => IoBuffer::from_vec(pattern_buffer(rank, 0, w.tile.tile_bytes())),
+            DataMode::Verify => pattern_buffer(rank, 0, w.tile.tile_bytes()),
         };
         let write: Step<'_> = &mut |f| f.write_at_all(0, &buf);
         let file = (w.path(), w.tile.view(rank));
@@ -210,7 +210,7 @@ mod tests {
     #[test]
     fn expected_is_per_row_prefixes() {
         let w = Restart::tiny(4); // 8x4 tiles of 4B elems, den 4 -> 2 cols
-        let full = pattern_buffer(1, 0, w.tile.tile_bytes());
+        let full = pattern_buffer(1, 0, w.tile.tile_bytes()).into_bytes();
         // Row r's prefix: bytes 32r..32r+8 of the full tile buffer.
         let mut got: Vec<u8> = full.chunks(32).flat_map(|row| &row[..8]).copied().collect();
         assert_eq!(got.len(), w.read_bytes() as usize);

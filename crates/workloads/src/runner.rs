@@ -175,7 +175,7 @@ where
         let independent = cfg2.mode == IoMode::Independent;
         let make_buf = |call: usize, bytes: u64| match cfg2.data {
             DataMode::Synthetic => IoBuffer::synthetic(bytes as usize),
-            DataMode::Verify => IoBuffer::from_vec(pattern_buffer(rank, call, bytes)),
+            DataMode::Verify => pattern_buffer(rank, call, bytes),
         };
         let mut write = |f: &mut ParcollFile<'_>| {
             for call in 0..w.ncalls() {

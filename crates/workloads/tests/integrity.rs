@@ -332,15 +332,16 @@ fn a_verify_run_hashes_every_file_byte_seven_times_and_no_more() {
 }
 
 #[test]
-fn a_verify_run_copies_every_file_byte_twice_and_no_more() {
+fn a_verify_run_copies_every_file_byte_once_and_no_more() {
     let _alone = HASHING.write().unwrap_or_else(|p| p.into_inner());
-    // In: user buffer → staging window (`scatter`); the file image keeps
-    // that window. Out: the image's window → landing buffer. A trailer
-    // travels beside its payload, so checksums add no copy. A third
-    // copy — a page built from its source, a fetched window, a carved or
-    // sealed payload — shows here.
+    // In: none — the file image keeps views of the user buffers the
+    // payloads are windows of. Out: the read's parts, views of the image,
+    // assembled into the user buffer once at the end of the call. A
+    // trailer travels beside its payload, so checksums add no copy. A
+    // second copy — a staging window, a joined fetch, a carved or sealed
+    // payload — shows here.
     let (_, copied, file_bytes) = host_bytes(DataMode::Verify, false);
-    assert_eq!(copied, 2 * file_bytes, "copies of a {file_bytes}-byte file");
+    assert_eq!(copied, file_bytes, "copies of a {file_bytes}-byte file");
     assert_eq!(host_bytes(DataMode::Verify, true).1, copied, "the same with checksums on");
     assert_eq!(host_bytes(DataMode::Synthetic, true).1, 0, "synthetic bytes are never copied");
 }

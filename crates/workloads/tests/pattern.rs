@@ -24,7 +24,7 @@ proptest! {
         call in 0usize..40,
         len in lengths(),
     ) {
-        prop_assert_eq!(pattern_buffer(rank, call, len as u64), reference(rank, call, 0, len));
+        prop_assert_eq!(pattern_buffer(rank, call, len as u64).into_bytes(), reference(rank, call, 0, len));
     }
 
     /// The check finds nothing in the definition's bytes, from any

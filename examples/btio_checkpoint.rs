@@ -10,7 +10,7 @@ use parcoll::coll::PartitionMode;
 use parcoll::ParcollFile;
 use simfs::{FileSystem, FsConfig};
 use simmpi::{Communicator, Info};
-use simnet::{run_cluster, ClusterConfig, IoBuffer, Mapping};
+use simnet::{run_cluster, ClusterConfig, Mapping};
 use workloads::btio::BtIo;
 use workloads::{pattern_buffer, pattern_mismatch, Workload};
 
@@ -35,8 +35,7 @@ fn main() {
         // Append every timestep's solution record collectively.
         for step in 0..bt2.ncalls() {
             let (off, bytes) = bt2.call(rank, step);
-            let data = pattern_buffer(rank, step, bytes);
-            file.write_at_all(off, &IoBuffer::from_slice(&data));
+            file.write_at_all(off, &pattern_buffer(rank, step, bytes));
         }
         let mode = file.last_mode();
         comm.barrier();

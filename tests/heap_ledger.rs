@@ -11,7 +11,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use workloads::btio::BtIo;
 use workloads::restart::{run_restart, Restart};
-use workloads::runner::{run_workload, IoMode, RunConfig};
+use workloads::runner::{run_workload, DataMode, IoMode, RunConfig};
 use workloads::tileio::TileIo;
 use workloads::Workload;
 
@@ -70,6 +70,49 @@ fn ledger(f: impl FnOnce()) -> (usize, usize) {
         PEAK.load(Ordering::Relaxed) - before,
         LIVE.load(Ordering::Relaxed),
     )
+}
+
+/// 16-rank tile-io write and collective read-back of `data`, 4×4 tiles
+/// of 128×128 elements of 64 B: a 16 MiB file.
+fn tile_verify(data: DataMode) {
+    let tiles = TileIo {
+        ntx: 4,
+        nty: 4,
+        tile_x: 128,
+        tile_y: 128,
+        elem: 64,
+    };
+    let mut cfg = RunConfig::verify(IoMode::Parcoll { groups: 2 });
+    cfg.data = data;
+    let r = run_workload(tiles, cfg);
+    assert_eq!(r.total_bytes, 16 * MIB as u64);
+}
+
+/// Real bytes held once: the file image keeps views of the writers'
+/// buffers, and a collective read assembles each rank's buffer at the end
+/// of its call, one rank at a time, so a verify run holds the file's
+/// bytes once over what the same run on synthetic data holds. Staged —
+/// an aggregator copying every piece into a window the image then kept,
+/// and every rank landing into a zero-filled buffer from its first round
+/// on — it held 1.88 × the file over the synthetic run.
+fn real_bytes_are_held_once() {
+    let file = 16 * MIB;
+    let (synthetic, _) = ledger(|| tile_verify(DataMode::Synthetic));
+    // First run: the pool starts without the writers' stores.
+    let (real, live_first) = ledger(|| tile_verify(DataMode::Verify));
+    let over = real.saturating_sub(synthetic) as f64 / file as f64;
+    assert!(
+        over <= 1.25,
+        "a verify run holds {over:.2} × the file's bytes over the synthetic run: \
+         a second copy of the file is alive at once"
+    );
+    // Second run: the writers' stores the first one pooled are reused,
+    // and live heap returns to the same level.
+    let (_, live_second) = ledger(|| tile_verify(DataMode::Verify));
+    assert!(
+        live_second.abs_diff(live_first) <= 64 << 10,
+        "tile verify: live heap moved {live_first} -> {live_second} B across identical runs"
+    );
 }
 
 /// 64-rank synthetic checkpoint + hole-dense restart read: every rank
@@ -189,6 +232,7 @@ fn heap_follows_real_bytes_and_unique_metadata() {
     // them small so the ledger reads data structures, not reservations.
     simnet::set_default_stack_size(128 << 10);
 
+    real_bytes_are_held_once();
     // Bounds sit ≥ 4× below what the per-rank designs peaked at (204 MiB
     // and 335 MiB, measured with this file on the commit before the
     // rules); the shared designs peak at 12 MiB and 28 MiB. The baseline
