@@ -8,7 +8,7 @@
 //! request.
 
 use crate::profile::{Phase, PhaseProfile, PhaseTimer};
-use crate::twophase::close_gaps;
+use crate::twophase::{close_gaps, lay_out};
 use crate::view::AccessPlan;
 use simfs::FileHandle;
 use simnet::buffer::BufferBuilder;
@@ -41,9 +41,11 @@ pub fn write_plan(
 ///
 /// The plan's pieces are joined across every gap of at most
 /// [`FileHandle::list_break_even_gap`] bytes. One run left is a plain
-/// `read_at` (a contiguous plan's is exactly its one piece); several go
-/// out as one `read_list`. The pieces are then carved out of the run
-/// buffers, and a read that went through a hole pays the copy.
+/// read (a contiguous plan's is exactly its one piece); several go out
+/// as one list read. The runs come back as views of the file image, the
+/// pieces are carved out of them and copied once into the buffer
+/// returned (a buffer that is one view is that view), and a read that
+/// went through a hole pays the copy.
 pub fn read_plan(
     ep: &Endpoint,
     fh: &FileHandle,
@@ -57,30 +59,37 @@ pub fn read_plan(
     let pieces = runs.len();
     close_gaps(&mut runs, fh.list_break_even_gap());
     let t = PhaseTimer::start(Phase::Io, ep.now());
-    let (bufs, done) = match runs[..] {
-        [(off, len)] => {
-            let (buf, done) = fh.read_at(off, len as usize, ep.now());
-            (vec![buf], done)
-        }
-        _ => fh.read_list(&runs, ep.now()),
+    let (parts, done) = match runs[..] {
+        [(off, len)] => fh.read_parts(off, len as usize, ep.now()),
+        _ => fh.read_list_parts(&runs, ep.now()),
     };
     ep.clock().advance_to(done);
     t.stop_traced(ep.now(), prof, ep.trace());
 
-    let mut out = BufferBuilder::with_capacity(plan.total as usize);
-    let mut at = 0;
-    for e in plan.pieces() {
-        while runs[at].0 + runs[at].1 <= e.off {
-            at += 1;
+    let out = if parts.iter().all(IoBuffer::is_real) {
+        let fetched = lay_out(&runs, parts);
+        let mut out = BufferBuilder::with_capacity(plan.total as usize);
+        let mut at = 0;
+        for e in plan.pieces() {
+            while fetched[at].0 + fetched[at].1.len() as u64 <= e.off {
+                at += 1;
+            }
+            let meets = fetched[at..].iter().take_while(|(off, _)| *off < e.end());
+            for (off, part) in meets {
+                let (lo, hi) = (e.off.max(*off), e.end().min(off + part.len() as u64));
+                out.push(&part.sub((lo - off) as usize, (hi - lo) as usize));
+            }
         }
-        out.push(&bufs[at].sub((e.off - runs[at].0) as usize, e.len as usize));
-    }
+        out.finish()
+    } else {
+        IoBuffer::synthetic(plan.total as usize)
+    };
     if runs.len() < pieces {
         let t = PhaseTimer::start(Phase::Local, ep.now());
         ep.charge_memcpy(plan.total as usize);
         t.stop_traced(ep.now(), prof, ep.trace());
     }
-    out.finish()
+    out
 }
 
 #[cfg(test)]
