@@ -146,7 +146,7 @@ fn sync_dead_set(comm: &Communicator<'_>, prof: &mut PhaseProfile) -> u64 {
     let mine: Vec<u64> = faults.dead_ranks().iter().map(|&r| r as u64).collect();
     let all = comm.allgather(codec::encode_u64s(&mine));
     t.stop_traced(ep.now(), prof, ep.trace());
-    for list in &all {
+    for list in all.iter() {
         for r in codec::decode_u64s(list) {
             faults.mark_dead(r as usize);
         }
@@ -158,8 +158,9 @@ fn sync_dead_set(comm: &Communicator<'_>, prof: &mut PhaseProfile) -> u64 {
 /// have all crashed into a neighboring file area, so its members are
 /// served by the neighbor's surviving aggregators instead of a promoted
 /// compute rank. Subgroups without hinted members keep their promotion
-/// fallback.
-fn merge_dead_groups(comm: &Communicator<'_>, hints: &[usize], grouping: &mut Grouping) {
+/// fallback. The grouping every rank shares is copied only if a merge
+/// changes it.
+fn merge_dead_groups(comm: &Communicator<'_>, hints: &[usize], grouping: &mut Arc<Grouping>) {
     let ep = comm.endpoint();
     let Some(faults) = ep.faults() else {
         return;
@@ -180,7 +181,7 @@ fn merge_dead_groups(comm: &Communicator<'_>, hints: &[usize], grouping: &mut Gr
             if hinted.peek().is_some()
                 && hinted.all(|r| faults.is_dead(comm.global_rank(r)))
             {
-                let nb = grouping.merge_into_neighbor(g);
+                let nb = Arc::make_mut(grouping).merge_into_neighbor(g);
                 let rec = ep.trace();
                 if rec.enabled() {
                     rec.instant(
@@ -294,70 +295,33 @@ fn decide<'ep>(
 ) -> bool {
     let comm = file.comm().clone();
     let ep = comm.endpoint();
-    let p = comm.size();
     let t = PhaseTimer::start(Phase::Sync, ep.now());
     let my_range: Option<(u64, u64)> = plan.start().map(|s| (s, plan.end().unwrap()));
-    let ranges = comm.allgather_t(my_range, 16);
+    // Every rank would partition the same ranges identically: the
+    // partition is made once, where the range allgather meets.
+    let decision = comm.allgather_t_derive(my_range, 16, |ranges| {
+        partition_ranges(&ranges, groups, pcfg)
+    });
     t.stop_traced(ep.now(), file.profile_mut(), ep.trace());
 
-    if ranges.iter().all(Option::is_none) {
-        return false;
-    }
-
-    let mut snapped = false;
-    let attempt = if pcfg.force_iview == Some(true) {
-        None
-    } else {
-        match partition_file_areas(&ranges, groups) {
-            Ok(g) => Some(g),
-            Err(_) if pcfg.snap_groups => {
-                // Tile-row snapping: the requested cut crossed a pattern
-                // boundary; the largest halved count whose FAs are
-                // disjoint lands the cuts on whole rows (Figure 4(b))
-                // without paying the view switch.
-                let mut found = None;
-                let mut g2 = groups / 2;
-                while g2 >= 2 {
-                    if let Ok(gr) = partition_file_areas(&ranges, g2) {
-                        found = Some(gr);
-                        break;
-                    }
-                    g2 /= 2;
-                }
-                snapped = found.is_some();
-                found
-            }
-            Err(_) => None,
+    let (mut grouping, pattern, mode) = match &*decision {
+        Ranges::Idle => return false,
+        Ranges::Disjoint { grouping, snapped } => {
+            let pattern = if *snapped { "tilerow" } else { "direct" };
+            (Arc::clone(grouping), pattern, CachedMode::Direct)
         }
-    };
-
-    let (mut grouping, pattern, mode) = match attempt {
-        Some(grouping) => {
-            let pattern = if snapped { "tilerow" } else { "direct" };
-            (grouping, pattern, CachedMode::Direct)
-        }
-        None if pcfg.force_iview == Some(false) => {
+        Ranges::Intersecting if pcfg.force_iview == Some(false) => {
             // View switching forbidden: degenerate to the baseline.
             trace_partition(ep, "single", None, None);
             return false;
         }
-        None => {
+        Ranges::Intersecting => {
             // Pattern (c): build the intermediate file view. Everyone
             // shares its physical extent list (p2p volume ∝ segments).
             let t = PhaseTimer::start(Phase::Sync, ep.now());
-            let map = gather_logical_map(&comm, plan.pieces());
+            let (map, grouping) = gather_logical_map(&comm, plan.pieces(), groups);
             t.stop_traced(ep.now(), file.profile_mut(), ep.trace());
 
-            // Partition the *logical* file: rank regions are serial, so
-            // this is pattern (a) by construction.
-            let logical_ranges: Vec<Option<(u64, u64)>> = (0..p)
-                .map(|r| {
-                    let (s, e) = map.rank_range(r);
-                    (s < e).then_some((s, e))
-                })
-                .collect();
-            let grouping = partition_file_areas(&logical_ranges, groups)
-                .expect("logical rank regions are serial and disjoint");
             let (ls, le) = map.rank_range(comm.rank());
             let logical_plan = if ls < le {
                 AccessPlan::from_extents(vec![Ext::new(ls, le - ls)])
@@ -390,19 +354,70 @@ fn decide<'ep>(
     true
 }
 
-/// Allgather every rank's physical extent list and build the intermediate
+/// What the range allgather decides, once for every rank.
+enum Ranges {
+    /// No rank moves bytes: nothing to partition (and nothing cached).
+    Idle,
+    /// The file areas come out disjoint (patterns (a)/(b)) — `snapped`
+    /// when only a halved group count's cuts did, landing on tile rows.
+    Disjoint {
+        grouping: Arc<Grouping>,
+        snapped: bool,
+    },
+    /// The file areas intersect (pattern (c)), or the view is forced:
+    /// partition through an intermediate file view.
+    Intersecting,
+}
+
+/// Partition the gathered file ranges into `groups` subgroups with
+/// disjoint file areas, as `pcfg` allows.
+fn partition_ranges(ranges: &[Option<(u64, u64)>], groups: usize, pcfg: &ParcollConfig) -> Ranges {
+    if ranges.iter().all(Option::is_none) {
+        return Ranges::Idle;
+    }
+    if pcfg.force_iview == Some(true) {
+        return Ranges::Intersecting;
+    }
+    let disjoint = |grouping, snapped| Ranges::Disjoint {
+        grouping: Arc::new(grouping),
+        snapped,
+    };
+    match partition_file_areas(ranges, groups) {
+        Ok(g) => disjoint(g, false),
+        Err(_) if pcfg.snap_groups => {
+            // Tile-row snapping: the requested cut crossed a pattern
+            // boundary; the largest halved count whose FAs are disjoint
+            // lands the cuts on whole rows (Figure 4(b)) without paying
+            // the view switch.
+            let mut g2 = groups / 2;
+            while g2 >= 2 {
+                if let Ok(g) = partition_file_areas(ranges, g2) {
+                    return disjoint(g, true);
+                }
+                g2 /= 2;
+            }
+            Ranges::Intersecting
+        }
+        Err(_) => Ranges::Intersecting,
+    }
+}
+
+/// Allgather every rank's physical extent list, build the intermediate
 /// view's [`LogicalMap`] from them — the decide-time expansion of the
-/// plan's runs into pieces. The lists are decoded, validated and indexed
-/// once, at the meeting point, and every rank receives the same `Arc`:
-/// the map's host cost is O(total extents) per collective, not O(P ×
-/// total extents).
+/// plan's runs into pieces — and partition the *logical* file into
+/// `groups` subgroups. The lists are decoded, validated and indexed, and
+/// the partition made, once, at the meeting point, and every rank
+/// receives the same `Arc`s: the map's host cost is O(total extents) per
+/// collective, not O(P × total extents).
 fn gather_logical_map(
     comm: &Communicator<'_>,
     extents: impl Iterator<Item = Ext>,
-) -> Arc<LogicalMap> {
+    groups: usize,
+) -> (Arc<LogicalMap>, Arc<Grouping>) {
     let pairs: Vec<(u64, u64)> = extents.map(|e| (e.off, e.len)).collect();
-    comm.allgather_derive(codec::encode_pairs(&pairs), |all_lists| {
-        LogicalMap::new(
+    let met = comm.allgather_derive(codec::encode_pairs(&pairs), |all_lists| {
+        let p = all_lists.len();
+        let map = LogicalMap::new(
             all_lists
                 .iter()
                 .map(|b| {
@@ -412,8 +427,20 @@ fn gather_logical_map(
                         .collect()
                 })
                 .collect(),
-        )
-    })
+        );
+        // Rank regions of the logical file are serial: pattern (a) by
+        // construction.
+        let logical_ranges: Vec<Option<(u64, u64)>> = (0..p)
+            .map(|r| {
+                let (s, e) = map.rank_range(r);
+                (s < e).then_some((s, e))
+            })
+            .collect();
+        let grouping = partition_file_areas(&logical_ranges, groups)
+            .expect("logical rank regions are serial and disjoint");
+        (Arc::new(map), Arc::new(grouping))
+    });
+    (Arc::clone(&met.0), Arc::clone(&met.1))
 }
 
 /// Split the subgroup communicator and build its collective
@@ -432,53 +459,23 @@ fn subgroup_setup<'ep>(
     // Crashed ranks never serve as aggregator hints; with every hint
     // dead, the empty list makes `distribute_aggregators` fall back to
     // each subgroup's first member (and the two-phase engine promotes
-    // past any dead fallback at call time).
-    let hints: Vec<usize> = match ep.faults() {
-        Some(f) if f.dead_epoch() > 0 => parent_cfg
-            .aggregators
-            .iter()
-            .copied()
-            .filter(|&r| !f.is_dead(comm.global_rank(r)))
-            .collect(),
-        _ => parent_cfg.aggregators.to_vec(),
+    // past any dead fallback at call time). The open's list is shared,
+    // and copied only when a hint is dead.
+    let dead = |r: usize| ep.faults().is_some_and(|f| f.is_dead(comm.global_rank(r)));
+    let hints: Arc<[usize]> = if parent_cfg.aggregators.iter().any(|&r| dead(r)) {
+        let hinted = parent_cfg.aggregators.iter().copied();
+        hinted.filter(|&r| !dead(r)).collect()
+    } else {
+        Arc::clone(&parent_cfg.aggregators)
     };
     let t = PhaseTimer::start(Phase::Sync, ep.now());
     let color = Some(my_group as i64);
-    let (sub, aggs_per_group) = match aggs_override {
-        // Autotuner probe: N evenly spaced live members per subgroup,
-        // bypassing the hinted distribution.
-        Some(n) if n > 0 => {
-            let mut members: Vec<Vec<usize>> = vec![Vec::new(); n_groups];
-            for (r, &g) in group_of.iter().enumerate() {
-                members[g].push(r);
-            }
-            let aggs = members
-                .iter()
-                .map(|m| {
-                    let live: Vec<usize> = match ep.faults() {
-                        Some(f) if f.dead_epoch() > 0 => m
-                            .iter()
-                            .copied()
-                            .filter(|&r| !f.is_dead(comm.global_rank(r)))
-                            .collect(),
-                        _ => m.clone(),
-                    };
-                    let base = if live.is_empty() { m.clone() } else { live };
-                    if base.is_empty() {
-                        return Vec::new();
-                    }
-                    let k = n.min(base.len());
-                    (0..k).map(|i| base[i * base.len() / k]).collect()
-                })
-                .collect();
-            (comm.split(color, 0), Arc::new(aggs))
-        }
-        // Every rank holds the same hints and grouping, so the hinted
-        // distribution is decided once, where the split meets.
-        _ => comm.split_derive(color, 0, || {
-            distribute_aggregators(&hints, group_of, n_groups, |r| comm.node_of(r))
-        }),
-    };
+    // Every rank holds the same hints, dead set and grouping, so the
+    // distribution is decided once, where the split meets.
+    let (sub, aggs_per_group) = comm.split_derive(color, 0, || match aggs_override {
+        Some(n) if n > 0 => probe_aggregators(group_of, n_groups, n, |r| !dead(r)),
+        _ => distribute_aggregators(&hints, group_of, n_groups, |r| comm.node_of(r)),
+    });
     let sub = sub.expect("every rank belongs to a subgroup");
     t.stop_traced(ep.now(), file.profile_mut(), ep.trace());
 
@@ -510,6 +507,27 @@ fn subgroup_setup<'ep>(
         ..parent_cfg
     };
     (sub, subcfg)
+}
+
+/// Autotuner probe: `n` evenly spaced members per subgroup, among its
+/// live members if it has any, bypassing the hinted distribution.
+fn probe_aggregators(
+    group_of: &[usize],
+    n_groups: usize,
+    n: usize,
+    live: impl Fn(usize) -> bool,
+) -> Vec<Vec<usize>> {
+    let mut members: Vec<Vec<usize>> = vec![Vec::new(); n_groups];
+    for (r, &g) in group_of.iter().enumerate() {
+        members[g].push(r);
+    }
+    let pick = |m: &Vec<usize>| {
+        let alive: Vec<usize> = m.iter().copied().filter(|&r| live(r)).collect();
+        let base = if alive.is_empty() { m } else { &alive };
+        let k = n.min(base.len());
+        (0..k).map(|i| base[i * base.len() / k]).collect()
+    };
+    members.iter().map(pick).collect()
 }
 
 /// A drop-in MPI-IO file whose collective operations run the ParColl
@@ -1090,8 +1108,8 @@ mod tests {
         });
     }
 
-    /// The intermediate view's map is built once per collective and
-    /// shared: every rank holds the same allocation.
+    /// The intermediate view's map and its partition are built once per
+    /// collective and shared: every rank holds the same allocations.
     #[test]
     fn logical_map_is_built_once_and_shared() {
         let maps = run_cluster(ClusterConfig::cray_xt(4, Mapping::Block), |ep| {
@@ -1099,11 +1117,16 @@ mod tests {
             let mine: Vec<Ext> = (0..4)
                 .map(|k| Ext::new((comm.rank() * 16 + k * 256) as u64, 16))
                 .collect();
-            gather_logical_map(&comm, mine.into_iter())
+            gather_logical_map(&comm, mine.into_iter(), 2)
         });
-        assert_eq!(maps[0].nprocs(), 4);
-        assert_eq!(maps[0].rank_range(3), (192, 256));
-        assert!(maps.iter().all(|m| Arc::ptr_eq(m, &maps[0])));
+        let (map, grouping) = &maps[0];
+        assert_eq!(map.nprocs(), 4);
+        assert_eq!(map.rank_range(3), (192, 256));
+        assert_eq!(grouping.group_of, [0, 0, 1, 1]);
+        assert_eq!(grouping.fas, [(0, 128), (128, 256)]);
+        for (m, g) in &maps {
+            assert!(Arc::ptr_eq(m, map) && Arc::ptr_eq(g, grouping));
+        }
     }
 
     /// The map's validation runs inside the collective's meeting point; a
@@ -1119,7 +1142,7 @@ mod tests {
             } else {
                 vec![Ext::new(100 * comm.rank() as u64, 10)]
             };
-            gather_logical_map(&comm, mine.into_iter());
+            gather_logical_map(&comm, mine.into_iter(), 2);
         });
     }
 

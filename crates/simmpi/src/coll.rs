@@ -71,9 +71,11 @@ impl Communicator<'_> {
     }
 
     /// Allgather of byte buffers (`MPI_Allgather`/`MPI_Allgatherv` —
-    /// lengths may differ). Returns all members' buffers by local rank.
-    pub fn allgather(&self, buf: IoBuffer) -> Vec<IoBuffer> {
-        (*self.allgather_derive(buf, |inputs| inputs)).clone()
+    /// lengths may differ). Returns all members' buffers by local rank,
+    /// as the meeting's own `Arc`: every member holds the one gathered
+    /// table, not a copy of it.
+    pub fn allgather(&self, buf: IoBuffer) -> Arc<Vec<IoBuffer>> {
+        self.allgather_derive(buf, |inputs| inputs)
     }
 
     /// Derive-at-meet allgather: the same collective as
@@ -108,10 +110,27 @@ impl Communicator<'_> {
     }
 
     /// Typed allgather for protocol metadata; `bytes_each` is the
-    /// serialized per-rank size charged to the cost model.
-    pub fn allgather_t<T>(&self, val: T, bytes_each: usize) -> Vec<T>
+    /// serialized per-rank size charged to the cost model. Returns the
+    /// values by local rank as the meeting's own `Arc`, shared by every
+    /// member: a table of `P` entries exists once per collective, not
+    /// once per rank.
+    pub fn allgather_t<T>(&self, val: T, bytes_each: usize) -> Arc<Vec<T>>
     where
-        T: Clone + Send + Sync + 'static,
+        T: Send + Sync + 'static,
+    {
+        self.allgather_t_derive(val, bytes_each, |inputs| inputs)
+    }
+
+    /// [`allgather_t`](Self::allgather_t) that builds something once
+    /// from the gathered values: `derive` runs at the meeting point, as
+    /// in [`allgather_derive`](Self::allgather_derive), and every member
+    /// receives the same `Arc`. Same collective, same cost, same trace
+    /// span. Every member must pass an equivalent `derive`.
+    pub fn allgather_t_derive<T, R, F>(&self, val: T, bytes_each: usize, derive: F) -> Arc<R>
+    where
+        T: Send + 'static,
+        R: Send + Sync + 'static,
+        F: FnOnce(Vec<T>) -> R,
     {
         let net = self.ep.net().clone();
         let p = self.size();
@@ -120,11 +139,10 @@ impl Communicator<'_> {
             alg: "recursive_doubling",
             bytes: bytes_each as u64,
         };
-        let out = self.meet(label, val, move |inputs: Vec<T>, max| {
+        self.meet(label, val, move |inputs: Vec<T>, max| {
             let cost = net.allgather_cost(p, bytes_each);
-            (inputs, max + cost)
-        });
-        (*out).clone()
+            (derive(inputs), max + cost)
+        })
     }
 
     /// The per-round transfer-size alltoall of two-phase collective I/O,
@@ -367,8 +385,25 @@ mod tests {
             comm.allgather_t((comm.rank(), comm.rank() * 100), 16)
         });
         for got in &out {
-            assert_eq!(*got, vec![(0, 0), (1, 100), (2, 200)]);
+            assert_eq!(**got, [(0, 0), (1, 100), (2, 200)]);
         }
+    }
+
+    /// One gathered table per collective: every member of an
+    /// `allgather_t` (and of an `allgather`) holds the meeting's `Arc`.
+    #[test]
+    fn every_member_gets_the_meetings_arc() {
+        let out = run_cluster(ClusterConfig::ideal(6), |ep| {
+            let comm = Communicator::world(&ep);
+            let typed = comm.allgather_t(comm.rank() as u64, 8);
+            let bytes = comm.allgather(IoBuffer::synthetic(4));
+            (typed, bytes)
+        });
+        for (typed, bytes) in &out {
+            assert!(Arc::ptr_eq(typed, &out[0].0));
+            assert!(Arc::ptr_eq(bytes, &out[0].1));
+        }
+        assert_eq!(*out[0].0, [0, 1, 2, 3, 4, 5]);
     }
 
     #[test]

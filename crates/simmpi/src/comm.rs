@@ -10,8 +10,9 @@ use std::sync::Arc;
 pub(crate) struct CommShared {
     /// Context id isolating this communicator's point-to-point traffic.
     pub(crate) ctx: u32,
-    /// Global rank of each local rank, ascending by local rank.
-    pub(crate) members: Vec<usize>,
+    /// Global rank of each local rank, ascending by local rank: one list
+    /// for the whole group, shared with its rendezvous when ascending.
+    pub(crate) members: Arc<[usize]>,
     /// Collective meeting point for this group.
     pub(crate) rdv: Arc<Rendezvous>,
 }
@@ -74,16 +75,23 @@ impl std::fmt::Debug for Communicator<'_> {
 }
 
 impl<'ep> Communicator<'ep> {
-    /// The world communicator containing every rank of the cluster.
+    /// The world communicator containing every rank of the cluster. Its
+    /// member list is the world rendezvous's participant list: every
+    /// world communicator of a cluster shares that one list.
     pub fn world(ep: &'ep Endpoint) -> Self {
-        let members: Vec<usize> = (0..ep.size()).collect();
+        let rdv = ep.world_rendezvous();
+        let members = Arc::clone(
+            rdv.participants()
+                .expect("the world rendezvous knows its ranks"),
+        );
+        debug_assert_eq!(members.len(), ep.size());
         Communicator {
             ep,
             my_local: ep.rank(),
             shared: Arc::new(CommShared {
                 ctx: 0,
                 members,
-                rdv: ep.world_rendezvous(),
+                rdv,
             }),
         }
     }
@@ -229,7 +237,7 @@ impl<'ep> Communicator<'ep> {
         let ctx_alloc = self.ep.ctx_allocator();
         let net = self.ep.net().clone();
         let p = self.size();
-        let members = self.shared.members.clone();
+        let members = Arc::clone(&self.shared.members);
 
         // Each rank contributes (color, key, global rank). The combiner
         // builds every subgroup once and hands each parent rank its
@@ -254,7 +262,7 @@ impl<'ep> Communicator<'ep> {
                 for group in by_color.values() {
                     let mut group = group.clone();
                     group.sort_by_key(|&(k, parent_local)| (k, parent_local));
-                    let group_members: Vec<usize> =
+                    let group_members: Arc<[usize]> =
                         group.iter().map(|&(_, pl)| members[pl]).collect();
                     debug_assert!(
                         group.iter().map(|&(k, _)| k).all(|k| k == group[0].0)
@@ -264,7 +272,7 @@ impl<'ep> Communicator<'ep> {
                     let shared = Arc::new(CommShared {
                         ctx: ctx_alloc.fetch_add(1, Ordering::Relaxed),
                         rdv: Arc::new(Rendezvous::for_ranks(
-                            group_members.clone(),
+                            Arc::clone(&group_members),
                             Arc::clone(&poison),
                         )),
                         members: group_members,
@@ -311,6 +319,20 @@ mod tests {
     }
 
     #[test]
+    fn world_communicators_share_one_member_list() {
+        let lists = run_cluster(ClusterConfig::ideal(5), |ep| {
+            let world = Communicator::world(&ep);
+            assert!(Arc::ptr_eq(
+                &world.shared.members,
+                &Communicator::world(&ep).shared.members
+            ));
+            Arc::clone(&world.shared.members)
+        });
+        assert!(lists.iter().all(|l| Arc::ptr_eq(l, &lists[0])));
+        assert_eq!(*lists[0], [0, 1, 2, 3, 4]);
+    }
+
+    #[test]
     fn split_by_parity_forms_two_groups() {
         let out = run_cluster(ClusterConfig::ideal(8), |ep| {
             let world = Communicator::world(&ep);
@@ -333,6 +355,20 @@ mod tests {
             sub.rank()
         });
         assert_eq!(out, vec![3, 2, 1, 0]);
+    }
+
+    /// A subgroup's rendezvous keeps its members sorted: it shares an
+    /// ascending member list and copies only a reordered one.
+    #[test]
+    fn an_ascending_subgroup_shares_its_list_with_its_rendezvous() {
+        let shared = run_cluster(ClusterConfig::ideal(4), |ep| {
+            let world = Communicator::world(&ep);
+            let rank = ep.rank() as i64;
+            let sub = |key| world.split(Some(0), key).unwrap().shared;
+            let same = |s: &CommShared| Arc::ptr_eq(&s.members, s.rdv.participants().unwrap());
+            (same(&sub(rank)), same(&sub(-rank)))
+        });
+        assert!(shared.iter().all(|&s| s == (true, false)));
     }
 
     #[test]

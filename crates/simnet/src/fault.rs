@@ -69,7 +69,7 @@
 use crate::noise::{Jitter, SplitMix64};
 use crate::time::SimTime;
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 
 /// One declarative fault rule of a [`FaultPlan`].
@@ -503,8 +503,10 @@ impl FaultPlan {
 pub struct FaultState {
     plan: Arc<FaultPlan>,
     /// Per-destination send sequence counters — the deterministic
-    /// coordinate of each message's fault draw.
-    send_seq: RefCell<Vec<u64>>,
+    /// coordinate of each message's fault draw — for the destinations
+    /// this rank has sent to: one counter per rank of the cluster in
+    /// every rank was `ranks²` counters.
+    send_seq: RefCell<HashMap<usize, u64>>,
     /// One-shot consumption flags for `RankStall` rules, by rule index.
     stall_used: RefCell<Vec<bool>>,
     /// Ranks whose I/O role is known (to this rank) to have crashed.
@@ -526,12 +528,12 @@ pub struct FaultState {
 }
 
 impl FaultState {
-    /// Fresh per-rank state over a shared plan, for a cluster of `nranks`.
-    pub fn new(plan: Arc<FaultPlan>, nranks: usize) -> Self {
+    /// Fresh per-rank state over a shared plan.
+    pub fn new(plan: Arc<FaultPlan>) -> Self {
         let nrules = plan.rules.len();
         FaultState {
             plan,
-            send_seq: RefCell::new(vec![0; nranks]),
+            send_seq: RefCell::default(),
             stall_used: RefCell::new(vec![false; nrules]),
             dead: RefCell::new(BTreeSet::new()),
             rounds: Cell::new(0),
@@ -549,8 +551,9 @@ impl FaultState {
     /// rank) to `dst`, advancing the per-destination sequence.
     pub fn draw_msg(&self, src: usize, dst: usize) -> MsgFault {
         let mut seqs = self.send_seq.borrow_mut();
-        let seq = seqs[dst];
-        seqs[dst] += 1;
+        let next = seqs.entry(dst).or_insert(0);
+        let seq = *next;
+        *next += 1;
         let fault = self.plan.msg_fault(src, dst, seq);
         self.last_corrupt.set(fault.corrupt);
         fault
@@ -713,7 +716,7 @@ mod tests {
         let plan = Arc::new(
             FaultPlan::new(0).rank_stall(4, "write_all", SimTime::millis(5.0)),
         );
-        let st = FaultState::new(plan, 8);
+        let st = FaultState::new(plan);
         assert_eq!(st.take_stall(4, "write_all"), Some(SimTime::millis(5.0)));
         assert_eq!(st.take_stall(4, "write_all"), None, "consumed");
         assert_eq!(st.take_stall(4, "read_all"), None);
@@ -722,7 +725,7 @@ mod tests {
 
     #[test]
     fn dead_set_is_sticky_with_monotone_epoch() {
-        let st = FaultState::new(Arc::new(FaultPlan::new(0)), 4);
+        let st = FaultState::new(Arc::new(FaultPlan::new(0)));
         assert_eq!(st.dead_epoch(), 0);
         assert!(st.mark_dead(2));
         assert!(!st.mark_dead(2), "re-marking is not news");
@@ -735,7 +738,7 @@ mod tests {
     #[test]
     fn send_sequences_advance_per_destination() {
         let plan = Arc::new(FaultPlan::new(3).msg_drop(0.5, None, None));
-        let st = FaultState::new(Arc::clone(&plan), 4);
+        let st = FaultState::new(Arc::clone(&plan));
         // Two sends to dst 1 use seq 0 then 1; a send to dst 2 uses seq 0.
         let a = st.draw_msg(0, 1);
         let b = st.draw_msg(0, 1);
@@ -743,6 +746,11 @@ mod tests {
         assert_eq!(a, plan.msg_fault(0, 1, 0));
         assert_eq!(b, plan.msg_fault(0, 1, 1));
         assert_eq!(c, plan.msg_fault(0, 2, 0));
+        // Counters exist for the destinations drawn for, whatever the
+        // cluster's size.
+        let far = st.draw_msg(0, 1 << 20);
+        assert_eq!(far, plan.msg_fault(0, 1 << 20, 0));
+        assert_eq!(st.send_seq.borrow().len(), 3);
     }
 
     #[test]
@@ -756,7 +764,7 @@ mod tests {
 
     #[test]
     fn write_round_counter_advances() {
-        let st = FaultState::new(Arc::new(FaultPlan::new(0)), 2);
+        let st = FaultState::new(Arc::new(FaultPlan::new(0)));
         assert_eq!(st.next_write_round(), 0);
         assert_eq!(st.next_write_round(), 1);
         assert_eq!(st.write_round(), 2);
@@ -827,7 +835,7 @@ mod tests {
 
     #[test]
     fn corrupt_event_queue_is_fifo_per_src_tag() {
-        let st = FaultState::new(Arc::new(FaultPlan::new(0)), 4);
+        let st = FaultState::new(Arc::new(FaultPlan::new(0)));
         st.push_corrupt(1, 7, 0);
         st.push_corrupt(1, 7, 99);
         st.push_corrupt(2, 7, 5);
@@ -841,7 +849,7 @@ mod tests {
     #[test]
     fn last_send_corrupt_tracks_draw() {
         let plan = Arc::new(FaultPlan::new(1).msg_corrupt(1.0, None, Some(1)));
-        let st = FaultState::new(Arc::clone(&plan), 4);
+        let st = FaultState::new(Arc::clone(&plan));
         assert_eq!(st.last_send_corrupt(), 0);
         let f = st.draw_msg(0, 1);
         assert_eq!(st.last_send_corrupt(), f.corrupt);

@@ -39,8 +39,13 @@
 //!
 //! A cluster has `ranks²` (receiver, sender) pairs and a typical rank
 //! exchanges with a handful of peers, so a pair's shard is allocated
-//! when its sender or its receiver first touches it; an untouched pair
-//! costs one empty slot.
+//! when its sender or its receiver first touches it, and so are the
+//! slots: a mailbox holds one slot per block of 64 senders, and a
+//! block's table of shard slots is allocated with its first shard. A
+//! slot table sized by the cluster in every mailbox was `ranks²` slots
+//! of 16 B — 4 MiB at 512 ranks, 1 GiB at 8 192 — for pairs that never
+//! exchange a message. Both levels are `OnceLock`s, so finding a shard
+//! takes no lock.
 
 use crate::buffer::IoBuffer;
 use crate::fiber::{self, Waker};
@@ -159,14 +164,21 @@ struct ShardState {
     blocked: Option<(u32, i32)>,
 }
 
+/// Senders per block of shard slots.
+const BLOCK: usize = 64;
+
+/// The shard slots of [`BLOCK`] consecutive senders.
+type Block = [OnceLock<Box<Shard>>; BLOCK];
+
 /// One rank's incoming-message store.
 pub struct Mailbox {
     /// The rank that receives from this mailbox — identifies which rank
     /// to report to the progress registry on blocking and delivery.
     owner: usize,
-    /// Per-source shards, indexed by the sending rank; a pair's shard
-    /// is created when its sender or the receiver first asks for it.
-    shards: Box<[OnceLock<Box<Shard>>]>,
+    /// Per-source shards, by block of senders (`src / BLOCK`) and slot
+    /// in it (`src % BLOCK`); a block and a pair's shard are created
+    /// when its sender or the receiver first asks for it.
+    blocks: Box<[OnceLock<Box<Block>>]>,
     poison: Arc<PoisonFlag>,
     /// Times the receiver was woken by a notify and found its match.
     wakeups: AtomicU64,
@@ -191,7 +203,9 @@ impl Mailbox {
         );
         Mailbox {
             owner,
-            shards: (0..nranks.max(1)).map(|_| OnceLock::new()).collect(),
+            blocks: (0..nranks.max(1).div_ceil(BLOCK))
+                .map(|_| OnceLock::new())
+                .collect(),
             poison,
             wakeups: AtomicU64::new(0),
             spurious_wakeups: AtomicU64::new(0),
@@ -199,7 +213,15 @@ impl Mailbox {
     }
 
     fn shard(&self, src: usize) -> &Shard {
-        self.shards[src].get_or_init(Box::default)
+        let block = self.blocks[src / BLOCK]
+            .get_or_init(|| Box::new(std::array::from_fn(|_| OnceLock::new())));
+        block[src % BLOCK].get_or_init(Box::default)
+    }
+
+    /// The shards created so far.
+    fn shards(&self) -> impl Iterator<Item = &Shard> {
+        let blocks = self.blocks.iter().filter_map(OnceLock::get);
+        blocks.flat_map(|b| b.iter().filter_map(OnceLock::get).map(|s| &**s))
     }
 
     /// Deposit a packet (called by the sender's thread).
@@ -282,11 +304,7 @@ impl Mailbox {
 
     /// Number of packets currently queued (all keys). Diagnostic only.
     pub fn backlog(&self) -> usize {
-        self.shards
-            .iter()
-            .filter_map(OnceLock::get)
-            .map(|s| s.state.lock().queue.len())
-            .sum()
+        self.shards().map(|s| s.state.lock().queue.len()).sum()
     }
 
     /// Notified wakeups the receiver observed that found their match.
@@ -456,7 +474,7 @@ mod tests {
     #[test]
     fn shards_are_created_on_first_use() {
         let m = Mailbox::new(0, 1024, Arc::new(PoisonFlag::default()));
-        let made = |m: &Mailbox| m.shards.iter().filter(|s| s.get().is_some()).count();
+        let made = |m: &Mailbox| m.shards().count();
         assert_eq!((made(&m), m.backlog()), (0, 0), "backlog creates no shard");
         m.deliver(pkt(5, 0, 0, &[1]));
         m.deliver(pkt(900, 0, 0, &[2]));
@@ -466,6 +484,20 @@ mod tests {
             &[2]
         );
         assert_eq!((made(&m), m.backlog()), (2, 1));
+
+        // Slot tables too: a 4 096-rank mailbox that hears from three
+        // senders holds at most three blocks of slots, not 4 096 slots.
+        let m = Mailbox::new(0, 4096, Arc::new(PoisonFlag::default()));
+        let blocks = |m: &Mailbox| m.blocks.iter().filter(|b| b.get().is_some()).count();
+        assert_eq!((m.blocks.len(), blocks(&m)), (4096 / BLOCK, 0));
+        for src in [7, 2100, 4095] {
+            m.deliver(pkt(src, 0, 0, &[1]));
+            let _ = m.recv(src as usize, 0, 0);
+        }
+        assert_eq!((made(&m), blocks(&m)), (3, 3));
+        // A fourth sender in 7's block takes a slot, not a block.
+        m.deliver(pkt(63, 0, 0, &[1]));
+        assert_eq!((made(&m), blocks(&m), m.backlog()), (4, 3, 1));
     }
 
     #[test]

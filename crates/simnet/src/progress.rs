@@ -140,7 +140,7 @@ const NO_KEY: u128 = u128::MAX;
 enum Mode {
     Running,
     Recv { src: usize, ctx: u32, tag: i32 },
-    Rdv { id: u64, members: Arc<Vec<usize>> },
+    Rdv { id: u64, members: Arc<[usize]> },
     Pending { key: ReqKey },
     Finished,
 }
@@ -203,7 +203,7 @@ impl MinTree {
 struct Meeting {
     id: u64,
     /// Its members, ascending.
-    members: Arc<Vec<usize>>,
+    members: Arc<[usize]>,
     /// Members parked in it; a slot with none is free.
     parked: usize,
 }
@@ -263,7 +263,7 @@ impl Inner {
 
     /// Park `rank` in meeting `id`: the meeting's slot, taking a free one
     /// for a meeting nobody is parked in yet.
-    fn join(&mut self, rank: usize, id: u64, members: &Arc<Vec<usize>>) -> usize {
+    fn join(&mut self, rank: usize, id: u64, members: &Arc<[usize]>) -> usize {
         debug_assert!(members.is_sorted() && members.binary_search(&rank).is_ok());
         let table = &mut self.meetings;
         let slot = (table.iter().position(|m| m.parked > 0 && m.id == id))
@@ -670,7 +670,7 @@ impl ProgressRegistry {
     /// (ascending, `rank` among them). Must be called under
     /// the rendezvous state lock that also guards
     /// [`complete_rdv`](Self::complete_rdv).
-    pub(crate) fn block_rdv(&self, rank: usize, id: u64, members: Arc<Vec<usize>>) {
+    pub(crate) fn block_rdv(&self, rank: usize, id: u64, members: Arc<[usize]>) {
         let mut inner = self.inner.lock();
         inner.set_mode(rank, Mode::Rdv { id, members });
         self.wake_min(&mut inner);
@@ -816,7 +816,7 @@ pub(crate) fn tl_deliver_downgrade(dst: usize, src: usize, ctx: u32, tag: i32) {
 }
 
 /// Rendezvous hook: the current thread's rank parks in meeting `id`.
-pub(crate) fn tl_block_rdv(id: u64, members: Arc<Vec<usize>>) {
+pub(crate) fn tl_block_rdv(id: u64, members: Arc<[usize]>) {
     with_ctx(|c| c.registry.block_rdv(c.rank, id, members));
 }
 
@@ -944,7 +944,7 @@ mod tests {
         // Ranks 1 and 2 are parked in a rendezvous whose membership
         // includes requester 0 — the classic "everyone is in the barrier
         // except the rank doing I/O" steady state.
-        let members = Arc::new(vec![0, 1, 2]);
+        let members: Arc<[usize]> = Arc::new([0, 1, 2]);
         reg.block_rdv(1, 42, Arc::clone(&members));
         reg.block_rdv(2, 42, Arc::clone(&members));
         let h = {
@@ -976,7 +976,7 @@ mod tests {
             "rank 1 (Running, floor 0) could still produce an earlier request"
         );
         // Rank 1 parks in a rendezvous containing rank 0 — unconstrained.
-        reg.block_rdv(1, 7, Arc::new(vec![0, 1]));
+        reg.block_rdv(1, 7, Arc::new([0, 1]));
         h.join().unwrap();
         assert!(admitted.load(std::sync::atomic::Ordering::SeqCst));
     }
@@ -1004,7 +1004,7 @@ mod tests {
         // in a rendezvous with the requester.
         reg.deliver_downgrade(1, 2, 0, 1);
         reg.finish(1);
-        reg.block_rdv(2, 9, Arc::new(vec![0, 2]));
+        reg.block_rdv(2, 9, Arc::new([0, 2]));
         h.join().unwrap();
         assert!(admitted.load(std::sync::atomic::Ordering::SeqCst));
     }
@@ -1012,7 +1012,7 @@ mod tests {
     #[test]
     fn complete_rdv_downgrades_all_parked_members() {
         let reg = registry(4);
-        let members = Arc::new(vec![1, 2, 3]);
+        let members: Arc<[usize]> = Arc::new([1, 2, 3]);
         reg.block_rdv(1, 5, Arc::clone(&members));
         reg.block_rdv(2, 5, Arc::clone(&members));
         reg.complete_rdv(5, &members);
@@ -1161,12 +1161,12 @@ mod tests {
 
     /// The meetings a generated state draws from: the world, two halves
     /// and a set that straddles them.
-    fn meetings(n: usize) -> Vec<Arc<Vec<usize>>> {
+    fn meetings(n: usize) -> Vec<Arc<[usize]>> {
         vec![
-            Arc::new((0..n).collect()),
-            Arc::new((0..n / 2).collect()),
-            Arc::new((n / 2..n).collect()),
-            Arc::new((0..n).filter(|r| r % 3 != 1).collect()),
+            (0..n).collect(),
+            (0..n / 2).collect(),
+            (n / 2..n).collect(),
+            (0..n).filter(|r| r % 3 != 1).collect(),
         ]
     }
 
@@ -1432,8 +1432,8 @@ mod tests {
         const P: usize = 1024;
         let log_p = P.ilog2() as usize;
         let requester = P / 2;
-        let world: Arc<Vec<usize>> = Arc::new((0..P).collect());
-        let others: Arc<Vec<usize>> = Arc::new((0..P).filter(|&r| r != requester).collect());
+        let world: Arc<[usize]> = (0..P).collect();
+        let others: Arc<[usize]> = (0..P).filter(|&r| r != requester).collect();
         for (members, straggler, most) in [(world, None, 2 * log_p + 4), (others, Some(7), 4 * P)] {
             let reg = registry(P);
             let mut inner = reg.inner.lock();
@@ -1488,7 +1488,7 @@ mod tests {
                 inner.set_mode(r, Mode::Running);
             }
             for (group, floor) in [(requester / G, 2.0), (other, other_floor)] {
-                let members: Arc<Vec<usize>> = Arc::new((group * G..(group + 1) * G).collect());
+                let members: Arc<[usize]> = (group * G..(group + 1) * G).collect();
                 for &r in members.iter().filter(|&&r| r != requester) {
                     inner.ranks[r].floor = SimTime::secs(floor);
                     let id = group as u64;

@@ -97,7 +97,7 @@ pub struct Rendezvous {
     /// (unit-test constructor) leaves waiters unregistered, bounded by
     /// their own floor as if running, which is sound but cannot exploit
     /// the requester-dependence rule.
-    participants: Option<Arc<Vec<usize>>>,
+    participants: Option<Arc<[usize]>>,
     state: Mutex<State>,
     cv: Condvar,
     poison: Arc<PoisonFlag>,
@@ -122,13 +122,24 @@ impl Rendezvous {
     /// registry bound a parked waiter's wake time by the participants'
     /// clocks — in particular, a meeting that includes the requesting
     /// rank never delays its admission.
-    pub fn for_ranks(mut ranks: Vec<usize>, poison: Arc<PoisonFlag>) -> Self {
+    ///
+    /// An ascending list is kept as the caller's `Arc`, so a
+    /// communicator and its meeting point hold one member list between
+    /// them; only an unsorted one is copied.
+    pub fn for_ranks(ranks: impl Into<Arc<[usize]>>, poison: Arc<PoisonFlag>) -> Self {
+        let ranks: Arc<[usize]> = ranks.into();
         let n = ranks.len();
-        ranks.sort_unstable();
-        Self::build(n, Some(Arc::new(ranks)), poison)
+        let sorted = if ranks.is_sorted() {
+            ranks
+        } else {
+            let mut copy = ranks.to_vec();
+            copy.sort_unstable();
+            copy.into()
+        };
+        Self::build(n, Some(sorted), poison)
     }
 
-    fn build(n: usize, participants: Option<Arc<Vec<usize>>>, poison: Arc<PoisonFlag>) -> Self {
+    fn build(n: usize, participants: Option<Arc<[usize]>>, poison: Arc<PoisonFlag>) -> Self {
         assert!(n > 0, "rendezvous needs at least one participant");
         Rendezvous {
             n,
@@ -148,6 +159,13 @@ impl Rendezvous {
     /// Number of participants.
     pub fn parties(&self) -> usize {
         self.n
+    }
+
+    /// The participants' global ranks, ascending (`None` from the
+    /// unit-test constructor). The world communicator's member list is
+    /// this `Arc`: rank `i` of the world is participant `i`.
+    pub fn participants(&self) -> Option<&Arc<[usize]>> {
+        self.participants.as_ref()
     }
 
     /// Participate in the current collective.

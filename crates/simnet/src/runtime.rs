@@ -140,7 +140,7 @@ where
     let net = Arc::new(cfg.net);
     let machine = Arc::new(cfg.machine);
     let world_rdv = Arc::new(Rendezvous::for_ranks(
-        (0..n).collect(),
+        (0..n).collect::<Arc<[usize]>>(),
         Arc::clone(&poison),
     ));
     let ctx_counter = Arc::new(AtomicU32::new(1)); // 0 is reserved for world
@@ -164,7 +164,7 @@ where
         let faults = cfg
             .faults
             .as_ref()
-            .map(|plan| FaultState::new(Arc::clone(plan), n));
+            .map(|plan| FaultState::new(Arc::clone(plan)));
         Endpoint::new(
             rank,
             Arc::clone(&mailboxes),

@@ -124,7 +124,7 @@ fn nested_communicator_run() -> Vec<(usize, u32)> {
     let halves: Arc<Vec<Rendezvous>> = Arc::new(
         [0..N / 2, N / 2..N]
             .into_iter()
-            .map(|ranks| Rendezvous::for_ranks(ranks.collect(), Arc::clone(&poison)))
+            .map(|ranks| Rendezvous::for_ranks(ranks.collect::<Vec<_>>(), Arc::clone(&poison)))
             .collect(),
     );
     let sink = Arc::clone(&log);

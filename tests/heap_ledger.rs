@@ -225,6 +225,57 @@ fn one_piece_list_per_rank_and_aggregator() {
     );
 }
 
+/// Synthetic tile-io write on `p` ranks through `mode`, eight tiles to
+/// a row of the file: every rank's access has the same shape whatever
+/// `p` is, so what a rank holds should not depend on `p` either.
+fn tile_write(p: usize, mode: IoMode) {
+    let tiles = TileIo {
+        ntx: 8,
+        nty: p / 8,
+        tile_x: 256,
+        tile_y: 192,
+        elem: 64,
+    };
+    let r = run_workload(tiles, RunConfig::paper(mode));
+    assert_eq!(r.total_bytes, (p * 256 * 192 * 64) as u64);
+}
+
+/// Peak live heap per rank of [`tile_write`], from its second run: the
+/// first one leaves the fiber stacks in the pool, so the peak reads what
+/// the ranks build, not their stacks.
+fn per_rank_peak(p: usize, mode: IoMode) -> f64 {
+    ledger(|| tile_write(p, mode));
+    let (peak, _) = ledger(|| tile_write(p, mode));
+    peak as f64 / p as f64
+}
+
+/// Bytes per rank do not grow with P. A table every rank agrees on is
+/// held once, shared, and per-rank state is sized by what the rank
+/// touches (DESIGN.md §9.3): a table sized by the communicator in every
+/// rank is P² bytes, which is flat per rank at 64 ranks and dominant at
+/// 512. With the six per-rank copies of communicator-sized tables — the
+/// range allgather's clones, mailbox slot tables, `Grouping`s, world
+/// member lists, the split's member copy, the aggregator hints — the
+/// per-rank peak at 512 ranks was 3.33 × the one at 64 ranks through the
+/// collective (9 225 → 30 750 B) and 4.37 × through ParColl (9 048 →
+/// 39 508 B); shared, it is 1.01 × (8 351 → 8 460 B) and 1.06 × (8 558
+/// → 9 091 B).
+fn bytes_per_rank_do_not_grow_with_p() {
+    for (name, mode) in [
+        ("collective", IoMode::Collective),
+        ("parcoll", IoMode::Parcoll { groups: 8 }),
+    ] {
+        let small = per_rank_peak(64, mode);
+        let large = per_rank_peak(512, mode);
+        assert!(
+            large <= 1.25 * small,
+            "{name}: {large:.0} B per rank at 512 ranks, {small:.0} B at 64 ({:.2} ×): \
+             a rank holds a table sized by its communicator",
+            large / small
+        );
+    }
+}
+
 #[test]
 fn heap_follows_real_bytes_and_unique_metadata() {
     simnet::set_executor(simnet::Executor::Fibers);
@@ -262,4 +313,5 @@ fn heap_follows_real_bytes_and_unique_metadata() {
         );
     }
     one_piece_list_per_rank_and_aggregator();
+    bytes_per_rank_do_not_grow_with_p();
 }
