@@ -78,9 +78,10 @@ pub const MAX_DEPTH: usize = 8;
 pub enum Site {
     /// Whole-scenario root frame opened by the driver binary; its self
     /// time is everything no finer probe accounts for outside the ranks
-    /// (setup, result folding). Work a rank does itself — generating its
-    /// verification pattern, checking its read-back — runs inside its
-    /// fiber slices and lands in [`Site::FiberRun`] under fibers.
+    /// (setup, result folding). Work a rank does itself runs inside its
+    /// fiber slices and lands in [`Site::FiberRun`] under fibers, but for
+    /// the finer sites below (its verification pattern is
+    /// [`Site::Pattern`]).
     Scenario = 0,
     /// Fiber scheduler: run-queue bookkeeping and context-switch cost
     /// (self time of the whole `run_fibers` loop minus the fiber slices
@@ -162,10 +163,14 @@ pub enum Site {
     /// `File::plan`: one call's access plan, built from the view's
     /// flattened runs by run arithmetic.
     Plan,
+    /// Verification pattern: generating a transfer's bytes
+    /// (`workloads::pattern_buffer`) and checking its read-back against
+    /// them (`workloads::pattern_mismatch`).
+    Pattern,
 }
 
 /// Number of probe sites in the registry.
-pub const SITE_COUNT: usize = 23;
+pub const SITE_COUNT: usize = 24;
 
 /// Static description of one site.
 struct SiteInfo {
@@ -197,6 +202,7 @@ const SITES: [SiteInfo; SITE_COUNT] = [
     SiteInfo { name: "size_exchange", subsystem: "simmpi" },
     SiteInfo { name: "coll_setup", subsystem: "mpiio" },
     SiteInfo { name: "view_plan", subsystem: "mpiio" },
+    SiteInfo { name: "pattern", subsystem: "workloads" },
 ];
 
 impl Site {
@@ -238,6 +244,7 @@ impl Site {
                 20 => Site::SizeExchange,
                 21 => Site::CollSetup,
                 22 => Site::Plan,
+                23 => Site::Pattern,
                 _ => unreachable!(),
             })
         } else {

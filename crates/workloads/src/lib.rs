@@ -105,48 +105,97 @@ pub fn pattern_byte(rank: usize, call: usize, i: u64) -> u8 {
 /// Bytes the generators produce from one sequence element.
 const BLOCK: usize = 4096;
 
-/// Low 32 bits of `j·STEP`, for `j` in one block.
-static STEP_LO: [u32; BLOCK] = {
+/// Bits `shift..shift + 8` of `j·STEP`, for `j` in one block.
+const fn step_table(shift: u32) -> [u8; BLOCK] {
     let mut t = [0; BLOCK];
     let mut j = 0;
     while j < BLOCK {
-        t[j] = (j as u64).wrapping_mul(STEP) as u32;
+        t[j] = ((j as u64).wrapping_mul(STEP) >> shift) as u8;
         j += 1;
     }
     t
-};
+}
 
-/// Bits 32..39 of `j·STEP`, for `j` in one block.
-static STEP_HI: [u8; BLOCK] = {
-    let mut t = [0; BLOCK];
+/// Bits 24..31 of `j·STEP`: the top byte of its low half.
+static TOP: [u8; BLOCK] = step_table(24);
+
+/// Bits 32..39 of `j·STEP`.
+static HI: [u8; BLOCK] = step_table(32);
+
+/// The block's indices grouped by their `TOP` byte, ascending within a
+/// group: the `j` with `TOP[j] == v` are `TIES.1[TIES.0[v]..TIES.0[v + 1]]`
+/// (15 to 19 of them for every `v`).
+static TIES: ([u16; 257], [u16; BLOCK]) = {
+    let mut at = [0u16; 257];
     let mut j = 0;
     while j < BLOCK {
-        t[j] = ((j as u64).wrapping_mul(STEP) >> 32) as u8;
+        at[TOP[j] as usize + 1] += 1;
         j += 1;
     }
-    t
+    let mut v = 0;
+    while v < 256 {
+        at[v + 1] += at[v];
+        v += 1;
+    }
+    let mut next = at;
+    let mut list = [0u16; BLOCK];
+    j = 0;
+    while j < BLOCK {
+        let v = TOP[j] as usize;
+        list[next[v] as usize] = j as u16;
+        next[v] += 1;
+        j += 1;
+    }
+    (at, list)
 };
 
-/// The `n ≤ BLOCK` pattern bytes from sequence element `x` on. Byte `j`
-/// is bits 32..39 of `x + j·STEP`: the high part of `x` plus the table's,
-/// plus the carry out of the low 32-bit halves. One u32 add, one compare
-/// and two u8 adds a byte, which the compiler vectorises.
-fn pattern_block(x: u64, n: usize) -> impl Iterator<Item = u8> {
-    let (h, l) = ((x >> 32) as u8, x as u32);
-    STEP_LO[..n].iter().zip(&STEP_HI[..n]).map(move |(&lo, &hi)| {
-        let carry = (l.wrapping_add(lo) < l) as u8;
-        h.wrapping_add(hi).wrapping_add(carry)
-    })
+/// The `n ≤ BLOCK` pattern bytes from sequence element `x` on, but for
+/// the ties [`settle_ties`] corrects. Byte `j` is bits 32..39 of
+/// `x + j·STEP`: the high byte `h` of `x` plus `HI[j]`, plus the carry out
+/// of the low 32-bit halves, which is `LO[j] > t` for `t = !(x as u32)`
+/// and `LO[j]` the low half of `j·STEP`. Top bytes decide that compare
+/// unless they tie, so `TOP[j] > t >> 24` is the carry everywhere else:
+/// one u8 compare and two u8 adds a byte, which the compiler vectorises
+/// sixteen lanes wide.
+fn top_byte_block(x: u64, n: usize) -> impl Iterator<Item = u8> {
+    let (h, t8) = ((x >> 32) as u8, (!(x as u32) >> 24) as u8);
+    TOP[..n]
+        .iter()
+        .zip(&HI[..n])
+        .map(move |(&top, &hi)| h.wrapping_add(hi).wrapping_add((top > t8) as u8))
+}
+
+/// Give the bytes of `block`, generated by [`top_byte_block`] from
+/// sequence element `x`, the carries their top bytes tied on: where
+/// `TOP[j]` equals the top byte of `t = !(x as u32)`, the carry is the
+/// full 32-bit compare `LO[j] > t`, and `LO[j]` one multiply.
+fn settle_ties(x: u64, block: &mut [u8]) {
+    let t = !(x as u32);
+    let (at, list) = &TIES;
+    let v = (t >> 24) as usize;
+    for &j in &list[at[v] as usize..at[v + 1] as usize] {
+        let j = usize::from(j);
+        if j >= block.len() {
+            break;
+        }
+        if (j as u32).wrapping_mul(STEP as u32) > t {
+            block[j] = block[j].wrapping_add(1);
+        }
+    }
 }
 
 /// Materialize a verification buffer for one transfer, into a store of
 /// the `IoBuffer` scratch pool: a run reuses what the last run's file
 /// image let go of.
 pub fn pattern_buffer(rank: usize, call: usize, bytes: u64) -> IoBuffer {
+    let _hp = simtrace::host::scope(simtrace::host::Site::Pattern);
     IoBuffer::generate(bytes as usize, |out| {
         for start in (0..bytes).step_by(BLOCK) {
             let n = (bytes - start).min(BLOCK as u64) as usize;
-            out.extend(pattern_block(sequence(rank, call, start), n));
+            let x = sequence(rank, call, start);
+            let at = out.len();
+            out.extend(top_byte_block(x, n));
+            settle_ties(x, &mut out[at..]);
         }
     })
 }
@@ -155,13 +204,15 @@ pub fn pattern_buffer(rank: usize, call: usize, bytes: u64) -> IoBuffer {
 /// transfer, if anywhere (an index into `got`): the byte-for-byte
 /// read-back check, expected bytes a block at a time.
 pub fn pattern_mismatch(rank: usize, call: usize, start: u64, got: &[u8]) -> Option<usize> {
+    let _hp = simtrace::host::scope(simtrace::host::Site::Pattern);
     let mut block = [0u8; BLOCK];
     for (b, chunk) in got.chunks(BLOCK).enumerate() {
         let from = sequence(rank, call, start + (b * BLOCK) as u64);
         let expect = &mut block[..chunk.len()];
-        for (e, p) in expect.iter_mut().zip(pattern_block(from, chunk.len())) {
+        for (e, p) in expect.iter_mut().zip(top_byte_block(from, chunk.len())) {
             *e = p;
         }
+        settle_ties(from, expect);
         if *expect != *chunk {
             let at = expect.iter().zip(chunk).position(|(e, g)| e != g);
             return Some(b * BLOCK + at.expect("the blocks differ"));
@@ -173,6 +224,14 @@ pub fn pattern_mismatch(rank: usize, call: usize, start: u64, got: &[u8]) -> Opt
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The `n` bytes of a block from sequence element `x` as both
+    /// generators make them: top bytes, then the ties.
+    fn pattern_block(x: u64, n: usize) -> impl Iterator<Item = u8> {
+        let mut block: Vec<u8> = top_byte_block(x, n).collect();
+        settle_ties(x, &mut block);
+        block.into_iter()
+    }
 
     #[test]
     fn pattern_is_deterministic_and_varied() {
