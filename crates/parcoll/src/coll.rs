@@ -29,7 +29,7 @@ use crate::fa::{partition_file_areas, Grouping};
 use crate::iview::{LogicalMap, MappedSpace};
 use mpiio::profile::{Phase, PhaseTimer};
 use mpiio::twophase::{self, CollConfig, Dir, Memo};
-use mpiio::{AccessPlan, Datatype, DirectSpace, Ext, File, PhaseProfile};
+use mpiio::{AccessPlan, Datatype, DirectSpace, Ext, File, PhaseProfile, Run};
 use simfs::FileSystem;
 use simmpi::{codec, Communicator, Info};
 use simnet::IoBuffer;
@@ -317,9 +317,10 @@ fn decide<'ep>(
         }
         Ranges::Intersecting => {
             // Pattern (c): build the intermediate file view. Everyone
-            // shares its physical extent list (p2p volume ∝ segments).
+            // shares its access plan (modelled volume ∝ pieces).
             let t = PhaseTimer::start(Phase::Sync, ep.now());
-            let (map, grouping) = gather_logical_map(&comm, plan.pieces(), groups);
+            let (origin, runs) = (plan.start().unwrap_or(0), Arc::clone(plan.shape()));
+            let (map, grouping) = gather_logical_map(&comm, origin, runs, groups);
             t.stop_traced(ep.now(), file.profile_mut(), ep.trace());
 
             let (ls, le) = map.rank_range(comm.rank());
@@ -402,32 +403,24 @@ fn partition_ranges(ranges: &[Option<(u64, u64)>], groups: usize, pcfg: &Parcoll
     }
 }
 
-/// Allgather every rank's physical extent list, build the intermediate
-/// view's [`LogicalMap`] from them — the decide-time expansion of the
-/// plan's runs into pieces — and partition the *logical* file into
-/// `groups` subgroups. The lists are decoded, validated and indexed, and
-/// the partition made, once, at the meeting point, and every rank
-/// receives the same `Arc`s: the map's host cost is O(total extents) per
-/// collective, not O(P × total extents).
+/// Allgather every rank's access plan — its origin and its runs, by
+/// reference — build the intermediate view's [`LogicalMap`] from them,
+/// and partition the *logical* file into `groups` subgroups. The
+/// collective is modelled as ROMIO's allgather of the `(offset, len)`
+/// list, 16 bytes a piece; the host moves one `Arc` per rank. The map is
+/// validated and indexed, and the partition made, once, at the meeting
+/// point, and every rank receives the same `Arc`s: the map's host cost is
+/// O(total runs) per collective, not O(P × total pieces).
 fn gather_logical_map(
     comm: &Communicator<'_>,
-    extents: impl Iterator<Item = Ext>,
+    origin: u64,
+    runs: Arc<[Run]>,
     groups: usize,
 ) -> (Arc<LogicalMap>, Arc<Grouping>) {
-    let pairs: Vec<(u64, u64)> = extents.map(|e| (e.off, e.len)).collect();
-    let met = comm.allgather_derive(codec::encode_pairs(&pairs), |all_lists| {
-        let p = all_lists.len();
-        let map = LogicalMap::new(
-            all_lists
-                .iter()
-                .map(|b| {
-                    codec::decode_pairs(b)
-                        .into_iter()
-                        .map(|(o, l)| Ext::new(o, l))
-                        .collect()
-                })
-                .collect(),
-        );
+    let pieces: u64 = runs.iter().map(|r| r.count).sum();
+    let met = comm.allgather_t_derive((origin, runs), 16 * pieces as usize, |plans| {
+        let p = plans.len();
+        let map = LogicalMap::from_runs(plans);
         // Rank regions of the logical file are serial: pattern (a) by
         // construction.
         let logical_ranges: Vec<Option<(u64, u64)>> = (0..p)
@@ -1117,7 +1110,9 @@ mod tests {
             let mine: Vec<Ext> = (0..4)
                 .map(|k| Ext::new((comm.rank() * 16 + k * 256) as u64, 16))
                 .collect();
-            gather_logical_map(&comm, mine.into_iter(), 2)
+            let plan = AccessPlan::from_extents(mine);
+            assert_eq!(plan.runs().len(), 1, "four pieces, one strided run");
+            gather_logical_map(&comm, plan.start().unwrap(), Arc::clone(plan.shape()), 2)
         });
         let (map, grouping) = &maps[0];
         assert_eq!(map.nprocs(), 4);
@@ -1129,21 +1124,46 @@ mod tests {
         }
     }
 
+    /// Rank 2 contributes `bad`, every other rank one piece.
+    fn gather_with_one_bad_rank(bad: Vec<Run>) {
+        run_cluster(ClusterConfig::cray_xt(4, Mapping::Block), move |ep| {
+            let comm = Communicator::world(&ep);
+            let (origin, mine) = if comm.rank() == 2 {
+                (0, bad.clone())
+            } else {
+                (100 * comm.rank() as u64, vec![Run::piece(0, 10)])
+            };
+            gather_logical_map(&comm, origin, mine.into(), 2);
+        });
+    }
+
     /// The map's validation runs inside the collective's meeting point; a
-    /// rank contributing overlapping extents fails the run with the
-    /// assert's own message instead of hanging the other ranks.
+    /// rank contributing overlapping runs fails the run with the assert's
+    /// own message instead of hanging the other ranks.
     #[test]
     #[should_panic(expected = "physical extents must be sorted and disjoint per rank")]
     fn invalid_extents_fail_the_run_at_the_meeting_point() {
-        run_cluster(ClusterConfig::cray_xt(4, Mapping::Block), |ep| {
-            let comm = Communicator::world(&ep);
-            let mine = if comm.rank() == 2 {
-                vec![Ext::new(0, 10), Ext::new(5, 10)]
-            } else {
-                vec![Ext::new(100 * comm.rank() as u64, 10)]
-            };
-            gather_logical_map(&comm, mine.into_iter(), 2);
-        });
+        // The strided run's last piece is [40, 50); the next run starts at 45.
+        let strided = Run {
+            off: 0,
+            len: 10,
+            stride: 20,
+            count: 3,
+        };
+        gather_with_one_bad_rank(vec![strided, Run::piece(45, 10)]);
+    }
+
+    /// A run whose pieces are longer than its stride overlaps itself.
+    #[test]
+    #[should_panic(expected = "physical extents must be sorted and disjoint per rank")]
+    fn a_run_longer_than_its_stride_fails_the_run_at_the_meeting_point() {
+        let overlapping = Run {
+            off: 0,
+            len: 10,
+            stride: 5,
+            count: 3,
+        };
+        gather_with_one_bad_rank(vec![overlapping]);
     }
 
     /// `force_iview: Some(true)` (the tuner's `FaStrategy::Iview`) routes

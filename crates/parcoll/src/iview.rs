@@ -12,16 +12,19 @@
 //! aggregators' logical runs are translated back into the physical runs
 //! of the original views — [`MappedSpace`].
 
-use mpiio::{Ext, FileSpace};
+use mpiio::{Ext, FileSpace, Run};
 use simfs::FileHandle;
 use simnet::{IoBuffer, SimTime};
 use std::sync::Arc;
 
-/// Per-rank physical extents with a prefix index for logical lookup.
+/// One rank's physical access as the strided runs of its plan, shared
+/// with the plan, and the data bytes before each run.
 #[derive(Debug, Clone)]
 struct RankMap {
-    exts: Vec<Ext>,
-    /// Cumulative data bytes before each extent (len = exts.len() + 1).
+    /// File offset the runs are relative to.
+    origin: u64,
+    runs: Arc<[Run]>,
+    /// Cumulative data bytes before each run (len = runs.len() + 1).
     prefix: Vec<u64>,
 }
 
@@ -35,30 +38,48 @@ pub struct LogicalMap {
 
 impl LogicalMap {
     /// Build from every process's flattened physical extent list, in rank
-    /// order. Each list must be sorted and disjoint (the access-plan
-    /// invariant).
+    /// order: each extent is a one-piece run. Each list must be sorted
+    /// and disjoint (the access-plan invariant).
     pub fn new(extent_lists: Vec<Vec<Ext>>) -> Self {
-        let mut rank_prefix = Vec::with_capacity(extent_lists.len() + 1);
+        let plans = extent_lists.into_iter().map(|exts| {
+            let runs: Arc<[Run]> = exts.iter().map(|e| Run::piece(e.off, e.len)).collect();
+            (0, runs)
+        });
+        Self::from_runs(plans.collect())
+    }
+
+    /// Build from every process's access plan as `(origin, runs)` — what
+    /// `AccessPlan::start` and `AccessPlan::shape` hold — in rank order.
+    /// The runs are kept by reference; the map adds one prefix entry per
+    /// run. Each rank's pieces must be sorted and disjoint: `len ≤
+    /// stride` inside a run, and a run ends before the next one starts.
+    pub fn from_runs(plans: Vec<(u64, Arc<[Run]>)>) -> Self {
+        let mut rank_prefix = Vec::with_capacity(plans.len() + 1);
         rank_prefix.push(0u64);
-        let per_rank: Vec<RankMap> = extent_lists
+        let per_rank: Vec<RankMap> = plans
             .into_iter()
-            .map(|exts| {
-                for w in exts.windows(2) {
-                    assert!(
-                        w[0].end() <= w[1].off,
-                        "physical extents must be sorted and disjoint per rank"
-                    );
+            .map(|(origin, runs)| {
+                const DISJOINT: &str = "physical extents must be sorted and disjoint per rank";
+                for r in runs.iter() {
+                    let pieces_apart = r.count == 1 || r.len <= r.stride;
+                    assert!(r.count > 0 && pieces_apart, "{DISJOINT}");
                 }
-                let mut prefix = Vec::with_capacity(exts.len() + 1);
+                for w in runs.windows(2) {
+                    assert!(w[0].end() <= w[1].off, "{DISJOINT}");
+                }
+                let mut prefix = Vec::with_capacity(runs.len() + 1);
                 let mut acc = 0u64;
                 prefix.push(0);
-                for e in &exts {
-                    acc += e.len;
+                for r in runs.iter() {
+                    acc += r.bytes();
                     prefix.push(acc);
                 }
-                let total = acc;
-                rank_prefix.push(rank_prefix.last().expect("non-empty prefix") + total);
-                RankMap { exts, prefix }
+                rank_prefix.push(rank_prefix.last().expect("non-empty prefix") + acc);
+                RankMap {
+                    origin,
+                    runs,
+                    prefix,
+                }
             })
             .collect();
         LogicalMap {
@@ -82,9 +103,10 @@ impl LogicalMap {
         (self.rank_prefix[rank], self.rank_prefix[rank + 1])
     }
 
-    /// Translate a logical run into physical runs, in logical order.
-    /// Runs from one rank are ascending; across ranks the physical
-    /// offsets may jump arbitrarily (that is the whole point).
+    /// Translate a logical run into physical runs, one per piece it
+    /// touches, in logical order. Runs from one rank are ascending;
+    /// across ranks the physical offsets may jump arbitrarily (that is
+    /// the whole point).
     pub fn to_physical(&self, logical_off: u64, len: u64) -> Vec<Ext> {
         assert!(
             logical_off + len <= self.total(),
@@ -92,44 +114,34 @@ impl LogicalMap {
             self.total()
         );
         let mut out = Vec::new();
+        let end = logical_off + len;
         let mut pos = logical_off;
-        let mut remaining = len;
-        // Locate the rank containing `pos`.
-        let mut rank = match self.rank_prefix.binary_search(&pos) {
-            Ok(i) => i,
-            Err(i) => i - 1,
-        };
-        // Skip zero-length rank regions at the boundary.
-        while rank < self.per_rank.len() && self.rank_prefix[rank + 1] <= pos {
-            rank += 1;
-        }
-        while remaining > 0 {
-            debug_assert!(rank < self.per_rank.len());
+        // The rank holding `pos`: the last one starting at or before it
+        // (empty ranks before it start there too).
+        let mut rank = self.rank_prefix.partition_point(|&p| p <= pos) - 1;
+        while pos < end {
+            while self.rank_prefix[rank + 1] <= pos {
+                rank += 1; // an empty rank
+            }
             let rm = &self.per_rank[rank];
             let within = pos - self.rank_prefix[rank];
-            let mut seg = match rm.prefix.binary_search(&within) {
-                Ok(i) => i,
-                Err(i) => i - 1,
-            };
-            let mut seg_off = within - rm.prefix[seg];
-            while remaining > 0 && seg < rm.exts.len() {
-                let e = rm.exts[seg];
-                let take = (e.len - seg_off).min(remaining);
-                out.push(Ext::new(e.off + seg_off, take));
-                remaining -= take;
+            // The run holding `within`, past any empty ones, and the piece
+            // and byte inside it: one division per run entered.
+            let mut i = rm.prefix.partition_point(|&p| p <= within) - 1;
+            let at = within - rm.prefix[i];
+            let (mut k, mut skip) = (at / rm.runs[i].len, at % rm.runs[i].len);
+            while pos < end && i < rm.runs.len() {
+                let r = rm.runs[i];
+                let piece = rm.origin + r.off + k * r.stride;
+                let take = (r.len - skip).min(end - pos);
+                out.push(Ext::new(piece + skip, take));
                 pos += take;
-                seg_off += take;
-                if seg_off == e.len {
-                    seg += 1;
-                    seg_off = 0;
+                (k, skip) = (k + 1, 0);
+                if k == r.count {
+                    (i, k) = (i + 1, 0);
                 }
             }
-            if remaining > 0 {
-                rank += 1;
-                while rank < self.per_rank.len() && self.rank_prefix[rank + 1] <= pos {
-                    rank += 1;
-                }
-            }
+            rank += 1;
         }
         out
     }

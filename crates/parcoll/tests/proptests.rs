@@ -1,11 +1,12 @@
 //! Property-based tests for ParColl's partitioning machinery.
 
+use mpiio::{Ext, Run};
 use parcoll::aggdist::distribute_aggregators;
 use parcoll::fa::partition_file_areas;
 use parcoll::iview::LogicalMap;
-use mpiio::Ext;
 use proptest::prelude::*;
 use simnet::{Mapping, Topology};
+use std::sync::Arc;
 
 fn arb_ranges() -> impl Strategy<Value = Vec<Option<(u64, u64)>>> {
     proptest::collection::vec(
@@ -13,6 +14,78 @@ fn arb_ranges() -> impl Strategy<Value = Vec<Option<(u64, u64)>>> {
         1..24,
     )
     .prop_map(|v| v.into_iter().map(|o| o.map(|(s, l)| (s, s + l))).collect())
+}
+
+/// Every rank's access as `(origin, runs)`: sorted, disjoint strided
+/// runs, some of one piece, some whose pieces abut (`len == stride`),
+/// some abutting the next run, and some ranks empty.
+fn arb_rank_runs() -> impl Strategy<Value = Vec<(u64, Vec<Run>)>> {
+    let run = (0u64..4, 1u64..9, 0u64..3, 1u64..5);
+    let rank = (0u64..1_000, proptest::collection::vec(run, 0..6));
+    proptest::collection::vec(rank, 1..7).prop_map(|ranks| {
+        ranks
+            .into_iter()
+            .map(|(origin, shape)| {
+                let mut cursor = 0u64;
+                let runs = shape
+                    .into_iter()
+                    .map(|(gap, len, extra, count)| {
+                        let stride = if count == 1 { 0 } else { len + extra };
+                        let run = Run {
+                            off: cursor + gap,
+                            len,
+                            stride,
+                            count,
+                        };
+                        cursor = run.end();
+                        run
+                    })
+                    .collect();
+                (origin, runs)
+            })
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The map over runs is the map over the pieces they expand to: same
+    /// total, same rank ranges, and the same physical pieces for any
+    /// logical window.
+    #[test]
+    fn run_map_matches_piece_map(
+        ranks in arb_rank_runs(),
+        windows in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0), 1..8),
+    ) {
+        let pieces: Vec<Vec<Ext>> = ranks
+            .iter()
+            .map(|(origin, runs)| {
+                let shifted = runs.iter().map(|r| Run { off: origin + r.off, ..*r });
+                shifted.flat_map(Run::pieces).collect()
+            })
+            .collect();
+        let by_piece = LogicalMap::new(pieces);
+        let shared: Vec<(u64, Arc<[Run]>)> =
+            ranks.into_iter().map(|(origin, runs)| (origin, runs.into())).collect();
+        let by_run = LogicalMap::from_runs(shared);
+        let total = by_piece.total();
+        prop_assert_eq!(by_run.total(), total);
+        prop_assert_eq!(by_run.nprocs(), by_piece.nprocs());
+        for rank in 0..by_piece.nprocs() {
+            prop_assert_eq!(by_run.rank_range(rank), by_piece.rank_range(rank), "rank {}", rank);
+        }
+        for (a, b) in windows {
+            let at = (a * total as f64) as u64;
+            let len = (b * (total - at) as f64) as u64;
+            prop_assert_eq!(
+                by_run.to_physical(at, len),
+                by_piece.to_physical(at, len),
+                "logical [{}, +{})", at, len
+            );
+        }
+        prop_assert_eq!(by_run.to_physical(0, total), by_piece.to_physical(0, total));
+    }
 }
 
 proptest! {

@@ -1,10 +1,11 @@
 //! Byte encoding helpers for protocol metadata.
 //!
-//! The MPI-IO protocols exchange small metadata payloads — offset lists,
-//! length lists, (start, end) ranges — over point-to-point messages. As in
-//! a real MPI program, those travel as bytes; this module provides the
-//! little-endian encode/decode pairs used throughout, so message layouts
-//! live in one place.
+//! Some protocol metadata — ParColl's dead-rank lists and its tuner
+//! policy broadcast — travels as bytes, as in a real MPI program; this
+//! module provides the little-endian `u64` encode/decode pair they use,
+//! so the layout lives in one place. Metadata with a typed collective
+//! (`allgather_t`, `isend_t`) is shared by reference and charged its
+//! serialized size instead.
 
 use simnet::IoBuffer;
 
@@ -35,23 +36,6 @@ pub fn decode_u64s(buf: &IoBuffer) -> Vec<u64> {
         .collect()
 }
 
-/// Encode `(u64, u64)` pairs (e.g. offset/length runs).
-pub fn encode_pairs(pairs: &[(u64, u64)]) -> IoBuffer {
-    let mut out = Vec::with_capacity(pairs.len() * 16);
-    for (a, b) in pairs {
-        out.extend_from_slice(&a.to_le_bytes());
-        out.extend_from_slice(&b.to_le_bytes());
-    }
-    IoBuffer::from_vec(out)
-}
-
-/// Decode a buffer produced by [`encode_pairs`].
-pub fn decode_pairs(buf: &IoBuffer) -> Vec<(u64, u64)> {
-    let vals = decode_u64s(buf);
-    assert!(vals.len().is_multiple_of(2), "pair payload has odd element count");
-    vals.chunks_exact(2).map(|c| (c[0], c[1])).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -63,15 +47,8 @@ mod tests {
     }
 
     #[test]
-    fn pairs_round_trip() {
-        let pairs = vec![(0u64, 7u64), (1 << 33, 4096), (u64::MAX, 0)];
-        assert_eq!(decode_pairs(&encode_pairs(&pairs)), pairs);
-    }
-
-    #[test]
     fn empty_slices_round_trip() {
         assert!(decode_u64s(&encode_u64s(&[])).is_empty());
-        assert!(decode_pairs(&encode_pairs(&[])).is_empty());
     }
 
     #[test]

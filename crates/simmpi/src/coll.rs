@@ -126,6 +126,11 @@ impl Communicator<'_> {
     /// in [`allgather_derive`](Self::allgather_derive), and every member
     /// receives the same `Arc`. Same collective, same cost, same trace
     /// span. Every member must pass an equivalent `derive`.
+    ///
+    /// Members may serialize to different sizes (`MPI_Allgatherv`): the
+    /// cost model charges the largest `bytes_each`, as `allgather_derive`
+    /// charges the longest buffer, and each member's `rdv` span carries
+    /// its own.
     pub fn allgather_t_derive<T, R, F>(&self, val: T, bytes_each: usize, derive: F) -> Arc<R>
     where
         T: Send + 'static,
@@ -139,10 +144,12 @@ impl Communicator<'_> {
             alg: "recursive_doubling",
             bytes: bytes_each as u64,
         };
-        self.meet(label, val, move |inputs: Vec<T>, max| {
-            let cost = net.allgather_cost(p, bytes_each);
-            (derive(inputs), max + cost)
-        })
+        let combine = move |inputs: Vec<(T, usize)>, max| {
+            let n_each = inputs.iter().map(|&(_, n)| n).max().unwrap_or(0);
+            let values = inputs.into_iter().map(|(v, _)| v).collect();
+            (derive(values), max + net.allgather_cost(p, n_each))
+        };
+        self.meet(label, (val, bytes_each), combine)
     }
 
     /// The per-round transfer-size alltoall of two-phase collective I/O,

@@ -121,6 +121,65 @@ fn derive_runs_once_shares_one_arc_and_costs_a_plain_allgather() {
     }
 }
 
+/// Serialized size of this rank's value in collective `i`: the largest
+/// contribution moves to a different rank each time, so whichever rank
+/// the host lets arrive last, some collective's largest is another's.
+fn unequal_size(rank: usize, i: usize) -> usize {
+    8 + (rank + 3 * i) % RANKS * 4
+}
+
+/// A typed allgather whose members serialize to different sizes is the
+/// `MPI_Allgatherv` of byte buffers of those lengths: every member's
+/// clock, and every `rdv` span (its own `bytes` included), bit for bit.
+#[test]
+fn typed_allgather_of_unequal_sizes_costs_the_byte_allgather() {
+    let _guard = executor_lock();
+    for executor in SUBSTRATES {
+        simnet::set_executor(executor);
+        let run = |typed: bool| {
+            let sink = TraceSink::enabled();
+            let clocks = run_cluster(cluster(&sink), move |ep| {
+                ep.compute(SimTime::micros(ep.rank() as f64 * 3.0));
+                let comm = Communicator::world(&ep);
+                let me = comm.rank();
+                (0..COLLECTIVES)
+                    .map(|i| {
+                        let n = unequal_size(me, i);
+                        let sizes = if typed {
+                            comm.allgather_t_derive(n, n, |sizes| sizes)
+                        } else {
+                            let buf = IoBuffer::from_vec(vec![me as u8; n]);
+                            comm.allgather_derive(buf, |bufs| lengths(&bufs))
+                        };
+                        let expect: Vec<usize> = (0..RANKS).map(|r| unequal_size(r, i)).collect();
+                        assert_eq!(*sizes, expect);
+                        ep.now()
+                    })
+                    .collect::<Vec<SimTime>>()
+            });
+            (clocks, chrome_trace_json(&sink.finish()))
+        };
+        let (bytes, bytes_trace) = run(false);
+        let (typed, typed_trace) = run(true);
+        let what = format!("{executor:?}");
+        for (rank, (t, b)) in typed.iter().zip(&bytes).enumerate() {
+            for i in 0..COLLECTIVES {
+                assert_eq!(
+                    t[i].as_secs().to_bits(),
+                    b[i].as_secs().to_bits(),
+                    "{what}: rank {rank} completion of collective {i}"
+                );
+            }
+        }
+        let spans_of = |n: usize| format!("\"bytes\": {n},");
+        assert!(
+            (0..RANKS).all(|r| bytes_trace.contains(&spans_of(unequal_size(r, 0)))),
+            "{what}: each member's span carries its own size"
+        );
+        assert_eq!(typed_trace, bytes_trace, "{what}: rdv spans");
+    }
+}
+
 #[test]
 fn split_derive_runs_once_and_is_a_plain_split() {
     let _guard = executor_lock();

@@ -10,8 +10,8 @@
 //! The executor is a process-global choice ([`simnet::set_executor`]), so
 //! the one test that switches it restores what it found.
 
-use simmpi::{codec, Communicator, RecvRequest};
-use simnet::{run_cluster, ClusterConfig, Executor, FaultPlan, Mapping, SimTime};
+use simmpi::{Communicator, RecvRequest};
+use simnet::{run_cluster, ClusterConfig, Executor, FaultPlan, IoBuffer, Mapping, SimTime};
 use simtrace::{chrome_trace_json, metrics_json, TraceSink};
 use std::sync::Arc;
 
@@ -27,6 +27,19 @@ fn pairs(src: usize, dst: usize, round: usize) -> Pairs {
     (0..(src * 3 + dst + round * 5) % 11)
         .map(|i| ((src * 1000 + i) as u64, (round + 1) as u64))
         .collect()
+}
+
+/// A list as the byte message it models: 16 little-endian bytes a pair.
+fn encode(list: &[(u64, u64)]) -> IoBuffer {
+    let words = list.iter().flat_map(|&(a, b)| [a, b]);
+    IoBuffer::from_vec(words.flat_map(u64::to_le_bytes).collect())
+}
+
+fn decode(buf: &IoBuffer) -> Pairs {
+    let bytes = buf.as_slice().expect("a list travels as real bytes");
+    let word = |c: &[u8]| u64::from_le_bytes(c.try_into().expect("8 bytes"));
+    let pair = |c: &[u8]| (word(&c[..8]), word(&c[8..]));
+    bytes.chunks_exact(16).map(pair).collect()
 }
 
 /// What one rank saw: its final clock, every list it received, the
@@ -72,7 +85,7 @@ fn exchange(typed: bool) -> (Vec<Seen>, String, String) {
                     seen.sent_at.push(Arc::as_ptr(&list) as usize);
                     comm.isend_t(dst, tag, list, wire);
                 } else {
-                    comm.isend(dst, tag, codec::encode_pairs(&list));
+                    comm.isend(dst, tag, encode(&list));
                 }
             }
             let reqs: Vec<RecvRequest> = peers.iter().map(|&src| comm.irecv(src, tag)).collect();
@@ -83,7 +96,7 @@ fn exchange(typed: bool) -> (Vec<Seen>, String, String) {
                 }
             } else {
                 for buf in comm.waitall(&reqs) {
-                    seen.lists.push(codec::decode_pairs(&buf));
+                    seen.lists.push(decode(&buf));
                 }
             }
             let faults = ep.faults().expect("plan installed");

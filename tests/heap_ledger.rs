@@ -134,15 +134,34 @@ fn restart() {
     assert_eq!(r.read_bytes, 64 * 3 * MIB as u64);
 }
 
-/// 64-rank BT-IO class C geometry, pattern (c): 209 952 extents in all,
-/// 24 B each in the intermediate view's map — 4.8 MiB once, 308 MiB if
-/// every rank keeps its own.
-fn btio() {
+/// 64-rank BT-IO class C geometry through ParColl's intermediate view,
+/// pattern (c): `steps` collective calls.
+fn btio_parcoll(steps: usize) {
     let r = run_workload(
-        BtIo::with_grid(64, 162, 2),
+        BtIo::with_grid(64, 162, steps),
         RunConfig::paper(IoMode::Parcoll { groups: 8 }),
     );
     assert!(r.write_mbps > 0.0);
+}
+
+/// Pieces one BT-IO class C call moves on 64 ranks: what ROMIO's
+/// `(offset, len)` lists would hold.
+fn btio_pieces() -> usize {
+    let btio = BtIo::with_grid(64, 162, 1);
+    let pieces: usize = (0..64)
+        .map(|rank| {
+            let (disp, filetype) = btio.view(rank);
+            let (offset, nbytes) = btio.call(rank, 0);
+            mpiio::FileView::new(disp, &filetype)
+                .extents(offset, nbytes)
+                .len()
+        })
+        .sum();
+    assert!(
+        pieces > 200_000,
+        "pattern (c): ~3 280 pieces per rank per call"
+    );
+    pieces
 }
 
 /// 64-rank BT-IO class C geometry through the baseline collective, where
@@ -203,25 +222,38 @@ fn one_piece_list_per_rank_and_aggregator() {
         requested(|| btio_collective(2)),
         "counts repeat exactly"
     );
-    let btio = BtIo::with_grid(64, 162, 1);
-    let pieces: usize = (0..64)
-        .map(|rank| {
-            let (disp, filetype) = btio.view(rank);
-            let (offset, nbytes) = btio.call(rank, 0);
-            mpiio::FileView::new(disp, &filetype)
-                .extents(offset, nbytes)
-                .len()
-        })
-        .sum();
-    assert!(
-        pieces > 200_000,
-        "pattern (c): ~3 280 pieces per rank per call"
-    );
-    let per_piece = (steps_2 - steps_1) as f64 / pieces as f64;
+    let per_piece = (steps_2 - steps_1) as f64 / btio_pieces() as f64;
     assert!(
         per_piece <= 9.5,
         "a collective call requests {per_piece:.1} B per piece: a call shaped like the \
          last rebuilt its index, or a piece-by-piece representation of the access is back"
+    );
+}
+
+/// The intermediate view is built from the plans' strided runs, gathered
+/// by reference: a one-step ParColl BT-IO run, in steady state, requests
+/// a few bytes per piece it moves, and holds little at its peak.
+///
+/// The ledger at the bound's writing: 6.4 B per piece requested, 0.81 MiB
+/// peak. While the map expanded every rank's runs into pieces — each
+/// encoded as 16 wire bytes, gathered, decoded and indexed at 24 B — the
+/// same run requested 112.5 B per piece and peaked at 13.7 MiB.
+fn the_intermediate_view_keeps_runs() {
+    // First run: one-time state, and the fiber stacks go to the pool.
+    btio_parcoll(1);
+    let (peak, _) = ledger(|| btio_parcoll(1));
+    let step = requested(|| btio_parcoll(1));
+    assert_eq!(step, requested(|| btio_parcoll(1)), "counts repeat exactly");
+    let per_piece = step as f64 / btio_pieces() as f64;
+    assert!(
+        per_piece <= 16.0,
+        "a one-step ParColl BT-IO requests {per_piece:.1} B per piece: the intermediate \
+         view expands, copies or encodes the pieces of the access"
+    );
+    assert!(
+        peak < 2 * MIB,
+        "a one-step ParColl BT-IO peaks at {:.1} MiB of live heap in steady state",
+        peak as f64 / MIB as f64
     );
 }
 
@@ -286,13 +318,15 @@ fn heap_follows_real_bytes_and_unique_metadata() {
     real_bytes_are_held_once();
     // Bounds sit ≥ 4× below what the per-rank designs peaked at (204 MiB
     // and 335 MiB, measured with this file on the commit before the
-    // rules); the shared designs peak at 12 MiB and 28 MiB. The baseline
-    // collective peaked at 38 MiB while every aggregator held pairs,
-    // lists, placements and an interval set per window; with one list per
-    // (rank, aggregator) it peaks at 25 MiB.
+    // rules). First-run peaks with this file: restart 6.9 MiB; btio
+    // 1.4 MiB, 14.3 MiB while the intermediate view's map held every
+    // piece (24 B each, plus the encoded, gathered and decoded lists);
+    // btio collective 3.6 MiB. The baseline collective peaked at 38 MiB
+    // while every aggregator held pairs, lists, placements and an
+    // interval set per window.
     for (name, run, bound) in [
         ("restart", restart as fn(), 48 * MIB),
-        ("btio", btio as fn(), 64 * MIB),
+        ("btio", (|| btio_parcoll(2)) as fn(), 64 * MIB),
         ("btio collective", (|| btio_collective(2)) as fn(), 32 * MIB),
     ] {
         // First run: also pays one-time state (thread-local pools, lazy
@@ -313,5 +347,6 @@ fn heap_follows_real_bytes_and_unique_metadata() {
         );
     }
     one_piece_list_per_rank_and_aggregator();
+    the_intermediate_view_keeps_runs();
     bytes_per_rank_do_not_grow_with_p();
 }
