@@ -19,7 +19,6 @@
 //! | `ablation_alltoall` | §1 claim | pairwise vs Bruck alltoall: the wall survives |
 //! | `ablation_groupsize` | §4 trade-off | group-size sweep across process counts |
 //! | `ablation_iview` | §4.1 | reordering vs scatter vs disabled intermediate views |
-//! | `ablation_mapping` | Fig. 5 context | block vs cyclic placement under shared-NIC injection |
 //!
 //! Also here: `parcoll_sim`, a command-line driver for any workload ×
 //! mode × scale; `report`, which renders `bench_results/*.json` as

@@ -5,23 +5,6 @@ use mpiio::Datatype;
 use parcoll::ParcollFile;
 use simnet::IoBuffer;
 
-/// A hyperslab selection: a rectangular sub-block of an n-dimensional
-/// dataset (HDF5's simple hyperslab with unit stride).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Hyperslab {
-    /// Start coordinate per dimension.
-    pub start: Vec<u64>,
-    /// Extent per dimension.
-    pub count: Vec<u64>,
-}
-
-impl Hyperslab {
-    /// Elements selected.
-    pub fn nelems(&self) -> u64 {
-        self.count.iter().product()
-    }
-}
-
 /// A handle to one dataset of an [`crate::H5File`].
 ///
 /// Slab I/O methods take the container's raw [`ParcollFile`] so multiple
@@ -91,32 +74,6 @@ impl Dataset {
         file.set_view(self.info.data_offset, &ft);
         file.read_at_all(0, bytes)
     }
-
-    /// Independent hyperslab write (no collective coordination).
-    pub fn write_slab(
-        &self,
-        file: &mut ParcollFile<'_>,
-        start: &[u64],
-        count: &[u64],
-        data: &IoBuffer,
-    ) {
-        let (ft, bytes) = self.slab_type(start, count);
-        assert_eq!(data.len() as u64, bytes, "data/slab size mismatch");
-        file.set_view(self.info.data_offset, &ft);
-        file.write_at(0, data);
-    }
-
-    /// Independent hyperslab read.
-    pub fn read_slab(
-        &self,
-        file: &mut ParcollFile<'_>,
-        start: &[u64],
-        count: &[u64],
-    ) -> IoBuffer {
-        let (ft, bytes) = self.slab_type(start, count);
-        file.set_view(self.info.data_offset, &ft);
-        file.read_at(0, bytes)
-    }
 }
 
 #[cfg(test)]
@@ -153,14 +110,5 @@ mod tests {
     #[should_panic(expected = "rank mismatch")]
     fn wrong_rank_rejected() {
         ds(&[4, 6], 2).slab_type(&[0], &[1]);
-    }
-
-    #[test]
-    fn hyperslab_element_count() {
-        let h = Hyperslab {
-            start: vec![0, 0, 0],
-            count: vec![2, 3, 4],
-        };
-        assert_eq!(h.nelems(), 24);
     }
 }

@@ -29,6 +29,6 @@ pub mod dataset;
 pub mod file;
 pub mod meta;
 
-pub use dataset::{Dataset, Hyperslab};
+pub use dataset::Dataset;
 pub use file::H5File;
 pub use meta::{AttrValue, DatasetInfo, Metadata, DATA_REGION_START, MAGIC};

@@ -264,16 +264,6 @@ impl Datatype {
         }
     }
 
-    /// Convenience: `MPI_Type_create_indexed_block` — equal-size blocks of
-    /// `inner` at element displacements (in units of `inner.extent()`).
-    pub fn indexed_block(displacements: &[u64], blocklen: usize, inner: Datatype) -> Datatype {
-        let ext = inner.extent();
-        Datatype::HIndexed {
-            blocks: displacements.iter().map(|&d| (d * ext, blocklen)).collect(),
-            inner: Box::new(inner),
-        }
-    }
-
     /// Convenience: a Fortran-order (column-major) subarray, expressed by
     /// reversing the dimension order of the row-major representation —
     /// the layout BT's Fortran arrays use on disk.
@@ -853,16 +843,6 @@ mod tests {
         assert_eq!(
             f.segs(),
             vec![Ext::new(0, 1), Ext::new(2, 2), Ext::new(5, 1)]
-        );
-    }
-
-    #[test]
-    fn indexed_block_places_equal_blocks() {
-        let t = Datatype::indexed_block(&[0, 5, 2], 1, Datatype::Bytes(4));
-        let f = t.flatten();
-        assert_eq!(
-            f.segs(),
-            vec![Ext::new(0, 4), Ext::new(8, 4), Ext::new(20, 4)]
         );
     }
 

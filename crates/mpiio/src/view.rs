@@ -14,8 +14,9 @@
 //! piece, and merging a tile's last piece with the next tile's first where
 //! they abut — so a BT-IO call costs its 162 runs, not its 3 280 pieces.
 //! [`AccessPlan::pieces`] and [`FileView::extents`] expand the runs for
-//! the consumers that need pieces one by one: independent I/O and the
-//! intermediate view's map.
+//! the consumers that need pieces one by one: independent I/O, and
+//! callers outside the workspace that want a view's pieces as a list.
+//! The intermediate view's map keeps the plan's runs.
 
 use crate::datatype::{push_piece, push_run, Datatype, Ext, FlatType, Run};
 use std::sync::Arc;

@@ -143,13 +143,13 @@ fn sync_dead_set(comm: &Communicator<'_>, prof: &mut PhaseProfile) -> u64 {
         return 0;
     }
     let t = PhaseTimer::start(Phase::Sync, ep.now());
-    let mine: Vec<u64> = faults.dead_ranks().iter().map(|&r| r as u64).collect();
-    let all = comm.allgather(codec::encode_u64s(&mine));
+    // Charged as the list of little-endian `u64`s a real program sends.
+    let mine = faults.dead_ranks();
+    let bytes = 8 * mine.len();
+    let all = comm.allgather_t(mine, bytes);
     t.stop_traced(ep.now(), prof, ep.trace());
-    for list in all.iter() {
-        for r in codec::decode_u64s(list) {
-            faults.mark_dead(r as usize);
-        }
+    for &r in all.iter().flatten() {
+        faults.mark_dead(r);
     }
     faults.dead_epoch()
 }
@@ -831,14 +831,6 @@ impl<'ep> ParcollFile<'ep> {
             .map(AutoTuner::log)
     }
 
-    /// The knobs currently in force, if tuning.
-    pub fn autotune_knobs(&self) -> Option<TuneKnobs> {
-        self.tune
-            .as_ref()
-            .and_then(|tr| tr.tuner.as_ref())
-            .map(|t| t.current())
-    }
-
     /// Partitioned collective read at a view offset, under the knobs in
     /// force: the tuner's if a write built one, the static configuration
     /// otherwise. A read is no autotune epoch.
@@ -886,17 +878,6 @@ impl<'ep> ParcollFile<'ep> {
     /// workloads should split once and reuse the subgroups).
     pub fn split_count(&self) -> u64 {
         self.cache.as_ref().map_or(0, |c| c.splits)
-    }
-
-    /// The ParColl configuration in force.
-    pub fn parcoll_config(&self) -> &ParcollConfig {
-        &self.pcfg
-    }
-
-    /// Override the ParColl configuration (benchmark sweeps).
-    pub fn set_parcoll_config(&mut self, pcfg: ParcollConfig) {
-        self.pcfg = pcfg;
-        self.cache = None;
     }
 
     /// The wrapped plain MPI-IO file.
@@ -1175,12 +1156,14 @@ mod tests {
         let fs2 = fs.clone();
         run_cluster(ClusterConfig::cray_xt(4, Mapping::Block), move |ep| {
             let comm = Communicator::world(&ep);
+            // The hint parser ignores `true`: only the tuner forces it.
             let info = info_groups(2);
-            let mut pc = ParcollFile::open(&comm, &fs2, "/forced", &info);
-            pc.set_parcoll_config(ParcollConfig {
+            let pcfg = ParcollConfig {
                 force_iview: Some(true),
                 ..ParcollConfig::from_info(&info)
-            });
+            };
+            let file = File::open(&comm, &fs2, "/forced", &info);
+            let mut pc = ParcollFile::build(file, pcfg, "/forced");
             let n = 256usize;
             let mine = fill(comm.rank(), n);
             pc.write_at_all((comm.rank() * n) as u64, &IoBuffer::from_slice(&mine));

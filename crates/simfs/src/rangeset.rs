@@ -94,18 +94,6 @@ impl RangeSet {
         let i = self.ranges.partition_point(|&(_, e)| e <= start);
         i < self.ranges.len() && self.ranges[i].0 <= start && self.ranges[i].1 >= end
     }
-
-    /// Bytes of `[start, end)` that are covered.
-    pub fn covered_within(&self, start: u64, end: u64) -> u64 {
-        self.ranges
-            .iter()
-            .map(|&(s, e)| {
-                let lo = s.max(start);
-                let hi = e.min(end);
-                hi.saturating_sub(lo)
-            })
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -176,15 +164,5 @@ mod tests {
         assert!(!r.contains_range(10, 21));
         assert!(!r.contains_range(15, 35));
         assert!(r.contains_range(5, 5)); // empty range trivially contained
-    }
-
-    #[test]
-    fn covered_within_partial_overlaps() {
-        let mut r = RangeSet::new();
-        r.insert(10, 20);
-        r.insert(30, 40);
-        assert_eq!(r.covered_within(0, 100), 20);
-        assert_eq!(r.covered_within(15, 35), 10);
-        assert_eq!(r.covered_within(20, 30), 0);
     }
 }

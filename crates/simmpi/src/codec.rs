@@ -1,11 +1,10 @@
 //! Byte encoding helpers for protocol metadata.
 //!
-//! Some protocol metadata — ParColl's dead-rank lists and its tuner
-//! policy broadcast — travels as bytes, as in a real MPI program; this
-//! module provides the little-endian `u64` encode/decode pair they use,
-//! so the layout lives in one place. Metadata with a typed collective
-//! (`allgather_t`, `isend_t`) is shared by reference and charged its
-//! serialized size instead.
+//! ParColl's tuner policy broadcast travels as bytes, as in a real MPI
+//! program; this module provides the little-endian `u64` encode/decode
+//! pair it uses, so the layout lives in one place. Metadata with a typed
+//! collective (`allgather_t`, `isend_t`) is shared by reference and
+//! charged its serialized size instead.
 
 use simnet::IoBuffer;
 

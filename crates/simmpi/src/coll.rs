@@ -70,45 +70,6 @@ impl Communicator<'_> {
         (*out).clone()
     }
 
-    /// Allgather of byte buffers (`MPI_Allgather`/`MPI_Allgatherv` —
-    /// lengths may differ). Returns all members' buffers by local rank,
-    /// as the meeting's own `Arc`: every member holds the one gathered
-    /// table, not a copy of it.
-    pub fn allgather(&self, buf: IoBuffer) -> Arc<Vec<IoBuffer>> {
-        self.allgather_derive(buf, |inputs| inputs)
-    }
-
-    /// Derive-at-meet allgather: the same collective as
-    /// [`allgather`](Self::allgather) — same cost, same trace span — but
-    /// instead of handing every member its own copy of the gathered
-    /// buffers, `derive` runs exactly once at the meeting point (on the
-    /// last arrival, over the buffers by local rank) and every member
-    /// receives the same `Arc` of what it built.
-    ///
-    /// Use it for metadata all members would otherwise each decode and
-    /// index identically (the `comm_split` idiom): host memory and work
-    /// are then O(gathered bytes), not O(members × gathered bytes). Every
-    /// member must pass an equivalent `derive`; a panic inside it poisons
-    /// the cluster and surfaces as the run's panic.
-    pub fn allgather_derive<R, F>(&self, buf: IoBuffer, derive: F) -> Arc<R>
-    where
-        R: Send + Sync + 'static,
-        F: FnOnce(Vec<IoBuffer>) -> R,
-    {
-        let net = self.ep.net().clone();
-        let p = self.size();
-        let label = MeetLabel {
-            op: "allgather",
-            alg: "recursive_doubling",
-            bytes: buf.len() as u64,
-        };
-        self.meet(label, buf, move |inputs: Vec<IoBuffer>, max| {
-            let n_each = inputs.iter().map(IoBuffer::len).max().unwrap_or(0);
-            let cost = net.allgather_cost(p, n_each);
-            (derive(inputs), max + cost)
-        })
-    }
-
     /// Typed allgather for protocol metadata; `bytes_each` is the
     /// serialized per-rank size charged to the cost model. Returns the
     /// values by local rank as the meeting's own `Arc`, shared by every
@@ -122,15 +83,20 @@ impl Communicator<'_> {
     }
 
     /// [`allgather_t`](Self::allgather_t) that builds something once
-    /// from the gathered values: `derive` runs at the meeting point, as
-    /// in [`allgather_derive`](Self::allgather_derive), and every member
-    /// receives the same `Arc`. Same collective, same cost, same trace
-    /// span. Every member must pass an equivalent `derive`.
+    /// from the gathered values: `derive` runs exactly once at the
+    /// meeting point (on the last arrival, over the values by local
+    /// rank) and every member receives the same `Arc` of what it built.
+    /// Same collective, same cost, same trace span.
+    ///
+    /// Use it for metadata all members would otherwise each decode and
+    /// index identically (the `comm_split` idiom): host memory and work
+    /// are then O(gathered values), not O(members × gathered values).
+    /// Every member must pass an equivalent `derive`; a panic inside it
+    /// poisons the cluster and surfaces as the run's panic.
     ///
     /// Members may serialize to different sizes (`MPI_Allgatherv`): the
-    /// cost model charges the largest `bytes_each`, as `allgather_derive`
-    /// charges the longest buffer, and each member's `rdv` span carries
-    /// its own.
+    /// cost model charges the largest `bytes_each`, and each member's
+    /// `rdv` span carries its own.
     pub fn allgather_t_derive<T, R, F>(&self, val: T, bytes_each: usize, derive: F) -> Arc<R>
     where
         T: Send + 'static,
@@ -374,18 +340,6 @@ mod tests {
     }
 
     #[test]
-    fn allgather_everyone_sees_everything() {
-        let out = run_cluster(ClusterConfig::ideal(4), |ep| {
-            let comm = Communicator::world(&ep);
-            comm.allgather(IoBuffer::from_slice(&[comm.rank() as u8]))
-        });
-        for got in &out {
-            let vals: Vec<u8> = got.iter().map(|b| b.as_slice().unwrap()[0]).collect();
-            assert_eq!(vals, vec![0, 1, 2, 3]);
-        }
-    }
-
-    #[test]
     fn allgather_t_shares_typed_values() {
         let out = run_cluster(ClusterConfig::ideal(3), |ep| {
             let comm = Communicator::world(&ep);
@@ -397,20 +351,17 @@ mod tests {
     }
 
     /// One gathered table per collective: every member of an
-    /// `allgather_t` (and of an `allgather`) holds the meeting's `Arc`.
+    /// `allgather_t` holds the meeting's `Arc`.
     #[test]
     fn every_member_gets_the_meetings_arc() {
         let out = run_cluster(ClusterConfig::ideal(6), |ep| {
             let comm = Communicator::world(&ep);
-            let typed = comm.allgather_t(comm.rank() as u64, 8);
-            let bytes = comm.allgather(IoBuffer::synthetic(4));
-            (typed, bytes)
+            comm.allgather_t(comm.rank() as u64, 8)
         });
-        for (typed, bytes) in &out {
-            assert!(Arc::ptr_eq(typed, &out[0].0));
-            assert!(Arc::ptr_eq(bytes, &out[0].1));
+        for typed in &out {
+            assert!(Arc::ptr_eq(typed, &out[0]));
         }
-        assert_eq!(*out[0].0, [0, 1, 2, 3, 4, 5]);
+        assert_eq!(*out[0], [0, 1, 2, 3, 4, 5]);
     }
 
     #[test]

@@ -219,7 +219,7 @@ impl<'ep> Communicator<'ep> {
     /// [`split`](Self::split) that also decides something once: `derive`
     /// runs exactly once at the meeting point (on the last arrival) and
     /// every member receives the same `Arc` of what it built — the
-    /// [`allgather_derive`](Self::allgather_derive) idiom for metadata
+    /// [`allgather_t_derive`](Self::allgather_t_derive) idiom for metadata
     /// every member would otherwise compute identically from inputs they
     /// all already hold. Same collective, same cost, same trace span.
     /// Every member must pass an equivalent `derive`.

@@ -1,8 +1,9 @@
 //! Contract of the derive-at-meet allgather
-//! ([`Communicator::allgather_derive`]): the closure runs exactly once
+//! ([`Communicator::allgather_t_derive`]): the closure runs exactly once
 //! per collective, every member receives the same `Arc`, and clocks and
-//! the exported trace are those of a plain `allgather` of the same
-//! buffers, bit for bit — on fibers and on the thread executor. A panic
+//! the exported trace are those of a plain `allgather_t` of the same
+//! values, bit for bit — on fibers and on the thread executor. Members
+//! that serialize to different sizes are charged the largest. A panic
 //! inside the closure surfaces as the run's panic with its own message
 //! instead of hanging the rendezvous.
 //!
@@ -11,7 +12,7 @@
 
 use simmpi::Communicator;
 use simnet::{run_cluster, ClusterConfig, Executor, IoBuffer, Mapping, SimTime};
-use simtrace::{chrome_trace_json, TraceSink};
+use simtrace::{chrome_trace_json, ArgValue, Event, TraceSink, TrackKey};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
@@ -44,14 +45,16 @@ fn cluster(trace: &TraceSink) -> ClusterConfig {
     cfg
 }
 
-/// This rank's contribution to collective `i`: lengths differ by rank so
-/// the cost model's max-length rule is exercised.
-fn contribution(rank: usize, i: usize) -> IoBuffer {
-    IoBuffer::from_vec(vec![(rank * 16 + i) as u8; 8 + rank * 4 + i])
+/// Serialized size of this rank's value in collective `i`: the largest
+/// contribution moves to a different rank each time, so whichever rank
+/// the host lets arrive last, some collective's largest is another's.
+fn unequal_size(rank: usize, i: usize) -> usize {
+    8 + (rank + 3 * i) % RANKS * 4
 }
 
-fn lengths(bufs: &[IoBuffer]) -> Vec<usize> {
-    bufs.iter().map(IoBuffer::len).collect()
+/// This rank's value in collective `i`, tagged with its serialized size.
+fn contribution(rank: usize, i: usize) -> (u64, usize) {
+    ((rank * 16 + i) as u64, unequal_size(rank, i))
 }
 
 #[test]
@@ -65,8 +68,11 @@ fn derive_runs_once_shares_one_arc_and_costs_a_plain_allgather() {
         let plain = run_cluster(cluster(&sink), |ep| {
             ep.compute(SimTime::micros(ep.rank() as f64 * 3.0));
             let comm = Communicator::world(&ep);
-            let folded: Vec<Vec<usize>> = (0..COLLECTIVES)
-                .map(|i| lengths(&comm.allgather(contribution(comm.rank(), i))))
+            let folded: Vec<Vec<u64>> = (0..COLLECTIVES)
+                .map(|i| {
+                    let (val, n) = contribution(comm.rank(), i);
+                    comm.allgather_t(val, n).iter().map(|v| v * 2).collect()
+                })
                 .collect();
             (folded, ep.now())
         });
@@ -76,18 +82,19 @@ fn derive_runs_once_shares_one_arc_and_costs_a_plain_allgather() {
             "the reference trace records the rdv spans"
         );
 
-        // Same buffers through the derive-at-meet form.
+        // Same values through the derive-at-meet form.
         let calls = Arc::new(AtomicUsize::new(0));
         let sink = TraceSink::enabled();
         let calls2 = Arc::clone(&calls);
         let derived = run_cluster(cluster(&sink), move |ep| {
             ep.compute(SimTime::micros(ep.rank() as f64 * 3.0));
             let comm = Communicator::world(&ep);
-            let shared: Vec<Arc<Vec<usize>>> = (0..COLLECTIVES)
+            let shared: Vec<Arc<Vec<u64>>> = (0..COLLECTIVES)
                 .map(|i| {
-                    comm.allgather_derive(contribution(comm.rank(), i), |bufs| {
+                    let (val, n) = contribution(comm.rank(), i);
+                    comm.allgather_t_derive(val, n, |vals| {
                         calls2.fetch_add(1, Ordering::SeqCst);
-                        lengths(&bufs)
+                        vals.iter().map(|v| v * 2).collect()
                     })
                 })
                 .collect();
@@ -121,62 +128,70 @@ fn derive_runs_once_shares_one_arc_and_costs_a_plain_allgather() {
     }
 }
 
-/// Serialized size of this rank's value in collective `i`: the largest
-/// contribution moves to a different rank each time, so whichever rank
-/// the host lets arrive last, some collective's largest is another's.
-fn unequal_size(rank: usize, i: usize) -> usize {
-    8 + (rank + 3 * i) % RANKS * 4
-}
-
-/// A typed allgather whose members serialize to different sizes is the
-/// `MPI_Allgatherv` of byte buffers of those lengths: every member's
-/// clock, and every `rdv` span (its own `bytes` included), bit for bit.
+/// A typed allgather whose members serialize to different sizes is an
+/// `MPI_Allgatherv`: every member completes, bit for bit, at the latest
+/// entry plus the cost of an allgather of the *largest* size, and each
+/// member's `rdv` span carries its own size.
 #[test]
-fn typed_allgather_of_unequal_sizes_costs_the_byte_allgather() {
+fn typed_allgather_of_unequal_sizes_charges_the_largest() {
     let _guard = executor_lock();
+    let net = cluster(&TraceSink::disabled()).net;
     for executor in SUBSTRATES {
         simnet::set_executor(executor);
-        let run = |typed: bool| {
-            let sink = TraceSink::enabled();
-            let clocks = run_cluster(cluster(&sink), move |ep| {
-                ep.compute(SimTime::micros(ep.rank() as f64 * 3.0));
-                let comm = Communicator::world(&ep);
-                let me = comm.rank();
-                (0..COLLECTIVES)
-                    .map(|i| {
-                        let n = unequal_size(me, i);
-                        let sizes = if typed {
-                            comm.allgather_t_derive(n, n, |sizes| sizes)
-                        } else {
-                            let buf = IoBuffer::from_vec(vec![me as u8; n]);
-                            comm.allgather_derive(buf, |bufs| lengths(&bufs))
-                        };
-                        let expect: Vec<usize> = (0..RANKS).map(|r| unequal_size(r, i)).collect();
-                        assert_eq!(*sizes, expect);
-                        ep.now()
-                    })
-                    .collect::<Vec<SimTime>>()
-            });
-            (clocks, chrome_trace_json(&sink.finish()))
-        };
-        let (bytes, bytes_trace) = run(false);
-        let (typed, typed_trace) = run(true);
+        let sink = TraceSink::enabled();
+        let out = run_cluster(cluster(&sink), move |ep| {
+            ep.compute(SimTime::micros(ep.rank() as f64 * 3.0));
+            let comm = Communicator::world(&ep);
+            let me = comm.rank();
+            (0..COLLECTIVES)
+                .map(|i| {
+                    let entry = ep.now();
+                    let n = unequal_size(me, i);
+                    let sizes = comm.allgather_t_derive(n, n, |sizes| sizes);
+                    let expect: Vec<usize> = (0..RANKS).map(|r| unequal_size(r, i)).collect();
+                    assert_eq!(*sizes, expect);
+                    (entry, ep.now())
+                })
+                .collect::<Vec<(SimTime, SimTime)>>()
+        });
         let what = format!("{executor:?}");
-        for (rank, (t, b)) in typed.iter().zip(&bytes).enumerate() {
-            for i in 0..COLLECTIVES {
+        for i in 0..COLLECTIVES {
+            let last_entry = out
+                .iter()
+                .map(|calls| calls[i].0)
+                .fold(SimTime::ZERO, SimTime::max);
+            let largest = (0..RANKS).map(|r| unequal_size(r, i)).max().unwrap();
+            let done = last_entry + net.allgather_cost(RANKS, largest);
+            for (rank, calls) in out.iter().enumerate() {
                 assert_eq!(
-                    t[i].as_secs().to_bits(),
-                    b[i].as_secs().to_bits(),
+                    calls[i].1.as_secs().to_bits(),
+                    done.as_secs().to_bits(),
                     "{what}: rank {rank} completion of collective {i}"
                 );
             }
         }
-        let spans_of = |n: usize| format!("\"bytes\": {n},");
-        assert!(
-            (0..RANKS).all(|r| bytes_trace.contains(&spans_of(unequal_size(r, 0)))),
-            "{what}: each member's span carries its own size"
-        );
-        assert_eq!(typed_trace, bytes_trace, "{what}: rdv spans");
+        let trace = sink.finish();
+        for rank in 0..RANKS {
+            let spans: Vec<u64> = trace
+                .track(TrackKey::Rank(rank))
+                .expect("every rank records its spans")
+                .events
+                .iter()
+                .filter_map(|e| match e {
+                    Event::Span { cat: "rdv", name, args, .. } if name == "allgather" => {
+                        args.iter().find_map(|&(k, ref v)| match (k, v) {
+                            ("bytes", ArgValue::U64(b)) => Some(*b),
+                            _ => None,
+                        })
+                    }
+                    _ => None,
+                })
+                .collect();
+            let own: Vec<u64> = (0..COLLECTIVES)
+                .map(|i| unequal_size(rank, i) as u64)
+                .collect();
+            assert_eq!(spans, own, "{what}: rank {rank}'s spans carry its own sizes");
+        }
     }
 }
 
@@ -251,7 +266,7 @@ fn panic_in_derive_surfaces_with_its_own_message() {
                     } else {
                         comm.send(late, 7, IoBuffer::synthetic(1));
                     }
-                    comm.allgather_derive(IoBuffer::synthetic(8), |_| -> usize {
+                    comm.allgather_t_derive(0u64, 8, |_| -> usize {
                         panic!("derive exploded at the meeting point")
                     })
                 })

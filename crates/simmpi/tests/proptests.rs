@@ -19,8 +19,8 @@ proptest! {
         let out = run_cluster(ClusterConfig::ideal(n), move |ep| {
             let comm = Communicator::world(&ep);
             let mine = vec![seeds2[comm.rank()]; comm.rank() + 1];
-            let got = comm.allgather(IoBuffer::from_slice(&mine));
-            got.iter().map(|b| b.as_slice().unwrap().to_vec()).collect::<Vec<_>>()
+            let bytes = mine.len();
+            comm.allgather_t(mine, bytes).to_vec()
         });
         for got in out {
             for (r, v) in got.iter().enumerate() {

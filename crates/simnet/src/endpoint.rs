@@ -4,7 +4,6 @@ use crate::buffer::IoBuffer;
 use crate::clock::Clock;
 use crate::fault::{FaultState, MsgFault};
 use crate::mailbox::{Mailbox, Packet, Payload};
-use crate::nic::Nic;
 use crate::model::{MachineModel, NetworkModel};
 use crate::rendezvous::{PoisonFlag, Rendezvous};
 use crate::time::SimTime;
@@ -31,7 +30,6 @@ pub struct Endpoint {
     rank: usize,
     clock: Clock,
     mailboxes: Arc<Vec<Mailbox>>,
-    nics: Arc<Vec<Nic>>,
     topology: Arc<Topology>,
     net: Arc<NetworkModel>,
     machine: Arc<MachineModel>,
@@ -57,8 +55,7 @@ impl Endpoint {
     pub(crate) fn new(
         rank: usize,
         mailboxes: Arc<Vec<Mailbox>>,
-        nics: Arc<Vec<Nic>>,
-        topology: Arc<Topology>,
+            topology: Arc<Topology>,
         net: Arc<NetworkModel>,
         machine: Arc<MachineModel>,
         poison: Arc<PoisonFlag>,
@@ -71,7 +68,6 @@ impl Endpoint {
             rank,
             clock: Clock::new(),
             mailboxes,
-            nics,
             topology,
             net,
             machine,
@@ -91,11 +87,6 @@ impl Endpoint {
     /// Total ranks in the cluster.
     pub fn size(&self) -> usize {
         self.mailboxes.len()
-    }
-
-    /// The node hosting this rank.
-    pub fn node(&self) -> usize {
-        self.topology.node_of(self.rank)
     }
 
     /// Cluster topology.
@@ -179,20 +170,13 @@ impl Endpoint {
     /// stamps the packet with the post-charge clock; the payload becomes
     /// visible to the receiver immediately (eager protocol — buffering is
     /// unbounded, as on Catamount where Portals delivers to user space).
-    /// A [`Payload::Typed`] message is charged, NIC-queued and fault-drawn
-    /// exactly as a byte message of its `wire_bytes`.
+    /// A [`Payload::Typed`] message is charged and fault-drawn exactly as
+    /// a byte message of its `wire_bytes`.
     pub fn send(&self, dst: usize, ctx: u32, tag: i32, payload: impl Into<Payload>) {
         assert!(dst < self.size(), "send to invalid rank {dst}");
         let payload = payload.into();
         let len = payload.wire_len();
         self.clock.advance(self.net.send_overhead(len));
-        if self.net.nic_serialize {
-            // The NIC is stateful (its queue tail depends on injection
-            // order), so admissions are gated into virtual-time order.
-            let _admission = crate::progress::admit(self.now());
-            let done = self.nics[self.node()].inject(self.now(), len, self.net.byte_time);
-            self.clock.advance_to(done);
-        }
         let fault = match &self.faults {
             Some(f) => f.draw_msg(self.rank, dst),
             None => MsgFault::NONE,

@@ -46,7 +46,6 @@ pub mod fault;
 pub mod fiber;
 pub mod mailbox;
 pub mod model;
-pub mod nic;
 pub mod noise;
 pub mod progress;
 pub mod rendezvous;

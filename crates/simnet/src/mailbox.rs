@@ -61,7 +61,7 @@ use std::sync::{Arc, OnceLock};
 /// for them.
 ///
 /// A typed payload is the point-to-point form of the typed collectives'
-/// `bytes_each`: the cost model, the NIC, the fault draws and the trace
+/// `bytes_each`: the cost model, the fault draws and the trace
 /// all see a message of `wire_bytes` (what the real protocol would
 /// serialize), while the host hands the receiver the sender's `Arc` —
 /// nothing is encoded, copied or decoded.

@@ -61,12 +61,6 @@ pub struct NetworkModel {
     pub noise_quad: SimTime,
     /// Algorithm used for alltoall cost accounting.
     pub alltoall_alg: CollectiveAlg,
-    /// Serialize message injection through each node's single NIC (both
-    /// cores of a Cray XT PE share one SeaStar). Off by default — the
-    /// calibrated figures fold NIC effects into the link constants — and
-    /// enabled by the mapping ablation, where block vs cyclic placement
-    /// changes which ranks contend for an injection port.
-    pub nic_serialize: bool,
 }
 
 impl NetworkModel {
@@ -79,7 +73,6 @@ impl NetworkModel {
             noise_base: SimTime::micros(35.0),
             noise_quad: SimTime::nanos(800.0),
             alltoall_alg: CollectiveAlg::Pairwise,
-            nic_serialize: false,
         }
     }
 
@@ -93,7 +86,6 @@ impl NetworkModel {
             noise_base: SimTime::ZERO,
             noise_quad: SimTime::ZERO,
             alltoall_alg: CollectiveAlg::Pairwise,
-            nic_serialize: false,
         }
     }
 
@@ -251,7 +243,6 @@ mod tests {
             noise_base: SimTime::ZERO,
             noise_quad: SimTime::ZERO,
             alltoall_alg: CollectiveAlg::Pairwise,
-            nic_serialize: false,
         }
     }
 

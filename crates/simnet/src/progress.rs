@@ -1,11 +1,11 @@
 //! Deterministic admission ordering for shared virtual-time resources.
 //!
 //! Virtual arrival times in this simulator are deterministic, but shared
-//! *stateful* resources (an OST's serial queue, a serialized NIC) used to
-//! admit requests in whatever order the OS happened to run the rank
-//! threads. Two requests with different virtual arrivals could therefore
-//! mutate the resource in either order, permuting queue depths, jitter
-//! draws and completion times run-to-run.
+//! *stateful* resources (an OST's serial queue) used to admit requests
+//! in whatever order the OS happened to run the rank threads. Two
+//! requests with different virtual arrivals could therefore mutate the
+//! resource in either order, permuting queue depths, jitter draws and
+//! completion times run-to-run.
 //!
 //! The [`ProgressRegistry`] closes that hole: every cluster run carries
 //! one registry, each rank thread installs a thread-local handle, and a

@@ -4,7 +4,6 @@
 use crate::endpoint::Endpoint;
 use crate::fault::{FaultPlan, FaultState};
 use crate::mailbox::Mailbox;
-use crate::nic::Nic;
 use crate::model::{MachineModel, NetworkModel};
 use crate::progress::{self, ProgressRegistry};
 use crate::rendezvous::{PoisonFlag, Rendezvous};
@@ -134,8 +133,6 @@ where
             .map(|r| Mailbox::new(r, n, Arc::clone(&poison)))
             .collect(),
     );
-    let nics: Arc<Vec<Nic>> =
-        Arc::new((0..cfg.topology.nnodes()).map(|_| Nic::new()).collect());
     let topology = Arc::new(cfg.topology);
     let net = Arc::new(cfg.net);
     let machine = Arc::new(cfg.machine);
@@ -168,7 +165,6 @@ where
         Endpoint::new(
             rank,
             Arc::clone(&mailboxes),
-            Arc::clone(&nics),
             Arc::clone(&topology),
             Arc::clone(&net),
             Arc::clone(&machine),
@@ -196,8 +192,8 @@ where
                 let registry = Arc::clone(&registry);
                 Box::new(move || {
                     let _guard = PoisonOnPanic(guard_flag);
-                    // Progress context: lets shared resources (OSTs, the
-                    // NIC) admit this rank's requests in virtual-time
+                    // Progress context: lets shared resources (the OSTs)
+                    // admit this rank's requests in virtual-time
                     // order. Dropped (rank -> Finished) after `f`, even
                     // on panic, so gate waiters never deadlock on us.
                     let _ctx = progress::install(registry, rank);
@@ -401,30 +397,5 @@ mod tests {
             ep.rank()
         });
         assert_eq!(out.len(), 512);
-    }
-
-    #[test]
-    fn nic_serialization_slows_colocated_senders() {
-        // Two ranks on one node each send 1 MB to ranks on another node;
-        // with the shared NIC their injections serialize.
-        let elapsed = |nic: bool| {
-            let mut cfg = ClusterConfig::ideal(4); // block: node0={0,1}
-            cfg.net.nic_serialize = nic;
-            let out = run_cluster(cfg, |ep| {
-                if ep.rank() < 2 {
-                    ep.send(ep.rank() + 2, 0, 1, IoBuffer::synthetic(1 << 20));
-                } else {
-                    let _ = ep.recv(ep.rank() - 2, 0, 1);
-                }
-                ep.now().as_secs()
-            });
-            out[2].max(out[3])
-        };
-        let shared_nothing = elapsed(false);
-        let shared_nic = elapsed(true);
-        assert!(
-            shared_nic > shared_nothing + 0.8e-3,
-            "shared NIC must add ~1ms of serialization: {shared_nothing} vs {shared_nic}"
-        );
     }
 }

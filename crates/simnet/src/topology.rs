@@ -100,11 +100,6 @@ impl Topology {
         assert!(node < self.nnodes, "node {node} out of {}", self.nnodes);
         (0..self.nranks).filter(|&r| self.node_of(r) == node).collect()
     }
-
-    /// True if both ranks share a physical node.
-    pub fn same_node(&self, a: usize, b: usize) -> bool {
-        self.node_of(a) == self.node_of(b)
-    }
 }
 
 #[cfg(test)]
@@ -136,16 +131,6 @@ mod tests {
         assert_eq!(t.node_of(3), 3);
         assert_eq!(t.node_of(7), 3);
         assert_eq!(t.ranks_on_node(0), vec![0, 4]);
-    }
-
-    #[test]
-    fn same_node_relation() {
-        let t = Topology::new(4, 2, 8, Mapping::Block).unwrap();
-        assert!(t.same_node(0, 1));
-        assert!(!t.same_node(1, 2));
-        let t = Topology::new(4, 2, 8, Mapping::Cyclic).unwrap();
-        assert!(t.same_node(0, 4));
-        assert!(!t.same_node(0, 1));
     }
 
     #[test]

@@ -103,15 +103,6 @@ impl Json {
         out
     }
 
-    /// Append the pretty form of this value to `out` as if it were
-    /// nested `depth` levels deep in a larger document. The streamed
-    /// trace exporter uses this to emit one event at a time while
-    /// producing bytes identical to a single [`Json::pretty`] call over
-    /// the whole document.
-    pub fn pretty_into(&self, out: &mut String, depth: usize) {
-        self.write(out, Some(2), depth);
-    }
-
     fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
         match self {
             Json::Null => out.push_str("null"),

@@ -319,13 +319,6 @@ impl TraceSink {
         }
     }
 
-    /// Add to a metrics counter on an arbitrary track.
-    pub fn add_count(&self, key: TrackKey, name: &'static str, delta: u64) {
-        if let Some(shared) = &self.shared {
-            *lock(&shared.track(key)).counters.entry(name).or_insert(0) += delta;
-        }
-    }
-
     /// Record a histogram observation on an arbitrary track.
     pub fn observe(&self, key: TrackKey, name: &'static str, value: f64) {
         if let Some(shared) = &self.shared {
@@ -635,10 +628,10 @@ mod tests {
     #[test]
     fn tracks_merge_in_key_order() {
         let sink = TraceSink::enabled();
-        sink.add_count(TrackKey::Ost(1), "n", 1);
-        sink.add_count(TrackKey::Rank(3), "n", 1);
-        sink.add_count(TrackKey::Rank(0), "n", 1);
-        sink.add_count(TrackKey::Ost(0), "n", 1);
+        sink.observe(TrackKey::Ost(1), "n", 1.0);
+        sink.observe(TrackKey::Rank(3), "n", 1.0);
+        sink.observe(TrackKey::Rank(0), "n", 1.0);
+        sink.observe(TrackKey::Ost(0), "n", 1.0);
         let keys: Vec<TrackKey> = sink.finish().tracks.iter().map(|t| t.key).collect();
         assert_eq!(
             keys,

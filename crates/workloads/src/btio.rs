@@ -39,16 +39,6 @@ impl BtIo {
         Self::with_grid(nprocs, 162, 40)
     }
 
-    /// Class B (102³).
-    pub fn class_b(nprocs: usize) -> Self {
-        Self::with_grid(nprocs, 102, 40)
-    }
-
-    /// Class A (64³).
-    pub fn class_a(nprocs: usize) -> Self {
-        Self::with_grid(nprocs, 64, 40)
-    }
-
     /// A miniature instance for correctness tests.
     pub fn tiny(nprocs: usize) -> Self {
         Self::with_grid(nprocs, 8, 2)

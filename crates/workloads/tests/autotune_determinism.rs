@@ -117,7 +117,7 @@ fn reads_are_no_epochs() {
         let mut f = ParcollFile::open(&comm, &fs, "/rw", &info);
         f.set_policy_cache(cache2.clone());
         f.read_at_all(off(0), n as u64);
-        let read_first = f.autotune_knobs();
+        let read_first = f.autotune_log().is_none();
         f.close();
         (after_writes, after_reads, read_first)
     });
@@ -126,7 +126,7 @@ fn reads_are_no_epochs() {
     assert!(!log.is_empty() && log.len() <= WRITES, "one epoch per write: {log:?}");
     assert_eq!(after_reads, after_writes, "reads log no epoch");
     assert_eq!(cache.len(), 1, "one entry, the write pattern's");
-    assert_eq!(*read_first, None, "a read-first open builds no tuner");
+    assert!(*read_first, "a read-first open builds no tuner");
 }
 
 #[test]
