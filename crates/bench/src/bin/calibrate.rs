@@ -1,67 +1,34 @@
 //! Calibration probe: prints the headline numbers the paper's figures
-//! hinge on, so the model constants in `simnet`/`simfs` can be tuned.
-//! Not part of the figure set; see DESIGN.md §6.
+//! hinge on beside their paper targets, so the model constants in
+//! `simnet`/`simfs` can be tuned. Runs the figure table's sweeps at
+//! paper scale. Not part of the figure set; see DESIGN.md §6.
+//!
+//! ```text
+//! calibrate [all|wall|ior|tile|btio|flash|scale]
+//! ```
 
-use bench::figures::*;
-use bench::{print_table, Row};
-use workloads::runner::{run_workload, IoMode, RunConfig};
+use bench::figures::sweep;
+use bench::{print_table, Scale};
+use workloads::runner::RunConfig;
+
+/// `(key, sweep, the paper's target)`.
+const TARGETS: &[(&str, &str, &str)] = &[
+    ("wall", "fig1_collective_wall", "~72% sync at 512"),
+    ("ior", "fig6_ior", "512 procs: baseline ~380 MB/s, ParColl best ~5301 MB/s"),
+    ("tile", "fig7_tileio_groups", "peak at 64 groups, +210% write"),
+    ("btio", "fig10_btio", "ParColl > baseline everywhere"),
+    ("flash", "fig11_flashio", "ParColl ~+38.5% over baseline; w/o Coll ~60 MB/s"),
+    ("scale", "fig9_scalability", "at 1024: 2700 vs 11400 MB/s"),
+];
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let which = args.get(1).map(String::as_str).unwrap_or("all");
-
-    if which == "all" || which == "wall" {
-        let rows = collective_wall(&[16, 64, 128, 256, 512], true);
-        print_table("collective wall (target: ~72% sync at 512)", "procs", &rows);
-    }
-
-    if which == "all" || which == "ior" {
-        let rows = ior_bandwidth(&[512], &[64], 512 << 20, 4 << 20, Some(128));
-        print_table(
-            "IOR 512 procs (targets: baseline ~380 MB/s, ParColl best ~5301 MB/s)",
-            "procs",
-            &rows,
-        );
-    }
-
-    if which == "all" || which == "tile" {
-        let rows = tileio_group_sweep(512, &[1, 4, 16, 64, 256], true);
-        print_table(
-            "tile-io groups at 512 (target: peak at 64 groups, +210% write)",
-            "groups",
-            &rows,
-        );
-    }
-
-    if which == "all" || which == "btio" {
-        let rows = btio_bandwidth(&[256, 576], 162, 5, 64);
-        print_table("BT-IO class C (target: ParColl > baseline everywhere)", "procs", &rows);
-    }
-
-    if which == "all" || which == "flash" {
-        let rows = flashio_variants(1024, 80, 64);
-        print_table(
-            "Flash-IO checkpoint 1024 procs (targets: ParColl ~+38.5% over baseline; w/o Coll ~60 MB/s)",
-            "procs",
-            &rows,
-        );
-    }
-
-    if which == "all" || which == "scale" {
-        let mut rows: Vec<Row> = Vec::new();
-        for p in [256usize, 1024] {
-            let base = run_workload(tileio_at(p, true), RunConfig::paper(IoMode::Collective));
-            rows.push(Row::new(BASELINE, p as f64, base.write_mbps, "MB/s"));
-            let pc = run_workload(
-                tileio_at(p, true),
-                RunConfig::paper(IoMode::Parcoll { groups: 64.min(p / 8) }),
-            );
-            rows.push(Row::new("ParColl-64", p as f64, pc.write_mbps, "MB/s"));
+    let which = std::env::args().nth(1).unwrap_or_else(|| "all".into());
+    for &(key, name, target) in TARGETS {
+        if which != "all" && which != key {
+            continue;
         }
-        print_table(
-            "tile-io scalability (target at 1024: 2700 vs 11400 MB/s)",
-            "procs",
-            &rows,
-        );
+        let s = sweep(name).expect("a figure sweep");
+        let rows = s.run(Scale::Paper, &RunConfig::paper).swap_remove(0);
+        print_table(&format!("{name} (target: {target})"), s.files[0].x, &rows);
     }
 }

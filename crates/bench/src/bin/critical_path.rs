@@ -1,9 +1,11 @@
 //! `critical_path` — happens-before critical-path breakdown for the
-//! figure workloads. For MPI-Tile-IO at a sweep of process counts (and
-//! both I/O protocols), runs the workload traced, reconstructs the
-//! event graph, extracts the path that bounds the virtual wall, and
-//! prints where that path spends its time: the collective wall as a
-//! *chain of stragglers* rather than an averaged share.
+//! figure workloads. Runs a list of figure points traced, one at a time,
+//! each through its figure's own helper — today Figure 9's MPI-Tile-IO
+//! pair (baseline and ParColl at Figure 9's group count) at a sweep of
+//! process counts; reconstructs each run's event graph, extracts the
+//! path that bounds the virtual wall, and prints where that path spends
+//! its time: the collective wall as a *chain of stragglers* rather than
+//! an averaged share.
 //!
 //! Alongside the per-phase path breakdown it prints the what-if panel —
 //! three "wall if sync were free" estimates (the Figure 1/2
@@ -14,26 +16,47 @@
 //! Emits `bench_results/critical_path.json` rows, so `report` folds the
 //! table in with the figures. `--quick` runs reduced scale.
 
-use bench::figures::tileio_at;
+use bench::figures::{tileio_scalability, Config};
 use bench::{emit_json, Row, Scale};
 use simtrace::{critical_path, rank_slack, what_if, TraceSink};
-use workloads::runner::{run_workload, IoMode, RunConfig};
+use std::cell::RefCell;
+use workloads::runner::{IoMode, RunConfig};
 
-fn main() {
-    let scale = Scale::from_args();
+/// A traced point, `(x, run)`: `run` is one figure point through its
+/// figure's helper, with the config it is given.
+type Point = (usize, Box<dyn Fn(Config)>);
+
+/// The traced points: Figure 9's pair at each process count.
+fn points(scale: Scale) -> Vec<Point> {
     let full = scale == Scale::Paper;
     let procs: &[usize] = scale.pick(&[16, 64, 128], &[8, 16]);
+    let fig9 = |p: usize| -> Box<dyn Fn(Config)> {
+        Box::new(move |cfg| {
+            tileio_scalability(&[p], full, cfg);
+        })
+    };
+    procs.iter().map(|&p| (p, fig9(p))).collect()
+}
 
+fn main() {
     let mut rows = Vec::new();
-    for &p in procs {
-        for (label, mode) in [
-            ("baseline", IoMode::Collective),
-            ("parcoll", IoMode::Parcoll { groups: (p / 8).max(2) }),
-        ] {
+    for (p, run) in points(Scale::from_args()) {
+        // The point's runs, each with a sink of its own, in run order:
+        // only one point's traces are held at once.
+        let runs = RefCell::new(Vec::new());
+        run(&|mode| {
             let sink = TraceSink::enabled();
-            let mut cfg = RunConfig::paper(mode);
-            cfg.trace = sink.clone();
-            run_workload(tileio_at(p, full), cfg);
+            runs.borrow_mut().push((mode, sink.clone()));
+            RunConfig {
+                trace: sink,
+                ..RunConfig::paper(mode)
+            }
+        });
+        for (mode, sink) in runs.take() {
+            let label = match mode {
+                IoMode::Parcoll { .. } => "parcoll",
+                _ => "baseline",
+            };
             let trace = sink.finish();
             let Some(path) = critical_path(&trace) else {
                 eprintln!("{label} {p}: no path (empty trace?)");

@@ -9,10 +9,11 @@
 //!          [--integrity-ab] [--check-overhead <baseline.json>] [--out PATH]
 //! ```
 //!
-//! `--figure NAME` times the `bench::hostprof::scenarios` sweeps whose
-//! name starts with `NAME` in-process (no exec overhead): `warmup`
-//! discarded runs, then `iters` timed runs; the row reports the median
-//! with min/max/mean extras, and `--out` writes the rows.
+//! `--figure NAME` times the `bench::hostprof::scenarios` sweeps (figure
+//! table entries) whose name starts with `NAME` in-process (no exec
+//! overhead): `warmup` discarded runs, then `iters` timed runs; the row
+//! reports the median with min/max/mean extras, and `--out` writes the
+//! rows.
 //! `--check-overhead` is the profiler A/B gate (DESIGN.md §13.3): it
 //! compares those medians against a baseline that a `--features
 //! hostprof-off` build (probes compiled out) wrote with `--out`, by
@@ -21,14 +22,14 @@
 //!
 //! `--integrity-ab` is the checksum-cost gate (DESIGN.md §14.6): it
 //! times each scenario twice in-process — end-to-end integrity off,
-//! then on — under two budgets. The fig1/fig9-shaped sweeps are
-//! synthetic, so checksums-on hashes nothing there and may cost at most
-//! 5% + 2 ms: that is the price of the plumbing (about 1% at either
-//! scale). `tile_verify` is a verify-mode tile-io run on real bytes with
-//! the scrub on, where every file byte is hashed seven times: there the
-//! cost, `on − off` in seconds, is held against what this process takes
-//! to copy the bytes the run hashed, timed between the two halves, and
-//! may be at most 1.5 times that (about 0.85 times at either scale;
+//! then on — under two budgets. The figure table's fig1 and fig9
+//! sweeps are synthetic, so checksums-on hashes nothing there and may
+//! cost at most 5% + 2 ms: that is the price of the plumbing (about 1%
+//! at either scale). `tile_verify` is a verify-mode tile-io run on real
+//! bytes with the scrub on, where every file byte is hashed seven
+//! times: there the cost, `on − off` in seconds, is held against what
+//! this process takes to copy the bytes the run hashed, timed between
+//! the two halves, and may be at most 1.5 times that (about 0.85 times at either scale;
 //! the byte-per-multiply hash this leg was added against costs about 3.4
 //! times). No speed-up outside the hash moves either term. Both sides
 //! are printed as `<figure>@integrity-off` / `@integrity-on` rows, and the
@@ -154,47 +155,31 @@ fn parse_args() -> Args {
 type AbRun = Box<dyn Fn(bool)>;
 
 /// The scenarios the `--integrity-ab` gate times, each parameterized by
-/// the checksum knob and carrying its budget. The fig1/fig9-shaped
-/// sweeps run the paper configuration on both sides — the same synthetic
-/// regime the fig1/fig9 figure sweeps run — so their A/B isolates what
-/// turning integrity on costs the figure pipeline itself: the hint
-/// plumbing and trailer bookkeeping (synthetic pages keep no sum, and a
-/// synthetic message's sum walks nothing). `tile_verify` is where bytes
-/// are real and every one of them is hashed.
+/// the checksum knob and carrying its budget. The fig1 and fig9 sweeps
+/// of the figure table run the paper configuration on both sides — the
+/// synthetic regime of the figures — so their A/B isolates what turning
+/// integrity on costs the figure pipeline itself: the hint plumbing and
+/// trailer bookkeeping (synthetic pages keep no sum, and a synthetic
+/// message's sum walks nothing). `tile_verify` is where bytes are real
+/// and every one of them is hashed.
 fn integrity_scenarios(scale: Scale) -> Vec<(&'static str, Budget, AbRun)> {
     use workloads::runner::{run_workload, IoMode, RunConfig};
     use workloads::Workload;
-    let full = scale == Scale::Paper;
-    let verify_procs = if full { 64 } else { 16 };
-    let paper_run = move |p: usize, mode: IoMode, integrity: bool| {
-        let mut cfg = RunConfig::paper(mode);
-        cfg.integrity = integrity;
-        std::hint::black_box(run_workload(bench::figures::tileio_at(p, full), cfg));
+    let figure = |name: &'static str| {
+        let s = bench::figures::sweep(name).expect("a figure sweep");
+        let run = move |integrity: bool| {
+            let cfg = |mode| RunConfig {
+                integrity,
+                ..RunConfig::paper(mode)
+            };
+            std::hint::black_box(s.run(scale, &cfg));
+        };
+        (name, Budget::Wall(INTEGRITY_TOL), Box::new(run) as AbRun)
     };
+    let verify_procs = if scale == Scale::Paper { 64 } else { 16 };
     vec![
-        (
-            "fig1_collective_wall",
-            Budget::Wall(INTEGRITY_TOL),
-            Box::new(move |integrity| {
-                let procs: &[usize] =
-                    if full { &[16, 32, 64, 128, 256, 512] } else { &[8, 16, 32] };
-                for &p in procs {
-                    paper_run(p, IoMode::Collective, integrity);
-                }
-            }) as AbRun,
-        ),
-        (
-            "fig9_scalability",
-            Budget::Wall(INTEGRITY_TOL),
-            Box::new(move |integrity| {
-                let procs: &[usize] = if full { &[64, 128, 256, 512, 1024] } else { &[8, 16] };
-                for &p in procs {
-                    paper_run(p, IoMode::Collective, integrity);
-                    let g = (p / 8).clamp(2, 64);
-                    paper_run(p, IoMode::Parcoll { groups: g }, integrity);
-                }
-            }),
-        ),
+        figure("fig1_collective_wall"),
+        figure("fig9_scalability"),
         (
             // Written, read back byte-compared and, with integrity on,
             // scrubbed: the one scenario in which the hash sees bytes.

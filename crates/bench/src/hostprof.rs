@@ -6,69 +6,41 @@
 //! The `hostprof` binary is a thin wrapper over this module, and
 //! `hostperf --figure` times the same [`scenarios`].
 
-use crate::figures::{
-    btio_bandwidth, collective_wall, flashio_variants, tileio_group_sweep, tileio_scalability,
-};
+use crate::figures::sweep;
 use crate::{Row, Scale};
 use simtrace::host;
 use std::time::Instant;
+use workloads::runner::RunConfig;
 
 /// A named figure sweep to run in-process: `(figure name, runner)`.
 pub type Scenario = (&'static str, Box<dyn Fn()>);
 
-/// The profiled figure scenarios, which `hostperf --figure` also times:
-/// the fig1/fig7/fig9 sweeps (fig1 is the overhead gate's), plus fig10
-/// (BT-IO: thousands of small pieces per rank, the exchange-metadata
-/// path) and fig11 (Flash-IO: many calls of large serial segments) with
-/// the parameters of their figure binaries — the two slowest paper-scale
-/// figures once fig7/fig8 stopped being.
+/// The figure-table sweeps profiled here and timed by `hostperf
+/// --figure`: fig1 (the overhead gate's; with Figure 2 and the alltoall
+/// ablation) and fig7 (with Figure 8 and the group-size ablation),
+/// fig9, and fig10 (BT-IO: thousands of small pieces per rank, the
+/// exchange-metadata path) and fig11 (Flash-IO: many calls of large
+/// serial segments), the two slowest paper-scale figures.
+pub const PROFILED: [&str; 5] = [
+    "fig1_collective_wall",
+    "fig7_tileio_groups",
+    "fig9_scalability",
+    "fig10_btio",
+    "fig11_flashio",
+];
+
+/// The [`PROFILED`] sweeps at `scale`, each run with the paper's config.
 pub fn scenarios(scale: Scale) -> Vec<Scenario> {
-    let full = scale == Scale::Paper;
-    vec![
-        (
-            "fig1_collective_wall",
-            Box::new(move || {
-                let procs: &[usize] = if full { &[16, 32, 64, 128, 256, 512] } else { &[8, 16, 32] };
-                std::hint::black_box(collective_wall(procs, full));
-            }) as Box<dyn Fn()>,
-        ),
-        (
-            "fig7_tileio_groups",
-            Box::new(move || {
-                let (procs, groups): (usize, &[usize]) = if full {
-                    (512, &[1, 2, 4, 8, 16, 32, 64, 128, 256])
-                } else {
-                    (16, &[1, 2, 4])
-                };
-                std::hint::black_box(tileio_group_sweep(procs, groups, full));
-            }),
-        ),
-        (
-            "fig9_scalability",
-            Box::new(move || {
-                let procs: &[usize] = if full { &[64, 128, 256, 512, 1024] } else { &[8, 16] };
-                std::hint::black_box(tileio_scalability(procs, |p| (p / 8).min(64), full));
-            }),
-        ),
-        (
-            "fig10_btio",
-            Box::new(move || {
-                let (procs, grid, steps): (&[usize], usize, usize) = if full {
-                    (&[256, 324, 400, 484, 576], 162, 10)
-                } else {
-                    (&[16, 36], 24, 2)
-                };
-                std::hint::black_box(btio_bandwidth(procs, grid, steps, 64));
-            }),
-        ),
-        (
-            "fig11_flashio",
-            Box::new(move || {
-                let (procs, blocks, groups) = if full { (1024, 80, 64) } else { (16, 4, 4) };
-                std::hint::black_box(flashio_variants(procs, blocks, groups));
-            }),
-        ),
-    ]
+    PROFILED
+        .iter()
+        .map(|&name| {
+            let s = sweep(name).expect("a figure sweep");
+            let run = move || {
+                std::hint::black_box(s.run(scale, &RunConfig::paper));
+            };
+            (name, Box::new(run) as Box<dyn Fn()>)
+        })
+        .collect()
 }
 
 /// One profiled scenario run: the folded sample report plus the

@@ -31,7 +31,7 @@ use mpiio::profile::{Phase, PhaseTimer};
 use mpiio::twophase::{self, CollConfig, Dir, Memo};
 use mpiio::{AccessPlan, Datatype, DirectSpace, Ext, File, PhaseProfile, Run};
 use simfs::FileSystem;
-use simmpi::{codec, Communicator, Info};
+use simmpi::{Communicator, Info};
 use simnet::IoBuffer;
 use std::sync::Arc;
 
@@ -692,16 +692,17 @@ impl<'ep> ParcollFile<'ep> {
         let t = PhaseTimer::start(Phase::Sync, ep.now());
         let hashes = comm.allgather_t(my_hash, 8);
         let sig = pattern_signature(comm.size(), &hashes);
-        let words_buf = if comm.rank() == 0 {
+        let words = if comm.rank() == 0 {
             let dead = ep.faults().map_or(0, |f| f.dead_epoch());
             let words = tr.cache.load(&self.path, sig, dead).unwrap_or_default();
-            comm.bcast(0, Some(codec::encode_u64s(&words)))
+            // Charged as the little-endian `u64`s a real program sends.
+            let bytes = 8 * words.len();
+            comm.bcast(0, Some((words, bytes)))
         } else {
             comm.bcast(0, None)
         };
         t.stop_traced(ep.now(), self.file.profile_mut(), ep.trace());
 
-        let words = codec::decode_u64s(&words_buf);
         let tuner = AutoTuner::from_words(&words)
             .filter(|t| t.nprocs() == comm.size())
             .unwrap_or_else(|| {

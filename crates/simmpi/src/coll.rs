@@ -18,7 +18,7 @@
 
 use crate::comm::{Communicator, MeetLabel};
 use crate::ReduceOp;
-use simnet::{CollectiveAlg, IoBuffer};
+use simnet::CollectiveAlg;
 use std::sync::Arc;
 
 impl Communicator<'_> {
@@ -46,28 +46,35 @@ impl Communicator<'_> {
         });
     }
 
-    /// Broadcast `root`'s buffer to everyone (`MPI_Bcast`). Non-root ranks
-    /// pass `None`.
-    pub fn bcast(&self, root: usize, buf: Option<IoBuffer>) -> IoBuffer {
+    /// Broadcast `root`'s value to everyone (`MPI_Bcast`): the root
+    /// passes `Some((value, bytes))`, `bytes` its serialized size charged
+    /// to the cost model and its `rdv` span, every other rank `None`.
+    /// Returns the meeting's `Arc`, shared by every member.
+    pub fn bcast<T>(&self, root: usize, val: Option<(T, usize)>) -> Arc<T>
+    where
+        T: Send + Sync + 'static,
+    {
         assert!(root < self.size(), "bcast root {root} out of range");
-        debug_assert_eq!(buf.is_some(), self.rank() == root, "only root supplies data");
+        debug_assert_eq!(
+            val.is_some(),
+            self.rank() == root,
+            "only root supplies data"
+        );
         let net = self.ep.net().clone();
         let p = self.size();
         let label = MeetLabel {
             op: "bcast",
             alg: "binomial",
-            bytes: buf.as_ref().map_or(0, |b| b.len() as u64),
+            bytes: val.as_ref().map_or(0, |&(_, n)| n as u64),
         };
-        let out = self.meet(label, buf, move |inputs: Vec<Option<IoBuffer>>, max| {
-            let data = inputs
+        self.meet(label, val, move |inputs: Vec<Option<(T, usize)>>, max| {
+            let (data, bytes) = inputs
                 .into_iter()
                 .flatten()
                 .next()
-                .expect("bcast root supplied a buffer");
-            let cost = net.bcast_cost(p, data.len());
-            (data, max + cost)
-        });
-        (*out).clone()
+                .expect("bcast root supplied a value");
+            (data, max + net.bcast_cost(p, bytes))
+        })
     }
 
     /// Typed allgather for protocol metadata; `bytes_each` is the
@@ -332,11 +339,15 @@ mod tests {
     fn bcast_delivers_root_data() {
         let out = run_cluster(ClusterConfig::ideal(5), |ep| {
             let comm = Communicator::world(&ep);
-            let buf = (comm.rank() == 2).then(|| IoBuffer::from_slice(b"payload"));
-            let got = comm.bcast(2, buf);
-            got.as_slice().unwrap().to_vec()
+            let val = (comm.rank() == 2).then(|| (vec![7u64, 1 << 40], 16));
+            let got = comm.bcast(2, val);
+            ((*got).clone(), ep.now())
         });
-        assert!(out.iter().all(|v| v == b"payload"));
+        assert!(out.iter().all(|(v, _)| *v == [7, 1 << 40]));
+        // Charged the root's size: every member leaves at the cost of a
+        // 16-byte broadcast.
+        let cost = simnet::NetworkModel::ideal().bcast_cost(5, 16);
+        assert!(out.iter().all(|&(_, t)| t == cost));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   [`Communicator::waitall`] (completion at the *maximum* arrival time,
 //!   as for a real `MPI_Waitall` over independent messages);
 //! * collectives — the ones the two-phase engine and ParColl run:
-//!   `barrier`, `bcast`, a typed `allgather(v)`, the size and count
+//!   `barrier`, a typed `bcast` and `allgather(v)`, the size and count
 //!   alltoalls, and `allreduce`;
 //! * [`Info`] — the string key/value hint dictionary of MPI, through which
 //!   applications tune collective I/O (`cb_nodes`, `cb_buffer_size`,
@@ -28,7 +28,6 @@
 
 #![warn(missing_docs)]
 
-pub mod codec;
 pub mod coll;
 pub mod comm;
 pub mod info;

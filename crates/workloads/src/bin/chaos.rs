@@ -13,7 +13,11 @@
 //!
 //! Usage: `chaos [--quick] [--corrupt] [--plan NAME] [--trace-out DIR]`
 //!
-//! `--quick` shrinks the cluster and skips the ParColl pass (CI smoke);
+//! Each plan runs under the two-phase collective; a crash plan runs
+//! every contract again under ParColl (degraded mode: the dead-set
+//! exchange, whose allgather its trace must hold, and the merge of dead
+//! groups), and without `--quick` so does every plan. `--quick` shrinks
+//! the cluster (CI smoke);
 //! `--corrupt` runs the data-integrity plans instead (checksummed pieces
 //! under silent corruption, a torn aggregator crash, at-rest rot) and
 //! additionally requires repair evidence in the trace; `--trace-out DIR`
@@ -21,7 +25,7 @@
 //! any contract is violated.
 
 use simnet::{FaultPlan, SimTime};
-use simtrace::{chrome_trace_json, metrics_json, TraceSink};
+use simtrace::{chrome_trace_json, metrics_json, ArgValue, Event, TraceSink};
 use std::process::ExitCode;
 use std::sync::Arc;
 use workloads::runner::{run_workload, IoMode, RunConfig};
@@ -136,7 +140,16 @@ fn apply_common_hints(cfg: &mut RunConfig) {
     cfg.info.set("cb_buffer_size", 128i64);
 }
 
-fn traced(mode: IoMode, ranks: usize, plan: FaultPlan, integrity: bool) -> (String, String) {
+/// A traced run's artifacts, and how many allgathers over the whole
+/// world its ranks entered.
+struct Traced {
+    trace: String,
+    metrics: String,
+    world_allgathers: usize,
+}
+
+/// Run `plan` (or no fault at all) traced.
+fn traced(mode: IoMode, ranks: usize, plan: Option<FaultPlan>, integrity: bool) -> Traced {
     let sink = TraceSink::enabled();
     // Integrity plans run over real bytes even on the traced pass —
     // synthetic pieces carry no platter image for rot to flip or
@@ -149,10 +162,23 @@ fn traced(mode: IoMode, ranks: usize, plan: FaultPlan, integrity: bool) -> (Stri
     apply_common_hints(&mut cfg);
     cfg.integrity = integrity;
     cfg.trace = sink.clone();
-    cfg.faults = Some(Arc::new(plan));
+    cfg.faults = plan.map(Arc::new);
     run_workload(TileIo::tiny(ranks), cfg);
     let trace = sink.finish();
-    (chrome_trace_json(&trace), metrics_json(&trace))
+    let world = ArgValue::U64(0);
+    let world_allgathers = trace
+        .rank_tracks()
+        .flat_map(|t| &t.events)
+        .filter(|e| {
+            matches!(e, Event::Span { cat: "rdv", name, args, .. }
+                if name == "allgather" && args.contains(&("ctx", world.clone())))
+        })
+        .count();
+    Traced {
+        trace: chrome_trace_json(&trace),
+        metrics: metrics_json(&trace),
+        world_allgathers,
+    }
 }
 
 /// Returns the scrub report so integrity plans can assert the image is
@@ -169,6 +195,78 @@ fn verified(
     cfg.scrub = integrity;
     cfg.faults = Some(Arc::new(plan));
     run_workload(TileIo::tiny(ranks), cfg).scrub
+}
+
+/// Hold one plan to every contract under `mode`; returns the number of
+/// contracts violated. The trace goes to `DIR/chaos_<plan>.json` for
+/// the two-phase collective, `chaos_<plan>_<label>.json` otherwise.
+fn check(spec: &PlanSpec, label: &str, mode: IoMode, ranks: usize, trace_out: Option<&str>) -> u32 {
+    let mut failures = 0;
+    let mut fail = |what: &str| {
+        eprintln!("FAIL {} ({label}): {what}", spec.name);
+        failures += 1;
+    };
+    let a = traced(mode, ranks, Some((spec.build)()), spec.integrity);
+    let b = traced(mode, ranks, Some((spec.build)()), spec.integrity);
+    if a.trace == b.trace && a.metrics == b.metrics {
+        println!(
+            "   {label} determinism: {} trace bytes, byte-identical across runs",
+            a.trace.len()
+        );
+    } else {
+        fail("same seed produced diverging artifacts");
+    }
+    if spec.expects_recovery && !a.trace.contains("\"recovery\"") {
+        fail("no recovery span in the trace");
+    }
+    if spec.expects_repair && !a.trace.contains("\"piece_repair\"") {
+        fail("no piece_repair span in the trace");
+    }
+    if spec.expects_recovery && mode != IoMode::Collective {
+        // Under a plan that can crash a rank, every ParColl call first
+        // agrees on the dead set: one more world allgather per rank
+        // than the same run without faults.
+        let healthy = traced(mode, ranks, None, spec.integrity).world_allgathers;
+        if a.world_allgathers < healthy + ranks {
+            fail(&format!(
+                "no dead-set allgather in the trace ({} world allgathers, {healthy} without faults)",
+                a.world_allgathers
+            ));
+        } else {
+            println!(
+                "   {label} dead set: {} world allgathers, {healthy} without faults",
+                a.world_allgathers
+            );
+        }
+    }
+
+    // Byte correctness through the degraded path: the runner panics
+    // (aborting with nonzero status) on any read-back mismatch.
+    let scrub = verified(mode, ranks, (spec.build)(), spec.integrity);
+    println!("   {label} verify: collective read-back byte-exact");
+    if let Some(report) = scrub {
+        // The read-back already repaired anything the plan planted,
+        // so the at-rest image must scrub clean.
+        if report.is_clean() {
+            println!(
+                "   {label} scrub: {} file(s), {} bytes clean at rest",
+                report.files_scanned, report.bytes_scanned
+            );
+        } else {
+            fail(&format!("post-run scrub found damage: {report:?}"));
+        }
+    }
+
+    if let Some(dir) = trace_out {
+        std::fs::create_dir_all(dir).expect("create trace-out dir");
+        let path = match mode {
+            IoMode::Collective => format!("{dir}/chaos_{}.json", spec.name),
+            _ => format!("{dir}/chaos_{}_{label}.json", spec.name),
+        };
+        std::fs::write(&path, &a.trace).expect("write trace");
+        println!("   trace written to {path}");
+    }
+    failures
 }
 
 fn main() -> ExitCode {
@@ -214,56 +312,14 @@ fn main() -> ExitCode {
             continue;
         }
         println!("== plan {} ({ranks} ranks) ==", spec.name);
-
-        let (trace_a, metrics_a) =
-            traced(IoMode::Collective, ranks, (spec.build)(), spec.integrity);
-        let (trace_b, metrics_b) =
-            traced(IoMode::Collective, ranks, (spec.build)(), spec.integrity);
-        if trace_a == trace_b && metrics_a == metrics_b {
-            println!(
-                "   determinism: {} trace bytes, byte-identical across runs",
-                trace_a.len()
-            );
-        } else {
-            eprintln!("FAIL {}: same seed produced diverging artifacts", spec.name);
-            failures += 1;
+        // Crash plans also hold ParColl's degraded mode to every
+        // contract; the full run does that for every plan.
+        let mut modes = vec![("collective", IoMode::Collective)];
+        if spec.expects_recovery || !quick {
+            modes.push(("parcoll", IoMode::Parcoll { groups: 4 }));
         }
-
-        if spec.expects_recovery && !trace_a.contains("\"recovery\"") {
-            eprintln!("FAIL {}: no recovery span in the trace", spec.name);
-            failures += 1;
-        }
-        if spec.expects_repair && !trace_a.contains("\"piece_repair\"") {
-            eprintln!("FAIL {}: no piece_repair span in the trace", spec.name);
-            failures += 1;
-        }
-
-        // Byte correctness through the degraded path: the runner panics
-        // (aborting with nonzero status) on any read-back mismatch.
-        let scrub = verified(IoMode::Collective, ranks, (spec.build)(), spec.integrity);
-        if !quick {
-            verified(IoMode::Parcoll { groups: 4 }, ranks, (spec.build)(), spec.integrity);
-        }
-        println!("   verify: collective read-back byte-exact");
-        if let Some(report) = scrub {
-            // The read-back already repaired anything the plan planted,
-            // so the at-rest image must scrub clean.
-            if report.is_clean() {
-                println!(
-                    "   scrub: {} file(s), {} bytes clean at rest",
-                    report.files_scanned, report.bytes_scanned
-                );
-            } else {
-                eprintln!("FAIL {}: post-run scrub found damage: {report:?}", spec.name);
-                failures += 1;
-            }
-        }
-
-        if let Some(dir) = &trace_out {
-            std::fs::create_dir_all(dir).expect("create trace-out dir");
-            let path = format!("{dir}/chaos_{}.json", spec.name);
-            std::fs::write(&path, &trace_a).expect("write trace");
-            println!("   trace written to {path}");
+        for (label, mode) in modes {
+            failures += check(spec, label, mode, ranks, trace_out.as_deref());
         }
     }
 
