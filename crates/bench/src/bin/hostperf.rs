@@ -9,8 +9,8 @@
 //!          [--integrity-ab] [--check-overhead <baseline.json>] [--out PATH]
 //! ```
 //!
-//! `--figure NAME` times the `bench::hostprof::scenarios` sweeps (figure
-//! table entries) whose name starts with `NAME` in-process (no exec
+//! `--figure NAME` times the `bench::hostprof::scenarios` sweep (figure
+//! table entry) named `NAME`, by its whole name, in-process (no exec
 //! overhead): `warmup` discarded runs, then `iters` timed runs; the row
 //! reports the median with min/max/mean extras, and `--out` writes the
 //! rows.
@@ -36,7 +36,8 @@
 //! verdict line and the `@integrity-on` row carry the absolute cost
 //! beside the ratio (`overhead_abs_s`), and for `tile_verify` the copy
 //! time (`copy_ref_s`).
-//! `--figure` narrows these scenarios too.
+//! `--figure` narrows these scenarios too. A `--figure` name that is
+//! none of these scenarios exits 2 with the valid names.
 
 use bench::regress::Tolerance;
 use bench::{print_table, rows_from_json, rows_to_json, Row, Scale};
@@ -94,9 +95,13 @@ struct Args {
 impl Args {
     /// Does `--figure` select `name` (every name when none was given)?
     fn selects(&self, name: &str) -> bool {
-        self.figures.is_empty() || self.figures.iter().any(|f| name.starts_with(f.as_str()))
+        bench::hostprof::selects(&self.figures, name)
     }
 }
+
+/// The real-bytes `--integrity-ab` scenario, the one `--figure` name
+/// that is no figure sweep.
+const TILE_VERIFY: &str = "tile_verify";
 
 fn parse_args() -> Args {
     let mut out = Args {
@@ -148,6 +153,9 @@ fn parse_args() -> Args {
         i += 1;
     }
     assert!(out.iters >= 1, "--iters must be at least 1");
+    let mut valid = bench::hostprof::PROFILED.to_vec();
+    valid.push(TILE_VERIFY);
+    bench::hostprof::require_known("hostperf", &out.figures, &valid);
     out
 }
 
@@ -183,7 +191,7 @@ fn integrity_scenarios(scale: Scale) -> Vec<(&'static str, Budget, AbRun)> {
         (
             // Written, read back byte-compared and, with integrity on,
             // scrubbed: the one scenario in which the hash sees bytes.
-            "tile_verify",
+            TILE_VERIFY,
             Budget::Copy {
                 hashed: HASH_PASSES
                     * bench::figures::tileio_at(verify_procs, false).total_bytes() as usize,

@@ -11,6 +11,9 @@
 //!          [--no-emit]
 //! ```
 //!
+//! `--figure NAME` narrows the run to the scenarios named, by their
+//! whole name; a name that is no scenario exits 2 with the valid ones.
+//!
 //! Per scenario it also writes `DIR/hostprof_<figure>.collapsed`
 //! (collapsed-stack lines for `flamegraph.pl` / inferno / speedscope;
 //! `--flame-dir` defaults to `bench_results`) and, unless `--no-emit`,
@@ -21,7 +24,10 @@
 //! shape-memo (`shape_hit`/`shape_miss`) and buffer-pool hit counts. Host-side only: the virtual-time artifacts
 //! of the profiled runs are byte-identical with the profiler on or off.
 
-use bench::hostprof::{attribution_rows, print_top, profile, scenarios, write_collapsed};
+use bench::hostprof::{
+    attribution_rows, print_top, profile, require_known, scenarios, selects, write_collapsed,
+    PROFILED,
+};
 use bench::{emit_json, Scale};
 use std::path::PathBuf;
 
@@ -72,6 +78,7 @@ fn parse_args() -> Args {
         }
         i += 1;
     }
+    require_known("hostprof", &out.figures, &PROFILED);
     out
 }
 
@@ -85,12 +92,10 @@ fn main() {
         std::process::exit(2);
     }
     let mut rows = Vec::new();
-    let mut ran = 0usize;
     for (name, run) in scenarios(args.scale) {
-        if !args.figures.is_empty() && !args.figures.iter().any(|f| name.starts_with(f.as_str())) {
+        if !selects(&args.figures, name) {
             continue;
         }
-        ran += 1;
         // One unprofiled warmup so caches and pools are in steady state
         // and the attribution reflects the steady-state loop, not
         // first-run setup.
@@ -104,10 +109,6 @@ fn main() {
         }
         rows.extend(attribution_rows(name, &profiled));
         println!();
-    }
-    if ran == 0 {
-        eprintln!("hostprof: no scenario matches {:?}", args.figures);
-        std::process::exit(2);
     }
     if args.emit {
         emit_json("BENCH_hostprof", &rows);

@@ -29,6 +29,26 @@ pub const PROFILED: [&str; 5] = [
     "fig11_flashio",
 ];
 
+/// Does the `--figure` list `names` select scenario `name`? Every
+/// scenario when the list is empty, otherwise those it names whole:
+/// `fig1` names no scenario, where a prefix would also pick fig10 and
+/// fig11.
+pub fn selects(names: &[String], name: &str) -> bool {
+    names.is_empty() || names.iter().any(|n| n == name)
+}
+
+/// Exit 2 with the list of `valid` names if a `--figure` name in `names`
+/// is none of them — before anything runs.
+pub fn require_known(tool: &str, names: &[String], valid: &[&str]) {
+    if let Some(bad) = names.iter().find(|n| !valid.contains(&n.as_str())) {
+        eprintln!(
+            "{tool}: unknown --figure {bad:?}; valid names: {}",
+            valid.join(", ")
+        );
+        std::process::exit(2);
+    }
+}
+
 /// The [`PROFILED`] sweeps at `scale`, each run with the paper's config.
 pub fn scenarios(scale: Scale) -> Vec<Scenario> {
     PROFILED
@@ -174,4 +194,25 @@ pub fn write_collapsed(path: &std::path::Path, p: &Profiled) -> std::io::Result<
         std::fs::create_dir_all(dir)?;
     }
     std::fs::write(path, p.report.collapsed())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_figure_is_selected_by_its_whole_name() {
+        let fig1 = vec!["fig1_collective_wall".to_string()];
+        let picked: Vec<&str> = PROFILED.into_iter().filter(|n| selects(&fig1, n)).collect();
+        assert_eq!(picked, ["fig1_collective_wall"]);
+        let prefix = vec!["fig1".to_string()];
+        assert!(
+            PROFILED.iter().all(|n| !selects(&prefix, n)),
+            "a prefix names nothing"
+        );
+        assert!(
+            PROFILED.iter().all(|n| selects(&[], n)),
+            "no names select every scenario"
+        );
+    }
 }

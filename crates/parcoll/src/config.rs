@@ -18,12 +18,10 @@ pub struct ParcollConfig {
     /// benefits of I/O aggregation" (§4). The paper's IOR runs use a
     /// least group size of 8.
     pub min_group_size: usize,
-    /// View-switching override. `Some(false)` forbids view switching
-    /// (pattern (c) then falls back to one group) and is the only value
-    /// the `parcoll_force_iview` hint sets; `Some(true)` routes even
-    /// partitionable patterns through the intermediate view, the
-    /// autotuner's [`crate::autotune::FaStrategy::Iview`].
-    pub force_iview: Option<bool>,
+    /// View switching (`parcoll_force_iview`, on unless the hint is
+    /// `false`): a pattern whose file areas intersect runs through the
+    /// intermediate view; with switching off it falls back to one group.
+    pub view_switching: bool,
     /// Ablation switch (`parcoll_iview_scatter`): materialize intermediate
     /// -view data at the *original* physical offsets (scattering each
     /// aggregator window through the view) instead of storing the file in
@@ -33,19 +31,9 @@ pub struct ParcollConfig {
     pub iview_scatter: bool,
     /// Online autotuning (`parcoll_autotune`): close the simtrace
     /// phase-attribution signal into a feedback loop that retunes the
-    /// subgroup count, aggregator layout and FA strategy per epoch (one
-    /// collective call; see [`crate::autotune`]).
+    /// subgroup count per epoch (one collective write; see
+    /// [`crate::autotune`]).
     pub autotune: bool,
-    /// Tile-row snapping: when a direct cut at the requested group count
-    /// produces intersecting FAs, retry at halved counts until the cuts
-    /// land on pattern boundaries instead of switching to the
-    /// intermediate view. Set only by the autotuner's
-    /// [`crate::autotune::FaStrategy::TileRows`].
-    pub snap_groups: bool,
-    /// Override the hinted aggregator distribution with N evenly spaced
-    /// aggregators per subgroup. Set only by the autotuner, which probes
-    /// it on I/O-dominated profiles.
-    pub aggs_per_group: Option<usize>,
 }
 
 impl Default for ParcollConfig {
@@ -53,26 +41,22 @@ impl Default for ParcollConfig {
         ParcollConfig {
             groups: None,
             min_group_size: 8,
-            force_iview: None,
+            view_switching: true,
             iview_scatter: false,
             autotune: false,
-            snap_groups: false,
-            aggs_per_group: None,
         }
     }
 }
 
 impl ParcollConfig {
-    /// Parse from hints; unknown keys are ignored, and so is
-    /// `parcoll_force_iview=true`, like any unparsable value.
+    /// Parse from hints; unknown keys are ignored.
     pub fn from_info(info: &Info) -> Self {
         ParcollConfig {
             groups: info.get_usize("parcoll_groups"),
             min_group_size: info.get_usize("parcoll_min_group").unwrap_or(8).max(1),
-            force_iview: info.get_bool("parcoll_force_iview").filter(|&v| !v),
+            view_switching: info.get_bool("parcoll_force_iview").unwrap_or(true),
             iview_scatter: info.get_bool("parcoll_iview_scatter").unwrap_or(false),
             autotune: info.get_bool("parcoll_autotune").unwrap_or(false),
-            ..ParcollConfig::default()
         }
     }
 
@@ -101,7 +85,7 @@ mod tests {
         let c = ParcollConfig::default();
         assert_eq!(c.groups, None);
         assert_eq!(c.min_group_size, 8);
-        assert_eq!(c.force_iview, None);
+        assert!(c.view_switching);
     }
 
     #[test]
@@ -113,7 +97,7 @@ mod tests {
         let c = ParcollConfig::from_info(&info);
         assert_eq!(c.groups, Some(64));
         assert_eq!(c.min_group_size, 4);
-        assert_eq!(c.force_iview, Some(false));
+        assert!(!c.view_switching);
         assert!(!c.iview_scatter);
         let c2 = ParcollConfig::from_info(&Info::new().with("parcoll_iview_scatter", "true"));
         assert!(c2.iview_scatter);
@@ -157,15 +141,9 @@ mod tests {
     }
 
     #[test]
-    fn tuner_only_settings_are_not_hints() {
-        // The keys are built at run time: `report --check-docs` counts a
-        // name in any string literal as one the code still parses.
-        let mut info = Info::new();
-        let keys = [("snap_groups", "true"), ("aggs_per_group", "2"), ("force_iview", "true")];
-        for (key, value) in keys {
-            info.set(&format!("parcoll_{key}"), value);
-        }
-        assert_eq!(ParcollConfig::from_info(&info), ParcollConfig::default());
+    fn forcing_the_view_on_is_the_default() {
+        let on = Info::new().with("parcoll_force_iview", "true");
+        assert_eq!(ParcollConfig::from_info(&on), ParcollConfig::default());
     }
 
     #[test]

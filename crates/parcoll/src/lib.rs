@@ -30,12 +30,11 @@
 //!   configured entirely through `MPI_Info` hints (`parcoll_groups`,
 //!   `parcoll_min_group`) — ParColl "does not alter the semantics of
 //!   MPI-IO".
-//! * [`autotune`] — online feedback control over the knobs above: with
-//!   the `parcoll_autotune` hint, per-phase attribution from each epoch
-//!   of collective writes drives a deterministic controller that picks
-//!   the subgroup count, aggregator layout and FA strategy for the next
-//!   epoch, with learned configurations cached per (file, pattern
-//!   signature) across opens.
+//! * [`autotune`] — online feedback control over the subgroup count:
+//!   with the `parcoll_autotune` hint, per-phase attribution from each
+//!   collective write drives a deterministic controller that picks the
+//!   subgroup count for the next one, with learned counts cached per
+//!   (file, pattern signature) across opens.
 
 #![warn(missing_docs)]
 
@@ -46,9 +45,7 @@ pub mod config;
 pub mod fa;
 pub mod iview;
 
-pub use autotune::{
-    AutoTuner, DecisionRecord, EpochFeedback, FaStrategy, ModeClass, PolicyCache, TuneKnobs,
-};
+pub use autotune::{AutoTuner, DecisionRecord, EpochFeedback, PolicyCache};
 pub use coll::ParcollFile;
 pub use config::ParcollConfig;
 pub use fa::{partition_file_areas, FaError, Grouping};

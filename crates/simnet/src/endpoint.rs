@@ -8,7 +8,7 @@ use crate::model::{MachineModel, NetworkModel};
 use crate::rendezvous::{PoisonFlag, Rendezvous};
 use crate::time::SimTime;
 use crate::topology::Topology;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::AtomicU32;
 use std::sync::Arc;
 
 /// Wire timing of one received message: when the sender posted it and
@@ -151,17 +151,11 @@ impl Endpoint {
         Arc::clone(&self.world_rdv)
     }
 
-    /// Allocate a fresh communicator context id. Uniqueness is global;
-    /// agreement within a group is achieved by allocating inside a
-    /// rendezvous combiner (run once per group).
-    pub fn alloc_context_id(&self) -> u32 {
-        self.ctx_counter.fetch_add(1, Ordering::Relaxed)
-    }
-
     /// The shared context-id allocator. Communicator-creating collectives
     /// capture this (it is `Send + Sync`) so the rendezvous combiner —
     /// which runs on whichever rank arrives last — can allocate ids for
-    /// the new groups it constructs.
+    /// the new groups it constructs: one `fetch_add` per group, so ids
+    /// are unique cluster-wide and agreed within the group.
     pub fn ctx_allocator(&self) -> Arc<AtomicU32> {
         Arc::clone(&self.ctx_counter)
     }

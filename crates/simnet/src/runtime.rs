@@ -367,7 +367,10 @@ mod tests {
 
     #[test]
     fn context_ids_are_unique() {
-        let out = run_cluster(ClusterConfig::ideal(4), |ep| ep.alloc_context_id());
+        let out = run_cluster(ClusterConfig::ideal(4), |ep| {
+            ep.ctx_allocator()
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+        });
         let mut ids = out.clone();
         ids.sort_unstable();
         ids.dedup();

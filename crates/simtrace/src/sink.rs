@@ -289,12 +289,6 @@ impl TraceSink {
         }
     }
 
-    /// True when this sink is collecting (the recording layers use this
-    /// to skip argument construction).
-    pub fn is_enabled(&self) -> bool {
-        self.shared.is_some()
-    }
-
     /// A cached recorder appending to `key`'s track.
     pub fn recorder(&self, key: TrackKey) -> Recorder {
         self.recorder_on_node(key, None)
@@ -514,7 +508,6 @@ mod tests {
     fn disabled_sink_records_nothing() {
         let sink = TraceSink::disabled();
         let rec = sink.recorder(TrackKey::Rank(0));
-        assert!(!sink.is_enabled());
         assert!(!rec.enabled());
         rec.span("cat", "s", 0.0, 1.0, vec![]);
         rec.count("c", 1);
