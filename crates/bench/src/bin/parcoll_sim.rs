@@ -11,7 +11,10 @@
 //!   --mapping M          block | cyclic (default block)
 //!   --cb-nodes N         cap aggregators at one per node, N nodes
 //!   --align BYTES        stripe-align collective file domains
-//!   --autotune           online feedback tuning (parcoll::autotune)
+//!   --autotune           online feedback tuning (parcoll::autotune) across
+//!                        the run's collective calls; a workload of one
+//!                        call (tileio) is refused, see `figures
+//!                        fig7_tileio_groups` for tuning across reopens
 //!   --integrity          end-to-end checksums (pieces + at-rest pages)
 //!   --scrub              at-rest scrub pass after the run (implies --integrity)
 //!   --rot N              plant N seeded at-rest rot extents (with --scrub)
@@ -24,7 +27,8 @@
 //! ```
 //!
 //! Prints bandwidth and the per-phase profile — the numbers the paper's
-//! figures are made of.
+//! figures are made of — and, with `--autotune`, each tuned epoch's
+//! group count, decision and agreed wall.
 
 use simfs::FsConfig;
 use simnet::Mapping;
@@ -156,25 +160,21 @@ fn main() {
                     v.parse().unwrap_or_else(|_| usage("bad --calls"))
                 }),
             };
-            describe(&w);
-            run_workload(w, cfg)
+            run(w, cfg)
         }
         "tileio" => {
             let w = TileIo::paper(procs);
-            describe(&w);
-            run_workload(w, cfg)
+            run(w, cfg)
         }
         "btio" => {
             let q = (procs as f64).sqrt().floor() as usize;
             let w = BtIo::with_grid(q * q, args.get("grid", 64), args.get("steps", 5));
-            describe(&w);
-            run_workload(w, cfg)
+            run(w, cfg)
         }
         "flashio" => {
             let mut w = FlashIo::checkpoint(procs);
             w.blocks_per_proc = args.get("blocks", 8);
-            describe(&w);
-            run_workload(w, cfg)
+            run(w, cfg)
         }
         other => usage(&format!("unknown workload {other:?}")),
     };
@@ -196,6 +196,12 @@ fn main() {
         "rounds={} collective_calls={}",
         result.profile_max.rounds, result.profile_max.calls
     );
+    for d in &result.autotune_log {
+        println!(
+            "autotune epoch {}: {} groups, agreed wall {} µs [{}]",
+            d.epoch, d.groups, d.feedback.wall_us, d.action
+        );
+    }
     if let Some(scrub) = &result.scrub {
         println!(
             "scrub: {} files, {:.1} MB scanned, {} extents repaired, {} unrepairable",
@@ -213,7 +219,18 @@ fn main() {
     }
 }
 
-fn describe<W: Workload>(w: &W) {
+/// Describe `w` and run it — unless `--autotune` asks to tune a
+/// workload that makes one collective call: the tuner measures an epoch
+/// per call and would only ever see its first, yet pay its exchanges.
+fn run<W: Workload + 'static>(w: W, cfg: RunConfig) -> RunResult {
+    if cfg.autotune.is_some() && w.ncalls() < 2 {
+        usage(&format!(
+            "--autotune tunes across a run's collective calls and {} makes {}; \
+             `figures fig7_tileio_groups` tunes tile-io across reopens",
+            w.name(),
+            w.ncalls()
+        ));
+    }
     println!(
         "workload {} : {} ranks, {} calls, {:.1} MB total",
         w.name(),
@@ -221,4 +238,5 @@ fn describe<W: Workload>(w: &W) {
         w.ncalls(),
         w.total_bytes() as f64 / 1e6
     );
+    run_workload(w, cfg)
 }

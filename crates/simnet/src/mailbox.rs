@@ -566,8 +566,8 @@ mod tests {
         /// One arrival-order queue per source keeps per-key FIFO:
         /// deliveries from up to four sources on four keys that share
         /// contexts and tags, interleaved arbitrarily, come back in send
-        /// order per key whatever order the keys are received in. (The
-        /// vendored `proptest!` adds the `#[test]` itself.)
+        /// order per key whatever order the keys are received in.
+        #[test]
         fn every_key_comes_back_in_send_order(
             sends in proptest::collection::vec((0u32..4, 0usize..4), 0..48),
             picks in proptest::collection::vec(0usize..1024, 48),

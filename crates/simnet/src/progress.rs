@@ -17,68 +17,47 @@
 //!
 //! # How "provably smallest" is decided
 //!
-//! The registry tracks, per rank, a *floor*: a lower bound on the virtual
-//! arrival of any resource request the rank may still issue, plus what
-//! the rank is currently blocked on:
+//! The registry tracks, per rank, a *floor* — a lower bound on the
+//! virtual arrival of any request the rank may still issue — and what
+//! the rank is doing: `Running` (its next request arrives no earlier
+//! than its floor), `Pending` in this gate (requests within one I/O call
+//! share an arrival, so its key bounds its later ones), blocked in a
+//! `Recv` or parked in a `Rdv`, or `Finished`. Each running and pending
+//! rank holds its *earliest possible key*, `(floor, rank)` or
+//! `(arrival, rank)`, in a tournament tree: one integer leaf per rank,
+//! the minimum at the root, allocated once. Blocked and finished ranks
+//! hold no leaf. A request is admitted exactly when its key is the root.
 //!
-//! * `Running` — the rank is executing; its next request arrives no
-//!   earlier than its floor (raised each time it releases a request).
-//! * `Recv` — blocked on a point-to-point receive **with no matching
-//!   packet delivered**; its wake, and all later requests, happen no
-//!   earlier than the sender's floor (the send is still in the sender's
-//!   future; virtual clocks are monotone along happens-before chains).
-//! * `Rdv` — parked in a rendezvous; completion is `max` over all
-//!   participants' entry clocks, so every participant's floor bounds it.
-//!   The bound belongs to the *meeting*: the registry keeps one entry per
-//!   meeting that has ranks parked in it, and a check bounds it once
-//!   (parked members contribute their own floor, members still on their
-//!   way their own analysis) for every rank parked there, however many
-//!   ranks a collective has parked.
-//! * `Pending` — waiting in this gate; its key bounds all its later
-//!   requests (requests within one I/O call share an arrival, so only
-//!   the per-rank `seq` grows).
-//! * `Finished` — will never request again.
-//!
-//! A blocked chain that reaches the *requester itself* is unconstrained:
-//! the dependee's wake requires the requester's own future progress,
-//! which happens only after the pending request completes, so everything
-//! downstream necessarily carries a later key. This rule is what makes
-//! the gate deadlock-free: when every other rank is parked waiting for
-//! the requester (the steady state of a bulk-synchronous collective),
-//! admission is immediate.
+//! That is enough. Let the root be the request's key and the program
+//! not be deadlocked, and follow a blocked rank's chain: a receiver to
+//! its sender, a parked rank to a member of its meeting still on its way
+//! (a meeting always has one: the last arrival completes it instead of
+//! parking). The chain ends at a running or pending rank, whose leaf is
+//! at or above the key and whose wake of the chain is strictly later
+//! (every wake crosses a service, a message flight or a collective); at
+//! the requester itself, which moves only after this request is served;
+//! or at a finished rank, which wakes nobody. So no blocked rank can
+//! later request below the key.
 //!
 //! # What a check costs
 //!
-//! `Running` and `Pending` ranks need no analysis: each has an *earliest
-//! possible key* — `(floor, rank)` for a running rank, whose next
-//! request can do no better, and `(arrival, rank)` for a pending one —
-//! and a request clears all of them exactly when its own key is the
-//! smallest of those. The registry keeps them in a tournament tree (one
-//! integer leaf per rank, the minimum at the root, allocated once): a
-//! state change rewrites at most one leaf-to-root path, and "is my key
-//! the minimum" is a comparison with the root. `Finished` ranks hold no
-//! key. After the root test, the blocked ranks are bounded per meeting:
-//! a meeting the requester belongs to is skipped after one binary search
-//! of its sorted members, every other one is bounded once, and each
-//! `Recv` rank through its sender, memoising only what is visited. So
-//! an admission is `O(log ranks)` with nobody blocked (independent I/O)
-//! or everyone parked in a meeting with the requester (a collective's
-//! aggregators writing), plus the members of each other parked meeting.
+//! A state change rewrites at most one leaf-to-root path of the tree,
+//! `O(log ranks)`; a check compares with the root. The same root says
+//! whom to wake. Only the minimum pending key can be admissible, and not
+//! even that one while some *running* rank's floor lies below it — so
+//! after a state change the registry wakes the root's rank if it is
+//! pending and nobody if it is running: the pending ranks cannot move
+//! before that rank does, and when it does, that is a state change
+//! again.
 //!
-//! The same root says whom to wake. Only the minimum pending key can be
-//! admissible, and not even that one while some *running* rank's floor
-//! lies below it — so after a state change the registry wakes the root's
-//! rank if it is pending and nobody if it is running: the pending ranks
-//! cannot move before that rank does, and when it does, that is a state
-//! change again.
-//!
-//! Soundness of the `Recv` bound depends on one invariant, maintained
-//! jointly with [`crate::mailbox::Mailbox`]: a rank is registered as
-//! `Recv` **only while no matching packet exists in its mailbox**
-//! (registration happens under the mailbox lock after a failed match,
-//! and delivery of a matching packet downgrades the mode under the same
-//! lock). Likewise a rank stays `Rdv` only until the meeting completes:
-//! the last arrival downgrades every parked participant when it
+//! The argument needs a rank without a leaf to be really blocked, an
+//! invariant maintained jointly with [`crate::mailbox::Mailbox`] and
+//! [`crate::Rendezvous`]: a rank is registered as `Recv` **only while no
+//! matching packet exists in its mailbox** (registration happens under
+//! the mailbox lock after a failed match, and delivery of a matching
+//! packet downgrades the mode under the same lock). Likewise a rank
+//! stays `Rdv` only until the meeting completes: the last arrival
+//! downgrades every parked participant under the rendezvous lock when it
 //! publishes the result, before any of them observably wakes.
 //!
 //! Threads without an installed context (plain unit tests driving an
@@ -140,7 +119,7 @@ const NO_KEY: u128 = u128::MAX;
 enum Mode {
     Running,
     Recv { src: usize, ctx: u32, tag: i32 },
-    Rdv { id: u64, members: Arc<[usize]> },
+    Rdv { id: u64 },
     Pending { key: ReqKey },
     Finished,
 }
@@ -151,8 +130,6 @@ struct RankState {
     mode: Mode,
     /// The rank's fiber while it is parked in [`ProgressRegistry::acquire`].
     waker: Option<Waker>,
-    /// While `Rdv`: the slot of its meeting in [`Inner::meetings`].
-    meeting: usize,
 }
 
 /// Tournament tree over one key per rank ([`tree_key`], or [`NO_KEY`]):
@@ -198,59 +175,33 @@ impl MinTree {
     }
 }
 
-/// A meeting with ranks parked in it.
-#[derive(Default)]
-struct Meeting {
-    id: u64,
-    /// Its members, ascending.
-    members: Arc<[usize]>,
-    /// Members parked in it; a slot with none is free.
-    parked: usize,
-}
-
 struct Inner {
     ranks: Vec<RankState>,
     next_seq: u64,
     /// Every rank's *earliest possible key*: a `Running` rank's
     /// `(floor, rank)`, a `Pending` rank's `(arrival, rank)`, nothing
-    /// for a blocked or finished one. A pending key is below every other
-    /// pending key and every running rank's future requests exactly when
-    /// it is this tree's minimum.
+    /// for a blocked or finished one. A pending key is admissible
+    /// exactly when it is this tree's minimum (module doc).
     earliest: MinTree,
-    /// The `Recv` ranks, one bit each, so that a check walks them in
-    /// ascending rank order.
-    recv: Vec<u64>,
-    /// The meetings the `Rdv` ranks are parked in, by slot: as long as
-    /// the most meetings ever active at once.
-    meetings: Vec<Meeting>,
-    /// Scratch of the admissibility checks, kept for its allocation.
-    memo: Memo,
     /// Visits not yet added to the `gate_visits` host counter, which
     /// [`ProgressRegistry::wake_min`] feeds once per state change.
     unpublished: std::cell::Cell<usize>,
-    /// Ranks, meeting members, memo entries and tree nodes the gate
-    /// looked at (complexity pin).
+    /// Tree nodes the gate looked at (complexity pin).
     #[cfg(test)]
     visits: std::cell::Cell<usize>,
     /// Wakes [`ProgressRegistry::wake_min`] issued.
     #[cfg(test)]
     wakes: std::cell::Cell<usize>,
+    /// The members of each meeting a test parks ranks in, by id: what
+    /// the reference gates bound a parked rank by.
+    #[cfg(test)]
+    members: std::collections::HashMap<u64, Arc<[usize]>>,
 }
 
 impl Inner {
-    /// Change `rank`'s mode (after any change to its floor), keeping the
-    /// tree, the receive bitmap and the meeting table in step.
+    /// Change `rank`'s mode (after any change to its floor), keeping its
+    /// tree leaf in step.
     fn set_mode(&mut self, rank: usize, mode: Mode) {
-        if let Mode::Rdv { .. } = self.ranks[rank].mode {
-            self.meetings[self.ranks[rank].meeting].parked -= 1;
-        }
-        if let Mode::Rdv { id, members } = &mode {
-            self.ranks[rank].meeting = self.join(rank, *id, members);
-        }
-        let recv = |m: &Mode| matches!(m, Mode::Recv { .. });
-        if recv(&self.ranks[rank].mode) != recv(&mode) {
-            self.recv[rank / 64] ^= 1 << (rank % 64);
-        }
         let earliest = match &mode {
             Mode::Running => tree_key(self.ranks[rank].floor, rank),
             Mode::Pending { key } => tree_key(key.arrival, rank),
@@ -261,42 +212,11 @@ impl Inner {
         self.visit(looked_at);
     }
 
-    /// Park `rank` in meeting `id`: the meeting's slot, taking a free one
-    /// for a meeting nobody is parked in yet.
-    fn join(&mut self, rank: usize, id: u64, members: &Arc<[usize]>) -> usize {
-        debug_assert!(members.is_sorted() && members.binary_search(&rank).is_ok());
-        let table = &mut self.meetings;
-        let slot = (table.iter().position(|m| m.parked > 0 && m.id == id))
-            .or_else(|| table.iter().position(|m| m.parked == 0))
-            .unwrap_or(table.len());
-        if slot == table.len() {
-            table.push(Meeting::default());
-        }
-        let meeting = &mut table[slot];
-        if meeting.parked == 0 {
-            (meeting.id, meeting.members) = (id, Arc::clone(members));
-        }
-        meeting.parked += 1;
-        slot
-    }
-
     fn parked_in(&self, rank: usize, meeting: u64) -> bool {
-        matches!(&self.ranks[rank].mode, Mode::Rdv { id, .. } if *id == meeting)
+        matches!(&self.ranks[rank].mode, Mode::Rdv { id } if *id == meeting)
     }
 
-    /// The `Recv` ranks, ascending.
-    fn recv_ranks(&self) -> impl Iterator<Item = usize> + '_ {
-        self.recv.iter().enumerate().flat_map(|(w, &bits)| {
-            std::iter::successors((bits != 0).then_some(bits), |b| {
-                let rest = b & (b - 1);
-                (rest != 0).then_some(rest)
-            })
-            .map(move |b| w * 64 + b.trailing_zeros() as usize)
-        })
-    }
-
-    /// Count `n` ranks, meeting members, memo entries or tree nodes
-    /// looked at.
+    /// Count `n` tree nodes looked at.
     fn visit(&self, n: usize) {
         #[cfg(test)]
         self.visits.set(self.visits.get() + n);
@@ -317,10 +237,7 @@ impl Inner {
 ///
 /// Costs, for `n` ranks: a state change rewrites at most one path of
 /// the tournament tree, `O(log n)`, allocating nothing; a check reads
-/// its root, looks the requester up in each meeting with ranks parked
-/// (`O(log members)`), and bounds the meetings it is not in (`O(members)`
-/// each, once) and the ranks blocked in a receive. A ParColl subgroup
-/// pays for the other subgroups' parked meetings, not for its own.
+/// its root, whoever is blocked.
 pub struct ProgressRegistry {
     inner: Mutex<Inner>,
     /// One condvar per rank; rank `r` waits only on `cvs[r]`.
@@ -341,112 +258,6 @@ pub(crate) fn stall_debug() -> bool {
     std::env::var_os("SIMNET_STALL_DEBUG").is_some()
 }
 
-/// Lower bound on a rank's future request arrivals. `strict` means the
-/// arrivals are **strictly** greater than `time`: the bound was derived
-/// through a blocked edge (Recv/Rdv), and a blocked rank's wake strictly
-/// advances virtual time past its dependee's bound (every wake crosses a
-/// completed service, a message flight, or a collective — all of which
-/// the cost models keep positive). Strictness is what resolves
-/// equal-arrival ties against lower-numbered blocked ranks: their next
-/// request provably lands *after* the tied arrival, so it cannot precede
-/// a pending request at it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Bound {
-    time: SimTime,
-    strict: bool,
-}
-
-impl Bound {
-    /// The weakest bound: what a dependency cycle among blocked ranks
-    /// contributes, for the enclosing `max` to ignore.
-    const WEAKEST: Bound = Bound {
-        time: SimTime::ZERO,
-        strict: false,
-    };
-
-    fn at(time: SimTime) -> Bound {
-        Bound {
-            time,
-            strict: false,
-        }
-    }
-
-    /// Tighter of two lower bounds: later time wins; on equal times a
-    /// strict bound subsumes a non-strict one.
-    fn max(self, other: Bound) -> Bound {
-        if other.time > self.time {
-            other
-        } else if self.time > other.time {
-            self
-        } else {
-            Bound {
-                time: self.time,
-                strict: self.strict || other.strict,
-            }
-        }
-    }
-
-    /// The bound one blocked edge downstream: the wake strictly follows.
-    fn woken_after(self) -> Bound {
-        Bound {
-            time: self.time,
-            strict: true,
-        }
-    }
-
-    /// True when a request by `rank` under this bound cannot precede
-    /// `key`.
-    fn clears(self, key: &ReqKey, rank: usize) -> bool {
-        if self.strict {
-            // Future arrivals are strictly after `time`, so any pending
-            // key at or before it is safely first.
-            key.arrival.0.total_cmp(&self.time.0).is_le()
-        } else {
-            let earliest = ReqKey {
-                arrival: self.time,
-                rank,
-                seq: 0,
-            };
-            *key < earliest
-        }
-    }
-}
-
-/// Memoized floor analysis of a rank or a meeting.
-#[derive(Debug, Clone, Copy)]
-enum FloorMemo {
-    Unvisited,
-    InStack,
-    /// `None` = unconstrained.
-    Done(Option<Bound>),
-}
-
-/// The floor analysis of a check: an entry per rank, then one per
-/// meeting slot, `Unvisited` between checks except those `written`.
-#[derive(Default)]
-struct Memo {
-    entry: Vec<FloorMemo>,
-    written: Vec<usize>,
-}
-
-impl Memo {
-    /// `f(self)`, evaluated once per check for entry `i`.
-    fn once(&mut self, i: usize, f: impl FnOnce(&mut Memo) -> Option<Bound>) -> Option<Bound> {
-        match self.entry[i] {
-            FloorMemo::Done(v) => return v,
-            // A cycle among blocked ranks (a deadlock in the simulated
-            // program): any bound is sound, take the weakest.
-            FloorMemo::InStack => return Some(Bound::WEAKEST),
-            FloorMemo::Unvisited => {}
-        }
-        self.entry[i] = FloorMemo::InStack;
-        self.written.push(i);
-        let out = f(self);
-        self.entry[i] = FloorMemo::Done(out);
-        out
-    }
-}
-
 impl ProgressRegistry {
     /// Registry for `n` ranks sharing the cluster poison flag.
     pub fn new(n: usize, poison: Arc<PoisonFlag>) -> Self {
@@ -456,19 +267,17 @@ impl ProgressRegistry {
                     floor: SimTime::ZERO,
                     mode: Mode::Running,
                     waker: None,
-                    meeting: 0,
                 })
                 .collect(),
             next_seq: 0,
             earliest: MinTree::new(n),
-            recv: vec![0; n.div_ceil(64)],
-            meetings: Vec::new(),
-            memo: Memo::default(),
             unpublished: std::cell::Cell::new(0),
             #[cfg(test)]
             visits: std::cell::Cell::new(0),
             #[cfg(test)]
             wakes: std::cell::Cell::new(0),
+            #[cfg(test)]
+            members: Default::default(),
         };
         // Every rank starts out running at floor zero: enter those keys.
         (0..n).for_each(|r| inner.set_mode(r, Mode::Running));
@@ -500,109 +309,13 @@ impl ProgressRegistry {
         }
     }
 
-    /// Lower bound on rank `r`'s future request arrivals, from the
-    /// perspective of `requester`'s current pending request. `None`
-    /// means unconstrained (every future request of `r` necessarily
-    /// carries a key greater than the requester's pending one).
-    fn floor_of(inner: &Inner, r: usize, requester: usize, memo: &mut Memo) -> Option<Bound> {
-        if r == requester {
-            // Chains through the requester resolve only after its pending
-            // request completes — no constraint on the current admission.
-            return None;
-        }
-        inner.visit(1);
-        let st = &inner.ranks[r];
-        let own = Bound::at(st.floor);
-        match &st.mode {
-            Mode::Finished => None,
-            // The rank's *next* request can share the pending arrival
-            // (several requests per I/O call carry one arrival), so the
-            // self-bound is non-strict.
-            Mode::Pending { key } => Some(own.max(Bound::at(key.arrival))),
-            Mode::Running => Some(own),
-            // The wake (message arrival + receive) strictly follows the
-            // sender's bound.
-            Mode::Recv { src, .. } => memo.once(r, |memo| {
-                Self::floor_of(inner, *src, requester, memo).map(|f| own.max(f.woken_after()))
-            }),
-            Mode::Rdv { .. } => Self::meeting_bound(inner, st.meeting, requester, memo),
-        }
-    }
-
-    /// Bound on the future requests of *every* rank parked in the
-    /// meeting in slot `m`, computed once per check. The meeting completes
-    /// no earlier than any member enters it, and a parked rank requests
-    /// again only after that, so the bound is the latest of: the parked
-    /// members' own floors (their entry clocks are at least that), and
-    /// [`floor_of`](Self::floor_of) of the members still on their way. A
-    /// meeting the requester belongs to cannot complete before its
-    /// pending request does: unconstrained, which one binary search of
-    /// the sorted members tells.
-    ///
-    /// This is the least fixpoint of the per-rank rule "a parked rank is
-    /// bounded by every member's bound". Walking that rule rank by rank
-    /// has to cut the cycle between any two parked members and so can
-    /// only under-approximate it, at a cost of `members` per parked
-    /// rank; computing it per meeting is exact and costs `members` once.
-    fn meeting_bound(inner: &Inner, m: usize, requester: usize, memo: &mut Memo) -> Option<Bound> {
-        let Meeting { id, members, .. } = &inner.meetings[m];
-        // A binary search looks at most at one member per bit of the length.
-        inner.visit((usize::BITS - members.len().leading_zeros()) as usize);
-        if members.binary_search(&requester).is_ok() {
-            return None;
-        }
-        memo.once(inner.ranks.len() + m, |memo| {
-            inner.visit(members.len());
-            let mut bound = Bound::WEAKEST;
-            for &p in members.iter() {
-                let f = if inner.parked_in(p, *id) {
-                    Bound::at(inner.ranks[p].floor)
-                } else {
-                    Self::floor_of(inner, p, requester, memo)?
-                };
-                bound = bound.max(f);
-            }
-            // The wake (meeting completion) strictly follows the bound.
-            Some(bound.woken_after())
-        })
-    }
-
     /// True when no other rank can still produce a request key below
-    /// `key` — i.e. admitting `key` now preserves global key order.
-    ///
-    /// `key` is in the tree (its rank is `Pending`), so "it is the
-    /// tree's minimum" says at once that no other pending key is smaller
-    /// and that every running rank `r` satisfies `key < (floor, r, 0)` —
-    /// which is [`Bound::clears`] for the non-strict bound a running
-    /// rank's own floor is. Finished ranks never constrain; what is left
-    /// is the blocked ranks, bounded through what they wait on: the
-    /// meetings they are parked in, and the senders of the `Recv` ranks.
-    fn admissible(inner: &mut Inner, key: &ReqKey) -> bool {
-        let _hp = simtrace::host::scope(simtrace::host::Site::GateScan);
+    /// `key` — i.e. admitting `key` now preserves global key order:
+    /// when `key`, in the tree since its rank is `Pending`, is the
+    /// tree's minimum (module doc).
+    fn admissible(inner: &Inner, key: &ReqKey) -> bool {
         inner.visit(1);
-        if inner.earliest.min() != tree_key(key.arrival, key.rank) {
-            return false;
-        }
-        let mut memo = std::mem::take(&mut inner.memo);
-        let entries = inner.ranks.len() + inner.meetings.len();
-        memo.entry.resize(entries, FloorMemo::Unvisited);
-        let state = &*inner;
-        // A meeting's bound is strict, so which parked rank it is
-        // checked for cannot change the verdict.
-        let ok = (0..state.meetings.len()).all(|s| {
-            state.meetings[s].parked == 0
-                || Self::meeting_bound(state, s, key.rank, &mut memo)
-                    .is_none_or(|f| f.clears(key, key.rank))
-        }) && state.recv_ranks().all(|r| {
-            Self::floor_of(state, r, key.rank, &mut memo).is_none_or(|f| f.clears(key, r))
-        });
-        // Forget the check: reset what it wrote, and nothing else.
-        inner.visit(memo.written.len());
-        for i in memo.written.drain(..) {
-            memo.entry[i] = FloorMemo::Unvisited;
-        }
-        inner.memo = memo;
-        ok
+        inner.earliest.min() == tree_key(key.arrival, key.rank)
     }
 
     /// Block (host time) until a request by `rank` arriving at `arrival`
@@ -619,7 +332,7 @@ impl ProgressRegistry {
         // else, possibly unblocking the current minimum pending request.
         self.wake_min(&mut inner);
         let mut polls = 0u32;
-        while !Self::admissible(&mut inner, &key) {
+        while !Self::admissible(&inner, &key) {
             let cv = &self.cvs[rank];
             let woken = fiber::wait(cv, &mut inner, |i| &mut i.ranks[rank].waker, &self.poison);
             polls += u32::from(!woken);
@@ -666,13 +379,12 @@ impl ProgressRegistry {
         }
     }
 
-    /// Register `rank` as parked in rendezvous `id` with `members`
-    /// (ascending, `rank` among them). Must be called under
+    /// Register `rank` as parked in rendezvous `id`. Must be called under
     /// the rendezvous state lock that also guards
     /// [`complete_rdv`](Self::complete_rdv).
-    pub(crate) fn block_rdv(&self, rank: usize, id: u64, members: Arc<[usize]>) {
+    pub(crate) fn block_rdv(&self, rank: usize, id: u64) {
         let mut inner = self.inner.lock();
-        inner.set_mode(rank, Mode::Rdv { id, members });
+        inner.set_mode(rank, Mode::Rdv { id });
         self.wake_min(&mut inner);
     }
 
@@ -816,8 +528,8 @@ pub(crate) fn tl_deliver_downgrade(dst: usize, src: usize, ctx: u32, tag: i32) {
 }
 
 /// Rendezvous hook: the current thread's rank parks in meeting `id`.
-pub(crate) fn tl_block_rdv(id: u64, members: Arc<[usize]>) {
-    with_ctx(|c| c.registry.block_rdv(c.rank, id, members));
+pub(crate) fn tl_block_rdv(id: u64) {
+    with_ctx(|c| c.registry.block_rdv(c.rank, id));
 }
 
 /// Rendezvous hook: meeting `id` completed (called on the last arrival's
@@ -944,9 +656,8 @@ mod tests {
         // Ranks 1 and 2 are parked in a rendezvous whose membership
         // includes requester 0 — the classic "everyone is in the barrier
         // except the rank doing I/O" steady state.
-        let members: Arc<[usize]> = Arc::new([0, 1, 2]);
-        reg.block_rdv(1, 42, Arc::clone(&members));
-        reg.block_rdv(2, 42, Arc::clone(&members));
+        reg.block_rdv(1, 42);
+        reg.block_rdv(2, 42);
         let h = {
             let reg = Arc::clone(&reg);
             thread::spawn(move || {
@@ -976,7 +687,7 @@ mod tests {
             "rank 1 (Running, floor 0) could still produce an earlier request"
         );
         // Rank 1 parks in a rendezvous containing rank 0 — unconstrained.
-        reg.block_rdv(1, 7, Arc::new([0, 1]));
+        reg.block_rdv(1, 7);
         h.join().unwrap();
         assert!(admitted.load(std::sync::atomic::Ordering::SeqCst));
     }
@@ -1004,7 +715,7 @@ mod tests {
         // in a rendezvous with the requester.
         reg.deliver_downgrade(1, 2, 0, 1);
         reg.finish(1);
-        reg.block_rdv(2, 9, Arc::new([0, 2]));
+        reg.block_rdv(2, 9);
         h.join().unwrap();
         assert!(admitted.load(std::sync::atomic::Ordering::SeqCst));
     }
@@ -1012,10 +723,9 @@ mod tests {
     #[test]
     fn complete_rdv_downgrades_all_parked_members() {
         let reg = registry(4);
-        let members: Arc<[usize]> = Arc::new([1, 2, 3]);
-        reg.block_rdv(1, 5, Arc::clone(&members));
-        reg.block_rdv(2, 5, Arc::clone(&members));
-        reg.complete_rdv(5, &members);
+        reg.block_rdv(1, 5);
+        reg.block_rdv(2, 5);
+        reg.complete_rdv(5, &[1, 2, 3]);
         let inner = reg.inner.lock();
         assert!(matches!(inner.ranks[1].mode, Mode::Running));
         assert!(matches!(inner.ranks[2].mode, Mode::Running));
@@ -1038,15 +748,92 @@ mod tests {
     }
 
     // -----------------------------------------------------------------
-    // The linear gate against the recursive one it replaced
+    // The root test against the walks it replaced
     // -----------------------------------------------------------------
+
+    impl Inner {
+        /// Park `rank` in meeting `id` of `members`, which the reference
+        /// gates read.
+        fn park(&mut self, rank: usize, id: u64, members: &Arc<[usize]>) {
+            self.members.insert(id, Arc::clone(members));
+            self.set_mode(rank, Mode::Rdv { id });
+        }
+    }
 
     /// The gate as it was before meetings were bounded once per check:
     /// a per-rank recursion that walks every member of a meeting for
-    /// every rank parked in it and cuts cycles where it finds them.
-    /// Kept as the reference the property test compares against.
+    /// every rank parked in it and cuts cycles where it finds them, and
+    /// the exact solution of the rule it implements. Kept as the
+    /// references the property test compares against.
     mod reference {
         use super::super::*;
+
+        /// Lower bound on a rank's future request arrivals. `strict`
+        /// means the arrivals are **strictly** greater than `time`: the
+        /// bound was derived through a blocked edge (Recv/Rdv), and a
+        /// blocked rank's wake strictly advances virtual time past its
+        /// dependee's bound. Strictness is what resolves equal-arrival
+        /// ties against lower-numbered blocked ranks.
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        pub(super) struct Bound {
+            time: SimTime,
+            strict: bool,
+        }
+
+        impl Bound {
+            /// The weakest bound: what a dependency cycle among blocked
+            /// ranks contributes, for the enclosing `max` to ignore.
+            const WEAKEST: Bound = Bound {
+                time: SimTime::ZERO,
+                strict: false,
+            };
+
+            fn at(time: SimTime) -> Bound {
+                Bound {
+                    time,
+                    strict: false,
+                }
+            }
+
+            /// Tighter of two lower bounds: later time wins; on equal
+            /// times a strict bound subsumes a non-strict one.
+            fn max(self, other: Bound) -> Bound {
+                if other.time > self.time {
+                    other
+                } else if self.time > other.time {
+                    self
+                } else {
+                    Bound {
+                        time: self.time,
+                        strict: self.strict || other.strict,
+                    }
+                }
+            }
+
+            /// The bound one blocked edge downstream: the wake strictly
+            /// follows.
+            fn woken_after(self) -> Bound {
+                Bound {
+                    time: self.time,
+                    strict: true,
+                }
+            }
+
+            /// True when a request by `rank` under this bound cannot
+            /// precede `key`.
+            fn clears(self, key: &ReqKey, rank: usize) -> bool {
+                if self.strict {
+                    key.arrival.0.total_cmp(&self.time.0).is_le()
+                } else {
+                    let earliest = ReqKey {
+                        arrival: self.time,
+                        rank,
+                        seq: 0,
+                    };
+                    *key < earliest
+                }
+            }
+        }
 
         #[derive(Clone, Copy)]
         enum Memo {
@@ -1074,9 +861,9 @@ mod tests {
                 Mode::Recv { src, .. } => {
                     floor_of(inner, *src, requester, memo).map(|f| own.max(f.woken_after()))
                 }
-                Mode::Rdv { members, .. } => {
+                Mode::Rdv { id } => {
                     let mut best = Some(own);
-                    for &p in members.iter() {
+                    for &p in inner.members[id].iter() {
                         match floor_of(inner, p, requester, memo) {
                             None => {
                                 best = None;
@@ -1134,7 +921,7 @@ mod tests {
                         Mode::Pending { key } => Some(own.max(Bound::at(key.arrival))),
                         Mode::Running => Some(own),
                         Mode::Recv { src, .. } => f[*src].map(|b| own.max(b.woken_after())),
-                        Mode::Rdv { members, .. } => members
+                        Mode::Rdv { id } => inner.members[id]
                             .iter()
                             .try_fold(own, |acc, &p| f[p].map(|b| acc.max(b.woken_after()))),
                     }
@@ -1197,10 +984,8 @@ mod tests {
                         .map(|k| (operand as usize + k) % meetings.len())
                         .find(|&k| meetings[k].contains(&r))
                         .expect("every rank is in the world meeting");
-                    Mode::Rdv {
-                        id: m as u64,
-                        members: Arc::clone(&meetings[m]),
-                    }
+                    inner.members.insert(m as u64, Arc::clone(&meetings[m]));
+                    Mode::Rdv { id: m as u64 }
                 }
                 6 => {
                     inner.next_seq += 1;
@@ -1231,8 +1016,8 @@ mod tests {
     /// does not pass through the requester: a receiver waits on its
     /// sender, a parked rank on the members still on their way. Such a
     /// state is a deadlock of the simulated program — the cluster is
-    /// about to be poisoned, any bound is sound, and where each gate
-    /// happens to cut the cycle is not worth comparing.
+    /// about to be poisoned, and no rank in the cycle ever requests
+    /// again.
     fn deadlocked(inner: &Inner, requester: usize) -> bool {
         fn visit(inner: &Inner, r: usize, requester: usize, seen: &mut [u8]) -> bool {
             if r == requester || seen[r] == 2 {
@@ -1244,7 +1029,7 @@ mod tests {
             seen[r] = 1;
             let cyclic = match &inner.ranks[r].mode {
                 Mode::Recv { src, .. } => visit(inner, *src, requester, seen),
-                Mode::Rdv { id, members } => members
+                Mode::Rdv { id } => inner.members[id]
                     .iter()
                     .any(|&p| !inner.parked_in(p, *id) && visit(inner, p, requester, seen)),
                 _ => false,
@@ -1256,12 +1041,25 @@ mod tests {
         (0..inner.ranks.len()).any(|r| visit(inner, r, requester, &mut seen))
     }
 
-    /// The linear gate is never looser than the exact solution of the
-    /// rule both gates implement, and — wherever the simulated program
-    /// is not already deadlocked — never stricter than the recursive
-    /// one. (The vendored `proptest!` adds the `#[test]` itself.)
+    /// True when some meeting has every member parked in it. No run
+    /// reaches such a state: the last member to arrive completes the
+    /// meeting under the rendezvous lock instead of parking
+    /// (`rendezvous.rs`, `if st.arrived == self.n`).
+    fn fully_parked(inner: &Inner) -> bool {
+        let parked = |id: u64, members: &[usize]| members.iter().all(|&p| inner.parked_in(p, id));
+        inner
+            .members
+            .iter()
+            .any(|(&id, members)| parked(id, members))
+    }
+
+    /// On every state a run can reach — not deadlocked, no meeting with
+    /// all its members parked — the root test is the exact solution of
+    /// the rule the walks implemented, and so never stricter than the
+    /// recursive walk. On the states set aside the two differ: there a
+    /// walk cuts a cycle that no run can close.
     #[test]
-    fn linear_gate_sits_between_the_recursive_one_and_the_fixpoint() {
+    fn the_root_test_is_exact_on_every_reachable_state() {
         use proptest::strategy::Strategy;
         let strategy = (
             proptest::collection::vec((0u8..6, 0u8..8, 0u8..255), 2..14),
@@ -1269,34 +1067,33 @@ mod tests {
             0u8..8,
         );
         let mut rng = proptest::test_runner::TestRng::deterministic("linear_gate");
-        let (mut live, mut differ) = (0, 0);
+        let (mut live, mut differ, mut past_blocked) = (0, 0, 0);
         for _ in 0..20_000 {
             let (draws, requester, arrival) = strategy.generate(&mut rng);
-            let (mut inner, key) = state_from(&draws, requester, arrival);
+            let (inner, key) = state_from(&draws, requester, arrival);
             let old = reference::admissible(&inner, &key);
-            let new = ProgressRegistry::admissible(&mut inner, &key);
-            let exact = reference::fixpoint_admissible(&inner, &key);
-            assert!(
-                !new || exact,
-                "not justified by the fixpoint: {draws:?} {key:?}"
-            );
-            if !deadlocked(&inner, key.rank) {
-                live += 1;
-                differ += usize::from(old != new);
-                assert!(
-                    !old || new,
-                    "stricter than the recursive gate: {draws:?} {key:?}"
-                );
-                assert_eq!(
-                    new, exact,
-                    "no cycle to cut, yet not exact: {draws:?} {key:?}"
-                );
+            let new = ProgressRegistry::admissible(&inner, &key);
+            differ += usize::from(old != new);
+            if deadlocked(&inner, key.rank) || fully_parked(&inner) {
+                continue;
             }
+            let exact = reference::fixpoint_admissible(&inner, &key);
+            live += 1;
+            past_blocked += usize::from(new && inner.blocked_ranks().next().is_some());
+            assert!(
+                !old || new,
+                "stricter than the recursive gate: {draws:?} {key:?}"
+            );
+            assert_eq!(new, exact, "not exact: {draws:?} {key:?}");
         }
-        assert!(live > 2_000, "only {live} deadlock-free states generated");
+        assert!(live > 2_000, "only {live} reachable states generated");
+        assert!(
+            past_blocked > 1_000,
+            "only {past_blocked} admissions with a rank blocked"
+        );
         assert!(
             differ > 0,
-            "the two gates never disagreed: the comparison is vacuous"
+            "the root test never disagreed with the recursive gate: the states set aside are vacuous"
         );
     }
 
@@ -1321,9 +1118,9 @@ mod tests {
                 // Selector 0..=1 running, 6 pending, 7 finished.
                 d.1 = [0, 1, 6, 6, 7][d.1 as usize];
             }
-            let (mut inner, key) = state_from(&draws, requester, arrival);
+            let (inner, key) = state_from(&draws, requester, arrival);
             assert_eq!(inner.blocked_ranks().next(), None);
-            let new = ProgressRegistry::admissible(&mut inner, &key);
+            let new = ProgressRegistry::admissible(&inner, &key);
             let exact = reference::fixpoint_admissible(&inner, &key);
             assert_eq!(new, exact, "{draws:?} {key:?}");
             assert_eq!(new, reference::admissible(&inner, &key));
@@ -1340,18 +1137,49 @@ mod tests {
     }
 
     #[test]
-    fn an_admission_with_nobody_blocked_looks_at_one_tree_path() {
-        // 1 024 running ranks at assorted floors; one of them asks. The
-        // state change rewrites one leaf-to-root path (two children per
-        // level), the check reads the root: no rank is scanned.
+    fn an_admission_looks_at_one_tree_path_whoever_is_parked() {
+        // 1 024 ranks running at assorted floors, some of them parked in
+        // meetings; one asks. The request's state change rewrites one
+        // leaf-to-root path (two children per level) and the check reads
+        // the root: no rank and no meeting member is looked at, whatever
+        // the meetings' shapes — a gate that bounds parked meetings would
+        // look at the members of each one the requester is not in.
         const P: usize = 1024;
-        let reg = registry(P);
-        let mut inner = reg.inner.lock();
-        for r in 0..P {
-            inner.ranks[r].floor = SimTime::secs(2.0 + (r % 7) as f64);
-            inner.set_mode(r, Mode::Running);
-        }
-        for (requester, arrival, admitted) in [(700, 1.0, true), (3, 2.0, false), (0, 2.0, true)] {
+        let requester = P / 2;
+        let world: Arc<[usize]> = (0..P).collect();
+        let others: Arc<[usize]> = (0..P).filter(|&r| r != requester).collect();
+        let subgroup = |r: usize| -> Arc<[usize]> { (r / 64 * 64..(r / 64 + 1) * 64).collect() };
+        // Who parks where — each meeting keeps a member on its way: the
+        // requester, rank 7, or each subgroup's last rank.
+        type Parks<'a> = &'a dyn Fn(usize) -> Option<(u64, Arc<[usize]>)>;
+        let nobody: Parks = &|_| None;
+        let all_with_requester: Parks = &|r| (r != requester).then(|| (0, Arc::clone(&world)));
+        let all_but_a_straggler: Parks =
+            &|r| (r != requester && r != 7).then(|| (1, Arc::clone(&others)));
+        let subgroups: Parks =
+            &|r| (r != requester && r % 64 != 63).then(|| (2 + r as u64 / 64, subgroup(r)));
+        let cases: [(Parks, usize, f64, bool); 9] = [
+            (nobody, 700, 1.0, true),
+            (nobody, 3, 2.0, false),
+            (nobody, 0, 2.0, true),
+            (all_with_requester, requester, 1.0, true),
+            (all_with_requester, requester, 9.0, true),
+            (all_but_a_straggler, requester, 1.0, true),
+            // Rank 7 runs at floor 2 and wins the tie at t=2.
+            (all_but_a_straggler, requester, 2.0, false),
+            (subgroups, requester, 1.0, true),
+            (subgroups, requester, 5.0, false),
+        ];
+        for (parks, requester, arrival, admitted) in cases {
+            let reg = registry(P);
+            let mut inner = reg.inner.lock();
+            for r in 0..P {
+                inner.ranks[r].floor = SimTime::secs(2.0 + (r % 7) as f64);
+                match parks(r) {
+                    Some((id, members)) => inner.park(r, id, &members),
+                    None => inner.set_mode(r, Mode::Running),
+                }
+            }
             let key = ReqKey {
                 arrival: SimTime::secs(arrival),
                 rank: requester,
@@ -1359,14 +1187,13 @@ mod tests {
             };
             inner.visits.set(0);
             inner.set_mode(requester, Mode::Pending { key });
-            assert_eq!(ProgressRegistry::admissible(&mut inner, &key), admitted);
+            assert_eq!(ProgressRegistry::admissible(&inner, &key), admitted);
             let visits = inner.visits.get();
             assert!(
                 visits <= 2 * P.ilog2() as usize + 2,
                 "{visits} entries looked at for one admission among {P} ranks"
             );
-            assert_eq!(reference::admissible(&inner, &key), admitted);
-            inner.set_mode(requester, Mode::Running);
+            assert_eq!(reference::fixpoint_admissible(&inner, &key), admitted);
         }
     }
 
@@ -1385,10 +1212,10 @@ mod tests {
         let wakes = || reg.inner.lock().wakes.get();
         reg.finish(2); // a bystander's state change
         assert_eq!(wakes(), 0);
-        assert!(!ProgressRegistry::admissible(&mut reg.inner.lock(), &key));
+        assert!(!ProgressRegistry::admissible(&reg.inner.lock(), &key));
         reg.block_recv(0, 1, 0, 7);
         assert_eq!(wakes(), 1);
-        assert!(ProgressRegistry::admissible(&mut reg.inner.lock(), &key));
+        assert!(ProgressRegistry::admissible(&reg.inner.lock(), &key));
     }
 
     /// A rank asleep in the gate on an OS thread is woken by the state
@@ -1422,63 +1249,17 @@ mod tests {
     }
 
     #[test]
-    fn an_admission_check_visits_each_rank_a_bounded_number_of_times() {
-        // 1 024 ranks, 1 023 of them parked in one meeting while the
-        // last one asks for admission — once as a member of that meeting
-        // (the bulk-synchronous steady state: one binary search, no
-        // member bounded) and once from outside it with a straggler still
-        // on its way (the meeting bounded once). The recursive gate
-        // walked the whole membership for every parked rank: ~P² visits.
-        const P: usize = 1024;
-        let log_p = P.ilog2() as usize;
-        let requester = P / 2;
-        let world: Arc<[usize]> = (0..P).collect();
-        let others: Arc<[usize]> = (0..P).filter(|&r| r != requester).collect();
-        for (members, straggler, most) in [(world, None, 2 * log_p + 4), (others, Some(7), 4 * P)] {
-            let reg = registry(P);
-            let mut inner = reg.inner.lock();
-            for r in (0..P).filter(|&r| r != requester && Some(r) != straggler) {
-                inner.ranks[r].floor = SimTime::secs(2.0);
-                inner.set_mode(
-                    r,
-                    Mode::Rdv {
-                        id: 1,
-                        members: Arc::clone(&members),
-                    },
-                );
-            }
-            if let Some(s) = straggler {
-                inner.ranks[s].floor = SimTime::secs(3.0);
-                inner.set_mode(s, Mode::Running);
-            }
-            let key = ReqKey {
-                arrival: SimTime::secs(1.0),
-                rank: requester,
-                seq: 0,
-            };
-            inner.set_mode(requester, Mode::Pending { key });
-            inner.visits.set(0);
-            assert!(ProgressRegistry::admissible(&mut inner, &key));
-            assert!(reference::admissible(&inner, &key));
-            let visits = inner.visits.get();
-            assert!(
-                visits <= most,
-                "{visits} visits for one check of {P} ranks (at most {most})"
-            );
-        }
-    }
-
-    #[test]
-    fn a_subgroup_check_bounds_the_other_parked_subgroup_once_and_skips_its_own() {
+    fn a_subgroup_check_waits_for_the_other_subgroups_straggler() {
         // ParColl's shape: 1 024 ranks in 16 subgroups of 64. The
         // requester's subgroup is parked while it writes; so is another
-        // subgroup, whose completion bounds its members' next requests.
-        // The check looks the requester up in both meetings, walks the
-        // other one's members once and none of its own; the rest of the
-        // ranks run at floors above the arrival.
+        // subgroup but for one straggler still running at `other_floor`,
+        // whose arrival at the meeting bounds its members' next
+        // requests. The rest of the ranks run at floors above the
+        // arrival.
         const P: usize = 1024;
         const G: usize = 64;
         let (requester, other) = (100, 5);
+        let straggler = other * G + 7;
         let arrival = SimTime::secs(1.0);
         for (other_floor, admitted) in [(2.0, true), (1.0, true), (0.5, false)] {
             let reg = registry(P);
@@ -1489,29 +1270,23 @@ mod tests {
             }
             for (group, floor) in [(requester / G, 2.0), (other, other_floor)] {
                 let members: Arc<[usize]> = (group * G..(group + 1) * G).collect();
-                for &r in members.iter().filter(|&&r| r != requester) {
+                for &r in members.iter() {
                     inner.ranks[r].floor = SimTime::secs(floor);
-                    let id = group as u64;
-                    let members = Arc::clone(&members);
-                    inner.set_mode(r, Mode::Rdv { id, members });
+                    if r != requester && r != straggler {
+                        inner.park(r, group as u64, &members);
+                    }
                 }
             }
+            inner.set_mode(straggler, Mode::Running);
             let key = ReqKey {
                 arrival,
                 rank: requester,
                 seq: 0,
             };
             inner.set_mode(requester, Mode::Pending { key });
-            inner.visits.set(0);
-            assert_eq!(ProgressRegistry::admissible(&mut inner, &key), admitted);
+            assert_eq!(ProgressRegistry::admissible(&inner, &key), admitted);
             assert_eq!(reference::admissible(&inner, &key), admitted);
-            // The root, two binary searches of 64 members (7 probes each),
-            // the other meeting's 64 members and its one memo entry.
-            let visits = inner.visits.get();
-            assert!(
-                visits <= 1 + 2 * 7 + G + 1,
-                "{visits} visits: a subgroup's own members were looked at"
-            );
+            assert_eq!(reference::fixpoint_admissible(&inner, &key), admitted);
         }
     }
 

@@ -90,13 +90,11 @@ pub struct Rendezvous {
     n: usize,
     /// Process-unique id, reported to the progress registry.
     id: u64,
-    /// Global ranks of the participants, ascending, when known.
-    /// Cluster-created rendezvous always carry this so the progress
-    /// registry can bound parked waiters by the participants' clocks and
-    /// find the requester among them with one binary search; `None`
-    /// (unit-test constructor) leaves waiters unregistered, bounded by
-    /// their own floor as if running, which is sound but cannot exploit
-    /// the requester-dependence rule.
+    /// Global ranks of the participants, when known. Cluster-created
+    /// rendezvous always carry them so the progress registry sees parked
+    /// waiters as blocked and the last arrival can downgrade them; `None`
+    /// (unit-test constructor) leaves waiters unregistered, ordered by
+    /// their own floor as if running, which is sound.
     participants: Option<Arc<[usize]>>,
     state: Mutex<State>,
     cv: Condvar,
@@ -116,27 +114,15 @@ impl Rendezvous {
     }
 
     /// Create a meeting point for the given **global ranks** (callers
-    /// number participants by their position in `ranks`; the membership
-    /// is kept as a sorted set, which nothing reads by index). Cluster
-    /// code must use this constructor: the membership lets the progress
-    /// registry bound a parked waiter's wake time by the participants'
-    /// clocks — in particular, a meeting that includes the requesting
-    /// rank never delays its admission.
-    ///
-    /// An ascending list is kept as the caller's `Arc`, so a
+    /// number participants by their position in `ranks`). Cluster code
+    /// must use this constructor: the membership lets the progress
+    /// registry take a parked waiter out of its admission order until the
+    /// meeting completes. The list is kept as the caller's `Arc`, so a
     /// communicator and its meeting point hold one member list between
-    /// them; only an unsorted one is copied.
+    /// them.
     pub fn for_ranks(ranks: impl Into<Arc<[usize]>>, poison: Arc<PoisonFlag>) -> Self {
         let ranks: Arc<[usize]> = ranks.into();
-        let n = ranks.len();
-        let sorted = if ranks.is_sorted() {
-            ranks
-        } else {
-            let mut copy = ranks.to_vec();
-            copy.sort_unstable();
-            copy.into()
-        };
-        Self::build(n, Some(sorted), poison)
+        Self::build(ranks.len(), Some(ranks), poison)
     }
 
     fn build(n: usize, participants: Option<Arc<[usize]>>, poison: Arc<PoisonFlag>) -> Self {
@@ -161,8 +147,8 @@ impl Rendezvous {
         self.n
     }
 
-    /// The participants' global ranks, ascending (`None` from the
-    /// unit-test constructor). The world communicator's member list is
+    /// The participants' global ranks, in participant order (`None` from
+    /// the unit-test constructor). The world communicator's member list is
     /// this `Arc`: rank `i` of the world is participant `i`.
     pub fn participants(&self) -> Option<&Arc<[usize]>> {
         self.participants.as_ref()
@@ -273,11 +259,10 @@ impl Rendezvous {
             st.wake_all();
         } else {
             // Register this rank as parked in the meeting (atomic with
-            // the deposit, under the state lock): its wake is bounded by
-            // the other participants' entry clocks, which the progress
-            // registry exploits when ordering resource admissions.
-            if let Some(members) = &self.participants {
-                crate::progress::tl_block_rdv(self.id, Arc::clone(members));
+            // the deposit, under the state lock): it holds no place in
+            // the progress registry's order until the meeting completes.
+            if self.participants.is_some() {
+                crate::progress::tl_block_rdv(self.id);
             }
             let mut polls = 0u32;
             while st.generation == gen && st.result.is_none() {

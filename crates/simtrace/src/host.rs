@@ -137,11 +137,6 @@ pub enum Site {
     /// window's coverage that are cheaper to read through than to skip
     /// (only windows with holes enter it).
     SieveRead,
-    /// Admission gate check: one admissibility check of a pending
-    /// request — the tree root, then the parked meetings and the ranks
-    /// blocked in a receive (the progress registry, under its lock —
-    /// never the wait between checks).
-    GateScan,
     /// Admission gate handoff: the targeted wake of the minimum pending
     /// key's rank that ends every registry state change.
     GateWake,
@@ -170,7 +165,7 @@ pub enum Site {
 }
 
 /// Number of probe sites in the registry.
-pub const SITE_COUNT: usize = 24;
+pub const SITE_COUNT: usize = 23;
 
 /// Static description of one site.
 struct SiteInfo {
@@ -196,7 +191,6 @@ const SITES: [SiteInfo; SITE_COUNT] = [
     SiteInfo { name: "cksum_compute", subsystem: "integrity" },
     SiteInfo { name: "cksum_verify", subsystem: "integrity" },
     SiteInfo { name: "sieve_read", subsystem: "mpiio" },
-    SiteInfo { name: "gate_scan", subsystem: "simnet" },
     SiteInfo { name: "gate_wake", subsystem: "simnet" },
     SiteInfo { name: "twophase_coverage", subsystem: "mpiio" },
     SiteInfo { name: "size_exchange", subsystem: "simmpi" },
@@ -238,13 +232,12 @@ impl Site {
                 14 => Site::CksumCompute,
                 15 => Site::CksumVerify,
                 16 => Site::SieveRead,
-                17 => Site::GateScan,
-                18 => Site::GateWake,
-                19 => Site::Coverage,
-                20 => Site::SizeExchange,
-                21 => Site::CollSetup,
-                22 => Site::Plan,
-                23 => Site::Pattern,
+                17 => Site::GateWake,
+                18 => Site::Coverage,
+                19 => Site::SizeExchange,
+                20 => Site::CollSetup,
+                21 => Site::Plan,
+                22 => Site::Pattern,
                 _ => unreachable!(),
             })
         } else {
@@ -301,11 +294,8 @@ pub enum Counter {
     /// of its read — and this count pins it.
     CopyBytes,
     /// Entries the admission gate looked at: tournament-tree nodes on a
-    /// state change, and in a check the root, the meeting members a
-    /// binary search or a bound walked, the ranks analysed and the memo
-    /// entries reset. Follows `log ranks` per event (OST request, send,
-    /// collective entry), plus the members of meetings the requester is
-    /// not in.
+    /// state change, and the root in a check. Follows `log ranks` per
+    /// event (OST request, send, collective entry).
     GateVisits,
 }
 

@@ -8,7 +8,7 @@
 //! condition variable under the fiber executor, so no wait site signals
 //! one: the notify that wakes a parked fiber is a queue push, not a
 //! system call. The admission gate does `O(log ranks)` work per event,
-//! not a walk over the ranks parked in a collective. And a round's size
+//! not a walk over the ranks parked in a collective or a subgroup. And a round's size
 //! exchange touches the (rank, aggregator) pairs that exchange something
 //! plus one slot per rank, not ranks squared.
 //!
@@ -106,22 +106,24 @@ fn fiber_slices_are_bounded_by_events_not_by_ranks_times_cycles() {
 
 #[test]
 fn gate_visits_follow_events_times_log_ranks_not_ranks() {
-    // A 256-rank collective tile-io write. While an aggregator writes,
-    // everyone else is parked in a world collective the aggregator
-    // belongs to, which a check skips after one binary search of its
-    // members; walking the parked ranks instead cost ≈ 2·P visits per
-    // OST request. What is left is O(log P) per event: a request's check
-    // and tree paths, a collective entry's park and unpark, a receive's
-    // block and release.
+    // 256-rank tile-io writes, collective and ParColl with 32 subgroups.
+    // A check reads the tree's root, whoever is parked; what is left is
+    // a tree path per state change: a request's admission and release, a
+    // collective entry's park and unpark, a receive's block and release.
+    // A gate that walked the parked ranks would pay ≈ 2·P visits per OST
+    // request, and one that bounded the meetings the requester is not
+    // in ≈ 17 per event for ParColl-32.
     const P: u64 = 256;
     let _serial = serial();
-    let (report, events) = profile(TileIo::paper(P as usize), IoMode::Collective);
-    let visits = counter(&report, "gate_visits");
-    assert!(visits > 0, "the gate was not counted");
-    assert!(
-        visits <= 4 * P.ilog2() as u64 * events,
-        "{visits} gate visits for {events} events among {P} ranks"
-    );
+    for mode in [IoMode::Collective, IoMode::Parcoll { groups: 32 }] {
+        let (report, events) = profile(TileIo::paper(P as usize), mode);
+        let visits = counter(&report, "gate_visits");
+        assert!(visits > 0, "the gate was not counted");
+        assert!(
+            visits <= 2 * P.ilog2() as u64 * events,
+            "{mode:?}: {visits} gate visits for {events} events among {P} ranks"
+        );
+    }
 }
 
 #[test]
