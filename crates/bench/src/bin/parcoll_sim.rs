@@ -11,10 +11,6 @@
 //!   --mapping M          block | cyclic (default block)
 //!   --cb-nodes N         cap aggregators at one per node, N nodes
 //!   --align BYTES        stripe-align collective file domains
-//!   --autotune           online feedback tuning (parcoll::autotune) across
-//!                        the run's collective calls; a workload of one
-//!                        call (tileio) is refused, see `figures
-//!                        fig7_tileio_groups` for tuning across reopens
 //!   --integrity          end-to-end checksums (pieces + at-rest pages)
 //!   --scrub              at-rest scrub pass after the run (implies --integrity)
 //!   --rot N              plant N seeded at-rest rot extents (with --scrub)
@@ -27,8 +23,7 @@
 //! ```
 //!
 //! Prints bandwidth and the per-phase profile — the numbers the paper's
-//! figures are made of — and, with `--autotune`, each tuned epoch's
-//! group count, decision and agreed wall.
+//! figures are made of.
 
 use simfs::FsConfig;
 use simnet::Mapping;
@@ -57,7 +52,7 @@ impl Args {
                 .unwrap_or_else(|| usage(&format!("unexpected argument {a:?}")))
                 .to_string();
             match key.as_str() {
-                "verify" | "autotune" | "integrity" | "scrub" => {
+                "verify" | "integrity" | "scrub" => {
                     flags.insert(key);
                 }
                 _ => {
@@ -89,7 +84,7 @@ impl Args {
 
 fn usage(err: &str) -> ! {
     eprintln!("error: {err}");
-    eprintln!("usage: parcoll_sim <ior|tileio|btio|flashio> [--procs N] [--mode baseline|parcoll|independent] [--groups G] [--verify] [--mapping block|cyclic] [--cb-nodes N] [--align BYTES] [--autotune] [workload options]");
+    eprintln!("usage: parcoll_sim <ior|tileio|btio|flashio> [--procs N] [--mode baseline|parcoll|independent] [--groups G] [--verify] [--mapping block|cyclic] [--cb-nodes N] [--align BYTES] [workload options]");
     std::process::exit(2);
 }
 
@@ -128,10 +123,6 @@ fn main() {
         faults: None,
         integrity: args.flags.contains("integrity") || args.flags.contains("scrub"),
         scrub: args.flags.contains("scrub"),
-        autotune: args
-            .flags
-            .contains("autotune")
-            .then(parcoll::PolicyCache::new),
     };
     if let Some(n) = args.map.get("cb-nodes") {
         cfg.info.set("cb_nodes", n);
@@ -196,12 +187,6 @@ fn main() {
         "rounds={} collective_calls={}",
         result.profile_max.rounds, result.profile_max.calls
     );
-    for d in &result.autotune_log {
-        println!(
-            "autotune epoch {}: {} groups, agreed wall {} µs [{}]",
-            d.epoch, d.groups, d.feedback.wall_us, d.action
-        );
-    }
     if let Some(scrub) = &result.scrub {
         println!(
             "scrub: {} files, {:.1} MB scanned, {} extents repaired, {} unrepairable",
@@ -219,18 +204,8 @@ fn main() {
     }
 }
 
-/// Describe `w` and run it — unless `--autotune` asks to tune a
-/// workload that makes one collective call: the tuner measures an epoch
-/// per call and would only ever see its first, yet pay its exchanges.
+/// Describe `w` and run it.
 fn run<W: Workload + 'static>(w: W, cfg: RunConfig) -> RunResult {
-    if cfg.autotune.is_some() && w.ncalls() < 2 {
-        usage(&format!(
-            "--autotune tunes across a run's collective calls and {} makes {}; \
-             `figures fig7_tileio_groups` tunes tile-io across reopens",
-            w.name(),
-            w.ncalls()
-        ));
-    }
     println!(
         "workload {} : {} ranks, {} calls, {:.1} MB total",
         w.name(),

@@ -11,7 +11,7 @@
 
 use crate::table::Row;
 use crate::Scale;
-use parcoll::{ParcollConfig, PolicyCache};
+use parcoll::ParcollConfig;
 use simnet::CollectiveAlg;
 use std::collections::{BTreeMap, BTreeSet};
 use workloads::btio::BtIo;
@@ -113,9 +113,8 @@ pub const SWEEPS: &[Sweep] = &[
     },
     // Figure 7: tile-io bandwidth vs subgroups at 512 processes (best at
     // 64, then over-partitioning collapses); Figure 8, the same runs'
-    // synchronization cost up to 64 groups; the §4 trade-off, a series
-    // per process count; and the autotuner's epochs beside the static
-    // ladder they climb. Every static point is simulated once.
+    // synchronization cost up to 64 groups; and the §4 trade-off, a
+    // series per process count. Every point is simulated once.
     Sweep {
         files: &[
             RowFile { name: "fig7_tileio_groups", x: "groups",
@@ -124,8 +123,6 @@ pub const SWEEPS: &[Sweep] = &[
                       title: "Figure 8: synchronization cost vs subgroups (MPI-Tile-IO, 512 procs)" },
             RowFile { name: "ablation_groupsize", x: "groups",
                       title: "Ablation: best subgroup count per process count" },
-            RowFile { name: "autotune_sweep", x: "groups|epoch",
-                      title: "Autotune: tuned epochs vs static subgroup ladder (MPI-Tile-IO)" },
         ],
         run: tileio_groups,
     },
@@ -358,32 +355,18 @@ fn ablation_groups(nprocs: usize) -> Vec<usize> {
         .collect()
 }
 
-/// The autotuner's static ladder at `nprocs`: powers of two up to its
-/// own cap (least group size 8, the paper's IOR floor and the autotune
-/// default).
-fn autotune_ladder(nprocs: usize) -> Vec<usize> {
-    let cap = (nprocs / 8).max(1);
-    std::iter::successors(Some(1), |g| Some(g * 2))
-        .take_while(|&g| g <= cap)
-        .collect()
-}
-
 /// The `fig7_tileio_groups` sweep: Figure 7 at 512 processes (16 quick),
-/// Figure 8 from the same rows, the group-size ablation at 128/256/512
-/// (16 quick) and the autotune sweep at 128 and 512 (16 quick). Each
-/// process count runs the union of the group counts its files plot, once.
+/// Figure 8 from the same rows and the group-size ablation at 128/256/512
+/// (16 quick). Each process count runs the union of the group counts its
+/// files plot, once.
 fn tileio_groups(s: Scale, cfg: Config) -> Vec<Vec<Row>> {
     let (procs, full) = (s.pick(512, 16), s == Scale::Paper);
     let fig7 = pick(s, &[1, 2, 4, 8, 16, 32, 64, 128, 256], &[1, 2, 4]);
     let ablation = pick(s, &[128, 256, 512], &[16]);
-    let tuned = pick(s, &[128, 512], &[16]);
     let mut points: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
     points.entry(procs).or_default().extend(fig7);
     for &p in ablation {
         points.entry(p).or_default().extend(ablation_groups(p));
-    }
-    for &p in tuned {
-        points.entry(p).or_default().extend(autotune_ladder(p));
     }
     let runs: BTreeMap<usize, Vec<Row>> = points
         .into_iter()
@@ -404,106 +387,7 @@ fn tileio_groups(s: Scale, cfg: Config) -> Vec<Vec<Row>> {
             ..r
         }));
     }
-    let mut autotune = Vec::new();
-    for &p in tuned {
-        let ladder = at(p, &autotune_ladder(p));
-        autotune.extend(autotune_epochs(
-            p,
-            full,
-            s.pick(6, 4),
-            s == Scale::Paper,
-            &ladder,
-            cfg,
-        ));
-    }
-    vec![sweep, sync, series, autotune]
-}
-
-/// The autotune sweep at `nprocs`: the static `ladder` (Figure 7 rows,
-/// series `static-<P>p`, x = subgroup count), then `epochs` tuned runs
-/// starting from the default configuration (series `autotune-<P>p`,
-/// x = epoch). Each epoch is one run (MPI-Tile-IO issues a single
-/// collective write) threaded through one [`PolicyCache`], so the
-/// sweep takes the repeated-open path a real application would.
-///
-/// The convergence contract is asserted before the rows return: the
-/// tuned endpoint is within 5 % of the default static configuration,
-/// and, when `strict`, one of the first four epochs reaches 90 % of the
-/// best static configuration.
-fn autotune_epochs(
-    nprocs: usize,
-    full: bool,
-    epochs: usize,
-    strict: bool,
-    ladder: &[Row],
-    cfg: Config,
-) -> Vec<Row> {
-    let mut rows: Vec<Row> = ladder
-        .iter()
-        .map(|r| Row::new(format!("static-{nprocs}p"), r.x, r.y, "MB/s"))
-        .collect();
-    let best_static = ladder.iter().map(|r| r.y).fold(0.0, f64::max);
-    let default_groups = ParcollConfig::default().effective_groups(nprocs);
-    let default_static = ladder
-        .iter()
-        .find(|r| r.x == default_groups as f64)
-        .map(|r| r.y)
-        .expect("ladder contains the default group count");
-
-    // Tuned epochs: one run per epoch, resuming through the policy cache.
-    let cache = PolicyCache::new();
-    let mut tuned_bw = Vec::new();
-    let mut groups_now = default_groups;
-    for e in 0..epochs {
-        let mut c = cfg(IoMode::Collective);
-        // Visualization semantics, as in Figure 7: an intermediate view
-        // must scatter back to the canonical layout.
-        c.info.set("parcoll_iview_scatter", "true");
-        c.autotune = Some(cache.clone());
-        let r = run_workload(tileio_at(nprocs, full), c);
-        // The log holds the epoch the run observed: the group count it
-        // ran with and the agreed wall it measured. A settled tuner logs
-        // nothing, measures nothing and holds its last count.
-        let settled = r.autotune_log.is_empty();
-        let (action, wall) = match r.autotune_log.first() {
-            Some(d) => {
-                groups_now = d.groups;
-                (d.action, format!("{} µs", d.feedback.wall_us))
-            }
-            None => ("settled", "-".to_string()),
-        };
-        eprintln!(
-            "epoch {e} ({nprocs}p): {:.1} MB/s at {groups_now} groups, agreed wall {wall} [{action}]",
-            r.write_mbps
-        );
-        tuned_bw.push(r.write_mbps);
-        rows.push(
-            Row::new(
-                format!("autotune-{nprocs}p"),
-                e as f64,
-                r.write_mbps,
-                "MB/s",
-            )
-            .with("groups", groups_now as f64)
-            .with("settled", if settled { 1.0 } else { 0.0 }),
-        );
-    }
-
-    let final_bw = *tuned_bw.last().expect("at least one epoch");
-    assert!(
-        final_bw >= 0.95 * default_static,
-        "{nprocs}p: tuned endpoint {final_bw:.1} MB/s fell more than 5% below \
-         the default static config ({default_static:.1} MB/s at {default_groups} groups)"
-    );
-    if strict {
-        let converged = tuned_bw.iter().position(|&y| y >= 0.9 * best_static);
-        assert!(
-            converged.is_some_and(|e| e < 4),
-            "{nprocs}p: no epoch within the first 4 reached 90% of the best \
-             static config ({best_static:.1} MB/s); epochs: {tuned_bw:?}"
-        );
-    }
-    rows
+    vec![sweep, sync, series]
 }
 
 /// Figure 8: the [`tileio_group_sweep`] points up to `upto` groups, as
@@ -562,8 +446,8 @@ pub fn restart_read_sweep(
 }
 
 /// Figure 9: MPI-Tile-IO collective-write scalability, baseline vs
-/// ParColl at its best group count per process count: a group per 8
-/// ranks, between 2 and 64 (Figure 7's best).
+/// ParColl at the default group count ([`ParcollConfig::effective_groups`]:
+/// a group per 8 ranks, at most 64), and at least 2.
 pub fn tileio_scalability(
     procs: &[usize],
     full: bool,
@@ -573,7 +457,7 @@ pub fn tileio_scalability(
     for &p in procs {
         let base = run_workload(tileio_at(p, full), cfg(IoMode::Collective));
         rows.push(Row::new(BASELINE, p as f64, base.write_mbps, "MB/s"));
-        let g = (p / 8).clamp(2, 64);
+        let g = ParcollConfig::default().effective_groups(p).max(2);
         let r = run_workload(tileio_at(p, full), cfg(IoMode::Parcoll { groups: g }));
         let row = Row::new("ParColl(best)", p as f64, r.write_mbps, "MB/s");
         rows.push(row.with("groups", g as f64));
@@ -757,15 +641,6 @@ mod tests {
         for (shared, fresh) in groups[2].iter().zip(&fresh) {
             assert_eq!(shared.series, "16 procs");
             assert_eq!((shared.x, shared.y.to_bits()), (fresh.x, fresh.y.to_bits()));
-        }
-        // The autotune ladder is Figure 7's 1- and 2-group runs.
-        let ladder: Vec<&Row> = groups[3]
-            .iter()
-            .filter(|r| r.series == "static-16p")
-            .collect();
-        assert_eq!(ladder.len(), 2);
-        for (shared, fig7) in ladder.iter().zip(&groups[0]) {
-            assert_eq!((shared.x, shared.y.to_bits()), (fig7.x, fig7.y.to_bits()));
         }
     }
 

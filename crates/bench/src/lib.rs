@@ -15,7 +15,6 @@
 //! | `fig7_tileio_groups` | `fig7_tileio_groups` | Fig. 7 | MPI-Tile-IO read/write bandwidth vs subgroup count |
 //! | | `fig8_sync_reduction` | Fig. 8 | synchronization time (abs and ratio) vs subgroup count |
 //! | | `ablation_groupsize` | §4 trade-off | group-size sweep across process counts |
-//! | | `autotune_sweep` | §6 future work | tuned epochs beside the static subgroup ladder |
 //! | `fig9_scalability` | `fig9_scalability` | Fig. 9 | MPI-Tile-IO write bandwidth vs process count |
 //! | `fig10_btio` | `fig10_btio` | Fig. 10 | BT-IO class C bandwidth vs process count |
 //! | `fig11_flashio` | `fig11_flashio` | Fig. 11 | Flash-IO checkpoint bandwidth, aggregator variants |

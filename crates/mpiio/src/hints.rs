@@ -5,7 +5,7 @@ use simmpi::Info;
 /// Parsed MPI-IO hints relevant to this layer. Unknown keys are ignored
 /// (MPI semantics); the raw [`Info`] is preserved for higher layers (the
 /// `parcoll` crate parses its own `parcoll_*` keys from the same object
-/// — `parcoll_groups`, `parcoll_autotune`, … — see
+/// — `parcoll_groups`, `parcoll_min_group`, … — see
 /// `parcoll::ParcollConfig`). No hint shapes a read: collective and
 /// independent reads alike read through holes up to the file's
 /// break-even gap (`simfs::FileHandle::list_break_even_gap`).

@@ -20,9 +20,6 @@
 //! communicator split is reused when the membership vector is unchanged.
 
 use crate::aggdist::distribute_aggregators;
-use crate::autotune::{
-    pattern_signature, shape_signature, AutoTuner, DecisionRecord, EpochFeedback, PolicyCache,
-};
 use crate::config::ParcollConfig;
 use crate::fa::{partition_file_areas, Grouping};
 use crate::iview::{LogicalMap, MappedSpace};
@@ -500,53 +497,15 @@ pub struct ParcollFile<'ep> {
     pcfg: ParcollConfig,
     cache: Option<GroupCache<'ep>>,
     last_mode: Option<PartitionMode>,
-    path: String,
-    tune: Option<TuneRuntime>,
-}
-
-/// What a policy-cache hit's broadcast is charged: 16 little-endian
-/// `u64`s, the size of the word snapshot the tuner state used to travel
-/// as. The committed autotune rows were measured with this charge, so it
-/// stays; a miss broadcasts nothing and is charged 0.
-const POLICY_BCAST_BYTES: usize = 128;
-
-/// Per-file autotune state: the tuner (lazily built at the first
-/// collective write, when the access pattern is known), the epoch
-/// accumulator, and the policy cache learned state is stored into. An
-/// epoch is one collective write; reads run the group count in force.
-struct TuneRuntime {
-    cache: PolicyCache,
-    tuner: Option<AutoTuner>,
-    /// Pattern signature of the first write: with the path, the key the
-    /// tuner was loaded under and stores to.
-    sig: u64,
-    /// Subgroup count in force for the running epoch (a change
-    /// invalidates the subgroup split cache).
-    applied: usize,
-    epoch_t0: simnet::SimTime,
-    /// Profile snapshot at epoch start; the epoch's attribution is the
-    /// delta against it.
-    mark: PhaseProfile,
 }
 
 impl<'ep> ParcollFile<'ep> {
-    fn build(file: File<'ep>, pcfg: ParcollConfig, path: &str) -> ParcollFile<'ep> {
-        let nprocs = file.comm().size();
-        let tune = pcfg.autotune.then(|| TuneRuntime {
-            cache: PolicyCache::new(),
-            tuner: None,
-            sig: 0,
-            applied: pcfg.effective_groups(nprocs),
-            epoch_t0: simnet::SimTime::ZERO,
-            mark: PhaseProfile::new(),
-        });
+    fn build(file: File<'ep>, info: &Info) -> ParcollFile<'ep> {
         ParcollFile {
             file,
-            pcfg,
+            pcfg: ParcollConfig::from_info(info),
             cache: None,
             last_mode: None,
-            path: path.to_string(),
-            tune,
         }
     }
 
@@ -557,8 +516,7 @@ impl<'ep> ParcollFile<'ep> {
         path: &str,
         info: &Info,
     ) -> ParcollFile<'ep> {
-        let pcfg = ParcollConfig::from_info(info);
-        Self::build(File::open(comm, fs, path, info), pcfg, path)
+        Self::build(File::open(comm, fs, path, info), info)
     }
 
     /// Collectively open with explicit striping.
@@ -570,23 +528,10 @@ impl<'ep> ParcollFile<'ep> {
         stripe_count: usize,
         stripe_size: u64,
     ) -> ParcollFile<'ep> {
-        let pcfg = ParcollConfig::from_info(info);
         Self::build(
             File::open_with_layout(comm, fs, path, info, stripe_count, stripe_size),
-            pcfg,
-            path,
+            info,
         )
-    }
-
-    /// Share a policy cache with other opens (the benchmark runner
-    /// threads one cache through a sweep so each reopen resumes the
-    /// learned configuration). Must be called before the first collective
-    /// write; a no-op unless the `parcoll_autotune` hint is set.
-    pub fn set_policy_cache(&mut self, cache: PolicyCache) {
-        if let Some(tr) = self.tune.as_mut() {
-            assert!(tr.tuner.is_none(), "policy cache set after tuning started");
-            tr.cache = cache;
-        }
     }
 
     /// Set the file view (collective). Invalidates the subgroup cache —
@@ -602,176 +547,23 @@ impl<'ep> ParcollFile<'ep> {
         self.run(offset, buf.len() as u64, Dir::Write(buf));
     }
 
-    fn effective_pcfg(&self) -> ParcollConfig {
-        let mut pcfg = self.pcfg.clone();
-        if let Some(t) = self.tune.as_ref().and_then(|tr| tr.tuner.as_ref()) {
-            pcfg.groups = Some(t.groups());
-        }
-        pcfg
-    }
-
-    /// Build (or resume from the policy cache) the tuner at the first
-    /// collective write, once the access pattern is in hand: agree on the
-    /// pattern signature (one allgather of per-rank shape hashes), then
-    /// rank 0 consults the cache and broadcasts what it holds so every
-    /// rank starts from the identical state.
-    fn ensure_tuner(&mut self, offset: u64, nbytes: u64) {
-        let Some(tr) = self.tune.as_mut().filter(|tr| tr.tuner.is_none()) else {
-            return;
-        };
-        let comm = self.file.comm().clone();
-        let ep = comm.endpoint();
-        let plan = self.file.plan(offset, nbytes);
-        let my_hash = shape_signature(plan.shape());
-
-        let t = PhaseTimer::start(Phase::Sync, ep.now());
-        let hashes = comm.allgather_t(my_hash, 8);
-        let sig = pattern_signature(comm.size(), &hashes);
-        let resumed = if comm.rank() == 0 {
-            let dead = ep.faults().map_or(0, |f| f.dead_epoch());
-            let tuner = tr.cache.load(&self.path, sig, dead);
-            let bytes = if tuner.is_some() {
-                POLICY_BCAST_BYTES
-            } else {
-                0
-            };
-            comm.bcast(0, Some((tuner, bytes)))
-        } else {
-            comm.bcast(0, None)
-        };
-        t.stop_traced(ep.now(), self.file.profile_mut(), ep.trace());
-
-        let tuner = Option::clone(&resumed)
-            .filter(|t| t.nprocs() == comm.size())
-            .unwrap_or_else(|| {
-                let start = self.pcfg.effective_groups(comm.size());
-                AutoTuner::new(comm.size(), self.pcfg.min_group_size, start)
-            });
-        tr.sig = sig;
-        let applied = tuner.groups();
-        if applied != tr.applied {
-            // The cache resumed a learned policy: a split made under the
-            // static group count (by a read before the first write) is
-            // stale.
-            self.cache = None;
-        }
-        tr.applied = applied;
-        tr.tuner = Some(tuner);
-        tr.epoch_t0 = ep.now();
-        tr.mark = *self.file.profile();
-    }
-
-    /// The collective call just made closes an epoch: agree on the
-    /// measurement and let the tuner move — unless it has settled. The
-    /// steady state has no accounting and no agreement collective; it is
-    /// communication-free beyond the protocol itself.
-    fn tune_record(&mut self) {
-        let tuner = self.tune.as_ref().and_then(|tr| tr.tuner.as_ref());
-        if tuner.is_some_and(|t| !t.is_settled()) {
-            self.tune_epoch_boundary();
-        }
-    }
-
-    /// Close the running epoch: agree on the slowest rank's elapsed time
-    /// and per-phase deltas (one allreduce — the only whole-group cost of
-    /// tuning, and only while exploring), feed the tuner, and invalidate
-    /// the subgroup cache if the group count moved.
-    fn tune_epoch_boundary(&mut self) {
-        let Some(tr) = self.tune.as_mut() else {
-            return;
-        };
-        let comm = self.file.comm().clone();
-        let ep = comm.endpoint();
-        let us = |d: simnet::SimTime| d.as_micros().round() as u64;
-        let prof = self.file.profile();
-        let mine = [
-            us(ep.now() - tr.epoch_t0),
-            us(prof.sync - tr.mark.sync),
-            us(prof.p2p - tr.mark.p2p),
-            us(prof.io - tr.mark.io),
-            us(prof.local - tr.mark.local),
-        ];
-        let t = PhaseTimer::start(Phase::Sync, ep.now());
-        let agreed = comm.allreduce_u64(&mine, simmpi::ReduceOp::Max);
-        t.stop_traced(ep.now(), self.file.profile_mut(), ep.trace());
-
-        let tuner = tr.tuner.as_mut().expect("boundary requires a tuner");
-        tuner.observe(EpochFeedback {
-            wall_us: agreed[0],
-            sync_us: agreed[1],
-            p2p_us: agreed[2],
-            io_us: agreed[3],
-            local_us: agreed[4],
-        });
-        let rec = ep.trace();
-        if rec.enabled() {
-            let d = tuner.log().last().expect("observe just logged");
-            let groups = tuner.groups();
-            // The full decision as a trace instant: what the tuner saw
-            // (agreed per-phase maxima) and what it chose, so `explain`
-            // and Perfetto can line epoch boundaries up with phase shifts
-            // without re-deriving tuner state.
-            rec.instant(
-                "parcoll",
-                "autotune",
-                ep.now().as_micros(),
-                vec![
-                    ("action", simtrace::ArgValue::from(d.action)),
-                    ("groups", simtrace::ArgValue::from(groups)),
-                    ("epoch", simtrace::ArgValue::from(d.epoch as usize)),
-                    ("wall_us", simtrace::ArgValue::from(agreed[0])),
-                    ("sync_us", simtrace::ArgValue::from(agreed[1])),
-                    ("p2p_us", simtrace::ArgValue::from(agreed[2])),
-                    ("io_us", simtrace::ArgValue::from(agreed[3])),
-                    ("local_us", simtrace::ArgValue::from(agreed[4])),
-                ],
-            );
-            rec.counter("autotune_groups", ep.now().as_micros(), groups as f64);
-        }
-        let after = tuner.groups();
-        if after != tr.applied {
-            tr.applied = after;
-            self.cache = None;
-        }
-        tr.epoch_t0 = ep.now();
-        tr.mark = *self.file.profile();
-    }
-
-    /// The epoch-by-epoch decisions made during this open, if
-    /// `parcoll_autotune` is on and a collective write ran. Empty means
-    /// every epoch resumed settled.
-    pub fn autotune_log(&self) -> Option<&[DecisionRecord]> {
-        self.tune
-            .as_ref()
-            .and_then(|tr| tr.tuner.as_ref())
-            .map(AutoTuner::log)
-    }
-
-    /// Partitioned collective read at a view offset, under the group
-    /// count in force: the tuner's if a write built one, the static
-    /// configuration otherwise. A read is no autotune epoch.
+    /// Partitioned collective read at a view offset.
     pub fn read_at_all(&mut self, offset: u64, nbytes: u64) -> IoBuffer {
         let data = self.run(offset, nbytes, Dir::Read);
         data.expect("a collective read returns its bytes")
     }
 
-    /// One partitioned collective call; a write is an autotune epoch.
+    /// One partitioned collective call.
     fn run(&mut self, offset: u64, nbytes: u64, dir: Dir<'_>) -> Option<IoBuffer> {
-        let write = matches!(dir, Dir::Write(_));
-        if write {
-            self.ensure_tuner(offset, nbytes);
-        }
-        let pcfg = self.effective_pcfg();
-        let (mode, data) =
-            run_partitioned(&mut self.file, &pcfg, &mut self.cache, offset, nbytes, dir);
+        let (mode, data) = run_partitioned(
+            &mut self.file,
+            &self.pcfg,
+            &mut self.cache,
+            offset,
+            nbytes,
+            dir,
+        );
         self.last_mode = Some(mode);
-        if write {
-            self.tune_record();
-        } else if let Some(tr) = self.tune.as_mut().filter(|tr| tr.tuner.is_some()) {
-            // The next write epoch starts here: it measures no read.
-            tr.epoch_t0 = self.file.comm().endpoint().now();
-            tr.mark = *self.file.profile();
-        }
         data
     }
 
@@ -811,26 +603,9 @@ impl<'ep> ParcollFile<'ep> {
         self.file.profile()
     }
 
-    /// Collectively close, returning the profile. With autotuning on,
-    /// rank 0 stores the learned state into the policy cache, keyed by
-    /// the file path, pattern signature and current fault dead-set epoch.
-    pub fn close(mut self) -> PhaseProfile {
-        self.tune_flush();
+    /// Collectively close, returning the profile.
+    pub fn close(self) -> PhaseProfile {
         self.file.close()
-    }
-
-    fn tune_flush(&mut self) {
-        let Some(tr) = self.tune.as_ref() else {
-            return;
-        };
-        let Some(tuner) = tr.tuner.as_ref() else {
-            return;
-        };
-        let comm = self.file.comm().clone();
-        if comm.rank() == 0 {
-            let dead = comm.endpoint().faults().map_or(0, |f| f.dead_epoch());
-            tr.cache.store(&self.path, tr.sig, dead, tuner);
-        }
     }
 }
 

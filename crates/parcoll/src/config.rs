@@ -29,11 +29,6 @@ pub struct ParcollConfig {
     /// cost in tiny requests — the benchmark that shows why the paper's
     /// view switching stores data logically.
     pub iview_scatter: bool,
-    /// Online autotuning (`parcoll_autotune`): close the simtrace
-    /// phase-attribution signal into a feedback loop that retunes the
-    /// subgroup count per epoch (one collective write; see
-    /// [`crate::autotune`]).
-    pub autotune: bool,
 }
 
 impl Default for ParcollConfig {
@@ -43,7 +38,6 @@ impl Default for ParcollConfig {
             min_group_size: 8,
             view_switching: true,
             iview_scatter: false,
-            autotune: false,
         }
     }
 }
@@ -56,22 +50,21 @@ impl ParcollConfig {
             min_group_size: info.get_usize("parcoll_min_group").unwrap_or(8).max(1),
             view_switching: info.get_bool("parcoll_force_iview").unwrap_or(true),
             iview_scatter: info.get_bool("parcoll_iview_scatter").unwrap_or(false),
-            autotune: info.get_bool("parcoll_autotune").unwrap_or(false),
         }
     }
 
     /// The subgroup count to use for `nprocs` processes.
     ///
     /// An explicit request is honored up to the minimum-group-size
-    /// constraint; otherwise the default targets groups of
-    /// `4 × min_group_size` processes (32 with the default minimum — in
-    /// the paper's sweet spot: 512 processes / 64 groups = 8, 1024 / 64 =
-    /// 16 processes per group).
+    /// constraint; otherwise the default is one group per
+    /// `min_group_size` processes, at most 64. With the default minimum
+    /// of 8 that is the count Figure 9 runs, and at 512 processes it sits
+    /// on Figure 7's plateau (8 to 64 groups, within 1 % of each other).
     pub fn effective_groups(&self, nprocs: usize) -> usize {
         let cap = (nprocs / self.min_group_size).max(1);
         match self.groups {
             Some(g) => g.clamp(1, cap.min(nprocs)),
-            None => (nprocs / (4 * self.min_group_size)).clamp(1, cap.min(nprocs)),
+            None => cap.min(64),
         }
     }
 }
@@ -118,9 +111,9 @@ mod tests {
     fn default_group_choice_is_reasonable() {
         let c = ParcollConfig::default();
         assert_eq!(c.effective_groups(4), 1);
-        assert_eq!(c.effective_groups(64), 2);
-        assert_eq!(c.effective_groups(512), 16);
-        assert_eq!(c.effective_groups(1024), 32);
+        assert_eq!(c.effective_groups(64), 8);
+        assert_eq!(c.effective_groups(512), 64);
+        assert_eq!(c.effective_groups(1024), 64);
     }
 
     #[test]
@@ -130,14 +123,6 @@ mod tests {
             ..ParcollConfig::default()
         };
         assert_eq!(c.effective_groups(1), 1);
-    }
-
-    #[test]
-    fn parses_autotune_hints() {
-        let c = ParcollConfig::from_info(&Info::new().with("parcoll_autotune", "enable"));
-        assert!(c.autotune);
-        let d = ParcollConfig::default();
-        assert!(!d.autotune);
     }
 
     #[test]

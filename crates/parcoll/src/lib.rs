@@ -30,22 +30,15 @@
 //!   configured entirely through `MPI_Info` hints (`parcoll_groups`,
 //!   `parcoll_min_group`) — ParColl "does not alter the semantics of
 //!   MPI-IO".
-//! * [`autotune`] — online feedback control over the subgroup count:
-//!   with the `parcoll_autotune` hint, per-phase attribution from each
-//!   collective write drives a deterministic controller that picks the
-//!   subgroup count for the next one, with learned counts cached per
-//!   (file, pattern signature) across opens.
 
 #![warn(missing_docs)]
 
 pub mod aggdist;
-pub mod autotune;
 pub mod coll;
 pub mod config;
 pub mod fa;
 pub mod iview;
 
-pub use autotune::{AutoTuner, DecisionRecord, EpochFeedback, PolicyCache};
 pub use coll::ParcollFile;
 pub use config::ParcollConfig;
 pub use fa::{partition_file_areas, FaError, Grouping};

@@ -4,7 +4,6 @@ use mpiio::{Ext, Run};
 use parcoll::aggdist::distribute_aggregators;
 use parcoll::fa::partition_file_areas;
 use parcoll::iview::LogicalMap;
-use parcoll::{AutoTuner, EpochFeedback};
 use proptest::prelude::*;
 use simnet::{Mapping, Topology};
 use std::sync::Arc;
@@ -222,79 +221,5 @@ proptest! {
                 }
             }
         }
-    }
-}
-
-/// Agreed epoch feedback: walls from a small range, so equal and
-/// within-hysteresis walls occur, and phase splits that give every sync
-/// share from 0 to 1.
-fn arb_feedback() -> impl Strategy<Value = EpochFeedback> {
-    (
-        1u64..2_000,
-        0u64..1_000,
-        0u64..1_000,
-        0u64..1_000,
-        0u64..100,
-    )
-        .prop_map(
-            |(wall_us, sync_us, p2p_us, io_us, local_us)| EpochFeedback {
-                wall_us,
-                sync_us,
-                p2p_us,
-                io_us,
-                local_us,
-            },
-        )
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(2048))]
-
-    /// The one-knob tuner on random feedback. With `cap = max(1,
-    /// nprocs / min_group)`:
-    ///
-    /// * the group count stays in `[1, cap]` after every `observe`;
-    /// * it settles within `1 + 2·⌈log2 cap⌉` observations. Every
-    ///   unsettled observation either settles or moves the count. The
-    ///   moves form at most two monotone chains, each step at least
-    ///   doubling (or halving) the count or landing on a bound: the
-    ///   warmup's chain, of at most `⌈log2 cap⌉` moves, and the chain
-    ///   after the one `backoff` a failed ×4 jump allows, of at most
-    ///   `⌈log2 cap⌉` more. The epoch that ends a chain without a move
-    ///   settles, or backs off once;
-    /// * the settled count is the one the first epoch that measured the
-    ///   minimum wall ran with, and it never moves again (`hold`).
-    #[test]
-    fn one_knob_tuner_settles_on_its_first_best_epoch(
-        nprocs in 1usize..300,
-        min_group in 1usize..80,
-        start in 0.0f64..1.0,
-        feedback in proptest::collection::vec(arb_feedback(), 1..=8),
-    ) {
-        let cap = (nprocs / min_group).max(1);
-        let bound = 1 + 2 * cap.next_power_of_two().trailing_zeros() as usize;
-        // A start count anywhere in `[1, cap]`, so climbs up and down
-        // both begin from every position.
-        let start = 1 + (start * cap as f64) as usize;
-        let mut t = AutoTuner::new(nprocs, min_group, start);
-        prop_assert!((1..=cap).contains(&t.groups()));
-        let mut settled_at: Option<(usize, usize)> = None;
-        for (i, &fb) in feedback.iter().enumerate() {
-            t.observe(fb);
-            prop_assert!((1..=cap).contains(&t.groups()), "{} not in [1, {}]", t.groups(), cap);
-            match settled_at {
-                Some((_, g)) => prop_assert_eq!(t.groups(), g, "a settled count never moves"),
-                None if t.is_settled() => settled_at = Some((i + 1, t.groups())),
-                None => prop_assert!(i + 1 < bound, "unsettled after {} epochs, cap {}", i + 1, cap),
-            }
-        }
-        let Some((epochs, groups)) = settled_at else {
-            return Ok(());
-        };
-        let explored = &t.log()[..epochs];
-        let min_wall = explored.iter().map(|d| d.feedback.wall_us).min().unwrap();
-        let first_best = explored.iter().find(|d| d.feedback.wall_us == min_wall).unwrap();
-        prop_assert_eq!(groups, first_best.groups, "log: {:?}", explored);
-        prop_assert!(t.log()[epochs..].iter().all(|d| d.action == "hold" && d.groups == groups));
     }
 }

@@ -9,8 +9,8 @@
 //! The operations are the MPI calls the ROMIO two-phase driver and the
 //! ParColl layer use: `MPI_Allgather` (file ranges), `MPI_Alltoall`
 //! (request counts, and again *once per exchange round* — the proximate
-//! cause of the collective wall), `MPI_Allreduce` (round count),
-//! `MPI_Bcast` and `MPI_Barrier`. Those two alltoalls carry one `u64` per
+//! cause of the collective wall), `MPI_Allreduce` (round count) and
+//! `MPI_Barrier`. Those two alltoalls carry one `u64` per
 //! pair, nearly all of them zero, so they exist in a sparse form that is
 //! charged and traced as the dense operation it models
 //! ([`alltoall_sizes_sparse`](Communicator::alltoall_sizes_sparse),
@@ -27,8 +27,6 @@ impl Communicator<'_> {
         match self.ep.net().alltoall_alg {
             CollectiveAlg::Bruck => "bruck",
             CollectiveAlg::Pairwise => "pairwise",
-            CollectiveAlg::Binomial => "binomial",
-            CollectiveAlg::RecursiveDoubling => "recursive_doubling",
         }
     }
 
@@ -44,37 +42,6 @@ impl Communicator<'_> {
         let _ = self.meet(label, (), move |_: Vec<()>, max| {
             ((), max + net.barrier_cost(p))
         });
-    }
-
-    /// Broadcast `root`'s value to everyone (`MPI_Bcast`): the root
-    /// passes `Some((value, bytes))`, `bytes` its serialized size charged
-    /// to the cost model and its `rdv` span, every other rank `None`.
-    /// Returns the meeting's `Arc`, shared by every member.
-    pub fn bcast<T>(&self, root: usize, val: Option<(T, usize)>) -> Arc<T>
-    where
-        T: Send + Sync + 'static,
-    {
-        assert!(root < self.size(), "bcast root {root} out of range");
-        debug_assert_eq!(
-            val.is_some(),
-            self.rank() == root,
-            "only root supplies data"
-        );
-        let net = self.ep.net().clone();
-        let p = self.size();
-        let label = MeetLabel {
-            op: "bcast",
-            alg: "binomial",
-            bytes: val.as_ref().map_or(0, |&(_, n)| n as u64),
-        };
-        self.meet(label, val, move |inputs: Vec<Option<(T, usize)>>, max| {
-            let (data, bytes) = inputs
-                .into_iter()
-                .flatten()
-                .next()
-                .expect("bcast root supplied a value");
-            (data, max + net.bcast_cost(p, bytes))
-        })
     }
 
     /// Typed allgather for protocol metadata; `bytes_each` is the
@@ -333,21 +300,6 @@ mod tests {
         let reference = out[0];
         assert!(out.iter().all(|&t| (t - reference).abs() < 1e-12));
         assert!(reference >= 3.0, "barrier completes no earlier than last entry");
-    }
-
-    #[test]
-    fn bcast_delivers_root_data() {
-        let out = run_cluster(ClusterConfig::ideal(5), |ep| {
-            let comm = Communicator::world(&ep);
-            let val = (comm.rank() == 2).then(|| (vec![7u64, 1 << 40], 16));
-            let got = comm.bcast(2, val);
-            ((*got).clone(), ep.now())
-        });
-        assert!(out.iter().all(|(v, _)| *v == [7, 1 << 40]));
-        // Charged the root's size: every member leaves at the cost of a
-        // 16-byte broadcast.
-        let cost = simnet::NetworkModel::ideal().bcast_cost(5, 16);
-        assert!(out.iter().all(|&(_, t)| t == cost));
     }
 
     #[test]

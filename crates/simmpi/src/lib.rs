@@ -10,8 +10,8 @@
 //!   [`Communicator::waitall`] (completion at the *maximum* arrival time,
 //!   as for a real `MPI_Waitall` over independent messages);
 //! * collectives — the ones the two-phase engine and ParColl run:
-//!   `barrier`, a typed `bcast` and `allgather(v)`, the size and count
-//!   alltoalls, and `allreduce`;
+//!   `barrier`, `allgather(v)`, the size and count alltoalls, and
+//!   `allreduce`;
 //! * [`Info`] — the string key/value hint dictionary of MPI, through which
 //!   applications tune collective I/O (`cb_nodes`, `cb_buffer_size`,
 //!   ParColl's group hints).

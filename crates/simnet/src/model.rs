@@ -21,14 +21,10 @@
 
 use crate::time::SimTime;
 
-/// Selectable collective algorithm, used for cost accounting (the data
+/// Selectable alltoall algorithm, used for cost accounting (the data
 /// combination itself is performed at a rendezvous, see [`crate::Rendezvous`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CollectiveAlg {
-    /// Binomial tree (bcast).
-    Binomial,
-    /// Recursive doubling (allgather, allreduce, barrier).
-    RecursiveDoubling,
     /// Pairwise exchange: `p-1` rounds of one send + one receive (alltoall
     /// with large messages).
     Pairwise,
@@ -148,11 +144,6 @@ impl NetworkModel {
         self.hop(0.0) * Self::log2_ceil(p) + self.straggler_noise(p)
     }
 
-    /// Broadcast of `n` bytes to `p` ranks (binomial tree).
-    pub fn bcast_cost(&self, p: usize, n: usize) -> SimTime {
-        self.hop(n as f64) * Self::log2_ceil(p) + self.straggler_noise(p)
-    }
-
     /// Allgather of `n_each` bytes from each rank (recursive doubling:
     /// `log₂ p` latencies, `(p-1)·n_each` bytes through each rank).
     pub fn allgather_cost(&self, p: usize, n_each: usize) -> SimTime {
@@ -182,11 +173,6 @@ impl NetworkModel {
             CollectiveAlg::Bruck => {
                 // log₂p rounds, each moving ~p/2 · n bytes per rank.
                 self.hop(n * p as f64 / 2.0) * Self::log2_ceil(p)
-            }
-            // Tree algorithms are not meaningful for alltoall; fall back
-            // to pairwise so an accidental selection stays conservative.
-            CollectiveAlg::Binomial | CollectiveAlg::RecursiveDoubling => {
-                self.hop(n) * (p - 1) as f64
             }
         };
         cost + self.straggler_noise(p)

@@ -155,7 +155,7 @@ pub fn run_restart(w: Restart, cfg: RunConfig) -> RestartResult {
         };
         let write: Step<'_> = &mut |f| f.write_at_all(0, &buf);
         let file = (w.path(), w.tile.view(rank));
-        let checkpoint = pass(&comm, &fs, &cfg2, &info, file, Some(write), None);
+        let checkpoint = pass(&comm, &fs, &info, file, Some(write), None);
 
         // Restart: reopen and read the narrow view collectively.
         let read: Step<'_> = &mut |f| {
@@ -169,7 +169,7 @@ pub fn run_restart(w: Restart, cfg: RunConfig) -> RestartResult {
             }
         };
         let file = (w.path(), w.read_view(rank));
-        let restart = pass(&comm, &fs, &cfg2, &info, file, None, Some(read));
+        let restart = pass(&comm, &fs, &info, file, None, Some(read));
         let mut profile = checkpoint.profile;
         profile.merge(&restart.profile);
         Pass {

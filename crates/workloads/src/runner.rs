@@ -72,13 +72,6 @@ pub struct RunConfig {
     /// [`RunConfig::integrity`]); the report lands in
     /// [`RunResult::scrub`].
     pub scrub: bool,
-    /// Online autotuning: `Some(cache)` sets the `parcoll_autotune` hint
-    /// (leaving the subgroup count to the tuner, so `mode` should be
-    /// [`IoMode::Collective`]) and threads the policy cache through every
-    /// rank's file, so sweeps that reuse one cache across
-    /// [`run_workload`] calls resume the learned configuration on each
-    /// reopen — one run per epoch. `None` (the default) changes nothing.
-    pub autotune: Option<parcoll::PolicyCache>,
 }
 
 impl RunConfig {
@@ -96,7 +89,6 @@ impl RunConfig {
             faults: None,
             integrity: false,
             scrub: false,
-            autotune: None,
         }
     }
 
@@ -113,7 +105,6 @@ impl RunConfig {
             faults: None,
             integrity: false,
             scrub: false,
-            autotune: None,
         }
     }
 }
@@ -136,10 +127,6 @@ pub struct RunResult {
     pub profile_avg: PhaseProfile,
     /// Bytes moved by the write pass.
     pub total_bytes: u64,
-    /// The autotuner's epoch-by-epoch decisions (identical on all ranks;
-    /// reported from rank 0). Empty unless [`RunConfig::autotune`] was
-    /// set.
-    pub autotune_log: Vec<parcoll::DecisionRecord>,
     /// File-system statistics at the end of the run (request counts,
     /// per-OST load, imbalance diagnostics).
     pub fs_stats: simfs::FsStats,
@@ -214,7 +201,7 @@ where
         };
         let read = cfg2.read_back.then_some(&mut read as Step<'_>);
         let file = (w.path(), w.view(rank));
-        pass(&comm, &fs, &cfg2, &hints(&cfg2), file, Some(&mut write), read)
+        pass(&comm, &fs, &hints(&cfg2), file, Some(&mut write), read)
     });
 
     let write_seconds = outs[0].write_s;
@@ -241,10 +228,6 @@ where
         profile_max: profile_max(outs.iter().map(|o| &o.profile)),
         profile_avg,
         total_bytes,
-        autotune_log: outs
-            .first()
-            .map(|o| o.tune_log.clone())
-            .unwrap_or_default(),
         scrub: cfg.scrub.then(|| {
             let (report, _done) = fs_for_stats.scrub(fs_for_stats.drain_time());
             report
@@ -281,17 +264,13 @@ pub(crate) fn setup(
 }
 
 /// The MPI-IO hints of a run under `cfg`: its own, plus integrity and
-/// the ParColl subgroup count or the autotuner.
+/// the ParColl subgroup count.
 pub(crate) fn hints(cfg: &RunConfig) -> Info {
     let mut info = cfg.info.clone();
     if cfg.integrity {
         info.set("integrity_checksums", "enable");
     }
-    if cfg.autotune.is_some() {
-        // Tuned run: leave the ParColl defaults in force and let the
-        // controller move the knobs from there.
-        info.set("parcoll_autotune", "enable");
-    } else if let IoMode::Parcoll { groups } = cfg.mode {
+    if let IoMode::Parcoll { groups } = cfg.mode {
         info.set("parcoll_groups", groups);
         info.set("parcoll_min_group", 1);
     } else {
@@ -306,8 +285,6 @@ pub(crate) struct Pass {
     pub(crate) write_s: f64,
     /// Virtual seconds of the read, if one ran.
     pub(crate) read_s: Option<f64>,
-    /// The autotuner's decisions during the open.
-    pub(crate) tune_log: Vec<parcoll::DecisionRecord>,
     /// The rank's profile at close.
     pub(crate) profile: PhaseProfile,
 }
@@ -316,13 +293,12 @@ pub(crate) struct Pass {
 pub(crate) type Step<'s> = &'s mut dyn FnMut(&mut ParcollFile<'_>);
 
 /// One rank's open → write → drain → read → close: open `path` under
-/// `info` and `cfg`'s policy cache with the view `(disp, filetype)`,
-/// then `write` and the close-time drain of the server caches, then
-/// `read`, each timed barrier to barrier, and close.
+/// `info` with the view `(disp, filetype)`, then `write` and the
+/// close-time drain of the server caches, then `read`, each timed
+/// barrier to barrier, and close.
 pub(crate) fn pass<'ep>(
     comm: &Communicator<'ep>,
     fs: &FileSystem,
-    cfg: &RunConfig,
     info: &Info,
     (path, (disp, filetype)): (String, (u64, mpiio::Datatype)),
     write: Option<Step<'_>>,
@@ -337,9 +313,6 @@ pub(crate) fn pass<'ep>(
         (ep.now() - t0).as_secs()
     };
     let mut f = ParcollFile::open(comm, fs, &path, info);
-    if let Some(pc) = &cfg.autotune {
-        f.set_policy_cache(pc.clone());
-    }
     f.set_view(disp, &filetype);
     let write_s = write.map_or(0.0, |write| {
         timed(&mut || {
@@ -353,7 +326,6 @@ pub(crate) fn pass<'ep>(
     Pass {
         write_s,
         read_s,
-        tune_log: f.autotune_log().map(<[_]>::to_vec).unwrap_or_default(),
         profile: f.close(),
     }
 }

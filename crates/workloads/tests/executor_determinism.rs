@@ -13,7 +13,7 @@
 use simnet::{Executor, FaultPlan};
 use simtrace::{chrome_trace_json, metrics_json, TraceSink};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-use workloads::runner::{run_workload, IoMode, RunConfig, RunResult};
+use workloads::runner::{run_workload, IoMode, RunConfig};
 use workloads::tileio::TileIo;
 
 /// Serialize tests (process-global executor state) and restore the
@@ -85,27 +85,4 @@ fn chaos_run_matches_across_executors() {
     assert_executor_invariant("chaos parcoll", || {
         traced_run(IoMode::Parcoll { groups: 4 }, plan())
     });
-}
-
-#[test]
-fn autotune_sweep_matches_across_executors() {
-    let _guard = executor_lock();
-    // The online tuner's decisions are functions of agreed virtual-time
-    // state; a sweep on threads must explore and settle
-    // epoch-for-epoch like the one on fibers.
-    let sweep = || -> (Vec<Vec<parcoll::DecisionRecord>>, Vec<u64>) {
-        let cache = parcoll::PolicyCache::new();
-        let epochs: Vec<RunResult> = (0..3)
-            .map(|_| {
-                let mut cfg = RunConfig::verify(IoMode::Collective);
-                cfg.autotune = Some(cache.clone());
-                run_workload(TileIo::tiny(16), cfg)
-            })
-            .collect();
-        (
-            epochs.iter().map(|r| r.autotune_log.clone()).collect(),
-            epochs.iter().map(|r| r.write_seconds.to_bits()).collect(),
-        )
-    };
-    assert_executor_invariant("autotune sweep", sweep);
 }

@@ -1,20 +1,23 @@
 //! Cross-crate integration: the hierarchical container over ParColl with
-//! feature combinations (autotuned groups, stripe-aligned domains), at the
-//! level an application (Flash) would use it.
+//! feature combinations (the default group count, stripe-aligned domains),
+//! at the level an application (Flash) would use it.
 
 use h5lite::{AttrValue, H5File};
+use parcoll::coll::PartitionMode;
 use simfs::{FileSystem, FsConfig};
 use simmpi::{Communicator, Info};
 use simnet::{run_cluster, ClusterConfig, IoBuffer, Mapping};
 
-fn checkpoint_roundtrip(info: Info) {
+/// Write three datasets on 8 ranks under `info`, reopen and read them
+/// back byte-exact. Returns each rank's partitioning of its last write.
+fn checkpoint_roundtrip(info: Info) -> Vec<Option<PartitionMode>> {
     let fs = FileSystem::new(FsConfig::tiny());
     let fs2 = fs.clone();
     run_cluster(ClusterConfig::cray_xt(8, Mapping::Block), move |ep| {
         let comm = Communicator::world(&ep);
         let rank = comm.rank();
         let vars = ["dens", "pres", "temp"];
-        {
+        let mode = {
             let mut h5 = H5File::create(&comm, &fs2, "/chk.h5", &info);
             for (v, name) in vars.iter().enumerate() {
                 let ds = h5.create_dataset(name, &[8, 4, 4], 8);
@@ -27,9 +30,11 @@ fn checkpoint_roundtrip(info: Info) {
                     &IoBuffer::from_slice(&data),
                 );
             }
+            let mode = h5.raw().last_mode();
             h5.set_attr("", "nstep", AttrValue::Int(9));
             h5.close();
-        }
+            mode
+        };
         comm.barrier();
         {
             let mut h5 = H5File::open(&comm, &fs2, "/chk.h5", &info);
@@ -45,7 +50,8 @@ fn checkpoint_roundtrip(info: Info) {
             h5.close();
         }
         let _ = ep;
-    });
+        mode
+    })
 }
 
 #[test]
@@ -62,13 +68,14 @@ fn h5_over_baseline() {
     checkpoint_roundtrip(Info::new().with("parcoll_groups", 1));
 }
 
+/// No group hint: the default is a group per `parcoll_min_group` ranks,
+/// 4 groups of 2 here.
 #[test]
-fn h5_with_adaptive_groups() {
-    checkpoint_roundtrip(
-        Info::new()
-            .with("parcoll_autotune", "true")
-            .with("parcoll_min_group", 2),
-    );
+fn h5_with_default_groups() {
+    let modes = checkpoint_roundtrip(Info::new().with("parcoll_min_group", 2));
+    assert!(modes
+        .iter()
+        .all(|&m| m == Some(PartitionMode::Direct { groups: 4 })));
 }
 
 #[test]
