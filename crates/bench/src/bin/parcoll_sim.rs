@@ -6,7 +6,8 @@
 //! parcoll_sim <ior|tileio|btio|flashio> [options]
 //!   --procs N            ranks (default 64; btio rounds to a square)
 //!   --mode M             baseline | parcoll | independent (default parcoll)
-//!   --groups G           ParColl subgroups (default procs/16)
+//!   --groups G           ParColl subgroups (default: a group per 8 ranks,
+//!                        at most 64 and at least 2)
 //!   --verify             real data + byte-exact read-back (default synthetic)
 //!   --mapping M          block | cyclic (default block)
 //!   --cb-nodes N         cap aggregators at one per node, N nodes
@@ -25,6 +26,7 @@
 //! Prints bandwidth and the per-phase profile — the numbers the paper's
 //! figures are made of.
 
+use parcoll::ParcollConfig;
 use simfs::FsConfig;
 use simnet::Mapping;
 use workloads::btio::BtIo;
@@ -91,7 +93,10 @@ fn usage(err: &str) -> ! {
 fn main() {
     let args = Args::parse();
     let procs: usize = args.get("procs", 64);
-    let groups: usize = args.get("groups", (procs / 16).max(2));
+    let groups: usize = args.get(
+        "groups",
+        ParcollConfig::default().effective_groups(procs).max(2),
+    );
     let mode = match args.get_str("mode", "parcoll").as_str() {
         "baseline" => IoMode::Collective,
         "parcoll" => IoMode::Parcoll { groups },

@@ -130,7 +130,7 @@ pub const SWEEPS: &[Sweep] = &[
     // processes, 416 % of the baseline).
     Sweep {
         files: &[RowFile { name: "fig9_scalability", x: "procs",
-                           title: "Figure 9: MPI-Tile-IO write scalability, baseline vs ParColl(best)" }],
+                           title: "Figure 9: MPI-Tile-IO write scalability, baseline vs ParColl(P/8)" }],
         run: |s, cfg| {
             let procs = pick(s, &[64, 128, 256, 512, 1024], &[8, 16]);
             vec![tileio_scalability(procs, s == Scale::Paper, cfg)]
@@ -142,8 +142,8 @@ pub const SWEEPS: &[Sweep] = &[
         files: &[RowFile { name: "fig10_btio", x: "procs",
                            title: "Figure 10: BT-IO class C bandwidth, baseline vs ParColl" }],
         run: |s, cfg| vec![match s {
-            Scale::Paper => btio_bandwidth(&[256, 324, 400, 484, 576], 162, 10, 64, cfg),
-            Scale::Quick => btio_bandwidth(&[16, 36], 24, 2, 64, cfg),
+            Scale::Paper => btio_bandwidth(&[256, 324, 400, 484, 576], 162, 10, cfg),
+            Scale::Quick => btio_bandwidth(&[16, 36], 24, 2, cfg),
         }],
     },
     // Figure 11: the Flash-IO checkpoint at 1024 processes (the paper:
@@ -459,24 +459,25 @@ pub fn tileio_scalability(
         rows.push(Row::new(BASELINE, p as f64, base.write_mbps, "MB/s"));
         let g = ParcollConfig::default().effective_groups(p).max(2);
         let r = run_workload(tileio_at(p, full), cfg(IoMode::Parcoll { groups: g }));
-        let row = Row::new("ParColl(best)", p as f64, r.write_mbps, "MB/s");
+        let row = Row::new("ParColl(P/8)", p as f64, r.write_mbps, "MB/s");
         rows.push(row.with("groups", g as f64));
     }
     rows
 }
 
 /// Figure 10: BT-IO bandwidth vs (square) process counts, baseline vs
-/// ParColl. `grid`/`steps` choose the class (C: 162/40).
+/// ParColl at the default group count
+/// ([`ParcollConfig::effective_groups`], and at least 2). `grid`/`steps`
+/// choose the class (C: 162/40).
 pub fn btio_bandwidth(
     procs: &[usize],
     grid: usize,
     steps: usize,
-    groups: usize,
     cfg: impl Fn(IoMode) -> RunConfig,
 ) -> Vec<Row> {
     let mut rows = Vec::new();
     for &p in procs {
-        let g = groups.min(p / 8).max(2);
+        let g = ParcollConfig::default().effective_groups(p).max(2);
         for (series, mode) in [
             (BASELINE.to_string(), IoMode::Collective),
             (format!("ParColl-{g}"), IoMode::Parcoll { groups: g }),

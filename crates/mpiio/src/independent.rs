@@ -42,10 +42,11 @@ pub fn write_plan(
 /// The plan's pieces are joined across every gap of at most
 /// [`FileHandle::list_break_even_gap`] bytes. One run left is a plain
 /// read (a contiguous plan's is exactly its one piece); several go out
-/// as one list read. The runs come back as views of the file image, the
-/// pieces are carved out of them and copied once into the buffer
-/// returned (a buffer that is one view is that view), and a read that
-/// went through a hole pays the copy.
+/// as one list read. The runs come back as views of the file image and
+/// the pieces are carved out of them: pieces that continue each other in
+/// one store are one view of it, and anything else is copied once into
+/// the buffer returned. A read that went through a hole pays the copy in
+/// virtual time.
 pub fn read_plan(
     ep: &Endpoint,
     fh: &FileHandle,

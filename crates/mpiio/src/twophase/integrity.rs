@@ -44,7 +44,8 @@ impl Body {
     }
 
     /// The bytes as one buffer in stream order: a stream as it is, a
-    /// window's pieces concatenated (a single piece stays a view).
+    /// window's pieces concatenated (pieces that continue each other in
+    /// one store stay one view of it).
     pub(super) fn into_payload(self, cut: &Cut<'_>) -> IoBuffer {
         if let Body::Stream(payload) = self {
             return payload;
@@ -152,9 +153,11 @@ impl Landing {
         }
     }
 
-    /// The `total`-byte buffer: the parts in buffer order, copied once
-    /// (one part is the buffer itself) — the one copy of the read path.
-    /// The messages of a read tile its buffer, so nothing is zero-filled.
+    /// The `total`-byte buffer: the parts in buffer order, joined into one
+    /// view while each continues the last in one store (a rank reading
+    /// back what it wrote gets a view of its own buffer, no copy), else
+    /// copied once — the read path's only copy. The messages of a read
+    /// tile its buffer, so nothing is zero-filled.
     pub(super) fn finish(self, total: usize) -> IoBuffer {
         let mut parts = match self {
             Landing::Synthetic => return IoBuffer::synthetic(total),

@@ -69,15 +69,18 @@
 //! one only where real bytes are copied or hashed.
 //!
 //! Host work follows real bytes, and real bytes move by reference: a file
-//! byte is not copied on the way in and is copied once on the way out. A
+//! byte is not copied on the way in, and on the way out at most once. A
 //! write's payload is a window of the user buffer, since the owner's
 //! stream is one contiguous range of it, and the aggregator hands the file
 //! one request for its window's span whose pieces are views of the
 //! payloads (`window`); the file image keeps them (`simfs::storage`). A
 //! read's fetched window is views of the image, every source is sent the
 //! same `Arc`, and each client keeps its pieces as views until the call
-//! ends, then assembles its buffer once (`integrity::Landing`). A checksum
-//! trailer travels beside its message (`integrity`). The staging and
+//! ends, then builds its buffer from them (`integrity::Landing`): pieces
+//! that are adjacent views of one store — a read back through the view
+//! that wrote them — join into one view of it, and anything else is
+//! assembled with one copy. A checksum trailer travels beside its message
+//! (`integrity`). The staging and
 //! landing copies of two-phase I/O stay *modelled* costs (`charge_memcpy`)
 //! whatever the host does.
 //!

@@ -112,9 +112,9 @@ impl Ost {
     ) -> SimTime {
         // Deterministic admission: the OST mutates seeded RNG and queue
         // state, so concurrent requests must enter in virtual-time order,
-        // not host-thread order. Declared before `st` so the admission is
-        // held for the whole state mutation.
-        let _admission = simnet::progress::admit(arrival);
+        // not host order. Nothing below blocks, so no other rank runs
+        // before the mutation is done.
+        simnet::progress::admit(arrival);
         let mut st = self.state.lock();
         // hostprof: everything under the state lock (fault arithmetic,
         // queue maintenance, jitter, trace emission) is non-yielding;

@@ -410,12 +410,11 @@ mod tests {
     /// size matrices and the shapes the engine produces — empty rows
     /// (non-aggregators), a diagonal (every aggregator its own only
     /// source: no cross traffic, no congestion term), one full row —
-    /// on fibers and on OS threads: same results, same clocks, same
-    /// trace, same metrics.
+    /// in the default pop order and in a shuffled one: same
+    /// results, same clocks, same trace, same metrics.
     #[test]
     fn sparse_alltoall_sizes_is_the_dense_exchange_bit_for_bit() {
         use proptest::strategy::Strategy;
-        let before = simnet::executor();
         // One cell in four is non-zero.
         let cell = (0u8..4, 1u64..5_000_000).prop_map(|(keep, b)| if keep == 0 { b } else { 0 });
         let mut rng = proptest::test_runner::TestRng::deterministic("sparse_alltoall_sizes");
@@ -443,11 +442,11 @@ mod tests {
                 2 => first[p / 2] = (1..=p as u64).collect(),
                 _ => {}
             }
-            for executor in [simnet::Executor::Fibers, simnet::Executor::Threads] {
-                simnet::set_executor(executor);
+            for order in [simnet::PopOrder::Fixed, simnet::PopOrder::Shuffled(case)] {
+                simnet::set_pop_order(order);
                 let sparse = exchange_run(p, &matrices, true);
                 let dense = exchange_run(p, &matrices, false);
-                let what = format!("case {case}, {p} ranks, {executor:?}");
+                let what = format!("case {case}, {p} ranks, {order:?}");
                 assert_eq!(sparse.0, dense.0, "{what}: results or clocks");
                 assert!(sparse.1.contains("alltoall_sizes"), "{what}: no rdv span");
                 assert!(sparse.1 == dense.1, "{what}: exported traces differ");
@@ -461,7 +460,7 @@ mod tests {
                 }
             }
         }
-        simnet::set_executor(before);
+        simnet::set_pop_order(simnet::PopOrder::Fixed);
     }
 
     #[test]

@@ -2,16 +2,17 @@
 //! ([`Communicator::allgather_t_derive`]): the closure runs exactly once
 //! per collective, every member receives the same `Arc`, and clocks and
 //! the exported trace are those of a plain `allgather_t` of the same
-//! values, bit for bit — on fibers and on the thread executor. Members
+//! values, bit for bit — in the default pop order and in shuffled
+//! host orders. Members
 //! that serialize to different sizes are charged the largest. A panic
 //! inside the closure surfaces as the run's panic with its own message
 //! instead of hanging the rendezvous.
 //!
-//! The executor is a process-global choice ([`simnet::set_executor`]), so
+//! The order is a process-global choice ([`simnet::set_pop_order`]), so
 //! the tests in this file serialize on one mutex and restore the default.
 
 use simmpi::Communicator;
-use simnet::{run_cluster, ClusterConfig, Executor, IoBuffer, Mapping, SimTime};
+use simnet::{run_cluster, ClusterConfig, IoBuffer, Mapping, PopOrder, SimTime};
 use simtrace::{chrome_trace_json, ArgValue, Event, TraceSink, TrackKey};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -19,25 +20,29 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 const RANKS: usize = 8;
 const COLLECTIVES: usize = 3;
 
-struct ExecutorGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
+struct OrderGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
 
-fn executor_lock() -> ExecutorGuard {
+fn order_lock() -> OrderGuard {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     let guard = LOCK
         .get_or_init(Mutex::default)
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner());
-    ExecutorGuard(guard)
+    OrderGuard(guard)
 }
 
-impl Drop for ExecutorGuard {
+impl Drop for OrderGuard {
     fn drop(&mut self) {
-        simnet::set_executor(Executor::Fibers);
+        simnet::set_pop_order(PopOrder::Fixed);
     }
 }
 
-/// Executors under test.
-const SUBSTRATES: [Executor; 2] = [Executor::Fibers, Executor::Threads];
+/// Pop orders under test.
+const SUBSTRATES: [PopOrder; 3] = [
+    PopOrder::Fixed,
+    PopOrder::Shuffled(1),
+    PopOrder::Shuffled(2),
+];
 
 fn cluster(trace: &TraceSink) -> ClusterConfig {
     let mut cfg = ClusterConfig::cray_xt(RANKS, Mapping::Block);
@@ -59,9 +64,9 @@ fn contribution(rank: usize, i: usize) -> (u64, usize) {
 
 #[test]
 fn derive_runs_once_shares_one_arc_and_costs_a_plain_allgather() {
-    let _guard = executor_lock();
-    for executor in SUBSTRATES {
-        simnet::set_executor(executor);
+    let _guard = order_lock();
+    for order in SUBSTRATES {
+        simnet::set_pop_order(order);
 
         // Reference: plain allgather, every rank folding its own copy.
         let sink = TraceSink::enabled();
@@ -102,7 +107,7 @@ fn derive_runs_once_shares_one_arc_and_costs_a_plain_allgather() {
         });
         let derived_trace = chrome_trace_json(&sink.finish());
 
-        let what = format!("{executor:?}");
+        let what = format!("{order:?}");
         assert_eq!(
             calls.load(Ordering::SeqCst),
             COLLECTIVES,
@@ -134,10 +139,10 @@ fn derive_runs_once_shares_one_arc_and_costs_a_plain_allgather() {
 /// member's `rdv` span carries its own size.
 #[test]
 fn typed_allgather_of_unequal_sizes_charges_the_largest() {
-    let _guard = executor_lock();
+    let _guard = order_lock();
     let net = cluster(&TraceSink::disabled()).net;
-    for executor in SUBSTRATES {
-        simnet::set_executor(executor);
+    for order in SUBSTRATES {
+        simnet::set_pop_order(order);
         let sink = TraceSink::enabled();
         let out = run_cluster(cluster(&sink), move |ep| {
             ep.compute(SimTime::micros(ep.rank() as f64 * 3.0));
@@ -154,7 +159,7 @@ fn typed_allgather_of_unequal_sizes_charges_the_largest() {
                 })
                 .collect::<Vec<(SimTime, SimTime)>>()
         });
-        let what = format!("{executor:?}");
+        let what = format!("{order:?}");
         for i in 0..COLLECTIVES {
             let last_entry = out
                 .iter()
@@ -197,9 +202,9 @@ fn typed_allgather_of_unequal_sizes_charges_the_largest() {
 
 #[test]
 fn split_derive_runs_once_and_is_a_plain_split() {
-    let _guard = executor_lock();
-    for executor in SUBSTRATES {
-        simnet::set_executor(executor);
+    let _guard = order_lock();
+    for order in SUBSTRATES {
+        simnet::set_pop_order(order);
         let run = |derive_once: bool, calls: Arc<AtomicUsize>| {
             let sink = TraceSink::enabled();
             let out = run_cluster(cluster(&sink), move |ep| {
@@ -224,7 +229,7 @@ fn split_derive_runs_once_and_is_a_plain_split() {
         let calls = Arc::new(AtomicUsize::new(0));
         let (plain, plain_trace) = run(false, Arc::clone(&calls));
         let (derived, derived_trace) = run(true, Arc::clone(&calls));
-        let what = format!("{executor:?}");
+        let what = format!("{order:?}");
         assert_eq!(calls.load(Ordering::SeqCst), 1, "{what}: once per split");
         for (rank, (d, p)) in derived.iter().zip(&plain).enumerate() {
             assert_eq!(
@@ -249,9 +254,9 @@ fn split_derive_runs_once_and_is_a_plain_split() {
 
 #[test]
 fn panic_in_derive_surfaces_with_its_own_message() {
-    let _guard = executor_lock();
-    for executor in SUBSTRATES {
-        simnet::set_executor(executor);
+    let _guard = order_lock();
+    for order in SUBSTRATES {
+        simnet::set_pop_order(order);
         // Whichever rank arrives last runs the closure: make each rank
         // the last arrival in turn by having it collect a token from
         // every peer before it enters the collective.
@@ -279,7 +284,7 @@ fn panic_in_derive_surfaces_with_its_own_message() {
                 .unwrap_or_default();
             assert!(
                 msg.contains("derive exploded at the meeting point"),
-                "{executor:?}, last arrival {late}: got {msg:?}"
+                "{order:?}, last arrival {late}: got {msg:?}"
             );
         }
     }

@@ -5,13 +5,14 @@
 //! `p2p_send_bytes`, same drop, delay and corruption draws in the same
 //! per-`(src, tag)` order under a seeded fault plan, hence the same
 //! exported trace bit for bit — while the host hands the receiver the
-//! sender's own `Arc`. Checked on fibers and on the thread executor.
+//! sender's own `Arc`. Checked in the default pop order and in a
+//! shuffled host order.
 //!
-//! The executor is a process-global choice ([`simnet::set_executor`]), so
+//! The order is a process-global choice ([`simnet::set_pop_order`]), so
 //! the one test that switches it restores what it found.
 
 use simmpi::{Communicator, RecvRequest};
-use simnet::{run_cluster, ClusterConfig, Executor, FaultPlan, IoBuffer, Mapping, SimTime};
+use simnet::{run_cluster, ClusterConfig, FaultPlan, IoBuffer, Mapping, PopOrder, SimTime};
 use simtrace::{chrome_trace_json, metrics_json, TraceSink};
 use std::sync::Arc;
 
@@ -113,10 +114,10 @@ fn exchange(typed: bool) -> (Vec<Seen>, String, String) {
 
 #[test]
 fn typed_message_is_modelled_as_its_wire_bytes() {
-    let before = simnet::executor();
-    for executor in [Executor::Fibers, Executor::Threads] {
-        simnet::set_executor(executor);
-        let what = format!("{executor:?}");
+    let before = simnet::pop_order();
+    for order in [PopOrder::Fixed, PopOrder::Shuffled(1)] {
+        simnet::set_pop_order(order);
+        let what = format!("{order:?}");
         let (bytes, bytes_trace, bytes_metrics) = exchange(false);
         let (typed, typed_trace, typed_metrics) = exchange(true);
 
@@ -158,7 +159,7 @@ fn typed_message_is_modelled_as_its_wire_bytes() {
             );
         }
     }
-    simnet::set_executor(before);
+    simnet::set_pop_order(before);
 }
 
 #[test]

@@ -409,14 +409,16 @@ impl From<&[u8]> for IoBuffer {
 /// Incrementally concatenates buffer pieces, degrading to synthetic if any
 /// piece is synthetic. Used by packing/unpacking code in the MPI-IO layer.
 ///
-/// Fast path: when exactly one real piece is pushed,
-/// [`BufferBuilder::finish`] hands back a zero-copy window of it — the
-/// common "whole transfer lands in one aggregator window" case of
-/// two-phase exchange never copies. The copying path draws its backing
-/// store from the scratch pool.
+/// Fast path: while every real piece continues the one before it in the
+/// same backing store, the pieces [join](IoBuffer::join) into one
+/// window and [`BufferBuilder::finish`] hands that window back without
+/// a copy — a whole transfer that lands in one aggregator window, or a
+/// read whose parts are adjacent views of the buffer that wrote them.
+/// The first piece that breaks the chain copies what was joined so far,
+/// once; the copying path draws its backing store from the scratch pool.
 #[derive(Debug, Default)]
 pub struct BufferBuilder {
-    /// Zero-copy candidate: the sole (real) piece pushed so far.
+    /// Zero-copy candidate: the (real) pieces pushed so far, joined.
     single: Option<IoBuffer>,
     /// Materialized concatenation, once a second piece arrives.
     real: Option<Vec<u8>>,
@@ -477,11 +479,17 @@ impl BufferBuilder {
                 self.single = None;
                 self.real = None;
             }
+            // Nothing to append, and nothing to break a chain of joins.
+            Some([]) => {}
             Some(s) => {
                 if was_empty && self.real.is_none() {
-                    // First piece: defer, it may be the only one.
+                    // First piece: defer, it may be all there is.
                     self.single = Some(piece.clone());
-                } else {
+                } else if !self
+                    .single
+                    .as_mut()
+                    .is_some_and(|joined| joined.join(piece))
+                {
                     host::count(Counter::CopyBytes, s.len() as u64);
                     self.materialize().extend_from_slice(s);
                 }
@@ -495,7 +503,7 @@ impl BufferBuilder {
             return IoBuffer::Synthetic { len: self.len };
         }
         if let Some(single) = self.single {
-            return single; // zero-copy: the one piece is the result
+            return single; // zero-copy: the joined pieces are the result
         }
         match self.real {
             Some(v) => IoBuffer::from_vec(v),

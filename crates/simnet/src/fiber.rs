@@ -5,71 +5,65 @@
 //!
 //! The simulator's unit of concurrency is a *rank*, and ranks spend most
 //! of their host life blocked on each other: every rendezvous parks
-//! `p - 1` ranks, every receive parks one. With one OS thread per rank,
-//! each park/wake pair costs a futex syscall plus a kernel context switch
-//! (~6 µs on a single-CPU host), and none of that parallelism is real:
-//! on one CPU the threads strictly take turns anyway. A *fiber*
+//! `p - 1` ranks, every receive parks one. None of that concurrency is
+//! real work that could overlap: a rank runs until it blocks. A *fiber*
 //! (stackful coroutine) makes the turn-taking explicit: every rank gets
 //! a heap-allocated stack, and a scheduler switches between them in
 //! userspace (~tens of nanoseconds: the callee-saved registers and the
-//! stack pointer).
+//! stack pointer), with no thread, lock handoff or system call per turn.
 //!
 //! # Blocked ranks cost nothing
 //!
-//! The scheduler resumes only *runnable* fibers. A rank that must block
-//! calls `wait` — the one wait primitive shared by the mailbox, the
-//! rendezvous and the admission gate — which leaves its `Waker` in a
-//! slot guarded by the wait site's own lock, drops that lock and leaves
-//! the run queue. The site's notify path (the same place that signals
-//! the condition variable OS threads sleep on) takes the waker out of
-//! the slot and wakes it: a push onto the scheduler's thread-local run
-//! queue, no lock and no system call. A parked fiber is not touched
-//! again until then, so host time follows events, not ranks × scheduler
-//! cycles.
+//! Only *runnable* fibers are resumed. A rank that must block calls
+//! `wait` — the one wait primitive shared by the mailbox and the
+//! rendezvous — which leaves its `Waker` in a slot guarded by the wait
+//! site's own lock, drops that lock and switches away. The site's wake
+//! path takes the waker out of the slot and wakes it: a push onto the
+//! thread-local run queue, no lock and no system call. A parked fiber is
+//! not touched again until then, so host time follows events, not
+//! ranks × scheduler cycles.
 //!
-//! Only a fiber of the same run can issue that wake — every fiber of a
+//! The run queue is a priority queue, and it is also the admission gate
+//! of the shared virtual-time resources ([`crate::progress`]): a fiber
+//! made runnable waits under its earliest possible request key, a fiber
+//! that requests an OST queues itself under the request's key, and a
+//! requester is resumed — admitted — when its key is the minimum. A
+//! fiber that switches away pops the next fiber itself and switches
+//! straight to it — one context switch per handoff, not two through a
+//! scheduler stack; the scheduler loop runs only to start the fibers,
+//! to collect the finished ones and when nothing is runnable.
+//!
+//! Only a fiber of the same run can issue a wake — every fiber of a
 //! cluster runs on the thread that called [`crate::run_cluster`], one at
 //! a time — and a wake from any other thread is a bug that panics
 //! rather than touch a run queue it does not own (DESIGN.md §9.1 records
-//! why the executor no longer spreads a cluster over worker threads).
+//! why the executor does not spread a cluster over worker threads).
 //! A wake can still find its fiber mid-slice (a fiber waking itself, a
 //! handle left in a slot by an earlier wait): each fiber carries a
-//! three-state flag, the scheduler marks a fiber parked only after the
-//! switch away from it has completed, and a wake that finds the fiber
-//! running leaves a notification the scheduler honours by re-queueing
-//! it at once.
-//!
-//! Code that drives the primitives from plain OS threads (the
-//! `Threads` executor, unit tests spawning `std::thread`) is untouched:
-//! without a fiber context `wait` sleeps on the site's condvar. That
-//! branch of `wait` is the only place anything sleeps on a wait site's
-//! condvar, and it counts the threads inside it, so the notify path
-//! (`notify_one` / `notify_all`) signals a condvar only when a
-//! thread can be asleep on one: a run on fibers makes no futex call per
-//! message, meeting or gate state change.
+//! three-state flag, a fiber marks itself parked only on its way out,
+//! after the last check of its wait condition, and a wake that finds it
+//! running leaves a notification that re-queues it as it switches away.
 //!
 //! # What stays identical
 //!
 //! Virtual time. The simulation's timestamps are a pure function of
-//! configuration — deterministic under *any* host interleaving (the
-//! regress gate enforces it; the one-thread-per-rank executor is the
-//! existence proof) — and each scheduler merely picks one interleaving.
-//! The deterministic merge points are the existing primitives:
-//! rendezvous completion is `max` over entry clocks, and every
-//! shared-resource admission is ordered by the virtual-time key
-//! `(arrival, rank, seq)` in the progress registry, not by host arrival
-//! order. [`run_cluster`](crate::run_cluster) consults [`executor`]:
-//! `Fibers` (the default on x86_64) or `Threads` (every other
-//! architecture, nested clusters, or [`set_executor`] — the oracle the
-//! determinism tests compare against; the two must produce
-//! bitwise-identical virtual times).
+//! configuration, deterministic under *any* order in which the scheduler
+//! resumes runnable fibers. The deterministic merge points are the
+//! existing primitives: rendezvous completion is `max` over entry
+//! clocks, a receive matches one fully qualified key in send order, and
+//! every shared-resource admission is ordered by the virtual-time key
+//! `(arrival, rank)`, not by host order. The seeded shuffled pop order
+//! ([`crate::progress::PopOrder::Shuffled`]) is the oracle that holds
+//! the scheduler to this: the determinism tests compare its runs with
+//! the default order's bit for bit.
 //!
 //! # Deadlock detection
 //!
 //! Because only runnable fibers are ever queued, a deadlock is an exact
 //! condition rather than a timeout: the run queue is empty while fibers
-//! remain. Only a running fiber can wake another, so nothing is in
-//! flight either, and the scheduler calls the stall callback (which
+//! remain: a fiber that parks with nothing runnable returns to the
+//! scheduler loop. Only a running fiber can wake another, so nothing is
+//! in flight either, and the loop calls the stall callback (which
 //! poisons the cluster) on the spot. Poisoning — by a stall or by a
 //! rank panic — re-queues every parked fiber once, so each one observes
 //! the poison flag in its wait loop and unwinds; a queue that runs dry
@@ -78,68 +72,32 @@
 //! # Safety notes
 //!
 //! The context switch is a few instructions of x86_64 assembly: push
-//! the callee-saved registers, swap the stack pointer, pop, return. No
-//! other architecture has one; there, ranks run on OS threads. Panics
-//! never cross the assembly boundary —
+//! the callee-saved registers, swap the stack pointer, pop, return. It
+//! is the only implementation, so the simulator builds for x86_64 only.
+//! Panics never cross the assembly boundary —
 //! each fiber body runs under `catch_unwind` and the payload is carried
 //! back to the scheduler by value, mirroring `JoinHandle::join`. Fiber
 //! stacks have no OS guard page; a canary word at the stack base turns
 //! silent overflow corruption into a loud panic at fiber completion.
-//! Fibers never leave the scheduler's thread, so each fiber's stack and
-//! progress context are only ever touched by that thread.
+//! Fibers never leave the scheduler's thread, so each fiber's stack is
+//! only ever touched by that thread.
 //! A finished run's stacks are kept for the next run of the process
 //! (`STACK_POOL`) rather than freed: a stack is a megabyte of which a
 //! rank touches the top few pages, and such holes in the allocator's
 //! free lists made a process's resident size depend on the order the
 //! previous run happened to free its memory in.
 
+#[cfg(not(target_arch = "x86_64"))]
+compile_error!("simnet's fiber context switch is written for x86_64 only");
+
+use crate::progress::{self, PopOrder};
 use crate::rendezvous::PoisonFlag;
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::{Mutex, MutexGuard};
 use std::any::Any;
 use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
-
-/// Which substrate [`crate::run_cluster`] runs ranks on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Executor {
-    /// Cooperative fibers on the calling thread (default on x86_64).
-    Fibers,
-    /// One OS thread per rank (fallback; always available).
-    Threads,
-}
-
-/// 0 = unresolved, 1 = fibers, 2 = threads.
-static EXECUTOR: AtomicU8 = AtomicU8::new(0);
-
-/// True when fiber switching is implemented for this architecture: x86_64
-/// only. Every other architecture runs [`Executor::Threads`].
-const ARCH_SUPPORTED: bool = cfg!(target_arch = "x86_64");
-
-/// Select the executor for subsequent [`crate::run_cluster`] calls.
-/// Requesting `Fibers` on an unsupported architecture silently keeps
-/// `Threads`.
-pub fn set_executor(e: Executor) {
-    let v = match e {
-        Executor::Fibers if ARCH_SUPPORTED => 1,
-        _ => 2,
-    };
-    EXECUTOR.store(v, Ordering::Relaxed);
-}
-
-/// The currently selected executor: fibers where supported, unless
-/// [`set_executor`] chose otherwise.
-pub fn executor() -> Executor {
-    match EXECUTOR.load(Ordering::Relaxed) {
-        2 => Executor::Threads,
-        1 => Executor::Fibers,
-        _ if ARCH_SUPPORTED => Executor::Fibers,
-        _ => Executor::Threads,
-    }
-}
 
 // The frozen `benchmark/src/child.rs` is this function's one caller; it
 // goes when the benchmark is next editable.
@@ -156,7 +114,6 @@ pub fn set_workers(n: usize) {
 // Context switch
 // ---------------------------------------------------------------------
 
-#[cfg(target_arch = "x86_64")]
 mod arch {
     // simnet_fiber_switch(save: *mut usize, restore: *const usize)
     //
@@ -224,20 +181,6 @@ mod arch {
             std::ptr::write_bytes(rsp as *mut u8, 0, 6 * 8);
             rsp
         }
-    }
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-mod arch {
-    /// Not x86_64: `executor()` never selects fibers, so this is
-    /// unreachable.
-    pub(super) unsafe fn switch(_save: *mut usize, _restore: *const usize) {
-        unreachable!("fiber executor is not supported on this architecture")
-    }
-
-    /// Unreachable twin of the x86_64 `init_frame`.
-    pub(super) unsafe fn init_frame(_top: usize, _entry: usize) -> usize {
-        unreachable!("fiber executor is not supported on this architecture")
     }
 }
 
@@ -323,30 +266,22 @@ impl Drop for StackMem {
 // Scheduler
 // ---------------------------------------------------------------------
 
-/// Why a fiber switched back to the scheduler.
-enum Action {
-    /// Blocked in [`wait`]; off the run queue until woken.
-    Parked,
-    /// The body returned (or unwound); never resume.
-    Done,
-}
-
-/// [`Parker::state`]: queued and not yet woken again, or mid-slice.
+/// [`Parker::state`]: mid-slice.
 const RUNNING: u8 = 0;
 /// [`Parker::state`]: off every queue; the next wake re-queues the fiber.
 const PARKED: u8 = 1;
-/// [`Parker::state`]: woken — already queued, or still mid-slice and to
-/// be re-queued the moment it parks.
+/// [`Parker::state`]: woken or queued — already in the run queue, or
+/// still mid-slice and to be re-queued the moment it parks.
 const NOTIFIED: u8 = 2;
 
 /// One fiber's wake handle. A blocking rank leaves a clone in the wait
 /// site's slot (under the site's lock); whoever satisfies the wait takes
 /// it out and calls [`wake`](Parker::wake).
 pub(crate) struct Parker {
-    /// [`RUNNING`] / [`PARKED`] / [`NOTIFIED`]. The scheduler stores
-    /// `PARKED` only after the switch away from the fiber has completed,
-    /// so a waker that reads `PARKED` re-queues a fully suspended fiber;
-    /// every other transition is a swap.
+    /// [`RUNNING`] / [`PARKED`] / [`NOTIFIED`]. A fiber stores `PARKED`
+    /// only on its way out, after the last check of its wait condition,
+    /// so a waker that reads `PARKED` re-queues a fiber that is off the
+    /// queue and about to switch away; every other transition is a swap.
     state: AtomicU8,
     /// [`RUN`] of the scheduler loop that owns the fiber.
     run: usize,
@@ -359,8 +294,8 @@ pub(crate) type Waker = Arc<Parker>;
 
 impl Parker {
     /// Make the fiber runnable. Idempotent until the fiber runs again;
-    /// on a fiber that is mid-slice it leaves a notification the
-    /// scheduler turns into a re-queue.
+    /// on a fiber that is mid-slice it leaves a notification that turns
+    /// into a re-queue when the fiber switches away.
     ///
     /// # Panics
     /// When the calling thread is not running the scheduler loop the
@@ -373,76 +308,37 @@ impl Parker {
             self.idx
         );
         if self.state.swap(NOTIFIED, Ordering::AcqRel) == PARKED {
-            RUNQ.with(|q| q.borrow_mut().push_back(self.idx));
+            progress::wake(self.idx);
         }
     }
 }
 
-/// Wake and clear the waiter registered in `slot`, if any: the fiber
-/// half of a notify. The thread half is [`notify_one`] / [`notify_all`]
-/// on the site's condvar.
+/// Wake and clear the waiter registered in `slot`, if any.
 pub(crate) fn wake(slot: &mut Option<Waker>) {
     if let Some(w) = slot.take() {
         w.wake();
     }
 }
 
-/// OS threads asleep in [`wait`]'s condvar branch, process-wide. One
-/// counter for every wait site of every cluster: the condvars themselves
-/// exist per rank and per (rank, rank) pair, where eight more bytes each
-/// are megabytes per cluster.
-static SLEEPERS: AtomicUsize = AtomicUsize::new(0);
-
-/// True when some thread may be asleep on a wait site's condvar. The
-/// vendored `Condvar` is `std`'s, whose notify is an unconditional
-/// `FUTEX_WAKE`; under the fiber executor nobody ever sleeps there, and
-/// a system call per message, per meeting and per gate state change was
-/// a quarter of an I/O-bound run's host time.
-///
-/// Exact for the caller's own site: a sleeper counts itself under the
-/// site's lock before its wait releases that lock, and every notifier
-/// changes the site's state under the same lock first. So either the
-/// notifier's critical section came second and sees the count, or it
-/// came first and the sleeper sees the new state and does not sleep.
-fn any_sleeper() -> bool {
-    SLEEPERS.load(Ordering::SeqCst) != 0
-}
-
-/// The thread half of a notify: signal one thread asleep on `cv` in
-/// [`wait`], if any thread sleeps anywhere.
-pub(crate) fn notify_one(cv: &Condvar) {
-    if any_sleeper() {
-        simtrace::host::count(simtrace::host::Counter::CondvarNotify, 1);
-        cv.notify_one();
-    }
-}
-
-/// [`notify_one`] for sites several ranks wait on.
-pub(crate) fn notify_all(cv: &Condvar) {
-    if any_sleeper() {
-        simtrace::host::count(simtrace::host::Counter::CondvarNotify, 1);
-        cv.notify_all();
-    }
-}
-
-/// Per-fiber runtime shared between the scheduler and the fiber itself
-/// (via the thread-local [`CURRENT`] pointer). Boxed so its address is
-/// stable across scheduler Vec reallocation.
+/// Per-fiber runtime shared between the scheduler and the fibers (via
+/// the thread-local [`CURRENT`] pointer and [`FIBERS`] table). Boxed so
+/// its address is stable across scheduler Vec reallocation.
 struct FiberRt {
     /// Fiber's stack pointer while suspended.
     fiber_rsp: usize,
-    /// Scheduler's stack pointer while the fiber runs.
-    sched_rsp: usize,
-    action: Action,
+    /// The body returned (or unwound): never resume. A fiber that is not
+    /// done switches back to the scheduler loop only when it parks with
+    /// nothing else runnable.
+    done: bool,
     parker: Waker,
     /// The body; taken by the entry trampoline on first resume.
     entry: Option<Box<dyn FnOnce()>>,
     /// Panic payload captured by the trampoline's `catch_unwind`.
     panic: Option<Box<dyn Any + Send>>,
-    /// The rank's progress context, parked here while the fiber is
-    /// suspended (thread-locals are per OS thread, not per fiber, so the
-    /// scheduler swaps it in and out around every switch).
-    saved_ctx: Option<crate::progress::Ctx>,
+    /// hostprof: times the fiber's current slice, from the switch to it
+    /// to the switch away. Fibers share the thread-local profiler stack,
+    /// so probes inside the body nest under it.
+    slice: Option<simtrace::host::ScopeGuard>,
 }
 
 thread_local! {
@@ -451,67 +347,114 @@ thread_local! {
     /// Which [`run_fibers`] loop runs on this thread (0 = none): lets a
     /// wake check that it is pushing onto its own scheduler's queue.
     static RUN: Cell<usize> = const { Cell::new(0) };
-    /// That loop's run queue (fiber indices). Thread-local so a wake
-    /// issued from inside a running fiber can push without a lock.
-    static RUNQ: RefCell<VecDeque<usize>> = const { RefCell::new(VecDeque::new()) };
+    /// That loop's stack pointer while a fiber runs.
+    static SCHED_RSP: Cell<usize> = const { Cell::new(0) };
+    /// That loop's fibers by index: where a fiber finds the one it hands
+    /// the thread to.
+    static FIBERS: RefCell<Vec<*mut FiberRt>> = const { RefCell::new(Vec::new()) };
 }
 
-/// True when the calling code runs inside a fiber.
-pub(crate) fn in_fiber() -> bool {
-    CURRENT.with(|c| !c.get().is_null())
+/// The index of the fiber running on this thread (its rank in a
+/// cluster), if any.
+pub(crate) fn current() -> Option<usize> {
+    let rt = CURRENT.with(Cell::get);
+    // SAFETY: non-null `CURRENT` is the running fiber's live state.
+    (!rt.is_null()).then(|| unsafe { &*rt }.parker.idx)
+}
+
+/// Make fiber `next` the running one and switch to it, saving the
+/// suspended context's stack pointer at `save`.
+///
+/// # Safety
+/// `next` must be a fiber of the loop running on this thread, off the
+/// run queue and suspended; `save` must be the stack-pointer slot of the
+/// context that calls this (the loop's or the running fiber's).
+unsafe fn resume(save: *mut usize, next: usize) {
+    let rt = FIBERS.with(|f| f.borrow()[next]);
+    // SAFETY: `FIBERS` holds the loop's live boxed fibers; `next` is
+    // suspended, so nothing else touches its state, and its saved stack
+    // pointer came from a switch away from it or from `init_frame`.
+    unsafe {
+        let parker: &Parker = &(*rt).parker;
+        parker.state.store(RUNNING, Ordering::Release);
+        (*rt).slice = Some(simtrace::host::scope(simtrace::host::Site::FiberRun));
+        CURRENT.with(|c| c.set(rt));
+        arch::switch(save, &raw const (*rt).fiber_rsp);
+    }
+}
+
+/// Switch the current fiber out — `queued` if it put itself in the run
+/// queue under a request's key, parked otherwise — and return once it is
+/// resumed. The thread goes straight to the next fiber the queue pops,
+/// or back to the scheduler loop when nothing is runnable.
+fn switch_out(queued: bool) {
+    let rt = CURRENT.with(Cell::get);
+    assert!(
+        !rt.is_null(),
+        "a rank blocked outside a fiber: nothing would ever resume it"
+    );
+    // SAFETY: `rt` is the running fiber's live state; the loop's and
+    // every other fiber's saved stack pointers are valid while it runs.
+    unsafe {
+        let parker: &Parker = &(*rt).parker;
+        let (me, state) = (parker.idx, &parker.state);
+        if queued {
+            // In the queue already: a wake must not queue it twice.
+            state.store(NOTIFIED, Ordering::Release);
+        } else if state
+            .compare_exchange(RUNNING, PARKED, Ordering::AcqRel, Ordering::Acquire)
+            .is_err()
+        {
+            // Woken while it ran: queue it like any wake.
+            progress::wake(me);
+        }
+        let next = progress::pop();
+        if next == Some(me) {
+            state.store(RUNNING, Ordering::Release);
+            return;
+        }
+        (*rt).slice = None;
+        match next {
+            Some(next) => resume(&raw mut (*rt).fiber_rsp, next),
+            None => arch::switch(&raw mut (*rt).fiber_rsp, SCHED_RSP.with(Cell::as_ptr)),
+        }
+    }
 }
 
 /// Switch the current fiber out; it runs again once woken.
 fn park() {
-    let rt = CURRENT.with(Cell::get);
-    assert!(!rt.is_null(), "park outside a fiber");
-    // SAFETY: `rt` is the live `FiberRt` the scheduler installed before
-    // resuming this fiber, and `sched_rsp` was saved by that resume.
-    unsafe {
-        (*rt).action = Action::Parked;
-        arch::switch(&raw mut (*rt).fiber_rsp, &raw const (*rt).sched_rsp);
-    }
+    switch_out(false);
 }
 
-/// How long a blocked OS thread sleeps between poison checks. Purely a
-/// liveness knob for failure cases; correct runs are woken by notify.
-pub(crate) const POISON_POLL: Duration = Duration::from_millis(50);
+/// Switch the current fiber out after it queued itself under a
+/// request's key; it runs again when the queue pops it.
+pub(crate) fn yield_queued() {
+    switch_out(true);
+}
 
 /// The one blocking primitive of the substrate: release `guard`, block
-/// until the wait site notifies this rank, re-acquire. Callers loop on
-/// their own condition; a return is a hint, not a guarantee. Returns
-/// `false` only for a thread's poll timeout. Panics if the cluster is
-/// poisoned before or after blocking.
+/// until the wait site wakes this rank, re-acquire. Callers loop on
+/// their own condition; a return is a hint, not a guarantee. Panics if
+/// the cluster is poisoned before or after blocking.
 ///
-/// Under fibers the rank's [`Waker`] goes into `slot` — part of the
-/// state `guard` protects, so the notifier, which takes it under the
-/// same lock, can never miss it — and the fiber leaves the run queue.
-/// Under OS threads the rank sleeps on `cv` — the only place anything
-/// sleeps on a wait site's condvar — and is counted while it does, so
-/// the same notifier's [`notify_one`] / [`notify_all`] know whether a
-/// signal can have a receiver.
+/// The rank's [`Waker`] goes into `slot` — part of the state `guard`
+/// protects, so the notifier, which takes it under the same lock, can
+/// never miss it — and the fiber leaves the run queue.
 pub(crate) fn wait<T>(
-    cv: &Condvar,
     guard: &mut MutexGuard<'_, T>,
     slot: impl FnOnce(&mut T) -> &mut Option<Waker>,
     poison: &PoisonFlag,
-) -> bool {
+) {
     poison.check();
     let rt = CURRENT.with(Cell::get);
-    let notified = if rt.is_null() {
-        // Counted while `guard` is still held; see `any_sleeper`.
-        SLEEPERS.fetch_add(1, Ordering::SeqCst);
-        let timed_out = cv.wait_for(guard, POISON_POLL).timed_out();
-        SLEEPERS.fetch_sub(1, Ordering::SeqCst);
-        !timed_out
-    } else {
-        // SAFETY: non-null `CURRENT` is the running fiber's live state.
-        *slot(guard) = Some(Arc::clone(unsafe { &(*rt).parker }));
-        MutexGuard::unlocked(guard, park);
-        true
-    };
+    assert!(
+        !rt.is_null(),
+        "a rank blocked outside a fiber: nothing would ever wake it"
+    );
+    // SAFETY: non-null `CURRENT` is the running fiber's live state.
+    *slot(guard) = Some(Arc::clone(unsafe { &(*rt).parker }));
+    MutexGuard::unlocked(guard, park);
     poison.check();
-    notified
 }
 
 /// First frame of every fiber: runs the body under `catch_unwind`, then
@@ -524,9 +467,10 @@ extern "C" fn fiber_main() -> ! {
         if let Err(payload) = catch_unwind(AssertUnwindSafe(body)) {
             (*rt).panic = Some(payload);
         }
-        (*rt).action = Action::Done;
+        (*rt).done = true;
+        (*rt).slice = None;
         let mut discard = 0usize;
-        arch::switch(&raw mut discard, &raw const (*rt).sched_rsp);
+        arch::switch(&raw mut discard, SCHED_RSP.with(Cell::as_ptr));
     }
     unreachable!("completed fiber resumed")
 }
@@ -536,10 +480,10 @@ extern "C" fn fiber_main() -> ! {
 static NEXT_RUN: AtomicUsize = AtomicUsize::new(1);
 
 /// Run `tasks` as cooperatively-scheduled fibers on the calling thread
-/// until all complete, resuming only those that are runnable; returns
-/// each task's panic payload (`None` = clean return), index-aligned
-/// with `tasks`. No thread is spawned, so thread-local caches stay warm
-/// across runs.
+/// until all complete, resuming only those that are runnable, in
+/// `order`; returns each task's panic payload (`None` = clean return),
+/// index-aligned with `tasks`. No thread is spawned, so thread-local
+/// caches stay warm across runs.
 ///
 /// `on_stall` is invoked once if the fiber set deadlocks (fibers remain
 /// and none is runnable — see the module docs). It is expected to
@@ -548,11 +492,12 @@ static NEXT_RUN: AtomicUsize = AtomicUsize::new(1);
 pub(crate) fn run_fibers<'a>(
     tasks: Vec<Box<dyn FnOnce() + 'a>>,
     stack_size: usize,
+    order: PopOrder,
     on_stall: impl Fn(),
 ) -> Vec<Option<Box<dyn Any + Send>>> {
     assert!(
-        !in_fiber(),
-        "nested fiber executors on one thread are not supported"
+        current().is_none(),
+        "a cluster cannot be started from inside another cluster's rank"
     );
     let run = NEXT_RUN.fetch_add(1, Ordering::Relaxed);
     let mut fibers: Vec<(StackMem, Box<FiberRt>)> = Vec::with_capacity(tasks.len());
@@ -566,8 +511,7 @@ pub(crate) fn run_fibers<'a>(
         let stack = StackMem::new(stack_size);
         let rt = Box::new(FiberRt {
             fiber_rsp: stack.prepare(fiber_main),
-            sched_rsp: 0,
-            action: Action::Parked,
+            done: false,
             parker: Arc::new(Parker {
                 state: AtomicU8::new(RUNNING),
                 run,
@@ -575,7 +519,7 @@ pub(crate) fn run_fibers<'a>(
             }),
             entry: Some(body),
             panic: None,
-            saved_ctx: None,
+            slice: None,
         });
         fibers.push((stack, rt));
     }
@@ -583,22 +527,25 @@ pub(crate) fn run_fibers<'a>(
     // A loop that unwinds leaves its id behind; only a thread running a
     // loop — which sets it afresh — ever issues a wake.
     RUN.with(|r| r.set(run));
-    RUNQ.with(|q| {
-        let mut q = q.borrow_mut();
-        q.clear();
-        q.extend(0..fibers.len());
+    FIBERS.with(|f| {
+        let mut f = f.borrow_mut();
+        f.clear();
+        f.extend(fibers.iter_mut().map(|(_, rt)| &mut **rt as *mut FiberRt));
     });
+    progress::start(fibers.len(), order);
     let mut unfinished = fibers.len();
     // A rank panicked: its poison guard has already flagged the cluster.
     let mut poisoned = false;
     // The parked fibers were re-queued to observe the poison flag.
     let mut requeued = false;
     // hostprof: the whole scheduler loop is one frame; fiber slices nest
-    // inside it, so this frame's self time is pure scheduling overhead
-    // (run-queue churn and context-switch cost).
+    // inside it, so this frame's self time is what the loop itself does
+    // (a fiber that switches out pops and resumes the next one inside its
+    // own slice, and comes back here only to finish or when nothing else
+    // is runnable).
     let _sched_scope = simtrace::host::scope(simtrace::host::Site::FiberSched);
     while unfinished > 0 {
-        let Some(idx) = RUNQ.with(|q| q.borrow_mut().pop_front()) else {
+        let Some(idx) = progress::pop() else {
             // Nothing is runnable and only a running fiber could change
             // that: a deadlock, unless a panic poisoned the cluster and
             // the parked fibers have yet to be told.
@@ -615,54 +562,67 @@ pub(crate) fn run_fibers<'a>(
             }
             continue;
         };
+        // SAFETY: `idx` came off the queue, so it is suspended; the loop's
+        // stack-pointer slot is this thread's.
+        unsafe { resume(SCHED_RSP.with(Cell::as_ptr), idx) };
+        // Back from whichever fiber finished, or parked with nothing
+        // left to run.
+        let rtp = CURRENT.with(|c| c.replace(std::ptr::null_mut()));
+        // SAFETY: the fiber that switched back left itself in `CURRENT`.
+        let idx = unsafe { &(*rtp).parker }.idx;
         let (stack, rt) = &mut fibers[idx];
-        rt.parker.state.store(RUNNING, Ordering::Release);
-        let rtp: *mut FiberRt = &mut **rt;
-        // hostprof: time one slice (resume -> suspend). The guard is
-        // created and dropped on the scheduler side of the switch, so
-        // it never spans a park; probes inside the fiber body nest
-        // under this frame because fibers share the thread-local
-        // profiler stack.
-        let run_scope = simtrace::host::scope(simtrace::host::Site::FiberRun);
-        unsafe {
-            crate::progress::tl_set((*rtp).saved_ctx.take());
-            CURRENT.with(|c| c.set(rtp));
-            arch::switch(&raw mut (*rtp).sched_rsp, &raw const (*rtp).fiber_rsp);
-            CURRENT.with(|c| c.set(std::ptr::null_mut()));
-            (*rtp).saved_ctx = crate::progress::tl_take();
-        }
-        drop(run_scope);
-        match rt.action {
-            Action::Parked => {
-                // The fiber is fully switched out only now. A wake that
-                // found it mid-slice left NOTIFIED behind: run it again.
-                let parked = rt.parker.state.compare_exchange(
-                    RUNNING,
-                    PARKED,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                );
-                if parked.is_err() {
-                    RUNQ.with(|q| q.borrow_mut().push_back(idx));
-                }
-            }
-            Action::Done => {
-                unfinished -= 1;
-                assert!(
-                    stack.canary_intact(),
-                    "fiber {idx} overflowed its {stack_size}-byte stack \
-                     (canary clobbered); raise ClusterConfig::stack_size"
-                );
-                panics[idx] = rt.panic.take();
-                poisoned |= panics[idx].is_some();
-            }
+        if rt.done {
+            unfinished -= 1;
+            assert!(
+                stack.canary_intact(),
+                "fiber {idx} overflowed its {stack_size}-byte stack \
+                 (canary clobbered); raise ClusterConfig::stack_size"
+            );
+            panics[idx] = rt.panic.take();
+            poisoned |= panics[idx].is_some();
         }
     }
     RUN.with(|r| r.set(0));
+    FIBERS.with(|f| f.borrow_mut().clear());
     for (stack, _) in fibers.into_iter().rev() {
         stack.recycle();
     }
     panics
+}
+
+/// Run `f(i)` on fibers `0..n` popped in `order`, re-raising the first
+/// panic; the results in fiber order. A test harness for the wait sites:
+/// a stall wakes the parked fibers once (a poisoned one then panics),
+/// and aborts the run if they all wait again.
+#[cfg(test)]
+pub(crate) fn on_fibers_in<T: Send>(
+    order: PopOrder,
+    n: usize,
+    f: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let tasks: Vec<Box<dyn FnOnce() + '_>> = slots
+        .iter()
+        .enumerate()
+        .map(|(i, slot)| {
+            let f = &f;
+            Box::new(move || *slot.lock() = Some(f(i))) as Box<dyn FnOnce()>
+        })
+        .collect();
+    let panics = run_fibers(tasks, 256 * 1024, order, || {});
+    if let Some(payload) = panics.into_iter().flatten().next() {
+        std::panic::resume_unwind(payload);
+    }
+    slots
+        .into_iter()
+        .map(|s| s.into_inner().expect("fiber completed"))
+        .collect()
+}
+
+/// [`on_fibers_in`] in the default pop order.
+#[cfg(test)]
+pub(crate) fn on_fibers<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    on_fibers_in(PopOrder::Fixed, n, f)
 }
 
 #[cfg(test)]
@@ -680,16 +640,19 @@ mod tests {
         Arc::clone(unsafe { &(*rt).parker })
     }
 
-    /// Round-robin yield for the scheduler tests: a fiber that wakes
-    /// itself and parks is re-queued behind the other runnable fibers.
+    /// A fiber that wakes itself and parks is queued behind the fibers
+    /// already runnable.
     fn yield_now() {
         current_waker().wake();
         park();
     }
 
-    /// Run with small stacks, no stall expected.
+    /// Run with small stacks, in the default pop order, no stall
+    /// expected.
     fn run(tasks: Vec<Task<'_>>) -> Panics {
-        run_fibers(tasks, 64 * 1024, || panic!("unexpected stall"))
+        run_fibers(tasks, 64 * 1024, PopOrder::Fixed, || {
+            panic!("unexpected stall")
+        })
     }
 
     fn payload_str(p: &Option<Box<dyn Any + Send>>) -> Option<&str> {
@@ -711,23 +674,34 @@ mod tests {
 
     #[test]
     fn yielding_interleaves_round_robin() {
-        let log = Mutex::new(Vec::new());
-        let tasks: Vec<Task> = (0..3)
-            .map(|i| {
-                let log = &log;
-                Box::new(move || {
-                    for step in 0..3 {
-                        log.lock().push((i, step));
-                        yield_now();
-                    }
-                }) as Task
-            })
-            .collect();
-        run(tasks);
-        // Steps proceed in lockstep: all fibers' step 0, then step 1, ...
+        // A fiber that wakes itself and parks is queued behind the
+        // fibers made runnable before it: steps proceed in lockstep, all
+        // fibers' step 0, then step 1, ... Shuffled, the steps interleave
+        // otherwise, and each fiber's own steps still come in order.
+        let steps = |order| {
+            let log = Mutex::new(Vec::new());
+            on_fibers_in(order, 3, |i| {
+                for step in 0..3 {
+                    log.lock().push((i, step));
+                    yield_now();
+                }
+            });
+            log.into_inner()
+        };
         let expect: Vec<(usize, usize)> =
             (0..3).flat_map(|s| (0..3).map(move |i| (i, s))).collect();
-        assert_eq!(*log.lock(), expect);
+        assert_eq!(steps(PopOrder::Fixed), expect);
+        let shuffled: Vec<_> = (0..8).map(|seed| steps(PopOrder::Shuffled(seed))).collect();
+        assert!(
+            shuffled.iter().any(|log| *log != expect),
+            "no seed interleaved"
+        );
+        for log in shuffled {
+            for i in 0..3 {
+                let own: Vec<usize> = log.iter().filter(|e| e.0 == i).map(|e| e.1).collect();
+                assert_eq!(own, [0, 1, 2]);
+            }
+        }
     }
 
     #[test]
@@ -769,7 +743,7 @@ mod tests {
         let tasks: Vec<Task> = vec![Box::new(|| {
             assert_eq!(burn(100), 6400);
         })];
-        let panics = run_fibers(tasks, 256 * 1024, || panic!("stall"));
+        let panics = run_fibers(tasks, 256 * 1024, PopOrder::Fixed, || panic!("stall"));
         assert!(panics[0].is_none());
     }
 
@@ -789,7 +763,7 @@ mod tests {
                     }) as Task
                 })
                 .collect();
-            let panics = run_fibers(tasks, SIZE, || panic!("stall"));
+            let panics = run_fibers(tasks, SIZE, PopOrder::Fixed, || panic!("stall"));
             assert!(panics.iter().all(Option::is_none));
             frames.into_inner()
         };
@@ -816,7 +790,7 @@ mod tests {
                 resumes.fetch_add(1, Ordering::Relaxed);
             }
         })];
-        let panics = run_fibers(tasks, 64 * 1024, || {
+        let panics = run_fibers(tasks, 64 * 1024, PopOrder::Fixed, || {
             stalls.fetch_add(1, Ordering::Relaxed);
             flag.store(true, Ordering::Release);
         });
@@ -835,21 +809,14 @@ mod tests {
         let tasks: Vec<Task> = vec![Box::new(|| loop {
             park();
         })];
-        run_fibers(tasks, 64 * 1024, || {});
+        run_fibers(tasks, 64 * 1024, PopOrder::Fixed, || {});
     }
 
     #[test]
-    fn executor_selection_round_trips() {
-        let before = executor();
-        set_executor(Executor::Threads);
-        assert_eq!(executor(), Executor::Threads);
-        set_executor(Executor::Fibers);
-        if ARCH_SUPPORTED {
-            assert_eq!(executor(), Executor::Fibers);
-        } else {
-            assert_eq!(executor(), Executor::Threads);
-        }
-        set_executor(before);
+    #[should_panic(expected = "outside a fiber")]
+    fn a_wait_outside_a_fiber_panics_instead_of_hanging() {
+        let state = Mutex::new(None);
+        wait(&mut state.lock(), |s| s, &PoisonFlag::default());
     }
 
     #[test]
@@ -865,53 +832,35 @@ mod tests {
     /// it there.
     struct Turns {
         state: Mutex<(u32, Option<Waker>)>,
-        cv: Condvar,
         poison: PoisonFlag,
     }
 
     impl Turns {
-        fn new() -> Self {
-            Turns {
-                state: Mutex::new((0, None)),
-                cv: Condvar::new(),
-                poison: PoisonFlag::default(),
-            }
-        }
-
         /// Block until the counter's parity is `me`, then bump it.
         fn take_turn(&self, me: u32) {
             let mut st = self.state.lock();
             while st.0 % 2 != me {
-                wait(&self.cv, &mut st, |s| &mut s.1, &self.poison);
+                wait(&mut st, |s| &mut s.1, &self.poison);
             }
             st.0 += 1;
-            notify_one(&self.cv);
             wake(&mut st.1);
         }
     }
 
     #[test]
     fn ping_pong_through_the_wait_primitive() {
-        // Two ranks alternate turns; every turn is a park and a wake: on
-        // fibers a push onto the run queue, on plain OS threads the same
-        // primitive sleeps on the condvar instead.
-        let turns = Turns::new();
-        let tasks: Vec<Task> = (0..2u32)
-            .map(|me| {
-                let turns = &turns;
-                Box::new(move || (0..25).for_each(|_| turns.take_turn(me))) as Task
-            })
-            .collect();
-        assert!(run(tasks).iter().all(Option::is_none));
-        assert_eq!(turns.state.lock().0, 50);
-        let turns = Turns::new();
-        std::thread::scope(|s| {
-            for me in 0..2u32 {
-                let turns = &turns;
-                s.spawn(move || (0..25).for_each(|_| turns.take_turn(me)));
-            }
-        });
-        assert_eq!(turns.state.lock().0, 50);
+        // Two ranks alternate turns; every turn is a park and a wake, a
+        // push onto the run queue, in either pop order.
+        for order in [PopOrder::Fixed, PopOrder::Shuffled(3)] {
+            let turns = Turns {
+                state: Mutex::new((0, None)),
+                poison: PoisonFlag::default(),
+            };
+            on_fibers_in(order, 2, |me| {
+                (0..25).for_each(|_| turns.take_turn(me as u32))
+            });
+            assert_eq!(turns.state.lock().0, 50);
+        }
     }
 
     #[test]

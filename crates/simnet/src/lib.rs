@@ -6,7 +6,7 @@
 //! system. None of that hardware is available here, so we substitute a
 //! *virtual-time* cluster:
 //!
-//! * Every MPI rank is a real OS thread that really exchanges bytes, so all
+//! * Every MPI rank is a fiber that really exchanges bytes, so all
 //!   protocol logic (two-phase collective I/O, ParColl partitioning) is
 //!   executed faithfully and its data-path correctness is testable.
 //! * *Time* is virtual. Each rank owns a [`Clock`] advanced by an analytic
@@ -32,8 +32,8 @@
 //!    completion clock.
 //! 3. [`Topology`] — node layout and block/cyclic rank-to-node mapping
 //!    (the Cray XT placement schemes from Figure 5 of the paper).
-//! 4. [`run_cluster`] — spawns `n` ranks as threads and joins their
-//!    results.
+//! 4. [`run_cluster`] — runs `n` ranks as fibers on the calling thread
+//!    and joins their results.
 
 #![warn(missing_docs)]
 
@@ -59,11 +59,11 @@ pub use endpoint::{Endpoint, RecvInfo};
 pub use error::{SimError, SimResult};
 pub use cksum::{fnv1a, Fnv1a};
 pub use fault::{corrupt_flip, FaultPlan, FaultRule, FaultState, MsgFault};
-pub use fiber::{executor, set_executor, set_workers, Executor};
+pub use fiber::set_workers;
 pub use mailbox::Payload;
 pub use model::{CollectiveAlg, MachineModel, NetworkModel};
 pub use noise::{Jitter, SplitMix64};
-pub use progress::{admit, current_rank, Admission};
+pub use progress::{admit, current_rank, pop_order, set_pop_order, PopOrder};
 pub use rendezvous::{MeetInfo, Rendezvous};
 pub use runtime::{default_stack_size, run_cluster, set_default_stack_size, ClusterConfig};
 pub use time::SimTime;

@@ -24,18 +24,9 @@
 //! Because matching is fully qualified, a receive only ever touches its
 //! source's shard, so the all-to-one exchange pattern of two-phase I/O —
 //! up to 1024 senders depositing into one aggregator's mailbox — never
-//! contends on a single lock, and a delivery wakes the receiver with one
-//! targeted `notify_one` instead of broadcasting. Only the owner thread
-//! ever receives from a mailbox, so each shard has at most one waiter
-//! and `notify_one` can never strand a second one. The waiter is the
-//! owner's parked fiber, or — on the thread executor and in
-//! thread-driven unit tests only — its OS thread asleep on the shard's
-//! condvar inside [`fiber::wait`](crate::fiber), which is the one case in
-//! which a delivery signals that condvar at all.
-//!
-//! The shard also records the key its owner is registered on with the
-//! progress registry (`blocked`), so a delivery takes the registry's
-//! lock only when it is the one delivery that can end that wait.
+//! scans one long queue, and a delivery wakes only the receiver parked
+//! on that shard. Only the owner ever receives from a mailbox, so each
+//! shard has at most one waiter: the owner's parked fiber.
 //!
 //! A cluster has `ranks²` (receiver, sender) pairs and a typical rank
 //! exchanges with a handful of peers, so a pair's shard is allocated
@@ -51,7 +42,7 @@ use crate::buffer::IoBuffer;
 use crate::fiber::{self, Waker};
 use crate::rendezvous::PoisonFlag;
 use crate::time::SimTime;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::any::Any;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -145,13 +136,11 @@ pub struct Packet {
     pub fault_corrupt: u64,
 }
 
-/// One source rank's queue plus the receiver-side wakeup channel: the
-/// owner's parked fiber (`waiter`, under the lock) or the condvar its
-/// OS thread sleeps on.
+/// One source rank's queue plus the owner's parked fiber, if it waits
+/// on this source.
 #[derive(Default)]
 struct Shard {
     state: Mutex<ShardState>,
-    cv: Condvar,
 }
 
 #[derive(Default)]
@@ -159,9 +148,6 @@ struct ShardState {
     /// The source's packets, all keys, in arrival (= send) order.
     queue: VecDeque<Packet>,
     waiter: Option<Waker>,
-    /// The `(context, tag)` the owner registered as blocked on with the
-    /// progress registry, until the delivery that matches it.
-    blocked: Option<(u32, i32)>,
 }
 
 /// Senders per block of shard slots.
@@ -172,17 +158,14 @@ type Block = [OnceLock<Box<Shard>>; BLOCK];
 
 /// One rank's incoming-message store.
 pub struct Mailbox {
-    /// The rank that receives from this mailbox — identifies which rank
-    /// to report to the progress registry on blocking and delivery.
-    owner: usize,
     /// Per-source shards, by block of senders (`src / BLOCK`) and slot
     /// in it (`src % BLOCK`); a block and a pair's shard are created
     /// when its sender or the receiver first asks for it.
     blocks: Box<[OnceLock<Box<Block>>]>,
     poison: Arc<PoisonFlag>,
-    /// Times the receiver was woken by a notify and found its match.
+    /// Times the receiver was woken by a delivery and found its match.
     wakeups: AtomicU64,
-    /// Times the receiver was woken by a notify without a matching
+    /// Times the receiver was woken by a delivery without a matching
     /// packet (a same-source delivery on a different `(ctx, tag)`).
     spurious_wakeups: AtomicU64,
 }
@@ -194,15 +177,14 @@ impl std::fmt::Debug for Mailbox {
 }
 
 impl Mailbox {
-    /// New empty mailbox for receiving rank `owner` in a cluster of
-    /// `nranks` possible senders, sharing the cluster poison flag.
-    pub fn new(owner: usize, nranks: usize, poison: Arc<PoisonFlag>) -> Self {
+    /// New empty mailbox of a rank in a cluster of `nranks` possible
+    /// senders, sharing the cluster poison flag.
+    pub fn new(nranks: usize, poison: Arc<PoisonFlag>) -> Self {
         assert!(
             u32::try_from(nranks).is_ok(),
             "packets carry their source rank in 32 bits"
         );
         Mailbox {
-            owner,
             blocks: (0..nranks.max(1).div_ceil(BLOCK))
                 .map(|_| OnceLock::new())
                 .collect(),
@@ -224,31 +206,15 @@ impl Mailbox {
         blocks.flat_map(|b| b.iter().filter_map(OnceLock::get).map(|s| &**s))
     }
 
-    /// Deposit a packet (called by the sender's thread).
-    ///
-    /// Holding the source shard's lock, this also downgrades the owner's
-    /// progress-registry mode if it was blocked on exactly this match:
-    /// once the packet is queued the owner is no longer waiting on the
-    /// sender's future, and the registry must never observe the stale
-    /// blocked mode with the packet already present. The receiver
-    /// registers under the same shard lock and records the key in
-    /// `blocked`, so a delivery on any other key — which cannot end the
-    /// wait — leaves the registry alone.
+    /// Deposit a packet (called by the sender's fiber) and wake the
+    /// owner if it waits on this source: it is then runnable, queued at
+    /// its floor.
     pub fn deliver(&self, pkt: Packet) {
-        // hostprof: deposit + targeted notify; nothing below blocks.
+        // hostprof: deposit + targeted wake; nothing below blocks.
         let _hp = simtrace::host::scope(simtrace::host::Site::MboxDeliver);
-        let src = pkt.src as usize;
-        let shard = self.shard(src);
-        let key = (pkt.ctx, pkt.tag);
-        let mut st = shard.state.lock();
+        let mut st = self.shard(pkt.src as usize).state.lock();
         st.queue.push_back(pkt);
-        if st.blocked == Some(key) {
-            st.blocked = None;
-            crate::progress::tl_deliver_downgrade(self.owner, src, key.0, key.1);
-        }
         fiber::wake(&mut st.waiter);
-        drop(st);
-        fiber::notify_one(&shard.cv);
     }
 
     /// Receive the next packet matching `(src, ctx, tag)`, blocking until
@@ -257,9 +223,7 @@ impl Mailbox {
         let shard = self.shard(src);
         let key = (ctx, tag);
         let mut st = shard.state.lock();
-        let mut registered = false;
         let mut woken = false;
-        let mut polls = 0u32;
         loop {
             // hostprof: one lock-held matching pass. The guard is dropped
             // before the wait below, so the frame never absorbs the time
@@ -267,12 +231,6 @@ impl Mailbox {
             let hp = simtrace::host::scope(simtrace::host::Site::MboxRecv);
             let hit = st.queue.iter().position(|p| (p.ctx, p.tag) == key);
             if let Some(pkt) = hit.and_then(|i| st.queue.remove(i)) {
-                if registered {
-                    // Normally the delivering sender already
-                    // downgraded us; self-clear covers delivery from
-                    // threads without a progress context.
-                    crate::progress::tl_unblock();
-                }
                 if woken {
                     self.wakeups.fetch_add(1, Ordering::Relaxed);
                 }
@@ -281,24 +239,12 @@ impl Mailbox {
             if woken {
                 self.spurious_wakeups.fetch_add(1, Ordering::Relaxed);
             }
-            if !registered {
-                // No matching packet exists: this rank's further progress
-                // (and all its future resource requests) now depends on
-                // the sender. Registered under the shard lock so that
-                // `deliver` cannot race the registration.
-                crate::progress::tl_block_recv(src, ctx, tag);
-                st.blocked = Some(key);
-                registered = true;
-            }
+            // No matching packet exists: this rank's further progress
+            // (and all its future resource requests) now depends on the
+            // sender. It holds no key in the run queue until woken.
             drop(hp);
-            woken = fiber::wait(&shard.cv, &mut st, |s| &mut s.waiter, &self.poison);
-            polls += u32::from(!woken);
-            if polls == crate::progress::STALL_DEBUG_POLLS && crate::progress::stall_debug() {
-                eprintln!(
-                    "mailbox stalled: rank {} waiting on ({src},{ctx},{tag})",
-                    self.owner
-                );
-            }
+            fiber::wait(&mut st, |s| &mut s.waiter, &self.poison);
+            woken = true;
         }
     }
 
@@ -326,12 +272,12 @@ impl Mailbox {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fiber::{on_fibers, on_fibers_in};
+    use crate::progress::PopOrder;
     use proptest::prelude::*;
-    use std::thread;
-    use std::time::Duration;
 
     fn mbox() -> Arc<Mailbox> {
-        Arc::new(Mailbox::new(0, 4, Arc::new(PoisonFlag::default())))
+        Arc::new(Mailbox::new(4, Arc::new(PoisonFlag::default())))
     }
 
     fn pkt(src: u32, ctx: u32, tag: i32, bytes: &[u8]) -> Packet {
@@ -427,53 +373,24 @@ mod tests {
     }
 
     #[test]
-    fn recv_blocks_until_delivery() {
+    fn a_receive_parks_until_the_delivery_wakes_it() {
+        // Fiber 0 receives before fiber 1 has sent: it parks, and the
+        // delivery — not a poll, there is none — makes it runnable.
         let m = mbox();
-        let m2 = Arc::clone(&m);
-        let h = thread::spawn(move || m2.recv(3, 2, 1));
-        thread::sleep(Duration::from_millis(10));
-        m.deliver(pkt(3, 2, 1, &[9]));
-        let got = h.join().unwrap();
-        assert_eq!(got.payload.into_bytes().as_slice().unwrap(), &[9]);
-    }
-
-    #[test]
-    fn a_sleeping_receiver_is_woken_by_the_delivery_not_the_poll() {
-        // The receiver runs as rank 0 of a registry so that the test can
-        // see it block: it registers under the shard lock and keeps the
-        // lock until it sleeps, and `deliver` takes that lock first.
-        let poison = Arc::new(PoisonFlag::default());
-        let registry = Arc::new(crate::progress::ProgressRegistry::new(
-            2,
-            Arc::clone(&poison),
-        ));
-        let m = Arc::new(Mailbox::new(0, 2, poison));
-        let receiver = {
-            let (m, registry) = (Arc::clone(&m), Arc::clone(&registry));
-            thread::spawn(move || {
-                let _ctx = crate::progress::install(registry, 0);
-                m.recv(1, 0, 7);
-                std::time::Instant::now()
-            })
-        };
-        while !registry.is_blocked(0) {
-            thread::yield_now();
-        }
-        let delivered = std::time::Instant::now();
-        m.deliver(pkt(1, 0, 7, &[1]));
-        let woken = receiver.join().unwrap();
-        assert_eq!(m.wakeups(), 1, "the receive was satisfied by a notify");
-        assert_eq!(m.spurious_wakeups(), 0);
-        assert!(
-            woken.duration_since(delivered) < fiber::POISON_POLL / 2,
-            "woken {:?} after the delivery: by the poll, not the notify",
-            woken.duration_since(delivered)
-        );
+        let got = on_fibers(2, |me| match me {
+            0 => m.recv(3, 2, 1).payload.into_bytes().into_bytes(),
+            _ => {
+                m.deliver(pkt(3, 2, 1, &[9]));
+                Vec::new()
+            }
+        });
+        assert_eq!(got[0], [9]);
+        assert_eq!((m.wakeups(), m.spurious_wakeups()), (1, 0));
     }
 
     #[test]
     fn shards_are_created_on_first_use() {
-        let m = Mailbox::new(0, 1024, Arc::new(PoisonFlag::default()));
+        let m = Mailbox::new(1024, Arc::new(PoisonFlag::default()));
         let made = |m: &Mailbox| m.shards().count();
         assert_eq!((made(&m), m.backlog()), (0, 0), "backlog creates no shard");
         m.deliver(pkt(5, 0, 0, &[1]));
@@ -487,7 +404,7 @@ mod tests {
 
         // Slot tables too: a 4 096-rank mailbox that hears from three
         // senders holds at most three blocks of slots, not 4 096 slots.
-        let m = Mailbox::new(0, 4096, Arc::new(PoisonFlag::default()));
+        let m = Mailbox::new(4096, Arc::new(PoisonFlag::default()));
         let blocks = |m: &Mailbox| m.blocks.iter().filter(|b| b.get().is_some()).count();
         assert_eq!((m.blocks.len(), blocks(&m)), (4096 / BLOCK, 0));
         for src in [7, 2100, 4095] {
@@ -504,9 +421,9 @@ mod tests {
     #[should_panic(expected = "poisoned")]
     fn poisoned_recv_panics_instead_of_hanging() {
         let poison = Arc::new(PoisonFlag::default());
-        let m = Mailbox::new(0, 1, Arc::clone(&poison));
+        let m = Mailbox::new(1, Arc::clone(&poison));
         poison.poison();
-        let _ = m.recv(0, 0, 0);
+        on_fibers(1, |_| m.recv(0, 0, 0));
     }
 
     #[test]
@@ -520,46 +437,38 @@ mod tests {
 
     #[test]
     fn ping_pong_has_no_spurious_wakeups() {
-        // Regression test for the targeted-wakeup design: a 3-party
-        // ping-pong through one mailbox must wake the receiver only when
-        // its match arrived — never for deliveries it is not waiting on
-        // (the old broadcast design woke the receiver for *every*
-        // deposit and re-scanned the whole map).
-        let m = mbox();
+        // A 3-party ping-pong through one mailbox must wake the receiver
+        // only when its match arrived — never for deliveries it is not
+        // waiting on — in any pop order.
         let rounds = 25u8;
-        let receiver = {
-            let m = Arc::clone(&m);
-            thread::spawn(move || {
+        for order in [
+            PopOrder::Fixed,
+            PopOrder::Shuffled(1),
+            PopOrder::Shuffled(2),
+        ] {
+            let m = mbox();
+            on_fibers_in(order, 3, |me| {
                 for i in 0..rounds {
-                    // Alternate sources; each recv targets one shard.
-                    let got = m.recv(1, 0, 7);
-                    assert_eq!(got.payload.into_bytes().as_slice().unwrap(), &[i]);
-                    let got = m.recv(2, 0, 7);
-                    assert_eq!(got.payload.into_bytes().as_slice().unwrap(), &[i]);
+                    if me == 0 {
+                        // Alternate sources; each recv targets one shard.
+                        for src in [1, 2] {
+                            let got = m.recv(src, 0, 7);
+                            assert_eq!(got.payload.into_bytes().as_slice().unwrap(), &[i]);
+                        }
+                    } else {
+                        m.deliver(pkt(me as u32, 0, 7, &[i]));
+                    }
                 }
-            })
-        };
-        let sender = |src: u32, m: &Arc<Mailbox>| {
-            let m = Arc::clone(m);
-            thread::spawn(move || {
-                for i in 0..rounds {
-                    m.deliver(pkt(src, 0, 7, &[i]));
-                }
-            })
-        };
-        let s1 = sender(1, &m);
-        let s2 = sender(2, &m);
-        receiver.join().unwrap();
-        s1.join().unwrap();
-        s2.join().unwrap();
-        assert_eq!(
-            m.spurious_wakeups(),
-            0,
-            "deliveries on one (src, ctx, tag) woke a waiter for another"
-        );
-        // Every notified wakeup found its packet; blocked receives that
-        // were satisfied before sleeping don't count at all.
-        assert!(m.wakeups() <= 2 * rounds as u64);
+            });
+            assert_eq!(
+                m.spurious_wakeups(),
+                0,
+                "deliveries on one (src, ctx, tag) woke a waiter for another"
+            );
+            // Every notified wakeup found its packet; blocked receives
+            // that were satisfied before sleeping don't count at all.
+            assert!(m.wakeups() <= 2 * rounds as u64);
+        }
     }
 
     proptest! {
@@ -590,31 +499,5 @@ mod tests {
             }
             prop_assert_eq!(m.backlog(), 0);
         }
-    }
-
-    #[test]
-    fn only_the_matching_delivery_asks_the_registry() {
-        // Single-threaded and deterministic: the test thread acts as the
-        // sender, rank 1, and the owner's wait is registered by hand
-        // exactly as `recv` registers it under the shard lock.
-        let poison = Arc::new(PoisonFlag::default());
-        let registry = Arc::new(crate::progress::ProgressRegistry::new(
-            2,
-            Arc::clone(&poison),
-        ));
-        let m = Mailbox::new(0, 2, poison);
-        let _sender = crate::progress::install(Arc::clone(&registry), 1);
-        let (k1, k2) = ((3, 7), (3, 8));
-        registry.block_recv(0, 1, k1.0, k1.1);
-        m.shard(1).state.lock().blocked = Some(k1);
-        let blocked = || m.shard(1).state.lock().blocked;
-
-        m.deliver(pkt(1, k2.0, k2.1, &[1]));
-        assert!(registry.is_blocked(0), "another key cannot end the wait");
-        assert_eq!(blocked(), Some(k1));
-
-        m.deliver(pkt(1, k1.0, k1.1, &[2]));
-        assert!(!registry.is_blocked(0), "the match downgrades the owner");
-        assert_eq!(blocked(), None);
     }
 }

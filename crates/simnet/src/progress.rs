@@ -1,772 +1,538 @@
-//! Deterministic admission ordering for shared virtual-time resources.
+//! The fiber executor's run queue, which is also the admission gate of
+//! shared virtual-time resources.
 //!
-//! Virtual arrival times in this simulator are deterministic, but shared
-//! *stateful* resources (an OST's serial queue) used to admit requests
-//! in whatever order the OS happened to run the rank threads. Two
-//! requests with different virtual arrivals could therefore mutate the
-//! resource in either order, permuting queue depths, jitter draws and
-//! completion times run-to-run.
+//! Virtual arrival times in this simulator are deterministic, but a
+//! shared *stateful* resource (an OST's serial queue and its seeded
+//! jitter draws) must also be entered in a deterministic order: two
+//! requests with different virtual arrivals that mutated it in either
+//! order would permute queue depths and completion times from run to
+//! run. A resource therefore calls [`admit`] before it mutates its
+//! state, and admission waits (in host time only: no virtual time is
+//! charged) until the request's key `(virtual arrival, rank)` is provably
+//! the smallest the cluster can still produce. The admission order, and
+//! every queue-dependent quantity with it, is then a pure function of
+//! virtual time.
 //!
-//! The [`ProgressRegistry`] closes that hole: every cluster run carries
-//! one registry, each rank thread installs a thread-local handle, and a
-//! resource calls [`admit`] before mutating its state. Admission blocks
-//! (in *host* time only — no virtual time is charged) until the request's
-//! key `(virtual arrival, rank, seq)` is provably the smallest the
-//! cluster can still produce, which makes the admission order — and hence
-//! every queue-dependent quantity — a pure function of virtual time.
+//! # One queue
 //!
-//! # How "provably smallest" is decided
+//! Every rank of a cluster is a fiber on one thread ([`crate::fiber`]).
+//! The scheduler's run queue is a binary heap that holds each runnable
+//! fiber under its *earliest possible key*:
 //!
-//! The registry tracks, per rank, a *floor* — a lower bound on the
-//! virtual arrival of any request the rank may still issue — and what
-//! the rank is doing: `Running` (its next request arrives no earlier
-//! than its floor), `Pending` in this gate (requests within one I/O call
-//! share an arrival, so its key bounds its later ones), blocked in a
-//! `Recv` or parked in a `Rdv`, or `Finished`. Each running and pending
-//! rank holds its *earliest possible key*, `(floor, rank)` or
-//! `(arrival, rank)`, in a tournament tree: one integer leaf per rank,
-//! the minimum at the root, allocated once. Blocked and finished ranks
-//! hold no leaf. A request is admitted exactly when its key is the root.
+//! - a fiber made runnable (a delivery, a completed meeting) waits at
+//!   `(floor, rank)`, its *floor* being a lower bound on the arrival of
+//!   any request it may still issue: the latest arrival it has asked for;
+//! - a fiber that requests an arrival queues itself at `(arrival, rank)`.
 //!
-//! That is enough. Let the root be the request's key and the program
-//! not be deadlocked, and follow a blocked rank's chain: a receiver to
-//! its sender, a parked rank to a member of its meeting still on its way
-//! (a meeting always has one: the last arrival completes it instead of
-//! parking). The chain ends at a running or pending rank, whose leaf is
-//! at or above the key and whose wake of the chain is strictly later
-//! (every wake crosses a service, a message flight or a collective); at
-//! the requester itself, which moves only after this request is served;
-//! or at a finished rank, which wakes nobody. So no blocked rank can
-//! later request below the key.
+//! When the minimum is a requester's key, the queue resumes that fiber,
+//! and that is the request's admission: it is then below every key that
+//! any runnable rank holds. A request whose key already lies below the
+//! queue's minimum is admitted on the spot, without leaving its fiber.
+//! A fiber blocked in a receive or a meeting holds no key, and neither
+//! does a finished one.
 //!
-//! # What a check costs
+//! When the minimum is not a requester's, any fiber that is not
+//! requesting may run, and the queue resumes the one made runnable
+//! longest ago: a receiver then finds every message its senders had
+//! time to post. Resuming the minimum there too woke a 512-rank tile
+//! write's low-ranked aggregators once per sender (44 686 fiber slices
+//! against 26 851 for the base leg of `TileIo::paper(512)`).
 //!
-//! A state change rewrites at most one leaf-to-root path of the tree,
-//! `O(log ranks)`; a check compares with the root. The same root says
-//! whom to wake. Only the minimum pending key can be admissible, and not
-//! even that one while some *running* rank's floor lies below it — so
-//! after a state change the registry wakes the root's rank if it is
-//! pending and nobody if it is running: the pending ranks cannot move
-//! before that rank does, and when it does, that is a state change
-//! again.
+//! # Why the minimum is enough
 //!
-//! The argument needs a rank without a leaf to be really blocked, an
-//! invariant maintained jointly with [`crate::mailbox::Mailbox`] and
-//! [`crate::Rendezvous`]: a rank is registered as `Recv` **only while no
-//! matching packet exists in its mailbox** (registration happens under
-//! the mailbox lock after a failed match, and delivery of a matching
-//! packet downgrades the mode under the same lock). Likewise a rank
-//! stays `Rdv` only until the meeting completes: the last arrival
-//! downgrades every parked participant under the rendezvous lock when it
-//! publishes the result, before any of them observably wakes.
+//! Let a request's key lie below every queued key, and the program not
+//! be deadlocked. Follow a blocked rank's chain: a receiver to its
+//! sender, a parked rank to a member of its meeting still on its way (a
+//! meeting always has one: the last arrival completes it instead of
+//! parking). The chain ends at a runnable rank, whose key is above the
+//! request's and whose wake of the chain is strictly later (every wake
+//! crosses a service, a message flight or a collective); at the
+//! requester itself, which moves only after this request is served; or
+//! at a finished rank, which wakes nobody. So no blocked rank can later
+//! request below the key, and no queued one can either.
 //!
-//! Threads without an installed context (plain unit tests driving an
-//! `Ost` or `Mailbox` directly) bypass the gate entirely: [`admit`] is a
-//! no-op and behavior is byte-identical to the ungated code.
+//! Two waits are not in that list, and neither breaks the argument. A
+//! fiber woken by a delivery on another key than the one it waits for
+//! is queued at its floor like any runnable rank: that only delays
+//! admissions. A rank that enters a meeting again before its previous
+//! generation has drained waits on members that the completion already
+//! queued; its own clock lies past that completion, which lies past
+//! every member's entry, and a rank's clock never falls below its floor
+//! once its request has been served.
+//!
+//! # What it costs
+//!
+//! A wake is a push onto the heap (and onto the list of fibers made
+//! runnable) and a resume a removal from it, `O(log ranks)` levels each
+//! (the `runq_steps` host counter); an admission on the spot compares
+//! with the root.
+//!
+//! # The host-order oracle
+//!
+//! [`set_pop_order`]`(PopOrder::Shuffled(seed))` makes the queue resume
+//! a runnable fiber drawn at random instead. A
+//! requester resumed that way checks its key against the queue again,
+//! and queues itself anew until it is the minimum, so admission follows
+//! the same rule under any host order. Virtual times, traces and file
+//! images must not depend on the pop order; the determinism tests
+//! compare them bit for bit across seeds.
+//!
+//! Code outside a fiber (a unit test driving an `Ost` directly) is not
+//! gated: [`admit`] returns at once.
 
-use crate::fiber::{self, Waker};
-use crate::rendezvous::PoisonFlag;
+use crate::noise::SplitMix64;
 use crate::time::SimTime;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
+use simtrace::host::{self, Counter};
 use std::cell::RefCell;
-use std::sync::Arc;
+use std::collections::VecDeque;
 
-/// Admission key of one resource request. Ordered lexicographically by
-/// `(arrival, rank, seq)`; unique because `seq` is globally monotone.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReqKey {
-    /// Virtual arrival of the request at the resource.
-    pub arrival: SimTime,
-    /// Requesting global rank.
-    pub rank: usize,
-    /// Global issue number (tie-break among same-arrival requests).
-    pub seq: u64,
+/// How the run queue picks the next runnable fiber to resume.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PopOrder {
+    /// The minimum key when it is a requester's, else the fiber made
+    /// runnable longest ago: the order every run uses by default.
+    Fixed,
+    /// A runnable fiber drawn by a generator seeded with this value,
+    /// requests still admitted only as the minimum: the host-order
+    /// oracle (module doc).
+    Shuffled(u64),
 }
 
-impl Ord for ReqKey {
-    fn cmp(&self, other: &ReqKey) -> std::cmp::Ordering {
-        self.arrival
-            .0
-            .total_cmp(&other.arrival.0)
-            .then(self.rank.cmp(&other.rank))
-            .then(self.seq.cmp(&other.seq))
-    }
+static POP_ORDER: Mutex<PopOrder> = Mutex::new(PopOrder::Fixed);
+
+/// Select the pop order of subsequent [`crate::run_cluster`] calls
+/// (process-wide).
+pub fn set_pop_order(order: PopOrder) {
+    *POP_ORDER.lock() = order;
 }
 
-impl PartialOrd for ReqKey {
-    fn partial_cmp(&self, other: &ReqKey) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+/// The pop order [`crate::run_cluster`] uses.
+pub fn pop_order() -> PopOrder {
+    *POP_ORDER.lock()
 }
 
-impl Eq for ReqKey {}
-
-/// `(arrival, rank)` as one integer that orders like [`ReqKey`]: the
-/// arrival's bits in the high half, mapped so that integer order is
-/// `f64::total_cmp` order, the rank in the low half. `seq` is left out:
-/// a rank owns one leaf of the tree, so it never decides between two.
-fn tree_key(arrival: SimTime, rank: usize) -> u128 {
-    let bits = arrival.0.to_bits();
-    // A positive arrival gains the sign bit, a negative one flips them all.
+/// `(time, rank)` as one integer that orders like the pair: the time's
+/// bits in the high half, mapped so that integer order is
+/// `f64::total_cmp` order, the rank above the lowest bit of the low half.
+/// The lowest bit is free for [`REQUESTER`]: a fiber holds one key at a
+/// time, so two keys never differ in that bit alone.
+pub(crate) fn key(time: SimTime, rank: usize) -> u128 {
+    let bits = time.0.to_bits();
+    // A positive time gains the sign bit, a negative one flips them all.
     let ordered = bits ^ ((bits as i64 >> 63) as u64 | (1 << 63));
-    (u128::from(ordered) << 64) | rank as u128
+    (u128::from(ordered) << 64) | (rank as u128) << 1
 }
 
-/// The tree leaf of a rank that holds no key.
-const NO_KEY: u128 = u128::MAX;
+/// The bit of a queued [`key`] that marks a requester's.
+const REQUESTER: u128 = 1;
 
-#[derive(Debug, Clone)]
-enum Mode {
-    Running,
-    Recv { src: usize, ctx: u32, tag: i32 },
-    Rdv { id: u64 },
-    Pending { key: ReqKey },
-    Finished,
+/// The rank a [`key`] belongs to.
+fn rank_of(key: u128) -> usize {
+    (key as u64 >> 1) as usize
 }
 
-struct RankState {
-    /// Lower bound (virtual time) on this rank's future request arrivals.
-    floor: SimTime,
-    mode: Mode,
-    /// The rank's fiber while it is parked in [`ProgressRegistry::acquire`].
-    waker: Option<Waker>,
+/// [`RunQueue::at`] of a fiber that is not queued.
+const NOT_QUEUED: u32 = u32::MAX;
+
+/// The runnable fibers of one scheduler loop by earliest possible key,
+/// and every fiber's floor.
+#[derive(Default)]
+pub(crate) struct RunQueue {
+    /// Binary min-heap of the queued fibers' keys, a requester's with
+    /// [`REQUESTER`] set.
+    heap: Vec<u128>,
+    /// Per fiber: the place of its key in `heap`, or [`NOT_QUEUED`].
+    at: Vec<u32>,
+    /// The queued fibers that are not requesters, in the order they were
+    /// made runnable.
+    woken: VecDeque<u32>,
+    /// Per fiber: the latest arrival it has requested.
+    floor: Vec<SimTime>,
+    /// Set under [`PopOrder::Shuffled`].
+    shuffle: Option<SplitMix64>,
+    /// Heap levels moved, plus one per push and removal, not yet added to
+    /// the `runq_steps` host counter.
+    steps: u64,
 }
 
-/// Tournament tree over one key per rank ([`tree_key`], or [`NO_KEY`]):
-/// an inner node holds the smaller of its two children, so the minimum
-/// is a read of the root and changing one rank's key rewrites one
-/// leaf-to-root path. Sized once at construction; no operation allocates.
-struct MinTree {
-    /// `node[1]` is the root and rank `r`'s leaf is `node[leaves + r]`
-    /// (`leaves` is a power of two; `node[0]` is unused).
-    node: Vec<u128>,
-    leaves: usize,
-}
+impl RunQueue {
+    /// `n` runnable fibers at floor zero, popped in `order`.
+    fn new(n: usize, order: PopOrder) -> Self {
+        let mut q = Self::empty(n, order);
+        (0..n).for_each(|r| q.push(key(SimTime::ZERO, r)));
+        q
+    }
 
-impl MinTree {
-    fn new(n: usize) -> Self {
-        let leaves = n.next_power_of_two();
-        MinTree {
-            node: vec![NO_KEY; 2 * leaves],
-            leaves,
+    /// A queue of `n` fibers none of which is queued.
+    fn empty(n: usize, order: PopOrder) -> Self {
+        RunQueue {
+            heap: Vec::with_capacity(n),
+            at: vec![NOT_QUEUED; n],
+            woken: VecDeque::with_capacity(n),
+            floor: vec![SimTime::ZERO; n],
+            shuffle: match order {
+                PopOrder::Fixed => None,
+                PopOrder::Shuffled(seed) => Some(SplitMix64::new(seed)),
+            },
+            steps: 0,
         }
     }
 
-    /// The smallest key any rank holds.
-    fn min(&self) -> u128 {
-        self.node[1]
+    /// Queue a fiber under `key`: a requester's if it carries
+    /// [`REQUESTER`], else a fiber just made runnable.
+    fn push(&mut self, key: u128) {
+        let rank = rank_of(key);
+        debug_assert_eq!(self.at[rank], NOT_QUEUED, "fiber {rank} queued twice");
+        if key & REQUESTER == 0 {
+            self.woken.push_back(rank as u32);
+        }
+        self.heap.push(key);
+        self.steps += 1 + self.sift_up(self.heap.len() - 1);
     }
 
-    /// Replace rank `r`'s key; returns the nodes it looked at.
-    fn set(&mut self, r: usize, key: u128) -> usize {
-        let (mut i, mut smaller, mut looked_at) = (self.leaves + r, key, 1);
-        // Stop at the first node that keeps its value: nothing above it
-        // can change either.
-        while self.node[i] != smaller {
-            self.node[i] = smaller;
-            if i == 1 {
+    /// The next fiber to resume. The minimum if it is a requester — that
+    /// is its admission — else the fiber made runnable longest ago: the
+    /// order among fibers that are not requesting is free, and oldest
+    /// first lets a receiver find every message its senders had time to
+    /// post. Under a shuffled order, any queued fiber.
+    fn pop(&mut self) -> Option<usize> {
+        let &min = self.heap.first()?;
+        let rank = match &mut self.shuffle {
+            None if min & REQUESTER != 0 => rank_of(min),
+            None => self
+                .woken
+                .pop_front()
+                .expect("a queued fiber that is not requesting") as usize,
+            Some(rng) => {
+                let rank = rank_of(self.heap[(rng.next_u64() % self.heap.len() as u64) as usize]);
+                if let Some(i) = self.woken.iter().position(|&r| r as usize == rank) {
+                    self.woken.remove(i);
+                }
+                rank
+            }
+        };
+        self.remove(rank);
+        Some(rank)
+    }
+
+    /// Take queued fiber `rank`'s key out of the heap.
+    fn remove(&mut self, rank: usize) {
+        let i = std::mem::replace(&mut self.at[rank], NOT_QUEUED) as usize;
+        let last = self.heap.pop().expect("a queued fiber");
+        let mut steps = 0;
+        if i < self.heap.len() {
+            self.place(i, last);
+            steps = self.sift_down(i);
+            if steps == 0 {
+                steps = self.sift_up(i);
+            }
+        }
+        self.steps += 1 + steps;
+    }
+
+    /// True when `key` lies below every queued key.
+    fn admits(&self, key: u128) -> bool {
+        self.heap.first().is_none_or(|&min| key < min)
+    }
+
+    /// Move the key at `i` towards the root; returns the levels moved.
+    fn sift_up(&mut self, mut i: usize) -> u64 {
+        let (k, mut steps) = (self.heap[i], 0);
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if self.heap[parent] <= k {
                 break;
             }
-            i /= 2;
-            looked_at += 2;
-            smaller = self.node[2 * i].min(self.node[2 * i + 1]);
+            self.place(i, self.heap[parent]);
+            i = parent;
+            steps += 1;
         }
-        looked_at
-    }
-}
-
-struct Inner {
-    ranks: Vec<RankState>,
-    next_seq: u64,
-    /// Every rank's *earliest possible key*: a `Running` rank's
-    /// `(floor, rank)`, a `Pending` rank's `(arrival, rank)`, nothing
-    /// for a blocked or finished one. A pending key is admissible
-    /// exactly when it is this tree's minimum (module doc).
-    earliest: MinTree,
-    /// Visits not yet added to the `gate_visits` host counter, which
-    /// [`ProgressRegistry::wake_min`] feeds once per state change.
-    unpublished: std::cell::Cell<usize>,
-    /// Tree nodes the gate looked at (complexity pin).
-    #[cfg(test)]
-    visits: std::cell::Cell<usize>,
-    /// Wakes [`ProgressRegistry::wake_min`] issued.
-    #[cfg(test)]
-    wakes: std::cell::Cell<usize>,
-    /// The members of each meeting a test parks ranks in, by id: what
-    /// the reference gates bound a parked rank by.
-    #[cfg(test)]
-    members: std::collections::HashMap<u64, Arc<[usize]>>,
-}
-
-impl Inner {
-    /// Change `rank`'s mode (after any change to its floor), keeping its
-    /// tree leaf in step.
-    fn set_mode(&mut self, rank: usize, mode: Mode) {
-        let earliest = match &mode {
-            Mode::Running => tree_key(self.ranks[rank].floor, rank),
-            Mode::Pending { key } => tree_key(key.arrival, rank),
-            Mode::Recv { .. } | Mode::Rdv { .. } | Mode::Finished => NO_KEY,
-        };
-        self.ranks[rank].mode = mode;
-        let looked_at = self.earliest.set(rank, earliest);
-        self.visit(looked_at);
+        self.place(i, k);
+        steps
     }
 
-    fn parked_in(&self, rank: usize, meeting: u64) -> bool {
-        matches!(&self.ranks[rank].mode, Mode::Rdv { id } if *id == meeting)
-    }
-
-    /// Count `n` tree nodes looked at.
-    fn visit(&self, n: usize) {
-        #[cfg(test)]
-        self.visits.set(self.visits.get() + n);
-        self.unpublished.set(self.unpublished.get() + n);
-    }
-}
-
-/// Cluster-wide admission gate; one per [`crate::run_cluster`] run.
-///
-/// Wakeups are *targeted*: at any instant at most one pending request —
-/// the one with the smallest `(arrival, rank, seq)` key — can possibly
-/// be admissible (any larger pending key fails against it), so a state
-/// change wakes at most that request's rank (its parked fiber, or its
-/// condition variable if a thread sleeps there) instead of broadcasting
-/// to all waiting ranks — and wakes nobody while a *running* rank's
-/// floor lies below every pending key: nothing is admissible until that
-/// rank moves, and its move is a state change of its own.
-///
-/// Costs, for `n` ranks: a state change rewrites at most one path of
-/// the tournament tree, `O(log n)`, allocating nothing; a check reads
-/// its root, whoever is blocked.
-pub struct ProgressRegistry {
-    inner: Mutex<Inner>,
-    /// One condvar per rank; rank `r` waits only on `cvs[r]`.
-    cvs: Box<[Condvar]>,
-    poison: Arc<PoisonFlag>,
-}
-
-/// Number of poll timeouts after which a blocked OS thread reports
-/// itself when `SIMNET_STALL_DEBUG` is set (~5s of host time — far
-/// beyond any legitimate wait in the test suite, short enough to
-/// diagnose hangs; fibers never time out, their deadlocks are exact).
-pub(crate) const STALL_DEBUG_POLLS: u32 = 100;
-
-/// True when substrate waits should print a one-shot diagnostic after
-/// [`STALL_DEBUG_POLLS`] polls. Keyed off the `SIMNET_STALL_DEBUG`
-/// environment variable; checked only on the stall path, never per-poll.
-pub(crate) fn stall_debug() -> bool {
-    std::env::var_os("SIMNET_STALL_DEBUG").is_some()
-}
-
-impl ProgressRegistry {
-    /// Registry for `n` ranks sharing the cluster poison flag.
-    pub fn new(n: usize, poison: Arc<PoisonFlag>) -> Self {
-        let mut inner = Inner {
-            ranks: (0..n)
-                .map(|_| RankState {
-                    floor: SimTime::ZERO,
-                    mode: Mode::Running,
-                    waker: None,
-                })
-                .collect(),
-            next_seq: 0,
-            earliest: MinTree::new(n),
-            unpublished: std::cell::Cell::new(0),
-            #[cfg(test)]
-            visits: std::cell::Cell::new(0),
-            #[cfg(test)]
-            wakes: std::cell::Cell::new(0),
-            #[cfg(test)]
-            members: Default::default(),
-        };
-        // Every rank starts out running at floor zero: enter those keys.
-        (0..n).for_each(|r| inner.set_mode(r, Mode::Running));
-        ProgressRegistry {
-            inner: Mutex::new(inner),
-            cvs: (0..n).map(|_| Condvar::new()).collect(),
-            poison,
-        }
-    }
-
-    /// Wake the one rank whose pending request could now be admissible:
-    /// the holder of the minimum pending key — unless a running rank's
-    /// floor lies below it, in which case nothing is admissible until
-    /// that rank changes state, which ends here again. Every state
-    /// change ends here. (If the minimum's rank currently *holds* the
-    /// admission rather than waiting, this is a no-op and the next wake
-    /// happens at its release — which comes back here.)
-    fn wake_min(&self, inner: &mut Inner) {
-        let _hp = simtrace::host::scope(simtrace::host::Site::GateWake);
-        let visits = inner.unpublished.take() as u64;
-        simtrace::host::count(simtrace::host::Counter::GateVisits, visits);
-        let min = inner.earliest.min();
-        let r = min as u64 as usize;
-        if min != NO_KEY && matches!(inner.ranks[r].mode, Mode::Pending { .. }) {
-            #[cfg(test)]
-            inner.wakes.set(inner.wakes.get() + 1);
-            fiber::notify_one(&self.cvs[r]);
-            fiber::wake(&mut inner.ranks[r].waker);
-        }
-    }
-
-    /// True when no other rank can still produce a request key below
-    /// `key` — i.e. admitting `key` now preserves global key order:
-    /// when `key`, in the tree since its rank is `Pending`, is the
-    /// tree's minimum (module doc).
-    fn admissible(inner: &Inner, key: &ReqKey) -> bool {
-        inner.visit(1);
-        inner.earliest.min() == tree_key(key.arrival, key.rank)
-    }
-
-    /// Block (host time) until a request by `rank` arriving at `arrival`
-    /// is the cluster-wide minimum, then hold the admission.
-    fn acquire(&self, rank: usize, arrival: SimTime) {
-        let mut inner = self.inner.lock();
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        let key = ReqKey { arrival, rank, seq };
-        let st = &mut inner.ranks[rank];
-        st.floor = st.floor.max(arrival);
-        inner.set_mode(rank, Mode::Pending { key });
-        // The new pending key raises this rank's bound for everyone
-        // else, possibly unblocking the current minimum pending request.
-        self.wake_min(&mut inner);
-        let mut polls = 0u32;
-        while !Self::admissible(&inner, &key) {
-            let cv = &self.cvs[rank];
-            let woken = fiber::wait(cv, &mut inner, |i| &mut i.ranks[rank].waker, &self.poison);
-            polls += u32::from(!woken);
-            if polls == STALL_DEBUG_POLLS && stall_debug() {
-                eprintln!("progress gate stalled: rank {rank} key {key:?}");
-                for (r, st) in inner.ranks.iter().enumerate() {
-                    eprintln!("  rank {r}: floor {:?} mode {:?}", st.floor, st.mode);
-                }
+    /// Move the key at `i` towards the leaves; returns the levels moved.
+    fn sift_down(&mut self, mut i: usize) -> u64 {
+        let (k, n, mut steps) = (self.heap[i], self.heap.len(), 0);
+        loop {
+            let mut child = 2 * i + 1;
+            if child >= n {
+                break;
             }
-        }
-    }
-
-    /// Release a held admission: the rank runs again and its floor
-    /// remembers the served arrival.
-    fn release(&self, rank: usize) {
-        let mut inner = self.inner.lock();
-        let st = &mut inner.ranks[rank];
-        if let Mode::Pending { key } = &st.mode {
-            st.floor = st.floor.max(key.arrival);
-        }
-        inner.set_mode(rank, Mode::Running);
-        self.wake_min(&mut inner);
-    }
-
-    /// Register `rank` as blocked on a receive with no matching packet
-    /// present. Must be called under the mailbox lock that also guards
-    /// [`deliver_downgrade`](Self::deliver_downgrade).
-    pub(crate) fn block_recv(&self, rank: usize, src: usize, ctx: u32, tag: i32) {
-        let mut inner = self.inner.lock();
-        inner.set_mode(rank, Mode::Recv { src, ctx, tag });
-        self.wake_min(&mut inner);
-    }
-
-    /// A packet `(src, ctx, tag)` was just delivered to `dst`'s mailbox:
-    /// if `dst` is registered as blocked on exactly that match, it is no
-    /// longer "waiting on the sender's future" — downgrade to `Running`
-    /// before any gate check can observe the stale mode.
-    pub(crate) fn deliver_downgrade(&self, dst: usize, src: usize, ctx: u32, tag: i32) {
-        let mut inner = self.inner.lock();
-        if matches!(&inner.ranks[dst].mode, Mode::Recv { src: s, ctx: c, tag: t } if *s == src && *c == ctx && *t == tag)
-        {
-            inner.set_mode(dst, Mode::Running);
-            self.wake_min(&mut inner);
-        }
-    }
-
-    /// Register `rank` as parked in rendezvous `id`. Must be called under
-    /// the rendezvous state lock that also guards
-    /// [`complete_rdv`](Self::complete_rdv).
-    pub(crate) fn block_rdv(&self, rank: usize, id: u64) {
-        let mut inner = self.inner.lock();
-        inner.set_mode(rank, Mode::Rdv { id });
-        self.wake_min(&mut inner);
-    }
-
-    /// The meeting `id` just completed: downgrade every participant still
-    /// registered as parked in it (their floors — last raised at their
-    /// entry — remain sound lower bounds).
-    pub(crate) fn complete_rdv(&self, id: u64, members: &[usize]) {
-        let mut inner = self.inner.lock();
-        let mut changed = false;
-        for &p in members {
-            if inner.parked_in(p, id) {
-                inner.set_mode(p, Mode::Running);
-                changed = true;
+            if child + 1 < n && self.heap[child + 1] < self.heap[child] {
+                child += 1;
             }
+            if self.heap[child] >= k {
+                break;
+            }
+            self.place(i, self.heap[child]);
+            i = child;
+            steps += 1;
         }
-        if changed {
-            self.wake_min(&mut inner);
-        }
+        self.place(i, k);
+        steps
     }
 
-    /// Clear `rank`'s own blocked registration (wake paths where the
-    /// counterpart had no registry, e.g. mixed gated/ungated callers).
-    pub(crate) fn unblock(&self, rank: usize) {
-        let mut inner = self.inner.lock();
-        if !matches!(inner.ranks[rank].mode, Mode::Running) {
-            inner.set_mode(rank, Mode::Running);
-            self.wake_min(&mut inner);
-        }
+    /// Put `key` at `i`, and remember where its fiber's key is.
+    fn place(&mut self, i: usize, key: u128) {
+        self.heap[i] = key;
+        self.at[rank_of(key)] = i as u32;
     }
-
-    /// True while `rank` is registered as blocked in a receive or a
-    /// meeting. A blocking rank registers under its wait site's lock and
-    /// keeps that lock until it sleeps, so a test that sees this and
-    /// then takes the site's lock knows the rank is asleep.
-    #[cfg(test)]
-    pub(crate) fn is_blocked(&self, rank: usize) -> bool {
-        let mode = &self.inner.lock().ranks[rank].mode;
-        matches!(mode, Mode::Recv { .. } | Mode::Rdv { .. })
-    }
-
-    /// The rank's closure returned: it will never request again.
-    fn finish(&self, rank: usize) {
-        let mut inner = self.inner.lock();
-        inner.set_mode(rank, Mode::Finished);
-        self.wake_min(&mut inner);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Thread-local context: which registry/rank the current thread acts as.
-// ---------------------------------------------------------------------
-
-#[derive(Clone)]
-pub(crate) struct Ctx {
-    registry: Arc<ProgressRegistry>,
-    rank: usize,
 }
 
 thread_local! {
-    static CTX: RefCell<Option<Ctx>> = const { RefCell::new(None) };
+    /// The run queue of the scheduler loop running on this thread.
+    static QUEUE: RefCell<RunQueue> = RefCell::default();
 }
 
-/// Detach the thread's progress context (fiber scheduler hook: the
-/// context is rank-affine state, parked with the suspended fiber).
-pub(crate) fn tl_take() -> Option<Ctx> {
-    CTX.with(|c| c.borrow_mut().take())
+/// Run `f` on this thread's run queue, then publish its steps.
+fn with_queue<T>(f: impl FnOnce(&mut RunQueue) -> T) -> T {
+    QUEUE.with(|q| {
+        let mut q = q.borrow_mut();
+        let out = f(&mut q);
+        host::count(Counter::RunqSteps, std::mem::take(&mut q.steps));
+        out
+    })
 }
 
-/// Install a previously [taken](tl_take) progress context (fiber
-/// scheduler hook, run before resuming the owning fiber).
-pub(crate) fn tl_set(ctx: Option<Ctx>) {
-    CTX.with(|c| *c.borrow_mut() = ctx);
+/// Install the run queue of a scheduler loop over `n` fibers, all
+/// runnable, popped in `order`.
+pub(crate) fn start(n: usize, order: PopOrder) {
+    with_queue(|q| *q = RunQueue::new(n, order));
 }
 
-/// RAII installation of a rank's progress context; created by
-/// [`crate::run_cluster`] around each rank closure. Dropping marks the
-/// rank [finished](ProgressRegistry) and clears the thread-local.
-pub(crate) struct CtxGuard {
-    registry: Arc<ProgressRegistry>,
-    rank: usize,
+/// Queue fiber `rank`, just made runnable, at its floor.
+pub(crate) fn wake(rank: usize) {
+    with_queue(|q| q.push(key(q.floor[rank], rank)));
 }
 
-pub(crate) fn install(registry: Arc<ProgressRegistry>, rank: usize) -> CtxGuard {
-    CTX.with(|c| {
-        *c.borrow_mut() = Some(Ctx {
-            registry: Arc::clone(&registry),
-            rank,
-        });
-    });
-    CtxGuard { registry, rank }
+/// The next fiber to resume, if any is runnable.
+pub(crate) fn pop() -> Option<usize> {
+    with_queue(RunQueue::pop)
 }
 
-impl Drop for CtxGuard {
-    fn drop(&mut self) {
-        CTX.with(|c| *c.borrow_mut() = None);
-        self.registry.finish(self.rank);
-    }
-}
-
-fn with_ctx<T>(f: impl FnOnce(&Ctx) -> T) -> Option<T> {
-    CTX.with(|c| c.borrow().as_ref().map(f))
-}
-
-/// The current thread's global rank, if it runs inside a cluster.
+/// The current fiber's global rank, if it runs inside a cluster.
 pub fn current_rank() -> Option<usize> {
-    with_ctx(|ctx| ctx.rank)
-}
-
-/// A held admission; the resource mutation must complete before this is
-/// dropped. Outside a cluster context this is an inert no-op.
-pub struct Admission(Option<Ctx>);
-
-impl Drop for Admission {
-    fn drop(&mut self) {
-        if let Some(ctx) = &self.0 {
-            ctx.registry.release(ctx.rank);
-        }
-    }
+    crate::fiber::current()
 }
 
 /// Gate a shared-resource mutation whose request arrives at virtual time
-/// `arrival`: blocks (host time) until every request with a smaller
-/// `(arrival, rank, seq)` key has been admitted and released.
-pub fn admit(arrival: SimTime) -> Admission {
-    let ctx = with_ctx(Clone::clone);
-    if let Some(ctx) = &ctx {
-        ctx.registry.acquire(ctx.rank, arrival);
+/// `arrival`: return (host time) once no rank can still request below
+/// `(arrival, rank)`. The caller completes its mutation before it next
+/// blocks, which is before any other rank runs.
+pub fn admit(arrival: SimTime) {
+    let Some(rank) = crate::fiber::current() else {
+        return;
+    };
+    let key = key(arrival, rank) | REQUESTER;
+    with_queue(|q| q.floor[rank] = q.floor[rank].max(arrival));
+    // Resumed as the minimum this passes at once; under a shuffled pop
+    // order the fiber may be resumed early, and queues itself again.
+    loop {
+        let queued = with_queue(|q| {
+            let queue = !q.admits(key) && !early();
+            if queue {
+                q.push(key);
+            }
+            queue
+        });
+        if !queued {
+            return;
+        }
+        crate::fiber::yield_queued();
     }
-    Admission(ctx)
 }
 
-/// Mailbox hook: the current thread's rank blocks on `(src, ctx, tag)`.
-pub(crate) fn tl_block_recv(src: usize, ctx: u32, tag: i32) {
-    with_ctx(|c| c.registry.block_recv(c.rank, src, ctx, tag));
+#[cfg(not(test))]
+fn early() -> bool {
+    false
 }
 
-/// Mailbox hook: a packet was delivered to `dst` (called on the sender's
-/// thread; both threads share the run's registry).
-pub(crate) fn tl_deliver_downgrade(dst: usize, src: usize, ctx: u32, tag: i32) {
-    with_ctx(|c| c.registry.deliver_downgrade(dst, src, ctx, tag));
+#[cfg(test)]
+thread_local! {
+    /// Admissions still to grant out of order: the planted mutation the
+    /// oracle test must catch.
+    static EARLY: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
 }
 
-/// Rendezvous hook: the current thread's rank parks in meeting `id`.
-pub(crate) fn tl_block_rdv(id: u64) {
-    with_ctx(|c| c.registry.block_rdv(c.rank, id));
-}
-
-/// Rendezvous hook: meeting `id` completed (called on the last arrival's
-/// thread, under the rendezvous lock, before waiters wake).
-pub(crate) fn tl_complete_rdv(id: u64, members: &[usize]) {
-    with_ctx(|c| c.registry.complete_rdv(id, members));
-}
-
-/// Self-service unblock after waking from a blocked wait.
-pub(crate) fn tl_unblock() {
-    with_ctx(|c| c.registry.unblock(c.rank));
+/// The planted mutation: admit a request that is not the minimum.
+#[cfg(test)]
+fn early() -> bool {
+    EARLY.with(|e| {
+        let left = e.get();
+        e.set(left.saturating_sub(1));
+        left > 0
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::thread;
-    use std::time::Duration;
-
-    fn registry(n: usize) -> Arc<ProgressRegistry> {
-        Arc::new(ProgressRegistry::new(n, Arc::new(PoisonFlag::default())))
-    }
-
-    impl Inner {
-        /// The ranks blocked in a receive or a meeting, ascending.
-        fn blocked_ranks(&self) -> impl Iterator<Item = usize> + '_ {
-            let blocked = |m: &Mode| matches!(m, Mode::Recv { .. } | Mode::Rdv { .. });
-            (0..self.ranks.len()).filter(move |&r| blocked(&self.ranks[r].mode))
-        }
-    }
+    use crate::buffer::IoBuffer;
+    use crate::fiber::on_fibers_in;
+    use crate::rendezvous::{PoisonFlag, Rendezvous};
+    use crate::runtime::{run_cluster, ClusterConfig};
+    use std::collections::HashMap;
+    use std::sync::Arc;
 
     #[test]
-    fn no_context_admits_immediately() {
-        // Plain threads (unit tests) bypass the gate.
-        let _a = admit(SimTime::secs(5.0));
-        let _b = admit(SimTime::ZERO);
+    fn outside_a_fiber_admission_is_immediate() {
+        admit(SimTime::secs(5.0));
+        admit(SimTime::ZERO);
     }
 
-    #[test]
-    fn pending_requests_admit_in_key_order() {
-        let reg = registry(3);
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let handles: Vec<_> = [(0usize, 3.0f64), (1, 1.0), (2, 2.0)]
-            .into_iter()
-            .map(|(rank, t)| {
-                let reg = Arc::clone(&reg);
-                let order = Arc::clone(&order);
-                thread::spawn(move || {
-                    let _g = install(Arc::clone(&reg), rank);
-                    // Give every rank time to post its request so floors
-                    // (from Pending modes) are in place.
-                    thread::sleep(Duration::from_millis(20 * rank as u64));
-                    let _a = admit(SimTime::secs(t));
-                    order.lock().push(rank);
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(*order.lock(), vec![1, 2, 0]);
-    }
-
-    #[test]
-    fn equal_arrivals_tie_break_by_rank() {
-        let reg = registry(2);
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let handles: Vec<_> = [1usize, 0]
-            .into_iter()
-            .map(|rank| {
-                let reg = Arc::clone(&reg);
-                let order = Arc::clone(&order);
-                thread::spawn(move || {
-                    let _g = install(Arc::clone(&reg), rank);
-                    // Rank 1 posts first in host time; rank 0 must still
-                    // be admitted first.
-                    thread::sleep(Duration::from_millis(if rank == 0 { 30 } else { 0 }));
-                    let _a = admit(SimTime::secs(1.0));
-                    order.lock().push(rank);
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(*order.lock(), vec![0, 1]);
-    }
-
-    #[test]
-    fn finished_ranks_do_not_block_admission() {
-        let reg = registry(2);
-        {
-            let _g = install(Arc::clone(&reg), 1);
-        } // rank 1 finished immediately
-        let h = {
-            let reg = Arc::clone(&reg);
-            thread::spawn(move || {
-                let _g = install(Arc::clone(&reg), 0);
-                let _a = admit(SimTime::secs(10.0));
-            })
-        };
-        h.join().unwrap(); // must not hang on rank 1's zero floor
-    }
-
-    #[test]
-    fn rank_blocked_on_requester_recv_is_unconstrained() {
-        let reg = registry(2);
-        // Rank 1 is blocked receiving from rank 0 (the requester): its
-        // wake is causally after rank 0's pending request.
-        reg.block_recv(1, 0, 0, 7);
-        let h = {
-            let reg = Arc::clone(&reg);
-            thread::spawn(move || {
-                let _g = install(Arc::clone(&reg), 0);
-                let _a = admit(SimTime::secs(10.0));
-            })
-        };
-        h.join().unwrap();
-    }
-
-    #[test]
-    fn rdv_chain_through_requester_is_unconstrained() {
-        let reg = registry(3);
-        // Ranks 1 and 2 are parked in a rendezvous whose membership
-        // includes requester 0 — the classic "everyone is in the barrier
-        // except the rank doing I/O" steady state.
-        reg.block_rdv(1, 42);
-        reg.block_rdv(2, 42);
-        let h = {
-            let reg = Arc::clone(&reg);
-            thread::spawn(move || {
-                let _g = install(Arc::clone(&reg), 0);
-                let _a = admit(SimTime::secs(3.0));
-            })
-        };
-        h.join().unwrap();
-    }
-
-    #[test]
-    fn running_rank_with_low_floor_blocks_admission_until_it_moves() {
-        let reg = registry(2);
-        let admitted = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let h = {
-            let reg = Arc::clone(&reg);
-            let admitted = Arc::clone(&admitted);
-            thread::spawn(move || {
-                let _g = install(Arc::clone(&reg), 0);
-                let _a = admit(SimTime::secs(5.0));
-                admitted.store(true, std::sync::atomic::Ordering::SeqCst);
-            })
-        };
-        thread::sleep(Duration::from_millis(50));
-        assert!(
-            !admitted.load(std::sync::atomic::Ordering::SeqCst),
-            "rank 1 (Running, floor 0) could still produce an earlier request"
-        );
-        // Rank 1 parks in a rendezvous containing rank 0 — unconstrained.
-        reg.block_rdv(1, 7);
-        h.join().unwrap();
-        assert!(admitted.load(std::sync::atomic::Ordering::SeqCst));
-    }
-
-    #[test]
-    fn deliver_downgrade_restores_constraint() {
-        let reg = registry(3);
-        // Rank 1 blocked on recv from rank 2 (not the requester): floor
-        // chains to rank 2's floor (0) — admission of rank 0 must wait.
-        reg.block_recv(1, 2, 0, 1);
-        let admitted = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let h = {
-            let reg = Arc::clone(&reg);
-            let admitted = Arc::clone(&admitted);
-            thread::spawn(move || {
-                let _g = install(Arc::clone(&reg), 0);
-                let _a = admit(SimTime::secs(1.0));
-                admitted.store(true, std::sync::atomic::Ordering::SeqCst);
-            })
-        };
-        thread::sleep(Duration::from_millis(50));
-        assert!(!admitted.load(std::sync::atomic::Ordering::SeqCst));
-        // The matching packet arrives: rank 1 is Running again (stale
-        // floor 0) — still blocking. Rank 1 then finishes; rank 2 parks
-        // in a rendezvous with the requester.
-        reg.deliver_downgrade(1, 2, 0, 1);
-        reg.finish(1);
-        reg.block_rdv(2, 9);
-        h.join().unwrap();
-        assert!(admitted.load(std::sync::atomic::Ordering::SeqCst));
-    }
-
-    #[test]
-    fn complete_rdv_downgrades_all_parked_members() {
-        let reg = registry(4);
-        reg.block_rdv(1, 5);
-        reg.block_rdv(2, 5);
-        reg.complete_rdv(5, &[1, 2, 3]);
-        let inner = reg.inner.lock();
-        assert!(matches!(inner.ranks[1].mode, Mode::Running));
-        assert!(matches!(inner.ranks[2].mode, Mode::Running));
-        assert!(matches!(inner.ranks[3].mode, Mode::Running));
-    }
-
-    #[test]
-    #[should_panic(expected = "poisoned")]
-    fn poison_unblocks_gate_waiters() {
-        let poison = Arc::new(PoisonFlag::default());
-        let reg = Arc::new(ProgressRegistry::new(2, Arc::clone(&poison)));
-        let p = Arc::clone(&poison);
-        thread::spawn(move || {
-            thread::sleep(Duration::from_millis(20));
-            p.poison();
+    /// The order in which `arrivals[r]`, requested by fiber `r` right at
+    /// its start, are admitted when fibers are popped in `pops`.
+    fn admission_order(pops: PopOrder, arrivals: &[f64]) -> Vec<usize> {
+        let order = Mutex::new(Vec::new());
+        on_fibers_in(pops, arrivals.len(), |r| {
+            admit(SimTime::secs(arrivals[r]));
+            order.lock().push(r);
         });
-        let _g = install(Arc::clone(&reg), 0);
-        // Rank 1 never moves; only the poison releases us.
-        let _a = admit(SimTime::secs(1.0));
+        order.into_inner()
     }
 
-    // -----------------------------------------------------------------
-    // The root test against the walks it replaced
-    // -----------------------------------------------------------------
-
-    impl Inner {
-        /// Park `rank` in meeting `id` of `members`, which the reference
-        /// gates read.
-        fn park(&mut self, rank: usize, id: u64, members: &Arc<[usize]>) {
-            self.members.insert(id, Arc::clone(members));
-            self.set_mode(rank, Mode::Rdv { id });
+    #[test]
+    fn requests_are_admitted_in_key_order_whatever_the_pop_order() {
+        for pops in [
+            PopOrder::Fixed,
+            PopOrder::Shuffled(7),
+            PopOrder::Shuffled(8),
+        ] {
+            assert_eq!(
+                admission_order(pops, &[3.0, 1.0, 2.0]),
+                [1, 2, 0],
+                "{pops:?}"
+            );
+            // Equal arrivals: the rank breaks the tie.
+            assert_eq!(
+                admission_order(pops, &[1.0, 1.0, 0.5]),
+                [2, 0, 1],
+                "{pops:?}"
+            );
         }
     }
 
-    /// The gate as it was before meetings were bounded once per check:
-    /// a per-rank recursion that walks every member of a meeting for
-    /// every rank parked in it and cuts cycles where it finds them, and
-    /// the exact solution of the rule it implements. Kept as the
-    /// references the property test compares against.
+    #[test]
+    fn a_runnable_rank_below_the_request_goes_first() {
+        // Rank 0 asks for t=5 while rank 1, runnable at floor 0, could
+        // still ask for less: rank 0 waits until rank 1 is done.
+        let log = Mutex::new(Vec::new());
+        on_fibers_in(PopOrder::Fixed, 2, |r| {
+            if r == 0 {
+                admit(SimTime::secs(5.0));
+            }
+            log.lock().push(r);
+        });
+        assert_eq!(log.into_inner(), [1, 0]);
+    }
+
+    #[test]
+    fn ranks_blocked_on_the_requester_do_not_hold_it_back() {
+        // Rank 1 receives from rank 0 and ranks 1..3 then park in a
+        // meeting with it; rank 0 requests far in the future before it
+        // sends. Neither wait holds a key, so the request goes at once.
+        run_cluster(ClusterConfig::ideal(4), |ep| {
+            let me = ep.rank();
+            if me == 1 {
+                let _ = ep.recv(0, 0, 7);
+            }
+            if me == 0 {
+                admit(SimTime::secs(10.0));
+                ep.send(1, 0, 7, IoBuffer::empty());
+            }
+            let rdv = ep.world_rendezvous();
+            let _ = rdv.meet(me, ep.now(), (), |_, max| ((), max));
+        });
+    }
+
+    // -----------------------------------------------------------------
+    // The queue's verdict against the per-rank rule it implements
+    // -----------------------------------------------------------------
+
+    /// Admission key of one request, ordered by `(arrival, rank)`.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct ReqKey {
+        arrival: SimTime,
+        rank: usize,
+    }
+
+    impl PartialOrd for ReqKey {
+        fn partial_cmp(&self, other: &ReqKey) -> Option<std::cmp::Ordering> {
+            Some(
+                self.arrival
+                    .0
+                    .total_cmp(&other.arrival.0)
+                    .then(self.rank.cmp(&other.rank)),
+            )
+        }
+    }
+
+    /// What a rank is doing, as the reference gates see it.
+    #[derive(Debug, Clone)]
+    enum Mode {
+        /// Runnable: queued at its floor.
+        Running,
+        /// Blocked in a receive from `src`.
+        Recv {
+            src: usize,
+        },
+        /// Parked in meeting `id`.
+        Rdv {
+            id: u64,
+        },
+        /// Queued at its request's key.
+        Pending {
+            key: ReqKey,
+        },
+        Finished,
+    }
+
+    /// A cluster state: each rank's floor and mode, and the members of
+    /// every meeting a rank is parked in.
+    struct State {
+        ranks: Vec<(SimTime, Mode)>,
+        members: HashMap<u64, Arc<[usize]>>,
+    }
+
+    impl State {
+        fn parked_in(&self, rank: usize, meeting: u64) -> bool {
+            matches!(&self.ranks[rank].1, Mode::Rdv { id } if *id == meeting)
+        }
+
+        fn blocked(&self, rank: usize) -> bool {
+            matches!(self.ranks[rank].1, Mode::Recv { .. } | Mode::Rdv { .. })
+        }
+
+        /// The run queue of this state: runnable ranks at their floors,
+        /// pending ones at their requests' keys.
+        fn queue(&self) -> RunQueue {
+            let mut q = RunQueue::empty(self.ranks.len(), PopOrder::Fixed);
+            for (r, (floor, mode)) in self.ranks.iter().enumerate() {
+                match mode {
+                    Mode::Running => q.push(key(*floor, r)),
+                    Mode::Pending { key: k } => q.push(key(k.arrival, r) | REQUESTER),
+                    _ => {}
+                }
+            }
+            q
+        }
+
+        /// The queue's verdict on the pending request `req`: it is the
+        /// fiber the queue resumes next.
+        fn admits(&self, req: &ReqKey) -> bool {
+            self.queue().pop() == Some(req.rank)
+        }
+    }
+
+    /// The gate as it was before admission became a comparison with
+    /// one minimum: a per-rank recursion that walks every member of a
+    /// meeting for every rank parked in it and cuts cycles where it
+    /// finds them, and the exact solution of the rule it implements.
+    /// Kept as the references the property tests compare against.
     mod reference {
-        use super::super::*;
+        use super::*;
 
         /// Lower bound on a rank's future request arrivals. `strict`
         /// means the arrivals are **strictly** greater than `time`: the
@@ -825,12 +591,10 @@ mod tests {
                 if self.strict {
                     key.arrival.0.total_cmp(&self.time.0).is_le()
                 } else {
-                    let earliest = ReqKey {
+                    *key < ReqKey {
                         arrival: self.time,
                         rank,
-                        seq: 0,
-                    };
-                    *key < earliest
+                    }
                 }
             }
         }
@@ -842,7 +606,7 @@ mod tests {
             Done(Option<Bound>),
         }
 
-        fn floor_of(inner: &Inner, r: usize, requester: usize, memo: &mut [Memo]) -> Option<Bound> {
+        fn floor_of(s: &State, r: usize, requester: usize, memo: &mut [Memo]) -> Option<Bound> {
             if r == requester {
                 return None;
             }
@@ -852,19 +616,19 @@ mod tests {
                 Memo::Unvisited => {}
             }
             memo[r] = Memo::InStack;
-            let st = &inner.ranks[r];
-            let own = Bound::at(st.floor);
-            let out = match &st.mode {
+            let (floor, mode) = &s.ranks[r];
+            let own = Bound::at(*floor);
+            let out = match mode {
                 Mode::Finished => None,
                 Mode::Pending { key } => Some(own.max(Bound::at(key.arrival))),
                 Mode::Running => Some(own),
-                Mode::Recv { src, .. } => {
-                    floor_of(inner, *src, requester, memo).map(|f| own.max(f.woken_after()))
+                Mode::Recv { src } => {
+                    floor_of(s, *src, requester, memo).map(|f| own.max(f.woken_after()))
                 }
                 Mode::Rdv { id } => {
                     let mut best = Some(own);
-                    for &p in inner.members[id].iter() {
-                        match floor_of(inner, p, requester, memo) {
+                    for &p in s.members[id].iter() {
+                        match floor_of(s, p, requester, memo) {
                             None => {
                                 best = None;
                                 break;
@@ -879,24 +643,21 @@ mod tests {
             out
         }
 
-        pub(super) fn admissible(inner: &Inner, key: &ReqKey) -> bool {
-            for (r, st) in inner.ranks.iter().enumerate() {
-                if r == key.rank {
-                    continue;
-                }
-                if let Mode::Pending { key: other } = &st.mode {
-                    if other < key {
+        pub(super) fn admissible(s: &State, key: &ReqKey) -> bool {
+            for (r, (_, mode)) in s.ranks.iter().enumerate() {
+                if let Mode::Pending { key: other } = mode {
+                    if r != key.rank && other < key {
                         return false;
                     }
                 }
             }
-            let n = inner.ranks.len();
+            let n = s.ranks.len();
             let mut memo = vec![Memo::Unvisited; n];
             for r in 0..n {
-                if r == key.rank || matches!(inner.ranks[r].mode, Mode::Pending { .. }) {
+                if r == key.rank || matches!(s.ranks[r].1, Mode::Pending { .. }) {
                     continue;
                 }
-                if let Some(f) = floor_of(inner, r, key.rank, &mut memo) {
+                if let Some(f) = floor_of(s, r, key.rank, &mut memo) {
                     if !f.clears(key, r) {
                         return false;
                     }
@@ -909,38 +670,42 @@ mod tests {
         /// weakest bound to the least fixpoint of "a receiver is bounded
         /// by its sender, a parked rank by every member of its meeting".
         /// Anything at or below this is justified; `None` is the top.
-        pub(super) fn fixpoint_admissible(inner: &Inner, key: &ReqKey) -> bool {
-            let n = inner.ranks.len();
+        pub(super) fn fixpoint_admissible(s: &State, key: &ReqKey) -> bool {
+            let n = s.ranks.len();
             let mut f: Vec<Option<Bound>> = vec![Some(Bound::WEAKEST); n];
             loop {
-                let bound = |(r, st): (usize, &RankState)| {
-                    let own = Bound::at(st.floor);
-                    match &st.mode {
+                let bound = |(r, (floor, mode)): (usize, &(SimTime, Mode))| {
+                    let own = Bound::at(*floor);
+                    match mode {
                         _ if r == key.rank => None,
                         Mode::Finished => None,
                         Mode::Pending { key } => Some(own.max(Bound::at(key.arrival))),
                         Mode::Running => Some(own),
-                        Mode::Recv { src, .. } => f[*src].map(|b| own.max(b.woken_after())),
-                        Mode::Rdv { id } => inner.members[id]
+                        Mode::Recv { src } => f[*src].map(|b| own.max(b.woken_after())),
+                        Mode::Rdv { id } => s.members[id]
                             .iter()
                             .try_fold(own, |acc, &p| f[p].map(|b| acc.max(b.woken_after()))),
                     }
                 };
-                let next: Vec<Option<Bound>> = inner.ranks.iter().enumerate().map(bound).collect();
+                let next: Vec<Option<Bound>> = s.ranks.iter().enumerate().map(bound).collect();
                 if next == f {
                     break;
                 }
                 f = next;
             }
-            let pending = inner.ranks.iter().filter_map(|st| match &st.mode {
+            let pending = s.ranks.iter().filter_map(|(_, mode)| match mode {
                 Mode::Pending { key } => Some(key),
                 _ => None,
             });
-            let min_other = pending.filter(|k| k.rank != key.rank).min();
+            let min_other = pending
+                .filter(|k| k.rank != key.rank)
+                .fold(None, |m: Option<&ReqKey>, k| {
+                    Some(m.map_or(k, |m| if k < m { k } else { m }))
+                });
             min_other.is_none_or(|k| key < k)
                 && (0..n).all(|r| {
                     r == key.rank
-                        || matches!(inner.ranks[r].mode, Mode::Pending { .. })
+                        || matches!(s.ranks[r].1, Mode::Pending { .. })
                         || f[r].is_none_or(|b| b.clears(key, r))
                 })
         }
@@ -957,25 +722,22 @@ mod tests {
         ]
     }
 
-    /// Build a registry state from raw draws: per rank a floor, a mode
+    /// Build a cluster state from raw draws: per rank a floor, a mode
     /// selector and an operand (receive source / meeting choice /
     /// pending arrival). Times are small integers so ties — where
     /// strictness decides — are common.
-    fn state_from(draws: &[(u8, u8, u8)], requester: usize, arrival: u8) -> (Inner, ReqKey) {
+    fn state_from(draws: &[(u8, u8, u8)], requester: usize, arrival: u8) -> (State, ReqKey) {
         let n = draws.len();
         let meetings = meetings(n);
-        let reg = ProgressRegistry::new(n, Arc::new(PoisonFlag::default()));
-        let mut inner = reg.inner.into_inner();
+        let mut s = State {
+            ranks: Vec::with_capacity(n),
+            members: HashMap::new(),
+        };
         for (r, &(floor, sel, operand)) in draws.iter().enumerate() {
-            inner.ranks[r].floor = SimTime::secs(floor as f64);
             let mode = match sel % 8 {
                 0 | 1 => Mode::Running,
                 2 => match operand as usize % n {
-                    src if src != r => Mode::Recv {
-                        src,
-                        ctx: 0,
-                        tag: 0,
-                    },
+                    src if src != r => Mode::Recv { src },
                     _ => Mode::Running,
                 },
                 3..=5 => {
@@ -984,32 +746,27 @@ mod tests {
                         .map(|k| (operand as usize + k) % meetings.len())
                         .find(|&k| meetings[k].contains(&r))
                         .expect("every rank is in the world meeting");
-                    inner.members.insert(m as u64, Arc::clone(&meetings[m]));
+                    s.members.insert(m as u64, Arc::clone(&meetings[m]));
                     Mode::Rdv { id: m as u64 }
                 }
-                6 => {
-                    inner.next_seq += 1;
-                    let key = ReqKey {
+                6 => Mode::Pending {
+                    key: ReqKey {
                         arrival: SimTime::secs((floor + operand % 4) as f64),
                         rank: r,
-                        seq: inner.next_seq,
-                    };
-                    Mode::Pending { key }
-                }
+                    },
+                },
                 _ => Mode::Finished,
             };
-            inner.set_mode(r, mode);
+            s.ranks.push((SimTime::secs(floor as f64), mode));
         }
         let requester = requester % n;
-        inner.next_seq += 1;
         let key = ReqKey {
             arrival: SimTime::secs(arrival as f64),
             rank: requester,
-            seq: inner.next_seq,
         };
-        inner.ranks[requester].floor = inner.ranks[requester].floor.max(key.arrival);
-        inner.set_mode(requester, Mode::Pending { key });
-        (inner, key)
+        let floor = s.ranks[requester].0.max(key.arrival);
+        s.ranks[requester] = (floor, Mode::Pending { key });
+        (s, key)
     }
 
     /// True when the blocked ranks wait on each other in a cycle that
@@ -1018,8 +775,8 @@ mod tests {
     /// state is a deadlock of the simulated program — the cluster is
     /// about to be poisoned, and no rank in the cycle ever requests
     /// again.
-    fn deadlocked(inner: &Inner, requester: usize) -> bool {
-        fn visit(inner: &Inner, r: usize, requester: usize, seen: &mut [u8]) -> bool {
+    fn deadlocked(s: &State, requester: usize) -> bool {
+        fn visit(s: &State, r: usize, requester: usize, seen: &mut [u8]) -> bool {
             if r == requester || seen[r] == 2 {
                 return false;
             }
@@ -1027,39 +784,36 @@ mod tests {
                 return true;
             }
             seen[r] = 1;
-            let cyclic = match &inner.ranks[r].mode {
-                Mode::Recv { src, .. } => visit(inner, *src, requester, seen),
-                Mode::Rdv { id } => inner.members[id]
+            let cyclic = match &s.ranks[r].1 {
+                Mode::Recv { src } => visit(s, *src, requester, seen),
+                Mode::Rdv { id } => s.members[id]
                     .iter()
-                    .any(|&p| !inner.parked_in(p, *id) && visit(inner, p, requester, seen)),
+                    .any(|&p| !s.parked_in(p, *id) && visit(s, p, requester, seen)),
                 _ => false,
             };
             seen[r] = 2;
             cyclic
         }
-        let mut seen = vec![0u8; inner.ranks.len()];
-        (0..inner.ranks.len()).any(|r| visit(inner, r, requester, &mut seen))
+        let mut seen = vec![0u8; s.ranks.len()];
+        (0..s.ranks.len()).any(|r| visit(s, r, requester, &mut seen))
     }
 
     /// True when some meeting has every member parked in it. No run
     /// reaches such a state: the last member to arrive completes the
     /// meeting under the rendezvous lock instead of parking
     /// (`rendezvous.rs`, `if st.arrived == self.n`).
-    fn fully_parked(inner: &Inner) -> bool {
-        let parked = |id: u64, members: &[usize]| members.iter().all(|&p| inner.parked_in(p, id));
-        inner
-            .members
-            .iter()
-            .any(|(&id, members)| parked(id, members))
+    fn fully_parked(s: &State) -> bool {
+        let parked = |id: u64, members: &[usize]| members.iter().all(|&p| s.parked_in(p, id));
+        s.members.iter().any(|(&id, members)| parked(id, members))
     }
 
     /// On every state a run can reach — not deadlocked, no meeting with
-    /// all its members parked — the root test is the exact solution of
-    /// the rule the walks implemented, and so never stricter than the
-    /// recursive walk. On the states set aside the two differ: there a
-    /// walk cuts a cycle that no run can close.
+    /// all its members parked — the queue's verdict is the exact
+    /// solution of the rule the walks implemented, and so never stricter
+    /// than the recursive walk. On the states set aside the two differ:
+    /// there a walk cuts a cycle that no run can close.
     #[test]
-    fn the_root_test_is_exact_on_every_reachable_state() {
+    fn the_queue_minimum_is_exact_on_every_reachable_state() {
         use proptest::strategy::Strategy;
         let strategy = (
             proptest::collection::vec((0u8..6, 0u8..8, 0u8..255), 2..14),
@@ -1070,16 +824,16 @@ mod tests {
         let (mut live, mut differ, mut past_blocked) = (0, 0, 0);
         for _ in 0..20_000 {
             let (draws, requester, arrival) = strategy.generate(&mut rng);
-            let (inner, key) = state_from(&draws, requester, arrival);
-            let old = reference::admissible(&inner, &key);
-            let new = ProgressRegistry::admissible(&inner, &key);
+            let (s, key) = state_from(&draws, requester, arrival);
+            let old = reference::admissible(&s, &key);
+            let new = s.admits(&key);
             differ += usize::from(old != new);
-            if deadlocked(&inner, key.rank) || fully_parked(&inner) {
+            if deadlocked(&s, key.rank) || fully_parked(&s) {
                 continue;
             }
-            let exact = reference::fixpoint_admissible(&inner, &key);
+            let exact = reference::fixpoint_admissible(&s, &key);
             live += 1;
-            past_blocked += usize::from(new && inner.blocked_ranks().next().is_some());
+            past_blocked += usize::from(new && (0..s.ranks.len()).any(|r| s.blocked(r)));
             assert!(
                 !old || new,
                 "stricter than the recursive gate: {draws:?} {key:?}"
@@ -1093,17 +847,16 @@ mod tests {
         );
         assert!(
             differ > 0,
-            "the root test never disagreed with the recursive gate: the states set aside are vacuous"
+            "the queue never disagreed with the recursive gate: the states set aside are vacuous"
         );
     }
 
-    /// With nobody blocked the verdict is a comparison against the
-    /// tree's minimum, and it is the exact one: states of running,
-    /// pending and finished ranks only, floors and arrivals drawn from
-    /// four values so that ties — between floors, between pending keys
-    /// and across the two — are the common case.
+    /// With nobody blocked the verdict is the exact one: states of
+    /// running, pending and finished ranks only, floors and arrivals
+    /// drawn from four values so that ties — between floors, between
+    /// pending keys and across the two — are the common case.
     #[test]
-    fn the_tree_minimum_is_the_exact_verdict_when_nobody_is_blocked() {
+    fn the_queue_minimum_is_the_exact_verdict_when_nobody_is_blocked() {
         use proptest::strategy::Strategy;
         let strategy = (
             proptest::collection::vec((0u8..4, 0u8..5, 0u8..255), 2..40),
@@ -1118,15 +871,15 @@ mod tests {
                 // Selector 0..=1 running, 6 pending, 7 finished.
                 d.1 = [0, 1, 6, 6, 7][d.1 as usize];
             }
-            let (inner, key) = state_from(&draws, requester, arrival);
-            assert_eq!(inner.blocked_ranks().next(), None);
-            let new = ProgressRegistry::admissible(&inner, &key);
-            let exact = reference::fixpoint_admissible(&inner, &key);
+            let (s, key) = state_from(&draws, requester, arrival);
+            assert!((0..s.ranks.len()).all(|r| !s.blocked(r)));
+            let new = s.admits(&key);
+            let exact = reference::fixpoint_admissible(&s, &key);
             assert_eq!(new, exact, "{draws:?} {key:?}");
-            assert_eq!(new, reference::admissible(&inner, &key));
+            assert_eq!(new, reference::admissible(&s, &key));
             admitted += usize::from(new);
-            tied += usize::from(inner.ranks.iter().enumerate().any(|(r, st)| {
-                r != key.rank && !matches!(st.mode, Mode::Finished) && st.floor == key.arrival
+            tied += usize::from(s.ranks.iter().enumerate().any(|(r, (floor, mode))| {
+                r != key.rank && !matches!(mode, Mode::Finished) && *floor == key.arrival
             }));
         }
         assert!(admitted > 1_000, "only {admitted} admissible states");
@@ -1137,13 +890,11 @@ mod tests {
     }
 
     #[test]
-    fn an_admission_looks_at_one_tree_path_whoever_is_parked() {
-        // 1 024 ranks running at assorted floors, some of them parked in
-        // meetings; one asks. The request's state change rewrites one
-        // leaf-to-root path (two children per level) and the check reads
-        // the root: no rank and no meeting member is looked at, whatever
-        // the meetings' shapes — a gate that bounds parked meetings would
-        // look at the members of each one the requester is not in.
+    fn an_admission_moves_one_heap_path_whoever_is_parked() {
+        // 1 024 ranks at assorted floors, some of them parked in
+        // meetings; one asks. Queueing the request and resuming the
+        // minimum move one root-to-leaf path each: no rank and no
+        // meeting member is looked at, whatever the meetings' shapes.
         const P: usize = 1024;
         let requester = P / 2;
         let world: Arc<[usize]> = (0..P).collect();
@@ -1171,85 +922,47 @@ mod tests {
             (subgroups, requester, 5.0, false),
         ];
         for (parks, requester, arrival, admitted) in cases {
-            let reg = registry(P);
-            let mut inner = reg.inner.lock();
+            let mut s = State {
+                ranks: Vec::with_capacity(P),
+                members: HashMap::new(),
+            };
             for r in 0..P {
-                inner.ranks[r].floor = SimTime::secs(2.0 + (r % 7) as f64);
-                match parks(r) {
-                    Some((id, members)) => inner.park(r, id, &members),
-                    None => inner.set_mode(r, Mode::Running),
-                }
+                let mode = match parks(r) {
+                    Some((id, members)) => {
+                        s.members.insert(id, members);
+                        Mode::Rdv { id }
+                    }
+                    None => Mode::Running,
+                };
+                s.ranks.push((SimTime::secs(2.0 + (r % 7) as f64), mode));
             }
-            let key = ReqKey {
+            let req = ReqKey {
                 arrival: SimTime::secs(arrival),
                 rank: requester,
-                seq: 9,
             };
-            inner.visits.set(0);
-            inner.set_mode(requester, Mode::Pending { key });
-            assert_eq!(ProgressRegistry::admissible(&inner, &key), admitted);
-            let visits = inner.visits.get();
+            // The requester is the running fiber: not in the queue.
+            s.ranks[requester].1 = Mode::Finished;
+            let mut q = s.queue();
+            q.steps = 0;
+            let on_the_spot = q.admits(key(req.arrival, requester) | REQUESTER);
+            if !on_the_spot {
+                q.push(key(req.arrival, requester) | REQUESTER);
+                q.pop();
+            }
             assert!(
-                visits <= 2 * P.ilog2() as usize + 2,
-                "{visits} entries looked at for one admission among {P} ranks"
+                q.steps <= 2 * (P.ilog2() as u64 + 1),
+                "{} queue steps for one admission among {P} ranks",
+                q.steps
             );
-            assert_eq!(reference::fixpoint_admissible(&inner, &key), admitted);
+            s.ranks[requester].1 = Mode::Pending { key: req };
+            assert_eq!(on_the_spot, admitted);
+            assert_eq!(s.admits(&req), admitted);
+            assert_eq!(reference::fixpoint_admissible(&s, &req), admitted);
         }
     }
 
     #[test]
-    fn a_running_floor_below_every_pending_key_wakes_nobody() {
-        // Rank 1 pends at t=5 behind rank 0, running at floor 0: no
-        // state change short of rank 0's own can admit it, so none wakes
-        // it. Rank 0 blocking on rank 1 does.
-        let reg = registry(3);
-        let key = ReqKey {
-            arrival: SimTime::secs(5.0),
-            rank: 1,
-            seq: 0,
-        };
-        reg.inner.lock().set_mode(1, Mode::Pending { key });
-        let wakes = || reg.inner.lock().wakes.get();
-        reg.finish(2); // a bystander's state change
-        assert_eq!(wakes(), 0);
-        assert!(!ProgressRegistry::admissible(&reg.inner.lock(), &key));
-        reg.block_recv(0, 1, 0, 7);
-        assert_eq!(wakes(), 1);
-        assert!(ProgressRegistry::admissible(&reg.inner.lock(), &key));
-    }
-
-    /// A rank asleep in the gate on an OS thread is woken by the state
-    /// change that admits it — through the counted condvar — and not by
-    /// the poison poll the wait falls back on.
-    #[test]
-    fn a_pending_thread_is_woken_by_the_notify_not_the_poll() {
-        let reg = registry(2);
-        let h = {
-            let reg = Arc::clone(&reg);
-            thread::spawn(move || {
-                let _g = install(Arc::clone(&reg), 0);
-                let _a = admit(SimTime::secs(5.0));
-                std::time::Instant::now()
-            })
-        };
-        // Rank 0 is `Pending` from before its first check until it is
-        // admitted, and holds the registry lock until it sleeps: once
-        // the mode shows, the next lock acquisition follows its wait.
-        while !matches!(reg.inner.lock().ranks[0].mode, Mode::Pending { .. }) {
-            thread::yield_now();
-        }
-        let notified = std::time::Instant::now();
-        reg.finish(1);
-        let woken = h.join().unwrap();
-        assert!(
-            woken.duration_since(notified) < crate::fiber::POISON_POLL / 2,
-            "woken {:?} after the admitting state change: by the poll, not the notify",
-            woken.duration_since(notified)
-        );
-    }
-
-    #[test]
-    fn a_subgroup_check_waits_for_the_other_subgroups_straggler() {
+    fn a_subgroup_request_waits_for_the_other_subgroups_straggler() {
         // ParColl's shape: 1 024 ranks in 16 subgroups of 64. The
         // requester's subgroup is parked while it writes; so is another
         // subgroup but for one straggler still running at `other_floor`,
@@ -1262,67 +975,80 @@ mod tests {
         let straggler = other * G + 7;
         let arrival = SimTime::secs(1.0);
         for (other_floor, admitted) in [(2.0, true), (1.0, true), (0.5, false)] {
-            let reg = registry(P);
-            let mut inner = reg.inner.lock();
-            for r in 0..P {
-                inner.ranks[r].floor = SimTime::secs(3.0);
-                inner.set_mode(r, Mode::Running);
-            }
+            let mut s = State {
+                ranks: vec![(SimTime::secs(3.0), Mode::Running); P],
+                members: HashMap::new(),
+            };
             for (group, floor) in [(requester / G, 2.0), (other, other_floor)] {
                 let members: Arc<[usize]> = (group * G..(group + 1) * G).collect();
+                s.members.insert(group as u64, Arc::clone(&members));
                 for &r in members.iter() {
-                    inner.ranks[r].floor = SimTime::secs(floor);
-                    if r != requester && r != straggler {
-                        inner.park(r, group as u64, &members);
-                    }
+                    let mode = if r != requester && r != straggler {
+                        Mode::Rdv { id: group as u64 }
+                    } else {
+                        Mode::Running
+                    };
+                    s.ranks[r] = (SimTime::secs(floor), mode);
                 }
             }
-            inner.set_mode(straggler, Mode::Running);
             let key = ReqKey {
                 arrival,
                 rank: requester,
-                seq: 0,
             };
-            inner.set_mode(requester, Mode::Pending { key });
-            assert_eq!(ProgressRegistry::admissible(&inner, &key), admitted);
-            assert_eq!(reference::admissible(&inner, &key), admitted);
-            assert_eq!(reference::fixpoint_admissible(&inner, &key), admitted);
+            s.ranks[requester].1 = Mode::Pending { key };
+            assert_eq!(s.admits(&key), admitted);
+            assert_eq!(reference::admissible(&s, &key), admitted);
+            assert_eq!(reference::fixpoint_admissible(&s, &key), admitted);
         }
     }
 
     #[test]
-    fn a_release_at_its_own_arrival_looks_at_one_tree_node_and_wakes_nobody() {
-        // Rank 5 holds an admission at t=2 and rank 9 waits behind it at
-        // t=4; everyone else has finished. Released, rank 5 runs again
-        // at floor 2 — exactly the key it held — so its leaf keeps its
-        // value, no path is rewritten, and rank 9 stays asleep: rank 5
-        // may still request at t=2.
-        const P: usize = 1024;
-        let reg = registry(P);
-        for r in (0..P).filter(|&r| r != 5 && r != 9) {
-            reg.finish(r);
-        }
-        let waiting = ReqKey {
-            arrival: SimTime::secs(4.0),
-            rank: 9,
-            seq: 0,
+    fn requesters_pop_in_key_order_and_the_rest_oldest_first() {
+        let times = [5.0, 1.0, 3.0, 2.0, 4.0];
+        let fill = |q: &mut RunQueue, requester: bool| {
+            for (r, t) in times.iter().enumerate() {
+                q.push(key(SimTime::secs(*t), r) | u128::from(requester));
+            }
         };
-        reg.inner.lock().set_mode(9, Mode::Pending { key: waiting });
-        reg.acquire(5, SimTime::secs(2.0));
-        {
-            let inner = reg.inner.lock();
-            inner.visits.set(0);
-            inner.wakes.set(0);
+        let drain = |q: &mut RunQueue| std::iter::from_fn(|| q.pop()).collect::<Vec<_>>();
+        let mut q = RunQueue::empty(5, PopOrder::Fixed);
+        fill(&mut q, true);
+        assert_eq!(drain(&mut q), [1, 3, 2, 4, 0]);
+        // Made runnable, not requesting: the order they were queued in,
+        // until a requester is the minimum.
+        fill(&mut q, false);
+        assert_eq!(drain(&mut q), [0, 1, 2, 3, 4]);
+        q.push(key(SimTime::secs(1.0), 3));
+        q.push(key(SimTime::secs(2.0), 1));
+        q.push(key(SimTime::secs(0.5), 0) | REQUESTER);
+        assert_eq!(drain(&mut q), [0, 3, 1]);
+        let mut firsts = std::collections::HashSet::new();
+        for seed in 0..64 {
+            let mut q = RunQueue::empty(5, PopOrder::Shuffled(seed));
+            fill(&mut q, seed % 2 == 0);
+            firsts.insert(q.pop().unwrap());
+            // What is left is still a heap: its requesters come out in
+            // key order once popped in the default order.
+            q.shuffle = None;
+            let mut left = q.heap.clone();
+            if seed % 2 == 0 {
+                left.sort_unstable();
+            } else {
+                // Not requesters: in the order they were queued.
+                left.sort_unstable_by_key(|&k| rank_of(k));
+            }
+            let left: Vec<usize> = left.into_iter().map(rank_of).collect();
+            assert_eq!(drain(&mut q), left);
         }
-        reg.release(5);
-        let inner = reg.inner.lock();
-        assert_eq!(inner.visits.get(), 1, "a release rewrote a tree path");
-        assert_eq!(inner.wakes.get(), 0, "a release woke a rank that cannot go");
-        assert_eq!(inner.earliest.min(), tree_key(SimTime::secs(2.0), 5));
+        assert_eq!(
+            firsts.len(),
+            times.len(),
+            "some fiber was never drawn first"
+        );
     }
 
     #[test]
-    fn tree_keys_order_like_request_keys() {
+    fn keys_order_like_request_keys() {
         // Arrivals across signs, zeros, infinities and NaNs; ranks tied
         // and not: the integer order is `(arrival.total_cmp, rank)`.
         let times = [
@@ -1343,15 +1069,90 @@ mod tests {
                 [0, 1, usize::MAX >> 1].map(|rank| ReqKey {
                     arrival: SimTime(t),
                     rank,
-                    seq: 0,
                 })
             })
             .collect();
         for a in &keys {
             for b in &keys {
-                let integer = tree_key(a.arrival, a.rank).cmp(&tree_key(b.arrival, b.rank));
-                assert_eq!(integer, a.cmp(b), "{a:?} vs {b:?}");
+                let integer = key(a.arrival, a.rank).cmp(&key(b.arrival, b.rank));
+                assert_eq!(Some(integer), a.partial_cmp(b), "{a:?} vs {b:?}");
             }
         }
+    }
+
+    // -----------------------------------------------------------------
+    // The host-order oracle, and the mutation it must catch
+    // -----------------------------------------------------------------
+
+    /// A serial resource with a seeded service draw: which request is
+    /// served first changes every later completion time.
+    struct Server {
+        state: Mutex<(SimTime, crate::noise::SplitMix64)>,
+    }
+
+    impl Server {
+        fn serve(&self, arrival: SimTime) -> SimTime {
+            admit(arrival);
+            let mut st = self.state.lock();
+            let start = st.0.max(arrival);
+            st.0 = start + SimTime::micros(1.0 + st.1.next_f64());
+            st.0
+        }
+    }
+
+    /// Twelve ranks: skewed compute, requests to one server, a ring of
+    /// messages and subgroup and world meetings. Returns every rank's
+    /// clock bits after each step.
+    fn oracle_run() -> Vec<Vec<u64>> {
+        const N: usize = 12;
+        let server = Arc::new(Server {
+            state: Mutex::new((SimTime::ZERO, crate::noise::SplitMix64::new(42))),
+        });
+        let poison = Arc::new(PoisonFlag::default());
+        let halves: Arc<Vec<Rendezvous>> = Arc::new(
+            [0..N / 2, N / 2..N]
+                .into_iter()
+                .map(|r| Rendezvous::for_ranks(r.collect::<Vec<_>>(), Arc::clone(&poison)))
+                .collect(),
+        );
+        run_cluster(ClusterConfig::ideal(N), move |ep| {
+            let me = ep.rank();
+            let mut clocks = Vec::new();
+            for step in 0..4usize {
+                ep.clock()
+                    .advance(SimTime::micros(((me * 5 + step * 3) % 7) as f64));
+                let done = server.serve(ep.now());
+                ep.clock().advance_to(done);
+                ep.send((me + 1) % N, 0, step as i32, IoBuffer::empty());
+                let _ = ep.recv((me + N - 1) % N, 0, step as i32);
+                let done = server.serve(ep.now());
+                ep.clock().advance_to(done);
+                let (_, t) = halves[me / (N / 2)].meet(me % (N / 2), ep.now(), (), |_, m| ((), m));
+                ep.clock().advance_to(t);
+                let done = server.serve(ep.now() + SimTime::micros(me as f64 * 0.25));
+                ep.clock().advance_to(done);
+                let (_, t) = ep.world_rendezvous().meet(me, ep.now(), (), |_, m| ((), m));
+                ep.clock().advance_to(t);
+                clocks.push(ep.now().0.to_bits());
+            }
+            clocks
+        })
+    }
+
+    #[test]
+    fn shuffled_pops_reproduce_the_queue_and_catch_an_early_admission() {
+        set_pop_order(PopOrder::Fixed);
+        let reference = oracle_run();
+        for seed in 0..16 {
+            set_pop_order(PopOrder::Shuffled(seed));
+            assert_eq!(oracle_run(), reference, "pop order seed {seed}");
+        }
+        // The mutation: one request admitted while it is not the
+        // minimum. Planted into the queue, the oracle sees it.
+        set_pop_order(PopOrder::Fixed);
+        EARLY.with(|e| e.set(1));
+        let mutated = oracle_run();
+        EARLY.with(|e| e.set(0));
+        assert_ne!(mutated, reference, "an early admission went unseen");
     }
 }

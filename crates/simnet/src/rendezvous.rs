@@ -16,14 +16,10 @@
 
 use crate::fiber::{self, Waker};
 use crate::time::SimTime;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::any::Any;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-/// Process-global id source for rendezvous instances, so the progress
-/// registry can tell meeting points apart when downgrading waiters.
-static RDV_ID: AtomicU64 = AtomicU64::new(0);
 
 /// Shared flag that aborts all blocked substrate waits when any rank
 /// panics, so a failing test reports the panic instead of deadlocking.
@@ -88,16 +84,10 @@ impl State {
 /// A reusable meeting point for a fixed set of `n` participants.
 pub struct Rendezvous {
     n: usize,
-    /// Process-unique id, reported to the progress registry.
-    id: u64,
-    /// Global ranks of the participants, when known. Cluster-created
-    /// rendezvous always carry them so the progress registry sees parked
-    /// waiters as blocked and the last arrival can downgrade them; `None`
-    /// (unit-test constructor) leaves waiters unregistered, ordered by
-    /// their own floor as if running, which is sound.
+    /// Global ranks of the participants, when known (a communicator's
+    /// member list); `None` from the unit-test constructor.
     participants: Option<Arc<[usize]>>,
     state: Mutex<State>,
-    cv: Condvar,
     poison: Arc<PoisonFlag>,
 }
 
@@ -114,12 +104,9 @@ impl Rendezvous {
     }
 
     /// Create a meeting point for the given **global ranks** (callers
-    /// number participants by their position in `ranks`). Cluster code
-    /// must use this constructor: the membership lets the progress
-    /// registry take a parked waiter out of its admission order until the
-    /// meeting completes. The list is kept as the caller's `Arc`, so a
-    /// communicator and its meeting point hold one member list between
-    /// them.
+    /// number participants by their position in `ranks`). The list is
+    /// kept as the caller's `Arc`, so a communicator and its meeting
+    /// point hold one member list between them.
     pub fn for_ranks(ranks: impl Into<Arc<[usize]>>, poison: Arc<PoisonFlag>) -> Self {
         let ranks: Arc<[usize]> = ranks.into();
         Self::build(ranks.len(), Some(ranks), poison)
@@ -129,7 +116,6 @@ impl Rendezvous {
         assert!(n > 0, "rendezvous needs at least one participant");
         Rendezvous {
             n,
-            id: RDV_ID.fetch_add(1, Ordering::Relaxed),
             participants,
             state: Mutex::new(State {
                 inputs: (0..n).map(|_| None).collect(),
@@ -137,7 +123,6 @@ impl Rendezvous {
                 parked: vec![None; n],
                 ..State::default()
             }),
-            cv: Condvar::new(),
             poison,
         }
     }
@@ -196,15 +181,8 @@ impl Rendezvous {
         let mut st = self.state.lock();
 
         // Wait for the previous generation to fully drain before joining.
-        let mut polls = 0u32;
         while st.result.is_some() {
-            polls += u32::from(!self.wait(&mut st, idx));
-            if polls == crate::progress::STALL_DEBUG_POLLS && crate::progress::stall_debug() {
-                eprintln!(
-                    "rendezvous drain stalled: id {} gen {} idx {idx} draining {}",
-                    self.id, st.generation, st.draining
-                );
-            }
+            self.wait(&mut st, idx);
         }
 
         let gen = st.generation;
@@ -248,36 +226,15 @@ impl Rendezvous {
             );
             st.result = Some((Arc::new(result), completion, info));
             st.draining = self.n;
-            // The meeting is complete: downgrade every parked waiter in
-            // the progress registry before any of them can wake. Done
-            // under the state lock so no gate check observes a waiter
-            // still marked as parked in a finished meeting.
-            if let Some(members) = &self.participants {
-                crate::progress::tl_complete_rdv(self.id, members);
-            }
-            fiber::notify_all(&self.cv);
+            // The meeting is complete: every parked participant is
+            // runnable again, queued at its floor.
             st.wake_all();
         } else {
-            // Register this rank as parked in the meeting (atomic with
-            // the deposit, under the state lock): it holds no place in
-            // the progress registry's order until the meeting completes.
-            if self.participants.is_some() {
-                crate::progress::tl_block_rdv(self.id);
-            }
-            let mut polls = 0u32;
+            // Parked until the meeting completes, holding no key in the
+            // run queue.
             while st.generation == gen && st.result.is_none() {
-                polls += u32::from(!self.wait(&mut st, idx));
-                if polls == crate::progress::STALL_DEBUG_POLLS && crate::progress::stall_debug() {
-                    eprintln!(
-                        "rendezvous stalled: id {} gen {gen} idx {idx} arrived {}/{}",
-                        self.id, st.arrived, self.n
-                    );
-                }
+                self.wait(&mut st, idx);
             }
-            // Normally the last arrival already downgraded us;
-            // self-clear covers meetings completed by threads without a
-            // progress context.
-            crate::progress::tl_unblock();
         }
 
         let (shared, completion, info) = st
@@ -289,7 +246,6 @@ impl Rendezvous {
             st.result = None;
             st.arrived = 0;
             st.generation += 1;
-            fiber::notify_all(&self.cv);
             st.wake_all();
         }
         drop(st);
@@ -300,37 +256,30 @@ impl Rendezvous {
         (typed, completion, info)
     }
 
-    /// Block participant `idx` until the next `notify_all` (`false`: an
-    /// OS thread's poll timed out instead).
-    fn wait(&self, st: &mut parking_lot::MutexGuard<'_, State>, idx: usize) -> bool {
-        fiber::wait(&self.cv, st, |s| &mut s.parked[idx], &self.poison)
+    /// Block participant `idx` until the next wake of the meeting.
+    fn wait(&self, st: &mut parking_lot::MutexGuard<'_, State>, idx: usize) {
+        fiber::wait(st, |s| &mut s.parked[idx], &self.poison)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::thread;
-    use std::time::Duration;
+    use crate::fiber::{on_fibers, on_fibers_in};
+    use crate::progress::PopOrder;
 
-    fn rdv(n: usize) -> Arc<Rendezvous> {
-        Arc::new(Rendezvous::new(n, Arc::new(PoisonFlag::default())))
+    fn rdv(n: usize) -> Rendezvous {
+        Rendezvous::new(n, Arc::new(PoisonFlag::default()))
     }
 
     #[test]
     fn all_participants_see_same_result_and_completion() {
         let r = rdv(4);
-        let handles: Vec<_> = (0..4)
-            .map(|i| {
-                let r = Arc::clone(&r);
-                thread::spawn(move || {
-                    r.meet(i, SimTime::secs(i as f64), i as u64, |inputs, max| {
-                        (inputs.iter().sum::<u64>(), max + SimTime::secs(1.0))
-                    })
-                })
+        let results = on_fibers(4, |i| {
+            r.meet(i, SimTime::secs(i as f64), i as u64, |inputs, max| {
+                (inputs.iter().sum::<u64>(), max + SimTime::secs(1.0))
             })
-            .collect();
-        let results: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        });
         for (sum, done) in &results {
             assert_eq!(**sum, 1 + 2 + 3);
             // max entry clock is 3s, +1s cost
@@ -340,49 +289,43 @@ mod tests {
 
     #[test]
     fn inputs_are_ordered_by_participant_index() {
-        let r = rdv(3);
-        let handles: Vec<_> = (0..3)
-            .rev() // arrive in reverse order on purpose
-            .map(|i| {
-                let r = Arc::clone(&r);
-                thread::spawn(move || {
-                    let (v, _) = r.meet(i, SimTime::ZERO, format!("p{i}"), |inputs, max| {
-                        (inputs.clone(), max)
-                    });
-                    v
-                })
-            })
-            .collect();
-        for h in handles {
-            let v = h.join().unwrap();
-            assert_eq!(*v, vec!["p0".to_string(), "p1".into(), "p2".into()]);
+        // Whichever participant the host lets arrive last.
+        for order in [PopOrder::Fixed, PopOrder::Shuffled(5), PopOrder::Shuffled(6)] {
+            let r = rdv(3);
+            let got = on_fibers_in(order, 3, |i| {
+                let (v, _) = r.meet(i, SimTime::ZERO, format!("p{i}"), |inputs, max| {
+                    (inputs.clone(), max)
+                });
+                v
+            });
+            for v in got {
+                assert_eq!(*v, vec!["p0".to_string(), "p1".into(), "p2".into()]);
+            }
         }
     }
 
     #[test]
     fn reusable_across_generations() {
-        let r = rdv(2);
-        let mk = |i: usize, r: &Arc<Rendezvous>| {
-            let r = Arc::clone(r);
-            thread::spawn(move || {
-                let mut outs = Vec::new();
-                for round in 0..50u64 {
-                    let (sum, _) =
-                        r.meet(i, SimTime::ZERO, round + i as u64, |ins, max| {
+        // A participant that enters the next generation before the
+        // last one drained waits for it, in any pop order.
+        for order in [PopOrder::Fixed, PopOrder::Shuffled(9)] {
+            let r = rdv(2);
+            let outs = on_fibers_in(order, 2, |i| {
+                (0..50u64)
+                    .map(|round| {
+                        let (sum, _) = r.meet(i, SimTime::ZERO, round + i as u64, |ins, max| {
                             (ins.iter().sum::<u64>(), max)
                         });
-                    outs.push(*sum);
-                }
-                outs
-            })
-        };
-        let a = mk(0, &r);
-        let b = mk(1, &r);
-        let oa = a.join().unwrap();
-        let ob = b.join().unwrap();
-        for round in 0..50u64 {
-            assert_eq!(oa[round as usize], 2 * round + 1);
-            assert_eq!(ob[round as usize], 2 * round + 1);
+                        *sum
+                    })
+                    .collect::<Vec<_>>()
+            });
+            for out in outs {
+                assert_eq!(
+                    out,
+                    (0..50u64).map(|round| 2 * round + 1).collect::<Vec<_>>()
+                );
+            }
         }
     }
 
@@ -399,30 +342,24 @@ mod tests {
     #[test]
     fn completion_uses_latest_clock() {
         let r = rdv(2);
-        let r2 = Arc::clone(&r);
-        let h = thread::spawn(move || r2.meet(1, SimTime::secs(10.0), (), |_, max| ((), max)));
-        let (_, done0) = r.meet(0, SimTime::secs(1.0), (), |_, max| ((), max));
-        let (_, done1) = h.join().unwrap();
-        assert_eq!(done0, SimTime::secs(10.0));
-        assert_eq!(done1, SimTime::secs(10.0));
+        let clocks = [1.0, 10.0];
+        let done = on_fibers(2, |i| {
+            r.meet(i, SimTime::secs(clocks[i]), (), |_, max| ((), max))
+                .1
+        });
+        assert_eq!(done, [SimTime::secs(10.0); 2]);
     }
 
     #[test]
     fn meet_info_names_the_straggler() {
         let clocks = [1.0, 7.0, 3.0];
         let r = rdv(3);
-        let handles: Vec<_> = (0..3)
-            .map(|i| {
-                let r = Arc::clone(&r);
-                thread::spawn(move || {
-                    r.meet_info(i, SimTime::secs(clocks[i]), (), |_, max| {
-                        ((), max + SimTime::secs(1.0))
-                    })
-                })
+        let infos = on_fibers(3, |i| {
+            r.meet_info(i, SimTime::secs(clocks[i]), (), |_, max| {
+                ((), max + SimTime::secs(1.0))
             })
-            .collect();
-        for h in handles {
-            let (_, done, info) = h.join().unwrap();
+        });
+        for (_, done, info) in infos {
             assert_eq!(info.seq, 0);
             assert_eq!(info.straggler, 1);
             assert!((info.last_arrival.as_secs() - 7.0).abs() < 1e-12);
@@ -433,20 +370,10 @@ mod tests {
     #[test]
     fn straggler_ties_break_to_lowest_index() {
         let r = rdv(4);
-        let handles: Vec<_> = (0..4)
-            .rev()
-            .map(|i| {
-                let r = Arc::clone(&r);
-                thread::spawn(move || {
-                    let (_, _, info) =
-                        r.meet_info(i, SimTime::secs(2.0), (), |_, max| ((), max));
-                    info
-                })
-            })
-            .collect();
-        for h in handles {
-            assert_eq!(h.join().unwrap().straggler, 0);
-        }
+        let infos = on_fibers_in(PopOrder::Shuffled(4), 4, |i| {
+            r.meet_info(i, SimTime::secs(2.0), (), |_, max| ((), max)).2
+        });
+        assert!(infos.iter().all(|info| info.straggler == 0));
     }
 
     #[test]
@@ -459,48 +386,16 @@ mod tests {
     }
 
     #[test]
-    fn a_sleeping_participant_is_woken_by_the_last_arrival_not_the_poll() {
-        // Rank 0 parks as a registry rank so that the test can see it
-        // block: it registers under the state lock and keeps the lock
-        // until it sleeps, and the last arrival takes that lock first.
-        let poison = Arc::new(PoisonFlag::default());
-        let registry = Arc::new(crate::progress::ProgressRegistry::new(
-            2,
-            Arc::clone(&poison),
-        ));
-        let r = Arc::new(Rendezvous::for_ranks(vec![0, 1], poison));
-        let parked = {
-            let (r, registry) = (Arc::clone(&r), Arc::clone(&registry));
-            thread::spawn(move || {
-                let _ctx = crate::progress::install(registry, 0);
-                r.meet(0, SimTime::ZERO, (), |_, max| ((), max));
-                std::time::Instant::now()
-            })
-        };
-        while !registry.is_blocked(0) {
-            thread::yield_now();
-        }
-        let arrived = std::time::Instant::now();
-        r.meet(1, SimTime::ZERO, (), |_, max| ((), max));
-        let woken = parked.join().unwrap();
-        assert!(
-            woken.duration_since(arrived) < fiber::POISON_POLL / 2,
-            "woken {:?} after the last arrival: by the poll, not the notify",
-            woken.duration_since(arrived)
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "poisoned")]
     fn poison_unblocks_waiters() {
+        // The second participant never arrives: it poisons the cluster
+        // and finishes instead, and the parked first one must panic out
+        // of its wait rather than hang.
         let poison = Arc::new(PoisonFlag::default());
-        let r = Arc::new(Rendezvous::new(2, Arc::clone(&poison)));
-        let p = Arc::clone(&poison);
-        thread::spawn(move || {
-            thread::sleep(Duration::from_millis(20));
-            p.poison();
+        let r = Rendezvous::new(2, Arc::clone(&poison));
+        on_fibers(2, |i| match i {
+            0 => drop(r.meet(0, SimTime::ZERO, (), |_, max| ((), max))),
+            _ => poison.poison(),
         });
-        // Second participant never arrives; the poison must release us.
-        let _ = r.meet(0, SimTime::ZERO, (), |_, max| ((), max));
     }
 }

@@ -1,16 +1,13 @@
-//! Cluster runtime: run one fiber (x86_64) or one thread (any other
-//! architecture, or by choice) per rank, join results.
+//! Cluster runtime: run one fiber per rank, join results.
 
 use crate::endpoint::Endpoint;
 use crate::fault::{FaultPlan, FaultState};
 use crate::mailbox::Mailbox;
 use crate::model::{MachineModel, NetworkModel};
-use crate::progress::{self, ProgressRegistry};
 use crate::rendezvous::{PoisonFlag, Rendezvous};
 use crate::topology::{Mapping, Topology};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread;
 
 /// Process-wide default for [`ClusterConfig::stack_size`], picked up by
 /// every constructor (and by harnesses that build configs indirectly,
@@ -41,11 +38,10 @@ pub struct ClusterConfig {
     pub net: NetworkModel,
     /// Local machine cost model.
     pub machine: MachineModel,
-    /// Stack size per rank (OS-thread stack or fiber stack, depending on
-    /// the executor). The protocols here iterate rather than recurse, so
-    /// ranks are shallow: the quick-scale figure sweeps passed with
-    /// 32 KiB fiber stacks (canary-checked — an overflow panics rather
-    /// than corrupting) and 64 KiB thread stacks, measured via
+    /// Fiber stack size per rank. The protocols here iterate rather than
+    /// recurse, so ranks are shallow: the quick-scale figure sweeps
+    /// passed with 32 KiB fiber stacks (canary-checked — an overflow
+    /// panics rather than corrupting), measured via
     /// [`set_default_stack_size`]. The default stays at 1 MiB of *virtual*
     /// reservation: pages are committed on touch, so 1024 ranks cost
     /// 1 GiB of address space but only a few MiB of resident stack, and
@@ -93,13 +89,10 @@ impl ClusterConfig {
 
 /// Run `f` once per rank and collect the return values in rank order.
 ///
-/// Ranks execute on the substrate selected by [`crate::fiber::executor`]:
-/// cooperative fibers on the calling thread (the default — orders of
-/// magnitude cheaper per blocking operation on a loaded or small host),
-/// or one OS thread per rank ([`crate::fiber::set_executor`], every host
-/// that is not x86_64, and clusters started from inside another
-/// cluster's rank).
-/// Virtual-time results are bitwise identical across the two.
+/// Ranks execute as cooperative fibers on the calling thread, resumed
+/// in [`crate::progress::pop_order`]; virtual-time results are bitwise
+/// identical whatever that order. A cluster cannot be started from
+/// inside another cluster's rank.
 ///
 /// If any rank panics, the cluster is poisoned (unblocking every rank
 /// stuck in a receive or collective) and this function re-panics with the
@@ -127,10 +120,9 @@ where
 {
     let n = cfg.topology.nranks();
     let poison = Arc::new(PoisonFlag::default());
-    let registry = Arc::new(ProgressRegistry::new(n, Arc::clone(&poison)));
     let mailboxes: Arc<Vec<Mailbox>> = Arc::new(
         (0..n)
-            .map(|r| Mailbox::new(r, n, Arc::clone(&poison)))
+            .map(|_| Mailbox::new(n, Arc::clone(&poison)))
             .collect(),
     );
     let topology = Arc::new(cfg.topology);
@@ -143,11 +135,11 @@ where
     let ctx_counter = Arc::new(AtomicU32::new(1)); // 0 is reserved for world
     let f = Arc::new(f);
 
-    /// Poisons the cluster if the owning thread unwinds.
+    /// Poisons the cluster if the owning fiber unwinds.
     struct PoisonOnPanic(Arc<PoisonFlag>);
     impl Drop for PoisonOnPanic {
         fn drop(&mut self) {
-            if thread::panicking() {
+            if std::thread::panicking() {
                 self.0.poison();
             }
         }
@@ -176,78 +168,36 @@ where
         )
     };
 
-    // A cluster started from inside another cluster's rank (fiber) must
-    // not nest a second scheduler on the same stack — fall back to
-    // threads for the inner run.
-    if crate::fiber::executor() == crate::fiber::Executor::Fibers && !crate::fiber::in_fiber() {
-        let slots: Vec<parking_lot::Mutex<Option<T>>> =
-            (0..n).map(|_| parking_lot::Mutex::new(None)).collect();
-        let tasks: Vec<Box<dyn FnOnce() + '_>> = slots
-            .iter()
-            .enumerate()
-            .map(|(rank, slot)| {
-                let ep = make_ep(rank);
-                let f = Arc::clone(&f);
-                let guard_flag = Arc::clone(&poison);
-                let registry = Arc::clone(&registry);
-                Box::new(move || {
-                    let _guard = PoisonOnPanic(guard_flag);
-                    // Progress context: lets shared resources (the OSTs)
-                    // admit this rank's requests in virtual-time
-                    // order. Dropped (rank -> Finished) after `f`, even
-                    // on panic, so gate waiters never deadlock on us.
-                    let _ctx = progress::install(registry, rank);
-                    *slot.lock() = Some(f(ep));
-                }) as Box<dyn FnOnce() + '_>
-            })
-            .collect();
-        // A deadlock (fibers remain, none runnable) is resolved like a
-        // rank panic: poison the cluster so the blocked fibers panic out
-        // of their waits and report.
-        let panics = crate::fiber::run_fibers(tasks, cfg.stack_size, || poison.poison());
-        if let Some(payload) = pick_primary(panics.into_iter().flatten()) {
-            std::panic::resume_unwind(payload);
-        }
-        return slots
-            .into_iter()
-            .map(|s| {
-                s.into_inner()
-                    .expect("every fiber completed without panicking")
-            })
-            .collect();
-    }
-
-    let handles: Vec<_> = (0..n)
-        .map(|rank| {
+    let slots: Vec<parking_lot::Mutex<Option<T>>> =
+        (0..n).map(|_| parking_lot::Mutex::new(None)).collect();
+    let tasks: Vec<Box<dyn FnOnce() + '_>> = slots
+        .iter()
+        .enumerate()
+        .map(|(rank, slot)| {
             let ep = make_ep(rank);
             let f = Arc::clone(&f);
             let guard_flag = Arc::clone(&poison);
-            let registry = Arc::clone(&registry);
-            thread::Builder::new()
-                .name(format!("rank-{rank}"))
-                .stack_size(cfg.stack_size)
-                .spawn(move || {
-                    let _guard = PoisonOnPanic(guard_flag);
-                    // See the fiber path above for the context's role.
-                    let _ctx = progress::install(registry, rank);
-                    f(ep)
-                })
-                .expect("failed to spawn rank thread")
+            Box::new(move || {
+                let _guard = PoisonOnPanic(guard_flag);
+                *slot.lock() = Some(f(ep));
+            }) as Box<dyn FnOnce() + '_>
         })
         .collect();
-
-    let mut results = Vec::with_capacity(n);
-    let mut panics = Vec::new();
-    for h in handles {
-        match h.join() {
-            Ok(v) => results.push(v),
-            Err(payload) => panics.push(payload),
-        }
-    }
-    if let Some(payload) = pick_primary(panics) {
+    // A deadlock (fibers remain, none runnable) is resolved like a rank
+    // panic: poison the cluster so the blocked fibers panic out of their
+    // waits and report.
+    let order = crate::progress::pop_order();
+    let panics = crate::fiber::run_fibers(tasks, cfg.stack_size, order, || poison.poison());
+    if let Some(payload) = pick_primary(panics.into_iter().flatten()) {
         std::panic::resume_unwind(payload);
     }
-    results
+    slots
+        .into_iter()
+        .map(|s| {
+            s.into_inner()
+                .expect("every fiber completed without panicking")
+        })
+        .collect()
 }
 
 /// Pick the panic to re-throw from a cluster run: prefer the originating
@@ -326,33 +276,6 @@ mod tests {
     }
 
     #[test]
-    fn fibers_and_threads_agree_on_virtual_time() {
-        // The executor is a host-side substrate choice; virtual
-        // timestamps must be bitwise identical across it. Exercises
-        // sends, receives and a collective under contention.
-        let workload = |ep: crate::endpoint::Endpoint| {
-            let n = ep.size();
-            let next = (ep.rank() + 1) % n;
-            let prev = (ep.rank() + n - 1) % n;
-            ep.send(next, 0, 1, IoBuffer::synthetic(1 << 14));
-            let _ = ep.recv(prev, 0, 1);
-            let rdv = ep.world_rendezvous();
-            let (_, done) = rdv.meet(ep.rank(), ep.now(), (), |_, max| ((), max));
-            ep.clock().advance_to(done);
-            ep.now().as_secs()
-        };
-        let run = |e: crate::fiber::Executor| {
-            crate::fiber::set_executor(e);
-            run_cluster(ClusterConfig::cray_xt(12, Mapping::Cyclic), workload)
-        };
-        let before = crate::fiber::executor();
-        let fibers = run(crate::fiber::Executor::Fibers);
-        let threads = run(crate::fiber::Executor::Threads);
-        crate::fiber::set_executor(before);
-        assert_eq!(fibers, threads, "executor choice leaked into virtual time");
-    }
-
-    #[test]
     fn world_rendezvous_spans_all_ranks() {
         let out = run_cluster(ClusterConfig::ideal(6), |ep| {
             let rdv = ep.world_rendezvous();
@@ -392,7 +315,7 @@ mod tests {
 
     #[test]
     fn large_cluster_spawns() {
-        // Smoke test that 512 threads with 1MiB stacks are fine.
+        // Smoke test that 512 fibers with 1MiB stacks are fine.
         let out = run_cluster(ClusterConfig::ideal(512), |ep| {
             let rdv = ep.world_rendezvous();
             let (_, done) = rdv.meet(ep.rank(), ep.now(), (), |_, max| ((), max));

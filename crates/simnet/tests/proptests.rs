@@ -37,6 +37,52 @@ proptest! {
         prop_assert_eq!(w, buf.sub(lo, hi - lo));
     }
 
+    /// A builder joins what continues in one store and copies the rest:
+    /// windows of one to three stores, each cut at arbitrary points and
+    /// pushed in any order, build exactly the concatenation of the
+    /// pieces, and the result is a view of the first piece's store
+    /// (an empty window at its start joins it) exactly when every piece
+    /// begins where the previous one ended in the same store.
+    #[test]
+    fn builder_joins_adjacent_views_and_copies_the_rest(
+        stores in proptest::collection::vec(
+            (proptest::collection::vec(any::<u8>(), 1..48),
+             proptest::collection::vec(0usize..48, 0..4)),
+            1..4),
+        shuffled in any::<bool>(),
+        order in proptest::collection::vec(any::<u64>(), 16),
+    ) {
+        // (store, start, len) of every piece, in store order.
+        let bufs: Vec<IoBuffer> = stores.iter().map(|(b, _)| IoBuffer::from_slice(b)).collect();
+        let mut pieces = Vec::new();
+        for (s, (bytes, cuts)) in stores.iter().enumerate() {
+            let mut at: Vec<usize> = cuts.iter().map(|c| c % bytes.len()).collect();
+            at.extend([0, bytes.len()]);
+            at.sort_unstable();
+            at.dedup();
+            pieces.extend(at.windows(2).map(|w| (s, w[0], w[1] - w[0])));
+        }
+        if shuffled {
+            let mut keyed: Vec<(u64, (usize, usize, usize))> =
+                pieces.iter().enumerate().map(|(i, &p)| (order[i % 16] ^ i as u64, p)).collect();
+            keyed.sort_unstable();
+            pieces = keyed.into_iter().map(|(_, p)| p).collect();
+        }
+        let mut bb = BufferBuilder::new();
+        let mut expect = Vec::new();
+        for &(s, start, len) in &pieces {
+            bb.push(&bufs[s].sub(start, len));
+            expect.extend_from_slice(&stores[s].0[start..start + len]);
+        }
+        let out = bb.finish();
+        prop_assert_eq!(out.as_slice().unwrap(), &expect[..]);
+        let chained = pieces
+            .windows(2)
+            .all(|w| w[1].0 == w[0].0 && w[1].1 == w[0].1 + w[0].2);
+        let (s, start, _) = pieces[0];
+        prop_assert_eq!(bufs[s].sub(start, 0).join(&out), chained);
+    }
+
     /// Builder concatenation length equals the sum of piece lengths whether
     /// or not synthetic pieces are present.
     #[test]

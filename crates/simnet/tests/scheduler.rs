@@ -2,31 +2,31 @@
 //! polled; a deadlock is diagnosed the moment nothing is runnable; a
 //! rank panic unwinds every parked rank; and none of it shows in
 //! virtual time — the admission order of a nested-communicator run is
-//! the same on fibers and on OS threads.
+//! the same whichever runnable fiber the scheduler resumes first.
 //!
-//! The executor choice and the host profiler are process-global, so
-//! every test here serializes on one lock and restores the defaults.
+//! The pop order and the host profiler are process-global, so every
+//! test here serializes on one lock and restores the defaults.
 
 use simnet::rendezvous::PoisonFlag;
 use simnet::{
-    admit, run_cluster, ClusterConfig, Endpoint, Executor, IoBuffer, Rendezvous, SimTime,
+    admit, run_cluster, ClusterConfig, Endpoint, IoBuffer, PopOrder, Rendezvous, SimTime,
 };
 use simtrace::host;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
-struct Serial(#[allow(dead_code)] MutexGuard<'static, ()>, Executor);
+struct Serial(#[allow(dead_code)] MutexGuard<'static, ()>, PopOrder);
 
 fn serial() -> Serial {
     static LOCK: Mutex<()> = Mutex::new(());
     let guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    Serial(guard, simnet::executor())
+    Serial(guard, simnet::pop_order())
 }
 
 impl Drop for Serial {
     fn drop(&mut self) {
         host::set_enabled(false);
-        simnet::set_executor(self.1);
+        simnet::set_pop_order(self.1);
     }
 }
 
@@ -50,7 +50,7 @@ fn profiled(f: impl FnOnce()) -> (Option<String>, u64) {
 #[test]
 fn receive_cycle_is_diagnosed_at_once() {
     let _serial = serial();
-    simnet::set_executor(Executor::Fibers);
+    simnet::set_pop_order(PopOrder::Fixed);
     const N: usize = 8;
     // Every rank receives from its neighbour and nobody sends.
     let (message, slices) = profiled(|| {
@@ -75,8 +75,8 @@ fn receive_cycle_is_diagnosed_at_once() {
 #[test]
 fn a_rank_panic_unwinds_ranks_parked_at_every_wait_site() {
     let _serial = serial();
-    for executor in [Executor::Fibers, Executor::Threads] {
-        simnet::set_executor(executor);
+    for order in [PopOrder::Fixed, PopOrder::Shuffled(1)] {
+        simnet::set_pop_order(order);
         let sub: Arc<OnceLock<Arc<Rendezvous>>> = Arc::new(OnceLock::new());
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             run_cluster(ClusterConfig::ideal(8), move |ep: Endpoint| {
@@ -102,7 +102,7 @@ fn a_rank_panic_unwinds_ranks_parked_at_every_wait_site() {
                         let _ = rdv.meet(me - 2, ep.now(), (), |_, max| ((), max));
                     }
                     // Admission gate: ranks 0 and 1 could still ask first.
-                    _ => drop(admit(SimTime::secs(1.0))),
+                    _ => admit(SimTime::secs(1.0)),
                 }
             });
         }));
@@ -110,7 +110,7 @@ fn a_rank_panic_unwinds_ranks_parked_at_every_wait_site() {
         assert_eq!(
             payload.downcast_ref::<&str>().copied(),
             Some("rank 2 exploded"),
-            "{executor:?}: primary payload lost"
+            "{order:?}: primary payload lost"
         );
     }
 }
@@ -131,7 +131,7 @@ fn nested_communicator_run() -> Vec<(usize, u32)> {
     run_cluster(ClusterConfig::ideal(N), move |ep| {
         let me = ep.rank();
         let request = |step: u32| {
-            let _held = admit(ep.now());
+            admit(ep.now());
             sink.lock().unwrap().push((me, step));
         };
         let meet = |rdv: &Rendezvous, idx: usize| {
@@ -156,47 +156,40 @@ fn nested_communicator_run() -> Vec<(usize, u32)> {
 }
 
 #[test]
-fn admission_order_is_the_same_on_every_executor() {
+fn admission_order_is_the_same_in_every_pop_order() {
     let _serial = serial();
-    simnet::set_executor(Executor::Fibers);
+    simnet::set_pop_order(PopOrder::Fixed);
     let order = nested_communicator_run();
     assert_eq!(order.len(), 12 * 9);
-    simnet::set_executor(Executor::Threads);
-    assert_eq!(nested_communicator_run(), order, "OS threads");
+    for seed in 1..=8 {
+        simnet::set_pop_order(PopOrder::Shuffled(seed));
+        assert_eq!(nested_communicator_run(), order, "pop order seed {seed}");
+    }
 }
 
 #[test]
-fn the_thread_executor_is_paced_by_notifies_not_by_the_poison_poll() {
-    // Two OS-thread ranks take 40 turns, each turn a receive, a meeting
-    // and a gated request that the other rank's progress releases. A
-    // blocked thread polls the poison flag every 50 ms, so a wait site
-    // that skipped its condvar signal would still complete every turn —
-    // 50 ms late. Notified, a turn takes microseconds.
-    const TURNS: u32 = 40;
+fn a_request_below_every_queued_key_takes_no_switch() {
+    // A rank alone in its cluster, or the last one running, is always
+    // the minimum: its requests are admitted without leaving its fiber.
     let _serial = serial();
-    simnet::set_executor(Executor::Threads);
-    let started = std::time::Instant::now();
-    run_cluster(ClusterConfig::ideal(2), |ep| {
-        let (me, peer) = (ep.rank(), 1 - ep.rank());
-        for turn in 0..TURNS {
-            if turn as usize % 2 == me {
-                ep.send(peer, 0, 5, IoBuffer::empty());
-            } else {
-                let _ = ep.recv(peer, 0, 5);
+    simnet::set_pop_order(PopOrder::Fixed);
+    let (message, slices) = profiled(|| {
+        run_cluster(ClusterConfig::ideal(1), |ep| {
+            for i in 0..1000 {
+                admit(ep.now() + SimTime::micros(i as f64));
             }
-            let (_, done) = ep
-                .world_rendezvous()
-                .meet(me, ep.now(), (), |_, max| ((), max + SimTime::micros(1.0)));
-            ep.clock().advance_to(done);
-            // Rank 1 asks for a later instant than rank 0 can still
-            // reach, so it pends until rank 0 has asked and released.
-            ep.clock().advance(SimTime::micros(1.0 + me as f64));
-            drop(admit(ep.now()));
-        }
+        });
     });
-    let elapsed = started.elapsed();
-    assert!(
-        elapsed < std::time::Duration::from_millis(25) * TURNS,
-        "{TURNS} turns took {elapsed:?}: the waits are being woken by their polls"
-    );
+    assert_eq!((message, slices), (None, 1));
+    let (message, slices) = profiled(|| {
+        run_cluster(ClusterConfig::ideal(4), |ep| {
+            // Ranks 0..3 finish at once; rank 3 then requests alone.
+            if ep.rank() == 3 {
+                for i in 0..1000 {
+                    admit(SimTime::micros(i as f64));
+                }
+            }
+        });
+    });
+    assert_eq!((message, slices), (None, 4));
 }

@@ -137,9 +137,6 @@ pub enum Site {
     /// window's coverage that are cheaper to read through than to skip
     /// (only windows with holes enter it).
     SieveRead,
-    /// Admission gate handoff: the targeted wake of the minimum pending
-    /// key's rank that ends every registry state change.
-    GateWake,
     /// Two-phase window coverage: merging the per-source piece cuts of
     /// one round window into maximal covered runs — hole detection on
     /// the write side, the runs a read fetches on the read side. The
@@ -165,7 +162,7 @@ pub enum Site {
 }
 
 /// Number of probe sites in the registry.
-pub const SITE_COUNT: usize = 23;
+pub const SITE_COUNT: usize = 22;
 
 /// Static description of one site.
 struct SiteInfo {
@@ -191,7 +188,6 @@ const SITES: [SiteInfo; SITE_COUNT] = [
     SiteInfo { name: "cksum_compute", subsystem: "integrity" },
     SiteInfo { name: "cksum_verify", subsystem: "integrity" },
     SiteInfo { name: "sieve_read", subsystem: "mpiio" },
-    SiteInfo { name: "gate_wake", subsystem: "simnet" },
     SiteInfo { name: "twophase_coverage", subsystem: "mpiio" },
     SiteInfo { name: "size_exchange", subsystem: "simmpi" },
     SiteInfo { name: "coll_setup", subsystem: "mpiio" },
@@ -232,12 +228,11 @@ impl Site {
                 14 => Site::CksumCompute,
                 15 => Site::CksumVerify,
                 16 => Site::SieveRead,
-                17 => Site::GateWake,
-                18 => Site::Coverage,
-                19 => Site::SizeExchange,
-                20 => Site::CollSetup,
-                21 => Site::Plan,
-                22 => Site::Pattern,
+                17 => Site::Coverage,
+                18 => Site::SizeExchange,
+                19 => Site::CollSetup,
+                20 => Site::Plan,
+                21 => Site::Pattern,
                 _ => unreachable!(),
             })
         } else {
@@ -273,10 +268,6 @@ pub enum Counter {
     /// Scratch-buffer request that fell through to a fresh allocation
     /// (pool empty, pooling off, or size outside the pooled range).
     PoolMiss,
-    /// A wait site signalled its condition variable for real (a
-    /// `FUTEX_WAKE`): some OS thread was asleep in the substrate's wait
-    /// primitive. Zero under the fiber executor, where ranks park.
-    CondvarNotify,
     /// Elements a size exchange touched: the lists an aggregator looked
     /// at to build its row, and the entries and per-rank slots the
     /// combiner walked. Follows non-empty (rank, aggregator) pairs plus
@@ -293,14 +284,15 @@ pub enum Counter {
     /// copies every file byte once — into the reader's buffer, at the end
     /// of its read — and this count pins it.
     CopyBytes,
-    /// Entries the admission gate looked at: tournament-tree nodes on a
-    /// state change, and the root in a check. Follows `log ranks` per
-    /// event (OST request, send, collective entry).
-    GateVisits,
+    /// Run-queue work: one per push or pop of the fiber scheduler's
+    /// priority queue, plus the heap levels it moved an entry through.
+    /// Follows `log ranks` per event (OST request, send, collective
+    /// entry).
+    RunqSteps,
 }
 
 /// Number of counters in the registry.
-pub const COUNTER_COUNT: usize = 11;
+pub const COUNTER_COUNT: usize = 10;
 
 const COUNTER_NAMES: [&str; COUNTER_COUNT] = [
     "flatten_hit",
@@ -309,11 +301,10 @@ const COUNTER_NAMES: [&str; COUNTER_COUNT] = [
     "shape_miss",
     "pool_reuse",
     "pool_miss",
-    "condvar_notify",
     "size_exchange_elems",
     "cksum_bytes",
     "copy_bytes",
-    "gate_visits",
+    "runq_steps",
 ];
 
 impl Counter {
@@ -456,8 +447,8 @@ pub struct Report {
     pub dropped: u64,
     /// Per-thread drop counts, summed by thread name and sorted by it;
     /// only threads that dropped anything appear. Each thread records
-    /// into its own ring (the thread executor has one per rank), so a
-    /// drop is reported against that thread's name instead of being
+    /// into its own ring (every rank of a cluster shares its caller's),
+    /// so a drop is reported against that thread's name instead of being
     /// silently folded into the total.
     pub dropped_by_thread: Vec<(String, u64)>,
 }

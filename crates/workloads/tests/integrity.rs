@@ -31,6 +31,7 @@ use simmpi::{Communicator, Info};
 use simnet::{run_cluster, ClusterConfig, FaultPlan, IoBuffer, Mapping, SimTime};
 use simtrace::host;
 use std::sync::{Arc, RwLock};
+use workloads::restart::{run_restart, Restart};
 use workloads::runner::{run_workload, DataMode, IoMode, RunConfig};
 use workloads::tileio::TileIo;
 
@@ -332,16 +333,52 @@ fn a_verify_run_hashes_every_file_byte_seven_times_and_no_more() {
 }
 
 #[test]
-fn a_verify_run_copies_every_file_byte_once_and_no_more() {
+fn a_verify_run_copies_no_file_byte_when_it_reads_back_what_it_wrote() {
     let _alone = HASHING.write().unwrap_or_else(|p| p.into_inner());
     // In: none — the file image keeps views of the user buffers the
-    // payloads are windows of. Out: the read's parts, views of the image,
-    // assembled into the user buffer once at the end of the call. A
-    // trailer travels beside its payload, so checksums add no copy. A
-    // second copy — a staging window, a joined fetch, a carved or sealed
-    // payload — shows here.
+    // payloads are windows of. Out: none either — each rank reads back
+    // its own tile through the view it wrote it with, so the read's
+    // parts are adjacent views of its own user buffer, and they join
+    // into one view of it. A trailer travels beside its payload, so
+    // checksums add no copy. Any copy — a staging window, a joined
+    // fetch, a carved or sealed payload — shows here.
     let (_, copied, file_bytes) = host_bytes(DataMode::Verify, false);
-    assert_eq!(copied, file_bytes, "copies of a {file_bytes}-byte file");
+    assert_eq!(copied, 0, "copies of a {file_bytes}-byte file");
     assert_eq!(host_bytes(DataMode::Verify, true).1, copied, "the same with checksums on");
     assert_eq!(host_bytes(DataMode::Synthetic, true).1, 0, "synthetic bytes are never copied");
+}
+
+#[test]
+fn a_narrow_restart_read_copies_every_byte_it_reads_once() {
+    let _alone = HASHING.write().unwrap_or_else(|p| p.into_inner());
+    // The restart reads the first quarter of every row of each
+    // checkpoint tile: the rows are views of the writer's buffer with
+    // holes between them, so the read's buffer is assembled, once. The
+    // checkpoint write copies nothing.
+    for integrity in [false, true] {
+        let mut cfg = RunConfig::verify(IoMode::Parcoll { groups: 2 });
+        cfg.integrity = integrity;
+        let tiles = TileIo {
+            ntx: 4,
+            nty: 4,
+            tile_x: 64,
+            tile_y: 64,
+            elem: 64,
+        };
+        host::reset();
+        host::set_enabled(true);
+        let r = run_restart(Restart::with_den(tiles, 4), cfg);
+        host::set_enabled(false);
+        let counters = host::collect().counters;
+        let copied = counters
+            .iter()
+            .find(|(n, _)| *n == "copy_bytes")
+            .expect("counter")
+            .1;
+        assert_eq!(
+            copied, r.read_bytes,
+            "checksums {integrity}: copies of a {}-byte read",
+            r.read_bytes
+        );
+    }
 }

@@ -4,18 +4,17 @@
 //! a run takes is bounded by the number of events in it — OST requests,
 //! point-to-point sends and collective entries — not by ranks × cycles.
 //!
-//! Three more counts follow from the same rule. Nobody sleeps on a
-//! condition variable under the fiber executor, so no wait site signals
-//! one: the notify that wakes a parked fiber is a queue push, not a
-//! system call. The admission gate does `O(log ranks)` work per event,
-//! not a walk over the ranks parked in a collective or a subgroup. And a round's size
-//! exchange touches the (rank, aggregator) pairs that exchange something
-//! plus one slot per rank, not ranks squared.
+//! Two more counts follow from the same rule. The run queue, which is
+//! also the admission gate, does `O(log ranks)` work per event — a push
+//! when a rank becomes runnable or requests, a pop when it is resumed —
+//! not a walk over the ranks parked in a collective or a subgroup. And
+//! a round's size exchange touches the (rank, aggregator) pairs that
+//! exchange something plus one slot per rank, not ranks squared.
 //!
-//! The executor and the host profiler are process-global, so the tests
+//! The pop order and the host profiler are process-global, so the tests
 //! serialize on one lock.
 
-use simnet::{Executor, FaultPlan};
+use simnet::{FaultPlan, PopOrder};
 use simtrace::{host, TraceSink};
 use std::sync::{Arc, Mutex, MutexGuard};
 use workloads::flashio::FlashIo;
@@ -23,20 +22,20 @@ use workloads::runner::{run_workload, IoMode, RunConfig};
 use workloads::tileio::TileIo;
 use workloads::Workload;
 
-struct Serial(#[allow(dead_code)] MutexGuard<'static, ()>, Executor);
+struct Serial(#[allow(dead_code)] MutexGuard<'static, ()>, PopOrder);
 
 fn serial() -> Serial {
     static LOCK: Mutex<()> = Mutex::new(());
     let guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    let before = simnet::executor();
-    simnet::set_executor(Executor::Fibers);
+    let before = simnet::pop_order();
+    simnet::set_pop_order(PopOrder::Fixed);
     Serial(guard, before)
 }
 
 impl Drop for Serial {
     fn drop(&mut self) {
         host::set_enabled(false);
-        simnet::set_executor(self.1);
+        simnet::set_pop_order(self.1);
     }
 }
 
@@ -48,7 +47,7 @@ fn counter(report: &host::Report, name: &str) -> u64 {
 
 /// Run `workload` traced and profiled; return the host report and the
 /// run's events (OST requests, sends and collective entries, plus one
-/// per rank). No condvar is signalled on the way.
+/// per rank).
 fn profile<W: Workload + 'static>(workload: W, mode: IoMode) -> (host::Report, u64) {
     let ranks = workload.nprocs() as u64;
     let sink = TraceSink::enabled();
@@ -59,11 +58,6 @@ fn profile<W: Workload + 'static>(workload: W, mode: IoMode) -> (host::Report, u
     let result = run_workload(workload, cfg);
     host::set_enabled(false);
     let report = host::collect();
-    assert_eq!(
-        counter(&report, "condvar_notify"),
-        0,
-        "a wait site signalled a condvar nobody sleeps on"
-    );
     let slices = report.samples(host::Site::FiberRun);
     let trace = sink.finish();
     let sends: u64 = trace
@@ -105,42 +99,26 @@ fn fiber_slices_are_bounded_by_events_not_by_ranks_times_cycles() {
 }
 
 #[test]
-fn gate_visits_follow_events_times_log_ranks_not_ranks() {
+fn run_queue_steps_follow_events_times_log_ranks_not_ranks() {
     // 256-rank tile-io writes, collective and ParColl with 32 subgroups.
-    // A check reads the tree's root, whoever is parked; what is left is
-    // a tree path per state change: a request's admission and release, a
-    // collective entry's park and unpark, a receive's block and release.
-    // A gate that walked the parked ranks would pay ≈ 2·P visits per OST
-    // request, and one that bounded the meetings the requester is not
-    // in ≈ 17 per event for ParColl-32.
+    // An admission compares with the queue's minimum, whoever is
+    // parked; what is left is a heap path per queue operation: a rank
+    // made runnable by a delivery or a meeting and resumed, a request
+    // queued behind a lower key and resumed: log₂P + 1 steps each at
+    // most. A gate that walked the parked ranks would pay ≈ 2·P steps
+    // per OST request.
     const P: u64 = 256;
     let _serial = serial();
     for mode in [IoMode::Collective, IoMode::Parcoll { groups: 32 }] {
         let (report, events) = profile(TileIo::paper(P as usize), mode);
-        let visits = counter(&report, "gate_visits");
-        assert!(visits > 0, "the gate was not counted");
+        let steps = counter(&report, "runq_steps");
+        assert!(steps > 0, "the run queue was not counted");
+        // 4.4 and 5.6 per event at the time of writing.
         assert!(
-            visits <= 2 * P.ilog2() as u64 * events,
-            "{mode:?}: {visits} gate visits for {events} events among {P} ranks"
+            steps <= P.ilog2() as u64 * events,
+            "{mode:?}: {steps} run-queue steps for {events} events among {P} ranks"
         );
     }
-}
-
-#[test]
-fn the_thread_executor_still_signals_its_condvars() {
-    // The counter the fiber runs hold at zero counts for real: the same
-    // workload on one OS thread per rank sleeps on the wait sites'
-    // condvars and is woken through them.
-    let _serial = serial();
-    simnet::set_executor(Executor::Threads);
-    host::reset();
-    host::set_enabled(true);
-    run_workload(
-        TileIo::tiny(16),
-        RunConfig::paper(IoMode::Parcoll { groups: 2 }),
-    );
-    host::set_enabled(false);
-    assert!(counter(&host::collect(), "condvar_notify") > 0);
 }
 
 #[test]

@@ -30,7 +30,6 @@ fn counted(w: BtIo, cfg: RunConfig) -> ((u64, u64), RunResult) {
 
 #[test]
 fn a_repeated_collective_rebuilds_nothing() {
-    simnet::set_executor(simnet::Executor::Fibers);
     let (ranks, steps) = (16, 4);
     let bt = || BtIo::with_grid(ranks, 24, steps);
 

@@ -310,7 +310,6 @@ fn bytes_per_rank_do_not_grow_with_p() {
 
 #[test]
 fn heap_follows_real_bytes_and_unique_metadata() {
-    simnet::set_executor(simnet::Executor::Fibers);
     // Fiber stacks are heap allocations of mostly untouched pages; keep
     // them small so the ledger reads data structures, not reservations.
     simnet::set_default_stack_size(128 << 10);
