@@ -378,33 +378,27 @@ impl Datatype {
     ///
     /// Workloads set the same view on every open/call of a run (the tile
     /// subarray, the BT-IO cell type), and each `set_view` used to pay a
-    /// full type-tree walk plus sort. Rank threads are long-lived, so the
-    /// thread-local cache turns every repetition after the first into a
-    /// hash lookup. Purely host-side: the cost model's charges for view
+    /// full type-tree walk plus sort. Every rank of a cluster runs on the
+    /// calling thread, so one cache serves them all: a run of P ranks that
+    /// each set their own view holds P distinct types (512 tiles on a
+    /// 512-rank tile write, twice that on a restart that reads through a
+    /// second view), and every repetition after the first is a hash
+    /// lookup. Purely host-side: the cost model's charges for view
     /// processing are issued by the protocol layer regardless.
     pub fn flatten_cached(&self) -> Arc<FlatType> {
         thread_local! {
-            static FLAT_CACHE: std::cell::RefCell<std::collections::HashMap<Datatype, Arc<FlatType>>> =
-                std::cell::RefCell::new(std::collections::HashMap::new());
+            static FLAT_CACHE: std::cell::RefCell<FlatCache> = std::cell::RefCell::default();
         }
-        /// Rank threads see a handful of distinct types; the bound only
-        /// guards pathological type churn from pinning memory.
-        const FLAT_CACHE_MAX: usize = 128;
         use simtrace::host;
         let _hp = host::scope(host::Site::Flatten);
-        FLAT_CACHE.with_borrow_mut(|cache| {
-            if let Some(flat) = cache.get(self) {
-                host::count(host::Counter::FlattenHit, 1);
-                return Arc::clone(flat);
-            }
-            host::count(host::Counter::FlattenMiss, 1);
-            let flat = Arc::new(self.flatten());
-            if cache.len() >= FLAT_CACHE_MAX {
-                cache.clear();
-            }
-            cache.insert(self.clone(), Arc::clone(&flat));
-            flat
-        })
+        let (flat, hit) = FLAT_CACHE.with_borrow_mut(|cache| cache.get(self));
+        let counter = if hit {
+            host::Counter::FlattenHit
+        } else {
+            host::Counter::FlattenMiss
+        };
+        host::count(counter, 1);
+        flat
     }
 
     fn emit(&self, base: u64, out: &mut Vec<Ext>) {
@@ -518,6 +512,40 @@ pub struct FlatType {
     pub extent: u64,
 }
 
+/// The flattened forms of the datatypes a thread has seen, bounded by
+/// the runs they hold rather than by their number: a type counts its runs
+/// (at least one), and a cache that would pass [`FlatCache::MAX_RUNS`]
+/// starts over. Views are a few runs each (a tile is one strided run, a
+/// BT-IO cell ~160), so the bound admits thousands of ranks' views and
+/// only stops pathological type churn from pinning memory.
+#[derive(Default)]
+struct FlatCache {
+    types: std::collections::HashMap<Datatype, Arc<FlatType>>,
+    /// Runs held by `types`, each type counted as at least one.
+    runs: usize,
+}
+
+impl FlatCache {
+    /// 2 MiB of runs.
+    const MAX_RUNS: usize = 1 << 16;
+
+    /// The flattened form of `ty`, and whether it was held already.
+    fn get(&mut self, ty: &Datatype) -> (Arc<FlatType>, bool) {
+        if let Some(flat) = self.types.get(ty) {
+            return (Arc::clone(flat), true);
+        }
+        let flat = Arc::new(ty.flatten());
+        let runs = flat.runs.len().max(1);
+        if self.runs + runs > Self::MAX_RUNS {
+            self.types.clear();
+            self.runs = 0;
+        }
+        self.runs += runs;
+        self.types.insert(ty.clone(), Arc::clone(&flat));
+        (flat, false)
+    }
+}
+
 impl FlatType {
     /// A flat type representing `n` contiguous bytes.
     pub fn contiguous(n: u64) -> Arc<FlatType> {
@@ -565,6 +593,28 @@ mod tests {
             }
         }
         out
+    }
+
+    #[test]
+    fn every_ranks_view_stays_cached() {
+        // 512 ranks, each setting its own tile of a 2-D array: a cache
+        // bounded at 128 types missed on all of them on every pass.
+        let views: Vec<Datatype> = (0..512)
+            .map(|r| Datatype::tile_2d(2048, 2048, 64, 128, r / 16 * 64, r % 16 * 128, 8))
+            .collect();
+        let mut cache = FlatCache::default();
+        let hits = |cache: &mut FlatCache| views.iter().filter(|v| cache.get(v).1).count();
+        assert_eq!(hits(&mut cache), 0, "the first pass flattens every view");
+        assert_eq!(hits(&mut cache), 512, "the second pass flattens none");
+        assert_eq!(cache.get(&views[7]).0.runs, views[7].flatten().runs);
+
+        // The bound is on runs held: one more type than it admits starts
+        // the cache over.
+        let mut cache = FlatCache::default();
+        for n in 1..=FlatCache::MAX_RUNS as u64 + 1 {
+            cache.get(&Datatype::Bytes(n));
+        }
+        assert_eq!((cache.types.len(), cache.runs), (1, 1));
     }
 
     /// Nested types over every constructor: a leaf (bytes, or a 3-D

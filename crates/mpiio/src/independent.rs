@@ -102,7 +102,7 @@ mod tests {
     use simfs::{FileSystem, FsConfig};
     use simnet::{run_cluster, ClusterConfig, SimTime};
 
-    fn one_rank(f: impl Fn(&Endpoint, FileSystem) + Send + Sync + 'static) {
+    fn one_rank(f: impl Fn(&Endpoint, FileSystem)) {
         run_cluster(ClusterConfig::ideal(1), move |ep| {
             f(&ep, FileSystem::new(FsConfig::tiny()));
         });

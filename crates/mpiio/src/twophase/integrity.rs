@@ -7,6 +7,11 @@
 //! lands anywhere, and a mismatch is repaired from clean copies the sender
 //! already posted. With the hint off nothing here hashes, and a planted
 //! flip reaches the data — the silent corruption the layer prevents.
+//!
+//! A stream without a trailer — every write message with the hint off —
+//! travels as the byte payload itself ([`Msg::Plain`]), so posting it
+//! allocates nothing; a sealed message or a read's window travels as one
+//! shared [`Sealed`] ([`Msg::Shared`]), which the repair copies reuse.
 
 use super::reqs::Cut;
 use super::window::{pieces, Fetched};
@@ -14,9 +19,10 @@ use crate::profile::{Phase, PhaseProfile, PhaseTimer};
 use simmpi::Communicator;
 use simnet::buffer::BufferBuilder;
 use simnet::cksum::digests;
-use simnet::{corrupt_flip, IoBuffer};
+use simnet::{corrupt_flip, IoBuffer, Payload};
 use simtrace::host::{self, Counter, Site};
-use std::sync::Arc;
+use std::ops::Deref;
+use std::rc::Rc;
 
 /// Bytes of the checksum trailer that travels with exchanged pieces.
 const TRAILER: usize = 8;
@@ -27,17 +33,17 @@ pub(super) enum Body {
     /// In stream order in one buffer: a write's window of the user buffer,
     /// a synthetic stand-in, or a message a corruption token materialised.
     Stream(IoBuffer),
-    /// A read's fetched window, one `Arc` for every source with bytes in
+    /// A read's fetched window, one `Rc` for every source with bytes in
     /// it: each takes its own cut as views of it.
-    Window(Arc<Fetched>),
+    Window(Rc<Fetched>),
 }
 
 impl Body {
     /// What a read serves a source `n` bytes out of. Host work follows
     /// real bytes: when nothing read is real, no piece is ever visited.
-    pub(super) fn of_window(fetched: &Arc<Fetched>, n: u64) -> Body {
+    pub(super) fn of_window(fetched: &Rc<Fetched>, n: u64) -> Body {
         if fetched.iter().any(|(_, part)| part.is_real()) {
-            Body::Window(Arc::clone(fetched))
+            Body::Window(Rc::clone(fetched))
         } else {
             Body::Stream(IoBuffer::synthetic(n as usize))
         }
@@ -192,9 +198,9 @@ impl Sealed {
     pub(super) fn seal_all<'c>(
         mut msgs: impl Iterator<Item = (usize, Body, Cut<'c>, u64)>,
         checksums: bool,
-        mut sealed: impl FnMut(usize, Arc<Sealed>),
+        mut sealed: impl FnMut(usize, Msg),
     ) {
-        let mut seal = |dst, body, len, sum| sealed(dst, Arc::new(Sealed { body, len, sum }));
+        let mut seal = |dst, body, len, sum| sealed(dst, Msg::new(Sealed { body, len, sum }));
         while let Some((dst, body, cut, len)) = msgs.next() {
             if !checksums {
                 seal(dst, body, len, None);
@@ -238,27 +244,84 @@ impl Sealed {
     }
 }
 
+/// One data message as it travels.
+pub(super) enum Msg {
+    /// A stream without a trailer: on the wire it is its bytes
+    /// (`Payload::Bytes`), so it allocates nothing.
+    Plain(Sealed),
+    /// A sealed message or a read's window: one `Rc` for the message and
+    /// every repair copy of it (`Payload::Typed`).
+    Shared(Rc<Sealed>),
+}
+
+impl Msg {
+    fn new(sealed: Sealed) -> Msg {
+        match (&sealed.body, sealed.sum) {
+            (Body::Stream(_), None) => Msg::Plain(sealed),
+            _ => Msg::Shared(Rc::new(sealed)),
+        }
+    }
+
+    /// The message a payload carries: bytes are a plain stream.
+    pub(super) fn from_payload(payload: Payload) -> Msg {
+        match payload {
+            Payload::Bytes(bytes) => Msg::Plain(Sealed {
+                len: bytes.len() as u64,
+                body: Body::Stream(bytes),
+                sum: None,
+            }),
+            typed => Msg::Shared(typed.into_typed()),
+        }
+    }
+
+    /// The message's bytes, taken out of a plain one.
+    fn into_body(self) -> Body {
+        match self {
+            Msg::Plain(sealed) => sealed.body,
+            Msg::Shared(sealed) => sealed.body.clone(),
+        }
+    }
+}
+
+impl Deref for Msg {
+    type Target = Sealed;
+
+    fn deref(&self) -> &Sealed {
+        match self {
+            Msg::Plain(sealed) => sealed,
+            Msg::Shared(sealed) => sealed,
+        }
+    }
+}
+
 /// Post one data message as p2p time, then — sender side of the repair
-/// protocol — when the fault layer corrupted it, post clean copies on the
-/// repair tag until one survives its own corruption draw (or the retry
-/// budget runs out). Sender and receiver derive the same copy count from
-/// the same seeded draws, so no negative acknowledgement needs to travel.
+/// protocol — when the fault layer corrupted a sealed one, post clean
+/// copies on the repair tag until one survives its own corruption draw
+/// (or the retry budget runs out). Sender and receiver derive the same
+/// copy count from the same seeded draws, so no negative acknowledgement
+/// needs to travel.
 pub(super) fn post(
     comm: &Communicator<'_>,
     dst: usize,
     (data_tag, repair_tag): (i32, i32),
-    msg: &Arc<Sealed>,
+    msg: Msg,
     prof: &mut PhaseProfile,
 ) {
     let ep = comm.endpoint();
     let t = PhaseTimer::start(Phase::P2p, ep.now());
-    comm.isend_t(dst, data_tag, Arc::clone(msg), msg.wire_len());
-    let faults = ep.faults().filter(|f| f.plan().has_corrupt_rules());
-    if let Some(faults) = faults.filter(|f| msg.sum.is_some() && f.last_send_corrupt() != 0) {
-        for _ in 0..faults.plan().max_retries.max(1) {
-            comm.isend_t(dst, repair_tag, Arc::clone(msg), msg.wire_len());
-            if faults.last_send_corrupt() == 0 {
-                break;
+    match msg {
+        Msg::Plain(plain) => comm.isend(dst, data_tag, plain.body.into_payload(&Cut::default())),
+        Msg::Shared(msg) => {
+            comm.isend_t(dst, data_tag, Rc::clone(&msg), msg.wire_len());
+            let faults = ep.faults().filter(|f| f.plan().has_corrupt_rules());
+            let corrupted = faults.filter(|f| msg.sum.is_some() && f.last_send_corrupt() != 0);
+            if let Some(faults) = corrupted {
+                for _ in 0..faults.plan().max_retries.max(1) {
+                    comm.isend_t(dst, repair_tag, Rc::clone(&msg), msg.wire_len());
+                    if faults.last_send_corrupt() == 0 {
+                        break;
+                    }
+                }
             }
         }
     }
@@ -285,7 +348,7 @@ pub(super) fn post(
 pub(super) fn verify_all<'c>(
     comm: &Communicator<'_>,
     tags: (i32, i32),
-    mut msgs: impl Iterator<Item = (usize, Arc<Sealed>, Cut<'c>)>,
+    mut msgs: impl Iterator<Item = (usize, Msg, Cut<'c>)>,
     prof: &mut PhaseProfile,
     mut verified: impl FnMut(usize, u64, Cut<'c>, Body),
 ) {
@@ -295,12 +358,13 @@ pub(super) fn verify_all<'c>(
         Some(f) if src != comm.rank() => f.take_corrupt(src, tags.0),
         _ => 0,
     };
-    let mut settle = |src, msg: Arc<Sealed>, cut: Cut<'c>, token, intact| {
+    let mut settle = |src, msg: Msg, cut: Cut<'c>, token, intact| {
+        let len = msg.len;
         let body = match token == 0 && intact {
-            true => msg.body.clone(),
+            true => msg.into_body(),
             false => repair(comm, src, tags, &msg, &cut, token, prof),
         };
-        verified(src, msg.len, cut, body);
+        verified(src, len, cut, body);
     };
     let checked = |token: u64, msg: &Sealed| token == 0 && msg.sum.is_some();
     while let Some((src, msg, cut)) = msgs.next() {
@@ -439,7 +503,7 @@ pub(super) mod tests {
             (12, IoBuffer::from_slice(&[12, 13])),
         ];
         let carved = Body::Stream(IoBuffer::from_slice(&[2, 3, 10, 11, 12]));
-        let window = Body::of_window(&Arc::new(real.clone()), 5);
+        let window = Body::of_window(&Rc::new(real.clone()), 5);
         assert_eq!(window.sum(&cut, 5, Site::CksumVerify), carved.sum(&cut, 5, Site::CksumVerify));
         let edge = |byte| Body::Stream(IoBuffer::from_slice(&[byte]));
         let arrivals = [
@@ -458,10 +522,10 @@ pub(super) mod tests {
         // Nothing real was read: a synthetic stream, no piece visited.
         let synthetic = IoBuffer::synthetic(4);
         let unread = vec![(0, synthetic.clone()), (10, synthetic.clone())];
-        let unread = Body::of_window(&Arc::new(unread), 5);
+        let unread = Body::of_window(&Rc::new(unread), 5);
         assert_eq!(unread.into_payload(&cut), IoBuffer::synthetic(5));
         // Mixed: a piece out of a synthetic run degrades what it touches.
-        let mixed = Body::of_window(&Arc::new(vec![real[0].clone(), (10, synthetic)]), 5);
+        let mixed = Body::of_window(&Rc::new(vec![real[0].clone(), (10, synthetic)]), 5);
         assert_eq!(mixed.sum(&cut, 5, Site::CksumVerify), 0);
         let mut landed = Landing::default();
         landed.land(1, &mixed, &cut);
@@ -513,7 +577,7 @@ pub(super) mod tests {
                     (w[0], part)
                 })
                 .collect();
-            let fetched = Arc::new(fetched);
+            let fetched = Rc::new(fetched);
             // The stream split into messages at `bounds`.
             let mut pos: Vec<u64> = bounds.iter().map(|b| b % total).collect();
             pos.extend([0, total]);

@@ -14,7 +14,7 @@
 //!    the `(offset, len)` lists ([`reqs`]). Each list is one
 //!    [`PieceList`] from here to the last round: the message is charged
 //!    as the 16 bytes per piece ROMIO ships, the host passes the owner's
-//!    `Arc`, and the aggregator indexes nothing again. Like the plan it
+//!    `Rc`, and the aggregator indexes nothing again. Like the plan it
 //!    is cut from, a list holds strided `(off, len, stride, count)`
 //!    [`Run`]s, so a BT-IO rank's ~3 300 pieces per call are
 //!    ~160 runs on the host and still ~3 300 × 16 bytes on the wire.
@@ -75,7 +75,7 @@
 //! one request for its window's span whose pieces are views of the
 //! payloads (`window`); the file image keeps them (`simfs::storage`). A
 //! read's fetched window is views of the image, every source is sent the
-//! same `Arc`, and each client keeps its pieces as views until the call
+//! same `Rc`, and each client keeps its pieces as views until the call
 //! ends, then builds its buffer from them (`integrity::Landing`): pieces
 //! that are adjacent views of one store — a read back through the view
 //! that wrote them — join into one view of it, and anything else is
@@ -105,7 +105,7 @@
 //! lists, the domain served, and each round window's coverage. A call
 //! whose key — plan shape and position, `max_end − min_st`, aggregators,
 //! collective buffer, alignment phase — matches the memo's takes its
-//! lists as they are, `Arc` for `Arc`, and an aggregator whose sources
+//! lists as they are, `Rc` for `Rc`, and an aggregator whose sources
 //! sent the very lists they sent last time takes its domain and coverage
 //! too. Any other call rebuilds the memo first; either way the call
 //! then runs from it, so there is one route from index to exchange. The
@@ -127,13 +127,14 @@ use crate::profile::{Phase, PhaseProfile, PhaseTimer};
 use crate::space::FileSpace;
 use crate::view::AccessPlan;
 use domains::{compute_file_domains, compute_file_domains_aligned};
-use integrity::{post, verify_all, Body, Landing, Sealed};
+use integrity::{post, verify_all, Body, Landing, Msg, Sealed};
 use recovery::Recovery;
 use reqs::{split, Cut, PieceList};
 use simfs::FileHandle;
 use simmpi::{Communicator, RecvRequest, ReduceOp};
 use simnet::{IoBuffer, SimTime};
 use simtrace::host::{self, Counter};
+use std::rc::Rc;
 use std::sync::Arc;
 pub(crate) use window::{close_gaps, lay_out};
 use window::{cut_streams, read_window, write_window, Covered};
@@ -210,7 +211,7 @@ impl CollConfig {
 /// source rank for an aggregator's domain. Stream positions and every
 /// round's work are sized by these — the (rank, aggregator) pairs that
 /// exchange anything — not by the communicator.
-type Lists = Vec<(usize, Arc<PieceList>)>;
+type Lists = Vec<(usize, Rc<PieceList>)>;
 
 /// Slot of `key` in a table sorted by key.
 fn slot_of<T>(table: &[(usize, T)], key: usize) -> Option<usize> {
@@ -225,12 +226,12 @@ fn value_of(table: &[(usize, u64)], key: usize) -> u64 {
 /// Receive the piece lists that `srcs` (ascending) sent on `tag` and
 /// keep the non-empty ones, by source; `mine` is this rank's own list,
 /// if it has one (self-assignment travels by no message). The entries
-/// are the senders' own `Arc`s.
+/// are the senders' own `Rc`s.
 fn recv_lists(
     comm: &Communicator<'_>,
     tag: i32,
     srcs: impl Iterator<Item = usize>,
-    mine: Option<Arc<PieceList>>,
+    mine: Option<Rc<PieceList>>,
 ) -> Lists {
     let srcs: Vec<usize> = srcs.collect();
     let reqs: Vec<RecvRequest> = srcs.iter().map(|&src| comm.irecv(src, tag)).collect();
@@ -269,7 +270,7 @@ fn window_row(lists: &Lists, (lo, hi): (u64, u64)) -> Vec<(usize, u64)> {
 /// or one adopted from a dead aggregator.
 struct Domain {
     /// The piece lists inside the domain, by source (the sources' own
-    /// `Arc`s). A round window's cut of a list is the list's pieces
+    /// `Rc`s). A round window's cut of a list is the list's pieces
     /// inside the window: the serving side keeps no stream positions.
     lists: Lists,
     /// The file range the lists touch, `(0, 0)` if none: round windows
@@ -300,7 +301,7 @@ impl Domain {
     /// alive by the memo that holds this domain, so a pointer match is a
     /// content match.
     fn holds(&self, lists: &Lists) -> bool {
-        let same = |((a, x), (b, y)): (&(usize, _), &(usize, _))| a == b && Arc::ptr_eq(x, y);
+        let same = |((a, x), (b, y)): (&(usize, _), &(usize, _))| a == b && Rc::ptr_eq(x, y);
         self.lists.len() == lists.len() && self.lists.iter().zip(lists).all(same)
     }
 }
@@ -371,7 +372,7 @@ fn same<T: PartialEq>(a: &Arc<[T]>, b: &Arc<[T]>) -> bool {
 /// only its file accesses move (by the new `min_st`); any other call
 /// rebuilds it first. Either way every message, charge and trace event is
 /// the call's own, so the memo changes host work only. It holds the
-/// call's own `Arc`s, never a copy, and belongs to one communicator: its
+/// call's own `Rc`s, never a copy, and belongs to one communicator: its
 /// key does not name the ranks.
 #[derive(Default)]
 pub struct Memo {
@@ -477,18 +478,18 @@ fn setup(
     t.stop_traced(ep.now(), prof, ep.trace());
 
     // (3b) Point-to-point transfer of the (offset, len) lists: charged as
-    // ROMIO's wire size, passed as the owner's `Arc`. Only non-empty
+    // ROMIO's wire size, passed as the owner's `Rc`. Only non-empty
     // lists exist, and self-assignment sends no message.
     let t = PhaseTimer::start(Phase::P2p, ep.now());
     for (a, list) in my_req {
         let dst = cfg.aggregators[*a];
         if dst != comm.rank() {
-            comm.isend_t(dst, TAG_REQ, Arc::clone(list), list.wire_bytes());
+            comm.isend_t(dst, TAG_REQ, Rc::clone(list), list.wire_bytes());
         }
     }
     if let Some(a) = my_agg_idx {
         let srcs = counts_from.iter().map(|&(src, _)| src);
-        let mine = slot_of(my_req, a).map(|slot| Arc::clone(&my_req[slot].1));
+        let mine = slot_of(my_req, a).map(|slot| Rc::clone(&my_req[slot].1));
         let lists = recv_lists(comm, TAG_REQ, srcs.filter(|&src| src != comm.rank()), mine);
         let _hp = host::scope(host::Site::CollSetup);
         let held = memo.domain.as_ref().is_some_and(|d| d.holds(&lists));
@@ -609,9 +610,9 @@ pub fn collective(
 fn send(
     comm: &Communicator<'_>,
     prof: &mut PhaseProfile,
-    (dst, msg): (usize, Arc<Sealed>),
+    (dst, msg): (usize, Msg),
     tags: (i32, i32),
-    own: &mut Option<Arc<Sealed>>,
+    own: &mut Option<Msg>,
 ) {
     let ep = comm.endpoint();
     let t = PhaseTimer::start(Phase::Local, ep.now());
@@ -620,7 +621,7 @@ fn send(
     if dst == comm.rank() {
         *own = Some(msg);
     } else {
-        post(comm, dst, tags, &msg, prof);
+        post(comm, dst, tags, msg, prof);
     }
 }
 
@@ -650,22 +651,21 @@ struct Exchange<'a, 'c> {
 
 impl Exchange<'_, '_> {
     /// Receiver side of one data exchange: complete one receive per rank
-    /// in `srcs`, in that order, as a batch, and append the message this
-    /// rank made for itself.
+    /// in `srcs`, in that order, as a batch, then the message this rank
+    /// made for itself; `(src, message)` in that order.
     fn collect(
         &mut self,
         srcs: Vec<usize>,
         data_tag: i32,
-        own: Option<Arc<Sealed>>,
-    ) -> Vec<(usize, Arc<Sealed>)> {
+        own: Option<Msg>,
+    ) -> impl Iterator<Item = (usize, Msg)> {
         let (comm, ep) = (self.comm, self.comm.endpoint());
         let t = PhaseTimer::start(Phase::P2p, ep.now());
         let reqs: Vec<RecvRequest> = srcs.iter().map(|&src| comm.irecv(src, data_tag)).collect();
-        let mut arrived: Vec<(usize, Arc<Sealed>)> =
-            srcs.into_iter().zip(comm.waitall_t(&reqs)).collect();
-        arrived.extend(own.map(|msg| (comm.rank(), msg)));
+        let arrived = comm.waitall_with(&reqs, Msg::from_payload);
         t.stop_traced(ep.now(), self.prof, ep.trace());
-        arrived
+        let own = own.map(|msg| (comm.rank(), msg));
+        srcs.into_iter().zip(arrived).chain(own)
     }
 
     /// Move window `wi` of one file domain between the ranks holding
@@ -701,7 +701,7 @@ impl Exchange<'_, '_> {
                 // Clients: pack (local memcpy) and post (p2p) the bytes
                 // each serving rank asked for, in route order. Only a rank
                 // I sent a list to can ask.
-                let mut own: Option<Arc<Sealed>> = None;
+                let mut own: Option<Msg> = None;
                 // Each stream is one contiguous range of the user buffer,
                 // so its payload is a single range-checked slice — a
                 // zero-copy view when the bytes are real.
@@ -728,8 +728,8 @@ impl Exchange<'_, '_> {
                     let srcs = row.iter().map(|&(src, _)| src).filter(|&src| src != me);
                     let arrived = self.collect(srcs.collect(), tags.0, own);
                     let cut = Cut::default(); // a write's payload is one stream
-                    let mut incoming = Vec::with_capacity(arrived.len());
-                    let msgs = arrived.into_iter().map(|(src, msg)| (src, msg, cut));
+                    let mut incoming = Vec::with_capacity(arrived.size_hint().0);
+                    let msgs = arrived.map(|(src, msg)| (src, msg, cut));
                     verify_all(comm, tags, msgs, self.prof, |src, _, cut, body| {
                         incoming.push((src, body.into_payload(&cut)));
                     });
@@ -740,12 +740,12 @@ impl Exchange<'_, '_> {
                 // Server: read the window once and send every source with
                 // bytes in it the same window; its sum, with checksums on,
                 // is over that source's pieces where they lie.
-                let mut own: Option<Arc<Sealed>> = None;
+                let mut own: Option<Msg> = None;
                 if let Some((row, (_, lo, hi), domain)) = served {
                     let Domain { lists, covered, .. } = domain;
                     let cuts = cut_streams(lists, (lo, hi), row.iter().map(|&(src, _)| src));
                     let fetched = read_window(comm, fh, space, self.prof, covered, wi, &cuts);
-                    if let Some(fetched) = fetched.map(Arc::new) {
+                    if let Some(fetched) = fetched.map(Rc::new) {
                         let bodies = row.iter().zip(&cuts);
                         let bodies = bodies.map(|(&(src, n), cut)| {
                             let _hp = simtrace::host::scope(simtrace::host::Site::Pack);
@@ -778,7 +778,7 @@ impl Exchange<'_, '_> {
                 }
                 slots.extend(own_slot);
                 let arrived = self.collect(srcs, tags.0, own);
-                debug_assert_eq!(arrived.len(), slots.len());
+                debug_assert_eq!(arrived.size_hint(), (slots.len(), Some(slots.len())));
                 let (my_req, pos) = (self.my_req, &self.pos);
                 let msgs = slots.iter().zip(arrived).map(|(&slot, (src, msg))| {
                     let cut = my_req[slot].1.cut(pos[slot], msg.len);

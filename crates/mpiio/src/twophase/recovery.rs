@@ -13,7 +13,7 @@ use crate::profile::{Phase, PhaseProfile, PhaseTimer};
 use simmpi::{Communicator, ReduceOp};
 use simnet::FaultState;
 use simtrace::ArgValue;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Tag for failover re-dissemination of a dead aggregator's piece lists.
 const TAG_RECOVER: i32 = 0x7003;
@@ -267,7 +267,7 @@ fn failover(
     // to the successor. Empty lists travel too, so the successor's
     // receive set is known without another size exchange.
     let slot = slot_of(my_req, dead_agg);
-    let mine = slot.map(|slot| Arc::clone(&my_req[slot].1));
+    let mine = slot.map(|slot| Rc::clone(&my_req[slot].1));
     // Nothing to replay on the successor: a window's cut of each list is
     // the list's pieces inside the window, so the adopted domain resumes
     // at the window the dead aggregator did not complete — one earlier

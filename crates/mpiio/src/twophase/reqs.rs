@@ -10,11 +10,11 @@
 //!
 //! The engine splits a plan in its call's own coordinates (`split`):
 //! file offsets relative to the call's `min_st`, so the lists of a call
-//! shaped like the last one are the last one's, `Arc` for `Arc`.
+//! shaped like the last one are the last one's, `Rc` for `Rc`.
 
 use crate::datatype::{push_run, Ext, Run};
 use crate::view::AccessPlan;
-use std::sync::{Arc, LazyLock};
+use std::rc::Rc;
 
 /// One piece of a rank's access assigned to an aggregator: a contiguous
 /// file run plus where its bytes live in the owning rank's user buffer.
@@ -37,7 +37,7 @@ impl Piece {
 
 /// One rank's pieces inside one aggregator's file domain: the object the
 /// whole exchange works on. [`calc_my_req`] builds it once, behind an
-/// `Arc`; the owner packs from it, the same `Arc` is the request message
+/// `Rc`; the owner packs from it, the same `Rc` is the request message
 /// (modelled as its ROMIO wire size, [`wire_bytes`](Self::wire_bytes)),
 /// and the aggregator cuts its round windows out of it.
 ///
@@ -58,7 +58,9 @@ pub struct PieceList {
     pieces: u64,
 }
 
-static EMPTY: LazyLock<Arc<PieceList>> = LazyLock::new(Arc::default);
+thread_local! {
+    static EMPTY: Rc<PieceList> = Rc::default();
+}
 
 impl PieceList {
     fn new(runs: &[Run], base: u64) -> Self {
@@ -77,8 +79,8 @@ impl PieceList {
 
     /// The shared empty list: a rank with nothing for an aggregator
     /// allocates nothing for it.
-    pub fn empty() -> Arc<PieceList> {
-        Arc::clone(&EMPTY)
+    pub fn empty() -> Rc<PieceList> {
+        EMPTY.with(Rc::clone)
     }
 
     /// True if the list holds no piece.
@@ -238,7 +240,7 @@ impl Cut<'_> {
 /// domain (binary search) and merges linearly from there: a run wholly
 /// inside a domain moves over as it is, one crossing a boundary is split
 /// by arithmetic (its data bytes before the boundary).
-pub fn calc_my_req(plan: &AccessPlan, domains: &[Ext]) -> Vec<(usize, Arc<PieceList>)> {
+pub fn calc_my_req(plan: &AccessPlan, domains: &[Ext]) -> Vec<(usize, Rc<PieceList>)> {
     split(plan, domains, 0)
 }
 
@@ -249,7 +251,7 @@ pub(super) fn split(
     plan: &AccessPlan,
     domains: &[Ext],
     origin: u64,
-) -> Vec<(usize, Arc<PieceList>)> {
+) -> Vec<(usize, Rc<PieceList>)> {
     let (shape, start) = (plan.shape(), plan.start().unwrap_or(0));
     let run = |i: usize| {
         shape.get(i).map(|r| Run {
@@ -294,7 +296,7 @@ pub(super) fn split(
             (i, done) = (i + 1, 0);
         }
         pos = run(i).map_or(pos, |r| r.at(done));
-        out.push((at, Arc::new(PieceList::new(&list, base))));
+        out.push((at, Rc::new(PieceList::new(&list, base))));
     }
     assert!(
         i == shape.len(),
@@ -327,7 +329,7 @@ pub(super) mod tests {
     }
 
     /// One list holding all of `extents` (sorted, disjoint).
-    pub(in crate::twophase) fn list(extents: &[(u64, u64)]) -> Arc<PieceList> {
+    pub(in crate::twophase) fn list(extents: &[(u64, u64)]) -> Rc<PieceList> {
         let req = calc_my_req(&plan(extents), &[Ext::new(0, u64::MAX / 2)]);
         let first = req.into_iter().next();
         first.map_or_else(PieceList::empty, |(_, list)| list)
@@ -335,7 +337,7 @@ pub(super) mod tests {
 
     /// The split laid out one list per domain, the shared empty list
     /// where the plan has nothing.
-    fn by_domain(plan: &AccessPlan, domains: &[Ext]) -> Vec<Arc<PieceList>> {
+    fn by_domain(plan: &AccessPlan, domains: &[Ext]) -> Vec<Rc<PieceList>> {
         let mut out = vec![PieceList::empty(); domains.len()];
         for (d, list) in calc_my_req(plan, domains) {
             out[d] = list;
@@ -593,7 +595,7 @@ pub(super) mod tests {
     #[test]
     fn the_empty_list_is_one_shared_instance() {
         let empty = PieceList::empty();
-        assert!(Arc::ptr_eq(&empty, &PieceList::empty()));
+        assert!(Rc::ptr_eq(&empty, &PieceList::empty()));
         assert!(empty.pieces().is_empty());
         assert_eq!(empty.total_bytes(), 0);
         assert_eq!(empty.wire_bytes(), 0);
@@ -692,7 +694,7 @@ pub(super) mod tests {
             c.consume(15, |_| {});
             c.consume(8, |_| {});
         }));
-        let l2 = Arc::clone(&l);
+        let l2 = Rc::clone(&l);
         let indexed = text(Box::new(move || {
             let _ = l2.cut(15, 8);
         }));
@@ -728,7 +730,7 @@ pub(super) mod tests {
             for (g, w) in got.iter().zip(&want) {
                 prop_assert_eq!(g.pieces(), w.clone());
                 prop_assert_eq!(g.total_bytes(), w.iter().map(|p| p.len).sum::<u64>());
-                prop_assert_eq!(g.pieces().is_empty(), Arc::ptr_eq(g, &PieceList::empty()));
+                prop_assert_eq!(g.pieces().is_empty(), Rc::ptr_eq(g, &PieceList::empty()));
             }
         }
 

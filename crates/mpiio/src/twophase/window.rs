@@ -417,7 +417,7 @@ mod tests {
     use proptest::prelude::*;
     use simfs::{FileSystem, FsConfig, RangeSet};
     use simnet::{run_cluster, ClusterConfig, SimTime};
-    use std::sync::Arc;
+    use std::rc::Rc;
 
     /// Land every payload's bytes on its cut's pieces inside `window`
     /// (which starts at file offset `base`), in source order: the staging
@@ -495,7 +495,7 @@ mod tests {
 
     /// Up to 12 sources' lists — pieces shifted off their period — and
     /// the `(pos, n)` of a clipped cut of each, some repeated verbatim.
-    fn arb_sources() -> impl Strategy<Value = Vec<(Arc<PieceList>, u64, u64)>> {
+    fn arb_sources() -> impl Strategy<Value = Vec<(Rc<PieceList>, u64, u64)>> {
         let source = (arb_pieces(24), 0u64..60, 0u64..200, 0u64..400);
         let sources = proptest::collection::vec((source, any::<bool>()), 0..12);
         sources.prop_map(|sources| {
@@ -505,7 +505,7 @@ mod tests {
                 let l = list(&shifted);
                 let pos = pos % l.total_bytes().max(1);
                 let n = n.min(l.total_bytes() - pos);
-                lists.push((Arc::clone(&l), pos, n));
+                lists.push((Rc::clone(&l), pos, n));
                 if repeat {
                     lists.push((l, pos, n));
                 }
@@ -670,8 +670,8 @@ mod tests {
                     }
                 }
                 let total = l.total_bytes();
-                let copied = [(0, Body::of_window(&Arc::new(whole), total), cut)];
-                let viewed_back = [(0, Body::of_window(&Arc::new(views), total), cut)];
+                let copied = [(0, Body::of_window(&Rc::new(whole), total), cut)];
+                let viewed_back = [(0, Body::of_window(&Rc::new(views), total), cut)];
                 prop_assert_eq!(
                     land_by_copy(total as usize, &copied),
                     land_by_views(total as usize, &viewed_back)

@@ -3,12 +3,12 @@
 use crate::config::FsConfig;
 use crate::integrity::{IntegrityError, IntegrityStore, ScrubReport, PAGE_SIZE};
 use crate::layout::StripeLayout;
+use crate::lock;
 use crate::ost::{Ost, OstStats};
 use crate::storage::Storage;
-use parking_lot::Mutex;
 use simnet::{FaultPlan, IoBuffer, Jitter, SimTime};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// One file's metadata and contents.
 #[derive(Debug)]
@@ -157,7 +157,7 @@ impl FileSystem {
         }
         // Keep the plan: `ost_rot` rules address at-rest file extents,
         // which the integrity layer materializes at read/scrub time.
-        *self.inner.faults.lock() = Some(std::sync::Arc::clone(plan));
+        *lock(&self.inner.faults) = Some(std::sync::Arc::clone(plan));
     }
 
     /// Open (creating if absent) with the default stripe parameters.
@@ -181,7 +181,7 @@ impl FileSystem {
         now: SimTime,
     ) -> (FileHandle, SimTime) {
         let cfg = &self.inner.cfg;
-        let mut mds = self.inner.mds.lock();
+        let mut mds = lock(&self.inner.mds);
         mds.opens += 1;
         // MDS is a serial resource for the per-open bookkeeping; the base
         // latency overlaps across clients.
@@ -236,7 +236,7 @@ impl FileSystem {
         parties: usize,
     ) -> SimTime {
         let cfg = &self.inner.cfg;
-        let mut mds = self.inner.mds.lock();
+        let mut mds = lock(&self.inner.mds);
         mds.opens += parties as u64;
         let start = mds.next_free.max(now + cfg.rpc_latency);
         mds.next_free = start + cfg.open_per_client * parties as f64;
@@ -259,10 +259,7 @@ impl FileSystem {
     ///
     /// Panics if `path` has never been opened.
     pub fn handle(&self, path: &str) -> FileHandle {
-        let entry = self
-            .inner
-            .mds
-            .lock()
+        let entry = lock(&self.inner.mds)
             .files
             .get(path)
             .map(Arc::clone)
@@ -282,12 +279,12 @@ impl FileSystem {
     /// Remove a file's metadata and contents. Existing handles keep their
     /// (now unlinked) contents alive, POSIX-style.
     pub fn unlink(&self, path: &str) -> bool {
-        self.inner.mds.lock().files.remove(path).is_some()
+        lock(&self.inner.mds).files.remove(path).is_some()
     }
 
     /// True if `path` exists.
     pub fn exists(&self, path: &str) -> bool {
-        self.inner.mds.lock().files.contains_key(path)
+        lock(&self.inner.mds).files.contains_key(path)
     }
 
     /// The instant every queued byte is durable — what an `fsync`/close
@@ -306,15 +303,15 @@ impl FileSystem {
     pub fn stats(&self) -> FsStats {
         let osts: Vec<OstStats> = self.inner.osts.iter().map(Ost::stats).collect();
         let (opens, image_resident_bytes, integrity_repaired, integrity_poisoned) = {
-            let mds = self.inner.mds.lock();
+            let mds = lock(&self.inner.mds);
             let (mut res, mut rep, mut poi) = (0u64, 0u64, 0u64);
             for entry in mds.files.values() {
                 if let Some(integ) = &entry.integrity {
-                    let integ = integ.lock();
+                    let integ = lock(integ);
                     rep += integ.repaired_extents();
                     poi += integ.poisoned_pages();
                 }
-                res += entry.storage.lock().resident_bytes();
+                res += lock(&entry.storage).resident_bytes();
             }
             (mds.opens, res, rep, poi)
         };
@@ -345,9 +342,9 @@ impl FileSystem {
     /// report is trivially clean.
     pub fn scrub(&self, now: SimTime) -> (ScrubReport, SimTime) {
         let cfg = &self.inner.cfg;
-        let plan = self.inner.faults.lock().clone();
+        let plan = lock(&self.inner.faults).clone();
         let files: Vec<(String, Arc<FileEntry>)> = {
-            let mds = self.inner.mds.lock();
+            let mds = lock(&self.inner.mds);
             let mut v: Vec<_> = mds
                 .files
                 .iter()
@@ -363,8 +360,8 @@ impl FileSystem {
             let Some(integ) = &entry.integrity else {
                 continue;
             };
-            let mut integ = integ.lock();
-            let mut storage = entry.storage.lock();
+            let mut integ = lock(integ);
+            let mut storage = lock(&entry.storage);
             let size = storage.size();
             report.bytes_scanned += size;
             let out = integ.verify_range(&mut storage, plan.as_deref(), 0, size);
@@ -431,7 +428,7 @@ impl FileHandle {
 
     /// Current file size.
     pub fn size(&self) -> u64 {
-        self.entry.storage.lock().size()
+        lock(&self.entry.storage).size()
     }
 
     /// Write `data` at `offset`, arriving at virtual time `now`; returns
@@ -456,8 +453,8 @@ impl FileHandle {
     ) -> SimTime {
         let done = self.charge_io(offset, len, now, true);
         if len > 0 {
-            let integ = self.entry.integrity.as_ref().map(|m| m.lock());
-            let mut st = self.entry.storage.lock();
+            let integ = self.entry.integrity.as_ref().map(lock);
+            let mut st = lock(&self.entry.storage);
             st.write_pieces(offset, len, pieces);
             if let Some(mut integ) = integ {
                 integ.note_write(&st, offset, len);
@@ -536,10 +533,10 @@ impl FileHandle {
         mut done: SimTime,
         read: impl FnOnce(&Storage) -> T,
     ) -> (T, SimTime) {
-        let integ = self.entry.integrity.as_ref().map(|m| m.lock());
-        let mut st = self.entry.storage.lock();
+        let integ = self.entry.integrity.as_ref().map(lock);
+        let mut st = lock(&self.entry.storage);
         if let Some(mut integ) = integ {
-            let plan = self.fs.inner.faults.lock().clone();
+            let plan = lock(&self.fs.inner.faults).clone();
             let mut repairs = 0usize;
             let mut unrepairable = Vec::new();
             for (off, len) in ranges {

@@ -44,3 +44,10 @@ pub use fs::{FileHandle, FileSystem, FsStats};
 pub use integrity::{IntegrityError, ScrubReport};
 pub use layout::StripeLayout;
 pub use rangeset::RangeSet;
+
+/// Lock `m` whatever a panic left behind: a rank that panics poisons its
+/// cluster, and the ranks unwinding after it must see that rank's panic,
+/// not a poisoned lock of the file system they share.
+fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

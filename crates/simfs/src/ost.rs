@@ -1,7 +1,8 @@
 //! Object storage target: a serial virtual-time resource.
 
-use parking_lot::Mutex;
+use crate::lock;
 use simnet::{Jitter, SimTime, SplitMix64};
+use std::sync::Mutex;
 
 /// Accumulated service statistics of one OST.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -80,13 +81,13 @@ impl Ost {
     /// Install a trace recorder; every subsequent [`serve`](Ost::serve)
     /// emits its service interval, queue wait and volume metrics on it.
     pub fn attach_trace(&self, rec: simtrace::Recorder) {
-        self.state.lock().trace = rec;
+        lock(&self.state).trace = rec;
     }
 
     /// Install a fault plan; this target is `index` in the plan's
     /// `ost_slow` / `ost_fail_after` rules.
     pub fn install_faults(&self, plan: std::sync::Arc<simnet::FaultPlan>, index: usize) {
-        self.state.lock().faults = Some((plan, index));
+        lock(&self.state).faults = Some((plan, index));
     }
 
     /// Serve a request of `bytes` in `requests` chunk units arriving at
@@ -115,7 +116,7 @@ impl Ost {
         // not host order. Nothing below blocks, so no other rank runs
         // before the mutation is done.
         simnet::progress::admit(arrival);
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         // hostprof: everything under the state lock (fault arithmetic,
         // queue maintenance, jitter, trace emission) is non-yielding;
         // the admission gate above can block and stays outside the scope.
@@ -244,12 +245,12 @@ impl Ost {
 
     /// Snapshot of this target's statistics.
     pub fn stats(&self) -> OstStats {
-        self.state.lock().stats
+        lock(&self.state).stats
     }
 
     /// The instant the target becomes idle.
     pub fn next_free(&self) -> SimTime {
-        self.state.lock().next_free
+        lock(&self.state).next_free
     }
 }
 

@@ -19,7 +19,7 @@
 use crate::comm::{Communicator, MeetLabel};
 use crate::ReduceOp;
 use simnet::CollectiveAlg;
-use std::sync::Arc;
+use std::rc::Rc;
 
 impl Communicator<'_> {
     /// Trace name of the algorithm the cost model charges for alltoall.
@@ -46,12 +46,12 @@ impl Communicator<'_> {
 
     /// Typed allgather for protocol metadata; `bytes_each` is the
     /// serialized per-rank size charged to the cost model. Returns the
-    /// values by local rank as the meeting's own `Arc`, shared by every
+    /// values by local rank as the meeting's own `Rc`, shared by every
     /// member: a table of `P` entries exists once per collective, not
     /// once per rank.
-    pub fn allgather_t<T>(&self, val: T, bytes_each: usize) -> Arc<Vec<T>>
+    pub fn allgather_t<T>(&self, val: T, bytes_each: usize) -> Rc<Vec<T>>
     where
-        T: Send + Sync + 'static,
+        T: 'static,
     {
         self.allgather_t_derive(val, bytes_each, |inputs| inputs)
     }
@@ -59,7 +59,7 @@ impl Communicator<'_> {
     /// [`allgather_t`](Self::allgather_t) that builds something once
     /// from the gathered values: `derive` runs exactly once at the
     /// meeting point (on the last arrival, over the values by local
-    /// rank) and every member receives the same `Arc` of what it built.
+    /// rank) and every member receives the same `Rc` of what it built.
     /// Same collective, same cost, same trace span.
     ///
     /// Use it for metadata all members would otherwise each decode and
@@ -71,10 +71,10 @@ impl Communicator<'_> {
     /// Members may serialize to different sizes (`MPI_Allgatherv`): the
     /// cost model charges the largest `bytes_each`, and each member's
     /// `rdv` span carries its own.
-    pub fn allgather_t_derive<T, R, F>(&self, val: T, bytes_each: usize, derive: F) -> Arc<R>
+    pub fn allgather_t_derive<T, R, F>(&self, val: T, bytes_each: usize, derive: F) -> Rc<R>
     where
-        T: Send + 'static,
-        R: Send + Sync + 'static,
+        T: 'static,
+        R: 'static,
         F: FnOnce(Vec<T>) -> R,
     {
         let net = self.ep.net().clone();
@@ -314,7 +314,7 @@ mod tests {
     }
 
     /// One gathered table per collective: every member of an
-    /// `allgather_t` holds the meeting's `Arc`.
+    /// `allgather_t` holds the meeting's `Rc`.
     #[test]
     fn every_member_gets_the_meetings_arc() {
         let out = run_cluster(ClusterConfig::ideal(6), |ep| {
@@ -322,7 +322,7 @@ mod tests {
             comm.allgather_t(comm.rank() as u64, 8)
         });
         for typed in &out {
-            assert!(Arc::ptr_eq(typed, &out[0]));
+            assert!(Rc::ptr_eq(typed, &out[0]));
         }
         assert_eq!(*out[0], [0, 1, 2, 3, 4, 5]);
     }

@@ -2,8 +2,7 @@
 
 use simnet::rendezvous::Rendezvous;
 use simnet::{Endpoint, SimTime};
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Group state shared by all members of a communicator.
 #[derive(Debug)]
@@ -12,15 +11,15 @@ pub(crate) struct CommShared {
     pub(crate) ctx: u32,
     /// Global rank of each local rank, ascending by local rank: one list
     /// for the whole group, shared with its rendezvous when ascending.
-    pub(crate) members: Arc<[usize]>,
+    pub(crate) members: Rc<[usize]>,
     /// Collective meeting point for this group.
-    pub(crate) rdv: Arc<Rendezvous>,
+    pub(crate) rdv: Rc<Rendezvous>,
 }
 
 /// A process group, mirroring `MPI_Comm`.
 ///
 /// A `Communicator` borrows the rank's [`Endpoint`] (it cannot leave the
-/// rank thread) and shares the group state with its peers. All the MPI-like
+/// rank's fiber) and shares the group state with its peers. All the MPI-like
 /// operations — point-to-point in [`crate::p2p`], collectives in
 /// [`crate::coll`] — are methods on this type.
 ///
@@ -40,7 +39,7 @@ pub(crate) struct CommShared {
 /// ```
 pub struct Communicator<'ep> {
     pub(crate) ep: &'ep Endpoint,
-    pub(crate) shared: Arc<CommShared>,
+    pub(crate) shared: Rc<CommShared>,
     pub(crate) my_local: usize,
 }
 
@@ -58,7 +57,7 @@ impl Clone for Communicator<'_> {
     fn clone(&self) -> Self {
         Communicator {
             ep: self.ep,
-            shared: Arc::clone(&self.shared),
+            shared: Rc::clone(&self.shared),
             my_local: self.my_local,
         }
     }
@@ -80,7 +79,7 @@ impl<'ep> Communicator<'ep> {
     /// world communicator of a cluster shares that one list.
     pub fn world(ep: &'ep Endpoint) -> Self {
         let rdv = ep.world_rendezvous();
-        let members = Arc::clone(
+        let members = Rc::clone(
             rdv.participants()
                 .expect("the world rendezvous knows its ranks"),
         );
@@ -88,7 +87,7 @@ impl<'ep> Communicator<'ep> {
         Communicator {
             ep,
             my_local: ep.rank(),
-            shared: Arc::new(CommShared {
+            shared: Rc::new(CommShared {
                 ctx: 0,
                 members,
                 rdv,
@@ -139,10 +138,10 @@ impl<'ep> Communicator<'ep> {
     /// timeline covering its entry to the last participant's arrival (the
     /// span duration *is* the collective wall this rank paid), tagged with
     /// the straggler's global rank and the operation's algorithm/volume.
-    pub(crate) fn meet<T, R, F>(&self, label: MeetLabel, input: T, combine: F) -> Arc<R>
+    pub(crate) fn meet<T, R, F>(&self, label: MeetLabel, input: T, combine: F) -> Rc<R>
     where
-        T: Send + 'static,
-        R: Send + Sync + 'static,
+        T: 'static,
+        R: 'static,
         F: FnOnce(Vec<T>, SimTime) -> (R, SimTime),
     {
         let entry = self.ep.now();
@@ -183,10 +182,10 @@ impl<'ep> Communicator<'ep> {
     /// once per collective — which is what lets I/O layers charge a
     /// shared serial resource (e.g. a file system's metadata server) for
     /// the whole group at a virtual-time-keyed instant, independent of
-    /// the order the OS happened to run the rank threads.
-    pub fn once_at_meet<R, F>(&self, op: &'static str, f: F) -> Arc<R>
+    /// the order the scheduler happened to resume the ranks in.
+    pub fn once_at_meet<R, F>(&self, op: &'static str, f: F) -> Rc<R>
     where
-        R: Send + Sync + 'static,
+        R: 'static,
         F: FnOnce(SimTime) -> (R, SimTime),
     {
         self.meet(
@@ -213,7 +212,7 @@ impl<'ep> Communicator<'ep> {
 
     /// [`split`](Self::split) that also decides something once: `derive`
     /// runs exactly once at the meeting point (on the last arrival) and
-    /// every member receives the same `Arc` of what it built — the
+    /// every member receives the same `Rc` of what it built — the
     /// [`allgather_t_derive`](Self::allgather_t_derive) idiom for metadata
     /// every member would otherwise compute identically from inputs they
     /// all already hold. Same collective, same cost, same trace span.
@@ -223,22 +222,22 @@ impl<'ep> Communicator<'ep> {
         color: Option<i64>,
         key: i64,
         derive: F,
-    ) -> (Option<Communicator<'ep>>, Arc<R>)
+    ) -> (Option<Communicator<'ep>>, Rc<R>)
     where
-        R: Send + Sync + 'static,
+        R: 'static,
         F: FnOnce() -> R,
     {
         let poison = self.ep.poison();
         let ctx_alloc = self.ep.ctx_allocator();
         let net = self.ep.net().clone();
         let p = self.size();
-        let members = Arc::clone(&self.shared.members);
+        let members = Rc::clone(&self.shared.members);
 
         // Each rank contributes (color, key, global rank). The combiner
         // builds every subgroup once and hands each parent rank its
         // (shared state, local rank) assignment.
-        type SplitOut = Vec<Option<(Arc<CommShared>, usize)>>;
-        let met: Arc<(SplitOut, Arc<R>)> = self.meet(
+        type SplitOut = Vec<Option<(Rc<CommShared>, usize)>>;
+        let met: Rc<(SplitOut, Rc<R>)> = self.meet(
             MeetLabel {
                 op: "comm_split",
                 alg: "recursive_doubling",
@@ -257,27 +256,27 @@ impl<'ep> Communicator<'ep> {
                 for group in by_color.values() {
                     let mut group = group.clone();
                     group.sort_by_key(|&(k, parent_local)| (k, parent_local));
-                    let group_members: Arc<[usize]> =
+                    let group_members: Rc<[usize]> =
                         group.iter().map(|&(_, pl)| members[pl]).collect();
                     debug_assert!(
                         group.iter().map(|&(k, _)| k).all(|k| k == group[0].0)
                             || group_members.windows(2).all(|w| w[0] != w[1]),
                         "split produced duplicate members"
                     );
-                    let shared = Arc::new(CommShared {
-                        ctx: ctx_alloc.fetch_add(1, Ordering::Relaxed),
-                        rdv: Arc::new(Rendezvous::for_ranks(
-                            Arc::clone(&group_members),
-                            Arc::clone(&poison),
+                    let shared = Rc::new(CommShared {
+                        ctx: ctx_alloc.replace(ctx_alloc.get() + 1),
+                        rdv: Rc::new(Rendezvous::for_ranks(
+                            Rc::clone(&group_members),
+                            Rc::clone(&poison),
                         )),
                         members: group_members,
                     });
                     for (new_local, &(_, parent_local)) in group.iter().enumerate() {
-                        out[parent_local] = Some((Arc::clone(&shared), new_local));
+                        out[parent_local] = Some((Rc::clone(&shared), new_local));
                     }
                 }
                 (
-                    (out, Arc::new(derive())),
+                    (out, Rc::new(derive())),
                     max_clock + net.allgather_cost(p, 16),
                 )
             },
@@ -288,10 +287,10 @@ impl<'ep> Communicator<'ep> {
             .as_ref()
             .map(|(shared, local)| Communicator {
                 ep: self.ep,
-                shared: Arc::clone(shared),
+                shared: Rc::clone(shared),
                 my_local: *local,
             });
-        (sub, Arc::clone(derived))
+        (sub, Rc::clone(derived))
     }
 }
 
@@ -317,13 +316,13 @@ mod tests {
     fn world_communicators_share_one_member_list() {
         let lists = run_cluster(ClusterConfig::ideal(5), |ep| {
             let world = Communicator::world(&ep);
-            assert!(Arc::ptr_eq(
+            assert!(Rc::ptr_eq(
                 &world.shared.members,
                 &Communicator::world(&ep).shared.members
             ));
-            Arc::clone(&world.shared.members)
+            Rc::clone(&world.shared.members)
         });
-        assert!(lists.iter().all(|l| Arc::ptr_eq(l, &lists[0])));
+        assert!(lists.iter().all(|l| Rc::ptr_eq(l, &lists[0])));
         assert_eq!(*lists[0], [0, 1, 2, 3, 4]);
     }
 
@@ -360,7 +359,7 @@ mod tests {
             let world = Communicator::world(&ep);
             let rank = ep.rank() as i64;
             let sub = |key| world.split(Some(0), key).unwrap().shared;
-            let same = |s: &CommShared| Arc::ptr_eq(&s.members, s.rdv.participants().unwrap());
+            let same = |s: &CommShared| Rc::ptr_eq(&s.members, s.rdv.participants().unwrap());
             (same(&sub(rank)), same(&sub(-rank)))
         });
         assert!(shared.iter().all(|&s| s == (true, true)));

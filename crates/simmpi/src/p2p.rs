@@ -12,11 +12,11 @@
 //! [`Communicator::waitall_t`]), the point-to-point form of
 //! `allgather_t`'s `bytes_each`: the message is *modelled* — charged,
 //! traced, fault-drawn — as the `wire_bytes` the real protocol would
-//! serialize, while the host passes the sender's `Arc`.
+//! serialize, while the host passes the sender's `Rc`.
 
 use crate::comm::Communicator;
 use simnet::{IoBuffer, Payload, SimTime};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Handle for a posted non-blocking receive.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,16 +49,10 @@ impl Communicator<'_> {
     }
 
     /// Non-blocking typed send: the receiver's [`waitall_t`] returns this
-    /// very `Arc`; every model sees a message of `wire_bytes`.
+    /// very `Rc`; every model sees a message of `wire_bytes`.
     ///
     /// [`waitall_t`]: Communicator::waitall_t
-    pub fn isend_t<T: Send + Sync + 'static>(
-        &self,
-        dst: usize,
-        tag: i32,
-        value: Arc<T>,
-        wire_bytes: usize,
-    ) {
+    pub fn isend_t<T: 'static>(&self, dst: usize, tag: i32, value: Rc<T>, wire_bytes: usize) {
         self.post(dst, tag, Payload::Typed { value, wire_bytes });
     }
 
@@ -69,8 +63,8 @@ impl Communicator<'_> {
 
     /// [`recv`](Communicator::recv) of a typed message
     /// ([`isend_t`](Communicator::isend_t)): same clock advance, same
-    /// trace span, the sender's `Arc`.
-    pub fn recv_t<T: Send + Sync + 'static>(&self, src: usize, tag: i32) -> Arc<T> {
+    /// trace span, the sender's `Rc`.
+    pub fn recv_t<T: 'static>(&self, src: usize, tag: i32) -> Rc<T> {
         self.recv_one(src, tag, Payload::into_typed)
     }
 
@@ -123,17 +117,20 @@ impl Communicator<'_> {
     /// request order; the clock advances to the latest arrival plus one
     /// receive overhead per message (the CPU cost of completing each).
     pub fn waitall(&self, reqs: &[RecvRequest]) -> Vec<IoBuffer> {
-        self.complete(reqs, Payload::into_bytes)
+        self.waitall_with(reqs, Payload::into_bytes)
     }
 
     /// [`waitall`](Communicator::waitall) over typed messages
     /// ([`isend_t`](Communicator::isend_t)): same clock advance, same
-    /// trace span, the senders' `Arc`s in request order.
-    pub fn waitall_t<T: Send + Sync + 'static>(&self, reqs: &[RecvRequest]) -> Vec<Arc<T>> {
-        self.complete(reqs, Payload::into_typed)
+    /// trace span, the senders' `Rc`s in request order.
+    pub fn waitall_t<T: 'static>(&self, reqs: &[RecvRequest]) -> Vec<Rc<T>> {
+        self.waitall_with(reqs, Payload::into_typed)
     }
 
-    fn complete<R>(&self, reqs: &[RecvRequest], open: impl Fn(Payload) -> R) -> Vec<R> {
+    /// [`waitall`](Communicator::waitall) over messages that may be
+    /// bytes or typed: each payload as it was sent, passed through
+    /// `open`, in request order. Same clock advance, same trace span.
+    pub fn waitall_with<R>(&self, reqs: &[RecvRequest], open: impl Fn(Payload) -> R) -> Vec<R> {
         let entry = self.ep.now();
         let mut payloads = Vec::with_capacity(reqs.len());
         let mut bytes = 0usize;

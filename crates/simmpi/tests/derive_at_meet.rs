@@ -1,6 +1,6 @@
 //! Contract of the derive-at-meet allgather
 //! ([`Communicator::allgather_t_derive`]): the closure runs exactly once
-//! per collective, every member receives the same `Arc`, and clocks and
+//! per collective, every member receives the same `Rc`, and clocks and
 //! the exported trace are those of a plain `allgather_t` of the same
 //! values, bit for bit — in the default pop order and in shuffled
 //! host orders. Members
@@ -14,6 +14,7 @@
 use simmpi::Communicator;
 use simnet::{run_cluster, ClusterConfig, IoBuffer, Mapping, PopOrder, SimTime};
 use simtrace::{chrome_trace_json, ArgValue, Event, TraceSink, TrackKey};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
@@ -94,7 +95,7 @@ fn derive_runs_once_shares_one_arc_and_costs_a_plain_allgather() {
         let derived = run_cluster(cluster(&sink), move |ep| {
             ep.compute(SimTime::micros(ep.rank() as f64 * 3.0));
             let comm = Communicator::world(&ep);
-            let shared: Vec<Arc<Vec<u64>>> = (0..COLLECTIVES)
+            let shared: Vec<Rc<Vec<u64>>> = (0..COLLECTIVES)
                 .map(|i| {
                     let (val, n) = contribution(comm.rank(), i);
                     comm.allgather_t_derive(val, n, |vals| {
@@ -123,7 +124,7 @@ fn derive_runs_once_shares_one_arc_and_costs_a_plain_allgather() {
             );
             for i in 0..COLLECTIVES {
                 assert!(
-                    Arc::ptr_eq(&shared[i], &derived[0].0[i]),
+                    Rc::ptr_eq(&shared[i], &derived[0].0[i]),
                     "{what}: rank {rank} holds its own copy"
                 );
                 assert_eq!(*shared[i], folded[i], "{what}: rank {rank} collective {i}");
@@ -219,7 +220,7 @@ fn split_derive_runs_once_and_is_a_plain_split() {
                         decide()
                     })
                 } else {
-                    (comm.split(color, 0), Arc::new(decide()))
+                    (comm.split(color, 0), Rc::new(decide()))
                 };
                 let sub = sub.expect("every rank has a color");
                 (sub.rank(), sub.size(), decided, ep.now())
@@ -239,7 +240,7 @@ fn split_derive_runs_once_and_is_a_plain_split() {
             );
             assert_eq!(*d.2, *p.2, "{what}: rank {rank} decision");
             assert!(
-                Arc::ptr_eq(&d.2, &derived[0].2),
+                Rc::ptr_eq(&d.2, &derived[0].2),
                 "{what}: rank {rank} holds a copy"
             );
             assert_eq!(

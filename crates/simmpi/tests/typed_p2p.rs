@@ -5,7 +5,7 @@
 //! `p2p_send_bytes`, same drop, delay and corruption draws in the same
 //! per-`(src, tag)` order under a seeded fault plan, hence the same
 //! exported trace bit for bit — while the host hands the receiver the
-//! sender's own `Arc`. Checked in the default pop order and in a
+//! sender's own `Rc`. Checked in the default pop order and in a
 //! shuffled host order.
 //!
 //! The order is a process-global choice ([`simnet::set_pop_order`]), so
@@ -14,6 +14,7 @@
 use simmpi::{Communicator, RecvRequest};
 use simnet::{run_cluster, ClusterConfig, FaultPlan, IoBuffer, Mapping, PopOrder, SimTime};
 use simtrace::{chrome_trace_json, metrics_json, TraceSink};
+use std::rc::Rc;
 use std::sync::Arc;
 
 const RANKS: usize = 8;
@@ -82,8 +83,8 @@ fn exchange(typed: bool) -> (Vec<Seen>, String, String) {
                 let list = pairs(me, dst, round);
                 if typed {
                     let wire = 16 * list.len();
-                    let list = Arc::new(list);
-                    seen.sent_at.push(Arc::as_ptr(&list) as usize);
+                    let list = Rc::new(list);
+                    seen.sent_at.push(Rc::as_ptr(&list) as usize);
                     comm.isend_t(dst, tag, list, wire);
                 } else {
                     comm.isend(dst, tag, encode(&list));
@@ -92,7 +93,7 @@ fn exchange(typed: bool) -> (Vec<Seen>, String, String) {
             let reqs: Vec<RecvRequest> = peers.iter().map(|&src| comm.irecv(src, tag)).collect();
             if typed {
                 for list in comm.waitall_t::<Pairs>(&reqs) {
-                    seen.received_at.push(Arc::as_ptr(&list) as usize);
+                    seen.received_at.push(Rc::as_ptr(&list) as usize);
                     seen.lists.push((*list).clone());
                 }
             } else {
@@ -168,7 +169,7 @@ fn kinds_must_agree_per_tag() {
     run_cluster(ClusterConfig::ideal(2), |ep| {
         let comm = Communicator::world(&ep);
         if comm.rank() == 0 {
-            comm.isend_t(1, 9, Arc::new(7u64), 8);
+            comm.isend_t(1, 9, Rc::new(7u64), 8);
         } else {
             let _ = comm.recv(0, 9);
         }

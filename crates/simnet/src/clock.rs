@@ -5,7 +5,7 @@ use std::cell::Cell;
 
 /// A rank's virtual clock.
 ///
-/// Each rank thread owns exactly one `Clock`; it is advanced by the cost
+/// Each rank owns exactly one `Clock`; it is advanced by the cost
 /// model as the rank computes, communicates and performs I/O. The clock is
 /// deliberately `!Sync` (interior `Cell`): cross-rank time agreement goes
 /// through [`crate::Rendezvous`] or message timestamps, never by peeking at

@@ -8,8 +8,8 @@ use crate::model::{MachineModel, NetworkModel};
 use crate::rendezvous::{PoisonFlag, Rendezvous};
 use crate::time::SimTime;
 use crate::topology::Topology;
-use std::sync::atomic::AtomicU32;
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 /// Wire timing of one received message: when the sender posted it and
 /// when its last byte arrived at the receiver. These two instants define
@@ -25,17 +25,21 @@ pub struct RecvInfo {
 
 /// A rank's handle: identity, virtual clock, raw messaging, and access to
 /// the shared cost models. One `Endpoint` is passed to each rank closure by
-/// [`crate::run_cluster`]; it is not `Sync` and must stay on its thread.
+/// [`crate::run_cluster`]. What the ranks of a run share — the mailboxes,
+/// the world rendezvous, the poison flag, the context counter and the
+/// models — it holds by `Rc`: every rank of a cluster is a fiber on the
+/// thread that called `run_cluster`, so an `Endpoint` is neither `Send`
+/// nor `Sync`.
 pub struct Endpoint {
     rank: usize,
     clock: Clock,
-    mailboxes: Arc<Vec<Mailbox>>,
-    topology: Arc<Topology>,
-    net: Arc<NetworkModel>,
-    machine: Arc<MachineModel>,
-    poison: Arc<PoisonFlag>,
-    world_rdv: Arc<Rendezvous>,
-    ctx_counter: Arc<AtomicU32>,
+    mailboxes: Rc<[Mailbox]>,
+    topology: Rc<Topology>,
+    net: Rc<NetworkModel>,
+    machine: Rc<MachineModel>,
+    poison: Rc<PoisonFlag>,
+    world_rdv: Rc<Rendezvous>,
+    ctx_counter: Rc<Cell<u32>>,
     trace: simtrace::Recorder,
     faults: Option<FaultState>,
 }
@@ -54,13 +58,13 @@ impl Endpoint {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         rank: usize,
-        mailboxes: Arc<Vec<Mailbox>>,
-            topology: Arc<Topology>,
-        net: Arc<NetworkModel>,
-        machine: Arc<MachineModel>,
-        poison: Arc<PoisonFlag>,
-        world_rdv: Arc<Rendezvous>,
-        ctx_counter: Arc<AtomicU32>,
+        mailboxes: Rc<[Mailbox]>,
+        topology: Rc<Topology>,
+        net: Rc<NetworkModel>,
+        machine: Rc<MachineModel>,
+        poison: Rc<PoisonFlag>,
+        world_rdv: Rc<Rendezvous>,
+        ctx_counter: Rc<Cell<u32>>,
         trace: simtrace::Recorder,
         faults: Option<FaultState>,
     ) -> Self {
@@ -141,23 +145,23 @@ impl Endpoint {
 
     /// The cluster-wide poison flag (for building further blocking
     /// primitives that must not deadlock on peer failure).
-    pub fn poison(&self) -> Arc<PoisonFlag> {
-        Arc::clone(&self.poison)
+    pub fn poison(&self) -> Rc<PoisonFlag> {
+        Rc::clone(&self.poison)
     }
 
     /// The rendezvous shared by all ranks, used by the MPI layer as the
     /// world communicator's collective meeting point.
-    pub fn world_rendezvous(&self) -> Arc<Rendezvous> {
-        Arc::clone(&self.world_rdv)
+    pub fn world_rendezvous(&self) -> Rc<Rendezvous> {
+        Rc::clone(&self.world_rdv)
     }
 
-    /// The shared context-id allocator. Communicator-creating collectives
-    /// capture this (it is `Send + Sync`) so the rendezvous combiner —
-    /// which runs on whichever rank arrives last — can allocate ids for
-    /// the new groups it constructs: one `fetch_add` per group, so ids
-    /// are unique cluster-wide and agreed within the group.
-    pub fn ctx_allocator(&self) -> Arc<AtomicU32> {
-        Arc::clone(&self.ctx_counter)
+    /// The shared context-id counter: the next unused id. Communicator-
+    /// creating collectives capture it so the rendezvous combiner — which
+    /// runs on whichever rank arrives last — can allocate ids for the new
+    /// groups it constructs: one id per group, so ids are unique
+    /// cluster-wide and agreed within the group.
+    pub fn ctx_allocator(&self) -> Rc<Cell<u32>> {
+        Rc::clone(&self.ctx_counter)
     }
 
     /// Post a message to `dst`. Charges the sender-side overhead and

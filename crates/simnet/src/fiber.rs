@@ -16,8 +16,8 @@
 //!
 //! Only *runnable* fibers are resumed. A rank that must block calls
 //! `wait` — the one wait primitive shared by the mailbox and the
-//! rendezvous — which leaves its `Waker` in a slot guarded by the wait
-//! site's own lock, drops that lock and switches away. The site's wake
+//! rendezvous — which leaves its `Waker` in a slot of the wait site's
+//! `RefCell`, lets go of the borrow and switches away. The site's wake
 //! path takes the waker out of the slot and wakes it: a push onto the
 //! thread-local run queue, no lock and no system call. A parked fiber is
 //! not touched again until then, so host time follows events, not
@@ -33,16 +33,19 @@
 //! scheduler stack; the scheduler loop runs only to start the fibers,
 //! to collect the finished ones and when nothing is runnable.
 //!
-//! Only a fiber of the same run can issue a wake — every fiber of a
-//! cluster runs on the thread that called [`crate::run_cluster`], one at
-//! a time — and a wake from any other thread is a bug that panics
-//! rather than touch a run queue it does not own (DESIGN.md §9.1 records
-//! why the executor does not spread a cluster over worker threads).
-//! A wake can still find its fiber mid-slice (a fiber waking itself, a
-//! handle left in a slot by an earlier wait): each fiber carries a
-//! three-state flag, a fiber marks itself parked only on its way out,
-//! after the last check of its wait condition, and a wake that finds it
-//! running leaves a notification that re-queues it as it switches away.
+//! Every fiber of a cluster runs on the thread that called
+//! [`crate::run_cluster`], one at a time (DESIGN.md §9.1 records why the
+//! executor does not spread a cluster over worker threads), so the
+//! state the fibers share is single-threaded by type: a [`Waker`] is an
+//! `Rc` and cannot leave the thread, wait sites are `RefCell`s, and a
+//! wait never holds a borrow across the switch. A handle left over from
+//! an earlier run of the same thread is a bug that panics rather than
+//! touch a run queue it does not belong to. A wake can still find its
+//! fiber mid-slice (a fiber waking itself, a handle left in a slot by an
+//! earlier wait): each fiber carries a three-state flag, a fiber marks
+//! itself parked only on its way out, after the last check of its wait
+//! condition, and a wake that finds it running leaves a notification
+//! that re-queues it as it switches away.
 //!
 //! # What stays identical
 //!
@@ -92,12 +95,11 @@ compile_error!("simnet's fiber context switch is written for x86_64 only");
 
 use crate::progress::{self, PopOrder};
 use crate::rendezvous::PoisonFlag;
-use parking_lot::{Mutex, MutexGuard};
 use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
+use std::sync::{Mutex, PoisonError};
 
 // The frozen `benchmark/src/child.rs` is this function's one caller; it
 // goes when the benchmark is next editable.
@@ -214,13 +216,19 @@ unsafe impl Send for StackMem {}
 /// pool never holds more stacks than were live at once.
 static STACK_POOL: Mutex<Vec<StackMem>> = Mutex::new(Vec::new());
 
+/// The stack pool, whatever a panic elsewhere left behind: it only ever
+/// holds whole stacks.
+fn stack_pool() -> std::sync::MutexGuard<'static, Vec<StackMem>> {
+    STACK_POOL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 impl StackMem {
     fn new(size: usize) -> Self {
         // 16-byte alignment satisfies both ABIs; size floor keeps the
         // canary + initial frame sane.
         let size = size.max(16 * 1024) & !15;
         let pooled = {
-            let mut pool = STACK_POOL.lock();
+            let mut pool = stack_pool();
             pool.iter()
                 .rposition(|s| s.layout.size() == size)
                 .map(|i| pool.remove(i))
@@ -241,7 +249,7 @@ impl StackMem {
     /// recently kept one, so fiber `i` of the next run gets the stack
     /// fiber `i` had.
     fn recycle(self) {
-        STACK_POOL.lock().push(self);
+        stack_pool().push(self);
     }
 
     /// Plant the architecture-specific initial frame; restoring from the
@@ -275,14 +283,14 @@ const PARKED: u8 = 1;
 const NOTIFIED: u8 = 2;
 
 /// One fiber's wake handle. A blocking rank leaves a clone in the wait
-/// site's slot (under the site's lock); whoever satisfies the wait takes
-/// it out and calls [`wake`](Parker::wake).
-pub(crate) struct Parker {
+/// site's slot; whoever satisfies the wait takes it out and wakes it.
+/// It is not `Send`: the run queue it pushes onto is its thread's.
+pub struct Parker {
     /// [`RUNNING`] / [`PARKED`] / [`NOTIFIED`]. A fiber stores `PARKED`
     /// only on its way out, after the last check of its wait condition,
     /// so a waker that reads `PARKED` re-queues a fiber that is off the
-    /// queue and about to switch away; every other transition is a swap.
-    state: AtomicU8,
+    /// queue and about to switch away.
+    state: Cell<u8>,
     /// [`RUN`] of the scheduler loop that owns the fiber.
     run: usize,
     /// The fiber's index in that loop (its rank).
@@ -290,7 +298,7 @@ pub(crate) struct Parker {
 }
 
 /// Shared handle to a [`Parker`].
-pub(crate) type Waker = Arc<Parker>;
+pub type Waker = Rc<Parker>;
 
 impl Parker {
     /// Make the fiber runnable. Idempotent until the fiber runs again;
@@ -298,16 +306,16 @@ impl Parker {
     /// into a re-queue when the fiber switches away.
     ///
     /// # Panics
-    /// When the calling thread is not running the scheduler loop the
-    /// fiber belongs to: the run queue is that thread's alone.
+    /// When the thread is not running the scheduler loop the fiber
+    /// belongs to: a handle that outlived its run wakes nothing.
     pub(crate) fn wake(&self) {
         assert!(
             RUN.with(Cell::get) == self.run,
-            "fiber {} woken from a thread that is not running its scheduler: \
+            "fiber {} woken outside the scheduler run it belongs to: \
              only a fiber of the same cluster run may wake another",
             self.idx
         );
-        if self.state.swap(NOTIFIED, Ordering::AcqRel) == PARKED {
+        if self.state.replace(NOTIFIED) == PARKED {
             progress::wake(self.idx);
         }
     }
@@ -347,6 +355,10 @@ thread_local! {
     /// Which [`run_fibers`] loop runs on this thread (0 = none): lets a
     /// wake check that it is pushing onto its own scheduler's queue.
     static RUN: Cell<usize> = const { Cell::new(0) };
+    /// Source of [`RUN`] ids: one per [`run_fibers`] call, never reused
+    /// on this thread, so a handle that outlives its run matches no later
+    /// one (a handle cannot reach another thread).
+    static NEXT_RUN: Cell<usize> = const { Cell::new(1) };
     /// That loop's stack pointer while a fiber runs.
     static SCHED_RSP: Cell<usize> = const { Cell::new(0) };
     /// That loop's fibers by index: where a fiber finds the one it hands
@@ -363,21 +375,31 @@ pub(crate) fn current() -> Option<usize> {
 }
 
 /// Make fiber `next` the running one and switch to it, saving the
-/// suspended context's stack pointer at `save`.
+/// suspended context's stack pointer at `save`. `slice` is the closing
+/// slice's timer when a fiber hands the thread to the next one: it ends
+/// that slice and starts `next`'s at one instant; from the scheduler loop
+/// a new one opens.
 ///
 /// # Safety
 /// `next` must be a fiber of the loop running on this thread, off the
 /// run queue and suspended; `save` must be the stack-pointer slot of the
 /// context that calls this (the loop's or the running fiber's).
-unsafe fn resume(save: *mut usize, next: usize) {
+unsafe fn resume(save: *mut usize, next: usize, slice: Option<simtrace::host::ScopeGuard>) {
     let rt = FIBERS.with(|f| f.borrow()[next]);
+    let slice = match slice {
+        Some(mut slice) => {
+            slice.lap();
+            slice
+        }
+        None => simtrace::host::scope(simtrace::host::Site::FiberRun),
+    };
     // SAFETY: `FIBERS` holds the loop's live boxed fibers; `next` is
     // suspended, so nothing else touches its state, and its saved stack
     // pointer came from a switch away from it or from `init_frame`.
     unsafe {
         let parker: &Parker = &(*rt).parker;
-        parker.state.store(RUNNING, Ordering::Release);
-        (*rt).slice = Some(simtrace::host::scope(simtrace::host::Site::FiberRun));
+        parker.state.set(RUNNING);
+        (*rt).slice = Some(slice);
         CURRENT.with(|c| c.set(rt));
         arch::switch(save, &raw const (*rt).fiber_rsp);
     }
@@ -400,23 +422,27 @@ fn switch_out(queued: bool) {
         let (me, state) = (parker.idx, &parker.state);
         if queued {
             // In the queue already: a wake must not queue it twice.
-            state.store(NOTIFIED, Ordering::Release);
-        } else if state
-            .compare_exchange(RUNNING, PARKED, Ordering::AcqRel, Ordering::Acquire)
-            .is_err()
-        {
+            state.set(NOTIFIED);
+        } else if state.get() == RUNNING {
+            state.set(PARKED);
+        } else {
             // Woken while it ran: queue it like any wake.
             progress::wake(me);
         }
         let next = progress::pop();
         if next == Some(me) {
-            state.store(RUNNING, Ordering::Release);
+            state.set(RUNNING);
             return;
         }
-        (*rt).slice = None;
+        let slice = (*rt).slice.take();
         match next {
-            Some(next) => resume(&raw mut (*rt).fiber_rsp, next),
-            None => arch::switch(&raw mut (*rt).fiber_rsp, SCHED_RSP.with(Cell::as_ptr)),
+            Some(next) => resume(&raw mut (*rt).fiber_rsp, next, slice),
+            None => {
+                // The slice ends now: this frame resumes only once the
+                // fiber is woken.
+                drop(slice);
+                arch::switch(&raw mut (*rt).fiber_rsp, SCHED_RSP.with(Cell::as_ptr));
+            }
         }
     }
 }
@@ -432,16 +458,19 @@ pub(crate) fn yield_queued() {
     switch_out(true);
 }
 
-/// The one blocking primitive of the substrate: release `guard`, block
-/// until the wait site wakes this rank, re-acquire. Callers loop on
-/// their own condition; a return is a hint, not a guarantee. Panics if
-/// the cluster is poisoned before or after blocking.
+/// The one blocking primitive of the substrate: leave this rank's
+/// [`Waker`] in the `slot` of the wait site's `state` and block until the
+/// site wakes it. Callers check their condition under a borrow of their
+/// own, release it and call this; they loop on the condition, since a
+/// return is a hint, not a guarantee. Panics if the cluster is poisoned
+/// before or after blocking.
 ///
-/// The rank's [`Waker`] goes into `slot` — part of the state `guard`
-/// protects, so the notifier, which takes it under the same lock, can
-/// never miss it — and the fiber leaves the run queue.
+/// Nothing else runs between the caller's check and the switch, so a
+/// notifier, which takes the waker out of the same slot, cannot miss it;
+/// and the borrow here ends before the switch, so no fiber ever finds a
+/// wait site borrowed.
 pub(crate) fn wait<T>(
-    guard: &mut MutexGuard<'_, T>,
+    state: &RefCell<T>,
     slot: impl FnOnce(&mut T) -> &mut Option<Waker>,
     poison: &PoisonFlag,
 ) {
@@ -452,8 +481,8 @@ pub(crate) fn wait<T>(
         "a rank blocked outside a fiber: nothing would ever wake it"
     );
     // SAFETY: non-null `CURRENT` is the running fiber's live state.
-    *slot(guard) = Some(Arc::clone(unsafe { &(*rt).parker }));
-    MutexGuard::unlocked(guard, park);
+    *slot(&mut state.borrow_mut()) = Some(Rc::clone(unsafe { &(*rt).parker }));
+    park();
     poison.check();
 }
 
@@ -475,10 +504,6 @@ extern "C" fn fiber_main() -> ! {
     unreachable!("completed fiber resumed")
 }
 
-/// Source of [`RUN`] ids: one per [`run_fibers`] call, never reused, so
-/// a handle that outlives its run matches no later one.
-static NEXT_RUN: AtomicUsize = AtomicUsize::new(1);
-
 /// Run `tasks` as cooperatively-scheduled fibers on the calling thread
 /// until all complete, resuming only those that are runnable, in
 /// `order`; returns each task's panic payload (`None` = clean return),
@@ -499,7 +524,7 @@ pub(crate) fn run_fibers<'a>(
         current().is_none(),
         "a cluster cannot be started from inside another cluster's rank"
     );
-    let run = NEXT_RUN.fetch_add(1, Ordering::Relaxed);
+    let run = NEXT_RUN.with(|n| n.replace(n.get() + 1));
     let mut fibers: Vec<(StackMem, Box<FiberRt>)> = Vec::with_capacity(tasks.len());
     for (idx, task) in tasks.into_iter().enumerate() {
         // SAFETY: every fiber completes before this function returns (the
@@ -512,8 +537,8 @@ pub(crate) fn run_fibers<'a>(
         let rt = Box::new(FiberRt {
             fiber_rsp: stack.prepare(fiber_main),
             done: false,
-            parker: Arc::new(Parker {
-                state: AtomicU8::new(RUNNING),
+            parker: Rc::new(Parker {
+                state: Cell::new(RUNNING),
                 run,
                 idx,
             }),
@@ -564,7 +589,7 @@ pub(crate) fn run_fibers<'a>(
         };
         // SAFETY: `idx` came off the queue, so it is suspended; the loop's
         // stack-pointer slot is this thread's.
-        unsafe { resume(SCHED_RSP.with(Cell::as_ptr), idx) };
+        unsafe { resume(SCHED_RSP.with(Cell::as_ptr), idx, None) };
         // Back from whichever fiber finished, or parked with nothing
         // left to run.
         let rtp = CURRENT.with(|c| c.replace(std::ptr::null_mut()));
@@ -595,18 +620,14 @@ pub(crate) fn run_fibers<'a>(
 /// a stall wakes the parked fibers once (a poisoned one then panics),
 /// and aborts the run if they all wait again.
 #[cfg(test)]
-pub(crate) fn on_fibers_in<T: Send>(
-    order: PopOrder,
-    n: usize,
-    f: impl Fn(usize) -> T + Sync,
-) -> Vec<T> {
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+pub(crate) fn on_fibers_in<T>(order: PopOrder, n: usize, f: impl Fn(usize) -> T) -> Vec<T> {
+    let slots: Vec<Cell<Option<T>>> = (0..n).map(|_| Cell::new(None)).collect();
     let tasks: Vec<Box<dyn FnOnce() + '_>> = slots
         .iter()
         .enumerate()
         .map(|(i, slot)| {
             let f = &f;
-            Box::new(move || *slot.lock() = Some(f(i))) as Box<dyn FnOnce()>
+            Box::new(move || slot.set(Some(f(i)))) as Box<dyn FnOnce()>
         })
         .collect();
     let panics = run_fibers(tasks, 256 * 1024, order, || {});
@@ -621,14 +642,13 @@ pub(crate) fn on_fibers_in<T: Send>(
 
 /// [`on_fibers_in`] in the default pop order.
 #[cfg(test)]
-pub(crate) fn on_fibers<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+pub(crate) fn on_fibers<T>(n: usize, f: impl Fn(usize) -> T) -> Vec<T> {
     on_fibers_in(PopOrder::Fixed, n, f)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicBool, AtomicU32};
 
     type Task<'a> = Box<dyn FnOnce() + 'a>;
     type Panics = Vec<Option<Box<dyn Any + Send>>>;
@@ -637,7 +657,7 @@ mod tests {
     fn current_waker() -> Waker {
         let rt = CURRENT.with(Cell::get);
         assert!(!rt.is_null(), "current_waker outside a fiber");
-        Arc::clone(unsafe { &(*rt).parker })
+        Rc::clone(unsafe { &(*rt).parker })
     }
 
     /// A fiber that wakes itself and parks is queued behind the fibers
@@ -661,15 +681,15 @@ mod tests {
 
     #[test]
     fn fibers_run_to_completion_in_order() {
-        let log = Mutex::new(Vec::new());
+        let log = RefCell::new(Vec::new());
         let tasks: Vec<Task> = (0..4)
             .map(|i| {
                 let log = &log;
-                Box::new(move || log.lock().push(i)) as Task
+                Box::new(move || log.borrow_mut().push(i)) as Task
             })
             .collect();
         assert!(run(tasks).iter().all(Option::is_none));
-        assert_eq!(*log.lock(), vec![0, 1, 2, 3]);
+        assert_eq!(*log.borrow(), vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -679,10 +699,10 @@ mod tests {
         // fibers' step 0, then step 1, ... Shuffled, the steps interleave
         // otherwise, and each fiber's own steps still come in order.
         let steps = |order| {
-            let log = Mutex::new(Vec::new());
+            let log = RefCell::new(Vec::new());
             on_fibers_in(order, 3, |i| {
                 for step in 0..3 {
-                    log.lock().push((i, step));
+                    log.borrow_mut().push((i, step));
                     yield_now();
                 }
             });
@@ -753,13 +773,13 @@ mod tests {
         // test asks for keeps this one's stacks to itself.
         const SIZE: usize = 80 * 1024 + 16;
         let frames_of = |fibers: usize| {
-            let frames = Mutex::new(vec![0usize; fibers]);
+            let frames = RefCell::new(vec![0usize; fibers]);
             let tasks: Vec<Task> = (0..fibers)
                 .map(|i| {
                     let frames = &frames;
                     Box::new(move || {
                         let local = 0u8;
-                        frames.lock()[i] = std::hint::black_box(&local) as *const u8 as usize;
+                        frames.borrow_mut()[i] = std::hint::black_box(&local) as *const u8 as usize;
                     }) as Task
                 })
                 .collect();
@@ -781,26 +801,22 @@ mod tests {
         // callback plays the poison role; the scheduler must re-queue
         // the fiber so it sees the flag — after exactly one diagnosis
         // and without the fiber being resumed in between.
-        let flag = AtomicBool::new(false);
-        let stalls = AtomicU32::new(0);
-        let resumes = AtomicU32::new(0);
+        let flag = Cell::new(false);
+        let stalls = Cell::new(0);
+        let resumes = Cell::new(0);
         let tasks: Vec<Task> = vec![Box::new(|| {
-            while !flag.load(Ordering::Acquire) {
+            while !flag.get() {
                 park();
-                resumes.fetch_add(1, Ordering::Relaxed);
+                resumes.set(resumes.get() + 1);
             }
         })];
         let panics = run_fibers(tasks, 64 * 1024, PopOrder::Fixed, || {
-            stalls.fetch_add(1, Ordering::Relaxed);
-            flag.store(true, Ordering::Release);
+            stalls.set(stalls.get() + 1);
+            flag.set(true);
         });
         assert!(panics[0].is_none());
-        assert_eq!(stalls.load(Ordering::Relaxed), 1);
-        assert_eq!(
-            resumes.load(Ordering::Relaxed),
-            1,
-            "a parked fiber is resumed only by a wake"
-        );
+        assert_eq!(stalls.get(), 1);
+        assert_eq!(resumes.get(), 1, "a parked fiber is resumed only by a wake");
     }
 
     #[test]
@@ -815,8 +831,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside a fiber")]
     fn a_wait_outside_a_fiber_panics_instead_of_hanging() {
-        let state = Mutex::new(None);
-        wait(&mut state.lock(), |s| s, &PoisonFlag::default());
+        let state = RefCell::new(None);
+        wait(&state, |s| s, &PoisonFlag::default());
     }
 
     #[test]
@@ -828,20 +844,20 @@ mod tests {
     }
 
     /// A two-party turn counter built on [`wait`], the way the real
-    /// wait sites are: the slot lives under the lock, the notifier takes
-    /// it there.
+    /// wait sites are: the condition is checked under a borrow that ends
+    /// before the wait, the notifier takes the slot's waker out.
     struct Turns {
-        state: Mutex<(u32, Option<Waker>)>,
+        state: RefCell<(u32, Option<Waker>)>,
         poison: PoisonFlag,
     }
 
     impl Turns {
         /// Block until the counter's parity is `me`, then bump it.
         fn take_turn(&self, me: u32) {
-            let mut st = self.state.lock();
-            while st.0 % 2 != me {
-                wait(&mut st, |s| &mut s.1, &self.poison);
+            while self.state.borrow().0 % 2 != me {
+                wait(&self.state, |s| &mut s.1, &self.poison);
             }
+            let mut st = self.state.borrow_mut();
             st.0 += 1;
             wake(&mut st.1);
         }
@@ -853,40 +869,33 @@ mod tests {
         // push onto the run queue, in either pop order.
         for order in [PopOrder::Fixed, PopOrder::Shuffled(3)] {
             let turns = Turns {
-                state: Mutex::new((0, None)),
+                state: RefCell::new((0, None)),
                 poison: PoisonFlag::default(),
             };
             on_fibers_in(order, 2, |me| {
                 (0..25).for_each(|_| turns.take_turn(me as u32))
             });
-            assert_eq!(turns.state.lock().0, 50);
+            assert_eq!(turns.state.borrow().0, 50);
         }
     }
 
     #[test]
-    fn a_wake_from_a_foreign_thread_panics_instead_of_queueing() {
-        // Fiber 0 publishes its waker and parks. Fiber 1 hands the waker
-        // to a plain OS thread: that wake must panic there, naming the
-        // violation, and leave fiber 0 parked until fiber 1 wakes it the
-        // legitimate way (a stall here would mean it never was).
-        let slot: Mutex<Option<Waker>> = Mutex::new(None);
-        let tasks: Vec<Task> = vec![
-            Box::new(|| {
-                *slot.lock() = Some(current_waker());
-                park();
-            }),
-            Box::new(|| {
-                let w = slot.lock().take().expect("fiber 0 ran first and parked");
-                let foreign = Arc::clone(&w);
-                let refused = std::thread::spawn(move || foreign.wake())
-                    .join()
-                    .expect_err("a wake from outside the scheduler's thread must panic");
-                let msg = refused.downcast_ref::<String>().expect("formatted panic message");
-                assert!(msg.contains("not running its scheduler"), "{msg}");
-                assert_eq!(w.state.load(Ordering::Acquire), PARKED);
-                w.wake();
-            }),
-        ];
-        assert!(run(tasks).iter().all(Option::is_none));
+    fn a_handle_left_over_from_an_earlier_run_panics_instead_of_queueing() {
+        // A fiber of the first run leaves its waker behind. Waking it
+        // from the second run must panic there, naming the violation,
+        // rather than push a stale index onto the second run's queue.
+        let slot: RefCell<Option<Waker>> = RefCell::new(None);
+        let leave: Vec<Task> = vec![Box::new(|| *slot.borrow_mut() = Some(current_waker()))];
+        assert!(run(leave).iter().all(Option::is_none));
+        let stale = slot.take().expect("the first run left its waker");
+        let panics = run(vec![Box::new(move || stale.wake())]);
+        let msg = panics[0]
+            .as_ref()
+            .and_then(|p| p.downcast_ref::<String>())
+            .expect("a formatted panic message");
+        assert!(
+            msg.contains("outside the scheduler run it belongs to"),
+            "{msg}"
+        );
     }
 }

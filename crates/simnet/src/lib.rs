@@ -34,6 +34,51 @@
 //!    (the Cray XT placement schemes from Figure 5 of the paper).
 //! 4. [`run_cluster`] — runs `n` ranks as fibers on the calling thread
 //!    and joins their results.
+//!
+//! # Single-threaded by type
+//!
+//! Every rank of a cluster is a fiber on the thread that called
+//! [`run_cluster`], so what the ranks of a run share is built from `Rc`,
+//! `RefCell`, `Cell` and `OnceCell`: a message or a meeting takes no
+//! lock and runs no atomic instruction. The compiler keeps it on its
+//! thread — a mailbox, a rendezvous and an endpoint are not `Sync`:
+//!
+//! ```compile_fail
+//! fn shared_between_threads<T: Sync>() {}
+//! shared_between_threads::<simnet::mailbox::Mailbox>();
+//! ```
+//!
+//! ```compile_fail
+//! fn shared_between_threads<T: Sync>() {}
+//! shared_between_threads::<simnet::Rendezvous>();
+//! ```
+//!
+//! ```compile_fail
+//! fn shared_between_threads<T: Sync>() {}
+//! shared_between_threads::<simnet::Endpoint>();
+//! ```
+//!
+//! and a fiber's wake handle is not `Send`, so no other thread can push
+//! onto its run queue:
+//!
+//! ```compile_fail
+//! fn sent_to_another_thread<T: Send>() {}
+//! sent_to_another_thread::<simnet::fiber::Waker>();
+//! ```
+//!
+//! (Those four names exist; it is the bound that fails.)
+//!
+//! ```
+//! fn named<T>() {}
+//! named::<simnet::mailbox::Mailbox>();
+//! named::<simnet::Rendezvous>();
+//! named::<simnet::Endpoint>();
+//! named::<simnet::fiber::Waker>();
+//! ```
+//!
+//! What does cross threads keeps `std::sync`: the stores behind
+//! [`IoBuffer`]s, which a file system image keeps beyond the run, the
+//! fiber stack pool and the pop order, both process-wide.
 
 #![warn(missing_docs)]
 

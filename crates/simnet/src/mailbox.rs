@@ -35,18 +35,22 @@
 //! block's table of shard slots is allocated with its first shard. A
 //! slot table sized by the cluster in every mailbox was `ranks²` slots
 //! of 16 B — 4 MiB at 512 ranks, 1 GiB at 8 192 — for pairs that never
-//! exchange a message. Both levels are `OnceLock`s, so finding a shard
-//! takes no lock.
+//! exchange a message.
+//!
+//! Every rank of a cluster is a fiber on one thread, so the store is
+//! single-threaded by type: both levels of slots are `OnceCell`s and a
+//! shard is a `RefCell`, whose borrow ends before a receiver parks. A
+//! delivery and a receive take no lock, run no atomic instruction and,
+//! once the pair's queue has grown to its working size, allocate nothing.
 
 use crate::buffer::IoBuffer;
 use crate::fiber::{self, Waker};
 use crate::rendezvous::PoisonFlag;
 use crate::time::SimTime;
-use parking_lot::Mutex;
 use std::any::Any;
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::rc::Rc;
 
 /// What a message carries: bytes, or a host-side reference standing in
 /// for them.
@@ -54,7 +58,7 @@ use std::sync::{Arc, OnceLock};
 /// A typed payload is the point-to-point form of the typed collectives'
 /// `bytes_each`: the cost model, the fault draws and the trace
 /// all see a message of `wire_bytes` (what the real protocol would
-/// serialize), while the host hands the receiver the sender's `Arc` —
+/// serialize), while the host hands the receiver the sender's `Rc` —
 /// nothing is encoded, copied or decoded.
 #[derive(Debug, Clone)]
 pub enum Payload {
@@ -63,7 +67,7 @@ pub enum Payload {
     /// A shared value modelled as `wire_bytes` on the wire.
     Typed {
         /// The value the receiver gets a reference to.
-        value: Arc<dyn Any + Send + Sync>,
+        value: Rc<dyn Any>,
         /// Serialized size charged to every cost model.
         wire_bytes: usize,
     },
@@ -89,7 +93,7 @@ impl Payload {
 
     /// The shared value. Panics on a byte payload or a value of another
     /// type, for the same reason as [`into_bytes`](Self::into_bytes).
-    pub fn into_typed<T: Send + Sync + 'static>(self) -> Arc<T> {
+    pub fn into_typed<T: 'static>(self) -> Rc<T> {
         match self {
             Payload::Typed { value, .. } => value.downcast().unwrap_or_else(|_| {
                 panic!("typed message is not a {}", std::any::type_name::<T>())
@@ -138,10 +142,7 @@ pub struct Packet {
 
 /// One source rank's queue plus the owner's parked fiber, if it waits
 /// on this source.
-#[derive(Default)]
-struct Shard {
-    state: Mutex<ShardState>,
-}
+type Shard = RefCell<ShardState>;
 
 #[derive(Default)]
 struct ShardState {
@@ -154,20 +155,20 @@ struct ShardState {
 const BLOCK: usize = 64;
 
 /// The shard slots of [`BLOCK`] consecutive senders.
-type Block = [OnceLock<Box<Shard>>; BLOCK];
+type Block = [OnceCell<Box<Shard>>; BLOCK];
 
 /// One rank's incoming-message store.
 pub struct Mailbox {
     /// Per-source shards, by block of senders (`src / BLOCK`) and slot
     /// in it (`src % BLOCK`); a block and a pair's shard are created
     /// when its sender or the receiver first asks for it.
-    blocks: Box<[OnceLock<Box<Block>>]>,
-    poison: Arc<PoisonFlag>,
+    blocks: Box<[OnceCell<Box<Block>>]>,
+    poison: Rc<PoisonFlag>,
     /// Times the receiver was woken by a delivery and found its match.
-    wakeups: AtomicU64,
+    wakeups: Cell<u64>,
     /// Times the receiver was woken by a delivery without a matching
     /// packet (a same-source delivery on a different `(ctx, tag)`).
-    spurious_wakeups: AtomicU64,
+    spurious_wakeups: Cell<u64>,
 }
 
 impl std::fmt::Debug for Mailbox {
@@ -179,31 +180,31 @@ impl std::fmt::Debug for Mailbox {
 impl Mailbox {
     /// New empty mailbox of a rank in a cluster of `nranks` possible
     /// senders, sharing the cluster poison flag.
-    pub fn new(nranks: usize, poison: Arc<PoisonFlag>) -> Self {
+    pub fn new(nranks: usize, poison: Rc<PoisonFlag>) -> Self {
         assert!(
             u32::try_from(nranks).is_ok(),
             "packets carry their source rank in 32 bits"
         );
         Mailbox {
             blocks: (0..nranks.max(1).div_ceil(BLOCK))
-                .map(|_| OnceLock::new())
+                .map(|_| OnceCell::new())
                 .collect(),
             poison,
-            wakeups: AtomicU64::new(0),
-            spurious_wakeups: AtomicU64::new(0),
+            wakeups: Cell::new(0),
+            spurious_wakeups: Cell::new(0),
         }
     }
 
     fn shard(&self, src: usize) -> &Shard {
         let block = self.blocks[src / BLOCK]
-            .get_or_init(|| Box::new(std::array::from_fn(|_| OnceLock::new())));
+            .get_or_init(|| Box::new(std::array::from_fn(|_| OnceCell::new())));
         block[src % BLOCK].get_or_init(Box::default)
     }
 
     /// The shards created so far.
     fn shards(&self) -> impl Iterator<Item = &Shard> {
-        let blocks = self.blocks.iter().filter_map(OnceLock::get);
-        blocks.flat_map(|b| b.iter().filter_map(OnceLock::get).map(|s| &**s))
+        let blocks = self.blocks.iter().filter_map(OnceCell::get);
+        blocks.flat_map(|b| b.iter().filter_map(OnceCell::get).map(|s| &**s))
     }
 
     /// Deposit a packet (called by the sender's fiber) and wake the
@@ -212,7 +213,7 @@ impl Mailbox {
     pub fn deliver(&self, pkt: Packet) {
         // hostprof: deposit + targeted wake; nothing below blocks.
         let _hp = simtrace::host::scope(simtrace::host::Site::MboxDeliver);
-        let mut st = self.shard(pkt.src as usize).state.lock();
+        let mut st = self.shard(pkt.src as usize).borrow_mut();
         st.queue.push_back(pkt);
         fiber::wake(&mut st.waiter);
     }
@@ -222,42 +223,46 @@ impl Mailbox {
     pub fn recv(&self, src: usize, ctx: u32, tag: i32) -> Packet {
         let shard = self.shard(src);
         let key = (ctx, tag);
-        let mut st = shard.state.lock();
         let mut woken = false;
         loop {
-            // hostprof: one lock-held matching pass. The guard is dropped
-            // before the wait below, so the frame never absorbs the time
-            // spent blocked (which belongs to other fibers' work).
+            // hostprof: one matching pass. The guard is dropped before
+            // the wait below, so the frame never absorbs the time spent
+            // blocked (which belongs to other fibers' work).
             let hp = simtrace::host::scope(simtrace::host::Site::MboxRecv);
-            let hit = st.queue.iter().position(|p| (p.ctx, p.tag) == key);
-            if let Some(pkt) = hit.and_then(|i| st.queue.remove(i)) {
+            let hit = {
+                let mut st = shard.borrow_mut();
+                let at = st.queue.iter().position(|p| (p.ctx, p.tag) == key);
+                at.and_then(|i| st.queue.remove(i))
+            };
+            if let Some(pkt) = hit {
                 if woken {
-                    self.wakeups.fetch_add(1, Ordering::Relaxed);
+                    self.wakeups.set(self.wakeups.get() + 1);
                 }
                 return pkt;
             }
             if woken {
-                self.spurious_wakeups.fetch_add(1, Ordering::Relaxed);
+                let spurious = &self.spurious_wakeups;
+                spurious.set(spurious.get() + 1);
             }
             // No matching packet exists: this rank's further progress
             // (and all its future resource requests) now depends on the
             // sender. It holds no key in the run queue until woken.
             drop(hp);
-            fiber::wait(&mut st, |s| &mut s.waiter, &self.poison);
+            fiber::wait(shard, |s| &mut s.waiter, &self.poison);
             woken = true;
         }
     }
 
     /// Number of packets currently queued (all keys). Diagnostic only.
     pub fn backlog(&self) -> usize {
-        self.shards().map(|s| s.state.lock().queue.len()).sum()
+        self.shards().map(|s| s.borrow().queue.len()).sum()
     }
 
     /// Notified wakeups the receiver observed that found their match.
     /// Diagnostic: with per-source sharding every delivery wakes at most
     /// this mailbox's owner, so this tracks productive deliveries.
     pub fn wakeups(&self) -> u64 {
-        self.wakeups.load(Ordering::Relaxed)
+        self.wakeups.get()
     }
 
     /// Notified wakeups that found no matching packet — a same-source
@@ -265,7 +270,7 @@ impl Mailbox {
     /// Single-tag exchanges (the two-phase data path) keep this at zero;
     /// the regression test asserts it.
     pub fn spurious_wakeups(&self) -> u64 {
-        self.spurious_wakeups.load(Ordering::Relaxed)
+        self.spurious_wakeups.get()
     }
 }
 
@@ -276,8 +281,8 @@ mod tests {
     use crate::progress::PopOrder;
     use proptest::prelude::*;
 
-    fn mbox() -> Arc<Mailbox> {
-        Arc::new(Mailbox::new(4, Arc::new(PoisonFlag::default())))
+    fn mbox() -> Mailbox {
+        Mailbox::new(4, Rc::new(PoisonFlag::default()))
     }
 
     fn pkt(src: u32, ctx: u32, tag: i32, bytes: &[u8]) -> Packet {
@@ -303,22 +308,22 @@ mod tests {
     #[test]
     fn typed_payload_hands_over_the_senders_arc() {
         let m = mbox();
-        let value = Arc::new(vec![1u64, 2, 3]);
+        let value = Rc::new(vec![1u64, 2, 3]);
         let mut p = pkt(1, 0, 5, &[]);
         p.payload = Payload::Typed {
-            value: Arc::clone(&value) as Arc<dyn Any + Send + Sync>,
+            value: Rc::clone(&value) as Rc<dyn Any>,
             wire_bytes: 48,
         };
         m.deliver(p);
         let got = m.recv(1, 0, 5).payload;
         assert_eq!(got.wire_len(), 48);
-        assert!(Arc::ptr_eq(&got.into_typed::<Vec<u64>>(), &value));
+        assert!(Rc::ptr_eq(&got.into_typed::<Vec<u64>>(), &value));
     }
 
     #[test]
     #[should_panic(expected = "typed message received as bytes")]
     fn typed_payload_is_not_bytes() {
-        let value: Arc<dyn Any + Send + Sync> = Arc::new(7u8);
+        let value: Rc<dyn Any> = Rc::new(7u8);
         let _ = Payload::Typed {
             value,
             wire_bytes: 1,
@@ -390,7 +395,7 @@ mod tests {
 
     #[test]
     fn shards_are_created_on_first_use() {
-        let m = Mailbox::new(1024, Arc::new(PoisonFlag::default()));
+        let m = Mailbox::new(1024, Rc::new(PoisonFlag::default()));
         let made = |m: &Mailbox| m.shards().count();
         assert_eq!((made(&m), m.backlog()), (0, 0), "backlog creates no shard");
         m.deliver(pkt(5, 0, 0, &[1]));
@@ -404,7 +409,7 @@ mod tests {
 
         // Slot tables too: a 4 096-rank mailbox that hears from three
         // senders holds at most three blocks of slots, not 4 096 slots.
-        let m = Mailbox::new(4096, Arc::new(PoisonFlag::default()));
+        let m = Mailbox::new(4096, Rc::new(PoisonFlag::default()));
         let blocks = |m: &Mailbox| m.blocks.iter().filter(|b| b.get().is_some()).count();
         assert_eq!((m.blocks.len(), blocks(&m)), (4096 / BLOCK, 0));
         for src in [7, 2100, 4095] {
@@ -420,8 +425,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "poisoned")]
     fn poisoned_recv_panics_instead_of_hanging() {
-        let poison = Arc::new(PoisonFlag::default());
-        let m = Mailbox::new(1, Arc::clone(&poison));
+        let poison = Rc::new(PoisonFlag::default());
+        let m = Mailbox::new(1, Rc::clone(&poison));
         poison.poison();
         on_fibers(1, |_| m.recv(0, 0, 0));
     }

@@ -82,10 +82,10 @@
 
 use crate::noise::SplitMix64;
 use crate::time::SimTime;
-use parking_lot::Mutex;
 use simtrace::host::{self, Counter};
 use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::sync::{Mutex, PoisonError};
 
 /// How the run queue picks the next runnable fiber to resume.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,12 +104,12 @@ static POP_ORDER: Mutex<PopOrder> = Mutex::new(PopOrder::Fixed);
 /// Select the pop order of subsequent [`crate::run_cluster`] calls
 /// (process-wide).
 pub fn set_pop_order(order: PopOrder) {
-    *POP_ORDER.lock() = order;
+    *POP_ORDER.lock().unwrap_or_else(PoisonError::into_inner) = order;
 }
 
 /// The pop order [`crate::run_cluster`] uses.
 pub fn pop_order() -> PopOrder {
-    *POP_ORDER.lock()
+    *POP_ORDER.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// `(time, rank)` as one integer that orders like the pair: the time's
@@ -374,7 +374,7 @@ mod tests {
     use crate::rendezvous::{PoisonFlag, Rendezvous};
     use crate::runtime::{run_cluster, ClusterConfig};
     use std::collections::HashMap;
-    use std::sync::Arc;
+    use std::rc::Rc;
 
     #[test]
     fn outside_a_fiber_admission_is_immediate() {
@@ -385,10 +385,10 @@ mod tests {
     /// The order in which `arrivals[r]`, requested by fiber `r` right at
     /// its start, are admitted when fibers are popped in `pops`.
     fn admission_order(pops: PopOrder, arrivals: &[f64]) -> Vec<usize> {
-        let order = Mutex::new(Vec::new());
+        let order = RefCell::new(Vec::new());
         on_fibers_in(pops, arrivals.len(), |r| {
             admit(SimTime::secs(arrivals[r]));
-            order.lock().push(r);
+            order.borrow_mut().push(r);
         });
         order.into_inner()
     }
@@ -418,12 +418,12 @@ mod tests {
     fn a_runnable_rank_below_the_request_goes_first() {
         // Rank 0 asks for t=5 while rank 1, runnable at floor 0, could
         // still ask for less: rank 0 waits until rank 1 is done.
-        let log = Mutex::new(Vec::new());
+        let log = RefCell::new(Vec::new());
         on_fibers_in(PopOrder::Fixed, 2, |r| {
             if r == 0 {
                 admit(SimTime::secs(5.0));
             }
-            log.lock().push(r);
+            log.borrow_mut().push(r);
         });
         assert_eq!(log.into_inner(), [1, 0]);
     }
@@ -493,7 +493,7 @@ mod tests {
     /// every meeting a rank is parked in.
     struct State {
         ranks: Vec<(SimTime, Mode)>,
-        members: HashMap<u64, Arc<[usize]>>,
+        members: HashMap<u64, Rc<[usize]>>,
     }
 
     impl State {
@@ -713,7 +713,7 @@ mod tests {
 
     /// The meetings a generated state draws from: the world, two halves
     /// and a set that straddles them.
-    fn meetings(n: usize) -> Vec<Arc<[usize]>> {
+    fn meetings(n: usize) -> Vec<Rc<[usize]>> {
         vec![
             (0..n).collect(),
             (0..n / 2).collect(),
@@ -746,7 +746,7 @@ mod tests {
                         .map(|k| (operand as usize + k) % meetings.len())
                         .find(|&k| meetings[k].contains(&r))
                         .expect("every rank is in the world meeting");
-                    s.members.insert(m as u64, Arc::clone(&meetings[m]));
+                    s.members.insert(m as u64, Rc::clone(&meetings[m]));
                     Mode::Rdv { id: m as u64 }
                 }
                 6 => Mode::Pending {
@@ -800,8 +800,8 @@ mod tests {
 
     /// True when some meeting has every member parked in it. No run
     /// reaches such a state: the last member to arrive completes the
-    /// meeting under the rendezvous lock instead of parking
-    /// (`rendezvous.rs`, `if st.arrived == self.n`).
+    /// meeting instead of parking (`rendezvous.rs`, the branch where
+    /// `st.arrived` reaches `self.n`).
     fn fully_parked(s: &State) -> bool {
         let parked = |id: u64, members: &[usize]| members.iter().all(|&p| s.parked_in(p, id));
         s.members.iter().any(|(&id, members)| parked(id, members))
@@ -897,16 +897,16 @@ mod tests {
         // meeting member is looked at, whatever the meetings' shapes.
         const P: usize = 1024;
         let requester = P / 2;
-        let world: Arc<[usize]> = (0..P).collect();
-        let others: Arc<[usize]> = (0..P).filter(|&r| r != requester).collect();
-        let subgroup = |r: usize| -> Arc<[usize]> { (r / 64 * 64..(r / 64 + 1) * 64).collect() };
+        let world: Rc<[usize]> = (0..P).collect();
+        let others: Rc<[usize]> = (0..P).filter(|&r| r != requester).collect();
+        let subgroup = |r: usize| -> Rc<[usize]> { (r / 64 * 64..(r / 64 + 1) * 64).collect() };
         // Who parks where — each meeting keeps a member on its way: the
         // requester, rank 7, or each subgroup's last rank.
-        type Parks<'a> = &'a dyn Fn(usize) -> Option<(u64, Arc<[usize]>)>;
+        type Parks<'a> = &'a dyn Fn(usize) -> Option<(u64, Rc<[usize]>)>;
         let nobody: Parks = &|_| None;
-        let all_with_requester: Parks = &|r| (r != requester).then(|| (0, Arc::clone(&world)));
+        let all_with_requester: Parks = &|r| (r != requester).then(|| (0, Rc::clone(&world)));
         let all_but_a_straggler: Parks =
-            &|r| (r != requester && r != 7).then(|| (1, Arc::clone(&others)));
+            &|r| (r != requester && r != 7).then(|| (1, Rc::clone(&others)));
         let subgroups: Parks =
             &|r| (r != requester && r % 64 != 63).then(|| (2 + r as u64 / 64, subgroup(r)));
         let cases: [(Parks, usize, f64, bool); 9] = [
@@ -980,8 +980,8 @@ mod tests {
                 members: HashMap::new(),
             };
             for (group, floor) in [(requester / G, 2.0), (other, other_floor)] {
-                let members: Arc<[usize]> = (group * G..(group + 1) * G).collect();
-                s.members.insert(group as u64, Arc::clone(&members));
+                let members: Rc<[usize]> = (group * G..(group + 1) * G).collect();
+                s.members.insert(group as u64, Rc::clone(&members));
                 for &r in members.iter() {
                     let mode = if r != requester && r != straggler {
                         Mode::Rdv { id: group as u64 }
@@ -1087,13 +1087,13 @@ mod tests {
     /// A serial resource with a seeded service draw: which request is
     /// served first changes every later completion time.
     struct Server {
-        state: Mutex<(SimTime, crate::noise::SplitMix64)>,
+        state: RefCell<(SimTime, crate::noise::SplitMix64)>,
     }
 
     impl Server {
         fn serve(&self, arrival: SimTime) -> SimTime {
             admit(arrival);
-            let mut st = self.state.lock();
+            let mut st = self.state.borrow_mut();
             let start = st.0.max(arrival);
             st.0 = start + SimTime::micros(1.0 + st.1.next_f64());
             st.0
@@ -1105,14 +1105,14 @@ mod tests {
     /// clock bits after each step.
     fn oracle_run() -> Vec<Vec<u64>> {
         const N: usize = 12;
-        let server = Arc::new(Server {
-            state: Mutex::new((SimTime::ZERO, crate::noise::SplitMix64::new(42))),
+        let server = Rc::new(Server {
+            state: RefCell::new((SimTime::ZERO, crate::noise::SplitMix64::new(42))),
         });
-        let poison = Arc::new(PoisonFlag::default());
-        let halves: Arc<Vec<Rendezvous>> = Arc::new(
+        let poison = Rc::new(PoisonFlag::default());
+        let halves: Rc<Vec<Rendezvous>> = Rc::new(
             [0..N / 2, N / 2..N]
                 .into_iter()
-                .map(|r| Rendezvous::for_ranks(r.collect::<Vec<_>>(), Arc::clone(&poison)))
+                .map(|r| Rendezvous::for_ranks(r.collect::<Vec<_>>(), Rc::clone(&poison)))
                 .collect(),
         );
         run_cluster(ClusterConfig::ideal(N), move |ep| {

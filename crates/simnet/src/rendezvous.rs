@@ -9,32 +9,34 @@
 //! This yields virtual-time semantics that match how a blocking MPI
 //! collective behaves — nobody leaves before the operation completes, and
 //! the completion time is `max(entry clocks) + model cost` — while keeping
-//! the outcome fully deterministic regardless of host thread scheduling.
+//! the outcome fully deterministic whichever order the scheduler resumes
+//! the participants in.
 //!
 //! The meeting point is reusable (generation-counted), so one `Rendezvous`
-//! serves every collective ever executed on a communicator.
+//! serves every collective ever executed on a communicator. Its state is
+//! a `RefCell`: all participants are fibers on one thread, and no borrow
+//! is held across a wait or across the combiner.
 
 use crate::fiber::{self, Waker};
 use crate::time::SimTime;
-use parking_lot::Mutex;
 use std::any::Any;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
 /// Shared flag that aborts all blocked substrate waits when any rank
 /// panics, so a failing test reports the panic instead of deadlocking.
 #[derive(Debug, Default)]
-pub struct PoisonFlag(AtomicBool);
+pub struct PoisonFlag(Cell<bool>);
 
 impl PoisonFlag {
     /// Mark the cluster as poisoned.
     pub fn poison(&self) {
-        self.0.store(true, Ordering::SeqCst);
+        self.0.set(true);
     }
 
     /// True once poisoned.
     pub fn is_poisoned(&self) -> bool {
-        self.0.load(Ordering::SeqCst)
+        self.0.get()
     }
 
     /// Panic (propagating the failure) if poisoned.
@@ -45,8 +47,8 @@ impl PoisonFlag {
     }
 }
 
-type BoxedInput = Box<dyn Any + Send>;
-type SharedResult = Arc<dyn Any + Send + Sync>;
+type BoxedInput = Box<dyn Any>;
+type SharedResult = Rc<dyn Any>;
 
 /// Arrival attribution for one completed meeting: which participant the
 /// others waited for, and when it showed up. Computed once by the last
@@ -86,9 +88,9 @@ pub struct Rendezvous {
     n: usize,
     /// Global ranks of the participants, when known (a communicator's
     /// member list); `None` from the unit-test constructor.
-    participants: Option<Arc<[usize]>>,
-    state: Mutex<State>,
-    poison: Arc<PoisonFlag>,
+    participants: Option<Rc<[usize]>>,
+    state: RefCell<State>,
+    poison: Rc<PoisonFlag>,
 }
 
 impl std::fmt::Debug for Rendezvous {
@@ -99,25 +101,25 @@ impl std::fmt::Debug for Rendezvous {
 
 impl Rendezvous {
     /// Create a meeting point for `n` participants sharing `poison`.
-    pub fn new(n: usize, poison: Arc<PoisonFlag>) -> Self {
+    pub fn new(n: usize, poison: Rc<PoisonFlag>) -> Self {
         Self::build(n, None, poison)
     }
 
     /// Create a meeting point for the given **global ranks** (callers
     /// number participants by their position in `ranks`). The list is
-    /// kept as the caller's `Arc`, so a communicator and its meeting
+    /// kept as the caller's `Rc`, so a communicator and its meeting
     /// point hold one member list between them.
-    pub fn for_ranks(ranks: impl Into<Arc<[usize]>>, poison: Arc<PoisonFlag>) -> Self {
-        let ranks: Arc<[usize]> = ranks.into();
+    pub fn for_ranks(ranks: impl Into<Rc<[usize]>>, poison: Rc<PoisonFlag>) -> Self {
+        let ranks: Rc<[usize]> = ranks.into();
         Self::build(ranks.len(), Some(ranks), poison)
     }
 
-    fn build(n: usize, participants: Option<Arc<[usize]>>, poison: Arc<PoisonFlag>) -> Self {
+    fn build(n: usize, participants: Option<Rc<[usize]>>, poison: Rc<PoisonFlag>) -> Self {
         assert!(n > 0, "rendezvous needs at least one participant");
         Rendezvous {
             n,
             participants,
-            state: Mutex::new(State {
+            state: RefCell::new(State {
                 inputs: (0..n).map(|_| None).collect(),
                 clocks: vec![SimTime::ZERO; n],
                 parked: vec![None; n],
@@ -134,8 +136,8 @@ impl Rendezvous {
 
     /// The participants' global ranks, in participant order (`None` from
     /// the unit-test constructor). The world communicator's member list is
-    /// this `Arc`: rank `i` of the world is participant `i`.
-    pub fn participants(&self) -> Option<&Arc<[usize]>> {
+    /// this `Rc`: rank `i` of the world is participant `i`.
+    pub fn participants(&self) -> Option<&Rc<[usize]>> {
         self.participants.as_ref()
     }
 
@@ -152,10 +154,10 @@ impl Rendezvous {
     ///
     /// Returns the shared result and the completion timestamp; the caller
     /// is responsible for advancing its clock to the timestamp.
-    pub fn meet<T, R, F>(&self, idx: usize, now: SimTime, input: T, combine: F) -> (Arc<R>, SimTime)
+    pub fn meet<T, R, F>(&self, idx: usize, now: SimTime, input: T, combine: F) -> (Rc<R>, SimTime)
     where
-        T: Send + 'static,
-        R: Send + Sync + 'static,
+        T: 'static,
+        R: 'static,
         F: FnOnce(Vec<T>, SimTime) -> (R, SimTime),
     {
         let (result, completion, _) = self.meet_info(idx, now, input, combine);
@@ -171,20 +173,17 @@ impl Rendezvous {
         now: SimTime,
         input: T,
         combine: F,
-    ) -> (Arc<R>, SimTime, MeetInfo)
+    ) -> (Rc<R>, SimTime, MeetInfo)
     where
-        T: Send + 'static,
-        R: Send + Sync + 'static,
+        T: 'static,
+        R: 'static,
         F: FnOnce(Vec<T>, SimTime) -> (R, SimTime),
     {
         assert!(idx < self.n, "participant {idx} out of {}", self.n);
-        let mut st = self.state.lock();
-
         // Wait for the previous generation to fully drain before joining.
-        while st.result.is_some() {
-            self.wait(&mut st, idx);
-        }
+        self.wait_while(idx, |st| st.result.is_some());
 
+        let mut st = self.state.borrow_mut();
         let gen = st.generation;
         assert!(
             st.inputs[idx].is_none(),
@@ -194,7 +193,12 @@ impl Rendezvous {
         st.clocks[idx] = now;
         st.arrived += 1;
 
-        if st.arrived == self.n {
+        if st.arrived < self.n {
+            drop(st);
+            // Parked until the meeting completes, holding no key in the
+            // run queue.
+            self.wait_while(idx, |st| st.generation == gen && st.result.is_none());
+        } else {
             let inputs: Vec<T> = st
                 .inputs
                 .iter_mut()
@@ -219,24 +223,22 @@ impl Rendezvous {
                 straggler,
                 last_arrival: max_clock,
             };
+            // The combiner is the caller's code: it runs on no borrow.
+            drop(st);
             let (result, completion) = combine(inputs, max_clock);
             debug_assert!(
                 completion >= max_clock,
                 "collective completion {completion:?} precedes last arrival {max_clock:?}"
             );
-            st.result = Some((Arc::new(result), completion, info));
+            let mut st = self.state.borrow_mut();
+            st.result = Some((Rc::new(result), completion, info));
             st.draining = self.n;
             // The meeting is complete: every parked participant is
             // runnable again, queued at its floor.
             st.wake_all();
-        } else {
-            // Parked until the meeting completes, holding no key in the
-            // run queue.
-            while st.generation == gen && st.result.is_none() {
-                self.wait(&mut st, idx);
-            }
         }
 
+        let mut st = self.state.borrow_mut();
         let (shared, completion, info) = st
             .result
             .clone()
@@ -256,9 +258,11 @@ impl Rendezvous {
         (typed, completion, info)
     }
 
-    /// Block participant `idx` until the next wake of the meeting.
-    fn wait(&self, st: &mut parking_lot::MutexGuard<'_, State>, idx: usize) {
-        fiber::wait(st, |s| &mut s.parked[idx], &self.poison)
+    /// Block participant `idx` while `cond` holds of the meeting's state.
+    fn wait_while(&self, idx: usize, cond: impl Fn(&State) -> bool) {
+        while cond(&self.state.borrow()) {
+            fiber::wait(&self.state, |s| &mut s.parked[idx], &self.poison);
+        }
     }
 }
 
@@ -269,7 +273,7 @@ mod tests {
     use crate::progress::PopOrder;
 
     fn rdv(n: usize) -> Rendezvous {
-        Rendezvous::new(n, Arc::new(PoisonFlag::default()))
+        Rendezvous::new(n, Rc::new(PoisonFlag::default()))
     }
 
     #[test]
@@ -391,8 +395,8 @@ mod tests {
         // The second participant never arrives: it poisons the cluster
         // and finishes instead, and the parked first one must panic out
         // of its wait rather than hang.
-        let poison = Arc::new(PoisonFlag::default());
-        let r = Rendezvous::new(2, Arc::clone(&poison));
+        let poison = Rc::new(PoisonFlag::default());
+        let r = Rendezvous::new(2, Rc::clone(&poison));
         on_fibers(2, |i| match i {
             0 => drop(r.meet(0, SimTime::ZERO, (), |_, max| ((), max))),
             _ => poison.poison(),

@@ -6,7 +6,9 @@ use crate::mailbox::Mailbox;
 use crate::model::{MachineModel, NetworkModel};
 use crate::rendezvous::{PoisonFlag, Rendezvous};
 use crate::topology::{Mapping, Topology};
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::cell::Cell;
+use std::rc::Rc;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Process-wide default for [`ClusterConfig::stack_size`], picked up by
@@ -91,7 +93,9 @@ impl ClusterConfig {
 ///
 /// Ranks execute as cooperative fibers on the calling thread, resumed
 /// in [`crate::progress::pop_order`]; virtual-time results are bitwise
-/// identical whatever that order. A cluster cannot be started from
+/// identical whatever that order. Nothing the ranks share leaves that
+/// thread, so neither `f` nor its results need be `Send` or `Sync`, and
+/// `f` may borrow from the caller. A cluster cannot be started from
 /// inside another cluster's rank.
 ///
 /// If any rank panics, the cluster is poisoned (unblocking every rank
@@ -115,28 +119,24 @@ impl ClusterConfig {
 /// ```
 pub fn run_cluster<T, F>(cfg: ClusterConfig, f: F) -> Vec<T>
 where
-    T: Send + 'static,
-    F: Fn(Endpoint) -> T + Send + Sync + 'static,
+    F: Fn(Endpoint) -> T,
 {
     let n = cfg.topology.nranks();
-    let poison = Arc::new(PoisonFlag::default());
-    let mailboxes: Arc<Vec<Mailbox>> = Arc::new(
-        (0..n)
-            .map(|_| Mailbox::new(n, Arc::clone(&poison)))
-            .collect(),
-    );
-    let topology = Arc::new(cfg.topology);
-    let net = Arc::new(cfg.net);
-    let machine = Arc::new(cfg.machine);
-    let world_rdv = Arc::new(Rendezvous::for_ranks(
-        (0..n).collect::<Arc<[usize]>>(),
-        Arc::clone(&poison),
+    let poison = Rc::new(PoisonFlag::default());
+    let mailboxes: Rc<[Mailbox]> = (0..n)
+        .map(|_| Mailbox::new(n, Rc::clone(&poison)))
+        .collect();
+    let topology = Rc::new(cfg.topology);
+    let net = Rc::new(cfg.net);
+    let machine = Rc::new(cfg.machine);
+    let world_rdv = Rc::new(Rendezvous::for_ranks(
+        (0..n).collect::<Rc<[usize]>>(),
+        Rc::clone(&poison),
     ));
-    let ctx_counter = Arc::new(AtomicU32::new(1)); // 0 is reserved for world
-    let f = Arc::new(f);
+    let ctx_counter = Rc::new(Cell::new(1)); // 0 is reserved for world
 
     /// Poisons the cluster if the owning fiber unwinds.
-    struct PoisonOnPanic(Arc<PoisonFlag>);
+    struct PoisonOnPanic(Rc<PoisonFlag>);
     impl Drop for PoisonOnPanic {
         fn drop(&mut self) {
             if std::thread::panicking() {
@@ -156,30 +156,29 @@ where
             .map(|plan| FaultState::new(Arc::clone(plan)));
         Endpoint::new(
             rank,
-            Arc::clone(&mailboxes),
-            Arc::clone(&topology),
-            Arc::clone(&net),
-            Arc::clone(&machine),
-            Arc::clone(&poison),
-            Arc::clone(&world_rdv),
-            Arc::clone(&ctx_counter),
+            Rc::clone(&mailboxes),
+            Rc::clone(&topology),
+            Rc::clone(&net),
+            Rc::clone(&machine),
+            Rc::clone(&poison),
+            Rc::clone(&world_rdv),
+            Rc::clone(&ctx_counter),
             trace,
             faults,
         )
     };
 
-    let slots: Vec<parking_lot::Mutex<Option<T>>> =
-        (0..n).map(|_| parking_lot::Mutex::new(None)).collect();
+    let slots: Vec<Cell<Option<T>>> = (0..n).map(|_| Cell::new(None)).collect();
     let tasks: Vec<Box<dyn FnOnce() + '_>> = slots
         .iter()
         .enumerate()
         .map(|(rank, slot)| {
             let ep = make_ep(rank);
-            let f = Arc::clone(&f);
-            let guard_flag = Arc::clone(&poison);
+            let f = &f;
+            let guard_flag = Rc::clone(&poison);
             Box::new(move || {
                 let _guard = PoisonOnPanic(guard_flag);
-                *slot.lock() = Some(f(ep));
+                slot.set(Some(f(ep)));
             }) as Box<dyn FnOnce() + '_>
         })
         .collect();
@@ -291,8 +290,8 @@ mod tests {
     #[test]
     fn context_ids_are_unique() {
         let out = run_cluster(ClusterConfig::ideal(4), |ep| {
-            ep.ctx_allocator()
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+            let ctx = ep.ctx_allocator();
+            ctx.replace(ctx.get() + 1)
         });
         let mut ids = out.clone();
         ids.sort_unstable();

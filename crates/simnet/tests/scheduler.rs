@@ -13,7 +13,9 @@ use simnet::{
 };
 use simtrace::host;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::cell::{OnceCell, RefCell};
+use std::rc::Rc;
+use std::sync::{Mutex, MutexGuard};
 
 struct Serial(#[allow(dead_code)] MutexGuard<'static, ()>, PopOrder);
 
@@ -77,9 +79,9 @@ fn a_rank_panic_unwinds_ranks_parked_at_every_wait_site() {
     let _serial = serial();
     for order in [PopOrder::Fixed, PopOrder::Shuffled(1)] {
         simnet::set_pop_order(order);
-        let sub: Arc<OnceLock<Arc<Rendezvous>>> = Arc::new(OnceLock::new());
+        let sub: OnceCell<Rendezvous> = OnceCell::new();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            run_cluster(ClusterConfig::ideal(8), move |ep: Endpoint| {
+            run_cluster(ClusterConfig::ideal(8), |ep: Endpoint| {
                 let me = ep.rank();
                 if me != 2 {
                     ep.send(2, 0, 1, IoBuffer::empty());
@@ -96,9 +98,8 @@ fn a_rank_panic_unwinds_ranks_parked_at_every_wait_site() {
                     }
                     // Rendezvous: a meeting rank 2 never joins.
                     3 | 4 => {
-                        let rdv = sub.get_or_init(|| {
-                            Arc::new(Rendezvous::for_ranks(vec![2, 3, 4], ep.poison()))
-                        });
+                        let rdv =
+                            sub.get_or_init(|| Rendezvous::for_ranks(vec![2, 3, 4], ep.poison()));
                         let _ = rdv.meet(me - 2, ep.now(), (), |_, max| ((), max));
                     }
                     // Admission gate: ranks 0 and 1 could still ask first.
@@ -119,20 +120,17 @@ fn a_rank_panic_unwinds_ranks_parked_at_every_wait_site() {
 /// rank; returns the order in which the gate admitted the requests.
 fn nested_communicator_run() -> Vec<(usize, u32)> {
     const N: usize = 12;
-    let log = Arc::new(Mutex::new(Vec::new()));
-    let poison = Arc::new(PoisonFlag::default());
-    let halves: Arc<Vec<Rendezvous>> = Arc::new(
-        [0..N / 2, N / 2..N]
-            .into_iter()
-            .map(|ranks| Rendezvous::for_ranks(ranks.collect::<Vec<_>>(), Arc::clone(&poison)))
-            .collect(),
-    );
-    let sink = Arc::clone(&log);
-    run_cluster(ClusterConfig::ideal(N), move |ep| {
+    let log = RefCell::new(Vec::new());
+    let poison = Rc::new(PoisonFlag::default());
+    let halves: Vec<Rendezvous> = [0..N / 2, N / 2..N]
+        .into_iter()
+        .map(|ranks| Rendezvous::for_ranks(ranks.collect::<Vec<_>>(), Rc::clone(&poison)))
+        .collect();
+    run_cluster(ClusterConfig::ideal(N), |ep| {
         let me = ep.rank();
         let request = |step: u32| {
             admit(ep.now());
-            sink.lock().unwrap().push((me, step));
+            log.borrow_mut().push((me, step));
         };
         let meet = |rdv: &Rendezvous, idx: usize| {
             let (_, done) = rdv.meet(idx, ep.now(), (), |_, max| ((), max + SimTime::micros(3.0)));
@@ -152,7 +150,7 @@ fn nested_communicator_run() -> Vec<(usize, u32)> {
             meet(&ep.world_rendezvous(), me);
         }
     });
-    Arc::try_unwrap(log).unwrap().into_inner().unwrap()
+    log.into_inner()
 }
 
 #[test]

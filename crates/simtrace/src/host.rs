@@ -42,7 +42,9 @@
 //! would absorb *other* fibers' runtime. Probe sites are therefore
 //! placed only around non-yielding sections; the scheduler itself times
 //! each fiber slice (resume → suspend) as the [`Site::FiberRun`] frame,
-//! which leaf probes nest under.
+//! which leaf probes nest under. A fiber that hands the thread to the
+//! next one passes its slice's timer on ([`ScopeGuard::lap`]): one clock
+//! read per handoff, and the closing slice ends where the next begins.
 //!
 //! # Example
 //!
@@ -83,12 +85,15 @@ pub enum Site {
     /// the finer sites below (its verification pattern is
     /// [`Site::Pattern`]).
     Scenario = 0,
-    /// Fiber scheduler: run-queue bookkeeping and context-switch cost
-    /// (self time of the whole `run_fibers` loop minus the fiber slices
-    /// nested inside it).
+    /// Fiber scheduler loop: starting the fibers, collecting finished
+    /// ones, deadlock diagnosis (self time of the whole `run_fibers` loop
+    /// minus the fiber slices nested inside it).
     FiberSched,
     /// One fiber slice: resume → suspend. Self time is the simulated
-    /// rank's own code between the finer probes below.
+    /// rank's own code between the finer probes below; a fiber that
+    /// hands the thread straight to the next one also pays its own
+    /// switch-out (the run-queue pop and the context switch), since its
+    /// slice ends at the instant the next one begins.
     FiberRun,
     /// Mailbox packet deposit on the sender side (queue push + targeted
     /// notify).
@@ -700,6 +705,22 @@ mod engine {
         });
     }
 
+    /// Record one sample of the open scope `site`, the top of the stack,
+    /// and stay in it.
+    fn lap_record(site: Site, dur_ns: u64) {
+        let _ = STATE.try_with(|st| {
+            let mut st = st.borrow_mut();
+            st.resync();
+            debug_assert_eq!(
+                st.stack.last(),
+                Some(&(site as u8)),
+                "hostprof lap: the scope is not the innermost open one"
+            );
+            let path = st.path;
+            st.record(path, dur_ns);
+        });
+    }
+
     /// Scoped timer handle; records on drop. Inert when created while
     /// the profiler is disabled.
     pub struct ScopeGuard {
@@ -725,6 +746,29 @@ mod engine {
         fn new_armed(site: Site) -> ScopeGuard {
             enter(site);
             ScopeGuard { site, start: Some(Instant::now()) }
+        }
+
+        /// End this scope's sample here and start the next sample of the
+        /// same site at the same instant, without leaving the scope: a
+        /// run of back-to-back scopes of one site (the fiber executor's
+        /// slices, handed from fiber to fiber) costs one clock read per
+        /// boundary, and no time falls between two of them. Inert on an
+        /// inert guard.
+        #[inline(always)]
+        pub fn lap(&mut self) {
+            if self.start.is_some() {
+                self.lap_armed();
+            }
+        }
+
+        #[cold]
+        #[inline(never)]
+        fn lap_armed(&mut self) {
+            if let Some(t0) = self.start {
+                let now = Instant::now();
+                lap_record(self.site, (now - t0).as_nanos() as u64);
+                self.start = Some(now);
+            }
         }
 
         #[cold]
@@ -899,6 +943,13 @@ pub fn collect() -> Report {
 /// Inert scope handle of the `hostprof-off` build.
 #[cfg(feature = "hostprof-off")]
 pub struct ScopeGuard;
+
+#[cfg(feature = "hostprof-off")]
+impl ScopeGuard {
+    /// No-op: the probes are compiled out.
+    #[inline(always)]
+    pub fn lap(&mut self) {}
+}
 
 /// Always `false`: the probes are compiled out.
 #[cfg(feature = "hostprof-off")]
@@ -1087,6 +1138,33 @@ mod tests {
         let empty = collect();
         assert!(empty.paths.is_empty());
         assert!(empty.counters.iter().all(|(_, v)| *v == 0));
+    }
+
+    #[cfg(not(feature = "hostprof-off"))]
+    #[test]
+    fn laps_split_one_scope_into_back_to_back_samples() {
+        let _serial = recording_lock();
+        reset();
+        set_enabled(true);
+        {
+            let _outer = scope(Site::FiberSched);
+            let mut slice = scope(Site::FiberRun);
+            for _ in 0..4 {
+                std::hint::black_box(0u64);
+                slice.lap();
+            }
+        }
+        set_enabled(false);
+        let report = collect();
+        let row = |names: &str| report.paths.iter().find(|p| p.names() == names).cloned();
+        let slices = row("fiber_sched;fiber_run").expect("slice path present");
+        let sched = row("fiber_sched").expect("root path present");
+        // Four laps and the closing drop: five samples on one path, and
+        // the stack is balanced (no sample nested under a lap).
+        assert_eq!(slices.count, 5);
+        assert!(row("fiber_sched;fiber_run;fiber_run").is_none());
+        assert!(sched.total_ns >= slices.total_ns);
+        reset();
     }
 
     #[cfg(not(feature = "hostprof-off"))]
