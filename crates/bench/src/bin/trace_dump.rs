@@ -21,7 +21,6 @@ use mpiio::{File, PhaseProfile};
 use simmpi::{Communicator, Info};
 use simnet::{run_cluster, ClusterConfig, IoBuffer, Mapping};
 use simtrace::{chrome_trace_json, collective_ops, metrics_json, TraceSink, TrackKey};
-use std::sync::Arc;
 use workloads::tileio::TileIo;
 use workloads::Workload;
 
@@ -31,10 +30,9 @@ fn run_traced(sink: &TraceSink, procs: usize) -> Vec<PhaseProfile> {
     let mut cluster = ClusterConfig::cray_xt(procs, Mapping::Block);
     cluster.trace = sink.clone();
 
-    let w = Arc::new(TileIo::tiny(procs));
+    let w = TileIo::tiny(procs);
     run_cluster(cluster, move |ep| {
         let comm = Communicator::world(&ep);
-        let w = Arc::clone(&w);
         let (disp, ft) = w.view(comm.rank());
         let mut f = File::open(&comm, &fs, &w.path(), &Info::new());
         f.set_view(disp, &ft);

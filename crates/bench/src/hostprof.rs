@@ -132,13 +132,11 @@ pub fn attribution_rows(fig: &str, p: &Profiled) -> Vec<Row> {
             .with("samples", s.count as f64),
         );
     }
-    let mut attributed = Row::new(format!("{fig}/attributed"), 0.0, p.attributed_pct(), "%")
-        .with("wall_s", p.wall_s)
-        .with("dropped", p.report.dropped as f64);
-    for (thread, d) in &p.report.dropped_by_thread {
-        attributed = attributed.with(&format!("dropped[{thread}]"), *d as f64);
-    }
-    rows.push(attributed);
+    rows.push(
+        Row::new(format!("{fig}/attributed"), 0.0, p.attributed_pct(), "%")
+            .with("wall_s", p.wall_s)
+            .with("dropped", p.report.dropped as f64),
+    );
     for (name, value) in &p.report.counters {
         rows.push(Row::new(format!("{fig}/counter/{name}"), 0.0, *value as f64, "n"));
     }
@@ -155,11 +153,10 @@ pub fn print_top(fig: &str, p: &Profiled, k: usize) {
     let slices = p.report.samples(host::Site::FiberRun);
     println!(
         "hostprof: {fig} wall {:.3}s, {:.1}% attributed to named sinks \
-         ({} sites, {slices} fiber slices, {} dropped samples); top {} by self time:",
+         ({} sites, {slices} fiber slices); top {} by self time:",
         p.wall_s,
         p.attributed_pct(),
         sites.len(),
-        p.report.dropped,
         k.min(sites.len())
     );
     for s in sites.iter().take(k) {
@@ -180,11 +177,6 @@ pub fn print_top(fig: &str, p: &Profiled, k: usize) {
         counters.push_str(&format!("{name} {value}"));
     }
     println!("  counters: {counters}");
-    // Drops are per thread (one ring each): name the thread instead
-    // of hiding it in the sum.
-    for (thread, d) in &p.report.dropped_by_thread {
-        println!("  dropped[{thread}]: {d}");
-    }
 }
 
 /// Write the report's collapsed stacks to `path` (the input format of

@@ -82,6 +82,5 @@ fn virtual_artifacts_byte_identical_with_hostprof_on_and_off() {
                 .any(|p| p.leaf() != simtrace::host::Site::Scenario),
             "armed run recorded no probe samples — the A/B proved nothing"
         );
-        assert_eq!(report.dropped, 0, "profiler rings overflowed mid-run");
     }
 }

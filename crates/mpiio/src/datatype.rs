@@ -12,7 +12,7 @@
 //! coverage merge) works on runs. We model datatypes in bytes — an
 //! "element type" is just its size — which loses no generality for I/O.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// A contiguous byte run within a datatype's extent or within a file:
 /// `[off, off + len)`.
@@ -385,7 +385,7 @@ impl Datatype {
     /// second view), and every repetition after the first is a hash
     /// lookup. Purely host-side: the cost model's charges for view
     /// processing are issued by the protocol layer regardless.
-    pub fn flatten_cached(&self) -> Arc<FlatType> {
+    pub fn flatten_cached(&self) -> Rc<FlatType> {
         thread_local! {
             static FLAT_CACHE: std::cell::RefCell<FlatCache> = std::cell::RefCell::default();
         }
@@ -500,7 +500,7 @@ impl Datatype {
 }
 
 /// A flattened datatype: strided runs within an extent, whose pieces are
-/// sorted, disjoint and coalesced. Shared (`Arc`) because views tile one
+/// sorted, disjoint and coalesced. Shared (`Rc`) because views tile one
 /// flat type many times.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlatType {
@@ -520,7 +520,7 @@ pub struct FlatType {
 /// only stops pathological type churn from pinning memory.
 #[derive(Default)]
 struct FlatCache {
-    types: std::collections::HashMap<Datatype, Arc<FlatType>>,
+    types: std::collections::HashMap<Datatype, Rc<FlatType>>,
     /// Runs held by `types`, each type counted as at least one.
     runs: usize,
 }
@@ -530,26 +530,26 @@ impl FlatCache {
     const MAX_RUNS: usize = 1 << 16;
 
     /// The flattened form of `ty`, and whether it was held already.
-    fn get(&mut self, ty: &Datatype) -> (Arc<FlatType>, bool) {
+    fn get(&mut self, ty: &Datatype) -> (Rc<FlatType>, bool) {
         if let Some(flat) = self.types.get(ty) {
-            return (Arc::clone(flat), true);
+            return (Rc::clone(flat), true);
         }
-        let flat = Arc::new(ty.flatten());
+        let flat = Rc::new(ty.flatten());
         let runs = flat.runs.len().max(1);
         if self.runs + runs > Self::MAX_RUNS {
             self.types.clear();
             self.runs = 0;
         }
         self.runs += runs;
-        self.types.insert(ty.clone(), Arc::clone(&flat));
+        self.types.insert(ty.clone(), Rc::clone(&flat));
         (flat, false)
     }
 }
 
 impl FlatType {
     /// A flat type representing `n` contiguous bytes.
-    pub fn contiguous(n: u64) -> Arc<FlatType> {
-        Arc::new(FlatType {
+    pub fn contiguous(n: u64) -> Rc<FlatType> {
+        Rc::new(FlatType {
             runs: if n > 0 { vec![Run::piece(0, n)] } else { vec![] },
             size: n,
             extent: n,

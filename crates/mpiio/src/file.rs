@@ -84,9 +84,9 @@ impl<'ep> File<'ep> {
         let mut profile = PhaseProfile::new();
         // MPI_File_open is collective: the ranks meet, and the serial MDS
         // bookkeeping for the whole group is charged once at the agreed
-        // clock. Charging per client from concurrently running rank
-        // threads would queue them at the MDS in host-scheduler order and
-        // make virtual time irreproducible run to run.
+        // clock. Charging per client as each rank arrives would queue
+        // them at the MDS in the order the scheduler resumed them, and
+        // make virtual time depend on host order.
         //
         // The collective configuration is derived there too, once for
         // every rank (hints are identical across the group, as MPI

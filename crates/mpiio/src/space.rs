@@ -16,7 +16,7 @@ use simfs::FileHandle;
 use simnet::{IoBuffer, SimTime};
 
 /// A (possibly virtual) byte space backed by a file.
-pub trait FileSpace: Sync {
+pub trait FileSpace {
     /// One write request for `[offset, offset + len)` of the space,
     /// starting at virtual time `now`; returns the completion instant.
     /// Each `(at, bytes)` of `pieces` lands at `offset + at`, in order, a

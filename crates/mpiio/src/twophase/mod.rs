@@ -135,7 +135,6 @@ use simmpi::{Communicator, RecvRequest, ReduceOp};
 use simnet::{IoBuffer, SimTime};
 use simtrace::host::{self, Counter};
 use std::rc::Rc;
-use std::sync::Arc;
 pub(crate) use window::{close_gaps, lay_out};
 use window::{cut_streams, read_window, write_window, Covered};
 
@@ -175,7 +174,7 @@ pub struct CollConfig {
     /// Aggregators as local ranks, strictly ascending (so distinct):
     /// `aggregators[i]` serves file domain `i`. Shared: an open derives
     /// the list once for all its ranks.
-    pub aggregators: Arc<[usize]>,
+    pub aggregators: Rc<[usize]>,
     /// Staging buffer bytes per aggregator per round.
     pub cb_buffer_size: u64,
     /// Align file-domain boundaries to this unit (Lustre stripe size);
@@ -313,12 +312,12 @@ impl Domain {
 struct Key {
     /// The plan's runs relative to its start (shared by every plan of
     /// this shape that `File::plan` shifts).
-    shape: Arc<[Run]>,
+    shape: Rc<[Run]>,
     /// Where the plan starts, relative to `min_st`.
     at: Option<u64>,
     /// `max_end − min_st`: the range the domains divide.
     span: u64,
-    aggregators: Arc<[usize]>,
+    aggregators: Rc<[usize]>,
     cb_buffer_size: u64,
     /// The alignment unit and `min_st` modulo it: where aligned domain
     /// boundaries fall relative to `min_st`.
@@ -328,10 +327,10 @@ struct Key {
 impl Key {
     fn new(plan: &AccessPlan, cfg: &CollConfig, (min_st, max_end): (u64, u64)) -> Key {
         Key {
-            shape: Arc::clone(plan.shape()),
+            shape: Rc::clone(plan.shape()),
             at: plan.start().map(|s| s - min_st),
             span: max_end - min_st,
-            aggregators: Arc::clone(&cfg.aggregators),
+            aggregators: Rc::clone(&cfg.aggregators),
             cb_buffer_size: cfg.cb_buffer_size,
             align: Self::phase(cfg, min_st),
         }
@@ -357,8 +356,8 @@ impl Key {
 
 /// True if two shared slices hold the same elements: one pointer
 /// comparison when they are one allocation.
-fn same<T: PartialEq>(a: &Arc<[T]>, b: &Arc<[T]>) -> bool {
-    Arc::ptr_eq(a, b) || a == b
+fn same<T: PartialEq>(a: &Rc<[T]>, b: &Rc<[T]>) -> bool {
+    Rc::ptr_eq(a, b) || a == b
 }
 
 /// The index of the last collective call on one open: its request lists,

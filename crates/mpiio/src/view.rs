@@ -19,15 +19,15 @@
 //! The intermediate view's map keeps the plan's runs.
 
 use crate::datatype::{push_piece, push_run, Datatype, Ext, FlatType, Run};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// A file view: flattened filetype tiled from a displacement.
 #[derive(Debug, Clone)]
 pub struct FileView {
     disp: u64,
-    flat: Arc<FlatType>,
+    flat: Rc<FlatType>,
     /// Cumulative data bytes before each run (len = runs.len() + 1).
-    prefix: Arc<Vec<u64>>,
+    prefix: Rc<Vec<u64>>,
 }
 
 impl FileView {
@@ -39,7 +39,7 @@ impl FileView {
     }
 
     /// Build from an already-flattened type.
-    pub fn from_flat(disp: u64, flat: Arc<FlatType>) -> Self {
+    pub fn from_flat(disp: u64, flat: Rc<FlatType>) -> Self {
         let mut prefix = Vec::with_capacity(flat.runs.len() + 1);
         let mut acc = 0u64;
         prefix.push(0);
@@ -50,7 +50,7 @@ impl FileView {
         FileView {
             disp,
             flat,
-            prefix: Arc::new(prefix),
+            prefix: Rc::new(prefix),
         }
     }
 
@@ -140,14 +140,14 @@ impl FileView {
 /// runs whose pieces are sorted, disjoint and non-adjacent, and whose
 /// order equals user-buffer order.
 ///
-/// The runs are held relative to the first one's offset, behind an `Arc`:
+/// The runs are held relative to the first one's offset, behind an `Rc`:
 /// a plan shifted by whole tiles ([`AccessPlan::shifted`], what
 /// `File::plan` returns for a call shaped like the last one) shares them,
 /// and two plans of one shape compare by pointer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AccessPlan {
     /// The runs, the first at offset 0.
-    shape: Arc<[Run]>,
+    shape: Rc<[Run]>,
     /// File offset of the first run (0 for an empty plan).
     origin: u64,
     /// Total bytes (sum of run bytes).
@@ -207,7 +207,7 @@ impl AccessPlan {
 
     /// The runs relative to the first one's offset: what every plan of
     /// this shape, wherever it lies, shares.
-    pub fn shape(&self) -> &Arc<[Run]> {
+    pub fn shape(&self) -> &Rc<[Run]> {
         &self.shape
     }
 
@@ -251,7 +251,7 @@ impl AccessPlan {
     /// relative to the first: one pointer comparison when both came from
     /// one plan, a comparison of the runs otherwise.
     pub fn same_shape(&self, other: &AccessPlan) -> bool {
-        Arc::ptr_eq(&self.shape, &other.shape) || self.shape == other.shape
+        Rc::ptr_eq(&self.shape, &other.shape) || self.shape == other.shape
     }
 
     /// This plan with every run moved by `delta` bytes (the uniform
@@ -463,7 +463,7 @@ mod tests {
         let (a, b) = (AccessPlan::from_view(&v, 0, 40), AccessPlan::from_view(&v, 80, 40));
         // 80 data bytes = 10 tiles of 12 bytes.
         assert!(a.same_shape(&b) && b.same_shape(&a.shifted(120)));
-        assert!(Arc::ptr_eq(a.shape(), a.shifted(120).shape()), "a shift shares the runs");
+        assert!(Rc::ptr_eq(a.shape(), a.shifted(120).shape()), "a shift shares the runs");
         assert_eq!(a.shifted(120), b);
         assert_eq!(b.shifted(-120), a);
         assert!(!a.same_shape(&AccessPlan::from_view(&v, 2, 40)));

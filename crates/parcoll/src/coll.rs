@@ -29,7 +29,7 @@ use mpiio::{AccessPlan, Datatype, DirectSpace, Ext, File, PhaseProfile, Run};
 use simfs::FileSystem;
 use simmpi::{Communicator, Info};
 use simnet::IoBuffer;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Cached partitioning decision, established at the first collective
 /// call after open/`set_view` and reused for subsequent calls with the
@@ -61,7 +61,7 @@ pub struct GroupCache<'ep> {
 enum CachedMode {
     Direct,
     Iview {
-        map: Arc<LogicalMap>,
+        map: Rc<LogicalMap>,
         logical_plan: AccessPlan,
         base_start: u64,
         scatter: bool,
@@ -156,7 +156,7 @@ fn sync_dead_set(comm: &Communicator<'_>, prof: &mut PhaseProfile) -> u64 {
 /// compute rank. Subgroups without hinted members keep their promotion
 /// fallback. The grouping every rank shares is copied only if a merge
 /// changes it.
-fn merge_dead_groups(comm: &Communicator<'_>, hints: &[usize], grouping: &mut Arc<Grouping>) {
+fn merge_dead_groups(comm: &Communicator<'_>, hints: &[usize], grouping: &mut Rc<Grouping>) {
     let ep = comm.endpoint();
     let Some(faults) = ep.faults() else {
         return;
@@ -177,7 +177,7 @@ fn merge_dead_groups(comm: &Communicator<'_>, hints: &[usize], grouping: &mut Ar
             if hinted.peek().is_some()
                 && hinted.all(|r| faults.is_dead(comm.global_rank(r)))
             {
-                let nb = Arc::make_mut(grouping).merge_into_neighbor(g);
+                let nb = Rc::make_mut(grouping).merge_into_neighbor(g);
                 let rec = ep.trace();
                 if rec.enabled() {
                     rec.instant(
@@ -265,7 +265,7 @@ pub fn run_partitioned<'ep>(
             // logical offsets unshifted for the map, which slides.
             let delta = plan.start().unwrap_or(*base_start) as i64 - *base_start as i64;
             let data = if *scatter {
-                let space = MappedSpace::with_delta(Arc::clone(map), delta);
+                let space = MappedSpace::with_delta(Rc::clone(map), delta);
                 twophase::collective(sub, &fh, &space, logical_plan, dir, subcfg, memo, prof)
             } else {
                 let shifted = logical_plan.shifted(delta);
@@ -302,7 +302,7 @@ fn decide<'ep>(
 
     let (mut grouping, pattern, mode) = match &*decision {
         Ranges::Idle => return false,
-        Ranges::Disjoint(grouping) => (Arc::clone(grouping), "direct", CachedMode::Direct),
+        Ranges::Disjoint(grouping) => (Rc::clone(grouping), "direct", CachedMode::Direct),
         Ranges::Intersecting if !pcfg.view_switching => {
             // View switching forbidden: degenerate to the baseline.
             trace_partition(ep, "single", None, None);
@@ -312,7 +312,7 @@ fn decide<'ep>(
             // Pattern (c): build the intermediate file view. Everyone
             // shares its access plan (modelled volume ∝ pieces).
             let t = PhaseTimer::start(Phase::Sync, ep.now());
-            let (origin, runs) = (plan.start().unwrap_or(0), Arc::clone(plan.shape()));
+            let (origin, runs) = (plan.start().unwrap_or(0), Rc::clone(plan.shape()));
             let (map, grouping) = gather_logical_map(&comm, origin, runs, groups);
             t.stop_traced(ep.now(), file.profile_mut(), ep.trace());
 
@@ -353,7 +353,7 @@ enum Ranges {
     /// No rank moves bytes: nothing to partition (and nothing cached).
     Idle,
     /// The file areas come out disjoint (patterns (a)/(b)).
-    Disjoint(Arc<Grouping>),
+    Disjoint(Rc<Grouping>),
     /// The file areas intersect (pattern (c)): partition through an
     /// intermediate file view.
     Intersecting,
@@ -366,7 +366,7 @@ fn partition_ranges(ranges: &[Option<(u64, u64)>], groups: usize) -> Ranges {
         return Ranges::Idle;
     }
     match partition_file_areas(ranges, groups) {
-        Ok(g) => Ranges::Disjoint(Arc::new(g)),
+        Ok(g) => Ranges::Disjoint(Rc::new(g)),
         Err(_) => Ranges::Intersecting,
     }
 }
@@ -375,16 +375,16 @@ fn partition_ranges(ranges: &[Option<(u64, u64)>], groups: usize) -> Ranges {
 /// reference — build the intermediate view's [`LogicalMap`] from them,
 /// and partition the *logical* file into `groups` subgroups. The
 /// collective is modelled as ROMIO's allgather of the `(offset, len)`
-/// list, 16 bytes a piece; the host moves one `Arc` per rank. The map is
+/// list, 16 bytes a piece; the host moves one `Rc` per rank. The map is
 /// validated and indexed, and the partition made, once, at the meeting
-/// point, and every rank receives the same `Arc`s: the map's host cost is
+/// point, and every rank receives the same `Rc`s: the map's host cost is
 /// O(total runs) per collective, not O(P × total pieces).
 fn gather_logical_map(
     comm: &Communicator<'_>,
     origin: u64,
-    runs: Arc<[Run]>,
+    runs: Rc<[Run]>,
     groups: usize,
-) -> (Arc<LogicalMap>, Arc<Grouping>) {
+) -> (Rc<LogicalMap>, Rc<Grouping>) {
     let pieces: u64 = runs.iter().map(|r| r.count).sum();
     let met = comm.allgather_t_derive((origin, runs), 16 * pieces as usize, |plans| {
         let p = plans.len();
@@ -399,9 +399,9 @@ fn gather_logical_map(
             .collect();
         let grouping = partition_file_areas(&logical_ranges, groups)
             .expect("logical rank regions are serial and disjoint");
-        (Arc::new(map), Arc::new(grouping))
+        (Rc::new(map), Rc::new(grouping))
     });
-    (Arc::clone(&met.0), Arc::clone(&met.1))
+    (Rc::clone(&met.0), Rc::clone(&met.1))
 }
 
 /// Split the subgroup communicator and build its collective
@@ -422,11 +422,11 @@ fn subgroup_setup<'ep>(
     // past any dead fallback at call time). The open's list is shared,
     // and copied only when a hint is dead.
     let dead = |r: usize| ep.faults().is_some_and(|f| f.is_dead(comm.global_rank(r)));
-    let hints: Arc<[usize]> = if parent_cfg.aggregators.iter().any(|&r| dead(r)) {
+    let hints: Rc<[usize]> = if parent_cfg.aggregators.iter().any(|&r| dead(r)) {
         let hinted = parent_cfg.aggregators.iter().copied();
         hinted.filter(|&r| !dead(r)).collect()
     } else {
-        Arc::clone(&parent_cfg.aggregators)
+        Rc::clone(&parent_cfg.aggregators)
     };
     let t = PhaseTimer::start(Phase::Sync, ep.now());
     let color = Some(my_group as i64);
@@ -784,7 +784,7 @@ mod tests {
                 .collect();
             let plan = AccessPlan::from_extents(mine);
             assert_eq!(plan.runs().len(), 1, "four pieces, one strided run");
-            gather_logical_map(&comm, plan.start().unwrap(), Arc::clone(plan.shape()), 2)
+            gather_logical_map(&comm, plan.start().unwrap(), Rc::clone(plan.shape()), 2)
         });
         let (map, grouping) = &maps[0];
         assert_eq!(map.nprocs(), 4);
@@ -792,7 +792,7 @@ mod tests {
         assert_eq!(grouping.group_of, [0, 0, 1, 1]);
         assert_eq!(grouping.fas, [(0, 128), (128, 256)]);
         for (m, g) in &maps {
-            assert!(Arc::ptr_eq(m, map) && Arc::ptr_eq(g, grouping));
+            assert!(Rc::ptr_eq(m, map) && Rc::ptr_eq(g, grouping));
         }
     }
 

@@ -15,7 +15,7 @@
 use mpiio::{Ext, FileSpace, Run};
 use simfs::FileHandle;
 use simnet::{IoBuffer, SimTime};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// One rank's physical access as the strided runs of its plan, shared
 /// with the plan, and the data bytes before each run.
@@ -23,7 +23,7 @@ use std::sync::Arc;
 struct RankMap {
     /// File offset the runs are relative to.
     origin: u64,
-    runs: Arc<[Run]>,
+    runs: Rc<[Run]>,
     /// Cumulative data bytes before each run (len = runs.len() + 1).
     prefix: Vec<u64>,
 }
@@ -42,7 +42,7 @@ impl LogicalMap {
     /// and disjoint (the access-plan invariant).
     pub fn new(extent_lists: Vec<Vec<Ext>>) -> Self {
         let plans = extent_lists.into_iter().map(|exts| {
-            let runs: Arc<[Run]> = exts.iter().map(|e| Run::piece(e.off, e.len)).collect();
+            let runs: Rc<[Run]> = exts.iter().map(|e| Run::piece(e.off, e.len)).collect();
             (0, runs)
         });
         Self::from_runs(plans.collect())
@@ -53,7 +53,7 @@ impl LogicalMap {
     /// The runs are kept by reference; the map adds one prefix entry per
     /// run. Each rank's pieces must be sorted and disjoint: `len ≤
     /// stride` inside a run, and a run ends before the next one starts.
-    pub fn from_runs(plans: Vec<(u64, Arc<[Run]>)>) -> Self {
+    pub fn from_runs(plans: Vec<(u64, Rc<[Run]>)>) -> Self {
         let mut rank_prefix = Vec::with_capacity(plans.len() + 1);
         rank_prefix.push(0u64);
         let per_rank: Vec<RankMap> = plans
@@ -159,18 +159,18 @@ impl LogicalMap {
 /// time".
 #[derive(Debug, Clone)]
 pub struct MappedSpace {
-    map: Arc<LogicalMap>,
+    map: Rc<LogicalMap>,
     delta: i64,
 }
 
 impl MappedSpace {
     /// Wrap a logical map with no shift.
-    pub fn new(map: Arc<LogicalMap>) -> Self {
+    pub fn new(map: Rc<LogicalMap>) -> Self {
         MappedSpace { map, delta: 0 }
     }
 
     /// Wrap with a uniform physical-offset shift.
-    pub fn with_delta(map: Arc<LogicalMap>, delta: i64) -> Self {
+    pub fn with_delta(map: Rc<LogicalMap>, delta: i64) -> Self {
         MappedSpace { map, delta }
     }
 
@@ -307,8 +307,8 @@ mod tests {
     fn mapped_space_round_trip() {
         let fs = FileSystem::new(FsConfig::tiny());
         let (fh, t0) = fs.open("/iv", SimTime::ZERO);
-        let m = Arc::new(demo_map());
-        let space = MappedSpace::new(Arc::clone(&m));
+        let m = Rc::new(demo_map());
+        let space = MappedSpace::new(Rc::clone(&m));
         // Write 50 logical bytes 0..49.
         let data: Vec<u8> = (0..50).collect();
         let t1 = space.write(&fh, 0, 50, &[(0, IoBuffer::from_slice(&data))], t0);
@@ -346,7 +346,7 @@ mod tests {
     fn mapped_space_scatters_synthetic_data() {
         let fs = FileSystem::new(FsConfig::tiny());
         let (fh, t0) = fs.open("/ivs", SimTime::ZERO);
-        let m = Arc::new(demo_map());
+        let m = Rc::new(demo_map());
         let space = MappedSpace::new(m);
         let t1 = space.write(&fh, 0, 50, &[(0, IoBuffer::synthetic(50))], t0);
         assert!(t1 > t0);

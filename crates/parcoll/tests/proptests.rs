@@ -6,7 +6,7 @@ use parcoll::fa::partition_file_areas;
 use parcoll::iview::LogicalMap;
 use proptest::prelude::*;
 use simnet::{Mapping, Topology};
-use std::sync::Arc;
+use std::rc::Rc;
 
 fn arb_ranges() -> impl Strategy<Value = Vec<Option<(u64, u64)>>> {
     proptest::collection::vec(
@@ -66,7 +66,7 @@ proptest! {
             })
             .collect();
         let by_piece = LogicalMap::new(pieces);
-        let shared: Vec<(u64, Arc<[Run]>)> =
+        let shared: Vec<(u64, Rc<[Run]>)> =
             ranks.into_iter().map(|(origin, runs)| (origin, runs.into())).collect();
         let by_run = LogicalMap::from_runs(shared);
         let total = by_piece.total();

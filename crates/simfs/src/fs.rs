@@ -3,27 +3,27 @@
 use crate::config::FsConfig;
 use crate::integrity::{IntegrityError, IntegrityStore, ScrubReport, PAGE_SIZE};
 use crate::layout::StripeLayout;
-use crate::lock;
 use crate::ost::{Ost, OstStats};
 use crate::storage::Storage;
 use simnet::{FaultPlan, IoBuffer, Jitter, SimTime};
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
+use std::sync::Arc;
 
 /// One file's metadata and contents.
 #[derive(Debug)]
 struct FileEntry {
     layout: StripeLayout,
-    storage: Mutex<Storage>,
+    storage: RefCell<Storage>,
     /// Per-page checksums and rot bookkeeping; present iff
-    /// [`FsConfig::integrity`] is on. Lock order: integrity before
-    /// storage, everywhere.
-    integrity: Option<Mutex<IntegrityStore>>,
+    /// [`FsConfig::integrity`] is on.
+    integrity: Option<RefCell<IntegrityStore>>,
 }
 
 #[derive(Debug)]
 struct Mds {
-    files: HashMap<String, Arc<FileEntry>>,
+    files: HashMap<String, Rc<FileEntry>>,
     next_first_ost: usize,
     next_free: SimTime,
     opens: u64,
@@ -35,15 +35,16 @@ struct FsInner {
     osts: Vec<Ost>,
     /// The OSTs' service-time jitter, `cfg.jitter_cv`'s.
     jitter: Jitter,
-    mds: Mutex<Mds>,
-    next_client: std::sync::atomic::AtomicU64,
+    mds: RefCell<Mds>,
+    next_client: Cell<u64>,
     /// The installed fault plan (rot rules address file extents through
     /// it); `None` until [`FileSystem::install_faults`].
-    faults: Mutex<Option<Arc<FaultPlan>>>,
+    faults: RefCell<Option<Arc<FaultPlan>>>,
 }
 
-/// A shared parallel file system instance. Cheap to clone (`Arc` inside);
-/// one instance is shared by every rank of a cluster run.
+/// A shared parallel file system instance. Cheap to clone (`Rc` inside);
+/// one instance is shared by every rank of a cluster run, all of them on
+/// the thread that built it (the `simfs` crate docs).
 ///
 /// # Examples
 ///
@@ -60,7 +61,7 @@ struct FsInner {
 /// ```
 #[derive(Debug, Clone)]
 pub struct FileSystem {
-    inner: Arc<FsInner>,
+    inner: Rc<FsInner>,
 }
 
 /// An open file. Cheap to clone; all clones address the same file and
@@ -69,7 +70,7 @@ pub struct FileSystem {
 pub struct FileHandle {
     fs: FileSystem,
     path: String,
-    entry: Arc<FileEntry>,
+    entry: Rc<FileEntry>,
     client: u64,
 }
 
@@ -105,32 +106,38 @@ impl FileSystem {
             .map(|i| Ost::new(cfg.seed.wrapping_add(0x9E37 * i as u64 + 1)))
             .collect();
         FileSystem {
-            inner: Arc::new(FsInner {
+            inner: Rc::new(FsInner {
                 jitter: Jitter::new(cfg.jitter_cv),
                 cfg,
                 osts,
-                mds: Mutex::new(Mds {
+                mds: RefCell::new(Mds {
                     files: HashMap::new(),
                     next_first_ost: 0,
                     next_free: SimTime::ZERO,
                     opens: 0,
                 }),
-                next_client: std::sync::atomic::AtomicU64::new(1),
-                faults: Mutex::new(None),
+                next_client: Cell::new(1),
+                faults: RefCell::new(None),
             }),
         }
     }
 
-    fn new_entry(&self, layout: StripeLayout) -> Arc<FileEntry> {
-        Arc::new(FileEntry {
+    fn new_entry(&self, layout: StripeLayout) -> Rc<FileEntry> {
+        Rc::new(FileEntry {
             layout,
-            storage: Mutex::new(Storage::new()),
+            storage: RefCell::new(Storage::new()),
             integrity: self
                 .inner
                 .cfg
                 .integrity
-                .then(|| Mutex::new(IntegrityStore::new())),
+                .then(|| RefCell::new(IntegrityStore::new())),
         })
+    }
+
+    fn next_client(&self) -> u64 {
+        let client = self.inner.next_client.get();
+        self.inner.next_client.set(client + 1);
+        client
     }
 
     /// The configuration in force.
@@ -151,13 +158,13 @@ impl FileSystem {
     /// Install a fault plan on every OST: `ost_slow` / `ost_fail_after`
     /// rules address targets by their index here. Uninstalled (the
     /// default), the service model is byte-for-byte the unperturbed one.
-    pub fn install_faults(&self, plan: &std::sync::Arc<simnet::FaultPlan>) {
+    pub fn install_faults(&self, plan: &Arc<FaultPlan>) {
         for (i, ost) in self.inner.osts.iter().enumerate() {
-            ost.install_faults(std::sync::Arc::clone(plan), i);
+            ost.install_faults(Arc::clone(plan), i);
         }
         // Keep the plan: `ost_rot` rules address at-rest file extents,
         // which the integrity layer materializes at read/scrub time.
-        *lock(&self.inner.faults) = Some(std::sync::Arc::clone(plan));
+        *self.inner.faults.borrow_mut() = Some(Arc::clone(plan));
     }
 
     /// Open (creating if absent) with the default stripe parameters.
@@ -181,7 +188,7 @@ impl FileSystem {
         now: SimTime,
     ) -> (FileHandle, SimTime) {
         let cfg = &self.inner.cfg;
-        let mut mds = lock(&self.inner.mds);
+        let mut mds = self.inner.mds.borrow_mut();
         mds.opens += 1;
         // MDS is a serial resource for the per-open bookkeeping; the base
         // latency overlaps across clients.
@@ -190,21 +197,18 @@ impl FileSystem {
         let done = mds.next_free + cfg.open_base + cfg.rpc_latency;
 
         let entry = match mds.files.get(path) {
-            Some(e) => Arc::clone(e),
+            Some(e) => Rc::clone(e),
             None => {
                 let first = mds.next_first_ost;
                 mds.next_first_ost = (mds.next_first_ost + 1) % cfg.n_osts;
                 let entry =
                     self.new_entry(StripeLayout::new(first, stripe_count, stripe_size, cfg.n_osts));
-                mds.files.insert(path.to_string(), Arc::clone(&entry));
+                mds.files.insert(path.to_string(), Rc::clone(&entry));
                 entry
             }
         };
         drop(mds);
-        let client = self
-            .inner
-            .next_client
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let client = self.next_client();
         (
             FileHandle {
                 fs: self.clone(),
@@ -224,9 +228,8 @@ impl FileSystem {
     /// fetch per-client handles afterwards with [`handle`](Self::handle).
     ///
     /// Charging the whole group in one call is what keeps virtual time
-    /// independent of host-thread arrival order: `parties` concurrent
-    /// per-client opens would be queued in whatever order the OS ran the
-    /// threads.
+    /// independent of host order: `parties` per-client opens would be
+    /// queued in whatever order the scheduler resumed the ranks.
     pub fn open_collective(
         &self,
         path: &str,
@@ -236,7 +239,7 @@ impl FileSystem {
         parties: usize,
     ) -> SimTime {
         let cfg = &self.inner.cfg;
-        let mut mds = lock(&self.inner.mds);
+        let mut mds = self.inner.mds.borrow_mut();
         mds.opens += parties as u64;
         let start = mds.next_free.max(now + cfg.rpc_latency);
         mds.next_free = start + cfg.open_per_client * parties as f64;
@@ -259,15 +262,15 @@ impl FileSystem {
     ///
     /// Panics if `path` has never been opened.
     pub fn handle(&self, path: &str) -> FileHandle {
-        let entry = lock(&self.inner.mds)
+        let entry = self
+            .inner
+            .mds
+            .borrow()
             .files
             .get(path)
-            .map(Arc::clone)
+            .map(Rc::clone)
             .expect("handle() requires a prior open of the path");
-        let client = self
-            .inner
-            .next_client
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let client = self.next_client();
         FileHandle {
             fs: self.clone(),
             path: path.to_string(),
@@ -279,12 +282,12 @@ impl FileSystem {
     /// Remove a file's metadata and contents. Existing handles keep their
     /// (now unlinked) contents alive, POSIX-style.
     pub fn unlink(&self, path: &str) -> bool {
-        lock(&self.inner.mds).files.remove(path).is_some()
+        self.inner.mds.borrow_mut().files.remove(path).is_some()
     }
 
     /// True if `path` exists.
     pub fn exists(&self, path: &str) -> bool {
-        lock(&self.inner.mds).files.contains_key(path)
+        self.inner.mds.borrow().files.contains_key(path)
     }
 
     /// The instant every queued byte is durable — what an `fsync`/close
@@ -303,15 +306,15 @@ impl FileSystem {
     pub fn stats(&self) -> FsStats {
         let osts: Vec<OstStats> = self.inner.osts.iter().map(Ost::stats).collect();
         let (opens, image_resident_bytes, integrity_repaired, integrity_poisoned) = {
-            let mds = lock(&self.inner.mds);
+            let mds = self.inner.mds.borrow();
             let (mut res, mut rep, mut poi) = (0u64, 0u64, 0u64);
             for entry in mds.files.values() {
                 if let Some(integ) = &entry.integrity {
-                    let integ = lock(integ);
+                    let integ = integ.borrow();
                     rep += integ.repaired_extents();
                     poi += integ.poisoned_pages();
                 }
-                res += lock(&entry.storage).resident_bytes();
+                res += entry.storage.borrow().resident_bytes();
             }
             (mds.opens, res, rep, poi)
         };
@@ -342,13 +345,13 @@ impl FileSystem {
     /// report is trivially clean.
     pub fn scrub(&self, now: SimTime) -> (ScrubReport, SimTime) {
         let cfg = &self.inner.cfg;
-        let plan = lock(&self.inner.faults).clone();
-        let files: Vec<(String, Arc<FileEntry>)> = {
-            let mds = lock(&self.inner.mds);
+        let plan = self.inner.faults.borrow().clone();
+        let files: Vec<(String, Rc<FileEntry>)> = {
+            let mds = self.inner.mds.borrow();
             let mut v: Vec<_> = mds
                 .files
                 .iter()
-                .map(|(p, e)| (p.clone(), Arc::clone(e)))
+                .map(|(p, e)| (p.clone(), Rc::clone(e)))
                 .collect();
             v.sort_by(|a, b| a.0.cmp(&b.0));
             v
@@ -360,8 +363,8 @@ impl FileSystem {
             let Some(integ) = &entry.integrity else {
                 continue;
             };
-            let mut integ = lock(integ);
-            let mut storage = lock(&entry.storage);
+            let mut integ = integ.borrow_mut();
+            let mut storage = entry.storage.borrow_mut();
             let size = storage.size();
             report.bytes_scanned += size;
             let out = integ.verify_range(&mut storage, plan.as_deref(), 0, size);
@@ -428,7 +431,7 @@ impl FileHandle {
 
     /// Current file size.
     pub fn size(&self) -> u64 {
-        lock(&self.entry.storage).size()
+        self.entry.storage.borrow().size()
     }
 
     /// Write `data` at `offset`, arriving at virtual time `now`; returns
@@ -453,8 +456,8 @@ impl FileHandle {
     ) -> SimTime {
         let done = self.charge_io(offset, len, now, true);
         if len > 0 {
-            let integ = self.entry.integrity.as_ref().map(lock);
-            let mut st = lock(&self.entry.storage);
+            let integ = self.entry.integrity.as_ref().map(RefCell::borrow_mut);
+            let mut st = self.entry.storage.borrow_mut();
             st.write_pieces(offset, len, pieces);
             if let Some(mut integ) = integ {
                 integ.note_write(&st, offset, len);
@@ -533,10 +536,10 @@ impl FileHandle {
         mut done: SimTime,
         read: impl FnOnce(&Storage) -> T,
     ) -> (T, SimTime) {
-        let integ = self.entry.integrity.as_ref().map(lock);
-        let mut st = lock(&self.entry.storage);
+        let integ = self.entry.integrity.as_ref().map(RefCell::borrow_mut);
+        let mut st = self.entry.storage.borrow_mut();
         if let Some(mut integ) = integ {
-            let plan = lock(&self.fs.inner.faults).clone();
+            let plan = self.fs.inner.faults.borrow().clone();
             let mut repairs = 0usize;
             let mut unrepairable = Vec::new();
             for (off, len) in ranges {

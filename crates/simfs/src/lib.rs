@@ -28,6 +28,29 @@
 //! Metadata operations go through a single [`fs::FileSystem`]-internal MDS
 //! with a per-client open cost, matching Lustre's single-MDS design of the
 //! era.
+//!
+//! # One thread by type
+//!
+//! A file system is built, run against and read on one thread: every
+//! rank of a cluster is a fiber on the thread that called
+//! `simnet::run_cluster`. Its files, OSTs and metadata are `Rc`s,
+//! `RefCell`s and `Cell`s, and no borrow is held across the admission
+//! gate, the one place a rank can switch away. A rank that panics inside
+//! the file system releases its borrows as it unwinds, so the ranks
+//! unwinding after it see its panic, not a poisoned lock. The compiler
+//! keeps a file system on its thread:
+//!
+//! ```compile_fail
+//! fn shared_between_threads<T: Sync>() {}
+//! shared_between_threads::<simfs::FileSystem>();
+//! ```
+//!
+//! (The name exists; it is the bound that fails.)
+//!
+//! ```
+//! fn named<T>() {}
+//! named::<simfs::FileSystem>();
+//! ```
 
 #![warn(missing_docs)]
 
@@ -44,10 +67,3 @@ pub use fs::{FileHandle, FileSystem, FsStats};
 pub use integrity::{IntegrityError, ScrubReport};
 pub use layout::StripeLayout;
 pub use rangeset::RangeSet;
-
-/// Lock `m` whatever a panic left behind: a rank that panics poisons its
-/// cluster, and the ranks unwinding after it must see that rank's panic,
-/// not a poisoned lock of the file system they share.
-fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}

@@ -1,8 +1,8 @@
 //! Object storage target: a serial virtual-time resource.
 
-use crate::lock;
-use simnet::{Jitter, SimTime, SplitMix64};
-use std::sync::Mutex;
+use simnet::{FaultPlan, Jitter, SimTime, SplitMix64};
+use std::cell::RefCell;
+use std::sync::Arc;
 
 /// Accumulated service statistics of one OST.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -29,14 +29,14 @@ struct OstState {
     /// different client conflicts even on an idle target.
     lock_holder: Option<u64>,
     /// Trace recorder for this target's timeline (disabled by default;
-    /// installed by `FileSystem::attach_trace`). Emissions happen under
-    /// the state mutex, and the sink content-sorts OST events at export,
-    /// so host arrival order cannot leak into the merged trace.
+    /// installed by `FileSystem::attach_trace`). The sink content-sorts
+    /// OST events at export, so host arrival order cannot leak into the
+    /// merged trace.
     trace: simtrace::Recorder,
     /// Fault plan and this target's index in it, when installed by
-    /// `FileSystem::install_faults`. Consulted once per request under the
-    /// state mutex, so fault arithmetic is admission-ordered.
-    faults: Option<(std::sync::Arc<simnet::FaultPlan>, usize)>,
+    /// `FileSystem::install_faults`. Consulted once per admitted
+    /// request, so fault arithmetic is admission-ordered.
+    faults: Option<(Arc<FaultPlan>, usize)>,
     /// Cumulative requests admitted, including retry attempts burned by
     /// fail windows — the deterministic coordinate of `ost_fail_after`.
     ops: u64,
@@ -58,14 +58,14 @@ struct OstState {
 /// order is simply call order.
 #[derive(Debug)]
 pub struct Ost {
-    state: Mutex<OstState>,
+    state: RefCell<OstState>,
 }
 
 impl Ost {
     /// New idle OST with a jitter stream seeded by `seed`.
     pub fn new(seed: u64) -> Self {
         Ost {
-            state: Mutex::new(OstState {
+            state: RefCell::new(OstState {
                 next_free: SimTime::ZERO,
                 stats: OstStats::default(),
                 rng: SplitMix64::new(seed),
@@ -81,13 +81,13 @@ impl Ost {
     /// Install a trace recorder; every subsequent [`serve`](Ost::serve)
     /// emits its service interval, queue wait and volume metrics on it.
     pub fn attach_trace(&self, rec: simtrace::Recorder) {
-        lock(&self.state).trace = rec;
+        self.state.borrow_mut().trace = rec;
     }
 
     /// Install a fault plan; this target is `index` in the plan's
     /// `ost_slow` / `ost_fail_after` rules.
-    pub fn install_faults(&self, plan: std::sync::Arc<simnet::FaultPlan>, index: usize) {
-        lock(&self.state).faults = Some((plan, index));
+    pub fn install_faults(&self, plan: Arc<FaultPlan>, index: usize) {
+        self.state.borrow_mut().faults = Some((plan, index));
     }
 
     /// Serve a request of `bytes` in `requests` chunk units arriving at
@@ -116,15 +116,15 @@ impl Ost {
         // not host order. Nothing below blocks, so no other rank runs
         // before the mutation is done.
         simnet::progress::admit(arrival);
-        let mut st = lock(&self.state);
-        // hostprof: everything under the state lock (fault arithmetic,
+        let mut st = self.state.borrow_mut();
+        // hostprof: everything under the state borrow (fault arithmetic,
         // queue maintenance, jitter, trace emission) is non-yielding;
         // the admission gate above can block and stays outside the scope.
         let _hp = simtrace::host::scope(simtrace::host::Site::OstServe);
         let mut fault_factor = 1.0f64;
         if let Some((plan, idx)) = st.faults.clone() {
             // The op counter and the queue mutate under one admission +
-            // one lock acquisition, so the number of failed attempts is
+            // one state borrow, so the number of failed attempts is
             // plain arithmetic over the fail window — no re-admission,
             // and the I/O APIs stay infallible.
             let op = st.ops;
@@ -245,12 +245,12 @@ impl Ost {
 
     /// Snapshot of this target's statistics.
     pub fn stats(&self) -> OstStats {
-        lock(&self.state).stats
+        self.state.borrow().stats
     }
 
     /// The instant the target becomes idle.
     pub fn next_free(&self) -> SimTime {
-        lock(&self.state).next_free
+        self.state.borrow().next_free
     }
 }
 
@@ -402,8 +402,6 @@ mod tests {
 
     #[test]
     fn fault_slow_window_scales_service_inside_window_only() {
-        use simnet::FaultPlan;
-        use std::sync::Arc;
         let ost = Ost::new(1);
         ost.install_faults(
             Arc::new(FaultPlan::new(0).ost_slow(
@@ -426,8 +424,6 @@ mod tests {
 
     #[test]
     fn fault_fail_window_charges_backoff_then_drains() {
-        use simnet::FaultPlan;
-        use std::sync::Arc;
         let mut plan = FaultPlan::new(0).ost_fail_after(0, 1, 2);
         plan.retry_timeout = SimTime::secs(0.25);
         let ost = Ost::new(1);
@@ -453,8 +449,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "failed permanently")]
     fn fail_window_beyond_retry_bound_is_a_hard_failure() {
-        use simnet::FaultPlan;
-        use std::sync::Arc;
         let ost = Ost::new(1);
         ost.install_faults(Arc::new(FaultPlan::new(0).ost_fail_after(0, 0, 100)), 0);
         ost.serve(SimTime::ZERO, 1_000_000, 1, OH, BW, Jitter::new(0.0), 0.0, 0.0, 1.0, None, SimTime::ZERO);

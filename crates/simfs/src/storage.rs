@@ -38,10 +38,11 @@ use crate::rangeset::RangeSet;
 use simnet::IoBuffer;
 use simtrace::host::{count, Counter};
 use std::collections::BTreeMap;
-use std::sync::LazyLock;
 
-/// Zeros that holes are read and hashed from, a block at a time.
-static ZEROS: LazyLock<IoBuffer> = LazyLock::new(|| IoBuffer::from_vec(vec![0; 64 << 10]));
+thread_local! {
+    /// Zeros that holes are read and hashed from, a block at a time.
+    static ZEROS: IoBuffer = IoBuffer::from_vec(vec![0; 64 << 10]);
+}
 
 /// Sparse contents of one file.
 #[derive(Debug, Default)]
@@ -202,9 +203,11 @@ impl Storage {
     /// [`Storage::hash_range`] of every `(offset, len)`, two ranges at a
     /// time in lockstep (`simnet::cksum::digests`).
     pub fn hash_ranges(&self, ranges: &[(u64, usize)]) -> Vec<Option<u64>> {
+        let zeros = ZEROS.with(IoBuffer::clone);
+        let zeros = zeros.as_slice().expect("real zeros");
         let streams: Vec<Option<Vec<&[u8]>>> = ranges
             .iter()
-            .map(|&(off, len)| self.slices(off, len))
+            .map(|&(off, len)| self.slices(off, len, zeros))
             .collect();
         let real: Vec<bool> = streams.iter().map(Option::is_some).collect();
         let streams: Vec<Vec<&[u8]>> = streams.into_iter().flatten().collect();
@@ -215,14 +218,13 @@ impl Storage {
     }
 
     /// The bytes of `[offset, offset + len)` in place, in order — holes
-    /// from the static zero block — counted as hashed; `None` when the
+    /// from the block of `zeros` — counted as hashed; `None` when the
     /// range meets a synthetic extent.
-    fn slices(&self, offset: u64, len: usize) -> Option<Vec<&[u8]>> {
+    fn slices<'a>(&'a self, offset: u64, len: usize, zeros: &'a [u8]) -> Option<Vec<&'a [u8]>> {
         if self.synthetic.intersects(offset, offset + len as u64) {
             return None;
         }
         count(Counter::CksumBytes, len as u64);
-        let zeros = ZEROS.as_slice().expect("real zeros");
         let mut out = Vec::new();
         self.walk(offset, len as u64, |stretch| match stretch {
             Stretch::Real(ext, from, n) => {
@@ -258,14 +260,14 @@ impl Storage {
         };
         self.walk(offset, len, |stretch| match stretch {
             Stretch::Real(ext, from, n) => push(ext.sub(from, n)),
-            Stretch::Hole(n) => {
+            Stretch::Hole(n) => ZEROS.with(|zeros| {
                 let mut left = n;
                 while left > 0 {
-                    let k = left.min(ZEROS.len());
-                    push(ZEROS.sub(0, k));
+                    let k = left.min(zeros.len());
+                    push(zeros.sub(0, k));
                     left -= k;
                 }
-            }
+            }),
         });
     }
 

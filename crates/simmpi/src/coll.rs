@@ -460,7 +460,6 @@ mod tests {
                 }
             }
         }
-        simnet::set_pop_order(simnet::PopOrder::Fixed);
     }
 
     #[test]

@@ -8,35 +8,17 @@
 //! inside the closure surfaces as the run's panic with its own message
 //! instead of hanging the rendezvous.
 //!
-//! The order is a process-global choice ([`simnet::set_pop_order`]), so
-//! the tests in this file serialize on one mutex and restore the default.
+//! The order is the calling thread's choice ([`simnet::set_pop_order`]),
+//! and each test runs on a thread of its own.
 
 use simmpi::Communicator;
 use simnet::{run_cluster, ClusterConfig, IoBuffer, Mapping, PopOrder, SimTime};
 use simtrace::{chrome_trace_json, ArgValue, Event, TraceSink, TrackKey};
+use std::cell::Cell;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 const RANKS: usize = 8;
 const COLLECTIVES: usize = 3;
-
-struct OrderGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-fn order_lock() -> OrderGuard {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    let guard = LOCK
-        .get_or_init(Mutex::default)
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
-    OrderGuard(guard)
-}
-
-impl Drop for OrderGuard {
-    fn drop(&mut self) {
-        simnet::set_pop_order(PopOrder::Fixed);
-    }
-}
 
 /// Pop orders under test.
 const SUBSTRATES: [PopOrder; 3] = [
@@ -65,7 +47,6 @@ fn contribution(rank: usize, i: usize) -> (u64, usize) {
 
 #[test]
 fn derive_runs_once_shares_one_arc_and_costs_a_plain_allgather() {
-    let _guard = order_lock();
     for order in SUBSTRATES {
         simnet::set_pop_order(order);
 
@@ -89,17 +70,16 @@ fn derive_runs_once_shares_one_arc_and_costs_a_plain_allgather() {
         );
 
         // Same values through the derive-at-meet form.
-        let calls = Arc::new(AtomicUsize::new(0));
+        let calls = Cell::new(0);
         let sink = TraceSink::enabled();
-        let calls2 = Arc::clone(&calls);
-        let derived = run_cluster(cluster(&sink), move |ep| {
+        let derived = run_cluster(cluster(&sink), |ep| {
             ep.compute(SimTime::micros(ep.rank() as f64 * 3.0));
             let comm = Communicator::world(&ep);
             let shared: Vec<Rc<Vec<u64>>> = (0..COLLECTIVES)
                 .map(|i| {
                     let (val, n) = contribution(comm.rank(), i);
                     comm.allgather_t_derive(val, n, |vals| {
-                        calls2.fetch_add(1, Ordering::SeqCst);
+                        calls.set(calls.get() + 1);
                         vals.iter().map(|v| v * 2).collect()
                     })
                 })
@@ -109,11 +89,7 @@ fn derive_runs_once_shares_one_arc_and_costs_a_plain_allgather() {
         let derived_trace = chrome_trace_json(&sink.finish());
 
         let what = format!("{order:?}");
-        assert_eq!(
-            calls.load(Ordering::SeqCst),
-            COLLECTIVES,
-            "{what}: once per collective"
-        );
+        assert_eq!(calls.get(), COLLECTIVES, "{what}: once per collective");
         for (rank, ((shared, clock), (folded, plain_clock))) in
             derived.iter().zip(&plain).enumerate()
         {
@@ -140,7 +116,6 @@ fn derive_runs_once_shares_one_arc_and_costs_a_plain_allgather() {
 /// member's `rdv` span carries its own size.
 #[test]
 fn typed_allgather_of_unequal_sizes_charges_the_largest() {
-    let _guard = order_lock();
     let net = cluster(&TraceSink::disabled()).net;
     for order in SUBSTRATES {
         simnet::set_pop_order(order);
@@ -203,10 +178,11 @@ fn typed_allgather_of_unequal_sizes_charges_the_largest() {
 
 #[test]
 fn split_derive_runs_once_and_is_a_plain_split() {
-    let _guard = order_lock();
     for order in SUBSTRATES {
         simnet::set_pop_order(order);
-        let run = |derive_once: bool, calls: Arc<AtomicUsize>| {
+        let calls = Cell::new(0);
+        let run = |derive_once: bool| {
+            let calls = &calls;
             let sink = TraceSink::enabled();
             let out = run_cluster(cluster(&sink), move |ep| {
                 ep.compute(SimTime::micros(ep.rank() as f64 * 3.0));
@@ -216,7 +192,7 @@ fn split_derive_runs_once_and_is_a_plain_split() {
                 let decide = || (0..comm.size()).map(|r| r % 2).collect::<Vec<usize>>();
                 let (sub, decided) = if derive_once {
                     comm.split_derive(color, 0, || {
-                        calls.fetch_add(1, Ordering::SeqCst);
+                        calls.set(calls.get() + 1);
                         decide()
                     })
                 } else {
@@ -227,11 +203,10 @@ fn split_derive_runs_once_and_is_a_plain_split() {
             });
             (out, chrome_trace_json(&sink.finish()))
         };
-        let calls = Arc::new(AtomicUsize::new(0));
-        let (plain, plain_trace) = run(false, Arc::clone(&calls));
-        let (derived, derived_trace) = run(true, Arc::clone(&calls));
+        let (plain, plain_trace) = run(false);
+        let (derived, derived_trace) = run(true);
         let what = format!("{order:?}");
-        assert_eq!(calls.load(Ordering::SeqCst), 1, "{what}: once per split");
+        assert_eq!(calls.get(), 1, "{what}: once per split");
         for (rank, (d, p)) in derived.iter().zip(&plain).enumerate() {
             assert_eq!(
                 (d.0, d.1),
@@ -255,7 +230,6 @@ fn split_derive_runs_once_and_is_a_plain_split() {
 
 #[test]
 fn panic_in_derive_surfaces_with_its_own_message() {
-    let _guard = order_lock();
     for order in SUBSTRATES {
         simnet::set_pop_order(order);
         // Whichever rank arrives last runs the closure: make each rank

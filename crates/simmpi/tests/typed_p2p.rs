@@ -8,8 +8,8 @@
 //! sender's own `Rc`. Checked in the default pop order and in a
 //! shuffled host order.
 //!
-//! The order is a process-global choice ([`simnet::set_pop_order`]), so
-//! the one test that switches it restores what it found.
+//! The order is the calling thread's choice ([`simnet::set_pop_order`]),
+//! and each test runs on a thread of its own.
 
 use simmpi::{Communicator, RecvRequest};
 use simnet::{run_cluster, ClusterConfig, FaultPlan, IoBuffer, Mapping, PopOrder, SimTime};
@@ -115,7 +115,6 @@ fn exchange(typed: bool) -> (Vec<Seen>, String, String) {
 
 #[test]
 fn typed_message_is_modelled_as_its_wire_bytes() {
-    let before = simnet::pop_order();
     for order in [PopOrder::Fixed, PopOrder::Shuffled(1)] {
         simnet::set_pop_order(order);
         let what = format!("{order:?}");
@@ -160,7 +159,6 @@ fn typed_message_is_modelled_as_its_wire_bytes() {
             );
         }
     }
-    simnet::set_pop_order(before);
 }
 
 #[test]

@@ -25,7 +25,7 @@
 //! # Zero-copy representation
 //!
 //! Real contents live behind a shared backing store ([`RealBuf`]:
-//! `Arc<Vec<u8>>` plus an `(offset, len)` window). [`IoBuffer::sub`],
+//! `Rc<Vec<u8>>` plus an `(offset, len)` window). [`IoBuffer::sub`],
 //! [`IoBuffer::join`] and the single-piece [`BufferBuilder`] path are O(1)
 //! reference bumps, so bytes travel by reference from a rank's user buffer
 //! to the aggregator, into the file image (`simfs::storage` keeps views
@@ -56,7 +56,7 @@
 
 use simtrace::host::{self, Counter, Site};
 use std::cell::RefCell;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Most recycled buffers a thread retains.
 const POOL_MAX_BUFS: usize = 32;
@@ -106,7 +106,10 @@ fn pool_put(mut v: Vec<u8>) {
         return;
     }
     v.clear();
-    POOL.with_borrow_mut(|pool| {
+    // A store dropped as the thread exits (a thread-local's buffer) may
+    // find the pool gone already; it is freed instead.
+    let _ = POOL.try_with(|pool| {
+        let mut pool = pool.borrow_mut();
         if pool.len() == POOL_MAX_BUFS {
             pool.remove(0);
         }
@@ -115,11 +118,11 @@ fn pool_put(mut v: Vec<u8>) {
 }
 
 /// Shared real contents: a window into a reference-counted backing store.
-/// Slicing clones the `Arc` and narrows the window; mutation copies the
+/// Slicing clones the `Rc` and narrows the window; mutation copies the
 /// window out first unless this handle is the only one (copy-on-write).
 #[derive(Clone)]
 pub struct RealBuf {
-    data: Arc<Vec<u8>>,
+    data: Rc<Vec<u8>>,
     off: usize,
     len: usize,
 }
@@ -128,7 +131,7 @@ impl RealBuf {
     fn new(v: Vec<u8>) -> Self {
         let len = v.len();
         RealBuf {
-            data: Arc::new(v),
+            data: Rc::new(v),
             off: 0,
             len,
         }
@@ -143,7 +146,7 @@ impl Drop for RealBuf {
     fn drop(&mut self) {
         // Last handle to the backing store: recycle it. `get_mut`
         // succeeding is exactly the uniqueness test.
-        if let Some(v) = Arc::get_mut(&mut self.data) {
+        if let Some(v) = Rc::get_mut(&mut self.data) {
             pool_put(std::mem::take(v));
         }
     }
@@ -280,7 +283,7 @@ impl IoBuffer {
     pub fn as_mut_slice(&mut self) -> Option<&mut [u8]> {
         match self {
             IoBuffer::Real(b) => {
-                if Arc::get_mut(&mut b.data).is_none() {
+                if Rc::get_mut(&mut b.data).is_none() {
                     let owned = {
                         let s = b.as_slice();
                         host::count(Counter::CopyBytes, s.len() as u64);
@@ -291,7 +294,7 @@ impl IoBuffer {
                     *b = RealBuf::new(owned);
                 }
                 let (off, len) = (b.off, b.len);
-                let v = Arc::get_mut(&mut b.data).expect("unique after copy-on-write");
+                let v = Rc::get_mut(&mut b.data).expect("unique after copy-on-write");
                 Some(&mut v[off..off + len])
             }
             IoBuffer::Synthetic { .. } => None,
@@ -312,7 +315,7 @@ impl IoBuffer {
         );
         match self {
             IoBuffer::Real(b) => IoBuffer::Real(RealBuf {
-                data: Arc::clone(&b.data),
+                data: Rc::clone(&b.data),
                 off: b.off + start,
                 len,
             }),
@@ -326,7 +329,7 @@ impl IoBuffer {
     pub fn join(&mut self, next: &IoBuffer) -> bool {
         match (self, next) {
             (IoBuffer::Real(a), IoBuffer::Real(b))
-                if Arc::ptr_eq(&a.data, &b.data) && a.off + a.len == b.off =>
+                if Rc::ptr_eq(&a.data, &b.data) && a.off + a.len == b.off =>
             {
                 a.len += b.len;
                 true
@@ -341,7 +344,7 @@ impl IoBuffer {
     /// buffer reports the whole buffer.
     pub fn store_share(&self) -> usize {
         match self {
-            IoBuffer::Real(b) => b.data.capacity() / Arc::strong_count(&b.data),
+            IoBuffer::Real(b) => b.data.capacity() / Rc::strong_count(&b.data),
             IoBuffer::Synthetic { .. } => 0,
         }
     }
@@ -379,9 +382,9 @@ impl IoBuffer {
             IoBuffer::Real(mut b) => {
                 if b.off == 0 && b.len == b.data.len() {
                     // Detach the backing store so Drop doesn't pool it.
-                    let data = std::mem::replace(&mut b.data, Arc::new(Vec::new()));
+                    let data = std::mem::replace(&mut b.data, Rc::new(Vec::new()));
                     drop(b);
-                    match Arc::try_unwrap(data) {
+                    match Rc::try_unwrap(data) {
                         Ok(v) => v,
                         Err(shared) => shared[..].to_vec(),
                     }
@@ -553,7 +556,7 @@ mod tests {
         let (IoBuffer::Real(a), IoBuffer::Real(c)) = (&b, &s) else {
             panic!("both real");
         };
-        assert!(Arc::ptr_eq(&a.data, &c.data));
+        assert!(Rc::ptr_eq(&a.data, &c.data));
     }
 
     #[test]
@@ -675,7 +678,7 @@ mod tests {
         let (IoBuffer::Real(a), IoBuffer::Real(b)) = (&src, &out) else {
             panic!("both real");
         };
-        assert!(Arc::ptr_eq(&a.data, &b.data), "no copy for one piece");
+        assert!(Rc::ptr_eq(&a.data, &b.data), "no copy for one piece");
     }
 
     #[test]

@@ -84,11 +84,11 @@
 //! silent overflow corruption into a loud panic at fiber completion.
 //! Fibers never leave the scheduler's thread, so each fiber's stack is
 //! only ever touched by that thread.
-//! A finished run's stacks are kept for the next run of the process
-//! (`STACK_POOL`) rather than freed: a stack is a megabyte of which a
-//! rank touches the top few pages, and such holes in the allocator's
-//! free lists made a process's resident size depend on the order the
-//! previous run happened to free its memory in.
+//! A finished run's stacks are kept for the next run on the same thread
+//! (`STACK_POOL`, a thread-local) rather than freed: a stack is a
+//! megabyte of which a rank touches the top few pages, and such holes in
+//! the allocator's free lists made a process's resident size depend on
+//! the order the previous run happened to free its memory in.
 
 #[cfg(not(target_arch = "x86_64"))]
 compile_error!("simnet's fiber context switch is written for x86_64 only");
@@ -99,7 +99,6 @@ use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
-use std::sync::{Mutex, PoisonError};
 
 // The frozen `benchmark/src/child.rs` is this function's one caller; it
 // goes when the benchmark is next editable.
@@ -200,26 +199,19 @@ struct StackMem {
     layout: std::alloc::Layout,
 }
 
-// SAFETY: a `StackMem` owns its allocation exclusively; between runs it
-// is plain memory nothing points into.
-unsafe impl Send for StackMem {}
-
-/// Stacks of finished runs, kept for the next run of the process. A
-/// rank touches the top few pages of its stack and nothing below, so a
-/// *freed* stack is a megabyte-wide hole of mostly untouched pages in
-/// the allocator's free lists: whatever lands there next — the next
-/// run's stacks at other offsets, or anything else — touches new pages,
-/// and the resident size of a process that runs clusters back to back
-/// then depends on the order the previous run freed its memory in (the
-/// file-system seed moved one workload's peak RSS by a fifth). A kept
-/// stack is reused by the same rank of the next run, pages and all. The
-/// pool never holds more stacks than were live at once.
-static STACK_POOL: Mutex<Vec<StackMem>> = Mutex::new(Vec::new());
-
-/// The stack pool, whatever a panic elsewhere left behind: it only ever
-/// holds whole stacks.
-fn stack_pool() -> std::sync::MutexGuard<'static, Vec<StackMem>> {
-    STACK_POOL.lock().unwrap_or_else(PoisonError::into_inner)
+thread_local! {
+    /// Stacks of finished runs, kept for the next run on this thread. A
+    /// rank touches the top few pages of its stack and nothing below, so
+    /// a *freed* stack is a megabyte-wide hole of mostly untouched pages
+    /// in the allocator's free lists: whatever lands there next — the
+    /// next run's stacks at other offsets, or anything else — touches new
+    /// pages, and the resident size of a process that runs clusters back
+    /// to back then depends on the order the previous run freed its
+    /// memory in (the file-system seed moved one workload's peak RSS by a
+    /// fifth). A kept stack is reused by the same rank of the next run,
+    /// pages and all. The pool never holds more stacks than were live at
+    /// once.
+    static STACK_POOL: RefCell<Vec<StackMem>> = const { RefCell::new(Vec::new()) };
 }
 
 impl StackMem {
@@ -227,12 +219,11 @@ impl StackMem {
         // 16-byte alignment satisfies both ABIs; size floor keeps the
         // canary + initial frame sane.
         let size = size.max(16 * 1024) & !15;
-        let pooled = {
-            let mut pool = stack_pool();
+        let pooled = STACK_POOL.with_borrow_mut(|pool| {
             pool.iter()
                 .rposition(|s| s.layout.size() == size)
                 .map(|i| pool.remove(i))
-        };
+        });
         let stack = pooled.unwrap_or_else(|| {
             let layout =
                 std::alloc::Layout::from_size_align(size, 16).expect("valid stack layout");
@@ -249,7 +240,7 @@ impl StackMem {
     /// recently kept one, so fiber `i` of the next run gets the stack
     /// fiber `i` had.
     fn recycle(self) {
-        stack_pool().push(self);
+        STACK_POOL.with_borrow_mut(|pool| pool.push(self));
     }
 
     /// Plant the architecture-specific initial frame; restoring from the
@@ -769,9 +760,7 @@ mod tests {
 
     #[test]
     fn a_later_run_gets_the_stacks_of_an_earlier_one_fiber_for_fiber() {
-        // The pool is process-wide and matches by size: a size no other
-        // test asks for keeps this one's stacks to itself.
-        const SIZE: usize = 80 * 1024 + 16;
+        const SIZE: usize = 64 * 1024;
         let frames_of = |fibers: usize| {
             let frames = RefCell::new(vec![0usize; fibers]);
             let tasks: Vec<Task> = (0..fibers)

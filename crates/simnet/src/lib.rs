@@ -58,7 +58,7 @@
 //! shared_between_threads::<simnet::Endpoint>();
 //! ```
 //!
-//! and a fiber's wake handle is not `Send`, so no other thread can push
+//! a fiber's wake handle is not `Send`, so no other thread can push
 //! onto its run queue:
 //!
 //! ```compile_fail
@@ -66,7 +66,21 @@
 //! sent_to_another_thread::<simnet::fiber::Waker>();
 //! ```
 //!
-//! (Those four names exist; it is the bound that fails.)
+//! and neither is what outlives a run: an [`IoBuffer`], whose store a
+//! file image keeps as a view, or the trace sink the ranks record into
+//! (`simfs`'s crate docs hold the same proof for its `FileSystem`):
+//!
+//! ```compile_fail
+//! fn sent_to_another_thread<T: Send>() {}
+//! sent_to_another_thread::<simnet::IoBuffer>();
+//! ```
+//!
+//! ```compile_fail
+//! fn sent_to_another_thread<T: Send>() {}
+//! sent_to_another_thread::<simtrace::TraceSink>();
+//! ```
+//!
+//! (Those six names exist; it is the bound that fails.)
 //!
 //! ```
 //! fn named<T>() {}
@@ -74,11 +88,14 @@
 //! named::<simnet::Rendezvous>();
 //! named::<simnet::Endpoint>();
 //! named::<simnet::fiber::Waker>();
+//! named::<simnet::IoBuffer>();
+//! named::<simtrace::TraceSink>();
 //! ```
 //!
-//! What does cross threads keeps `std::sync`: the stores behind
-//! [`IoBuffer`]s, which a file system image keeps beyond the run, the
-//! fiber stack pool and the pop order, both process-wide.
+//! The switches that shape a run — the pop order ([`set_pop_order`]) and
+//! the default fiber stack size ([`set_default_stack_size`]) — and the
+//! pool of finished runs' fiber stacks belong to the calling thread as
+//! well: a thread that sets one changes no other thread's runs.
 
 #![warn(missing_docs)]
 

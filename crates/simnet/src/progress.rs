@@ -83,9 +83,8 @@
 use crate::noise::SplitMix64;
 use crate::time::SimTime;
 use simtrace::host::{self, Counter};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
-use std::sync::{Mutex, PoisonError};
 
 /// How the run queue picks the next runnable fiber to resume.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,17 +98,19 @@ pub enum PopOrder {
     Shuffled(u64),
 }
 
-static POP_ORDER: Mutex<PopOrder> = Mutex::new(PopOrder::Fixed);
-
-/// Select the pop order of subsequent [`crate::run_cluster`] calls
-/// (process-wide).
-pub fn set_pop_order(order: PopOrder) {
-    *POP_ORDER.lock().unwrap_or_else(PoisonError::into_inner) = order;
+thread_local! {
+    static POP_ORDER: Cell<PopOrder> = const { Cell::new(PopOrder::Fixed) };
 }
 
-/// The pop order [`crate::run_cluster`] uses.
+/// Select the pop order of the calling thread's subsequent
+/// [`crate::run_cluster`] calls; other threads keep theirs.
+pub fn set_pop_order(order: PopOrder) {
+    POP_ORDER.set(order);
+}
+
+/// The pop order [`crate::run_cluster`] uses on the calling thread.
 pub fn pop_order() -> PopOrder {
-    *POP_ORDER.lock().unwrap_or_else(PoisonError::into_inner)
+    POP_ORDER.get()
 }
 
 /// `(time, rank)` as one integer that orders like the pair: the time's

@@ -8,27 +8,29 @@ use crate::rendezvous::{PoisonFlag, Rendezvous};
 use crate::topology::{Mapping, Topology};
 use std::cell::Cell;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Process-wide default for [`ClusterConfig::stack_size`], picked up by
-/// every constructor (and by harnesses that build configs indirectly,
-/// e.g. the heap-ledger test's 128 KiB stacks). Stack pages
-/// are committed lazily by the OS, so the default only bounds virtual
-/// address space; see the `stack_size` field for the measured footprint.
-static DEFAULT_STACK_SIZE: AtomicUsize = AtomicUsize::new(1 << 20);
-
-/// Override the default per-rank stack size for subsequently built
-/// [`ClusterConfig`]s. Zero restores the built-in 1 MiB default.
-pub fn set_default_stack_size(bytes: usize) {
-    let v = if bytes == 0 { 1 << 20 } else { bytes };
-    DEFAULT_STACK_SIZE.store(v, Ordering::Relaxed);
+thread_local! {
+    /// The calling thread's default for [`ClusterConfig::stack_size`],
+    /// picked up by every constructor (and by harnesses that build
+    /// configs indirectly, e.g. the heap-ledger test's 128 KiB stacks).
+    /// Stack pages are committed lazily by the OS, so the default only
+    /// bounds virtual address space; see the `stack_size` field for the
+    /// measured footprint.
+    static DEFAULT_STACK_SIZE: Cell<usize> = const { Cell::new(1 << 20) };
 }
 
-/// The current default per-rank stack size (see
+/// Override the default per-rank stack size for [`ClusterConfig`]s the
+/// calling thread builds from now on. Zero restores the built-in 1 MiB
+/// default.
+pub fn set_default_stack_size(bytes: usize) {
+    DEFAULT_STACK_SIZE.set(if bytes == 0 { 1 << 20 } else { bytes });
+}
+
+/// The calling thread's default per-rank stack size (see
 /// [`set_default_stack_size`]).
 pub fn default_stack_size() -> usize {
-    DEFAULT_STACK_SIZE.load(Ordering::Relaxed)
+    DEFAULT_STACK_SIZE.get()
 }
 
 /// Configuration for [`run_cluster`].
@@ -48,7 +50,7 @@ pub struct ClusterConfig {
     /// reservation: pages are committed on touch, so 1024 ranks cost
     /// 1 GiB of address space but only a few MiB of resident stack, and
     /// the margin matters for fiber stacks, which have no guard page.
-    /// Fiber stacks are kept from one cluster to the next of a process
+    /// Fiber stacks are kept from one cluster to the next on a thread
     /// (matched by size), so a sequence of clusters touches the same
     /// few MiB again instead of new ones.
     pub stack_size: usize,

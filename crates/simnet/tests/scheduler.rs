@@ -4,8 +4,8 @@
 //! virtual time — the admission order of a nested-communicator run is
 //! the same whichever runnable fiber the scheduler resumes first.
 //!
-//! The pop order and the host profiler are process-global, so every
-//! test here serializes on one lock and restores the defaults.
+//! The pop order and the host profiler belong to the calling thread,
+//! and each test runs on a thread of its own.
 
 use simnet::rendezvous::PoisonFlag;
 use simnet::{
@@ -15,22 +15,6 @@ use simtrace::host;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::cell::{OnceCell, RefCell};
 use std::rc::Rc;
-use std::sync::{Mutex, MutexGuard};
-
-struct Serial(#[allow(dead_code)] MutexGuard<'static, ()>, PopOrder);
-
-fn serial() -> Serial {
-    static LOCK: Mutex<()> = Mutex::new(());
-    let guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    Serial(guard, simnet::pop_order())
-}
-
-impl Drop for Serial {
-    fn drop(&mut self) {
-        host::set_enabled(false);
-        simnet::set_pop_order(self.1);
-    }
-}
 
 /// Run `f` with the host profiler armed; return its panic message (if
 /// any) and the number of fiber slices (resumes) the run took.
@@ -51,8 +35,6 @@ fn profiled(f: impl FnOnce()) -> (Option<String>, u64) {
 
 #[test]
 fn receive_cycle_is_diagnosed_at_once() {
-    let _serial = serial();
-    simnet::set_pop_order(PopOrder::Fixed);
     const N: usize = 8;
     // Every rank receives from its neighbour and nobody sends.
     let (message, slices) = profiled(|| {
@@ -76,7 +58,6 @@ fn receive_cycle_is_diagnosed_at_once() {
 
 #[test]
 fn a_rank_panic_unwinds_ranks_parked_at_every_wait_site() {
-    let _serial = serial();
     for order in [PopOrder::Fixed, PopOrder::Shuffled(1)] {
         simnet::set_pop_order(order);
         let sub: OnceCell<Rendezvous> = OnceCell::new();
@@ -155,8 +136,6 @@ fn nested_communicator_run() -> Vec<(usize, u32)> {
 
 #[test]
 fn admission_order_is_the_same_in_every_pop_order() {
-    let _serial = serial();
-    simnet::set_pop_order(PopOrder::Fixed);
     let order = nested_communicator_run();
     assert_eq!(order.len(), 12 * 9);
     for seed in 1..=8 {
@@ -169,8 +148,6 @@ fn admission_order_is_the_same_in_every_pop_order() {
 fn a_request_below_every_queued_key_takes_no_switch() {
     // A rank alone in its cluster, or the last one running, is always
     // the minimum: its requests are admitted without leaving its fiber.
-    let _serial = serial();
-    simnet::set_pop_order(PopOrder::Fixed);
     let (message, slices) = profiled(|| {
         run_cluster(ClusterConfig::ideal(1), |ep| {
             for i in 0..1000 {

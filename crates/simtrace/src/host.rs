@@ -13,17 +13,20 @@
 //! * **Static site registry.** Probe sites are a fixed enum ([`Site`]);
 //!   names, subsystems and ids are compile-time constants. No
 //!   registration, no string hashing on the hot path.
-//! * **Scoped timers, thread-local rings.** [`scope`] pushes the site
-//!   onto a thread-local stack and, on drop, records one
-//!   `(path, duration)` sample into a fixed-capacity [`RingBuf`].
-//!   Paths encode up to [`MAX_DEPTH`] nested sites in one `u64`, so a
-//!   sample is 16 bytes and recording never allocates. A full ring
-//!   folds into the thread's preallocated aggregate table (amortized,
-//!   off the per-sample path).
-//! * **Runtime gate.** Every probe starts with one relaxed atomic load
-//!   ([`enabled`]); disarmed probes do nothing else. The `hostperf`
-//!   A/B gate in CI holds this runtime-off overhead under 2% against a
-//!   build with the probes compiled out.
+//! * **Scoped timers, one thread-local table.** [`scope`] pushes the
+//!   site onto the calling thread's probe stack and, on drop, folds one
+//!   `(path, duration)` sample straight into the thread's path→stat
+//!   map. Paths encode up to [`MAX_DEPTH`] nested sites in one `u64`, so
+//!   a path is a map key with no hashing of vectors.
+//! * **Runtime gate.** Every probe starts with one read of a
+//!   thread-local flag ([`enabled`]); disarmed probes do nothing else.
+//!   The `hostperf` A/B gate in CI holds this runtime-off overhead under
+//!   2% against a build with the probes compiled out.
+//! * **One thread by type.** The flag, the counters, the probe stack and
+//!   the map belong to the calling thread: every rank of a cluster is a
+//!   fiber on the thread that runs it, so [`set_enabled`], [`reset`] and
+//!   [`collect`] on that thread see the whole run, and a run on another
+//!   thread (a test, say) neither disturbs nor shows in it.
 //! * **Compile-time off.** Building `simtrace` with the `hostprof-off`
 //!   feature replaces the whole API with inlineable no-ops, so call
 //!   sites in other crates compile to nothing (the zero-cost baseline
@@ -320,82 +323,6 @@ impl Counter {
 }
 
 // ---------------------------------------------------------------------
-// Ring buffer
-// ---------------------------------------------------------------------
-
-/// Fixed-capacity FIFO ring. Never reallocates after construction: a
-/// push into a full ring **drops the sample and counts it** in
-/// [`dropped`](RingBuf::dropped) instead of growing — the profiler
-/// must never let bookkeeping distort the measurement with allocator
-/// traffic. The profiler's own rings are drained into the aggregate
-/// table before they fill, so drops there mean the drain itself failed.
-#[derive(Debug)]
-pub struct RingBuf<T> {
-    buf: Vec<T>,
-    head: usize,
-    len: usize,
-    dropped: u64,
-}
-
-impl<T: Copy + Default> RingBuf<T> {
-    /// New ring holding at most `cap` elements (capacity is fixed for
-    /// the ring's lifetime).
-    pub fn new(cap: usize) -> Self {
-        assert!(cap > 0, "ring capacity must be positive");
-        RingBuf { buf: vec![T::default(); cap], head: 0, len: 0, dropped: 0 }
-    }
-
-    /// Append `v`; returns `false` (and counts a drop) when full.
-    pub fn push(&mut self, v: T) -> bool {
-        if self.len == self.buf.len() {
-            self.dropped += 1;
-            return false;
-        }
-        let idx = (self.head + self.len) % self.buf.len();
-        self.buf[idx] = v;
-        self.len += 1;
-        true
-    }
-
-    /// Remove and return the oldest element.
-    pub fn pop(&mut self) -> Option<T> {
-        if self.len == 0 {
-            return None;
-        }
-        let v = self.buf[self.head];
-        self.head = (self.head + 1) % self.buf.len();
-        self.len -= 1;
-        Some(v)
-    }
-
-    /// Elements currently held.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no elements are held.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The fixed capacity.
-    pub fn capacity(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Samples dropped by pushes into a full ring.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Discard all held elements (capacity and drop count unchanged).
-    pub fn clear(&mut self) {
-        self.head = 0;
-        self.len = 0;
-    }
-}
-
-// ---------------------------------------------------------------------
 // Report types (shared by both compile modes)
 // ---------------------------------------------------------------------
 
@@ -447,15 +374,11 @@ pub struct Report {
     pub paths: Vec<PathRow>,
     /// Counter values, in [`Counter`] declaration order.
     pub counters: Vec<(&'static str, u64)>,
-    /// Samples dropped by full rings (0 in normal operation: rings
-    /// drain into the aggregate table before they fill).
+    /// Always 0: every sample folds straight into the table, so none is
+    /// ever dropped. The field stays so that code reading it (the
+    /// benchmark's `simtrace.hostprof_dropped`) keeps compiling
+    /// unchanged, as [`Site::TraceSpill`] does.
     pub dropped: u64,
-    /// Per-thread drop counts, summed by thread name and sorted by it;
-    /// only threads that dropped anything appear. Each thread records
-    /// into its own ring (every rank of a cluster shares its caller's),
-    /// so a drop is reported against that thread's name instead of being
-    /// silently folded into the total.
-    pub dropped_by_thread: Vec<(String, u64)>,
 }
 
 impl Report {
@@ -531,155 +454,51 @@ impl Report {
 #[cfg(not(feature = "hostprof-off"))]
 mod engine {
     use super::*;
-    use std::cell::RefCell;
+    use std::cell::{Cell, RefCell};
     use std::collections::HashMap;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
     use std::time::Instant;
 
-    /// Staged samples per thread before a fold into the aggregate table.
-    const RING_CAP: usize = 1024;
-
-    /// Runtime gate: one relaxed load per disarmed probe.
-    pub(super) static ENABLED: AtomicBool = AtomicBool::new(false);
-    /// Bumped by [`reset`]; thread states lazily clear and re-register
-    /// when they observe a new epoch.
-    static EPOCH: AtomicU64 = AtomicU64::new(0);
-    pub(super) static COUNTERS: [AtomicU64; COUNTER_COUNT] =
-        [const { AtomicU64::new(0) }; COUNTER_COUNT];
-
-    #[derive(Clone, Copy, Default)]
-    struct Sample {
-        path: u64,
-        dur_ns: u64,
-    }
-
     #[derive(Default)]
-    pub(super) struct PathStat {
-        pub(super) count: u64,
-        pub(super) total_ns: u64,
+    struct PathStat {
+        count: u64,
+        total_ns: u64,
     }
 
-    /// Per-thread aggregate shared with the collector via the registry.
-    struct ThreadAgg {
-        /// The owning thread's name at registration time; anonymous
-        /// threads get their `ThreadId` rendering.
-        name: String,
-        stats: Mutex<HashMap<u64, PathStat>>,
-        dropped: AtomicU64,
-    }
-
-    impl ThreadAgg {
-        fn for_current_thread() -> Self {
-            let t = std::thread::current();
-            let name = match t.name() {
-                Some(n) => n.to_string(),
-                None => format!("{:?}", t.id()),
-            };
-            ThreadAgg {
-                name,
-                stats: Mutex::new(HashMap::new()),
-                dropped: AtomicU64::new(0),
-            }
-        }
-    }
-
-    fn registry() -> &'static Mutex<Vec<Arc<ThreadAgg>>> {
-        static REGISTRY: Mutex<Vec<Arc<ThreadAgg>>> = Mutex::new(Vec::new());
-        &REGISTRY
-    }
-
-    fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-        m.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    struct ThreadState {
-        epoch: u64,
+    /// What the calling thread gathered since its last [`reset`].
+    #[derive(Default)]
+    struct State {
         /// Site-id stack; the top's encoded path is in `path`.
         stack: Vec<u8>,
         /// Path key of the current scope: one byte per level (site id
         /// + 1), outermost in the highest occupied byte.
         path: u64,
-        ring: RingBuf<Sample>,
-        /// Ring drops already published to `agg` (the ring's counter is
-        /// cumulative; only the delta is new on each flush).
-        reported_drops: u64,
-        agg: Arc<ThreadAgg>,
+        counters: [u64; COUNTER_COUNT],
+        stats: HashMap<u64, PathStat>,
     }
 
-    impl ThreadState {
-        fn new() -> Self {
-            let agg = Arc::new(ThreadAgg::for_current_thread());
-            let epoch = EPOCH.load(Ordering::Relaxed);
-            lock(registry()).push(Arc::clone(&agg));
-            ThreadState {
-                epoch,
-                stack: Vec::with_capacity(2 * MAX_DEPTH),
-                path: 0,
-                ring: RingBuf::new(RING_CAP),
-                reported_drops: 0,
-                agg,
-            }
-        }
-
-        /// Re-sync with the global epoch after a [`reset`]: discard
-        /// stale samples and re-register the aggregate (reset cleared
-        /// the registry). Open scopes keep their stack so drops stay
-        /// balanced; their samples land in the fresh epoch.
-        fn resync(&mut self) {
-            let epoch = EPOCH.load(Ordering::Relaxed);
-            if self.epoch != epoch {
-                self.epoch = epoch;
-                self.ring.clear();
-                lock(&self.agg.stats).clear();
-                self.agg.dropped.store(0, Ordering::Relaxed);
-                lock(registry()).push(Arc::clone(&self.agg));
-            }
-        }
-
-        fn flush(&mut self) {
-            if !self.ring.is_empty() {
-                let mut stats = lock(&self.agg.stats);
-                while let Some(s) = self.ring.pop() {
-                    let e = stats.entry(s.path).or_default();
-                    e.count += 1;
-                    e.total_ns += s.dur_ns;
-                }
-            }
-            // The ring's drop counter is cumulative over its lifetime;
-            // publish only what has not been reported yet.
-            let total = self.ring.dropped();
-            if total > self.reported_drops {
-                self.agg
-                    .dropped
-                    .fetch_add(total - self.reported_drops, Ordering::Relaxed);
-                self.reported_drops = total;
-            }
-        }
-
+    impl State {
         fn record(&mut self, path: u64, dur_ns: u64) {
-            if self.ring.len() == self.ring.capacity() {
-                self.flush();
-            }
-            self.ring.push(Sample { path, dur_ns });
-        }
-    }
-
-    impl Drop for ThreadState {
-        fn drop(&mut self) {
-            // Thread exit: publish whatever is still staged.
-            self.flush();
+            let e = self.stats.entry(path).or_default();
+            e.count += 1;
+            e.total_ns += dur_ns;
         }
     }
 
     thread_local! {
-        static STATE: RefCell<ThreadState> = RefCell::new(ThreadState::new());
+        /// Runtime gate: one thread-local read per disarmed probe.
+        pub(super) static ENABLED: Cell<bool> = const { Cell::new(false) };
+        static STATE: RefCell<State> = RefCell::default();
     }
 
-    pub(super) fn enter(site: Site) {
-        let _ = STATE.try_with(|st| {
-            let mut st = st.borrow_mut();
-            st.resync();
+    /// Run `f` on the calling thread's state; a probe that fires as the
+    /// thread exits (a buffer a thread-local drops) finds it gone and
+    /// records nothing.
+    fn with_state(f: impl FnOnce(&mut State)) {
+        let _ = STATE.try_with(|st| f(&mut st.borrow_mut()));
+    }
+
+    fn enter(site: Site) {
+        with_state(|st| {
             st.stack.push(site as u8);
             if st.stack.len() <= MAX_DEPTH {
                 st.path = (st.path << 8) | (site as u64 + 1);
@@ -687,9 +506,8 @@ mod engine {
         });
     }
 
-    pub(super) fn exit(site: Site, dur_ns: u64) {
-        let _ = STATE.try_with(|st| {
-            let mut st = st.borrow_mut();
+    fn exit(site: Site, dur_ns: u64) {
+        with_state(|st| {
             let popped = st.stack.pop();
             debug_assert_eq!(
                 popped,
@@ -708,9 +526,7 @@ mod engine {
     /// Record one sample of the open scope `site`, the top of the stack,
     /// and stay in it.
     fn lap_record(site: Site, dur_ns: u64) {
-        let _ = STATE.try_with(|st| {
-            let mut st = st.borrow_mut();
-            st.resync();
+        with_state(|st| {
             debug_assert_eq!(
                 st.stack.last(),
                 Some(&(site as u8)),
@@ -719,6 +535,12 @@ mod engine {
             let path = st.path;
             st.record(path, dur_ns);
         });
+    }
+
+    #[cold]
+    #[inline(never)]
+    pub(super) fn add(counter: Counter, n: u64) {
+        with_state(|st| st.counters[counter as usize] += n);
     }
 
     /// Scoped timer handle; records on drop. Inert when created while
@@ -734,7 +556,7 @@ mod engine {
         /// and `#[cold]` so the hot loops' codegen is undisturbed.
         #[inline(always)]
         pub(super) fn new(site: Site) -> ScopeGuard {
-            if ENABLED.load(Ordering::Relaxed) {
+            if ENABLED.get() {
                 Self::new_armed(site)
             } else {
                 ScopeGuard { site, start: None }
@@ -790,77 +612,43 @@ mod engine {
         }
     }
 
+    /// Forget the samples and counters; open scopes keep their stack, so
+    /// their drops stay balanced and land in the fresh table.
     pub(super) fn reset_impl() {
-        for c in &COUNTERS {
-            c.store(0, Ordering::Relaxed);
-        }
-        lock(registry()).clear();
-        EPOCH.fetch_add(1, Ordering::Relaxed);
+        with_state(|st| {
+            st.counters = [0; COUNTER_COUNT];
+            st.stats.clear();
+        });
     }
 
     pub(super) fn collect_impl() -> Report {
-        // Publish the calling thread's staged samples first (the fiber
-        // executor runs every rank on this thread, so this is usually
-        // all of them).
-        let _ = STATE.try_with(|st| st.borrow_mut().flush());
-        let mut merged: HashMap<u64, PathStat> = HashMap::new();
-        let mut dropped = 0u64;
-        let mut by_thread: std::collections::BTreeMap<String, u64> =
-            std::collections::BTreeMap::new();
-        for agg in lock(registry()).iter() {
-            for (path, stat) in lock(&agg.stats).iter() {
-                let e = merged.entry(*path).or_default();
-                e.count += stat.count;
-                e.total_ns += stat.total_ns;
-            }
-            let d = agg.dropped.load(Ordering::Relaxed);
-            dropped += d;
-            if d > 0 {
-                *by_thread.entry(agg.name.clone()).or_default() += d;
-            }
-        }
-        let mut keys: Vec<u64> = merged.keys().copied().collect();
-        keys.sort_unstable();
-        // Direct-child inclusive totals, for self-time computation.
-        let mut child_ns: HashMap<u64, u64> = HashMap::new();
-        for k in &keys {
-            if let Some(parent) = parent_of(*k) {
-                *child_ns.entry(parent).or_default() += merged[k].total_ns;
-            }
-        }
-        let paths = keys
-            .iter()
-            .map(|k| {
-                let stat = &merged[k];
-                let nested = child_ns.get(k).copied().unwrap_or(0);
-                PathRow {
-                    sites: decode_path(*k),
-                    count: stat.count,
-                    total_ns: stat.total_ns,
-                    self_ns: stat.total_ns.saturating_sub(nested),
+        let mut report = Report::default();
+        with_state(|st| {
+            let mut keys: Vec<u64> = st.stats.keys().copied().collect();
+            keys.sort_unstable();
+            // Direct-child inclusive totals, for self-time computation.
+            let mut child_ns: HashMap<u64, u64> = HashMap::new();
+            for k in &keys {
+                if let Some(parent) = parent_of(*k) {
+                    *child_ns.entry(parent).or_default() += st.stats[k].total_ns;
                 }
-            })
-            .collect();
-        let counters = (0..COUNTER_COUNT)
-            .map(|i| (COUNTER_NAMES[i], COUNTERS[i].load(Ordering::Relaxed)))
-            .collect();
-        Report {
-            paths,
-            counters,
-            dropped,
-            dropped_by_thread: by_thread.into_iter().collect(),
-        }
-    }
-
-    /// Test-only: register `n` synthetic ring drops on the calling
-    /// thread, as a full ring whose drain failed would.
-    #[cfg(test)]
-    pub(super) fn inject_drops_for_test(n: u64) {
-        let _ = STATE.try_with(|st| {
-            let mut st = st.borrow_mut();
-            st.resync();
-            st.agg.dropped.fetch_add(n, Ordering::Relaxed);
+            }
+            report.paths = keys
+                .iter()
+                .map(|k| {
+                    let stat = &st.stats[k];
+                    let nested = child_ns.get(k).copied().unwrap_or(0);
+                    PathRow {
+                        sites: decode_path(*k),
+                        count: stat.count,
+                        total_ns: stat.total_ns,
+                        self_ns: stat.total_ns.saturating_sub(nested),
+                    }
+                })
+                .collect();
+            report.counters = COUNTER_NAMES.iter().copied().zip(st.counters).collect();
         });
+        report
     }
 
     fn parent_of(path: u64) -> Option<u64> {
@@ -883,21 +671,20 @@ mod engine {
 #[cfg(not(feature = "hostprof-off"))]
 pub use engine::ScopeGuard;
 
-#[cfg(not(feature = "hostprof-off"))]
-use std::sync::atomic::Ordering;
-
-/// Is the profiler armed? Disarmed probes cost one relaxed load.
+/// Is the profiler armed on the calling thread? Disarmed probes cost one
+/// thread-local read.
 #[cfg(not(feature = "hostprof-off"))]
 #[inline]
 pub fn enabled() -> bool {
-    engine::ENABLED.load(Ordering::Relaxed)
+    engine::ENABLED.get()
 }
 
-/// Arm or disarm the profiler process-wide. Purely host-side: virtual
-/// time and every deterministic artifact are identical either way.
+/// Arm or disarm the profiler on the calling thread, and so for every
+/// rank of the clusters it runs. Purely host-side: virtual time and
+/// every deterministic artifact are identical either way.
 #[cfg(not(feature = "hostprof-off"))]
 pub fn set_enabled(on: bool) {
-    engine::ENABLED.store(on, Ordering::Relaxed);
+    engine::ENABLED.set(on);
 }
 
 /// Open a scoped timer on `site`; the sample is recorded when the
@@ -909,28 +696,23 @@ pub fn scope(site: Site) -> ScopeGuard {
 }
 
 /// Add `n` to a counter (no-op while disarmed). Like [`scope`], only
-/// the armed check is inlined; the atomic add is outlined and cold.
+/// the armed check is inlined; the add is outlined and cold.
 #[cfg(not(feature = "hostprof-off"))]
 #[inline(always)]
 pub fn count(counter: Counter, n: u64) {
-    #[cold]
-    #[inline(never)]
-    fn add(counter: Counter, n: u64) {
-        engine::COUNTERS[counter as usize].fetch_add(n, Ordering::Relaxed);
-    }
     if enabled() {
-        add(counter, n);
+        engine::add(counter, n);
     }
 }
 
-/// Discard all samples and counters gathered so far.
+/// Discard the samples and counters the calling thread gathered so far.
 #[cfg(not(feature = "hostprof-off"))]
 pub fn reset() {
     engine::reset_impl();
 }
 
-/// Snapshot the aggregates gathered since the last [`reset`] into a
-/// [`Report`] (flushes the calling thread's staged samples first).
+/// Snapshot what the calling thread gathered since its last [`reset`]
+/// into a [`Report`].
 #[cfg(not(feature = "hostprof-off"))]
 pub fn collect() -> Report {
     engine::collect_impl()
@@ -991,39 +773,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ring_overflow_drops_and_counts_without_reallocating() {
-        let mut ring: RingBuf<u64> = RingBuf::new(4);
-        for i in 0..4 {
-            assert!(ring.push(i));
-        }
-        assert_eq!(ring.capacity(), 4);
-        // Overflow: dropped, counted, capacity untouched.
-        assert!(!ring.push(99));
-        assert!(!ring.push(100));
-        assert_eq!(ring.dropped(), 2);
-        assert_eq!(ring.capacity(), 4);
-        assert_eq!(ring.len(), 4);
-        // FIFO order survives, and the dropped values never appear.
-        assert_eq!(ring.pop(), Some(0));
-        assert!(ring.push(5));
-        let rest: Vec<u64> = std::iter::from_fn(|| ring.pop()).collect();
-        assert_eq!(rest, vec![1, 2, 3, 5]);
-        assert_eq!(ring.dropped(), 2, "draining does not rewrite history");
-    }
-
-    #[test]
-    fn ring_clear_keeps_capacity_and_drop_count() {
-        let mut ring: RingBuf<u8> = RingBuf::new(2);
-        ring.push(1);
-        ring.push(2);
-        ring.push(3);
-        ring.clear();
-        assert!(ring.is_empty());
-        assert_eq!(ring.capacity(), 2);
-        assert_eq!(ring.dropped(), 1);
-    }
-
-    #[test]
     fn site_registry_is_complete_and_named() {
         for id in 0..SITE_COUNT as u8 {
             let site = Site::from_id(id).expect("every id under SITE_COUNT resolves");
@@ -1034,50 +783,9 @@ mod tests {
         assert!(Site::from_id(SITE_COUNT as u8).is_none());
     }
 
-    /// The recording tests mutate process-global profiler state
-    /// (enable flag, epoch, registry); serialize them.
-    #[cfg(not(feature = "hostprof-off"))]
-    fn recording_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    #[cfg(not(feature = "hostprof-off"))]
-    #[test]
-    fn dropped_samples_are_attributed_to_their_thread() {
-        let _serial = recording_lock();
-        std::thread::Builder::new()
-            .name("drop-source".into())
-            .spawn(|| {
-                engine::inject_drops_for_test(3);
-                engine::inject_drops_for_test(2);
-            })
-            .expect("spawn drop-source")
-            .join()
-            .expect("join drop-source");
-        let report = collect();
-        let per_thread = report
-            .dropped_by_thread
-            .iter()
-            .find(|(name, _)| name == "drop-source")
-            .expect("dropping thread reported by name");
-        assert_eq!(per_thread.1, 5);
-        assert!(report.dropped >= 5, "total covers the per-thread rows");
-        assert_eq!(
-            report.dropped_by_thread.iter().map(|(_, d)| d).sum::<u64>(),
-            report.dropped,
-            "per-thread rows tile the total"
-        );
-        reset();
-        assert!(collect().dropped_by_thread.is_empty());
-    }
-
-    // The recording tests mutate process-global profiler state, so they
-    // run as one test body.
     #[cfg(not(feature = "hostprof-off"))]
     #[test]
     fn scopes_nest_counters_count_and_reset_clears() {
-        let _serial = recording_lock();
         reset();
         set_enabled(true);
         {
@@ -1143,7 +851,6 @@ mod tests {
     #[cfg(not(feature = "hostprof-off"))]
     #[test]
     fn laps_split_one_scope_into_back_to_back_samples() {
-        let _serial = recording_lock();
         reset();
         set_enabled(true);
         {
@@ -1170,7 +877,6 @@ mod tests {
     #[cfg(not(feature = "hostprof-off"))]
     #[test]
     fn deep_nesting_folds_into_deepest_representable_ancestor() {
-        let _serial = recording_lock();
         // Depth > MAX_DEPTH must not lose time or unbalance the stack.
         fn nest(depth: usize) {
             if depth == 0 {
@@ -1179,13 +885,16 @@ mod tests {
             let _g = scope(Site::Pack);
             nest(depth - 1);
         }
-        // Serialize against the other recording test via reset-epoch
-        // semantics: this test only asserts on its own thread's paths
-        // being balanced, not on global counts.
+        reset();
+        set_enabled(true);
         nest(MAX_DEPTH + 3);
+        set_enabled(false);
         let report = collect();
+        assert_eq!(report.paths.len(), MAX_DEPTH);
         for p in &report.paths {
             assert!(p.sites.len() <= MAX_DEPTH);
         }
+        // The three scopes below the deepest level fold into its path.
+        assert_eq!(report.paths.last().map(|p| p.count), Some(4));
     }
 }

@@ -2,10 +2,11 @@
 //!
 //! Each simulated rank (and each OST) owns a *track*: an append-only
 //! buffer of timeline events plus monotone metrics (counters and log2
-//! histograms). A rank's thread appends to its own track through a cached
-//! [`Recorder`], so the per-event cost is an uncontended mutex acquire —
-//! effectively lock-free append. Cross-track writes exist for exactly one
-//! reason: a rendezvous combiner (which runs on the *last* arriving
+//! histograms). A rank appends to its own track through a cached
+//! [`Recorder`], so the per-event cost is a `RefCell` borrow and a push:
+//! every rank of a cluster is a fiber on the thread that owns the sink,
+//! which is `Rc`-shared and cannot leave it. Cross-track writes exist for
+//! exactly one reason: a rendezvous combiner (which runs on the *last* arriving
 //! participant while every other participant is parked inside the same
 //! rendezvous) attributes the collective wall to every waiter. Because
 //! those waiters are blocked for the duration, the combiner's appends land
@@ -21,8 +22,9 @@
 //! 128 ranks this way well inside the suite's memory budget.
 
 use std::borrow::Cow;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::rc::Rc;
 
 /// Identifies one timeline in the trace. `Rank` tracks order before `Ost`
 /// tracks in the merged output (derived `Ord` on variant order).
@@ -124,8 +126,8 @@ pub enum Event {
 }
 
 /// The deterministic content order for OST-track events: OSTs are
-/// served by many rank threads, so append order reflects host
-/// scheduling; sorting by `(ts, dur/value, name, args)` erases it.
+/// served by many ranks, so append order reflects the order the host
+/// ran them in; sorting by `(ts, dur/value, name, args)` erases it.
 fn ost_event_cmp(a: &Event, b: &Event) -> std::cmp::Ordering {
     let (at, ad, an, ah) = a.sort_key();
     let (bt, bd, bn, bh) = b.sort_key();
@@ -249,31 +251,27 @@ struct TrackBuf {
 
 #[derive(Debug, Default)]
 struct Shared {
-    tracks: Mutex<BTreeMap<TrackKey, Arc<Mutex<TrackBuf>>>>,
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
+    tracks: RefCell<BTreeMap<TrackKey, Rc<RefCell<TrackBuf>>>>,
 }
 
 impl Shared {
-    fn track(&self, key: TrackKey) -> Arc<Mutex<TrackBuf>> {
-        Arc::clone(lock(&self.tracks).entry(key).or_default())
+    fn track(&self, key: TrackKey) -> Rc<RefCell<TrackBuf>> {
+        Rc::clone(self.tracks.borrow_mut().entry(key).or_default())
     }
 }
 
 /// Append one event to a track.
-fn record(buf: &Mutex<TrackBuf>, event: Event) {
+fn record(buf: &RefCell<TrackBuf>, event: Event) {
     // hostprof: tracing overhead is self-measured.
     let _hp = crate::host::scope(crate::host::Site::TraceRecord);
-    lock(buf).events.push(event);
+    buf.borrow_mut().events.push(event);
 }
 
 /// Shared handle to a trace collection. Cheap to clone; disabled by
 /// default, in which case every operation is a no-op after one branch.
 #[derive(Debug, Clone, Default)]
 pub struct TraceSink {
-    shared: Option<Arc<Shared>>,
+    shared: Option<Rc<Shared>>,
 }
 
 impl TraceSink {
@@ -285,7 +283,7 @@ impl TraceSink {
     /// A live sink collecting events and metrics.
     pub fn enabled() -> Self {
         TraceSink {
-            shared: Some(Arc::new(Shared::default())),
+            shared: Some(Rc::new(Shared::default())),
         }
     }
 
@@ -299,7 +297,7 @@ impl TraceSink {
     pub fn recorder_on_node(&self, key: TrackKey, node: Option<usize>) -> Recorder {
         let buf = self.shared.as_ref().map(|shared| shared.track(key));
         if let (Some(buf), Some(_)) = (&buf, node) {
-            lock(buf).node = node;
+            buf.borrow_mut().node = node;
         }
         Recorder { buf }
     }
@@ -316,7 +314,9 @@ impl TraceSink {
     /// Record a histogram observation on an arbitrary track.
     pub fn observe(&self, key: TrackKey, name: &'static str, value: f64) {
         if let Some(shared) = &self.shared {
-            lock(&shared.track(key))
+            shared
+                .track(key)
+                .borrow_mut()
                 .hists
                 .entry(name)
                 .or_default()
@@ -327,17 +327,17 @@ impl TraceSink {
     /// Snapshot and deterministically merge everything recorded so far.
     ///
     /// Rank tracks keep their (already deterministic) append order; OST
-    /// tracks are served concurrently by many rank threads, so their
-    /// events are sorted by `(start, duration, name, args)` to erase host
-    /// scheduling from the output.
+    /// tracks are served by many ranks, so their events are sorted by
+    /// `(start, duration, name, args)` to erase host order from the
+    /// output.
     pub fn finish(&self) -> Trace {
         let Some(shared) = &self.shared else {
             return Trace { tracks: Vec::new() };
         };
-        let tracks = lock(&shared.tracks);
+        let tracks = shared.tracks.borrow();
         let mut out = Vec::with_capacity(tracks.len());
         for (key, buf) in tracks.iter() {
-            let buf = lock(buf);
+            let buf = buf.borrow();
             let mut events = buf.events.clone();
             if matches!(key, TrackKey::Ost(_)) {
                 events.sort_by(ost_event_cmp);
@@ -354,10 +354,11 @@ impl TraceSink {
     }
 }
 
-/// Per-track recording handle cached by the owning thread.
+/// Per-track recording handle cached by the rank (or OST) that owns the
+/// track.
 #[derive(Debug, Clone, Default)]
 pub struct Recorder {
-    buf: Option<Arc<Mutex<TrackBuf>>>,
+    buf: Option<Rc<RefCell<TrackBuf>>>,
 }
 
 impl Recorder {
@@ -427,14 +428,18 @@ impl Recorder {
     /// Add to a monotone metrics counter (no timeline event).
     pub fn count(&self, name: &'static str, delta: u64) {
         if let Some(buf) = &self.buf {
-            *lock(buf).counters.entry(name).or_insert(0) += delta;
+            *buf.borrow_mut().counters.entry(name).or_insert(0) += delta;
         }
     }
 
     /// Record a histogram observation (no timeline event).
     pub fn observe(&self, name: &'static str, value: f64) {
         if let Some(buf) = &self.buf {
-            lock(buf).hists.entry(name).or_default().observe(value);
+            buf.borrow_mut()
+                .hists
+                .entry(name)
+                .or_default()
+                .observe(value);
         }
     }
 }

@@ -43,7 +43,7 @@ use simnet::IoBuffer;
 
 /// A parallel I/O workload: per-rank views and a sequence of collective
 /// transfers.
-pub trait Workload: Send + Sync {
+pub trait Workload {
     /// Short name for reports.
     fn name(&self) -> &'static str;
 

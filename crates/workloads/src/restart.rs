@@ -17,7 +17,6 @@ use crate::{pattern_buffer, pattern_mismatch, Workload};
 use mpiio::{Datatype, PhaseProfile};
 use simmpi::Communicator;
 use simnet::{run_cluster, IoBuffer};
-use std::sync::Arc;
 
 /// Checkpoint-restart configuration: a full-tile checkpoint plus the
 /// narrow restart view.
@@ -133,7 +132,6 @@ pub fn run_restart(w: Restart, cfg: RunConfig) -> RestartResult {
     let write_bytes = w.tile.total_bytes();
     let read_bytes = w.read_bytes() * nprocs as u64;
     let (fs, cluster) = setup(&cfg, nprocs, simnet::NetworkModel::cray_xt_seastar());
-    let w = Arc::new(w);
 
     let cfg2 = cfg.clone();
     let fs_for_stats = fs.clone();

@@ -135,7 +135,7 @@ pub struct RunResult {
 }
 
 /// Execute `workload` under `cfg` and collect the aggregate result.
-pub fn run_workload<W: Workload + 'static>(workload: W, cfg: RunConfig) -> RunResult {
+pub fn run_workload<W: Workload>(workload: W, cfg: RunConfig) -> RunResult {
     run_workload_with_net(workload, cfg, |_| {})
 }
 
@@ -143,7 +143,7 @@ pub fn run_workload<W: Workload + 'static>(workload: W, cfg: RunConfig) -> RunRe
 /// before the cluster starts (algorithmic ablations).
 pub fn run_workload_with_net<W, F>(workload: W, cfg: RunConfig, tweak: F) -> RunResult
 where
-    W: Workload + 'static,
+    W: Workload,
     F: FnOnce(&mut simnet::NetworkModel),
 {
     let nprocs = workload.nprocs();
@@ -151,14 +151,13 @@ where
     let mut net = simnet::NetworkModel::cray_xt_seastar();
     tweak(&mut net);
     let (fs, cluster) = setup(&cfg, nprocs, net);
-    let workload = Arc::new(workload);
 
     let cfg2 = cfg.clone();
     let fs_for_stats = fs.clone();
     let outs: Vec<Pass> = run_cluster(cluster, move |ep| {
         let comm = Communicator::world(&ep);
         let rank = comm.rank();
-        let w = Arc::clone(&workload);
+        let w = &workload;
         let independent = cfg2.mode == IoMode::Independent;
         let make_buf = |call: usize, bytes: u64| match cfg2.data {
             DataMode::Synthetic => IoBuffer::synthetic(bytes as usize),

@@ -7,34 +7,15 @@
 //! image byte-for-byte inside the run, so agreement here covers the
 //! stored bytes too.
 //!
-//! The pop order is a process-global choice ([`simnet::set_pop_order`]),
-//! so every test in this file serializes on one mutex and restores the
-//! default on exit.
+//! The pop order is the calling thread's choice
+//! ([`simnet::set_pop_order`]), and each test runs on a thread of its
+//! own.
 
 use simnet::{FaultPlan, PopOrder};
 use simtrace::{chrome_trace_json, metrics_json, TraceSink};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::Arc;
 use workloads::runner::{run_workload, IoMode, RunConfig};
 use workloads::tileio::TileIo;
-
-/// Serialize tests (process-global pop order) and restore the default
-/// when the guard drops, even on panic.
-struct OrderGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-fn order_lock() -> OrderGuard {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    let guard = LOCK
-        .get_or_init(Mutex::default)
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
-    OrderGuard(guard)
-}
-
-impl Drop for OrderGuard {
-    fn drop(&mut self) {
-        simnet::set_pop_order(PopOrder::Fixed);
-    }
-}
 
 /// One traced verify-mode run: 16 ranks, several exchange rounds per
 /// call, byte-exact read-back inside. Returns every observable that must
@@ -68,7 +49,6 @@ where
 
 #[test]
 fn every_pop_order_agrees_on_virtual_time() {
-    let _guard = order_lock();
     // Baseline collective: four aggregators exchanging concurrently.
     assert_pop_order_invariant("collective", || traced_run(IoMode::Collective, None));
     // ParColl with four subgroups writing concurrently.
@@ -79,7 +59,6 @@ fn every_pop_order_agrees_on_virtual_time() {
 
 #[test]
 fn chaos_run_matches_across_pop_orders() {
-    let _guard = order_lock();
     // Aggregator crash after the first write round: the failover replay
     // (re-dissemination, cursor rebuild, adopted domains) crosses
     // subgroup boundaries. Verify mode still checks the file image

@@ -30,7 +30,7 @@ use simfs::{FileSystem, FsConfig};
 use simmpi::{Communicator, Info};
 use simnet::{run_cluster, ClusterConfig, FaultPlan, IoBuffer, Mapping, SimTime};
 use simtrace::host;
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 use workloads::restart::{run_restart, Restart};
 use workloads::runner::{run_workload, DataMode, IoMode, RunConfig};
 use workloads::tileio::TileIo;
@@ -39,14 +39,6 @@ const RANKS: usize = 8;
 const PER_CALL: usize = 512; // bytes per rank per collective call
 const CALLS: usize = 2;
 const IMAGE: usize = CALLS * RANKS * PER_CALL;
-
-/// The host counters are process-wide: the test that reads `cksum_bytes`
-/// runs alone (write lock), every other test that hashes shares (read).
-static HASHING: RwLock<()> = RwLock::new(());
-
-fn hashing() -> std::sync::RwLockReadGuard<'static, ()> {
-    HASHING.read().unwrap_or_else(|p| p.into_inner())
-}
 
 fn fill(rank: usize, call: usize, n: usize) -> Vec<u8> {
     (0..n)
@@ -144,7 +136,6 @@ fn silent_corruption_lands_without_checksums() {
 
 #[test]
 fn checksums_on_clean_run_is_correct_and_costs_no_virtual_time_on_faults_off() {
-    let _shared = hashing();
     let a = run(None, true, true);
     let b = run(None, true, true);
     assert_eq!(a.image, expected_image());
@@ -154,7 +145,6 @@ fn checksums_on_clean_run_is_correct_and_costs_no_virtual_time_on_faults_off() {
 
 #[test]
 fn every_message_corrupt_still_repairs_to_identical_image() {
-    let _shared = hashing();
     // prob = 1.0 forces the ultimate fallback: every re-sent copy is
     // corrupt too, so the receiver must invert the seeded flip itself.
     let r = run(Some(FaultPlan::new(0xC0DE).msg_corrupt(1.0, None, None)), true, true);
@@ -175,7 +165,6 @@ proptest! {
     /// heavy loss — repairs to the byte-identical file image.
     #[test]
     fn corrupted_pieces_repair_to_identical_image(seed in 0u64..1u64 << 48, prob in 0.05f64..1.0) {
-        let _shared = hashing();
         let r = run(Some(FaultPlan::new(seed).msg_corrupt(prob, None, None)), true, true);
         prop_assert_eq!(r.image, expected_image());
     }
@@ -187,7 +176,6 @@ proptest! {
 
 #[test]
 fn scrub_finds_exactly_the_planted_rot() {
-    let _shared = hashing();
     // Two extents inside the written image, one far past EOF (decays a
     // region never written — nothing to find).
     let plan = FaultPlan::new(0x0051)
@@ -225,7 +213,6 @@ fn scrub_finds_exactly_the_planted_rot() {
 
 #[test]
 fn read_path_repairs_rot_without_a_scrub() {
-    let _shared = hashing();
     // No explicit scrub: the integrity-checked read detects the planted
     // mismatch and repairs from the journal before returning bytes.
     let plan = FaultPlan::new(0x0052).ost_rot(2048, 32);
@@ -237,7 +224,6 @@ fn read_path_repairs_rot_without_a_scrub() {
 
 #[test]
 fn scrub_reports_are_deterministic() {
-    let _shared = hashing();
     let plan = || FaultPlan::new(7).ost_rot(100, 4000).ost_rot(6000, 100);
     let a = run(Some(plan()), true, false);
     let b = run(Some(plan()), true, false);
@@ -268,7 +254,6 @@ proptest! {
     /// Torn crashes and checksummed pieces compose.
     #[test]
     fn torn_write_with_checksums_heals(agg in 0usize..4, round in 1u64..8) {
-        let _shared = hashing();
         let r = run(Some(FaultPlan::new(0x70A1).torn_write(agg * 2, round)), true, true);
         prop_assert_eq!(r.image, expected_image());
     }
@@ -280,7 +265,6 @@ proptest! {
 
 #[test]
 fn runner_integrity_knob_survives_corruption_and_scrubs_clean() {
-    let _shared = hashing();
     let mut cfg = RunConfig::verify(IoMode::Parcoll { groups: 2 });
     cfg.info.set("cb_nodes", 4i64);
     cfg.info.set("cb_buffer_size", 128i64);
@@ -319,7 +303,6 @@ fn host_bytes(data: DataMode, integrity: bool) -> (u64, u64, u64) {
 
 #[test]
 fn a_verify_run_hashes_every_file_byte_seven_times_and_no_more() {
-    let _alone = HASHING.write().unwrap_or_else(|p| p.into_inner());
     // Sealed and checked on the way to the aggregators and on the way
     // back (4 passes over the exchanged bytes, trailers excluded), page
     // sums on write, on read and in the scrub (3 passes over whole
@@ -334,7 +317,6 @@ fn a_verify_run_hashes_every_file_byte_seven_times_and_no_more() {
 
 #[test]
 fn a_verify_run_copies_no_file_byte_when_it_reads_back_what_it_wrote() {
-    let _alone = HASHING.write().unwrap_or_else(|p| p.into_inner());
     // In: none — the file image keeps views of the user buffers the
     // payloads are windows of. Out: none either — each rank reads back
     // its own tile through the view it wrote it with, so the read's
@@ -350,7 +332,6 @@ fn a_verify_run_copies_no_file_byte_when_it_reads_back_what_it_wrote() {
 
 #[test]
 fn a_narrow_restart_read_copies_every_byte_it_reads_once() {
-    let _alone = HASHING.write().unwrap_or_else(|p| p.into_inner());
     // The restart reads the first quarter of every row of each
     // checkpoint tile: the rows are views of the writer's buffer with
     // holes between them, so the read's buffer is assembled, once. The

@@ -10,34 +10,14 @@
 //! not a walk over the ranks parked in a collective or a subgroup. And
 //! a round's size exchange touches the (rank, aggregator) pairs that
 //! exchange something plus one slot per rank, not ranks squared.
-//!
-//! The pop order and the host profiler are process-global, so the tests
-//! serialize on one lock.
 
-use simnet::{FaultPlan, PopOrder};
+use simnet::FaultPlan;
 use simtrace::{host, TraceSink};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use workloads::flashio::FlashIo;
 use workloads::runner::{run_workload, IoMode, RunConfig};
 use workloads::tileio::TileIo;
 use workloads::Workload;
-
-struct Serial(#[allow(dead_code)] MutexGuard<'static, ()>, PopOrder);
-
-fn serial() -> Serial {
-    static LOCK: Mutex<()> = Mutex::new(());
-    let guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    let before = simnet::pop_order();
-    simnet::set_pop_order(PopOrder::Fixed);
-    Serial(guard, before)
-}
-
-impl Drop for Serial {
-    fn drop(&mut self) {
-        host::set_enabled(false);
-        simnet::set_pop_order(self.1);
-    }
-}
 
 /// The value of host counter `name` in `report`.
 fn counter(report: &host::Report, name: &str) -> u64 {
@@ -48,7 +28,7 @@ fn counter(report: &host::Report, name: &str) -> u64 {
 /// Run `workload` traced and profiled; return the host report and the
 /// run's events (OST requests, sends and collective entries, plus one
 /// per rank).
-fn profile<W: Workload + 'static>(workload: W, mode: IoMode) -> (host::Report, u64) {
+fn profile<W: Workload>(workload: W, mode: IoMode) -> (host::Report, u64) {
     let ranks = workload.nprocs() as u64;
     let sink = TraceSink::enabled();
     let mut cfg = RunConfig::paper(mode);
@@ -79,7 +59,6 @@ fn profile<W: Workload + 'static>(workload: W, mode: IoMode) -> (host::Report, u
 
 #[test]
 fn fiber_slices_are_bounded_by_events_not_by_ranks_times_cycles() {
-    let _serial = serial();
     // Independent I/O: every rank queues at the admission gate for
     // every request. Polling resumed all 64 ranks per request.
     let (report, events) = profile(FlashIo::checkpoint(64), IoMode::Independent);
@@ -108,7 +87,6 @@ fn run_queue_steps_follow_events_times_log_ranks_not_ranks() {
     // most. A gate that walked the parked ranks would pay ≈ 2·P steps
     // per OST request.
     const P: u64 = 256;
-    let _serial = serial();
     for mode in [IoMode::Collective, IoMode::Parcoll { groups: 32 }] {
         let (report, events) = profile(TileIo::paper(P as usize), mode);
         let steps = counter(&report, "runq_steps");
@@ -129,7 +107,6 @@ fn twophase_size_exchange_visits_follow_pairs_not_ranks_squared() {
     // exchange has a few hundred (rank, aggregator) pairs to look at; a
     // dense exchange looked at 256 × 256 = 65 536 slots per round.
     const P: u64 = 256;
-    let _serial = serial();
     let tiles = TileIo {
         tile_x: 64,
         tile_y: 48,
@@ -166,7 +143,6 @@ fn a_repair_receive_with_a_runnable_sender_is_not_a_deadlock() {
     // the sender is still on its way to posting it. Nothing excuses
     // that wait to the deadlock detector any more, and nothing needs
     // to: a parked receiver whose sender is runnable is not a deadlock.
-    let _serial = serial();
     let sink = TraceSink::enabled();
     let mut cfg = RunConfig::verify(IoMode::Parcoll { groups: 2 });
     cfg.info.set("cb_nodes", 4i64);

@@ -1,9 +1,8 @@
 //! The collective index memo (`mpiio::twophase::Memo`, DESIGN.md §9.4)
 //! by its host counters: once per rank per collective call, `shape_hit`
 //! when the call took the last call's request lists, domain and window
-//! coverage as they were, `shape_miss` when it rebuilt them.
-//!
-//! The counters are process-wide, so this binary holds a single `#[test]`.
+//! coverage as they were, `shape_miss` when it rebuilt them. The counters
+//! are the calling thread's, and each test runs on a thread of its own.
 
 use simnet::FaultPlan;
 use simtrace::host;
@@ -28,11 +27,15 @@ fn counted(w: BtIo, cfg: RunConfig) -> ((u64, u64), RunResult) {
     ((counter("shape_hit"), counter("shape_miss")), r)
 }
 
+/// BT-IO on 16 ranks, `STEPS` checkpoint steps.
+const STEPS: usize = 4;
+
+fn bt() -> BtIo {
+    BtIo::with_grid(16, 24, STEPS)
+}
+
 #[test]
 fn a_repeated_collective_rebuilds_nothing() {
-    let (ranks, steps) = (16, 4);
-    let bt = || BtIo::with_grid(ranks, 24, steps);
-
     // The baseline's checkpoint loop: the first call builds the index,
     // every later step is the same shape one step further on.
     let (counts, _) = counted(bt(), RunConfig::paper(IoMode::Collective));
@@ -51,7 +54,10 @@ fn a_repeated_collective_rebuilds_nothing() {
         (16 * 3, 16),
         "(shape_hit, shape_miss), intermediate view"
     );
+}
 
+#[test]
+fn an_aggregator_crash_rebuilds_the_call_after_it_once() {
     // An aggregator crash mid-call degrades the configuration of every
     // later call: the call after the crash rebuilds, the one after that
     // hits again.
@@ -68,7 +74,7 @@ fn a_repeated_collective_rebuilds_nothing() {
         (16 * 3, 16),
         "(shape_hit, shape_miss), four aggregators"
     );
-    let rounds = r.profile_max.rounds / steps as u64;
+    let rounds = r.profile_max.rounds / STEPS as u64;
     assert!(rounds >= 2, "several rounds per call, not {rounds}");
     // The write round counter runs across calls: crash in call 1.
     let crash = FaultPlan::new(7).aggregator_crash(2, rounds + rounds / 2);
