@@ -219,6 +219,13 @@ impl<'ep> File<'ep> {
         &mut self.profile
     }
 
+    /// The file-system handle and the phase profile at once, for a layer
+    /// stacked on top (ParColl) that runs the engine on a communicator of
+    /// its own: the handle borrowed, not copied with its path.
+    pub fn handle_and_profile(&mut self) -> (&FileHandle, &mut PhaseProfile) {
+        (&self.fh, &mut self.profile)
+    }
+
     /// Collectively close, returning this rank's profile ("when a file is
     /// closed, a summary is reported", paper §2.2).
     pub fn close(mut self) -> PhaseProfile {

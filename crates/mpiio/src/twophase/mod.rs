@@ -131,12 +131,12 @@ use integrity::{post, verify_all, Body, Landing, Msg, Sealed};
 use recovery::Recovery;
 use reqs::{split, Cut, PieceList};
 use simfs::FileHandle;
-use simmpi::{Communicator, RecvRequest, ReduceOp};
+use simmpi::{Communicator, ReduceOp};
 use simnet::{IoBuffer, SimTime};
 use simtrace::host::{self, Counter};
 use std::rc::Rc;
 pub(crate) use window::{close_gaps, lay_out};
-use window::{cut_streams, read_window, write_window, Covered};
+use window::{cut_of, cut_streams, read_window, write_window, Covered};
 
 /// Tag for request-list metadata messages.
 const TAG_REQ: i32 = 0x7001;
@@ -222,27 +222,28 @@ fn value_of(table: &[(usize, u64)], key: usize) -> u64 {
     slot_of(table, key).map_or(0, |slot| table[slot].1)
 }
 
-/// Receive the piece lists that `srcs` (ascending) sent on `tag` and
-/// keep the non-empty ones, by source; `mine` is this rank's own list,
-/// if it has one (self-assignment travels by no message). The entries
-/// are the senders' own `Rc`s.
+/// Receive the piece lists that `srcs` (ascending) sent on `tag` into
+/// `lists` and keep the non-empty ones, by source; `mine` is this rank's
+/// own list, if it has one (self-assignment travels by no message). The
+/// entries are the senders' own `Rc`s.
 fn recv_lists(
     comm: &Communicator<'_>,
     tag: i32,
     srcs: impl Iterator<Item = usize>,
     mine: Option<Rc<PieceList>>,
-) -> Lists {
-    let srcs: Vec<usize> = srcs.collect();
-    let reqs: Vec<RecvRequest> = srcs.iter().map(|&src| comm.irecv(src, tag)).collect();
-    let arrived = comm.waitall_t::<PieceList>(&reqs);
+    lists: &mut Lists,
+) {
+    lists.clear();
+    // Sized once, exactly: the senders and my own list.
+    lists.reserve_exact(srcs.size_hint().1.unwrap_or(0) + 1);
+    let reqs = srcs.map(|src| comm.irecv(src, tag));
+    comm.waitall_into(reqs, lists, |src, list| (src, list.into_typed()));
     let _hp = simtrace::host::scope(simtrace::host::Site::CollSetup);
-    let arrived = srcs.into_iter().zip(arrived);
-    let mut lists: Lists = arrived.filter(|(_, l)| !l.is_empty()).collect();
+    lists.retain(|(_, l)| !l.is_empty());
     if let Some(mine) = mine {
         let at = lists.partition_point(|entry| entry.0 < comm.rank());
         lists.insert(at, (comm.rank(), mine));
     }
-    lists
 }
 
 /// The file range spanned by those of `ranges` that exist. Piece lists
@@ -252,8 +253,9 @@ fn hull(ranges: impl Iterator<Item = Option<(u64, u64)>>) -> Option<(u64, u64)> 
 }
 
 /// The sources with bytes in window `[lo, hi)` and how many: the row an
-/// aggregator announces in the round's size exchange, ascending.
-fn window_row(lists: &Lists, (lo, hi): (u64, u64)) -> Vec<(usize, u64)> {
+/// aggregator announces in the round's size exchange, ascending, written
+/// over `row`.
+fn window_row(lists: &Lists, (lo, hi): (u64, u64), row: &mut Vec<(usize, u64)>) {
     let _hp = simtrace::host::scope(simtrace::host::Site::SizeExchange);
     simtrace::host::count(
         simtrace::host::Counter::SizeExchangeElems,
@@ -262,7 +264,9 @@ fn window_row(lists: &Lists, (lo, hi): (u64, u64)) -> Vec<(usize, u64)> {
     let sized = lists
         .iter()
         .map(|(src, list)| (*src, list.bytes_in_window(lo, hi)));
-    sized.filter(|&(_, n)| n > 0).collect()
+    row.clear();
+    row.reserve_exact(lists.len());
+    row.extend(sized.filter(|&(_, n)| n > 0));
 }
 
 /// A file domain as the rank serving it holds it — an aggregator's own,
@@ -373,6 +377,11 @@ fn same<T: PartialEq>(a: &Rc<[T]>, b: &Rc<[T]>) -> bool {
 /// the call's own, so the memo changes host work only. It holds the
 /// call's own `Rc`s, never a copy, and belongs to one communicator: its
 /// key does not name the ranks.
+///
+/// It also keeps the working storage of the calls — the received lists,
+/// the routes, the exchanges' `Scratch` — which every call clears and
+/// refills, never rebuilds: a steady-state call allocates only what its
+/// meetings share (DESIGN.md §9.3).
 #[derive(Default)]
 pub struct Memo {
     key: Option<Key>,
@@ -380,6 +389,38 @@ pub struct Memo {
     my_req: Lists,
     /// The domain I serve, if I am an aggregator.
     domain: Option<Domain>,
+    /// The lists the setup receives, before they are compared with the
+    /// domain's.
+    lists: Lists,
+    /// The main exchange's routes: `(my_req slot, serving rank)`.
+    routes: Vec<(usize, usize)>,
+    scratch: Scratch,
+}
+
+/// What the exchanges of a call work in, kept on the [`Memo`] from round
+/// to round and call to call. Every buffer is sized by this rank's active
+/// peers — its lists, the sources of its windows — never by the
+/// communicator, and none holds a byte view past the round that filled
+/// it.
+#[derive(Default)]
+struct Scratch {
+    /// My stream positions (bytes consumed), slot for slot with `my_req`.
+    pos: Vec<u64>,
+    /// Bytes each of my streams sent in its latest exchange, so a torn
+    /// failover can rewind it by exactly one window.
+    last: Vec<u64>,
+    /// The row a serving rank announces in a round's size exchange.
+    row: Vec<(usize, u64)>,
+    /// The data messages a round receives, `(src, message)`.
+    arrived: Vec<(usize, Msg)>,
+    /// A written window's verified payloads, by source.
+    incoming: Vec<(usize, IoBuffer)>,
+    /// A written window's pieces, as views of the payloads.
+    placed: Vec<(u64, IoBuffer)>,
+    /// A read client's routes with bytes for it this round, its own last.
+    expects: Vec<(usize, usize)>,
+    /// A read client's verified messages: bytes and body.
+    verified: Vec<(u64, Body)>,
 }
 
 /// A file space addressed relative to `base`: the engine works in its
@@ -446,30 +487,32 @@ fn setup(
     let ranges = comm.allgather_t(my_range, 16);
     t.stop_traced(ep.now(), prof, ep.trace());
 
-    let hp = host::scope(host::Site::CollSetup);
-    let min_st = ranges.iter().flatten().map(|r| r.0).min()?;
-    let max_end = ranges.iter().flatten().map(|r| r.1).max().unwrap();
-    let range = (min_st, max_end);
-
     // (2) File domains, computed identically everywhere, and my split
     // over them — unless this call is shaped like the last.
-    let key = memo.key.as_ref();
-    let mut hit = key.is_some_and(|key| key.matches(plan, cfg, range));
-    if !hit {
-        *memo = Memo::default(); // the old index goes before the new one is built
-        let file_domains = match cfg.align {
-            Some(align) => compute_file_domains_aligned(min_st, max_end, naggs, align),
-            None => compute_file_domains(min_st, max_end, naggs),
-        };
-        memo.my_req = split(plan, &file_domains, min_st);
-        memo.key = Some(Key::new(plan, cfg, range));
-    }
+    let mut hit;
+    let min_st = {
+        let _hp = host::scope(host::Site::CollSetup);
+        let min_st = ranges.iter().flatten().map(|r| r.0).min()?;
+        let max_end = ranges.iter().flatten().map(|r| r.1).max().unwrap();
+        let range = (min_st, max_end);
+        let key = memo.key.as_ref();
+        hit = key.is_some_and(|key| key.matches(plan, cfg, range));
+        if !hit {
+            // The old index goes before the new one is built.
+            (memo.key, memo.my_req, memo.domain) = (None, Vec::new(), None);
+            let file_domains = match cfg.align {
+                Some(align) => compute_file_domains_aligned(min_st, max_end, naggs, align),
+                None => compute_file_domains(min_st, max_end, naggs),
+            };
+            memo.my_req = split(plan, &file_domains, min_st);
+            memo.key = Some(Key::new(plan, cfg, range));
+        }
+        min_st
+    };
     let my_req = &memo.my_req;
     let counts = my_req
         .iter()
         .map(|(a, list)| (cfg.aggregators[*a], list.piece_count()));
-    let counts: Vec<(usize, u64)> = counts.collect();
-    drop(hp);
 
     // (3a) Alltoall of piece counts — global sync.
     let t = PhaseTimer::start(Phase::Sync, ep.now());
@@ -489,13 +532,14 @@ fn setup(
     if let Some(a) = my_agg_idx {
         let srcs = counts_from.iter().map(|&(src, _)| src);
         let mine = slot_of(my_req, a).map(|slot| Rc::clone(&my_req[slot].1));
-        let lists = recv_lists(comm, TAG_REQ, srcs.filter(|&src| src != comm.rank()), mine);
+        let srcs = srcs.filter(|&src| src != comm.rank());
+        recv_lists(comm, TAG_REQ, srcs, mine, &mut memo.lists);
         let _hp = host::scope(host::Site::CollSetup);
-        let held = memo.domain.as_ref().is_some_and(|d| d.holds(&lists));
-        if !held {
+        if !memo.domain.as_ref().is_some_and(|d| d.holds(&memo.lists)) {
             hit = false;
-            memo.domain = Some(Domain::new(lists));
+            memo.domain = Some(Domain::new(memo.lists.clone()));
         }
+        memo.lists.clear();
     }
     t.stop_traced(ep.now(), prof, ep.trace());
     let counter = if hit {
@@ -548,12 +592,23 @@ pub fn collective(
     let Some((min_st, ntimes)) = setup(comm, plan, cfg, memo, prof) else {
         return read.then(IoBuffer::empty);
     };
-    let Memo { my_req, domain, .. } = memo;
+    let Memo {
+        my_req,
+        domain,
+        routes,
+        scratch,
+        ..
+    } = memo;
     let my_req = &*my_req;
 
     // The main exchange routes every list of mine to its aggregator.
-    let routes = my_req.iter().enumerate();
-    let routes: Vec<_> = routes.map(|(slot, (a, _))| (slot, cfg.aggregators[*a])).collect();
+    routes.clear();
+    let main = my_req.iter().enumerate();
+    routes.extend(main.map(|(slot, (a, _))| (slot, cfg.aggregators[*a])));
+    for stream in [&mut scratch.pos, &mut scratch.last] {
+        stream.clear();
+        stream.resize(my_req.len(), 0);
+    }
     let mut recovery = Recovery::new(comm, dir);
     let space = Shifted {
         space,
@@ -566,8 +621,7 @@ pub fn collective(
         cfg,
         dir,
         my_req,
-        pos: vec![0; my_req.len()],
-        last: vec![0; my_req.len()],
+        s: scratch,
         landed: Landing::default(),
         prof,
     };
@@ -579,7 +633,7 @@ pub fn collective(
         // A dead I/O role lives on as a sender, but its domain now
         // belongs to the successor.
         let own = domain.as_mut().filter(|_| !recovery.role_dead);
-        x.run(&routes, own, round, DATA, torn);
+        x.run(routes, own, round, DATA, torn);
         for adopted in &mut recovery.adopted {
             for wi in adopted.windows(round) {
                 let route = adopted.route.as_slice();
@@ -624,6 +678,27 @@ fn send(
     }
 }
 
+/// Receiver side of one data exchange: complete one receive per rank in
+/// `srcs`, in that order, as a batch, then take the message this rank
+/// made for itself; `(src, message)` in that order, into `arrived`.
+fn collect(
+    comm: &Communicator<'_>,
+    prof: &mut PhaseProfile,
+    srcs: impl Iterator<Item = usize>,
+    data_tag: i32,
+    own: Option<Msg>,
+    arrived: &mut Vec<(usize, Msg)>,
+) {
+    let ep = comm.endpoint();
+    let t = PhaseTimer::start(Phase::P2p, ep.now());
+    arrived.clear();
+    let reqs = srcs.map(|src| comm.irecv(src, data_tag));
+    let open = |src, payload| (src, Msg::from_payload(payload));
+    comm.waitall_into(reqs, arrived, open);
+    t.stop_traced(ep.now(), prof, ep.trace());
+    arrived.extend(own.map(|msg| (comm.rank(), msg)));
+}
+
 /// What the exchanges of one collective call share: the call's arguments
 /// and this rank's client-side state.
 struct Exchange<'a, 'c> {
@@ -634,11 +709,8 @@ struct Exchange<'a, 'c> {
     dir: Dir<'a>,
     /// The piece lists of my access, by aggregator index.
     my_req: &'a Lists,
-    /// My stream positions (bytes consumed), slot for slot with `my_req`.
-    pos: Vec<u64>,
-    /// Bytes each of my streams sent in its latest exchange, so a torn
-    /// failover can rewind it by exactly one window.
-    last: Vec<u64>,
+    /// The open's working storage, stream positions included.
+    s: &'a mut Scratch,
     /// What a read has received: views until the call ends, assembled
     /// into the buffer it returns then. Every rank is inside this call at
     /// once, so a buffer held from the first round on is ranks × bytes
@@ -649,24 +721,6 @@ struct Exchange<'a, 'c> {
 }
 
 impl Exchange<'_, '_> {
-    /// Receiver side of one data exchange: complete one receive per rank
-    /// in `srcs`, in that order, as a batch, then the message this rank
-    /// made for itself; `(src, message)` in that order.
-    fn collect(
-        &mut self,
-        srcs: Vec<usize>,
-        data_tag: i32,
-        own: Option<Msg>,
-    ) -> impl Iterator<Item = (usize, Msg)> {
-        let (comm, ep) = (self.comm, self.comm.endpoint());
-        let t = PhaseTimer::start(Phase::P2p, ep.now());
-        let reqs: Vec<RecvRequest> = srcs.iter().map(|&src| comm.irecv(src, data_tag)).collect();
-        let arrived = comm.waitall_with(&reqs, Msg::from_payload);
-        t.stop_traced(ep.now(), self.prof, ep.trace());
-        let own = own.map(|msg| (comm.rank(), msg));
-        srcs.into_iter().zip(arrived).chain(own)
-    }
-
     /// Move window `wi` of one file domain between the ranks holding
     /// pieces in it and the rank serving it. `routes` are my `(my_req
     /// slot, serving rank)` pairs into the domain, in aggregator order;
@@ -681,18 +735,29 @@ impl Exchange<'_, '_> {
         torn: bool,
     ) {
         let (comm, cfg, fh, space) = (self.comm, self.cfg, self.fh, self.space);
-        let (ep, me) = (comm.endpoint(), comm.rank());
+        let (ep, me, my_req) = (comm.endpoint(), comm.rank(), self.my_req);
+        let Scratch {
+            pos,
+            last,
+            row,
+            arrived,
+            incoming,
+            placed,
+            expects,
+            verified,
+        } = &mut *self.s;
 
         // Per-round MPI_Alltoall of transfer sizes — the global sync the
         // collective wall is made of. The serving rank announces how many
         // bytes it moves for each source, and keeps what it announced.
         let t = PhaseTimer::start(Phase::Sync, ep.now());
+        row.clear();
         let served = served.map(|domain| {
             let (lo, hi) = domain.window(wi, cfg.cb_buffer_size);
-            (window_row(&domain.lists, (lo, hi)), (wi, lo, hi), domain)
+            window_row(&domain.lists, (lo, hi), row);
+            ((wi, lo, hi), domain)
         });
-        let my_row = served.as_ref().map(|(row, ..)| row.clone());
-        let expected = comm.alltoall_sizes_sparse(my_row.unwrap_or_default());
+        let expected = comm.alltoall_sizes_sparse(row.iter().copied());
         t.stop_traced(ep.now(), self.prof, ep.trace());
 
         match self.dir {
@@ -704,7 +769,6 @@ impl Exchange<'_, '_> {
                 // Each stream is one contiguous range of the user buffer,
                 // so its payload is a single range-checked slice — a
                 // zero-copy view when the bytes are real.
-                let (my_req, pos, last) = (self.my_req, &mut self.pos, &mut self.last);
                 let payloads = routes.iter().filter_map(|&(slot, server)| {
                     let n = value_of(&expected, server);
                     last[slot] = n;
@@ -723,16 +787,22 @@ impl Exchange<'_, '_> {
                 // before any byte lands anywhere (with checksums off this
                 // is where a planted in-flight flip reaches the data),
                 // place the pieces and write the window as one request.
-                if let Some((row, window, domain)) = served {
+                if let Some((window, domain)) = served {
+                    // Buffers kept from round to round are sized exactly:
+                    // a rank holds them for the whole open.
+                    arrived.reserve_exact(row.len());
                     let srcs = row.iter().map(|&(src, _)| src).filter(|&src| src != me);
-                    let arrived = self.collect(srcs.collect(), tags.0, own);
+                    collect(comm, self.prof, srcs, tags.0, own, arrived);
                     let cut = Cut::default(); // a write's payload is one stream
-                    let mut incoming = Vec::with_capacity(arrived.size_hint().0);
-                    let msgs = arrived.map(|(src, msg)| (src, msg, cut));
+                    incoming.clear();
+                    incoming.reserve_exact(arrived.len());
+                    let msgs = arrived.drain(..).map(|(src, msg)| (src, msg, cut));
                     verify_all(comm, tags, msgs, self.prof, |src, _, cut, body| {
                         incoming.push((src, body.into_payload(&cut)));
                     });
-                    write_window(comm, fh, space, self.prof, domain, window, incoming, torn);
+                    write_window(
+                        comm, fh, space, self.prof, domain, window, incoming, placed, torn,
+                    );
                 }
             }
             Dir::Read => {
@@ -740,15 +810,16 @@ impl Exchange<'_, '_> {
                 // bytes in it the same window; its sum, with checksums on,
                 // is over that source's pieces where they lie.
                 let mut own: Option<Msg> = None;
-                if let Some((row, (_, lo, hi), domain)) = served {
+                if let Some(((_, lo, hi), domain)) = served {
                     let Domain { lists, covered, .. } = domain;
-                    let cuts = cut_streams(lists, (lo, hi), row.iter().map(|&(src, _)| src));
-                    let fetched = read_window(comm, fh, space, self.prof, covered, wi, &cuts);
+                    let srcs = || row.iter().map(|&(src, _)| src);
+                    let cuts = || cut_streams(lists, (lo, hi), srcs());
+                    let fetched = read_window(comm, fh, space, self.prof, covered, wi, cuts);
                     if let Some(fetched) = fetched.map(Rc::new) {
-                        let bodies = row.iter().zip(&cuts);
-                        let bodies = bodies.map(|(&(src, n), cut)| {
+                        let bodies = row.iter().map(|&(src, n)| {
                             let _hp = simtrace::host::scope(simtrace::host::Site::Pack);
-                            (src, Body::of_window(&fetched, n), *cut, n)
+                            let cut = cut_of(lists, src, (lo, hi));
+                            (src, Body::of_window(&fetched, n), cut, n)
                         });
                         let prof = &mut *self.prof;
                         Sealed::seal_all(bodies, cfg.checksums, |dst, msg| {
@@ -763,43 +834,42 @@ impl Exchange<'_, '_> {
                 // Clients: receive from the serving ranks that have bytes
                 // for me, in route order, my own last — verified (and
                 // repaired) before any byte lands in the user buffer.
-                let (mut srcs, mut slots, mut own_slot) = (Vec::new(), Vec::new(), None);
-                for &(slot, server) in routes {
-                    if value_of(&expected, server) == 0 {
-                        continue;
-                    }
-                    if server == me {
-                        own_slot = Some(slot);
-                    } else {
-                        srcs.push(server);
-                        slots.push(slot);
-                    }
-                }
-                slots.extend(own_slot);
-                let arrived = self.collect(srcs, tags.0, own);
-                debug_assert_eq!(arrived.size_hint(), (slots.len(), Some(slots.len())));
-                let (my_req, pos) = (self.my_req, &self.pos);
-                let msgs = slots.iter().zip(arrived).map(|(&slot, (src, msg))| {
+                let has_bytes = |route: &&(usize, usize)| value_of(&expected, route.1) > 0;
+                expects.clear();
+                expects.reserve_exact(routes.len());
+                expects.extend(routes.iter().filter(has_bytes).filter(|r| r.1 != me));
+                let remote = expects.len();
+                expects.extend(routes.iter().filter(has_bytes).filter(|r| r.1 == me));
+                arrived.reserve_exact(expects.len());
+                verified.reserve_exact(expects.len());
+                let srcs = expects[..remote].iter().map(|&(_, server)| server);
+                collect(comm, self.prof, srcs, tags.0, own, arrived);
+                debug_assert_eq!(arrived.len(), expects.len());
+                let msgs = expects.iter().zip(arrived.drain(..));
+                let msgs = msgs.map(|(&(slot, _), (src, msg))| {
                     let cut = my_req[slot].1.cut(pos[slot], msg.len);
                     (src, msg, cut)
                 });
-                let mut verified: Vec<(u64, Cut<'_>, Body)> = Vec::with_capacity(slots.len());
-                verify_all(comm, tags, msgs, self.prof, |_, n, cut, body| {
-                    verified.push((n, cut, body));
+                verified.clear();
+                verify_all(comm, tags, msgs, self.prof, |_, n, _, body| {
+                    verified.push((n, body));
                 });
 
                 // Unpack — local memory movement. A domain's stream is one
                 // contiguous range of the user buffer, so each message's
                 // pieces land there in order, as views until the call ends.
                 let t = PhaseTimer::start(Phase::Local, ep.now());
-                let hp = simtrace::host::scope(simtrace::host::Site::Unpack);
-                for (slot, (n, cut, body)) in slots.into_iter().zip(verified) {
-                    let at = my_req[slot].1.buffer_offset(self.pos[slot], n);
-                    self.landed.land(at as usize, &body, &cut);
-                    self.pos[slot] += n;
-                    ep.charge_memcpy(n as usize);
+                {
+                    let _hp = simtrace::host::scope(simtrace::host::Site::Unpack);
+                    for (&(slot, _), (n, body)) in expects.iter().zip(verified.drain(..)) {
+                        let list = &my_req[slot].1;
+                        let at = list.buffer_offset(pos[slot], n);
+                        let cut = list.cut(pos[slot], n);
+                        self.landed.land(at as usize, &body, &cut);
+                        pos[slot] += n;
+                        ep.charge_memcpy(n as usize);
+                    }
                 }
-                drop(hp);
                 t.stop_traced(ep.now(), self.prof, ep.trace());
             }
         }

@@ -213,7 +213,7 @@ impl<'a> Recovery<'a> {
             if let Some(slot) = slot_of(x.my_req, dead_ai).filter(|_| torn) {
                 // Senders rewind one window; the heal exchange of this
                 // round re-consumes it.
-                x.pos[slot] -= x.last[slot];
+                x.s.pos[slot] -= x.s.last[slot];
             }
             let adopted = failover(comm, cfg, x.my_req, faults, dead_ai, round, torn);
             self.adopted.push(adopted);
@@ -275,7 +275,9 @@ fn failover(
     // the detection round re-exchanges in full (`Adopted::windows`).
     let domain = if comm.rank() == successor {
         let srcs = (0..comm.size()).filter(|&src| src != comm.rank());
-        Some(Domain::new(recv_lists(comm, TAG_RECOVER, srcs, mine)))
+        let mut lists = Lists::new();
+        recv_lists(comm, TAG_RECOVER, srcs, mine, &mut lists);
+        Some(Domain::new(lists))
     } else {
         let list = mine.unwrap_or_else(PieceList::empty);
         let wire_bytes = list.wire_bytes();

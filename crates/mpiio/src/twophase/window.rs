@@ -11,21 +11,24 @@ use crate::space::FileSpace;
 use simfs::FileHandle;
 use simmpi::Communicator;
 use simnet::IoBuffer;
+use std::borrow::Cow;
 
 /// The pieces window `[lo, hi)` of a domain (whose lists are `lists`)
-/// moves for each of `srcs`, in that order: each list's cut of the
-/// window. Sender and server cut the same streams by the same byte
-/// counts, so the pieces are the ones the sender's stream holds next.
-pub(super) fn cut_streams<'a>(
-    lists: &'a Lists,
-    (lo, hi): (u64, u64),
+/// moves for source `src`: its list's cut of the window. Sender and
+/// server cut the same streams by the same byte counts, so the pieces are
+/// the ones the sender's stream holds next.
+pub(super) fn cut_of(lists: &Lists, src: usize, (lo, hi): (u64, u64)) -> Cut<'_> {
+    let slot = slot_of(lists, src).expect("bytes only from a source that sent a list");
+    lists[slot].1.cut_window(lo, hi)
+}
+
+/// [`cut_of`] each of `srcs`, in that order.
+pub(super) fn cut_streams(
+    lists: &Lists,
+    window: (u64, u64),
     srcs: impl Iterator<Item = usize>,
-) -> Vec<Cut<'a>> {
-    let cut = |src| {
-        let slot = slot_of(lists, src).expect("bytes only from a source that sent a list");
-        lists[slot].1.cut_window(lo, hi)
-    };
-    srcs.map(cut).collect()
+) -> Vec<Cut<'_>> {
+    srcs.map(|src| cut_of(lists, src, window)).collect()
 }
 
 /// A domain's round-window coverage, by window index: a function of the
@@ -35,35 +38,41 @@ pub(super) fn cut_streams<'a>(
 pub(super) struct Covered(Vec<Option<Vec<(u64, u64)>>>);
 
 impl Covered {
-    /// True if window `wi`'s coverage is known.
-    fn known(&self, wi: u64) -> bool {
-        self.0.get(wi as usize).is_some_and(Option::is_some)
-    }
-
-    /// The coverage of window `wi`, whose cuts are `cuts`: the known one,
-    /// else merged from `cuts` and kept.
-    fn of(&mut self, wi: u64, cuts: &[Cut<'_>]) -> &[(u64, u64)] {
+    /// The coverage of window `wi`: the known one, else merged from the
+    /// window's cuts, which only then are made, and kept — at its length:
+    /// the merge's buffer is sized for its input runs, and every window
+    /// of the open keeps its coverage.
+    fn of<'a>(&mut self, wi: u64, cuts: impl FnOnce() -> Vec<Cut<'a>>) -> &[(u64, u64)] {
         let wi = wi as usize;
         if self.0.len() <= wi {
             self.0.resize_with(wi + 1, || None);
         }
-        self.0[wi].get_or_insert_with(|| coverage(cuts))
+        self.0[wi].get_or_insert_with(|| {
+            let mut runs = coverage(&cuts());
+            runs.shrink_to_fit();
+            runs
+        })
     }
 }
 
-/// Every payload's bytes as views on its cut's pieces, at their offsets
-/// from `base`, in arrival order, so a later piece wins an overlap.
-fn place(base: u64, cuts: &[Cut<'_>], incoming: Vec<(usize, IoBuffer)>) -> Vec<(u64, IoBuffer)> {
+/// Every payload's bytes as views on its cut of window `[lo, hi)` of the
+/// domain whose lists are `lists`, at their offsets from `base`, in
+/// arrival order, so a later piece wins an overlap: appended to `placed`.
+fn place(
+    base: u64,
+    lists: &Lists,
+    window: (u64, u64),
+    incoming: &[(usize, IoBuffer)],
+    placed: &mut Vec<(u64, IoBuffer)>,
+) {
     let _hp = simtrace::host::scope(simtrace::host::Site::Unpack);
-    let mut pieces = Vec::new();
-    for (cut, (_, payload)) in cuts.iter().zip(incoming) {
+    for (src, payload) in incoming {
         let mut at = 0usize;
-        for piece in cut.iter() {
-            pieces.push((piece.file_off - base, payload.sub(at, piece.len as usize)));
+        for piece in cut_of(lists, *src, window).iter() {
+            placed.push((piece.file_off - base, payload.sub(at, piece.len as usize)));
             at += piece.len as usize;
         }
     }
-    pieces
 }
 
 /// Place one round of received pieces — window `wi`, `[lo, hi)`, of
@@ -74,7 +83,9 @@ fn place(base: u64, cuts: &[Cut<'_>], incoming: Vec<(usize, IoBuffer)>) -> Vec<(
 /// Host work follows real bytes: one synthetic payload makes the whole
 /// span synthetic (what the window holds is unknowable then), and with
 /// the window's coverage known from an earlier call, synthetic payloads
-/// need no cut and no piece is visited.
+/// need no cut and no piece is visited. `incoming` (the payloads, by
+/// source) and `placed` are the caller's buffers, kept from round to
+/// round: both are left empty, so no view outlives the window.
 ///
 /// `torn` models an aggregator dying mid-OST-write: every chunk of this
 /// window reaches storage truncated to its first half (the crash cuts
@@ -88,7 +99,8 @@ pub(super) fn write_window(
     prof: &mut PhaseProfile,
     domain: &mut Domain,
     (wi, lo, hi): (u64, u64, u64),
-    incoming: Vec<(usize, IoBuffer)>,
+    incoming: &mut Vec<(usize, IoBuffer)>,
+    placed: &mut Vec<(u64, IoBuffer)>,
     torn: bool,
 ) {
     let ep = comm.endpoint();
@@ -97,22 +109,21 @@ pub(super) fn write_window(
     }
     // Targets: which pieces each payload's bytes land on, plus coverage.
     let t = PhaseTimer::start(Phase::Local, ep.now());
-    let hp = simtrace::host::scope(simtrace::host::Site::Unpack);
     let Domain { lists, covered, .. } = domain;
     let real = incoming.iter().all(|(_, payload)| payload.is_real());
-    let cuts = if real || !covered.known(wi) {
-        cut_streams(lists, (lo, hi), incoming.iter().map(|&(src, _)| src))
-    } else {
-        Vec::new()
-    };
-    let fits = |(cut, (_, data)): (&Cut<'_>, &(usize, IoBuffer))| cut.bytes() == data.len() as u64;
-    debug_assert!(cuts.iter().zip(&incoming).all(fits));
     let total_bytes: usize = incoming.iter().map(|(_, payload)| payload.len()).sum();
-    let runs = covered.of(wi, &cuts);
-    let holes = runs.len() > 1;
-    let (write_lo, write_hi) = (runs[0].0, runs[runs.len() - 1].0 + runs[runs.len() - 1].1);
-    ep.charge_memcpy(total_bytes); // staging-buffer assembly
-    drop(hp);
+    let (write_lo, write_hi, holes) = {
+        let _hp = simtrace::host::scope(simtrace::host::Site::Unpack);
+        let fits = |(src, data): &(usize, IoBuffer)| {
+            cut_of(lists, *src, (lo, hi)).bytes() == data.len() as u64
+        };
+        debug_assert!(incoming.iter().all(fits));
+        let srcs = || incoming.iter().map(|&(src, _)| src);
+        let runs = covered.of(wi, || cut_streams(lists, (lo, hi), srcs()));
+        ep.charge_memcpy(total_bytes); // staging-buffer assembly
+        let last = runs[runs.len() - 1];
+        (runs[0].0, last.0 + last.1, runs.len() > 1)
+    };
     t.stop_traced(ep.now(), prof, ep.trace());
 
     debug_assert!(lo <= write_lo && write_hi <= hi);
@@ -135,11 +146,10 @@ pub(super) fn write_window(
         t.stop_traced(ep.now(), prof, ep.trace());
     }
     let whole = [(0, IoBuffer::synthetic(span as usize))];
-    let placed = if synthetic {
-        Vec::new()
-    } else {
-        place(write_lo, &cuts, incoming)
-    };
+    if !synthetic {
+        place(write_lo, lists, (lo, hi), incoming, placed);
+    }
+    incoming.clear();
     let pieces = if synthetic { &whole[..] } else { &placed[..] };
     let t = PhaseTimer::start(Phase::Io, ep.now());
     let len = if torn { span / 2 } else { span };
@@ -148,6 +158,7 @@ pub(super) fn write_window(
         ep.clock().advance_to(done);
     }
     t.stop_traced(ep.now(), prof, ep.trace());
+    placed.clear();
 }
 
 /// Append `[off, off + len)` to the ascending list `out[from..]` (`off`
@@ -337,8 +348,9 @@ pub(crate) fn close_gaps(runs: &mut Vec<(u64, u64)>, gap: u64) {
 /// was read.
 pub(crate) type Fetched = Vec<(u64, IoBuffer)>;
 
-/// Read what window `wi`, whose cuts are `cuts` and whose coverage
-/// `covered` holds or merges, covers; `None` when the cuts are empty.
+/// Read what window `wi`, whose cuts `cuts` makes and whose coverage
+/// `covered` holds or merges from them, covers; `None` when the cuts are
+/// empty.
 ///
 /// The window's coverage is read through every hole no wider than the
 /// file's break-even gap ([`FileHandle::list_break_even_gap`]: moving it
@@ -347,25 +359,35 @@ pub(crate) type Fetched = Vec<(u64, IoBuffer)>;
 /// hull; several go out as one list-I/O request. Coverage and
 /// gap are pure functions of the agreed piece lists and the file, so
 /// every rank that reaches this window reads it the same way.
-pub(super) fn read_window(
+pub(super) fn read_window<'a>(
     comm: &Communicator<'_>,
     fh: &FileHandle,
     space: &dyn FileSpace,
     prof: &mut PhaseProfile,
     covered: &mut Covered,
     wi: u64,
-    cuts: &[Cut<'_>],
+    cuts: impl FnOnce() -> Vec<Cut<'a>>,
 ) -> Option<Fetched> {
     let ep = comm.endpoint();
-    let mut runs = covered.of(wi, cuts).to_vec();
-    let holes = match runs.len() {
+    let coverage = covered.of(wi, cuts);
+    let holes = match coverage.len() {
         0 => return None,
         n => n > 1,
     };
-    if holes {
-        let _hp = simtrace::host::scope(simtrace::host::Site::SieveRead);
-        close_gaps(&mut runs, fh.list_break_even_gap());
-    }
+    // The window reads its coverage as it is kept, and a copy only when
+    // a gap closes: every serving rank can be inside a window read at
+    // once.
+    let gap = fh.list_break_even_gap();
+    let closes = |w: &[(u64, u64)]| w[1].0 - (w[0].0 + w[0].1) <= gap;
+    let runs = match holes && coverage.windows(2).any(closes) {
+        true => {
+            let _hp = simtrace::host::scope(simtrace::host::Site::SieveRead);
+            let mut runs = coverage.to_vec();
+            close_gaps(&mut runs, gap);
+            Cow::Owned(runs)
+        }
+        false => Cow::Borrowed(coverage),
+    };
     let t = PhaseTimer::start(Phase::Io, ep.now());
     let (parts, done) = if runs.len() > 1 {
         space.read_list(fh, &runs, ep.now())
@@ -643,7 +665,8 @@ mod tests {
                 let mut domain = Domain::new(list_of.clone());
                 let mut prof = PhaseProfile::new();
                 let space = DirectSpace;
-                write_window(&comm, &fh, &space, &mut prof, &mut domain, window, incoming.clone(), torn);
+                let (mut incoming, mut placed) = (incoming.clone(), Vec::new());
+                write_window(&comm, &fh, &space, &mut prof, &mut domain, window, &mut incoming, &mut placed, torn);
             });
             prop_assert_eq!(staged.size(), viewed.size());
             let end = staged.size() + 2;

@@ -234,13 +234,12 @@ pub fn run_partitioned<'ep>(
     }
 
     let c = cache.as_mut().expect("a decision was cached or just stored");
-    let fh = file.handle().clone();
     let groups = c.n_groups;
-    let prof = file.profile_mut();
+    let (fh, prof) = file.handle_and_profile();
     let (sub, subcfg, memo) = (&c.sub, &c.subcfg, &mut c.memo);
     match &c.mode {
         CachedMode::Direct => {
-            let data = twophase::collective(sub, &fh, &DirectSpace, &plan, dir, subcfg, memo, prof);
+            let data = twophase::collective(sub, fh, &DirectSpace, &plan, dir, subcfg, memo, prof);
             (PartitionMode::Direct { groups }, data)
         }
         CachedMode::Iview {
@@ -266,10 +265,10 @@ pub fn run_partitioned<'ep>(
             let delta = plan.start().unwrap_or(*base_start) as i64 - *base_start as i64;
             let data = if *scatter {
                 let space = MappedSpace::with_delta(Rc::clone(map), delta);
-                twophase::collective(sub, &fh, &space, logical_plan, dir, subcfg, memo, prof)
+                twophase::collective(sub, fh, &space, logical_plan, dir, subcfg, memo, prof)
             } else {
                 let shifted = logical_plan.shifted(delta);
-                twophase::collective(sub, &fh, &DirectSpace, &shifted, dir, subcfg, memo, prof)
+                twophase::collective(sub, fh, &DirectSpace, &shifted, dir, subcfg, memo, prof)
             };
             (PartitionMode::IntermediateView { groups }, data)
         }

@@ -39,9 +39,11 @@ impl Communicator<'_> {
             alg: "dissemination",
             bytes: 0,
         };
-        let _ = self.meet(label, (), move |_: Vec<()>, max| {
-            ((), max + net.barrier_cost(p))
-        });
+        let _ = self.meet(
+            label,
+            |_: &mut ()| (),
+            move |_, max| ((), max + net.barrier_cost(p)),
+        );
     }
 
     /// Typed allgather for protocol metadata; `bytes_each` is the
@@ -84,19 +86,23 @@ impl Communicator<'_> {
             alg: "recursive_doubling",
             bytes: bytes_each as u64,
         };
-        let combine = move |inputs: Vec<(T, usize)>, max| {
-            let n_each = inputs.iter().map(|&(_, n)| n).max().unwrap_or(0);
-            let values = inputs.into_iter().map(|(v, _)| v).collect();
+        let combine = move |inputs: &mut [Option<(T, usize)>], max| {
+            let n_each = inputs.iter().flatten().map(|&(_, n)| n).max().unwrap_or(0);
+            let taken = inputs
+                .iter_mut()
+                .map(|slot| slot.take().expect("every member's value"));
+            let values = taken.map(|(v, _)| v).collect();
             (derive(values), max + net.allgather_cost(p, n_each))
         };
-        self.meet(label, (val, bytes_each), combine)
+        self.meet(label, |slot| *slot = Some((val, bytes_each)), combine)
     }
 
     /// The per-round transfer-size alltoall of two-phase collective I/O,
     /// over the non-zero sizes only: `entries` holds this rank's
     /// `(dst, bytes)` announcements (each destination at most once;
     /// zero-byte entries are dropped), and the result is every non-zero
-    /// `(src, bytes)` announced to this rank, ascending by source.
+    /// `(src, bytes)` announced to this rank, ascending by source: this
+    /// rank's row of the meeting's result, which every member shares.
     ///
     /// It is *modelled dense and computed sparse*. The wire model and
     /// the trace see the `MPI_Alltoall` of one `u64` per pair that ROMIO
@@ -108,8 +114,14 @@ impl Communicator<'_> {
     /// collective wall's superlinear cost comes from. The host touches
     /// one slot per rank and one per entry: a tile or checkpoint rank
     /// exchanges with a handful of peers, and a dense `P × P` transpose
-    /// per round was half the host time of a 1 024-rank run.
-    pub fn alltoall_sizes_sparse(&self, entries: Vec<(usize, u64)>) -> Vec<(usize, u64)> {
+    /// per round was half the host time of a 1 024-rank run. The entries
+    /// go into this rank's slot of the meeting point, which keeps the
+    /// last row's capacity, so a steady-state exchange allocates only
+    /// the shared result.
+    pub fn alltoall_sizes_sparse(
+        &self,
+        entries: impl IntoIterator<Item = (usize, u64)>,
+    ) -> SparseRow {
         self.alltoall_sparse("alltoall_sizes", entries, true)
     }
 
@@ -117,16 +129,19 @@ impl Communicator<'_> {
     /// `MPI_Alltoall` with absent entries zero, charged and traced like
     /// [`alltoall_sizes_sparse`](Self::alltoall_sizes_sparse) but without
     /// the congestion term.
-    pub fn alltoall_counts_sparse(&self, entries: Vec<(usize, u64)>) -> Vec<(usize, u64)> {
+    pub fn alltoall_counts_sparse(
+        &self,
+        entries: impl IntoIterator<Item = (usize, u64)>,
+    ) -> SparseRow {
         self.alltoall_sparse("alltoall", entries, false)
     }
 
     fn alltoall_sparse(
         &self,
         op: &'static str,
-        entries: Vec<(usize, u64)>,
+        entries: impl IntoIterator<Item = (usize, u64)>,
         congestion: bool,
-    ) -> Vec<(usize, u64)> {
+    ) -> SparseRow {
         let p = self.size();
         let net = self.ep.net().clone();
         let label = MeetLabel {
@@ -134,9 +149,13 @@ impl Communicator<'_> {
             alg: self.alltoall_alg(),
             bytes: (p * 8) as u64,
         };
-        let combine = move |inputs: Vec<Vec<(usize, u64)>>, max| {
+        let fill = |row: &mut Vec<(usize, u64)>| {
+            row.clear();
+            row.extend(entries);
+        };
+        let combine = move |inputs: &mut [Vec<(usize, u64)>], max| {
             let _hp = simtrace::host::scope(simtrace::host::Site::SizeExchange);
-            let by_dst = SparseRows::bucket(p, &inputs);
+            let by_dst = SparseRows::bucket(p, inputs);
             let visited = p + inputs.iter().map(Vec::len).sum::<usize>();
             simtrace::host::count(simtrace::host::Counter::SizeExchangeElems, visited as u64);
             let mut cost = net.alltoall_cost(p, 8);
@@ -145,7 +164,10 @@ impl Communicator<'_> {
             }
             (by_dst, max + cost)
         };
-        self.meet(label, entries, combine).row(self.rank()).to_vec()
+        SparseRow {
+            rows: self.meet(label, fill, combine),
+            dst: self.rank(),
+        }
     }
 
     /// The size exchange over dense rows: `row[d]` goes to member `d`,
@@ -158,7 +180,7 @@ impl Communicator<'_> {
         assert_eq!(row.len(), p, "alltoall needs one value per member");
         let entries = row.into_iter().enumerate().filter(|&(_, b)| b > 0);
         let mut out = vec![0; p];
-        for (src, bytes) in self.alltoall_sizes_sparse(entries.collect()) {
+        for &(src, bytes) in self.alltoall_sizes_sparse(entries).iter() {
             out[src] = bytes;
         }
         out
@@ -178,7 +200,8 @@ impl Communicator<'_> {
             alg: self.alltoall_alg(),
             bytes: (row.len() * 8) as u64,
         };
-        let out = self.meet(label, row, move |inputs: Vec<Vec<u64>>, max| {
+        let fill = |slot: &mut Vec<u64>| *slot = row;
+        let out = self.meet(label, fill, move |inputs: &mut [Vec<u64>], max| {
             let cross: u64 = inputs
                 .iter()
                 .enumerate()
@@ -204,8 +227,10 @@ impl Communicator<'_> {
 
     /// Elementwise allreduce over `u64` vectors (`MPI_Allreduce`).
     /// Reduction is applied in ascending rank order, so results are
-    /// deterministic for non-commutative uses too.
-    pub fn allreduce_u64(&self, vals: &[u64], op: ReduceOp) -> Vec<u64> {
+    /// deterministic for non-commutative uses too. `vals` is copied into
+    /// this rank's slot of the meeting point, and the result is the
+    /// meeting's own `Rc`, shared by every member.
+    pub fn allreduce_u64(&self, vals: &[u64], op: ReduceOp) -> Rc<Vec<u64>> {
         let net = self.ep.net().clone();
         let p = self.size();
         let bytes = vals.len() * 8;
@@ -214,18 +239,45 @@ impl Communicator<'_> {
             alg: "recursive_doubling",
             bytes: bytes as u64,
         };
-        let out = self.meet(label, vals.to_vec(), move |inputs: Vec<Vec<u64>>, max| {
-            let width = inputs[0].len();
-            let mut acc = inputs[0].clone();
-            for row in &inputs[1..] {
-                assert_eq!(row.len(), width, "allreduce width mismatch");
+        let fill = |row: &mut Vec<u64>| {
+            row.clear();
+            row.extend_from_slice(vals);
+        };
+        self.meet(label, fill, move |inputs: &mut [Vec<u64>], max| {
+            let (first, rest) = inputs.split_first().expect("a member");
+            let mut acc = first.clone();
+            for row in rest {
+                assert_eq!(row.len(), acc.len(), "allreduce width mismatch");
                 for (a, &b) in acc.iter_mut().zip(row) {
                     *a = op.apply_u64(*a, b);
                 }
             }
             (acc, max + net.allreduce_cost(p, bytes))
-        });
-        (*out).clone()
+        })
+    }
+}
+
+/// One member's row of a sparse exchange
+/// ([`alltoall_sizes_sparse`](Communicator::alltoall_sizes_sparse)): the
+/// non-zero `(src, value)` entries announced to it, ascending by source,
+/// as a view of the meeting's result — one table per exchange, shared by
+/// every member, not a copy per member.
+pub struct SparseRow {
+    rows: Rc<SparseRows>,
+    dst: usize,
+}
+
+impl std::ops::Deref for SparseRow {
+    type Target = [(usize, u64)];
+
+    fn deref(&self) -> &[(usize, u64)] {
+        self.rows.row(self.dst)
+    }
+}
+
+impl std::fmt::Debug for SparseRow {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -243,7 +295,8 @@ struct SparseRows {
 impl SparseRows {
     /// Bucket `inputs[src]`'s `(dst, value)` entries by destination: a
     /// counting pass, a prefix sum, a placing pass — sources in order,
-    /// so every bucket comes out sorted.
+    /// so every bucket comes out sorted. The placing pass advances each
+    /// bucket's start to its end, and one shift puts the starts back.
     fn bucket(p: usize, inputs: &[Vec<(usize, u64)>]) -> SparseRows {
         let mut starts = vec![0usize; p + 1];
         let mut cross = 0u64;
@@ -262,14 +315,17 @@ impl SparseRows {
         for d in 0..p {
             starts[d + 1] += starts[d];
         }
-        let mut next = starts.clone();
         let mut entries = vec![(0, 0); starts[p]];
         for (src, row) in inputs.iter().enumerate() {
             for (dst, v) in nonzero(row) {
-                entries[next[dst]] = (src, v);
-                next[dst] += 1;
+                entries[starts[dst]] = (src, v);
+                starts[dst] += 1;
             }
         }
+        // `starts[d]` is bucket `d`'s end now, which is bucket `d + 1`'s
+        // start.
+        starts.copy_within(0..p, 1);
+        starts[0] = 0;
         SparseRows {
             starts,
             entries,
@@ -373,10 +429,35 @@ mod tests {
             };
             comm.alltoall_sizes_sparse(entries)
         });
-        assert_eq!(out[0], [(0, 5), (1, 5), (2, 5)]);
-        assert_eq!(out[1], []);
-        assert_eq!(out[2], [(0, 10), (1, 11), (2, 12)]);
-        assert_eq!(out[3], []);
+        assert_eq!(*out[0], [(0, 5), (1, 5), (2, 5)]);
+        assert_eq!(*out[1], []);
+        assert_eq!(*out[2], [(0, 10), (1, 11), (2, 12)]);
+        assert_eq!(*out[3], []);
+    }
+
+    /// One bucketed table per sparse exchange: every member's row is a
+    /// view of the meeting's `Rc`, as an allgather's table is.
+    #[test]
+    fn every_members_sparse_row_views_one_meeting_result() {
+        let out = run_cluster(ClusterConfig::ideal(5), |ep| {
+            let comm = Communicator::world(&ep);
+            let me = comm.rank();
+            // Everyone announces `me + 1` bytes to its right neighbour.
+            let sizes = comm.alltoall_sizes_sparse([((me + 1) % 5, me as u64 + 1)]);
+            let counts = comm.alltoall_counts_sparse([(me, 1)]);
+            (sizes, counts)
+        });
+        for (me, (sizes, counts)) in out.iter().enumerate() {
+            assert!(Rc::ptr_eq(&sizes.rows, &out[0].0.rows));
+            assert!(Rc::ptr_eq(&counts.rows, &out[0].1.rows));
+            assert!(
+                !Rc::ptr_eq(&sizes.rows, &counts.rows),
+                "one result per exchange"
+            );
+            let left = (me + 4) % 5;
+            assert_eq!(**sizes, [(left, left as u64 + 1)]);
+            assert_eq!(**counts, [(me, 1)]);
+        }
     }
 
     /// What one run of a size-exchange sequence leaves behind: every
@@ -472,8 +553,9 @@ mod tests {
             (sum, max)
         });
         for (sum, max) in &out {
-            assert_eq!(*sum, vec![6, 4]);
-            assert_eq!(*max, vec![3, 1]);
+            assert_eq!(**sum, [6, 4]);
+            assert_eq!(**max, [3, 1]);
+            assert!(Rc::ptr_eq(sum, &out[0].0), "one result per allreduce");
         }
     }
 

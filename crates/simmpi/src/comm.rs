@@ -131,24 +131,32 @@ impl<'ep> Communicator<'ep> {
     /// Internal helper: run a collective through the group rendezvous,
     /// advancing this rank's clock to the common completion time.
     ///
-    /// `combine` receives the inputs ordered by local rank and the maximum
-    /// entry clock, and returns the shared result plus the completion time.
+    /// `fill` writes this rank's input into its slot of the group's
+    /// meeting point, which keeps what the last meeting of that input
+    /// type left in it ([`Rendezvous::meet_info`]). `combine` receives the
+    /// slots ordered by local rank and the maximum entry clock, and
+    /// returns the shared result plus the completion time.
     ///
     /// When tracing is enabled, each rank emits a `rdv` span on its own
     /// timeline covering its entry to the last participant's arrival (the
     /// span duration *is* the collective wall this rank paid), tagged with
     /// the straggler's global rank and the operation's algorithm/volume.
-    pub(crate) fn meet<T, R, F>(&self, label: MeetLabel, input: T, combine: F) -> Rc<R>
+    pub(crate) fn meet<T, R, F>(
+        &self,
+        label: MeetLabel,
+        fill: impl FnOnce(&mut T),
+        combine: F,
+    ) -> Rc<R>
     where
-        T: 'static,
+        T: Default + 'static,
         R: 'static,
-        F: FnOnce(Vec<T>, SimTime) -> (R, SimTime),
+        F: FnOnce(&mut [T], SimTime) -> (R, SimTime),
     {
         let entry = self.ep.now();
         let (result, completion, info) =
             self.shared
                 .rdv
-                .meet_info(self.my_local, entry, input, combine);
+                .meet_info(self.my_local, entry, fill, combine);
         self.ep.clock().advance_to(completion);
         let rec = self.ep.trace();
         if rec.enabled() {
@@ -194,8 +202,8 @@ impl<'ep> Communicator<'ep> {
                 alg: "rendezvous",
                 bytes: 0,
             },
-            (),
-            move |_: Vec<()>, max| f(max),
+            |_: &mut ()| (),
+            move |_, max| f(max),
         )
     }
 
@@ -243,8 +251,8 @@ impl<'ep> Communicator<'ep> {
                 alg: "recursive_doubling",
                 bytes: 16,
             },
-            (color, key),
-            move |inputs: Vec<(Option<i64>, i64)>, max_clock| {
+            |slot| *slot = (color, key),
+            move |inputs: &mut [(Option<i64>, i64)], max_clock| {
                 let mut by_color: std::collections::BTreeMap<i64, Vec<(i64, usize)>> =
                     std::collections::BTreeMap::new();
                 for (parent_local, (c, k)) in inputs.iter().enumerate() {

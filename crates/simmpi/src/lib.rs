@@ -33,6 +33,7 @@ pub mod comm;
 pub mod info;
 pub mod p2p;
 
+pub use coll::SparseRow;
 pub use comm::Communicator;
 pub use info::Info;
 pub use p2p::RecvRequest;

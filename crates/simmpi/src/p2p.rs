@@ -9,7 +9,7 @@
 //! to the **maximum** arrival across the batch, not the sum.
 //!
 //! Protocol metadata can travel typed ([`Communicator::isend_t`] /
-//! [`Communicator::waitall_t`]), the point-to-point form of
+//! [`Communicator::waitall_into`]), the point-to-point form of
 //! `allgather_t`'s `bytes_each`: the message is *modelled* — charged,
 //! traced, fault-drawn — as the `wire_bytes` the real protocol would
 //! serialize, while the host passes the sender's `Rc`.
@@ -48,10 +48,10 @@ impl Communicator<'_> {
         self.send(dst, tag, buf);
     }
 
-    /// Non-blocking typed send: the receiver's [`waitall_t`] returns this
-    /// very `Rc`; every model sees a message of `wire_bytes`.
-    ///
-    /// [`waitall_t`]: Communicator::waitall_t
+    /// Non-blocking typed send: the receiver's
+    /// [`waitall_into`](Communicator::waitall_into) opens this very `Rc`
+    /// ([`Payload::into_typed`]); every model sees a message of
+    /// `wire_bytes`.
     pub fn isend_t<T: 'static>(&self, dst: usize, tag: i32, value: Rc<T>, wire_bytes: usize) {
         self.post(dst, tag, Payload::Typed { value, wire_bytes });
     }
@@ -117,22 +117,26 @@ impl Communicator<'_> {
     /// request order; the clock advances to the latest arrival plus one
     /// receive overhead per message (the CPU cost of completing each).
     pub fn waitall(&self, reqs: &[RecvRequest]) -> Vec<IoBuffer> {
-        self.waitall_with(reqs, Payload::into_bytes)
+        let mut out = Vec::with_capacity(reqs.len());
+        self.waitall_into(reqs.iter().cloned(), &mut out, |_, payload| {
+            payload.into_bytes()
+        });
+        out
     }
 
-    /// [`waitall`](Communicator::waitall) over typed messages
-    /// ([`isend_t`](Communicator::isend_t)): same clock advance, same
-    /// trace span, the senders' `Rc`s in request order.
-    pub fn waitall_t<T: 'static>(&self, reqs: &[RecvRequest]) -> Vec<Rc<T>> {
-        self.waitall_with(reqs, Payload::into_typed)
-    }
-
-    /// [`waitall`](Communicator::waitall) over messages that may be
-    /// bytes or typed: each payload as it was sent, passed through
-    /// `open`, in request order. Same clock advance, same trace span.
-    pub fn waitall_with<R>(&self, reqs: &[RecvRequest], open: impl Fn(Payload) -> R) -> Vec<R> {
+    /// [`waitall`](Communicator::waitall) into the caller's buffer, over
+    /// messages that may be bytes or typed: each payload as it was sent,
+    /// passed through `open` with its source (local rank), appended to
+    /// `out` in request order. Same clock advance, same trace span; a
+    /// buffer kept across batches makes a batch allocate nothing.
+    pub fn waitall_into<R>(
+        &self,
+        reqs: impl IntoIterator<Item = RecvRequest>,
+        out: &mut Vec<R>,
+        mut open: impl FnMut(usize, Payload) -> R,
+    ) {
         let entry = self.ep.now();
-        let mut payloads = Vec::with_capacity(reqs.len());
+        let mut n = 0usize;
         let mut bytes = 0usize;
         let mut latest = SimTime::ZERO;
         let mut overhead = SimTime::ZERO;
@@ -141,6 +145,7 @@ impl Communicator<'_> {
         let mut bind: Option<(usize, simnet::RecvInfo)> = None;
         let mut ready_at_entry = 0u64;
         for req in reqs {
+            n += 1;
             let global = self.global_rank(req.src_local);
             let (payload, info) = self.ep.recv_payload(global, self.shared.ctx, req.tag);
             if info.arrival <= entry {
@@ -152,7 +157,7 @@ impl Communicator<'_> {
             latest = latest.max(info.arrival);
             overhead += self.ep.net().recv_overhead(payload.wire_len());
             bytes += payload.wire_len();
-            payloads.push(open(payload));
+            out.push(open(req.src_local, payload));
         }
         // hostprof: completion bookkeeping after every packet is in hand
         // (the receive loop above can block and stays outside the
@@ -161,7 +166,7 @@ impl Communicator<'_> {
         self.ep.clock().advance_to(latest);
         self.ep.clock().advance(overhead);
         let rec = self.ep.trace();
-        if rec.enabled() && !reqs.is_empty() {
+        if rec.enabled() && n > 0 {
             let (bind_src, bind_info) = bind.expect("nonempty batch has a binding message");
             // Messages already landed when the wait began — the
             // virtual-time mailbox backlog this rank walked into.
@@ -172,7 +177,7 @@ impl Communicator<'_> {
                 entry.as_micros(),
                 self.ep.now().as_micros(),
                 vec![
-                    ("n", simtrace::ArgValue::from(reqs.len())),
+                    ("n", simtrace::ArgValue::from(n)),
                     ("bytes", simtrace::ArgValue::from(bytes)),
                     // Binding-edge identity: the latest-arriving message
                     // (global sender, post instant, landing instant).
@@ -182,7 +187,6 @@ impl Communicator<'_> {
                 ],
             );
         }
-        payloads
     }
 }
 

@@ -1,5 +1,5 @@
 //! Contract of typed point-to-point messages
-//! ([`Communicator::isend_t`] / [`Communicator::waitall_t`]): a typed
+//! ([`Communicator::isend_t`] / [`Communicator::waitall_into`]): a typed
 //! message is *modelled* exactly as a byte message of its `wire_bytes` —
 //! same arrival instant, same receiver overhead, same `p2p_sends` /
 //! `p2p_send_bytes`, same drop, delay and corruption draws in the same
@@ -92,7 +92,10 @@ fn exchange(typed: bool) -> (Vec<Seen>, String, String) {
             }
             let reqs: Vec<RecvRequest> = peers.iter().map(|&src| comm.irecv(src, tag)).collect();
             if typed {
-                for list in comm.waitall_t::<Pairs>(&reqs) {
+                let mut lists = Vec::new();
+                let reqs = reqs.iter().cloned();
+                comm.waitall_into(reqs, &mut lists, |_, list| list.into_typed::<Pairs>());
+                for list in lists {
                     seen.received_at.push(Rc::as_ptr(&list) as usize);
                     seen.lists.push((*list).clone());
                 }

@@ -425,13 +425,12 @@ fn switch_out(queued: bool) {
             state.set(RUNNING);
             return;
         }
-        let slice = (*rt).slice.take();
         match next {
-            Some(next) => resume(&raw mut (*rt).fiber_rsp, next, slice),
+            Some(next) => resume(&raw mut (*rt).fiber_rsp, next, (*rt).slice.take()),
             None => {
                 // The slice ends now: this frame resumes only once the
                 // fiber is woken.
-                drop(slice);
+                (*rt).slice = None;
                 arch::switch(&raw mut (*rt).fiber_rsp, SCHED_RSP.with(Cell::as_ptr));
             }
         }

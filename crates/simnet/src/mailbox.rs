@@ -225,29 +225,30 @@ impl Mailbox {
         let key = (ctx, tag);
         let mut woken = false;
         loop {
-            // hostprof: one matching pass. The guard is dropped before
+            // hostprof: one matching pass. The guard's block ends before
             // the wait below, so the frame never absorbs the time spent
             // blocked (which belongs to other fibers' work).
-            let hp = simtrace::host::scope(simtrace::host::Site::MboxRecv);
-            let hit = {
-                let mut st = shard.borrow_mut();
-                let at = st.queue.iter().position(|p| (p.ctx, p.tag) == key);
-                at.and_then(|i| st.queue.remove(i))
-            };
-            if let Some(pkt) = hit {
-                if woken {
-                    self.wakeups.set(self.wakeups.get() + 1);
+            {
+                let _hp = simtrace::host::scope(simtrace::host::Site::MboxRecv);
+                let hit = {
+                    let mut st = shard.borrow_mut();
+                    let at = st.queue.iter().position(|p| (p.ctx, p.tag) == key);
+                    at.and_then(|i| st.queue.remove(i))
+                };
+                if let Some(pkt) = hit {
+                    if woken {
+                        self.wakeups.set(self.wakeups.get() + 1);
+                    }
+                    return pkt;
                 }
-                return pkt;
-            }
-            if woken {
-                let spurious = &self.spurious_wakeups;
-                spurious.set(spurious.get() + 1);
+                if woken {
+                    let spurious = &self.spurious_wakeups;
+                    spurious.set(spurious.get() + 1);
+                }
             }
             // No matching packet exists: this rank's further progress
             // (and all its future resource requests) now depends on the
             // sender. It holds no key in the run queue until woken.
-            drop(hp);
             fiber::wait(shard, |s| &mut s.waiter, &self.poison);
             woken = true;
         }

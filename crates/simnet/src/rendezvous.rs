@@ -47,7 +47,6 @@ impl PoisonFlag {
     }
 }
 
-type BoxedInput = Box<dyn Any>;
 type SharedResult = Rc<dyn Any>;
 
 /// Arrival attribution for one completed meeting: which participant the
@@ -69,7 +68,16 @@ pub struct MeetInfo {
 struct State {
     generation: u64,
     arrived: usize,
-    inputs: Vec<Option<BoxedInput>>,
+    /// Which participants have arrived in the current generation.
+    present: Vec<bool>,
+    /// The slot table of the current generation's input type, fixed by
+    /// its first arrival.
+    input: Option<usize>,
+    /// One slot table per input type the meetings have used: a `Vec<T>`
+    /// of one slot per participant, type-erased. It lives as long as the
+    /// rendezvous, so a slot keeps what its last meeting left in it (a
+    /// row's capacity, say) and an arrival allocates nothing.
+    slots: Vec<Box<dyn Any>>,
     clocks: Vec<SimTime>,
     /// Participants' fibers parked in [`Rendezvous::wait`], by index.
     parked: Vec<Option<Waker>>,
@@ -80,6 +88,19 @@ struct State {
 impl State {
     fn wake_all(&mut self) {
         self.parked.iter_mut().for_each(fiber::wake);
+    }
+
+    /// Where the slot table of input type `T` sits in `slots`, made (of
+    /// `n` default slots) the first time `T` meets.
+    fn table_of<T: Default + 'static>(&mut self, n: usize) -> usize {
+        match self.slots.iter().position(|table| table.is::<Vec<T>>()) {
+            Some(at) => at,
+            None => {
+                let table: Vec<T> = (0..n).map(|_| T::default()).collect();
+                self.slots.push(Box::new(table));
+                self.slots.len() - 1
+            }
+        }
     }
 }
 
@@ -120,7 +141,7 @@ impl Rendezvous {
             n,
             participants,
             state: RefCell::new(State {
-                inputs: (0..n).map(|_| None).collect(),
+                present: vec![false; n],
                 clocks: vec![SimTime::ZERO; n],
                 parked: vec![None; n],
                 ..State::default()
@@ -147,8 +168,8 @@ impl Rendezvous {
     ///   presented exactly once per generation (guaranteed when every rank
     ///   executes the same collective sequence, as MPI requires).
     /// * `now` — the participant's virtual clock at entry.
-    /// * `input` — this participant's contribution.
-    /// * `combine` — run once by the last arrival; receives all inputs
+    /// * `input` — this participant's contribution, stored in its slot.
+    /// * `combine` — run once by the last arrival; receives all slots
     ///   (indexed by participant) and the latest entry clock, returns the
     ///   shared result and the common completion timestamp.
     ///
@@ -156,28 +177,36 @@ impl Rendezvous {
     /// is responsible for advancing its clock to the timestamp.
     pub fn meet<T, R, F>(&self, idx: usize, now: SimTime, input: T, combine: F) -> (Rc<R>, SimTime)
     where
-        T: 'static,
+        T: Default + 'static,
         R: 'static,
-        F: FnOnce(Vec<T>, SimTime) -> (R, SimTime),
+        F: FnOnce(&mut [T], SimTime) -> (R, SimTime),
     {
-        let (result, completion, _) = self.meet_info(idx, now, input, combine);
+        let (result, completion, _) = self.meet_info(idx, now, |slot| *slot = input, combine);
         (result, completion)
     }
 
-    /// Like [`meet`](Self::meet), additionally returning the
-    /// [`MeetInfo`] arrival attribution (straggler index, its entry
-    /// clock, and the meeting's generation number).
+    /// Like [`meet`](Self::meet), with the input written in place and the
+    /// [`MeetInfo`] arrival attribution (straggler index, its entry clock,
+    /// and the meeting's generation number) returned too.
+    ///
+    /// `fill` writes this participant's contribution into its slot, which
+    /// holds whatever the last meeting of input type `T` left there: a
+    /// row is cleared and refilled in the capacity it already has, so a
+    /// steady-state meeting allocates only the result it shares. `fill`
+    /// runs on the meeting's state and must not meet. Slots keep what
+    /// they hold until the next meeting of their type; a combiner that
+    /// consumes an input takes it out (`T = Option<_>`).
     pub fn meet_info<T, R, F>(
         &self,
         idx: usize,
         now: SimTime,
-        input: T,
+        fill: impl FnOnce(&mut T),
         combine: F,
     ) -> (Rc<R>, SimTime, MeetInfo)
     where
-        T: 'static,
+        T: Default + 'static,
         R: 'static,
-        F: FnOnce(Vec<T>, SimTime) -> (R, SimTime),
+        F: FnOnce(&mut [T], SimTime) -> (R, SimTime),
     {
         assert!(idx < self.n, "participant {idx} out of {}", self.n);
         // Wait for the previous generation to fully drain before joining.
@@ -186,10 +215,17 @@ impl Rendezvous {
         let mut st = self.state.borrow_mut();
         let gen = st.generation;
         assert!(
-            st.inputs[idx].is_none(),
+            !st.present[idx],
             "participant {idx} arrived twice in one collective"
         );
-        st.inputs[idx] = Some(Box::new(input));
+        let at = st.table_of::<T>(self.n);
+        assert!(
+            *st.input.get_or_insert(at) == at,
+            "all participants use the same input type"
+        );
+        let table = st.slots[at].downcast_mut::<Vec<T>>();
+        fill(&mut table.expect("slot tables are keyed by type")[idx]);
+        st.present[idx] = true;
         st.clocks[idx] = now;
         st.arrived += 1;
 
@@ -199,17 +235,8 @@ impl Rendezvous {
             // run queue.
             self.wait_while(idx, |st| st.generation == gen && st.result.is_none());
         } else {
-            let inputs: Vec<T> = st
-                .inputs
-                .iter_mut()
-                .map(|slot| {
-                    *slot
-                        .take()
-                        .expect("all inputs present at full arrival")
-                        .downcast::<T>()
-                        .expect("all participants use the same input type")
-                })
-                .collect();
+            st.present.fill(false);
+            st.input = None;
             let straggler = st
                 .clocks
                 .iter()
@@ -223,14 +250,21 @@ impl Rendezvous {
                 straggler,
                 last_arrival: max_clock,
             };
-            // The combiner is the caller's code: it runs on no borrow.
+            // The combiner is the caller's code: it runs on no borrow,
+            // over the slot table lent out of the state (a zero-sized
+            // stand-in holds its place).
+            let mut lent = std::mem::replace(&mut st.slots[at], Box::new(()));
             drop(st);
+            let inputs = lent
+                .downcast_mut::<Vec<T>>()
+                .expect("slot tables are keyed by type");
             let (result, completion) = combine(inputs, max_clock);
             debug_assert!(
                 completion >= max_clock,
                 "collective completion {completion:?} precedes last arrival {max_clock:?}"
             );
             let mut st = self.state.borrow_mut();
+            st.slots[at] = lent;
             st.result = Some((Rc::new(result), completion, info));
             st.draining = self.n;
             // The meeting is complete: every parked participant is
@@ -298,7 +332,7 @@ mod tests {
             let r = rdv(3);
             let got = on_fibers_in(order, 3, |i| {
                 let (v, _) = r.meet(i, SimTime::ZERO, format!("p{i}"), |inputs, max| {
-                    (inputs.clone(), max)
+                    (inputs.to_vec(), max)
                 });
                 v
             });
@@ -333,6 +367,94 @@ mod tests {
         }
     }
 
+    /// Meetings of different input types interleave on one rendezvous,
+    /// in any pop order: each type keeps its own slots, and a row slot
+    /// comes back to its participant holding the last row it sent, to be
+    /// refilled in place.
+    #[test]
+    fn input_types_alternate_across_generations() {
+        for order in [
+            PopOrder::Fixed,
+            PopOrder::Shuffled(3),
+            PopOrder::Shuffled(11),
+        ] {
+            let r = rdv(3);
+            let outs = on_fibers_in(order, 3, |i| {
+                let mut kept = 0;
+                for round in 0..12u64 {
+                    let me = round + i as u64;
+                    match round % 3 {
+                        0 => {
+                            let (sum, _) = r.meet(i, SimTime::ZERO, me, |ins, max| {
+                                (ins.iter().sum::<u64>(), max)
+                            });
+                            assert_eq!(*sum, 3 * round + 3);
+                        }
+                        1 => {
+                            let fill = |row: &mut Vec<u64>| {
+                                let sent_before =
+                                    row.len() == 2 && row.iter().all(|&v| v + 3 == me);
+                                kept += usize::from(sent_before);
+                                row.clear();
+                                row.extend([me, me]);
+                            };
+                            let (rows, _, _) =
+                                r.meet_info(i, SimTime::ZERO, fill, |ins, max| (ins.concat(), max));
+                            let want: Vec<u64> = (0..3).flat_map(|j| [round + j; 2]).collect();
+                            assert_eq!(*rows, want);
+                        }
+                        _ => drop(r.meet(i, SimTime::ZERO, (), |_, max| ((), max))),
+                    }
+                }
+                kept
+            });
+            // Rounds 4, 7 and 10 find the row their participant sent
+            // three rounds before.
+            assert_eq!(outs, [3; 3], "{order:?}");
+        }
+    }
+
+    /// The panic message of `f` running on a fiber, after which the
+    /// rendezvous is poisoned so the other participants unblock.
+    fn panic_of(poison: &PoisonFlag, f: impl FnOnce()) -> String {
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+        poison.poison();
+        let payload = caught.expect_err("the meeting panics");
+        let text = payload.downcast_ref::<String>().map(String::as_str);
+        text.or(payload.downcast_ref::<&str>().copied())
+            .unwrap_or_default()
+            .to_string()
+    }
+
+    #[test]
+    fn arriving_twice_panics() {
+        let poison = Rc::new(PoisonFlag::default());
+        let r = Rendezvous::new(2, Rc::clone(&poison));
+        // Both fibers claim participant 0: the second arrival panics,
+        // and the first, parked, is released by the poison.
+        let msgs = on_fibers(2, |_| {
+            panic_of(&poison, || {
+                drop(r.meet(0, SimTime::ZERO, 7u64, |_, max| ((), max)))
+            })
+        });
+        assert!(msgs[0].contains("poisoned"), "{msgs:?}");
+        assert!(msgs[1].contains("arrived twice"), "{msgs:?}");
+    }
+
+    #[test]
+    fn mixed_input_types_panic() {
+        let poison = Rc::new(PoisonFlag::default());
+        let r = Rendezvous::new(2, Rc::clone(&poison));
+        let msgs = on_fibers(2, |i| {
+            panic_of(&poison, || match i {
+                0 => drop(r.meet(0, SimTime::ZERO, 7u64, |_, max| ((), max))),
+                _ => drop(r.meet(1, SimTime::ZERO, (), |_, max| ((), max))),
+            })
+        });
+        assert!(msgs[0].contains("poisoned"), "{msgs:?}");
+        assert!(msgs[1].contains("same input type"), "{msgs:?}");
+    }
+
     #[test]
     fn single_party_rendezvous_is_immediate() {
         let r = rdv(1);
@@ -359,9 +481,12 @@ mod tests {
         let clocks = [1.0, 7.0, 3.0];
         let r = rdv(3);
         let infos = on_fibers(3, |i| {
-            r.meet_info(i, SimTime::secs(clocks[i]), (), |_, max| {
-                ((), max + SimTime::secs(1.0))
-            })
+            r.meet_info(
+                i,
+                SimTime::secs(clocks[i]),
+                |_: &mut ()| (),
+                |_, max| ((), max + SimTime::secs(1.0)),
+            )
         });
         for (_, done, info) in infos {
             assert_eq!(info.seq, 0);
@@ -375,7 +500,8 @@ mod tests {
     fn straggler_ties_break_to_lowest_index() {
         let r = rdv(4);
         let infos = on_fibers_in(PopOrder::Shuffled(4), 4, |i| {
-            r.meet_info(i, SimTime::secs(2.0), (), |_, max| ((), max)).2
+            r.meet_info(i, SimTime::secs(2.0), |_: &mut ()| (), |_, max| ((), max))
+                .2
         });
         assert!(infos.iter().all(|info| info.straggler == 0));
     }
@@ -384,7 +510,7 @@ mod tests {
     fn meet_info_seq_counts_generations() {
         let r = rdv(1);
         for expect in 0..3 {
-            let (_, _, info) = r.meet_info(0, SimTime::ZERO, (), |_, max| ((), max));
+            let (_, _, info) = r.meet_info(0, SimTime::ZERO, |_: &mut ()| (), |_, max| ((), max));
             assert_eq!(info.seq, expect);
         }
     }

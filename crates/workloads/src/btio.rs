@@ -63,13 +63,11 @@ impl BtIo {
         (start, size)
     }
 
-    /// The grid cells owned by `rank`, as `(x, y, z)` slab coordinates.
-    pub fn cells_of(&self, rank: usize) -> Vec<(usize, usize, usize)> {
-        let i = rank / self.q;
-        let j = rank % self.q;
-        (0..self.q)
-            .map(|c| ((j + c) % self.q, (i + c) % self.q, c))
-            .collect()
+    /// The grid cells owned by `rank`, as `(x, y, z)` slab coordinates,
+    /// one per z-slab in slab order.
+    pub fn cells_of(&self, rank: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+        let (i, j, q) = (rank / self.q, rank % self.q, self.q);
+        (0..q).map(move |c| ((j + c) % q, (i + c) % q, c))
     }
 
     /// Bytes of one full timestep record.
@@ -80,8 +78,7 @@ impl BtIo {
     /// Bytes `rank` contributes per timestep.
     pub fn rank_step_bytes(&self, rank: usize) -> u64 {
         self.cells_of(rank)
-            .iter()
-            .map(|&(x, y, z)| {
+            .map(|(x, y, z)| {
                 let (_, sx) = self.slab(x);
                 let (_, sy) = self.slab(y);
                 let (_, sz) = self.slab(z);
@@ -107,7 +104,6 @@ impl Workload for BtIo {
         // [ox,oy,oz])`, as the datatype tests verify.
         let fields = self
             .cells_of(rank)
-            .into_iter()
             .map(|(x, y, z)| {
                 let (ox, sx) = self.slab(x);
                 let (oy, sy) = self.slab(y);
@@ -173,7 +169,7 @@ mod tests {
         for z in 0..w.q {
             let mut seen = std::collections::HashSet::new();
             for rank in 0..w.nprocs() {
-                for &(x, y, cz) in &w.cells_of(rank) {
+                for (x, y, cz) in w.cells_of(rank) {
                     if cz == z {
                         assert!(seen.insert((x, y)), "cell ({x},{y},{z}) claimed twice");
                     }

@@ -213,13 +213,18 @@ fn btio_collective_sends(steps: usize) -> u64 {
 /// (a 64-rank call sends 8 064: its request lists and data messages).
 /// Counts repeat exactly, so the bound is a property of the code.
 ///
-/// The ledger at the bound's writing: 2 535 calls per call, 0.31 per
-/// message — none of them by a message itself: a data message without a
-/// checksum trailer travels as its bytes, and a mailbox queue keeps its
-/// capacity. What is left is per round and rank (the size exchange's
-/// rows, receive-request vectors, meeting inputs and results). While
-/// every data message was a shared `Sealed` and the substrate
-/// thread-safe, the same call made 6 759 calls, 0.84 per message.
+/// The ledger at the bound's writing: 33 calls per call, 0.004 per
+/// message. None is made by a message, a rank or a round: a data message
+/// without a checksum trailer travels as its bytes, a mailbox queue keeps
+/// its capacity, a rank's meeting inputs refill the slots they left in
+/// the rendezvous, the results are the meetings' own `Rc`s, and the
+/// rows, routes, stream positions, receive lists and arrivals live on
+/// the open's `Memo`. What is left is each meeting's shared result and
+/// the OST queues' growth. With those per round and rank (the size
+/// exchange's rows, receive-request vectors, boxed meeting inputs,
+/// results copied out per rank), the same call made 2 535 calls, 0.31
+/// per message; while every data message was a shared `Sealed` and the
+/// substrate thread-safe, 6 759, 0.84 per message.
 fn messages_allocate_nothing() {
     let steps_1 = calls(|| btio_collective(1));
     let steps_2 = calls(|| btio_collective(2));
@@ -231,10 +236,86 @@ fn messages_allocate_nothing() {
     let sends = btio_collective_sends(2) - btio_collective_sends(1);
     let per_message = (steps_2 - steps_1) as f64 / sends as f64;
     assert!(
-        per_message <= 0.35,
-        "a collective call makes {per_message:.2} allocator calls per message it sends: \
-         a message allocates again"
+        per_message <= 0.05,
+        "a collective call makes {per_message:.3} allocator calls per message it sends: \
+         a message, a rank or a round allocates again"
     );
+}
+
+/// Allocator calls a meeting makes for what its members share, with
+/// headroom: a sparse exchange's table is three (its `Rc`, the bucket
+/// starts, the entries), an allgather's or an allreduce's two.
+const PER_MEETING: usize = 4;
+
+/// Allocator calls one more steady-state call makes — a run of three
+/// calls over one of two — and the exchange rounds each call runs, for a
+/// BT-IO write on `p` ranks through `mode` with collective buffer `cb`
+/// (the default when `None`). The grid gives every domain ≈ 2.5 MB at
+/// 16 and at 64 ranks, so the default buffer takes one round a call and
+/// 1 MiB three.
+fn steady_call(p: usize, mode: IoMode, cb: Option<u64>) -> (usize, u64) {
+    let n = match p {
+        16 => 100,
+        64 => 162,
+        _ => unreachable!("a grid with ≈ 2.5 MB domains"),
+    };
+    let run = |steps| {
+        let mut cfg = RunConfig::paper(mode);
+        if let Some(cb) = cb {
+            cfg.info.set("cb_buffer_size", cb);
+        }
+        run_workload(BtIo::with_grid(p, n, steps), cfg)
+            .profile_max
+            .rounds
+    };
+    // First run: one-time state (the fiber stacks of `p` ranks).
+    run(1);
+    let second = calls(|| {
+        run(2);
+    });
+    let mut rounds = 0;
+    let third = calls(|| rounds = run(3));
+    assert_eq!(
+        third,
+        calls(|| {
+            run(3);
+        }),
+        "counts repeat exactly"
+    );
+    let call = third.checked_sub(second).expect("a third call allocates");
+    (call, rounds / 3)
+}
+
+/// A steady-state call allocates per meeting, not per rank, round or
+/// message: through `mode` (in `groups` groups), a call whose collective
+/// buffer triples its rounds costs at most [`PER_MEETING`] allocator
+/// calls more than the default call per meeting it adds (one size
+/// exchange per added round and group) — at 16 ranks and at 64 alike,
+/// so nothing in the difference grows with the rank count.
+///
+/// The ledger at the bound's writing: the collective adds 2 meetings
+/// and 6 calls at either count; ParColl in 8 groups 16 meetings and 48
+/// calls at 16 ranks, 59 at 64 (the OST queues grow differently). While
+/// the rows, receive requests, arrivals, meeting inputs and results were
+/// made per round and rank, the collective's added rounds cost 394 calls
+/// at 16 ranks and 2 058 at 64, ParColl's 240 and 731.
+fn more_rounds_cost_meetings_only(mode: IoMode, groups: usize) {
+    for p in [16, 64] {
+        let (default, rounds) = steady_call(p, mode, None);
+        let (tripled, tripled_rounds) = steady_call(p, mode, Some(1 << 20));
+        assert_eq!(
+            tripled_rounds,
+            3 * rounds,
+            "{p} ranks: a 1 MiB buffer triples the rounds"
+        );
+        let added = groups * (tripled_rounds - rounds) as usize;
+        let extra = tripled.saturating_sub(default);
+        assert!(
+            extra <= added * PER_MEETING,
+            "{mode:?} on {p} ranks: {added} more meetings a call cost {extra} more \
+             allocator calls ({default} -> {tripled}): a rank or a round allocates"
+        );
+    }
 }
 
 /// One representation of the piece list from `calc_my_req` to the last
@@ -242,10 +323,14 @@ fn messages_allocate_nothing() {
 /// piece it moves. Counts repeat exactly, so the bound is a property of
 /// the code.
 ///
-/// The ledger at the bound's writing: 8.8 B per piece per call, all of it
-/// per *message* — one per (rank, aggregator) pair and round: the
-/// payloads' `Arc`s, receive-request and size-row vectors (6.9 B since a
-/// data message without a checksum trailer travels as its bytes). The second
+/// The ledger at the bound's writing: 0.65 B per piece per call, what
+/// the call's meetings share (the range table, the size and count
+/// exchanges' bucketed tables, the round count) and the first hit's
+/// growth of the open's scratch. At 8.8 B all of it was per *message* —
+/// one per (rank, aggregator) pair and round: the payloads' `Arc`s,
+/// receive-request and size-row vectors (6.9 B once a data message
+/// without a checksum trailer travelled as its bytes), which now live on
+/// the open's `Memo` and the rendezvous's slots. The second
 /// call is shaped like the first one, so it takes the first one's index
 /// (`mpiio::twophase::Memo`): its plan is the first plan shifted, sharing
 /// the runs, its request lists are the first call's `Arc`s, and each of
@@ -281,9 +366,10 @@ fn one_piece_list_per_rank_and_aggregator() {
     );
     let per_piece = (steps_2 - steps_1) as f64 / btio_pieces() as f64;
     assert!(
-        per_piece <= 9.5,
-        "a collective call requests {per_piece:.1} B per piece: a call shaped like the \
-         last rebuilt its index, or a piece-by-piece representation of the access is back"
+        per_piece <= 1.0,
+        "a collective call requests {per_piece:.2} B per piece: a call shaped like the \
+         last rebuilt its index, a piece-by-piece representation of the access is back, \
+         or a message, rank or round allocates again"
     );
 }
 
@@ -404,6 +490,8 @@ fn heap_follows_real_bytes_and_unique_metadata() {
     }
     one_piece_list_per_rank_and_aggregator();
     messages_allocate_nothing();
+    more_rounds_cost_meetings_only(IoMode::Collective, 1);
+    more_rounds_cost_meetings_only(IoMode::Parcoll { groups: 8 }, 8);
     the_intermediate_view_keeps_runs();
     bytes_per_rank_do_not_grow_with_p();
 }
