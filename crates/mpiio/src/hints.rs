@@ -3,10 +3,10 @@
 use simmpi::Info;
 
 /// Parsed MPI-IO hints relevant to this layer. Unknown keys are ignored
-/// (MPI semantics); the raw [`Info`] is preserved for higher layers (the
-/// `parcoll` crate parses its own `parcoll_*` keys from the same object
-/// — `parcoll_groups`, `parcoll_min_group`, … — see
-/// `parcoll::ParcollConfig`). No hint shapes a read: collective and
+/// (MPI semantics); higher layers parse their own keys from the same
+/// [`Info`] (the `parcoll` crate its `parcoll_*` keys — `parcoll_groups`,
+/// `parcoll_min_group`, … — see `parcoll::ParcollConfig`), so no rank
+/// keeps a copy of the dictionary. No hint shapes a read: collective and
 /// independent reads alike read through holes up to the file's
 /// break-even gap (`simfs::FileHandle::list_break_even_gap`).
 #[derive(Debug, Clone)]
@@ -31,8 +31,6 @@ pub struct Hints {
     /// keep each stripe's writes on a single aggregator, avoiding
     /// extent-lock ping-pong at domain seams. `None` = even split.
     pub cb_align: Option<u64>,
-    /// The raw hint dictionary as supplied.
-    pub raw: Info,
 }
 
 impl Default for Hints {
@@ -54,7 +52,6 @@ impl Hints {
             cb_aggregator_list: info.get_usize_list("cb_config_list"),
             integrity: info.get_bool("integrity_checksums").unwrap_or(false),
             cb_align: info.get_usize("striping_unit").map(|v| v as u64),
-            raw: info.clone(),
         }
     }
 }
@@ -87,7 +84,6 @@ mod tests {
         assert_eq!(h.cb_aggregator_list, Some(vec![0, 2, 4]));
         assert!(h.integrity);
         assert_eq!(h.cb_align, Some(4 << 20));
-        assert_eq!(h.raw.get_usize("cb_nodes"), Some(16));
     }
 
     #[test]

@@ -60,15 +60,17 @@ pub fn read_plan(
     let pieces = runs.len();
     close_gaps(&mut runs, fh.list_break_even_gap());
     let t = PhaseTimer::start(Phase::Io, ep.now());
-    let (parts, done) = match runs[..] {
-        [(off, len)] => fh.read_parts(off, len as usize, ep.now()),
-        _ => fh.read_list_parts(&runs, ep.now()),
+    let mut parts = Vec::new();
+    let done = match runs[..] {
+        [(off, len)] => fh.read_parts(off, len as usize, ep.now(), &mut parts),
+        _ => fh.read_list_parts(&runs, ep.now(), &mut parts),
     };
     ep.clock().advance_to(done);
     t.stop_traced(ep.now(), prof, ep.trace());
 
     let out = if parts.iter().all(IoBuffer::is_real) {
-        let fetched = lay_out(&runs, parts);
+        let mut fetched = Vec::new();
+        lay_out(&runs, &mut parts, &mut fetched);
         let mut out = BufferBuilder::with_capacity(plan.total as usize);
         let mut at = 0;
         for e in plan.pieces() {

@@ -33,15 +33,17 @@ pub trait FileSpace {
         now: SimTime,
     ) -> SimTime;
 
-    /// Read `len` bytes at `offset` of the space, as the views that hold
-    /// them, in order ([`FileHandle::read_parts`]).
+    /// Read `len` bytes at `offset` of the space, appending them to
+    /// `parts` as the views that hold them, in order
+    /// ([`FileHandle::read_parts`]); returns the completion instant.
     fn read(
         &self,
         fh: &FileHandle,
         offset: u64,
         len: u64,
         now: SimTime,
-    ) -> (Vec<IoBuffer>, SimTime);
+        parts: &mut Vec<IoBuffer>,
+    ) -> SimTime;
 
     /// Read a batch of discontiguous runs of the space — a collective
     /// read window whose gaps are too wide to read through (DESIGN.md
@@ -55,15 +57,13 @@ pub trait FileSpace {
         fh: &FileHandle,
         runs: &[(u64, u64)],
         now: SimTime,
-    ) -> (Vec<IoBuffer>, SimTime) {
-        let mut parts = Vec::with_capacity(runs.len());
+        parts: &mut Vec<IoBuffer>,
+    ) -> SimTime {
         let mut now = now;
         for &(off, len) in runs {
-            let (run, done) = self.read(fh, off, len, now);
-            parts.extend(run);
-            now = done;
+            now = self.read(fh, off, len, now, parts);
         }
-        (parts, now)
+        now
     }
 }
 
@@ -89,8 +89,9 @@ impl FileSpace for DirectSpace {
         offset: u64,
         len: u64,
         now: SimTime,
-    ) -> (Vec<IoBuffer>, SimTime) {
-        fh.read_parts(offset, len as usize, now)
+        parts: &mut Vec<IoBuffer>,
+    ) -> SimTime {
+        fh.read_parts(offset, len as usize, now, parts)
     }
 
     fn read_list(
@@ -98,8 +99,9 @@ impl FileSpace for DirectSpace {
         fh: &FileHandle,
         runs: &[(u64, u64)],
         now: SimTime,
-    ) -> (Vec<IoBuffer>, SimTime) {
-        fh.read_list_parts(runs, now)
+        parts: &mut Vec<IoBuffer>,
+    ) -> SimTime {
+        fh.read_list_parts(runs, now, parts)
     }
 }
 
@@ -114,7 +116,8 @@ mod tests {
         let (fh, t) = fs.open("/d", SimTime::ZERO);
         let space = DirectSpace;
         let t1 = space.write(&fh, 10, 3, &[(0, IoBuffer::from_slice(&[1, 2, 3]))], t);
-        let (data, _t2) = space.read(&fh, 10, 3, t1);
+        let mut data = Vec::new();
+        space.read(&fh, 10, 3, t1, &mut data);
         assert_eq!(data, [IoBuffer::from_slice(&[1, 2, 3])]);
         // And it really landed at physical offset 10.
         let (raw, _) = fh.read_at(10, 3, t1);

@@ -134,9 +134,10 @@ use simfs::FileHandle;
 use simmpi::{Communicator, ReduceOp};
 use simnet::{IoBuffer, SimTime};
 use simtrace::host::{self, Counter};
+use std::cell::Cell;
 use std::rc::Rc;
 pub(crate) use window::{close_gaps, lay_out};
-use window::{cut_of, cut_streams, read_window, write_window, Covered};
+use window::{cut_of, cut_streams, read_window, write_window, Covered, Fetched};
 
 /// Tag for request-list metadata messages.
 const TAG_REQ: i32 = 0x7001;
@@ -401,7 +402,8 @@ pub struct Memo {
 /// to round and call to call. Every buffer is sized by this rank's active
 /// peers — its lists, the sources of its windows — never by the
 /// communicator, and none holds a byte view past the round that filled
-/// it.
+/// it, save the window a serving rank read last, which its clients hold
+/// until they land it and the call's end drops.
 #[derive(Default)]
 struct Scratch {
     /// My stream positions (bytes consumed), slot for slot with `my_req`.
@@ -421,6 +423,15 @@ struct Scratch {
     expects: Vec<(usize, usize)>,
     /// A read client's verified messages: bytes and body.
     verified: Vec<(u64, Body)>,
+    /// The parts a served read window's file access returned.
+    parts: Vec<IoBuffer>,
+    /// The window a serving rank read last, shared with the clients it
+    /// serves; refilled in place once they have landed it (a round
+    /// starts with a meeting, so they have).
+    window: Rc<Fetched>,
+    /// A list read's runs at the file's offsets, while no call runs
+    /// (`Shifted` holds them during one).
+    shifted: Vec<(u64, u64)>,
 }
 
 /// A file space addressed relative to `base`: the engine works in its
@@ -428,6 +439,8 @@ struct Scratch {
 struct Shifted<'a> {
     space: &'a dyn FileSpace,
     base: u64,
+    /// Scratch for a list read's runs moved by `base`.
+    runs: Cell<Vec<(u64, u64)>>,
 }
 
 impl FileSpace for Shifted<'_> {
@@ -448,8 +461,9 @@ impl FileSpace for Shifted<'_> {
         offset: u64,
         len: u64,
         now: SimTime,
-    ) -> (Vec<IoBuffer>, SimTime) {
-        self.space.read(fh, self.base + offset, len, now)
+        parts: &mut Vec<IoBuffer>,
+    ) -> SimTime {
+        self.space.read(fh, self.base + offset, len, now, parts)
     }
 
     fn read_list(
@@ -457,9 +471,14 @@ impl FileSpace for Shifted<'_> {
         fh: &FileHandle,
         runs: &[(u64, u64)],
         now: SimTime,
-    ) -> (Vec<IoBuffer>, SimTime) {
-        let shifted = runs.iter().map(|&(off, len)| (self.base + off, len));
-        self.space.read_list(fh, &shifted.collect::<Vec<_>>(), now)
+        parts: &mut Vec<IoBuffer>,
+    ) -> SimTime {
+        let mut shifted = self.runs.take();
+        shifted.clear();
+        shifted.extend(runs.iter().map(|&(off, len)| (self.base + off, len)));
+        let done = self.space.read_list(fh, &shifted, now, parts);
+        self.runs.set(shifted);
+        done
     }
 }
 
@@ -613,6 +632,7 @@ pub fn collective(
     let space = Shifted {
         space,
         base: min_st,
+        runs: Cell::new(std::mem::take(&mut scratch.shifted)),
     };
     let mut x = Exchange {
         comm,
@@ -654,6 +674,13 @@ pub fn collective(
     if rec.enabled() {
         rec.count(calls_counter, 1);
         rec.observe("ext2ph_rounds", ntimes as f64);
+    }
+    x.s.shifted = space.runs.take();
+    // A window that held real parts gives its room back: a verify run's
+    // serving ranks would each keep a window's worth of views and parts
+    // until their next call. A synthetic window holds none.
+    if x.s.window.capacity() > 0 {
+        (x.s.window, x.s.parts) = Default::default();
     }
     read.then(|| x.landed.finish(plan.total as usize))
 }
@@ -745,6 +772,9 @@ impl Exchange<'_, '_> {
             placed,
             expects,
             verified,
+            parts,
+            window,
+            ..
         } = &mut *self.s;
 
         // Per-round MPI_Alltoall of transfer sizes — the global sync the
@@ -814,12 +844,16 @@ impl Exchange<'_, '_> {
                     let Domain { lists, covered, .. } = domain;
                     let srcs = || row.iter().map(|&(src, _)| src);
                     let cuts = || cut_streams(lists, (lo, hi), srcs());
-                    let fetched = read_window(comm, fh, space, self.prof, covered, wi, cuts);
-                    if let Some(fetched) = fetched.map(Rc::new) {
+                    if Rc::get_mut(window).is_none() {
+                        *window = Rc::default();
+                    }
+                    let fetched = Rc::get_mut(window).expect("a window no client holds");
+                    let prof = &mut *self.prof;
+                    if read_window(comm, fh, space, prof, covered, wi, cuts, parts, fetched) {
                         let bodies = row.iter().map(|&(src, n)| {
                             let _hp = simtrace::host::scope(simtrace::host::Site::Pack);
                             let cut = cut_of(lists, src, (lo, hi));
-                            (src, Body::of_window(&fetched, n), cut, n)
+                            (src, Body::of_window(window, n), cut, n)
                         });
                         let prof = &mut *self.prof;
                         Sealed::seal_all(bodies, cfg.checksums, |dst, msg| {

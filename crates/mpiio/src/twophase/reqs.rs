@@ -48,10 +48,17 @@ impl Piece {
 /// consumed so far, the only cursor state a sender keeps) therefore map
 /// to the buffer by one addition, and to the file by a binary search
 /// over the runs' stream starts plus arithmetic inside one run.
-#[derive(Debug, Default, PartialEq, Eq)]
+///
+/// The lists split from one plan keep their runs in one shared table, so
+/// a list is one allocation, its `Rc`, however many runs it holds.
+#[derive(Debug, Default)]
 pub struct PieceList {
-    /// The runs in file order, each with the stream bytes before it.
-    runs: Vec<(u64, Run)>,
+    /// The runs of every list split from one plan, each with the stream
+    /// bytes before it in its own list.
+    table: Rc<[(u64, Run)]>,
+    /// This list's stretch of `table`.
+    lo: u32,
+    hi: u32,
     /// Buffer offset of the stream's first byte.
     base: u64,
     /// Number of pieces the runs expand to.
@@ -63,18 +70,9 @@ thread_local! {
 }
 
 impl PieceList {
-    fn new(runs: &[Run], base: u64) -> Self {
-        let mut at = 0;
-        let pieces = runs.iter().map(|r| r.count).sum();
-        let runs = runs.iter().map(|&r| {
-            at += r.bytes();
-            (at - r.bytes(), r)
-        });
-        PieceList {
-            runs: runs.collect(),
-            base,
-            pieces,
-        }
+    /// The runs in file order, each with the stream bytes before it.
+    fn runs(&self) -> &[(u64, Run)] {
+        &self.table[self.lo as usize..self.hi as usize]
     }
 
     /// The shared empty list: a rank with nothing for an aggregator
@@ -85,7 +83,7 @@ impl PieceList {
 
     /// True if the list holds no piece.
     pub(crate) fn is_empty(&self) -> bool {
-        self.runs.is_empty()
+        self.lo == self.hi
     }
 
     /// Number of pieces: the length of ROMIO's `(offset, len)` list.
@@ -95,7 +93,7 @@ impl PieceList {
 
     /// Total bytes across all pieces.
     pub fn total_bytes(&self) -> u64 {
-        self.runs.last().map_or(0, |(at, r)| at + r.bytes())
+        self.runs().last().map_or(0, |(at, r)| at + r.bytes())
     }
 
     /// Bytes of the `(offset, len)` list ROMIO ships for these pieces:
@@ -106,13 +104,14 @@ impl PieceList {
 
     /// The file range touched, `[first offset, last end)`.
     pub fn file_range(&self) -> Option<(u64, u64)> {
-        Some((self.runs.first()?.1.off, self.runs.last()?.1.end()))
+        Some((self.runs().first()?.1.off, self.runs().last()?.1.end()))
     }
 
     /// Stream bytes lying before file offset `off`.
     fn bytes_before(&self, off: u64) -> u64 {
-        let i = self.runs.partition_point(|(_, r)| r.end() <= off);
-        match self.runs.get(i) {
+        let runs = self.runs();
+        let i = runs.partition_point(|(_, r)| r.end() <= off);
+        match runs.get(i) {
             Some((at, r)) => at + r.bytes_before(off),
             None => self.total_bytes(),
         }
@@ -155,11 +154,12 @@ impl PieceList {
         if n == 0 {
             return Cut::default();
         }
-        let i = self.runs.partition_point(|&(at, _)| at <= pos) - 1;
-        let j = self.runs.partition_point(|&(at, _)| at < pos + n) - 1;
-        let (first, (last, r)) = (self.runs[i].0, self.runs[j]);
+        let runs = self.runs();
+        let i = runs.partition_point(|&(at, _)| at <= pos) - 1;
+        let j = runs.partition_point(|&(at, _)| at < pos + n) - 1;
+        let (first, (last, r)) = (runs[i].0, runs[j]);
         Cut {
-            runs: &self.runs[i..=j],
+            runs: &runs[i..=j],
             skip: pos - first,
             trim: last + r.bytes() - (pos + n),
             buf_off,
@@ -259,7 +259,10 @@ pub(super) fn split(
             ..*r
         })
     };
-    let (mut out, mut list) = (Vec::new(), Vec::new());
+    let (mut lists, mut list) = (Vec::new(), Vec::new());
+    // Every list's runs with their stream starts, and each list's
+    // (domain, stretch of the table, base, pieces).
+    let mut table = Vec::new();
     // The next unassigned byte: data byte `done` of `runs[i]`, file
     // offset `pos`, at `buf_off` in the user buffer.
     let (mut i, mut done, mut buf_off) = (0usize, 0u64, 0u64);
@@ -296,13 +299,32 @@ pub(super) fn split(
             (i, done) = (i + 1, 0);
         }
         pos = run(i).map_or(pos, |r| r.at(done));
-        out.push((at, Rc::new(PieceList::new(&list, base))));
+        let lo = table.len();
+        let mut stream = 0;
+        table.extend(list.iter().map(|&r| {
+            stream += r.bytes();
+            (stream - r.bytes(), r)
+        }));
+        let pieces = list.iter().map(|r| r.count).sum();
+        lists.push((at, lo, table.len(), base, pieces));
     }
     assert!(
         i == shape.len(),
         "access at {pos} outside the aggregated file range"
     );
-    out
+    let index = |i: usize| u32::try_from(i).expect("a plan's runs fit a u32");
+    let table: Rc<[(u64, Run)]> = table.into();
+    let list = |(at, lo, hi, base, pieces)| {
+        let list = PieceList {
+            table: Rc::clone(&table),
+            lo: index(lo),
+            hi: index(hi),
+            base,
+            pieces,
+        };
+        (at, Rc::new(list))
+    };
+    lists.into_iter().map(list).collect()
 }
 
 #[cfg(test)]
@@ -317,8 +339,8 @@ pub(super) mod tests {
 
     impl PieceList {
         /// The runs, in file order.
-        fn runs(&self) -> impl Iterator<Item = Run> + '_ {
-            self.runs.iter().map(|&(_, r)| r)
+        fn plain_runs(&self) -> impl Iterator<Item = Run> + '_ {
+            self.runs().iter().map(|&(_, r)| r)
         }
 
         /// The runs expanded, with buffer offsets (test shorthand).
@@ -378,7 +400,7 @@ pub(super) mod tests {
     /// A whole list's pieces as the linear split makes them, from its
     /// runs' plan — independent of the run arithmetic under test.
     fn linear(l: &PieceList) -> Vec<Piece> {
-        let pieces = l.runs().flat_map(Run::pieces).collect();
+        let pieces = l.plain_runs().flat_map(Run::pieces).collect();
         let mut whole = calc_my_req_linear(&AccessPlan::from_extents(pieces), &[Ext::new(0, u64::MAX / 2)]);
         whole.remove(0)
     }

@@ -137,7 +137,8 @@ pub(super) fn write_window(
         // where they are; what the fetch decides is the kind: a synthetic
         // byte in the span makes the whole window synthetic.
         let t = PhaseTimer::start(Phase::Io, ep.now());
-        let (fetched, done) = space.read(fh, write_lo, span, ep.now());
+        let mut fetched = Vec::new();
+        let done = space.read(fh, write_lo, span, ep.now(), &mut fetched);
         ep.clock().advance_to(done);
         t.stop_traced(ep.now(), prof, ep.trace());
         synthetic |= fetched.iter().any(|part| !part.is_real());
@@ -349,8 +350,9 @@ pub(crate) fn close_gaps(runs: &mut Vec<(u64, u64)>, gap: u64) {
 pub(crate) type Fetched = Vec<(u64, IoBuffer)>;
 
 /// Read what window `wi`, whose cuts `cuts` makes and whose coverage
-/// `covered` holds or merges from them, covers; `None` when the cuts are
-/// empty.
+/// `covered` holds or merges from them, covers, into `fetched`; false
+/// when the cuts are empty. `parts`, empty, is scratch for the parts the
+/// file returns, and is left empty.
 ///
 /// The window's coverage is read through every hole no wider than the
 /// file's break-even gap ([`FileHandle::list_break_even_gap`]: moving it
@@ -359,6 +361,7 @@ pub(crate) type Fetched = Vec<(u64, IoBuffer)>;
 /// hull; several go out as one list-I/O request. Coverage and
 /// gap are pure functions of the agreed piece lists and the file, so
 /// every rank that reaches this window reads it the same way.
+#[allow(clippy::too_many_arguments)]
 pub(super) fn read_window<'a>(
     comm: &Communicator<'_>,
     fh: &FileHandle,
@@ -367,11 +370,13 @@ pub(super) fn read_window<'a>(
     covered: &mut Covered,
     wi: u64,
     cuts: impl FnOnce() -> Vec<Cut<'a>>,
-) -> Option<Fetched> {
+    parts: &mut Vec<IoBuffer>,
+    fetched: &mut Fetched,
+) -> bool {
     let ep = comm.endpoint();
     let coverage = covered.of(wi, cuts);
     let holes = match coverage.len() {
-        0 => return None,
+        0 => return false,
         n => n > 1,
     };
     // The window reads its coverage as it is kept, and a copy only when
@@ -389,10 +394,10 @@ pub(super) fn read_window<'a>(
         false => Cow::Borrowed(coverage),
     };
     let t = PhaseTimer::start(Phase::Io, ep.now());
-    let (parts, done) = if runs.len() > 1 {
-        space.read_list(fh, &runs, ep.now())
+    let done = if runs.len() > 1 {
+        space.read_list(fh, &runs, ep.now(), parts)
     } else {
-        space.read(fh, runs[0].0, runs[0].1, ep.now())
+        space.read(fh, runs[0].0, runs[0].1, ep.now(), parts)
     };
     ep.clock().advance_to(done);
     t.stop_traced(ep.now(), prof, ep.trace());
@@ -404,18 +409,20 @@ pub(super) fn read_window<'a>(
             rec.count("sieve_covering_reads", 1);
         }
     }
+    fetched.clear();
     // A window of synthetic bytes keeps none of them.
-    if !parts.iter().any(IoBuffer::is_real) {
-        return Some(Vec::new());
+    if parts.iter().any(IoBuffer::is_real) {
+        lay_out(&runs, parts, fetched);
     }
-    Some(lay_out(&runs, parts))
+    parts.clear();
+    true
 }
 
-/// The parts a read of `runs` returned, each at its file offset: each
-/// run's parts add up to its length.
-pub(crate) fn lay_out(runs: &[(u64, u64)], parts: Vec<IoBuffer>) -> Fetched {
-    let mut parts = parts.into_iter();
-    let mut fetched = Vec::with_capacity(parts.len());
+/// Move the parts a read of `runs` returned to `fetched`, each at its
+/// file offset: each run's parts add up to its length.
+pub(crate) fn lay_out(runs: &[(u64, u64)], parts: &mut Vec<IoBuffer>, fetched: &mut Fetched) {
+    let mut parts = parts.drain(..);
+    fetched.reserve(parts.len());
     for &(off, len) in runs {
         let mut at = off;
         while at < off + len {
@@ -425,7 +432,6 @@ pub(crate) fn lay_out(runs: &[(u64, u64)], parts: Vec<IoBuffer>) -> Fetched {
             at += n;
         }
     }
-    fetched
 }
 
 #[cfg(test)]
@@ -680,7 +686,8 @@ mod tests {
                 let cut = l.cut(0, l.total_bytes());
                 let runs = coverage(std::slice::from_ref(&cut));
                 let whole: Fetched = runs.iter().map(|&(off, len)| (off, staged.read_at(off, len as usize, SimTime::ZERO).0)).collect();
-                let parts = viewed.read_list_parts(&runs, SimTime::ZERO).0;
+                let mut parts = Vec::new();
+                viewed.read_list_parts(&runs, SimTime::ZERO, &mut parts);
                 let mut parts = parts.into_iter();
                 let mut views: Fetched = Vec::new();
                 for &(off, len) in &runs {

@@ -219,15 +219,13 @@ impl FileSpace for MappedSpace {
         offset: u64,
         len: u64,
         now: SimTime,
-    ) -> (Vec<IoBuffer>, SimTime) {
+        parts: &mut Vec<IoBuffer>,
+    ) -> SimTime {
         let mut t = now;
-        let mut parts = Vec::new();
         for run in self.map.to_physical(offset, len) {
-            let (run_parts, done) = fh.read_parts(self.shift(run.off), run.len as usize, t);
-            parts.extend(run_parts);
-            t = done;
+            t = fh.read_parts(self.shift(run.off), run.len as usize, t, parts);
         }
-        (parts, t)
+        t
     }
 }
 
@@ -324,11 +322,14 @@ mod tests {
                 .flat_map(|p| p.as_slice().unwrap().to_vec())
                 .collect::<Vec<u8>>()
         };
-        let (got, _) = space.read(&fh, 0, 50, t1);
-        assert_eq!(bytes(got), data);
+        let read = |off, len, t| {
+            let mut parts = Vec::new();
+            space.read(&fh, off, len, t, &mut parts);
+            parts
+        };
+        assert_eq!(bytes(read(0, 50, t1)), data);
         // Partial logical read across the rank boundary.
-        let (got, _) = space.read(&fh, 15, 10, t1);
-        assert_eq!(bytes(got), &data[15..25]);
+        assert_eq!(bytes(read(15, 10, t1)), &data[15..25]);
         // Pieces of a logical span land in the runs they fall in, a later
         // one winning; the span's other bytes keep the file's.
         let pieces = [
@@ -339,7 +340,7 @@ mod tests {
         let mut expect = data.clone();
         expect[5..19].fill(0xA0);
         expect[7..9].fill(0xB0);
-        assert_eq!(bytes(space.read(&fh, 0, 50, t2).0), expect);
+        assert_eq!(bytes(read(0, 50, t2)), expect);
     }
 
     #[test]
@@ -350,7 +351,8 @@ mod tests {
         let space = MappedSpace::new(m);
         let t1 = space.write(&fh, 0, 50, &[(0, IoBuffer::synthetic(50))], t0);
         assert!(t1 > t0);
-        let (got, _) = space.read(&fh, 0, 50, t1);
+        let mut got = Vec::new();
+        space.read(&fh, 0, 50, t1, &mut got);
         assert_eq!(got.iter().map(IoBuffer::len).sum::<usize>(), 50);
         assert!(got.iter().all(|part| !part.is_real()));
     }

@@ -418,6 +418,11 @@ impl FsStats {
     }
 }
 
+thread_local! {
+    /// A list read's load per OST, by pool index, while it is summed.
+    static LIST_LOADS: Cell<Vec<(u64, u64)>> = const { Cell::new(Vec::new()) };
+}
+
 impl FileHandle {
     /// The file's path.
     pub fn path(&self) -> &str {
@@ -481,13 +486,21 @@ impl FileHandle {
         self.verified(range, done, |st| st.read(offset, len))
     }
 
-    /// [`read_at`](Self::read_at), returning the range as the views of
-    /// the file image that hold it, in order (`Storage::read_parts`): no
-    /// byte moves.
-    pub fn read_parts(&self, offset: u64, len: usize, now: SimTime) -> (Vec<IoBuffer>, SimTime) {
+    /// [`read_at`](Self::read_at), appending the range to `parts` as the
+    /// views of the file image that hold it, in order
+    /// (`Storage::read_parts`): no byte moves. Returns the completion
+    /// instant.
+    pub fn read_parts(
+        &self,
+        offset: u64,
+        len: usize,
+        now: SimTime,
+        parts: &mut Vec<IoBuffer>,
+    ) -> SimTime {
         let done = self.charge_io(offset, len as u64, now, false);
         let range = std::iter::once((offset, len as u64));
-        self.verified(range, done, |st| st.read_parts(offset, len))
+        let ((), done) = self.verified(range, done, |st| st.parts_into(offset, len as u64, parts));
+        done
     }
 
     /// Read a batch of discontiguous extents as one vectored *list-I/O*
@@ -509,17 +522,19 @@ impl FileHandle {
         self.verified(nonempty, done, |st| st.read_list(extents))
     }
 
-    /// [`read_list`](Self::read_list), returning every extent as the
-    /// views that hold it, appended in order to one list
-    /// (`Storage::read_list_parts`).
+    /// [`read_list`](Self::read_list), appending every extent to `parts`
+    /// as the views that hold it, in order (`Storage::read_list_parts`).
+    /// Returns the completion instant.
     pub fn read_list_parts(
         &self,
         extents: &[(u64, u64)],
         now: SimTime,
-    ) -> (Vec<IoBuffer>, SimTime) {
+        parts: &mut Vec<IoBuffer>,
+    ) -> SimTime {
         let done = self.charge_list(extents, now);
         let nonempty = extents.iter().copied().filter(|e| e.1 > 0);
-        self.verified(nonempty, done, |st| st.read_list_parts(extents))
+        let ((), done) = self.verified(nonempty, done, |st| st.read_list_parts(extents, parts));
+        done
     }
 
     /// `read` of the file image, completing at `done`, after verifying
@@ -572,8 +587,13 @@ impl FileHandle {
         // The chunk-unit load per OST, by pool index: the OSTs are served
         // in ascending order, a deterministic admission sequence. An
         // extent inside the stripe unit of the one before it (ascending
-        // lists mostly are) is one more unit on that unit's OST.
-        let mut per_ost = vec![(0u64, 0u64); layout.pool_size];
+        // lists mostly are) is one more unit on that unit's OST. The
+        // table is this thread's, and the loads go out as the list of
+        // OSTs they touch: a request parks in each OST's admission, and
+        // every serving rank of a collective read can be parked at once.
+        let mut per_ost = LIST_LOADS.take();
+        per_ost.clear();
+        per_ost.resize(layout.pool_size, (0u64, 0u64));
         let mut unit = (0u64, 0u64, 0usize); // [start, end) and OST of the last unit
         for &(off, len) in extents {
             if len == 0 {
@@ -593,10 +613,13 @@ impl FileHandle {
                 *load = (load.0 + bytes, load.1 + requests);
             }
         }
+        let touched = per_ost.iter().enumerate().filter(|(_, load)| load.1 > 0);
+        let touched: Vec<(usize, (u64, u64))> = touched.map(|(ost, &load)| (ost, load)).collect();
+        LIST_LOADS.set(per_ost);
         let arrival = now + cfg.rpc_latency;
         let cache_window = SimTime::secs(cfg.cache_bytes as f64 / cfg.ost_bandwidth_bps);
         let mut done = arrival;
-        for (ost, &(bytes, units)) in per_ost.iter().enumerate().filter(|(_, load)| load.1 > 0) {
+        for (ost, (bytes, units)) in touched {
             let overhead = cfg.request_overhead + cfg.list_extent_overhead * (units - 1) as f64;
             let completion = self.fs.inner.osts[ost].serve(
                 arrival,

@@ -166,19 +166,17 @@ impl Storage {
     }
 
     /// [`Storage::read_parts`] of every `(offset, len)` extent, appended
-    /// in order to one list: the parts of each extent add up to its
+    /// in order to `parts`: the parts of each extent add up to its
     /// length, and none reaches across two extents.
-    pub fn read_list_parts(&self, extents: &[(u64, u64)]) -> Vec<IoBuffer> {
+    pub fn read_list_parts(&self, extents: &[(u64, u64)], parts: &mut Vec<IoBuffer>) {
         let synthetic = self.synthetic_hull(extents);
-        let mut parts = Vec::with_capacity(extents.len());
         for &(off, len) in extents.iter().filter(|e| e.1 > 0) {
             if synthetic {
                 parts.push(IoBuffer::synthetic(len as usize));
             } else {
-                self.parts_into(off, len, &mut parts);
+                self.parts_into(off, len, parts);
             }
         }
-        parts
     }
 
     /// True if the hull of the non-empty `extents` lies inside one
@@ -244,7 +242,7 @@ impl Storage {
 
     /// Append the parts of `[offset, offset + len)` to `out` (see
     /// [`Storage::read_parts`]); parts already in `out` are not joined.
-    fn parts_into(&self, offset: u64, len: u64, out: &mut Vec<IoBuffer>) {
+    pub(crate) fn parts_into(&self, offset: u64, len: u64, out: &mut Vec<IoBuffer>) {
         if len == 0 {
             return;
         }
@@ -601,7 +599,9 @@ mod tests {
             let list: Vec<(u64, u64)> = (0..8)
                 .map(|k| (k * 1_500 * (1 + seed), 1 + rng.below(PAGE)))
                 .collect();
-            let mut parts = s.read_list_parts(&list).into_iter();
+            let mut parts = Vec::new();
+            s.read_list_parts(&list, &mut parts);
+            let mut parts = parts.into_iter();
             for (buf, &(off, len)) in s.read_list(&list).iter().zip(&list) {
                 let mut n = 0;
                 let mut joined = Vec::new();

@@ -10,46 +10,49 @@
 //! The `context` field plays the role of an MPI communicator context id,
 //! isolating traffic of different communicators that may use equal tags.
 //!
-//! # Sharding
+//! # One packet store
 //!
-//! The store is sharded **per source rank**: the (receiver, sender)
-//! pair's shard holds one queue of that sender's packets in arrival
-//! order, and a receive takes the first packet in it whose
-//! `(context, tag)` matches. Within one source arrival order is send
-//! order, so the scan keeps per-key FIFO and MPI's non-overtaking rule
-//! without a queue per key; the queue keeps its capacity, so a steady
-//! exchange allocates nothing per message. Traffic keeps the scan short:
-//! a two-phase exchange's receive finds its match at the head.
+//! A mailbox's memory follows the packets in flight to it, not the
+//! (receiver, sender) pairs it has heard from. It holds one store of
+//! packet nodes, linked per source in arrival order, and a receive takes
+//! the first node in its source's list whose `(context, tag)` matches.
+//! Within one source arrival order is send order, so the walk keeps
+//! per-key FIFO and MPI's non-overtaking rule without a queue per key.
+//! Traffic keeps the walk short: a two-phase exchange's receive finds
+//! its match at the head.
 //!
-//! Because matching is fully qualified, a receive only ever touches its
-//! source's shard, so the all-to-one exchange pattern of two-phase I/O —
-//! up to 1024 senders depositing into one aggregator's mailbox — never
-//! scans one long queue, and a delivery wakes only the receiver parked
-//! on that shard. Only the owner ever receives from a mailbox, so each
-//! shard has at most one waiter: the owner's parked fiber.
+//! A received node goes back on the store's free list and keeps its
+//! place, so the store's size is the most packets this mailbox has held
+//! at once, and a steady exchange allocates nothing per message. A
+//! source costs two `u32` list ends, inline in a table of [`BLOCK`]
+//! consecutive senders that is allocated by its first delivery; a
+//! mailbox holds one pointer per block. Before the store, each pair a
+//! mailbox had heard from held a boxed shard with its own packet queue,
+//! which never shrank: about 344 B a pair, a third of `btio_c_64`'s and
+//! `tile_write_512`'s live heap at their base legs' peak (DESIGN.md
+//! §9.3). A slot table sized by the cluster in every mailbox was
+//! `ranks²` slots — 4 MiB at 512 ranks, 1 GiB at 8 192 — for pairs that
+//! never exchange a message.
 //!
-//! A cluster has `ranks²` (receiver, sender) pairs and a typical rank
-//! exchanges with a handful of peers, so a pair's shard is allocated
-//! when its sender or its receiver first touches it, and so are the
-//! slots: a mailbox holds one slot per block of 64 senders, and a
-//! block's table of shard slots is allocated with its first shard. A
-//! slot table sized by the cluster in every mailbox was `ranks²` slots
-//! of 16 B — 4 MiB at 512 ranks, 1 GiB at 8 192 — for pairs that never
-//! exchange a message.
+//! Only the owner ever receives from a mailbox, and it waits on one
+//! source at a time, so a mailbox has one waiter slot, which records the
+//! source awaited. A delivery wakes the owner only when it comes from
+//! that source: the all-to-one exchange pattern of two-phase I/O — up to
+//! 1024 senders depositing into one aggregator's mailbox — wakes the
+//! aggregator once per packet it asked for, and a receive walks only its
+//! source's list.
 //!
 //! Every rank of a cluster is a fiber on one thread, so the store is
-//! single-threaded by type: both levels of slots are `OnceCell`s and a
-//! shard is a `RefCell`, whose borrow ends before a receiver parks. A
-//! delivery and a receive take no lock, run no atomic instruction and,
-//! once the pair's queue has grown to its working size, allocate nothing.
+//! single-threaded by type: one `RefCell`, whose borrow ends before a
+//! receiver parks. A delivery and a receive take no lock and run no
+//! atomic instruction.
 
 use crate::buffer::IoBuffer;
 use crate::fiber::{self, Waker};
 use crate::rendezvous::PoisonFlag;
 use crate::time::SimTime;
 use std::any::Any;
-use std::cell::{Cell, OnceCell, RefCell};
-use std::collections::VecDeque;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 /// What a message carries: bytes, or a host-side reference standing in
@@ -140,29 +143,118 @@ pub struct Packet {
     pub fault_corrupt: u64,
 }
 
-/// One source rank's queue plus the owner's parked fiber, if it waits
-/// on this source.
-type Shard = RefCell<ShardState>;
+/// No node: the end of a list.
+const NIL: u32 = u32::MAX;
 
-#[derive(Default)]
-struct ShardState {
-    /// The source's packets, all keys, in arrival (= send) order.
-    queue: VecDeque<Packet>,
-    waiter: Option<Waker>,
-}
-
-/// Senders per block of shard slots.
+/// Senders per block of list ends.
 const BLOCK: usize = 64;
 
-/// The shard slots of [`BLOCK`] consecutive senders.
-type Block = [OnceCell<Box<Shard>>; BLOCK];
+/// One source's packets, oldest first: the first and last node of its
+/// list in the store, [`NIL`] when it has none.
+#[derive(Clone, Copy)]
+struct Ends {
+    head: u32,
+    tail: u32,
+}
+
+impl Ends {
+    const EMPTY: Ends = Ends {
+        head: NIL,
+        tail: NIL,
+    };
+}
+
+/// A slot of the store: a packet and the next node of its source's list,
+/// or, with no packet, the next free node.
+struct Node {
+    pkt: Option<Packet>,
+    next: u32,
+}
+
+/// What a mailbox holds, under one borrow.
+struct Store {
+    /// Every node made so far; a received one is reused.
+    nodes: Vec<Node>,
+    /// First node of the free list.
+    free: u32,
+    /// Packets held.
+    held: usize,
+    /// Per-source list ends, by block of senders (`src / BLOCK`) and slot
+    /// in it (`src % BLOCK`); a block is made by its first delivery.
+    blocks: Box<[Option<Box<[Ends; BLOCK]>>]>,
+    /// The owner's parked fiber, if it waits.
+    waiter: Option<Waker>,
+    /// The source the owner waits on, while `waiter` is set.
+    awaited: u32,
+}
+
+impl Store {
+    /// Append `pkt` to its source's list; true if the owner waits on
+    /// that source.
+    fn push(&mut self, pkt: Packet) -> bool {
+        let src = pkt.src;
+        let at = if self.free == NIL {
+            self.nodes.push(Node {
+                pkt: Some(pkt),
+                next: NIL,
+            });
+            u32::try_from(self.nodes.len() - 1).expect("packets in flight fit a u32")
+        } else {
+            let at = self.free;
+            let node = &mut self.nodes[at as usize];
+            self.free = node.next;
+            *node = Node {
+                pkt: Some(pkt),
+                next: NIL,
+            };
+            at
+        };
+        self.held += 1;
+        let (block, slot) = (src as usize / BLOCK, src as usize % BLOCK);
+        let block = self.blocks[block].get_or_insert_with(|| Box::new([Ends::EMPTY; BLOCK]));
+        let ends = &mut block[slot];
+        match ends.tail {
+            NIL => ends.head = at,
+            tail => self.nodes[tail as usize].next = at,
+        }
+        ends.tail = at;
+        self.awaited == src
+    }
+
+    /// Unlink and return the oldest packet from `src` on `key`, if any.
+    fn take(&mut self, src: usize, key: (u32, i32)) -> Option<Packet> {
+        let ends = &mut self.blocks[src / BLOCK].as_deref_mut()?[src % BLOCK];
+        let (mut prev, mut at) = (NIL, ends.head);
+        while at != NIL {
+            let node = &self.nodes[at as usize];
+            let pkt = node.pkt.as_ref().expect("a listed node holds a packet");
+            if (pkt.ctx, pkt.tag) == key {
+                break;
+            }
+            (prev, at) = (at, node.next);
+        }
+        if at == NIL {
+            return None;
+        }
+        let node = &mut self.nodes[at as usize];
+        let next = std::mem::replace(&mut node.next, self.free);
+        let pkt = node.pkt.take();
+        match prev {
+            NIL => ends.head = next,
+            prev => self.nodes[prev as usize].next = next,
+        }
+        if ends.tail == at {
+            ends.tail = prev;
+        }
+        self.free = at;
+        self.held -= 1;
+        pkt
+    }
+}
 
 /// One rank's incoming-message store.
 pub struct Mailbox {
-    /// Per-source shards, by block of senders (`src / BLOCK`) and slot
-    /// in it (`src % BLOCK`); a block and a pair's shard are created
-    /// when its sender or the receiver first asks for it.
-    blocks: Box<[OnceCell<Box<Block>>]>,
+    store: RefCell<Store>,
     poison: Rc<PoisonFlag>,
     /// Times the receiver was woken by a delivery and found its match.
     wakeups: Cell<u64>,
@@ -182,29 +274,22 @@ impl Mailbox {
     /// senders, sharing the cluster poison flag.
     pub fn new(nranks: usize, poison: Rc<PoisonFlag>) -> Self {
         assert!(
-            u32::try_from(nranks).is_ok(),
+            u32::try_from(nranks).is_ok_and(|n| n < NIL),
             "packets carry their source rank in 32 bits"
         );
         Mailbox {
-            blocks: (0..nranks.max(1).div_ceil(BLOCK))
-                .map(|_| OnceCell::new())
-                .collect(),
+            store: RefCell::new(Store {
+                nodes: Vec::new(),
+                free: NIL,
+                held: 0,
+                blocks: (0..nranks.max(1).div_ceil(BLOCK)).map(|_| None).collect(),
+                waiter: None,
+                awaited: NIL,
+            }),
             poison,
             wakeups: Cell::new(0),
             spurious_wakeups: Cell::new(0),
         }
-    }
-
-    fn shard(&self, src: usize) -> &Shard {
-        let block = self.blocks[src / BLOCK]
-            .get_or_init(|| Box::new(std::array::from_fn(|_| OnceCell::new())));
-        block[src % BLOCK].get_or_init(Box::default)
-    }
-
-    /// The shards created so far.
-    fn shards(&self) -> impl Iterator<Item = &Shard> {
-        let blocks = self.blocks.iter().filter_map(OnceCell::get);
-        blocks.flat_map(|b| b.iter().filter_map(OnceCell::get).map(|s| &**s))
     }
 
     /// Deposit a packet (called by the sender's fiber) and wake the
@@ -213,16 +298,15 @@ impl Mailbox {
     pub fn deliver(&self, pkt: Packet) {
         // hostprof: deposit + targeted wake; nothing below blocks.
         let _hp = simtrace::host::scope(simtrace::host::Site::MboxDeliver);
-        let mut st = self.shard(pkt.src as usize).borrow_mut();
-        st.queue.push_back(pkt);
-        fiber::wake(&mut st.waiter);
+        let mut st = self.store.borrow_mut();
+        if st.push(pkt) {
+            fiber::wake(&mut st.waiter);
+        }
     }
 
     /// Receive the next packet matching `(src, ctx, tag)`, blocking until
     /// one arrives. Panics if the cluster is poisoned while waiting.
     pub fn recv(&self, src: usize, ctx: u32, tag: i32) -> Packet {
-        let shard = self.shard(src);
-        let key = (ctx, tag);
         let mut woken = false;
         loop {
             // hostprof: one matching pass. The guard's block ends before
@@ -230,11 +314,7 @@ impl Mailbox {
             // blocked (which belongs to other fibers' work).
             {
                 let _hp = simtrace::host::scope(simtrace::host::Site::MboxRecv);
-                let hit = {
-                    let mut st = shard.borrow_mut();
-                    let at = st.queue.iter().position(|p| (p.ctx, p.tag) == key);
-                    at.and_then(|i| st.queue.remove(i))
-                };
+                let hit = self.store.borrow_mut().take(src, (ctx, tag));
                 if let Some(pkt) = hit {
                     if woken {
                         self.wakeups.set(self.wakeups.get() + 1);
@@ -249,19 +329,28 @@ impl Mailbox {
             // No matching packet exists: this rank's further progress
             // (and all its future resource requests) now depends on the
             // sender. It holds no key in the run queue until woken.
-            fiber::wait(shard, |s| &mut s.waiter, &self.poison);
+            let awaited = src as u32;
+            fiber::wait(
+                &self.store,
+                |st| {
+                    st.awaited = awaited;
+                    &mut st.waiter
+                },
+                &self.poison,
+            );
             woken = true;
         }
     }
 
-    /// Number of packets currently queued (all keys). Diagnostic only.
+    /// Number of packets currently held (all sources and keys).
+    /// Diagnostic only.
     pub fn backlog(&self) -> usize {
-        self.shards().map(|s| s.borrow().queue.len()).sum()
+        self.store.borrow().held
     }
 
     /// Notified wakeups the receiver observed that found their match.
-    /// Diagnostic: with per-source sharding every delivery wakes at most
-    /// this mailbox's owner, so this tracks productive deliveries.
+    /// Diagnostic: a delivery wakes the owner only when it comes from
+    /// the source it waits on, so this tracks productive deliveries.
     pub fn wakeups(&self) -> u64 {
         self.wakeups.get()
     }
@@ -301,8 +390,10 @@ mod tests {
 
     #[test]
     fn packet_size_is_pinned() {
-        // 65 k in-flight queues of >= 4 slots each at paper scale: eight
-        // more bytes here were 5-7 % of tile_restart_256's peak RSS.
+        // Every packet in flight is a node of its mailbox's store, and a
+        // store keeps its most packets held at once: eight more bytes
+        // here were 5-7 % of tile_restart_256's peak RSS while each pair
+        // kept a queue.
         assert_eq!(std::mem::size_of::<Packet>(), 72);
     }
 
@@ -394,33 +485,116 @@ mod tests {
         assert_eq!((m.wakeups(), m.spurious_wakeups()), (1, 0));
     }
 
-    #[test]
-    fn shards_are_created_on_first_use() {
-        let m = Mailbox::new(1024, Rc::new(PoisonFlag::default()));
-        let made = |m: &Mailbox| m.shards().count();
-        assert_eq!((made(&m), m.backlog()), (0, 0), "backlog creates no shard");
-        m.deliver(pkt(5, 0, 0, &[1]));
-        m.deliver(pkt(900, 0, 0, &[2]));
-        assert_eq!((made(&m), m.backlog()), (2, 2));
-        assert_eq!(
-            m.recv(900, 0, 0).payload.into_bytes().as_slice().unwrap(),
-            &[2]
-        );
-        assert_eq!((made(&m), m.backlog()), (2, 1));
+    /// Blocks of list ends and nodes made so far.
+    fn made(m: &Mailbox) -> (usize, usize) {
+        let st = m.store.borrow();
+        let blocks = st.blocks.iter().filter(|b| b.is_some()).count();
+        (blocks, st.nodes.len())
+    }
 
-        // Slot tables too: a 4 096-rank mailbox that hears from three
-        // senders holds at most three blocks of slots, not 4 096 slots.
+    #[test]
+    fn memory_follows_packets_in_flight() {
+        // A 4 096-rank mailbox that hears from three senders, one packet
+        // at a time, holds three blocks of list ends and one node.
         let m = Mailbox::new(4096, Rc::new(PoisonFlag::default()));
-        let blocks = |m: &Mailbox| m.blocks.iter().filter(|b| b.get().is_some()).count();
-        assert_eq!((m.blocks.len(), blocks(&m)), (4096 / BLOCK, 0));
+        assert_eq!((made(&m), m.backlog()), ((0, 0), 0));
         for src in [7, 2100, 4095] {
             m.deliver(pkt(src, 0, 0, &[1]));
             let _ = m.recv(src as usize, 0, 0);
         }
-        assert_eq!((made(&m), blocks(&m)), (3, 3));
-        // A fourth sender in 7's block takes a slot, not a block.
+        assert_eq!((made(&m), m.backlog()), ((3, 1), 0));
+        // A fourth sender in 7's block takes list ends in it, and the
+        // free node.
         m.deliver(pkt(63, 0, 0, &[1]));
-        assert_eq!((made(&m), blocks(&m), m.backlog()), (4, 3, 1));
+        assert_eq!((made(&m), m.backlog()), ((3, 1), 1));
+        // Two packets in flight at once take a second node.
+        m.deliver(pkt(900, 0, 0, &[2]));
+        assert_eq!((made(&m), m.backlog()), ((4, 2), 2));
+        assert_eq!(
+            m.recv(900, 0, 0).payload.into_bytes().as_slice().unwrap(),
+            &[2]
+        );
+        assert_eq!((made(&m), m.backlog()), ((4, 2), 1));
+    }
+
+    #[test]
+    fn a_drained_mailbox_holds_no_packet() {
+        // 1 000 sources deliver a shared value each, all in flight at
+        // once; once they are drained, every node is free and no value
+        // is referenced from the store.
+        let m = Mailbox::new(1024, Rc::new(PoisonFlag::default()));
+        let value: Rc<dyn Any> = Rc::new(0u8);
+        for src in 0..1000 {
+            let mut p = pkt(src, 0, 1, &[]);
+            p.payload = Payload::Typed {
+                value: Rc::clone(&value),
+                wire_bytes: 8,
+            };
+            m.deliver(p);
+        }
+        assert_eq!((m.backlog(), Rc::strong_count(&value)), (1000, 1001));
+        for src in (0..1000).rev() {
+            let _ = m.recv(src, 0, 1);
+        }
+        assert_eq!((m.backlog(), Rc::strong_count(&value)), (0, 1));
+        let st = m.store.borrow();
+        assert!(st.nodes.iter().all(|n| n.pkt.is_none()));
+        let listed = st.blocks.iter().flatten().flat_map(|b| b.iter());
+        assert!(listed.into_iter().all(|e| (e.head, e.tail) == (NIL, NIL)));
+        // The free list reaches every node: the next 1 000 packets take
+        // no new one.
+        drop(st);
+        for src in 0..1000 {
+            m.deliver(pkt(src, 0, 1, &[]));
+        }
+        assert_eq!(made(&m).1, 1000);
+    }
+
+    #[test]
+    fn interleaved_keys_from_one_source_keep_per_key_fifo() {
+        let m = mbox();
+        let keys = [(0, 5), (1, 5), (0, 6)];
+        for i in 0..12u8 {
+            let (ctx, tag) = keys[i as usize % 3];
+            m.deliver(pkt(2, ctx, tag, &[i]));
+        }
+        // Take the keys in another order than they were sent in, from
+        // the middle of the list as well as its ends.
+        for (k, (ctx, tag)) in [(2, keys[2]), (0, keys[0]), (1, keys[1])] {
+            for j in 0..4u8 {
+                let got = m.recv(2, ctx, tag).payload.into_bytes();
+                assert_eq!(got.as_slice().unwrap(), &[k + 3 * j]);
+            }
+        }
+        assert_eq!(m.backlog(), 0);
+        // The emptied list takes a new packet at its head.
+        m.deliver(pkt(2, 0, 5, &[99]));
+        let got = m.recv(2, 0, 5).payload.into_bytes();
+        assert_eq!(got.as_slice().unwrap(), &[99]);
+    }
+
+    #[test]
+    fn a_delivery_from_another_source_wakes_nobody() {
+        // Fiber 0 waits on source 1; fiber 1 delivers from sources 2 and
+        // 3 first, then from 1. Only the last delivery wakes fiber 0, and
+        // none of the others counts as a spurious wakeup.
+        let m = mbox();
+        on_fibers(2, |me| {
+            if me == 0 {
+                let got = m.recv(1, 0, 7).payload.into_bytes();
+                assert_eq!(got.as_slice().unwrap(), &[1]);
+                assert_eq!(m.backlog(), 2, "the other sources' packets wait");
+            } else {
+                let parked = || m.store.borrow().waiter.is_some();
+                assert!(parked(), "fiber 0 ran first and waits on source 1");
+                m.deliver(pkt(2, 0, 7, &[2]));
+                m.deliver(pkt(3, 0, 7, &[3]));
+                assert!(parked(), "another source's delivery took the waiter");
+                m.deliver(pkt(1, 0, 7, &[1]));
+                assert!(!parked());
+            }
+        });
+        assert_eq!((m.wakeups(), m.spurious_wakeups()), (1, 0));
     }
 
     #[test]
@@ -456,7 +630,7 @@ mod tests {
             on_fibers_in(order, 3, |me| {
                 for i in 0..rounds {
                     if me == 0 {
-                        // Alternate sources; each recv targets one shard.
+                        // Alternate sources; each recv walks one list.
                         for src in [1, 2] {
                             let got = m.recv(src, 0, 7);
                             assert_eq!(got.payload.into_bytes().as_slice().unwrap(), &[i]);
@@ -478,7 +652,7 @@ mod tests {
     }
 
     proptest! {
-        /// One arrival-order queue per source keeps per-key FIFO:
+        /// One arrival-order list per source keeps per-key FIFO:
         /// deliveries from up to four sources on four keys that share
         /// contexts and tags, interleaved arbitrarily, come back in send
         /// order per key whatever order the keys are received in.
@@ -490,7 +664,7 @@ mod tests {
             const KEYS: [(u32, i32); 4] = [(0, 0), (0, 1), (1, 0), (1, 1)];
             let m = mbox();
             // Per (source, key): the send indices still to come back.
-            let mut expect = vec![VecDeque::new(); 16];
+            let mut expect = vec![std::collections::VecDeque::new(); 16];
             for (i, &(src, k)) in sends.iter().enumerate() {
                 let (ctx, tag) = KEYS[k];
                 m.deliver(pkt(src, ctx, tag, &[i as u8]));

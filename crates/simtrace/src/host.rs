@@ -98,10 +98,10 @@ pub enum Site {
     /// switch-out (the run-queue pop and the context switch), since its
     /// slice ends at the instant the next one begins.
     FiberRun,
-    /// Mailbox packet deposit on the sender side (queue push + targeted
-    /// notify).
+    /// Mailbox packet deposit on the sender side (a node linked into the
+    /// source's list + targeted notify).
     MboxDeliver,
-    /// Mailbox receive matching: one lock-held check iteration of the
+    /// Mailbox receive matching: one pass over the source's list in the
     /// blocking receive loop (never the wait itself).
     MboxRecv,
     /// `waitall` completion bookkeeping in simmpi after all packets are

@@ -133,21 +133,20 @@ pub fn run_restart(w: Restart, cfg: RunConfig) -> RestartResult {
     let read_bytes = w.read_bytes() * nprocs as u64;
     let (fs, cluster) = setup(&cfg, nprocs, simnet::NetworkModel::cray_xt_seastar());
 
-    let cfg2 = cfg.clone();
-    let fs_for_stats = fs.clone();
-    let outs: Vec<Pass> = run_cluster(cluster, move |ep| {
+    // One hint set for the run, borrowed by every rank. A restart
+    // reopens the checkpoint under a *different* view, so the image must
+    // stay physically addressed: the intermediate view's logical
+    // re-addressing is only consistent with reads through the same view.
+    // Forbid view switching — patterns whose cuts fail degenerate to one
+    // group instead (and stay correct).
+    let mut info = hints(&cfg);
+    info.set("parcoll_force_iview", "false");
+    let outs: Vec<Pass> = run_cluster(cluster, |ep| {
         let comm = Communicator::world(&ep);
         let rank = comm.rank();
-        let mut info = hints(&cfg2);
-        // A restart reopens the checkpoint under a *different* view, so
-        // the image must stay physically addressed: the intermediate
-        // view's logical re-addressing is only consistent with reads
-        // through the same view. Forbid view switching — patterns whose
-        // cuts fail degenerate to one group instead (and stay correct).
-        info.set("parcoll_force_iview", "false");
 
         // Checkpoint: the full tile image.
-        let buf = match cfg2.data {
+        let buf = match cfg.data {
             DataMode::Synthetic => IoBuffer::synthetic(w.tile.tile_bytes() as usize),
             DataMode::Verify => pattern_buffer(rank, 0, w.tile.tile_bytes()),
         };
@@ -158,7 +157,7 @@ pub fn run_restart(w: Restart, cfg: RunConfig) -> RestartResult {
         // Restart: reopen and read the narrow view collectively.
         let read: Step<'_> = &mut |f| {
             let got = f.read_at_all(0, w.read_bytes());
-            if cfg2.data == DataMode::Verify {
+            if cfg.data == DataMode::Verify {
                 let got = got.as_slice().expect("verify mode reads real data");
                 assert_eq!(got.len() as u64, w.read_bytes(), "rank {rank}: short restart read");
                 if let Some((row, at)) = w.mismatch(rank, got) {
@@ -187,7 +186,7 @@ pub fn run_restart(w: Restart, cfg: RunConfig) -> RestartResult {
         write_bytes,
         read_bytes,
         profile_max: profile_max(outs.iter().map(|o| &o.profile)),
-        fs_stats: fs_for_stats.stats(),
+        fs_stats: fs.stats(),
     }
 }
 

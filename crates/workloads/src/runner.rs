@@ -152,14 +152,14 @@ where
     tweak(&mut net);
     let (fs, cluster) = setup(&cfg, nprocs, net);
 
-    let cfg2 = cfg.clone();
-    let fs_for_stats = fs.clone();
-    let outs: Vec<Pass> = run_cluster(cluster, move |ep| {
+    // One hint set for the run, borrowed by every rank.
+    let info = hints(&cfg);
+    let outs: Vec<Pass> = run_cluster(cluster, |ep| {
         let comm = Communicator::world(&ep);
         let rank = comm.rank();
         let w = &workload;
-        let independent = cfg2.mode == IoMode::Independent;
-        let make_buf = |call: usize, bytes: u64| match cfg2.data {
+        let independent = cfg.mode == IoMode::Independent;
+        let make_buf = |call: usize, bytes: u64| match cfg.data {
             DataMode::Synthetic => IoBuffer::synthetic(bytes as usize),
             DataMode::Verify => pattern_buffer(rank, call, bytes),
         };
@@ -189,7 +189,7 @@ where
                 } else {
                     f.read_at_all(off, bytes)
                 };
-                if cfg2.data == DataMode::Verify {
+                if cfg.data == DataMode::Verify {
                     let got = got.as_slice().expect("verify mode reads real data");
                     assert_eq!(got.len() as u64, bytes, "rank {rank} call {call}: short read");
                     if let Some(at) = pattern_mismatch(rank, call, 0, got) {
@@ -198,9 +198,9 @@ where
                 }
             }
         };
-        let read = cfg2.read_back.then_some(&mut read as Step<'_>);
+        let read = cfg.read_back.then_some(&mut read as Step<'_>);
         let file = (w.path(), w.view(rank));
-        pass(&comm, &fs, &hints(&cfg2), file, Some(&mut write), read)
+        pass(&comm, &fs, &info, file, Some(&mut write), read)
     });
 
     let write_seconds = outs[0].write_s;
@@ -228,10 +228,10 @@ where
         profile_avg,
         total_bytes,
         scrub: cfg.scrub.then(|| {
-            let (report, _done) = fs_for_stats.scrub(fs_for_stats.drain_time());
+            let (report, _done) = fs.scrub(fs.drain_time());
             report
         }),
-        fs_stats: fs_for_stats.stats(),
+        fs_stats: fs.stats(),
     }
 }
 
