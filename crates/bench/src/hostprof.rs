@@ -70,6 +70,10 @@ pub struct Profiled {
     pub report: host::Report,
     /// Host seconds the scenario took under the profiler.
     pub wall_s: f64,
+    /// Resident pages of each fiber stack the thread keeps after the
+    /// run ([`simnet::fiber::pooled_stack_pages`]): the deepest each
+    /// stack's ranks went in this or an earlier run on the thread.
+    pub stack_pages: Vec<usize>,
 }
 
 impl Profiled {
@@ -103,14 +107,20 @@ pub fn profile(run: &dyn Fn()) -> Profiled {
     }
     let wall_s = t0.elapsed().as_secs_f64();
     host::set_enabled(false);
-    Profiled { report: host::collect(), wall_s }
+    Profiled {
+        report: host::collect(),
+        wall_s,
+        stack_pages: simnet::fiber::pooled_stack_pages(),
+    }
 }
 
 /// Fold a profiled run into report rows: `<fig>/<subsystem>` percent
 /// rows (plus `<fig>/site/<name>` per-site detail), the
-/// `<fig>/attributed` coverage row, and `<fig>/counter/<name>` rows
-/// carrying the flatten-cache and buffer-pool hit counts. Percentages
-/// are of measured wall; `self_s` extras carry the absolute seconds.
+/// `<fig>/attributed` coverage row, `<fig>/counter/<name>` rows
+/// carrying the flatten-cache and buffer-pool hit counts, and the
+/// `<fig>/stack_pages` row: the most resident pages any pooled fiber
+/// stack holds. Percentages are of measured wall; `self_s` extras carry
+/// the absolute seconds.
 pub fn attribution_rows(fig: &str, p: &Profiled) -> Vec<Row> {
     let wall_ns = (p.wall_s * 1e9).max(f64::MIN_POSITIVE);
     let mut rows = Vec::new();
@@ -140,7 +150,20 @@ pub fn attribution_rows(fig: &str, p: &Profiled) -> Vec<Row> {
     for (name, value) in &p.report.counters {
         rows.push(Row::new(format!("{fig}/counter/{name}"), 0.0, *value as f64, "n"));
     }
+    let (deepest, total) = stack_pages(p);
+    rows.push(
+        Row::new(format!("{fig}/stack_pages"), 0.0, deepest as f64, "pages")
+            .with("stacks", p.stack_pages.len() as f64)
+            .with("resident_kib", (total * simnet::fiber::PAGE / 1024) as f64),
+    );
     rows
+}
+
+/// The most resident pages one pooled fiber stack holds, and the pages
+/// they hold together.
+fn stack_pages(p: &Profiled) -> (usize, usize) {
+    let deepest = p.stack_pages.iter().copied().max().unwrap_or(0);
+    (deepest, p.stack_pages.iter().sum())
 }
 
 /// Print the top-`k` host sinks of a profiled run by self time, with
@@ -177,6 +200,12 @@ pub fn print_top(fig: &str, p: &Profiled, k: usize) {
         counters.push_str(&format!("{name} {value}"));
     }
     println!("  counters: {counters}");
+    let (deepest, total) = stack_pages(p);
+    println!(
+        "  fiber stacks: {} pooled, at most {deepest} resident pages each, {} KiB in all",
+        p.stack_pages.len(),
+        total * simnet::fiber::PAGE / 1024
+    );
 }
 
 /// Write the report's collapsed stacks to `path` (the input format of

@@ -97,27 +97,31 @@ impl Run {
     }
 
     /// Data bytes `[a, b)` of the run (`a < b ≤ bytes()`), as at most
-    /// three runs: a clipped first piece, the whole pieces, a clipped last
-    /// piece.
-    pub(crate) fn clip(self, a: u64, b: u64) -> impl Iterator<Item = Run> {
+    /// three runs handed to `f` in order: a clipped first piece, the whole
+    /// pieces, a clipped last piece.
+    pub(crate) fn clip(self, a: u64, b: u64, mut f: impl FnMut(Run)) {
         debug_assert!(a < b && b <= self.bytes(), "clip [{a}, {b}) of {self:?}");
         if a == 0 && b == self.bytes() {
-            return [Some(self), None, None].into_iter().flatten();
+            return f(self);
         }
         let (k0, skip) = (a / self.len, a % self.len);
         let (k1, keep) = (b / self.len, b % self.len);
         let part = |k: u64, from: u64, to: u64| Run::piece(self.off + k * self.stride + from, to - from);
         if k0 == k1 {
-            return [Some(part(k0, skip, keep)), None, None].into_iter().flatten();
+            return f(part(k0, skip, keep));
         }
-        let head = (skip > 0).then(|| part(k0, skip, self.len));
+        if skip > 0 {
+            f(part(k0, skip, self.len));
+        }
         let first = k0 + u64::from(skip > 0);
-        let whole = (k1 > first).then(|| match k1 - first {
-            1 => part(first, 0, self.len),
-            count => Run { off: self.off + first * self.stride, count, ..self },
-        });
-        let tail = (keep > 0).then(|| part(k1, 0, keep));
-        [head, whole, tail].into_iter().flatten()
+        match k1.saturating_sub(first) {
+            0 => {}
+            1 => f(part(first, 0, self.len)),
+            count => f(Run { off: self.off + first * self.stride, count, ..self }),
+        }
+        if keep > 0 {
+            f(part(k1, 0, keep));
+        }
     }
 }
 
@@ -361,7 +365,7 @@ impl Datatype {
         let mut segs = Vec::new();
         self.emit(0, &mut segs);
         segs.retain(|e| e.len > 0);
-        segs.sort_by_key(|e| e.off);
+        segs.sort_unstable_by_key(|e| e.off);
         for w in segs.windows(2) {
             assert!(
                 w[0].end() <= w[1].off,
@@ -713,13 +717,17 @@ mod tests {
     #[test]
     fn clip_keeps_whole_pieces_as_one_run() {
         let r = Run { off: 100, len: 10, stride: 30, count: 4 };
-        let got: Vec<Run> = r.clip(5, 35).collect();
+        let clip = |a, b| {
+            let mut got = Vec::new();
+            r.clip(a, b, |part| got.push(part));
+            got
+        };
         assert_eq!(
-            got,
+            clip(5, 35),
             [Run::piece(105, 5), Run { off: 130, len: 10, stride: 30, count: 2 }, Run::piece(190, 5)]
         );
-        assert_eq!(r.clip(12, 17).collect::<Vec<_>>(), [Run::piece(132, 5)]);
-        assert_eq!(r.clip(0, 40).collect::<Vec<_>>(), [r]);
+        assert_eq!(clip(12, 17), [Run::piece(132, 5)]);
+        assert_eq!(clip(0, 40), [r]);
         assert_eq!((r.bytes_before(131), r.bytes_before(145), r.bytes_before(1000)), (11, 20, 40));
         assert_eq!((r.at(11), r.end()), (131, 200));
     }

@@ -53,8 +53,10 @@ pub struct File<'ep> {
     cfg: CollConfig,
     /// The last plan built, and the view offset it was built at.
     last_plan: Option<(u64, AccessPlan)>,
-    /// The index of the last collective call ([`Memo`]).
-    memo: Memo,
+    /// The index of the last collective call ([`Memo`]), on the heap: a
+    /// rank's open file sits on its fiber stack, which stays a page or
+    /// two deep (DESIGN.md §9.3).
+    memo: Box<Memo>,
     profile: PhaseProfile,
 }
 
@@ -113,7 +115,7 @@ impl<'ep> File<'ep> {
             view: FileView::contiguous(0),
             hints,
             last_plan: None,
-            memo: Memo::default(),
+            memo: Memo::boxed(),
             profile,
         }
     }

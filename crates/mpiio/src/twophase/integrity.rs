@@ -170,7 +170,7 @@ impl Landing {
             Landing::Parts(parts) => parts,
         };
         let _hp = host::scope(Site::Unpack);
-        parts.sort_by_key(|&(at, _)| at);
+        parts.sort_unstable_by_key(|&(at, _)| at);
         let mut out = BufferBuilder::with_capacity(total);
         for (at, part) in parts {
             debug_assert_eq!(at, out.len(), "the parts of a read tile its buffer");
@@ -196,16 +196,28 @@ impl Sealed {
     /// receiver's window pieces); with checksums on, the sums are taken
     /// two messages at a time.
     pub(super) fn seal_all<'c>(
-        mut msgs: impl Iterator<Item = (usize, Body, Cut<'c>, u64)>,
+        msgs: impl Iterator<Item = (usize, Body, Cut<'c>, u64)>,
         checksums: bool,
+        mut sealed: impl FnMut(usize, Msg),
+    ) {
+        if checksums {
+            return Self::seal_all_summed(msgs, sealed);
+        }
+        for (dst, body, _, len) in msgs {
+            let sum = None;
+            sealed(dst, Msg::new(Sealed { body, len, sum }));
+        }
+    }
+
+    /// [`Sealed::seal_all`] with checksums on, out of line: the sums'
+    /// state stays off the stack of a round that takes none.
+    #[inline(never)]
+    fn seal_all_summed<'c>(
+        mut msgs: impl Iterator<Item = (usize, Body, Cut<'c>, u64)>,
         mut sealed: impl FnMut(usize, Msg),
     ) {
         let mut seal = |dst, body, len, sum| sealed(dst, Msg::new(Sealed { body, len, sum }));
         while let Some((dst, body, cut, len)) = msgs.next() {
-            if !checksums {
-                seal(dst, body, len, None);
-                continue;
-            }
             let Some((next_dst, next, next_cut, next_len)) = msgs.next() else {
                 let sum = body.sum(&cut, len, Site::CksumCompute);
                 seal(dst, body, len, Some(sum));
@@ -311,21 +323,35 @@ pub(super) fn post(
     let t = PhaseTimer::start(Phase::P2p, ep.now());
     match msg {
         Msg::Plain(plain) => comm.isend(dst, data_tag, plain.body.into_payload(&Cut::default())),
-        Msg::Shared(msg) => {
-            comm.isend_t(dst, data_tag, Rc::clone(&msg), msg.wire_len());
-            let faults = ep.faults().filter(|f| f.plan().has_corrupt_rules());
-            let corrupted = faults.filter(|f| msg.sum.is_some() && f.last_send_corrupt() != 0);
-            if let Some(faults) = corrupted {
-                for _ in 0..faults.plan().max_retries.max(1) {
-                    comm.isend_t(dst, repair_tag, Rc::clone(&msg), msg.wire_len());
-                    if faults.last_send_corrupt() == 0 {
-                        break;
-                    }
-                }
+        Msg::Shared(msg) => post_shared(comm, dst, (data_tag, repair_tag), msg),
+    }
+    t.stop_traced(ep.now(), prof, ep.trace());
+}
+
+/// [`post`] of a sealed message or a read's window, and of the clean
+/// copies a corrupted one is repaired from — out of line, so a plain
+/// stream's send frame holds none of it.
+#[inline(never)]
+fn post_shared(
+    comm: &Communicator<'_>,
+    dst: usize,
+    (data_tag, repair_tag): (i32, i32),
+    msg: Rc<Sealed>,
+) {
+    comm.isend_t(dst, data_tag, Rc::clone(&msg), msg.wire_len());
+    let faults = comm
+        .endpoint()
+        .faults()
+        .filter(|f| f.plan().has_corrupt_rules());
+    let corrupted = faults.filter(|f| msg.sum.is_some() && f.last_send_corrupt() != 0);
+    if let Some(faults) = corrupted {
+        for _ in 0..faults.plan().max_retries.max(1) {
+            comm.isend_t(dst, repair_tag, Rc::clone(&msg), msg.wire_len());
+            if faults.last_send_corrupt() == 0 {
+                break;
             }
         }
     }
-    t.stop_traced(ep.now(), prof, ep.trace());
 }
 
 /// Receiver side of the end-to-end integrity protocol for the data

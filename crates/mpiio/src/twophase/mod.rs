@@ -398,6 +398,16 @@ pub struct Memo {
     scratch: Scratch,
 }
 
+impl Memo {
+    /// An empty memo on the heap, where an open keeps it: built in a
+    /// frame of its own, so the caller's frame — a rank's, on its fiber
+    /// stack — holds no memo-sized temporary.
+    #[inline(never)]
+    pub fn boxed() -> Box<Memo> {
+        Box::default()
+    }
+}
+
 /// What the exchanges of a call work in, kept on the [`Memo`] from round
 /// to round and call to call. Every buffer is sized by this rank's active
 /// peers — its lists, the sources of its windows — never by the
@@ -487,7 +497,9 @@ impl FileSpace for Shifted<'_> {
 /// aggregator index and my file domain, if I am an aggregator, in `memo`
 /// — taken from it as they are when this call is shaped like the last —
 /// and returns the call's `min_st` and the global number of exchange
-/// rounds, or `None` when no rank moves bytes.
+/// rounds, or `None` when no rank moves bytes. Out of line: its frame is
+/// gone before the rounds, whose frames are a rank's deepest.
+#[inline(never)]
 fn setup(
     comm: &Communicator<'_>,
     plan: &AccessPlan,
@@ -660,14 +672,8 @@ pub fn collective(
                 x.run(route, adopted.domain.as_mut(), wi, RECOVER_DATA, false);
             }
         }
-        let rec = ep.trace();
-        if rec.enabled() {
-            let args = vec![
-                ("round", simtrace::ArgValue::from(round)),
-                ("of", simtrace::ArgValue::from(ntimes)),
-            ];
-            let (from, to) = (round_start.as_micros(), ep.now().as_micros());
-            rec.span("round", round_span, from, to, args);
+        if ep.trace().enabled() {
+            trace_round(ep, round_span, round_start, (round, ntimes));
         }
     }
     let rec = ep.trace();
@@ -683,6 +689,20 @@ pub fn collective(
         (x.s.window, x.s.parts) = Default::default();
     }
     read.then(|| x.landed.finish(plan.total as usize))
+}
+
+/// Record round `round` of `of` as a span named `name` from `start` to
+/// now — out of line, so an untraced call's frame holds no span
+/// arguments.
+#[cold]
+#[inline(never)]
+fn trace_round(ep: &simnet::Endpoint, name: &'static str, start: SimTime, (round, of): (u64, u64)) {
+    let args = vec![
+        ("round", simtrace::ArgValue::from(round)),
+        ("of", simtrace::ArgValue::from(of)),
+    ];
+    let (from, to) = (start.as_micros(), ep.now().as_micros());
+    ep.trace().span("round", name, from, to, args);
 }
 
 /// Charge the local copy of message `msg`, then post it to `dst`, or keep
@@ -761,21 +781,8 @@ impl Exchange<'_, '_> {
         tags: (i32, i32),
         torn: bool,
     ) {
-        let (comm, cfg, fh, space) = (self.comm, self.cfg, self.fh, self.space);
-        let (ep, me, my_req) = (comm.endpoint(), comm.rank(), self.my_req);
-        let Scratch {
-            pos,
-            last,
-            row,
-            arrived,
-            incoming,
-            placed,
-            expects,
-            verified,
-            parts,
-            window,
-            ..
-        } = &mut *self.s;
+        let (comm, cfg, row) = (self.comm, self.cfg, &mut self.s.row);
+        let ep = comm.endpoint();
 
         // Per-round MPI_Alltoall of transfer sizes — the global sync the
         // collective wall is made of. The serving rank announces how many
@@ -790,122 +797,168 @@ impl Exchange<'_, '_> {
         let expected = comm.alltoall_sizes_sparse(row.iter().copied());
         t.stop_traced(ep.now(), self.prof, ep.trace());
 
+        // The read half runs out of line, so a write round's frame — the
+        // deepest a rank's stack goes — holds none of its state.
         match self.dir {
-            Dir::Write(buf) => {
-                // Clients: pack (local memcpy) and post (p2p) the bytes
-                // each serving rank asked for, in route order. Only a rank
-                // I sent a list to can ask.
-                let mut own: Option<Msg> = None;
-                // Each stream is one contiguous range of the user buffer,
-                // so its payload is a single range-checked slice — a
-                // zero-copy view when the bytes are real.
-                let payloads = routes.iter().filter_map(|&(slot, server)| {
-                    let n = value_of(&expected, server);
-                    last[slot] = n;
-                    let at = (n > 0).then(|| my_req[slot].1.buffer_offset(pos[slot], n))?;
+            Dir::Write(buf) => self.write_round(buf, routes, served, &expected, tags, torn),
+            Dir::Read => self.read_round(routes, served, &expected, tags),
+        }
+    }
+
+    /// The write half of [`Exchange::run`], after the size exchange:
+    /// `expected` is what each serving rank asked of this one.
+    #[inline(always)]
+    fn write_round(
+        &mut self,
+        buf: &IoBuffer,
+        routes: &[(usize, usize)],
+        served: Option<((u64, u64, u64), &mut Domain)>,
+        expected: &[(usize, u64)],
+        tags: (i32, i32),
+        torn: bool,
+    ) {
+        let (comm, cfg, fh, space) = (self.comm, self.cfg, self.fh, self.space);
+        let (me, my_req) = (comm.rank(), self.my_req);
+        let Scratch {
+            pos,
+            last,
+            row,
+            arrived,
+            incoming,
+            placed,
+            ..
+        } = &mut *self.s;
+        // Clients: pack (local memcpy) and post (p2p) the bytes each serving
+        // rank asked for, in route order. Only a rank I sent a list to can
+        // ask.
+        let mut own: Option<Msg> = None;
+        // Each stream is one contiguous range of the user buffer, so its
+        // payload is a single range-checked slice — a zero-copy view when the
+        // bytes are real.
+        let payloads = routes.iter().filter_map(|&(slot, server)| {
+            let n = value_of(expected, server);
+            last[slot] = n;
+            let at = (n > 0).then(|| my_req[slot].1.buffer_offset(pos[slot], n))?;
+            let _hp = simtrace::host::scope(simtrace::host::Site::Pack);
+            pos[slot] += n;
+            let payload = Body::Stream(buf.sub(at as usize, n as usize));
+            Some((server, payload, Cut::default(), n))
+        });
+        let prof = &mut *self.prof;
+        Sealed::seal_all(payloads, cfg.checksums, |dst, msg| {
+            send(comm, prof, (dst, msg), tags, &mut own);
+        });
+        // Server: collect the payloads (my own travels by no message), verify
+        // — and, with checksums on, repair — each before any byte lands
+        // anywhere (with checksums off this is where a planted in-flight flip
+        // reaches the data), place the pieces and write the window as one
+        // request.
+        if let Some((window, domain)) = served {
+            // Buffers kept from round to round are sized exactly: a rank holds
+            // them for the whole open.
+            arrived.reserve_exact(row.len());
+            let srcs = row.iter().map(|&(src, _)| src).filter(|&src| src != me);
+            collect(comm, self.prof, srcs, tags.0, own, arrived);
+            let cut = Cut::default(); // a write's payload is one stream
+            incoming.clear();
+            incoming.reserve_exact(arrived.len());
+            let msgs = arrived.drain(..).map(|(src, msg)| (src, msg, cut));
+            verify_all(comm, tags, msgs, self.prof, |src, _, cut, body| {
+                incoming.push((src, body.into_payload(&cut)));
+            });
+            write_window(comm, fh, space, self.prof, domain, window, incoming, placed, torn);
+        }
+    }
+
+    /// The read half of [`Exchange::run`], after the size exchange.
+    #[inline(never)]
+    fn read_round(
+        &mut self,
+        routes: &[(usize, usize)],
+        served: Option<((u64, u64, u64), &mut Domain)>,
+        expected: &[(usize, u64)],
+        tags: (i32, i32),
+    ) {
+        let (comm, cfg, fh, space) = (self.comm, self.cfg, self.fh, self.space);
+        let (ep, me, my_req) = (comm.endpoint(), comm.rank(), self.my_req);
+        let Scratch {
+            pos,
+            row,
+            arrived,
+            expects,
+            verified,
+            parts,
+            window,
+            ..
+        } = &mut *self.s;
+        // Server: read the window once and send every source with bytes in it
+        // the same window; its sum, with checksums on, is over that source's
+        // pieces where they lie.
+        let mut own: Option<Msg> = None;
+        if let Some(((wi, lo, hi), domain)) = served {
+            let Domain { lists, covered, .. } = domain;
+            let srcs = || row.iter().map(|&(src, _)| src);
+            let cuts = || cut_streams(lists, (lo, hi), srcs());
+            if Rc::get_mut(window).is_none() {
+                *window = Rc::default();
+            }
+            let fetched = Rc::get_mut(window).expect("a window no client holds");
+            let prof = &mut *self.prof;
+            if read_window(comm, fh, space, prof, covered, wi, cuts, parts, fetched) {
+                let bodies = row.iter().map(|&(src, n)| {
                     let _hp = simtrace::host::scope(simtrace::host::Site::Pack);
-                    pos[slot] += n;
-                    let payload = Body::Stream(buf.sub(at as usize, n as usize));
-                    Some((server, payload, Cut::default(), n))
+                    let cut = cut_of(lists, src, (lo, hi));
+                    (src, Body::of_window(window, n), cut, n)
                 });
                 let prof = &mut *self.prof;
-                Sealed::seal_all(payloads, cfg.checksums, |dst, msg| {
+                Sealed::seal_all(bodies, cfg.checksums, |dst, msg| {
                     send(comm, prof, (dst, msg), tags, &mut own);
                 });
-                // Server: collect the payloads (my own travels by no
-                // message), verify — and, with checksums on, repair — each
-                // before any byte lands anywhere (with checksums off this
-                // is where a planted in-flight flip reaches the data),
-                // place the pieces and write the window as one request.
-                if let Some((window, domain)) = served {
-                    // Buffers kept from round to round are sized exactly:
-                    // a rank holds them for the whole open.
-                    arrived.reserve_exact(row.len());
-                    let srcs = row.iter().map(|&(src, _)| src).filter(|&src| src != me);
-                    collect(comm, self.prof, srcs, tags.0, own, arrived);
-                    let cut = Cut::default(); // a write's payload is one stream
-                    incoming.clear();
-                    incoming.reserve_exact(arrived.len());
-                    let msgs = arrived.drain(..).map(|(src, msg)| (src, msg, cut));
-                    verify_all(comm, tags, msgs, self.prof, |src, _, cut, body| {
-                        incoming.push((src, body.into_payload(&cut)));
-                    });
-                    write_window(
-                        comm, fh, space, self.prof, domain, window, incoming, placed, torn,
-                    );
-                }
             }
-            Dir::Read => {
-                // Server: read the window once and send every source with
-                // bytes in it the same window; its sum, with checksums on,
-                // is over that source's pieces where they lie.
-                let mut own: Option<Msg> = None;
-                if let Some(((_, lo, hi), domain)) = served {
-                    let Domain { lists, covered, .. } = domain;
-                    let srcs = || row.iter().map(|&(src, _)| src);
-                    let cuts = || cut_streams(lists, (lo, hi), srcs());
-                    if Rc::get_mut(window).is_none() {
-                        *window = Rc::default();
-                    }
-                    let fetched = Rc::get_mut(window).expect("a window no client holds");
-                    let prof = &mut *self.prof;
-                    if read_window(comm, fh, space, prof, covered, wi, cuts, parts, fetched) {
-                        let bodies = row.iter().map(|&(src, n)| {
-                            let _hp = simtrace::host::scope(simtrace::host::Site::Pack);
-                            let cut = cut_of(lists, src, (lo, hi));
-                            (src, Body::of_window(window, n), cut, n)
-                        });
-                        let prof = &mut *self.prof;
-                        Sealed::seal_all(bodies, cfg.checksums, |dst, msg| {
-                            send(comm, prof, (dst, msg), tags, &mut own);
-                        });
-                    }
-                    // The window lives until its last client has landed:
-                    // free where it views the file image; elsewhere a copy
-                    // that replaces the per-client payloads.
-                }
+            // The window lives until its last client has landed: free where it
+            // views the file image; elsewhere a copy that replaces the
+            // per-client payloads.
+        }
 
-                // Clients: receive from the serving ranks that have bytes
-                // for me, in route order, my own last — verified (and
-                // repaired) before any byte lands in the user buffer.
-                let has_bytes = |route: &&(usize, usize)| value_of(&expected, route.1) > 0;
-                expects.clear();
-                expects.reserve_exact(routes.len());
-                expects.extend(routes.iter().filter(has_bytes).filter(|r| r.1 != me));
-                let remote = expects.len();
-                expects.extend(routes.iter().filter(has_bytes).filter(|r| r.1 == me));
-                arrived.reserve_exact(expects.len());
-                verified.reserve_exact(expects.len());
-                let srcs = expects[..remote].iter().map(|&(_, server)| server);
-                collect(comm, self.prof, srcs, tags.0, own, arrived);
-                debug_assert_eq!(arrived.len(), expects.len());
-                let msgs = expects.iter().zip(arrived.drain(..));
-                let msgs = msgs.map(|(&(slot, _), (src, msg))| {
-                    let cut = my_req[slot].1.cut(pos[slot], msg.len);
-                    (src, msg, cut)
-                });
-                verified.clear();
-                verify_all(comm, tags, msgs, self.prof, |_, n, _, body| {
-                    verified.push((n, body));
-                });
+        // Clients: receive from the serving ranks that have bytes for me, in
+        // route order, my own last — verified (and repaired) before any byte
+        // lands in the user buffer.
+        let has_bytes = |route: &&(usize, usize)| value_of(expected, route.1) > 0;
+        expects.clear();
+        expects.reserve_exact(routes.len());
+        expects.extend(routes.iter().filter(has_bytes).filter(|r| r.1 != me));
+        let remote = expects.len();
+        expects.extend(routes.iter().filter(has_bytes).filter(|r| r.1 == me));
+        arrived.reserve_exact(expects.len());
+        verified.reserve_exact(expects.len());
+        let srcs = expects[..remote].iter().map(|&(_, server)| server);
+        collect(comm, self.prof, srcs, tags.0, own, arrived);
+        debug_assert_eq!(arrived.len(), expects.len());
+        let msgs = expects.iter().zip(arrived.drain(..));
+        let msgs = msgs.map(|(&(slot, _), (src, msg))| {
+            let cut = my_req[slot].1.cut(pos[slot], msg.len);
+            (src, msg, cut)
+        });
+        verified.clear();
+        verify_all(comm, tags, msgs, self.prof, |_, n, _, body| {
+            verified.push((n, body));
+        });
 
-                // Unpack — local memory movement. A domain's stream is one
-                // contiguous range of the user buffer, so each message's
-                // pieces land there in order, as views until the call ends.
-                let t = PhaseTimer::start(Phase::Local, ep.now());
-                {
-                    let _hp = simtrace::host::scope(simtrace::host::Site::Unpack);
-                    for (&(slot, _), (n, body)) in expects.iter().zip(verified.drain(..)) {
-                        let list = &my_req[slot].1;
-                        let at = list.buffer_offset(pos[slot], n);
-                        let cut = list.cut(pos[slot], n);
-                        self.landed.land(at as usize, &body, &cut);
-                        pos[slot] += n;
-                        ep.charge_memcpy(n as usize);
-                    }
-                }
-                t.stop_traced(ep.now(), self.prof, ep.trace());
+        // Unpack — local memory movement. A domain's stream is one contiguous
+        // range of the user buffer, so each message's pieces land there in
+        // order, as views until the call ends.
+        let t = PhaseTimer::start(Phase::Local, ep.now());
+        {
+            let _hp = simtrace::host::scope(simtrace::host::Site::Unpack);
+            for (&(slot, _), (n, body)) in expects.iter().zip(verified.drain(..)) {
+                let list = &my_req[slot].1;
+                let at = list.buffer_offset(pos[slot], n);
+                let cut = list.cut(pos[slot], n);
+                self.landed.land(at as usize, &body, &cut);
+                pos[slot] += n;
+                ep.charge_memcpy(n as usize);
             }
         }
+        t.stop_traced(ep.now(), self.prof, ep.trace());
     }
 }

@@ -181,15 +181,17 @@ pub struct Cut<'a> {
 }
 
 impl Cut<'_> {
-    /// The clipped runs, in stream order: the first and last run each
-    /// split into at most a clipped piece and its whole pieces.
-    pub(crate) fn runs(&self) -> impl Iterator<Item = Run> + '_ {
+    /// Call `f` on the clipped runs, in stream order: the first and last
+    /// run each split into at most a clipped piece and its whole pieces.
+    /// A loop, not an iterator: a flattened iterator over the cuts of a
+    /// window is a kilobyte of frame under the file write.
+    pub(crate) fn for_each_run(&self, mut f: impl FnMut(Run)) {
         let last = self.runs.len().wrapping_sub(1);
-        self.runs.iter().enumerate().flat_map(move |(i, &(_, r))| {
+        for (i, &(_, r)) in self.runs.iter().enumerate() {
             let a = if i == 0 { self.skip } else { 0 };
             let b = r.bytes() - if i == last { self.trim } else { 0 };
-            r.clip(a, b)
-        })
+            r.clip(a, b, &mut f);
+        }
     }
 
     /// The clipped pieces, in stream order — for the code that moves real
@@ -288,8 +290,7 @@ pub(super) fn split(
                     off: part.off - origin,
                     ..part
                 };
-                r.clip(done, upto)
-                    .for_each(|part| push_run(&mut list, moved(part)));
+                r.clip(done, upto, |part| push_run(&mut list, moved(part)));
                 buf_off += upto - done;
             }
             if upto < r.bytes() {

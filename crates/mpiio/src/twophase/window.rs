@@ -267,18 +267,20 @@ fn coverage(cuts: &[Cut<'_>]) -> Vec<(u64, u64)> {
     let _hp = simtrace::host::scope(simtrace::host::Site::Coverage);
     // Sized by a counting pass over the runs: grown by doubling, the two
     // lists were ~15 % of a paper-scale tile write's allocator calls.
-    let all_runs = || cuts.iter().flat_map(Cut::runs);
-    let (n_singles, n_strided) = all_runs().fold((0, 0), |(n1, n), run| match run.count {
-        1 => (n1 + 1, n),
-        _ => (n1, n + 1),
-    });
+    let (mut n_singles, mut n_strided) = (0, 0);
+    for cut in cuts {
+        cut.for_each_run(|run| match run.count {
+            1 => n_singles += 1,
+            _ => n_strided += 1,
+        });
+    }
     let mut singles = Vec::with_capacity(n_singles);
     let mut strided = Vec::with_capacity(n_strided);
-    for run in all_runs() {
-        match run.count {
+    for cut in cuts {
+        cut.for_each_run(|run| match run.count {
             1 => singles.push((run.off, run.len)),
             _ => strided.push(run),
-        }
+        });
     }
     singles.sort_unstable();
     strided.sort_unstable_by_key(|r| (r.stride, r.off));

@@ -104,7 +104,7 @@ impl FileView {
                 if whole && landed.is_some() && out.last() == landed.as_ref() {
                     out.push(shifted);
                 } else {
-                    shifted.clip(a, b).for_each(|part| push_run(&mut out, part));
+                    shifted.clip(a, b, |part| push_run(&mut out, part));
                 }
                 landed = whole.then_some(shifted);
             }

@@ -54,8 +54,9 @@ pub struct GroupCache<'ep> {
     /// this cache slot, this one included.
     splits: u64,
     /// The subgroup's index of its last collective call: a steady-state
-    /// call builds no plan split, domain or window coverage either.
-    memo: Memo,
+    /// call builds no plan split, domain or window coverage either. On the
+    /// heap, as [`File`]'s is.
+    memo: Box<Memo>,
 }
 
 enum CachedMode {
@@ -89,6 +90,7 @@ pub enum PartitionMode {
 /// Record the pattern classification (and, with an alignment unit in
 /// force, how many subgroup FA boundaries land on a stripe boundary — the
 /// figure of merit for aligned partitioning).
+#[inline(never)]
 fn trace_partition(
     ep: &simnet::Endpoint,
     pattern: &'static str,
@@ -130,14 +132,22 @@ fn trace_partition(
 /// when the installed fault plan can kill aggregators, so the fault-free
 /// path stays bitwise identical and cache hits stay communication-free.
 /// Returns the agreed dead-set epoch (0 without crash faults).
-fn sync_dead_set(comm: &Communicator<'_>, prof: &mut PhaseProfile) -> u64 {
-    let ep = comm.endpoint();
-    let Some(faults) = ep.faults() else {
-        return 0;
-    };
-    if !faults.plan().has_crash_rules() {
-        return 0;
+fn sync_dead_set(file: &mut File<'_>) -> u64 {
+    match file.comm().endpoint().faults() {
+        Some(faults) if faults.plan().has_crash_rules() => exchange_dead_set(file),
+        _ => 0,
     }
+}
+
+/// [`sync_dead_set`]'s exchange, out of line: only a fault plan that can
+/// kill aggregators runs it.
+#[cold]
+#[inline(never)]
+fn exchange_dead_set(file: &mut File<'_>) -> u64 {
+    let comm = file.comm().clone();
+    let ep = comm.endpoint();
+    let faults = ep.faults().expect("a fault plan with crash rules");
+    let prof = file.profile_mut();
     let t = PhaseTimer::start(Phase::Sync, ep.now());
     // Charged as the list of little-endian `u64`s a real program sends.
     let mine = faults.dead_ranks();
@@ -156,6 +166,7 @@ fn sync_dead_set(comm: &Communicator<'_>, prof: &mut PhaseProfile) -> u64 {
 /// compute rank. Subgroups without hinted members keep their promotion
 /// fallback. The grouping every rank shares is copied only if a merge
 /// changes it.
+#[inline(never)]
 fn merge_dead_groups(comm: &Communicator<'_>, hints: &[usize], grouping: &mut Rc<Grouping>) {
     let ep = comm.endpoint();
     let Some(faults) = ep.faults() else {
@@ -201,6 +212,10 @@ fn merge_dead_groups(comm: &Communicator<'_>, hints: &[usize], grouping: &mut Rc
 /// The partitioned collective in direction `dir` over `nbytes` at view
 /// offset `offset`. `file`'s hints supply the aggregator configuration,
 /// `pcfg` the ParColl knobs; a read returns this rank's bytes.
+///
+/// This is every call's frame on the rank's stack, so what only some
+/// calls do — the fault path's dead-set exchange, the deciding call, the
+/// intermediate view — runs out of line.
 pub fn run_partitioned<'ep>(
     file: &mut File<'ep>,
     pcfg: &ParcollConfig,
@@ -209,8 +224,7 @@ pub fn run_partitioned<'ep>(
     nbytes: u64,
     dir: Dir<'_>,
 ) -> (PartitionMode, Option<IoBuffer>) {
-    let comm = file.comm().clone();
-    let groups = pcfg.effective_groups(comm.size());
+    let groups = pcfg.effective_groups(file.comm().size());
     let plan = file.plan(offset, nbytes);
 
     if groups <= 1 {
@@ -219,7 +233,7 @@ pub fn run_partitioned<'ep>(
 
     // Fault path: agree on the cluster-wide dead set before consulting
     // the cache, so every rank repartitions (or not) identically.
-    let dead_epoch = sync_dead_set(&comm, file.profile_mut());
+    let dead_epoch = sync_dead_set(file);
 
     // Steady state: a cached decision whose shape matches needs no
     // whole-group communication at all — each subgroup proceeds at its
@@ -234,44 +248,61 @@ pub fn run_partitioned<'ep>(
     }
 
     let c = cache.as_mut().expect("a decision was cached or just stored");
-    let groups = c.n_groups;
     let (fh, prof) = file.handle_and_profile();
     let (sub, subcfg, memo) = (&c.sub, &c.subcfg, &mut c.memo);
+    let groups = c.n_groups;
     match &c.mode {
         CachedMode::Direct => {
             let data = twophase::collective(sub, fh, &DirectSpace, &plan, dir, subcfg, memo, prof);
             (PartitionMode::Direct { groups }, data)
         }
-        CachedMode::Iview {
-            map,
-            logical_plan,
-            base_start,
-            scatter,
-        } => {
-            // Views tile, so this call's runs are the cached ones shifted
-            // uniformly by the call stride (zero on the deciding call).
-            //
-            // The intermediate view *re-addresses the file*: data is
-            // stored in logical order (each process's segments
-            // consecutive), so aggregator I/O is large and contiguous.
-            // The original view remains the semantic map between
-            // application addresses and logical offsets ("the original
-            // file view is still needed to provide the physical layout
-            // and distribution of I/O segments"); reads through this
-            // library translate consistently. `parcoll_iview_scatter`
-            // instead materializes at the original physical offsets — an
-            // ablation that demonstrates the cost of doing so — and keeps
-            // logical offsets unshifted for the map, which slides.
-            let delta = plan.start().unwrap_or(*base_start) as i64 - *base_start as i64;
-            let data = if *scatter {
-                let space = MappedSpace::with_delta(Rc::clone(map), delta);
-                twophase::collective(sub, fh, &space, logical_plan, dir, subcfg, memo, prof)
-            } else {
-                let shifted = logical_plan.shifted(delta);
-                twophase::collective(sub, fh, &DirectSpace, &shifted, dir, subcfg, memo, prof)
-            };
+        CachedMode::Iview { .. } => {
+            let data = run_iview(c, fh, prof, &plan, dir);
             (PartitionMode::IntermediateView { groups }, data)
         }
+    }
+}
+
+/// A call through the cached intermediate view of `c`, whose plan is
+/// `plan` in the original view.
+#[inline(never)]
+fn run_iview(
+    c: &mut GroupCache<'_>,
+    fh: &simfs::FileHandle,
+    prof: &mut PhaseProfile,
+    plan: &AccessPlan,
+    dir: Dir<'_>,
+) -> Option<IoBuffer> {
+    let (sub, subcfg, memo) = (&c.sub, &c.subcfg, &mut c.memo);
+    let CachedMode::Iview {
+        map,
+        logical_plan,
+        base_start,
+        scatter,
+    } = &c.mode
+    else {
+        unreachable!("an intermediate-view call on a direct partition")
+    };
+    // Views tile, so this call's runs are the cached ones shifted
+    // uniformly by the call stride (zero on the deciding call).
+    //
+    // The intermediate view *re-addresses the file*: data is stored in
+    // logical order (each process's segments consecutive), so aggregator
+    // I/O is large and contiguous. The original view remains the
+    // semantic map between application addresses and logical offsets
+    // ("the original file view is still needed to provide the physical
+    // layout and distribution of I/O segments"); reads through this
+    // library translate consistently. `parcoll_iview_scatter` instead
+    // materializes at the original physical offsets — an ablation that
+    // demonstrates the cost of doing so — and keeps logical offsets
+    // unshifted for the map, which slides.
+    let delta = plan.start().unwrap_or(*base_start) as i64 - *base_start as i64;
+    if *scatter {
+        let space = MappedSpace::with_delta(Rc::clone(map), delta);
+        twophase::collective(sub, fh, &space, logical_plan, dir, subcfg, memo, prof)
+    } else {
+        let shifted = logical_plan.shifted(delta);
+        twophase::collective(sub, fh, &DirectSpace, &shifted, dir, subcfg, memo, prof)
     }
 }
 
@@ -280,7 +311,10 @@ pub fn run_partitioned<'ep>(
 /// flow), stored in `cache` for this and later calls to dispatch from.
 /// Returns `false`, storing nothing, when there is nothing to partition:
 /// no rank moves bytes (a degenerate decision is not cached), or the
-/// pattern needs a view and view switching is forbidden.
+/// pattern needs a view and view switching is forbidden. Out of line:
+/// steady-state calls never enter it.
+#[cold]
+#[inline(never)]
 fn decide<'ep>(
     file: &mut File<'ep>,
     pcfg: &ParcollConfig,
@@ -308,25 +342,7 @@ fn decide<'ep>(
             return false;
         }
         Ranges::Intersecting => {
-            // Pattern (c): build the intermediate file view. Everyone
-            // shares its access plan (modelled volume ∝ pieces).
-            let t = PhaseTimer::start(Phase::Sync, ep.now());
-            let (origin, runs) = (plan.start().unwrap_or(0), Rc::clone(plan.shape()));
-            let (map, grouping) = gather_logical_map(&comm, origin, runs, groups);
-            t.stop_traced(ep.now(), file.profile_mut(), ep.trace());
-
-            let (ls, le) = map.rank_range(comm.rank());
-            let logical_plan = if ls < le {
-                AccessPlan::from_extents(vec![Ext::new(ls, le - ls)])
-            } else {
-                AccessPlan::default()
-            };
-            let mode = CachedMode::Iview {
-                map,
-                logical_plan,
-                base_start: plan.start().unwrap_or(0),
-                scatter: pcfg.iview_scatter,
-            };
+            let (grouping, mode) = intermediate_view(file, pcfg, plan, groups);
             (grouping, "iview", mode)
         }
     };
@@ -342,9 +358,41 @@ fn decide<'ep>(
         dead_epoch: ep.faults().map_or(0, |f| f.dead_epoch()),
         mode,
         splits: cache.as_ref().map_or(0, |c| c.splits) + 1,
-        memo: Memo::default(),
+        memo: Memo::boxed(),
     });
     true
+}
+
+/// Pattern (c): build the intermediate file view — everyone shares its
+/// access plan (modelled volume ∝ pieces) — and partition the logical
+/// file into `groups` subgroups.
+#[inline(never)]
+fn intermediate_view(
+    file: &mut File<'_>,
+    pcfg: &ParcollConfig,
+    plan: &AccessPlan,
+    groups: usize,
+) -> (Rc<Grouping>, CachedMode) {
+    let comm = file.comm().clone();
+    let ep = comm.endpoint();
+    let t = PhaseTimer::start(Phase::Sync, ep.now());
+    let (origin, runs) = (plan.start().unwrap_or(0), Rc::clone(plan.shape()));
+    let (map, grouping) = gather_logical_map(&comm, origin, runs, groups);
+    t.stop_traced(ep.now(), file.profile_mut(), ep.trace());
+
+    let (ls, le) = map.rank_range(comm.rank());
+    let logical_plan = if ls < le {
+        AccessPlan::from_extents(vec![Ext::new(ls, le - ls)])
+    } else {
+        AccessPlan::default()
+    };
+    let mode = CachedMode::Iview {
+        map,
+        logical_plan,
+        base_start: plan.start().unwrap_or(0),
+        scatter: pcfg.iview_scatter,
+    };
+    (grouping, mode)
 }
 
 /// What the range allgather decides, once for every rank.
@@ -405,6 +453,7 @@ fn gather_logical_map(
 
 /// Split the subgroup communicator and build its collective
 /// configuration with the distributed aggregators.
+#[inline(never)]
 fn subgroup_setup<'ep>(
     file: &mut File<'ep>,
     group_of: &[usize],

@@ -132,7 +132,7 @@ pub fn partition_file_areas(
     let groups = groups.clamp(1, nprocs);
 
     let mut with_data: Vec<usize> = (0..nprocs).filter(|&r| ranges[r].is_some()).collect();
-    with_data.sort_by_key(|&r| (ranges[r].expect("filtered Some").0, r));
+    with_data.sort_unstable_by_key(|&r| (ranges[r].expect("filtered Some").0, r));
     let idle: Vec<usize> = (0..nprocs).filter(|&r| ranges[r].is_none()).collect();
 
     // Chunk sizes per group: equal member counts (every workload in the

@@ -618,6 +618,10 @@ impl FileHandle {
         LIST_LOADS.set(per_ost);
         let arrival = now + cfg.rpc_latency;
         let cache_window = SimTime::secs(cfg.cache_bytes as f64 / cfg.ost_bandwidth_bps);
+        // Admitted once for every OST it touches (see `charge_io`).
+        if !touched.is_empty() {
+            simnet::progress::admit(arrival);
+        }
         let mut done = arrival;
         for (ost, (bytes, units)) in touched {
             let overhead = cfg.request_overhead + cfg.list_extent_overhead * (units - 1) as f64;
@@ -658,6 +662,10 @@ impl FileHandle {
             .then_some((self.client, cfg.lock_handoff, cfg.lock_exempt_bytes));
         let cache_window = SimTime::secs(cfg.cache_bytes as f64 / cfg.ost_bandwidth_bps);
         let arrival = now + cfg.rpc_latency;
+        // Deterministic admission, once per request and before any OST
+        // is served (`Ost::serve` mutates seeded state): a rank waits for
+        // its turn with this frame the deepest on its stack.
+        simnet::progress::admit(arrival);
         let mut done = arrival;
         for (ost, bytes, requests) in self.entry.layout.ost_load(offset, len) {
             let completion = self.fs.inner.osts[ost].serve(

@@ -91,7 +91,13 @@ impl Ost {
     }
 
     /// Serve a request of `bytes` in `requests` chunk units arriving at
-    /// `arrival`; returns the completion instant.
+    /// `arrival`; returns the completion instant. Inside a cluster run the
+    /// caller has admitted the request at `arrival` first
+    /// ([`simnet::progress::admit`]): the OST mutates seeded RNG and queue
+    /// state, so concurrent requests must enter in virtual-time order, not
+    /// host order. A file handle admits a request once, before it serves
+    /// any of the request's OSTs, so a rank waits for its turn without
+    /// this frame on its stack.
     ///
     /// `contention_per_queued` inflates the service time by that fraction
     /// per request still pending at arrival, modeling Lustre's
@@ -111,49 +117,19 @@ impl Ost {
         writer: Option<(u64, SimTime, u64)>,
         cache_window: SimTime,
     ) -> SimTime {
-        // Deterministic admission: the OST mutates seeded RNG and queue
-        // state, so concurrent requests must enter in virtual-time order,
-        // not host order. Nothing below blocks, so no other rank runs
-        // before the mutation is done.
-        simnet::progress::admit(arrival);
+        // Admitted by the caller; nothing below blocks, so no other rank
+        // runs before the mutation is done.
         let mut st = self.state.borrow_mut();
         // hostprof: everything under the state borrow (fault arithmetic,
         // queue maintenance, jitter, trace emission) is non-yielding;
-        // the admission gate above can block and stays outside the scope.
+        // the admission gate, in the caller, can block and stays outside
+        // the scope.
         let _hp = simtrace::host::scope(simtrace::host::Site::OstServe);
-        let mut fault_factor = 1.0f64;
-        if let Some((plan, idx)) = st.faults.clone() {
-            // The op counter and the queue mutate under one admission +
-            // one state borrow, so the number of failed attempts is
-            // plain arithmetic over the fail window — no re-admission,
-            // and the I/O APIs stay infallible.
-            let op = st.ops;
-            st.ops += 1;
-            fault_factor = plan.ost_slow_factor(idx, arrival);
-            let fails = plan.ost_failures(idx, op);
-            if fails > 0 {
-                assert!(
-                    fails <= plan.max_retries as u64,
-                    "OST {idx} failed permanently: {fails} consecutive failures \
-                     exceed the retry bound of {}",
-                    plan.max_retries
-                );
-                st.ops += fails; // each failed attempt burns one op slot
-                let backoff = plan.retry_penalty(fails as u32, SimTime::ZERO);
-                if st.trace.enabled() {
-                    st.trace.span(
-                        "fault",
-                        "ost_retry",
-                        arrival.as_micros(),
-                        (arrival + backoff).as_micros(),
-                        vec![("attempts", simtrace::ArgValue::from(fails))],
-                    );
-                    st.trace.count("ost_fault_retries", fails);
-                }
-                // The request re-arrives after the backoff drains.
-                arrival += backoff;
-            }
-        }
+        let fault_factor = if st.faults.is_some() {
+            fault_draws(&mut st, &mut arrival)
+        } else {
+            1.0
+        };
         while st.completions.front().is_some_and(|&(c, _)| c <= arrival) {
             st.completions.pop_front();
         }
@@ -199,46 +175,8 @@ impl Ost {
         st.stats.bytes += bytes;
         st.stats.requests += requests;
         if st.trace.enabled() {
-            let queue_wait = backlog_start - arrival;
-            if queue_wait > SimTime::ZERO {
-                st.trace.span(
-                    "ost",
-                    "queue",
-                    arrival.as_micros(),
-                    backlog_start.as_micros(),
-                    vec![("depth", simtrace::ArgValue::from(depth))],
-                );
-            }
-            let mut args = vec![
-                ("bytes", simtrace::ArgValue::from(bytes)),
-                ("requests", simtrace::ArgValue::from(requests)),
-                ("queue_wait_us", simtrace::ArgValue::from(queue_wait.as_micros())),
-                // The completion instant the requester observes (the
-                // write-back cache can make it earlier than the span's
-                // backlog end) — the queue→serve edge target for
-                // critical-path reconstruction.
-                ("done_us", simtrace::ArgValue::from(done.as_micros())),
-            ];
-            if let Some(rank) = simnet::progress::current_rank() {
-                args.push(("rank", simtrace::ArgValue::from(rank)));
-            }
-            st.trace.span(
-                "ost",
-                "serve",
-                backlog_start.as_micros(),
-                backlog_done.as_micros(),
-                args,
-            );
-            st.trace.counter("ost_queue_depth", arrival.as_micros(), depth);
-            // Outstanding work on this target as of this arrival: how
-            // far its device clock runs ahead of the request stream.
-            st.trace.counter(
-                "ost_backlog_us",
-                arrival.as_micros(),
-                (backlog_done - arrival).as_micros(),
-            );
-            st.trace.count("ost_requests", requests);
-            st.trace.observe("ost_req_bytes", bytes as f64);
+            let spans = (arrival, backlog_start, backlog_done, done);
+            trace_serve(&st, spans, depth, bytes, requests);
         }
         done
     }
@@ -252,6 +190,105 @@ impl Ost {
     pub fn next_free(&self) -> SimTime {
         self.state.borrow().next_free
     }
+}
+
+/// A fault plan's part in one request to an OST (`st.faults` is set):
+/// the slow factor its service time takes, and the retry backoff its
+/// failed attempts add to `arrival`. Out of line, with the trace below,
+/// so a fault-free untraced request's frame holds neither.
+#[cold]
+#[inline(never)]
+fn fault_draws(st: &mut OstState, arrival: &mut SimTime) -> f64 {
+    let (plan, idx) = st.faults.clone().expect("a fault plan is installed");
+    // The op counter and the queue mutate under one admission +
+    // one state borrow, so the number of failed attempts is
+    // plain arithmetic over the fail window — no re-admission,
+    // and the I/O APIs stay infallible.
+    let op = st.ops;
+    st.ops += 1;
+    let fault_factor = plan.ost_slow_factor(idx, *arrival);
+    let fails = plan.ost_failures(idx, op);
+    if fails > 0 {
+        assert!(
+            fails <= plan.max_retries as u64,
+            "OST {idx} failed permanently: {fails} consecutive failures \
+             exceed the retry bound of {}",
+            plan.max_retries
+        );
+        st.ops += fails; // each failed attempt burns one op slot
+        let backoff = plan.retry_penalty(fails as u32, SimTime::ZERO);
+        if st.trace.enabled() {
+            st.trace.span(
+                "fault",
+                "ost_retry",
+                arrival.as_micros(),
+                (*arrival + backoff).as_micros(),
+                vec![("attempts", simtrace::ArgValue::from(fails))],
+            );
+            st.trace.count("ost_fault_retries", fails);
+        }
+        // The request re-arrives after the backoff drains.
+        *arrival += backoff;
+    }
+    fault_factor
+}
+
+/// Trace one served request: its queue wait, its service span and the
+/// queue's counters, for `(arrival, backlog start, backlog end, the
+/// completion the requester sees)`.
+#[cold]
+#[inline(never)]
+fn trace_serve(
+    st: &OstState,
+    (arrival, backlog_start, backlog_done, done): (SimTime, SimTime, SimTime, SimTime),
+    depth: f64,
+    bytes: u64,
+    requests: u64,
+) {
+    let queue_wait = backlog_start - arrival;
+    if queue_wait > SimTime::ZERO {
+        st.trace.span(
+            "ost",
+            "queue",
+            arrival.as_micros(),
+            backlog_start.as_micros(),
+            vec![("depth", simtrace::ArgValue::from(depth))],
+        );
+    }
+    let mut args = vec![
+        ("bytes", simtrace::ArgValue::from(bytes)),
+        ("requests", simtrace::ArgValue::from(requests)),
+        (
+            "queue_wait_us",
+            simtrace::ArgValue::from(queue_wait.as_micros()),
+        ),
+        // The completion instant the requester observes (the
+        // write-back cache can make it earlier than the span's
+        // backlog end) — the queue→serve edge target for
+        // critical-path reconstruction.
+        ("done_us", simtrace::ArgValue::from(done.as_micros())),
+    ];
+    if let Some(rank) = simnet::progress::current_rank() {
+        args.push(("rank", simtrace::ArgValue::from(rank)));
+    }
+    st.trace.span(
+        "ost",
+        "serve",
+        backlog_start.as_micros(),
+        backlog_done.as_micros(),
+        args,
+    );
+    st.trace
+        .counter("ost_queue_depth", arrival.as_micros(), depth);
+    // Outstanding work on this target as of this arrival: how
+    // far its device clock runs ahead of the request stream.
+    st.trace.counter(
+        "ost_backlog_us",
+        arrival.as_micros(),
+        (backlog_done - arrival).as_micros(),
+    );
+    st.trace.count("ost_requests", requests);
+    st.trace.observe("ost_req_bytes", bytes as f64);
 }
 
 #[cfg(test)]

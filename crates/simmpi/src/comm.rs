@@ -1,6 +1,6 @@
 //! Communicators: process groups with isolated contexts.
 
-use simnet::rendezvous::Rendezvous;
+use simnet::rendezvous::{PoisonFlag, Rendezvous};
 use simnet::{Endpoint, SimTime};
 use std::rc::Rc;
 
@@ -14,6 +14,22 @@ pub(crate) struct CommShared {
     pub(crate) members: Rc<[usize]>,
     /// Collective meeting point for this group.
     pub(crate) rdv: Rc<Rendezvous>,
+}
+
+impl CommShared {
+    /// The state of a new group of the global ranks `members` (ascending
+    /// by their new local rank) under context `ctx` — built out of line,
+    /// as the split's meeting builds one per color: the rendezvous is
+    /// sized by its group.
+    #[inline(never)]
+    fn new(ctx: u32, members: Rc<[usize]>, poison: &Rc<PoisonFlag>) -> Rc<CommShared> {
+        let rdv = Rendezvous::for_ranks(Rc::clone(&members), Rc::clone(poison));
+        Rc::new(CommShared {
+            ctx,
+            members,
+            rdv: Rc::new(rdv),
+        })
+    }
 }
 
 /// A process group, mirroring `MPI_Comm`.
@@ -237,7 +253,7 @@ impl<'ep> Communicator<'ep> {
     {
         let poison = self.ep.poison();
         let ctx_alloc = self.ep.ctx_allocator();
-        let net = self.ep.net().clone();
+        let net = self.ep.net();
         let p = self.size();
         let members = Rc::clone(&self.shared.members);
 
@@ -263,7 +279,7 @@ impl<'ep> Communicator<'ep> {
                 let mut out: SplitOut = vec![None; inputs.len()];
                 for group in by_color.values() {
                     let mut group = group.clone();
-                    group.sort_by_key(|&(k, parent_local)| (k, parent_local));
+                    group.sort_unstable_by_key(|&(k, parent_local)| (k, parent_local));
                     let group_members: Rc<[usize]> =
                         group.iter().map(|&(_, pl)| members[pl]).collect();
                     debug_assert!(
@@ -271,14 +287,8 @@ impl<'ep> Communicator<'ep> {
                             || group_members.windows(2).all(|w| w[0] != w[1]),
                         "split produced duplicate members"
                     );
-                    let shared = Rc::new(CommShared {
-                        ctx: ctx_alloc.replace(ctx_alloc.get() + 1),
-                        rdv: Rc::new(Rendezvous::for_ranks(
-                            Rc::clone(&group_members),
-                            Rc::clone(&poison),
-                        )),
-                        members: group_members,
-                    });
+                    let ctx = ctx_alloc.replace(ctx_alloc.get() + 1);
+                    let shared = CommShared::new(ctx, group_members, &poison);
                     for (new_local, &(_, parent_local)) in group.iter().enumerate() {
                         out[parent_local] = Some((Rc::clone(&shared), new_local));
                     }

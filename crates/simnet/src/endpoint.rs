@@ -41,7 +41,9 @@ pub struct Endpoint {
     world_rdv: Rc<Rendezvous>,
     ctx_counter: Rc<Cell<u32>>,
     trace: simtrace::Recorder,
-    faults: Option<FaultState>,
+    /// On the heap: a rank's endpoint is moved onto its fiber stack, and
+    /// stays there for the rank's life.
+    faults: Option<Box<FaultState>>,
 }
 
 impl std::fmt::Debug for Endpoint {
@@ -79,7 +81,7 @@ impl Endpoint {
             world_rdv,
             ctx_counter,
             trace,
-            faults,
+            faults: faults.map(Box::new),
         }
     }
 
@@ -140,7 +142,7 @@ impl Endpoint {
     /// the cluster. Protocol layers consult it for crash detection,
     /// one-shot stalls and the shared plan's retry parameters.
     pub fn faults(&self) -> Option<&FaultState> {
-        self.faults.as_ref()
+        self.faults.as_deref()
     }
 
     /// The cluster-wide poison flag (for building further blocking

@@ -79,16 +79,18 @@
 //! is the only implementation, so the simulator builds for x86_64 only.
 //! Panics never cross the assembly boundary —
 //! each fiber body runs under `catch_unwind` and the payload is carried
-//! back to the scheduler by value, mirroring `JoinHandle::join`. Fiber
-//! stacks have no OS guard page; a canary word at the stack base turns
-//! silent overflow corruption into a loud panic at fiber completion.
-//! Fibers never leave the scheduler's thread, so each fiber's stack is
-//! only ever touched by that thread.
-//! A finished run's stacks are kept for the next run on the same thread
-//! (`STACK_POOL`, a thread-local) rather than freed: a stack is a
-//! megabyte of which a rank touches the top few pages, and such holes in
-//! the allocator's free lists made a process's resident size depend on
-//! the order the previous run happened to free its memory in.
+//! back to the scheduler by value, mirroring `JoinHandle::join`. Each
+//! fiber stack is a mapping of its own with a `PROT_NONE` guard page
+//! below it: an overflow faults at the instruction that overflows and
+//! the process dies by SIGSEGV — not a panic, and nothing outside the
+//! stack is written first. Fibers never leave the scheduler's thread, so
+//! each fiber's stack is only ever touched by that thread.
+//! A stack costs the pages its fiber touches ([`pooled_stack_pages`]
+//! counts them; a rank of the benchmark shapes stays within two, DESIGN.md
+//! §9.3). A finished run's stacks are kept for the next run on the same
+//! thread (`STACK_POOL`, a thread-local) rather than unmapped, so a
+//! sequence of runs takes no page fault and no system call for stacks
+//! after the first.
 
 #[cfg(not(target_arch = "x86_64"))]
 compile_error!("simnet's fiber context switch is written for x86_64 only");
@@ -189,50 +191,97 @@ mod arch {
 // Fiber stacks
 // ---------------------------------------------------------------------
 
-/// Magic planted at the low end of every fiber stack; checked when the
-/// fiber completes to catch silent overflows (heap stacks have no guard
-/// page).
-const STACK_CANARY: u64 = 0x5A5A_F1BE_5A5A_F1BE;
+/// The page size of x86_64 Linux: the unit of a stack's mapping, of its
+/// guard and of what it costs resident.
+pub const PAGE: usize = 4096;
 
+mod os {
+    //! The four system calls a fiber stack needs, declared by hand (as the
+    //! context switch is written by hand) rather than through a crate.
+    use std::ffi::c_void;
+
+    pub(super) const PROT_NONE: i32 = 0;
+    pub(super) const PROT_READ: i32 = 1;
+    pub(super) const PROT_WRITE: i32 = 2;
+    pub(super) const MAP_PRIVATE: i32 = 0x02;
+    pub(super) const MAP_ANONYMOUS: i32 = 0x20;
+    pub(super) const MAP_NORESERVE: i32 = 0x4000;
+    pub(super) const MAP_FAILED: *mut c_void = !0usize as *mut c_void;
+
+    unsafe extern "C" {
+        pub(super) fn mmap(
+            addr: *mut c_void,
+            len: usize,
+            prot: i32,
+            flags: i32,
+            fd: i32,
+            off: i64,
+        ) -> *mut c_void;
+        pub(super) fn mprotect(addr: *mut c_void, len: usize, prot: i32) -> i32;
+        pub(super) fn munmap(addr: *mut c_void, len: usize) -> i32;
+        pub(super) fn mincore(addr: *mut c_void, len: usize, vec: *mut u8) -> i32;
+    }
+}
+
+/// One fiber stack: a mapping of its own, a `PROT_NONE` guard page at
+/// the bottom and the stack's pages above it. The mapping reserves no
+/// swap (`MAP_NORESERVE`) and the kernel backs a page only once it is
+/// touched, so a stack costs the pages its fiber reaches and nothing
+/// more; it shares no page with anything else. A fiber that runs past
+/// its stack faults on the guard at the instruction that overflows: the
+/// process dies by SIGSEGV, before any byte outside the stack is
+/// written.
 struct StackMem {
-    base: *mut u8,
-    layout: std::alloc::Layout,
+    /// Start of the mapping: the guard page.
+    map: *mut u8,
+    /// Bytes of the mapping, guard page included.
+    len: usize,
 }
 
 thread_local! {
     /// Stacks of finished runs, kept for the next run on this thread. A
-    /// rank touches the top few pages of its stack and nothing below, so
-    /// a *freed* stack is a megabyte-wide hole of mostly untouched pages
-    /// in the allocator's free lists: whatever lands there next — the
-    /// next run's stacks at other offsets, or anything else — touches new
-    /// pages, and the resident size of a process that runs clusters back
-    /// to back then depends on the order the previous run freed its
-    /// memory in (the file-system seed moved one workload's peak RSS by a
-    /// fifth). A kept stack is reused by the same rank of the next run,
-    /// pages and all. The pool never holds more stacks than were live at
-    /// once.
+    /// kept stack is reused by the same rank of the next run, pages and
+    /// all: a sequence of clusters faults in no new stack page and makes
+    /// no system call for its stacks once the first has run. The pool
+    /// never holds more stacks than were live at once.
     static STACK_POOL: RefCell<Vec<StackMem>> = const { RefCell::new(Vec::new()) };
 }
 
 impl StackMem {
+    /// A stack of `size` bytes rounded up to whole pages (16 KiB at
+    /// least), from the pool if it holds one of that size.
     fn new(size: usize) -> Self {
-        // 16-byte alignment satisfies both ABIs; size floor keeps the
-        // canary + initial frame sane.
-        let size = size.max(16 * 1024) & !15;
+        let size = size.max(16 * 1024).next_multiple_of(PAGE);
+        let len = size + PAGE;
         let pooled = STACK_POOL.with_borrow_mut(|pool| {
             pool.iter()
-                .rposition(|s| s.layout.size() == size)
+                .rposition(|s| s.len == len)
                 .map(|i| pool.remove(i))
         });
-        let stack = pooled.unwrap_or_else(|| {
-            let layout =
-                std::alloc::Layout::from_size_align(size, 16).expect("valid stack layout");
-            let base = unsafe { std::alloc::alloc(layout) };
-            assert!(!base.is_null(), "fiber stack allocation failed");
-            StackMem { base, layout }
-        });
-        unsafe { (stack.base as *mut u64).write(STACK_CANARY) };
-        stack
+        pooled.unwrap_or_else(|| {
+            // SAFETY: a fresh private anonymous mapping aliases nothing;
+            // the guard is its first page.
+            unsafe {
+                let map = os::mmap(
+                    std::ptr::null_mut(),
+                    len,
+                    os::PROT_READ | os::PROT_WRITE,
+                    os::MAP_PRIVATE | os::MAP_ANONYMOUS | os::MAP_NORESERVE,
+                    -1,
+                    0,
+                );
+                assert!(map != os::MAP_FAILED, "fiber stack mapping failed");
+                assert_eq!(
+                    os::mprotect(map, PAGE, os::PROT_NONE),
+                    0,
+                    "fiber stack guard page failed"
+                );
+                StackMem {
+                    map: map.cast(),
+                    len,
+                }
+            }
+        })
     }
 
     /// Keep the stack of a finished fiber for a later run. Release a
@@ -246,19 +295,38 @@ impl StackMem {
     /// Plant the architecture-specific initial frame; restoring from the
     /// returned stack pointer resumes into `entry`.
     fn prepare(&self, entry: extern "C" fn() -> !) -> usize {
-        let top = (self.base as usize + self.layout.size()) & !15;
-        unsafe { arch::init_frame(top, entry as usize) }
+        // SAFETY: the mapping's top is page-aligned and its top page is
+        // writable.
+        unsafe { arch::init_frame(self.map as usize + self.len, entry as usize) }
     }
 
-    fn canary_intact(&self) -> bool {
-        unsafe { (self.base as *const u64).read() == STACK_CANARY }
+    /// How many of the stack's pages are resident (`mincore`).
+    fn resident_pages(&self) -> usize {
+        let stack = self.len / PAGE - 1;
+        let mut vec = vec![0u8; stack];
+        // SAFETY: the range is this stack's live mapping above the guard,
+        // and `vec` holds one byte per page of it.
+        let rc = unsafe { os::mincore(self.map.add(PAGE).cast(), stack * PAGE, vec.as_mut_ptr()) };
+        assert_eq!(rc, 0, "mincore over a fiber stack failed");
+        vec.iter().filter(|&&b| b & 1 != 0).count()
     }
 }
 
 impl Drop for StackMem {
     fn drop(&mut self) {
-        unsafe { std::alloc::dealloc(self.base, self.layout) };
+        // SAFETY: `map`/`len` are the mapping `new` made; no fiber runs on
+        // a stack that is dropped (a live one is owned by its run).
+        unsafe { os::munmap(self.map.cast(), self.len) };
     }
+}
+
+/// The resident pages of each stack the calling thread's pool holds:
+/// after a run of `n` fibers, entry `i` is fiber `i`'s stack. A page is resident once its fiber touched it, in
+/// this run or an earlier one on the same stack, so the count is the
+/// deepest any of those fibers went, in pages. This is host memory no
+/// allocator sees.
+pub fn pooled_stack_pages() -> Vec<usize> {
+    STACK_POOL.with_borrow(|pool| pool.iter().rev().map(StackMem::resident_pages).collect())
 }
 
 // ---------------------------------------------------------------------
@@ -585,14 +653,9 @@ pub(crate) fn run_fibers<'a>(
         let rtp = CURRENT.with(|c| c.replace(std::ptr::null_mut()));
         // SAFETY: the fiber that switched back left itself in `CURRENT`.
         let idx = unsafe { &(*rtp).parker }.idx;
-        let (stack, rt) = &mut fibers[idx];
+        let (_, rt) = &mut fibers[idx];
         if rt.done {
             unfinished -= 1;
-            assert!(
-                stack.canary_intact(),
-                "fiber {idx} overflowed its {stack_size}-byte stack \
-                 (canary clobbered); raise ClusterConfig::stack_size"
-            );
             panics[idx] = rt.panic.take();
             poisoned |= panics[idx].is_some();
         }

@@ -295,6 +295,7 @@ impl Mailbox {
     /// Deposit a packet (called by the sender's fiber) and wake the
     /// owner if it waits on this source: it is then runnable, queued at
     /// its floor.
+    #[inline(always)]
     pub fn deliver(&self, pkt: Packet) {
         // hostprof: deposit + targeted wake; nothing below blocks.
         let _hp = simtrace::host::scope(simtrace::host::Site::MboxDeliver);

@@ -258,7 +258,7 @@ impl Rendezvous {
             let inputs = lent
                 .downcast_mut::<Vec<T>>()
                 .expect("slot tables are keyed by type");
-            let (result, completion) = combine(inputs, max_clock);
+            let (result, completion) = combine_out_of_line(combine, inputs, max_clock);
             debug_assert!(
                 completion >= max_clock,
                 "collective completion {completion:?} precedes last arrival {max_clock:?}"
@@ -298,6 +298,19 @@ impl Rendezvous {
             fiber::wait(&self.state, |s| &mut s.parked[idx], &self.poison);
         }
     }
+}
+
+/// Run a meeting's combiner in a frame of its own. Every participant
+/// waits in [`Rendezvous::meet_info`]'s frame on its fiber stack, and
+/// only the last arrival combines: inlined, a combiner's locals would
+/// sit in every participant's frame.
+#[inline(never)]
+fn combine_out_of_line<T, R>(
+    combine: impl FnOnce(&mut [T], SimTime) -> (R, SimTime),
+    inputs: &mut [T],
+    max_clock: SimTime,
+) -> (R, SimTime) {
+    combine(inputs, max_clock)
 }
 
 #[cfg(test)]

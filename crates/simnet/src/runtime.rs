@@ -13,8 +13,8 @@ use std::sync::Arc;
 thread_local! {
     /// The calling thread's default for [`ClusterConfig::stack_size`],
     /// picked up by every constructor (and by harnesses that build
-    /// configs indirectly, e.g. the heap-ledger test's 128 KiB stacks).
-    /// Stack pages are committed lazily by the OS, so the default only
+    /// configs indirectly, e.g. the guard-page test's 16 KiB stack).
+    /// Stack pages are backed only once touched, so the default only
     /// bounds virtual address space; see the `stack_size` field for the
     /// measured footprint.
     static DEFAULT_STACK_SIZE: Cell<usize> = const { Cell::new(1 << 20) };
@@ -42,17 +42,20 @@ pub struct ClusterConfig {
     pub net: NetworkModel,
     /// Local machine cost model.
     pub machine: MachineModel,
-    /// Fiber stack size per rank. The protocols here iterate rather than
-    /// recurse, so ranks are shallow: the quick-scale figure sweeps
-    /// passed with 32 KiB fiber stacks (canary-checked — an overflow
-    /// panics rather than corrupting), measured via
-    /// [`set_default_stack_size`]. The default stays at 1 MiB of *virtual*
-    /// reservation: pages are committed on touch, so 1024 ranks cost
-    /// 1 GiB of address space but only a few MiB of resident stack, and
-    /// the margin matters for fiber stacks, which have no guard page.
-    /// Fiber stacks are kept from one cluster to the next on a thread
-    /// (matched by size), so a sequence of clusters touches the same
-    /// few MiB again instead of new ones.
+    /// Fiber stack size per rank, rounded up to whole pages (16 KiB at
+    /// least). Each stack is a mapping of its own with a guard page
+    /// below it: a rank that overflows faults at the overflowing write
+    /// and the process dies by SIGSEGV — not a panic, and nothing
+    /// outside the stack is written. The protocols here iterate rather
+    /// than recurse, so ranks are shallow: every rank of the benchmark
+    /// shapes stays within two resident pages (8 KiB deep;
+    /// `crates/workloads/tests/stack_pages.rs`). The default is 1 MiB
+    /// of *virtual* reservation, reserving no swap: a page is backed only
+    /// once touched, so 1024 ranks cost 1 GiB of address space and two
+    /// pages of resident stack each, and the margin is free. Fiber
+    /// stacks are kept from one cluster to the next on a thread (matched
+    /// by size), so a sequence of clusters takes no page fault and no
+    /// system call for its stacks after the first.
     pub stack_size: usize,
     /// Trace sink shared by every rank. Disabled by default: each
     /// recording call returns after one branch, so uninstrumented runs

@@ -202,17 +202,17 @@ pub fn pattern_buffer(rank: usize, call: usize, bytes: u64) -> IoBuffer {
 
 /// Where `got` first differs from bytes `start..` of `rank`'s `call`-th
 /// transfer, if anywhere (an index into `got`): the byte-for-byte
-/// read-back check, expected bytes a block at a time.
+/// read-back check, expected bytes a block at a time. The block is on
+/// the heap, one per call: this runs on a rank's fiber stack, which a
+/// 4 KiB array would take a page of.
 pub fn pattern_mismatch(rank: usize, call: usize, start: u64, got: &[u8]) -> Option<usize> {
     let _hp = simtrace::host::scope(simtrace::host::Site::Pattern);
-    let mut block = [0u8; BLOCK];
+    let mut expect = Vec::with_capacity(got.len().min(BLOCK));
     for (b, chunk) in got.chunks(BLOCK).enumerate() {
         let from = sequence(rank, call, start + (b * BLOCK) as u64);
-        let expect = &mut block[..chunk.len()];
-        for (e, p) in expect.iter_mut().zip(top_byte_block(from, chunk.len())) {
-            *e = p;
-        }
-        settle_ties(from, expect);
+        expect.clear();
+        expect.extend(top_byte_block(from, chunk.len()));
+        settle_ties(from, &mut expect);
         if *expect != *chunk {
             let at = expect.iter().zip(chunk).position(|(e, g)| e != g);
             return Some(b * BLOCK + at.expect("the blocks differ"));

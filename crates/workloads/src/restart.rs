@@ -151,7 +151,8 @@ pub fn run_restart(w: Restart, cfg: RunConfig) -> RestartResult {
             DataMode::Verify => pattern_buffer(rank, 0, w.tile.tile_bytes()),
         };
         let write: Step<'_> = &mut |f| f.write_at_all(0, &buf);
-        let file = (w.path(), w.tile.view(rank));
+        let (path, (disp, filetype)) = (w.path(), w.tile.view(rank));
+        let file = (&*path, (disp, &filetype));
         let checkpoint = pass(&comm, &fs, &info, file, Some(write), None);
 
         // Restart: reopen and read the narrow view collectively.
@@ -165,7 +166,8 @@ pub fn run_restart(w: Restart, cfg: RunConfig) -> RestartResult {
                 }
             }
         };
-        let file = (w.path(), w.read_view(rank));
+        let (disp, filetype) = w.read_view(rank);
+        let file = (&*path, (disp, &filetype));
         let restart = pass(&comm, &fs, &info, file, None, Some(read));
         let mut profile = checkpoint.profile;
         profile.merge(&restart.profile);

@@ -199,7 +199,8 @@ where
             }
         };
         let read = cfg.read_back.then_some(&mut read as Step<'_>);
-        let file = (w.path(), w.view(rank));
+        let (path, (disp, filetype)) = (w.path(), w.view(rank));
+        let file = (&*path, (disp, &filetype));
         pass(&comm, &fs, &info, file, Some(&mut write), read)
     });
 
@@ -299,7 +300,7 @@ pub(crate) fn pass<'ep>(
     comm: &Communicator<'ep>,
     fs: &FileSystem,
     info: &Info,
-    (path, (disp, filetype)): (String, (u64, mpiio::Datatype)),
+    (path, (disp, filetype)): (&str, (u64, &mpiio::Datatype)),
     write: Option<Step<'_>>,
     read: Option<Step<'_>>,
 ) -> Pass {
@@ -311,8 +312,8 @@ pub(crate) fn pass<'ep>(
         comm.barrier();
         (ep.now() - t0).as_secs()
     };
-    let mut f = ParcollFile::open(comm, fs, &path, info);
-    f.set_view(disp, &filetype);
+    let mut f = open(comm, fs, path, info);
+    f.set_view(disp, filetype);
     let write_s = write.map_or(0.0, |write| {
         timed(&mut || {
             write(&mut f);
@@ -325,8 +326,26 @@ pub(crate) fn pass<'ep>(
     Pass {
         write_s,
         read_s,
-        profile: f.close(),
+        profile: close(f),
     }
+}
+
+/// [`pass`]'s open, out of line: the file lives on the heap, and what
+/// building it takes is off the rank's stack before the first call.
+#[inline(never)]
+fn open<'ep>(
+    comm: &Communicator<'ep>,
+    fs: &FileSystem,
+    path: &str,
+    info: &Info,
+) -> Box<ParcollFile<'ep>> {
+    Box::new(ParcollFile::open(comm, fs, path, info))
+}
+
+/// [`pass`]'s close, out of line like its open.
+#[inline(never)]
+fn close(f: Box<ParcollFile<'_>>) -> PhaseProfile {
+    f.close()
 }
 
 /// The per-phase maximum over ranks' profiles: the slowest rank's time

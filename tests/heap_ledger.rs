@@ -268,7 +268,8 @@ fn steady_call(p: usize, mode: IoMode, cb: Option<u64>) -> (usize, u64) {
             .profile_max
             .rounds
     };
-    // First run: one-time state (the fiber stacks of `p` ranks).
+    // First run: one-time state (the stack pool's entries for `p`
+    // ranks, warm pools and caches).
     run(1);
     let second = calls(|| {
         run(2);
@@ -387,7 +388,7 @@ fn one_piece_list_per_rank_and_aggregator() {
 /// encoded as 16 wire bytes, gathered, decoded and indexed at 24 B — the
 /// same run requested 112.5 B per piece and peaked at 13.7 MiB.
 fn the_intermediate_view_keeps_runs() {
-    // First run: one-time state, and the fiber stacks go to the pool.
+    // First run: one-time state (the stack pool's entries, warm pools).
     btio_parcoll(1);
     let (peak, _) = ledger(|| btio_parcoll(1));
     let step = requested(|| btio_parcoll(1));
@@ -528,8 +529,10 @@ fn tile_write(p: usize, mode: IoMode) {
 }
 
 /// Peak live heap per rank of [`tile_write`], from its second run: the
-/// first one leaves the fiber stacks in the pool, so the peak reads what
-/// the ranks build, not their stacks.
+/// first one fills the stack pool's table and the warm pools, so the
+/// peak reads what the ranks build. Fiber stacks are mappings of their
+/// own, which no allocator sees (their pages are
+/// `crates/workloads/tests/stack_pages.rs`'s).
 fn per_rank_peak(p: usize, mode: IoMode) -> f64 {
     ledger(|| tile_write(p, mode));
     let (peak, _) = ledger(|| tile_write(p, mode));
@@ -565,10 +568,8 @@ fn bytes_per_rank_do_not_grow_with_p() {
 
 #[test]
 fn heap_follows_real_bytes_and_unique_metadata() {
-    // Fiber stacks are heap allocations of mostly untouched pages; keep
-    // them small so the ledger reads data structures, not reservations.
-    simnet::set_default_stack_size(128 << 10);
-
+    // Fiber stacks are mappings of their own, not heap: whatever their
+    // size, the ledger reads data structures only.
     real_bytes_are_held_once();
     // Bounds sit ≥ 4× below what the per-rank designs peaked at (204 MiB
     // and 335 MiB, measured with this file on the commit before the
