@@ -43,17 +43,16 @@ impl RangeSet {
         if start >= end {
             return;
         }
-        // Find insertion window: all ranges overlapping or adjacent.
+        // The ranges that overlap or touch the new one: `lo..hi`.
         let lo = self.ranges.partition_point(|&(_, e)| e < start);
-        let mut hi = lo;
-        let mut new_start = start;
-        let mut new_end = end;
-        while hi < self.ranges.len() && self.ranges[hi].0 <= end {
-            new_start = new_start.min(self.ranges[hi].0);
-            new_end = new_end.max(self.ranges[hi].1);
-            hi += 1;
+        let hi = lo + self.ranges[lo..].partition_point(|&(s, _)| s <= end);
+        if lo == hi {
+            self.ranges.insert(lo, (start, end));
+            return;
         }
-        self.ranges.splice(lo..hi, std::iter::once((new_start, new_end)));
+        let merged = (self.ranges[lo].0.min(start), self.ranges[hi - 1].1.max(end));
+        self.ranges[lo] = merged;
+        self.ranges.drain(lo + 1..hi);
     }
 
     /// Remove `[start, end)`, splitting ranges that straddle the cut.
@@ -61,20 +60,16 @@ impl RangeSet {
         if start >= end {
             return;
         }
-        let mut out = Vec::with_capacity(self.ranges.len() + 1);
-        for &(s, e) in &self.ranges {
-            if e <= start || s >= end {
-                out.push((s, e));
-            } else {
-                if s < start {
-                    out.push((s, start));
-                }
-                if e > end {
-                    out.push((end, e));
-                }
-            }
+        // The ranges that overlap the cut: `lo..hi`.
+        let lo = self.ranges.partition_point(|&(_, e)| e <= start);
+        let hi = lo + self.ranges[lo..].partition_point(|&(s, _)| s < end);
+        if lo == hi {
+            return;
         }
-        self.ranges = out;
+        let (first, last) = (self.ranges[lo].0, self.ranges[hi - 1].1);
+        let left = (first < start).then_some((first, start));
+        let right = (last > end).then_some((end, last));
+        self.ranges.splice(lo..hi, left.into_iter().chain(right));
     }
 
     /// True if any byte of `[start, end)` is covered.
@@ -145,9 +140,17 @@ mod tests {
     fn remove_uncovered_is_noop() {
         let mut r = RangeSet::new();
         r.insert(10, 20);
+        r.insert(30, 40);
+        let buffer = r.ranges().as_ptr();
         r.remove(0, 10);
         r.remove(20, 30);
-        assert_eq!(r.ranges(), &[(10, 20)]);
+        r.remove(45, 50);
+        assert_eq!(r.ranges(), &[(10, 20), (30, 40)]);
+        assert_eq!(
+            r.ranges().as_ptr(),
+            buffer,
+            "a remove that cuts nothing reallocated"
+        );
     }
 
     #[test]

@@ -90,7 +90,41 @@ fn apply_ops(ops: &[(bool, u64, u64)], universe: u64) -> (RangeSet, Vec<bool>) {
     (rs, reference)
 }
 
+/// The maximal runs of covered bytes in `model`, as `[start, end)`.
+fn runs(model: &[bool]) -> Vec<(u64, u64)> {
+    let mut out: Vec<(u64, u64)> = Vec::new();
+    for (x, _) in model.iter().enumerate().filter(|(_, &covered)| covered) {
+        let x = x as u64;
+        match out.last_mut() {
+            Some(run) if run.1 == x => run.1 = x + 1,
+            _ => out.push((x, x + 1)),
+        }
+    }
+    out
+}
+
 proptest! {
+    /// After every step the ranges are exactly the model's maximal runs:
+    /// inserts that meet no range, one or several, removes that cut
+    /// nothing, trim, split or swallow ranges, and empty ones of both.
+    #[test]
+    fn rangeset_ranges_are_the_models_maximal_runs(ops in proptest::collection::vec(
+        (0u8..3, 0u64..96, 0u64..12), 1..120)) {
+        let mut rs = RangeSet::new();
+        let mut model = vec![false; 108];
+        for (op, start, len) in ops {
+            let (s, e) = (start as usize, (start + len) as usize);
+            if op < 2 {
+                rs.insert(start, start + len);
+                model[s..e].fill(true);
+            } else {
+                rs.remove(start, start + len);
+                model[s..e].fill(false);
+            }
+            prop_assert_eq!(rs.ranges(), &runs(&model)[..]);
+        }
+    }
+
     /// RangeSet agrees with a boolean-vector reference under arbitrary
     /// insert/remove interleavings, and stays sorted + disjoint.
     #[test]

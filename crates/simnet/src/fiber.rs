@@ -8,7 +8,7 @@
 //! `p - 1` ranks, every receive parks one. None of that concurrency is
 //! real work that could overlap: a rank runs until it blocks. A *fiber*
 //! (stackful coroutine) makes the turn-taking explicit: every rank gets
-//! a heap-allocated stack, and a scheduler switches between them in
+//! a stack mapping of its own, and a scheduler switches between them in
 //! userspace (~tens of nanoseconds: the callee-saved registers and the
 //! stack pointer), with no thread, lock handoff or system call per turn.
 //!
@@ -23,11 +23,11 @@
 //! not touched again until then, so host time follows events, not
 //! ranks × scheduler cycles.
 //!
-//! The run queue is a priority queue, and it is also the admission gate
-//! of the shared virtual-time resources ([`crate::progress`]): a fiber
-//! made runnable waits under its earliest possible request key, a fiber
-//! that requests an OST queues itself under the request's key, and a
-//! requester is resumed — admitted — when its key is the minimum. A
+//! The run queue is also the admission gate of the shared virtual-time
+//! resources ([`crate::progress`]): a fiber made runnable joins a FIFO,
+//! a fiber that requests an OST joins a heap under the request's key,
+//! and a requester is resumed — admitted — when nothing else is
+//! runnable and its key is the minimum. A
 //! fiber that switches away pops the next fiber itself and switches
 //! straight to it — one context switch per handoff, not two through a
 //! scheduler stack; the scheduler loop runs only to start the fibers,

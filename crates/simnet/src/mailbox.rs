@@ -293,8 +293,8 @@ impl Mailbox {
     }
 
     /// Deposit a packet (called by the sender's fiber) and wake the
-    /// owner if it waits on this source: it is then runnable, queued at
-    /// its floor.
+    /// owner if it waits on this source: it is then runnable, at the
+    /// back of the run queue's FIFO.
     #[inline(always)]
     pub fn deliver(&self, pkt: Packet) {
         // hostprof: deposit + targeted wake; nothing below blocks.

@@ -13,69 +13,71 @@
 //! every queue-dependent quantity with it, is then a pure function of
 //! virtual time.
 //!
-//! # One queue
+//! # Two containers
 //!
 //! Every rank of a cluster is a fiber on one thread ([`crate::fiber`]).
-//! The scheduler's run queue is a binary heap that holds each runnable
-//! fiber under its *earliest possible key*:
+//! The scheduler's run queue holds a runnable fiber in one of two
+//! places:
 //!
-//! - a fiber made runnable (a delivery, a completed meeting) waits at
-//!   `(floor, rank)`, its *floor* being a lower bound on the arrival of
-//!   any request it may still issue: the latest arrival it has asked for;
-//! - a fiber that requests an arrival queues itself at `(arrival, rank)`.
+//! - a fiber made runnable (a delivery, a completed meeting) joins a
+//!   FIFO;
+//! - a fiber that requests an arrival joins a binary heap under its
+//!   request's key `(arrival, rank)`.
 //!
-//! When the minimum is a requester's key, the queue resumes that fiber,
-//! and that is the request's admission: it is then below every key that
-//! any runnable rank holds. A request whose key already lies below the
-//! queue's minimum is admitted on the spot, without leaving its fiber.
-//! A fiber blocked in a receive or a meeting holds no key, and neither
-//! does a finished one.
-//!
-//! When the minimum is not a requester's, any fiber that is not
-//! requesting may run, and the queue resumes the one made runnable
-//! longest ago: a receiver then finds every message its senders had
-//! time to post. Resuming the minimum there too woke a 512-rank tile
-//! write's low-ranked aggregators once per sender (44 686 fiber slices
-//! against 26 851 for the base leg of `TileIo::paper(512)`).
+//! The queue resumes the FIFO's oldest fiber while there is one: a
+//! receiver then finds every message its senders had time to post. Only
+//! when the FIFO is empty does it take the heap's minimum, and resuming
+//! that fiber is its request's admission. A request is admitted on the
+//! spot, without leaving its fiber, when the FIFO is empty and its key
+//! lies below the heap's minimum. A fiber blocked in a receive or a
+//! meeting is in neither container, and neither is a finished one.
 //!
 //! # Why the minimum is enough
 //!
-//! Let a request's key lie below every queued key, and the program not
-//! be deadlocked. Follow a blocked rank's chain: a receiver to its
-//! sender, a parked rank to a member of its meeting still on its way (a
-//! meeting always has one: the last arrival completes it instead of
-//! parking). The chain ends at a runnable rank, whose key is above the
-//! request's and whose wake of the chain is strictly later (every wake
-//! crosses a service, a message flight or a collective); at the
-//! requester itself, which moves only after this request is served; or
-//! at a finished rank, which wakes nobody. So no blocked rank can later
-//! request below the key, and no queued one can either.
+//! Let the FIFO be empty and a request's key lie below every key in the
+//! heap, and the program not be deadlocked. Every other rank is then
+//! pending in the heap, blocked or finished: none is runnable. Follow a
+//! blocked rank's chain: a receiver to its sender, a parked rank to a
+//! member of its meeting still on its way (a meeting always has one: the
+//! last arrival completes it instead of parking). The chain ends at a
+//! pending rank, whose key is above the request's, whose later requests
+//! arrive no earlier than this one and whose wake of the chain is
+//! strictly later (every wake crosses a service, a message flight or a
+//! collective); at the requester itself, which moves only after this
+//! request is served; or at a finished rank, which wakes nobody. So no
+//! rank can later request below the key.
 //!
 //! Two waits are not in that list, and neither breaks the argument. A
 //! fiber woken by a delivery on another key than the one it waits for
-//! is queued at its floor like any runnable rank: that only delays
+//! joins the FIFO like any fiber made runnable: that only delays
 //! admissions. A rank that enters a meeting again before its previous
-//! generation has drained waits on members that the completion already
-//! queued; its own clock lies past that completion, which lies past
-//! every member's entry, and a rank's clock never falls below its floor
-//! once its request has been served.
+//! generation has drained waits on members that the completion made
+//! runnable, and no request is admitted while they are.
+//!
+//! The gate admits in global key order, so the admissions, and every
+//! virtual time that follows from them, are those of any other sound
+//! gate that admits in that order: holding requests back until nothing
+//! is runnable changes host order only.
 //!
 //! # What it costs
 //!
-//! A wake is a push onto the heap (and onto the list of fibers made
-//! runnable) and a resume a removal from it, `O(log ranks)` levels each
-//! (the `runq_steps` host counter); an admission on the spot compares
-//! with the root.
+//! A wake is a push onto the FIFO and a resume a pop from its front,
+//! `O(1)` each; a request that is not admitted on the spot is a push
+//! onto the heap and, at its admission, a pop, `O(log pending)` levels
+//! each. The `runq_steps` host counter counts queue operations (pushes
+//! and pops), `runq_admits` the heap's pops. Nothing is woken when a
+//! fiber blocks, finishes or is made runnable: a requester is resumed
+//! once, when it is admitted.
 //!
 //! # The host-order oracle
 //!
 //! [`set_pop_order`]`(PopOrder::Shuffled(seed))` makes the queue resume
-//! a runnable fiber drawn at random instead. A
+//! a queued fiber drawn at random from both containers instead. A
 //! requester resumed that way checks its key against the queue again,
-//! and queues itself anew until it is the minimum, so admission follows
-//! the same rule under any host order. Virtual times, traces and file
-//! images must not depend on the pop order; the determinism tests
-//! compare them bit for bit across seeds.
+//! and queues itself anew until the FIFO is empty and it is the minimum,
+//! so admission follows the same rule under any host order. Virtual
+//! times, traces and file images must not depend on the pop order; the
+//! determinism tests compare them bit for bit across seeds.
 //!
 //! Code outside a fiber (a unit test driving an `Ost` directly) is not
 //! gated: [`admit`] returns at once.
@@ -84,17 +86,18 @@ use crate::noise::SplitMix64;
 use crate::time::SimTime;
 use simtrace::host::{self, Counter};
 use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// How the run queue picks the next runnable fiber to resume.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PopOrder {
-    /// The minimum key when it is a requester's, else the fiber made
-    /// runnable longest ago: the order every run uses by default.
+    /// The fiber made runnable longest ago, else the pending request
+    /// with the minimum key: the order every run uses by default.
     Fixed,
-    /// A runnable fiber drawn by a generator seeded with this value,
-    /// requests still admitted only as the minimum: the host-order
-    /// oracle (module doc).
+    /// A queued fiber drawn by a generator seeded with this value,
+    /// requests still admitted only as the minimum with nothing else
+    /// runnable: the host-order oracle (module doc).
     Shuffled(u64),
 }
 
@@ -115,170 +118,108 @@ pub fn pop_order() -> PopOrder {
 
 /// `(time, rank)` as one integer that orders like the pair: the time's
 /// bits in the high half, mapped so that integer order is
-/// `f64::total_cmp` order, the rank above the lowest bit of the low half.
-/// The lowest bit is free for [`REQUESTER`]: a fiber holds one key at a
-/// time, so two keys never differ in that bit alone.
+/// `f64::total_cmp` order, the rank in the low half.
 pub(crate) fn key(time: SimTime, rank: usize) -> u128 {
     let bits = time.0.to_bits();
     // A positive time gains the sign bit, a negative one flips them all.
     let ordered = bits ^ ((bits as i64 >> 63) as u64 | (1 << 63));
-    (u128::from(ordered) << 64) | (rank as u128) << 1
+    (u128::from(ordered) << 64) | rank as u128
 }
-
-/// The bit of a queued [`key`] that marks a requester's.
-const REQUESTER: u128 = 1;
 
 /// The rank a [`key`] belongs to.
 fn rank_of(key: u128) -> usize {
-    (key as u64 >> 1) as usize
+    key as u64 as usize
 }
 
-/// [`RunQueue::at`] of a fiber that is not queued.
-const NOT_QUEUED: u32 = u32::MAX;
-
-/// The runnable fibers of one scheduler loop by earliest possible key,
-/// and every fiber's floor.
+/// The runnable fibers of one scheduler loop: those made runnable in
+/// the order they were, the pending requests by key.
 #[derive(Default)]
 pub(crate) struct RunQueue {
-    /// Binary min-heap of the queued fibers' keys, a requester's with
-    /// [`REQUESTER`] set.
-    heap: Vec<u128>,
-    /// Per fiber: the place of its key in `heap`, or [`NOT_QUEUED`].
-    at: Vec<u32>,
-    /// The queued fibers that are not requesters, in the order they were
-    /// made runnable.
+    /// The fibers made runnable, oldest first.
     woken: VecDeque<u32>,
-    /// Per fiber: the latest arrival it has requested.
-    floor: Vec<SimTime>,
+    /// The pending requests' keys.
+    requests: BinaryHeap<Reverse<u128>>,
     /// Set under [`PopOrder::Shuffled`].
     shuffle: Option<SplitMix64>,
-    /// Heap levels moved, plus one per push and removal, not yet added to
-    /// the `runq_steps` host counter.
+    /// Pushes and pops not yet added to the `runq_steps` host counter.
     steps: u64,
+    /// Heap pops not yet added to the `runq_admits` host counter.
+    admits: u64,
 }
 
 impl RunQueue {
-    /// `n` runnable fibers at floor zero, popped in `order`.
-    fn new(n: usize, order: PopOrder) -> Self {
-        let mut q = Self::empty(n, order);
-        (0..n).for_each(|r| q.push(key(SimTime::ZERO, r)));
-        q
-    }
-
     /// A queue of `n` fibers none of which is queued.
-    fn empty(n: usize, order: PopOrder) -> Self {
+    fn new(n: usize, order: PopOrder) -> Self {
         RunQueue {
-            heap: Vec::with_capacity(n),
-            at: vec![NOT_QUEUED; n],
             woken: VecDeque::with_capacity(n),
-            floor: vec![SimTime::ZERO; n],
+            requests: BinaryHeap::with_capacity(n),
             shuffle: match order {
                 PopOrder::Fixed => None,
                 PopOrder::Shuffled(seed) => Some(SplitMix64::new(seed)),
             },
             steps: 0,
+            admits: 0,
         }
     }
 
-    /// Queue a fiber under `key`: a requester's if it carries
-    /// [`REQUESTER`], else a fiber just made runnable.
-    fn push(&mut self, key: u128) {
-        let rank = rank_of(key);
-        debug_assert_eq!(self.at[rank], NOT_QUEUED, "fiber {rank} queued twice");
-        if key & REQUESTER == 0 {
-            self.woken.push_back(rank as u32);
-        }
-        self.heap.push(key);
-        self.steps += 1 + self.sift_up(self.heap.len() - 1);
+    /// Whether fiber `rank` is queued: a linear scan, for debug checks.
+    fn queued(&self, rank: usize) -> bool {
+        self.woken.contains(&(rank as u32)) || self.requests.iter().any(|k| rank_of(k.0) == rank)
     }
 
-    /// The next fiber to resume. The minimum if it is a requester — that
-    /// is its admission — else the fiber made runnable longest ago: the
-    /// order among fibers that are not requesting is free, and oldest
-    /// first lets a receiver find every message its senders had time to
-    /// post. Under a shuffled order, any queued fiber.
+    /// Queue fiber `rank`, just made runnable.
+    fn wake(&mut self, rank: usize) {
+        debug_assert!(!self.queued(rank), "fiber {rank} queued twice");
+        self.woken.push_back(rank as u32);
+        self.steps += 1;
+    }
+
+    /// Queue a requester under its request's `key`.
+    fn request(&mut self, key: u128) {
+        debug_assert!(
+            !self.queued(rank_of(key)),
+            "fiber {} queued twice",
+            rank_of(key)
+        );
+        self.requests.push(Reverse(key));
+        self.steps += 1;
+    }
+
+    /// The next fiber to resume: the one made runnable longest ago, else
+    /// the pending request with the minimum key — that is its admission.
+    /// Under a shuffled order, any queued fiber.
     fn pop(&mut self) -> Option<usize> {
-        let &min = self.heap.first()?;
         let rank = match &mut self.shuffle {
-            None if min & REQUESTER != 0 => rank_of(min),
-            None => self
-                .woken
-                .pop_front()
-                .expect("a queued fiber that is not requesting") as usize,
-            Some(rng) => {
-                let rank = rank_of(self.heap[(rng.next_u64() % self.heap.len() as u64) as usize]);
-                if let Some(i) = self.woken.iter().position(|&r| r as usize == rank) {
-                    self.woken.remove(i);
+            None => match self.woken.pop_front() {
+                Some(rank) => rank as usize,
+                None => {
+                    let Reverse(min) = self.requests.pop()?;
+                    self.admits += 1;
+                    rank_of(min)
                 }
-                rank
+            },
+            Some(rng) => {
+                let n = self.woken.len() + self.requests.len();
+                let i = rng.next_u64().checked_rem(n as u64)? as usize;
+                match i.checked_sub(self.woken.len()) {
+                    None => self.woken.remove(i).expect("a drawn fiber") as usize,
+                    Some(i) => {
+                        let Reverse(drawn) = *self.requests.iter().nth(i).expect("a drawn request");
+                        self.requests.retain(|&Reverse(k)| k != drawn);
+                        self.admits += 1;
+                        rank_of(drawn)
+                    }
+                }
             }
         };
-        self.remove(rank);
+        self.steps += 1;
         Some(rank)
     }
 
-    /// Take queued fiber `rank`'s key out of the heap.
-    fn remove(&mut self, rank: usize) {
-        let i = std::mem::replace(&mut self.at[rank], NOT_QUEUED) as usize;
-        let last = self.heap.pop().expect("a queued fiber");
-        let mut steps = 0;
-        if i < self.heap.len() {
-            self.place(i, last);
-            steps = self.sift_down(i);
-            if steps == 0 {
-                steps = self.sift_up(i);
-            }
-        }
-        self.steps += 1 + steps;
-    }
-
-    /// True when `key` lies below every queued key.
+    /// True when nothing is runnable and `key` lies below every pending
+    /// request's.
     fn admits(&self, key: u128) -> bool {
-        self.heap.first().is_none_or(|&min| key < min)
-    }
-
-    /// Move the key at `i` towards the root; returns the levels moved.
-    fn sift_up(&mut self, mut i: usize) -> u64 {
-        let (k, mut steps) = (self.heap[i], 0);
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if self.heap[parent] <= k {
-                break;
-            }
-            self.place(i, self.heap[parent]);
-            i = parent;
-            steps += 1;
-        }
-        self.place(i, k);
-        steps
-    }
-
-    /// Move the key at `i` towards the leaves; returns the levels moved.
-    fn sift_down(&mut self, mut i: usize) -> u64 {
-        let (k, n, mut steps) = (self.heap[i], self.heap.len(), 0);
-        loop {
-            let mut child = 2 * i + 1;
-            if child >= n {
-                break;
-            }
-            if child + 1 < n && self.heap[child + 1] < self.heap[child] {
-                child += 1;
-            }
-            if self.heap[child] >= k {
-                break;
-            }
-            self.place(i, self.heap[child]);
-            i = child;
-            steps += 1;
-        }
-        self.place(i, k);
-        steps
-    }
-
-    /// Put `key` at `i`, and remember where its fiber's key is.
-    fn place(&mut self, i: usize, key: u128) {
-        self.heap[i] = key;
-        self.at[rank_of(key)] = i as u32;
+        self.woken.is_empty() && self.requests.peek().is_none_or(|&Reverse(min)| key < min)
     }
 }
 
@@ -287,12 +228,13 @@ thread_local! {
     static QUEUE: RefCell<RunQueue> = RefCell::default();
 }
 
-/// Run `f` on this thread's run queue, then publish its steps.
+/// Run `f` on this thread's run queue, then publish its counts.
 fn with_queue<T>(f: impl FnOnce(&mut RunQueue) -> T) -> T {
     QUEUE.with(|q| {
         let mut q = q.borrow_mut();
         let out = f(&mut q);
         host::count(Counter::RunqSteps, std::mem::take(&mut q.steps));
+        host::count(Counter::RunqAdmits, std::mem::take(&mut q.admits));
         out
     })
 }
@@ -300,12 +242,15 @@ fn with_queue<T>(f: impl FnOnce(&mut RunQueue) -> T) -> T {
 /// Install the run queue of a scheduler loop over `n` fibers, all
 /// runnable, popped in `order`.
 pub(crate) fn start(n: usize, order: PopOrder) {
-    with_queue(|q| *q = RunQueue::new(n, order));
+    with_queue(|q| {
+        *q = RunQueue::new(n, order);
+        (0..n).for_each(|r| q.wake(r));
+    });
 }
 
-/// Queue fiber `rank`, just made runnable, at its floor.
+/// Queue fiber `rank`, just made runnable.
 pub(crate) fn wake(rank: usize) {
-    with_queue(|q| q.push(key(q.floor[rank], rank)));
+    with_queue(|q| q.wake(rank));
 }
 
 /// The next fiber to resume, if any is runnable.
@@ -326,15 +271,14 @@ pub fn admit(arrival: SimTime) {
     let Some(rank) = crate::fiber::current() else {
         return;
     };
-    let key = key(arrival, rank) | REQUESTER;
-    with_queue(|q| q.floor[rank] = q.floor[rank].max(arrival));
+    let key = key(arrival, rank);
     // Resumed as the minimum this passes at once; under a shuffled pop
     // order the fiber may be resumed early, and queues itself again.
     loop {
         let queued = with_queue(|q| {
             let queue = !q.admits(key) && !early();
             if queue {
-                q.push(key);
+                q.request(key);
             }
             queue
         });
@@ -352,12 +296,12 @@ fn early() -> bool {
 
 #[cfg(test)]
 thread_local! {
-    /// Admissions still to grant out of order: the planted mutation the
+    /// Refused requests still to admit anyway: the planted mutation the
     /// oracle test must catch.
     static EARLY: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
 }
 
-/// The planted mutation: admit a request that is not the minimum.
+/// The planted mutation: admit a request the gate refuses.
 #[cfg(test)]
 fn early() -> bool {
     EARLY.with(|e| {
@@ -506,18 +450,24 @@ mod tests {
             matches!(self.ranks[rank].1, Mode::Recv { .. } | Mode::Rdv { .. })
         }
 
-        /// The run queue of this state: runnable ranks at their floors,
-        /// pending ones at their requests' keys.
+        /// The run queue of this state: runnable ranks in the FIFO,
+        /// pending ones in the heap at their requests' keys.
         fn queue(&self) -> RunQueue {
-            let mut q = RunQueue::empty(self.ranks.len(), PopOrder::Fixed);
-            for (r, (floor, mode)) in self.ranks.iter().enumerate() {
+            let mut q = RunQueue::new(self.ranks.len(), PopOrder::Fixed);
+            for (r, (_, mode)) in self.ranks.iter().enumerate() {
                 match mode {
-                    Mode::Running => q.push(key(*floor, r)),
-                    Mode::Pending { key: k } => q.push(key(k.arrival, r) | REQUESTER),
+                    Mode::Running => q.wake(r),
+                    Mode::Pending { key: k } => q.request(key(k.arrival, r)),
                     _ => {}
                 }
             }
             q
+        }
+
+        fn running(&self) -> bool {
+            self.ranks
+                .iter()
+                .any(|(_, mode)| matches!(mode, Mode::Running))
         }
 
         /// The queue's verdict on the pending request `req`: it is the
@@ -712,6 +662,13 @@ mod tests {
         }
     }
 
+    /// A rank pending at its request's key `(arrival, rank)`.
+    fn pending(arrival: SimTime, rank: usize) -> Mode {
+        Mode::Pending {
+            key: ReqKey { arrival, rank },
+        }
+    }
+
     /// The meetings a generated state draws from: the world, two halves
     /// and a set that straddles them.
     fn meetings(n: usize) -> Vec<Rc<[usize]>> {
@@ -750,12 +707,7 @@ mod tests {
                     s.members.insert(m as u64, Rc::clone(&meetings[m]));
                     Mode::Rdv { id: m as u64 }
                 }
-                6 => Mode::Pending {
-                    key: ReqKey {
-                        arrival: SimTime::secs((floor + operand % 4) as f64),
-                        rank: r,
-                    },
-                },
+                6 => pending(SimTime::secs((floor + operand % 4) as f64), r),
                 _ => Mode::Finished,
             };
             s.ranks.push((SimTime::secs(floor as f64), mode));
@@ -809,93 +761,93 @@ mod tests {
     }
 
     /// On every state a run can reach — not deadlocked, no meeting with
-    /// all its members parked — the queue's verdict is the exact
-    /// solution of the rule the walks implemented, and so never stricter
-    /// than the recursive walk. On the states set aside the two differ:
-    /// there a walk cuts a cycle that no run can close.
+    /// all its members parked — the queue admits only what the exact
+    /// solution of the rule the walks implemented admits, and only what
+    /// the recursive walk admits. Where no rank is runnable its verdict
+    /// is the exact one; a runnable rank holds every request back,
+    /// whatever its floor, and that is the only place the two differ.
+    /// Two generators: every mode, and only receiving, parked, pending
+    /// and finished ranks with floors and arrivals drawn from four
+    /// values, so that ties — between floors, between pending keys and
+    /// across the two — are the common case.
     #[test]
-    fn the_queue_minimum_is_exact_on_every_reachable_state() {
+    fn the_queue_is_sound_everywhere_and_exact_when_no_rank_is_runnable() {
         use proptest::strategy::Strategy;
-        let strategy = (
-            proptest::collection::vec((0u8..6, 0u8..8, 0u8..255), 2..14),
-            0usize..14,
-            0u8..8,
-        );
-        let mut rng = proptest::test_runner::TestRng::deterministic("linear_gate");
-        let (mut live, mut differ, mut past_blocked) = (0, 0, 0);
-        for _ in 0..20_000 {
-            let (draws, requester, arrival) = strategy.generate(&mut rng);
-            let (s, key) = state_from(&draws, requester, arrival);
-            let old = reference::admissible(&s, &key);
-            let new = s.admits(&key);
-            differ += usize::from(old != new);
-            if deadlocked(&s, key.rank) || fully_parked(&s) {
-                continue;
-            }
-            let exact = reference::fixpoint_admissible(&s, &key);
-            live += 1;
-            past_blocked += usize::from(new && (0..s.ranks.len()).any(|r| s.blocked(r)));
-            assert!(
-                !old || new,
-                "stricter than the recursive gate: {draws:?} {key:?}"
+        let (mut past_blocked, mut held_back, mut tied) = (0, 0, 0);
+        for (seed, floors, modes, ranks, arrivals) in [
+            (
+                "linear_gate",
+                6u8,
+                &[0, 1, 2, 3, 4, 5, 6, 7][..],
+                14usize,
+                8u8,
+            ),
+            // Selector 2 receiving, 3 parked, 6 pending, 7 finished.
+            ("tree_minimum", 4, &[2, 3, 6, 6, 6, 7][..], 40, 5),
+        ] {
+            let strategy = (
+                proptest::collection::vec((0..floors, 0..modes.len() as u8, 0u8..255), 2..ranks),
+                0..ranks,
+                0..arrivals,
             );
-            assert_eq!(new, exact, "not exact: {draws:?} {key:?}");
+            let mut rng = proptest::test_runner::TestRng::deterministic(seed);
+            let (mut live, mut idle) = (0, 0);
+            for _ in 0..20_000 {
+                let (mut draws, requester, arrival) = strategy.generate(&mut rng);
+                draws.iter_mut().for_each(|d| d.1 = modes[d.1 as usize]);
+                let (s, key) = state_from(&draws, requester, arrival);
+                if deadlocked(&s, key.rank) || fully_parked(&s) {
+                    continue;
+                }
+                let new = s.admits(&key);
+                let exact = reference::fixpoint_admissible(&s, &key);
+                let walk = reference::admissible(&s, &key);
+                let blocked = (0..s.ranks.len()).any(|r| s.blocked(r));
+                live += 1;
+                assert!(
+                    !new || exact,
+                    "admits what the fixpoint refuses: {draws:?} {key:?}"
+                );
+                assert!(
+                    !new || walk,
+                    "admits what the walk refuses: {draws:?} {key:?}"
+                );
+                if s.running() {
+                    assert!(!new, "admitted past a runnable rank: {draws:?} {key:?}");
+                    held_back += usize::from(exact);
+                } else {
+                    assert_eq!(new, exact, "not exact: {draws:?} {key:?}");
+                    assert!(blocked || new == walk, "{draws:?} {key:?}");
+                    idle += 1;
+                }
+                past_blocked += usize::from(new && blocked);
+                tied += usize::from(s.ranks.iter().enumerate().any(|(r, (floor, mode))| {
+                    r != key.rank && !matches!(mode, Mode::Finished) && *floor == key.arrival
+                }));
+            }
+            assert!(
+                live > 2_000,
+                "{seed}: only {live} reachable states generated"
+            );
+            assert!(idle > 1_000, "{seed}: only {idle} with no rank runnable");
         }
-        assert!(live > 2_000, "only {live} reachable states generated");
         assert!(
-            past_blocked > 1_000,
+            past_blocked > 2_000,
             "only {past_blocked} admissions with a rank blocked"
         );
         assert!(
-            differ > 0,
-            "the queue never disagreed with the recursive gate: the states set aside are vacuous"
+            held_back > 1_000,
+            "only {held_back} held back by a runnable rank"
         );
-    }
-
-    /// With nobody blocked the verdict is the exact one: states of
-    /// running, pending and finished ranks only, floors and arrivals
-    /// drawn from four values so that ties — between floors, between
-    /// pending keys and across the two — are the common case.
-    #[test]
-    fn the_queue_minimum_is_the_exact_verdict_when_nobody_is_blocked() {
-        use proptest::strategy::Strategy;
-        let strategy = (
-            proptest::collection::vec((0u8..4, 0u8..5, 0u8..255), 2..40),
-            0usize..40,
-            0u8..5,
-        );
-        let mut rng = proptest::test_runner::TestRng::deterministic("tree_minimum");
-        let (mut admitted, mut tied) = (0, 0);
-        for _ in 0..20_000 {
-            let (mut draws, requester, arrival) = strategy.generate(&mut rng);
-            for d in &mut draws {
-                // Selector 0..=1 running, 6 pending, 7 finished.
-                d.1 = [0, 1, 6, 6, 7][d.1 as usize];
-            }
-            let (s, key) = state_from(&draws, requester, arrival);
-            assert!((0..s.ranks.len()).all(|r| !s.blocked(r)));
-            let new = s.admits(&key);
-            let exact = reference::fixpoint_admissible(&s, &key);
-            assert_eq!(new, exact, "{draws:?} {key:?}");
-            assert_eq!(new, reference::admissible(&s, &key));
-            admitted += usize::from(new);
-            tied += usize::from(s.ranks.iter().enumerate().any(|(r, (floor, mode))| {
-                r != key.rank && !matches!(mode, Mode::Finished) && *floor == key.arrival
-            }));
-        }
-        assert!(admitted > 1_000, "only {admitted} admissible states");
-        assert!(
-            tied > 10_000,
-            "only {tied} states with a tie at the arrival"
-        );
+        assert!(tied > 5_000, "only {tied} states with a tie at the arrival");
     }
 
     #[test]
-    fn an_admission_moves_one_heap_path_whoever_is_parked() {
-        // 1 024 ranks at assorted floors, some of them parked in
-        // meetings; one asks. Queueing the request and resuming the
-        // minimum move one root-to-leaf path each: no rank and no
-        // meeting member is looked at, whatever the meetings' shapes.
+    fn an_admission_is_one_heap_push_and_pop_whoever_is_parked() {
+        // 1 024 ranks pending at assorted arrivals, some of them parked
+        // in meetings; one asks. Queueing the request and resuming the
+        // minimum are one heap push and one pop: no rank and no meeting
+        // member is looked at, whatever the meetings' shapes.
         const P: usize = 1024;
         let requester = P / 2;
         let world: Rc<[usize]> = (0..P).collect();
@@ -917,7 +869,7 @@ mod tests {
             (all_with_requester, requester, 1.0, true),
             (all_with_requester, requester, 9.0, true),
             (all_but_a_straggler, requester, 1.0, true),
-            // Rank 7 runs at floor 2 and wins the tie at t=2.
+            // Rank 7 asks at t=2 and wins the tie.
             (all_but_a_straggler, requester, 2.0, false),
             (subgroups, requester, 1.0, true),
             (subgroups, requester, 5.0, false),
@@ -928,14 +880,15 @@ mod tests {
                 members: HashMap::new(),
             };
             for r in 0..P {
+                let at = SimTime::secs(2.0 + (r % 7) as f64);
                 let mode = match parks(r) {
                     Some((id, members)) => {
                         s.members.insert(id, members);
                         Mode::Rdv { id }
                     }
-                    None => Mode::Running,
+                    None => pending(at, r),
                 };
-                s.ranks.push((SimTime::secs(2.0 + (r % 7) as f64), mode));
+                s.ranks.push((at, mode));
             }
             let req = ReqKey {
                 arrival: SimTime::secs(arrival),
@@ -944,16 +897,16 @@ mod tests {
             // The requester is the running fiber: not in the queue.
             s.ranks[requester].1 = Mode::Finished;
             let mut q = s.queue();
-            q.steps = 0;
-            let on_the_spot = q.admits(key(req.arrival, requester) | REQUESTER);
+            (q.steps, q.admits) = (0, 0);
+            let on_the_spot = q.admits(key(req.arrival, requester));
             if !on_the_spot {
-                q.push(key(req.arrival, requester) | REQUESTER);
+                q.request(key(req.arrival, requester));
                 q.pop();
             }
-            assert!(
-                q.steps <= 2 * (P.ilog2() as u64 + 1),
-                "{} queue steps for one admission among {P} ranks",
-                q.steps
+            assert_eq!(
+                (q.steps, q.admits),
+                if on_the_spot { (0, 0) } else { (2, 1) },
+                "queue operations for one admission among {P} ranks"
             );
             s.ranks[requester].1 = Mode::Pending { key: req };
             assert_eq!(on_the_spot, admitted);
@@ -966,79 +919,89 @@ mod tests {
     fn a_subgroup_request_waits_for_the_other_subgroups_straggler() {
         // ParColl's shape: 1 024 ranks in 16 subgroups of 64. The
         // requester's subgroup is parked while it writes; so is another
-        // subgroup but for one straggler still running at `other_floor`,
-        // whose arrival at the meeting bounds its members' next
-        // requests. The rest of the ranks run at floors above the
-        // arrival.
+        // subgroup but for one straggler, whose arrival at the meeting
+        // bounds its members' next requests. The rest of the ranks are
+        // pending at t=3. While the straggler runs, the request waits;
+        // once it asks, the keys decide, equal arrivals by rank.
         const P: usize = 1024;
         const G: usize = 64;
         let (requester, other) = (100, 5);
         let straggler = other * G + 7;
-        let arrival = SimTime::secs(1.0);
-        for (other_floor, admitted) in [(2.0, true), (1.0, true), (0.5, false)] {
+        let at = SimTime::secs;
+        let key = ReqKey {
+            arrival: SimTime::secs(1.0),
+            rank: requester,
+        };
+        for (straggler_mode, admitted) in [
+            (Mode::Running, false),
+            (pending(at(2.0), straggler), true),
+            (pending(at(1.0), straggler), true),
+            (pending(at(0.5), straggler), false),
+        ] {
             let mut s = State {
-                ranks: vec![(SimTime::secs(3.0), Mode::Running); P],
+                ranks: (0..P).map(|r| (at(3.0), pending(at(3.0), r))).collect(),
                 members: HashMap::new(),
             };
-            for (group, floor) in [(requester / G, 2.0), (other, other_floor)] {
+            for group in [requester / G, other] {
                 let members: Rc<[usize]> = (group * G..(group + 1) * G).collect();
-                s.members.insert(group as u64, Rc::clone(&members));
                 for &r in members.iter() {
-                    let mode = if r != requester && r != straggler {
-                        Mode::Rdv { id: group as u64 }
-                    } else {
-                        Mode::Running
-                    };
-                    s.ranks[r] = (SimTime::secs(floor), mode);
+                    s.ranks[r] = (at(0.5), Mode::Rdv { id: group as u64 });
                 }
+                s.members.insert(group as u64, members);
             }
-            let key = ReqKey {
-                arrival,
-                rank: requester,
-            };
+            let running = matches!(straggler_mode, Mode::Running);
+            s.ranks[straggler].1 = straggler_mode;
             s.ranks[requester].1 = Mode::Pending { key };
-            assert_eq!(s.admits(&key), admitted);
-            assert_eq!(reference::admissible(&s, &key), admitted);
-            assert_eq!(reference::fixpoint_admissible(&s, &key), admitted);
+            assert_eq!(s.admits(&key), admitted, "{:?}", s.ranks[straggler]);
+            if !running {
+                assert_eq!(reference::fixpoint_admissible(&s, &key), admitted);
+                assert_eq!(reference::admissible(&s, &key), admitted);
+            }
         }
     }
 
     #[test]
-    fn requesters_pop_in_key_order_and_the_rest_oldest_first() {
+    fn woken_fibers_pop_oldest_first_then_requests_in_key_order() {
         let times = [5.0, 1.0, 3.0, 2.0, 4.0];
-        let fill = |q: &mut RunQueue, requester: bool| {
-            for (r, t) in times.iter().enumerate() {
-                q.push(key(SimTime::secs(*t), r) | u128::from(requester));
-            }
-        };
         let drain = |q: &mut RunQueue| std::iter::from_fn(|| q.pop()).collect::<Vec<_>>();
-        let mut q = RunQueue::empty(5, PopOrder::Fixed);
-        fill(&mut q, true);
+        let mut q = RunQueue::new(5, PopOrder::Fixed);
+        for (r, t) in times.iter().enumerate() {
+            q.request(key(SimTime::secs(*t), r));
+        }
         assert_eq!(drain(&mut q), [1, 3, 2, 4, 0]);
-        // Made runnable, not requesting: the order they were queued in,
-        // until a requester is the minimum.
-        fill(&mut q, false);
-        assert_eq!(drain(&mut q), [0, 1, 2, 3, 4]);
-        q.push(key(SimTime::secs(1.0), 3));
-        q.push(key(SimTime::secs(2.0), 1));
-        q.push(key(SimTime::secs(0.5), 0) | REQUESTER);
-        assert_eq!(drain(&mut q), [0, 3, 1]);
+        assert_eq!(q.admits, 5);
+        for r in [3, 0, 4, 1, 2] {
+            q.wake(r);
+        }
+        assert_eq!(drain(&mut q), [3, 0, 4, 1, 2]);
+        // A woken fiber goes first even below a request's key: it may
+        // still ask for less.
+        q.request(key(SimTime::secs(0.5), 0));
+        q.wake(3);
+        q.request(key(SimTime::secs(0.25), 4));
+        q.wake(1);
+        assert!(!q.admits(key(SimTime::ZERO, 2)));
+        assert_eq!(drain(&mut q), [3, 1, 4, 0]);
+        assert!(q.admits(key(SimTime::ZERO, 2)));
+        // Shuffled, any fiber of either container comes first; what is
+        // left pops woken fibers in wake order, then requests by key.
         let mut firsts = std::collections::HashSet::new();
         for seed in 0..64 {
-            let mut q = RunQueue::empty(5, PopOrder::Shuffled(seed));
-            fill(&mut q, seed % 2 == 0);
-            firsts.insert(q.pop().unwrap());
-            // What is left is still a heap: its requesters come out in
-            // key order once popped in the default order.
-            q.shuffle = None;
-            let mut left = q.heap.clone();
-            if seed % 2 == 0 {
-                left.sort_unstable();
-            } else {
-                // Not requesters: in the order they were queued.
-                left.sort_unstable_by_key(|&k| rank_of(k));
+            let mut q = RunQueue::new(5, PopOrder::Shuffled(seed));
+            for (r, t) in times.iter().enumerate() {
+                if r % 2 == 0 {
+                    q.wake(r);
+                } else {
+                    q.request(key(SimTime::secs(*t), r));
+                }
             }
-            let left: Vec<usize> = left.into_iter().map(rank_of).collect();
+            let first = q.pop().unwrap();
+            firsts.insert(first);
+            q.shuffle = None;
+            let left: Vec<usize> = [0, 2, 4, 1, 3]
+                .into_iter()
+                .filter(|&r| r != first)
+                .collect();
             assert_eq!(drain(&mut q), left);
         }
         assert_eq!(
@@ -1148,12 +1111,22 @@ mod tests {
             set_pop_order(PopOrder::Shuffled(seed));
             assert_eq!(oracle_run(), reference, "pop order seed {seed}");
         }
-        // The mutation: one request admitted while it is not the
-        // minimum. Planted into the queue, the oracle sees it.
+        // The mutation: requests admitted while the gate refuses them.
+        // In the default order the first refusal is rank 0's request at
+        // t=0, which is the minimum anyway; the second is rank 1's at
+        // 5 µs, while rank 2 will still ask at 3 µs. Planted twice into
+        // the queue, the oracle sees it in the default order and under
+        // every seed.
+        for pops in std::iter::once(PopOrder::Fixed).chain((0..16).map(PopOrder::Shuffled)) {
+            set_pop_order(pops);
+            EARLY.with(|e| e.set(2));
+            let mutated = oracle_run();
+            EARLY.with(|e| e.set(0));
+            assert_ne!(
+                mutated, reference,
+                "{pops:?}: an early admission went unseen"
+            );
+        }
         set_pop_order(PopOrder::Fixed);
-        EARLY.with(|e| e.set(1));
-        let mutated = oracle_run();
-        EARLY.with(|e| e.set(0));
-        assert_ne!(mutated, reference, "an early admission went unseen");
     }
 }

@@ -268,7 +268,7 @@ impl Rendezvous {
             st.result = Some((Rc::new(result), completion, info));
             st.draining = self.n;
             // The meeting is complete: every parked participant is
-            // runnable again, queued at its floor.
+            // runnable again, at the back of the run queue's FIFO.
             st.wake_all();
         }
 

@@ -292,15 +292,18 @@ pub enum Counter {
     /// copies every file byte once — into the reader's buffer, at the end
     /// of its read — and this count pins it.
     CopyBytes,
-    /// Run-queue work: one per push or pop of the fiber scheduler's
-    /// priority queue, plus the heap levels it moved an entry through.
-    /// Follows `log ranks` per event (OST request, send, collective
-    /// entry).
+    /// Run-queue operations: one per push or pop of the fiber
+    /// scheduler's run queue, whether its FIFO of fibers made runnable
+    /// or its heap of pending requests. About two per event (OST
+    /// request, send, collective entry), whatever the rank count.
     RunqSteps,
+    /// Run-queue admissions: pops of the pending requests' heap, one
+    /// per request that waited at the admission gate.
+    RunqAdmits,
 }
 
 /// Number of counters in the registry.
-pub const COUNTER_COUNT: usize = 10;
+pub const COUNTER_COUNT: usize = 11;
 
 const COUNTER_NAMES: [&str; COUNTER_COUNT] = [
     "flatten_hit",
@@ -313,6 +316,7 @@ const COUNTER_NAMES: [&str; COUNTER_COUNT] = [
     "cksum_bytes",
     "copy_bytes",
     "runq_steps",
+    "runq_admits",
 ];
 
 impl Counter {
