@@ -1,9 +1,8 @@
 //! `report` — render the JSON series under `bench_results/` as markdown
 //! tables (one per figure), so EXPERIMENTS.md numbers are regenerable
 //! with two commands: run the figure binaries, then `report`. Simtrace
-//! metrics documents (from `trace_dump`), run digests (from `explain`),
-//! diff reports and time-series documents are folded in as their own
-//! sections.
+//! metrics documents (from `trace_dump`), run digests (from `explain`)
+//! and diff reports are folded in as their own sections.
 //!
 //! `report --check-docs` runs the docs-drift gate instead: every
 //! `<!-- check: ... -->` marker in ARCHITECTURE.md, DESIGN.md and
@@ -17,6 +16,8 @@
 
 use bench::doccheck::{literal_names, parse_markers, stale_names, unledgered_hints, verify};
 use bench::{print_metrics_doc, rows_from_json, Row};
+use simtrace::diff::Key;
+use simtrace::digest_from_json;
 use simtrace::json::Json;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -92,15 +93,11 @@ fn main() {
             }
             Some("parcoll_run_digest") => {
                 println!("\n### {name} (run digest)\n");
-                print_digest_doc(&doc);
+                print_digest_doc(&name, &text);
             }
             Some("simtrace_diff") => {
                 println!("\n### {name} (run diff)\n");
                 print_diff_doc(&doc);
-            }
-            Some("simtrace_series") => {
-                println!("\n### {name} (time series)\n");
-                print_series_doc(&doc);
             }
             _ => eprintln!("skipping {name}: neither rows nor a known document"),
         }
@@ -155,26 +152,25 @@ fn check_docs() {
     }
 }
 
-/// Summarize a run digest: wall, path phases, heaviest rounds.
-fn print_digest_doc(doc: &Json) {
-    let wall = doc.get("wall_us").and_then(Json::as_f64).unwrap_or(0.0);
-    let label = doc.get("label").and_then(Json::as_str).unwrap_or("?");
-    println!("run `{label}`: wall {:.1} us", wall);
-    if let Some(phases) = doc.get("path_phases_us").and_then(Json::as_obj) {
-        print!("critical path:");
-        for (phase, us) in phases {
-            print!(" {phase} {:.1} us,", us.as_f64().unwrap_or(0.0));
+/// Summarize a run digest: label, wall, critical-path phases and a
+/// count of keys by kind.
+fn print_digest_doc(name: &str, text: &str) {
+    let Some(d) = digest_from_json(text) else {
+        eprintln!("skipping {name}: not a run digest");
+        return;
+    };
+    println!("run `{}`: wall {:.1} us", d.label, d.wall_us);
+    print!("critical path:");
+    let mut kinds: BTreeMap<&str, usize> = BTreeMap::new();
+    for (key, us) in &d.values_us {
+        if let Key::Phase(phase) = key {
+            print!(" {phase} {us:.1} us,");
         }
-        println!();
+        *kinds.entry(key.kind()).or_insert(0) += 1;
     }
-    let n = |k: &str| doc.get(k).and_then(Json::as_array).map_or(0, <[Json]>::len);
-    println!(
-        "{} ranks, {} collectives, {} osts, {} rounds",
-        n("ranks"),
-        n("collectives"),
-        n("osts"),
-        n("rounds")
-    );
+    println!();
+    let counts: Vec<String> = kinds.iter().map(|(kind, n)| format!("{n} {kind}")).collect();
+    println!("keys: {}", counts.join(", "));
 }
 
 /// Print a diff report's findings as a markdown table.
@@ -188,27 +184,6 @@ fn print_diff_doc(doc: &Json) {
     for (i, f) in findings.iter().enumerate() {
         let text = f.get("text").and_then(Json::as_str).unwrap_or("?");
         println!("| {} | {text} |", i + 1);
-    }
-}
-
-/// Summarize a time-series document: interval grid plus per-track series.
-fn print_series_doc(doc: &Json) {
-    let interval = doc.get("interval_us").and_then(Json::as_f64).unwrap_or(0.0);
-    let n = doc.get("n_intervals").and_then(Json::as_f64).unwrap_or(0.0);
-    let wall = doc.get("wall_us").and_then(Json::as_f64).unwrap_or(0.0);
-    println!(
-        "{n:.0} intervals x {interval:.1} us (wall {:.1} us)",
-        wall
-    );
-    let tracks = doc.get("tracks").and_then(Json::as_array).unwrap_or(&[]);
-    for t in tracks {
-        let track = t.get("track").and_then(Json::as_str).unwrap_or("?");
-        let names: Vec<&str> = t
-            .get("series")
-            .and_then(Json::as_obj)
-            .map(|o| o.iter().map(|(k, _)| k.as_str()).collect())
-            .unwrap_or_default();
-        println!("  {track}: {}", names.join(", "));
     }
 }
 

@@ -9,9 +9,11 @@
 //!
 //! * [`SCENARIO_FILE`] — ordinary bench [`Row`]s (bandwidth plus phase
 //!   seconds), which the `regress` row gate compares point-by-point;
-//! * [`DIGEST_FILE`] — the run's [`RunDigest`] (critical-path phases,
-//!   per-round charges, per-OST round-binned service). The digest is a
-//!   JSON *object*, so the row gate skips it; only the differ reads it.
+//! * [`DIGEST_FILE`] — the run's [`RunDigest`], one table of totals
+//!   under stable keys (critical-path phases, per-round charges, per-OST
+//!   round-binned service, collective waits, rank busy time). The digest
+//!   is a JSON *object*, so the row gate skips it; only the differ reads
+//!   it.
 //!
 //! When the gate trips, [`explain_dirs`] aligns the two digests by
 //! stable keys and ranks the deltas — "io grew 11.8% on ost 6 in

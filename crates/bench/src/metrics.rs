@@ -3,8 +3,9 @@
 //! Two consumers need the same folds: `report` renders a persisted
 //! metrics document (`trace_metrics.json`) as markdown, and
 //! `ost_heatmap` folds a live [`Trace`]'s OST tracks into per-target
-//! load lines. Both folds live here so the span/counter names are
-//! spelled in exactly one place.
+//! load lines. Both folds live here so `bench` spells the span and
+//! counter names once; the run digest (`simtrace::diff`) reads
+//! `ost/serve` spans on its own, for its per-OST and per-round totals.
 
 use simtrace::json::Json;
 use simtrace::{Event, Trace, TrackKey};

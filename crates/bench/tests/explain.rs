@@ -3,9 +3,11 @@
 //! *named* — correct phase, correct resource, with a round range — by
 //! the top-ranked diff finding. No grepping Perfetto by hand.
 
-use bench::explain::{parse_fault, run_scenario};
+use bench::explain::{parse_fault, run_scenario, DIGEST_FILE};
 use bench::regress::compare_rows;
 use simtrace::diff::diff;
+use simtrace::digest_json;
+use std::path::Path;
 
 #[test]
 fn one_percent_slow_ost_trips_the_gate_and_is_named() {
@@ -56,6 +58,21 @@ fn unperturbed_rerun_produces_no_findings() {
         report.findings.is_empty(),
         "identical runs must diff clean, got: {:?}",
         report.findings.first().map(|f| &f.text)
+    );
+}
+
+/// `regress --explain` diffs against the committed digest, and the row
+/// gate skips it, so this is what holds it to the scenario it claims to
+/// record: `explain --emit-baseline` must reproduce it byte for byte.
+#[test]
+fn the_committed_digest_is_the_baseline_scenario() {
+    let quick = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench_results/quick");
+    let path = quick.join(DIGEST_FILE);
+    let committed = std::fs::read_to_string(&path).expect("committed digest");
+    assert!(
+        digest_json(&run_scenario("baseline", None).1) == committed,
+        "{} is stale: regenerate it with `explain --emit-baseline`",
+        path.display()
     );
 }
 

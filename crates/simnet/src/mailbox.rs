@@ -24,7 +24,7 @@
 //! A received node goes back on the store's free list and keeps its
 //! place, so the store's size is the most packets this mailbox has held
 //! at once, and a steady exchange allocates nothing per message. A
-//! source costs two `u32` list ends, inline in a table of [`BLOCK`]
+//! source costs two `u32` list ends, inline in a table of `BLOCK`
 //! consecutive senders that is allocated by its first delivery; a
 //! mailbox holds one pointer per block. Before the store, each pair a
 //! mailbox had heard from held a boxed shard with its own packet queue,

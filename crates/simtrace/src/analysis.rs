@@ -29,7 +29,7 @@
 //! it, which is what makes the what-if estimates mechanical rather than
 //! statistical.
 
-use crate::sink::{ArgValue, Event, Trace, TrackData, TrackKey};
+use crate::sink::{arg_u64, ArgValue, Event, Trace, TrackData, TrackKey};
 use std::collections::BTreeMap;
 
 /// Why the critical path entered a segment at its start instant.
@@ -208,13 +208,6 @@ impl Binder {
     }
 }
 
-fn arg_u64(args: &[(&'static str, ArgValue)], key: &str) -> Option<u64> {
-    args.iter().find(|(k, _)| *k == key).and_then(|(_, v)| match v {
-        ArgValue::U64(v) => Some(*v),
-        _ => None,
-    })
-}
-
 fn arg_f64(args: &[(&'static str, ArgValue)], key: &str) -> Option<f64> {
     args.iter().find(|(k, _)| *k == key).and_then(|(_, v)| match v {
         ArgValue::F64(v) => Some(*v),
@@ -308,11 +301,18 @@ fn prepare(track: &TrackData) -> RankTimeline {
     }
 }
 
-/// Attribute `[a, b]` on one rank to its phase spans; uncovered time
-/// lands in `other`. Overlapping phase spans (which the timers do not
-/// produce) would over-count; coverage is clamped to the interval.
-fn attribute(phases: &[(f64, f64, String)], a: f64, b: f64) -> BTreeMap<String, f64> {
-    let mut out = BTreeMap::new();
+/// Attribute `[a, b]` on one rank to its phase spans (sorted by start),
+/// adding each overlap to `out` under `key(phase)` in span order;
+/// uncovered time lands in `key("other")`. Overlapping phase spans
+/// (which the timers do not produce) would over-count; coverage is
+/// clamped to the interval.
+pub(crate) fn attribute<K: Ord>(
+    phases: &[(f64, f64, String)],
+    a: f64,
+    b: f64,
+    out: &mut BTreeMap<K, f64>,
+    key: impl Fn(&str) -> K,
+) {
     let mut covered = 0.0f64;
     let first = phases.partition_point(|(_, end, _)| *end <= a);
     for (start, end, name) in &phases[first..] {
@@ -321,14 +321,20 @@ fn attribute(phases: &[(f64, f64, String)], a: f64, b: f64) -> BTreeMap<String, 
         }
         let overlap = end.min(b) - start.max(a);
         if overlap > 0.0 {
-            *out.entry(name.clone()).or_insert(0.0) += overlap;
+            *out.entry(key(name)).or_insert(0.0) += overlap;
             covered += overlap;
         }
     }
     let other = (b - a) - covered;
     if other > 0.0 {
-        *out.entry("other".to_string()).or_insert(0.0) += other;
+        *out.entry(key("other")).or_insert(0.0) += other;
     }
+}
+
+/// `[a, b]` on one rank by phase (see [`attribute`]).
+fn breakdown(phases: &[(f64, f64, String)], a: f64, b: f64) -> BTreeMap<String, f64> {
+    let mut out = BTreeMap::new();
+    attribute(phases, a, b, &mut out, str::to_string);
     out
 }
 
@@ -392,7 +398,7 @@ pub fn critical_path(trace: &Trace) -> Option<CriticalPath> {
                         start_us: 0.0,
                         end_us: t,
                         edge: PathEdge::Start,
-                        breakdown: attribute(&timeline.phases, 0.0, t),
+                        breakdown: breakdown(&timeline.phases, 0.0, t),
                     },
                 );
                 break;
@@ -415,7 +421,7 @@ pub fn critical_path(trace: &Trace) -> Option<CriticalPath> {
                         } else {
                             PathEdge::Program
                         },
-                        breakdown: attribute(&timeline.phases, end_us, t),
+                        breakdown: breakdown(&timeline.phases, end_us, t),
                     },
                 );
                 if blocked {
@@ -448,7 +454,7 @@ pub fn critical_path(trace: &Trace) -> Option<CriticalPath> {
                             start_us: end_us,
                             end_us: t,
                             edge: PathEdge::MessageArrival { src },
-                            breakdown: attribute(&timeline.phases, end_us, t),
+                            breakdown: breakdown(&timeline.phases, end_us, t),
                         },
                     );
                     push(
@@ -458,7 +464,7 @@ pub fn critical_path(trace: &Trace) -> Option<CriticalPath> {
                             start_us: arrival_us,
                             end_us,
                             edge: PathEdge::MessageArrival { src },
-                            breakdown: attribute(&timeline.phases, arrival_us, end_us),
+                            breakdown: breakdown(&timeline.phases, arrival_us, end_us),
                         },
                     );
                     push(
@@ -483,7 +489,7 @@ pub fn critical_path(trace: &Trace) -> Option<CriticalPath> {
                             start_us: end_us,
                             end_us: t,
                             edge: PathEdge::Program,
-                            breakdown: attribute(&timeline.phases, end_us, t),
+                            breakdown: breakdown(&timeline.phases, end_us, t),
                         },
                     );
                     push(
@@ -493,7 +499,7 @@ pub fn critical_path(trace: &Trace) -> Option<CriticalPath> {
                             start_us,
                             end_us,
                             edge: PathEdge::Program,
-                            breakdown: attribute(&timeline.phases, start_us, end_us),
+                            breakdown: breakdown(&timeline.phases, start_us, end_us),
                         },
                     );
                     t = start_us;

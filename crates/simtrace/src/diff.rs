@@ -1,102 +1,111 @@
-//! Cross-run differential analysis: align two runs' critical paths,
-//! phase attributions, per-rank slack and resource loads, and rank the
-//! deltas into a root-cause table.
+//! Cross-run differential analysis: reduce each run to totals under
+//! stable keys, subtract two runs key by key, and rank the deltas into
+//! a root-cause table.
 //!
 //! The alignment never compares raw timestamps between runs (virtual
 //! times shift globally the moment anything changes). Instead each run
-//! is first reduced to a [`RunDigest`] keyed by *stable identities*:
+//! is first reduced to a [`RunDigest`]: its wall and one table of µs
+//! values under *stable identities* ([`Key`]) — critical-path phases,
+//! OST service (in total, and binned to the requesting rank's enclosing
+//! exchange round), per-round phase charges summed over ranks, each
+//! collective's largest wait and each rank's busy time.
 //!
-//! * critical-path time per **phase** (`io` / `sync` / `p2p` / …);
-//! * per-**rank** busy/sync/on-path/slack totals;
-//! * per-**collective** waits, keyed `(ctx, seq)` — the communicator
-//!   context and rendezvous generation, identical across runs of the
-//!   same program;
-//! * per-**round** phase charges, keyed `(call, round)` from the
-//!   two-phase `round/*` spans;
-//! * per-**OST** service totals, with each `ost/serve` span binned to
-//!   the requesting rank's enclosing exchange round.
+//! [`diff`] then joins two digests over the union of their keys (a key
+//! one side lacks reads 0) and emits one [`Finding`] per delta above a
+//! noise floor, scored by `|Δµs| ×` a kind weight (shrinks are further
+//! discounted — lost time can't cause a regression). The weights encode
+//! cause-over-symptom: when one OST slows down by Δ, every downstream
+//! aggregate — collective waits, rank busy totals, critical-path phase
+//! overlap — inflates by queue-and-wait amplification, often to *many
+//! times* Δ; and the critical path can reroute entirely, swinging its
+//! per-phase totals by amounts unrelated to the cause. So resource (OST)
+//! findings carry a decisive weight, round-localized charges
+//! (rerouting-robust: summed over all ranks) sit in the middle, and
+//! per-rank / path-phase aggregates are demoted to context.
 //!
-//! [`diff`] then subtracts digests key-by-key and emits one [`Finding`]
-//! per delta above a noise floor, scored by `|Δµs| ×` a kind weight
-//! (shrinks are further discounted — lost time can't cause a
-//! regression). The weights encode cause-over-symptom: when one OST
-//! slows down by Δ, every downstream aggregate — collective waits, rank
-//! busy totals, critical-path phase overlap — inflates by queue-and-wait
-//! amplification, often to *many times* Δ; and the critical path can
-//! reroute entirely, swinging its per-phase totals by amounts unrelated
-//! to the cause. So resource (OST) findings carry a decisive weight,
-//! round-localized charges (rerouting-robust: summed over all ranks)
-//! sit in the middle, and per-rank / path-phase aggregates are demoted
-//! to context.
-//!
-//! Digests serialize to JSON (`kind: "parcoll_run_digest"`) so a
-//! baseline digest can be committed next to `bench_results` rows and
-//! diffed against HEAD when the regression gate trips.
+//! Digests serialize to JSON (`kind: "parcoll_run_digest"`, one
+//! `values_us` object keyed by [`Key`]'s words) so a baseline digest can
+//! be committed next to `bench_results` rows and diffed against HEAD
+//! when the regression gate trips.
 
-use crate::analysis::{critical_path, rank_slack};
+use crate::analysis::{attribute, critical_path};
 use crate::export::collective_ops;
 use crate::json::Json;
-use crate::sink::{ArgValue, Event, Trace, TrackKey};
-use std::collections::BTreeMap;
+use crate::sink::{arg_u64, Event, Trace, TrackKey};
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 
-/// Per-rank totals carried by the digest.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RankDigest {
-    /// Global rank.
-    pub rank: usize,
-    /// Total µs inside any `phase` span.
-    pub busy_us: f64,
-    /// µs inside `sync` phase spans.
-    pub sync_us: f64,
-    /// µs of the critical path on this rank.
-    pub on_path_us: f64,
+/// What a digest value is the total of. Every key names something the
+/// same program has in every run — never a timestamp — so two runs'
+/// digests align key by key. Phase and operation names are single
+/// words, as the instrumented layers record them.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Key {
+    /// Critical-path µs charged to a phase (`io`, `sync`, `p2p`, …).
+    Phase(String),
+    /// An OST's total `ost/serve` time.
+    Ost(usize),
+    /// `(ost, call, round)`: an OST's `ost/serve` time for requests
+    /// issued in that exchange round. Read only to give an OST finding
+    /// its round range.
+    OstRound(usize, u64, u64),
+    /// `(call, round, phase)`: one exchange round's charge to a phase,
+    /// summed over every rank's window of that round (uncovered window
+    /// time is phase `other`). `call` counts the `round == 0` starts
+    /// before the window on its rank.
+    Round(u64, u64, String),
+    /// `(op, ctx, seq)`: a collective's largest wait among its
+    /// participants, keyed by operation name, communicator context and
+    /// per-communicator sequence number.
+    Collective(String, u64, u64),
+    /// A rank's busy time: everything inside its `phase` spans.
+    Rank(usize),
 }
 
-/// One collective's wait profile, keyed by `(ctx, seq)`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CollectiveDigest {
-    /// Operation name.
-    pub op: String,
-    /// Communicator context id.
-    pub ctx: u64,
-    /// Per-communicator collective sequence number.
-    pub seq: u64,
-    /// Global rank whose late arrival set the meeting time.
-    pub straggler: usize,
-    /// Largest wait among participants, µs.
-    pub max_wait_us: f64,
-    /// Sum of every participant's wait, µs.
-    pub total_wait_us: f64,
+impl Key {
+    /// The key's first word: `phase`, `ost`, `ost_round`, `round`,
+    /// `collective` or `rank`.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Key::Phase(_) => "phase",
+            Key::Ost(_) => "ost",
+            Key::OstRound(..) => "ost_round",
+            Key::Round(..) => "round",
+            Key::Collective(..) => "collective",
+            Key::Rank(_) => "rank",
+        }
+    }
+
+    /// Parse the words [`Key`]'s `Display` writes (`"ost 1"`,
+    /// `"round 0 3 io"`).
+    pub(crate) fn parse(words: &str) -> Option<Key> {
+        let num = |w: &str| w.parse::<u64>().ok();
+        let words: Vec<&str> = words.split(' ').collect();
+        Some(match words[..] {
+            ["phase", phase] => Key::Phase(phase.to_string()),
+            ["ost", ost] => Key::Ost(num(ost)? as usize),
+            ["ost_round", ost, call, round] => {
+                Key::OstRound(num(ost)? as usize, num(call)?, num(round)?)
+            }
+            ["round", call, round, phase] => Key::Round(num(call)?, num(round)?, phase.to_string()),
+            ["collective", op, ctx, seq] => Key::Collective(op.to_string(), num(ctx)?, num(seq)?),
+            ["rank", rank] => Key::Rank(num(rank)? as usize),
+            _ => return None,
+        })
+    }
 }
 
-/// One OST's service totals, with per-round attribution.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OstDigest {
-    /// OST index.
-    pub ost: usize,
-    /// Total `ost/serve` span time, µs.
-    pub busy_us: f64,
-    /// Total `ost/queue` span time, µs.
-    pub queue_wait_us: f64,
-    /// Total bytes served.
-    pub bytes: f64,
-    /// Service time per exchange round, keyed `(call, round)` of the
-    /// requesting rank's enclosing round span (`(u64::MAX, u64::MAX)`
-    /// collects requests outside any round, e.g. independent I/O).
-    pub round_busy_us: BTreeMap<(u64, u64), f64>,
-}
-
-/// One exchange round's phase charges, summed over ranks.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RoundDigest {
-    /// Collective-call index (how many `round == 0` starts preceded it
-    /// on each rank).
-    pub call: u64,
-    /// Round index within the call.
-    pub round: u64,
-    /// µs per phase inside the per-rank round windows, summed over
-    /// ranks.
-    pub phases_us: BTreeMap<String, f64>,
+impl fmt::Display for Key {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}", self.kind())?;
+        match self {
+            Key::Phase(phase) => write!(f, " {phase}"),
+            Key::Ost(ost) | Key::Rank(ost) => write!(f, " {ost}"),
+            Key::OstRound(ost, call, round) => write!(f, " {ost} {call} {round}"),
+            Key::Round(call, round, phase) => write!(f, " {call} {round} {phase}"),
+            Key::Collective(op, ctx, seq) => write!(f, " {op} {ctx} {seq}"),
+        }
+    }
 }
 
 /// A run reduced to stable-keyed totals — everything [`diff`] needs,
@@ -107,50 +116,14 @@ pub struct RunDigest {
     pub label: String,
     /// Virtual wall, µs.
     pub wall_us: f64,
-    /// Rank that finished last.
-    pub end_rank: usize,
-    /// Critical-path µs per phase.
-    pub path_phases_us: BTreeMap<String, f64>,
-    /// The straggler chain: `(rank, µs)` visits in path order.
-    pub chain: Vec<(usize, f64)>,
-    /// Per-rank totals, ascending rank.
-    pub ranks: Vec<RankDigest>,
-    /// Per-collective waits, ascending `(ctx, seq)`.
-    pub collectives: Vec<CollectiveDigest>,
-    /// Per-OST service, ascending OST.
-    pub osts: Vec<OstDigest>,
-    /// Per-round phase charges, ascending `(call, round)`.
-    pub rounds: Vec<RoundDigest>,
+    /// Every total, µs, by key.
+    pub values_us: BTreeMap<Key, f64>,
 }
 
-/// Round key for requests outside any exchange round.
-const NO_ROUND: (u64, u64) = (u64::MAX, u64::MAX);
-
-fn arg_u64(args: &[(&'static str, ArgValue)], key: &str) -> Option<u64> {
-    args.iter().find(|(k, _)| *k == key).and_then(|(_, v)| match v {
-        ArgValue::U64(v) => Some(*v),
-        _ => None,
-    })
-}
-
-/// Attribute `[a, b]` against sorted phase spans; uncovered time lands
-/// in `other` (same rules as the critical-path attribution).
-fn overlap_phases(phases: &[(f64, f64, String)], a: f64, b: f64, out: &mut BTreeMap<String, f64>) {
-    let mut covered = 0.0f64;
-    let first = phases.partition_point(|(_, end, _)| *end <= a);
-    for (start, end, name) in &phases[first..] {
-        if *start >= b {
-            break;
-        }
-        let overlap = end.min(b) - start.max(a);
-        if overlap > 0.0 {
-            *out.entry(name.clone()).or_insert(0.0) += overlap;
-            covered += overlap;
-        }
-    }
-    let other = (b - a) - covered;
-    if other > 0.0 {
-        *out.entry("other".to_string()).or_insert(0.0) += other;
+impl RunDigest {
+    /// The total under `key`; 0 when the run has none.
+    pub(crate) fn get(&self, key: &Key) -> f64 {
+        self.values_us.get(key).copied().unwrap_or(0.0)
     }
 }
 
@@ -158,27 +131,18 @@ fn overlap_phases(phases: &[(f64, f64, String)], a: f64, b: f64, out: &mut BTree
 /// rank spans (disabled sink).
 pub fn digest(trace: &Trace, label: &str) -> Option<RunDigest> {
     let path = critical_path(trace)?;
-    let slack = rank_slack(trace, &path);
+    let mut values_us: BTreeMap<Key, f64> =
+        path.breakdown().into_iter().map(|(phase, us)| (Key::Phase(phase), us)).collect();
 
     // Per-rank round windows: (call, round, start, end) in time order.
     let mut rank_rounds: BTreeMap<usize, Vec<(u64, u64, f64, f64)>> = BTreeMap::new();
-    let mut rounds: BTreeMap<(u64, u64), RoundDigest> = BTreeMap::new();
     for track in trace.rank_tracks() {
         let TrackKey::Rank(rank) = track.key else { continue };
         let mut phases: Vec<(f64, f64, String)> = Vec::new();
         let mut windows: Vec<(u64, u64, f64, f64)> = Vec::new();
         let mut call = 0u64;
         for event in &track.events {
-            let Event::Span {
-                cat,
-                name,
-                start_us,
-                dur_us,
-                args,
-            } = event
-            else {
-                continue;
-            };
+            let Event::Span { cat, name, start_us, dur_us, args } = event else { continue };
             match *cat {
                 "phase" => phases.push((*start_us, start_us + dur_us, name.to_string())),
                 "round" => {
@@ -193,219 +157,59 @@ pub fn digest(trace: &Trace, label: &str) -> Option<RunDigest> {
             }
         }
         phases.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
-        for (call, round, start, end) in &windows {
-            let entry = rounds.entry((*call, *round)).or_insert_with(|| RoundDigest {
-                call: *call,
-                round: *round,
-                phases_us: BTreeMap::new(),
+        for &(call, round, start, end) in &windows {
+            attribute(&phases, start, end, &mut values_us, |phase| {
+                Key::Round(call, round, phase.to_string())
             });
-            overlap_phases(&phases, *start, *end, &mut entry.phases_us);
         }
+        values_us.insert(Key::Rank(rank), track.span_total_us("phase", None));
         rank_rounds.insert(rank, windows);
     }
 
-    let mut osts = Vec::new();
     for track in trace.ost_tracks() {
         let TrackKey::Ost(ost) = track.key else { continue };
-        let mut d = OstDigest {
-            ost,
-            busy_us: 0.0,
-            queue_wait_us: 0.0,
-            bytes: 0.0,
-            round_busy_us: BTreeMap::new(),
-        };
         for event in &track.events {
-            let Event::Span {
-                cat: "ost",
-                name,
-                start_us,
-                dur_us,
-                args,
-            } = event
-            else {
-                continue;
-            };
-            if name == "queue" {
-                d.queue_wait_us += dur_us;
-                continue;
-            }
+            let Event::Span { cat: "ost", name, start_us, dur_us, args } = event else { continue };
             if name != "serve" {
                 continue;
             }
-            d.busy_us += dur_us;
-            d.bytes += arg_u64(args, "bytes").unwrap_or(0) as f64;
+            *values_us.entry(Key::Ost(ost)).or_insert(0.0) += dur_us;
             // Bin the request to the requester's enclosing round: the
             // last round window starting at or before the service start
             // (drain-time service still belongs to the round that
-            // issued it).
-            let round_key = arg_u64(args, "rank")
+            // issued it). Requests outside any round are not binned.
+            let window = arg_u64(args, "rank")
                 .and_then(|r| rank_rounds.get(&(r as usize)))
                 .and_then(|windows| {
                     let i = windows.partition_point(|(_, _, start, _)| *start <= *start_us);
-                    i.checked_sub(1).map(|i| (windows[i].0, windows[i].1))
-                })
-                .unwrap_or(NO_ROUND);
-            *d.round_busy_us.entry(round_key).or_insert(0.0) += dur_us;
+                    i.checked_sub(1).map(|i| windows[i])
+                });
+            if let Some((call, round, _, _)) = window {
+                *values_us.entry(Key::OstRound(ost, call, round)).or_insert(0.0) += dur_us;
+            }
         }
-        osts.push(d);
+    }
+
+    for op in collective_ops(trace) {
+        values_us.insert(Key::Collective(op.op, op.ctx, op.seq), op.max_wait_us);
     }
 
     Some(RunDigest {
         label: label.to_string(),
         wall_us: path.wall_us,
-        end_rank: path.end_rank,
-        path_phases_us: path.breakdown(),
-        chain: path.straggler_chain(),
-        ranks: slack
-            .iter()
-            .map(|s| RankDigest {
-                rank: s.rank,
-                busy_us: s.busy_us,
-                sync_us: s.sync_us,
-                on_path_us: s.on_path_us,
-            })
-            .collect(),
-        collectives: collective_ops(trace)
-            .iter()
-            .map(|op| CollectiveDigest {
-                op: op.op.clone(),
-                ctx: op.ctx,
-                seq: op.seq,
-                straggler: op.straggler,
-                max_wait_us: op.max_wait_us,
-                total_wait_us: op.total_wait_us,
-            })
-            .collect(),
-        osts,
-        rounds: rounds.into_values().collect(),
+        values_us,
     })
-}
-
-// ---------------------------------------------------------------------
-// Digest JSON round trip
-// ---------------------------------------------------------------------
-
-fn round_key_str(key: (u64, u64)) -> String {
-    if key == NO_ROUND {
-        "-".to_string()
-    } else {
-        format!("{}/{}", key.0, key.1)
-    }
-}
-
-fn round_key_parse(s: &str) -> Option<(u64, u64)> {
-    if s == "-" {
-        return Some(NO_ROUND);
-    }
-    let (c, r) = s.split_once('/')?;
-    Some((c.parse().ok()?, r.parse().ok()?))
-}
-
-fn f64_map_json(m: &BTreeMap<String, f64>) -> Json {
-    Json::Obj(m.iter().map(|(k, v)| (k.clone(), Json::Num(*v))).collect())
-}
-
-fn f64_map_parse(doc: &Json) -> Option<BTreeMap<String, f64>> {
-    doc.as_obj()?
-        .iter()
-        .map(|(k, v)| Some((k.clone(), v.as_f64()?)))
-        .collect()
 }
 
 /// Serialize a digest (`kind: "parcoll_run_digest"`). Byte-reproducible
 /// for identical runs.
 pub fn digest_json(d: &RunDigest) -> String {
+    let values = d.values_us.iter().map(|(k, v)| (k.to_string(), Json::Num(*v)));
     Json::Obj(vec![
         ("kind".into(), Json::Str("parcoll_run_digest".into())),
         ("label".into(), Json::Str(d.label.clone())),
         ("wall_us".into(), Json::Num(d.wall_us)),
-        ("end_rank".into(), Json::U64(d.end_rank as u64)),
-        ("path_phases_us".into(), f64_map_json(&d.path_phases_us)),
-        (
-            "chain".into(),
-            Json::Arr(
-                d.chain
-                    .iter()
-                    .map(|(rank, us)| {
-                        Json::Arr(vec![Json::U64(*rank as u64), Json::Num(*us)])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "ranks".into(),
-            Json::Arr(
-                d.ranks
-                    .iter()
-                    .map(|r| {
-                        Json::Obj(vec![
-                            ("rank".into(), Json::U64(r.rank as u64)),
-                            ("busy_us".into(), Json::Num(r.busy_us)),
-                            ("sync_us".into(), Json::Num(r.sync_us)),
-                            ("on_path_us".into(), Json::Num(r.on_path_us)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "collectives".into(),
-            Json::Arr(
-                d.collectives
-                    .iter()
-                    .map(|c| {
-                        Json::Obj(vec![
-                            ("op".into(), Json::Str(c.op.clone())),
-                            ("ctx".into(), Json::U64(c.ctx)),
-                            ("seq".into(), Json::U64(c.seq)),
-                            ("straggler".into(), Json::U64(c.straggler as u64)),
-                            ("max_wait_us".into(), Json::Num(c.max_wait_us)),
-                            ("total_wait_us".into(), Json::Num(c.total_wait_us)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "osts".into(),
-            Json::Arr(
-                d.osts
-                    .iter()
-                    .map(|o| {
-                        Json::Obj(vec![
-                            ("ost".into(), Json::U64(o.ost as u64)),
-                            ("busy_us".into(), Json::Num(o.busy_us)),
-                            ("queue_wait_us".into(), Json::Num(o.queue_wait_us)),
-                            ("bytes".into(), Json::Num(o.bytes)),
-                            (
-                                "round_busy_us".into(),
-                                Json::Obj(
-                                    o.round_busy_us
-                                        .iter()
-                                        .map(|(k, v)| (round_key_str(*k), Json::Num(*v)))
-                                        .collect(),
-                                ),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "rounds".into(),
-            Json::Arr(
-                d.rounds
-                    .iter()
-                    .map(|r| {
-                        Json::Obj(vec![
-                            ("call".into(), Json::U64(r.call)),
-                            ("round".into(), Json::U64(r.round)),
-                            ("phases_us".into(), f64_map_json(&r.phases_us)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("values_us".into(), Json::Obj(values.collect())),
     ])
     .pretty()
 }
@@ -419,82 +223,14 @@ pub fn digest_from_json(text: &str) -> Option<RunDigest> {
     Some(RunDigest {
         label: doc.get("label")?.as_str()?.to_string(),
         wall_us: doc.get("wall_us")?.as_f64()?,
-        end_rank: doc.get("end_rank")?.as_u64()? as usize,
-        path_phases_us: f64_map_parse(doc.get("path_phases_us")?)?,
-        chain: doc
-            .get("chain")?
-            .as_array()?
+        values_us: doc
+            .get("values_us")?
+            .as_obj()?
             .iter()
-            .map(|pair| {
-                let items = pair.as_array()?;
-                Some((items.first()?.as_u64()? as usize, items.get(1)?.as_f64()?))
-            })
-            .collect::<Option<Vec<_>>>()?,
-        ranks: doc
-            .get("ranks")?
-            .as_array()?
-            .iter()
-            .map(|r| {
-                Some(RankDigest {
-                    rank: r.get("rank")?.as_u64()? as usize,
-                    busy_us: r.get("busy_us")?.as_f64()?,
-                    sync_us: r.get("sync_us")?.as_f64()?,
-                    on_path_us: r.get("on_path_us")?.as_f64()?,
-                })
-            })
-            .collect::<Option<Vec<_>>>()?,
-        collectives: doc
-            .get("collectives")?
-            .as_array()?
-            .iter()
-            .map(|c| {
-                Some(CollectiveDigest {
-                    op: c.get("op")?.as_str()?.to_string(),
-                    ctx: c.get("ctx")?.as_u64()?,
-                    seq: c.get("seq")?.as_u64()?,
-                    straggler: c.get("straggler")?.as_u64()? as usize,
-                    max_wait_us: c.get("max_wait_us")?.as_f64()?,
-                    total_wait_us: c.get("total_wait_us")?.as_f64()?,
-                })
-            })
-            .collect::<Option<Vec<_>>>()?,
-        osts: doc
-            .get("osts")?
-            .as_array()?
-            .iter()
-            .map(|o| {
-                Some(OstDigest {
-                    ost: o.get("ost")?.as_u64()? as usize,
-                    busy_us: o.get("busy_us")?.as_f64()?,
-                    queue_wait_us: o.get("queue_wait_us")?.as_f64()?,
-                    bytes: o.get("bytes")?.as_f64()?,
-                    round_busy_us: o
-                        .get("round_busy_us")?
-                        .as_obj()?
-                        .iter()
-                        .map(|(k, v)| Some((round_key_parse(k)?, v.as_f64()?)))
-                        .collect::<Option<BTreeMap<_, _>>>()?,
-                })
-            })
-            .collect::<Option<Vec<_>>>()?,
-        rounds: doc
-            .get("rounds")?
-            .as_array()?
-            .iter()
-            .map(|r| {
-                Some(RoundDigest {
-                    call: r.get("call")?.as_u64()?,
-                    round: r.get("round")?.as_u64()?,
-                    phases_us: f64_map_parse(r.get("phases_us")?)?,
-                })
-            })
-            .collect::<Option<Vec<_>>>()?,
+            .map(|(k, v)| Some((Key::parse(k)?, v.as_f64()?)))
+            .collect::<Option<_>>()?,
     })
 }
-
-// ---------------------------------------------------------------------
-// The diff
-// ---------------------------------------------------------------------
 
 /// One ranked delta between two digests.
 #[derive(Debug, Clone, PartialEq)]
@@ -581,25 +317,22 @@ fn grew(base: f64, head: f64) -> &'static str {
     }
 }
 
-/// The round range explaining an OST delta: rounds whose per-round
-/// delta has the same sign as the total and at least a quarter of the
+/// The round range explaining an OST's total `delta`: rounds whose
+/// per-round delta has the same sign and at least a quarter of the
 /// largest per-round magnitude.
-fn round_range(
-    base: &BTreeMap<(u64, u64), f64>,
-    head: &BTreeMap<(u64, u64), f64>,
-    total_delta: f64,
-) -> Option<(u64, u64)> {
+fn round_range(base: &RunDigest, head: &RunDigest, ost: usize, delta: f64) -> Option<(u64, u64)> {
+    let bins = Key::OstRound(ost, 0, 0)..=Key::OstRound(ost, u64::MAX, u64::MAX);
     let mut deltas: BTreeMap<(u64, u64), f64> = BTreeMap::new();
-    for (k, v) in head {
-        *deltas.entry(*k).or_insert(0.0) += v;
+    for (d, sign) in [(head, 1.0), (base, -1.0)] {
+        for (key, v) in d.values_us.range(bins.clone()) {
+            if let Key::OstRound(_, call, round) = key {
+                *deltas.entry((*call, *round)).or_insert(0.0) += sign * v;
+            }
+        }
     }
-    for (k, v) in base {
-        *deltas.entry(*k).or_insert(0.0) -= v;
-    }
-    deltas.remove(&NO_ROUND);
     let peak = deltas
         .values()
-        .map(|d| if d * total_delta > 0.0 { d.abs() } else { 0.0 })
+        .map(|d| if d * delta > 0.0 { d.abs() } else { 0.0 })
         .fold(0.0, f64::max);
     if peak <= 0.0 {
         return None;
@@ -607,7 +340,7 @@ fn round_range(
     let mut lo = u64::MAX;
     let mut hi = 0u64;
     for ((_, round), d) in &deltas {
-        if d * total_delta > 0.0 && d.abs() >= 0.25 * peak {
+        if d * delta > 0.0 && d.abs() >= 0.25 * peak {
             lo = lo.min(*round);
             hi = hi.max(*round);
         }
@@ -620,18 +353,34 @@ fn round_range(
 pub fn diff(base: &RunDigest, head: &RunDigest) -> DiffReport {
     let wall = base.wall_us.max(head.wall_us);
     let floor = (1e-4 * wall).max(1.0);
+    let mut path_phases: BTreeMap<String, (f64, f64)> = BTreeMap::new();
     let mut findings: Vec<Finding> = Vec::new();
-    let push = |kind: &'static str,
-                    weight: f64,
-                    subject: String,
-                    phase: String,
-                    rounds: Option<(u64, u64)>,
-                    base_us: f64,
-                    head_us: f64,
-                    findings: &mut Vec<Finding>| {
+    let keys: BTreeSet<&Key> = base.values_us.keys().chain(head.values_us.keys()).collect();
+    for key in keys {
+        let (base_us, head_us) = (base.get(key), head.get(key));
         let delta = head_us - base_us;
+        let (weight, subject, phase, rounds) = match key {
+            Key::Phase(phase) => {
+                // Always in the header; a finding only past the floor.
+                path_phases.insert(phase.clone(), (base_us, head_us));
+                (W_PHASE, "critical path".to_string(), phase.clone(), None)
+            }
+            Key::Ost(ost) => {
+                let rounds = round_range(base, head, *ost, delta);
+                (W_OST, format!("ost {ost}"), "io".to_string(), rounds)
+            }
+            Key::OstRound(..) => continue,
+            Key::Round(call, round, phase) => {
+                let subject = format!("call {call} round {round}");
+                (W_ROUND, subject, phase.clone(), Some((*round, *round)))
+            }
+            Key::Collective(op, ctx, seq) => {
+                (W_COLLECTIVE, format!("{op} ctx={ctx} seq={seq}"), "sync".to_string(), None)
+            }
+            Key::Rank(rank) => (W_RANK, format!("rank {rank}"), "busy".to_string(), None),
+        };
         if delta.abs() < floor {
-            return;
+            continue;
         }
         let where_part = match rounds {
             Some((lo, hi)) if lo == hi => format!(" in round {lo}"),
@@ -651,7 +400,7 @@ pub fn diff(base: &RunDigest, head: &RunDigest) -> DiffReport {
             score *= SHRINK_DISCOUNT;
         }
         findings.push(Finding {
-            kind,
+            kind: key.kind(),
             subject,
             phase,
             rounds,
@@ -660,132 +409,6 @@ pub fn diff(base: &RunDigest, head: &RunDigest) -> DiffReport {
             score,
             text,
         });
-    };
-
-    // Critical-path phases (always reported in the header; findings only
-    // past the floor).
-    let mut path_phases: BTreeMap<String, (f64, f64)> = BTreeMap::new();
-    for (name, us) in &base.path_phases_us {
-        path_phases.entry(name.clone()).or_insert((0.0, 0.0)).0 = *us;
-    }
-    for (name, us) in &head.path_phases_us {
-        path_phases.entry(name.clone()).or_insert((0.0, 0.0)).1 = *us;
-    }
-    for (name, (b, h)) in &path_phases {
-        push(
-            "phase",
-            W_PHASE,
-            "critical path".to_string(),
-            name.clone(),
-            None,
-            *b,
-            *h,
-            &mut findings,
-        );
-    }
-
-    // OSTs, joined on index.
-    let base_osts: BTreeMap<usize, &OstDigest> = base.osts.iter().map(|o| (o.ost, o)).collect();
-    let head_osts: BTreeMap<usize, &OstDigest> = head.osts.iter().map(|o| (o.ost, o)).collect();
-    let empty_rounds = BTreeMap::new();
-    let all_osts: std::collections::BTreeSet<usize> =
-        base_osts.keys().chain(head_osts.keys()).copied().collect();
-    for ost in all_osts {
-        let b = base_osts.get(&ost);
-        let h = head_osts.get(&ost);
-        let b_busy = b.map_or(0.0, |o| o.busy_us);
-        let h_busy = h.map_or(0.0, |o| o.busy_us);
-        let rounds = round_range(
-            b.map_or(&empty_rounds, |o| &o.round_busy_us),
-            h.map_or(&empty_rounds, |o| &o.round_busy_us),
-            h_busy - b_busy,
-        );
-        push(
-            "ost",
-            W_OST,
-            format!("ost {ost}"),
-            "io".to_string(),
-            rounds,
-            b_busy,
-            h_busy,
-            &mut findings,
-        );
-    }
-
-    // Rounds, joined on (call, round).
-    let base_rounds: BTreeMap<(u64, u64), &RoundDigest> =
-        base.rounds.iter().map(|r| ((r.call, r.round), r)).collect();
-    let head_rounds: BTreeMap<(u64, u64), &RoundDigest> =
-        head.rounds.iter().map(|r| ((r.call, r.round), r)).collect();
-    let all_rounds: std::collections::BTreeSet<(u64, u64)> =
-        base_rounds.keys().chain(head_rounds.keys()).copied().collect();
-    for key in all_rounds {
-        let mut phases: std::collections::BTreeSet<&String> = std::collections::BTreeSet::new();
-        if let Some(r) = base_rounds.get(&key) {
-            phases.extend(r.phases_us.keys());
-        }
-        if let Some(r) = head_rounds.get(&key) {
-            phases.extend(r.phases_us.keys());
-        }
-        for phase in phases {
-            let b = base_rounds
-                .get(&key)
-                .and_then(|r| r.phases_us.get(phase))
-                .copied()
-                .unwrap_or(0.0);
-            let h = head_rounds
-                .get(&key)
-                .and_then(|r| r.phases_us.get(phase))
-                .copied()
-                .unwrap_or(0.0);
-            push(
-                "round",
-                W_ROUND,
-                format!("call {} round {}", key.0, key.1),
-                phase.clone(),
-                Some((key.1, key.1)),
-                b,
-                h,
-                &mut findings,
-            );
-        }
-    }
-
-    // Collectives, joined on (ctx, seq).
-    let base_colls: BTreeMap<(u64, u64), &CollectiveDigest> =
-        base.collectives.iter().map(|c| ((c.ctx, c.seq), c)).collect();
-    for c in &head.collectives {
-        let Some(b) = base_colls.get(&(c.ctx, c.seq)) else {
-            continue;
-        };
-        push(
-            "collective",
-            W_COLLECTIVE,
-            format!("{} ctx={} seq={}", c.op, c.ctx, c.seq),
-            "sync".to_string(),
-            None,
-            b.max_wait_us,
-            c.max_wait_us,
-            &mut findings,
-        );
-    }
-
-    // Ranks, joined on rank id.
-    let base_ranks: BTreeMap<usize, &RankDigest> = base.ranks.iter().map(|r| (r.rank, r)).collect();
-    for r in &head.ranks {
-        let Some(b) = base_ranks.get(&r.rank) else {
-            continue;
-        };
-        push(
-            "rank",
-            W_RANK,
-            format!("rank {}", r.rank),
-            "busy".to_string(),
-            None,
-            b.busy_us,
-            r.busy_us,
-            &mut findings,
-        );
     }
 
     findings.sort_by(|a, b| {
@@ -841,57 +464,35 @@ impl DiffReport {
 
     /// The machine-readable form (`kind: "simtrace_diff"`).
     pub fn to_json(&self) -> String {
+        let phases = self.path_phases.iter().map(|(name, (b, h))| {
+            let pair = vec![("base".into(), Json::Num(*b)), ("head".into(), Json::Num(*h))];
+            (name.clone(), Json::Obj(pair))
+        });
+        let findings = self.findings.iter().map(|f| {
+            let mut members = vec![
+                ("kind".into(), Json::Str(f.kind.to_string())),
+                ("subject".into(), Json::Str(f.subject.clone())),
+                ("phase".into(), Json::Str(f.phase.clone())),
+            ];
+            if let Some((lo, hi)) = f.rounds {
+                members.push(("rounds".into(), Json::Arr(vec![Json::U64(lo), Json::U64(hi)])));
+            }
+            members.extend([
+                ("base_us".into(), Json::Num(f.base_us)),
+                ("head_us".into(), Json::Num(f.head_us)),
+                ("score".into(), Json::Num(f.score)),
+                ("text".into(), Json::Str(f.text.clone())),
+            ]);
+            Json::Obj(members)
+        });
         Json::Obj(vec![
             ("kind".into(), Json::Str("simtrace_diff".into())),
             ("base".into(), Json::Str(self.base_label.clone())),
             ("head".into(), Json::Str(self.head_label.clone())),
             ("wall_base_us".into(), Json::Num(self.wall_base_us)),
             ("wall_head_us".into(), Json::Num(self.wall_head_us)),
-            (
-                "path_phases_us".into(),
-                Json::Obj(
-                    self.path_phases
-                        .iter()
-                        .map(|(name, (b, h))| {
-                            (
-                                name.clone(),
-                                Json::Obj(vec![
-                                    ("base".into(), Json::Num(*b)),
-                                    ("head".into(), Json::Num(*h)),
-                                ]),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "findings".into(),
-                Json::Arr(
-                    self.findings
-                        .iter()
-                        .map(|f| {
-                            let mut members = vec![
-                                ("kind".into(), Json::Str(f.kind.to_string())),
-                                ("subject".into(), Json::Str(f.subject.clone())),
-                                ("phase".into(), Json::Str(f.phase.clone())),
-                            ];
-                            if let Some((lo, hi)) = f.rounds {
-                                members.push((
-                                    "rounds".into(),
-                                    Json::Arr(vec![Json::U64(lo), Json::U64(hi)]),
-                                ));
-                            }
-                            members.extend([
-                                ("base_us".into(), Json::Num(f.base_us)),
-                                ("head_us".into(), Json::Num(f.head_us)),
-                                ("score".into(), Json::Num(f.score)),
-                                ("text".into(), Json::Str(f.text.clone())),
-                            ]);
-                            Json::Obj(members)
-                        })
-                        .collect(),
-                ),
-            ),
+            ("path_phases_us".into(), Json::Obj(phases.collect())),
+            ("findings".into(), Json::Arr(findings.collect())),
         ])
         .pretty()
     }
@@ -949,14 +550,18 @@ mod tests {
     fn digest_captures_rounds_and_osts() {
         let d = run(0.0);
         assert_eq!(d.wall_us, 110.0);
-        assert_eq!(d.rounds.len(), 2);
-        assert_eq!(d.rounds[0].phases_us["io"], 100.0); // both ranks
-        assert_eq!(d.osts.len(), 1);
-        assert_eq!(d.osts[0].busy_us, 80.0);
+        let round = |round, phase: &str| Key::Round(0, round, phase.to_string());
+        assert_eq!(d.get(&round(0, "io")), 100.0); // both ranks
+        assert_eq!(d.get(&round(1, "io")), 100.0);
+        assert_eq!(d.get(&Key::Ost(1)), 80.0);
         // Round binning: first serve in round 0, second in round 1.
-        assert_eq!(d.osts[0].round_busy_us[&(0, 0)], 40.0);
-        assert_eq!(d.osts[0].round_busy_us[&(0, 1)], 40.0);
-        assert_eq!(d.collectives.len(), 1);
+        assert_eq!(d.get(&Key::OstRound(1, 0, 0)), 40.0);
+        assert_eq!(d.get(&Key::OstRound(1, 0, 1)), 40.0);
+        let barrier = Key::Collective("barrier".to_string(), 0, 1);
+        assert_eq!(d.get(&barrier), 10.0);
+        assert_eq!(d.get(&Key::Rank(0)), 110.0);
+        let kinds: BTreeSet<&str> = d.values_us.keys().map(Key::kind).collect();
+        assert_eq!(kinds.len(), 6, "every kind of key is present: {kinds:?}");
     }
 
     #[test]
@@ -966,6 +571,11 @@ mod tests {
         let back = digest_from_json(&text).unwrap();
         assert_eq!(back, d);
         assert_eq!(digest_json(&back), text);
+        for key in d.values_us.keys() {
+            assert_eq!(Key::parse(&key.to_string()).as_ref(), Some(key));
+        }
+        assert_eq!(Key::parse("ost x"), None);
+        assert_eq!(Key::parse("round 0 1"), None);
     }
 
     #[test]
@@ -993,5 +603,20 @@ mod tests {
         let report = diff(&d, &d);
         assert!(report.findings.is_empty(), "{:?}", report.findings);
         assert!(report.render_text().contains("no findings"));
+    }
+
+    #[test]
+    fn a_key_on_one_side_only_reads_zero_on_the_other() {
+        let base = run(0.0);
+        let mut head = base.clone();
+        head.values_us.insert(Key::Rank(2), 50.0);
+        head.values_us.remove(&Key::Rank(1));
+        let report = diff(&base, &head);
+        let text = |subject: &str| {
+            let f = report.findings.iter().find(|f| f.subject == subject);
+            f.map(|f| f.text.clone()).unwrap_or_default()
+        };
+        assert_eq!(text("rank 2"), "busy grew new on rank 2 (+50.0 us; 0.0 -> 50.0)");
+        assert_eq!(text("rank 1"), "busy shrank -100.0% on rank 1 (-100.0 us; 100.0 -> 0.0)");
     }
 }

@@ -2,7 +2,7 @@
 //! the collective-wall attribution derived from rendezvous spans.
 
 use crate::json::Json;
-use crate::sink::{ArgValue, Event, Hist, Trace, TrackData, TrackKey};
+use crate::sink::{arg_u64, ArgValue, Event, Hist, Trace, TrackData, TrackKey};
 use std::collections::BTreeMap;
 
 /// Perfetto "process" id used for storage (OST) tracks, far above any
@@ -305,21 +305,15 @@ pub fn collective_ops(trace: &Trace) -> Vec<CollectiveOp> {
             else {
                 continue;
             };
-            let arg_u64 = |key: &str| {
-                args.iter().find(|(k, _)| *k == key).and_then(|(_, v)| match v {
-                    ArgValue::U64(v) => Some(*v),
-                    _ => None,
-                })
-            };
-            let (Some(ctx), Some(seq)) = (arg_u64("ctx"), arg_u64("seq")) else {
+            let (Some(ctx), Some(seq)) = (arg_u64(args, "ctx"), arg_u64(args, "seq")) else {
                 continue;
             };
             let entry = by_instance.entry((ctx, seq)).or_insert_with(|| CollectiveOp {
                 op: name.to_string(),
                 ctx,
                 seq,
-                participants: arg_u64("n").unwrap_or(0),
-                straggler: arg_u64("straggler").unwrap_or(0) as usize,
+                participants: arg_u64(args, "n").unwrap_or(0),
+                straggler: arg_u64(args, "straggler").unwrap_or(0) as usize,
                 last_arrival_us: start_us + dur_us,
                 max_wait_us: 0.0,
                 total_wait_us: 0.0,

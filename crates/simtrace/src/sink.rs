@@ -87,6 +87,14 @@ impl From<String> for ArgValue {
     }
 }
 
+/// The `U64` argument named `key`, if the event carries one.
+pub(crate) fn arg_u64(args: &[(&'static str, ArgValue)], key: &str) -> Option<u64> {
+    args.iter().find(|(k, _)| *k == key).and_then(|(_, v)| match v {
+        ArgValue::U64(v) => Some(*v),
+        _ => None,
+    })
+}
+
 /// One timeline event. All timestamps are **virtual microseconds**.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
